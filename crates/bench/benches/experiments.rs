@@ -415,8 +415,8 @@ fn s1_rule_scaling(c: &mut Criterion) {
 }
 
 /// S2: a selective two-pattern join over a deep buffer (512 buffered
-/// events across 128 users): the hash join visits only the ~4 compatible
-/// entries instead of scanning all 512.
+/// events across 128 users): the index probe visits only the ~4
+/// compatible entries instead of scanning all 512.
 fn s2_join_deep_buffer(c: &mut Criterion) {
     let kb = InMemoryFacts::new();
     let mut engine = MatchletEngine::compile(
@@ -447,6 +447,63 @@ fn s2_join_deep_buffer(c: &mut Criterion) {
             engine.on_event(SimTime::from_millis(t), &exits[i % 128], &kb)
         })
     });
+}
+
+/// S2, steady window: the `e2e` benchmark's `city_steady` join at one
+/// matchlet host — 240 events per simulated second into a 30 s window,
+/// 59 location reports (500 users over 60 streets) to one weather
+/// reading, so 7 080 locations and 120 readings stay buffered. An
+/// iteration is one arrival with its window already full: one eviction,
+/// one probe of the other pattern's buffer (2 compatible readings per
+/// location; ≈118 locations per reading, every 60th iteration), one push.
+/// The filter rejects every pair, so the join and the window upkeep are
+/// what is timed, not event synthesis.
+fn s2_join_window_steady(c: &mut Criterion) {
+    const STEP_US: u64 = 1_000_000 / 240;
+    let kb = InMemoryFacts::new();
+    let mut engine = MatchletEngine::compile(
+        r#"
+        rule meetup {
+            on w: event weather.reading(street: ?s, celsius: ?c)
+            on l: event user.location(user: ?u, street: ?s)
+            where ?c > 100
+            within 30 s
+            emit meetup(user: ?u, street: ?s)
+        }
+        "#,
+    )
+    .unwrap();
+    let street = |i: u64| format!("street{}", i % 60);
+    let readings: Vec<Event> = (0..60)
+        .map(|i| {
+            Event::new("weather.reading")
+                .with_attr("street", street(i))
+                .with_attr("celsius", (i % 40) as i64)
+        })
+        .collect();
+    let locations: Vec<Event> = (0..500)
+        .map(|i| {
+            Event::new("user.location")
+                .with_attr("user", format!("user{i}"))
+                .with_attr("street", street(i * 7))
+        })
+        .collect();
+    let mut i = 0u64;
+    let mut arrive = move |engine: &mut MatchletEngine| {
+        i += 1;
+        let ev = if i.is_multiple_of(60) {
+            &readings[(i / 60) as usize % 60]
+        } else {
+            &locations[i as usize % 500]
+        };
+        engine.on_event(SimTime::from_micros(i * STEP_US), ev, &kb)
+    };
+    // Fill the window (30 s of arrivals) before timing.
+    for _ in 0..30 * 240 {
+        arrive(&mut engine);
+    }
+    assert_eq!(engine.rules()[0].buffered(), 7_200);
+    c.bench_function("s2_join_window_steady", |b| b.iter(|| arrive(&mut engine)));
 }
 
 /// S3: the sharded event plane at scale — wall time for a full overlay
@@ -780,7 +837,7 @@ criterion_group! {
               c1_filter_ops, c1_publish_through_network, c2_overlay_route, c3_cache_ops,
               c3_cache_churn, c4_solver, c6_binding, c7_join, c8_store_lookup, c9_retrieval,
               c10_erasure, c13_rule_churn, m1_histogram_polling, s1_rule_scaling,
-              s2_join_deep_buffer, s3_overlay_scaling, s4_churn_episode, s5_mobility_roam,
-              s6_subscriber_publish, s7_shared_prefix, c17_flash_crowd_burst
+              s2_join_deep_buffer, s2_join_window_steady, s3_overlay_scaling, s4_churn_episode,
+              s5_mobility_roam, s6_subscriber_publish, s7_shared_prefix, c17_flash_crowd_burst
 }
 criterion_main!(experiments);

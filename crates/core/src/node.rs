@@ -256,7 +256,7 @@ impl GlossNode {
         for synthesized in outputs {
             self.emitted += 1;
             out.count("gloss.synthesized", 1.0);
-            out.trace("synthesize", format!("{synthesized}"));
+            out.trace_with("synthesize", || synthesized.to_string());
             self.publish(now, synthesized, out);
         }
     }

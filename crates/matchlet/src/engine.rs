@@ -8,9 +8,16 @@
 //!   match it (and [`MatchletEngine::handles_kind`] is O(1));
 //! - pattern fields are **precompiled** (attribute name vs. parsed XPath
 //!   projection), so matching never re-parses keys;
-//! - multi-pattern joins use a **hash join** keyed on the variables the
-//!   patterns share, falling back to a nested loop only for tiny buffers
-//!   or variable-disjoint (cartesian) joins;
+//! - multi-pattern joins **probe persistent window indexes**: each
+//!   pattern's window buffer ([`PatternBuffer`]) keeps one hash index per
+//!   set of join variables a join plan needs from it, maintained in O(1)
+//!   as events enter and leave the window, and the join plans themselves
+//!   (partner order, join variables, serving index) are fixed when the
+//!   rule is compiled — so a join costs O(matches), not O(window). A stage
+//!   scans its partner's buffer only when the patterns share no variable
+//!   (a cartesian join) or while a key that cannot be hashed faithfully
+//!   to [`Term::eq_term`] (a non-integral or huge numeric) is inside the
+//!   window;
 //! - bindings are flat `(Symbol, Term)` vectors ([`Bindings`]), so
 //!   environments clone in one allocation and compare keys by integer;
 //! - **alpha memories** index, per predicate a rule's goals read, the
@@ -48,9 +55,9 @@ use crate::parser::{parse_rules, MatchletError};
 use crate::symbol::Symbol;
 use gloss_event::{AttrValue, Event};
 use gloss_knowledge::{Fact, FactDelta, FactSource, FactsVersion, Term};
-use gloss_sim::FnvHashMap;
-use gloss_sim::SimTime;
+use gloss_sim::{fnv1a, FnvHashMap, SimTime};
 use gloss_xml::Path;
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -112,11 +119,6 @@ impl CompiledPattern {
 
 // --- alpha memories: the engine-side fact index --------------------------
 
-/// FNV-1a of a string (the subject-bucket fingerprint).
-fn fnv_str(s: &str) -> u64 {
-    gloss_sim::fnv1a(s.as_bytes())
-}
-
 /// The live facts of one predicate, in knowledge-base insertion order
 /// (a tombstoned slab, so retractions never reorder survivors), bucketed
 /// by subject fingerprint for the solver's subject-hinted probes.
@@ -150,7 +152,7 @@ impl AlphaMemory {
     fn insert(&mut self, fact: Fact) {
         self.add_boundaries(&fact);
         let id = self.facts.len() as u32;
-        self.by_subject.entry(fnv_str(&fact.subject)).or_default().push(id);
+        self.by_subject.entry(fnv1a(fact.subject.as_bytes())).or_default().push(id);
         self.facts.push(Some(fact));
         self.live += 1;
     }
@@ -161,7 +163,7 @@ impl AlphaMemory {
     /// of the removed fact, and `NaN != NaN` under `==` would leave a
     /// NaN-valued fact stranded in the index forever.
     fn retract(&mut self, fact: &Fact) {
-        let Some(ids) = self.by_subject.get(&fnv_str(&fact.subject)) else {
+        let Some(ids) = self.by_subject.get(&fnv1a(fact.subject.as_bytes())) else {
             return;
         };
         for &id in ids {
@@ -189,7 +191,7 @@ impl AlphaMemory {
         for fact in old.into_iter().flatten() {
             self.add_boundaries(&fact);
             let id = self.facts.len() as u32;
-            self.by_subject.entry(fnv_str(&fact.subject)).or_default().push(id);
+            self.by_subject.entry(fnv1a(fact.subject.as_bytes())).or_default().push(id);
             self.facts.push(Some(fact));
         }
     }
@@ -206,7 +208,7 @@ impl AlphaMemory {
     fn for_each_at(&self, subject: Option<&str>, t: SimTime, f: &mut dyn FnMut(&Fact)) {
         match subject {
             Some(s) => {
-                let Some(ids) = self.by_subject.get(&fnv_str(s)) else {
+                let Some(ids) = self.by_subject.get(&fnv1a(s.as_bytes())) else {
                     return;
                 };
                 for &id in ids {
@@ -247,7 +249,8 @@ impl FactSource for AlphaView<'_> {
         };
         match subject {
             Some(s) => {
-                let ids: &[u32] = mem.by_subject.get(&fnv_str(s)).map_or(&[], Vec::as_slice);
+                let ids: &[u32] =
+                    mem.by_subject.get(&fnv1a(s.as_bytes())).map_or(&[], Vec::as_slice);
                 Box::new(
                     ids.iter()
                         .filter_map(|&id| mem.facts[id as usize].as_ref())
@@ -300,6 +303,10 @@ enum SolvePlan {
     Direct,
 }
 
+/// Per solution of a beta path, the `(slot, value)` bindings the path
+/// appended beyond the input environment, in solve order.
+type Solutions = Vec<Vec<(u32, Term)>>;
+
 /// One memoised solve at a beta node: the exact path-input projection it
 /// was computed for, when, and the *cumulative* binding suffixes each
 /// solution of the path's goals appended.
@@ -311,9 +318,9 @@ struct BetaEntry {
     /// `eq_term`-equal yet divide differently.
     key: Vec<Option<Term>>,
     computed_at: SimTime,
-    /// Per solution, the `(slot, value)` bindings the path appended
-    /// beyond the input environment, in solve order.
-    solutions: Vec<Vec<(u32, Term)>>,
+    /// The path's solutions, shared with the child entries a memo miss
+    /// extended from this one.
+    solutions: Arc<Solutions>,
     /// Condition-evaluation errors the path produced for this input
     /// (replayed into the engine stats so memoisation never hides
     /// misconfigured rules).
@@ -514,64 +521,58 @@ impl BetaNet {
         now: SimTime,
         partial: &mut u64,
     ) -> (u64, usize) {
-        // The root base case: one solution (the input itself), no errors.
-        let mut base: Vec<Vec<(u32, Term)>> = vec![Vec::new()];
-        let mut base_errors = 0u64;
-        let mut start = 0usize;
-        for d in (0..path.len().saturating_sub(1)).rev() {
-            if let Some((h, idx)) = self.find(path[d], key, alphas, now) {
-                let entry = &self.node(path[d]).memo[&h][idx];
-                base = entry.solutions.clone();
-                base_errors = entry.solve_errors;
-                start = d + 1;
-                *partial += 1;
-                break;
-            }
-        }
+        // The walk starts below the deepest ancestor that still holds a
+        // valid entry for this input, from that entry's solutions —
+        // failing that at the root, whose base case is one solution (the
+        // input itself) and no errors.
+        let reused = (0..path.len().saturating_sub(1)).rev().find_map(|d| {
+            let (h, idx) = self.find(path[d], key, alphas, now)?;
+            let entry = &self.node(path[d]).memo[&h][idx];
+            Some((Arc::clone(&entry.solutions), entry.solve_errors, d + 1))
+        });
+        *partial += u64::from(reused.is_some());
+        let (mut base, mut base_errors, start) =
+            reused.unwrap_or_else(|| (Arc::new(vec![Vec::new()]), 0, 0));
         let mut leaf_slot = (0u64, 0usize);
         for &id in &path[start..] {
-            let (goal, slots) = {
-                let node = self.node(id);
-                (node.goal.clone(), node.slots as usize)
-            };
-            let mut next: Vec<Vec<(u32, Term)>> = Vec::new();
+            let node = self.node(id);
+            let slots = node.slots as usize;
+            let slot_syms = &self.slot_syms;
+            let view = AlphaView { alphas };
+            let mut next: Solutions = Vec::new();
             let mut errors = base_errors;
-            {
-                let slot_syms = &self.slot_syms;
-                let view = AlphaView { alphas };
-                // Input-bound slots in scope at this node; each base
-                // solution's suffix stacks on top and is truncated away.
-                let mut env = Bindings::new();
-                for (i, v) in key[..slots].iter().enumerate() {
-                    if let Some(v) = v {
-                        env.push_raw(slot_syms[i], v.clone());
-                    }
-                }
-                let input_len = env.len();
-                let goal_slice = std::slice::from_ref(&goal);
-                for sol in &base {
-                    env.truncate(input_len);
-                    for (slot, term) in sol {
-                        env.push_raw(slot_syms[*slot as usize], term.clone());
-                    }
-                    let mark = env.len();
-                    errors += solve_mut(goal_slice, &mut env, &view, now, &mut |senv| {
-                        let mut cum = sol.clone();
-                        for (sym, term) in &senv.raw_entries()[mark..] {
-                            let slot = slot_syms
-                                .iter()
-                                .position(|s| s == sym)
-                                .expect("canonical slot symbol")
-                                as u32;
-                            cum.push((slot, term.clone()));
-                        }
-                        next.push(cum);
-                    });
+            // Input-bound slots in scope at this node; each base
+            // solution's suffix stacks on top and is truncated away.
+            let mut env = Bindings::new();
+            for (i, v) in key[..slots].iter().enumerate() {
+                if let Some(v) = v {
+                    env.push_raw(slot_syms[i], v.clone());
                 }
             }
+            let input_len = env.len();
+            let goal_slice = std::slice::from_ref(&node.goal);
+            for sol in base.iter() {
+                env.truncate(input_len);
+                for (slot, term) in sol {
+                    env.push_raw(slot_syms[*slot as usize], term.clone());
+                }
+                let mark = env.len();
+                errors += solve_mut(goal_slice, &mut env, &view, now, &mut |senv| {
+                    let mut cum = sol.clone();
+                    for (sym, term) in &senv.raw_entries()[mark..] {
+                        let slot =
+                            slot_syms.iter().position(|s| s == sym).expect("canonical slot symbol")
+                                as u32;
+                        cum.push((slot, term.clone()));
+                    }
+                    next.push(cum);
+                });
+            }
+            // The stored entry and the next level's base share one list.
+            let next = Arc::new(next);
             let prefix_key = key[..slots].to_vec();
             let h = key_fingerprint(&prefix_key);
-            let node = self.nodes[id as usize].as_mut().expect("live beta node");
+            let node = self.node_mut(id);
             if node.memo.len() >= MEMO_KEYS_MAX {
                 node.memo.clear();
             }
@@ -581,7 +582,7 @@ impl BetaNet {
             bucket.push(BetaEntry {
                 key: prefix_key,
                 computed_at: now,
-                solutions: next.clone(),
+                solutions: Arc::clone(&next),
                 solve_errors: errors,
             });
             leaf_slot = (h, bucket.len() - 1);
@@ -693,6 +694,125 @@ struct MemoCtx<'a> {
     partial: u64,
 }
 
+// --- window buffers: persistent join state -------------------------------
+
+/// One hash index over a pattern's window buffer, for one set of join
+/// variables: key fingerprint → sequence numbers of the buffered entries
+/// with that key, ascending. A bucket therefore walks in buffer order, and
+/// the entry FIFO eviction removes is always the front of its bucket.
+/// Fingerprint collisions are harmless: `merged` re-verifies every shared
+/// binding.
+#[derive(Debug, Clone)]
+struct JoinIndex {
+    /// The join variables (sorted).
+    vars: Vec<Symbol>,
+    buckets: FnvHashMap<u64, VecDeque<u64>>,
+    /// Buffered entries whose key [`join_key`] cannot hash faithfully
+    /// (they are in no bucket): while any is inside the window, stages on
+    /// this index scan the buffer instead of probing.
+    inexact: usize,
+}
+
+/// One pattern's window buffer: the partial matches in arrival order,
+/// plus one [`JoinIndex`] per distinct join-variable set the rule's join
+/// plans probe it with, kept in step on every push and eviction.
+#[derive(Debug, Clone, Default)]
+struct PatternBuffer {
+    /// `(arrival time, bindings)`, oldest first.
+    entries: VecDeque<(SimTime, Bindings)>,
+    /// Sequence number of `entries.front()`: the entry with sequence
+    /// number `s` sits at `entries[s - head]`.
+    head: u64,
+    indexes: Vec<JoinIndex>,
+}
+
+impl PatternBuffer {
+    /// The position of the index over `vars`, created if no plan asked
+    /// for that variable set yet (plan time only: the buffer is empty).
+    fn index_over(&mut self, vars: Vec<Symbol>) -> usize {
+        debug_assert!(self.entries.is_empty(), "indexes are fixed before events arrive");
+        self.indexes.iter().position(|ix| ix.vars == vars).unwrap_or_else(|| {
+            self.indexes.push(JoinIndex { vars, buckets: FnvHashMap::default(), inexact: 0 });
+            self.indexes.len() - 1
+        })
+    }
+
+    fn push(&mut self, at: SimTime, bindings: Bindings) {
+        let seq = self.head + self.entries.len() as u64;
+        for index in &mut self.indexes {
+            match join_key(&bindings, &index.vars) {
+                Some(key) => index.buckets.entry(key).or_default().push_back(seq),
+                None => index.inexact += 1,
+            }
+        }
+        self.entries.push_back((at, bindings));
+    }
+
+    /// Drops the entries at the front that arrived before `cutoff`. Empty
+    /// buckets go with their last entry, so the indexes hold nothing the
+    /// window does not.
+    fn evict_before(&mut self, cutoff: SimTime) {
+        while self.entries.front().is_some_and(|(t, _)| *t < cutoff) {
+            let (_, bindings) = self.entries.pop_front().expect("front was just inspected");
+            for index in &mut self.indexes {
+                match join_key(&bindings, &index.vars) {
+                    Some(key) => {
+                        let Entry::Occupied(mut bucket) = index.buckets.entry(key) else {
+                            unreachable!("a buffered entry with an exact key is in its bucket");
+                        };
+                        let seq = bucket.get_mut().pop_front();
+                        debug_assert_eq!(seq, Some(self.head), "oldest entry fronts its bucket");
+                        if bucket.get().is_empty() {
+                            bucket.remove();
+                        }
+                    }
+                    None => index.inexact -= 1,
+                }
+            }
+            self.head += 1;
+        }
+    }
+}
+
+/// One stage of a join plan: the partner pattern whose buffer is joined
+/// in, and which of that buffer's indexes is keyed on the variables the
+/// partner shares with everything bound before it (`None`: it shares
+/// none, and the stage is a cross product).
+#[derive(Debug, Clone, Copy)]
+struct JoinStage {
+    partner: usize,
+    index: Option<usize>,
+}
+
+/// Plans the join for each fixed pattern — the other patterns in rule
+/// order, each joined on the variables already bound when its turn comes
+/// — and creates the buffer indexes those stages probe.
+fn join_plans(compiled: &[CompiledPattern], buffers: &mut [PatternBuffer]) -> Vec<Vec<JoinStage>> {
+    (0..compiled.len())
+        .map(|fixed| {
+            // Variables bound so far (sorted): the fixed pattern's, then
+            // each joined pattern's in turn.
+            let mut bound = compiled[fixed].vars.clone();
+            let mut stages = Vec::with_capacity(compiled.len() - 1);
+            for (partner, cp) in compiled.iter().enumerate() {
+                if partner == fixed {
+                    continue;
+                }
+                let join_vars: Vec<Symbol> =
+                    cp.vars.iter().copied().filter(|v| bound.binary_search(v).is_ok()).collect();
+                let index = (!join_vars.is_empty()).then(|| buffers[partner].index_over(join_vars));
+                stages.push(JoinStage { partner, index });
+                for v in &cp.vars {
+                    if let Err(pos) = bound.binary_search(v) {
+                        bound.insert(pos, *v);
+                    }
+                }
+            }
+            stages
+        })
+        .collect()
+}
+
 /// A rule plus its per-pattern event buffers.
 #[derive(Debug, Clone)]
 pub struct CompiledRule {
@@ -700,8 +820,11 @@ pub struct CompiledRule {
     pub rule: Rule,
     /// Precompiled patterns, parallel to `rule.patterns`.
     compiled: Vec<CompiledPattern>,
-    /// Per-pattern buffers of `(arrival time, bindings)`.
-    buffers: Vec<VecDeque<(SimTime, Bindings)>>,
+    /// Per-pattern window buffers, parallel to `rule.patterns`.
+    buffers: Vec<PatternBuffer>,
+    /// Per fixed pattern (parallel to `rule.patterns`), the stages that
+    /// join an event matching it against the other patterns' buffers.
+    plans: Vec<Vec<JoinStage>>,
     /// The emit kind, shared so every synthesised event clones a
     /// refcount instead of the string.
     emit_kind: Arc<str>,
@@ -720,8 +843,10 @@ pub struct CompiledRule {
 
 impl CompiledRule {
     fn new(rule: Rule, beta: &mut BetaNet) -> Self {
-        let compiled = rule.patterns.iter().map(CompiledPattern::new).collect();
-        let buffers = vec![VecDeque::new(); rule.patterns.len()];
+        let compiled: Vec<CompiledPattern> =
+            rule.patterns.iter().map(CompiledPattern::new).collect();
+        let mut buffers = vec![PatternBuffer::default(); rule.patterns.len()];
+        let plans = join_plans(&compiled, &mut buffers);
         let emit_kind = Arc::from(rule.emit.kind.as_str());
         let emit_keys = rule.emit.fields.iter().map(|(k, _)| Arc::from(k.as_str())).collect();
         let (goals, plan) = match canonical_chain(&rule) {
@@ -739,20 +864,18 @@ impl CompiledRule {
             }
             None => (rule.goals.clone(), SolvePlan::Direct),
         };
-        CompiledRule { rule, compiled, buffers, emit_kind, emit_keys, goals, plan, fired: 0 }
+        CompiledRule { rule, compiled, buffers, plans, emit_kind, emit_keys, goals, plan, fired: 0 }
     }
 
     fn evict_before(&mut self, cutoff: SimTime) {
         for buf in &mut self.buffers {
-            while buf.front().is_some_and(|(t, _)| *t < cutoff) {
-                buf.pop_front();
-            }
+            buf.evict_before(cutoff);
         }
     }
 
     /// Total buffered partial matches.
     pub fn buffered(&self) -> usize {
-        self.buffers.iter().map(VecDeque::len).sum()
+        self.buffers.iter().map(|b| b.entries.len()).sum()
     }
 }
 
@@ -773,6 +896,14 @@ pub struct EngineStats {
     /// Memo misses that reused a still-valid shared-prefix entry from an
     /// ancestor beta node instead of re-solving the whole chain.
     pub beta_partial_hits: u64,
+    /// Join environments extended through a window index: one bucket
+    /// probe visiting only the partner's key-compatible buffered entries.
+    pub join_probes: u64,
+    /// Join environments extended by scanning the partner's whole window
+    /// buffer: the patterns share no variable, or a key that cannot be
+    /// hashed faithfully (a non-integral or huge numeric) was in the
+    /// window or in the probing environment.
+    pub join_scans: u64,
 }
 
 impl EngineStats {
@@ -818,6 +949,9 @@ pub struct MatchletEngine {
     /// per-event sync is skipped entirely (direct-only engines pay
     /// nothing for the delta machinery).
     memo_rules: usize,
+    /// Scratch for `on_event`'s per-rule `(pattern, bindings)` matches,
+    /// kept so the steady state does not allocate it per event.
+    matched: Vec<(usize, Bindings)>,
     /// Engine statistics.
     pub stats: EngineStats,
 }
@@ -971,6 +1105,7 @@ impl MatchletEngine {
             change_stamp,
             plans_dirty,
             memo_rules,
+            matched,
             stats,
         } = self;
         let Some(entries) = kind_index.get(event.kind()) else {
@@ -998,7 +1133,6 @@ impl MatchletEngine {
             };
             rule.evict_before(cutoff);
 
-            let mut matched: Vec<(usize, Bindings)> = Vec::new();
             for &(_, pi) in pattern_entries {
                 let p = pi as usize;
                 if let Some(b) = match_compiled(&rule.compiled[p], event) {
@@ -1032,46 +1166,45 @@ impl MatchletEngine {
                 _ => None,
             };
 
-            let mut fired = 0u64;
-            let mut errors = 0u64;
+            let mut tally = Tally::default();
             if single {
                 // Drain (moves the bindings): single-pattern rules never
-                // buffer, so nothing downstream reads `matched`.
+                // buffer, and this leaves nothing for the push below.
                 for (_, bindings) in matched.drain(..) {
-                    fire(rule, &mut memoctx, bindings, kb, now, &mut out, &mut fired, &mut errors);
+                    fire(rule, &mut memoctx, bindings, kb, now, &mut out, &mut tally);
                 }
             } else {
-                for (p, bindings) in &matched {
-                    join_and_fire(
-                        rule,
-                        *p,
-                        bindings.clone(),
-                        &mut memoctx,
-                        kb,
-                        now,
-                        &mut out,
-                        &mut fired,
-                        &mut errors,
-                    );
+                for (p, bindings) in matched.iter() {
+                    join_and_fire(rule, *p, bindings, &mut memoctx, kb, now, &mut out, &mut tally);
                 }
             }
-            stats.eval_errors += errors;
+            stats.eval_errors += tally.errors;
+            stats.join_probes += tally.join_probes;
+            stats.join_scans += tally.join_scans;
             if let Some(ctx) = memoctx.take() {
                 stats.memo_hits += ctx.hits;
                 stats.memo_misses += ctx.misses;
                 stats.beta_partial_hits += ctx.partial;
             }
             let rule = &mut rules[ri];
-            rule.fired += fired;
-            if !single {
-                for (p, bindings) in matched {
-                    rule.buffers[p].push_back((now, bindings));
-                }
+            rule.fired += tally.fired;
+            for (p, bindings) in matched.drain(..) {
+                rule.buffers[p].push(now, bindings);
             }
         }
         stats.events_out += out.len() as u64;
         out
     }
+}
+
+/// What one rule did with one event; folded into the rule's and the
+/// engine's counters once its joins have run.
+#[derive(Default)]
+struct Tally {
+    fired: u64,
+    errors: u64,
+    join_probes: u64,
+    join_scans: u64,
 }
 
 /// Brings the alpha memories up to date with `kb`'s change feed (a free
@@ -1173,129 +1306,80 @@ fn match_compiled(pattern: &CompiledPattern, event: &Event) -> Option<Bindings> 
     Some(env)
 }
 
-/// Joins below this buffer size use the nested loop: building a hash
-/// table costs more than scanning a handful of entries.
-const HASH_JOIN_MIN_BUFFER: usize = 8;
-
-/// Joins the fixed bindings against the other patterns' buffers and
-/// fires the rule's goals/emit for every complete join environment.
+/// Joins the fixed bindings against the other patterns' buffers, stage by
+/// stage along the fixed pattern's join plan, and fires the rule's
+/// goals/emit for every complete join environment.
 ///
-/// Patterns sharing variables with the environment are joined through a
-/// hash table keyed on a fingerprint of the shared variables' values, so
-/// only compatible buffer entries are visited; fingerprint collisions are
-/// harmless because `merge` re-verifies every shared binding.
+/// A stage whose partner shares variables with the environment probes the
+/// partner buffer's index on those variables, so only key-compatible
+/// entries are visited — in buffer order, exactly the entries and the
+/// order a scan would have produced, since `merged` re-verifies every
+/// shared binding either way.
 #[allow(clippy::too_many_arguments)]
 fn join_and_fire(
     rule: &CompiledRule,
     fixed_pattern: usize,
-    fixed_bindings: Bindings,
+    fixed: &Bindings,
     memo: &mut Option<MemoCtx<'_>>,
     kb: &dyn FactSource,
     now: SimTime,
     out: &mut Vec<Event>,
-    fired: &mut u64,
-    errors: &mut u64,
+    tally: &mut Tally,
 ) {
-    if rule.compiled.len() == 1 {
-        // No join partners: solve straight over the pattern's bindings.
-        fire(rule, memo, fixed_bindings, kb, now, out, fired, errors);
-        return;
-    }
-    let mut envs = vec![fixed_bindings];
-    // Variables bound so far (sorted): fixed pattern first, then each
-    // joined pattern's in turn.
-    let mut bound: Vec<Symbol> = rule.compiled[fixed_pattern].vars.clone();
-    let stages = rule.compiled.len() - 1;
-    let mut stage = 0;
-    for (p, cp) in rule.compiled.iter().enumerate() {
-        if p == fixed_pattern {
-            continue;
-        }
-        stage += 1;
-        let buffer = &rule.buffers[p];
-        if buffer.is_empty() {
+    let plan = &rule.plans[fixed_pattern];
+    // The join environments the previous stage produced (stage 0 reads
+    // `fixed` in place).
+    let mut envs: Vec<Bindings> = Vec::new();
+    for (s, stage) in plan.iter().enumerate() {
+        let buffer = &rule.buffers[stage.partner];
+        if buffer.entries.is_empty() {
             return;
         }
-        let join_vars: Vec<Symbol> =
-            cp.vars.iter().copied().filter(|v| bound.binary_search(v).is_ok()).collect();
-
+        let current = if s == 0 { std::slice::from_ref(fixed) } else { &envs[..] };
         // On the last stage, fire each merged environment directly
         // instead of materialising one more `envs` vector.
-        let last = stage == stages;
-        let mut next = Vec::with_capacity(if last { 0 } else { envs.len() });
-        let mut sink = |child: Bindings, out: &mut Vec<Event>, memo: &mut Option<MemoCtx<'_>>| {
-            if last {
-                fire(rule, memo, child, kb, now, out, fired, errors);
-            } else {
-                next.push(child);
-            }
-        };
-        // Try the hash path in one pass over the buffer; `join_key`
-        // returns `None` for values whose fingerprint would not be
-        // faithful to `eq_term` (non-integral numerics), in which case
-        // the whole stage falls back to the nested loop.
-        let mut hashed = false;
-        if !join_vars.is_empty() && buffer.len() >= HASH_JOIN_MIN_BUFFER {
-            let mut table: FnvHashMap<u64, Vec<usize>> =
-                FnvHashMap::with_capacity_and_hasher(buffer.len(), Default::default());
-            let mut exact = true;
-            for (idx, (_, buffered)) in buffer.iter().enumerate() {
-                match join_key(buffered, &join_vars) {
-                    Some(key) => table.entry(key).or_default().push(idx),
-                    None => {
-                        exact = false;
-                        break;
+        let last = s + 1 == plan.len();
+        let mut next = Vec::with_capacity(if last { 0 } else { current.len() });
+        // An index serves the stage only while every buffered key is
+        // exactly hashable: an entry outside the buckets must not be
+        // skipped.
+        let index = stage.index.map(|i| &buffer.indexes[i]).filter(|ix| ix.inexact == 0);
+        for env in current {
+            // `Some(bucket)`: the only entries that can be compatible.
+            // `None`: no usable index, or this environment's own key is
+            // not exactly hashable — scan the buffer for it.
+            let probe =
+                index.and_then(|ix| join_key(env, &ix.vars).map(|key| ix.buckets.get(&key)));
+            let mut join = |buffered: &Bindings, tally: &mut Tally| {
+                if let Some(child) = env.merged(buffered) {
+                    if last {
+                        fire(rule, memo, child, kb, now, out, tally);
+                    } else {
+                        next.push(child);
                     }
                 }
-            }
-            if exact {
-                hashed = true;
-                for env in &envs {
-                    match join_key(env, &join_vars) {
-                        Some(key) => {
-                            if let Some(bucket) = table.get(&key) {
-                                for &idx in bucket {
-                                    let (_, buffered) = &buffer[idx];
-                                    if let Some(child) = env.merged(buffered) {
-                                        sink(child, out, memo);
-                                    }
-                                }
-                            }
-                        }
-                        // This probe's key is not exactly hashable:
-                        // scan the buffer for just this environment.
-                        None => {
-                            for (_, buffered) in buffer {
-                                if let Some(child) = env.merged(buffered) {
-                                    sink(child, out, memo);
-                                }
-                            }
-                        }
+            };
+            match probe {
+                Some(bucket) => {
+                    tally.join_probes += 1;
+                    for &seq in bucket.into_iter().flatten() {
+                        join(&buffer.entries[(seq - buffer.head) as usize].1, tally);
+                    }
+                }
+                None => {
+                    tally.join_scans += 1;
+                    for (_, buffered) in &buffer.entries {
+                        join(buffered, tally);
                     }
                 }
             }
         }
-        if !hashed {
-            for env in &envs {
-                for (_, buffered) in buffer {
-                    if let Some(child) = env.merged(buffered) {
-                        sink(child, out, memo);
-                    }
-                }
-            }
-        }
-        if last {
+        // Nothing to extend: the join died out, or this was the last
+        // stage and every environment has fired.
+        if next.is_empty() {
             return;
         }
         envs = next;
-        if envs.is_empty() {
-            return;
-        }
-        for v in &cp.vars {
-            if let Err(pos) = bound.binary_search(v) {
-                bound.insert(pos, *v);
-            }
-        }
     }
 }
 
@@ -1308,20 +1392,19 @@ fn emit_one(
     kb: &dyn FactSource,
     now: SimTime,
     out: &mut Vec<Event>,
-    fired: &mut u64,
-    emit_errors: &mut u64,
+    tally: &mut Tally,
 ) {
     let mut ev = Event::new(rule.emit_kind.clone());
     for (key, (_, expr)) in rule.emit_keys.iter().zip(&rule.rule.emit.fields) {
         match eval(expr, solution, kb, now) {
             Ok(term) => ev.set_attr(key.clone(), term_to_attr(&term)),
             Err(_) => {
-                *emit_errors += 1;
+                tally.errors += 1;
                 return;
             }
         }
     }
-    *fired += 1;
+    tally.fired += 1;
     out.push(ev);
 }
 
@@ -1338,7 +1421,6 @@ fn emit_one(
 /// entry's canonical solution suffixes replay through the rule's own
 /// variables. Emit expressions are always evaluated fresh (they may read
 /// the clock or the raw knowledge base).
-#[allow(clippy::too_many_arguments)]
 fn fire(
     rule: &CompiledRule,
     memo: &mut Option<MemoCtx<'_>>,
@@ -1346,20 +1428,16 @@ fn fire(
     kb: &dyn FactSource,
     now: SimTime,
     out: &mut Vec<Event>,
-    fired: &mut u64,
-    errors: &mut u64,
+    tally: &mut Tally,
 ) {
     let Some(ctx) = memo.as_mut() else {
         // Direct path: re-solve from scratch against the knowledge base.
         // `rule.goals` is the same (normalised) chain the beta path
         // runs, so the two paths count errors identically.
-        let mut local_fired = 0u64;
-        let mut emit_errors = 0u64;
         let solve_errors = solve_mut(&rule.goals, &mut env, kb, now, &mut |solution| {
-            emit_one(rule, solution, kb, now, out, &mut local_fired, &mut emit_errors);
+            emit_one(rule, solution, kb, now, out, tally);
         });
-        *fired += local_fired;
-        *errors += solve_errors + emit_errors;
+        tally.errors += solve_errors;
         return;
     };
 
@@ -1376,31 +1454,27 @@ fn fire(
         }
     };
     let entry = &ctx.beta.node(leaf).memo[&h][idx];
-    *errors += entry.solve_errors;
+    tally.errors += entry.solve_errors;
     let mark = env.len();
-    let mut local_fired = 0u64;
-    let mut emit_errors = 0u64;
-    for suffix in &entry.solutions {
+    for suffix in entry.solutions.iter() {
         for (slot, term) in suffix {
             env.push_raw(ctx.key_vars[*slot as usize], term.clone());
         }
-        emit_one(rule, &env, kb, now, out, &mut local_fired, &mut emit_errors);
+        emit_one(rule, &env, kb, now, out, tally);
         env.truncate(mark);
     }
-    *fired += local_fired;
-    *errors += emit_errors;
 }
 
 /// Fingerprints the join variables' values in `env` into a hash key, or
 /// `None` when the key cannot be hashed faithfully to
-/// [`Term::eq_term`] and the join must use the nested loop instead.
+/// [`Term::eq_term`] and the join must scan the buffer instead.
 ///
 /// Numeric terms (`Int`/`Float`/`Time`) hash their `f64` value, so
 /// `Int(3)` and `Float(3.0)` land in the same bucket — but only
 /// *integral* values within `f64`'s exact range qualify: two integral
 /// values within eq_term's 1e-12 epsilon are bitwise equal, while
 /// non-integral or huge numerics can compare eq_term-equal with
-/// different bits and would make buckets diverge from nested-loop
+/// different bits and would make buckets diverge from scan
 /// semantics. Unbound variables also yield `None` (cannot happen for a
 /// pattern's own buffered bindings). Non-numeric terms compare
 /// structurally and always hash faithfully.
@@ -1700,8 +1774,8 @@ mod tests {
 
     #[test]
     fn hash_join_matches_nested_loop_on_deep_buffers() {
-        // Buffer well past HASH_JOIN_MIN_BUFFER so the hash path runs,
-        // with only a few compatible entries.
+        // A deep buffer with only a few compatible entries: the index
+        // probe must find exactly those, in arrival order.
         let src = r#"
             rule same_user {
                 on a: event enter(user: ?u, n: ?n)
@@ -1750,8 +1824,8 @@ mod tests {
     #[test]
     fn epsilon_equal_floats_join_even_with_deep_buffers() {
         // 0.1 + 0.2 != 0.3 bitwise but eq_term-equal; the join must not
-        // lose the pair once the buffer is deep enough for the hash
-        // path, so non-integral floats fall back to the nested loop.
+        // lose the pair to the index, so while a non-integral float is
+        // buffered the stage scans.
         let src = r#"
             rule f {
                 on a: event x(v: ?v)
@@ -1772,7 +1846,7 @@ mod tests {
     #[test]
     fn negative_zero_joins_with_positive_zero_at_depth() {
         // -0.0 and 0.0 are eq_term-equal with different bit patterns;
-        // the hash path must bucket them together.
+        // the index must bucket them together.
         let src = r#"
             rule f {
                 on a: event x(v: ?v)
@@ -1788,6 +1862,88 @@ mod tests {
         }
         let out = e.on_event(t(30), &Event::new("y").with_attr("v", 0.0), &kb());
         assert_eq!(out.len(), 1, "-0.0 buffered entry must join a +0.0 probe");
+    }
+
+    #[test]
+    fn inexact_keys_scan_only_while_they_are_in_the_window() {
+        let src = r#"
+            rule f {
+                on a: event x(v: ?v)
+                on b: event y(v: ?v)
+                within 10 s
+                emit z(v: ?v)
+            }
+        "#;
+        let mut e = MatchletEngine::compile(src).unwrap();
+        let x = |v: f64| Event::new("x").with_attr("v", v);
+        let y = |v: f64| Event::new("y").with_attr("v", v);
+        e.on_event(t(0), &x(1.0), &kb());
+        assert_eq!(e.on_event(t(1), &y(1.0), &kb()).len(), 1);
+        assert_eq!((e.stats.join_probes, e.stats.join_scans), (1, 0));
+        // One ulp above 3 is not exactly hashable, yet eq_term-equal to
+        // 3. It enters x's window (its own probe of y's buffer scans, for
+        // itself alone); from then on y-side stages must scan, or the
+        // exactly hashable 3.0 would miss it.
+        e.on_event(t(2), &x(3.0 + 4e-16), &kb());
+        assert_eq!((e.stats.join_probes, e.stats.join_scans), (1, 1));
+        assert_eq!(e.on_event(t(3), &y(3.0), &kb()).len(), 1, "the epsilon-equal pair joins");
+        assert_eq!(e.on_event(t(4), &y(1.0), &kb()).len(), 1);
+        assert_eq!((e.stats.join_probes, e.stats.join_scans), (1, 3));
+        // t=13: the inexact entry (t=2) has left the 10 s window, and the
+        // stage is back on the index.
+        e.on_event(t(12), &x(2.0), &kb());
+        assert!(e.on_event(t(13), &y(3.0), &kb()).is_empty());
+        assert_eq!((e.stats.join_probes, e.stats.join_scans), (3, 3));
+    }
+
+    #[test]
+    fn window_indexes_drain_with_the_window() {
+        // Three patterns whose join-variable set differs per fixed
+        // pattern, so a buffer carries more than one index.
+        let src = r#"
+            rule tri {
+                on a: event ka(p: ?x, q: ?y)
+                on b: event kb(p: ?x, q: ?z)
+                on c: event kc(p: ?y, q: ?z)
+                within 20 s
+                emit out(x: ?x, y: ?y, z: ?z)
+            }
+        "#;
+        let mut e = MatchletEngine::compile(src).unwrap();
+        let indexes: Vec<usize> = e.rules()[0].buffers.iter().map(|b| b.indexes.len()).collect();
+        assert_eq!(indexes, [2, 2, 1], "a: x, y; b: x, xz; c: yz");
+        let kinds = ["ka", "kb", "kc"];
+        for i in 0..90u64 {
+            // Unboundedly many distinct keys, some not exactly hashable.
+            let p = if i % 7 == 0 { AttrValue::Float(i as f64 + 0.5) } else { (i as i64).into() };
+            let ev = Event::new(kinds[(i % 3) as usize]).with_attr("p", p).with_attr("q", i as i64);
+            e.on_event(t(i), &ev, &kb());
+            let rule = &e.rules()[0];
+            for buffer in &rule.buffers {
+                for index in &buffer.indexes {
+                    let bucketed: usize = index.buckets.values().map(VecDeque::len).sum();
+                    assert_eq!(bucketed + index.inexact, buffer.entries.len());
+                    assert!(index.buckets.values().all(|b| !b.is_empty()));
+                }
+            }
+            assert!(rule.buffered() <= 21, "the window bounds the buffers");
+        }
+        // One event of each kind long after: every buffer is evicted
+        // down to that event, and nothing else lingers in any index.
+        for (i, kind) in kinds.iter().enumerate() {
+            let ev = Event::new(*kind).with_attr("p", 1i64).with_attr("q", 1i64);
+            e.on_event(t(1000 + i as u64), &ev, &kb());
+        }
+        e.on_event(t(2000), &Event::new("ka"), &kb());
+        let rule = &e.rules()[0];
+        assert_eq!(rule.buffered(), 0);
+        for buffer in &rule.buffers {
+            assert_eq!(buffer.head, 31, "90 events over three kinds, plus one");
+            for index in &buffer.indexes {
+                assert!(index.buckets.is_empty(), "no bucket outlives its entries");
+                assert_eq!(index.inexact, 0);
+            }
+        }
     }
 
     #[test]

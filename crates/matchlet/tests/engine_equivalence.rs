@@ -1,7 +1,7 @@
-//! Property tests: the indexed, hash-joining, delta-memoising engine is
+//! Property tests: the indexed, index-joining, delta-memoising engine is
 //! semantics-preserving.
 //!
-//! Two references:
+//! Three comparisons:
 //!
 //! 1. A transcription of the seed implementation's algorithm — scan every
 //!    rule for every event, evict every buffer every event, join buffers
@@ -18,6 +18,13 @@
 //!    validity windows), the incremental engine's firings must be
 //!    **byte-identical in order** to the from-scratch twin's, and the
 //!    error/fire counters must agree exactly.
+//!
+//! 3. The persistent window indexes against reference 1's nested loop,
+//!    on pure joins (no fact goals, so the emit order is the join order):
+//!    keys that hash exactly and keys that do not enter and leave the
+//!    windows, rules come and go, the engine is cloned mid-stream — and
+//!    the emitted sequences must be identical *in order*, as must every
+//!    rule's buffered count.
 
 use gloss_event::Event;
 use gloss_knowledge::{Fact, FactSource, InMemoryFacts, Term};
@@ -44,6 +51,17 @@ impl ReferenceEngine {
             .map(|r| (r.clone(), vec![VecDeque::new(); r.patterns.len()]))
             .collect();
         ReferenceEngine { rules, eval_errors: 0 }
+    }
+
+    fn add_rule(&mut self, rule: Rule) {
+        let buffers = vec![VecDeque::new(); rule.patterns.len()];
+        self.rules.push((rule, buffers));
+    }
+
+    fn remove_rule(&mut self, name: &str) -> bool {
+        let before = self.rules.len();
+        self.rules.retain(|(r, _)| r.name != name);
+        self.rules.len() != before
     }
 
     fn match_pattern(pattern: &EventPattern, event: &Event) -> Option<Bindings> {
@@ -461,6 +479,186 @@ proptest! {
         let fired_inc: Vec<u64> = incremental.rules().iter().map(|r| r.fired).collect();
         let fired_scr: Vec<u64> = scratch.rules().iter().map(|r| r.fired).collect();
         prop_assert_eq!(fired_inc, fired_scr);
+    }
+}
+
+// --- window indexes vs the nested-loop join ------------------------------
+
+/// Join-key values, chosen for how `join_key` treats them. The first
+/// nine hash exactly — and `Int(3)`/`Float(3.0)`, `0`/`0.0`/`-0.0` are
+/// sets that must share a bucket. The last seven (a half, `0.1 + 0.2` vs
+/// `0.3`, values from 9e15 up, and one ulp above 3 — which is
+/// `eq_term`-equal to the exactly hashable 3) do not: while one is
+/// buffered its stage must scan, or an exact probe would miss it.
+fn join_values() -> [Term; 16] {
+    [
+        Term::Int(0),
+        Term::Int(1),
+        Term::Int(3),
+        Term::Float(3.0),
+        Term::Float(0.0),
+        Term::Float(-0.0),
+        Term::Int(8_999_999_999_999_999),
+        Term::str("ua"),
+        Term::str("ub"),
+        Term::Float(0.5),
+        Term::Float(3.0 + 4e-16),
+        Term::Float(0.1 + 0.2),
+        Term::Float(0.3),
+        Term::Int(9_000_000_000_000_000),
+        Term::Float(9.0e15),
+        Term::Float(9.1e15),
+    ]
+}
+
+/// Exactly hashable values four times as often as each of the others, so
+/// windows are free of inexact keys about half the time and both the
+/// probe and the scan path carry real traffic.
+fn arb_join_value() -> impl Strategy<Value = Term> {
+    (0usize..4 * 9 + 7).prop_map(|i| join_values()[if i < 36 { i % 9 } else { i - 27 }].clone())
+}
+
+/// Pattern `i` of a join rule: always binds the event's serial number to
+/// its own `?n{i}` (so a firing names exactly the entries it joined), and
+/// constrains one or two of `f0..f2` with shared variables, wildcards or
+/// literals — variable-disjoint patterns (cross products) included.
+fn arb_join_pattern(i: usize) -> impl Strategy<Value = String> {
+    let pat = || {
+        prop_oneof![
+            (0usize..3).prop_map(|v| format!("?v{v}")),
+            (0usize..3).prop_map(|v| format!("?v{v}")),
+            (0usize..3).prop_map(|v| format!("?v{v}")),
+            Just("_".to_string()),
+            Just("3".to_string()),
+        ]
+    };
+    ((0usize..3), proptest::collection::vec(((0usize..3), pat()), 1..3)).prop_map(
+        move |(k, fields)| {
+            let fields: Vec<String> = fields.iter().map(|(f, p)| format!("f{f}: {p}")).collect();
+            format!("on a: event k{k}(n: ?n{i}, {})", fields.join(", "))
+        },
+    )
+}
+
+/// A two- or three-pattern pure join, wrapped in `rule NAME { ... }` at
+/// apply time. The join-variable set of a stage depends on which pattern
+/// the event fixed, so one buffer is probed through several indexes.
+fn arb_join_rule_body() -> impl Strategy<Value = String> {
+    let filter = prop_oneof![Just(""), Just(""), Just("where ?v0 != ?v1")];
+    (arb_join_pattern(0), arb_join_pattern(1), arb_join_pattern(2), any::<bool>(), filter, 3u64..12)
+        .prop_map(|(p0, p1, p2, three, filter, window)| {
+            if three {
+                format!(
+                    "{p0} {p1} {p2} {filter} within {window} s emit out(a: ?n0, b: ?n1, c: ?n2)"
+                )
+            } else {
+                format!("{p0} {p1} {filter} within {window} s emit out(a: ?n0, b: ?n1)")
+            }
+        })
+}
+
+#[derive(Debug, Clone)]
+enum JoinOp {
+    /// Advance time by this many seconds and offer an event of kind
+    /// `k{kind}` carrying these values as `f0..f2`.
+    Event(u64, usize, Vec<Term>),
+    /// Carry on with a clone of the engine.
+    CloneEngine,
+    AddRule(String),
+    RemoveRule(usize),
+}
+
+fn arb_join_op() -> impl Strategy<Value = JoinOp> {
+    // Steps of 0..4 s against windows of 3..12 s land entries before, on
+    // and after every eviction boundary.
+    let event = || {
+        ((0u64..4), (0usize..3), proptest::collection::vec(arb_join_value(), 3..4))
+            .prop_map(|(dt, kind, values)| JoinOp::Event(dt, kind, values))
+    };
+    prop_oneof![
+        event(),
+        event(),
+        event(),
+        event(),
+        event(),
+        event(),
+        event(),
+        event(),
+        event(),
+        Just(JoinOp::CloneEngine),
+        arb_join_rule_body().prop_map(JoinOp::AddRule),
+        (0usize..5).prop_map(JoinOp::RemoveRule),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn window_indexes_match_nested_loop_join(
+        bodies in proptest::collection::vec(arb_join_rule_body(), 1..4),
+        ops in proptest::collection::vec(arb_join_op(), 1..120),
+    ) {
+        let kb = InMemoryFacts::new();
+        let mut engine = MatchletEngine::new();
+        let mut reference = ReferenceEngine::new(Vec::new());
+        let mut added = 0usize;
+        // Names cycle over j0..j4, so RemoveRule lands on real rules
+        // (same-name rules go together, identically on both sides).
+        let mut add = |engine: &mut MatchletEngine, reference: &mut ReferenceEngine, body: &str| {
+            let src = format!("rule j{} {{ {body} }}", added % 5);
+            added += 1;
+            for rule in parse_rules(&src).expect("generated join rule parses") {
+                engine.add_rule(rule.clone());
+                reference.add_rule(rule);
+            }
+        };
+        for body in &bodies {
+            add(&mut engine, &mut reference, body);
+        }
+        let mut now = SimTime::ZERO;
+        for (serial, op) in ops.iter().enumerate() {
+            match op {
+                JoinOp::Event(dt, kind, values) => {
+                    now += gloss_sim::SimDuration::from_secs(*dt);
+                    let mut ev = Event::new(format!("k{kind}")).with_attr("n", serial as i64);
+                    for (f, value) in values.iter().enumerate() {
+                        ev.set_attr(format!("f{f}"), term_to_attr(value));
+                    }
+                    let expected = reference.on_event(now, &ev, &kb);
+                    let got = engine.on_event(now, &ev, &kb);
+                    prop_assert_eq!(
+                        rendered(&got),
+                        rendered(&expected),
+                        "diverged on event {} at {}; rules: {:?}",
+                        ev,
+                        now,
+                        engine.rule_names()
+                    );
+                    // The engine evicts a rule's buffers when an event
+                    // of a kind it listens for arrives; the reference,
+                    // on every event. Compare the rules both just swept.
+                    for (compiled, (rule, buffers)) in engine.rules().iter().zip(&reference.rules) {
+                        if rule.patterns.iter().any(|p| p.kind == ev.kind()) {
+                            let expected: usize = buffers.iter().map(VecDeque::len).sum();
+                            prop_assert_eq!(compiled.buffered(), expected, "rule {}", rule.name);
+                        }
+                    }
+                }
+                JoinOp::CloneEngine => engine = engine.clone(),
+                JoinOp::AddRule(body) => add(&mut engine, &mut reference, body),
+                JoinOp::RemoveRule(i) => {
+                    let name = format!("j{i}");
+                    prop_assert_eq!(engine.remove_rule(&name), reference.remove_rule(&name));
+                }
+            }
+        }
+        prop_assert_eq!(engine.stats.eval_errors, reference.eval_errors);
+        let stats = engine.stats;
+        prop_assert!(
+            stats.events_out == 0 || stats.join_probes + stats.join_scans > 0,
+            "firings without a join stage"
+        );
     }
 }
 

@@ -103,6 +103,10 @@ pub struct Outbox<M> {
     pub(crate) counts: Vec<(Cow<'static, str>, f64)>,
     pub(crate) observations: Vec<(Cow<'static, str>, f64)>,
     pub(crate) traces: Vec<(Cow<'static, str>, String)>,
+    /// Whether trace events are kept. A [`World`] clears this on the
+    /// outbox it hands to nodes while its tracer is disabled, so trace
+    /// calls cost nothing then; a standalone outbox keeps everything.
+    pub(crate) tracing: bool,
 }
 
 impl<M> Default for Outbox<M> {
@@ -113,6 +117,7 @@ impl<M> Default for Outbox<M> {
             counts: Vec::new(),
             observations: Vec::new(),
             traces: Vec::new(),
+            tracing: true,
         }
     }
 }
@@ -152,7 +157,20 @@ impl<M> Outbox<M> {
 
     /// Records a trace event (kept only when the world's tracer is enabled).
     pub fn trace(&mut self, kind: impl Into<Cow<'static, str>>, detail: impl Into<String>) {
-        self.traces.push((kind.into(), detail.into()));
+        self.trace_with(kind, || detail.into());
+    }
+
+    /// Records a trace event whose detail is rendered by `detail`, which
+    /// runs only when the event is kept: the form for hot paths, where
+    /// formatting a detail nobody reads is the whole cost of the call.
+    pub fn trace_with(
+        &mut self,
+        kind: impl Into<Cow<'static, str>>,
+        detail: impl FnOnce() -> String,
+    ) {
+        if self.tracing {
+            self.traces.push((kind.into(), detail()));
+        }
     }
 
     /// The messages queued so far, for tests that drive state machines
@@ -204,7 +222,9 @@ impl<M> Outbox<M> {
         dest.timers.extend(self.timers);
         dest.counts.extend(self.counts);
         dest.observations.extend(self.observations);
-        dest.traces.extend(self.traces);
+        if dest.tracing {
+            dest.traces.extend(self.traces);
+        }
     }
 }
 
@@ -582,8 +602,6 @@ struct Shared {
     slice_width: u64,
     /// Whether the latency model permits a safe multi-region lookahead.
     can_shard: bool,
-    /// Whether node trace records are being collected.
-    tracing: bool,
 }
 
 /// One region of the world: the calendar queue plus everything a drain of
@@ -759,15 +777,13 @@ fn apply_effects<N: Node>(shard: &mut Shard<N>, sh: &Shared, window_end: u64, fr
         let (scratch, observations) = (&mut shard.scratch, &mut shard.observations);
         observations.append(&mut scratch.observations);
     }
+    // Non-empty only while tracing: the scratch outbox drops traces at
+    // the call otherwise.
     if !shard.scratch.traces.is_empty() {
-        if sh.tracing {
-            let key = shard.cur_key;
-            let (scratch, trace_buf) = (&mut shard.scratch, &mut shard.trace_buf);
-            for (kind, detail) in scratch.traces.drain(..) {
-                trace_buf.push((key, from, kind, detail));
-            }
-        } else {
-            shard.scratch.traces.clear();
+        let key = shard.cur_key;
+        let (scratch, trace_buf) = (&mut shard.scratch, &mut shard.trace_buf);
+        for (kind, detail) in scratch.traces.drain(..) {
+            trace_buf.push((key, from, kind, detail));
         }
     }
 }
@@ -1159,7 +1175,6 @@ impl<N: Node> World<N> {
                 jitter,
                 slice_width,
                 can_shard,
-                tracing: false,
             },
             shards: Vec::new(),
             ctrl: BinaryHeap::new(),
@@ -1215,7 +1230,7 @@ impl<N: Node> World<N> {
                 now: self.now,
                 cur_key: EvKey { at: SimTime::ZERO, class: 0, a: 0, b: 0 },
                 batch: Vec::new(),
-                scratch: Outbox::new(),
+                scratch: Outbox { tracing: self.tracer.is_enabled(), ..Outbox::new() },
                 outgoing: (0..count).map(|_| Vec::new()).collect(),
                 outgoing_len: 0,
                 engine: [0.0; ENGINE_COUNTERS],
@@ -1483,7 +1498,9 @@ impl<N: Node> World<N> {
     /// Enables trace collection (with a maximum retained event count).
     pub fn enable_tracing(&mut self, cap: usize) {
         self.tracer = Tracer::enabled(cap);
-        self.shared.tracing = true;
+        for shard in &mut self.shards {
+            shard.scratch.tracing = true;
+        }
     }
 
     /// The collected trace.
@@ -2367,6 +2384,53 @@ mod tests {
         assert_eq!(threads_from_env(Some("nope")), 1);
         assert_eq!(threads_from_env(Some("4")), 4);
         assert_eq!(threads_from_env(Some(" 2 ")), 2);
+    }
+
+    /// Renders a trace detail per message and counts the renderings.
+    #[derive(Debug, Default)]
+    struct Narrator {
+        rendered: u32,
+    }
+
+    impl Node for Narrator {
+        type Msg = u32;
+        fn handle(&mut self, _now: SimTime, input: Input<u32>, out: &mut Outbox<u32>) {
+            if let Input::Msg { msg, .. } = input {
+                out.trace_with("heard", || {
+                    self.rendered += 1;
+                    format!("m{msg}")
+                });
+                out.trace("heard.eager", "x");
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_trace_details_render_only_while_tracing() {
+        let run = |tracing: bool| {
+            let mut w = World::new(
+                Topology::lan(2, 11),
+                11,
+                vec![Narrator::default(), Narrator::default()],
+            );
+            if tracing {
+                w.enable_tracing(64);
+            }
+            for m in 0..3 {
+                w.inject(NodeIndex(0), NodeIndex(1), m);
+            }
+            w.run_until(SimTime::from_secs(1));
+            // (Arrival order is the links' jitter's business, not this test's.)
+            let mut details: Vec<String> =
+                w.tracer().of_kind("heard").map(|e| e.detail.clone()).collect();
+            details.sort();
+            (w.node(NodeIndex(1)).rendered, details, w.tracer().events().len())
+        };
+        assert_eq!(run(false), (0, vec![], 0), "tracing off: nothing rendered, nothing kept");
+        let (rendered, details, kept) = run(true);
+        assert_eq!(rendered, 3);
+        assert_eq!(details, ["m0", "m1", "m2"]);
+        assert_eq!(kept, 6, "eager and lazy events are both kept");
     }
 
     #[test]
