@@ -2,7 +2,7 @@
 //! self-healing pipeline (`s8_*`) and the end-to-end costs a client or a
 //! background scanner pays on a live network (`c19_*`). The repair-storm
 //! *scenario* itself lives in the `report` binary (C19 table) and the
-//! `repairsmoke` bin; these benches isolate the per-operation costs so a
+//! `smoke repair` scenario; these benches isolate the per-operation costs so a
 //! regression in any one layer shows up as a stable number.
 
 use criterion::{criterion_group, criterion_main, Criterion};

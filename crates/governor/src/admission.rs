@@ -8,6 +8,7 @@
 //! serve per source neighbourhood and tells the overflow *when* to come
 //! back, spreading the stampede over time instead of shedding it blindly.
 
+use crate::backoff::{exponential, jittered};
 use crate::bucket::TokenBucket;
 use gloss_sim::{splitmix64, FnvHashMap, NodeIndex, SimDuration, SimTime};
 
@@ -105,16 +106,17 @@ impl AdmissionGovernor {
             return Admission::Admit;
         }
         let strikes = self.strikes.entry(prefix).or_insert(0);
-        let exp = (*strikes).min(16);
+        let exp = *strikes;
         *strikes = strikes.saturating_add(1);
         self.rejected += 1;
-        let base = cfg.base_backoff.as_micros().saturating_mul(1u64 << exp);
-        let capped = base.min(cfg.max_backoff.as_micros()).max(1);
-        // Deterministic jitter: backoff * (1 - jitter .. 1 + jitter).
-        let unit = gloss_sim::splitmix_unit(&mut self.rng);
-        let factor = 1.0 - cfg.jitter + 2.0 * cfg.jitter * unit;
-        let jittered = ((capped as f64) * factor).round().max(1.0) as u64;
-        Admission::Backoff(SimDuration::from_micros(jittered))
+        Admission::Backoff(self.delay(exp, SimDuration::from_micros(1)))
+    }
+
+    /// `base_backoff × 2^attempt`, capped at `max_backoff`, floored, jittered.
+    fn delay(&mut self, attempt: u32, floor: SimDuration) -> SimDuration {
+        let cfg = &self.cfg;
+        let capped = exponential(cfg.base_backoff, attempt).min(cfg.max_backoff).max(floor);
+        jittered(capped, cfg.jitter, &mut self.rng)
     }
 
     /// Joiner-side retry delay for an *unanswered* join attempt (the
@@ -128,13 +130,7 @@ impl AdmissionGovernor {
     /// (≤ `max_backoff`) cadence and complete quickly, while the jitter
     /// keeps them from re-synchronising into a stampede.
     pub fn retry_backoff(&mut self, attempt: u32) -> SimDuration {
-        let cfg = &self.cfg;
-        let base = cfg.base_backoff.as_micros().saturating_mul(1u64 << attempt.min(16));
-        let capped =
-            base.min(cfg.max_backoff.as_micros()).max(SimDuration::from_secs(1).as_micros());
-        let unit = gloss_sim::splitmix_unit(&mut self.rng);
-        let factor = 1.0 - cfg.jitter + 2.0 * cfg.jitter * unit;
-        SimDuration::from_micros(((capped as f64) * factor).round().max(1.0) as u64)
+        self.delay(attempt, SimDuration::from_secs(1))
     }
 
     /// Drops per-source state (e.g. after the source completed its join).

@@ -27,6 +27,7 @@
 //! any thread count.
 
 pub mod admission;
+pub mod backoff;
 pub mod bucket;
 pub mod shedding;
 pub mod suspicion;

@@ -21,10 +21,7 @@
 //! * [`wrapper`] — device wrappers: GPS (random-waypoint movement),
 //!   thermometer (diurnal model), RFID gate,
 //! * [`distributed`] — inter-node pipelines over the simulator (the
-//!   latency experiments of **E2**),
-//! * [`runtime`] — a threaded in-process runtime (crossbeam channels; one
-//!   thread per component) demonstrating the same graphs outside the
-//!   simulator.
+//!   latency experiments of **E2**).
 //!
 //! # Example
 //!
@@ -45,12 +42,10 @@
 pub mod assembly;
 pub mod component;
 pub mod distributed;
-pub mod runtime;
 pub mod standard;
 pub mod wrapper;
 
 pub use assembly::{assemble, AssemblyError};
 pub use component::{Component, Emit, PipelineGraph};
 pub use distributed::{DistributedPipeline, PipelineHost, PipelineMsg};
-pub use runtime::ThreadedPipeline;
 pub use wrapper::{GpsDevice, RfidGate, Thermometer};

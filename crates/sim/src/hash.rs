@@ -37,7 +37,8 @@ impl Hasher for FnvHasher {
 pub type FnvBuildHasher = BuildHasherDefault<FnvHasher>;
 
 /// FNV-1a of a byte string in one call — the fingerprint the matching
-/// core's alpha indexes bucket fact subjects by.
+/// core's alpha indexes bucket fact subjects by, and the label hash
+/// [`SimRng::fork`](crate::SimRng::fork) derives its seeds from.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = FnvHasher::default();
     h.write(bytes);

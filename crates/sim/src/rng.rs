@@ -5,6 +5,7 @@
 //! adding a new consumer of randomness does not perturb existing streams —
 //! a requirement for reproducible experiments.
 
+use crate::hash::fnv1a;
 use crate::time::SimDuration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,16 +33,6 @@ use rand::{Rng, SeedableRng};
 pub struct SimRng {
     inner: StdRng,
     seed: u64,
-}
-
-/// FNV-1a 64-bit hash, used to derive fork seeds from labels.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
 }
 
 impl SimRng {

@@ -1,5 +1,5 @@
 //! Deterministic test workloads shared by the determinism test-suite and
-//! the CI digest binary, so both exercise the *same* protocol.
+//! the `smoke chatter` digest, so both exercise the *same* protocol.
 
 use crate::engine::{Input, Node, Outbox};
 use crate::hash::splitmix64;

@@ -12,8 +12,8 @@
 //! exist to protect.
 
 use crate::document::{Document, Priority};
-use gloss_governor::TokenBucket;
-use gloss_sim::{splitmix64, splitmix_unit, NodeIndex, SimDuration, SimTime};
+use gloss_governor::{backoff::jittered, TokenBucket};
+use gloss_sim::{splitmix64, NodeIndex, SimDuration, SimTime};
 use std::collections::BTreeMap;
 
 /// The durable record of an erasure-coded object: stored under
@@ -156,9 +156,7 @@ impl RepairScheduler {
     /// A jittered pause (`base` ± 25%) before retrying deferred work,
     /// drawn from this scheduler's private deterministic stream.
     pub fn backoff(&mut self, base: SimDuration) -> SimDuration {
-        let unit = splitmix_unit(&mut self.rng);
-        let factor = 0.75 + 0.5 * unit;
-        SimDuration::from_micros(((base.as_micros() as f64) * factor).round().max(1.0) as u64)
+        jittered(base, 0.25, &mut self.rng)
     }
 }
 

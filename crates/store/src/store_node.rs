@@ -10,8 +10,9 @@ use crate::placement::{
     PlacementAction, PlacementPolicy,
 };
 use crate::repair::{FragmentManifest, RepairScheduler};
+use gloss_governor::backoff::{exponential, jittered};
 use gloss_overlay::{Key, OverlayMsg, OverlayNode};
-use gloss_sim::{splitmix64, splitmix_unit, FnvHashMap, NodeIndex, Outbox, SimDuration, SimTime};
+use gloss_sim::{splitmix64, FnvHashMap, NodeIndex, Outbox, SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Timer tags private to the storage layer (overlay tags pass through).
@@ -664,10 +665,7 @@ impl StoreNode {
     /// A jittered deadline for lookup attempt number `attempt`
     /// (exponential: base × 2^attempt, ±25%).
     fn retry_delay(&mut self, attempt: u32) -> SimDuration {
-        let base = self.cfg.lookup_timeout.as_micros().saturating_mul(1u64 << attempt.min(16));
-        let unit = splitmix_unit(&mut self.rng);
-        let factor = 0.75 + 0.5 * unit;
-        SimDuration::from_micros(((base as f64) * factor).round().max(1.0) as u64)
+        jittered(exponential(self.cfg.lookup_timeout, attempt), 0.25, &mut self.rng)
     }
 
     /// Sweeps lookup deadlines: re-routes lapsed requests with budget
@@ -1801,5 +1799,41 @@ mod tests {
         assert_eq!(o.latency, SimDuration::from_millis(50));
         assert_eq!(o.hops, 3);
         assert!(s.has_cached(d.guid), "requester caches what it fetched");
+    }
+
+    /// The four callers of `gloss_governor::backoff`, pinned to the
+    /// microsecond (captured before they shared it): a drift in any
+    /// caller's cap, floor, jitter fraction or sample order moves a value.
+    #[test]
+    fn backoff_schedules_are_pinned() {
+        use gloss_governor::{Admission, AdmissionConfig, AdmissionGovernor};
+        let micros = |d: SimDuration| d.as_micros();
+        let mut g = AdmissionGovernor::new(AdmissionConfig::default(), 7);
+        let mut rejected = Vec::new();
+        while rejected.len() < 8 {
+            if let Admission::Backoff(d) = g.check(SimTime::ZERO, n(1)) {
+                rejected.push(micros(d));
+            }
+        }
+        assert_eq!(
+            rejected,
+            [420813, 838953, 2285124, 4543838, 8385716, 8479512, 9815818, 6516234]
+        );
+        let mut g = AdmissionGovernor::new(AdmissionConfig::default(), 7);
+        let unanswered: Vec<u64> = (0..8).map(|a| micros(g.retry_backoff(a))).collect();
+        assert_eq!(
+            unanswered,
+            [841626, 838953, 2285124, 4543838, 8385716, 8479512, 9815818, 6516234]
+        );
+        let mut r = RepairScheduler::new(1.0, 1.0, 1, 42);
+        let paced: Vec<u64> =
+            (0..8).map(|_| micros(r.backoff(SimDuration::from_secs(2)))).collect();
+        assert_eq!(paced, [1930476, 1712957, 1707340, 2304236, 1627246, 1994450, 2290688, 2399163]);
+        let mut s = store_node(0x100, 3, StoreConfig::default());
+        let lookups: Vec<u64> = (0..8).map(|a| micros(s.retry_delay(a))).collect();
+        assert_eq!(
+            lookups,
+            [2352456, 4302163, 7546282, 13254216, 32946242, 67612869, 151875251, 217630638]
+        );
     }
 }
