@@ -201,9 +201,7 @@ impl GlossNode {
         msg: BrokerMsg,
         out: &mut Outbox<GlossMsg>,
     ) {
-        let mut bout = Outbox::new();
-        self.broker.handle(now, from, msg, &mut bout);
-        bout.transfer_into(out, GlossMsg::PubSub);
+        out.nested(GlossMsg::PubSub, |bout| self.broker.handle(now, from, msg, bout));
     }
 
     fn subscribe_filter(&mut self, now: SimTime, filter: Filter, out: &mut Outbox<GlossMsg>) {
@@ -307,9 +305,7 @@ impl GlossNode {
             }
             _ => None,
         };
-        let mut sout = Outbox::new();
-        self.store.handle(now, from, msg, &mut sout);
-        sout.transfer_into(out, GlossMsg::Store);
+        out.nested(GlossMsg::Store, |sout| self.store.handle(now, from, msg, sout));
         if let Some(doc) = landed_doc {
             self.ingest_document(now, &doc, out);
         }
@@ -489,9 +485,7 @@ impl GlossNode {
         let me = self.me;
         self.broker_do(now, me, BrokerMsg::Attach, out);
         // Storage/overlay stack.
-        let mut sout = Outbox::new();
-        self.store.on_start(&mut sout);
-        sout.transfer_into(out, GlossMsg::Store);
+        out.nested(GlossMsg::Store, |sout| self.store.on_start(sout));
         if self.is_coordinator() {
             self.subscribe_kind(now, gloss_deploy::resource::kinds::ADVERTISE, out);
             self.subscribe_kind(now, gloss_deploy::resource::kinds::WITHDRAW, out);
@@ -522,11 +516,7 @@ impl GlossNode {
                 }
                 out.timer(self.sweep_every, timers::SWEEP);
             }
-            other => {
-                let mut sout = Outbox::new();
-                self.store.on_timer(now, other, &mut sout);
-                sout.transfer_into(out, GlossMsg::Store);
-            }
+            other => out.nested(GlossMsg::Store, |sout| self.store.on_timer(now, other, sout)),
         }
     }
 
@@ -540,9 +530,9 @@ impl GlossNode {
         // don't let a stale cached copy answer for the authoritative
         // one; the responsible node still serves whatever it holds.
         let floor = self.kb_doc_versions.get(subject).map_or(0, |v| v.saturating_add(1));
-        let mut sout = Outbox::new();
-        self.store.lookup_min_version(guid, floor, req, now, &mut sout);
-        sout.transfer_into(out, GlossMsg::Store);
+        out.nested(GlossMsg::Store, |sout| {
+            self.store.lookup_min_version(guid, floor, req, now, sout)
+        });
         // A locally held copy concludes synchronously with no FetchReply
         // message, so the ingest hook must run here.
         if let Some(doc) = self.store.outcomes.get(&req).and_then(|o| o.doc.clone()) {
@@ -561,9 +551,9 @@ impl GlossNode {
         // copy we (or an en-route node) already hold is stale by
         // definition, and serving it would end the pull early.
         let floor = self.kb_delta_doc_versions.get(subject).map_or(0, |v| v.saturating_add(1));
-        let mut sout = Outbox::new();
-        self.store.lookup_min_version(guid, floor, req, now, &mut sout);
-        sout.transfer_into(out, GlossMsg::Store);
+        out.nested(GlossMsg::Store, |sout| {
+            self.store.lookup_min_version(guid, floor, req, now, sout)
+        });
         if let Some(doc) = self.store.outcomes.get(&req).and_then(|o| o.doc.clone()) {
             self.ingest_document(now, &doc, out);
         }
@@ -684,9 +674,7 @@ impl GlossNode {
                 let _ = me;
                 if let Some((req, guid)) = fetch {
                     out.count("gloss.discovery_lookups", 1.0);
-                    let mut sout = Outbox::new();
-                    self.store.lookup(guid, req, now, &mut sout);
-                    sout.transfer_into(out, GlossMsg::Store);
+                    out.nested(GlossMsg::Store, |sout| self.store.lookup(guid, req, now, sout));
                     // A locally satisfied lookup concludes immediately.
                     self.conclude_discovery_fetch(now, req, out);
                 }

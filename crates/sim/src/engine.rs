@@ -209,22 +209,36 @@ impl<M> Outbox<M> {
         std::mem::take(&mut self.timers)
     }
 
-    /// Moves every effect into `dest`, converting each message with `f`.
+    /// Runs `f` against an outbox of an embedded state machine's message
+    /// type `I` and returns what `f` returns.
     ///
     /// This lets a node embed an inner state machine with its own message
-    /// type (e.g. the storage layer wrapping the overlay): the inner
-    /// machine writes to its own outbox, which is then transferred into
-    /// the enclosing node's outbox.
-    pub fn transfer_into<T>(self, dest: &mut Outbox<T>, f: impl Fn(M) -> T) {
-        for (to, msg, delay) in self.sends {
-            dest.sends.push((to, f(msg), delay));
-        }
-        dest.timers.extend(self.timers);
-        dest.counts.extend(self.counts);
-        dest.observations.extend(self.observations);
-        if dest.tracing {
-            dest.traces.extend(self.traces);
-        }
+    /// type (e.g. the storage layer wrapping the overlay). The inner
+    /// outbox *is* this one for everything but sends: timers, counts,
+    /// observations and traces land directly in this outbox's vectors,
+    /// behind whatever the host recorded before the call, and the inner
+    /// machine sees the host's tracing switch. Its sends are appended
+    /// after the call, each converted with `wrap`.
+    pub fn nested<I, R>(
+        &mut self,
+        wrap: impl Fn(I) -> M,
+        f: impl FnOnce(&mut Outbox<I>) -> R,
+    ) -> R {
+        let mut inner = Outbox {
+            sends: Vec::new(),
+            timers: std::mem::take(&mut self.timers),
+            counts: std::mem::take(&mut self.counts),
+            observations: std::mem::take(&mut self.observations),
+            traces: std::mem::take(&mut self.traces),
+            tracing: self.tracing,
+        };
+        let result = f(&mut inner);
+        self.timers = inner.timers;
+        self.counts = inner.counts;
+        self.observations = inner.observations;
+        self.traces = inner.traces;
+        self.sends.extend(inner.sends.into_iter().map(|(to, msg, delay)| (to, wrap(msg), delay)));
+        result
     }
 }
 
@@ -2431,6 +2445,61 @@ mod tests {
         assert_eq!(rendered, 3);
         assert_eq!(details, ["m0", "m1", "m2"]);
         assert_eq!(kept, 6, "eager and lazy events are both kept");
+    }
+
+    #[test]
+    fn nested_outbox_keeps_copy_order_and_the_hosts_tracing_switch() {
+        // A host records effects, lets an embedded machine (u8 messages)
+        // record its own, then records more.
+        fn drive(out: &mut Outbox<String>) -> (usize, bool) {
+            let mut rendered = false;
+            out.count("host.before", 1.0);
+            out.timer(SimDuration::from_millis(1), 1);
+            out.send(NodeIndex(1), "host-before".to_string());
+            let from_inner = out.nested(
+                |m: u8| format!("inner-{m}"),
+                |inner| {
+                    inner.count("inner", 2.0);
+                    inner.timer(SimDuration::from_millis(2), 2);
+                    inner.observe("inner.obs", 0.5);
+                    inner.send(NodeIndex(2), 7);
+                    inner.send_after(NodeIndex(3), 8, SimDuration::from_millis(9));
+                    inner.trace("inner.eager", "e");
+                    inner.trace_with("inner.lazy", || {
+                        rendered = true;
+                        "l".to_string()
+                    });
+                    inner.sends().len()
+                },
+            );
+            out.count("host.after", 3.0);
+            out.timer(SimDuration::from_millis(3), 3);
+            out.send(NodeIndex(4), "host-after".to_string());
+            (from_inner, rendered)
+        }
+
+        let mut out = Outbox::new();
+        assert_eq!(drive(&mut out), (2, true), "the closure's value comes back");
+        // What building a second outbox and copying it over produced.
+        let counts: Vec<(&str, f64)> = out.counts().iter().map(|(n, v)| (n.as_ref(), *v)).collect();
+        assert_eq!(counts, [("host.before", 1.0), ("inner", 2.0), ("host.after", 3.0)]);
+        let tags: Vec<u64> = out.timers().iter().map(|(_, tag)| *tag).collect();
+        assert_eq!(tags, [1, 2, 3]);
+        assert_eq!(out.observations().len(), 1);
+        let sends: Vec<(u32, &str, u64)> =
+            out.sends().iter().map(|(to, m, d)| (to.0, m.as_str(), d.as_micros())).collect();
+        assert_eq!(
+            sends,
+            [(1, "host-before", 0), (2, "inner-7", 0), (3, "inner-8", 9_000), (4, "host-after", 0)]
+        );
+        let kinds: Vec<&str> = out.traces().iter().map(|(k, _)| k.as_ref()).collect();
+        assert_eq!(kinds, ["inner.eager", "inner.lazy"]);
+
+        // The outbox a world hands out while its tracer is off.
+        let mut quiet = Outbox { tracing: false, ..Outbox::new() };
+        assert_eq!(drive(&mut quiet), (2, false), "no detail is rendered for a tracer that is off");
+        assert!(quiet.traces().is_empty());
+        assert_eq!(quiet.sends().len(), 4);
     }
 
     #[test]

@@ -377,9 +377,7 @@ impl StoreNode {
 
     /// Cold start: reset overlay state and arm the periodic timers.
     pub fn on_start(&mut self, out: &mut Outbox<StoreMsg>) {
-        let mut oout = Outbox::new();
-        self.overlay.on_start(&mut oout);
-        oout.transfer_into(out, StoreMsg::Overlay);
+        out.nested(StoreMsg::Overlay, |oout| self.overlay.on_start(oout));
         out.timer(self.cfg.heal_interval, timers::HEAL);
         if let Some(iv) = self.cfg.repair_interval {
             // Jittered per node so regional crashes do not produce a
@@ -407,9 +405,7 @@ impl StoreNode {
             }
             timers::LOOKUP_RETRY => self.retry_sweep(now, out),
             _ => {
-                let mut oout = Outbox::new();
-                self.overlay.on_timer(now, tag, &mut oout);
-                oout.transfer_into(out, StoreMsg::Overlay);
+                out.nested(StoreMsg::Overlay, |oout| self.overlay.on_timer(now, tag, oout));
                 self.drain_failures(out);
             }
         }
@@ -703,9 +699,8 @@ impl StoreNode {
                 path: vec![self.me],
                 min_version: p.min_version,
             };
-            let mut oout = Outbox::new();
-            let delivered = self.overlay.route(p.guid, payload, &mut oout);
-            oout.transfer_into(out, StoreMsg::Overlay);
+            let delivered =
+                out.nested(StoreMsg::Overlay, |oout| self.overlay.route(p.guid, payload, oout));
             if delivered.is_some() {
                 // The ring shrank onto us: answer authoritatively.
                 let outcome = match self.local_copy(p.guid) {
@@ -1055,9 +1050,8 @@ impl StoreNode {
             }
         }
 
-        let mut oout = Outbox::new();
-        let deliveries = self.overlay.handle(now, from, omsg, &mut oout);
-        oout.transfer_into(out, StoreMsg::Overlay);
+        let deliveries =
+            out.nested(StoreMsg::Overlay, |oout| self.overlay.handle(now, from, omsg, oout));
         self.drain_failures(out);
 
         for d in deliveries {
@@ -1141,9 +1135,9 @@ impl StoreNode {
     /// Originates an insert from this node (used by the harness).
     pub fn insert(&mut self, doc: Document, out: &mut Outbox<StoreMsg>) {
         let guid = doc.guid;
-        let mut oout = Outbox::new();
-        let delivered = self.overlay.route(guid, StorePayload::Insert { doc }, &mut oout);
-        oout.transfer_into(out, StoreMsg::Overlay);
+        let delivered = out.nested(StoreMsg::Overlay, |oout| {
+            self.overlay.route(guid, StorePayload::Insert { doc }, oout)
+        });
         if let Some(d) = delivered {
             // We are the root ourselves.
             if let StorePayload::Insert { doc } = d.payload {
@@ -1208,9 +1202,8 @@ impl StoreNode {
             path: vec![self.me],
             min_version,
         };
-        let mut oout = Outbox::new();
-        let delivered = self.overlay.route(guid, payload, &mut oout);
-        oout.transfer_into(out, StoreMsg::Overlay);
+        let delivered =
+            out.nested(StoreMsg::Overlay, |oout| self.overlay.route(guid, payload, oout));
         if delivered.is_some() {
             // We are the responsible node: answer with whatever we hold
             // (the floor only filters non-authoritative copies), or
