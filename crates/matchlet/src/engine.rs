@@ -20,11 +20,11 @@
 //!   window;
 //! - bindings are flat `(Symbol, Term)` vectors ([`Bindings`]), so
 //!   environments clone in one allocation and compare keys by integer;
-//! - **alpha memories** index, per predicate a rule's goals read, the
-//!   live facts of that predicate bucketed by an FNV fingerprint of the
-//!   subject. They are *repaired* from the knowledge plane's
-//!   insert/retract deltas ([`FactDelta`]) instead of rebuilt, and track
-//!   the validity-window boundaries of their facts;
+//! - **alpha memories** keep, per predicate a rule's goals read, the two
+//!   things memo invalidation needs: a change stamp, bumped whenever the
+//!   knowledge plane's insert/retract feed ([`FactDelta`]) touches the
+//!   predicate, and the validity-window boundaries of its facts. The
+//!   facts themselves live in the knowledge base and nowhere else;
 //! - a **shared beta network** memoises the solutions of `where`-goal
 //!   chains in a trie of join nodes owned by the engine, not by any one
 //!   rule. Each rule's goals are normalised and canonically renamed
@@ -35,7 +35,8 @@
 //!   an entry is reused until a delta touches one of the path's
 //!   predicates or a fact validity boundary is crossed. A leaf miss
 //!   extends the deepest still-valid ancestor entry one goal at a time
-//!   instead of re-solving the whole chain, so 10k deployed rules with
+//!   (against the same knowledge base the direct path reads) instead of
+//!   re-solving the whole chain, so 10k deployed rules with
 //!   overlapping conditions repair each shared prefix **once** per
 //!   relevant fact delta, not once per rule — and in the steady state
 //!   (facts churning slowly under event traffic, the architecture's
@@ -55,7 +56,7 @@ use crate::parser::{parse_rules, MatchletError};
 use crate::symbol::Symbol;
 use gloss_event::{AttrValue, Event};
 use gloss_knowledge::{Fact, FactDelta, FactSource, FactsVersion, Term};
-use gloss_sim::{fnv1a, FnvHashMap, SimTime};
+use gloss_sim::{FnvHashMap, SimTime};
 use gloss_xml::Path;
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
@@ -117,83 +118,64 @@ impl CompiledPattern {
     }
 }
 
-// --- alpha memories: the engine-side fact index --------------------------
+// --- alpha memories: what the memo knows about a predicate ---------------
 
-/// The live facts of one predicate, in knowledge-base insertion order
-/// (a tombstoned slab, so retractions never reorder survivors), bucketed
-/// by subject fingerprint for the solver's subject-hinted probes.
+/// Retractions a predicate must have seen since its boundaries were last
+/// rebuilt before another rebuild is considered: below this the stale
+/// boundaries cost less than the read.
+const BOUNDARY_REBUILD_FLOOR: usize = 64;
+
+/// What memo invalidation needs to know about one predicate some rule's
+/// goals read: when it last changed, and at which instants the set of its
+/// valid facts changes. The facts themselves stay in the knowledge base,
+/// which memo misses solve against directly.
 #[derive(Debug, Clone, Default)]
 struct AlphaMemory {
-    /// Facts in insertion order; `None` = retracted.
-    facts: Vec<Option<Fact>>,
-    /// Subject fingerprint → slab indices, ascending (insertion order).
-    by_subject: FnvHashMap<u64, Vec<u32>>,
-    /// Validity-window boundaries (µs) of the indexed facts, sorted. A
-    /// retracted fact's boundaries linger until the next compaction —
-    /// safe either way: a stale boundary can only force a spurious memo
+    /// Validity-window boundaries (µs) of the predicate's facts, sorted.
+    /// A retracted fact's boundaries linger until the next rebuild — safe
+    /// either way: a stale boundary can only force a spurious memo
     /// recompute, never a stale hit.
     boundaries: Vec<u64>,
     /// Engine change stamp of the last mutation (memo invalidation).
     last_change: u64,
-    /// Live (non-tombstoned) fact count.
+    /// Facts of the predicate in the knowledge base.
     live: usize,
+    /// Retractions since `boundaries` was last built from a full read.
+    retracted: usize,
 }
 
 impl AlphaMemory {
-    fn add_boundaries(&mut self, fact: &Fact) {
+    /// The memory of `predicate` as `kb` holds it now.
+    fn read(kb: &dyn FactSource, predicate: &str, stamp: u64) -> Self {
+        let mut mem = AlphaMemory { last_change: stamp, ..Default::default() };
+        for fact in kb.query(None, Some(predicate)) {
+            mem.insert(fact);
+        }
+        mem
+    }
+
+    fn insert(&mut self, fact: &Fact) {
         for b in [fact.valid_from, fact.valid_to].into_iter().flatten() {
             let m = b.as_micros();
             if let Err(pos) = self.boundaries.binary_search(&m) {
                 self.boundaries.insert(pos, m);
             }
         }
-    }
-
-    fn insert(&mut self, fact: Fact) {
-        self.add_boundaries(&fact);
-        let id = self.facts.len() as u32;
-        self.by_subject.entry(fnv1a(fact.subject.as_bytes())).or_default().push(id);
-        self.facts.push(Some(fact));
         self.live += 1;
     }
 
-    /// Removes the first live fact matching `fact` bit-exactly (among
-    /// equal facts the choice is observationally irrelevant). Bit-exact
-    /// rather than derived `PartialEq`: a retract delta carries a clone
-    /// of the removed fact, and `NaN != NaN` under `==` would leave a
-    /// NaN-valued fact stranded in the index forever.
-    fn retract(&mut self, fact: &Fact) {
-        let Some(ids) = self.by_subject.get(&fnv1a(fact.subject.as_bytes())) else {
-            return;
-        };
-        for &id in ids {
-            let slot = &mut self.facts[id as usize];
-            if slot.as_ref().is_some_and(|f| fact_exact_eq(f, fact)) {
-                *slot = None;
-                self.live -= 1;
-                self.maybe_compact();
-                return;
-            }
-        }
+    fn retract(&mut self) {
+        self.live = self.live.saturating_sub(1);
+        self.retracted += 1;
     }
 
-    fn maybe_compact(&mut self) {
-        if self.facts.len() < 64 || self.live * 2 >= self.facts.len() {
-            return;
-        }
-        let old = std::mem::take(&mut self.facts);
-        self.by_subject.clear();
-        // Boundaries rebuild from the survivors in the same pass: safe,
-        // because every retraction bumps this memory's change stamp, so
-        // memo entries that consulted the old boundary set are already
-        // condemned before their next probe.
-        self.boundaries.clear();
-        for fact in old.into_iter().flatten() {
-            self.add_boundaries(&fact);
-            let id = self.facts.len() as u32;
-            self.by_subject.entry(fnv1a(fact.subject.as_bytes())).or_default().push(id);
-            self.facts.push(Some(fact));
-        }
+    /// Whether retractions since the last rebuild outnumber the facts
+    /// left, i.e. most of `boundaries` may belong to facts long gone.
+    /// Rebuilding is safe at any time: every retraction bumps
+    /// `last_change`, so memo entries that consulted the old boundary set
+    /// are condemned before their next probe.
+    fn boundaries_stale(&self) -> bool {
+        self.live + self.retracted >= BOUNDARY_REBUILD_FLOOR && self.retracted > self.live
     }
 
     /// Whether no validity boundary lies in `(lo, hi]` (µs): a solution
@@ -201,76 +183,6 @@ impl AlphaMemory {
     fn quiet_between(&self, lo: u64, hi: u64) -> bool {
         let i = self.boundaries.partition_point(|&x| x <= lo);
         self.boundaries.get(i).is_none_or(|&x| x > hi)
-    }
-
-    /// Enumerates facts valid at `t`, mirroring the knowledge base's own
-    /// iteration order exactly (insertion order within the predicate).
-    fn for_each_at(&self, subject: Option<&str>, t: SimTime, f: &mut dyn FnMut(&Fact)) {
-        match subject {
-            Some(s) => {
-                let Some(ids) = self.by_subject.get(&fnv1a(s.as_bytes())) else {
-                    return;
-                };
-                for &id in ids {
-                    if let Some(fact) = &self.facts[id as usize] {
-                        if fact.subject == s && fact.valid_at(t) {
-                            f(fact);
-                        }
-                    }
-                }
-            }
-            None => {
-                for fact in self.facts.iter().flatten() {
-                    if fact.valid_at(t) {
-                        f(fact);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// A [`FactSource`] view over the alpha memories: memo-miss re-solves
-/// enumerate facts from here instead of the raw knowledge base. Only ever
-/// probed with the static predicates of memoised rules, all of which are
-/// indexed.
-struct AlphaView<'v> {
-    alphas: &'v FnvHashMap<String, AlphaMemory>,
-}
-
-impl FactSource for AlphaView<'_> {
-    fn query<'a>(
-        &'a self,
-        subject: Option<&'a str>,
-        predicate: Option<&'a str>,
-    ) -> Box<dyn Iterator<Item = &'a Fact> + 'a> {
-        let Some(mem) = predicate.and_then(|p| self.alphas.get(p)) else {
-            return Box::new(std::iter::empty());
-        };
-        match subject {
-            Some(s) => {
-                let ids: &[u32] =
-                    mem.by_subject.get(&fnv1a(s.as_bytes())).map_or(&[], Vec::as_slice);
-                Box::new(
-                    ids.iter()
-                        .filter_map(|&id| mem.facts[id as usize].as_ref())
-                        .filter(move |f| f.subject == s),
-                )
-            }
-            None => Box::new(mem.facts.iter().flatten()),
-        }
-    }
-
-    fn for_each_at(
-        &self,
-        subject: Option<&str>,
-        predicate: Option<&str>,
-        t: SimTime,
-        f: &mut dyn FnMut(&Fact),
-    ) {
-        if let Some(mem) = predicate.and_then(|p| self.alphas.get(p)) {
-            mem.for_each_at(subject, t, f);
-        }
     }
 }
 
@@ -518,6 +430,7 @@ impl BetaNet {
         path: &[u32],
         key: &[Option<Term>],
         alphas: &FnvHashMap<String, AlphaMemory>,
+        kb: &dyn FactSource,
         now: SimTime,
         partial: &mut u64,
     ) -> (u64, usize) {
@@ -538,7 +451,6 @@ impl BetaNet {
             let node = self.node(id);
             let slots = node.slots as usize;
             let slot_syms = &self.slot_syms;
-            let view = AlphaView { alphas };
             let mut next: Solutions = Vec::new();
             let mut errors = base_errors;
             // Input-bound slots in scope at this node; each base
@@ -557,7 +469,7 @@ impl BetaNet {
                     env.push_raw(slot_syms[*slot as usize], term.clone());
                 }
                 let mark = env.len();
-                errors += solve_mut(goal_slice, &mut env, &view, now, &mut |senv| {
+                errors += solve_mut(goal_slice, &mut env, kb, now, &mut |senv| {
                     let mut cum = sol.clone();
                     for (sym, term) in &senv.raw_entries()[mark..] {
                         let slot =
@@ -591,16 +503,6 @@ impl BetaNet {
         }
         leaf_slot
     }
-}
-
-/// Bit-exact fact equality (the alpha retract match: the delta carries a
-/// clone of the removed fact, so every field matches bitwise).
-fn fact_exact_eq(a: &Fact, b: &Fact) -> bool {
-    a.subject == b.subject
-        && a.predicate == b.predicate
-        && term_exact_eq(&a.object, &b.object)
-        && a.valid_from == b.valid_from
-        && a.valid_to == b.valid_to
 }
 
 /// Exact (variant- and bit-sensitive) term equality for memo keys.
@@ -919,11 +821,11 @@ impl EngineStats {
 
 /// A matchlet engine hosting compiled rules.
 ///
-/// All hosted rules — however they were deployed — share one alpha
-/// index, one change-feed cursor, and one beta trie per engine: a node
-/// running many matchlets repairs its fact view once per knowledge
-/// update, and rules with overlapping goal prefixes share the join state
-/// for the overlap.
+/// All hosted rules — however they were deployed — share one set of
+/// alpha memories, one change-feed cursor, and one beta trie per engine:
+/// a node running many matchlets reads the change feed once per
+/// knowledge update, and rules with overlapping goal prefixes share the
+/// join state for the overlap. The engine holds no copy of any fact.
 ///
 /// See the [crate docs](crate) for the language and an example.
 #[derive(Debug, Clone, Default)]
@@ -939,8 +841,8 @@ pub struct MatchletEngine {
     /// The knowledge-base version the alpha memories reflect (`None` =
     /// not synced / source has no change feed).
     synced: Option<FactsVersion>,
-    /// Bumped whenever alpha contents change; compared against each
-    /// rule's memo stamp for invalidation.
+    /// Bumped whenever a tracked predicate changes; compared against
+    /// each beta node's memo stamp for invalidation.
     change_stamp: u64,
     /// Rule set changed since the last sync: alpha coverage must be
     /// re-checked against the rules' plans.
@@ -989,7 +891,7 @@ impl MatchletEngine {
 
     /// Adds one already-parsed rule, threading its canonical goal chain
     /// into the shared beta trie. Any predicate its goals read that is
-    /// not yet alpha-indexed gets indexed at the next event.
+    /// not yet tracked gets its alpha memory at the next event.
     pub fn add_rule(&mut self, rule: Rule) {
         let ri = self.rules.len() as u32;
         for (pi, pattern) in rule.patterns.iter().enumerate() {
@@ -1006,8 +908,8 @@ impl MatchletEngine {
     /// Removes a rule by name; returns whether it existed. Its
     /// references on the beta trie go with it — join state shared with
     /// no surviving rule is freed — and alpha memories no rule reads any
-    /// more are dropped (so unrelated fact churn stops costing index
-    /// repairs).
+    /// more are dropped (so unrelated fact churn stops invalidating
+    /// anything).
     pub fn remove_rule(&mut self, name: &str) -> bool {
         let before = self.rules.len();
         let mut i = 0;
@@ -1060,8 +962,8 @@ impl MatchletEngine {
         &self.rules
     }
 
-    /// How many predicates are currently alpha-indexed (rules sharing a
-    /// predicate share the memory).
+    /// How many predicates the engine tracks changes of (rules sharing a
+    /// predicate share the alpha memory).
     pub fn indexed_predicates(&self) -> usize {
         self.alphas.len()
     }
@@ -1222,7 +1124,7 @@ fn sync(
 ) -> bool {
     let Some(v) = kb.version() else {
         if synced.is_some() {
-            // The source cannot tell us what changed: drop the indexes
+            // The source cannot tell us what changed: drop the memories
             // and run direct until a delta-capable source comes back.
             *synced = None;
             alphas.clear();
@@ -1235,23 +1137,26 @@ fn sync(
             if v.epoch == s.epoch {
                 true
             } else {
-                // Repair the alpha memories from the delta span.
+                // Fold the delta span into the alpha memories.
                 *change_stamp += 1;
                 let stamp = *change_stamp;
-                kb.for_each_delta_since(s.epoch, &mut |d| {
-                    let (fact, insert) = match d {
-                        FactDelta::Insert(f) => (f, true),
-                        FactDelta::Retract(f) => (f, false),
-                    };
-                    if let Some(mem) = alphas.get_mut(fact.predicate.as_str()) {
+                let replayed = kb.for_each_delta_since(s.epoch, &mut |d| {
+                    if let Some(mem) = alphas.get_mut(d.fact().predicate.as_str()) {
                         mem.last_change = stamp;
-                        if insert {
-                            mem.insert(fact.clone());
-                        } else {
-                            mem.retract(fact);
+                        match d {
+                            FactDelta::Insert(fact) => mem.insert(fact),
+                            FactDelta::Retract(_) => mem.retract(),
                         }
                     }
-                })
+                });
+                if replayed {
+                    for (predicate, mem) in alphas.iter_mut() {
+                        if mem.boundaries_stale() {
+                            *mem = AlphaMemory::read(kb, predicate, mem.last_change);
+                        }
+                    }
+                }
+                replayed
             }
         }
         _ => false,
@@ -1271,11 +1176,7 @@ fn sync(
             };
             for p in predicates {
                 if !alphas.contains_key(p.as_str()) {
-                    let mut mem = AlphaMemory { last_change: stamp, ..Default::default() };
-                    for fact in kb.query(None, Some(p)) {
-                        mem.insert(fact.clone());
-                    }
-                    alphas.insert(p.clone(), mem);
+                    alphas.insert(p.clone(), AlphaMemory::read(kb, p, stamp));
                 }
             }
         }
@@ -1416,8 +1317,8 @@ fn emit_one(
 /// same exact goal-input projection and no validity boundary of the
 /// path's predicates was crossed since it was computed. On a leaf miss
 /// the trie extends the deepest still-valid ancestor entry — join work
-/// another rule may already have paid for — goal by goal against the
-/// alpha memories, memoising at every node passed. Either way the leaf
+/// another rule may already have paid for — goal by goal against `kb`,
+/// memoising at every node passed. Either way the leaf
 /// entry's canonical solution suffixes replay through the rule's own
 /// variables. Emit expressions are always evaluated fresh (they may read
 /// the clock or the raw knowledge base).
@@ -1450,7 +1351,7 @@ fn fire(
         }
         None => {
             ctx.misses += 1;
-            ctx.beta.compute(ctx.path, &key, ctx.alphas, now, &mut ctx.partial)
+            ctx.beta.compute(ctx.path, &key, ctx.alphas, kb, now, &mut ctx.partial)
         }
     };
     let entry = &ctx.beta.node(leaf).memo[&h][idx];
@@ -2139,50 +2040,63 @@ mod tests {
     }
 
     #[test]
-    fn nan_objects_retract_cleanly_from_the_alpha_index() {
-        // NaN != NaN under PartialEq; the alpha retract must match the
-        // delta's fact bit-exactly or the index diverges from the kb.
+    fn nan_objects_retract_cleanly_through_the_memo() {
+        // NaN != NaN under PartialEq, so nothing downstream of the feed
+        // may depend on finding "the same" fact again: the retract delta
+        // alone must condemn the memoised solution.
         let mut kb = InMemoryFacts::new();
         kb.add(Fact::new("s", "score", Term::Float(f64::NAN)));
         let src = r#"rule r { on p: event ping() where fact(?u, score, ?v) emit out(u: ?u) }"#;
         let mut e = MatchletEngine::compile(src).unwrap();
         assert_eq!(e.on_event(t(0), &Event::new("ping"), &kb).len(), 1);
+        assert_eq!(e.on_event(t(1), &Event::new("ping"), &kb).len(), 1);
+        assert_eq!(e.stats.memo_hits, 1, "the solution is memoised");
         kb.remove_subject("s");
         assert!(
-            e.on_event(t(1), &Event::new("ping"), &kb).is_empty(),
-            "retracted NaN fact must leave the alpha index"
+            e.on_event(t(2), &Event::new("ping"), &kb).is_empty(),
+            "retracting the NaN fact must invalidate the memo"
         );
+        assert_eq!(e.stats.memo_misses, 2);
     }
 
     #[test]
-    fn alpha_compaction_prunes_tombstones_and_stale_boundaries() {
-        let mut mem = AlphaMemory::default();
+    fn churned_boundaries_are_rebuilt_from_the_facts_left() {
         let windowed = |i: u64| {
             Fact::new(format!("s{i}"), "p", Term::Int(i as i64))
                 .valid_between(SimTime::from_secs(i), SimTime::from_secs(i + 1000))
         };
-        for i in 0..100 {
-            mem.insert(windowed(i));
-        }
-        assert_eq!(mem.boundaries.len(), 200);
+        let mut kb = InMemoryFacts::new();
+        kb.extend((0..100).map(windowed));
+        let src = r#"rule r { on q: event ping() where fact(?s, p, ?v) emit out(s: ?s) }"#;
+        let mut e = MatchletEngine::compile(src).unwrap();
+        let ping = Event::new("ping");
+        assert_eq!(e.on_event(t(999), &ping, &kb).len(), 100);
+        assert_eq!(e.alphas["p"].boundaries.len(), 200);
+        // 80 of the 100 go: retractions outnumber the facts left, so the
+        // boundaries are read back from the 20 survivors instead of
+        // carrying 160 instants at which nothing changes any more.
         for i in 0..80 {
-            mem.retract(&windowed(i));
+            assert_eq!(kb.retract(&format!("s{i}"), "p", &Term::Int(i)), 1);
         }
-        assert_eq!(mem.live, 20);
-        // Compaction fired once, at the half-tombstone threshold (100
-        // slots, 49 live): the slab shrank and the 51 retracted facts'
-        // boundaries went with it. Below the 64-slot floor the remaining
-        // tombstones stay, by design.
-        assert_eq!(mem.facts.len(), 49, "slab compacted at the threshold");
-        assert_eq!(mem.boundaries.len(), 98, "compaction pruned stale boundaries");
-        // Survivors still enumerate, in insertion order, by subject.
-        let mut seen = Vec::new();
-        mem.for_each_at(None, SimTime::from_secs(999), &mut |f| seen.push(f.subject.clone()));
-        assert_eq!(seen.len(), 20);
-        assert_eq!(seen[0], "s80");
-        let mut hit = 0;
-        mem.for_each_at(Some("s90"), SimTime::from_secs(999), &mut |_| hit += 1);
-        assert_eq!(hit, 1);
+        let out = e.on_event(t(999), &ping, &kb);
+        assert_eq!(out.len(), 20);
+        assert_eq!(out[0].str_attr("s"), Some("s80"), "survivors keep kb order");
+        let mem = &e.alphas["p"];
+        assert_eq!((mem.live, mem.retracted), (20, 0));
+        let expected: Vec<u64> =
+            (80..100).chain(1080..1100).map(|secs| SimTime::from_secs(secs).as_micros()).collect();
+        assert_eq!(mem.boundaries, expected);
+        // Below the 64-fact floor stale boundaries stay, by design.
+        for i in 80..95 {
+            kb.retract(&format!("s{i}"), "p", &Term::Int(i));
+        }
+        assert_eq!(e.on_event(t(999), &ping, &kb).len(), 5);
+        let mem = &e.alphas["p"];
+        assert_eq!((mem.live, mem.retracted), (5, 15));
+        assert_eq!(mem.boundaries.len(), 40);
+        // A kept boundary still condemns: s95's window opens at t=95.
+        assert_eq!(e.on_event(t(94), &ping, &kb).len(), 0);
+        assert_eq!(e.on_event(t(95), &ping, &kb).len(), 1);
     }
 
     #[test]
@@ -2252,7 +2166,7 @@ mod tests {
         let out = e.on_event(t(0), &Event::new("query"), &kb);
         assert_eq!(out.len(), 4, "2 fans + 2 national fans");
         // Whichever rule ran second extended the first rule's leaf entry
-        // instead of re-enumerating `likes` from the alpha memory.
+        // instead of re-enumerating `likes` from the knowledge base.
         assert_eq!(e.stats.beta_partial_hits, 1, "prefix reused across rules");
         assert_eq!(e.stats.memo_misses, 2);
         // Steady state: both leaves replay.
