@@ -90,24 +90,14 @@ impl ActiveArchitecture {
             .map(|info| NodeSite::new(info.index, info.geo, info.region.clone()))
             .collect();
 
+        let governor = gloss_overlay::GovernorConfig::default();
+        let ring: Vec<OverlayNode<StorePayload>> =
+            OverlayNode::ring("gloss-node-", cfg.nodes, cfg.seed, &mut rng, Some(&governor));
         let mut nodes = Vec::with_capacity(cfg.nodes);
-        for info in topology.iter() {
+        for (info, overlay) in topology.iter().zip(ring) {
             let i = info.index.as_usize();
             let broker =
                 Broker::new(info.index, BrokerTopology::Peer { neighbors: neighbors[i].clone() });
-            let overlay_key = Key::hash_of(format!("gloss-node-{i}-{}", cfg.seed).as_bytes());
-            let (bootstrap, delay) = if i == 0 {
-                (None, SimDuration::ZERO)
-            } else {
-                (Some(NodeIndex(rng.index(i) as u32)), SimDuration::from_millis(200) * i as u64)
-            };
-            let overlay: OverlayNode<StorePayload> =
-                OverlayNode::new(overlay_key, info.index, bootstrap, delay)
-                    .with_probe_interval(SimDuration::from_secs(5))
-                    .with_governor(
-                        gloss_overlay::GovernorConfig::default(),
-                        cfg.seed ^ ((i as u64) << 17),
-                    );
             let store = StoreNode::new(info.index, overlay, cfg.store.clone(), directory.clone());
             let resources = NodeResources {
                 node: info.index,

@@ -142,33 +142,17 @@ impl OverlayNetwork {
 
     /// Builds the overlay over an explicit topology and governor policy.
     pub fn build_on_with(topology: Topology, seed: u64, governor: Option<GovernorConfig>) -> Self {
-        let n = topology.len();
         let mut rng = SimRng::new(seed).fork("overlay-net");
-        let mut nodes = Vec::with_capacity(n);
-        for i in 0..n {
-            let idx = NodeIndex(i as u32);
-            let key = Key::hash_of(format!("overlay-node-{i}-{seed}").as_bytes());
-            let (bootstrap, delay) = if i == 0 {
-                (None, SimDuration::ZERO)
-            } else {
-                // Join through a random earlier node, staggered.
-                let b = NodeIndex(rng.index(i) as u32);
-                (Some(b), SimDuration::from_millis(200) * i as u64)
-            };
-            let mut overlay = OverlayNode::new(key, idx, bootstrap, delay)
-                .with_probe_interval(SimDuration::from_secs(5));
-            if let Some(cfg) = &governor {
-                // Per-node jitter seed: deterministic, but no two nodes
-                // share a backoff stream.
-                overlay = overlay.with_governor(cfg.clone(), seed ^ ((i as u64) << 17));
-            }
-            nodes.push(OverlayWorldNode {
-                overlay,
-                delivered: Vec::new(),
-                byz: ByzantineActor::default(),
-                stale: None,
-            });
-        }
+        let nodes =
+            OverlayNode::ring("overlay-node-", topology.len(), seed, &mut rng, governor.as_ref())
+                .into_iter()
+                .map(|overlay| OverlayWorldNode {
+                    overlay,
+                    delivered: Vec::new(),
+                    byz: ByzantineActor::default(),
+                    stale: None,
+                })
+                .collect();
         let world = World::new(topology, seed, nodes);
         OverlayNetwork { world, next_req: 0, rng }
     }

@@ -7,7 +7,7 @@ use crate::table::{LeafSet, RoutingTable};
 use gloss_governor::{
     Admission, AdmissionGovernor, GovernorConfig, ProbeDecision, SuspicionTracker, SuspicionVerdict,
 };
-use gloss_sim::{FaultClass, FnvHashMap, NodeIndex, Outbox, SimDuration, SimTime};
+use gloss_sim::{FaultClass, FnvHashMap, NodeIndex, Outbox, SimDuration, SimRng, SimTime};
 use std::sync::Arc;
 
 /// Timer tags used by the overlay (the embedding layer must route timer
@@ -257,6 +257,41 @@ impl<P: Clone> OverlayNode<P> {
         self.governor = Some(Governor::new(&cfg, self.probe_interval, seed));
         self.gov_setup = Some((cfg, seed));
         self
+    }
+
+    /// Builds the `n` nodes of a ring that forms incrementally, as every
+    /// harness over the overlay starts one: node 0 is the bootstrap and
+    /// node `i` joins through a random earlier node (one `rng` draw each,
+    /// in index order) `i` × 200 ms after the start. Keys hash
+    /// `{label}{i}-{seed}`, leaf sets are probed every 5 s, and with a
+    /// governor policy (`None` = legacy three-strikes failure detection,
+    /// no admission control) every node gets a jitter seed of its own.
+    pub fn ring(
+        label: &str,
+        n: usize,
+        seed: u64,
+        rng: &mut SimRng,
+        governor: Option<&GovernorConfig>,
+    ) -> Vec<Self> {
+        (0..n)
+            .map(|i| {
+                let key = Key::hash_of(format!("{label}{i}-{seed}").as_bytes());
+                let (bootstrap, delay) = if i == 0 {
+                    (None, SimDuration::ZERO)
+                } else {
+                    let b = NodeIndex(rng.index(i) as u32);
+                    (Some(b), SimDuration::from_millis(200) * i as u64)
+                };
+                let node = OverlayNode::new(key, NodeIndex(i as u32), bootstrap, delay)
+                    .with_probe_interval(SimDuration::from_secs(5));
+                match governor {
+                    // Deterministic, but no two nodes share a backoff
+                    // stream.
+                    Some(cfg) => node.with_governor(cfg.clone(), seed ^ ((i as u64) << 17)),
+                    None => node,
+                }
+            })
+            .collect()
     }
 
     /// Whether the governor plane is active.
@@ -868,6 +903,67 @@ mod tests {
 
     fn node(key: u128, idx: u32) -> OverlayNode<u64> {
         OverlayNode::new(Key(key), n(idx), None, SimDuration::ZERO)
+    }
+
+    #[test]
+    fn ring_pins_keys_bootstraps_and_join_delays() {
+        // Captured from the three hand-written loops this builder
+        // replaced (`OverlayNetwork`, `StoreNetwork`, `ActiveArchitecture`
+        // at seed 42, each with its own rng fork): key, bootstrap node.
+        type Pinned = [(u128, Option<u32>); 8];
+        const OVERLAY: Pinned = [
+            (0x6b93d27157768c07ce5a2965d0fb51d6, None),
+            (0x8f90708869ad9d3fee202c093299c220, Some(0)),
+            (0x53c81b930c4e987ed25146b30b97da74, Some(1)),
+            (0x932799a10e1c4da6f0cf4c07ea4f1f86, Some(0)),
+            (0x4e610ea80f9db3c400bf57bc8c7f9546, Some(1)),
+            (0xab975d5f10c20d37b1ab4169bc044da4, Some(2)),
+            (0x3696e8e03eee78e3c0b97d5c8ffc6ffc, Some(2)),
+            (0x1704513a6141fe5709bdfb3ee12d5121, Some(1)),
+        ];
+        const STORE: Pinned = [
+            (0x80133501a63fad35b19d9c6bc3c32454, None),
+            (0x1dbc88f4fa3aa0460a4faa76ec0dfafc, Some(0)),
+            (0x3fbe84bb5b3d952a9acaf35d0ad2ea4e, Some(1)),
+            (0x198f9f7f1f09fbf5133123ddbbca7bd8, Some(1)),
+            (0xb789410e7b38f28086bed939330309cf, Some(1)),
+            (0xf96730c50e47f1c303836347c3823c3b, Some(3)),
+            (0x46342ed75d1147de839e87126615cf69, Some(0)),
+            (0xad5f0fb6fd55484ea18b1ca0c315bccf, Some(5)),
+        ];
+        const GLOSS: Pinned = [
+            (0xca5bea7e3af30be6a44c7aea46a75739, None),
+            (0x3b2811462d5b664272d3e9c6a205a64d, Some(0)),
+            (0x2de2aa2307c4e2cc903a998414cbf411, Some(1)),
+            (0x462f38f36c48af80614a30b884fe4115, Some(1)),
+            (0xe7bdbe3c8247d49b02496238e401f30b, Some(2)),
+            (0x09d8a9a5df6da6c4b9d2eb6a51db8470, Some(1)),
+            (0x20144d9b6f81d3dbec3cb3effb5133a6, Some(2)),
+            (0x109a0301b27ed522c3d8db4bbcbf09f6, Some(4)),
+        ];
+        let governor = GovernorConfig::default();
+        for (label, fork, pinned) in [
+            ("overlay-node-", "overlay-net", OVERLAY),
+            ("store-node-", "store-net", STORE),
+            ("gloss-node-", "gloss-arch", GLOSS),
+        ] {
+            let mut rng = SimRng::new(42).fork(fork);
+            let ring: Vec<OverlayNode<u64>> =
+                OverlayNode::ring(label, 8, 42, &mut rng, Some(&governor));
+            assert_eq!(ring.len(), 8);
+            for (i, (node, (key, bootstrap))) in ring.iter().zip(pinned).enumerate() {
+                assert_eq!(node.me, KeyedNode::new(Key(key), n(i as u32)), "{label}{i}");
+                assert_eq!(node.bootstrap, bootstrap.map(n), "{label}{i}");
+                assert_eq!(node.join_delay, SimDuration::from_millis(200 * i as u64), "{label}{i}");
+                assert_eq!(node.probe_interval, SimDuration::from_secs(5));
+                assert_eq!(node.gov_setup.as_ref().map(|(_, s)| *s), Some(42 ^ ((i as u64) << 17)));
+            }
+        }
+        // Without a policy the nodes are ungoverned, and draw the same.
+        let mut rng = SimRng::new(42).fork("overlay-net");
+        let ring: Vec<OverlayNode<u64>> = OverlayNode::ring("overlay-node-", 8, 42, &mut rng, None);
+        assert!(ring.iter().all(|node| !node.governed()));
+        assert_eq!(ring[7].bootstrap, Some(n(1)));
     }
 
     #[test]

@@ -63,22 +63,16 @@ impl StoreNetwork {
             .iter()
             .map(|info| NodeSite::new(info.index, info.geo, info.region.clone()))
             .collect();
-        let mut nodes = Vec::with_capacity(n);
-        for i in 0..n {
-            let idx = NodeIndex(i as u32);
-            let key = Key::hash_of(format!("store-node-{i}-{seed}").as_bytes());
-            let (bootstrap, delay) = if i == 0 {
-                (None, SimDuration::ZERO)
-            } else {
-                let b = NodeIndex(rng.index(i) as u32);
-                (Some(b), SimDuration::from_millis(200) * i as u64)
-            };
-            let overlay: OverlayNode<StorePayload> = OverlayNode::new(key, idx, bootstrap, delay)
-                .with_probe_interval(SimDuration::from_secs(5))
-                .with_governor(gloss_overlay::GovernorConfig::default(), seed ^ ((i as u64) << 17));
-            let store = StoreNode::new(idx, overlay, cfg.clone(), directory.clone());
-            nodes.push(StoreWorldNode { store });
-        }
+        let governor = gloss_overlay::GovernorConfig::default();
+        let nodes = OverlayNode::ring("store-node-", n, seed, &mut rng, Some(&governor))
+            .into_iter()
+            .map(|overlay| {
+                let idx = overlay.id().node;
+                StoreWorldNode {
+                    store: StoreNode::new(idx, overlay, cfg.clone(), directory.clone()),
+                }
+            })
+            .collect();
         let world = World::new(topology, seed, nodes);
         StoreNetwork { world, next_req: 0, req_origin: BTreeMap::new(), rng }
     }
