@@ -3,7 +3,7 @@
 
 use crate::service::ServiceSpec;
 use gloss_bundle::{AuthKey, Bundle, Capability, ThinServer};
-use gloss_deploy::{EvolutionEngine, MonitorEngine, NodeResources};
+use gloss_deploy::{coordinator_sweep, EvolutionEngine, MonitorEngine, NodeResources};
 use gloss_event::{Broker, BrokerMsg, Event, EventId, Filter, Subscription};
 use gloss_knowledge::{
     reconcile, DeltaAction, DeltaBatch, DistributedKnowledge, FactDelta, InMemoryFacts,
@@ -506,13 +506,12 @@ impl GlossNode {
             }
             timers::SWEEP => {
                 if let Some(cs) = self.coordinator_state.as_mut() {
-                    let mut actions = Vec::new();
-                    for failure in cs.monitor.sweep(now) {
-                        out.count("gloss.failures_detected", 1.0);
-                        actions.extend(cs.evolution.on_event(now, &failure));
+                    let sweep = coordinator_sweep(&mut cs.monitor, &mut cs.evolution, now);
+                    let detected = sweep.suspected + sweep.failed;
+                    if detected > 0 {
+                        out.count("gloss.failures_detected", detected as f64);
                     }
-                    actions.extend(cs.evolution.reconcile(now));
-                    self.dispatch_actions(now, actions, out);
+                    self.dispatch_actions(now, sweep.actions, out);
                 }
                 out.timer(self.sweep_every, timers::SWEEP);
             }

@@ -1,7 +1,8 @@
 //! The evolution engine: constraint-driven deployment repair.
 
 use crate::constraint::{Constraint, Deployment, Violation};
-use crate::resource::NodeResources;
+use crate::monitor::MonitorEngine;
+use crate::resource::{kinds, NodeResources};
 use crate::solver::plan_repairs;
 use gloss_event::Event;
 use gloss_sim::{NodeIndex, SimTime};
@@ -168,6 +169,40 @@ impl EvolutionEngine {
     pub fn abandon_deploy(&mut self, instance: &str) {
         self.pending.remove(instance);
     }
+}
+
+/// What one periodic coordinator sweep found and decided.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Sweep {
+    /// Repairs to dispatch: for the nodes declared failed, then whatever
+    /// periodic reconciliation adds.
+    pub actions: Vec<(String, Action)>,
+    /// Nodes that entered a suspicion episode this sweep.
+    pub suspected: u64,
+    /// Nodes declared failed this sweep.
+    pub failed: u64,
+}
+
+/// One coordinator sweep: the monitor reports who fell silent, the
+/// evolution engine re-plans around the nodes declared failed, then
+/// reconciles. A suspicion is a graduated warning, not yet a failure: it
+/// is counted and triggers no redeploy.
+pub fn coordinator_sweep(
+    monitor: &mut MonitorEngine,
+    evolution: &mut EvolutionEngine,
+    now: SimTime,
+) -> Sweep {
+    let mut sweep = Sweep::default();
+    for ev in monitor.sweep(now) {
+        if ev.kind() == kinds::SUSPECTED {
+            sweep.suspected += 1;
+        } else {
+            sweep.failed += 1;
+            sweep.actions.extend(evolution.on_event(now, &ev));
+        }
+    }
+    sweep.actions.extend(evolution.reconcile(now));
+    sweep
 }
 
 #[cfg(test)]

@@ -44,7 +44,7 @@ pub mod resource;
 pub mod solver;
 
 pub use constraint::{Constraint, Deployment, Violation};
-pub use evolution::{Action, EvolutionEngine};
+pub use evolution::{coordinator_sweep, Action, EvolutionEngine, Sweep};
 pub use monitor::MonitorEngine;
 pub use plane::{DeployMsg, DeploymentPlane};
 pub use resource::NodeResources;

@@ -4,7 +4,7 @@
 //! **C4**).
 
 use crate::constraint::Constraint;
-use crate::evolution::{Action, EvolutionEngine};
+use crate::evolution::{coordinator_sweep, Action, EvolutionEngine};
 use crate::monitor::MonitorEngine;
 use crate::resource::NodeResources;
 use gloss_bundle::{AuthKey, Bundle, Capability, ThinServer};
@@ -107,18 +107,15 @@ impl Node for PlaneNode {
                 match input {
                     Input::Start => out.timer(*sweep_every, SWEEP_TIMER),
                     Input::Timer { tag: SWEEP_TIMER } => {
-                        for ev in monitor.sweep(now) {
-                            if ev.kind() == crate::resource::kinds::SUSPECTED {
-                                // Graduated warning: not yet a failure, so
-                                // no redeploy is triggered.
-                                out.count("deploy.suspected", 1.0);
-                            } else {
-                                out.count("deploy.failures_detected", 1.0);
-                                out.count("deploy.evicted", 1.0);
-                                actions.extend(evolution.on_event(now, &ev));
-                            }
+                        let sweep = coordinator_sweep(monitor, evolution, now);
+                        if sweep.suspected > 0 {
+                            out.count("deploy.suspected", sweep.suspected as f64);
                         }
-                        actions.extend(evolution.reconcile(now));
+                        if sweep.failed > 0 {
+                            out.count("deploy.failures_detected", sweep.failed as f64);
+                            out.count("deploy.evicted", sweep.failed as f64);
+                        }
+                        actions = sweep.actions;
                         out.timer(*sweep_every, SWEEP_TIMER);
                     }
                     Input::Timer { .. } => {}
