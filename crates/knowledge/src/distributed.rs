@@ -1,4 +1,5 @@
-//! Distribution of the knowledge base over the P2P store.
+//! The document form in which the knowledge base is distributed over the
+//! P2P store.
 //!
 //! "In addition to the input event streams, the matching service will
 //! operate over a global knowledge base" (§1.1); caching and replication
@@ -8,28 +9,20 @@
 //! Facts are grouped by subject into one XML document per subject
 //! (`kb/<subject>`), so a matchlet that needs everything known about
 //! "bob" or "Janetta's" fetches one document — and repeat fetches hit the
-//! promiscuous caches measured in experiment C3.
+//! promiscuous caches measured in experiment C3. This module is the codec
+//! only: putting documents into the store and pulling them out again is
+//! the hosting node's business (`gloss_core`), so the knowledge layer
+//! does not depend on the storage stack.
 
 use crate::fact::{Fact, Term};
-use gloss_sim::{GeoPoint, NodeIndex, SimTime};
-use gloss_store::{Document, StoreNetwork};
+use gloss_sim::{GeoPoint, SimTime};
 use gloss_xml::Element;
 
-/// Client-side API for reading and writing facts in the P2P store.
-///
-/// One instance per accessing node; it remembers the node it issues
-/// requests from.
+/// The `kb/<subject>` document codec: names, and facts to and from XML.
 #[derive(Debug, Clone, Copy)]
-pub struct DistributedKnowledge {
-    node: NodeIndex,
-}
+pub struct DistributedKnowledge;
 
 impl DistributedKnowledge {
-    /// Creates a KB client issuing from `node`.
-    pub fn new(node: NodeIndex) -> Self {
-        DistributedKnowledge { node }
-    }
-
     /// The store document name for a subject.
     pub fn doc_name(subject: &str) -> String {
         format!("kb/{subject}")
@@ -73,32 +66,6 @@ impl DistributedKnowledge {
     pub fn facts_from_xml(el: &Element) -> Vec<Fact> {
         let subject = el.attr("subject").unwrap_or("unknown");
         el.children_named("fact").filter_map(|fe| fact_from_element(subject, fe)).collect()
-    }
-
-    /// Writes all facts about `subject` into the store (replacing any
-    /// previous document for the subject).
-    pub fn put_subject(&self, net: &mut StoreNetwork, subject: &str, facts: &[&Fact]) {
-        let xml = Self::facts_to_xml(subject, facts).to_xml();
-        let doc = Document::new(Self::doc_name(subject), xml.into_bytes());
-        net.insert(self.node, doc);
-    }
-
-    /// Starts a fetch of the facts about `subject`; returns the request
-    /// id to pass to [`take_facts`](Self::take_facts) once the simulation
-    /// has run.
-    pub fn fetch_subject(&self, net: &mut StoreNetwork, subject: &str) -> u64 {
-        let guid = Document::new(Self::doc_name(subject), Vec::new()).guid;
-        net.lookup(self.node, guid)
-    }
-
-    /// Extracts the facts from a concluded fetch (`None` while in flight
-    /// or when the subject has no document).
-    pub fn take_facts(&self, net: &StoreNetwork, req_id: u64) -> Option<Vec<Fact>> {
-        let result = net.result(req_id)?;
-        let doc = result.doc.as_ref()?;
-        let text = std::str::from_utf8(&doc.content).ok()?;
-        let el = gloss_xml::parse(text).ok()?;
-        Some(Self::facts_from_xml(&el))
     }
 }
 
@@ -157,8 +124,6 @@ pub(crate) fn fact_from_element(subject: &str, fe: &Element) -> Option<Fact> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gloss_sim::SimDuration;
-    use gloss_store::StoreConfig;
 
     #[test]
     fn xml_round_trip_all_term_types() {
@@ -198,35 +163,5 @@ mod tests {
         let facts = DistributedKnowledge::facts_from_xml(&xml);
         assert_eq!(facts.len(), 1);
         assert_eq!(facts[0].predicate, "ok");
-    }
-
-    #[test]
-    fn store_round_trip_over_the_network() {
-        let mut net = StoreNetwork::build(12, StoreConfig::default(), 31);
-        net.settle();
-        let writer = DistributedKnowledge::new(NodeIndex(1));
-        let reader = DistributedKnowledge::new(NodeIndex(9));
-        let facts = [
-            Fact::new("janettas", "sells", Term::str("ice cream")),
-            Fact::new("janettas", "closes_at", Term::Int(1020)),
-        ];
-        let refs: Vec<&Fact> = facts.iter().collect();
-        writer.put_subject(&mut net, "janettas", &refs);
-        net.run_for(SimDuration::from_secs(30));
-        let req = reader.fetch_subject(&mut net, "janettas");
-        net.run_for(SimDuration::from_secs(30));
-        let fetched = reader.take_facts(&net, req).expect("facts fetched");
-        assert_eq!(fetched.len(), 2);
-        assert_eq!(fetched[0].subject, "janettas");
-    }
-
-    #[test]
-    fn missing_subject_yields_none() {
-        let mut net = StoreNetwork::build(8, StoreConfig::default(), 32);
-        net.settle();
-        let reader = DistributedKnowledge::new(NodeIndex(2));
-        let req = reader.fetch_subject(&mut net, "nobody");
-        net.run_for(SimDuration::from_secs(30));
-        assert!(reader.take_facts(&net, req).is_none());
     }
 }

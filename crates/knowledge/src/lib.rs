@@ -10,8 +10,8 @@
 //!   intervals, behind the [`FactSource`] query trait used by matchlets.
 //!   [`InMemoryFacts`] additionally keeps an insert/retract change feed
 //!   ([`FactDelta`] + [`FactsVersion`] epochs) that incremental consumers
-//!   — the matchlet engine's alpha/beta memories — repair their indexes
-//!   from instead of re-reading the store,
+//!   — the matchlet engine's memo invalidation — follow instead of
+//!   re-reading the store,
 //! * [`gis`] — a spatial directory (places, streets, opening hours,
 //!   haversine geometry) including the St Andrews scene of the paper's
 //!   ice-cream scenario,
@@ -21,9 +21,9 @@
 //!   description-matching strategies (§3): text-based, lexical-descriptor
 //!   (multi-faceted classification) and specification-based, compared in
 //!   experiment **C9**,
-//! * [`distributed`] — facts serialised as XML documents in the P2P store
-//!   (one document per subject), with promiscuous caching applying
-//!   transparently,
+//! * [`distributed`] — the codec for facts as XML documents in the P2P
+//!   store (one `kb/<subject>` document per subject); a codec, not a
+//!   client: `gloss_core` nodes do the storing and fetching,
 //! * [`delta`] — epoch-tagged delta propagation: authoritative writers
 //!   ship `kbdelta/<subject>@<from..to>` batches of the insert/retract
 //!   tail instead of whole subject documents, and [`reconcile`] decides

@@ -2,7 +2,7 @@
 //! social graph the ice-cream scenario relies on ("Bob knows Anna").
 
 use crate::fact::{Fact, Term};
-use gloss_sim::{GeoPoint, SimTime};
+use gloss_sim::SimTime;
 
 /// A user profile, convertible to knowledge-base facts.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -105,17 +105,6 @@ pub fn hot_threshold_celsius(nationality: Option<&str>) -> f64 {
         Some("brazilian") => 28.0,
         _ => 25.0,
     }
-}
-
-/// A movement trace entry (feeds the sensor simulators).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Movement {
-    /// When.
-    pub at: SimTime,
-    /// Where.
-    pub geo: GeoPoint,
-    /// Mode of travel ("foot", "car").
-    pub on_foot: bool,
 }
 
 #[cfg(test)]

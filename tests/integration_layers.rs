@@ -7,7 +7,7 @@ use gloss::knowledge::{DistributedKnowledge, Fact, InMemoryFacts, Term};
 use gloss::matchlet::MatchletEngine;
 use gloss::pipeline::{assemble, standard::register_standard};
 use gloss::sim::{NodeIndex, SimDuration, SimTime};
-use gloss::store::{StoreConfig, StoreNetwork};
+use gloss::store::{Document, StoreConfig, StoreNetwork};
 use gloss::xml::parse;
 
 /// Bundle → thin server → matchlet engine → events (bundle/matchlet/event).
@@ -78,15 +78,19 @@ fn matchlets_consume_store_backed_facts() {
     // Facts go through a real storage network round trip first.
     let mut net = StoreNetwork::build(10, StoreConfig::default(), 2001);
     net.settle();
-    let writer = DistributedKnowledge::new(NodeIndex(0));
     let facts = [Fact::new("anna", "vip", Term::Bool(true))];
     let refs: Vec<&Fact> = facts.iter().collect();
-    writer.put_subject(&mut net, "anna", &refs);
+    let xml = DistributedKnowledge::facts_to_xml("anna", &refs).to_xml();
+    let doc = Document::new(DistributedKnowledge::doc_name("anna"), xml.into_bytes());
+    let guid = doc.guid;
+    net.insert(NodeIndex(0), doc);
     net.run_for(SimDuration::from_secs(30));
-    let reader = DistributedKnowledge::new(NodeIndex(7));
-    let req = reader.fetch_subject(&mut net, "anna");
+    let req = net.lookup(NodeIndex(7), guid);
     net.run_for(SimDuration::from_secs(30));
-    let fetched = reader.take_facts(&net, req).expect("facts round-trip the store");
+    let doc = net.result(req).and_then(|r| r.doc.as_ref()).expect("facts round-trip the store");
+    let text = std::str::from_utf8(&doc.content).expect("kb documents are utf-8");
+    let fetched = DistributedKnowledge::facts_from_xml(&parse(text).expect("and well-formed"));
+    assert_eq!(fetched, facts);
 
     let mut kb = InMemoryFacts::new();
     kb.extend(fetched);
