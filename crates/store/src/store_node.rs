@@ -160,8 +160,6 @@ pub struct StoreConfig {
     pub replicas: usize,
     /// Enable promiscuous caching.
     pub cache_enabled: bool,
-    /// Per-node cache capacity in bytes.
-    pub cache_capacity: usize,
     /// How often each node audits the documents it is primary for.
     pub heal_interval: SimDuration,
     /// Latency-reduction policy: replicate into a region after this many
@@ -184,22 +182,24 @@ pub struct StoreConfig {
     pub repair_rate_per_sec: f64,
     /// Repair transfer burst (token-bucket capacity).
     pub repair_burst: f64,
-    /// Outstanding repair transfers allowed per target peer.
-    pub repair_inflight_per_peer: usize,
     /// Retries for an unanswered lookup before reporting a timeout
     /// (`0` disables retry but keeps the timeout).
     pub lookup_retries: u32,
-    /// Base per-attempt lookup deadline; doubles each retry, jittered
-    /// ±25% so synchronised readers do not re-storm a recovering node.
-    pub lookup_timeout: SimDuration,
 }
+
+/// Per-node promiscuous-cache capacity in bytes.
+const CACHE_CAPACITY: usize = 1 << 20;
+/// Outstanding repair transfers allowed per target peer.
+const REPAIR_INFLIGHT_PER_PEER: usize = 2;
+/// Base per-attempt lookup deadline; doubles each retry, jittered ±25% so
+/// synchronised readers do not re-storm a recovering node.
+const LOOKUP_TIMEOUT: SimDuration = SimDuration::from_secs(2);
 
 impl Default for StoreConfig {
     fn default() -> Self {
         StoreConfig {
             replicas: 3,
             cache_enabled: true,
-            cache_capacity: 1 << 20,
             heal_interval: SimDuration::from_secs(30),
             latency_policy_threshold: None,
             backup_policy_min_km: None,
@@ -209,9 +209,7 @@ impl Default for StoreConfig {
             repair_interval: Some(SimDuration::from_secs(10)),
             repair_rate_per_sec: 8.0,
             repair_burst: 4.0,
-            repair_inflight_per_peer: 2,
             lookup_retries: 3,
-            lookup_timeout: SimDuration::from_secs(2),
         }
     }
 }
@@ -286,7 +284,7 @@ impl StoreNode {
         cfg: StoreConfig,
         directory: Vec<NodeSite>,
     ) -> Self {
-        let cache = LruCache::new(cfg.cache_capacity);
+        let cache = LruCache::new(CACHE_CAPACITY);
         let latency_policy = cfg.latency_policy_threshold.map(LatencyReductionPolicy::new);
         let backup_policy = cfg.backup_policy_min_km.map(BackupPolicy::new);
         let key = overlay.id().key.0;
@@ -295,7 +293,7 @@ impl StoreNode {
         let scheduler = RepairScheduler::new(
             cfg.repair_rate_per_sec,
             cfg.repair_burst,
-            cfg.repair_inflight_per_peer,
+            REPAIR_INFLIGHT_PER_PEER,
             rng,
         );
         StoreNode {
@@ -661,7 +659,7 @@ impl StoreNode {
     /// A jittered deadline for lookup attempt number `attempt`
     /// (exponential: base × 2^attempt, ±25%).
     fn retry_delay(&mut self, attempt: u32) -> SimDuration {
-        jittered(exponential(self.cfg.lookup_timeout, attempt), 0.25, &mut self.rng)
+        jittered(exponential(LOOKUP_TIMEOUT, attempt), 0.25, &mut self.rng)
     }
 
     /// Sweeps lookup deadlines: re-routes lapsed requests with budget
