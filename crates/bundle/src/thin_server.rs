@@ -87,11 +87,6 @@ impl ThinServer {
         &self.engine
     }
 
-    /// Mutable engine access.
-    pub fn engine_mut(&mut self) -> &mut MatchletEngine {
-        &mut self.engine
-    }
-
     /// Offers an event to the hosted matchlets.
     pub fn match_event(&mut self, now: SimTime, event: &Event, kb: &dyn FactSource) -> Vec<Event> {
         self.engine.on_event(now, event, kb)
@@ -100,11 +95,6 @@ impl ThinServer {
     /// Reads an object from the store.
     pub fn object(&self, name: &str) -> Option<&Element> {
         self.objects.get(name)
-    }
-
-    /// Writes an object directly (local privileged access).
-    pub fn put_object(&mut self, name: impl Into<String>, value: Element) {
-        self.objects.insert(name.into(), value);
     }
 
     /// Names of all stored objects.

@@ -40,18 +40,6 @@ impl PipelineHost {
         }
     }
 
-    /// Adds a remote forwarding link.
-    pub fn with_forward(mut self, to: NodeIndex) -> Self {
-        self.forward_to.push(to);
-        self
-    }
-
-    /// Enables periodic ticking.
-    pub fn with_ticks(mut self, every: SimDuration) -> Self {
-        self.tick_every = every;
-        self
-    }
-
     fn dispatch(&mut self, now: SimTime, produced: Vec<Event>, out: &mut Outbox<PipelineMsg>) {
         for ev in produced {
             if self.forward_to.is_empty() {

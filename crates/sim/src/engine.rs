@@ -1437,16 +1437,6 @@ impl<N: Node> World<N> {
         self.shared.link_faults.entry(link_key(from, to)).or_default().extra_us = d.as_micros();
     }
 
-    /// Removes any fault override on the directed link `from → to`.
-    pub fn clear_link_fault(&mut self, from: NodeIndex, to: NodeIndex) {
-        self.shared.link_faults.remove(&link_key(from, to));
-    }
-
-    /// Removes every per-link fault override.
-    pub fn clear_link_faults(&mut self) {
-        self.shared.link_faults.clear();
-    }
-
     /// Schedules a network partition at `at`: nodes with different group
     /// ids in `groups` cannot exchange messages while the partition is
     /// active (sends are dropped and counted as `sim.messages_partitioned`).
@@ -1525,16 +1515,6 @@ impl<N: Node> World<N> {
     /// World-level metrics (message counts plus anything nodes observed).
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
-    }
-
-    /// Mutable access to the metrics registry, for harness-level records.
-    pub fn metrics_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.metrics
-    }
-
-    /// A deterministic RNG fork for harness-level decisions.
-    pub fn fork_rng(&self, label: &str) -> SimRng {
-        self.rng.fork(label)
     }
 
     /// Delivers `Start` to every alive node at the current time. Called

@@ -236,11 +236,6 @@ impl MetricsRegistry {
         names.into_iter()
     }
 
-    /// All histogram names, sorted.
-    pub fn histogram_names(&self) -> impl Iterator<Item = &str> {
-        self.histograms.keys().map(|s| s.as_str())
-    }
-
     /// Merges another registry into this one.
     pub fn merge(&mut self, other: &MetricsRegistry) {
         for (k, v) in &other.counters {

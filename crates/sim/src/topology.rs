@@ -261,11 +261,6 @@ impl Topology {
         &self.latency
     }
 
-    /// Replaces the latency model.
-    pub fn set_latency_model(&mut self, latency: LatencyModel) {
-        self.latency = latency;
-    }
-
     /// Samples the latency of one message from `a` to `b`.
     pub fn sample_latency(&self, a: NodeIndex, b: NodeIndex, rng: &mut SimRng) -> SimDuration {
         self.latency.sample(self.node(a), self.node(b), rng)

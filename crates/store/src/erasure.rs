@@ -277,11 +277,6 @@ impl ErasureCode {
         self.m
     }
 
-    /// Total shards per object.
-    pub fn total_shards(&self) -> usize {
-        self.n
-    }
-
     /// Storage overhead factor `n / m` (1.0 = no redundancy).
     pub fn overhead(&self) -> f64 {
         self.n as f64 / self.m as f64

@@ -194,14 +194,6 @@ impl StoreNetwork {
             .count()
     }
 
-    /// How many nodes hold `guid` in cache.
-    pub fn cache_count(&self, guid: Key) -> usize {
-        (0..self.len() as u32)
-            .map(NodeIndex)
-            .filter(|&i| self.world.node(i).store.has_cached(guid))
-            .count()
-    }
-
     /// Crashes a node.
     pub fn crash(&mut self, node: NodeIndex) {
         self.world.crash(node);
@@ -316,11 +308,6 @@ impl StoreNetwork {
             }
         }
         code.decode(&shards, len)
-    }
-
-    /// Mean lookup latency in milliseconds (from the world histogram).
-    pub fn mean_lookup_ms(&self) -> f64 {
-        self.world.metrics().summary("store.lookup_ms").mean
     }
 }
 

@@ -234,12 +234,6 @@ impl LatencyReductionPolicy {
             counts: BTreeMap::new(),
         }
     }
-
-    /// Adjusts the "close enough" radius.
-    pub fn with_near_km(mut self, near_km: f64) -> Self {
-        self.near_km = near_km;
-        self
-    }
 }
 
 impl PlacementPolicy for LatencyReductionPolicy {

@@ -338,16 +338,6 @@ impl StoreNode {
         self.cache.contains(guid)
     }
 
-    /// Number of durably stored documents.
-    pub fn stored_count(&self) -> usize {
-        self.store.len()
-    }
-
-    /// Cache statistics: (hits, misses).
-    pub fn cache_stats(&self) -> (u64, u64) {
-        (self.cache.hits, self.cache.misses)
-    }
-
     /// Durable bytes stored locally.
     pub fn used_bytes(&self) -> u64 {
         self.used

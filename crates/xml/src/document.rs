@@ -77,11 +77,6 @@ impl Element {
         &self.name
     }
 
-    /// Renames the element.
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
-    }
-
     // --- attributes ---
 
     /// The value of attribute `key`, if present.

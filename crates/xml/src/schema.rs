@@ -251,11 +251,6 @@ impl Schema {
         &self.name
     }
 
-    /// Number of members (attributes + child kinds) at the top level.
-    pub fn member_count(&self) -> usize {
-        self.attrs.len() + self.children.len()
-    }
-
     /// Validates a document strictly against the schema.
     ///
     /// Unknown attributes or children are errors — this is the brittleness
