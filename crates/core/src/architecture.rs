@@ -609,6 +609,10 @@ mod tests {
         let new_hosts = a.hosts_of("matchlet:svc");
         assert!(new_hosts.iter().all(|h| *h != hosts[0]));
         assert!(new_hosts.len() >= 2);
+        // One crash is one suspicion episode that ends in one failure.
+        let metrics = a.world().metrics();
+        assert_eq!(metrics.counter("gloss.suspected"), 1.0);
+        assert_eq!(metrics.counter("gloss.failures_detected"), 1.0, "a suspicion is no failure");
     }
 
     #[test]

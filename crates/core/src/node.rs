@@ -507,9 +507,11 @@ impl GlossNode {
             timers::SWEEP => {
                 if let Some(cs) = self.coordinator_state.as_mut() {
                     let sweep = coordinator_sweep(&mut cs.monitor, &mut cs.evolution, now);
-                    let detected = sweep.suspected + sweep.failed;
-                    if detected > 0 {
-                        out.count("gloss.failures_detected", detected as f64);
+                    if sweep.suspected > 0 {
+                        out.count("gloss.suspected", sweep.suspected as f64);
+                    }
+                    if sweep.failed > 0 {
+                        out.count("gloss.failures_detected", sweep.failed as f64);
                     }
                     self.dispatch_actions(now, sweep.actions, out);
                 }
