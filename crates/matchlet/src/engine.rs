@@ -120,9 +120,9 @@ impl CompiledPattern {
 
 // --- alpha memories: what the memo knows about a predicate ---------------
 
-/// Retractions a predicate must have seen since its boundaries were last
-/// rebuilt before another rebuild is considered: below this the stale
-/// boundaries cost less than the read.
+/// Facts a predicate must have held since its boundaries were last
+/// rebuilt (those left plus those retracted) before another rebuild is
+/// considered: below this the stale boundaries cost less than the read.
 const BOUNDARY_REBUILD_FLOOR: usize = 64;
 
 /// What memo invalidation needs to know about one predicate some rule's
