@@ -1,11 +1,12 @@
 //! Prefix-sharing report: how much of a rule set's join work the shared
 //! beta network collapses.
 //!
-//! The matchlet engine canonicalises every memo-eligible rule's goals
-//! (see `gloss_matchlet::canonical`) and interns them into a prefix
-//! trie, so rules whose chains start with the same canonical goals share
-//! the join nodes — and the memoised partial solutions — for that
-//! prefix. This pass computes the same trie statically at deploy time:
+//! The matchlet engine canonicalises the memoised block of every
+//! memo-eligible rule's goals — the goals from the first fact goal up to
+//! the first one that reads the event (see `gloss_matchlet::canonical`)
+//! — and interns it into a prefix trie, so rules whose blocks start with
+//! the same canonical goals share the join nodes — and the memoised
+//! partial solutions — for that prefix. This pass computes the same trie statically at deploy time:
 //! how many chain nodes the rule set *would* need unshared, how many
 //! distinct trie nodes it actually needs, and which prefixes carry the
 //! most rules (the hot shared state worth knowing about before deploy).
@@ -32,8 +33,9 @@ pub struct SharedPrefix {
 pub struct SharingReport {
     /// Rules with a canonical chain (hosted on the shared network).
     pub memo_rules: usize,
-    /// Rules solved directly every firing (dynamic-state conditions or
-    /// no fact goals) — they share nothing by design.
+    /// Rules solved directly every firing (dynamic-state conditions, no
+    /// fact goals, or a first fact goal that reads the event) — they
+    /// share nothing by design.
     pub direct_rules: usize,
     /// Join nodes the memo rules would need without sharing (the sum of
     /// their chain lengths — one per-rule table per goal, as the
@@ -141,8 +143,8 @@ mod tests {
     #[test]
     fn disjoint_rules_share_nothing() {
         let r = rules(
-            r#"rule a { on w: event e(u: ?u) where fact(?u, likes, ?x) emit out(x: ?x) }
-               rule b { on w: event e(u: ?u) where fact(?u, hates, ?x) emit out(x: ?x) }"#,
+            r#"rule a { on w: event e(c: ?c) where fact(?u, likes, ?x) emit out(x: ?x) }
+               rule b { on w: event e(c: ?c) where fact(?u, hates, ?x) emit out(x: ?x) }"#,
         );
         let rep = sharing_report(&r, 8);
         assert_eq!((rep.memo_rules, rep.chain_nodes, rep.trie_nodes), (2, 2, 2));
@@ -157,7 +159,7 @@ mod tests {
         let src: String = (0..3)
             .map(|i| {
                 format!(
-                    r#"rule r{i} {{ on w: event e(u: ?u)
+                    r#"rule r{i} {{ on w: event e(c: ?c)
                         where fact(?u, likes, ?x) and fact(?u, nationality, ?n)
                           and ?n != "x{i}"
                         emit out(x: ?x) }}"#
@@ -191,8 +193,8 @@ mod tests {
     #[test]
     fn display_renders_summary_and_prefixes() {
         let r = rules(
-            r#"rule a { on w: event e(u: ?u) where fact(?u, likes, ?x) emit out(x: ?x) }
-               rule b { on w: event e(u: ?u) where fact(?u, likes, ?x) and fact(?u, age, ?a) emit out(x: ?a) }"#,
+            r#"rule a { on w: event e(c: ?c) where fact(?u, likes, ?x) emit out(x: ?x) }
+               rule b { on w: event e(c: ?c) where fact(?u, likes, ?x) and fact(?u, age, ?a) emit out(x: ?a) }"#,
         );
         let rep = sharing_report(&r, 8);
         let text = rep.to_string();

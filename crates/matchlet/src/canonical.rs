@@ -1,8 +1,23 @@
 //! Canonical goal chains: the shape under which rules share beta state.
 //!
-//! Two rules share join work exactly when their `where` chains start the
-//! same way *up to variable names and condition placement*. This module
-//! computes that shape:
+//! A rule's `where` chain splits, once at compile time, by which
+//! variables its event patterns bind:
+//!
+//! - **guards** — the conditions that precede the first fact goal. They
+//!   read the event alone, so they pass once or not at all and are
+//!   evaluated per firing;
+//! - the **memoised block** — from the first fact goal up to (not
+//!   including) the first goal, fact or condition, that mentions a
+//!   pattern-bound variable. Nothing in it reads the event, so its
+//!   solutions are the same for every firing until a fact changes: this
+//!   is what the engine's beta network memoises, and what rules share;
+//! - **per-solution goals** — everything after the block, solved against
+//!   the knowledge base for each memoised solution.
+//!
+//! A rule whose first fact goal reads the event has an empty block and no
+//! canonical chain: it is solved directly. Two rules share join work
+//! exactly when their blocks start the same way *up to variable names and
+//! condition placement*. This module computes that shape:
 //!
 //! 1. **Normalisation** ([`normalise_goals`]) hoists each condition to
 //!    the earliest position at which every variable it reads is already
@@ -15,19 +30,21 @@
 //!    environment, so rules that interleave filters with enumeration get
 //!    cheaper — and rules that differ only in filter placement become
 //!    shareable. (Error *counts* can shrink: a pruned branch is pruned
-//!    earlier. The engine applies the same normalised chain on its
-//!    non-memoised fallback path, so the two paths stay bit-identical.)
-//! 2. **Canonical renaming** maps each rule variable to a numbered slot
-//!    in order of first occurrence in the normalised chain, so `?u` in
-//!    one rule and `?x` in another canonicalise identically.
+//!    earlier. The engine solves the same normalised chain whether or not
+//!    it memoises the block, so the two paths stay bit-identical.)
+//! 2. **Canonical renaming** maps each variable of the block to a
+//!    numbered slot in order of first occurrence, so `?u` in one rule and
+//!    `?x` in another canonicalise identically.
 //! 3. **Encoding** renders each canonical goal to a byte-exact string —
-//!    literals variant- and bit-sensitive, like the engine's memo keys —
-//!    which is the identity of a beta-trie node under its parent.
+//!    literals variant- and bit-sensitive, because goals that could ever
+//!    solve differently must not share a node — which is the identity of
+//!    a beta-trie node under its parent.
 
 use crate::ast::{Expr, Goal, Pat, Rule};
 use crate::symbol::Symbol;
 use gloss_knowledge::Term;
 use std::fmt::Write as _;
+use std::ops::Range;
 
 /// Whether an expression reads state a memo cannot see: the clock
 /// builtins or a `fact(...)` call *inside* an expression.
@@ -96,77 +113,115 @@ pub fn normalise_goals(goals: &[Goal]) -> Vec<Goal> {
     keyed.into_iter().map(|(_, _, g)| g.clone()).collect()
 }
 
-/// A rule's canonical chain: the normalised goals rewritten over
-/// numbered slots, their node-identity encodings, and the mapping back
-/// to the rule's own variables.
+/// Whether any condition of the chain reads dynamic state: such a rule is
+/// never memoised, and is solved as written.
+fn reads_dynamic_state(goals: &[Goal]) -> bool {
+    goals.iter().any(|g| matches!(g, Goal::Cond(expr) if expr_reads_dynamic_state(expr)))
+}
+
+/// The goal chain the engine solves for `rule`: the normalised chain —
+/// whether or not a block of it is memoised, so both paths fire in one
+/// order and count the same errors — unless a condition reads dynamic
+/// state, in which case the chain runs as written.
+pub fn solve_chain(rule: &Rule) -> Vec<Goal> {
+    if reads_dynamic_state(&rule.goals) {
+        rule.goals.clone()
+    } else {
+        normalise_goals(&rule.goals)
+    }
+}
+
+/// Whether a goal mentions any of `vars`.
+fn goal_mentions(goal: &Goal, vars: &[Symbol]) -> bool {
+    match goal {
+        Goal::Fact { subject, object, .. } => {
+            [subject, object].into_iter().any(|p| matches!(p, Pat::Var(v) if vars.contains(v)))
+        }
+        Goal::Cond(expr) => {
+            let mut read = Vec::new();
+            collect_expr_vars(expr, &mut read);
+            read.iter().any(|v| vars.contains(v))
+        }
+    }
+}
+
+/// A rule's canonical chain: its memoised block (see module docs)
+/// rewritten over numbered slots, the node-identity encodings, and the
+/// mapping back to the rule's own variables.
 #[derive(Debug, Clone)]
 pub struct CanonicalChain {
-    /// Normalised goals with every variable replaced by its slot symbol
+    /// The block's goals with every variable replaced by its slot symbol
     /// ([`slot_symbol`]).
     pub goals: Vec<Goal>,
     /// Byte-exact encoding of each canonical goal (beta-node identity
     /// under its parent).
     pub reprs: Vec<String>,
-    /// Cumulative slot count after each goal (`slots_after[i]` slots are
-    /// in scope once goals `0..=i` have run).
-    pub slots_after: Vec<u32>,
-    /// The rule's own variable for each slot, in slot order: the
-    /// projection of an input environment onto these is the memo key,
-    /// and replayed canonical bindings translate back through it.
-    pub key_vars: Vec<Symbol>,
-    /// Distinct predicates the chain enumerates, in first-use order.
+    /// The rule's own variable for each slot, in slot order: replayed
+    /// canonical bindings translate back through it.
+    pub slot_vars: Vec<Symbol>,
+    /// Distinct predicates the block enumerates, in first-use order.
     pub predicates: Vec<String>,
+    /// Where the block sits in the rule's normalised chain: guards come
+    /// before it, per-solution goals after it.
+    pub block: Range<usize>,
 }
 
-/// The canonical chain of a rule's goals, or `None` when the rule must
-/// be solved directly every firing: a condition reads dynamic state, or
-/// no goal enumerates facts (memoising pure filters is pure overhead).
+/// The canonical chain of a rule's memoised block, or `None` when the
+/// rule must be solved directly every firing: a condition reads dynamic
+/// state, no goal enumerates facts (memoising pure filters is pure
+/// overhead), or the first fact goal already reads the event (the block
+/// is empty).
 pub fn canonical_chain(rule: &Rule) -> Option<CanonicalChain> {
-    let mut any_fact = false;
-    for goal in &rule.goals {
-        match goal {
-            Goal::Fact { .. } => any_fact = true,
-            Goal::Cond(expr) if expr_reads_dynamic_state(expr) => return None,
-            Goal::Cond(_) => {}
-        }
-    }
-    if !any_fact {
+    if reads_dynamic_state(&rule.goals) {
         return None;
     }
     let normalised = normalise_goals(&rule.goals);
-    let mut key_vars: Vec<Symbol> = Vec::new();
-    let mut slot_of = |v: Symbol, key_vars: &mut Vec<Symbol>| -> u32 {
-        match key_vars.iter().position(|s| *s == v) {
+    let start = normalised.iter().position(|g| matches!(g, Goal::Fact { .. }))?;
+    let bound: Vec<Symbol> = rule
+        .patterns
+        .iter()
+        .flat_map(|p| &p.fields)
+        .filter_map(|(_, pat)| match pat {
+            Pat::Var(v) => Some(*v),
+            _ => None,
+        })
+        .collect();
+    let len = normalised[start..].iter().take_while(|g| !goal_mentions(g, &bound)).count();
+    if len == 0 {
+        return None;
+    }
+    let block = start..start + len;
+    let mut slot_vars: Vec<Symbol> = Vec::new();
+    let mut slot_of = |v: Symbol, slot_vars: &mut Vec<Symbol>| -> u32 {
+        match slot_vars.iter().position(|s| *s == v) {
             Some(i) => i as u32,
             None => {
-                key_vars.push(v);
-                (key_vars.len() - 1) as u32
+                slot_vars.push(v);
+                (slot_vars.len() - 1) as u32
             }
         }
     };
-    let mut goals = Vec::with_capacity(normalised.len());
-    let mut reprs = Vec::with_capacity(normalised.len());
-    let mut slots_after = Vec::with_capacity(normalised.len());
+    let mut goals = Vec::with_capacity(len);
+    let mut reprs = Vec::with_capacity(len);
     let mut predicates: Vec<String> = Vec::new();
-    for goal in &normalised {
+    for goal in &normalised[block.clone()] {
         let canonical = match goal {
             Goal::Fact { subject, predicate, object } => {
                 if !predicates.iter().any(|p| p == predicate) {
                     predicates.push(predicate.clone());
                 }
                 Goal::Fact {
-                    subject: canon_pat(subject, &mut slot_of, &mut key_vars),
+                    subject: canon_pat(subject, &mut slot_of, &mut slot_vars),
                     predicate: predicate.clone(),
-                    object: canon_pat(object, &mut slot_of, &mut key_vars),
+                    object: canon_pat(object, &mut slot_of, &mut slot_vars),
                 }
             }
-            Goal::Cond(expr) => Goal::Cond(canon_expr(expr, &mut slot_of, &mut key_vars)),
+            Goal::Cond(expr) => Goal::Cond(canon_expr(expr, &mut slot_of, &mut slot_vars)),
         };
         reprs.push(encode_goal(&canonical));
-        slots_after.push(key_vars.len() as u32);
         goals.push(canonical);
     }
-    Some(CanonicalChain { goals, reprs, slots_after, key_vars, predicates })
+    Some(CanonicalChain { goals, reprs, slot_vars, predicates, block })
 }
 
 /// The interned symbol for canonical slot `i` (`β0`, `β1`, …). Slot
@@ -180,10 +235,10 @@ pub fn slot_symbol(i: u32) -> Symbol {
 fn canon_pat(
     pat: &Pat,
     slot_of: &mut impl FnMut(Symbol, &mut Vec<Symbol>) -> u32,
-    key_vars: &mut Vec<Symbol>,
+    slot_vars: &mut Vec<Symbol>,
 ) -> Pat {
     match pat {
-        Pat::Var(v) => Pat::Var(slot_symbol(slot_of(*v, key_vars))),
+        Pat::Var(v) => Pat::Var(slot_symbol(slot_of(*v, slot_vars))),
         other => other.clone(),
     }
 }
@@ -191,28 +246,28 @@ fn canon_pat(
 fn canon_expr(
     expr: &Expr,
     slot_of: &mut impl FnMut(Symbol, &mut Vec<Symbol>) -> u32,
-    key_vars: &mut Vec<Symbol>,
+    slot_vars: &mut Vec<Symbol>,
 ) -> Expr {
     match expr {
         Expr::Lit(t) => Expr::Lit(t.clone()),
-        Expr::Var(v) => Expr::Var(slot_symbol(slot_of(*v, key_vars))),
+        Expr::Var(v) => Expr::Var(slot_symbol(slot_of(*v, slot_vars))),
         Expr::Call(name, args) => Expr::Call(
             name.clone(),
-            args.iter().map(|a| canon_expr(a, slot_of, key_vars)).collect(),
+            args.iter().map(|a| canon_expr(a, slot_of, slot_vars)).collect(),
         ),
         Expr::Binary(op, l, r) => Expr::Binary(
             *op,
-            Box::new(canon_expr(l, slot_of, key_vars)),
-            Box::new(canon_expr(r, slot_of, key_vars)),
+            Box::new(canon_expr(l, slot_of, slot_vars)),
+            Box::new(canon_expr(r, slot_of, slot_vars)),
         ),
-        Expr::Not(e) => Expr::Not(Box::new(canon_expr(e, slot_of, key_vars))),
-        Expr::Neg(e) => Expr::Neg(Box::new(canon_expr(e, slot_of, key_vars))),
+        Expr::Not(e) => Expr::Not(Box::new(canon_expr(e, slot_of, slot_vars))),
+        Expr::Neg(e) => Expr::Neg(Box::new(canon_expr(e, slot_of, slot_vars))),
     }
 }
 
 /// Renders a canonical goal to its identity string. Literal terms encode
-/// variant- and bit-exactly (floats by bit pattern), mirroring the memo
-/// keys: goals that could ever solve differently must encode differently.
+/// variant- and bit-exactly (floats by bit pattern): goals that could ever
+/// solve differently must encode differently.
 fn encode_goal(goal: &Goal) -> String {
     let mut s = String::new();
     match goal {
@@ -312,7 +367,7 @@ mod tests {
         let a = chain("where fact(?u, likes, ?w) and fact(?u, knows, ?k)");
         let b = chain("where fact(?p, likes, ?q) and fact(?p, knows, ?z)");
         assert_eq!(a.reprs, b.reprs);
-        assert_eq!(a.slots_after, vec![2, 3]);
+        assert_eq!(a.slot_vars.len(), 3);
     }
 
     #[test]
@@ -336,10 +391,27 @@ mod tests {
     }
 
     #[test]
-    fn input_only_conditions_hoist_to_the_front() {
+    fn the_block_ends_where_the_chain_reads_the_event() {
+        // A condition over the event alone hoists to the front and stays
+        // outside the block: a guard.
         let c = chain("where fact(?u, likes, ?w) and ?x > 2");
-        assert!(matches!(c.goals[0], Goal::Cond(_)), "?x comes from the event pattern");
-        assert_eq!(c.key_vars[0].as_str(), "x");
+        assert_eq!(c.block, 1..2);
+        assert_eq!(c.reprs, chain("where fact(?a, likes, ?b)").reprs, "guards split no node");
+        assert_eq!(c.slot_vars.iter().map(|v| v.as_str()).collect::<Vec<_>>(), ["u", "w"]);
+        // A condition joining a fact-bound variable with the event, or a
+        // fact goal over an event-bound subject, ends the block; the
+        // goals behind it run per memoised solution even when they read
+        // nothing from the event themselves.
+        let c = chain("where fact(?u, likes, ?w) and fact(?u, rank, ?r) and ?r > ?x and ?w != 1");
+        assert!(matches!(c.goals[1], Goal::Cond(_)), "?w != 1 hoists into the block");
+        assert_eq!(c.block, 0..3);
+        let c =
+            chain("where fact(?s, likes, \"ice\") and fact(?x, knows, ?s) and fact(?s, rank, ?r)");
+        assert_eq!(c.block, 0..1);
+        assert_eq!(c.predicates, ["likes"]);
+        // A first fact goal that reads the event leaves nothing to memoise.
+        let src = "rule r { on a: event k(x: ?x) where fact(?x, likes, ?w) and fact(?u, rank, ?w) emit o() }";
+        assert!(canonical_chain(&parse_rules(src).unwrap()[0]).is_none());
     }
 
     #[test]

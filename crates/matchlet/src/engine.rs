@@ -25,32 +25,39 @@
 //!   knowledge plane's insert/retract feed ([`FactDelta`]) touches the
 //!   predicate, and the validity-window boundaries of its facts. The
 //!   facts themselves live in the knowledge base and nowhere else;
-//! - a **shared beta network** memoises the solutions of `where`-goal
-//!   chains in a trie of join nodes owned by the engine, not by any one
-//!   rule. Each rule's goals are normalised and canonically renamed
-//!   ([`crate::canonical`]), and rules whose canonical chains share a
-//!   prefix share the trie nodes — and therefore the join state — for
-//!   that prefix. A node memoises the cumulative solutions of its path
-//!   keyed by an exact fingerprint of the input bindings the path reads;
-//!   an entry is reused until a delta touches one of the path's
-//!   predicates or a fact validity boundary is crossed. A leaf miss
-//!   extends the deepest still-valid ancestor entry one goal at a time
-//!   (against the same knowledge base the direct path reads) instead of
-//!   re-solving the whole chain, so 10k deployed rules with
+//! - a **shared beta network** memoises the part of a `where`-goal chain
+//!   that does not read the event, in a trie of join nodes owned by the
+//!   engine, not by any one rule. Each rule's goals are normalised and
+//!   split by which variables its event patterns bind
+//!   ([`crate::canonical`]): *guards* (conditions ahead of the first fact
+//!   goal) are evaluated per firing; the *memoised block* — from the
+//!   first fact goal up to the first goal that mentions a pattern-bound
+//!   variable — is canonically renamed and interned into the trie, so
+//!   rules whose blocks share a prefix share the trie nodes, and
+//!   therefore the join state, for that prefix; the goals after the block
+//!   are solved against the knowledge base once per memoised solution. A
+//!   node holds at most one entry — the cumulative solutions of its path,
+//!   the same for every event — reused until a delta touches one of the
+//!   path's predicates or a fact validity boundary is crossed. A leaf
+//!   miss extends the deepest still-valid ancestor entry one goal at a
+//!   time (against the same knowledge base the direct path reads) instead
+//!   of re-solving the whole block, so 10k deployed rules with
 //!   overlapping conditions repair each shared prefix **once** per
-//!   relevant fact delta, not once per rule — and in the steady state
-//!   (facts churning slowly under event traffic, the architecture's
-//!   dominant regime) `on_event` probes two hash tables instead of
-//!   re-solving joins over the knowledge base.
+//!   relevant fact delta, not once per rule — and while the facts hold
+//!   still, `on_event` replays a solution list instead of re-enumerating
+//!   the predicate.
 //!
-//! Rules whose conditions read dynamic state the memo cannot see — a
-//! `fact(...)` call *inside* an expression, or the clock builtins `now` /
-//! `minutes_of_day` — are solved from scratch every firing, exactly as
-//! before. Equivalence with from-scratch re-solving is property-tested in
-//! `tests/engine_equivalence.rs`.
+//! Rules with nothing to memoise are solved from scratch every firing:
+//! those whose first fact goal already reads the event (a user's event
+//! joined against that user's facts — a narrow subject-bound probe, which
+//! a memo keyed on the event never hit often enough to pay for), those
+//! with no fact goal, and those whose conditions read dynamic state the
+//! memo cannot see — a `fact(...)` call *inside* an expression, or the
+//! clock builtins `now` / `minutes_of_day`. Equivalence with from-scratch
+//! re-solving is property-tested in `tests/engine_equivalence.rs`.
 
 use crate::ast::{EventPattern, Goal, Pat, Rule};
-use crate::canonical::{canonical_chain, CanonicalChain};
+use crate::canonical::{canonical_chain, solve_chain, CanonicalChain};
 use crate::eval::{eval, solve_mut, unify, Bindings};
 use crate::parser::{parse_rules, MatchletError};
 use crate::symbol::Symbol;
@@ -60,6 +67,7 @@ use gloss_sim::{FnvHashMap, SimTime};
 use gloss_xml::Path;
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// How one pattern field reads its value from an event, precompiled so
@@ -188,54 +196,47 @@ impl AlphaMemory {
 
 // --- the shared beta network: memoised goal solutions --------------------
 
-/// Hard cap on distinct memo keys per beta node; past it the node's
-/// table resets (a backstop against unbounded key cardinality, not a
-/// tuning knob).
-const MEMO_KEYS_MAX: usize = 1024;
-
 /// How a rule's `where` goals are solved.
 #[derive(Debug, Clone)]
 enum SolvePlan {
-    /// Goals read only static-predicate facts and pure builtins: their
-    /// solutions are memoised in the engine's shared beta network.
+    /// A block of the goals reads only static-predicate facts and pure
+    /// builtins, and nothing from the event: its solutions are memoised in
+    /// the engine's shared beta network.
     Memo {
-        /// The (static) predicates the goals enumerate.
+        /// The (static) predicates the block enumerates.
         predicates: Vec<String>,
         /// The rule's own variable for each canonical slot, in slot
-        /// order: the projection of an input environment onto these is
-        /// the memo key, and replayed canonical suffixes translate back
-        /// through it.
-        key_vars: Vec<Symbol>,
-        /// Beta-trie node ids, root to leaf, one per canonical goal.
+        /// order: replayed canonical solutions translate back through it.
+        slot_vars: Vec<Symbol>,
+        /// Beta-trie node ids, root to leaf, one per goal of the block.
         path: Vec<u32>,
+        /// The block within `CompiledRule::goals`: the guards before it
+        /// run once per firing, the goals after it once per memoised
+        /// solution.
+        block: Range<usize>,
     },
-    /// Goals read dynamic state (`fact(...)` inside an expression, or a
-    /// clock builtin) — or read no facts at all, making memoisation pure
-    /// overhead: re-solved from scratch every firing.
+    /// Nothing to memoise — the first fact goal reads the event, no goal
+    /// reads facts at all, or a condition reads dynamic state (`fact(...)`
+    /// inside an expression, or a clock builtin): re-solved from scratch
+    /// every firing.
     Direct,
 }
 
 /// Per solution of a beta path, the `(slot, value)` bindings the path
-/// appended beyond the input environment, in solve order.
+/// produced, in solve order.
 type Solutions = Vec<Vec<(u32, Term)>>;
 
-/// One memoised solve at a beta node: the exact path-input projection it
-/// was computed for, when, and the *cumulative* binding suffixes each
-/// solution of the path's goals appended.
+/// The memoised solve of a beta node's path: when it was computed, and
+/// the *cumulative* bindings of each solution of the path's goals. The
+/// path reads nothing from the event, so one entry serves every firing.
 #[derive(Debug, Clone)]
 struct BetaEntry {
-    /// Values of the path's canonical slots in the input environment
-    /// (`None` = unbound), compared *exactly* — variant- and
-    /// bit-sensitive, because e.g. `Int(3)` and `Float(3.0)` are
-    /// `eq_term`-equal yet divide differently.
-    key: Vec<Option<Term>>,
     computed_at: SimTime,
     /// The path's solutions, shared with the child entries a memo miss
     /// extended from this one.
     solutions: Arc<Solutions>,
-    /// Condition-evaluation errors the path produced for this input
-    /// (replayed into the engine stats so memoisation never hides
-    /// misconfigured rules).
+    /// Condition-evaluation errors the path produced (replayed into the
+    /// engine stats so memoisation never hides misconfigured rules).
     solve_errors: u64,
 }
 
@@ -256,9 +257,7 @@ struct BetaNode {
     /// Distinct predicates the path up to and including this goal
     /// enumerates (invalidation scope).
     predicates: Vec<String>,
-    /// Canonical slots in scope once the path up to here has run.
-    slots: u32,
-    memo: FnvHashMap<u64, Vec<BetaEntry>>,
+    memo: Option<BetaEntry>,
     /// Alpha change stamp the memo is valid against.
     stamp: u64,
     /// How many hosted rules route through this node.
@@ -297,13 +296,12 @@ impl BetaNet {
     /// Interns a rule's canonical chain, creating missing nodes and
     /// taking a reference on every node along the path.
     fn intern_path(&mut self, chain: &CanonicalChain) -> Vec<u32> {
-        let total_slots = chain.slots_after.last().copied().unwrap_or(0);
-        while (self.slot_syms.len() as u32) < total_slots {
+        while self.slot_syms.len() < chain.slot_vars.len() {
             self.slot_syms.push(crate::canonical::slot_symbol(self.slot_syms.len() as u32));
         }
         let mut path = Vec::with_capacity(chain.goals.len());
         let mut parent: Option<u32> = None;
-        for ((goal, repr), slots) in chain.goals.iter().zip(&chain.reprs).zip(&chain.slots_after) {
+        for (goal, repr) in chain.goals.iter().zip(&chain.reprs) {
             let existing = match parent {
                 None => self.roots.get(repr).copied(),
                 Some(p) => self.node(p).children.get(repr).copied(),
@@ -324,8 +322,7 @@ impl BetaNet {
                         goal: goal.clone(),
                         children: FnvHashMap::default(),
                         predicates,
-                        slots: *slots,
-                        memo: FnvHashMap::default(),
+                        memo: None,
                         stamp: 0,
                         refs: 0,
                     };
@@ -381,8 +378,8 @@ impl BetaNet {
         }
     }
 
-    /// Condemns memo entries along the path whose predicates saw alpha
-    /// deltas since the node's stamp.
+    /// Condemns the memo entries along the path whose predicates saw
+    /// alpha deltas since the node's stamp.
     fn refresh(&mut self, path: &[u32], alphas: &FnvHashMap<String, AlphaMemory>) {
         for &id in path {
             let node = self.nodes[id as usize].as_mut().expect("live beta node");
@@ -394,77 +391,56 @@ impl BetaNet {
                 .max()
                 .unwrap_or(0);
             if newest > node.stamp {
-                node.memo.clear();
+                node.memo = None;
                 node.stamp = newest;
             }
         }
     }
 
-    /// Looks up a still-valid entry at `id` for the projection of `key`
-    /// onto the node's slots; returns its bucket hash and index.
-    fn find(
+    /// The entry at `id`, if no validity boundary of the path's
+    /// predicates was crossed since it was computed.
+    fn valid_entry(
         &self,
         id: u32,
-        key: &[Option<Term>],
         alphas: &FnvHashMap<String, AlphaMemory>,
         now: SimTime,
-    ) -> Option<(u64, usize)> {
+    ) -> Option<&BetaEntry> {
         let node = self.node(id);
-        let prefix = &key[..node.slots as usize];
-        let h = key_fingerprint(prefix);
-        let idx = node.memo.get(&h)?.iter().position(|e| {
-            keys_exact_eq(&e.key, prefix)
-                && boundaries_quiet(alphas, &node.predicates, e.computed_at, now)
-        })?;
-        Some((h, idx))
+        node.memo
+            .as_ref()
+            .filter(|e| boundaries_quiet(alphas, &node.predicates, e.computed_at, now))
     }
 
-    /// Computes (and memoises) the leaf entry for `key` along `path`:
-    /// finds the deepest ancestor with a still-valid entry for the same
-    /// input, then extends it one goal at a time, memoising at every
-    /// node passed so sibling rules hit the shared prefix. Returns the
-    /// leaf entry's bucket hash and index; bumps `partial` when an
-    /// ancestor entry was reused.
+    /// Computes (and memoises) the leaf entry along `path`: finds the
+    /// deepest ancestor with a still-valid entry, then extends it one
+    /// goal at a time, memoising at every node passed so sibling rules
+    /// hit the shared prefix. Bumps `partial` when an ancestor entry was
+    /// reused.
     fn compute(
         &mut self,
         path: &[u32],
-        key: &[Option<Term>],
         alphas: &FnvHashMap<String, AlphaMemory>,
         kb: &dyn FactSource,
         now: SimTime,
         partial: &mut u64,
-    ) -> (u64, usize) {
+    ) {
         // The walk starts below the deepest ancestor that still holds a
-        // valid entry for this input, from that entry's solutions —
-        // failing that at the root, whose base case is one solution (the
-        // input itself) and no errors.
+        // valid entry, from that entry's solutions — failing that at the
+        // root, whose base case is one empty solution and no errors.
         let reused = (0..path.len().saturating_sub(1)).rev().find_map(|d| {
-            let (h, idx) = self.find(path[d], key, alphas, now)?;
-            let entry = &self.node(path[d]).memo[&h][idx];
+            let entry = self.valid_entry(path[d], alphas, now)?;
             Some((Arc::clone(&entry.solutions), entry.solve_errors, d + 1))
         });
         *partial += u64::from(reused.is_some());
-        let (mut base, mut base_errors, start) =
+        let (mut base, mut errors, start) =
             reused.unwrap_or_else(|| (Arc::new(vec![Vec::new()]), 0, 0));
-        let mut leaf_slot = (0u64, 0usize);
+        let mut env = Bindings::new();
         for &id in &path[start..] {
-            let node = self.node(id);
-            let slots = node.slots as usize;
             let slot_syms = &self.slot_syms;
+            let goal_slice = std::slice::from_ref(&self.node(id).goal);
             let mut next: Solutions = Vec::new();
-            let mut errors = base_errors;
-            // Input-bound slots in scope at this node; each base
-            // solution's suffix stacks on top and is truncated away.
-            let mut env = Bindings::new();
-            for (i, v) in key[..slots].iter().enumerate() {
-                if let Some(v) = v {
-                    env.push_raw(slot_syms[i], v.clone());
-                }
-            }
-            let input_len = env.len();
-            let goal_slice = std::slice::from_ref(&node.goal);
             for sol in base.iter() {
-                env.truncate(input_len);
+                env.truncate(0);
                 for (slot, term) in sol {
                     env.push_raw(slot_syms[*slot as usize], term.clone());
                 }
@@ -481,89 +457,14 @@ impl BetaNet {
                 });
             }
             // The stored entry and the next level's base share one list.
-            let next = Arc::new(next);
-            let prefix_key = key[..slots].to_vec();
-            let h = key_fingerprint(&prefix_key);
-            let node = self.node_mut(id);
-            if node.memo.len() >= MEMO_KEYS_MAX {
-                node.memo.clear();
-            }
-            let bucket = node.memo.entry(h).or_default();
-            // A boundary-stale entry for this key may linger; replace it.
-            bucket.retain(|e| !keys_exact_eq(&e.key, &prefix_key));
-            bucket.push(BetaEntry {
-                key: prefix_key,
+            base = Arc::new(next);
+            self.node_mut(id).memo = Some(BetaEntry {
                 computed_at: now,
-                solutions: Arc::clone(&next),
+                solutions: Arc::clone(&base),
                 solve_errors: errors,
             });
-            leaf_slot = (h, bucket.len() - 1);
-            base = next;
-            base_errors = errors;
-        }
-        leaf_slot
-    }
-}
-
-/// Exact (variant- and bit-sensitive) term equality for memo keys.
-fn term_exact_eq(a: &Term, b: &Term) -> bool {
-    match (a, b) {
-        (Term::Str(x), Term::Str(y)) => x == y,
-        (Term::Int(x), Term::Int(y)) => x == y,
-        (Term::Float(x), Term::Float(y)) => x.to_bits() == y.to_bits(),
-        (Term::Bool(x), Term::Bool(y)) => x == y,
-        (Term::Geo(x), Term::Geo(y)) => {
-            x.lat.to_bits() == y.lat.to_bits() && x.lon.to_bits() == y.lon.to_bits()
-        }
-        (Term::Time(x), Term::Time(y)) => x == y,
-        _ => false,
-    }
-}
-
-fn keys_exact_eq(a: &[Option<Term>], b: &[Option<Term>]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(x, y)| match (x, y) {
-            (None, None) => true,
-            (Some(x), Some(y)) => term_exact_eq(x, y),
-            _ => false,
-        })
-}
-
-fn key_fingerprint(key: &[Option<Term>]) -> u64 {
-    use std::hash::Hasher as _;
-    let mut h = gloss_sim::FnvHasher::default();
-    for slot in key {
-        match slot {
-            None => h.write_u8(0),
-            Some(Term::Str(s)) => {
-                h.write_u8(1);
-                h.write(s.as_bytes());
-                h.write_u8(0xff);
-            }
-            Some(Term::Int(i)) => {
-                h.write_u8(2);
-                h.write_u64(*i as u64);
-            }
-            Some(Term::Float(f)) => {
-                h.write_u8(3);
-                h.write_u64(f.to_bits());
-            }
-            Some(Term::Bool(b)) => {
-                h.write_u8(4);
-                h.write_u8(*b as u8);
-            }
-            Some(Term::Geo(g)) => {
-                h.write_u8(5);
-                h.write_u64(g.lat.to_bits());
-                h.write_u64(g.lon.to_bits());
-            }
-            Some(Term::Time(t)) => {
-                h.write_u8(6);
-                h.write_u64(t.as_micros());
-            }
         }
     }
-    h.finish()
 }
 
 /// Whether, for every predicate in `predicates`, no validity boundary
@@ -589,8 +490,9 @@ fn boundaries_quiet(
 struct MemoCtx<'a> {
     beta: &'a mut BetaNet,
     alphas: &'a FnvHashMap<String, AlphaMemory>,
-    key_vars: &'a [Symbol],
+    slot_vars: &'a [Symbol],
     path: &'a [u32],
+    block: &'a Range<usize>,
     hits: u64,
     misses: u64,
     partial: u64,
@@ -733,9 +635,10 @@ pub struct CompiledRule {
     /// Emit field names, parallel to `rule.emit.fields`, shared the same
     /// way.
     emit_keys: Vec<Arc<str>>,
-    /// The goal chain both solve paths run: the canonically normalised
-    /// chain for memoisable rules (so the memoised and fallback paths
-    /// agree bit-for-bit), the written chain for direct rules.
+    /// The goal chain both solve paths run ([`solve_chain`]): normalised,
+    /// so memoising a block of it changes neither the order of firings
+    /// nor the error count — or as written, for a rule that reads dynamic
+    /// state.
     goals: Vec<Goal>,
     /// How the goals are solved (memoised vs from scratch).
     plan: SolvePlan,
@@ -751,20 +654,15 @@ impl CompiledRule {
         let plans = join_plans(&compiled, &mut buffers);
         let emit_kind = Arc::from(rule.emit.kind.as_str());
         let emit_keys = rule.emit.fields.iter().map(|(k, _)| Arc::from(k.as_str())).collect();
-        let (goals, plan) = match canonical_chain(&rule) {
-            Some(chain) => {
-                // The normalised chain in the rule's own variables, for
-                // the direct fallback (a source without a change feed).
-                let goals = crate::canonical::normalise_goals(&rule.goals);
-                let path = beta.intern_path(&chain);
-                let plan = SolvePlan::Memo {
-                    predicates: chain.predicates,
-                    key_vars: chain.key_vars,
-                    path,
-                };
-                (goals, plan)
-            }
-            None => (rule.goals.clone(), SolvePlan::Direct),
+        let goals = solve_chain(&rule);
+        let plan = match canonical_chain(&rule) {
+            Some(chain) => SolvePlan::Memo {
+                path: beta.intern_path(&chain),
+                predicates: chain.predicates,
+                slot_vars: chain.slot_vars,
+                block: chain.block,
+            },
+            None => SolvePlan::Direct,
         };
         CompiledRule { rule, compiled, buffers, plans, emit_kind, emit_keys, goals, plan, fired: 0 }
     }
@@ -1050,7 +948,7 @@ impl MatchletEngine {
             let single = rule.rule.patterns.len() == 1;
             let rule = &rules[ri];
             let mut memoctx = match &rule.plan {
-                SolvePlan::Memo { key_vars, path, .. } if delta_active => {
+                SolvePlan::Memo { slot_vars, path, block, .. } if delta_active => {
                     // Condemn stale memo entries along the rule's beta
                     // path: any delta that touched a predicate a path
                     // node reads (and only that).
@@ -1058,8 +956,9 @@ impl MatchletEngine {
                     Some(MemoCtx {
                         beta: &mut *beta,
                         alphas,
-                        key_vars,
+                        slot_vars,
                         path,
+                        block,
                         hits: 0,
                         misses: 0,
                         partial: 0,
@@ -1312,16 +1211,17 @@ fn emit_one(
 /// Solves the rule's where-goals over one join environment and emits one
 /// event per solution.
 ///
-/// With a [`MemoCtx`] (delta-driven mode): the goal solve is served from
-/// the shared beta trie when the rule's leaf node holds an entry for the
-/// same exact goal-input projection and no validity boundary of the
-/// path's predicates was crossed since it was computed. On a leaf miss
-/// the trie extends the deepest still-valid ancestor entry — join work
-/// another rule may already have paid for — goal by goal against `kb`,
-/// memoising at every node passed. Either way the leaf
-/// entry's canonical solution suffixes replay through the rule's own
-/// variables. Emit expressions are always evaluated fresh (they may read
-/// the clock or the raw knowledge base).
+/// With a [`MemoCtx`] (delta-driven mode) only the guards and the goals
+/// after the memoised block are solved here. The block's solutions come
+/// from the rule's leaf node in the shared beta trie, unless a validity
+/// boundary of the path's predicates was crossed since they were
+/// computed; on such a miss the trie extends the deepest still-valid
+/// ancestor entry — join work another rule may already have paid for —
+/// goal by goal against `kb`, memoising at every node passed. Either way
+/// the leaf's canonical solutions replay through the rule's own
+/// variables, in the order a from-scratch solve enumerates them. Emit
+/// expressions are always evaluated fresh (they may read the clock or the
+/// raw knowledge base).
 fn fire(
     rule: &CompiledRule,
     memo: &mut Option<MemoCtx<'_>>,
@@ -1333,8 +1233,8 @@ fn fire(
 ) {
     let Some(ctx) = memo.as_mut() else {
         // Direct path: re-solve from scratch against the knowledge base.
-        // `rule.goals` is the same (normalised) chain the beta path
-        // runs, so the two paths count errors identically.
+        // `rule.goals` is the same chain the beta path splits, so the two
+        // paths count errors identically.
         let solve_errors = solve_mut(&rule.goals, &mut env, kb, now, &mut |solution| {
             emit_one(rule, solution, kb, now, out, tally);
         });
@@ -1342,26 +1242,32 @@ fn fire(
         return;
     };
 
-    let key: Vec<Option<Term>> = ctx.key_vars.iter().map(|v| env.get_sym(*v).cloned()).collect();
+    // Guards are conditions: they pass once or not at all.
+    let mut passed = false;
+    tally.errors +=
+        solve_mut(&rule.goals[..ctx.block.start], &mut env, kb, now, &mut |_| passed = true);
+    if !passed {
+        return;
+    }
     let leaf = *ctx.path.last().expect("memoised rules have a non-empty beta path");
-    let (h, idx) = match ctx.beta.find(leaf, &key, ctx.alphas, now) {
-        Some(hit) => {
-            ctx.hits += 1;
-            hit
-        }
-        None => {
-            ctx.misses += 1;
-            ctx.beta.compute(ctx.path, &key, ctx.alphas, kb, now, &mut ctx.partial)
-        }
-    };
-    let entry = &ctx.beta.node(leaf).memo[&h][idx];
+    if ctx.beta.valid_entry(leaf, ctx.alphas, now).is_some() {
+        ctx.hits += 1;
+    } else {
+        ctx.misses += 1;
+        ctx.beta.compute(ctx.path, ctx.alphas, kb, now, &mut ctx.partial);
+    }
+    let entry = ctx.beta.node(leaf).memo.as_ref().expect("hit or just computed");
     tally.errors += entry.solve_errors;
+    let rest = &rule.goals[ctx.block.end..];
     let mark = env.len();
-    for suffix in entry.solutions.iter() {
-        for (slot, term) in suffix {
-            env.push_raw(ctx.key_vars[*slot as usize], term.clone());
+    for solution in entry.solutions.iter() {
+        for (slot, term) in solution {
+            env.push_raw(ctx.slot_vars[*slot as usize], term.clone());
         }
-        emit_one(rule, &env, kb, now, out, tally);
+        let solve_errors = solve_mut(rest, &mut env, kb, now, &mut |solution| {
+            emit_one(rule, solution, kb, now, out, tally);
+        });
+        tally.errors += solve_errors;
         env.truncate(mark);
     }
 }
@@ -1872,8 +1778,11 @@ mod tests {
     fn repeated_events_hit_the_memo() {
         let kb = kb();
         let mut e = MatchletEngine::compile(FACT_RULE).unwrap();
-        let ev = Event::new("weather").with_attr("celsius", 20.0);
+        // The temperature differs event to event: the memoised block
+        // (`likes ∧ nationality`) never reads it, the threshold filter
+        // behind the block does.
         for i in 0..10 {
+            let ev = Event::new("weather").with_attr("celsius", 20.0 + i as f64);
             let out = e.on_event(t(i), &ev, &kb);
             assert_eq!(out.len(), 1, "bob suggested every event");
         }
@@ -2016,9 +1925,10 @@ mod tests {
     }
 
     #[test]
-    fn memo_respects_join_provided_bindings() {
-        // The goal reads ?u which arrives bound from the event: distinct
-        // users must not share a memo entry.
+    fn goals_that_read_the_event_are_solved_against_the_knowledge_base() {
+        // The only fact goal reads ?u, which arrives bound from the
+        // event: there is nothing the memo could share between users, so
+        // the rule never enters the beta network.
         let src = r#"
             rule likes_what {
                 on l: event seen(user: ?u)
@@ -2035,8 +1945,8 @@ mod tests {
         let out = e.on_event(t(2), &see("bob"), &kb);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].str_attr("user"), Some("bob"));
-        assert_eq!(e.stats.memo_misses, 2, "one per distinct user");
-        assert_eq!(e.stats.memo_hits, 1);
+        assert_eq!(e.stats.memo_hits + e.stats.memo_misses, 0, "nothing offered to the memo");
+        assert_eq!(e.beta_nodes(), 0);
     }
 
     #[test]
@@ -2101,8 +2011,9 @@ mod tests {
 
     #[test]
     fn memo_does_not_conflate_int_and_float_keys() {
-        // Int(4) and Float(4.0) are eq_term-equal but divide differently;
-        // the memo key must keep them apart.
+        // Int(5) and Float(5.0) are eq_term-equal but divide differently.
+        // The filter reads the event, so it is a guard evaluated per
+        // firing; only `fact(ok, is, true)` replays from the memo.
         let src = r#"
             rule halve {
                 on k: event k(v: ?v)
@@ -2127,8 +2038,8 @@ mod tests {
     fn shared_prefix_rules_share_beta_nodes() {
         // 10 rules, each `likes ∧ nationality ∧ <own filter over ?nat>`:
         // the two fact goals intern once, only the filter leaves differ.
-        // (A filter over an event variable would hoist to the *front* —
-        // before any enumeration — and become a per-rule root instead.)
+        // (A filter that also read ?c would end the memoised block and
+        // run per solution instead of becoming a leaf.)
         let mut src = String::new();
         for i in 0..10 {
             src.push_str(&format!(

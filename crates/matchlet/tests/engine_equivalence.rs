@@ -373,6 +373,8 @@ fn arb_churn_rule_body() -> impl Strategy<Value = String> {
         Just("on a: event k0(f0: ?v0) where fact(?v0, likes, ?v2) and fact(?v0, knows, ?v1)".to_string()),
         Just("on a: event k1(f1: ?v1) on b: event k2(f1: ?v1) where fact(?v0, likes, ?v2) and ?v1 != 1".to_string()),
         Just("on a: event k2(f0: ?v0, f1: ?v1) where fact(?v0, rank, ?v1)".to_string()),
+        Just("on a: event k2(f1: ?v1) where fact(?v0, likes, ?v2) and fact(?v0, rank, ?v3) and ?v3 > ?v1".to_string()),
+        Just("on a: event k0(f0: ?v0) where fact(?v3, likes, \"ice\") and fact(?v0, knows, ?v3)".to_string()),
     ];
     (bodies, 10u64..40).prop_map(|(body, win)| format!("{body} within {win} s emit out(u: ?v0)"))
 }
