@@ -1,6 +1,6 @@
 //! Deploy-time static analysis for Gloss matchlets and subscriptions.
 //!
-//! Four passes, all sound-but-incomplete (a reported error is a proof of
+//! Three passes, all sound-but-incomplete (a reported error is a proof of
 //! a defect; silence is not a proof of health):
 //!
 //! 1. **Dataflow** ([`dataflow::check_rules`]) — unbound variables in
@@ -11,15 +11,11 @@
 //!    patterns, builtins and expressions; never-true conditions; empty
 //!    per-attribute intervals in subscription filters; redundant
 //!    constraints.
-//! 3. **Covering audit** ([`covering::audit`]) — pairwise
-//!    `Filter::covers` over a broker's subscription table: redundant
-//!    subscriptions and merged-cover proposals, the edges a SIENA-style
-//!    covering index would collapse.
-//! 4. **Interaction graph** ([`graph::InteractionGraph`]) — kind-level
+//! 3. **Interaction graph** ([`graph::InteractionGraph`]) — kind-level
 //!    emits→triggers edges: dead rules, unreachable emits, and firing
 //!    cycles (a conservative non-termination warning).
 //!
-//! A fifth, informational pass — [`sharing::sharing_report`] — computes
+//! A fourth, informational pass — [`sharing::sharing_report`] — computes
 //! the shared beta-network trie the engine will build for a rule set:
 //! how many join nodes prefix sharing collapses and which prefixes
 //! carry the most rules (`gloss-lint --sharing`).
@@ -28,7 +24,6 @@
 //! error-level findings are rejected before they reach an engine. The
 //! `gloss-lint` binary runs the same passes from the command line.
 
-pub mod covering;
 pub mod dataflow;
 pub mod diag;
 pub mod graph;
@@ -36,7 +31,6 @@ pub mod satisfy;
 pub mod sharing;
 pub mod types;
 
-pub use covering::{audit, audit_report, merge_cover, CoveringAudit, MergeProposal, Redundant};
 pub use diag::{Diagnostic, Report, Severity};
 pub use graph::InteractionGraph;
 pub use satisfy::{check_filter, simplify, unsatisfiable};

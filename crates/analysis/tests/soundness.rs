@@ -7,7 +7,7 @@
 //! - when `covers` says yes, every event matching the covered filter
 //!   matches the cover;
 //! - `simplify` preserves the match set exactly;
-//! - a `merge_cover` proposal covers both inputs (checked structurally
+//! - a `merge_cover` filter covers both inputs (checked structurally
 //!   *and* against random events);
 //! - a rule flagged `unbound-variable`, `type-conflict` or `never-true`
 //!   never emits, under random event streams through the real engine.
@@ -17,8 +17,8 @@
 //! pool of attributes and values so collisions (and thus matches) are
 //! common.
 
-use gloss_analysis::{analyze_rules, merge_cover, simplify, unsatisfiable};
-use gloss_event::{AttrValue, Constraint, Event, Filter, Op};
+use gloss_analysis::{analyze_rules, simplify, unsatisfiable};
+use gloss_event::{merge_cover, AttrValue, Constraint, Event, Filter, Op};
 use gloss_knowledge::{Fact, InMemoryFacts, Term};
 use gloss_matchlet::{parse_rules, MatchletEngine};
 use gloss_sim::SimTime;

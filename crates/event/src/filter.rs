@@ -456,8 +456,7 @@ impl fmt::Display for Filter {
 /// coarser than useful).
 ///
 /// The broker uses this to forward one merged filter upstream instead of
-/// two overlapping ones; `gloss_analysis`'s covering audit re-exports it
-/// for its offline merge proposals.
+/// two overlapping ones.
 pub fn merge_cover(a: &Filter, b: &Filter) -> Option<Filter> {
     if a.kind() != b.kind() {
         return None;
