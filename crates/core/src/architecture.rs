@@ -90,9 +90,8 @@ impl ActiveArchitecture {
             .map(|info| NodeSite::new(info.index, info.geo, info.region.clone()))
             .collect();
 
-        let governor = gloss_overlay::GovernorConfig::default();
         let ring: Vec<OverlayNode<StorePayload>> =
-            OverlayNode::ring("gloss-node-", cfg.nodes, cfg.seed, &mut rng, Some(&governor));
+            OverlayNode::ring("gloss-node-", cfg.nodes, cfg.seed, &mut rng, true);
         let mut nodes = Vec::with_capacity(cfg.nodes);
         for (info, overlay) in topology.iter().zip(ring) {
             let i = info.index.as_usize();

@@ -12,37 +12,20 @@ use crate::backoff::{exponential, jittered};
 use crate::bucket::TokenBucket;
 use gloss_sim::{splitmix64, FnvHashMap, NodeIndex, SimDuration, SimTime};
 
-/// Admission policy knobs.
-#[derive(Debug, Clone)]
-pub struct AdmissionConfig {
-    /// Maximum burst of join requests admitted per source prefix.
-    pub burst: f64,
-    /// Sustained admission rate per source prefix (tokens per second).
-    pub refill_per_sec: f64,
-    /// Source addresses are grouped by `node_index >> prefix_shift`, so a
-    /// misbehaving neighbourhood exhausts its own bucket, not everyone's.
-    pub prefix_shift: u32,
-    /// First retry delay pushed back to a rejected joiner.
-    pub base_backoff: SimDuration,
-    /// Backoff ceiling (doubling stops here).
-    pub max_backoff: SimDuration,
-    /// Fraction of the backoff randomised (`0.25` means ±25%), so
-    /// rejected joiners do not re-synchronise into a second stampede.
-    pub jitter: f64,
-}
-
-impl Default for AdmissionConfig {
-    fn default() -> Self {
-        AdmissionConfig {
-            burst: 8.0,
-            refill_per_sec: 4.0,
-            prefix_shift: 4,
-            base_backoff: SimDuration::from_millis(500),
-            max_backoff: SimDuration::from_secs(8),
-            jitter: 0.25,
-        }
-    }
-}
+/// Maximum burst of join requests admitted per source prefix.
+const BURST: f64 = 8.0;
+/// Sustained admission rate per source prefix (tokens per second).
+const REFILL_PER_SEC: f64 = 4.0;
+/// Source addresses are grouped by `node_index >> PREFIX_SHIFT`, so a
+/// misbehaving neighbourhood exhausts its own bucket, not everyone's.
+const PREFIX_SHIFT: u32 = 4;
+/// First retry delay pushed back to a rejected joiner.
+const BASE_BACKOFF: SimDuration = SimDuration::from_millis(500);
+/// Backoff ceiling (doubling stops here).
+const MAX_BACKOFF: SimDuration = SimDuration::from_secs(8);
+/// Fraction of the backoff randomised (±25%), so rejected joiners do not
+/// re-synchronise into a second stampede.
+const JITTER: f64 = 0.25;
 
 /// The governor's verdict on one join request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,7 +45,6 @@ pub enum Admission {
 /// repair pipeline also paces itself with.
 #[derive(Debug, Clone)]
 pub struct AdmissionGovernor {
-    cfg: AdmissionConfig,
     buckets: FnvHashMap<u32, TokenBucket>,
     /// Consecutive rejections per source prefix (drives the exponent).
     strikes: FnvHashMap<u32, u32>,
@@ -75,11 +57,10 @@ pub struct AdmissionGovernor {
 
 impl AdmissionGovernor {
     /// Creates a governor; `seed` feeds the jitter stream.
-    pub fn new(cfg: AdmissionConfig, seed: u64) -> Self {
+    pub fn new(seed: u64) -> Self {
         let mut s = seed ^ 0xad31_5510_9e37_79b9;
         splitmix64(&mut s);
         AdmissionGovernor {
-            cfg,
             buckets: FnvHashMap::default(),
             strikes: FnvHashMap::default(),
             rng: s,
@@ -88,18 +69,17 @@ impl AdmissionGovernor {
         }
     }
 
-    fn prefix(&self, source: NodeIndex) -> u32 {
-        source.0 >> self.cfg.prefix_shift
+    fn prefix(source: NodeIndex) -> u32 {
+        source.0 >> PREFIX_SHIFT
     }
 
     /// Judges one join request from `source` at time `now`.
     pub fn check(&mut self, now: SimTime, source: NodeIndex) -> Admission {
-        let prefix = self.prefix(source);
-        let cfg = &self.cfg;
+        let prefix = Self::prefix(source);
         let b = self
             .buckets
             .entry(prefix)
-            .or_insert_with(|| TokenBucket::new(cfg.burst, cfg.refill_per_sec, now));
+            .or_insert_with(|| TokenBucket::new(BURST, REFILL_PER_SEC, now));
         if b.try_take(now, 1.0) {
             self.strikes.remove(&prefix);
             self.admitted += 1;
@@ -112,11 +92,10 @@ impl AdmissionGovernor {
         Admission::Backoff(self.delay(exp, SimDuration::from_micros(1)))
     }
 
-    /// `base_backoff × 2^attempt`, capped at `max_backoff`, floored, jittered.
+    /// `BASE_BACKOFF × 2^attempt`, capped at `MAX_BACKOFF`, floored, jittered.
     fn delay(&mut self, attempt: u32, floor: SimDuration) -> SimDuration {
-        let cfg = &self.cfg;
-        let capped = exponential(cfg.base_backoff, attempt).min(cfg.max_backoff).max(floor);
-        jittered(capped, cfg.jitter, &mut self.rng)
+        let capped = exponential(BASE_BACKOFF, attempt).min(MAX_BACKOFF).max(floor);
+        jittered(capped, JITTER, &mut self.rng)
     }
 
     /// Joiner-side retry delay for an *unanswered* join attempt (the
@@ -127,7 +106,7 @@ impl AdmissionGovernor {
     /// join round-trip is never raced by its own retry. Contrast with the
     /// ungoverned protocol's blind fixed-interval fallback: after a
     /// partition heals, governed joiners are already retrying on a short
-    /// (≤ `max_backoff`) cadence and complete quickly, while the jitter
+    /// (≤ `MAX_BACKOFF`) cadence and complete quickly, while the jitter
     /// keeps them from re-synchronising into a stampede.
     pub fn retry_backoff(&mut self, attempt: u32) -> SimDuration {
         self.delay(attempt, SimDuration::from_secs(1))
@@ -135,8 +114,7 @@ impl AdmissionGovernor {
 
     /// Drops per-source state (e.g. after the source completed its join).
     pub fn forget(&mut self, source: NodeIndex) {
-        let prefix = self.prefix(source);
-        self.strikes.remove(&prefix);
+        self.strikes.remove(&Self::prefix(source));
     }
 }
 
@@ -145,7 +123,7 @@ mod tests {
     use super::*;
 
     fn gov() -> AdmissionGovernor {
-        AdmissionGovernor::new(AdmissionConfig::default(), 7)
+        AdmissionGovernor::new(7)
     }
 
     #[test]
@@ -186,9 +164,7 @@ mod tests {
                         grew += 1;
                     }
                     assert!(
-                        d.as_micros()
-                            <= (AdmissionConfig::default().max_backoff.as_micros() as f64 * 1.25)
-                                as u64,
+                        d.as_micros() <= (MAX_BACKOFF.as_micros() as f64 * 1.25) as u64,
                         "backoff {d:?} exceeds jittered ceiling"
                     );
                     last = d;
@@ -213,7 +189,7 @@ mod tests {
     #[test]
     fn deterministic_across_instances() {
         let run = || {
-            let mut g = AdmissionGovernor::new(AdmissionConfig::default(), 99);
+            let mut g = AdmissionGovernor::new(99);
             let mut vs = Vec::new();
             for i in 0..20 {
                 vs.push(g.check(SimTime::from_millis(i * 10), NodeIndex((i % 3) as u32)));
@@ -237,7 +213,7 @@ mod tests {
         }
         match g.check(t, NodeIndex(1)) {
             Admission::Backoff(d) => {
-                let ceiling = AdmissionConfig::default().base_backoff.as_micros() as f64 * 1.3;
+                let ceiling = BASE_BACKOFF.as_micros() as f64 * 1.3;
                 assert!((d.as_micros() as f64) <= ceiling, "strikes were not reset: {d:?}");
             }
             Admission::Admit => panic!("bucket should be empty"),

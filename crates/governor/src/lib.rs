@@ -32,19 +32,16 @@ pub mod bucket;
 pub mod shedding;
 pub mod suspicion;
 
-pub use admission::{Admission, AdmissionConfig, AdmissionGovernor};
+pub use admission::{Admission, AdmissionGovernor};
 pub use bucket::TokenBucket;
 pub use shedding::{IngressClass, LoadShedder, ShedConfig, ShedDecision};
-pub use suspicion::{
-    CircuitState, ProbeDecision, SuspicionConfig, SuspicionTracker, SuspicionVerdict,
-};
+pub use suspicion::{CircuitState, ProbeDecision, SuspicionTracker, SuspicionVerdict};
 
-/// Combined configuration for an overlay node's governor (admission +
-/// suspicion), so embedders wire one value through their constructors.
+/// Selects the governed protocol for an overlay: embedders pass
+/// `Some(GovernorConfig::default())` for admission control plus suspicion
+/// scoring and `None` for the legacy three-strikes detection. It carries
+/// no field — the policy values are constants beside their use in
+/// [`admission`] and [`suspicion`], and the one value that does vary, the
+/// probe cadence, is [`SuspicionTracker::new`]'s argument.
 #[derive(Debug, Clone, Default)]
-pub struct GovernorConfig {
-    /// Join admission policy.
-    pub admission: AdmissionConfig,
-    /// Peer suspicion / circuit breaker policy.
-    pub suspicion: SuspicionConfig,
-}
+pub struct GovernorConfig {}

@@ -24,7 +24,7 @@
 //!    ▲                                                     │ │
 //!    │            contact / acked forward (refutation)     │ │
 //!    └─────────────────────────────────────────────────────┘ │
-//!                 trial failures ≥ evict_failures ──▶ EVICTED (banned)
+//!                 trial failures ≥ EVICT_FAILURES ──▶ EVICTED (banned)
 //! ```
 //!
 //! While OPEN the peer is skipped by routing, replica placement, and
@@ -33,40 +33,20 @@
 
 use gloss_sim::{FnvHashMap, NodeIndex, SimDuration, SimTime};
 
-/// Suspicion policy knobs.
-#[derive(Debug, Clone)]
-pub struct SuspicionConfig {
-    /// Expected probe cadence; scales the phi elapsed-time ratio.
-    pub probe_interval: SimDuration,
-    /// Liveness phi at which the circuit opens (≈ missed² at steady
-    /// cadence, so 6.0 opens on the third consecutive miss).
-    pub suspect_threshold: f64,
-    /// Unacked-forward score at which the circuit opens.
-    pub conduct_threshold: f64,
-    /// Multiplier applied to the missed-probe score on contact (< 1;
-    /// hysteresis — flapping decays instead of resetting).
-    pub contact_decay: f64,
-    /// Multiplier applied to the conduct score on an acked forward.
-    pub conduct_decay: f64,
-    /// How long an opened circuit rests before half-open trials.
-    pub open_cooldown: SimDuration,
-    /// Failed half-open trials before the peer is evicted outright.
-    pub evict_failures: u32,
-}
-
-impl Default for SuspicionConfig {
-    fn default() -> Self {
-        SuspicionConfig {
-            probe_interval: SimDuration::from_secs(5),
-            suspect_threshold: 6.0,
-            conduct_threshold: 4.0,
-            contact_decay: 0.35,
-            conduct_decay: 0.5,
-            open_cooldown: SimDuration::from_secs(10),
-            evict_failures: 2,
-        }
-    }
-}
+/// Liveness phi at which the circuit opens (≈ missed² at steady cadence,
+/// so 6.0 opens on the third consecutive miss).
+const SUSPECT_THRESHOLD: f64 = 6.0;
+/// Unacked-forward score at which the circuit opens.
+const CONDUCT_THRESHOLD: f64 = 4.0;
+/// Multiplier applied to the missed-probe score on contact (< 1;
+/// hysteresis — flapping decays instead of resetting).
+const CONTACT_DECAY: f64 = 0.35;
+/// Multiplier applied to the conduct score on an acked forward.
+const CONDUCT_DECAY: f64 = 0.5;
+/// How long an opened circuit rests before half-open trials.
+const OPEN_COOLDOWN: SimDuration = SimDuration::from_secs(10);
+/// Failed half-open trials before the peer is evicted outright.
+const EVICT_FAILURES: u32 = 2;
 
 /// Circuit breaker state of one peer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,7 +103,8 @@ struct Peer {
 /// methods, all of which carry simulated time.
 #[derive(Debug, Clone)]
 pub struct SuspicionTracker {
-    cfg: SuspicionConfig,
+    /// Expected probe cadence; scales the phi elapsed-time ratio.
+    probe_interval: SimDuration,
     peers: FnvHashMap<u32, Peer>,
     banned: FnvHashMap<u32, ()>,
     /// Circuits opened so far.
@@ -135,10 +116,10 @@ pub struct SuspicionTracker {
 }
 
 impl SuspicionTracker {
-    /// Creates a tracker with the given policy.
-    pub fn new(cfg: SuspicionConfig) -> Self {
+    /// Creates a tracker for peers probed every `probe_interval`.
+    pub fn new(probe_interval: SimDuration) -> Self {
         SuspicionTracker {
-            cfg,
+            probe_interval,
             peers: FnvHashMap::default(),
             banned: FnvHashMap::default(),
             opened: 0,
@@ -148,7 +129,7 @@ impl SuspicionTracker {
     }
 
     fn entry(&mut self, now: SimTime, peer: NodeIndex) -> &mut Peer {
-        let interval = self.cfg.probe_interval.as_micros() as f64;
+        let interval = self.probe_interval.as_micros() as f64;
         self.peers.entry(peer.0).or_insert(Peer {
             last_contact: now,
             mean_gap_us: interval,
@@ -169,17 +150,14 @@ impl SuspicionTracker {
     /// Feeds probe-layer contact (an ack or an incoming probe). Refutes
     /// liveness suspicion; does **not** touch the conduct channel.
     pub fn on_contact(&mut self, now: SimTime, peer: NodeIndex) -> SuspicionVerdict {
-        let decay = self.cfg.contact_decay;
-        let lo = self.cfg.probe_interval.as_micros() as f64 * 0.5;
-        let hi = self.cfg.probe_interval.as_micros() as f64 * 10.0;
-        let conduct_open = |p: &Peer, cfg: &SuspicionConfig| p.conduct >= cfg.conduct_threshold;
-        let cfg = self.cfg.clone();
+        let lo = self.probe_interval.as_micros() as f64 * 0.5;
+        let hi = self.probe_interval.as_micros() as f64 * 10.0;
         let p = self.entry(now, peer);
         let gap = (now.since(p.last_contact).as_micros() as f64).clamp(lo, hi);
         p.mean_gap_us = 0.8 * p.mean_gap_us + 0.2 * gap;
         p.last_contact = now;
-        p.missed *= decay;
-        if p.state != CircuitState::Closed && !conduct_open(p, &cfg) {
+        p.missed *= CONTACT_DECAY;
+        if p.state != CircuitState::Closed && p.conduct < CONDUCT_THRESHOLD {
             // Liveness-only suspicion: contact is a refutation. A circuit
             // held open by conduct evidence needs an acked forward.
             p.state = CircuitState::Closed;
@@ -192,22 +170,19 @@ impl SuspicionTracker {
 
     /// Feeds a probe round that ended without contact from `peer`.
     pub fn on_probe_timeout(&mut self, now: SimTime, peer: NodeIndex) -> SuspicionVerdict {
-        let threshold = self.cfg.suspect_threshold;
-        let cooldown = self.cfg.open_cooldown;
-        let evict_failures = self.cfg.evict_failures;
         let phi = self.phi(now, peer);
         let p = self.entry(now, peer);
         p.missed += 1.0;
         match p.state {
-            CircuitState::Closed if phi >= threshold => {
+            CircuitState::Closed if phi >= SUSPECT_THRESHOLD => {
                 p.state = CircuitState::Open;
-                p.half_open_at = now + cooldown;
+                p.half_open_at = now + OPEN_COOLDOWN;
                 self.opened += 1;
                 SuspicionVerdict::Opened
             }
             CircuitState::HalfOpen => {
                 p.trial_failures += 1;
-                if p.trial_failures >= evict_failures {
+                if p.trial_failures >= EVICT_FAILURES {
                     SuspicionVerdict::Evict
                 } else {
                     SuspicionVerdict::None
@@ -220,21 +195,18 @@ impl SuspicionTracker {
     /// Feeds routing-conduct evidence: a forward to `peer` went
     /// unacknowledged past its deadline.
     pub fn on_forward_unacked(&mut self, now: SimTime, peer: NodeIndex) -> SuspicionVerdict {
-        let threshold = self.cfg.conduct_threshold;
-        let cooldown = self.cfg.open_cooldown;
-        let evict_failures = self.cfg.evict_failures;
         let p = self.entry(now, peer);
         p.conduct += 1.0;
         match p.state {
-            CircuitState::Closed if p.conduct >= threshold => {
+            CircuitState::Closed if p.conduct >= CONDUCT_THRESHOLD => {
                 p.state = CircuitState::Open;
-                p.half_open_at = now + cooldown;
+                p.half_open_at = now + OPEN_COOLDOWN;
                 self.opened += 1;
                 SuspicionVerdict::Opened
             }
             CircuitState::HalfOpen => {
                 p.trial_failures += 1;
-                if p.trial_failures >= evict_failures {
+                if p.trial_failures >= EVICT_FAILURES {
                     SuspicionVerdict::Evict
                 } else {
                     SuspicionVerdict::None
@@ -248,9 +220,8 @@ impl SuspicionTracker {
     /// acknowledged. Decays conduct suspicion and can refute a half-open
     /// circuit that conduct evidence opened.
     pub fn on_forward_acked(&mut self, now: SimTime, peer: NodeIndex) -> SuspicionVerdict {
-        let decay = self.cfg.conduct_decay;
         let p = self.entry(now, peer);
-        p.conduct *= decay;
+        p.conduct *= CONDUCT_DECAY;
         if p.state == CircuitState::HalfOpen {
             p.state = CircuitState::Closed;
             p.trial_failures = 0;
@@ -281,7 +252,7 @@ impl SuspicionTracker {
         let Some(p) = self.peers.get(&peer.0) else {
             return 0.0;
         };
-        let expected = p.mean_gap_us.max(self.cfg.probe_interval.as_micros() as f64);
+        let expected = p.mean_gap_us.max(self.probe_interval.as_micros() as f64);
         let elapsed = now.since(p.last_contact).as_micros() as f64;
         p.missed * (elapsed / expected)
     }
@@ -343,7 +314,7 @@ mod tests {
     }
 
     fn tracker() -> SuspicionTracker {
-        SuspicionTracker::new(SuspicionConfig::default())
+        SuspicionTracker::new(SimDuration::from_secs(5))
     }
 
     const PEER: NodeIndex = NodeIndex(1);

@@ -36,11 +36,9 @@ pub mod node;
 pub mod table;
 
 pub use freenet::{FreenetNetwork, FreenetNode};
-// Re-exported so embedders can configure the governor without depending
-// on `gloss_governor` directly.
-pub use gloss_governor::{
-    AdmissionConfig, CircuitState, GovernorConfig, SuspicionConfig, SuspicionTracker,
-};
+// Re-exported so embedders can select the governor without depending on
+// `gloss_governor` directly.
+pub use gloss_governor::{CircuitState, GovernorConfig, SuspicionTracker};
 pub use id::{Key, KeyedNode, DIGITS};
 pub use network::{OverlayNetwork, RouteOutcome};
 pub use node::{fault_class, Delivery, OverlayMsg, OverlayNode};

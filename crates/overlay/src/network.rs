@@ -117,14 +117,13 @@ pub struct OverlayNetwork {
 impl OverlayNetwork {
     /// Builds `n` overlay nodes on a random wide-area topology; node 0 is
     /// the bootstrap, later nodes join at 200 ms intervals. The governor
-    /// plane (admission control + suspicion scoring) is enabled with
-    /// default policy; use [`build_with`](Self::build_with) to disable it
-    /// or tune it.
+    /// plane (admission control + suspicion scoring) is enabled; use
+    /// [`build_with`](Self::build_with) to disable it.
     pub fn build(n: usize, seed: u64) -> Self {
         Self::build_with(n, seed, Some(GovernorConfig::default()))
     }
 
-    /// Builds `n` overlay nodes with an explicit governor policy (`None`
+    /// Builds `n` overlay nodes with or without the governor plane (`None`
     /// = legacy three-strikes failure detection, no admission control).
     pub fn build_with(n: usize, seed: u64, governor: Option<GovernorConfig>) -> Self {
         let topology = Topology::random(
@@ -140,11 +139,11 @@ impl OverlayNetwork {
         Self::build_on_with(topology, seed, Some(GovernorConfig::default()))
     }
 
-    /// Builds the overlay over an explicit topology and governor policy.
+    /// Builds the overlay over an explicit topology, governed or not.
     pub fn build_on_with(topology: Topology, seed: u64, governor: Option<GovernorConfig>) -> Self {
         let mut rng = SimRng::new(seed).fork("overlay-net");
         let nodes =
-            OverlayNode::ring("overlay-node-", topology.len(), seed, &mut rng, governor.as_ref())
+            OverlayNode::ring("overlay-node-", topology.len(), seed, &mut rng, governor.is_some())
                 .into_iter()
                 .map(|overlay| OverlayWorldNode {
                     overlay,

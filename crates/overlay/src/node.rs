@@ -5,7 +5,7 @@
 use crate::id::{Key, KeyedNode};
 use crate::table::{LeafSet, RoutingTable};
 use gloss_governor::{
-    Admission, AdmissionGovernor, GovernorConfig, ProbeDecision, SuspicionTracker, SuspicionVerdict,
+    Admission, AdmissionGovernor, ProbeDecision, SuspicionTracker, SuspicionVerdict,
 };
 use gloss_sim::{FaultClass, FnvHashMap, NodeIndex, Outbox, SimDuration, SimRng, SimTime};
 use std::sync::Arc;
@@ -152,12 +152,10 @@ struct Governor<P> {
 }
 
 impl<P> Governor<P> {
-    fn new(cfg: &GovernorConfig, probe_interval: SimDuration, seed: u64) -> Self {
-        let mut scfg = cfg.suspicion.clone();
-        scfg.probe_interval = probe_interval;
+    fn new(probe_interval: SimDuration, seed: u64) -> Self {
         Governor {
-            admission: AdmissionGovernor::new(cfg.admission.clone(), seed),
-            suspicion: SuspicionTracker::new(scfg),
+            admission: AdmissionGovernor::new(seed),
+            suspicion: SuspicionTracker::new(probe_interval),
             pending_acks: FnvHashMap::default(),
         }
     }
@@ -195,8 +193,8 @@ pub struct OverlayNode<P> {
     acked_gossip: FnvHashMap<u32, u64>,
     /// Admission + suspicion plane (None = legacy three-strikes detection).
     governor: Option<Governor<P>>,
-    /// Governor config and seed, kept to rebuild fresh state on restart.
-    gov_setup: Option<(GovernorConfig, u64)>,
+    /// The governor's jitter seed, kept to rebuild fresh state on restart.
+    gov_seed: Option<u64>,
     /// Join attempt sequence; stamped into JOIN timer tags so a backoff
     /// retry invalidates the fixed-interval fallback timer (and vice
     /// versa).
@@ -236,7 +234,7 @@ impl<P: Clone> OverlayNode<P> {
             known_dirty: false,
             acked_gossip: FnvHashMap::default(),
             governor: None,
-            gov_setup: None,
+            gov_seed: None,
             join_attempt: 0,
             failed_peers: Vec::new(),
         }
@@ -253,9 +251,9 @@ impl<P: Clone> OverlayNode<P> {
     /// phi scale follows the probe cadence). `seed` drives the backoff
     /// jitter stream; derive it from the world seed and the node index so
     /// every node jitters independently but deterministically.
-    pub fn with_governor(mut self, cfg: GovernorConfig, seed: u64) -> Self {
-        self.governor = Some(Governor::new(&cfg, self.probe_interval, seed));
-        self.gov_setup = Some((cfg, seed));
+    pub fn with_governor(mut self, seed: u64) -> Self {
+        self.governor = Some(Governor::new(self.probe_interval, seed));
+        self.gov_seed = Some(seed);
         self
     }
 
@@ -263,16 +261,10 @@ impl<P: Clone> OverlayNode<P> {
     /// harness over the overlay starts one: node 0 is the bootstrap and
     /// node `i` joins through a random earlier node (one `rng` draw each,
     /// in index order) `i` × 200 ms after the start. Keys hash
-    /// `{label}{i}-{seed}`, leaf sets are probed every 5 s, and with a
-    /// governor policy (`None` = legacy three-strikes failure detection,
-    /// no admission control) every node gets a jitter seed of its own.
-    pub fn ring(
-        label: &str,
-        n: usize,
-        seed: u64,
-        rng: &mut SimRng,
-        governor: Option<&GovernorConfig>,
-    ) -> Vec<Self> {
+    /// `{label}{i}-{seed}`, leaf sets are probed every 5 s, and when
+    /// `governed` (`false` = legacy three-strikes failure detection, no
+    /// admission control) every node gets a jitter seed of its own.
+    pub fn ring(label: &str, n: usize, seed: u64, rng: &mut SimRng, governed: bool) -> Vec<Self> {
         (0..n)
             .map(|i| {
                 let key = Key::hash_of(format!("{label}{i}-{seed}").as_bytes());
@@ -284,11 +276,12 @@ impl<P: Clone> OverlayNode<P> {
                 };
                 let node = OverlayNode::new(key, NodeIndex(i as u32), bootstrap, delay)
                     .with_probe_interval(SimDuration::from_secs(5));
-                match governor {
+                if governed {
                     // Deterministic, but no two nodes share a backoff
                     // stream.
-                    Some(cfg) => node.with_governor(cfg.clone(), seed ^ ((i as u64) << 17)),
-                    None => node,
+                    node.with_governor(seed ^ ((i as u64) << 17))
+                } else {
+                    node
                 }
             })
             .collect()
@@ -401,10 +394,10 @@ impl<P: Clone> OverlayNode<P> {
         self.known_cache.clear();
         self.known_dirty = false;
         self.acked_gossip.clear();
-        if let Some((cfg, seed)) = &self.gov_setup {
+        if let Some(seed) = self.gov_seed {
             // A restarted node starts with a clean slate: suspicion scores
             // and bans describe the previous incarnation's world view.
-            self.governor = Some(Governor::new(cfg, self.probe_interval, *seed));
+            self.governor = Some(Governor::new(self.probe_interval, seed));
         }
         self.joined = self.bootstrap.is_none();
         self.join_attempt = 0;
@@ -941,27 +934,26 @@ mod tests {
             (0x20144d9b6f81d3dbec3cb3effb5133a6, Some(2)),
             (0x109a0301b27ed522c3d8db4bbcbf09f6, Some(4)),
         ];
-        let governor = GovernorConfig::default();
         for (label, fork, pinned) in [
             ("overlay-node-", "overlay-net", OVERLAY),
             ("store-node-", "store-net", STORE),
             ("gloss-node-", "gloss-arch", GLOSS),
         ] {
             let mut rng = SimRng::new(42).fork(fork);
-            let ring: Vec<OverlayNode<u64>> =
-                OverlayNode::ring(label, 8, 42, &mut rng, Some(&governor));
+            let ring: Vec<OverlayNode<u64>> = OverlayNode::ring(label, 8, 42, &mut rng, true);
             assert_eq!(ring.len(), 8);
             for (i, (node, (key, bootstrap))) in ring.iter().zip(pinned).enumerate() {
                 assert_eq!(node.me, KeyedNode::new(Key(key), n(i as u32)), "{label}{i}");
                 assert_eq!(node.bootstrap, bootstrap.map(n), "{label}{i}");
                 assert_eq!(node.join_delay, SimDuration::from_millis(200 * i as u64), "{label}{i}");
                 assert_eq!(node.probe_interval, SimDuration::from_secs(5));
-                assert_eq!(node.gov_setup.as_ref().map(|(_, s)| *s), Some(42 ^ ((i as u64) << 17)));
+                assert_eq!(node.gov_seed, Some(42 ^ ((i as u64) << 17)));
             }
         }
-        // Without a policy the nodes are ungoverned, and draw the same.
+        // Ungoverned nodes draw the same.
         let mut rng = SimRng::new(42).fork("overlay-net");
-        let ring: Vec<OverlayNode<u64>> = OverlayNode::ring("overlay-node-", 8, 42, &mut rng, None);
+        let ring: Vec<OverlayNode<u64>> =
+            OverlayNode::ring("overlay-node-", 8, 42, &mut rng, false);
         assert!(ring.iter().all(|node| !node.governed()));
         assert_eq!(ring[7].bootstrap, Some(n(1)));
     }
@@ -1112,8 +1104,7 @@ mod tests {
     }
 
     fn gnode(key: u128, idx: u32, bootstrap: Option<NodeIndex>) -> OverlayNode<u64> {
-        OverlayNode::new(Key(key), n(idx), bootstrap, SimDuration::ZERO)
-            .with_governor(GovernorConfig::default(), 7)
+        OverlayNode::new(Key(key), n(idx), bootstrap, SimDuration::ZERO).with_governor(7)
     }
 
     fn t(secs: u64) -> SimTime {

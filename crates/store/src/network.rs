@@ -63,8 +63,7 @@ impl StoreNetwork {
             .iter()
             .map(|info| NodeSite::new(info.index, info.geo, info.region.clone()))
             .collect();
-        let governor = gloss_overlay::GovernorConfig::default();
-        let nodes = OverlayNode::ring("store-node-", n, seed, &mut rng, Some(&governor))
+        let nodes = OverlayNode::ring("store-node-", n, seed, &mut rng, true)
             .into_iter()
             .map(|overlay| {
                 let idx = overlay.id().node;

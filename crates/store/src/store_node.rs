@@ -1384,8 +1384,7 @@ mod tests {
         // hop and re-routed every probe round: the same lookup is served
         // again and again, and an honest cache-serving node accumulates
         // conduct suspicion.
-        let overlay = OverlayNode::new(Key(0x100), n(0), None, SimDuration::ZERO)
-            .with_governor(gloss_overlay::GovernorConfig::default(), 7);
+        let overlay = OverlayNode::new(Key(0x100), n(0), None, SimDuration::ZERO).with_governor(7);
         let mut s = StoreNode::new(n(0), overlay, StoreConfig::default(), Vec::new());
         let d = doc("popular");
         let mut out = Outbox::new();
@@ -1787,9 +1786,9 @@ mod tests {
     /// caller's cap, floor, jitter fraction or sample order moves a value.
     #[test]
     fn backoff_schedules_are_pinned() {
-        use gloss_governor::{Admission, AdmissionConfig, AdmissionGovernor};
+        use gloss_governor::{Admission, AdmissionGovernor};
         let micros = |d: SimDuration| d.as_micros();
-        let mut g = AdmissionGovernor::new(AdmissionConfig::default(), 7);
+        let mut g = AdmissionGovernor::new(7);
         let mut rejected = Vec::new();
         while rejected.len() < 8 {
             if let Admission::Backoff(d) = g.check(SimTime::ZERO, n(1)) {
@@ -1800,7 +1799,7 @@ mod tests {
             rejected,
             [420813, 838953, 2285124, 4543838, 8385716, 8479512, 9815818, 6516234]
         );
-        let mut g = AdmissionGovernor::new(AdmissionConfig::default(), 7);
+        let mut g = AdmissionGovernor::new(7);
         let unanswered: Vec<u64> = (0..8).map(|a| micros(g.retry_backoff(a))).collect();
         assert_eq!(
             unanswered,
