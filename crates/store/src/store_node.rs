@@ -11,7 +11,7 @@ use crate::placement::{
 };
 use crate::repair::{FragmentManifest, RepairScheduler};
 use gloss_governor::backoff::{exponential, jittered};
-use gloss_overlay::{Key, OverlayMsg, OverlayNode};
+use gloss_overlay::{Delivery, Key, OverlayMsg, OverlayNode};
 use gloss_sim::{splitmix64, FnvHashMap, NodeIndex, Outbox, SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -603,7 +603,7 @@ impl StoreNode {
     fn finish_fragment_audit(
         &mut self,
         fr: FragmentRepair,
-        _now: SimTime,
+        now: SimTime,
         out: &mut Outbox<StoreMsg>,
     ) {
         if fr.missing.is_empty() {
@@ -642,7 +642,7 @@ impl StoreNode {
             let doc = Document::new(name, shard).with_priority(fr.priority);
             out.count("store.repair_shards", 1.0);
             out.count("store.repair_bytes", doc.size() as f64);
-            self.insert(doc, out);
+            self.insert(doc, now, out);
         }
     }
 
@@ -1044,29 +1044,7 @@ impl StoreNode {
 
         for d in deliveries {
             match d.payload {
-                StorePayload::Insert { doc } => {
-                    let guid = doc.guid;
-                    out.count("store.inserts_rooted", 1.0);
-                    for target in self.placement_targets(guid, &doc) {
-                        out.send(target, StoreMsg::ReplicaPut { doc: doc.clone() });
-                    }
-                    // The primary always keeps its copy (it is the
-                    // authority); eviction still makes best-effort room.
-                    let old = self.store.get(&guid).map_or(0, |d2| d2.size() as u64);
-                    self.make_room((doc.size() as u64).saturating_sub(old), Priority::High, out);
-                    self.put_local(doc);
-                    // Backup policy: remote replica as soon as created.
-                    if self.backup_policy.is_some() {
-                        if let Some(site) = self.site_of(self.me).cloned() {
-                            let mut holders: Vec<NodeIndex> = self.replica_targets(guid);
-                            holders.push(self.me);
-                            let policy = self.backup_policy.as_mut().expect("checked above");
-                            let actions =
-                                policy.on_create(guid, &site, now, &self.directory, &holders);
-                            self.run_placement_actions(actions, out);
-                        }
-                    }
-                }
+                StorePayload::Insert { doc } => self.root_insert(doc, now, out),
                 StorePayload::Lookup { guid, reply_to, req_id, issued_at, .. } => {
                     // Delivered at the responsible node and nothing local:
                     // the document does not exist.
@@ -1089,6 +1067,31 @@ impl StoreNode {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// Takes a document this node is the root of: places its replicas,
+    /// keeps the primary copy and runs the creation-time backup policy.
+    fn root_insert(&mut self, doc: Document, now: SimTime, out: &mut Outbox<StoreMsg>) {
+        let guid = doc.guid;
+        out.count("store.inserts_rooted", 1.0);
+        for target in self.placement_targets(guid, &doc) {
+            out.send(target, StoreMsg::ReplicaPut { doc: doc.clone() });
+        }
+        // The primary always keeps its copy (it is the authority);
+        // eviction still makes best-effort room.
+        let old = self.store.get(&guid).map_or(0, |d2| d2.size() as u64);
+        self.make_room((doc.size() as u64).saturating_sub(old), Priority::High, out);
+        self.put_local(doc);
+        // Backup policy: remote replica as soon as created.
+        if self.backup_policy.is_some() {
+            if let Some(site) = self.site_of(self.me).cloned() {
+                let mut holders: Vec<NodeIndex> = self.replica_targets(guid);
+                holders.push(self.me);
+                let policy = self.backup_policy.as_mut().expect("checked above");
+                let actions = policy.on_create(guid, &site, now, &self.directory, &holders);
+                self.run_placement_actions(actions, out);
             }
         }
     }
@@ -1121,22 +1124,14 @@ impl StoreNode {
     }
 
     /// Originates an insert from this node (used by the harness).
-    pub fn insert(&mut self, doc: Document, out: &mut Outbox<StoreMsg>) {
+    pub fn insert(&mut self, doc: Document, now: SimTime, out: &mut Outbox<StoreMsg>) {
         let guid = doc.guid;
         let delivered = out.nested(StoreMsg::Overlay, |oout| {
             self.overlay.route(guid, StorePayload::Insert { doc }, oout)
         });
-        if let Some(d) = delivered {
-            // We are the root ourselves.
-            if let StorePayload::Insert { doc } = d.payload {
-                let guid = doc.guid;
-                for target in self.placement_targets(guid, &doc) {
-                    out.send(target, StoreMsg::ReplicaPut { doc: doc.clone() });
-                }
-                let old = self.store.get(&guid).map_or(0, |d2| d2.size() as u64);
-                self.make_room((doc.size() as u64).saturating_sub(old), Priority::High, out);
-                self.put_local(doc);
-            }
+        // We are the root ourselves.
+        if let Some(Delivery { payload: StorePayload::Insert { doc }, .. }) = delivered {
+            self.root_insert(doc, now, out);
         }
     }
 
@@ -1270,7 +1265,7 @@ mod tests {
         let mut s = store_node(0x100, 0, StoreConfig::default());
         let d = doc("menu");
         let mut out = Outbox::new();
-        s.insert(d.clone(), &mut out);
+        s.insert(d.clone(), SimTime::ZERO, &mut out);
         assert!(s.holds(d.guid));
         let mut out = Outbox::new();
         s.lookup(d.guid, 1, SimTime::ZERO, &mut out);
@@ -1278,6 +1273,34 @@ mod tests {
         assert_eq!(o.doc.as_ref().unwrap().content, d.content);
         assert!(!o.from_cache);
         assert_eq!(o.latency, SimDuration::ZERO);
+    }
+
+    #[test]
+    fn inserting_at_ones_own_root_runs_the_backup_policy() {
+        // A singleton ring: every document's root is the inserting node,
+        // so the insert never crosses the overlay. It is rooted all the
+        // same — counted, and backed up remotely on creation.
+        let here = gloss_sim::GeoPoint::new(56.34, -2.80);
+        let far = gloss_sim::GeoPoint::new(-33.87, 151.21);
+        let directory =
+            vec![NodeSite::new(n(0), here, "scotland"), NodeSite::new(n(1), far, "australia")];
+        let overlay = OverlayNode::new(Key(0x100), n(0), None, SimDuration::ZERO);
+        let cfg = StoreConfig { backup_policy_min_km: Some(1000.0), ..Default::default() };
+        let mut s = StoreNode::new(n(0), overlay, cfg, directory);
+        let d = doc("deed");
+        let mut out = Outbox::new();
+        s.insert(d.clone(), SimTime::ZERO, &mut out);
+        assert!(s.holds(d.guid));
+        let count = |name: &str| out.counts().iter().filter(|(k, _)| k == name).count();
+        assert_eq!(count("store.inserts_rooted"), 1);
+        assert_eq!(count("store.policy_replicas"), 1);
+        let backups: Vec<NodeIndex> = out
+            .sends()
+            .iter()
+            .filter(|(_, m, _)| matches!(m, StoreMsg::ReplicaPut { doc } if doc.guid == d.guid))
+            .map(|(t, _, _)| *t)
+            .collect();
+        assert_eq!(backups, [n(1)], "the policy's ReplicateTo goes to the remote site");
     }
 
     #[test]
@@ -1296,7 +1319,7 @@ mod tests {
         s.overlay.learn(KeyedNode::new(Key(0x120), n(2)));
         let d = doc("replicated");
         let mut out = Outbox::new();
-        s.insert(d.clone(), &mut out);
+        s.insert(d.clone(), SimTime::ZERO, &mut out);
         let puts: Vec<NodeIndex> = out
             .sends()
             .iter()
@@ -1451,7 +1474,7 @@ mod tests {
         s.overlay.learn(KeyedNode::new(Key(0x110), n(1)));
         let d = doc("healme");
         let mut out = Outbox::new();
-        s.insert(d.clone(), &mut out);
+        s.insert(d.clone(), SimTime::ZERO, &mut out);
         // Heal timer: audit goes to the replica target.
         let mut out = Outbox::new();
         s.on_timer(SimTime::from_secs(30), timers::HEAL, &mut out);
@@ -1611,7 +1634,7 @@ mod tests {
         s.overlay.learn(KeyedNode::new(Key(0x110), n(1)));
         let d = doc("purge-me");
         let mut out = Outbox::new();
-        s.insert(d.clone(), &mut out);
+        s.insert(d.clone(), SimTime::ZERO, &mut out);
         s.handle(
             SimTime::ZERO,
             n(1),
@@ -1640,7 +1663,7 @@ mod tests {
         s.overlay.learn(KeyedNode::new(Key(d.guid.0 ^ 0x10), n(1)));
         s.overlay.learn(KeyedNode::new(Key(d.guid.0 ^ 0x20), n(2)));
         let mut out = Outbox::new();
-        s.insert(d.clone(), &mut out);
+        s.insert(d.clone(), SimTime::ZERO, &mut out);
         // Only n1 acknowledged; n2's put was lost. Target 3, have 2.
         s.handle(
             SimTime::ZERO,
@@ -1736,13 +1759,13 @@ mod tests {
         let shards = code.encode(&content);
         let manifest = FragmentManifest { base: "obj".into(), m: 3, n: 5, len: content.len() };
         let mut out = Outbox::new();
-        s.insert(manifest.to_doc(Priority::Normal), &mut out);
+        s.insert(manifest.to_doc(Priority::Normal), SimTime::ZERO, &mut out);
         for (i, bytes) in shards.iter().enumerate() {
             if i == 2 {
                 continue; // lost shard
             }
             let d = Document::new(FragmentManifest::shard_name("obj", i), bytes.clone());
-            s.insert(d, &mut out);
+            s.insert(d, SimTime::ZERO, &mut out);
         }
         let missing_guid = Key::hash_of_str(&FragmentManifest::shard_name("obj", 2));
         assert!(!s.holds(missing_guid));
