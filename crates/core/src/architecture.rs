@@ -57,7 +57,6 @@ impl Default for ArchConfig {
 #[derive(Debug)]
 pub struct ActiveArchitecture {
     world: World<GlossNode>,
-    next_store_req: u64,
     kb_versions: std::collections::BTreeMap<String, u64>,
     /// Authoritative per-subject fact stores feeding delta propagation:
     /// mutate via [`knowledge_mut`](Self::knowledge_mut), ship via
@@ -119,7 +118,6 @@ impl ActiveArchitecture {
         let world = World::new(topology, cfg.seed, nodes);
         ActiveArchitecture {
             world,
-            next_store_req: 0,
             kb_versions: Default::default(),
             authority: KnowledgeAuthority::new(),
             kb_delta_versions: Default::default(),
@@ -292,7 +290,6 @@ impl ActiveArchitecture {
                 hops: 0,
             })),
         );
-        self.next_store_req += 1;
     }
 
     /// Pulls the kb document for `subject` into `node`'s local fact store

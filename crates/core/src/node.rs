@@ -217,6 +217,21 @@ impl GlossNode {
         }
     }
 
+    /// Subscribes to every event kind an installed rule listens for
+    /// (kinds already subscribed are skipped).
+    fn subscribe_rule_kinds(&mut self, now: SimTime, out: &mut Outbox<GlossMsg>) {
+        let kinds: Vec<String> = self
+            .server
+            .engine()
+            .rules()
+            .iter()
+            .flat_map(|r| r.rule.patterns.iter().map(|p| p.kind.clone()))
+            .collect();
+        for k in kinds {
+            self.subscribe_kind(now, &k, out);
+        }
+    }
+
     /// Publishes an event onto the bus from this node.
     fn publish(&mut self, now: SimTime, mut event: Event, out: &mut Outbox<GlossMsg>) {
         self.pub_seq += 1;
@@ -237,7 +252,7 @@ impl GlossNode {
             if let Some(cs) = self.coordinator_state.as_mut() {
                 cs.monitor.on_event(now, &event);
                 let actions = cs.evolution.on_event(now, &event);
-                self.dispatch_actions(now, actions, out);
+                self.dispatch_actions(actions, out);
             }
             return;
         }
@@ -261,11 +276,9 @@ impl GlossNode {
 
     fn dispatch_actions(
         &mut self,
-        now: SimTime,
         actions: Vec<(String, gloss_deploy::Action)>,
         out: &mut Outbox<GlossMsg>,
     ) {
-        let _ = now;
         for (instance, action) in actions {
             if let gloss_deploy::Action::Deploy { kind, node } = action {
                 let cs = self.coordinator_state.as_ref().expect("only coordinator dispatches");
@@ -440,16 +453,7 @@ impl GlossNode {
                     if node == self.me {
                         // Install locally.
                         if self.server.receive_packet(&packet).is_ok() {
-                            let kinds: Vec<String> = self
-                                .server
-                                .engine()
-                                .rules()
-                                .iter()
-                                .flat_map(|r| r.rule.patterns.iter().map(|p| p.kind.clone()))
-                                .collect();
-                            for k in kinds {
-                                self.subscribe_kind(now, &k, out);
-                            }
+                            self.subscribe_rule_kinds(now, out);
                         }
                     } else {
                         out.send(
@@ -513,7 +517,7 @@ impl GlossNode {
                     if sweep.failed > 0 {
                         out.count("gloss.failures_detected", sweep.failed as f64);
                     }
-                    self.dispatch_actions(now, sweep.actions, out);
+                    self.dispatch_actions(sweep.actions, out);
                 }
                 out.timer(self.sweep_every, timers::SWEEP);
             }
@@ -525,20 +529,11 @@ impl GlossNode {
     /// auto-ingests).
     fn prefetch_subject(&mut self, now: SimTime, subject: &str, out: &mut Outbox<GlossMsg>) {
         let guid = Key::hash_of_str(&DistributedKnowledge::doc_name(subject));
-        self.sub_seq += 1;
-        let req = (1 << 48) | ((self.me.0 as u64) << 20) | self.sub_seq;
         // Versions at or below the one already ingested are no-ops, so
         // don't let a stale cached copy answer for the authoritative
         // one; the responsible node still serves whatever it holds.
         let floor = self.kb_doc_versions.get(subject).map_or(0, |v| v.saturating_add(1));
-        out.nested(GlossMsg::Store, |sout| {
-            self.store.lookup_min_version(guid, floor, req, now, sout)
-        });
-        // A locally held copy concludes synchronously with no FetchReply
-        // message, so the ingest hook must run here.
-        if let Some(doc) = self.store.outcomes.get(&req).and_then(|o| o.doc.clone()) {
-            self.ingest_document(now, &doc, out);
-        }
+        self.prefetch(guid, floor, now, out);
     }
 
     /// Issues a storage lookup for a subject's latest delta batch (the
@@ -546,15 +541,23 @@ impl GlossNode {
     /// fetch when the batch cannot extend the held state).
     fn prefetch_deltas(&mut self, now: SimTime, subject: &str, out: &mut Outbox<GlossMsg>) {
         let guid = Key::hash_of_str(&format!("kbdelta/{subject}"));
-        self.sub_seq += 1;
-        let req = (1 << 48) | ((self.me.0 as u64) << 20) | self.sub_seq;
         // Demand a batch newer than the last one ingested: any cached
         // copy we (or an en-route node) already hold is stale by
         // definition, and serving it would end the pull early.
         let floor = self.kb_delta_doc_versions.get(subject).map_or(0, |v| v.saturating_add(1));
+        self.prefetch(guid, floor, now, out);
+    }
+
+    /// Looks `guid` up in the store, refusing copies below version
+    /// `floor`, and ingests what comes back.
+    fn prefetch(&mut self, guid: Key, floor: u64, now: SimTime, out: &mut Outbox<GlossMsg>) {
+        self.sub_seq += 1;
+        let req = (1 << 48) | ((self.me.0 as u64) << 20) | self.sub_seq;
         out.nested(GlossMsg::Store, |sout| {
             self.store.lookup_min_version(guid, floor, req, now, sout)
         });
+        // A locally held copy concludes synchronously with no FetchReply
+        // message, so the ingest hook must run here.
         if let Some(doc) = self.store.outcomes.get(&req).and_then(|o| o.doc.clone()) {
             self.ingest_document(now, &doc, out);
         }
@@ -624,16 +627,7 @@ impl GlossNode {
                     if report.lint_warnings > 0 {
                         out.count("gloss.lint_warnings", report.lint_warnings as f64);
                     }
-                    let kinds: Vec<String> = self
-                        .server
-                        .engine()
-                        .rules()
-                        .iter()
-                        .flat_map(|r| r.rule.patterns.iter().map(|p| p.kind.clone()))
-                        .collect();
-                    for k in kinds {
-                        self.subscribe_kind(now, &k, out);
-                    }
+                    self.subscribe_rule_kinds(now, out);
                     if !instance.is_empty() {
                         out.send(from, GlossMsg::Installed { instance });
                     }
@@ -655,7 +649,6 @@ impl GlossNode {
                 }
             }
             GlossMsg::UnknownKind { kind } => {
-                let me = self.me;
                 let mut fetch: Option<(u64, Key)> = None;
                 if let Some(cs) = self.coordinator_state.as_mut() {
                     // Skip kinds already covered by a registered service.
@@ -672,7 +665,6 @@ impl GlossNode {
                         fetch = Some((req, guid));
                     }
                 }
-                let _ = me;
                 if let Some((req, guid)) = fetch {
                     out.count("gloss.discovery_lookups", 1.0);
                     out.nested(GlossMsg::Store, |sout| self.store.lookup(guid, req, now, sout));
