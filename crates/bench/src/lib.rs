@@ -1372,7 +1372,7 @@ pub fn c17_flash_crowd() -> String {
 /// S6: subscriber scaling — the cost of one publish on a broker holding
 /// 1 k to 1 M subscriptions. The counting index resolves a publish with
 /// one probe per event attribute, so the cost is near-flat in table
-/// size; the pre-PR8 linear broker ([`LinearBroker`], kept as the
+/// size; the pre-PR8 linear broker ([`gloss_event::LinearBroker`], kept as the
 /// baseline) pays a full table scan. `GLOSS_BENCH_SMOKE=1` trims the
 /// sizes for CI.
 pub fn s6_subscriber_scaling() -> String {

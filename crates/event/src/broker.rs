@@ -8,7 +8,7 @@
 //! * routing consults a counting [`FilterIndex`] instead of scanning the
 //!   table filter-by-filter, so publish cost tracks the number of
 //!   candidate subscriptions sharing attributes with the event, and
-//! * each neighbouring interface keeps a [`ForwardTable`] — the covering
+//! * each neighbouring interface keeps a `ForwardTable` — the covering
 //!   relation over forwarded filters maintained *incrementally* as a
 //!   parent/children DAG, with overlapping same-kind filters collapsed
 //!   into one merged upstream filter ([`merge_cover`]) — so subscribe

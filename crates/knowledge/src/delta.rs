@@ -3,7 +3,7 @@
 //! Whole-document replication ships everything known about a subject on
 //! every change; under context churn (a user's location updating every
 //! few seconds) that is almost entirely redundant bytes. This module
-//! extends the [`FactDelta`](crate::FactDelta)/epoch feed across nodes:
+//! extends the [`FactDelta`]/epoch feed across nodes:
 //! an authoritative writer ships **delta batches** — the insert/retract
 //! tail since the receiver's last known epoch, as a
 //! `kbdelta/<subject>@<from..to>` document — and receivers repair their
@@ -11,7 +11,7 @@
 //! memories) incrementally.
 //!
 //! The protocol is anchored by versioned snapshots
-//! ([`DistributedKnowledge::facts_to_xml_versioned`]): a snapshot stamps
+//! ([`crate::DistributedKnowledge::facts_to_xml_versioned`]): a snapshot stamps
 //! the authority's `(source, epoch)`, and a batch applies only when it
 //! extends exactly the state the receiver holds. [`reconcile`] is the
 //! receiver-side decision: apply (possibly skipping an already-covered

@@ -9,7 +9,7 @@
 //! - pattern fields are **precompiled** (attribute name vs. parsed XPath
 //!   projection), so matching never re-parses keys;
 //! - multi-pattern joins **probe persistent window indexes**: each
-//!   pattern's window buffer ([`PatternBuffer`]) keeps one hash index per
+//!   pattern's window buffer (`PatternBuffer`) keeps one hash index per
 //!   set of join variables a join plan needs from it, maintained in O(1)
 //!   as events enter and leave the window, and the join plans themselves
 //!   (partner order, join variables, serving index) are fixed when the

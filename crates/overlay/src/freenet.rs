@@ -1,6 +1,6 @@
 //! Non-deterministic routing baseline (Freenet-like greedy walk).
 //!
-//! The paper (§3): "Some systems, such as [Freenet], rely exclusively on
+//! The paper (§3): "Some systems, such as \[Freenet\], rely exclusively on
 //! non-deterministic algorithms. This means that data cannot always be
 //! found, rendering them unsuitable as a base technology for this work."
 //! Experiment **C2** quantifies that: lookups here are greedy walks with a

@@ -12,7 +12,7 @@
 //! 1k–4k-node workloads:
 //!
 //! - **Regions.** Nodes partition into regions (derived from the topology's
-//!   region names); each region is a [`Shard`] owning its own calendar
+//!   region names); each region is a `Shard` owning its own calendar
 //!   queue, its nodes' state machines, their per-link connection state, and
 //!   buffers for every side effect (sends, counters, traces). Cross-region
 //!   sends travel through per-region *outgoing* buffers that are flushed
@@ -34,7 +34,7 @@
 //!   fixed-width buckets over the near future plus an overflow heap for
 //!   far-future entries (long timers), replacing one global `BinaryHeap`.
 //!   Pushes and pops into the wheel are O(1) amortised.
-//! - **Canonical event keys.** Every entry carries an [`EvKey`] that is a
+//! - **Canonical event keys.** Every entry carries an `EvKey` that is a
 //!   pure function of *what* the event is (link + per-link sequence, node +
 //!   per-node timer sequence, harness call order) rather than of global
 //!   push order. Processing events in key order therefore yields the same
