@@ -533,9 +533,7 @@ fn s3_overlay_scaling(c: &mut Criterion) {
                 b.iter(|| {
                     let mut net = OverlayNetwork::build(n, 42);
                     net.world_mut().set_threads(threads);
-                    net.run_for(
-                        SimDuration::from_millis(200) * n as u64 + SimDuration::from_secs(60),
-                    );
+                    net.settle();
                     assert!(net.joined_fraction() > 0.99, "overlay failed to settle");
                     net.world().metrics().counter("sim.messages_delivered")
                 })
@@ -554,7 +552,7 @@ fn s4_churn_episode(c: &mut Criterion) {
     for &threads in THREAD_COLUMNS {
         let mut net = OverlayNetwork::build(n, 77);
         net.world_mut().set_threads(threads);
-        net.run_for(SimDuration::from_millis(200) * n as u64 + SimDuration::from_secs(60));
+        net.settle();
         let mut round = 0u32;
         let name = if threads == 1 {
             "s4_churn_episode".to_string()

@@ -65,7 +65,7 @@ pub fn chatter(Args { nodes, seed, .. }: Args) -> Outcome {
 /// counters-only digest — which doubles as the wall-clock scale smoke.
 pub fn overlay(Args { nodes, seed, .. }: Args) -> Outcome {
     let mut net = OverlayNetwork::build(nodes, seed);
-    net.run_for(SimDuration::from_millis(200) * nodes as u64 + SimDuration::from_secs(60));
+    net.settle();
     assert!(net.joined_fraction() > 0.99, "overlay failed to settle");
     let m = net.world().metrics();
     let mut digest = FnvHasher::default();
@@ -95,7 +95,7 @@ pub fn overlay(Args { nodes, seed, .. }: Args) -> Outcome {
 pub fn faults(Args { nodes, seed, .. }: Args) -> Outcome {
     let mut net = OverlayNetwork::build_with(nodes, seed, Some(GovernorConfig::default()));
     net.world_mut().enable_tracing(1 << 22);
-    net.run_for(SimDuration::from_millis(200) * nodes as u64 + SimDuration::from_secs(60));
+    net.settle();
     assert!(net.joined_fraction() > 0.99, "governed overlay failed to settle");
     // Three byzantine peers spread across the index space.
     for i in 0..3u32 {
@@ -452,7 +452,7 @@ pub fn repair(Args { nodes, seed, .. }: Args) -> Outcome {
 /// lossless world is a bug this scenario exists to catch.
 pub fn partition(Args { nodes, seed, .. }: Args) -> Outcome {
     let mut net = OverlayNetwork::build_with(nodes, seed, Some(GovernorConfig::default()));
-    net.run_for(SimDuration::from_millis(200) * nodes as u64 + SimDuration::from_secs(60));
+    net.settle();
     assert!(net.joined_fraction() > 0.99, "overlay failed to settle before the partition");
 
     // Cut off two regions (a third of the ring) for 25 seconds, with

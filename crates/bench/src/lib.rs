@@ -209,7 +209,7 @@ pub fn c2_overlay_routing() -> String {
     let mut rows = Vec::new();
     for n in [16usize, 64, 256] {
         let mut net = OverlayNetwork::build(n, 41);
-        net.run_for(SimDuration::from_millis(200) * n as u64 + SimDuration::from_secs(60));
+        net.settle();
         let mut ids = Vec::new();
         for i in 0..60 {
             let from = net.random_node();
@@ -727,7 +727,7 @@ pub fn s3_scaling() -> String {
             let start = std::time::Instant::now();
             let mut net = OverlayNetwork::build(n, 42);
             net.world_mut().set_threads(threads);
-            let horizon = SimDuration::from_millis(200) * n as u64 + SimDuration::from_secs(60);
+            let horizon = gloss_overlay::ring_settle(n);
             net.run_for(horizon);
             let wall = start.elapsed().as_secs_f64();
             let m = net.world().metrics();
@@ -759,7 +759,7 @@ pub fn c11_churn_heavy() -> String {
     for (mtbf_s, mttr_s) in [(240u64, 30u64), (120, 20), (60, 15)] {
         let n = 48usize;
         let mut net = OverlayNetwork::build(n, 43);
-        net.run_for(SimDuration::from_millis(200) * n as u64 + SimDuration::from_secs(60));
+        net.settle();
         // Churn every node but the bootstrap for five minutes.
         let horizon = SimDuration::from_secs(300);
         let nodes: Vec<NodeIndex> = (1..n as u32).map(NodeIndex).collect();
@@ -979,7 +979,7 @@ pub fn c14_partition_heal() -> String {
         let n = 48usize;
         let seed = 47u64;
         let mut net = OverlayNetwork::build_with(n, seed, governed.then(GovernorConfig::default));
-        net.run_for(SimDuration::from_millis(200) * n as u64 + SimDuration::from_secs(60));
+        net.settle();
         let t0 = net.now() + SimDuration::from_secs(1);
         let heal = t0 + SimDuration::from_secs(25);
         net.world_mut().partition_regions_at(t0, Some(heal), &["us-east", "us-west", "australia"]);
@@ -1095,7 +1095,7 @@ pub fn c15_byzantine() -> String {
         let n = 48usize;
         let mut net = OverlayNetwork::build(n, 31);
         net.world_mut().enable_tracing(262_144);
-        net.run_for(SimDuration::from_millis(200) * n as u64 + SimDuration::from_secs(60));
+        net.settle();
         let byz: Vec<NodeIndex> = (0..byz_count).map(|i| NodeIndex((5 + 7 * i) as u32)).collect();
         for &b in &byz {
             net.set_byzantine(b, ByzBehavior::AckThenDrop);

@@ -9,7 +9,7 @@ use gloss_deploy::NodeResources;
 use gloss_event::{Broker, BrokerTopology, Event, Filter};
 use gloss_knowledge::{DistributedKnowledge, Fact, InMemoryFacts, KnowledgeAuthority, Shipment};
 use gloss_overlay::OverlayMsg;
-use gloss_overlay::{Key, OverlayNode};
+use gloss_overlay::{ring_settle, Key, OverlayNode};
 use gloss_sim::{NodeIndex, SimDuration, SimRng, SimTime, Topology, World};
 use gloss_store::placement::NodeSite;
 use gloss_store::{Document, StoreConfig, StoreMsg, StoreNode, StorePayload};
@@ -127,8 +127,8 @@ impl ActiveArchitecture {
     /// Runs long enough for overlay joins, broker subscriptions, and
     /// initial heartbeats to complete.
     pub fn settle(&mut self) {
-        let n = self.world.topology().len() as u64;
-        self.world.run_for(SimDuration::from_millis(200) * n + SimDuration::from_secs(90));
+        let n = self.world.topology().len();
+        self.world.run_for(ring_settle(n) + SimDuration::from_secs(30));
     }
 
     /// Advances the simulation.

@@ -41,5 +41,5 @@ pub use freenet::{FreenetNetwork, FreenetNode};
 pub use gloss_governor::{CircuitState, GovernorConfig, SuspicionTracker};
 pub use id::{Key, KeyedNode, DIGITS};
 pub use network::{OverlayNetwork, RouteOutcome};
-pub use node::{fault_class, Delivery, OverlayMsg, OverlayNode};
+pub use node::{fault_class, ring_settle, Delivery, OverlayMsg, OverlayNode, JOIN_STAGGER};
 pub use table::{LeafSet, RoutingTable};

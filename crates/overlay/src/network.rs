@@ -3,7 +3,7 @@
 //! (partitions, byzantine peers — experiments C14/C15).
 
 use crate::id::{Key, KeyedNode};
-use crate::node::{fault_class, Delivery, OverlayMsg, OverlayNode};
+use crate::node::{fault_class, ring_settle, Delivery, OverlayMsg, OverlayNode};
 use gloss_governor::GovernorConfig;
 use gloss_sim::{
     Batch, ByzBehavior, ByzantineActor, Input, Node, NodeIndex, Outbox, SimDuration, SimRng,
@@ -161,6 +161,11 @@ impl OverlayNetwork {
         self.world.node_mut(node).byz = ByzantineActor::new(behavior);
     }
 
+    /// Runs the simulation long enough for all joins to complete.
+    pub fn settle(&mut self) {
+        self.run_for(ring_settle(self.len()));
+    }
+
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.world.topology().len()
@@ -283,8 +288,7 @@ mod tests {
 
     fn settled(n: usize, seed: u64) -> OverlayNetwork {
         let mut net = OverlayNetwork::build(n, seed);
-        // Staggered joins at 200 ms apart plus retry slack.
-        net.run_for(SimDuration::from_millis(200) * (n as u64) + SimDuration::from_secs(60));
+        net.settle();
         net
     }
 

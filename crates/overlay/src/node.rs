@@ -135,6 +135,15 @@ const MAX_HOPS: u32 = 64;
 /// three-strikes path, used when no governor is installed).
 const PROBE_DEATH: u32 = 3;
 
+/// Interval between consecutive joins of a [`ring`](OverlayNode::ring).
+pub const JOIN_STAGGER: SimDuration = SimDuration::from_millis(200);
+
+/// How long a [`ring`](OverlayNode::ring) of `n` nodes needs to form:
+/// the last staggered join plus a minute of retry slack.
+pub fn ring_settle(n: usize) -> SimDuration {
+    JOIN_STAGGER * n as u64 + SimDuration::from_secs(60)
+}
+
 /// An in-flight routed payload: (`target`, `payload`, `origin`, `hops`).
 type PendingForwards<P> = Vec<(Key, P, NodeIndex, u32)>;
 
@@ -260,7 +269,7 @@ impl<P: Clone> OverlayNode<P> {
     /// Builds the `n` nodes of a ring that forms incrementally, as every
     /// harness over the overlay starts one: node 0 is the bootstrap and
     /// node `i` joins through a random earlier node (one `rng` draw each,
-    /// in index order) `i` × 200 ms after the start. Keys hash
+    /// in index order) `i` × [`JOIN_STAGGER`] after the start. Keys hash
     /// `{label}{i}-{seed}`, leaf sets are probed every 5 s, and when
     /// `governed` (`false` = legacy three-strikes failure detection, no
     /// admission control) every node gets a jitter seed of its own.
@@ -272,7 +281,7 @@ impl<P: Clone> OverlayNode<P> {
                     (None, SimDuration::ZERO)
                 } else {
                     let b = NodeIndex(rng.index(i) as u32);
-                    (Some(b), SimDuration::from_millis(200) * i as u64)
+                    (Some(b), JOIN_STAGGER * i as u64)
                 };
                 let node = OverlayNode::new(key, NodeIndex(i as u32), bootstrap, delay)
                     .with_probe_interval(SimDuration::from_secs(5));
@@ -945,7 +954,7 @@ mod tests {
             for (i, (node, (key, bootstrap))) in ring.iter().zip(pinned).enumerate() {
                 assert_eq!(node.me, KeyedNode::new(Key(key), n(i as u32)), "{label}{i}");
                 assert_eq!(node.bootstrap, bootstrap.map(n), "{label}{i}");
-                assert_eq!(node.join_delay, SimDuration::from_millis(200 * i as u64), "{label}{i}");
+                assert_eq!(node.join_delay, JOIN_STAGGER * i as u64, "{label}{i}");
                 assert_eq!(node.probe_interval, SimDuration::from_secs(5));
                 assert_eq!(node.gov_seed, Some(42 ^ ((i as u64) << 17)));
             }

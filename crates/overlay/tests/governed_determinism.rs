@@ -16,7 +16,7 @@ fn run(seed: u64, threads: usize) -> Outcome {
     let mut net = OverlayNetwork::build_with(N, seed, Some(GovernorConfig::default()));
     net.world_mut().set_threads(threads);
     net.world_mut().enable_tracing(1 << 20);
-    net.run_for(SimDuration::from_millis(200) * N as u64 + SimDuration::from_secs(60));
+    net.settle();
     assert!(net.joined_fraction() > 0.99, "governed overlay failed to settle");
     net.set_byzantine(NodeIndex((seed % N as u64) as u32), ByzBehavior::AckThenDrop);
     let t0 = net.now() + SimDuration::from_secs(1);

@@ -6,7 +6,7 @@ use crate::erasure::{ErasureCode, ErasureError};
 use crate::placement::NodeSite;
 use crate::repair::FragmentManifest;
 use crate::store_node::{LookupOutcome, StoreConfig, StoreMsg, StoreNode, StorePayload};
-use gloss_overlay::{Key, OverlayMsg, OverlayNode};
+use gloss_overlay::{ring_settle, Key, OverlayMsg, OverlayNode};
 use gloss_sim::{Input, Node, NodeIndex, Outbox, SimDuration, SimRng, SimTime, Topology, World};
 use std::collections::BTreeMap;
 
@@ -78,8 +78,7 @@ impl StoreNetwork {
 
     /// Runs the simulation long enough for all joins to complete.
     pub fn settle(&mut self) {
-        let n = self.world.topology().len() as u64;
-        self.run_for(SimDuration::from_millis(200) * n + SimDuration::from_secs(60));
+        self.run_for(ring_settle(self.len()));
     }
 
     /// Number of nodes.
