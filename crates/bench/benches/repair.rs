@@ -80,7 +80,7 @@ fn c19_lookup_retrying(c: &mut Criterion) {
 /// adds when there is no crash to repair.
 fn c19_repair_scan(c: &mut Criterion) {
     let cfg = StoreConfig {
-        repair_interval: Some(SimDuration::from_secs(10)),
+        repair_interval: SimDuration::from_secs(10),
         heal_interval: SimDuration::from_secs(10),
         ..StoreConfig::default()
     };

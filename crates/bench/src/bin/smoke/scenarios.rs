@@ -309,7 +309,7 @@ pub fn repair(Args { nodes, seed, .. }: Args) -> Outcome {
     let cfg = StoreConfig {
         replicas: 3,
         heal_interval: SimDuration::from_secs(10),
-        repair_interval: Some(SimDuration::from_secs(10)),
+        repair_interval: SimDuration::from_secs(10),
         tier_high_extra: 1,
         ..Default::default()
     };

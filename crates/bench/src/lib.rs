@@ -1490,7 +1490,7 @@ pub fn c19_repair_storm() -> String {
             replicas: 3,
             tier_high_extra: 1,
             heal_interval: SimDuration::from_secs(10),
-            repair_interval: Some(SimDuration::from_secs(10)),
+            repair_interval: SimDuration::from_secs(10),
             repair_rate_per_sec: rate,
             repair_burst: (rate * 2.0).max(1.0),
             ..Default::default()

@@ -467,7 +467,7 @@ mod tests {
         let cfg = StoreConfig {
             replicas: 2,
             tier_high_extra: 2,
-            repair_interval: Some(SimDuration::from_secs(10)),
+            repair_interval: SimDuration::from_secs(10),
             ..Default::default()
         };
         let mut net = settled(16, cfg, 22);
@@ -520,7 +520,7 @@ mod tests {
         let cfg = StoreConfig {
             replicas: 2,
             heal_interval: SimDuration::from_secs(10),
-            repair_interval: Some(SimDuration::from_secs(10)),
+            repair_interval: SimDuration::from_secs(10),
             ..Default::default()
         };
         let mut net = settled(20, cfg, 23);

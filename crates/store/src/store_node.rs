@@ -170,25 +170,21 @@ pub struct StoreConfig {
     pub backup_policy_min_km: Option<f64>,
     /// Extra replicas for [`Priority::High`] documents.
     pub tier_high_extra: usize,
-    /// Replicas trimmed from [`Priority::Low`] documents (floored at 1).
-    pub tier_low_cut: usize,
-    /// Shed lower-priority non-primary replicas when a write would cross
-    /// the capacity watermark.
-    pub eviction_enabled: bool,
-    /// Repair pipeline scan cadence (`None` disables the pipeline;
-    /// per-node jitter of ±25% is applied to each tick).
-    pub repair_interval: Option<SimDuration>,
+    /// Repair pipeline scan cadence (per-node jitter of ±25% is applied
+    /// to each tick).
+    pub repair_interval: SimDuration,
     /// Sustained repair transfers per second a node will initiate.
     pub repair_rate_per_sec: f64,
     /// Repair transfer burst (token-bucket capacity).
     pub repair_burst: f64,
-    /// Retries for an unanswered lookup before reporting a timeout
-    /// (`0` disables retry but keeps the timeout).
-    pub lookup_retries: u32,
 }
 
 /// Per-node promiscuous-cache capacity in bytes.
 const CACHE_CAPACITY: usize = 1 << 20;
+/// Replicas trimmed from [`Priority::Low`] documents (floored at 1).
+const TIER_LOW_CUT: usize = 1;
+/// Retries for an unanswered lookup before reporting a timeout.
+const LOOKUP_RETRIES: u32 = 3;
 /// Outstanding repair transfers allowed per target peer.
 const REPAIR_INFLIGHT_PER_PEER: usize = 2;
 /// Base per-attempt lookup deadline; doubles each retry, jittered ±25% so
@@ -204,12 +200,9 @@ impl Default for StoreConfig {
             latency_policy_threshold: None,
             backup_policy_min_km: None,
             tier_high_extra: 1,
-            tier_low_cut: 1,
-            eviction_enabled: true,
-            repair_interval: Some(SimDuration::from_secs(10)),
+            repair_interval: SimDuration::from_secs(10),
             repair_rate_per_sec: 8.0,
             repair_burst: 4.0,
-            lookup_retries: 3,
         }
     }
 }
@@ -359,7 +352,7 @@ impl StoreNode {
         match p {
             Priority::High => self.cfg.replicas + self.cfg.tier_high_extra,
             Priority::Normal => self.cfg.replicas,
-            Priority::Low => self.cfg.replicas.saturating_sub(self.cfg.tier_low_cut).max(1),
+            Priority::Low => self.cfg.replicas.saturating_sub(TIER_LOW_CUT).max(1),
         }
     }
 
@@ -367,12 +360,10 @@ impl StoreNode {
     pub fn on_start(&mut self, out: &mut Outbox<StoreMsg>) {
         out.nested(StoreMsg::Overlay, |oout| self.overlay.on_start(oout));
         out.timer(self.cfg.heal_interval, timers::HEAL);
-        if let Some(iv) = self.cfg.repair_interval {
-            // Jittered per node so regional crashes do not produce a
-            // synchronised wall of repair scans.
-            let delay = self.scheduler.backoff(iv);
-            out.timer(delay, timers::REPAIR);
-        }
+        // Jittered per node so regional crashes do not produce a
+        // synchronised wall of repair scans.
+        let delay = self.scheduler.backoff(self.cfg.repair_interval);
+        out.timer(delay, timers::REPAIR);
     }
 
     /// Timer dispatch (overlay tags pass through; `HEAL` audits replicas,
@@ -386,10 +377,8 @@ impl StoreNode {
             }
             timers::REPAIR => {
                 self.repair_tick(now, out);
-                if let Some(iv) = self.cfg.repair_interval {
-                    let delay = self.scheduler.backoff(iv);
-                    out.timer(delay, timers::REPAIR);
-                }
+                let delay = self.scheduler.backoff(self.cfg.repair_interval);
+                out.timer(delay, timers::REPAIR);
             }
             timers::LOOKUP_RETRY => self.retry_sweep(now, out),
             _ => {
@@ -663,7 +652,7 @@ impl StoreNode {
             .collect();
         for req in due {
             let mut p = self.pending_lookups.remove(&req).expect("collected above");
-            if p.attempts >= self.cfg.lookup_retries {
+            if p.attempts >= LOOKUP_RETRIES {
                 out.count("store.lookups_timeout", 1.0);
                 let o = LookupOutcome {
                     guid: p.guid,
@@ -785,9 +774,6 @@ impl StoreNode {
         let cap = self.capacity();
         if cap.admits(self.used, need) {
             return true;
-        }
-        if !self.cfg.eviction_enabled {
-            return false;
         }
         let mut victims: Vec<(Priority, Key, u64)> = self
             .store
@@ -1532,12 +1518,8 @@ mod tests {
         let s = store_node(0x100, 0, StoreConfig { replicas: 3, ..Default::default() });
         assert_eq!(s.target_replicas(Priority::Normal), 3);
         assert_eq!(s.target_replicas(Priority::High), 4);
-        assert_eq!(s.target_replicas(Priority::Low), 2);
-        let s = store_node(
-            0x100,
-            0,
-            StoreConfig { replicas: 1, tier_low_cut: 3, ..Default::default() },
-        );
+        assert_eq!(s.target_replicas(Priority::Low), 3 - TIER_LOW_CUT);
+        let s = store_node(0x100, 0, StoreConfig { replicas: 1, ..Default::default() });
         assert_eq!(s.target_replicas(Priority::Low), 1, "low tier never drops below one copy");
     }
 
@@ -1566,10 +1548,11 @@ mod tests {
         let mut s = StoreNode::new(
             n(0),
             overlay,
-            StoreConfig { eviction_enabled: false, ..Default::default() },
+            StoreConfig::default(),
             vec![site_with(0, "scotland", cap)],
         );
-        let d = doc("too-big-to-host"); // content > 16 bytes
+        // Content > 16 bytes, and an empty node has nothing to evict.
+        let d = doc("too-big-to-host");
         let mut out = Outbox::new();
         s.handle(SimTime::ZERO, n(5), StoreMsg::ReplicaPut { doc: d.clone() }, &mut out);
         match &out.sends()[0].1 {
@@ -1685,7 +1668,7 @@ mod tests {
 
     #[test]
     fn lookup_times_out_after_bounded_retries() {
-        let mut s = store_node(0x100, 0, StoreConfig { lookup_retries: 2, ..Default::default() });
+        let mut s = store_node(0x100, 0, StoreConfig::default());
         // A peer sits on the guid, so the lookup routes away and nobody
         // ever answers.
         let guid = Key::hash_of_str("silent");
@@ -1698,9 +1681,9 @@ mod tests {
             "retry deadline armed"
         );
         // Sweep far past every (jittered, doubling) deadline each time:
-        // two retries, then the timeout outcome.
+        // the retry budget, then the timeout outcome.
         let mut retried = 0u32;
-        for i in 1..=4u64 {
+        for i in 1..=u64::from(LOOKUP_RETRIES) + 2 {
             let mut out = Outbox::new();
             s.on_timer(SimTime::from_secs(i * 60), timers::LOOKUP_RETRY, &mut out);
             retried +=
@@ -1710,7 +1693,7 @@ mod tests {
                 break;
             }
         }
-        assert_eq!(retried, 2, "bounded retry budget");
+        assert_eq!(retried, LOOKUP_RETRIES, "bounded retry budget");
         let o = s.outcomes.get(&7).expect("timeout outcome recorded");
         assert!(o.doc.is_none());
         assert!(o.latency >= SimDuration::from_secs(60));
