@@ -13,6 +13,7 @@
 
 use crate::document::{Document, Priority};
 use gloss_governor::{backoff::jittered, TokenBucket};
+use gloss_overlay::Key;
 use gloss_sim::{splitmix64, NodeIndex, SimDuration, SimTime};
 use std::collections::BTreeMap;
 
@@ -92,7 +93,8 @@ impl FragmentManifest {
 #[derive(Debug, Clone)]
 pub struct RepairScheduler {
     bucket: TokenBucket,
-    inflight: BTreeMap<NodeIndex, usize>,
+    /// Granted transfers awaiting completion: per target, the documents.
+    inflight: BTreeMap<NodeIndex, Vec<Key>>,
     max_inflight_per_peer: usize,
     rng: u64,
     /// Repair transfers granted.
@@ -118,12 +120,12 @@ impl RepairScheduler {
         }
     }
 
-    /// Asks to start one repair transfer to `peer` now. A grant charges
-    /// the budget and holds an in-flight slot until
+    /// Asks to start one repair transfer of `guid` to `peer` now. A
+    /// grant charges the budget and holds an in-flight slot until
     /// [`complete`](Self::complete).
-    pub fn try_grant(&mut self, now: SimTime, peer: NodeIndex) -> bool {
-        let slots = self.inflight.entry(peer).or_insert(0);
-        if *slots >= self.max_inflight_per_peer {
+    pub fn try_grant(&mut self, now: SimTime, peer: NodeIndex, guid: Key) -> bool {
+        let slots = self.inflight.entry(peer).or_default();
+        if slots.len() >= self.max_inflight_per_peer {
             self.deferred += 1;
             return false;
         }
@@ -131,17 +133,21 @@ impl RepairScheduler {
             self.deferred += 1;
             return false;
         }
-        *slots += 1;
+        slots.push(guid);
         self.granted += 1;
         true
     }
 
-    /// Releases `peer`'s in-flight slot (its transfer was acknowledged
-    /// or its target was declared dead).
-    pub fn complete(&mut self, peer: NodeIndex) {
+    /// Releases the slot granted for `guid` to `peer` (the transfer was
+    /// acknowledged). A completion this scheduler never granted — the
+    /// ack of an insert-time or heal put — releases nothing: the repair
+    /// transfers to that peer are still outstanding.
+    pub fn complete(&mut self, peer: NodeIndex, guid: Key) {
         if let Some(slots) = self.inflight.get_mut(&peer) {
-            *slots = slots.saturating_sub(1);
-            if *slots == 0 {
+            if let Some(i) = slots.iter().position(|g| *g == guid) {
+                slots.remove(i);
+            }
+            if slots.is_empty() {
                 self.inflight.remove(&peer);
             }
         }
@@ -197,28 +203,32 @@ mod tests {
         let mut s = RepairScheduler::new(1.0, 2.0, 1, 7);
         let t0 = SimTime::ZERO;
         let (a, b) = (NodeIndex(1), NodeIndex(2));
-        assert!(s.try_grant(t0, a));
+        let (g, h) = (Key(7), Key(8));
+        assert!(s.try_grant(t0, a, g));
         // Per-peer cap: a second transfer to the same peer is deferred
         // even though budget remains.
-        assert!(!s.try_grant(t0, a));
-        assert!(s.try_grant(t0, b));
+        assert!(!s.try_grant(t0, a, h));
+        assert!(s.try_grant(t0, b, g));
         // Budget (burst 2) exhausted for everyone else.
-        assert!(!s.try_grant(t0, NodeIndex(3)));
+        assert!(!s.try_grant(t0, NodeIndex(3), g));
         assert_eq!(s.granted, 2);
         assert_eq!(s.deferred, 2);
-        // Completion frees the slot; refill frees the budget.
-        s.complete(a);
-        assert!(s.try_grant(SimTime::from_secs(1), a));
+        // Only the granted transfer's completion frees the slot; refill
+        // frees the budget.
+        s.complete(a, h);
+        assert!(!s.try_grant(SimTime::from_secs(1), a, h));
+        s.complete(a, g);
+        assert!(s.try_grant(SimTime::from_secs(1), a, h));
     }
 
     #[test]
     fn forget_peer_clears_slots() {
         let mut s = RepairScheduler::new(100.0, 100.0, 1, 7);
         let a = NodeIndex(1);
-        assert!(s.try_grant(SimTime::ZERO, a));
-        assert!(!s.try_grant(SimTime::ZERO, a));
+        assert!(s.try_grant(SimTime::ZERO, a, Key(7)));
+        assert!(!s.try_grant(SimTime::ZERO, a, Key(7)));
         s.forget_peer(a);
-        assert!(s.try_grant(SimTime::ZERO, a));
+        assert!(s.try_grant(SimTime::ZERO, a, Key(7)));
     }
 
     #[test]

@@ -483,7 +483,7 @@ impl StoreNode {
                 &self.peer_used,
             );
             for t in plan {
-                if self.scheduler.try_grant(now, t) {
+                if self.scheduler.try_grant(now, t, *guid) {
                     out.count("store.repair_puts", 1.0);
                     out.count("store.repair_bytes", doc.size() as f64);
                     out.send(t, StoreMsg::ReplicaPut { doc: doc.clone() });
@@ -500,7 +500,7 @@ impl StoreNode {
             if self.repairs.contains_key(mguid) {
                 continue;
             }
-            if !self.scheduler.try_grant(now, self.me) {
+            if !self.scheduler.try_grant(now, self.me, *mguid) {
                 out.count("store.repair_deferred", 1.0);
                 break;
             }
@@ -580,7 +580,7 @@ impl StoreNode {
         }
         if fr.pending.is_empty() {
             let fr = self.repairs.remove(&mguid).expect("present");
-            self.scheduler.complete(self.me);
+            self.scheduler.complete(self.me, mguid);
             self.finish_fragment_audit(fr, now, out);
         }
     }
@@ -863,7 +863,7 @@ impl StoreNode {
             }
             StoreMsg::ReplicaPutAck { guid, accepted, used_bytes } => {
                 self.peer_used.insert(from, used_bytes);
-                self.scheduler.complete(from);
+                self.scheduler.complete(from, guid);
                 if accepted {
                     self.replica_locations.entry(guid).or_default().insert(from);
                 } else {
@@ -1664,6 +1664,50 @@ mod tests {
             .collect();
         assert_eq!(repairs, vec![n(2)], "the unacknowledged slot is re-placed");
         assert!(out.counts().iter().any(|(name, _)| name == "store.repair_puts"));
+    }
+
+    #[test]
+    fn an_insert_ack_does_not_free_a_repair_slot() {
+        // One leaf peer, four documents rooted here whose insert-time puts
+        // all went unacknowledged: the repair scan may keep
+        // REPAIR_INFLIGHT_PER_PEER transfers to the peer in flight and
+        // must defer the rest until one of *those* is acknowledged.
+        let cfg = StoreConfig { replicas: 2, repair_rate_per_sec: 100.0, ..Default::default() };
+        let mut s = store_node(0x100, 0, cfg);
+        s.overlay.learn(KeyedNode::new(Key(0x110), n(1)));
+        let docs: Vec<Document> = (0..)
+            .map(|i| doc(&format!("doc-{i}")))
+            .filter(|d| s.is_primary_for(d.guid))
+            .take(4)
+            .collect();
+        let mut out = Outbox::new();
+        for d in &docs {
+            s.insert(d.clone(), SimTime::ZERO, &mut out);
+        }
+        let repair_puts = |s: &mut StoreNode, at_s: u64| -> Vec<Key> {
+            let mut out = Outbox::new();
+            s.on_timer(SimTime::from_secs(at_s), timers::REPAIR, &mut out);
+            out.sends()
+                .iter()
+                .filter_map(|(_, m, _)| match m {
+                    StoreMsg::ReplicaPut { doc } => Some(doc.guid),
+                    _ => None,
+                })
+                .collect()
+        };
+        let granted = repair_puts(&mut s, 10);
+        assert_eq!(granted.len(), REPAIR_INFLIGHT_PER_PEER);
+        let ack = |s: &mut StoreNode, guid: Key| {
+            let msg = StoreMsg::ReplicaPutAck { guid, accepted: true, used_bytes: 64 };
+            s.handle(SimTime::from_secs(11), n(1), msg, &mut Outbox::new());
+        };
+        // The late ack of an insert-time put the scheduler never granted.
+        let ungranted = docs.iter().map(|d| d.guid).find(|g| !granted.contains(g)).unwrap();
+        ack(&mut s, ungranted);
+        assert!(repair_puts(&mut s, 20).is_empty(), "both repair transfers are still outstanding");
+        // The ack of a granted transfer does free its slot.
+        ack(&mut s, granted[0]);
+        assert_eq!(repair_puts(&mut s, 30).len(), 1);
     }
 
     #[test]
