@@ -652,8 +652,11 @@ impl StoreNode {
             .collect();
         for req in due {
             let mut p = self.pending_lookups.remove(&req).expect("collected above");
+            let internal = req & INTERNAL_REQ_BIT != 0;
             if p.attempts >= LOOKUP_RETRIES {
-                out.count("store.lookups_timeout", 1.0);
+                if !internal {
+                    out.count("store.lookups_timeout", 1.0);
+                }
                 let o = LookupOutcome {
                     guid: p.guid,
                     doc: None,
@@ -682,10 +685,17 @@ impl StoreNode {
                 // The ring shrank onto us: answer authoritatively.
                 let outcome = match self.local_copy(p.guid) {
                     Some((doc, from_cache)) => {
-                        out.count("store.lookups_ok", 1.0);
-                        out.observe("store.lookup_ms", now.since(p.issued_at).as_secs_f64() * 1e3);
-                        if from_cache {
-                            out.count("store.cache_served", 1.0);
+                        if internal {
+                            out.count("store.repair_fetches", 1.0);
+                        } else {
+                            out.count("store.lookups_ok", 1.0);
+                            out.observe(
+                                "store.lookup_ms",
+                                now.since(p.issued_at).as_secs_f64() * 1e3,
+                            );
+                            if from_cache {
+                                out.count("store.cache_served", 1.0);
+                            }
                         }
                         LookupOutcome {
                             guid: p.guid,
@@ -696,7 +706,9 @@ impl StoreNode {
                         }
                     }
                     None => {
-                        out.count("store.lookups_missing", 1.0);
+                        if !internal {
+                            out.count("store.lookups_missing", 1.0);
+                        }
                         LookupOutcome {
                             guid: p.guid,
                             doc: None,
@@ -1142,16 +1154,24 @@ impl StoreNode {
         now: SimTime,
         out: &mut Outbox<StoreMsg>,
     ) {
+        // An audit's lookups are the repair pipeline's, not a client's:
+        // they count `store.repair_fetches` and nothing else, wherever
+        // they are answered.
+        let internal = req_id & INTERNAL_REQ_BIT != 0;
         // Fresh-enough local copy? Serve instantly.
         if let Some((doc, from_cache)) =
             self.local_copy(guid).filter(|(d, _)| d.version >= min_version)
         {
-            out.count("store.lookups_ok", 1.0);
-            out.count("store.lookups_local", 1.0);
-            out.observe("store.lookup_ms", 0.0);
-            out.observe("store.lookup_hops", 0.0);
-            if from_cache {
-                out.count("store.cache_served", 1.0);
+            if internal {
+                out.count("store.repair_fetches", 1.0);
+            } else {
+                out.count("store.lookups_ok", 1.0);
+                out.count("store.lookups_local", 1.0);
+                out.observe("store.lookup_ms", 0.0);
+                out.observe("store.lookup_hops", 0.0);
+                if from_cache {
+                    out.count("store.cache_served", 1.0);
+                }
             }
             let o = LookupOutcome {
                 guid,
@@ -1179,12 +1199,16 @@ impl StoreNode {
             // record the miss.
             match self.local_copy(guid) {
                 Some((doc, from_cache)) => {
-                    out.count("store.lookups_ok", 1.0);
-                    out.count("store.lookups_local", 1.0);
-                    out.observe("store.lookup_ms", 0.0);
-                    out.observe("store.lookup_hops", 0.0);
-                    if from_cache {
-                        out.count("store.cache_served", 1.0);
+                    if internal {
+                        out.count("store.repair_fetches", 1.0);
+                    } else {
+                        out.count("store.lookups_ok", 1.0);
+                        out.count("store.lookups_local", 1.0);
+                        out.observe("store.lookup_ms", 0.0);
+                        out.observe("store.lookup_hops", 0.0);
+                        if from_cache {
+                            out.count("store.cache_served", 1.0);
+                        }
                     }
                     let o = LookupOutcome {
                         guid,
@@ -1196,7 +1220,9 @@ impl StoreNode {
                     self.record_outcome(req_id, o, now, out);
                 }
                 None => {
-                    out.count("store.lookups_missing", 1.0);
+                    if !internal {
+                        out.count("store.lookups_missing", 1.0);
+                    }
                     let o = LookupOutcome {
                         guid,
                         doc: None,
