@@ -689,10 +689,12 @@ impl StoreNode {
                             out.count("store.repair_fetches", 1.0);
                         } else {
                             out.count("store.lookups_ok", 1.0);
+                            out.count("store.lookups_local", 1.0);
                             out.observe(
                                 "store.lookup_ms",
                                 now.since(p.issued_at).as_secs_f64() * 1e3,
                             );
+                            out.observe("store.lookup_hops", 0.0);
                             if from_cache {
                                 out.count("store.cache_served", 1.0);
                             }
