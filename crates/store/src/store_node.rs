@@ -561,6 +561,9 @@ impl StoreNode {
         else {
             return; // late duplicate reply after the audit concluded
         };
+        if outcome.doc.is_some() {
+            out.count("store.repair_fetches", 1.0);
+        }
         let fr = self.repairs.get_mut(&mguid).expect("found above");
         let idx = fr.pending.remove(&req).expect("found above");
         match outcome.doc {
@@ -685,9 +688,7 @@ impl StoreNode {
                 // The ring shrank onto us: answer authoritatively.
                 let outcome = match self.local_copy(p.guid) {
                     Some((doc, from_cache)) => {
-                        if internal {
-                            out.count("store.repair_fetches", 1.0);
-                        } else {
+                        if !internal {
                             out.count("store.lookups_ok", 1.0);
                             out.count("store.lookups_local", 1.0);
                             out.observe(
@@ -918,7 +919,6 @@ impl StoreNode {
                     return;
                 }
                 if req_id & INTERNAL_REQ_BIT != 0 {
-                    out.count("store.repair_fetches", 1.0);
                     let o = LookupOutcome {
                         guid: doc.guid,
                         doc: Some(doc),
@@ -1157,16 +1157,13 @@ impl StoreNode {
         out: &mut Outbox<StoreMsg>,
     ) {
         // An audit's lookups are the repair pipeline's, not a client's:
-        // they count `store.repair_fetches` and nothing else, wherever
-        // they are answered.
+        // `on_internal_outcome` counts them, wherever they are answered.
         let internal = req_id & INTERNAL_REQ_BIT != 0;
         // Fresh-enough local copy? Serve instantly.
         if let Some((doc, from_cache)) =
             self.local_copy(guid).filter(|(d, _)| d.version >= min_version)
         {
-            if internal {
-                out.count("store.repair_fetches", 1.0);
-            } else {
+            if !internal {
                 out.count("store.lookups_ok", 1.0);
                 out.count("store.lookups_local", 1.0);
                 out.observe("store.lookup_ms", 0.0);
@@ -1201,9 +1198,7 @@ impl StoreNode {
             // record the miss.
             match self.local_copy(guid) {
                 Some((doc, from_cache)) => {
-                    if internal {
-                        out.count("store.repair_fetches", 1.0);
-                    } else {
+                    if !internal {
                         out.count("store.lookups_ok", 1.0);
                         out.count("store.lookups_local", 1.0);
                         out.observe("store.lookup_ms", 0.0);
