@@ -1854,6 +1854,171 @@ mod tests {
         assert!(s.has_cached(d.guid), "requester caches what it fetched");
     }
 
+    /// How one row of `every_conclusion_path_counts_once` drives its
+    /// lookup to an end.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Path {
+        LocalDurable,
+        LocalCache,
+        LocalBelowFloor,
+        RootMiss,
+        ReplyDurable,
+        ReplyCache,
+        ReplyNotFound,
+        Timeout,
+        ShrankHit,
+        ShrankMiss,
+        DuplicateReply,
+    }
+
+    /// Drives request `req` for one document down `path` on a fresh node
+    /// and returns the `store.*` counter totals and histogram samples
+    /// the whole life of the lookup produced.
+    fn drive(path: Path, req: u64) -> (BTreeMap<String, f64>, Vec<(String, f64)>) {
+        use Path::*;
+        let d = doc("sought");
+        let guid = d.guid;
+        let mut s = store_node(0x100, 0, StoreConfig::default());
+        // An audit waiting on `req` (and on a second shard that never
+        // resolves, so it stays open): an internal outcome is consumed
+        // rather than dropped as a late duplicate.
+        s.repairs.insert(
+            Key(1),
+            FragmentRepair {
+                manifest: FragmentManifest { base: "obj".into(), m: 1, n: 2, len: 0 },
+                priority: Priority::Normal,
+                pending: [(req, 0), (u64::MAX, 1)].into(),
+                found: BTreeMap::new(),
+                missing: BTreeSet::new(),
+            },
+        );
+        let setup = &mut Outbox::new();
+        match path {
+            LocalDurable | LocalBelowFloor => {
+                s.handle(SimTime::ZERO, n(5), StoreMsg::ReplicaPut { doc: d.clone() }, setup)
+            }
+            LocalCache => {
+                s.handle(SimTime::ZERO, n(5), StoreMsg::CachePush { doc: d.clone() }, setup)
+            }
+            RootMiss => {}
+            // A peer sits on the guid: the request routes away.
+            _ => s.overlay.learn(KeyedNode::new(guid, n(1))),
+        }
+        let mut out = Outbox::new();
+        let floor = if path == LocalBelowFloor { d.version + 1 } else { 0 };
+        s.lookup_min_version(guid, floor, req, SimTime::ZERO, &mut out);
+        let reply = |s: &mut StoreNode, at_ms: u64, from_cache, out: &mut Outbox<StoreMsg>| {
+            let msg = StoreMsg::FetchReply {
+                req_id: req,
+                doc: d.clone(),
+                issued_at: SimTime::ZERO,
+                from_cache,
+                hops: 2,
+            };
+            s.handle(SimTime::from_millis(at_ms), n(1), msg, out);
+        };
+        match path {
+            LocalDurable | LocalCache | LocalBelowFloor | RootMiss => {}
+            ReplyDurable => reply(&mut s, 50, false, &mut out),
+            ReplyCache => reply(&mut s, 50, true, &mut out),
+            DuplicateReply => {
+                reply(&mut s, 50, false, &mut out);
+                reply(&mut s, 900, false, &mut out);
+            }
+            ReplyNotFound => {
+                let msg = StoreMsg::NotFound { req_id: req, guid, issued_at: SimTime::ZERO };
+                s.handle(SimTime::from_millis(50), n(1), msg, &mut out);
+            }
+            Timeout => {
+                // Each sweep is far past the (jittered, doubling) deadline.
+                for i in 1..=u64::from(LOOKUP_RETRIES) + 1 {
+                    s.on_timer(SimTime::from_secs(i * 600), timers::LOOKUP_RETRY, &mut out);
+                }
+            }
+            ShrankHit | ShrankMiss => {
+                // The root dies; the re-route finds this node is the root.
+                s.overlay.declare_failed(n(1), &mut Outbox::new());
+                if path == ShrankHit {
+                    s.handle(SimTime::ZERO, n(5), StoreMsg::ReplicaPut { doc: d.clone() }, setup);
+                }
+                s.on_timer(SimTime::from_secs(60), timers::LOOKUP_RETRY, &mut out);
+            }
+        }
+        assert!(s.pending_lookups.is_empty(), "{path:?}: pending entry left behind");
+        assert_eq!(
+            s.outcomes.contains_key(&req),
+            req & INTERNAL_REQ_BIT == 0,
+            "{path:?}: only an embedder's request lands in `outcomes`"
+        );
+        let mut counts = BTreeMap::new();
+        for (name, v) in out.counts().iter().filter(|(name, _)| name.starts_with("store.")) {
+            *counts.entry(name.to_string()).or_insert(0.0) += v;
+        }
+        let mut samples: Vec<(String, f64)> =
+            out.observations().iter().map(|(name, v)| (name.to_string(), *v)).collect();
+        samples.retain(|(name, _)| name.starts_with("store."));
+        samples.sort_by(|a, b| a.0.cmp(&b.0));
+        (counts, samples)
+    }
+
+    #[test]
+    fn every_conclusion_path_counts_once() {
+        use Path::*;
+        const OK: &str = "store.lookups_ok";
+        const LOCAL: &str = "store.lookups_local";
+        const CACHE: &str = "store.cache_served";
+        const MISSING: &str = "store.lookups_missing";
+        const TIMEOUT: &str = "store.lookups_timeout";
+        const RETRIED: &str = "store.lookups_retried";
+        const DUP: &str = "store.lookups_dup_replies";
+        const FETCH: &str = "store.repair_fetches";
+        const HOPS: &str = "store.lookup_hops";
+        const MS: &str = "store.lookup_ms";
+        type Row<'a> = (Path, &'a [(&'a str, f64)], &'a [(&'a str, f64)], &'a [(&'a str, f64)]);
+        // Path; an embedder's counters and histogram samples; an audit's
+        // counters (an audit never records a sample).
+        let rows: &[Row<'_>] = &[
+            (LocalDurable, &[(OK, 1.0), (LOCAL, 1.0)], &[(HOPS, 0.0), (MS, 0.0)], &[(FETCH, 1.0)]),
+            (
+                LocalCache,
+                &[(OK, 1.0), (LOCAL, 1.0), (CACHE, 1.0)],
+                &[(HOPS, 0.0), (MS, 0.0)],
+                &[(FETCH, 1.0)],
+            ),
+            // The root answers with whatever it holds, floor or not.
+            (
+                LocalBelowFloor,
+                &[(OK, 1.0), (LOCAL, 1.0)],
+                &[(HOPS, 0.0), (MS, 0.0)],
+                &[(FETCH, 1.0)],
+            ),
+            (RootMiss, &[(MISSING, 1.0)], &[], &[]),
+            (ReplyDurable, &[(OK, 1.0)], &[(HOPS, 2.0), (MS, 50.0)], &[(FETCH, 1.0)]),
+            (ReplyCache, &[(OK, 1.0), (CACHE, 1.0)], &[(HOPS, 2.0), (MS, 50.0)], &[(FETCH, 1.0)]),
+            (ReplyNotFound, &[(MISSING, 1.0)], &[], &[]),
+            (Timeout, &[(RETRIED, 3.0), (TIMEOUT, 1.0)], &[], &[(RETRIED, 3.0)]),
+            (
+                ShrankHit,
+                &[(RETRIED, 1.0), (OK, 1.0), (LOCAL, 1.0)],
+                &[(HOPS, 0.0), (MS, 60_000.0)],
+                &[(RETRIED, 1.0), (FETCH, 1.0)],
+            ),
+            (ShrankMiss, &[(RETRIED, 1.0), (MISSING, 1.0)], &[], &[(RETRIED, 1.0)]),
+            (DuplicateReply, &[(OK, 1.0), (DUP, 1.0)], &[(HOPS, 2.0), (MS, 50.0)], &[(FETCH, 1.0)]),
+        ];
+        let owned = |pairs: &[(&str, f64)]| -> Vec<(String, f64)> {
+            pairs.iter().map(|(name, v)| (name.to_string(), *v)).collect()
+        };
+        for &(path, client_counts, client_samples, audit_counts) in rows {
+            let (counts, samples) = drive(path, 5);
+            assert_eq!(counts, owned(client_counts).into_iter().collect(), "{path:?} (client)");
+            assert_eq!(samples, owned(client_samples), "{path:?} (client samples)");
+            let (counts, samples) = drive(path, INTERNAL_REQ_BIT | 5);
+            assert_eq!(counts, owned(audit_counts).into_iter().collect(), "{path:?} (audit)");
+            assert_eq!(samples, [], "{path:?}: an audit must not feed a client histogram");
+        }
+    }
+
     /// The four callers of `gloss_governor::backoff`, pinned to the
     /// microsecond (captured before they shared it): a drift in any
     /// caller's cap, floor, jitter fraction or sample order moves a value.
