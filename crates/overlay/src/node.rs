@@ -584,18 +584,26 @@ impl<P: Clone> OverlayNode<P> {
             None => {
                 out.send(self.me.node, OverlayMsg::Route { target, payload, origin, hops });
             }
-            Some(hop) => {
-                if let Some(g) = &mut self.governor {
-                    g.pending_acks.entry(hop.node.0).or_default().push((
-                        target,
-                        payload.clone(),
-                        origin,
-                        hops,
-                    ));
-                }
-                out.send(hop.node, OverlayMsg::Route { target, payload, origin, hops: hops + 1 });
-            }
+            Some(hop) => self.forward(hop.node, target, payload, origin, hops, out),
         }
+    }
+
+    /// Sends a routed payload one hop on — under the governor, entered
+    /// first in the ledger of forwards awaiting their
+    /// [`OverlayMsg::RouteAck`].
+    fn forward(
+        &mut self,
+        hop: NodeIndex,
+        target: Key,
+        payload: P,
+        origin: NodeIndex,
+        hops: u32,
+        out: &mut Outbox<OverlayMsg<P>>,
+    ) {
+        if let Some(g) = &mut self.governor {
+            g.pending_acks.entry(hop.0).or_default().push((target, payload.clone(), origin, hops));
+        }
+        out.send(hop, OverlayMsg::Route { target, payload, origin, hops: hops + 1 });
     }
 
     /// Dead peers detected since the last call (probe exhaustion or
@@ -880,15 +888,7 @@ impl<P: Clone> OverlayNode<P> {
                 Some(Delivery { target, payload, origin, hops })
             }
             Some(hop) => {
-                if let Some(g) = &mut self.governor {
-                    g.pending_acks.entry(hop.node.0).or_default().push((
-                        target,
-                        payload.clone(),
-                        origin,
-                        hops,
-                    ));
-                }
-                out.send(hop.node, OverlayMsg::Route { target, payload, origin, hops: hops + 1 });
+                self.forward(hop.node, target, payload, origin, hops, out);
                 None
             }
         }
