@@ -8,11 +8,10 @@ use gloss_bundle::AuthKey;
 use gloss_deploy::NodeResources;
 use gloss_event::{Broker, BrokerTopology, Event, Filter};
 use gloss_knowledge::{DistributedKnowledge, Fact, InMemoryFacts, KnowledgeAuthority, Shipment};
-use gloss_overlay::OverlayMsg;
 use gloss_overlay::{ring_settle, Key, OverlayNode};
 use gloss_sim::{NodeIndex, SimDuration, SimRng, SimTime, Topology, World};
 use gloss_store::placement::NodeSite;
-use gloss_store::{Document, StoreConfig, StoreMsg, StoreNode, StorePayload};
+use gloss_store::{Document, StoreConfig, StoreMsg, StoreNode};
 
 /// Configuration for an [`ActiveArchitecture`].
 #[derive(Debug, Clone)]
@@ -89,8 +88,7 @@ impl ActiveArchitecture {
             .map(|info| NodeSite::new(info.index, info.geo, info.region.clone()))
             .collect();
 
-        let ring: Vec<OverlayNode<StorePayload>> =
-            OverlayNode::ring("gloss-node-", cfg.nodes, cfg.seed, &mut rng, true);
+        let ring = OverlayNode::ring("gloss-node-", cfg.nodes, cfg.seed, &mut rng, true);
         let mut nodes = Vec::with_capacity(cfg.nodes);
         for (info, overlay) in topology.iter().zip(ring) {
             let i = info.index.as_usize();
@@ -279,17 +277,7 @@ impl ActiveArchitecture {
     /// Inserts a raw document into the P2P store from `via`.
     pub fn insert_document(&mut self, via: NodeIndex, mut doc: Document) {
         doc.stamp(self.world.now());
-        let guid = doc.guid;
-        self.world.inject(
-            via,
-            via,
-            GlossMsg::Store(StoreMsg::Overlay(OverlayMsg::Route {
-                target: guid,
-                payload: StorePayload::Insert { doc },
-                origin: via,
-                hops: 0,
-            })),
-        );
+        self.world.inject(via, via, GlossMsg::Store(StoreMsg::insert_via(via, doc)));
     }
 
     /// Pulls the kb document for `subject` into `node`'s local fact store

@@ -5,7 +5,9 @@
 //!
 //! * **PAST-style replication** — each document is stored at the `k` live
 //!   nodes whose overlay keys are numerically closest to its GUID
-//!   ([`StoreNode`]),
+//!   ([`StoreNode`]; a lookup's life there is `send_lookup` → `reply` at
+//!   whichever node serves it → `conclude`, each written once — see the
+//!   [`store_node`] module docs),
 //! * **promiscuous caching** — "data is free to be cached anywhere at any
 //!   time ... crucial to the performance of the system if the fetching of
 //!   remote data at every access is to be avoided": lookup replies are

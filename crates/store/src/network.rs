@@ -5,8 +5,8 @@ use crate::document::{Document, Priority};
 use crate::erasure::{ErasureCode, ErasureError};
 use crate::placement::NodeSite;
 use crate::repair::FragmentManifest;
-use crate::store_node::{LookupOutcome, StoreConfig, StoreMsg, StoreNode, StorePayload};
-use gloss_overlay::{ring_settle, Key, OverlayMsg, OverlayNode};
+use crate::store_node::{LookupOutcome, StoreConfig, StoreMsg, StoreNode};
+use gloss_overlay::{ring_settle, Key, OverlayNode};
 use gloss_sim::{Input, Node, NodeIndex, Outbox, SimDuration, SimRng, SimTime, Topology, World};
 use std::collections::BTreeMap;
 
@@ -126,17 +126,7 @@ impl StoreNetwork {
     /// Inserts a document from `node`.
     pub fn insert(&mut self, node: NodeIndex, mut doc: Document) {
         doc.stamp(self.world.now());
-        let guid = doc.guid;
-        self.world.inject(
-            node,
-            node,
-            StoreMsg::Overlay(OverlayMsg::Route {
-                target: guid,
-                payload: StorePayload::Insert { doc },
-                origin: node,
-                hops: 0,
-            }),
-        );
+        self.world.inject(node, node, StoreMsg::insert_via(node, doc));
     }
 
     /// Looks up `guid` from `node`; returns the request id.
@@ -145,23 +135,7 @@ impl StoreNetwork {
         let id = self.next_req;
         self.req_origin.insert(id, node);
         let now = self.world.now();
-        self.world.inject(
-            node,
-            node,
-            StoreMsg::Overlay(OverlayMsg::Route {
-                target: guid,
-                payload: StorePayload::Lookup {
-                    guid,
-                    reply_to: node,
-                    req_id: id,
-                    issued_at: now,
-                    path: Vec::new(),
-                    min_version: 0,
-                },
-                origin: node,
-                hops: 0,
-            }),
-        );
+        self.world.inject(node, node, StoreMsg::lookup_via(node, guid, id, now));
         id
     }
 

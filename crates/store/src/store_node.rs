@@ -1,6 +1,23 @@
 //! The storelet: a storage node embedding an overlay node, implementing
 //! PAST-style replication, promiscuous caching, self-healing, and the
 //! placement policies.
+//!
+//! A lookup's life is three functions, each the only one of its kind.
+//! `send_lookup` builds the routed payload and routes it, for the first
+//! send and for every retry the `LOOKUP_RETRY` sweep makes: in flight it
+//! arms the next deadline, and when this node turns out to be the
+//! responsible one it ends the lookup on the spot. `reply` is what a
+//! serving node sends back — an en-route node intercepting with a
+//! fresh-enough copy, or the responsible node with whatever it holds
+//! (`FetchReply`) or nothing (`NotFound`). `conclude` is where every
+//! lookup ends at its issuer, whichever way the answer came (own copy,
+//! reply message, retry budget spent): it alone forgets the pending
+//! entry, drops a duplicate reply, counts and observes, and hands the
+//! outcome to [`StoreNode::outcomes`] or — for the repair pipeline's own
+//! audit lookups, which touch no client counter — to the fragment audit.
+//! This file is also the only one that knows the shape of a routed
+//! [`StorePayload`]: harnesses inject [`StoreMsg::insert_via`] and
+//! [`StoreMsg::lookup_via`].
 
 use crate::cache::LruCache;
 use crate::document::{Document, Priority};
@@ -138,6 +155,41 @@ pub enum StoreMsg {
     },
 }
 
+/// The routed form of a lookup issued by `reply_to`. `path` lists the
+/// nodes that have already looked at home: the issuer itself when it
+/// routes the request on, nobody yet when a harness hands the request to
+/// the issuer as a message.
+fn lookup_payload(
+    reply_to: NodeIndex,
+    guid: Key,
+    req_id: u64,
+    issued_at: SimTime,
+    min_version: u64,
+    path: Vec<NodeIndex>,
+) -> StorePayload {
+    StorePayload::Lookup { guid, reply_to, req_id, issued_at, path, min_version }
+}
+
+impl StoreMsg {
+    /// What a harness injects at `via` (as a message from `via` to
+    /// itself) to insert `doc` from there.
+    pub fn insert_via(via: NodeIndex, doc: Document) -> Self {
+        Self::routed(via, doc.guid, StorePayload::Insert { doc })
+    }
+
+    /// What a harness injects at `via` to look `guid` up from there:
+    /// served from `via`'s own copy or routed on, any copy accepted, the
+    /// reply coming back to `via` under `req_id` — once, with no retry
+    /// plane behind it ([`StoreMsg::LocalLookup`] is the client path).
+    pub fn lookup_via(via: NodeIndex, guid: Key, req_id: u64, now: SimTime) -> Self {
+        Self::routed(via, guid, lookup_payload(via, guid, req_id, now, 0, Vec::new()))
+    }
+
+    fn routed(origin: NodeIndex, target: Key, payload: StorePayload) -> Self {
+        StoreMsg::Overlay(OverlayMsg::Route { target, payload, origin, hops: 0 })
+    }
+}
+
 /// The outcome of a lookup, recorded at the requesting node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LookupOutcome {
@@ -210,13 +262,31 @@ impl Default for StoreConfig {
 /// A lookup this node issued and has not yet seen answered: the retry
 /// plane re-routes it when its deadline lapses and reports a timeout
 /// outcome once the attempt budget is spent.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct PendingLookup {
     guid: Key,
     min_version: u64,
     issued_at: SimTime,
     attempts: u32,
     deadline: SimTime,
+}
+
+/// How a lookup ended, as `conclude` is told it.
+#[derive(Debug)]
+enum Answer {
+    /// A copy of the document.
+    Copy {
+        doc: Document,
+        /// Whether a cache served it (vs a durable replica).
+        from_cache: bool,
+        /// Overlay hops the request travelled before being served;
+        /// `None` when this node served itself without a reply message.
+        hops: Option<u32>,
+    },
+    /// The responsible node does not hold the document.
+    Missing,
+    /// The retry budget was spent with no reply.
+    TimedOut,
 }
 
 /// An in-flight fragment audit: one internal lookup per shard; once all
@@ -421,21 +491,30 @@ impl StoreNode {
         }
     }
 
-    /// Initial replica placement for a document rooted here: the quota
-    /// planner re-ranks the ring-closest usable leaf members by
-    /// advertised capacity and region diversity.
-    fn placement_targets(&self, guid: Key, doc: &Document) -> Vec<NodeIndex> {
-        let want = self.target_replicas(doc.priority).saturating_sub(1);
+    /// Plans `want` more replica holders for `doc`, which this node and
+    /// `holders` already hold: the quota planner re-ranks the ring-closest
+    /// usable leaf members by advertised capacity and region diversity,
+    /// the regions of the present holders counting as covered.
+    fn plan_replicas(
+        &self,
+        doc: &Document,
+        want: usize,
+        holders: &BTreeSet<NodeIndex>,
+    ) -> Vec<NodeIndex> {
         let mut members = self.overlay.usable_leaf_members();
-        members.sort_by_key(|m| m.key.ring_distance(guid));
-        let candidates: Vec<NodeIndex> = members.into_iter().map(|m| m.node).collect();
-        let covered: Vec<String> =
-            self.site_of(self.me).map(|s| vec![s.region.clone()]).unwrap_or_default();
-        let covered_refs: Vec<&str> = covered.iter().map(String::as_str).collect();
+        members.sort_by_key(|m| m.key.ring_distance(doc.guid));
+        let candidates: Vec<NodeIndex> =
+            members.into_iter().map(|m| m.node).filter(|n| !holders.contains(n)).collect();
+        let covered: Vec<&str> = holders
+            .iter()
+            .chain([&self.me])
+            .filter_map(|h| self.site_of(*h))
+            .map(|s| s.region.as_str())
+            .collect();
         plan_quota_targets(
             doc.size() as u64,
             want,
-            &covered_refs,
+            &covered,
             &candidates,
             &self.directory,
             &self.peer_used,
@@ -461,28 +540,7 @@ impl StoreNode {
                 continue;
             }
             out.count("store.repair_underreplicated", 1.0);
-            let mut members = self.overlay.usable_leaf_members();
-            members.sort_by_key(|m| m.key.ring_distance(*guid));
-            let candidates: Vec<NodeIndex> = members
-                .into_iter()
-                .map(|m| m.node)
-                .filter(|n| !holders.contains(n) && *n != self.me)
-                .collect();
-            let mut covered: Vec<String> =
-                holders.iter().filter_map(|h| self.site_of(*h).map(|s| s.region.clone())).collect();
-            if let Some(s) = self.site_of(self.me) {
-                covered.push(s.region.clone());
-            }
-            let covered_refs: Vec<&str> = covered.iter().map(String::as_str).collect();
-            let plan = plan_quota_targets(
-                doc.size() as u64,
-                target - have,
-                &covered_refs,
-                &candidates,
-                &self.directory,
-                &self.peer_used,
-            );
-            for t in plan {
+            for t in self.plan_replicas(doc, target - have, &holders) {
                 if self.scheduler.try_grant(now, t, *guid) {
                     out.count("store.repair_puts", 1.0);
                     out.count("store.repair_bytes", doc.size() as f64);
@@ -566,20 +624,14 @@ impl StoreNode {
         }
         let fr = self.repairs.get_mut(&mguid).expect("found above");
         let idx = fr.pending.remove(&req).expect("found above");
-        match outcome.doc {
-            Some(d) if !outcome.from_cache => {
-                fr.found.insert(idx, d.content.to_vec());
-            }
-            Some(d) => {
-                // The responsible node answered from its *cache*: the
-                // bytes survive but no durable authority holds them.
-                // Keep them (they spare a decode) and repair the shard.
-                fr.found.insert(idx, d.content.to_vec());
-                fr.missing.insert(idx);
-            }
-            None => {
-                fr.missing.insert(idx);
-            }
+        // When the responsible node answered from its *cache*, the bytes
+        // survive but no durable authority holds them: keep them (they
+        // spare a decode) and repair the shard all the same.
+        if outcome.doc.is_none() || outcome.from_cache {
+            fr.missing.insert(idx);
+        }
+        if let Some(d) = outcome.doc {
+            fr.found.insert(idx, d.content.to_vec());
         }
         if fr.pending.is_empty() {
             let fr = self.repairs.remove(&mguid).expect("present");
@@ -644,8 +696,8 @@ impl StoreNode {
         jittered(exponential(LOOKUP_TIMEOUT, attempt), 0.25, &mut self.rng)
     }
 
-    /// Sweeps lookup deadlines: re-routes lapsed requests with budget
-    /// left, reports a timeout outcome for the rest.
+    /// Sweeps lookup deadlines: re-sends lapsed requests with budget left,
+    /// concludes the rest as timed out.
     fn retry_sweep(&mut self, now: SimTime, out: &mut Outbox<StoreMsg>) {
         let due: Vec<u64> = self
             .pending_lookups
@@ -654,93 +706,106 @@ impl StoreNode {
             .map(|(r, _)| *r)
             .collect();
         for req in due {
-            let mut p = self.pending_lookups.remove(&req).expect("collected above");
-            let internal = req & INTERNAL_REQ_BIT != 0;
+            let mut p = self.pending_lookups[&req];
             if p.attempts >= LOOKUP_RETRIES {
-                if !internal {
-                    out.count("store.lookups_timeout", 1.0);
-                }
-                let o = LookupOutcome {
-                    guid: p.guid,
-                    doc: None,
-                    latency: now.since(p.issued_at),
-                    from_cache: false,
-                    hops: 0,
-                };
-                self.record_outcome(req, o, now, out);
+                self.conclude(req, p.guid, Answer::TimedOut, p.issued_at, now, out);
                 continue;
             }
             p.attempts += 1;
             out.count("store.lookups_retried", 1.0);
             // Re-route: the previous carrier is presumed lost with a
             // crashed hop (or the responsible node died holding it).
-            let payload = StorePayload::Lookup {
-                guid: p.guid,
-                reply_to: self.me,
-                req_id: req,
-                issued_at: p.issued_at,
-                path: vec![self.me],
-                min_version: p.min_version,
-            };
-            let delivered =
-                out.nested(StoreMsg::Overlay, |oout| self.overlay.route(p.guid, payload, oout));
-            if delivered.is_some() {
-                // The ring shrank onto us: answer authoritatively.
-                let outcome = match self.local_copy(p.guid) {
-                    Some((doc, from_cache)) => {
-                        if !internal {
-                            out.count("store.lookups_ok", 1.0);
-                            out.count("store.lookups_local", 1.0);
-                            out.observe(
-                                "store.lookup_ms",
-                                now.since(p.issued_at).as_secs_f64() * 1e3,
-                            );
-                            out.observe("store.lookup_hops", 0.0);
-                            if from_cache {
-                                out.count("store.cache_served", 1.0);
-                            }
-                        }
-                        LookupOutcome {
-                            guid: p.guid,
-                            doc: Some(doc),
-                            latency: now.since(p.issued_at),
-                            from_cache,
-                            hops: 0,
-                        }
-                    }
-                    None => {
-                        if !internal {
-                            out.count("store.lookups_missing", 1.0);
-                        }
-                        LookupOutcome {
-                            guid: p.guid,
-                            doc: None,
-                            latency: now.since(p.issued_at),
-                            from_cache: false,
-                            hops: 0,
-                        }
-                    }
-                };
-                self.record_outcome(req, outcome, now, out);
-            } else {
-                let delay = self.retry_delay(p.attempts);
-                p.deadline = now + delay;
-                out.timer(delay, timers::LOOKUP_RETRY);
-                self.pending_lookups.insert(req, p);
-            }
+            self.send_lookup(req, p, now, out);
         }
     }
 
-    /// Routes a finished lookup to its consumer: the embedder-visible
-    /// outcomes map, or the repair pipeline for internal requests.
-    fn record_outcome(
+    /// Routes request `req_id` toward its GUID's responsible node — the
+    /// first send and every retry. In flight, it arms the retry plane:
+    /// an unanswered lookup (crashed holder, lost carrier) is re-sent
+    /// after a jittered deadline and concluded as timed out once the
+    /// attempt budget is spent. When this node is the responsible one
+    /// (from the start, or because the ring shrank onto it), it answers
+    /// with whatever it holds — the version floor only filters
+    /// non-authoritative copies — or concludes the miss.
+    fn send_lookup(
         &mut self,
         req_id: u64,
-        outcome: LookupOutcome,
+        p: PendingLookup,
         now: SimTime,
         out: &mut Outbox<StoreMsg>,
     ) {
-        if req_id & INTERNAL_REQ_BIT != 0 {
+        let payload =
+            lookup_payload(self.me, p.guid, req_id, p.issued_at, p.min_version, vec![self.me]);
+        let delivered =
+            out.nested(StoreMsg::Overlay, |oout| self.overlay.route(p.guid, payload, oout));
+        if delivered.is_some() {
+            let answer = match self.local_copy(p.guid, 0) {
+                Some((doc, from_cache)) => Answer::Copy { doc, from_cache, hops: None },
+                None => Answer::Missing,
+            };
+            self.conclude(req_id, p.guid, answer, p.issued_at, now, out);
+        } else {
+            let delay = self.retry_delay(p.attempts);
+            self.pending_lookups.insert(req_id, PendingLookup { deadline: now + delay, ..p });
+            out.timer(delay, timers::LOOKUP_RETRY);
+        }
+    }
+
+    /// The one end of every lookup this node issued, however it was
+    /// answered: forgets the pending entry, drops a duplicate reply,
+    /// counts and observes, caches a fetched copy, and hands the outcome
+    /// to the embedder-visible [`outcomes`](Self::outcomes) map — or, for
+    /// an internal request, to the fragment audit, which does its own
+    /// counting: an audit's lookups are the repair pipeline's, not a
+    /// client's, and touch no client counter or histogram.
+    fn conclude(
+        &mut self,
+        req_id: u64,
+        guid: Key,
+        answer: Answer,
+        issued_at: SimTime,
+        now: SimTime,
+        out: &mut Outbox<StoreMsg>,
+    ) {
+        self.pending_lookups.remove(&req_id);
+        let internal = req_id & INTERNAL_REQ_BIT != 0;
+        // First conclusion wins: re-routing delivers at least once, so a
+        // request the retry plane already concluded (or a slow original
+        // racing its own re-route) can see a second reply. Dropping it
+        // keeps outcomes — and their latencies — deterministic. (The
+        // audit drops its own late duplicates.)
+        if !internal && self.outcomes.contains_key(&req_id) {
+            out.count("store.lookups_dup_replies", 1.0);
+            return;
+        }
+        let latency = now.since(issued_at);
+        if !internal {
+            match &answer {
+                Answer::Copy { doc, from_cache, hops } => {
+                    out.count("store.lookups_ok", 1.0);
+                    if hops.is_none() {
+                        out.count("store.lookups_local", 1.0);
+                    }
+                    out.observe("store.lookup_ms", latency.as_secs_f64() * 1e3);
+                    out.observe("store.lookup_hops", hops.unwrap_or(0) as f64);
+                    if *from_cache {
+                        out.count("store.cache_served", 1.0);
+                    }
+                    // The requester caches what it fetched (promiscuous).
+                    if hops.is_some() && self.cfg.cache_enabled {
+                        self.cache.insert(doc.clone());
+                    }
+                }
+                Answer::Missing => out.count("store.lookups_missing", 1.0),
+                Answer::TimedOut => out.count("store.lookups_timeout", 1.0),
+            }
+        }
+        let (doc, from_cache, hops) = match answer {
+            Answer::Copy { doc, from_cache, hops } => (Some(doc), from_cache, hops.unwrap_or(0)),
+            Answer::Missing | Answer::TimedOut => (None, false, 0),
+        };
+        let outcome = LookupOutcome { guid, doc, latency, from_cache, hops };
+        if internal {
             self.on_internal_outcome(req_id, outcome, now, out);
         } else {
             self.outcomes.insert(req_id, outcome);
@@ -832,18 +897,16 @@ impl StoreNode {
         }
     }
 
-    /// A local copy from durable store or (if enabled) cache:
-    /// `(doc, from_cache)`.
-    fn local_copy(&mut self, guid: Key) -> Option<(Document, bool)> {
-        if let Some(doc) = self.store.get(&guid) {
-            return Some((doc.clone(), false));
-        }
-        if self.cfg.cache_enabled {
-            if let Some(doc) = self.cache.get(guid) {
-                return Some((doc, true));
-            }
-        }
-        None
+    /// The local copy — from the durable store or else (if enabled) the
+    /// cache: `(doc, from_cache)` — provided it is at `min_version` or
+    /// newer; `0` asks for whatever this node holds.
+    fn local_copy(&mut self, guid: Key, min_version: u64) -> Option<(Document, bool)> {
+        let copy = match self.store.get(&guid) {
+            Some(doc) => Some((doc.clone(), false)),
+            None if self.cfg.cache_enabled => self.cache.get(guid).map(|doc| (doc, true)),
+            None => None,
+        };
+        copy.filter(|(doc, _)| doc.version >= min_version)
     }
 
     /// Handles one message.
@@ -908,76 +971,12 @@ impl StoreNode {
                 }
             }
             StoreMsg::FetchReply { req_id, doc, issued_at, from_cache, hops } => {
-                self.pending_lookups.remove(&req_id);
-                // First conclusion wins: re-routing delivers at least
-                // once, so a request the retry plane already concluded
-                // (or a slow original racing its own re-route) can see a
-                // second reply. Dropping it keeps outcomes — and their
-                // latencies — deterministic.
-                if req_id & INTERNAL_REQ_BIT == 0 && self.outcomes.contains_key(&req_id) {
-                    out.count("store.lookups_dup_replies", 1.0);
-                    return;
-                }
-                if req_id & INTERNAL_REQ_BIT != 0 {
-                    let o = LookupOutcome {
-                        guid: doc.guid,
-                        doc: Some(doc),
-                        latency: now.since(issued_at),
-                        from_cache,
-                        hops,
-                    };
-                    self.on_internal_outcome(req_id, o, now, out);
-                    return;
-                }
-                out.count("store.lookups_ok", 1.0);
-                out.observe("store.lookup_ms", now.since(issued_at).as_secs_f64() * 1e3);
-                out.observe("store.lookup_hops", hops as f64);
-                if from_cache {
-                    out.count("store.cache_served", 1.0);
-                }
-                // The requester caches what it fetched (promiscuous).
-                if self.cfg.cache_enabled {
-                    self.cache.insert(doc.clone());
-                }
-                self.outcomes.insert(
-                    req_id,
-                    LookupOutcome {
-                        guid: doc.guid,
-                        doc: Some(doc),
-                        latency: now.since(issued_at),
-                        from_cache,
-                        hops,
-                    },
-                );
+                let guid = doc.guid;
+                let answer = Answer::Copy { doc, from_cache, hops: Some(hops) };
+                self.conclude(req_id, guid, answer, issued_at, now, out);
             }
             StoreMsg::NotFound { req_id, guid, issued_at } => {
-                self.pending_lookups.remove(&req_id);
-                if req_id & INTERNAL_REQ_BIT == 0 && self.outcomes.contains_key(&req_id) {
-                    out.count("store.lookups_dup_replies", 1.0);
-                    return;
-                }
-                if req_id & INTERNAL_REQ_BIT != 0 {
-                    let o = LookupOutcome {
-                        guid,
-                        doc: None,
-                        latency: now.since(issued_at),
-                        from_cache: false,
-                        hops: 0,
-                    };
-                    self.on_internal_outcome(req_id, o, now, out);
-                    return;
-                }
-                out.count("store.lookups_missing", 1.0);
-                self.outcomes.insert(
-                    req_id,
-                    LookupOutcome {
-                        guid,
-                        doc: None,
-                        latency: now.since(issued_at),
-                        from_cache: false,
-                        hops: 0,
-                    },
-                );
+                self.conclude(req_id, guid, Answer::Missing, issued_at, now, out);
             }
             StoreMsg::LocalLookup { guid, req_id } => {
                 self.lookup(guid, req_id, now, out);
@@ -994,48 +993,33 @@ impl StoreNode {
     ) {
         // Intercept lookups: any node along the route holding a copy
         // answers immediately (promiscuous caching's latency win).
-        if let OverlayMsg::Route { payload: StorePayload::Lookup { .. }, .. } = &omsg {
-            if let OverlayMsg::Route {
-                payload:
-                    StorePayload::Lookup { guid, reply_to, req_id, issued_at, path, min_version },
-                hops,
-                ..
-            } = &mut omsg
-            {
-                if let Some((doc, from_cache)) =
-                    self.local_copy(*guid).filter(|(d, _)| d.version >= *min_version)
-                {
-                    // The intercept consumes the Route without the overlay
-                    // ever seeing it, so the previous hop's forward must
-                    // be acknowledged here — otherwise the hop holds the
-                    // payload as un-acked, conduct-suspects this node, and
-                    // re-routes a duplicate lookup every probe round.
-                    if self.overlay.governed() && from != self.me {
-                        out.send(from, StoreMsg::Overlay(OverlayMsg::RouteAck));
-                    }
-                    // Cache along the path walked so far, then move the
-                    // copy into the reply (no clone for the common
-                    // empty-path case).
-                    if self.cfg.cache_enabled {
-                        for n in path.iter().filter(|n| **n != self.me) {
-                            out.send(*n, StoreMsg::CachePush { doc: doc.clone() });
-                        }
-                    }
-                    out.send(
-                        *reply_to,
-                        StoreMsg::FetchReply {
-                            req_id: *req_id,
-                            doc,
-                            issued_at: *issued_at,
-                            from_cache,
-                            hops: *hops,
-                        },
-                    );
-                    self.after_serve(*guid, *reply_to, now, out);
-                    return;
+        if let OverlayMsg::Route {
+            payload: StorePayload::Lookup { guid, reply_to, req_id, issued_at, path, min_version },
+            hops,
+            ..
+        } = &mut omsg
+        {
+            if let Some(copy) = self.local_copy(*guid, *min_version) {
+                // The intercept consumes the Route without the overlay
+                // ever seeing it, so the previous hop's forward must be
+                // acknowledged here — otherwise the hop holds the payload
+                // as un-acked, conduct-suspects this node, and re-routes
+                // a duplicate lookup every probe round.
+                if self.overlay.governed() && from != self.me {
+                    out.send(from, StoreMsg::Overlay(OverlayMsg::RouteAck));
                 }
-                path.push(self.me);
+                // Cache along the path walked so far; the copy itself
+                // moves into the reply (no clone for the common
+                // empty-path case).
+                if self.cfg.cache_enabled {
+                    for n in path.iter().filter(|n| **n != self.me) {
+                        out.send(*n, StoreMsg::CachePush { doc: copy.0.clone() });
+                    }
+                }
+                self.reply(*reply_to, *req_id, *guid, *issued_at, Some(copy), *hops, now, out);
+                return;
             }
+            path.push(self.me);
         }
 
         let deliveries =
@@ -1045,30 +1029,55 @@ impl StoreNode {
         for d in deliveries {
             match d.payload {
                 StorePayload::Insert { doc } => self.root_insert(doc, now, out),
+                // Delivered at the responsible node: it answers with
+                // whatever it holds, and when that is nothing the
+                // document does not exist.
                 StorePayload::Lookup { guid, reply_to, req_id, issued_at, .. } => {
-                    // Delivered at the responsible node and nothing local:
-                    // the document does not exist.
-                    match self.local_copy(guid) {
-                        Some((doc, from_cache)) => {
-                            out.send(
-                                reply_to,
-                                StoreMsg::FetchReply {
-                                    req_id,
-                                    doc,
-                                    issued_at,
-                                    from_cache,
-                                    hops: d.hops,
-                                },
-                            );
-                            self.after_serve(guid, reply_to, now, out);
-                        }
-                        None => {
-                            out.send(reply_to, StoreMsg::NotFound { req_id, guid, issued_at });
-                        }
-                    }
+                    let copy = self.local_copy(guid, 0);
+                    self.reply(reply_to, req_id, guid, issued_at, copy, d.hops, now, out);
                 }
             }
         }
+    }
+
+    /// Answers a lookup this node serves after `hops` overlay hops: with
+    /// the `copy` it holds (and whether that came from its cache), a read
+    /// the latency-reduction policy gets to see — or, with none, that
+    /// the document is not found.
+    #[allow(clippy::too_many_arguments)]
+    fn reply(
+        &mut self,
+        reply_to: NodeIndex,
+        req_id: u64,
+        guid: Key,
+        issued_at: SimTime,
+        copy: Option<(Document, bool)>,
+        hops: u32,
+        now: SimTime,
+        out: &mut Outbox<StoreMsg>,
+    ) {
+        let Some((doc, from_cache)) = copy else {
+            out.send(reply_to, StoreMsg::NotFound { req_id, guid, issued_at });
+            return;
+        };
+        out.send(reply_to, StoreMsg::FetchReply { req_id, doc, issued_at, from_cache, hops });
+        if self.latency_policy.is_none() {
+            return;
+        }
+        let Some(reader_site) = self.site_of(reply_to).cloned() else {
+            return;
+        };
+        let mut holders: Vec<NodeIndex> =
+            self.policy_holders.get(&guid).map(|s| s.iter().copied().collect()).unwrap_or_default();
+        holders.push(self.me);
+        let actions = self.latency_policy.as_mut().expect("checked above").on_access(
+            guid,
+            &reader_site,
+            now,
+            &self.directory,
+            &holders,
+        );
+        self.run_placement_actions(actions, out);
     }
 
     /// Takes a document this node is the root of: places its replicas,
@@ -1076,7 +1085,8 @@ impl StoreNode {
     fn root_insert(&mut self, doc: Document, now: SimTime, out: &mut Outbox<StoreMsg>) {
         let guid = doc.guid;
         out.count("store.inserts_rooted", 1.0);
-        for target in self.placement_targets(guid, &doc) {
+        let want = self.target_replicas(doc.priority).saturating_sub(1);
+        for target in self.plan_replicas(&doc, want, &BTreeSet::new()) {
             out.send(target, StoreMsg::ReplicaPut { doc: doc.clone() });
         }
         // The primary always keeps its copy (it is the authority);
@@ -1094,33 +1104,6 @@ impl StoreNode {
                 self.run_placement_actions(actions, out);
             }
         }
-    }
-
-    /// Post-serve hook: run the latency-reduction policy.
-    fn after_serve(
-        &mut self,
-        guid: Key,
-        reader: NodeIndex,
-        now: SimTime,
-        out: &mut Outbox<StoreMsg>,
-    ) {
-        if self.latency_policy.is_none() {
-            return;
-        }
-        let Some(reader_site) = self.site_of(reader).cloned() else {
-            return;
-        };
-        let mut holders: Vec<NodeIndex> =
-            self.policy_holders.get(&guid).map(|s| s.iter().copied().collect()).unwrap_or_default();
-        holders.push(self.me);
-        let actions = self.latency_policy.as_mut().expect("checked above").on_access(
-            guid,
-            &reader_site,
-            now,
-            &self.directory,
-            &holders,
-        );
-        self.run_placement_actions(actions, out);
     }
 
     /// Originates an insert from this node (used by the harness).
@@ -1156,98 +1139,14 @@ impl StoreNode {
         now: SimTime,
         out: &mut Outbox<StoreMsg>,
     ) {
-        // An audit's lookups are the repair pipeline's, not a client's:
-        // `on_internal_outcome` counts them, wherever they are answered.
-        let internal = req_id & INTERNAL_REQ_BIT != 0;
         // Fresh-enough local copy? Serve instantly.
-        if let Some((doc, from_cache)) =
-            self.local_copy(guid).filter(|(d, _)| d.version >= min_version)
-        {
-            if !internal {
-                out.count("store.lookups_ok", 1.0);
-                out.count("store.lookups_local", 1.0);
-                out.observe("store.lookup_ms", 0.0);
-                out.observe("store.lookup_hops", 0.0);
-                if from_cache {
-                    out.count("store.cache_served", 1.0);
-                }
-            }
-            let o = LookupOutcome {
-                guid,
-                doc: Some(doc),
-                latency: SimDuration::ZERO,
-                from_cache,
-                hops: 0,
-            };
-            self.record_outcome(req_id, o, now, out);
+        if let Some((doc, from_cache)) = self.local_copy(guid, min_version) {
+            let answer = Answer::Copy { doc, from_cache, hops: None };
+            self.conclude(req_id, guid, answer, now, now, out);
             return;
         }
-        let payload = StorePayload::Lookup {
-            guid,
-            reply_to: self.me,
-            req_id,
-            issued_at: now,
-            path: vec![self.me],
-            min_version,
-        };
-        let delivered =
-            out.nested(StoreMsg::Overlay, |oout| self.overlay.route(guid, payload, oout));
-        if delivered.is_some() {
-            // We are the responsible node: answer with whatever we hold
-            // (the floor only filters non-authoritative copies), or
-            // record the miss.
-            match self.local_copy(guid) {
-                Some((doc, from_cache)) => {
-                    if !internal {
-                        out.count("store.lookups_ok", 1.0);
-                        out.count("store.lookups_local", 1.0);
-                        out.observe("store.lookup_ms", 0.0);
-                        out.observe("store.lookup_hops", 0.0);
-                        if from_cache {
-                            out.count("store.cache_served", 1.0);
-                        }
-                    }
-                    let o = LookupOutcome {
-                        guid,
-                        doc: Some(doc),
-                        latency: SimDuration::ZERO,
-                        from_cache,
-                        hops: 0,
-                    };
-                    self.record_outcome(req_id, o, now, out);
-                }
-                None => {
-                    if !internal {
-                        out.count("store.lookups_missing", 1.0);
-                    }
-                    let o = LookupOutcome {
-                        guid,
-                        doc: None,
-                        latency: SimDuration::ZERO,
-                        from_cache: false,
-                        hops: 0,
-                    };
-                    self.record_outcome(req_id, o, now, out);
-                }
-            }
-        } else {
-            // In flight toward the responsible node: arm the retry plane.
-            // An unanswered lookup (crashed holder, lost carrier) is
-            // re-routed after a jittered deadline and reported as a
-            // timeout once the attempt budget is spent.
-            let delay = self.retry_delay(0);
-            self.pending_lookups.insert(
-                req_id,
-                PendingLookup {
-                    guid,
-                    min_version,
-                    issued_at: now,
-                    attempts: 0,
-                    deadline: now + delay,
-                },
-            );
-            out.timer(delay, timers::LOOKUP_RETRY);
-        }
+        let first = PendingLookup { guid, min_version, issued_at: now, attempts: 0, deadline: now };
+        self.send_lookup(req_id, first, now, out);
     }
 }
 
