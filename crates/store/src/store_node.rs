@@ -769,17 +769,17 @@ impl StoreNode {
     ) {
         self.pending_lookups.remove(&req_id);
         let internal = req_id & INTERNAL_REQ_BIT != 0;
-        // First conclusion wins: re-routing delivers at least once, so a
-        // request the retry plane already concluded (or a slow original
-        // racing its own re-route) can see a second reply. Dropping it
-        // keeps outcomes — and their latencies — deterministic. (The
-        // audit drops its own late duplicates.)
-        if !internal && self.outcomes.contains_key(&req_id) {
-            out.count("store.lookups_dup_replies", 1.0);
-            return;
-        }
         let latency = now.since(issued_at);
         if !internal {
+            // First conclusion wins: re-routing delivers at least once,
+            // so a request the retry plane already concluded (or a slow
+            // original racing its own re-route) can see a second reply.
+            // Dropping it keeps outcomes — and their latencies —
+            // deterministic. (The audit drops its own late duplicates.)
+            if self.outcomes.contains_key(&req_id) {
+                out.count("store.lookups_dup_replies", 1.0);
+                return;
+            }
             match &answer {
                 Answer::Copy { doc, from_cache, hops } => {
                     out.count("store.lookups_ok", 1.0);
@@ -1853,9 +1853,12 @@ mod tests {
         for (name, v) in out.counts().iter().filter(|(name, _)| name.starts_with("store.")) {
             *counts.entry(name.to_string()).or_insert(0.0) += v;
         }
-        let mut samples: Vec<(String, f64)> =
-            out.observations().iter().map(|(name, v)| (name.to_string(), *v)).collect();
-        samples.retain(|(name, _)| name.starts_with("store."));
+        let mut samples: Vec<(String, f64)> = out
+            .observations()
+            .iter()
+            .filter(|(name, _)| name.starts_with("store."))
+            .map(|(name, v)| (name.to_string(), *v))
+            .collect();
         samples.sort_by(|a, b| a.0.cmp(&b.0));
         (counts, samples)
     }
