@@ -206,6 +206,12 @@ pub struct Broker {
     shed: Option<LoadShedder>,
     /// Counter for broker-minted merged-filter ids.
     synth_seq: u64,
+    /// `route`'s working sets, kept between events so routing one costs
+    /// no allocation of its own: interfaces with a matching subscription,
+    /// and away clients to buffer for (as a set and in first-match order).
+    wanted: HashSet<u32, FnvBuildHasher>,
+    buffered: HashSet<u32, FnvBuildHasher>,
+    to_buffer: Vec<NodeIndex>,
     /// Messages handled (load metric for C1).
     pub msgs_handled: u64,
     /// Notifications forwarded to other brokers.
@@ -242,6 +248,9 @@ impl Broker {
             proxies: BTreeMap::new(),
             shed: None,
             synth_seq: 0,
+            wanted: HashSet::default(),
+            buffered: HashSet::default(),
+            to_buffer: Vec::new(),
             msgs_handled: 0,
             notifications_forwarded: 0,
         }
@@ -549,25 +558,24 @@ impl Broker {
         let matched = self.subs.matching_event(&event);
         // Interfaces with at least one matching subscription, for
         // inter-broker forwarding decisions.
-        let mut wanted: HashSet<u32, FnvBuildHasher> = HashSet::default();
-        let mut buffered: HashSet<u32, FnvBuildHasher> = HashSet::default();
-        let mut to_buffer: Vec<NodeIndex> = Vec::new();
+        self.wanted.clear();
+        self.buffered.clear();
         for &id in &matched {
             let iface = *self.iface_of.get(&id).expect("id tracked");
-            wanted.insert(iface.0);
+            self.wanted.insert(iface.0);
             if iface == from {
                 continue;
             }
             if self.proxies.contains_key(&iface) {
-                if buffered.insert(iface.0) {
-                    to_buffer.push(iface);
+                if self.buffered.insert(iface.0) {
+                    self.to_buffer.push(iface);
                 }
             } else if self.clients.contains(&iface) {
                 out.send(iface, BrokerMsg::Notify(event.clone()));
                 out.count("pubsub.delivered_local", 1.0);
             }
         }
-        for iface in to_buffer {
+        for iface in self.to_buffer.drain(..) {
             self.proxies.get_mut(&iface).expect("proxy exists").push(event.clone());
         }
 
@@ -575,7 +583,7 @@ impl Broker {
         match &self.topology {
             BrokerTopology::Peer { neighbors } => {
                 for &n in neighbors {
-                    if n != from && wanted.contains(&n.0) {
+                    if n != from && self.wanted.contains(&n.0) {
                         self.notifications_forwarded += 1;
                         out.send(n, BrokerMsg::Notify(event.clone()));
                     }
@@ -590,7 +598,7 @@ impl Broker {
                     }
                 }
                 for &c in children {
-                    if c != from && wanted.contains(&c.0) {
+                    if c != from && self.wanted.contains(&c.0) {
                         self.notifications_forwarded += 1;
                         out.send(c, BrokerMsg::Notify(event.clone()));
                     }

@@ -4,37 +4,59 @@
 //! filter whose *every* constraint is satisfied. [`FilterIndex`] solves it
 //! the SIENA way — decompose each filter into per-attribute constraint
 //! buckets, let the event's attributes probe only the buckets they can
-//! satisfy, and count satisfied constraints per filter: a filter matches
-//! exactly when its counter reaches its constraint total (and its kind
-//! restriction agrees). Matching cost is proportional to the constraints
-//! the event *touches*, not to table size.
+//! satisfy, and count satisfied constraints per filter — with the
+//! forwarding-table refinement of Carzaniga & Wolf ("Forwarding in a
+//! Content-Based Network", SIGCOMM 2003): a filter is *selected* by its
+//! most selective constraints and the rest are *verified* on the few
+//! candidates that survive. Matching cost follows the candidates, not the
+//! constraints the event touches.
 //!
 //! Bucket layout per attribute:
 //!
-//! | operator               | structure                       | probe cost      |
-//! |------------------------|---------------------------------|-----------------|
-//! | `Eq` (string)          | hash map on the operand         | O(1)            |
-//! | `Eq` (numeric)         | hash map on canonical f64 bits  | O(1)            |
-//! | `Eq` (bool)            | two buckets                     | O(1)            |
-//! | `Gt`/`Ge` (numeric)    | sorted boundary map (lower)     | O(log n + hits) |
-//! | `Lt`/`Le` (numeric)    | sorted boundary map (upper)     | O(log n + hits) |
-//! | `Prefix`               | byte trie on the pattern        | O(len + hits)   |
-//! | everything else        | linear fallback list            | O(list)         |
+//! | operator               | structure                       | probe cost      | holds                       |
+//! |------------------------|---------------------------------|-----------------|-----------------------------|
+//! | `Eq` (string)          | hash map on the operand         | O(1)            | every filter                |
+//! | `Eq` (numeric)         | hash map on canonical f64 bits  | O(1)            | every filter                |
+//! | `Eq` (bool)            | two buckets                     | O(1)            | every filter                |
+//! | `Prefix`               | byte trie on the pattern        | O(len + hits)   | every filter                |
+//! | `Gt`/`Ge` (numeric)    | sorted boundary map (lower)     | O(log n + hits) | filters with no point above |
+//! | `Lt`/`Le` (numeric)    | sorted boundary map (upper)     | O(log n + hits) | filters with no point above |
+//! | everything else        | linear fallback list            | O(list)         | filters with no point above |
 //!
-//! The fallback list holds `Suffix`/`Contains`/`Ne`/`Exists` and the rare
-//! non-numeric ordering constraints (lexicographic `Lt` on strings, and so
-//! on); it is scanned only when the event actually carries the attribute.
-//! Constraints that no value can ever satisfy (string operators with a
-//! non-string operand, comparisons against `NaN`) are not indexed at all —
-//! their filter's counter can then never reach its total, which is exactly
-//! the linear scan's verdict.
+//! **What is counted.** The first four rows are the *point-selective*
+//! constraints: an event value satisfies a handful of them, however many
+//! are stored. A filter that has at least one is entered in those buckets
+//! only, and its counter target is the number of them. A filter that has
+//! none is entered under every constraint it has — ranges in the boundary
+//! maps, `Suffix`/`Contains`/`Ne`/`Exists` and the rare non-numeric
+//! ordering constraints in the fallback list, which is scanned only when
+//! the event carries the attribute — and its target is its constraint
+//! total. Constraints no value can ever satisfy (string operators with a
+//! non-string operand, comparisons against `NaN`) are entered nowhere, so
+//! such a filter's counter never reaches its total: the linear scan's
+//! verdict.
 //!
-//! Kind restrictions are *not* counted: counting them would make every
-//! publication touch every same-kind subscription, which is the hot-topic
-//! blow-up this index exists to avoid. Instead the kind test is applied
-//! per candidate, and the only filters selected without a constraint probe
-//! are the zero-constraint ones (tracked in dedicated kind/universal
-//! lists — those genuinely match every event of their kind).
+//! **What is verified.** A filter whose counter filled is a candidate. If
+//! it was selected by its point constraints, its remaining constraints
+//! (ranges, fallback operators, never-satisfiable ones) are now checked
+//! with [`Constraint::matches_value`] against the event's own attribute —
+//! a range floor at or below the event's value is half of every table, so
+//! counting it would touch half of every table per probe to confirm a
+//! handful of matches.
+//!
+//! **Kind stays a per-candidate check**, neither counted nor a bucket key:
+//! counting it would make every publication touch every same-kind
+//! subscription, which is the hot-topic blow-up this index exists to
+//! avoid. The only filters selected without a constraint probe are the
+//! zero-constraint ones (tracked in dedicated kind/universal lists —
+//! those genuinely match every event of their kind).
+//!
+//! **Storage.** Entries live in a slab addressed by a dense `u32` slot;
+//! buckets, the trie and the kind/universal lists hold slots, one map
+//! takes a `SubId` to its slot, and freed slots are reused. Counters are
+//! an epoch-stamped array over the slots plus the list of slots touched,
+//! kept in the index and reused, so a probe allocates nothing but the
+//! vector it returns.
 //!
 //! The same structure answers *covering* queries for the broker's forward
 //! tables: for a filter made of distinct-attribute `Eq` constraints,
@@ -42,11 +64,15 @@
 //! the event formed by its operands" (see [`FilterIndex::covering_ids`]).
 
 use crate::broker::SubId;
-use crate::filter::{Filter, Op, Subscription};
+use crate::filter::{Constraint, Filter, Op, Subscription};
 use crate::notification::Event;
 use crate::value::AttrValue;
 use gloss_sim::FnvHashMap;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+
+/// Position of an entry in the slab.
+type Slot = u32;
 
 #[derive(Debug, Clone)]
 struct Entry {
@@ -55,12 +81,16 @@ struct Entry {
     /// the indexed broker emits notifications in table order, exactly
     /// like the linear scan it replaces.
     seq: u64,
-    /// Number of constraints (the counter target).
+    /// Number of counted constraints (the counter target): the point
+    /// constraints when the filter has any, else all of them.
     required: u32,
+    /// Whether the filter has constraints left out of the buckets, to be
+    /// verified once its counter fills.
+    verified: bool,
 }
 
 /// Where one constraint is indexed.
-enum Slot<'a> {
+enum Place<'a> {
     EqStr(&'a str),
     EqNum(f64),
     EqBool(bool),
@@ -82,36 +112,44 @@ enum Slot<'a> {
     Never,
 }
 
-fn classify(c: &crate::filter::Constraint) -> Slot<'_> {
+impl Place<'_> {
+    /// Whether one event value satisfies only a handful of the stored
+    /// constraints of this class, however many are stored.
+    fn is_point(&self) -> bool {
+        matches!(self, Place::EqStr(_) | Place::EqNum(_) | Place::EqBool(_) | Place::Prefix(_))
+    }
+}
+
+fn classify(c: &Constraint) -> Place<'_> {
     match (c.op, &c.value) {
-        (Op::Eq, AttrValue::Str(s)) => Slot::EqStr(s),
-        (Op::Eq, AttrValue::Bool(b)) => Slot::EqBool(*b),
+        (Op::Eq, AttrValue::Str(s)) => Place::EqStr(s),
+        (Op::Eq, AttrValue::Bool(b)) => Place::EqBool(*b),
         (Op::Eq, v) => match v.as_number() {
-            Some(x) if !x.is_nan() => Slot::EqNum(x),
-            _ => Slot::Never,
+            Some(x) if !x.is_nan() => Place::EqNum(x),
+            _ => Place::Never,
         },
         (Op::Lt | Op::Le, AttrValue::Int(_) | AttrValue::Float(_)) => match c.value.as_number() {
-            Some(x) if !x.is_nan() => Slot::Upper { bound: x, strict: c.op == Op::Lt },
-            _ => Slot::Never,
+            Some(x) if !x.is_nan() => Place::Upper { bound: x, strict: c.op == Op::Lt },
+            _ => Place::Never,
         },
         (Op::Gt | Op::Ge, AttrValue::Int(_) | AttrValue::Float(_)) => match c.value.as_number() {
-            Some(x) if !x.is_nan() => Slot::Lower { bound: x, strict: c.op == Op::Gt },
-            _ => Slot::Never,
+            Some(x) if !x.is_nan() => Place::Lower { bound: x, strict: c.op == Op::Gt },
+            _ => Place::Never,
         },
         (Op::Prefix, v) => match v.as_str() {
-            Some(s) => Slot::Prefix(s),
-            None => Slot::Never,
+            Some(s) => Place::Prefix(s),
+            None => Place::Never,
         },
         (Op::Suffix | Op::Contains, v) => match v.as_str() {
-            Some(_) => Slot::Fallback,
-            None => Slot::Never,
+            Some(_) => Place::Fallback,
+            None => Place::Never,
         },
         (Op::Ne, v) => match v.as_number() {
-            Some(x) if x.is_nan() => Slot::Never,
-            _ => Slot::Fallback,
+            Some(x) if x.is_nan() => Place::Never,
+            _ => Place::Fallback,
         },
         // String/bool ordering, Exists.
-        _ => Slot::Fallback,
+        _ => Place::Fallback,
     }
 }
 
@@ -138,9 +176,9 @@ fn ord_key(x: f64) -> u64 {
 #[derive(Debug, Clone, Default)]
 struct Boundary {
     /// Strict comparisons (`Gt` in the lower map, `Lt` in the upper map).
-    strict: Vec<SubId>,
+    strict: Vec<Slot>,
     /// Inclusive comparisons (`Ge` / `Le`).
-    incl: Vec<SubId>,
+    incl: Vec<Slot>,
 }
 
 impl Boundary {
@@ -154,30 +192,30 @@ impl Boundary {
 #[derive(Debug, Clone, Default)]
 struct Trie {
     /// Constraints whose pattern ends at this node.
-    ids: Vec<SubId>,
+    slots: Vec<Slot>,
     children: FnvHashMap<u8, Trie>,
 }
 
 impl Trie {
-    fn insert(&mut self, pat: &[u8], id: SubId) {
+    fn insert(&mut self, pat: &[u8], slot: Slot) {
         let mut node = self;
         for &b in pat {
             node = node.children.entry(b).or_default();
         }
-        node.ids.push(id);
+        node.slots.push(slot);
     }
 
     /// Removes one occurrence path, pruning nodes left empty.
-    fn remove(&mut self, pat: &[u8], id: SubId) {
+    fn remove(&mut self, pat: &[u8], slot: Slot) {
         match pat.split_first() {
             None => {
-                if let Some(pos) = self.ids.iter().position(|x| *x == id) {
-                    self.ids.remove(pos);
+                if let Some(pos) = self.slots.iter().position(|x| *x == slot) {
+                    self.slots.remove(pos);
                 }
             }
             Some((b, rest)) => {
                 if let Some(child) = self.children.get_mut(b) {
-                    child.remove(rest, id);
+                    child.remove(rest, slot);
                     if child.is_empty() {
                         self.children.remove(b);
                     }
@@ -186,40 +224,40 @@ impl Trie {
         }
     }
 
-    fn visit(&self, s: &[u8], f: &mut impl FnMut(SubId)) {
+    fn visit(&self, s: &[u8], f: &mut impl FnMut(Slot)) {
         let mut node = self;
-        for id in &node.ids {
-            f(*id);
+        for slot in &node.slots {
+            f(*slot);
         }
         for b in s {
             match node.children.get(b) {
                 Some(child) => node = child,
                 None => return,
             }
-            for id in &node.ids {
-                f(*id);
+            for slot in &node.slots {
+                f(*slot);
             }
         }
     }
 
     fn is_empty(&self) -> bool {
-        self.ids.is_empty() && self.children.is_empty()
+        self.slots.is_empty() && self.children.is_empty()
     }
 }
 
 /// Per-attribute constraint buckets.
 #[derive(Debug, Clone, Default)]
 struct AttrBuckets {
-    eq_str: FnvHashMap<String, Vec<SubId>>,
-    eq_num: FnvHashMap<u64, Vec<SubId>>,
-    eq_bool: [Vec<SubId>; 2],
+    eq_str: FnvHashMap<String, Vec<Slot>>,
+    eq_num: FnvHashMap<u64, Vec<Slot>>,
+    eq_bool: [Vec<Slot>; 2],
+    prefix: Trie,
     /// `Gt`/`Ge` boundaries, keyed by [`ord_key`] of the bound.
     lower: BTreeMap<u64, Boundary>,
     /// `Lt`/`Le` boundaries, keyed by [`ord_key`] of the bound.
     upper: BTreeMap<u64, Boundary>,
-    prefix: Trie,
-    /// `(subscription, constraint position)` pairs evaluated directly.
-    fallback: Vec<(SubId, u32)>,
+    /// `(entry, constraint position)` pairs evaluated directly.
+    fallback: Vec<(Slot, u32)>,
 }
 
 impl AttrBuckets {
@@ -228,15 +266,53 @@ impl AttrBuckets {
             && self.eq_num.is_empty()
             && self.eq_bool[0].is_empty()
             && self.eq_bool[1].is_empty()
+            && self.prefix.is_empty()
             && self.lower.is_empty()
             && self.upper.is_empty()
-            && self.prefix.is_empty()
             && self.fallback.is_empty()
     }
 }
 
-fn remove_from(v: &mut Vec<SubId>, id: SubId) {
-    v.retain(|x| *x != id);
+fn remove_from(v: &mut Vec<Slot>, slot: Slot) {
+    v.retain(|x| *x != slot);
+}
+
+/// Per-probe working state, kept between probes so that a probe costs no
+/// allocation beyond its result.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// The current probe's stamp; a cell stamped otherwise is stale,
+    /// which is what makes clearing the counters free.
+    epoch: u32,
+    /// Per slot: `(stamp, satisfied constraints counted under that stamp)`.
+    cells: Vec<(u32, u32)>,
+    /// Slots counted at least once by the current probe.
+    touched: Vec<Slot>,
+    /// The current probe's matches as `(seq, id)`, for ordering.
+    hits: Vec<(u64, SubId)>,
+}
+
+impl Scratch {
+    fn begin(&mut self) {
+        self.touched.clear();
+        self.hits.clear();
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Stamps from the previous cycle would read as current.
+            self.cells.fill((0, 0));
+            self.epoch = 1;
+        }
+    }
+
+    fn bump(&mut self, slot: Slot) {
+        let cell = &mut self.cells[slot as usize];
+        if cell.0 == self.epoch {
+            cell.1 += 1;
+        } else {
+            *cell = (self.epoch, 1);
+            self.touched.push(slot);
+        }
+    }
 }
 
 /// The counting index over a set of subscriptions.
@@ -247,14 +323,19 @@ fn remove_from(v: &mut Vec<SubId>, id: SubId) {
 /// exactly as under a linear scan).
 #[derive(Debug, Clone, Default)]
 pub struct FilterIndex {
-    entries: FnvHashMap<SubId, Entry>,
+    /// Entries by slot; `None` marks a slot on the free list.
+    slab: Vec<Option<Entry>>,
+    free: Vec<Slot>,
+    slot_of: FnvHashMap<SubId, Slot>,
     attrs: FnvHashMap<String, AttrBuckets>,
     /// Zero-constraint filters restricted to a kind: they match every
     /// event of that kind, with no constraint to count.
-    kind_only: FnvHashMap<String, Vec<SubId>>,
+    kind_only: FnvHashMap<String, Vec<Slot>>,
     /// Zero-constraint, kindless filters: they match everything.
-    universal: Vec<SubId>,
+    universal: Vec<Slot>,
     next_seq: u64,
+    /// Probes take `&self`; the counters they reuse are interior state.
+    scratch: RefCell<Scratch>,
 }
 
 impl FilterIndex {
@@ -265,32 +346,36 @@ impl FilterIndex {
 
     /// Number of stored subscriptions.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slot_of.len()
     }
 
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.slot_of.is_empty()
     }
 
     /// Whether `id` is stored.
     pub fn contains(&self, id: SubId) -> bool {
-        self.entries.contains_key(&id)
+        self.slot_of.contains_key(&id)
+    }
+
+    fn entry(&self, slot: Slot) -> &Entry {
+        self.slab[slot as usize].as_ref().expect("an indexed slot holds an entry")
     }
 
     /// The stored subscription with this id.
     pub fn get(&self, id: SubId) -> Option<&Subscription> {
-        self.entries.get(&id).map(|e| &e.sub)
+        self.slot_of.get(&id).map(|&slot| &self.entry(slot).sub)
     }
 
     /// Stored subscriptions in arbitrary order.
     pub fn iter(&self) -> impl Iterator<Item = &Subscription> {
-        self.entries.values().map(|e| &e.sub)
+        self.slab.iter().flatten().map(|e| &e.sub)
     }
 
     /// Stored subscriptions in insertion order.
     pub fn iter_in_order(&self) -> impl Iterator<Item = &Subscription> {
-        let mut v: Vec<&Entry> = self.entries.values().collect();
+        let mut v: Vec<&Entry> = self.slab.iter().flatten().collect();
         v.sort_unstable_by_key(|e| e.seq);
         v.into_iter().map(|e| &e.sub)
     }
@@ -298,196 +383,245 @@ impl FilterIndex {
     /// Indexes a subscription. Returns `false` (and stores nothing) if the
     /// id is already present.
     pub fn insert(&mut self, sub: Subscription) -> bool {
-        if self.entries.contains_key(&sub.id) {
+        if self.slot_of.contains_key(&sub.id) {
             return false;
         }
-        let id = sub.id;
-        for (ci, c) in sub.filter.constraints().iter().enumerate() {
-            let slot = classify(c);
-            if matches!(slot, Slot::Never) {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slab.push(None);
+            let cells = &mut self.scratch.get_mut().cells;
+            cells.resize(self.slab.len(), (0, 0));
+            (self.slab.len() - 1) as Slot
+        });
+        let constraints = sub.filter.constraints();
+        let selective = constraints.iter().any(|c| classify(c).is_point());
+        let mut required = 0;
+        for (ci, c) in constraints.iter().enumerate() {
+            let place = classify(c);
+            if selective && !place.is_point() {
                 continue;
             }
-            let b = self.attrs.entry(c.attr.clone()).or_default();
-            match slot {
-                Slot::EqStr(s) => b.eq_str.entry(s.to_string()).or_default().push(id),
-                Slot::EqNum(x) => b.eq_num.entry(num_key(x)).or_default().push(id),
-                Slot::EqBool(v) => b.eq_bool[v as usize].push(id),
-                Slot::Lower { bound, strict } => {
+            required += 1;
+            if matches!(place, Place::Never) {
+                continue;
+            }
+            if !self.attrs.contains_key(&c.attr) {
+                self.attrs.insert(c.attr.clone(), AttrBuckets::default());
+            }
+            let b = self.attrs.get_mut(&c.attr).expect("just ensured");
+            match place {
+                Place::EqStr(s) => match b.eq_str.get_mut(s) {
+                    Some(v) => v.push(slot),
+                    None => {
+                        b.eq_str.insert(s.to_string(), vec![slot]);
+                    }
+                },
+                Place::EqNum(x) => b.eq_num.entry(num_key(x)).or_default().push(slot),
+                Place::EqBool(v) => b.eq_bool[v as usize].push(slot),
+                Place::Lower { bound, strict } => {
                     let bo = b.lower.entry(ord_key(bound)).or_default();
-                    if strict { &mut bo.strict } else { &mut bo.incl }.push(id);
+                    if strict { &mut bo.strict } else { &mut bo.incl }.push(slot);
                 }
-                Slot::Upper { bound, strict } => {
+                Place::Upper { bound, strict } => {
                     let bo = b.upper.entry(ord_key(bound)).or_default();
-                    if strict { &mut bo.strict } else { &mut bo.incl }.push(id);
+                    if strict { &mut bo.strict } else { &mut bo.incl }.push(slot);
                 }
-                Slot::Prefix(s) => b.prefix.insert(s.as_bytes(), id),
-                Slot::Fallback => b.fallback.push((id, ci as u32)),
-                Slot::Never => unreachable!(),
+                Place::Prefix(s) => b.prefix.insert(s.as_bytes(), slot),
+                Place::Fallback => b.fallback.push((slot, ci as u32)),
+                Place::Never => unreachable!(),
             }
         }
-        if sub.filter.constraints().is_empty() {
+        if constraints.is_empty() {
             match sub.filter.kind() {
-                Some(k) => self.kind_only.entry(k.to_string()).or_default().push(id),
-                None => self.universal.push(id),
+                Some(k) => match self.kind_only.get_mut(k) {
+                    Some(v) => v.push(slot),
+                    None => {
+                        self.kind_only.insert(k.to_string(), vec![slot]);
+                    }
+                },
+                None => self.universal.push(slot),
             }
         }
-        let required = sub.filter.constraints().len() as u32;
+        let verified = (required as usize) < constraints.len();
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.entries.insert(id, Entry { sub, seq, required });
+        self.slot_of.insert(sub.id, slot);
+        self.slab[slot as usize] = Some(Entry { sub, seq, required, verified });
         true
     }
 
     /// Removes a subscription, returning it.
     pub fn remove(&mut self, id: SubId) -> Option<Subscription> {
-        let e = self.entries.remove(&id)?;
-        for c in e.sub.filter.constraints() {
-            let slot = classify(c);
-            if matches!(slot, Slot::Never) {
+        let slot = self.slot_of.remove(&id)?;
+        let e = self.slab[slot as usize].take().expect("an indexed slot holds an entry");
+        self.free.push(slot);
+        let constraints = e.sub.filter.constraints();
+        let selective = constraints.iter().any(|c| classify(c).is_point());
+        for c in constraints {
+            let place = classify(c);
+            if matches!(place, Place::Never) || selective && !place.is_point() {
                 continue;
             }
             let Some(b) = self.attrs.get_mut(&c.attr) else { continue };
-            match slot {
-                Slot::EqStr(s) => {
+            match place {
+                Place::EqStr(s) => {
                     if let Some(v) = b.eq_str.get_mut(s) {
-                        remove_from(v, id);
+                        remove_from(v, slot);
                         if v.is_empty() {
                             b.eq_str.remove(s);
                         }
                     }
                 }
-                Slot::EqNum(x) => {
+                Place::EqNum(x) => {
                     let k = num_key(x);
                     if let Some(v) = b.eq_num.get_mut(&k) {
-                        remove_from(v, id);
+                        remove_from(v, slot);
                         if v.is_empty() {
                             b.eq_num.remove(&k);
                         }
                     }
                 }
-                Slot::EqBool(v) => remove_from(&mut b.eq_bool[v as usize], id),
-                Slot::Lower { bound, strict } => {
+                Place::EqBool(v) => remove_from(&mut b.eq_bool[v as usize], slot),
+                Place::Lower { bound, strict } => {
                     let k = ord_key(bound);
                     if let Some(bo) = b.lower.get_mut(&k) {
-                        remove_from(if strict { &mut bo.strict } else { &mut bo.incl }, id);
+                        remove_from(if strict { &mut bo.strict } else { &mut bo.incl }, slot);
                         if bo.is_empty() {
                             b.lower.remove(&k);
                         }
                     }
                 }
-                Slot::Upper { bound, strict } => {
+                Place::Upper { bound, strict } => {
                     let k = ord_key(bound);
                     if let Some(bo) = b.upper.get_mut(&k) {
-                        remove_from(if strict { &mut bo.strict } else { &mut bo.incl }, id);
+                        remove_from(if strict { &mut bo.strict } else { &mut bo.incl }, slot);
                         if bo.is_empty() {
                             b.upper.remove(&k);
                         }
                     }
                 }
-                Slot::Prefix(s) => b.prefix.remove(s.as_bytes(), id),
-                Slot::Fallback => b.fallback.retain(|(x, _)| *x != id),
-                Slot::Never => unreachable!(),
+                Place::Prefix(s) => b.prefix.remove(s.as_bytes(), slot),
+                Place::Fallback => b.fallback.retain(|(x, _)| *x != slot),
+                Place::Never => unreachable!(),
             }
             if b.is_empty() {
                 self.attrs.remove(&c.attr);
             }
         }
-        if e.sub.filter.constraints().is_empty() {
+        if constraints.is_empty() {
             match e.sub.filter.kind() {
                 Some(k) => {
                     if let Some(v) = self.kind_only.get_mut(k) {
-                        remove_from(v, id);
+                        remove_from(v, slot);
                         if v.is_empty() {
                             self.kind_only.remove(k);
                         }
                     }
                 }
-                None => remove_from(&mut self.universal, id),
+                None => remove_from(&mut self.universal, slot),
             }
         }
         Some(e.sub)
     }
 
-    /// Ids of subscriptions matching an event with the given kind and
-    /// attributes, in insertion order. `kind: None` means "no kind": only
-    /// kind-unrestricted filters can pass (used by covering queries;
-    /// events always carry a kind).
-    pub fn matching<'a>(
+    /// One probe: `attrs` walks the event's attributes (distinct names),
+    /// `get` reads one of them by name for the verified constraints.
+    fn probe<'a>(
         &self,
         kind: Option<&str>,
         attrs: impl Iterator<Item = (&'a str, &'a AttrValue)>,
+        get: impl Fn(&str) -> Option<&'a AttrValue>,
     ) -> Vec<SubId> {
-        let mut counts: FnvHashMap<SubId, u32> = FnvHashMap::default();
+        let mut scratch = self.scratch.borrow_mut();
+        let s = &mut *scratch;
+        s.begin();
         for (name, value) in attrs {
             let Some(b) = self.attrs.get(name) else { continue };
-            let mut bump = |id: SubId| *counts.entry(id).or_insert(0) += 1;
             match value {
-                AttrValue::Str(s) => {
-                    if let Some(ids) = b.eq_str.get(s.as_ref()) {
-                        ids.iter().for_each(|&id| bump(id));
+                AttrValue::Str(v) => {
+                    if let Some(slots) = b.eq_str.get(v.as_ref()) {
+                        slots.iter().for_each(|&slot| s.bump(slot));
                     }
-                    b.prefix.visit(s.as_bytes(), &mut bump);
+                    b.prefix.visit(v.as_bytes(), &mut |slot| s.bump(slot));
                 }
                 AttrValue::Int(_) | AttrValue::Float(_) => {
                     let x = value.as_number().expect("numeric");
                     // NaN compares with nothing: only the fallback list
                     // (where `Exists` lives) can be satisfied.
                     if !x.is_nan() {
-                        if let Some(ids) = b.eq_num.get(&num_key(x)) {
-                            ids.iter().for_each(|&id| bump(id));
+                        if let Some(slots) = b.eq_num.get(&num_key(x)) {
+                            slots.iter().for_each(|&slot| s.bump(slot));
                         }
                         let k = ord_key(x);
                         for (&bk, bo) in b.lower.range(..=k) {
-                            bo.incl.iter().for_each(|&id| bump(id));
+                            bo.incl.iter().for_each(|&slot| s.bump(slot));
                             if bk != k {
-                                bo.strict.iter().for_each(|&id| bump(id));
+                                bo.strict.iter().for_each(|&slot| s.bump(slot));
                             }
                         }
                         for (&bk, bo) in b.upper.range(k..) {
-                            bo.incl.iter().for_each(|&id| bump(id));
+                            bo.incl.iter().for_each(|&slot| s.bump(slot));
                             if bk != k {
-                                bo.strict.iter().for_each(|&id| bump(id));
+                                bo.strict.iter().for_each(|&slot| s.bump(slot));
                             }
                         }
                     }
                 }
                 AttrValue::Bool(v) => {
-                    b.eq_bool[*v as usize].iter().for_each(|&id| bump(id));
+                    b.eq_bool[*v as usize].iter().for_each(|&slot| s.bump(slot));
                 }
             }
-            for &(id, ci) in &b.fallback {
-                let e = &self.entries[&id];
-                if e.sub.filter.constraints()[ci as usize].matches_value(value) {
-                    bump(id);
+            for &(slot, ci) in &b.fallback {
+                if self.entry(slot).sub.filter.constraints()[ci as usize].matches_value(value) {
+                    s.bump(slot);
                 }
             }
         }
-        let kind_ok = |f: &Filter| match f.kind() {
-            None => true,
-            Some(k0) => kind == Some(k0),
-        };
-        let mut out: Vec<SubId> = counts
-            .iter()
-            .filter_map(|(&id, &n)| {
-                let e = &self.entries[&id];
-                (n == e.required && kind_ok(&e.sub.filter)).then_some(id)
-            })
-            .collect();
-        if let Some(k) = kind {
-            if let Some(ids) = self.kind_only.get(k) {
-                out.extend(ids);
+        for &slot in &s.touched {
+            let e = self.entry(slot);
+            let f = &e.sub.filter;
+            if s.cells[slot as usize].1 != e.required || f.kind().is_some_and(|k| kind != Some(k)) {
+                continue;
+            }
+            let verified_ok = |c: &Constraint| {
+                classify(c).is_point() || get(&c.attr).is_some_and(|v| c.matches_value(v))
+            };
+            if !e.verified || f.constraints().iter().all(verified_ok) {
+                s.hits.push((e.seq, e.sub.id));
             }
         }
-        out.extend(&self.universal);
-        out.sort_unstable_by_key(|id| self.entries[id].seq);
-        out
+        let unconstrained = kind.and_then(|k| self.kind_only.get(k)).into_iter().flatten();
+        for &slot in unconstrained.chain(&self.universal) {
+            let e = self.entry(slot);
+            s.hits.push((e.seq, e.sub.id));
+        }
+        s.hits.sort_unstable();
+        s.hits.iter().map(|&(_, id)| id).collect()
+    }
+
+    /// Ids of subscriptions matching an event with the given kind and
+    /// attributes (distinct names), in insertion order. `kind: None` means
+    /// "no kind": only kind-unrestricted filters can pass (used by
+    /// covering queries; events always carry a kind).
+    pub fn matching<'a>(
+        &self,
+        kind: Option<&str>,
+        attrs: impl Iterator<Item = (&'a str, &'a AttrValue)>,
+    ) -> Vec<SubId> {
+        let pairs: Vec<(&str, &AttrValue)> = attrs.collect();
+        self.matching_pairs(kind, &pairs)
+    }
+
+    fn matching_pairs(&self, kind: Option<&str>, pairs: &[(&str, &AttrValue)]) -> Vec<SubId> {
+        self.probe(kind, pairs.iter().copied(), |name| {
+            pairs.iter().find(|(a, _)| *a == name).map(|&(_, v)| v)
+        })
     }
 
     /// Ids of subscriptions matching `event`, in insertion order. Agrees
     /// exactly with scanning every stored filter through
     /// [`Filter::matches`].
     pub fn matching_event(&self, event: &Event) -> Vec<SubId> {
-        self.matching(Some(event.kind()), event.attrs())
+        self.probe(Some(event.kind()), event.attrs(), |name| event.attr(name))
     }
 
     /// Ids of stored filters that *cover* `query` — exact (sound and
@@ -512,7 +646,7 @@ impl FilterIndex {
             }
             pairs.push((c.attr.as_str(), &c.value));
         }
-        Some(self.matching(query.kind(), pairs.into_iter()))
+        Some(self.matching_pairs(query.kind(), &pairs))
     }
 }
 
@@ -649,6 +783,55 @@ mod tests {
     }
 
     #[test]
+    fn point_constraints_select_and_the_rest_is_verified() {
+        let mut ix = FilterIndex::new();
+        let alert = |zone: i64, level: i64| {
+            Filter::for_kind("k").with_eq("zone", zone).with_constraint("level", Op::Ge, level)
+        };
+        ix.insert(sub(1, alert(3, 10)));
+        ix.insert(sub(2, alert(3, 60)));
+        ix.insert(sub(3, alert(4, 10)));
+        // Indexed `Eq` and verified range on the same attribute.
+        ix.insert(sub(
+            4,
+            Filter::any().with_eq("zone", 3i64).with_constraint("zone", Op::Lt, 3i64),
+        ));
+        // A verified constraint nothing satisfies, beside a point one.
+        ix.insert(sub(5, Filter::any().with_eq("zone", 3i64).with_eq("level", f64::NAN)));
+        // No point constraint: counted in the boundary map as before.
+        ix.insert(sub(6, Filter::for_kind("k").with_constraint("level", Op::Ge, 20i64)));
+        assert_eq!(ix.attrs["level"].lower.len(), 1, "only the range-only filter is a floor");
+        let at = |zone: i64, level: i64| {
+            Event::new("k").with_attr("zone", zone).with_attr("level", level)
+        };
+        assert_eq!(ids(&ix, &at(3, 50)), vec![1, 6]);
+        assert_eq!(ids(&ix, &at(3, 60)), vec![1, 2, 6]);
+        assert_eq!(ids(&ix, &at(4, 15)), vec![3]);
+        let e = Event::new("k").with_attr("zone", 3i64);
+        assert!(ids(&ix, &e).is_empty(), "a verified constraint needs its attribute");
+    }
+
+    #[test]
+    fn reused_slots_and_a_wrapped_epoch_start_from_zero() {
+        let mut ix = FilterIndex::new();
+        let two = |u: &str| Filter::any().with_eq("u", u).with_eq("x", 1i64);
+        ix.insert(sub(1, two("bob")));
+        // Leaves slot 0 counted once under the current stamp.
+        assert!(ids(&ix, &Event::new("k").with_attr("u", "bob")).is_empty());
+        ix.remove(1);
+        ix.insert(sub(2, two("anna")));
+        assert_eq!(ix.slab.len(), 1, "the freed slot is reused");
+        assert!(ids(&ix, &Event::new("k").with_attr("x", 1i64)).is_empty());
+        // Across the wrap, the stamp of two probes ago must not read as current.
+        ix.scratch.get_mut().epoch = u32::MAX - 1;
+        for _ in 0..4 {
+            assert!(ids(&ix, &Event::new("k").with_attr("x", 1i64)).is_empty());
+            let e = Event::new("k").with_attr("x", 1i64).with_attr("u", "anna");
+            assert_eq!(ids(&ix, &e), vec![2]);
+        }
+    }
+
+    #[test]
     fn insert_remove_roundtrip_leaves_no_residue() {
         let mut ix = FilterIndex::new();
         let filters = [
@@ -670,6 +853,7 @@ mod tests {
         assert!(ix.attrs.is_empty(), "attribute buckets must drain");
         assert!(ix.kind_only.is_empty());
         assert!(ix.universal.is_empty());
+        assert_eq!(ix.free.len(), ix.slab.len(), "every slot is back on the free list");
         assert!(ix.remove(0).is_none());
     }
 

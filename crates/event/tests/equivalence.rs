@@ -8,7 +8,9 @@
 //!    operators and mixed attribute types (including NaN floats, negative
 //!    zero, empty-string patterns and cross-type constraints), the index
 //!    returns exactly the ids a filter-by-filter scan returns, in the
-//!    same order, before and after random removals.
+//!    same order, across rounds of removal and re-insertion into one
+//!    index (slot and counter reuse), and `covering_ids` returns exactly
+//!    the ids `Filter::covers` admits on the same tables.
 //! 2. **Delivery equivalence** — replaying a random
 //!    subscribe/unsubscribe/publish/detach/mobility script through a
 //!    three-broker line of indexed [`Broker`]s and of [`LinearBroker`]s
@@ -94,38 +96,109 @@ fn rand_event(rng: &mut SimRng) -> Event {
     e
 }
 
+/// [`rand_filter`], plus the shapes the select-then-verify probe treats
+/// specially: an indexed and a verified constraint on the *same*
+/// attribute, and a filter whose only point constraint can never be
+/// satisfied (`Eq NaN`, entered nowhere) beside a range that can.
+fn rand_index_filter(rng: &mut SimRng) -> Filter {
+    let range_ops = [Op::Lt, Op::Le, Op::Gt, Op::Ge, Op::Ne];
+    let bound = rng.range(0, 7) as i64 - 3;
+    match rng.range(0, 6) {
+        0 => Filter::for_kind(["a", "b"][rng.index(2)])
+            .with_eq("x", rng.range(0, 7) as i64 - 3)
+            .with_constraint("x", range_ops[rng.index(range_ops.len())], bound),
+        1 => Filter::any()
+            .with_constraint("s", Op::Prefix, STRINGS[rng.index(STRINGS.len())])
+            .with_constraint("s", Op::Suffix, STRINGS[rng.index(STRINGS.len())]),
+        2 => Filter::any().with_eq("y", f64::NAN).with_constraint(
+            "x",
+            range_ops[rng.index(range_ops.len())],
+            bound,
+        ),
+        _ => rand_filter(rng),
+    }
+}
+
+/// A covering query inside the fragment `covering_ids` answers: an
+/// optional kind and `Eq` constraints on distinct attributes.
+fn rand_eq_query(rng: &mut SimRng) -> Filter {
+    let mut q = match rng.range(0, 3) {
+        0 => Filter::any(),
+        1 => Filter::for_kind("a"),
+        _ => Filter::for_kind("b"),
+    };
+    for attr in ATTRS {
+        if rng.chance(0.4) {
+            q = q.with_eq(attr, rand_value(rng));
+        }
+    }
+    q
+}
+
+/// The index must agree with a scan of `subs` (held in insertion order):
+/// match sets through `Filter::matches`, cover sets through
+/// `Filter::covers`.
+fn check_against_scan(
+    index: &FilterIndex,
+    subs: &[Subscription],
+    rng: &mut SimRng,
+    stage: &str,
+) -> Result<(), TestCaseError> {
+    for _ in 0..12 {
+        let e = rand_event(rng);
+        let want: Vec<u64> = subs.iter().filter(|s| s.filter.matches(&e)).map(|s| s.id).collect();
+        let got = index.matching_event(&e);
+        prop_assert_eq!(&got, &want, "{stage}: event {e}: index {got:?}, scan {want:?}");
+    }
+    for _ in 0..4 {
+        let q = rand_eq_query(rng);
+        let want: Vec<u64> = subs.iter().filter(|s| s.filter.covers(&q)).map(|s| s.id).collect();
+        let got = index.covering_ids(&q).expect("all-Eq query on distinct attributes");
+        prop_assert_eq!(&got, &want, "{stage}: query {q}: index {got:?}, covers {want:?}");
+    }
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn index_match_set_equals_linear_scan(seed in any::<u64>()) {
         let mut rng = SimRng::new(seed);
-        let mut subs: Vec<Subscription> = (0..rng.range(1, 61))
-            .map(|id| Subscription { id, filter: rand_filter(&mut rng) })
-            .collect();
+        // One index lives through every round, so later rounds insert
+        // into slots earlier rounds freed and probe with counters earlier
+        // probes stamped: a stale stamp or count would show as a
+        // disagreement with the scan.
         let mut index = FilterIndex::new();
-        for s in &subs {
-            index.insert(s.clone());
-        }
-        let scan = |subs: &[Subscription], e: &Event| -> Vec<u64> {
-            subs.iter().filter(|s| s.filter.matches(e)).map(|s| s.id).collect()
-        };
-        for _ in 0..12 {
-            let e = rand_event(&mut rng);
-            prop_assert_eq!(index.matching_event(&e), scan(&subs, &e), "event {}", e.kind());
-        }
-        // Remove a random subset; the survivors must still match exactly.
-        let keep = |_id: u64, rng: &mut SimRng| rng.chance(0.5);
-        let mut i = 0;
-        while i < subs.len() {
-            if keep(subs[i].id, &mut rng) {
-                i += 1;
-            } else {
-                index.remove(subs[i].id);
-                subs.remove(i);
+        let mut subs: Vec<Subscription> = Vec::new();
+        let mut retired: Vec<u64> = Vec::new();
+        let mut next_id = 0;
+        for round in 0..4 {
+            for _ in 0..rng.range(1, 31) {
+                // Half the time a removed id comes back, under a new
+                // filter and at the back of the table.
+                let id = if !retired.is_empty() && rng.chance(0.5) {
+                    retired.swap_remove(rng.index(retired.len()))
+                } else {
+                    next_id += 1;
+                    next_id
+                };
+                let sub = Subscription { id, filter: rand_index_filter(&mut rng) };
+                prop_assert!(index.insert(sub.clone()));
+                subs.push(sub);
             }
-        }
-        for _ in 0..12 {
-            let e = rand_event(&mut rng);
-            prop_assert_eq!(index.matching_event(&e), scan(&subs, &e), "post-removal {}", e.kind());
+            check_against_scan(&index, &subs, &mut rng, &format!("round {round}, filled"))?;
+            // Remove a random subset; the survivors must still match exactly.
+            let mut i = 0;
+            while i < subs.len() {
+                if rng.chance(0.5) {
+                    i += 1;
+                } else {
+                    let gone = subs.remove(i);
+                    prop_assert_eq!(index.remove(gone.id).map(|s| s.id), Some(gone.id));
+                    retired.push(gone.id);
+                }
+            }
+            prop_assert_eq!(index.len(), subs.len());
+            check_against_scan(&index, &subs, &mut rng, &format!("round {round}, thinned"))?;
         }
     }
 }
