@@ -1,9 +1,11 @@
-//! The pre-index linear broker, kept verbatim as a reference oracle.
+//! The pre-index linear broker, kept as a reference oracle.
 //!
 //! [`LinearBroker`] is the broker as it stood before the counting index
 //! (PR 8): a `Vec` subscription table scanned filter-by-filter on every
 //! publish, and per-neighbour forwarded-id sets re-scanned on every
-//! unsubscribe. It exists so the indexed [`Broker`](crate::Broker) can be
+//! unsubscribe. One rule has changed since, in both brokers together: an
+//! attached client is sent one `Notify` per event, not one per matching
+//! subscription, and `pubsub.delivered_local` counts those. It exists so the indexed [`Broker`](crate::Broker) can be
 //! *proven* equivalent — the property tests replay random
 //! subscribe/unsubscribe/publish/mobility interleavings through both and
 //! assert byte-identical client delivery — and so the scaling benches
@@ -290,27 +292,22 @@ impl LinearBroker {
     }
 
     fn route(&mut self, from: NodeIndex, event: Event, out: &mut Outbox<BrokerMsg>) {
-        // Local delivery: one full table scan per publication.
-        let mut to_buffer: Vec<NodeIndex> = Vec::new();
+        // Local delivery: one full table scan per publication. A client is
+        // served once per event, at its first matching subscription.
+        let mut served: Vec<NodeIndex> = Vec::new();
         for e in &self.subs {
             let iface = e.iface;
-            if iface == from || !self.clients.contains(&iface) && !self.proxies.contains_key(&iface)
-            {
+            if iface == from || served.contains(&iface) || !e.sub.filter.matches(&event) {
                 continue;
             }
-            if e.sub.filter.matches(&event) {
-                if self.proxies.contains_key(&iface) {
-                    if !to_buffer.contains(&iface) {
-                        to_buffer.push(iface);
-                    }
-                } else if self.clients.contains(&iface) {
-                    out.send(iface, BrokerMsg::Notify(event.clone()));
-                    out.count("pubsub.delivered_local", 1.0);
-                }
+            if let Some(buffer) = self.proxies.get_mut(&iface) {
+                buffer.push(event.clone());
+                served.push(iface);
+            } else if self.clients.contains(&iface) {
+                out.send(iface, BrokerMsg::Notify(event.clone()));
+                out.count("pubsub.delivered_local", 1.0);
+                served.push(iface);
             }
-        }
-        for iface in to_buffer {
-            self.proxies.get_mut(&iface).expect("proxy exists").push(event.clone());
         }
 
         // Inter-broker forwarding: another scan per neighbour.

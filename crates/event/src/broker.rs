@@ -15,9 +15,18 @@
 //!   prunes against forwarded roots only and unsubscribe repairs just the
 //!   removed filter's children instead of re-scanning the whole table.
 //!
-//! The pre-index broker survives verbatim as
+//! The pre-index broker survives as
 //! [`LinearBroker`](crate::LinearBroker); property tests assert both
 //! deliver byte-identical notification streams to clients.
+//!
+//! Delivery is per client: however many of its subscriptions an event
+//! matches, an attached client is sent one `Notify` (and an away client's
+//! proxy buffers one copy). The counters follow the messages:
+//! `pubsub.delivered_local` counts *clients notified* — one per `Notify`
+//! sent to an attached client, handoff replays excluded (those are
+//! `pubsub.handoff_events`) — and
+//! [`notifications_forwarded`](Broker::notifications_forwarded) counts one
+//! per neighbouring broker an event is forwarded to.
 
 use crate::filter::{merge_cover, Advertisement, Filter, Subscription};
 use crate::index::FilterIndex;
@@ -206,12 +215,9 @@ pub struct Broker {
     shed: Option<LoadShedder>,
     /// Counter for broker-minted merged-filter ids.
     synth_seq: u64,
-    /// `route`'s working sets, kept between events so routing one costs
-    /// no allocation of its own: interfaces with a matching subscription,
-    /// and away clients to buffer for (as a set and in first-match order).
+    /// `route`'s working set — interfaces with a matching subscription —
+    /// kept between events so routing one costs no allocation of its own.
     wanted: HashSet<u32, FnvBuildHasher>,
-    buffered: HashSet<u32, FnvBuildHasher>,
-    to_buffer: Vec<NodeIndex>,
     /// Messages handled (load metric for C1).
     pub msgs_handled: u64,
     /// Notifications forwarded to other brokers.
@@ -249,8 +255,6 @@ impl Broker {
             shed: None,
             synth_seq: 0,
             wanted: HashSet::default(),
-            buffered: HashSet::default(),
-            to_buffer: Vec::new(),
             msgs_handled: 0,
             notifications_forwarded: 0,
         }
@@ -556,27 +560,22 @@ impl Broker {
         // One counting probe yields every matching subscription, in
         // arrival order (the order the old linear scan delivered in).
         let matched = self.subs.matching_event(&event);
-        // Interfaces with at least one matching subscription, for
-        // inter-broker forwarding decisions.
+        // An interface is served once per event, at its first matching
+        // subscription: a client with k matching filters gets one copy,
+        // live or buffered. `wanted` then also says which neighbours
+        // hold a matching subscription, for forwarding below.
         self.wanted.clear();
-        self.buffered.clear();
         for &id in &matched {
             let iface = *self.iface_of.get(&id).expect("id tracked");
-            self.wanted.insert(iface.0);
-            if iface == from {
+            if !self.wanted.insert(iface.0) || iface == from {
                 continue;
             }
-            if self.proxies.contains_key(&iface) {
-                if self.buffered.insert(iface.0) {
-                    self.to_buffer.push(iface);
-                }
+            if let Some(buffer) = self.proxies.get_mut(&iface) {
+                buffer.push(event.clone());
             } else if self.clients.contains(&iface) {
                 out.send(iface, BrokerMsg::Notify(event.clone()));
                 out.count("pubsub.delivered_local", 1.0);
             }
-        }
-        for iface in self.to_buffer.drain(..) {
-            self.proxies.get_mut(&iface).expect("proxy exists").push(event.clone());
         }
 
         // Inter-broker forwarding.

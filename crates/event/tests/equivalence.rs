@@ -14,7 +14,9 @@
 //! 2. **Delivery equivalence** — replaying a random
 //!    subscribe/unsubscribe/publish/detach/mobility script through a
 //!    three-broker line of indexed [`Broker`]s and of [`LinearBroker`]s
-//!    yields byte-identical per-client notification streams, and every
+//!    yields byte-identical per-client notification streams and equal
+//!    delivery counters (one `Notify` per client per event, however many
+//!    of its subscriptions match), and every
 //!    filter the linear broker forwards on a link is covered by some
 //!    filter the indexed broker forwards there (the covering-soundness
 //!    invariant that makes the delivery claim hold in general).
@@ -205,11 +207,16 @@ proptest! {
 
 /// The pieces of broker state the dual-world harness compares.
 trait AnyBroker {
+    /// Broker `i` of the 0..BROKERS line.
+    fn on_line(i: u32) -> Self;
     fn dispatch(&mut self, from: NodeIndex, msg: BrokerMsg, out: &mut Outbox<BrokerMsg>);
     fn forwarded(&self, target: NodeIndex) -> Vec<Filter>;
 }
 
 impl AnyBroker for Broker {
+    fn on_line(i: u32) -> Self {
+        Broker::new(NodeIndex(i), line(i))
+    }
     fn dispatch(&mut self, from: NodeIndex, msg: BrokerMsg, out: &mut Outbox<BrokerMsg>) {
         self.handle(SimTime::ZERO, from, msg, out);
     }
@@ -219,6 +226,9 @@ impl AnyBroker for Broker {
 }
 
 impl AnyBroker for LinearBroker {
+    fn on_line(i: u32) -> Self {
+        LinearBroker::new(NodeIndex(i), line(i))
+    }
     fn dispatch(&mut self, from: NodeIndex, msg: BrokerMsg, out: &mut Outbox<BrokerMsg>) {
         self.handle(SimTime::ZERO, from, msg, out);
     }
@@ -246,13 +256,34 @@ fn line(i: u32) -> BrokerTopology {
 /// One injected protocol message: (destination broker, from, message).
 type ScriptStep = (u32, u32, BrokerMsg);
 
+/// The counters both brokers must keep alike: they count what clients
+/// are sent. (`subs_pruned` / `subs_merged` legitimately differ — the
+/// covering DAG prunes and merges more than the linear table.)
+const DELIVERY_COUNTERS: [&str; 3] =
+    ["pubsub.delivered_local", "pubsub.handoff_events", "pubsub.move_out"];
+
+/// What one world's clients were sent, and what its brokers counted.
+#[derive(Debug, Default)]
+struct Seen {
+    /// Per client, its notifications in order.
+    deliveries: BTreeMap<u32, Vec<Event>>,
+    /// Totals of the [`DELIVERY_COUNTERS`].
+    counters: BTreeMap<&'static str, f64>,
+}
+
+impl Seen {
+    fn counter(&self, name: &str) -> f64 {
+        self.counters.get(name).copied().unwrap_or(0.0)
+    }
+
+    fn delivered(&self) -> usize {
+        self.deliveries.values().map(Vec::len).sum()
+    }
+}
+
 /// Injects one message and shuttles all resulting inter-broker traffic
 /// until quiescent, recording notifications delivered to clients.
-fn run_step<B: AnyBroker>(
-    brokers: &mut [B],
-    step: &ScriptStep,
-    deliveries: &mut BTreeMap<u32, Vec<Event>>,
-) {
+fn run_step<B: AnyBroker>(brokers: &mut [B], step: &ScriptStep, seen: &mut Seen) {
     let mut q: VecDeque<ScriptStep> = VecDeque::from([step.clone()]);
     while let Some((to, from, msg)) = q.pop_front() {
         let mut out = Outbox::new();
@@ -261,7 +292,12 @@ fn run_step<B: AnyBroker>(
             if t.0 < BROKERS {
                 q.push_back((t.0, to, m.clone()));
             } else if let BrokerMsg::Notify(e) = m {
-                deliveries.entry(t.0).or_default().push(e.clone());
+                seen.deliveries.entry(t.0).or_default().push(e.clone());
+            }
+        }
+        for (name, by) in out.counts() {
+            if let Some(known) = DELIVERY_COUNTERS.iter().find(|c| *c == name) {
+                *seen.counters.entry(known).or_default() += by;
             }
         }
     }
@@ -379,13 +415,11 @@ proptest! {
         let mut rng = SimRng::new(seed);
         let script = rand_script(&mut rng);
 
-        let mut indexed: Vec<Broker> =
-            (0..BROKERS).map(|i| Broker::new(NodeIndex(i), line(i))).collect();
-        let mut linear: Vec<LinearBroker> =
-            (0..BROKERS).map(|i| LinearBroker::new(NodeIndex(i), line(i))).collect();
+        let mut indexed: Vec<Broker> = (0..BROKERS).map(Broker::on_line).collect();
+        let mut linear: Vec<LinearBroker> = (0..BROKERS).map(LinearBroker::on_line).collect();
 
-        let mut got: BTreeMap<u32, Vec<Event>> = BTreeMap::new();
-        let mut want: BTreeMap<u32, Vec<Event>> = BTreeMap::new();
+        let mut got = Seen::default();
+        let mut want = Seen::default();
         for step in &script {
             run_step(&mut indexed, step, &mut got);
             run_step(&mut linear, step, &mut want);
@@ -412,10 +446,17 @@ proptest! {
                 }
             }
         }
-        // Byte-identical notification streams, per client, in order.
-        // Rendered comparison: `Event` equality is false for NaN attrs
-        // (IEEE semantics), but identical bytes are what we claim.
+        // Byte-identical notification streams, per client, in order, and
+        // equal delivery counters. Rendered comparison: `Event` equality
+        // is false for NaN attrs (IEEE semantics), but identical bytes
+        // are what we claim.
         prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        // The counters count the messages: every notification a client
+        // was sent is a live delivery or a handoff replay.
+        prop_assert_eq!(
+            got.counter("pubsub.delivered_local") + got.counter("pubsub.handoff_events"),
+            got.delivered() as f64
+        );
     }
 }
 
@@ -430,12 +471,10 @@ proptest! {
 /// subscriber behind broker 2.
 #[test]
 fn foreign_merged_cover_survives_covered_child_churn() {
-    let mut indexed: Vec<Broker> =
-        (0..BROKERS).map(|i| Broker::new(NodeIndex(i), line(i))).collect();
-    let mut linear: Vec<LinearBroker> =
-        (0..BROKERS).map(|i| LinearBroker::new(NodeIndex(i), line(i))).collect();
-    let mut got: BTreeMap<u32, Vec<Event>> = BTreeMap::new();
-    let mut want: BTreeMap<u32, Vec<Event>> = BTreeMap::new();
+    let mut indexed: Vec<Broker> = (0..BROKERS).map(Broker::on_line).collect();
+    let mut linear: Vec<LinearBroker> = (0..BROKERS).map(LinearBroker::on_line).collect();
+    let mut got = Seen::default();
+    let mut want = Seen::default();
 
     let sub_at = |broker: u32, client: u32, id: u64, filter: Filter| {
         (broker, client, BrokerMsg::Subscribe(Subscription { id, filter }))
@@ -491,9 +530,61 @@ fn foreign_merged_cover_survives_covered_child_churn() {
         run_step(&mut linear, step, &mut want);
     }
     assert_eq!(
-        got.get(&12).map_or(0, Vec::len),
+        got.deliveries.get(&12).map_or(0, Vec::len),
         2,
         "both publications must reach the downstream subscriber: {got:?}"
     );
     assert_eq!(format!("{got:?}"), format!("{want:?}"));
+}
+
+/// Delivery is per client, not per subscription: a client holding three
+/// filters that all match is sent one `Notify` per event while attached,
+/// one replayed copy of an event buffered while it roamed, and one per
+/// event again once its subscriptions are re-registered at the new
+/// broker.
+fn one_notify_per_client_per_event<B: AnyBroker>() {
+    let mut brokers: Vec<B> = (0..BROKERS).map(B::on_line).collect();
+    let mut seen = Seen::default();
+    let (subscriber, publisher) = (10, 11);
+    let filters = [
+        Filter::for_kind("alert"),
+        Filter::for_kind("alert").with_eq("zone", 3i64),
+        Filter::any().with_eq("zone", 3i64).with_constraint("level", Op::Ge, 10i64),
+    ];
+    let alert = |level: i64| {
+        let e = Event::new("alert").with_attr("zone", 3i64).with_attr("level", level);
+        (2, publisher, BrokerMsg::Publish(e))
+    };
+    let sent = |seen: &Seen| seen.deliveries.get(&subscriber).map_or(0, Vec::len);
+
+    run_step(&mut brokers, &(0, subscriber, BrokerMsg::Attach), &mut seen);
+    run_step(&mut brokers, &(2, publisher, BrokerMsg::Attach), &mut seen);
+    for (k, filter) in filters.into_iter().enumerate() {
+        let id = (u64::from(subscriber) << 32) | k as u64;
+        let sub = BrokerMsg::Subscribe(Subscription { id, filter });
+        run_step(&mut brokers, &(0, subscriber, sub), &mut seen);
+    }
+    run_step(&mut brokers, &alert(50), &mut seen);
+    assert_eq!(sent(&seen), 1, "three matching subscriptions, one live copy");
+
+    run_step(&mut brokers, &(0, subscriber, BrokerMsg::MoveOut), &mut seen);
+    run_step(&mut brokers, &alert(51), &mut seen);
+    assert_eq!(sent(&seen), 1, "away: buffered, not sent");
+    let move_in = BrokerMsg::MoveIn { old_broker: NodeIndex(0) };
+    run_step(&mut brokers, &(1, subscriber, move_in), &mut seen);
+    assert_eq!(sent(&seen), 2, "one buffered copy replayed by the handoff");
+
+    run_step(&mut brokers, &alert(52), &mut seen);
+    assert_eq!(sent(&seen), 3, "re-registered at the new broker: still one copy");
+    let levels: Vec<f64> =
+        seen.deliveries[&subscriber].iter().filter_map(|e| e.num_attr("level")).collect();
+    assert_eq!(levels, [50.0, 51.0, 52.0]);
+    assert_eq!(seen.counter("pubsub.delivered_local"), 2.0, "counts clients notified");
+    assert_eq!(seen.counter("pubsub.handoff_events"), 1.0);
+}
+
+#[test]
+fn a_client_is_sent_one_notify_per_event_however_many_subscriptions_match() {
+    one_notify_per_client_per_event::<Broker>();
+    one_notify_per_client_per_event::<LinearBroker>();
 }
