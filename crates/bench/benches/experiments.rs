@@ -10,7 +10,7 @@ use gloss_knowledge::{
 };
 use gloss_matchlet::MatchletEngine;
 use gloss_overlay::{Key, OverlayNetwork};
-use gloss_sim::{NodeIndex, SimDuration, SimTime};
+use gloss_sim::{NodeIndex, SimDuration, SimRng, SimTime, Zipf};
 use gloss_store::{Document, ErasureCode, StoreConfig, StoreNetwork};
 use gloss_xml::{parse, FieldType, ProjSpec, Schema};
 
@@ -650,6 +650,36 @@ fn s6_subscriber_publish(c: &mut Criterion) {
                 let e = Event::new("ctx").with_attr("user", format!("u{}", i * 7 % n));
                 let mut out = Outbox::new();
                 broker.handle(SimTime::ZERO, NodeIndex(5), BrokerMsg::Publish(e), &mut out);
+                out
+            })
+        });
+        // The fan-out shape (`subscriber_fanout` in the e2e benchmark): a
+        // kind, a Zipf-popular `zone` to equal and a uniform `level`
+        // floor, events drawn alike. The `Eq`-only rows above never
+        // touch a boundary map, so they cannot show what a range costs.
+        let mut rng = SimRng::new(6);
+        let (kinds, zones) = (Zipf::new(8, 1.0), Zipf::new(16, 1.0));
+        let mut ranged = Broker::new(NodeIndex(0), topology);
+        for i in 0..n {
+            let client = NodeIndex(10 + i as u32);
+            let filter = Filter::for_kind(format!("alert{}", kinds.sample(&mut rng)))
+                .with_eq("zone", zones.sample(&mut rng) as i64)
+                .with_constraint("level", Op::Ge, rng.range(0, 100) as i64);
+            ranged.handle(SimTime::ZERO, client, BrokerMsg::Attach, &mut out);
+            ranged.handle(
+                SimTime::ZERO,
+                client,
+                BrokerMsg::Subscribe(Subscription { id: i as u64 + 1, filter }),
+                &mut out,
+            );
+        }
+        c.bench_function(&format!("s6_publish_indexed_range_{n}"), |b| {
+            b.iter(|| {
+                let e = Event::new(format!("alert{}", kinds.sample(&mut rng)))
+                    .with_attr("zone", zones.sample(&mut rng) as i64)
+                    .with_attr("level", rng.range(0, 100) as i64);
+                let mut out = Outbox::new();
+                ranged.handle(SimTime::ZERO, NodeIndex(5), BrokerMsg::Publish(e), &mut out);
                 out
             })
         });
