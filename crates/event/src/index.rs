@@ -82,11 +82,9 @@ struct Entry {
     /// like the linear scan it replaces.
     seq: u64,
     /// Number of counted constraints (the counter target): the point
-    /// constraints when the filter has any, else all of them.
+    /// constraints when the filter has any — the rest are then verified
+    /// once the counter fills — else all of them.
     required: u32,
-    /// Whether the filter has constraints left out of the buckets, to be
-    /// verified once its counter fills.
-    verified: bool,
 }
 
 /// Where one constraint is indexed.
@@ -277,6 +275,17 @@ fn remove_from(v: &mut Vec<Slot>, slot: Slot) {
     v.retain(|x| *x != slot);
 }
 
+/// Appends `slot` to the list under `key`, copying the key only when the
+/// list is new.
+fn push_under(map: &mut FnvHashMap<String, Vec<Slot>>, key: &str, slot: Slot) {
+    match map.get_mut(key) {
+        Some(v) => v.push(slot),
+        None => {
+            map.insert(key.to_string(), vec![slot]);
+        }
+    }
+}
+
 /// Per-probe working state, kept between probes so that a probe costs no
 /// allocation beyond its result.
 #[derive(Debug, Clone, Default)]
@@ -387,10 +396,10 @@ impl FilterIndex {
             return false;
         }
         let slot = self.free.pop().unwrap_or_else(|| {
+            let slot = Slot::try_from(self.slab.len()).expect("fewer than 2^32 slots");
             self.slab.push(None);
-            let cells = &mut self.scratch.get_mut().cells;
-            cells.resize(self.slab.len(), (0, 0));
-            (self.slab.len() - 1) as Slot
+            self.scratch.get_mut().cells.push((0, 0));
+            slot
         });
         let constraints = sub.filter.constraints();
         let selective = constraints.iter().any(|c| classify(c).is_point());
@@ -409,12 +418,7 @@ impl FilterIndex {
             }
             let b = self.attrs.get_mut(&c.attr).expect("just ensured");
             match place {
-                Place::EqStr(s) => match b.eq_str.get_mut(s) {
-                    Some(v) => v.push(slot),
-                    None => {
-                        b.eq_str.insert(s.to_string(), vec![slot]);
-                    }
-                },
+                Place::EqStr(s) => push_under(&mut b.eq_str, s, slot),
                 Place::EqNum(x) => b.eq_num.entry(num_key(x)).or_default().push(slot),
                 Place::EqBool(v) => b.eq_bool[v as usize].push(slot),
                 Place::Lower { bound, strict } => {
@@ -432,20 +436,14 @@ impl FilterIndex {
         }
         if constraints.is_empty() {
             match sub.filter.kind() {
-                Some(k) => match self.kind_only.get_mut(k) {
-                    Some(v) => v.push(slot),
-                    None => {
-                        self.kind_only.insert(k.to_string(), vec![slot]);
-                    }
-                },
+                Some(k) => push_under(&mut self.kind_only, k, slot),
                 None => self.universal.push(slot),
             }
         }
-        let verified = (required as usize) < constraints.len();
         let seq = self.next_seq;
         self.next_seq += 1;
         self.slot_of.insert(sub.id, slot);
-        self.slab[slot as usize] = Some(Entry { sub, seq, required, verified });
+        self.slab[slot as usize] = Some(Entry { sub, seq, required });
         true
     }
 
@@ -582,10 +580,11 @@ impl FilterIndex {
             if s.cells[slot as usize].1 != e.required || f.kind().is_some_and(|k| kind != Some(k)) {
                 continue;
             }
-            let verified_ok = |c: &Constraint| {
+            // Every constraint was counted, or the uncounted ones hold.
+            let holds = |c: &Constraint| {
                 classify(c).is_point() || get(&c.attr).is_some_and(|v| c.matches_value(v))
             };
-            if !e.verified || f.constraints().iter().all(verified_ok) {
+            if e.required as usize == f.constraints().len() || f.constraints().iter().all(holds) {
                 s.hits.push((e.seq, e.sub.id));
             }
         }
