@@ -5,12 +5,13 @@
 //! publish, and per-neighbour forwarded-id sets re-scanned on every
 //! unsubscribe. One rule has changed since, in both brokers together: an
 //! attached client is sent one `Notify` per event, not one per matching
-//! subscription, and `pubsub.delivered_local` counts those. It exists so the indexed [`Broker`](crate::Broker) can be
-//! *proven* equivalent — the property tests replay random
-//! subscribe/unsubscribe/publish/mobility interleavings through both and
-//! assert byte-identical client delivery — and so the scaling benches
-//! (s6/c17) have an honest "what it used to cost" column. Do not use it
-//! for anything else; it is O(table size) per publish.
+//! subscription, and `pubsub.delivered_local` counts those. It exists so
+//! the indexed [`Broker`](crate::Broker) can be *proven* equivalent — the
+//! property tests replay random subscribe/unsubscribe/publish/mobility
+//! interleavings through both and assert byte-identical client delivery —
+//! and so the scaling benches (s6/c17) have an honest "what it used to
+//! cost" column. Do not use it for anything else; it is O(table size) per
+//! publish.
 
 use crate::broker::{BrokerMsg, BrokerTopology, SubId};
 use crate::filter::{Advertisement, Filter, Subscription};

@@ -151,6 +151,18 @@ fn classify(c: &Constraint) -> Place<'_> {
     }
 }
 
+/// The constraints a filter is counted by, with their positions: its
+/// point constraints when it has any (the rest are verified on the
+/// candidates), else all of them.
+fn counted(f: &Filter) -> impl Iterator<Item = (usize, &Constraint, Place<'_>)> {
+    let selective = f.constraints().iter().any(|c| classify(c).is_point());
+    f.constraints()
+        .iter()
+        .enumerate()
+        .map(|(ci, c)| (ci, c, classify(c)))
+        .filter(move |(_, _, place)| !selective || place.is_point())
+}
+
 /// Canonical hash key for a finite numeric operand: `Int` and `Float`
 /// compare numerically, so both map through `f64`; `-0.0` folds onto
 /// `0.0` (they compare equal).
@@ -401,14 +413,8 @@ impl FilterIndex {
             self.scratch.get_mut().cells.push((0, 0));
             slot
         });
-        let constraints = sub.filter.constraints();
-        let selective = constraints.iter().any(|c| classify(c).is_point());
         let mut required = 0;
-        for (ci, c) in constraints.iter().enumerate() {
-            let place = classify(c);
-            if selective && !place.is_point() {
-                continue;
-            }
+        for (ci, c, place) in counted(&sub.filter) {
             required += 1;
             if matches!(place, Place::Never) {
                 continue;
@@ -434,7 +440,7 @@ impl FilterIndex {
                 Place::Never => unreachable!(),
             }
         }
-        if constraints.is_empty() {
+        if sub.filter.constraints().is_empty() {
             match sub.filter.kind() {
                 Some(k) => push_under(&mut self.kind_only, k, slot),
                 None => self.universal.push(slot),
@@ -452,11 +458,8 @@ impl FilterIndex {
         let slot = self.slot_of.remove(&id)?;
         let e = self.slab[slot as usize].take().expect("an indexed slot holds an entry");
         self.free.push(slot);
-        let constraints = e.sub.filter.constraints();
-        let selective = constraints.iter().any(|c| classify(c).is_point());
-        for c in constraints {
-            let place = classify(c);
-            if matches!(place, Place::Never) || selective && !place.is_point() {
+        for (_, c, place) in counted(&e.sub.filter) {
+            if matches!(place, Place::Never) {
                 continue;
             }
             let Some(b) = self.attrs.get_mut(&c.attr) else { continue };
@@ -505,7 +508,7 @@ impl FilterIndex {
                 self.attrs.remove(&c.attr);
             }
         }
-        if constraints.is_empty() {
+        if e.sub.filter.constraints().is_empty() {
             match e.sub.filter.kind() {
                 Some(k) => {
                     if let Some(v) = self.kind_only.get_mut(k) {
