@@ -16,10 +16,10 @@
 //!    three-broker line of indexed [`Broker`]s and of [`LinearBroker`]s
 //!    yields byte-identical per-client notification streams and equal
 //!    delivery counters (one `Notify` per client per event, however many
-//!    of its subscriptions match), and every
-//!    filter the linear broker forwards on a link is covered by some
-//!    filter the indexed broker forwards there (the covering-soundness
-//!    invariant that makes the delivery claim hold in general).
+//!    of its subscriptions match), and every filter the linear broker
+//!    forwards on a link is covered by some filter the indexed broker
+//!    forwards there (the covering-soundness invariant that makes the
+//!    delivery claim hold in general).
 //!
 //! The brokers run without advertisement gating: the linear broker's
 //! unsubscribe repair re-forwards even subscriptions that gating had
