@@ -14,7 +14,7 @@
 //! publish.
 
 use crate::broker::{BrokerMsg, BrokerTopology, SubId};
-use crate::filter::{Advertisement, Filter, Subscription};
+use crate::filter::{Filter, Subscription};
 use crate::notification::Event;
 use gloss_governor::{IngressClass, LoadShedder, ShedConfig, ShedDecision};
 use gloss_sim::{NodeIndex, Outbox, SimDuration, SimTime};
@@ -35,11 +35,6 @@ pub struct LinearBroker {
     subs: Vec<SubEntry>,
     /// Subscription ids we have forwarded, per neighbouring broker.
     forwarded: BTreeMap<NodeIndex, BTreeSet<SubId>>,
-    /// Advertisements seen, with the interface they arrived from.
-    advs: Vec<(Advertisement, NodeIndex)>,
-    /// When true, subscriptions are only forwarded toward interfaces that
-    /// sent an overlapping advertisement.
-    use_advertisements: bool,
     /// Mobility proxies: disconnected client → buffered events.
     proxies: BTreeMap<NodeIndex, Vec<Event>>,
     /// Ingress load shedder (None = unbounded legacy behaviour).
@@ -71,19 +66,11 @@ impl LinearBroker {
             clients: BTreeSet::new(),
             subs: Vec::new(),
             forwarded: BTreeMap::new(),
-            advs: Vec::new(),
-            use_advertisements: false,
             proxies: BTreeMap::new(),
             shed: None,
             msgs_handled: 0,
             notifications_forwarded: 0,
         }
-    }
-
-    /// Enables advertisement-gated subscription forwarding.
-    pub fn with_advertisements(mut self) -> Self {
-        self.use_advertisements = true;
-        self
     }
 
     /// Bounds this broker's ingress with a watermark load shedder.
@@ -157,17 +144,6 @@ impl LinearBroker {
             }
             BrokerMsg::Subscribe(sub) => self.subscribe(from, sub, out),
             BrokerMsg::Unsubscribe(id) => self.unsubscribe(id, out),
-            BrokerMsg::Advertise(adv) => self.advertise(from, adv, out),
-            BrokerMsg::Unadvertise(id) => {
-                if let Some(pos) = self.advs.iter().position(|(a, _)| a.id == id) {
-                    let (_, iface) = self.advs.remove(pos);
-                    for n in self.broker_links() {
-                        if n != iface {
-                            out.send(n, BrokerMsg::Unadvertise(id));
-                        }
-                    }
-                }
-            }
             BrokerMsg::Publish(event) | BrokerMsg::Notify(event) => self.route(from, event, out),
             BrokerMsg::MoveOut => {
                 self.proxies.entry(from).or_default();
@@ -196,19 +172,6 @@ impl LinearBroker {
                 for e in events {
                     out.send(client, BrokerMsg::Notify(e));
                 }
-            }
-        }
-    }
-
-    fn broker_links(&self) -> Vec<NodeIndex> {
-        match &self.topology {
-            BrokerTopology::Peer { neighbors } => neighbors.clone(),
-            BrokerTopology::Hierarchical { parent, children } => {
-                let mut v = children.clone();
-                if let Some(p) = parent {
-                    v.push(*p);
-                }
-                v
             }
         }
     }
@@ -242,16 +205,6 @@ impl LinearBroker {
                 out.count("pubsub.subs_pruned", 1.0);
                 continue;
             }
-            if self.use_advertisements {
-                let relevant = self
-                    .advs
-                    .iter()
-                    .any(|(a, iface)| *iface == target && a.relevant_to(&sub.filter));
-                if !relevant {
-                    out.count("pubsub.subs_gated", 1.0);
-                    continue;
-                }
-            }
             self.forwarded.entry(target).or_default().insert(sub.id);
             out.send(target, BrokerMsg::Subscribe(sub.clone()));
         }
@@ -278,18 +231,6 @@ impl LinearBroker {
                 }
             }
         }
-    }
-
-    fn advertise(&mut self, from: NodeIndex, adv: Advertisement, out: &mut Outbox<BrokerMsg>) {
-        if self.advs.iter().any(|(a, _)| a.id == adv.id) {
-            return;
-        }
-        for n in self.broker_links() {
-            if n != from {
-                out.send(n, BrokerMsg::Advertise(adv.clone()));
-            }
-        }
-        self.advs.push((adv, from));
     }
 
     fn route(&mut self, from: NodeIndex, event: Event, out: &mut Outbox<BrokerMsg>) {

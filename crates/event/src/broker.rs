@@ -1,7 +1,7 @@
 //! The Siena-like event broker: a sans-IO state machine implementing
-//! subscription propagation with covering-based pruning, advertisement
-//! gating, and notification forwarding over hierarchical or acyclic-peer
-//! broker topologies.
+//! subscription propagation with covering-based pruning and merging, and
+//! notification forwarding over hierarchical or acyclic-peer broker
+//! topologies.
 //!
 //! Since PR 8 the broker is *sublinear* in its subscription table:
 //!
@@ -28,7 +28,7 @@
 //! [`notifications_forwarded`](Broker::notifications_forwarded) counts one
 //! per neighbouring broker an event is forwarded to.
 
-use crate::filter::{merge_cover, Advertisement, Filter, Subscription};
+use crate::filter::{merge_cover, Filter, Subscription};
 use crate::index::FilterIndex;
 use crate::notification::Event;
 use gloss_governor::{IngressClass, LoadShedder, ShedConfig, ShedDecision};
@@ -75,21 +75,6 @@ pub enum BrokerTopology {
     },
 }
 
-impl BrokerTopology {
-    fn broker_links(&self) -> Vec<NodeIndex> {
-        match self {
-            BrokerTopology::Peer { neighbors } => neighbors.clone(),
-            BrokerTopology::Hierarchical { parent, children } => {
-                let mut v = children.clone();
-                if let Some(p) = parent {
-                    v.push(*p);
-                }
-                v
-            }
-        }
-    }
-}
-
 /// Messages of the publish/subscribe plane.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BrokerMsg {
@@ -97,10 +82,6 @@ pub enum BrokerMsg {
     Subscribe(Subscription),
     /// Remove a subscription by id.
     Unsubscribe(SubId),
-    /// Declare the events a publisher will produce.
-    Advertise(Advertisement),
-    /// Retract an advertisement.
-    Unadvertise(u64),
     /// Publish an event (client→broker).
     Publish(Event),
     /// Deliver/forward an event (broker→broker and broker→client).
@@ -204,11 +185,6 @@ pub struct Broker {
     by_iface: FnvHashMap<u32, Vec<SubId>>,
     /// Incremental covering DAG per neighbouring broker.
     tables: BTreeMap<NodeIndex, ForwardTable>,
-    /// Advertisements seen, with the interface they arrived from.
-    advs: Vec<(Advertisement, NodeIndex)>,
-    /// When true, subscriptions are only forwarded toward interfaces that
-    /// sent an overlapping advertisement.
-    use_advertisements: bool,
     /// Mobility proxies: disconnected client → buffered events.
     proxies: BTreeMap<NodeIndex, Vec<Event>>,
     /// Ingress load shedder (None = unbounded legacy behaviour).
@@ -249,8 +225,6 @@ impl Broker {
             iface_of: FnvHashMap::default(),
             by_iface: FnvHashMap::default(),
             tables: BTreeMap::new(),
-            advs: Vec::new(),
-            use_advertisements: false,
             proxies: BTreeMap::new(),
             shed: None,
             synth_seq: 0,
@@ -258,12 +232,6 @@ impl Broker {
             msgs_handled: 0,
             notifications_forwarded: 0,
         }
-    }
-
-    /// Enables advertisement-gated subscription forwarding.
-    pub fn with_advertisements(mut self) -> Self {
-        self.use_advertisements = true;
-        self
     }
 
     /// Bounds this broker's ingress with a watermark load shedder.
@@ -358,18 +326,6 @@ impl Broker {
             }
             BrokerMsg::Subscribe(sub) => self.subscribe(from, sub, out),
             BrokerMsg::Unsubscribe(id) => self.unsubscribe(id, out),
-            BrokerMsg::Advertise(adv) => self.advertise(from, adv, out),
-            BrokerMsg::Unadvertise(id) => {
-                if let Some(pos) = self.advs.iter().position(|(a, _)| a.id == id) {
-                    let (_, iface) = self.advs.remove(pos);
-                    // Flood the retraction away from where it came.
-                    for n in self.topology.broker_links() {
-                        if n != iface {
-                            out.send(n, BrokerMsg::Unadvertise(id));
-                        }
-                    }
-                }
-            }
             BrokerMsg::Publish(event) | BrokerMsg::Notify(event) => self.route(from, event, out),
             BrokerMsg::MoveOut => {
                 // Keep the client's subscriptions live; buffer its events.
@@ -435,18 +391,6 @@ impl Broker {
                 table.children.entry(root).or_default().push(sub.id);
                 out.count("pubsub.subs_pruned", 1.0);
                 continue;
-            }
-            // Advertisement gating: forward only toward interfaces that
-            // advertised overlapping events.
-            if self.use_advertisements {
-                let relevant = self
-                    .advs
-                    .iter()
-                    .any(|(a, iface)| *iface == target && a.relevant_to(&sub.filter));
-                if !relevant {
-                    out.count("pubsub.subs_gated", 1.0);
-                    continue;
-                }
             }
             // SIENA-style merging: collapse this filter with an
             // overlapping forwarded root into one broader cover, so the
@@ -541,19 +485,6 @@ impl Broker {
                 }
             }
         }
-    }
-
-    fn advertise(&mut self, from: NodeIndex, adv: Advertisement, out: &mut Outbox<BrokerMsg>) {
-        if self.advs.iter().any(|(a, _)| a.id == adv.id) {
-            return;
-        }
-        // Advertisements flood the broker graph.
-        for n in self.topology.broker_links() {
-            if n != from {
-                out.send(n, BrokerMsg::Advertise(adv.clone()));
-            }
-        }
-        self.advs.push((adv, from));
     }
 
     fn route(&mut self, from: NodeIndex, event: Event, out: &mut Outbox<BrokerMsg>) {
@@ -800,40 +731,6 @@ mod tests {
         b.handle(SimTime::ZERO, n(2), BrokerMsg::Notify(Event::new("k")), &mut out);
         assert_eq!(sent_to(&out, n(1)).len(), 1);
         assert!(sent_to(&out, n(2)).is_empty());
-    }
-
-    #[test]
-    fn advertisement_gating() {
-        let mut b = peer_broker().with_advertisements();
-        let mut out = Outbox::new();
-        // Neighbour 1 advertises kind k.
-        b.handle(
-            SimTime::ZERO,
-            n(1),
-            BrokerMsg::Advertise(Advertisement { id: 7, filter: Filter::for_kind("k") }),
-            &mut out,
-        );
-        // Advertisement floods to the other neighbour.
-        assert_eq!(sent_to(&out, n(2)).len(), 1);
-        // A subscription for kind k goes toward 1 only.
-        let mut out = Outbox::new();
-        b.handle(
-            SimTime::ZERO,
-            n(10),
-            BrokerMsg::Subscribe(sub(1, Filter::for_kind("k"))),
-            &mut out,
-        );
-        assert_eq!(sent_to(&out, n(1)).len(), 1);
-        assert!(sent_to(&out, n(2)).is_empty(), "no advertisement from 2");
-        // A subscription for an unadvertised kind goes nowhere.
-        let mut out = Outbox::new();
-        b.handle(
-            SimTime::ZERO,
-            n(10),
-            BrokerMsg::Subscribe(sub(2, Filter::for_kind("z"))),
-            &mut out,
-        );
-        assert!(out.sends().is_empty());
     }
 
     #[test]

@@ -72,8 +72,7 @@ impl CentralServer {
                     }
                 }
             }
-            // Advertisements are irrelevant with one server; mobility needs
-            // no proxy because the server is always reachable.
+            // Mobility needs no proxy: the server is always reachable.
             _ => {}
         }
     }

@@ -1,5 +1,5 @@
-//! The subscription language: filters, constraints, advertisements, and
-//! the covering relations that make distributed routing scale.
+//! The subscription language: filters, constraints, and the covering
+//! relations that make distributed routing scale.
 //!
 //! A [`Filter`] is a conjunction of [`Constraint`]s over attributes, plus
 //! an optional event-kind test. Following Siena, brokers prune
@@ -246,7 +246,7 @@ impl Constraint {
     }
 
     /// Sound *disjointness* test: `true` only if no value can satisfy both
-    /// constraints. Used for advertisement-based pruning.
+    /// constraints. Used by the rule analyser's satisfiability pass.
     pub fn disjoint(&self, other: &Constraint) -> bool {
         if self.attr != other.attr {
             return false;
@@ -417,22 +417,6 @@ impl Filter {
         // other (conjunction semantics).
         self.constraints.iter().all(|c1| other.constraints.iter().any(|c2| c1.covers(c2)))
     }
-
-    /// Sound disjointness: `true` only if no event can match both filters.
-    pub fn disjoint(&self, other: &Filter) -> bool {
-        if let (Some(a), Some(b)) = (&self.kind, &other.kind) {
-            if a != b {
-                return true;
-            }
-        }
-        self.constraints.iter().any(|c1| other.constraints.iter().any(|c2| c1.disjoint(c2)))
-    }
-
-    /// Whether the filters might both match some event (the negation of
-    /// [`disjoint`](Self::disjoint); may report `true` conservatively).
-    pub fn overlaps(&self, other: &Filter) -> bool {
-        !self.disjoint(other)
-    }
 }
 
 impl fmt::Display for Filter {
@@ -480,24 +464,6 @@ pub struct Subscription {
     pub id: u64,
     /// What to receive.
     pub filter: Filter,
-}
-
-/// An advertisement: a publisher's declaration of the events it will
-/// produce, used to gate subscription propagation toward publishers.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Advertisement {
-    /// Unique id (assigned by the advertising publisher).
-    pub id: u64,
-    /// The set of events the publisher may produce, as a filter.
-    pub filter: Filter,
-}
-
-impl Advertisement {
-    /// Whether a subscription is *relevant* to this advertisement (their
-    /// filters may overlap). Conservative: `true` unless provably disjoint.
-    pub fn relevant_to(&self, sub: &Filter) -> bool {
-        self.filter.overlaps(sub)
-    }
 }
 
 #[cfg(test)]
@@ -696,41 +662,30 @@ mod tests {
 
     #[test]
     fn disjointness() {
-        let a = Filter::any().with_constraint("x", Op::Lt, 5i64);
-        let b = Filter::any().with_constraint("x", Op::Gt, 5i64);
+        let a = Constraint::new("x", Op::Lt, 5i64);
+        let b = Constraint::new("x", Op::Gt, 5i64);
         assert!(a.disjoint(&b));
         assert!(b.disjoint(&a));
-        let c = Filter::any().with_constraint("x", Op::Le, 5i64);
-        let d = Filter::any().with_constraint("x", Op::Ge, 5i64);
+        let c = Constraint::new("x", Op::Le, 5i64);
+        let d = Constraint::new("x", Op::Ge, 5i64);
         assert!(!c.disjoint(&d)); // both allow x = 5
-        let e1 = Filter::any().with_eq("u", "bob");
-        let e2 = Filter::any().with_eq("u", "anna");
+        let e1 = Constraint::new("u", Op::Eq, "bob");
+        let e2 = Constraint::new("u", Op::Eq, "anna");
         assert!(e1.disjoint(&e2));
         assert!(!e1.disjoint(&e1));
-        // Different kinds are disjoint.
-        assert!(Filter::for_kind("a").disjoint(&Filter::for_kind("b")));
+        // Different attributes decide nothing.
+        assert!(!a.disjoint(&Constraint::new("y", Op::Gt, 5i64)));
     }
 
     #[test]
     fn prefix_disjointness() {
-        let a = Filter::any().with_constraint("s", Op::Prefix, "north");
-        let b = Filter::any().with_constraint("s", Op::Prefix, "south");
+        let a = Constraint::new("s", Op::Prefix, "north");
+        let b = Constraint::new("s", Op::Prefix, "south");
         assert!(a.disjoint(&b));
-        let c = Filter::any().with_constraint("s", Op::Prefix, "sou");
+        let c = Constraint::new("s", Op::Prefix, "sou");
         assert!(!b.disjoint(&c));
-        let d = Filter::any().with_eq("s", "east lane");
+        let d = Constraint::new("s", Op::Eq, "east lane");
         assert!(a.disjoint(&d));
-    }
-
-    #[test]
-    fn advertisement_relevance() {
-        let adv = Advertisement {
-            id: 1,
-            filter: Filter::for_kind("weather.reading").with_eq("city", "st andrews"),
-        };
-        assert!(adv.relevant_to(&Filter::for_kind("weather.reading")));
-        assert!(!adv.relevant_to(&Filter::for_kind("user.location")));
-        assert!(!adv.relevant_to(&Filter::for_kind("weather.reading").with_eq("city", "dundee")));
     }
 
     #[test]

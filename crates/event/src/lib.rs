@@ -47,7 +47,7 @@ pub mod value;
 pub use baseline::LinearBroker;
 pub use broker::{Broker, BrokerMsg, BrokerTopology, SubId};
 pub use centralized::CentralServer;
-pub use filter::{merge_cover, Advertisement, Constraint, Filter, Op, Subscription};
+pub use filter::{merge_cover, Constraint, Filter, Op, Subscription};
 pub use gloss_governor::{IngressClass, LoadShedder, ShedConfig, ShedDecision};
 pub use index::FilterIndex;
 pub use network::{Architecture, ClientApi, PubSubConfig, PubSubNetwork, PubSubNode, Role};

@@ -4,7 +4,7 @@
 
 use crate::broker::{Broker, BrokerMsg, BrokerTopology, SubId};
 use crate::centralized::CentralServer;
-use crate::filter::{Advertisement, Filter, Subscription};
+use crate::filter::{Filter, Subscription};
 use crate::notification::{Event, EventId};
 use gloss_sim::{Batch, Input, Node, NodeIndex, Outbox, SimDuration, SimTime, Topology, World};
 use std::collections::{BTreeMap, BTreeSet};
@@ -149,8 +149,6 @@ pub struct PubSubConfig {
     pub seed: u64,
     /// Region names to scatter nodes over.
     pub regions: Vec<String>,
-    /// Enable advertisement-gated subscription forwarding (peer mode only).
-    pub advertisements: bool,
     /// Bound every broker's ingress with this load-shedding policy
     /// (`None` = unbounded legacy behaviour).
     pub shedding: Option<gloss_governor::ShedConfig>,
@@ -164,7 +162,6 @@ impl Default for PubSubConfig {
             clients_per_broker: 4,
             seed: 1,
             regions: vec!["scotland".into(), "england".into(), "europe".into()],
-            advertisements: false,
             shedding: None,
         }
     }
@@ -238,9 +235,6 @@ impl PubSubNetwork {
                         broker_ids[i],
                         BrokerTopology::Peer { neighbors: neighbor_sets[i].clone() },
                     );
-                    if cfg.advertisements {
-                        b = b.with_advertisements();
-                    }
                     if let Some(shed) = &cfg.shedding {
                         b = b.with_shedding(shed.clone());
                     }
@@ -333,16 +327,6 @@ impl PubSubNetwork {
         self.client_mut(client).subs.retain(|s| s.id != id);
         let access = self.client(client).access;
         self.world.inject(client, access, BrokerMsg::Unsubscribe(id));
-    }
-
-    /// Publishes an advertisement from `client`.
-    pub fn advertise(&mut self, client: NodeIndex, filter: Filter) -> u64 {
-        let seq = self.sub_seq.entry(client).or_insert(0);
-        *seq += 1;
-        let id = ((client.0 as u64) << 32) | *seq;
-        let access = self.client(client).access;
-        self.world.inject(client, access, BrokerMsg::Advertise(Advertisement { id, filter }));
-        id
     }
 
     /// Publishes `event` from `client` now.
@@ -613,32 +597,5 @@ mod tests {
         net.publish(clients[3], Event::new("k").with_attr("prio", 9i64));
         settle(&mut net);
         assert!(net.client(clients[0]).received.len() > got);
-    }
-
-    #[test]
-    fn advertisement_gating_reduces_sub_propagation() {
-        let mut cfg = PubSubConfig {
-            architecture: Architecture::AcyclicPeer,
-            brokers: 6,
-            clients_per_broker: 2,
-            seed: 9,
-            advertisements: true,
-            ..PubSubConfig::default()
-        };
-        cfg.regions = vec!["scotland".into()];
-        let mut net = PubSubNetwork::build(cfg);
-        let clients = net.clients().to_vec();
-        // Publisher advertises kind k; subscriber for kind z is gated.
-        net.advertise(clients[0], Filter::for_kind("k"));
-        settle(&mut net);
-        net.subscribe(clients[1], Filter::for_kind("z"));
-        settle(&mut net);
-        assert!(net.world().metrics().counter("pubsub.subs_gated") > 0.0);
-        // Subscription toward the advertised kind still works end-to-end.
-        net.subscribe(clients[2], Filter::for_kind("k"));
-        settle(&mut net);
-        net.publish(clients[0], Event::new("k"));
-        settle(&mut net);
-        assert_eq!(net.client(clients[2]).received.len(), 1);
     }
 }

@@ -19,21 +19,22 @@
 //!    of its subscriptions match), and every filter the linear broker
 //!    forwards on a link is covered by some filter the indexed broker
 //!    forwards there (the covering-soundness invariant that makes the
-//!    delivery claim hold in general).
+//!    delivery claim hold in general). The same scripts, publications
+//!    given priorities, run once more under a tight `ShedConfig`: equal
+//!    streams and equal shed / rejected / queue-delay totals.
 //!
-//! The brokers run without advertisement gating: the linear broker's
-//! unsubscribe repair re-forwards even subscriptions that gating had
-//! suppressed (it rescans the whole table), while the covering DAG
-//! deliberately keeps gated subscriptions unforwarded — stricter, and
-//! covered by unit tests instead.
+//! Every [`BrokerMsg`] variant is handled in both worlds by these scripts
+//! (`the_script_drives_every_broker_message`); [`variant_name`] has no
+//! wildcard arm, so a new variant does not compile until it is placed
+//! under the oracle.
 
 use gloss_event::{
     AttrValue, Broker, BrokerMsg, BrokerTopology, Event, Filter, FilterIndex, LinearBroker, Op,
-    Subscription,
+    ShedConfig, Subscription,
 };
-use gloss_sim::{NodeIndex, Outbox, SimRng, SimTime};
+use gloss_sim::{NodeIndex, Outbox, SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 const ATTRS: [&str; 4] = ["x", "y", "s", "u"];
 const STRINGS: [&str; 5] = ["", "st", "st andrews", "dundee", "ab"];
@@ -209,7 +210,15 @@ proptest! {
 trait AnyBroker {
     /// Broker `i` of the 0..BROKERS line.
     fn on_line(i: u32) -> Self;
-    fn dispatch(&mut self, from: NodeIndex, msg: BrokerMsg, out: &mut Outbox<BrokerMsg>);
+    /// Broker 0 with no neighbours, its ingress bounded by [`tight_shed`].
+    fn shedding_island() -> Self;
+    fn dispatch(
+        &mut self,
+        now: SimTime,
+        from: NodeIndex,
+        msg: BrokerMsg,
+        out: &mut Outbox<BrokerMsg>,
+    );
     fn forwarded(&self, target: NodeIndex) -> Vec<Filter>;
 }
 
@@ -217,8 +226,17 @@ impl AnyBroker for Broker {
     fn on_line(i: u32) -> Self {
         Broker::new(NodeIndex(i), line(i))
     }
-    fn dispatch(&mut self, from: NodeIndex, msg: BrokerMsg, out: &mut Outbox<BrokerMsg>) {
-        self.handle(SimTime::ZERO, from, msg, out);
+    fn shedding_island() -> Self {
+        Broker::new(NodeIndex(0), island()).with_shedding(tight_shed())
+    }
+    fn dispatch(
+        &mut self,
+        now: SimTime,
+        from: NodeIndex,
+        msg: BrokerMsg,
+        out: &mut Outbox<BrokerMsg>,
+    ) {
+        self.handle(now, from, msg, out);
     }
     fn forwarded(&self, target: NodeIndex) -> Vec<Filter> {
         self.forwarded_filters(target)
@@ -229,8 +247,17 @@ impl AnyBroker for LinearBroker {
     fn on_line(i: u32) -> Self {
         LinearBroker::new(NodeIndex(i), line(i))
     }
-    fn dispatch(&mut self, from: NodeIndex, msg: BrokerMsg, out: &mut Outbox<BrokerMsg>) {
-        self.handle(SimTime::ZERO, from, msg, out);
+    fn shedding_island() -> Self {
+        LinearBroker::new(NodeIndex(0), island()).with_shedding(tight_shed())
+    }
+    fn dispatch(
+        &mut self,
+        now: SimTime,
+        from: NodeIndex,
+        msg: BrokerMsg,
+        out: &mut Outbox<BrokerMsg>,
+    ) {
+        self.handle(now, from, msg, out);
     }
     fn forwarded(&self, target: NodeIndex) -> Vec<Filter> {
         self.forwarded_filters(target)
@@ -253,14 +280,81 @@ fn line(i: u32) -> BrokerTopology {
     BrokerTopology::Peer { neighbors }
 }
 
+/// A broker with no neighbours. Under shedding only this topology can
+/// be held to equal streams: what crosses a link differs between the
+/// brokers by design (the covering DAG prunes and merges more, and a
+/// merged cover admits more events), and every message that crosses
+/// deepens the receiving shedder's backlog — on the 0..BROKERS line the
+/// two worlds part ways in about four scripts of ten.
+fn island() -> BrokerTopology {
+    BrokerTopology::Peer { neighbors: Vec::new() }
+}
+
+/// Selective shedding from depth 4, hard bound 8, draining a little
+/// slower than one message per [`SHED_STEP`]: a script crosses both
+/// marks and comes back.
+fn tight_shed() -> ShedConfig {
+    ShedConfig {
+        capacity: 8.0,
+        high_watermark: 4.0,
+        drain_per_sec: 10.0,
+        priority_floor: 4.0,
+        fair_window: SimDuration::from_secs(1),
+        fair_share: 3,
+    }
+}
+
+/// Simulated time between script steps in the shedding run.
+const SHED_STEP: SimDuration = SimDuration::from_millis(80);
+
 /// One injected protocol message: (destination broker, from, message).
 type ScriptStep = (u32, u32, BrokerMsg);
 
-/// The counters both brokers must keep alike: they count what clients
-/// are sent. (`subs_pruned` / `subs_merged` legitimately differ — the
-/// covering DAG prunes and merges more than the linear table.)
-const DELIVERY_COUNTERS: [&str; 3] =
-    ["pubsub.delivered_local", "pubsub.handoff_events", "pubsub.move_out"];
+/// The counters (and the one histogram, by its sum) both brokers must
+/// keep alike: they count what clients are sent and what the ingress
+/// shedder decided. (`subs_pruned` / `subs_merged` legitimately differ —
+/// the covering DAG prunes and merges more than the linear table.)
+const DELIVERY_COUNTERS: [&str; 6] = [
+    "pubsub.delivered_local",
+    "pubsub.handoff_events",
+    "pubsub.move_out",
+    "pubsub.shed",
+    "pubsub.subs_rejected",
+    "pubsub.queue_delay_us",
+];
+
+/// The variant's name. No wildcard arm: a variant added to [`BrokerMsg`]
+/// must be named here and in [`VARIANTS`], and then
+/// `the_script_drives_every_broker_message` fails until the script
+/// produces it.
+fn variant_name(msg: &BrokerMsg) -> &'static str {
+    match msg {
+        BrokerMsg::Subscribe(_) => "Subscribe",
+        BrokerMsg::Unsubscribe(_) => "Unsubscribe",
+        BrokerMsg::Publish(_) => "Publish",
+        BrokerMsg::Notify(_) => "Notify",
+        BrokerMsg::Attach => "Attach",
+        BrokerMsg::Detach => "Detach",
+        BrokerMsg::MoveOut => "MoveOut",
+        BrokerMsg::MoveIn { .. } => "MoveIn",
+        BrokerMsg::FetchBuffer { .. } => "FetchBuffer",
+        BrokerMsg::Handoff { .. } => "Handoff",
+    }
+}
+
+/// Every name [`variant_name`] returns.
+const VARIANTS: [&str; 10] = [
+    "Subscribe",
+    "Unsubscribe",
+    "Publish",
+    "Notify",
+    "Attach",
+    "Detach",
+    "MoveOut",
+    "MoveIn",
+    "FetchBuffer",
+    "Handoff",
+];
 
 /// What one world's clients were sent, and what its brokers counted.
 #[derive(Debug, Default)]
@@ -269,6 +363,8 @@ struct Seen {
     deliveries: BTreeMap<u32, Vec<Event>>,
     /// Totals of the [`DELIVERY_COUNTERS`].
     counters: BTreeMap<&'static str, f64>,
+    /// [`variant_name`] of every message a broker handled.
+    handled: BTreeSet<&'static str>,
 }
 
 impl Seen {
@@ -279,15 +375,30 @@ impl Seen {
     fn delivered(&self) -> usize {
         self.deliveries.values().map(Vec::len).sum()
     }
+
+    /// What the two worlds must agree on, rendered: `Event` equality is
+    /// false for NaN attrs (IEEE semantics), but identical bytes are what
+    /// we claim. (`handled` is left out: which messages cross a link is
+    /// each broker's own business.)
+    fn streams(&self) -> String {
+        format!("{:?} {:?}", self.deliveries, self.counters)
+    }
 }
 
-/// Injects one message and shuttles all resulting inter-broker traffic
-/// until quiescent, recording notifications delivered to clients.
+/// Injects one message at time zero and shuttles all resulting
+/// inter-broker traffic until quiescent, recording notifications
+/// delivered to clients.
 fn run_step<B: AnyBroker>(brokers: &mut [B], step: &ScriptStep, seen: &mut Seen) {
+    run_step_at(SimTime::ZERO, brokers, step, seen);
+}
+
+/// [`run_step`] at simulated time `now` (all that a shedder reads of it).
+fn run_step_at<B: AnyBroker>(now: SimTime, brokers: &mut [B], step: &ScriptStep, seen: &mut Seen) {
     let mut q: VecDeque<ScriptStep> = VecDeque::from([step.clone()]);
     while let Some((to, from, msg)) = q.pop_front() {
+        seen.handled.insert(variant_name(&msg));
         let mut out = Outbox::new();
-        brokers[to as usize].dispatch(NodeIndex(from), msg, &mut out);
+        brokers[to as usize].dispatch(now, NodeIndex(from), msg, &mut out);
         for (t, m, _) in out.sends() {
             if t.0 < BROKERS {
                 q.push_back((t.0, to, m.clone()));
@@ -295,7 +406,7 @@ fn run_step<B: AnyBroker>(brokers: &mut [B], step: &ScriptStep, seen: &mut Seen)
                 seen.deliveries.entry(t.0).or_default().push(e.clone());
             }
         }
-        for (name, by) in out.counts() {
+        for (name, by) in out.counts().iter().chain(out.observations()) {
             if let Some(known) = DELIVERY_COUNTERS.iter().find(|c| *c == name) {
                 *seen.counters.entry(known).or_default() += by;
             }
@@ -447,16 +558,92 @@ proptest! {
             }
         }
         // Byte-identical notification streams, per client, in order, and
-        // equal delivery counters. Rendered comparison: `Event` equality
-        // is false for NaN attrs (IEEE semantics), but identical bytes
-        // are what we claim.
-        prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        // equal delivery counters.
+        prop_assert_eq!(got.streams(), want.streams());
         // The counters count the messages: every notification a client
         // was sent is a live delivery or a handoff replay.
         prop_assert_eq!(
             got.counter("pubsub.delivered_local") + got.counter("pubsub.handoff_events"),
             got.delivered() as f64
         );
+    }
+}
+
+// The ingress policy is written once per broker (`ingress_class` and
+// the three verdict arms); here the same script meets the same
+// [`tight_shed`] in both worlds and must come out alike: streams,
+// `pubsub.shed`, `pubsub.subs_rejected` and the summed queue delay.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+    #[test]
+    fn shedding_brokers_shed_alike(seed in any::<u64>()) {
+        let (got, want) = run_shedding(rand_script(&mut SimRng::new(seed)));
+        prop_assert_eq!(got.streams(), want.streams());
+    }
+}
+
+/// Runs `script` through one indexed and one linear shedding broker, a
+/// step every [`SHED_STEP`]: every client is homed on broker 0 (roaming
+/// becomes the same-broker move), and publications carry a `prio`
+/// cycling through 0..8, so half fall under the priority floor.
+fn run_shedding(mut script: Vec<ScriptStep>) -> (Seen, Seen) {
+    for (k, (to, _, msg)) in script.iter_mut().enumerate() {
+        *to = 0;
+        match msg {
+            BrokerMsg::Publish(e) => e.set_attr("prio", (k % 8) as i64),
+            BrokerMsg::MoveIn { old_broker } => *old_broker = NodeIndex(0),
+            _ => {}
+        }
+    }
+    let mut indexed = [Broker::shedding_island()];
+    let mut linear = [LinearBroker::shedding_island()];
+    let mut got = Seen::default();
+    let mut want = Seen::default();
+    let mut now = SimTime::ZERO;
+    for step in &script {
+        run_step_at(now, &mut indexed, step, &mut got);
+        run_step_at(now, &mut linear, step, &mut want);
+        now += SHED_STEP;
+    }
+    (got, want)
+}
+
+/// The oracle leaves nothing out: over a fixed run of seeds the script
+/// has every [`BrokerMsg`] variant handled by both brokers, and the
+/// shedding run reaches all three verdicts while still delivering.
+#[test]
+fn the_script_drives_every_broker_message() {
+    let mut indexed_handled = BTreeSet::new();
+    let mut linear_handled = BTreeSet::new();
+    let mut shedding = Seen::default();
+    for seed in 0..32 {
+        let script = rand_script(&mut SimRng::new(seed));
+        let mut indexed: Vec<Broker> = (0..BROKERS).map(Broker::on_line).collect();
+        let mut linear: Vec<LinearBroker> = (0..BROKERS).map(LinearBroker::on_line).collect();
+        let mut got = Seen::default();
+        let mut want = Seen::default();
+        for step in &script {
+            run_step(&mut indexed, step, &mut got);
+            run_step(&mut linear, step, &mut want);
+        }
+        indexed_handled.extend(got.handled);
+        linear_handled.extend(want.handled);
+        let (shed, _) = run_shedding(script);
+        for (name, by) in shed.counters {
+            *shedding.counters.entry(name).or_default() += by;
+        }
+    }
+    let all: BTreeSet<&str> = VARIANTS.into_iter().collect();
+    assert_eq!(indexed_handled, all);
+    assert_eq!(linear_handled, all);
+    for reached in [
+        "pubsub.shed",
+        "pubsub.subs_rejected",
+        "pubsub.queue_delay_us",
+        "pubsub.delivered_local",
+        "pubsub.handoff_events",
+    ] {
+        assert!(shedding.counter(reached) > 0.0, "no script reached {reached}: {shedding:?}");
     }
 }
 
@@ -534,7 +721,7 @@ fn foreign_merged_cover_survives_covered_child_churn() {
         2,
         "both publications must reach the downstream subscriber: {got:?}"
     );
-    assert_eq!(format!("{got:?}"), format!("{want:?}"));
+    assert_eq!(got.streams(), want.streams());
 }
 
 /// Delivery is per client, not per subscription: a client holding three
