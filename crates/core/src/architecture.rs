@@ -406,7 +406,7 @@ mod tests {
         a.prefetch_subject(NodeIndex(4), "bob");
         a.run_for(SimDuration::from_secs(30));
         let node = a.node(NodeIndex(4));
-        assert!(node.known_subjects.contains("bob"));
+        assert!(node.knows_subject("bob"));
         assert_eq!(node.kb.query(Some("bob"), None).count(), 2);
     }
 

@@ -91,6 +91,37 @@ impl CoordinatorState {
     }
 }
 
+/// What a node holds of one subject's replicated knowledge.
+#[derive(Debug, Default)]
+struct SubjectReplica {
+    /// Ingested `kb/<subject>` document version: re-deliveries of an
+    /// unchanged document (cache pushes, replica re-sends) are skipped so
+    /// they do not churn the fact store's delta feed — and with it the
+    /// matching engine's memoised solutions — for nothing.
+    snapshot_doc: Option<u64>,
+    /// Highest `kbdelta/<subject>` *document* version ingested. Delta
+    /// prefetches demand strictly newer copies so a stale
+    /// promiscuously-cached batch can't short-circuit the pull.
+    delta_doc: Option<u64>,
+    /// Authority `(source, epoch)` the held facts are anchored at, set by
+    /// versioned snapshots and advanced by applied delta batches. Facts
+    /// ingested from a legacy (unversioned) snapshot have none and fall
+    /// back to snapshot fetches on any delta.
+    anchor: Option<(u64, u64)>,
+}
+
+/// The record for `subject`, created empty on first sight (the only time
+/// the name is copied).
+fn replica_mut<'a>(
+    replicas: &'a mut BTreeMap<String, SubjectReplica>,
+    subject: &str,
+) -> &'a mut SubjectReplica {
+    if !replicas.contains_key(subject) {
+        replicas.insert(subject.to_string(), SubjectReplica::default());
+    }
+    replicas.get_mut(subject).expect("present or just inserted")
+}
+
 /// One node of the active architecture.
 #[derive(Debug)]
 pub struct GlossNode {
@@ -120,22 +151,9 @@ pub struct GlossNode {
     pub emitted: u64,
     /// Coordinator engines (node 0 only).
     pub coordinator_state: Option<CoordinatorState>,
-    /// Subjects whose kb documents have been ingested locally.
-    pub known_subjects: BTreeSet<String>,
-    /// Ingested kb document version per subject: re-deliveries of an
-    /// unchanged document (cache pushes, replica re-sends) are skipped
-    /// so they do not churn the fact store's delta feed — and with it
-    /// the matching engine's memoised solutions — for nothing.
-    kb_doc_versions: BTreeMap<String, u64>,
-    /// Authority `(source, epoch)` each locally held subject is anchored
-    /// at, set by versioned snapshots and advanced by applied delta
-    /// batches. Subjects ingested from legacy (unversioned) snapshots
-    /// have no entry and fall back to snapshot fetches on any delta.
-    kb_sub_versions: BTreeMap<String, (u64, u64)>,
-    /// Highest `kbdelta/<subject>` *document* version ingested, per
-    /// subject. Delta prefetches demand strictly newer copies so a
-    /// stale promiscuously-cached batch can't short-circuit the pull.
-    kb_delta_doc_versions: BTreeMap<String, u64>,
+    /// Replication state of every subject a kb or kbdelta document has
+    /// been seen for.
+    replicas: BTreeMap<String, SubjectReplica>,
 }
 
 impl GlossNode {
@@ -177,10 +195,7 @@ impl GlossNode {
             ui_received: Vec::new(),
             emitted: 0,
             coordinator_state,
-            known_subjects: BTreeSet::new(),
-            kb_doc_versions: BTreeMap::new(),
-            kb_sub_versions: BTreeMap::new(),
-            kb_delta_doc_versions: BTreeMap::new(),
+            replicas: BTreeMap::new(),
         }
     }
 
@@ -192,6 +207,12 @@ impl GlossNode {
     /// Whether this node is the coordinator.
     pub fn is_coordinator(&self) -> bool {
         self.coordinator_state.is_some()
+    }
+
+    /// Whether facts about `subject` have been ingested locally (from a
+    /// snapshot, or built up from a first-epoch delta batch).
+    pub fn knows_subject(&self, subject: &str) -> bool {
+        self.replicas.get(subject).is_some_and(|r| r.snapshot_doc.is_some() || r.anchor.is_some())
     }
 
     fn broker_do(
@@ -298,8 +319,38 @@ impl GlossNode {
         }
     }
 
-    /// Feeds a store-plane message to the storelet, then runs the
-    /// knowledge/discovery ingestion hooks.
+    /// Every call into the storelet goes through here: `call` runs
+    /// against the store with a store-plane outbox, and afterwards each
+    /// discovery fetch the coordinator awaits that the store now has an
+    /// outcome for is concluded — whichever way it ended (a reply, a
+    /// local copy, or the lookup-retry timer giving up). Workers and an
+    /// idle coordinator await nothing and pay one emptiness test.
+    fn store_call(
+        &mut self,
+        now: SimTime,
+        out: &mut Outbox<GlossMsg>,
+        call: impl FnOnce(&mut StoreNode, &mut Outbox<StoreMsg>),
+    ) {
+        out.nested(GlossMsg::Store, |sout| call(&mut self.store, sout));
+        let Some(cs) = self.coordinator_state.as_ref() else {
+            return;
+        };
+        if cs.handler_reqs.is_empty() {
+            return;
+        }
+        let concluded: Vec<u64> = cs
+            .handler_reqs
+            .keys()
+            .copied()
+            .filter(|req| self.store.outcomes.contains_key(req))
+            .collect();
+        for req in concluded {
+            self.conclude_discovery_fetch(now, req, out);
+        }
+    }
+
+    /// Feeds a store-plane message to the storelet, then ingests the
+    /// knowledge document it carried, if any.
     fn store_do(
         &mut self,
         now: SimTime,
@@ -312,18 +363,9 @@ impl GlossNode {
             StoreMsg::FetchReply { doc, .. } => Some(doc.clone()),
             _ => None,
         };
-        let concluded_req: Option<u64> = match &msg {
-            StoreMsg::FetchReply { req_id, .. } | StoreMsg::NotFound { req_id, .. } => {
-                Some(*req_id)
-            }
-            _ => None,
-        };
-        out.nested(GlossMsg::Store, |sout| self.store.handle(now, from, msg, sout));
+        self.store_call(now, out, |store, sout| store.handle(now, from, msg, sout));
         if let Some(doc) = landed_doc {
             self.ingest_document(now, &doc, out);
-        }
-        if let Some(req) = concluded_req {
-            self.conclude_discovery_fetch(now, req, out);
         }
     }
 
@@ -344,7 +386,8 @@ impl GlossNode {
         // is the document's content identity at the storage layer):
         // re-ingesting it would only spray retract+insert deltas that
         // invalidate the matching engine's memos for nothing.
-        if self.kb_doc_versions.get(subject).is_some_and(|v| *v >= doc.version) {
+        let held = self.replicas.get(subject);
+        if held.and_then(|r| r.snapshot_doc).is_some_and(|v| v >= doc.version) {
             out.count("gloss.kb_reingest_skipped", 1.0);
             return;
         }
@@ -355,8 +398,8 @@ impl GlossNode {
             return;
         };
         let snap_version = DistributedKnowledge::snapshot_version(&el);
-        if let (Some((source, epoch)), Some(&(tracked_source, tracked_epoch))) =
-            (snap_version, self.kb_sub_versions.get(subject))
+        if let (Some((source, epoch)), Some((tracked_source, tracked_epoch))) =
+            (snap_version, held.and_then(|r| r.anchor))
         {
             // Deltas may have advanced us past the snapshot in flight:
             // rebuilding from it would roll those deltas back.
@@ -368,18 +411,11 @@ impl GlossNode {
         let facts = DistributedKnowledge::facts_from_xml(&el);
         self.kb.remove_subject(subject);
         self.kb.extend(facts);
-        self.known_subjects.insert(subject.to_string());
-        self.kb_doc_versions.insert(subject.to_string(), doc.version);
-        match snap_version {
-            Some(v) => {
-                self.kb_sub_versions.insert(subject.to_string(), v);
-            }
-            // A legacy snapshot breaks the anchor: epochs applied on top
-            // of unanchored state would be fiction.
-            None => {
-                self.kb_sub_versions.remove(subject);
-            }
-        }
+        let replica = replica_mut(&mut self.replicas, subject);
+        replica.snapshot_doc = Some(doc.version);
+        // A legacy snapshot breaks the anchor: epochs applied on top of
+        // unanchored state would be fiction.
+        replica.anchor = snap_version;
         out.count("gloss.kb_ingested", 1.0);
         out.count("gloss.kb_snapshot_bytes", doc.size() as f64);
     }
@@ -394,10 +430,9 @@ impl GlossNode {
         else {
             return;
         };
-        let subject = batch.subject.clone();
-        let seen = self.kb_delta_doc_versions.entry(subject.clone()).or_insert(0);
-        *seen = (*seen).max(doc.version);
-        match reconcile(self.kb_sub_versions.get(&subject).copied(), &batch) {
+        let replica = replica_mut(&mut self.replicas, &batch.subject);
+        replica.delta_doc = replica.delta_doc.max(Some(doc.version));
+        match reconcile(replica.anchor, &batch) {
             DeltaAction::Apply { skip } => {
                 out.count("gloss.kb_delta_applied", 1.0);
                 out.count("gloss.kb_delta_facts", (batch.deltas.len() - skip) as f64);
@@ -410,8 +445,7 @@ impl GlossNode {
                         }
                     }
                 }
-                self.known_subjects.insert(subject.clone());
-                self.kb_sub_versions.insert(subject, (batch.source, batch.to));
+                replica.anchor = Some((batch.source, batch.to));
             }
             DeltaAction::Stale => out.count("gloss.kb_delta_stale", 1.0),
             DeltaAction::Snapshot(_) => {
@@ -419,25 +453,17 @@ impl GlossNode {
                 // missing (e.g. the writer's bounded log truncated):
                 // repair by fetching the full document.
                 out.count("gloss.kb_delta_fallback", 1.0);
-                self.prefetch_subject(now, &subject, out);
+                self.prefetch_subject(now, &batch.subject, out);
             }
         }
     }
 
-    /// Completes a discovery fetch: deploy handler code to the reporters.
+    /// Completes the awaited discovery fetch `req`, whose outcome the
+    /// store holds: deploy handler code to the reporters.
     fn conclude_discovery_fetch(&mut self, now: SimTime, req: u64, out: &mut Outbox<GlossMsg>) {
-        let Some(cs) = self.coordinator_state.as_mut() else {
-            return;
-        };
-        if !cs.handler_reqs.contains_key(&req) {
-            return;
-        }
-        // Only conclude once the storage layer has an outcome (the fetch
-        // may still be in flight when this is probed optimistically).
-        let Some(outcome) = self.store.outcomes.get(&req).cloned() else {
-            return;
-        };
-        let kind = cs.handler_reqs.remove(&req).expect("checked above");
+        let cs = self.coordinator_state.as_mut().expect("only the coordinator awaits fetches");
+        let kind = cs.handler_reqs.remove(&req).expect("an awaited request");
+        let outcome = self.store.outcomes.get(&req).cloned().expect("a concluded request");
         let reporters = cs.discovery_pending.remove(&kind).unwrap_or_default();
         match outcome.doc {
             Some(doc) => {
@@ -489,7 +515,7 @@ impl GlossNode {
         let me = self.me;
         self.broker_do(now, me, BrokerMsg::Attach, out);
         // Storage/overlay stack.
-        out.nested(GlossMsg::Store, |sout| self.store.on_start(sout));
+        self.store_call(now, out, |store, sout| store.on_start(sout));
         if self.is_coordinator() {
             self.subscribe_kind(now, gloss_deploy::resource::kinds::ADVERTISE, out);
             self.subscribe_kind(now, gloss_deploy::resource::kinds::WITHDRAW, out);
@@ -521,7 +547,7 @@ impl GlossNode {
                 }
                 out.timer(self.sweep_every, timers::SWEEP);
             }
-            other => out.nested(GlossMsg::Store, |sout| self.store.on_timer(now, other, sout)),
+            other => self.store_call(now, out, |store, sout| store.on_timer(now, other, sout)),
         }
     }
 
@@ -532,7 +558,8 @@ impl GlossNode {
         // Versions at or below the one already ingested are no-ops, so
         // don't let a stale cached copy answer for the authoritative
         // one; the responsible node still serves whatever it holds.
-        let floor = self.kb_doc_versions.get(subject).map_or(0, |v| v.saturating_add(1));
+        let held = self.replicas.get(subject).and_then(|r| r.snapshot_doc);
+        let floor = held.map_or(0, |v| v.saturating_add(1));
         self.prefetch(guid, floor, now, out);
     }
 
@@ -544,7 +571,8 @@ impl GlossNode {
         // Demand a batch newer than the last one ingested: any cached
         // copy we (or an en-route node) already hold is stale by
         // definition, and serving it would end the pull early.
-        let floor = self.kb_delta_doc_versions.get(subject).map_or(0, |v| v.saturating_add(1));
+        let held = self.replicas.get(subject).and_then(|r| r.delta_doc);
+        let floor = held.map_or(0, |v| v.saturating_add(1));
         self.prefetch(guid, floor, now, out);
     }
 
@@ -553,8 +581,8 @@ impl GlossNode {
     fn prefetch(&mut self, guid: Key, floor: u64, now: SimTime, out: &mut Outbox<GlossMsg>) {
         self.sub_seq += 1;
         let req = (1 << 48) | ((self.me.0 as u64) << 20) | self.sub_seq;
-        out.nested(GlossMsg::Store, |sout| {
-            self.store.lookup_min_version(guid, floor, req, now, sout)
+        self.store_call(now, out, |store, sout| {
+            store.lookup_min_version(guid, floor, req, now, sout)
         });
         // A locally held copy concludes synchronously with no FetchReply
         // message, so the ingest hook must run here.
@@ -667,11 +695,71 @@ impl GlossNode {
                 }
                 if let Some((req, guid)) = fetch {
                     out.count("gloss.discovery_lookups", 1.0);
-                    out.nested(GlossMsg::Store, |sout| self.store.lookup(guid, req, now, sout));
-                    // A locally satisfied lookup concludes immediately.
-                    self.conclude_discovery_fetch(now, req, out);
+                    self.store_call(now, out, |store, sout| store.lookup(guid, req, now, sout));
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gloss_event::BrokerTopology;
+    use gloss_overlay::{KeyedNode, OverlayNode};
+    use gloss_sim::GeoPoint;
+    use gloss_store::{store_node::timers::LOOKUP_RETRY, StoreConfig};
+
+    fn counted(out: &Outbox<GlossMsg>, name: &str) -> bool {
+        out.counts().iter().any(|(n, _)| n == name)
+    }
+
+    /// A discovery fetch nobody answers ends on the store's lookup-retry
+    /// timer; the coordinator must conclude it there, not wait for a late
+    /// duplicate reply that nothing guarantees.
+    #[test]
+    fn a_discovery_fetch_that_times_out_is_concluded_on_the_timer() {
+        let me = NodeIndex(0);
+        // A peer sits on the handler code's guid, so the lookup routes
+        // away and nobody ever answers.
+        let mut overlay = OverlayNode::new(Key(0x100), me, None, SimDuration::ZERO);
+        overlay.learn(KeyedNode::new(Key::hash_of_str("code/mystery"), NodeIndex(1)));
+        let mut node = GlossNode::new(
+            me,
+            Broker::new(me, BrokerTopology::Peer { neighbors: Vec::new() }),
+            StoreNode::new(me, overlay, StoreConfig::default(), Vec::new()),
+            NodeResources {
+                node: me,
+                region: "scotland".into(),
+                geo: GeoPoint { lat: 56.3, lon: -2.8 },
+                cpu: 1.0,
+                storage: 1 << 20,
+            },
+            me,
+            AuthKey::new("test", b"secret"),
+            SimDuration::from_secs(5),
+            SimDuration::from_secs(15),
+        );
+        let awaited =
+            |node: &GlossNode| node.coordinator_state.as_ref().unwrap().handler_reqs.len();
+
+        let mut out = Outbox::new();
+        let report = GlossMsg::UnknownKind { kind: "mystery".into() };
+        node.handle(SimTime::ZERO, Input::Msg { from: NodeIndex(1), msg: report }, &mut out);
+        assert!(counted(&out, "gloss.discovery_lookups"));
+        assert_eq!(awaited(&node), 1, "in flight");
+
+        // Sweep far past every retry deadline until the store gives up.
+        for i in 1..=8 {
+            let mut out = Outbox::new();
+            node.handle(SimTime::from_secs(i * 60), Input::Timer { tag: LOOKUP_RETRY }, &mut out);
+            if counted(&out, "store.lookups_timeout") {
+                assert!(counted(&out, "gloss.discovery_misses"), "concluded with the timeout");
+                assert_eq!(awaited(&node), 0);
+                return;
+            }
+            assert_eq!(awaited(&node), 1, "still retrying");
+        }
+        panic!("the lookup never timed out");
     }
 }
