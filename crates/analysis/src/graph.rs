@@ -44,20 +44,6 @@ impl InteractionGraph {
         InteractionGraph { names, inputs, outputs, spans, edges }
     }
 
-    /// Kinds some rule consumes but no rule emits: they must come from
-    /// sensors or publishers outside the rule set.
-    pub fn external_inputs(&self) -> BTreeSet<&str> {
-        let emitted: BTreeSet<&str> = self.outputs.iter().map(String::as_str).collect();
-        self.inputs.iter().flatten().map(String::as_str).filter(|k| !emitted.contains(k)).collect()
-    }
-
-    /// Kinds some rule emits but no rule consumes: they only matter if an
-    /// external subscriber wants them.
-    pub fn terminal_outputs(&self) -> BTreeSet<&str> {
-        let consumed: BTreeSet<&str> = self.inputs.iter().flatten().map(String::as_str).collect();
-        self.outputs.iter().map(String::as_str).filter(|k| !consumed.contains(k)).collect()
-    }
-
     /// Rule-name cycles (each reported once, starting from its smallest
     /// participant).
     pub fn cycles(&self) -> Vec<Vec<String>> {
@@ -180,8 +166,6 @@ mod tests {
     #[test]
     fn chains_link_and_classify() {
         let g = graph(CHAIN);
-        assert_eq!(g.external_inputs().into_iter().collect::<Vec<_>>(), vec!["raw"]);
-        assert_eq!(g.terminal_outputs().into_iter().collect::<Vec<_>>(), vec!["served"]);
         assert!(g.cycles().is_empty());
         assert!(g.report(None, None).is_clean());
     }

@@ -107,11 +107,6 @@ impl ThinServer {
         self.installed.keys().map(String::as_str).collect()
     }
 
-    /// The installed version of a bundle, if present.
-    pub fn installed_version(&self, name: &str) -> Option<u64> {
-        self.installed.get(name).map(|i| i.manifest.version)
-    }
-
     /// Drains pending component instantiation requests:
     /// `(bundle name, component kind, config)`.
     pub fn take_component_requests(&mut self) -> Vec<(String, String, Element)> {
@@ -347,7 +342,6 @@ mod tests {
         let report = s.receive_packet(&v2).unwrap();
         assert_eq!(report.version, 2);
         assert_eq!(s.engine().rule_names(), vec!["cold"]);
-        assert_eq!(s.installed_version("hot-alert"), Some(2));
     }
 
     #[test]

@@ -25,19 +25,12 @@ pub struct PipelineHost {
     pub forward_to: Vec<NodeIndex>,
     /// Events that left the pipeline at this node (no remote link).
     pub outputs: Vec<Event>,
-    /// Tick period for time-driven components (zero = no ticking).
-    pub tick_every: SimDuration,
 }
 
 impl PipelineHost {
     /// Creates a host around a graph.
     pub fn new(graph: PipelineGraph) -> Self {
-        PipelineHost {
-            graph,
-            forward_to: Vec::new(),
-            outputs: Vec::new(),
-            tick_every: SimDuration::ZERO,
-        }
+        PipelineHost { graph, forward_to: Vec::new(), outputs: Vec::new() }
     }
 
     fn dispatch(&mut self, now: SimTime, produced: Vec<Event>, out: &mut Outbox<PipelineMsg>) {
@@ -57,24 +50,12 @@ impl PipelineHost {
     }
 }
 
-const TICK_TIMER: u64 = 0x30;
-
 impl Node for PipelineHost {
     type Msg = PipelineMsg;
 
     fn handle(&mut self, now: SimTime, input: Input<PipelineMsg>, out: &mut Outbox<PipelineMsg>) {
         match input {
-            Input::Start => {
-                if !self.tick_every.is_zero() {
-                    out.timer(self.tick_every, TICK_TIMER);
-                }
-            }
-            Input::Timer { tag: TICK_TIMER } => {
-                let produced = self.graph.tick(now);
-                self.dispatch(now, produced, out);
-                out.timer(self.tick_every, TICK_TIMER);
-            }
-            Input::Timer { .. } => {}
+            Input::Start | Input::Timer { .. } => {}
             Input::Msg { msg: PipelineMsg::Put(xml), .. } => match Event::from_xml_text(&xml) {
                 Ok(event) => {
                     let produced = self.graph.push(now, event);
@@ -135,11 +116,6 @@ impl DistributedPipeline {
     /// `to`'s pipeline entries.
     pub fn link(&mut self, from: NodeIndex, to: NodeIndex) {
         self.world.node_mut(from).forward_to.push(to);
-    }
-
-    /// Enables ticking on a host.
-    pub fn enable_ticks(&mut self, node: NodeIndex, every: SimDuration) {
-        self.world.node_mut(node).tick_every = every;
     }
 
     /// Pushes an event into a node's pipeline (stamping provenance).
@@ -248,22 +224,5 @@ mod tests {
         assert_eq!(out.str_attr("s"), Some("text with <brackets> & ampersands"));
         assert_eq!(out.num_attr("f"), Some(2.5));
         assert_eq!(out.payload().unwrap().attr("deep"), Some("yes"));
-    }
-
-    #[test]
-    fn ticking_drives_device_wrappers() {
-        use crate::wrapper::Thermometer;
-        let mut g = PipelineGraph::new();
-        let t = g.add(Box::new(
-            Thermometer::new("South Street", 14.0, 6.0, gloss_sim::SimRng::new(5))
-                .with_report_interval(SimDuration::from_secs(60)),
-        ));
-        g.mark_entry(t);
-        let mut dp = DistributedPipeline::build(vec![g], 5);
-        dp.enable_ticks(NodeIndex(0), SimDuration::from_secs(10));
-        dp.run_for(SimDuration::from_secs(300));
-        let outs = dp.outputs(NodeIndex(0));
-        assert!(outs.len() >= 4, "one reading per minute over 5 min, got {}", outs.len());
-        assert_eq!(outs[0].kind(), "weather.reading");
     }
 }

@@ -53,12 +53,6 @@ impl GpsDevice {
         self
     }
 
-    /// Sets the wander range.
-    pub fn with_range_km(mut self, range: f64) -> Self {
-        self.range_km = range;
-        self
-    }
-
     /// The current simulated position.
     pub fn position(&self) -> GeoPoint {
         self.position
@@ -229,9 +223,8 @@ mod tests {
     #[test]
     fn gps_reports_on_interval_and_moves() {
         let home = GeoPoint::new(56.34, -2.80);
-        let mut gps = GpsDevice::new("bob", home, rng())
-            .with_report_interval(SimDuration::from_secs(30))
-            .with_range_km(0.5);
+        let mut gps =
+            GpsDevice::new("bob", home, rng()).with_report_interval(SimDuration::from_secs(30));
         let mut out = Emit::new();
         let mut positions = Vec::new();
         for s in (0..600).step_by(30) {

@@ -566,17 +566,6 @@ struct EngineCounters {
     ids: [CounterId; ENGINE_COUNTERS],
 }
 
-/// A harness-installed fault on one directed link, overriding the world's
-/// uniform loss and adding latency. Like [`LinkState`], faults are purged
-/// when either endpoint crashes (a restarted node gets fresh links).
-#[derive(Debug, Clone, Copy, Default)]
-struct LinkFault {
-    /// Overrides the world loss probability on this link when set.
-    loss: Option<f64>,
-    /// Extra one-way latency (µs) added to every message on this link.
-    extra_us: u64,
-}
-
 /// Directed-link key for the fault map.
 #[inline]
 fn link_key(from: NodeIndex, to: NodeIndex) -> u64 {
@@ -601,9 +590,11 @@ struct Shared {
     alive: Vec<bool>,
     seed: u64,
     loss: f64,
-    /// Per-directed-link fault overrides (empty in the common case; the
-    /// hot path checks `is_empty` before hashing).
-    link_faults: FnvHashMap<u64, LinkFault>,
+    /// Harness-installed loss probability per directed link, overriding
+    /// the world's uniform loss there (empty in the common case; the hot
+    /// path checks `is_empty` before hashing). Like [`LinkState`], purged
+    /// when either endpoint crashes (a restarted node gets fresh links).
+    link_faults: FnvHashMap<u64, f64>,
     /// Active partition: the group id of each node. Messages between
     /// different groups are dropped at send time. `None` = fully
     /// connected.
@@ -867,13 +858,10 @@ fn dispatch_send<N: Node>(
             (ls.nominal as f64 * factor).round() as u64
         };
     }
-    let (loss, fault_extra_us) = if sh.link_faults.is_empty() {
-        (sh.loss, 0)
+    let loss = if sh.link_faults.is_empty() {
+        sh.loss
     } else {
-        match sh.link_faults.get(&link_key(from, to)) {
-            Some(f) => (f.loss.unwrap_or(sh.loss), f.extra_us),
-            None => (sh.loss, 0),
-        }
+        sh.link_faults.get(&link_key(from, to)).copied().unwrap_or(sh.loss)
     };
     if loss > 0.0 && to != from && splitmix_unit(&mut ls.rng) < loss {
         shard.engine[EC_LOST] += 1.0;
@@ -882,7 +870,7 @@ fn dispatch_send<N: Node>(
     // Per-link FIFO: links are connection-oriented (the architecture's
     // web-service interfaces run over TCP); equal times are allowed
     // and preserve send order via the link sequence number.
-    let mut at = shard.now.as_micros() + ls.jittered + extra.as_micros() + fault_extra_us;
+    let mut at = shard.now.as_micros() + ls.jittered + extra.as_micros();
     if at < ls.last_at {
         at = ls.last_at;
     }
@@ -1368,11 +1356,6 @@ impl<N: Node> World<N> {
         self.shards.len()
     }
 
-    /// The region shard a node belongs to.
-    pub fn region_of(&self, node: NodeIndex) -> usize {
-        self.shared.place[node.as_usize()].region as usize
-    }
-
     /// The lockstep slice width in microseconds (the cross-region
     /// lookahead; the synchronisation quantum of threaded execution).
     pub fn slice_micros(&self) -> u64 {
@@ -1427,14 +1410,7 @@ impl<N: Node> World<N> {
     /// shadowing the world-level loss for that link only. A harness-level
     /// call: apply it between runs, like [`set_loss`](Self::set_loss).
     pub fn set_link_loss(&mut self, from: NodeIndex, to: NodeIndex, p: f64) {
-        self.shared.link_faults.entry(link_key(from, to)).or_default().loss =
-            Some(p.clamp(0.0, 1.0));
-    }
-
-    /// Adds extra one-way latency to every message on the directed link
-    /// `from → to` (on top of the topology latency and jitter).
-    pub fn set_link_latency_extra(&mut self, from: NodeIndex, to: NodeIndex, d: SimDuration) {
-        self.shared.link_faults.entry(link_key(from, to)).or_default().extra_us = d.as_micros();
+        self.shared.link_faults.insert(link_key(from, to), p.clamp(0.0, 1.0));
     }
 
     /// Schedules a network partition at `at`: nodes with different group
@@ -2149,19 +2125,6 @@ mod tests {
     }
 
     #[test]
-    fn link_latency_extra_delays_messages() {
-        let mut w = world(2);
-        w.set_link_latency_extra(NodeIndex(0), NodeIndex(1), SimDuration::from_secs(3));
-        // Harness injections bypass dispatch; bounce via node 1's reply to
-        // exercise the faulted direction: 0 -> 1 slow, 1 -> 0 normal.
-        w.inject(NodeIndex(1), NodeIndex(0), M::Ping);
-        w.run_until(SimTime::from_secs(2));
-        assert_eq!(w.node(NodeIndex(1)).pongs, 0, "pong should still be in flight");
-        w.run_until(SimTime::from_secs(5));
-        assert_eq!(w.node(NodeIndex(1)).pongs, 1);
-    }
-
-    #[test]
     fn crash_purges_link_faults() {
         let mut w = world(2);
         w.set_link_loss(NodeIndex(0), NodeIndex(1), 1.0);
@@ -2322,7 +2285,7 @@ mod tests {
         let nodes = (0..8).map(|_| TestNode::default()).collect::<Vec<_>>();
         let w = World::new(t, 5, nodes);
         assert_eq!(w.region_count(), 2);
-        assert_ne!(w.region_of(NodeIndex(0)), w.region_of(NodeIndex(1)));
+        assert_ne!(w.shared.place[0].region, w.shared.place[1].region);
         assert!(w.slice_micros() > 0);
     }
 

@@ -51,12 +51,6 @@ impl ChurnModel {
         ChurnModel { mtbf, mttr, graceful_fraction: 0.0 }
     }
 
-    /// Sets the fraction of graceful departures.
-    pub fn with_graceful_fraction(mut self, f: f64) -> Self {
-        self.graceful_fraction = f.clamp(0.0, 1.0);
-        self
-    }
-
     /// Generates a time-sorted churn schedule for `nodes` up to `horizon`.
     ///
     /// Each node independently alternates up/down phases with exponentially
@@ -130,9 +124,12 @@ mod tests {
     #[test]
     fn graceful_fraction_respected_at_extremes() {
         let mut rng = SimRng::new(2);
-        let all_graceful = ChurnModel::new(SimDuration::from_secs(50), SimDuration::from_secs(5))
-            .with_graceful_fraction(1.0)
-            .generate(&nodes(10), SimTime::from_secs(1_000), &mut rng);
+        let model = ChurnModel::new(SimDuration::from_secs(50), SimDuration::from_secs(5));
+        let all_graceful = ChurnModel { graceful_fraction: 1.0, ..model }.generate(
+            &nodes(10),
+            SimTime::from_secs(1_000),
+            &mut rng,
+        );
         assert!(all_graceful.iter().all(|e| e.kind != ChurnKind::Crash));
         let none_graceful = ChurnModel::new(SimDuration::from_secs(50), SimDuration::from_secs(5))
             .generate(&nodes(10), SimTime::from_secs(1_000), &mut rng);

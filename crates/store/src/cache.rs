@@ -234,16 +234,6 @@ impl LruCache {
         self.tail = NIL;
         self.used_bytes = 0;
     }
-
-    /// Hit ratio so far (0 when never queried).
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -263,7 +253,6 @@ mod tests {
         assert!(c.get(d.guid).is_some());
         assert_eq!(c.hits, 1);
         assert_eq!(c.misses, 1);
-        assert!((c.hit_ratio() - 0.5).abs() < 1e-9);
     }
 
     #[test]

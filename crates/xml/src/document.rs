@@ -166,35 +166,9 @@ impl Element {
         out
     }
 
-    /// The concatenation of all text in the subtree, in document order.
-    pub fn deep_text(&self) -> String {
-        let mut out = String::new();
-        self.collect_text(&mut out);
-        out
-    }
-
-    fn collect_text(&self, out: &mut String) {
-        for n in &self.children {
-            match n {
-                Node::Text(t) => out.push_str(t),
-                Node::Element(e) => e.collect_text(out),
-            }
-        }
-    }
-
     /// Depth-first iterator over all descendant elements (excluding self).
     pub fn descendants(&self) -> Descendants<'_> {
         Descendants { stack: self.children().collect::<Vec<_>>() }
-    }
-
-    /// Number of elements in the subtree, including self.
-    pub fn subtree_size(&self) -> usize {
-        1 + self.descendants().count()
-    }
-
-    /// Mutable access to the child nodes.
-    pub fn nodes_mut(&mut self) -> &mut Vec<Node> {
-        &mut self.children
     }
 }
 
@@ -289,7 +263,6 @@ mod tests {
     fn text_direct_vs_deep() {
         let e = sample();
         assert_eq!(e.text(), "tail");
-        assert_eq!(e.deep_text(), "gpstail");
     }
 
     #[test]
@@ -300,7 +273,6 @@ mod tests {
         assert!(names.contains(&"user"));
         assert!(names.contains(&"pos"));
         assert!(names.contains(&"src"));
-        assert_eq!(e.subtree_size(), 4);
     }
 
     #[test]
@@ -326,7 +298,6 @@ mod tests {
         e.push(Element::new("item"));
         e.push("text");
         assert_eq!(e.nodes().len(), 2);
-        e.nodes_mut().clear();
-        assert!(e.is_empty());
+        assert!(!e.is_empty());
     }
 }
