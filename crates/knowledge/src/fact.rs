@@ -1,5 +1,11 @@
 //! Facts: subject/predicate/object triples with validity intervals, with
 //! an insert/retract change feed for incremental consumers.
+//!
+//! [`InMemoryFacts`] keeps its facts in stable slots indexed by subject
+//! and by predicate, so a write costs what it changes: a retract walks
+//! the one subject it names, never the whole store, and the tombstones
+//! it leaves are compacted in bulk (see the struct docs for the rule).
+//! Reads and the change feed see facts in insertion order throughout.
 
 use gloss_sim::FnvHashMap;
 use gloss_sim::{GeoPoint, SimTime};
@@ -288,11 +294,36 @@ fn fresh_source_id() -> u64 {
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
+/// Tombstones are compacted once at least this many have built up…
+const COMPACT_MIN_DEAD: usize = 32;
+/// …and they outnumber one in this many live facts.
+const COMPACT_LIVE_PER_DEAD: usize = 16;
+
 /// An indexed in-memory fact store with a bounded insert/retract delta
 /// log (the change feed incremental matchers repair their indexes from).
+///
+/// Facts live in stable slots, in insertion order; a retracted fact
+/// leaves a tombstone (`None`) behind. The subject and predicate indexes
+/// hold ascending slot numbers of live facts only, so every read —
+/// [`query`](FactSource::query), [`for_each_at`](FactSource::for_each_at),
+/// [`by_subject`](Self::by_subject) — yields facts in insertion order,
+/// and a retract records its deltas in that order too.
+///
+/// A write costs what it changes: [`add`](Self::add) appends one slot
+/// (and allocates an index key only for a subject or predicate not yet
+/// indexed); [`retract`](Self::retract) and
+/// [`remove_subject`](Self::remove_subject) walk only the subject's slot
+/// list and drop each doomed slot from its predicate list by binary
+/// search. Tombstones are compacted in one order-preserving O(n) remap
+/// once there are at least 32 of them and more than one per 16 live
+/// facts, so no write leaves more than `max(31, len / 16)` behind and
+/// the amortised cost of a retract does not grow with the store.
 #[derive(Debug)]
 pub struct InMemoryFacts {
-    facts: Vec<Fact>,
+    /// Facts in insertion order; `None` marks a retracted fact.
+    slots: Vec<Option<Fact>>,
+    /// Number of `Some` slots.
+    live: usize,
     by_predicate: FnvHashMap<String, Vec<usize>>,
     by_subject: FnvHashMap<String, Vec<usize>>,
     source: u64,
@@ -310,7 +341,8 @@ pub struct InMemoryFacts {
 impl Default for InMemoryFacts {
     fn default() -> Self {
         InMemoryFacts {
-            facts: Vec::new(),
+            slots: Vec::new(),
+            live: 0,
             by_predicate: FnvHashMap::default(),
             by_subject: FnvHashMap::default(),
             source: fresh_source_id(),
@@ -328,7 +360,8 @@ impl Clone for InMemoryFacts {
     /// continuation). The delta log is not carried over.
     fn clone(&self) -> Self {
         InMemoryFacts {
-            facts: self.facts.clone(),
+            slots: self.slots.clone(),
+            live: self.live,
             by_predicate: self.by_predicate.clone(),
             by_subject: self.by_subject.clone(),
             source: fresh_source_id(),
@@ -370,10 +403,11 @@ impl InMemoryFacts {
 
     /// Adds a fact.
     pub fn add(&mut self, fact: Fact) {
-        let i = self.facts.len();
-        self.by_predicate.entry(fact.predicate.clone()).or_default().push(i);
-        self.by_subject.entry(fact.subject.clone()).or_default().push(i);
-        self.facts.push(fact.clone());
+        let slot = self.slots.len();
+        index_push(&mut self.by_predicate, &fact.predicate, slot);
+        index_push(&mut self.by_subject, &fact.subject, slot);
+        self.slots.push(Some(fact.clone()));
+        self.live += 1;
         self.record(FactDelta::Insert(fact));
     }
 
@@ -386,18 +420,18 @@ impl InMemoryFacts {
 
     /// Number of facts.
     pub fn len(&self) -> usize {
-        self.facts.len()
+        self.live
     }
 
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.facts.is_empty()
+        self.live == 0
     }
 
     /// Removes all facts about a subject (profile update), returning how
     /// many were removed.
     pub fn remove_subject(&mut self, subject: &str) -> usize {
-        self.retract_where(|f| f.subject == subject)
+        self.retract_where(subject, |_| true)
     }
 
     /// Removes every fact whose subject, predicate, and object all match
@@ -406,66 +440,85 @@ impl InMemoryFacts {
     /// how many were removed. The targeted counterpart of
     /// [`remove_subject`](Self::remove_subject) for fact churn.
     pub fn retract(&mut self, subject: &str, predicate: &str, object: &Term) -> usize {
-        self.retract_where(|f| {
-            f.subject == subject && f.predicate == predicate && f.object == *object
-        })
+        self.retract_where(subject, |f| f.predicate == predicate && f.object == *object)
     }
 
-    fn retract_where(&mut self, mut gone: impl FnMut(&Fact) -> bool) -> usize {
-        // Collect the doomed positions first (ascending by construction),
-        // then splice both indexes in place: surviving entries shift down
-        // by the number of removals below them. This keeps a retract at
-        // O(index entries) pointer work instead of rebuilding both maps
-        // with a String clone per fact — the store-side cost that would
-        // otherwise dominate the delta path churn exists to make cheap.
-        let mut removed_at: Vec<usize> = Vec::new();
-        let mut removed: Vec<Fact> = Vec::new();
-        for (i, f) in self.facts.iter().enumerate() {
-            if gone(f) {
-                removed_at.push(i);
-                removed.push(f.clone());
-            }
-        }
-        if removed_at.is_empty() {
+    /// Retracts the facts about `subject` that `gone` selects, walking
+    /// only that subject's slots (ascending, so the `Retract` deltas are
+    /// recorded in insertion order).
+    fn retract_where(&mut self, subject: &str, mut gone: impl FnMut(&Fact) -> bool) -> usize {
+        let Some((key, mut held)) = self.by_subject.remove_entry(subject) else {
             return 0;
-        }
-        let mut i = 0;
-        let mut r = 0;
-        self.facts.retain(|_| {
-            let dead = r < removed_at.len() && removed_at[r] == i;
-            if dead {
-                r += 1;
-            }
-            i += 1;
-            !dead
-        });
-        let splice = |map: &mut FnvHashMap<String, Vec<usize>>| {
-            map.retain(|_, positions| {
-                positions.retain_mut(|pos| match removed_at.binary_search(pos) {
-                    Ok(_) => false,
-                    Err(below) => {
-                        *pos -= below;
-                        true
-                    }
-                });
-                !positions.is_empty()
-            });
         };
-        splice(&mut self.by_predicate);
-        splice(&mut self.by_subject);
-        for f in removed {
-            self.record(FactDelta::Retract(f));
+        let before = held.len();
+        held.retain(|&slot| {
+            let Some(fact) = self.slots[slot].take_if(|f| gone(f)) else {
+                return true;
+            };
+            if let Some(same_predicate) = self.by_predicate.get_mut(&fact.predicate) {
+                if let Ok(at) = same_predicate.binary_search(&slot) {
+                    same_predicate.remove(at);
+                }
+                if same_predicate.is_empty() {
+                    self.by_predicate.remove(&fact.predicate);
+                }
+            }
+            self.live -= 1;
+            self.record(FactDelta::Retract(fact));
+            false
+        });
+        let removed = before - held.len();
+        if !held.is_empty() {
+            self.by_subject.insert(key, held);
         }
-        removed_at.len()
+        let dead = self.slots.len() - self.live;
+        if dead >= COMPACT_MIN_DEAD && dead * COMPACT_LIVE_PER_DEAD > self.live {
+            self.compact();
+        }
+        removed
+    }
+
+    /// Drops every tombstone, renumbering the survivors in order and
+    /// remapping both indexes (which stay ascending).
+    fn compact(&mut self) {
+        let mut renumbered = vec![0; self.slots.len()];
+        let mut next = 0;
+        for (old, slot) in self.slots.iter().enumerate() {
+            if slot.is_some() {
+                renumbered[old] = next;
+                next += 1;
+            }
+        }
+        self.slots.retain(Option::is_some);
+        for held in self.by_subject.values_mut().chain(self.by_predicate.values_mut()) {
+            for slot in held {
+                *slot = renumbered[*slot];
+            }
+        }
+    }
+
+    /// Every live fact, in insertion order.
+    fn facts(&self) -> impl Iterator<Item = &Fact> {
+        self.slots.iter().flatten()
     }
 
     /// All facts, grouped by subject (for distribution into the store).
     pub fn by_subject(&self) -> BTreeMap<&str, Vec<&Fact>> {
         let mut map: BTreeMap<&str, Vec<&Fact>> = BTreeMap::new();
-        for f in &self.facts {
+        for f in self.facts() {
             map.entry(f.subject.as_str()).or_default().push(f);
         }
         map
+    }
+}
+
+/// Appends `slot` to `key`'s list, allocating the key only on a miss.
+fn index_push(index: &mut FnvHashMap<String, Vec<usize>>, key: &str, slot: usize) {
+    match index.get_mut(key) {
+        Some(held) => held.push(slot),
+        None => {
+            index.insert(key.to_string(), vec![slot]);
+        }
     }
 }
 
@@ -500,11 +553,11 @@ impl FactSource for InMemoryFacts {
     ) -> Box<dyn Iterator<Item = &'a Fact> + 'a> {
         match self.candidate_indices(subject, predicate) {
             Some((idx, check_predicate)) => {
-                Box::new(idx.iter().map(|&i| &self.facts[i]).filter(move |f| {
+                Box::new(idx.iter().filter_map(|&i| self.slots[i].as_ref()).filter(move |f| {
                     !check_predicate || predicate.is_none_or(|p| f.predicate == p)
                 }))
             }
-            None => Box::new(self.facts.iter()),
+            None => Box::new(self.facts()),
         }
     }
 
@@ -517,8 +570,7 @@ impl FactSource for InMemoryFacts {
     ) {
         match self.candidate_indices(subject, predicate) {
             Some((idx, check_predicate)) => {
-                for &i in idx {
-                    let fact = &self.facts[i];
+                for fact in idx.iter().filter_map(|&i| self.slots[i].as_ref()) {
                     if (!check_predicate || predicate.is_none_or(|p| fact.predicate == p))
                         && fact.valid_at(t)
                     {
@@ -527,7 +579,7 @@ impl FactSource for InMemoryFacts {
                 }
             }
             None => {
-                for fact in &self.facts {
+                for fact in self.facts() {
                     if fact.valid_at(t) {
                         f(fact);
                     }
