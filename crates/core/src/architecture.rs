@@ -245,9 +245,7 @@ impl ActiveArchitecture {
                     Document::new(DistributedKnowledge::doc_name(subject), xml.into_bytes());
                 // Re-seeding a subject writes a newer version, so
                 // replicas and caches converge on the update.
-                let version = self.kb_versions.entry(subject.to_string()).or_insert(0);
-                *version += 1;
-                doc.version = *version;
+                doc.version = next_version(&mut self.kb_versions, subject);
                 doc
             }
             Shipment::Delta(batch) => {
@@ -258,9 +256,7 @@ impl ActiveArchitecture {
                 // batches land on the same replica/cache set and
                 // version-skipping drops stale re-deliveries.
                 doc.guid = Key::hash_of_str(&format!("kbdelta/{subject}"));
-                let version = self.kb_delta_versions.entry(subject.to_string()).or_insert(0);
-                *version += 1;
-                doc.version = *version;
+                doc.version = next_version(&mut self.kb_delta_versions, subject);
                 doc
             }
         };
@@ -344,6 +340,21 @@ impl ActiveArchitecture {
                     .any(|n| n.starts_with(bundle_prefix))
             })
             .collect()
+    }
+}
+
+/// Bumps and returns `subject`'s document version (1 on first use),
+/// allocating its key only then.
+fn next_version(versions: &mut std::collections::BTreeMap<String, u64>, subject: &str) -> u64 {
+    match versions.get_mut(subject) {
+        Some(version) => {
+            *version += 1;
+            *version
+        }
+        None => {
+            versions.insert(subject.to_string(), 1);
+            1
+        }
     }
 }
 

@@ -191,7 +191,10 @@ impl KnowledgeAuthority {
     /// Mutate it freely; the changes ship at the next
     /// [`flush`](Self::flush).
     pub fn facts_mut(&mut self, subject: &str) -> &mut InMemoryFacts {
-        self.subjects.entry(subject.to_string()).or_default()
+        if !self.subjects.contains_key(subject) {
+            self.subjects.insert(subject.to_string(), InMemoryFacts::default());
+        }
+        self.subjects.get_mut(subject).expect("present or just inserted")
     }
 
     /// The authoritative store for `subject`, if it exists.
@@ -207,7 +210,7 @@ impl KnowledgeAuthority {
         let store = self.subjects.get(subject)?;
         let epoch = store.epoch();
         let source = store.version().expect("in-memory stores are versioned").source;
-        self.shipped.insert(subject.to_string(), epoch);
+        mark_shipped(&mut self.shipped, subject, epoch);
         Some(Shipment::Snapshot {
             source,
             epoch,
@@ -248,8 +251,19 @@ impl KnowledgeAuthority {
                 }
             }
         };
-        self.shipped.insert(subject.to_string(), epoch);
+        mark_shipped(&mut self.shipped, subject, epoch);
         Some(shipment)
+    }
+}
+
+/// Records `subject` as shipped up to `epoch`, allocating its key only
+/// on first shipment.
+fn mark_shipped(shipped: &mut BTreeMap<String, u64>, subject: &str, epoch: u64) {
+    match shipped.get_mut(subject) {
+        Some(at) => *at = epoch,
+        None => {
+            shipped.insert(subject.to_string(), epoch);
+        }
     }
 }
 
@@ -301,6 +315,22 @@ mod tests {
         assert_ne!(short, text);
         let el = gloss_xml::parse(&short).unwrap();
         assert!(DeltaBatch::from_xml(&el).is_none(), "length must match the range");
+        // A windowed insert whose bound is corrupted must not apply as
+        // an always-valid fact.
+        let windowed = FactDelta::Insert(
+            Fact::new("bob", "at", Term::str("pier"))
+                .valid_between(gloss_sim::SimTime::from_secs(1), gloss_sim::SimTime::from_secs(9)),
+        );
+        let text = batch(7, 3, vec![ins("score", 1), windowed]).to_xml().to_xml();
+        assert!(DeltaBatch::from_xml(&gloss_xml::parse(&text).unwrap()).is_some());
+        for (bound, corrupt) in
+            [("from_us=\"1000000\"", "from_us=\"1e6\""), ("to_us=\"9000000\"", "to_us=\"-9\"")]
+        {
+            let torn = text.replacen(bound, corrupt, 1);
+            assert_ne!(torn, text);
+            let el = gloss_xml::parse(&torn).unwrap();
+            assert!(DeltaBatch::from_xml(&el).is_none(), "corrupt bound {corrupt} applied");
+        }
     }
 
     #[test]

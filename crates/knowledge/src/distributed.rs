@@ -98,7 +98,10 @@ pub(crate) fn fact_element(tag: &str, f: &Fact) -> Element {
     fe
 }
 
-/// Decodes one fact element (any tag), `None` when malformed.
+/// Decodes one fact element (any tag), `None` when malformed. A missing
+/// validity bound means unbounded; one present but unparsable makes the
+/// element malformed (read as unbounded, a corrupted window would widen
+/// the fact to always-valid).
 pub(crate) fn fact_from_element(subject: &str, fe: &Element) -> Option<Fact> {
     let predicate = fe.attr("predicate")?;
     let value_text = fe.child("value").map(|v| v.text()).unwrap_or_default();
@@ -115,9 +118,11 @@ pub(crate) fn fact_from_element(subject: &str, fe: &Element) -> Option<Fact> {
         Some("time") => Term::Time(SimTime::from_micros(fe.attr("us")?.parse().ok()?)),
         _ => return None,
     };
+    let bound =
+        |attr| fe.attr(attr).map(|us| us.parse().map(SimTime::from_micros)).transpose().ok();
     let mut fact = Fact::new(subject, predicate, object);
-    fact.valid_from = fe.attr("from_us").and_then(|s| s.parse().ok()).map(SimTime::from_micros);
-    fact.valid_to = fe.attr("to_us").and_then(|s| s.parse().ok()).map(SimTime::from_micros);
+    fact.valid_from = bound("from_us")?;
+    fact.valid_to = bound("to_us")?;
     Some(fact)
 }
 
@@ -157,11 +162,17 @@ mod tests {
                  <fact predicate="bad" type="int"><value>five</value></fact>
                  <fact type="int"><value>5</value></fact>
                  <fact predicate="odd" type="tensor"><value>?</value></fact>
+                 <fact predicate="window" type="int" from_us="10" to_us="20"><value>5</value></fact>
+                 <fact predicate="torn" type="int" from_us="10" to_us="2O"><value>5</value></fact>
+                 <fact predicate="torn" type="int" from_us=""><value>5</value></fact>
                </facts>"#,
         )
         .unwrap();
         let facts = DistributedKnowledge::facts_from_xml(&xml);
-        assert_eq!(facts.len(), 1);
+        assert_eq!(facts.len(), 2, "a corrupt bound is malformed, not unbounded: {facts:?}");
         assert_eq!(facts[0].predicate, "ok");
+        assert_eq!(facts[1].predicate, "window");
+        assert_eq!(facts[1].valid_from, Some(SimTime::from_micros(10)));
+        assert_eq!(facts[1].valid_to, Some(SimTime::from_micros(20)));
     }
 }

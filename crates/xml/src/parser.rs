@@ -167,7 +167,8 @@ impl<'a> Parser<'a> {
         b.is_ascii_alphanumeric() || matches!(b, b'_' | b':' | b'-' | b'.')
     }
 
-    fn name(&mut self) -> Result<String, ParseError> {
+    /// Scans a name, returned as a slice of the input.
+    fn name(&mut self) -> Result<&'a str, ParseError> {
         let start = self.pos;
         match self.peek() {
             Some(b) if Self::is_name_start(b) => {
@@ -178,9 +179,7 @@ impl<'a> Parser<'a> {
         while matches!(self.peek(), Some(b) if Self::is_name_char(b)) {
             self.pos += 1;
         }
-        Ok(std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("name chars are ascii")
-            .to_string())
+        Ok(std::str::from_utf8(&self.bytes[start..self.pos]).expect("name chars are ascii"))
     }
 
     fn entity(&mut self) -> Result<char, ParseError> {
@@ -251,7 +250,7 @@ impl<'a> Parser<'a> {
     fn element(&mut self) -> Result<Element, ParseError> {
         self.expect("<")?;
         let name = self.name()?;
-        let mut el = Element::new(&name);
+        let mut el = Element::new(name);
         loop {
             self.skip_ws();
             match self.peek() {
@@ -269,7 +268,7 @@ impl<'a> Parser<'a> {
                     self.expect("=")?;
                     self.skip_ws();
                     let value = self.attr_value()?;
-                    if el.attr(&key).is_some() {
+                    if el.attr(key).is_some() {
                         return Err(self.err(format!("duplicate attribute `{key}`")));
                     }
                     el.set_attr(key, value);
@@ -421,6 +420,7 @@ mod tests {
     fn error_mismatched_close() {
         let err = parse("<a><b></a></b>").unwrap_err();
         assert!(err.message.contains("mismatched"), "{err}");
+        assert_eq!(err.message, "mismatched close tag `a`, open was `b`");
     }
 
     #[test]
