@@ -105,6 +105,57 @@ fn e4_delta_matching(c: &mut Criterion) {
     }
 }
 
+/// K1: one knowledge-store write on a node holding 500 profiles × 3
+/// facts — a user's location moves (retract the old `at`, insert the
+/// new one), or a profile is re-ingested whole (`remove_subject` +
+/// `extend`, what a snapshot does). Both should cost what they change,
+/// not what the store holds.
+fn k1_fact_store_writes(c: &mut Criterion) {
+    const USERS: usize = 500;
+    let subjects: Vec<String> = (0..USERS).map(|u| format!("user{u}")).collect();
+    let profile = |u: usize, at: i64| {
+        let s = &subjects[u];
+        [
+            Fact::new(s.clone(), "likes", Term::str("ice cream")),
+            Fact::new(s.clone(), "nationality", Term::str("scottish")),
+            Fact::new(s.clone(), "at", Term::Int(at)),
+        ]
+    };
+    let build = || {
+        let mut kb = InMemoryFacts::new();
+        for u in 0..USERS {
+            kb.extend(profile(u, 0));
+        }
+        kb
+    };
+    {
+        let mut kb = build();
+        let mut at = vec![0i64; USERS];
+        let mut n = 0;
+        c.bench_function("k1_retract_insert_1500_facts", |b| {
+            b.iter(|| {
+                n += 1;
+                let u = (n * 7) % USERS;
+                kb.retract(&subjects[u], "at", &Term::Int(at[u]));
+                at[u] += 1;
+                kb.add(Fact::new(subjects[u].clone(), "at", Term::Int(at[u])));
+            })
+        });
+    }
+    {
+        let mut kb = build();
+        let mut n = 0;
+        c.bench_function("k1_reingest_subject_1500_facts", |b| {
+            b.iter(|| {
+                n += 1;
+                let u = (n * 7) % USERS;
+                kb.remove_subject(&subjects[u]);
+                kb.extend(profile(u, n as i64));
+            })
+        });
+    }
+}
+
 /// C13: adversarial subscription churn — rules added/removed at a high
 /// rate while events stream, the worst case for rule add/remove
 /// invalidation (kind-index rebuilds, index coverage, memo lifecycle).
@@ -861,7 +912,7 @@ fn c10_erasure(c: &mut Criterion) {
 criterion_group! {
     name = experiments;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = e1_matching, e4_delta_matching, e2_pipeline_push, e3_bundle_roundtrip,
+    targets = e1_matching, e4_delta_matching, k1_fact_store_writes, e2_pipeline_push, e3_bundle_roundtrip,
               c1_filter_ops, c1_publish_through_network, c2_overlay_route, c3_cache_ops,
               c3_cache_churn, c4_solver, c6_binding, c7_join, c8_store_lookup, c9_retrieval,
               c10_erasure, c13_rule_churn, m1_histogram_polling, s1_rule_scaling,
