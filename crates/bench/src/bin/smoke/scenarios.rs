@@ -534,12 +534,15 @@ const OPS: [Op; 10] = [
     Op::Exists,
 ];
 
+/// Subscription kinds. The last two share one 32-bit index kind tag, so
+/// each one's probes count the other's filters and only the exact kind
+/// check keeps them apart.
+const KINDS: [&str; 6] = ["ctx", "goal", "weather", "alert", "k21608", "k82419"];
+
 fn random_filter(rng: &mut SimRng) -> Filter {
-    let mut f = match rng.index(4) {
-        0 => Filter::for_kind("ctx"),
-        1 => Filter::for_kind("goal"),
-        2 => Filter::for_kind("weather"),
-        _ => Filter::any(),
+    let mut f = match KINDS.get(rng.index(KINDS.len() + 1)) {
+        Some(kind) => Filter::for_kind(*kind),
+        None => Filter::any(),
     };
     for _ in 0..1 + rng.index(3) {
         let attr = ["user", "temp", "place", "seq"][rng.index(4)];
@@ -554,7 +557,7 @@ fn random_filter(rng: &mut SimRng) -> Filter {
 }
 
 fn random_event(rng: &mut SimRng) -> Event {
-    let mut e = Event::new(["ctx", "goal", "weather", "other"][rng.index(4)]);
+    let mut e = Event::new(KINDS.get(rng.index(KINDS.len() + 1)).copied().unwrap_or("other"));
     for _ in 0..rng.index(4) {
         let attr = ["user", "temp", "place", "seq"][rng.index(4)];
         if rng.chance(0.5) {
@@ -593,8 +596,10 @@ pub fn index(_: Args) -> Outcome {
 
     // Spot-verify a sample against the linear scan.
     let mut mismatches = 0usize;
+    let mut colliding = 0usize;
     for k in 0..VERIFIED {
         let e = &events[k * (PUBLISHES / VERIFIED)];
+        colliding += usize::from(KINDS[4..].contains(&e.kind()));
         let got = index.matching_event(e);
         let want: Vec<u64> = subs.iter().filter(|s| s.filter.matches(e)).map(|s| s.id).collect();
         if got != want {
@@ -605,9 +610,10 @@ pub fn index(_: Args) -> Outcome {
 
     let line = format!(
         "indexsmoke: {SUBS} subs built in {build_ms:.0} ms, {PUBLISHES} publishes in \
-         {publish_ms:.1} ms ({total_matches} matches), {VERIFIED} events verified, \
-         {mismatches} mismatches"
+         {publish_ms:.1} ms ({total_matches} matches), {VERIFIED} events verified \
+         ({colliding} of a tag-colliding kind), {mismatches} mismatches"
     );
     assert_eq!(mismatches, 0, "{line}");
+    assert!(colliding > 0, "no verified event has a tag-colliding kind: {line}");
     (line, 1)
 }

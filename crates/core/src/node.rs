@@ -263,8 +263,31 @@ impl GlossNode {
 
     /// Client-side delivery: UI logging, matchlet matching, coordinator
     /// engines.
-    fn deliver_to_client(&mut self, now: SimTime, event: Event, out: &mut Outbox<GlossMsg>) {
-        if self.ui_filters.iter().any(|f| f.matches(&event)) {
+    ///
+    /// `routed` says this node's own broker sent the event, which it does
+    /// only when one of this node's subscriptions matched it. This node
+    /// subscribes its UI filters and whole kinds (`subscribed_kinds`), so
+    /// a routed event of a kind not subscribed whole matched a UI filter
+    /// and goes to the UI without re-scanning `ui_filters`. Any other
+    /// event — a whole-kind subscription's, or a local sensor reading —
+    /// is scanned.
+    fn deliver_to_client(
+        &mut self,
+        now: SimTime,
+        event: Event,
+        routed: bool,
+        out: &mut Outbox<GlossMsg>,
+    ) {
+        let to_ui = if routed && !self.subscribed_kinds.contains(event.kind()) {
+            debug_assert!(
+                self.ui_filters.iter().any(|f| f.matches(&event)),
+                "routed, not of a kind subscribed whole, yet no UI filter matches: {event}"
+            );
+            true
+        } else {
+            self.ui_filters.iter().any(|f| f.matches(&event))
+        };
+        if to_ui {
             out.count("gloss.ui_delivered", 1.0);
             self.ui_received.push(event.clone());
         }
@@ -499,7 +522,7 @@ impl GlossNode {
         out.count("gloss.sensor_events", 1.0);
         // Local delivery first (devices feed the local pipeline), then the
         // global event service.
-        self.deliver_to_client(now, event.clone(), out);
+        self.deliver_to_client(now, event.clone(), false, out);
         // Discovery: no local matchlet handles this kind.
         if !event.kind().starts_with("resource.")
             && !self.server.engine().handles_kind(event.kind())
@@ -630,7 +653,7 @@ impl GlossNode {
                 // broker-plane traffic.
                 match bmsg {
                     BrokerMsg::Notify(event) if from == self.me => {
-                        self.deliver_to_client(now, event, out)
+                        self.deliver_to_client(now, event, true, out)
                     }
                     other => self.broker_do(now, from, other, out),
                 }
@@ -708,23 +731,17 @@ mod tests {
     use gloss_event::BrokerTopology;
     use gloss_overlay::{KeyedNode, OverlayNode};
     use gloss_sim::GeoPoint;
-    use gloss_store::{store_node::timers::LOOKUP_RETRY, StoreConfig};
+    use gloss_store::{store_node::timers::LOOKUP_RETRY, StoreConfig, StorePayload};
 
     fn counted(out: &Outbox<GlossMsg>, name: &str) -> bool {
         out.counts().iter().any(|(n, _)| n == name)
     }
 
-    /// A discovery fetch nobody answers ends on the store's lookup-retry
-    /// timer; the coordinator must conclude it there, not wait for a late
-    /// duplicate reply that nothing guarantees.
-    #[test]
-    fn a_discovery_fetch_that_times_out_is_concluded_on_the_timer() {
+    /// Node 0, its own coordinator, with a broker of no neighbours and
+    /// the given overlay.
+    fn coordinator(overlay: OverlayNode<StorePayload>) -> GlossNode {
         let me = NodeIndex(0);
-        // A peer sits on the handler code's guid, so the lookup routes
-        // away and nobody ever answers.
-        let mut overlay = OverlayNode::new(Key(0x100), me, None, SimDuration::ZERO);
-        overlay.learn(KeyedNode::new(Key::hash_of_str("code/mystery"), NodeIndex(1)));
-        let mut node = GlossNode::new(
+        GlossNode::new(
             me,
             Broker::new(me, BrokerTopology::Peer { neighbors: Vec::new() }),
             StoreNode::new(me, overlay, StoreConfig::default(), Vec::new()),
@@ -739,7 +756,64 @@ mod tests {
             AuthKey::new("test", b"secret"),
             SimDuration::from_secs(5),
             SimDuration::from_secs(15),
-        );
+        )
+    }
+
+    /// Hands `msg` from `from` to `node`, then feeds back every message
+    /// the node sends itself (its broker notifying it as a client) until
+    /// none is left.
+    fn deliver(node: &mut GlossNode, from: NodeIndex, msg: GlossMsg) {
+        let me = node.index();
+        let mut queue = vec![(from, msg)];
+        while let Some((from, msg)) = queue.pop() {
+            let mut out = Outbox::new();
+            node.handle(SimTime::ZERO, Input::Msg { from, msg }, &mut out);
+            let to_me = out.take_sends().into_iter().filter(|(to, ..)| *to == me);
+            queue.extend(to_me.map(|(_, m, _)| (me, m)));
+        }
+    }
+
+    /// A routed event of a kind the node subscribes whole is scanned
+    /// against the UI filters (the kind subscription may be all it
+    /// matched); one of a kind only a UI filter asks for goes to the UI
+    /// unscanned, once.
+    #[test]
+    fn routed_events_reach_the_ui_only_through_a_matching_ui_filter() {
+        let me = NodeIndex(0);
+        let mut node = coordinator(OverlayNode::new(Key(0x100), me, None, SimDuration::ZERO));
+        node.handle(SimTime::ZERO, Input::Start, &mut Outbox::new());
+        let key = AuthKey::new("test", b"secret");
+        let bundle = Bundle::matchlet("m", r#"rule r { on p: event ping() emit pong() }"#)
+            .issued_by(key.issuer());
+        let packet = bundle.to_packet(&key);
+        let peer = NodeIndex(1);
+        deliver(&mut node, peer, GlossMsg::Bundle { instance: String::new(), packet });
+        let zone_9_pings = Filter::for_kind("ping").with_eq("zone", 9i64);
+        deliver(&mut node, peer, GlossMsg::UiSubscribe(zone_9_pings));
+        deliver(&mut node, peer, GlossMsg::UiSubscribe(Filter::for_kind("alert")));
+
+        let publish = |e: Event| GlossMsg::PubSub(BrokerMsg::Publish(e));
+        deliver(&mut node, peer, publish(Event::new("ping").with_attr("zone", 3i64)));
+        assert_eq!(node.emitted, 1, "the matchlet's kind subscription delivered the ping");
+        assert!(node.ui_received.is_empty(), "no UI filter matches a zone 3 ping");
+
+        deliver(&mut node, peer, publish(Event::new("alert").with_attr("zone", 3i64)));
+        let kinds: Vec<&str> = node.ui_received.iter().map(Event::kind).collect();
+        assert_eq!(kinds, ["alert"]);
+        assert_eq!(node.emitted, 1);
+    }
+
+    /// A discovery fetch nobody answers ends on the store's lookup-retry
+    /// timer; the coordinator must conclude it there, not wait for a late
+    /// duplicate reply that nothing guarantees.
+    #[test]
+    fn a_discovery_fetch_that_times_out_is_concluded_on_the_timer() {
+        let me = NodeIndex(0);
+        // A peer sits on the handler code's guid, so the lookup routes
+        // away and nobody ever answers.
+        let mut overlay = OverlayNode::new(Key(0x100), me, None, SimDuration::ZERO);
+        overlay.learn(KeyedNode::new(Key::hash_of_str("code/mystery"), NodeIndex(1)));
+        let mut node = coordinator(overlay);
         let awaited =
             |node: &GlossNode| node.coordinator_state.as_ref().unwrap().handler_reqs.len();
 

@@ -136,6 +136,7 @@ impl LinearBroker {
             }
             BrokerMsg::Detach => {
                 self.clients.remove(&from);
+                self.proxies.remove(&from);
                 let ids: Vec<SubId> =
                     self.subs.iter().filter(|e| e.iface == from).map(|e| e.sub.id).collect();
                 for id in ids {

@@ -318,7 +318,10 @@ impl Broker {
                 self.clients.insert(from);
             }
             BrokerMsg::Detach => {
+                // A proxy left behind would keep buffering the client's
+                // events after a later re-attach.
                 self.clients.remove(&from);
+                self.proxies.remove(&from);
                 let ids: Vec<SubId> = self.by_iface.get(&from.0).cloned().unwrap_or_default();
                 for id in ids {
                     self.unsubscribe(id, out);
@@ -488,26 +491,29 @@ impl Broker {
     }
 
     fn route(&mut self, from: NodeIndex, event: Event, out: &mut Outbox<BrokerMsg>) {
-        // One counting probe yields every matching subscription, in
-        // arrival order (the order the old linear scan delivered in).
-        let matched = self.subs.matching_event(&event);
+        // One counting probe walks every matching subscription, in
+        // arrival order (the order the old linear scan delivered in),
+        // straight out of the index's reused hit list: routing an event
+        // allocates only the copies it sends or buffers.
+        //
         // An interface is served once per event, at its first matching
         // subscription: a client with k matching filters gets one copy,
         // live or buffered. `wanted` then also says which neighbours
         // hold a matching subscription, for forwarding below.
-        self.wanted.clear();
-        for &id in &matched {
-            let iface = *self.iface_of.get(&id).expect("id tracked");
-            if !self.wanted.insert(iface.0) || iface == from {
-                continue;
+        let Broker { subs, iface_of, wanted, proxies, clients, .. } = self;
+        wanted.clear();
+        subs.for_each_match(&event, |id| {
+            let iface = *iface_of.get(&id).expect("id tracked");
+            if !wanted.insert(iface.0) || iface == from {
+                return;
             }
-            if let Some(buffer) = self.proxies.get_mut(&iface) {
+            if let Some(buffer) = proxies.get_mut(&iface) {
                 buffer.push(event.clone());
-            } else if self.clients.contains(&iface) {
+            } else if clients.contains(&iface) {
                 out.send(iface, BrokerMsg::Notify(event.clone()));
                 out.count("pubsub.delivered_local", 1.0);
             }
-        }
+        });
 
         // Inter-broker forwarding.
         match &self.topology {
@@ -741,6 +747,24 @@ mod tests {
         b.handle(SimTime::ZERO, n(10), BrokerMsg::Detach, &mut out);
         assert_eq!(b.subscription_count(), 0);
         assert_eq!(b.clients().count(), 0);
+    }
+
+    /// A client that detaches while roaming takes its proxy with it: once
+    /// it attaches and subscribes again, its events are sent, not
+    /// buffered for a handoff that will never come.
+    #[test]
+    fn detach_while_away_drops_the_proxy() {
+        let mut b = peer_broker();
+        let mut out = Outbox::new();
+        b.handle(SimTime::ZERO, n(10), BrokerMsg::MoveOut, &mut out);
+        b.handle(SimTime::ZERO, n(10), BrokerMsg::Detach, &mut out);
+        assert!(!b.has_proxy_for(n(10)));
+        b.handle(SimTime::ZERO, n(10), BrokerMsg::Attach, &mut out);
+        let s = sub(1, Filter::for_kind("k"));
+        b.handle(SimTime::ZERO, n(10), BrokerMsg::Subscribe(s), &mut out);
+        let mut out = Outbox::new();
+        b.handle(SimTime::ZERO, n(11), BrokerMsg::Publish(Event::new("k")), &mut out);
+        assert_eq!(sent_to(&out, n(10)).len(), 1, "the re-attached client is notified");
     }
 
     #[test]

@@ -44,19 +44,31 @@
 //! counting it would touch half of every table per probe to confirm a
 //! handful of matches.
 //!
-//! **Kind stays a per-candidate check**, neither counted nor a bucket key:
-//! counting it would make every publication touch every same-kind
-//! subscription, which is the hot-topic blow-up this index exists to
-//! avoid. The only filters selected without a constraint probe are the
-//! zero-constraint ones (tracked in dedicated kind/universal lists —
-//! those genuinely match every event of their kind).
+//! **Kind narrows the count; it is decided per candidate.** Kind is not a
+//! counted constraint (counting it would make every publication touch
+//! every same-kind subscription, the hot-topic blow-up this index exists
+//! to avoid) and not a bucket key (one bucket set per kind costs a map
+//! per attribute per kind). Instead every bucket entry carries a 32-bit
+//! tag of its filter's kind — `0` when the filter has none — and a probe
+//! counts only the entries tagged with the event kind's tag or with `0`.
+//! A `zone = 3` bucket shared by eight alert kinds then costs an event
+//! the entries of its own kind, not all eight. A tag is a hash, so two
+//! kinds can share one; the exact kind comparison on each candidate
+//! stays, and a collision costs a wasted count, never a wrong match. A
+//! query with no kind (covering queries) has tag `0` and counts only
+//! kindless filters, which are the only ones that can cover it. The only
+//! filters selected without a constraint probe are the zero-constraint
+//! ones (tracked in dedicated kind/universal lists — those genuinely
+//! match every event of their kind).
 //!
 //! **Storage.** Entries live in a slab addressed by a dense `u32` slot;
-//! buckets, the trie and the kind/universal lists hold slots, one map
-//! takes a `SubId` to its slot, and freed slots are reused. Counters are
-//! an epoch-stamped array over the slots plus the list of slots touched,
-//! kept in the index and reused, so a probe allocates nothing but the
-//! vector it returns.
+//! buckets and the trie hold `(kind tag, slot)` members, the
+//! kind/universal lists hold slots, one map takes a `SubId` to its slot,
+//! and freed slots are reused. Counters are an epoch-stamped array over
+//! the slots plus the list of slots touched, and a probe's matches are
+//! collected in a hit list; all three are kept in the index and reused,
+//! so [`FilterIndex::for_each_match`] allocates nothing, and
+//! [`FilterIndex::matching_event`] only the vector it returns.
 //!
 //! The same structure answers *covering* queries for the broker's forward
 //! tables: for a filter made of distinct-attribute `Eq` constraints,
@@ -67,12 +79,34 @@ use crate::broker::SubId;
 use crate::filter::{Constraint, Filter, Op, Subscription};
 use crate::notification::Event;
 use crate::value::AttrValue;
-use gloss_sim::FnvHashMap;
-use std::cell::RefCell;
+use gloss_sim::{fnv1a, FnvHashMap};
+use std::cell::{RefCell, RefMut};
 use std::collections::BTreeMap;
 
 /// Position of an entry in the slab.
 type Slot = u32;
+
+/// A kind folded to 32 bits for bucket members: `0` for no kind, an odd
+/// number for any kind. Distinct kinds may share a tag.
+fn kind_tag(kind: Option<&str>) -> u32 {
+    kind.map_or(0, |k| fnv1a(k.as_bytes()) as u32 | 1)
+}
+
+/// One bucket entry: a stored constraint's slot, tagged with its filter's
+/// [`kind_tag`].
+#[derive(Debug, Clone, Copy)]
+struct Member {
+    kind: u32,
+    slot: Slot,
+}
+
+impl Member {
+    /// Whether a probe under kind tag `tag` counts this member: the
+    /// filter has that tag, or no kind at all.
+    fn counts_for(self, tag: u32) -> bool {
+        self.kind == tag || self.kind == 0
+    }
+}
 
 #[derive(Debug, Clone)]
 struct Entry {
@@ -186,9 +220,9 @@ fn ord_key(x: f64) -> u64 {
 #[derive(Debug, Clone, Default)]
 struct Boundary {
     /// Strict comparisons (`Gt` in the lower map, `Lt` in the upper map).
-    strict: Vec<Slot>,
+    strict: Vec<Member>,
     /// Inclusive comparisons (`Ge` / `Le`).
-    incl: Vec<Slot>,
+    incl: Vec<Member>,
 }
 
 impl Boundary {
@@ -202,25 +236,25 @@ impl Boundary {
 #[derive(Debug, Clone, Default)]
 struct Trie {
     /// Constraints whose pattern ends at this node.
-    slots: Vec<Slot>,
+    members: Vec<Member>,
     children: FnvHashMap<u8, Trie>,
 }
 
 impl Trie {
-    fn insert(&mut self, pat: &[u8], slot: Slot) {
+    fn insert(&mut self, pat: &[u8], m: Member) {
         let mut node = self;
         for &b in pat {
             node = node.children.entry(b).or_default();
         }
-        node.slots.push(slot);
+        node.members.push(m);
     }
 
     /// Removes one occurrence path, pruning nodes left empty.
     fn remove(&mut self, pat: &[u8], slot: Slot) {
         match pat.split_first() {
             None => {
-                if let Some(pos) = self.slots.iter().position(|x| *x == slot) {
-                    self.slots.remove(pos);
+                if let Some(pos) = self.members.iter().position(|m| m.slot == slot) {
+                    self.members.remove(pos);
                 }
             }
             Some((b, rest)) => {
@@ -234,40 +268,38 @@ impl Trie {
         }
     }
 
-    fn visit(&self, s: &[u8], f: &mut impl FnMut(Slot)) {
+    /// Calls `f` with the member list of every node on `s`'s path: the
+    /// patterns `s` starts with.
+    fn visit(&self, s: &[u8], f: &mut impl FnMut(&[Member])) {
         let mut node = self;
-        for slot in &node.slots {
-            f(*slot);
-        }
+        f(&node.members);
         for b in s {
             match node.children.get(b) {
                 Some(child) => node = child,
                 None => return,
             }
-            for slot in &node.slots {
-                f(*slot);
-            }
+            f(&node.members);
         }
     }
 
     fn is_empty(&self) -> bool {
-        self.slots.is_empty() && self.children.is_empty()
+        self.members.is_empty() && self.children.is_empty()
     }
 }
 
 /// Per-attribute constraint buckets.
 #[derive(Debug, Clone, Default)]
 struct AttrBuckets {
-    eq_str: FnvHashMap<String, Vec<Slot>>,
-    eq_num: FnvHashMap<u64, Vec<Slot>>,
-    eq_bool: [Vec<Slot>; 2],
+    eq_str: FnvHashMap<String, Vec<Member>>,
+    eq_num: FnvHashMap<u64, Vec<Member>>,
+    eq_bool: [Vec<Member>; 2],
     prefix: Trie,
     /// `Gt`/`Ge` boundaries, keyed by [`ord_key`] of the bound.
     lower: BTreeMap<u64, Boundary>,
     /// `Lt`/`Le` boundaries, keyed by [`ord_key`] of the bound.
     upper: BTreeMap<u64, Boundary>,
     /// `(entry, constraint position)` pairs evaluated directly.
-    fallback: Vec<(Slot, u32)>,
+    fallback: Vec<(Member, u32)>,
 }
 
 impl AttrBuckets {
@@ -283,23 +315,23 @@ impl AttrBuckets {
     }
 }
 
-fn remove_from(v: &mut Vec<Slot>, slot: Slot) {
-    v.retain(|x| *x != slot);
+fn remove_from(v: &mut Vec<Member>, slot: Slot) {
+    v.retain(|m| m.slot != slot);
 }
 
-/// Appends `slot` to the list under `key`, copying the key only when the
+/// Appends `item` to the list under `key`, copying the key only when the
 /// list is new.
-fn push_under(map: &mut FnvHashMap<String, Vec<Slot>>, key: &str, slot: Slot) {
+fn push_under<T>(map: &mut FnvHashMap<String, Vec<T>>, key: &str, item: T) {
     match map.get_mut(key) {
-        Some(v) => v.push(slot),
+        Some(v) => v.push(item),
         None => {
-            map.insert(key.to_string(), vec![slot]);
+            map.insert(key.to_string(), vec![item]);
         }
     }
 }
 
-/// Per-probe working state, kept between probes so that a probe costs no
-/// allocation beyond its result.
+/// Per-probe working state, kept between probes so that a probe
+/// allocates nothing once the vectors have grown to the working size.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
     /// The current probe's stamp; a cell stamped otherwise is stale,
@@ -332,6 +364,15 @@ impl Scratch {
         } else {
             *cell = (self.epoch, 1);
             self.touched.push(slot);
+        }
+    }
+
+    /// Counts the members a probe under kind tag `tag` can match.
+    fn count(&mut self, tag: u32, members: &[Member]) {
+        for m in members {
+            if m.counts_for(tag) {
+                self.bump(m.slot);
+            }
         }
     }
 }
@@ -413,6 +454,7 @@ impl FilterIndex {
             self.scratch.get_mut().cells.push((0, 0));
             slot
         });
+        let m = Member { kind: kind_tag(sub.filter.kind()), slot };
         let mut required = 0;
         for (ci, c, place) in counted(&sub.filter) {
             required += 1;
@@ -424,19 +466,19 @@ impl FilterIndex {
             }
             let b = self.attrs.get_mut(&c.attr).expect("just ensured");
             match place {
-                Place::EqStr(s) => push_under(&mut b.eq_str, s, slot),
-                Place::EqNum(x) => b.eq_num.entry(num_key(x)).or_default().push(slot),
-                Place::EqBool(v) => b.eq_bool[v as usize].push(slot),
+                Place::EqStr(s) => push_under(&mut b.eq_str, s, m),
+                Place::EqNum(x) => b.eq_num.entry(num_key(x)).or_default().push(m),
+                Place::EqBool(v) => b.eq_bool[v as usize].push(m),
                 Place::Lower { bound, strict } => {
                     let bo = b.lower.entry(ord_key(bound)).or_default();
-                    if strict { &mut bo.strict } else { &mut bo.incl }.push(slot);
+                    if strict { &mut bo.strict } else { &mut bo.incl }.push(m);
                 }
                 Place::Upper { bound, strict } => {
                     let bo = b.upper.entry(ord_key(bound)).or_default();
-                    if strict { &mut bo.strict } else { &mut bo.incl }.push(slot);
+                    if strict { &mut bo.strict } else { &mut bo.incl }.push(m);
                 }
-                Place::Prefix(s) => b.prefix.insert(s.as_bytes(), slot),
-                Place::Fallback => b.fallback.push((slot, ci as u32)),
+                Place::Prefix(s) => b.prefix.insert(s.as_bytes(), m),
+                Place::Fallback => b.fallback.push((m, ci as u32)),
                 Place::Never => unreachable!(),
             }
         }
@@ -501,7 +543,7 @@ impl FilterIndex {
                     }
                 }
                 Place::Prefix(s) => b.prefix.remove(s.as_bytes(), slot),
-                Place::Fallback => b.fallback.retain(|(x, _)| *x != slot),
+                Place::Fallback => b.fallback.retain(|(m, _)| m.slot != slot),
                 Place::Never => unreachable!(),
             }
             if b.is_empty() {
@@ -512,74 +554,78 @@ impl FilterIndex {
             match e.sub.filter.kind() {
                 Some(k) => {
                     if let Some(v) = self.kind_only.get_mut(k) {
-                        remove_from(v, slot);
+                        v.retain(|x| *x != slot);
                         if v.is_empty() {
                             self.kind_only.remove(k);
                         }
                     }
                 }
-                None => remove_from(&mut self.universal, slot),
+                None => self.universal.retain(|x| *x != slot),
             }
         }
         Some(e.sub)
     }
 
     /// One probe: `attrs` walks the event's attributes (distinct names),
-    /// `get` reads one of them by name for the verified constraints.
+    /// `get` reads one of them by name for the verified constraints. The
+    /// matches, as `(seq, id)` in insertion order, are left in the
+    /// scratch hit list, which stays borrowed while the caller reads it.
     fn probe<'a>(
         &self,
         kind: Option<&str>,
         attrs: impl Iterator<Item = (&'a str, &'a AttrValue)>,
         get: impl Fn(&str) -> Option<&'a AttrValue>,
-    ) -> Vec<SubId> {
+    ) -> RefMut<'_, [(u64, SubId)]> {
         let mut scratch = self.scratch.borrow_mut();
         let s = &mut *scratch;
         s.begin();
+        let tag = kind_tag(kind);
         for (name, value) in attrs {
             let Some(b) = self.attrs.get(name) else { continue };
             match value {
                 AttrValue::Str(v) => {
-                    if let Some(slots) = b.eq_str.get(v.as_ref()) {
-                        slots.iter().for_each(|&slot| s.bump(slot));
+                    if let Some(members) = b.eq_str.get(v.as_ref()) {
+                        s.count(tag, members);
                     }
-                    b.prefix.visit(v.as_bytes(), &mut |slot| s.bump(slot));
+                    b.prefix.visit(v.as_bytes(), &mut |members| s.count(tag, members));
                 }
                 AttrValue::Int(_) | AttrValue::Float(_) => {
                     let x = value.as_number().expect("numeric");
                     // NaN compares with nothing: only the fallback list
                     // (where `Exists` lives) can be satisfied.
                     if !x.is_nan() {
-                        if let Some(slots) = b.eq_num.get(&num_key(x)) {
-                            slots.iter().for_each(|&slot| s.bump(slot));
+                        if let Some(members) = b.eq_num.get(&num_key(x)) {
+                            s.count(tag, members);
                         }
                         let k = ord_key(x);
                         for (&bk, bo) in b.lower.range(..=k) {
-                            bo.incl.iter().for_each(|&slot| s.bump(slot));
+                            s.count(tag, &bo.incl);
                             if bk != k {
-                                bo.strict.iter().for_each(|&slot| s.bump(slot));
+                                s.count(tag, &bo.strict);
                             }
                         }
                         for (&bk, bo) in b.upper.range(k..) {
-                            bo.incl.iter().for_each(|&slot| s.bump(slot));
+                            s.count(tag, &bo.incl);
                             if bk != k {
-                                bo.strict.iter().for_each(|&slot| s.bump(slot));
+                                s.count(tag, &bo.strict);
                             }
                         }
                     }
                 }
-                AttrValue::Bool(v) => {
-                    b.eq_bool[*v as usize].iter().for_each(|&slot| s.bump(slot));
-                }
+                AttrValue::Bool(v) => s.count(tag, &b.eq_bool[*v as usize]),
             }
-            for &(slot, ci) in &b.fallback {
-                if self.entry(slot).sub.filter.constraints()[ci as usize].matches_value(value) {
-                    s.bump(slot);
+            for &(m, ci) in &b.fallback {
+                if m.counts_for(tag)
+                    && self.entry(m.slot).sub.filter.constraints()[ci as usize].matches_value(value)
+                {
+                    s.bump(m.slot);
                 }
             }
         }
         for &slot in &s.touched {
             let e = self.entry(slot);
             let f = &e.sub.filter;
+            // The exact kind: a counted member only shared the kind's tag.
             if s.cells[slot as usize].1 != e.required || f.kind().is_some_and(|k| kind != Some(k)) {
                 continue;
             }
@@ -597,7 +643,7 @@ impl FilterIndex {
             s.hits.push((e.seq, e.sub.id));
         }
         s.hits.sort_unstable();
-        s.hits.iter().map(|&(_, id)| id).collect()
+        RefMut::map(scratch, |s| s.hits.as_mut_slice())
     }
 
     /// Ids of subscriptions matching an event with the given kind and
@@ -614,15 +660,31 @@ impl FilterIndex {
     }
 
     fn matching_pairs(&self, kind: Option<&str>, pairs: &[(&str, &AttrValue)]) -> Vec<SubId> {
-        self.probe(kind, pairs.iter().copied(), |name| {
+        let hits = self.probe(kind, pairs.iter().copied(), |name| {
             pairs.iter().find(|(a, _)| *a == name).map(|&(_, v)| v)
-        })
+        });
+        hits.iter().map(|&(_, id)| id).collect()
     }
 
     /// Ids of subscriptions matching `event`, in insertion order. Agrees
     /// exactly with scanning every stored filter through
     /// [`Filter::matches`].
     pub fn matching_event(&self, event: &Event) -> Vec<SubId> {
+        self.probe_event(event).iter().map(|&(_, id)| id).collect()
+    }
+
+    /// Calls `f` with the id of every subscription matching `event`, in
+    /// insertion order — [`matching_event`](Self::matching_event) without
+    /// the vector: the matches are read from the index's own reused hit
+    /// list. `f` must not probe this index (the hit list is borrowed
+    /// while it runs; a nested probe panics).
+    pub fn for_each_match(&self, event: &Event, mut f: impl FnMut(SubId)) {
+        for &(_, id) in self.probe_event(event).iter() {
+            f(id);
+        }
+    }
+
+    fn probe_event(&self, event: &Event) -> RefMut<'_, [(u64, SubId)]> {
         self.probe(Some(event.kind()), event.attrs(), |name| event.attr(name))
     }
 
@@ -693,6 +755,32 @@ mod tests {
         assert_eq!(ids(&ix, &e), vec![1, 3, 4, 5]);
         let e = Event::new("c").with_attr("x", 1i64);
         assert_eq!(ids(&ix, &e), vec![3, 5]);
+    }
+
+    /// Two kinds with one tag: each one's probe counts the other's
+    /// members, and the exact kind check still keeps their filters
+    /// apart. Kindless filters match under every tag; a kindless query
+    /// counts nothing else.
+    #[test]
+    fn colliding_kind_tags_cost_a_count_never_a_match() {
+        let (k1, k2) = ("k21608", "k82419");
+        assert_eq!(kind_tag(Some(k1)), 0xdaf4_10a7);
+        assert_eq!(kind_tag(Some(k2)), kind_tag(Some(k1)), "the pair must collide");
+        assert_eq!(kind_tag(None), 0);
+        let mut ix = FilterIndex::new();
+        ix.insert(sub(1, Filter::for_kind(k1).with_eq("x", 1i64)));
+        ix.insert(sub(2, Filter::for_kind(k2).with_eq("x", 1i64)));
+        ix.insert(sub(3, Filter::for_kind(k1).with_constraint("y", Op::Ge, 0i64)));
+        ix.insert(sub(4, Filter::for_kind(k2).with_constraint("y", Op::Ge, 0i64)));
+        ix.insert(sub(5, Filter::any().with_eq("x", 1i64)));
+        ix.insert(sub(6, Filter::any().with_constraint("y", Op::Ge, 0i64)));
+        ix.insert(sub(7, Filter::for_kind("other").with_eq("x", 1i64)));
+        let at = |kind: &str| Event::new(kind).with_attr("x", 1i64).with_attr("y", 5i64);
+        assert_eq!(ids(&ix, &at(k1)), vec![1, 3, 5, 6]);
+        assert_eq!(ids(&ix, &at(k2)), vec![2, 4, 5, 6]);
+        assert_eq!(ids(&ix, &at("third")), vec![5, 6], "kindless filters match every kind");
+        let kindless = Filter::any().with_eq("x", 1i64).with_eq("y", 5i64);
+        assert_eq!(ix.covering_ids(&kindless), Some(vec![5, 6]), "only kindless filters cover");
     }
 
     #[test]

@@ -6,11 +6,13 @@
 //!
 //! 1. **Match-set equivalence** — for random filters spanning all ten
 //!    operators and mixed attribute types (including NaN floats, negative
-//!    zero, empty-string patterns and cross-type constraints), the index
-//!    returns exactly the ids a filter-by-filter scan returns, in the
-//!    same order, across rounds of removal and re-insertion into one
-//!    index (slot and counter reuse), and `covering_ids` returns exactly
-//!    the ids `Filter::covers` admits on the same tables.
+//!    zero, empty-string patterns and cross-type constraints) and kinds
+//!    that include two whose index tags collide, the index returns
+//!    exactly the ids a filter-by-filter scan returns, in the same order
+//!    (through `matching_event` and `for_each_match` alike), across
+//!    rounds of removal and re-insertion into one index (slot and counter
+//!    reuse), and `covering_ids` returns exactly the ids `Filter::covers`
+//!    admits on the same tables.
 //! 2. **Delivery equivalence** — replaying a random
 //!    subscribe/unsubscribe/publish/detach/mobility script through a
 //!    three-broker line of indexed [`Broker`]s and of [`LinearBroker`]s
@@ -89,8 +91,17 @@ fn rand_filter(rng: &mut SimRng) -> Filter {
     f
 }
 
+/// Two kinds whose 32-bit index tags collide (FNV-1a, low half, low bit
+/// set): a probe for one counts the other's filters, and only the exact
+/// per-candidate kind check keeps them apart.
+const COLLIDING: [&str; 2] = ["k21608", "k82419"];
+
 fn rand_event(rng: &mut SimRng) -> Event {
-    let kind = ["a", "b", "c"][rng.index(3)];
+    rand_event_of(rng, &["a", "b", "c"])
+}
+
+fn rand_event_of(rng: &mut SimRng, kinds: &[&str]) -> Event {
+    let kind = kinds[rng.index(kinds.len())];
     let mut e = Event::new(kind);
     for _ in 0..rng.range(0, 4) {
         let attr = ATTRS[rng.index(ATTRS.len())];
@@ -102,8 +113,18 @@ fn rand_event(rng: &mut SimRng) -> Event {
 /// [`rand_filter`], plus the shapes the select-then-verify probe treats
 /// specially: an indexed and a verified constraint on the *same*
 /// attribute, and a filter whose only point constraint can never be
-/// satisfied (`Eq NaN`, entered nowhere) beside a range that can.
+/// satisfied (`Eq NaN`, entered nowhere) beside a range that can. A
+/// third of them then take one of the [`COLLIDING`] kinds.
 fn rand_index_filter(rng: &mut SimRng) -> Filter {
+    let f = rand_index_shape(rng);
+    if rng.chance(0.33) {
+        let kind = COLLIDING[rng.index(COLLIDING.len())];
+        return Filter::from_parts(Some(kind.into()), f.constraints().to_vec());
+    }
+    f
+}
+
+fn rand_index_shape(rng: &mut SimRng) -> Filter {
     let range_ops = [Op::Lt, Op::Le, Op::Gt, Op::Ge, Op::Ne];
     let bound = rng.range(0, 7) as i64 - 3;
     match rng.range(0, 6) {
@@ -125,10 +146,10 @@ fn rand_index_filter(rng: &mut SimRng) -> Filter {
 /// A covering query inside the fragment `covering_ids` answers: an
 /// optional kind and `Eq` constraints on distinct attributes.
 fn rand_eq_query(rng: &mut SimRng) -> Filter {
-    let mut q = match rng.range(0, 3) {
+    let kinds = ["a", "b", COLLIDING[0], COLLIDING[1]];
+    let mut q = match rng.index(kinds.len() + 1) {
         0 => Filter::any(),
-        1 => Filter::for_kind("a"),
-        _ => Filter::for_kind("b"),
+        k => Filter::for_kind(kinds[k - 1]),
     };
     for attr in ATTRS {
         if rng.chance(0.4) {
@@ -140,7 +161,8 @@ fn rand_eq_query(rng: &mut SimRng) -> Filter {
 
 /// The index must agree with a scan of `subs` (held in insertion order):
 /// match sets through `Filter::matches`, cover sets through
-/// `Filter::covers`.
+/// `Filter::covers`. `for_each_match` must yield `matching_event`'s
+/// sequence.
 fn check_against_scan(
     index: &FilterIndex,
     subs: &[Subscription],
@@ -148,10 +170,13 @@ fn check_against_scan(
     stage: &str,
 ) -> Result<(), TestCaseError> {
     for _ in 0..12 {
-        let e = rand_event(rng);
+        let e = rand_event_of(rng, &["a", "b", "c", COLLIDING[0], COLLIDING[1]]);
         let want: Vec<u64> = subs.iter().filter(|s| s.filter.matches(&e)).map(|s| s.id).collect();
         let got = index.matching_event(&e);
         prop_assert_eq!(&got, &want, "{stage}: event {e}: index {got:?}, scan {want:?}");
+        let mut walked = Vec::new();
+        index.for_each_match(&e, |id| walked.push(id));
+        prop_assert_eq!(&walked, &got, "{stage}: event {e}: for_each_match");
     }
     for _ in 0..4 {
         let q = rand_eq_query(rng);
@@ -495,17 +520,17 @@ fn rand_script(rng: &mut SimRng) -> Vec<ScriptStep> {
                 }
                 None => {}
             },
-            // Detach (drops all subscriptions) or re-attach.
+            // Detach (drops all subscriptions, and while away the proxy
+            // at the old home) or re-attach.
             _ => {
-                if c.away.is_none() {
-                    if c.attached {
-                        script.push((c.home, c.node, BrokerMsg::Detach));
-                        c.attached = false;
-                        c.live.clear();
-                    } else {
-                        script.push((c.home, c.node, BrokerMsg::Attach));
-                        c.attached = true;
-                    }
+                if c.attached {
+                    script.push((c.home, c.node, BrokerMsg::Detach));
+                    c.attached = false;
+                    c.away = None;
+                    c.live.clear();
+                } else {
+                    script.push((c.home, c.node, BrokerMsg::Attach));
+                    c.attached = true;
                 }
             }
         }
@@ -608,16 +633,45 @@ fn run_shedding(mut script: Vec<ScriptStep>) -> (Seen, Seen) {
     (got, want)
 }
 
+/// Whether a client of `script` detaches while roaming (after its
+/// `MoveOut`, before a `MoveIn`), subscribes again, and a publication
+/// follows: the sequence that finds a proxy left behind by `Detach`.
+fn detaches_while_away(script: &[ScriptStep]) -> bool {
+    let mut away = BTreeSet::new();
+    let mut detached_away = BTreeSet::new();
+    let mut resubscribed = false;
+    for (_, from, msg) in script {
+        match msg {
+            BrokerMsg::MoveOut => {
+                away.insert(*from);
+            }
+            BrokerMsg::MoveIn { .. } => {
+                away.remove(from);
+            }
+            BrokerMsg::Detach if away.remove(from) => {
+                detached_away.insert(*from);
+            }
+            BrokerMsg::Subscribe(_) if detached_away.contains(from) => resubscribed = true,
+            BrokerMsg::Publish(_) if resubscribed => return true,
+            _ => {}
+        }
+    }
+    false
+}
+
 /// The oracle leaves nothing out: over a fixed run of seeds the script
-/// has every [`BrokerMsg`] variant handled by both brokers, and the
-/// shedding run reaches all three verdicts while still delivering.
+/// has every [`BrokerMsg`] variant handled by both brokers, a client
+/// detaches while roaming and comes back, and the shedding run reaches
+/// all three verdicts while still delivering.
 #[test]
 fn the_script_drives_every_broker_message() {
     let mut indexed_handled = BTreeSet::new();
     let mut linear_handled = BTreeSet::new();
     let mut shedding = Seen::default();
+    let mut detached_away = false;
     for seed in 0..32 {
         let script = rand_script(&mut SimRng::new(seed));
+        detached_away |= detaches_while_away(&script);
         let mut indexed: Vec<Broker> = (0..BROKERS).map(Broker::on_line).collect();
         let mut linear: Vec<LinearBroker> = (0..BROKERS).map(LinearBroker::on_line).collect();
         let mut got = Seen::default();
@@ -636,6 +690,7 @@ fn the_script_drives_every_broker_message() {
     let all: BTreeSet<&str> = VARIANTS.into_iter().collect();
     assert_eq!(indexed_handled, all);
     assert_eq!(linear_handled, all);
+    assert!(detached_away, "no script detached a roaming client and brought it back");
     for reached in [
         "pubsub.shed",
         "pubsub.subs_rejected",
