@@ -2,11 +2,12 @@
 //! DESIGN.md §5 (one group per table/figure; the `report` binary produces
 //! the full tables).
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use gloss_bench::THREAD_COLUMNS;
 use gloss_event::{Architecture, Event, Filter, Op, PubSubConfig, PubSubNetwork};
 use gloss_knowledge::{
-    Fact, InMemoryFacts, LexicalMatcher, Ontology, ServiceDescription, Term, TextMatcher,
+    reconcile, BatchReader, DeltaBatch, DistributedKnowledge, Fact, FactDelta, InMemoryFacts,
+    LexicalMatcher, Ontology, ServiceDescription, Term, TextMatcher,
 };
 use gloss_matchlet::MatchletEngine;
 use gloss_overlay::{Key, OverlayNetwork};
@@ -154,6 +155,45 @@ fn k1_fact_store_writes(c: &mut Criterion) {
             })
         });
     }
+}
+
+/// K2: landing one `kbdelta` batch of the `context_churn` shape — a
+/// user's `likes` flipped, one retract and one insert, ≈190 bytes: decoded
+/// from its bytes by the batch reader, through a tree (`parse` +
+/// `from_xml`), or read only as far as its envelope and reconciled, which
+/// is all a stale or gapped batch costs a receiver.
+fn k2_kbdelta_decode(c: &mut Criterion) {
+    let likes = |object: &str| Fact::new("u123", "likes", Term::str(object));
+    let batch = DeltaBatch {
+        subject: "u123".into(),
+        source: 1234,
+        from: 12,
+        to: 14,
+        deltas: vec![FactDelta::Retract(likes("tea")), FactDelta::Insert(likes("ice cream"))],
+    };
+    let text = batch.to_xml().to_xml();
+    c.bench_function("k2_kbdelta_decode", |b| {
+        b.iter(|| BatchReader::open(black_box(&text)).and_then(BatchReader::decode).unwrap())
+    });
+    c.bench_function("k2_kbdelta_decode_dom", |b| {
+        b.iter(|| DeltaBatch::from_xml(&parse(black_box(&text)).unwrap()).unwrap())
+    });
+    c.bench_function("k2_kbdelta_envelope", |b| {
+        b.iter(|| reconcile(Some((1234, 20)), BatchReader::open(black_box(&text)).unwrap().span()))
+    });
+}
+
+/// X1: building the element tree of one `context_churn` profile snapshot
+/// (three facts, versioned) — the tree builder over the XML reader.
+fn x1_xml_parse(c: &mut Criterion) {
+    let profile = [
+        Fact::new("u123", "nationality", Term::str("scottish")),
+        Fact::new("u123", "likes", Term::str("ice cream")),
+        Fact::new("u123", "at", Term::str("s17")),
+    ];
+    let refs: Vec<&Fact> = profile.iter().collect();
+    let text = DistributedKnowledge::facts_to_xml_versioned("u123", &refs, 1234, 3).to_xml();
+    c.bench_function("x1_parse_profile_snapshot", |b| b.iter(|| parse(black_box(&text)).unwrap()));
 }
 
 /// C13: adversarial subscription churn — rules added/removed at a high
@@ -912,7 +952,8 @@ fn c10_erasure(c: &mut Criterion) {
 criterion_group! {
     name = experiments;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = e1_matching, e4_delta_matching, k1_fact_store_writes, e2_pipeline_push, e3_bundle_roundtrip,
+    targets = e1_matching, e4_delta_matching, k1_fact_store_writes, k2_kbdelta_decode, x1_xml_parse,
+              e2_pipeline_push, e3_bundle_roundtrip,
               c1_filter_ops, c1_publish_through_network, c2_overlay_route, c3_cache_ops,
               c3_cache_churn, c4_solver, c6_binding, c7_join, c8_store_lookup, c9_retrieval,
               c10_erasure, c13_rule_churn, m1_histogram_polling, s1_rule_scaling,

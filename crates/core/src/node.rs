@@ -1,12 +1,23 @@
 //! The integrated architecture node: broker + storelet + thin server +
 //! matchlets, with the coordinator engines on node 0.
+//!
+//! Knowledge documents ingest wherever they land, and a node reads each
+//! one only as far as its verdict needs. A `kbdelta` batch's envelope
+//! (subject, source, epochs) is read first; the subject's replica record
+//! is looked up once and [`reconcile`] decides on the envelope alone.
+//! Stale batches and snapshot fallbacks never decode the body; a batch
+//! that applies decodes it and moves its facts into the fact store. A
+//! `kb` snapshot is read version first, and one older than the held state
+//! is turned away before any fact is built. A malformed body never
+//! applies anything.
 
 use crate::service::ServiceSpec;
 use gloss_bundle::{AuthKey, Bundle, Capability, ThinServer};
 use gloss_deploy::{coordinator_sweep, EvolutionEngine, MonitorEngine, NodeResources};
 use gloss_event::{Broker, BrokerMsg, Event, EventId, Filter, Subscription};
 use gloss_knowledge::{
-    reconcile, DeltaAction, DeltaBatch, DistributedKnowledge, FactDelta, InMemoryFacts,
+    reconcile, BatchReader, DeltaAction, DistributedKnowledge, FactDelta, InMemoryFacts,
+    SnapshotReader,
 };
 use gloss_overlay::Key;
 use gloss_sim::{Batch, Input, Node, NodeIndex, Outbox, SimDuration, SimTime};
@@ -105,8 +116,9 @@ struct SubjectReplica {
     delta_doc: Option<u64>,
     /// Authority `(source, epoch)` the held facts are anchored at, set by
     /// versioned snapshots and advanced by applied delta batches. Facts
-    /// ingested from a legacy (unversioned) snapshot have none and fall
-    /// back to snapshot fetches on any delta.
+    /// ingested from a legacy (unversioned) snapshot have none: a delta
+    /// batch then falls back to a snapshot fetch, unless it starts at
+    /// epoch 0 — a complete history, which replaces the held facts.
     anchor: Option<(u64, u64)>,
 }
 
@@ -414,13 +426,11 @@ impl GlossNode {
             out.count("gloss.kb_reingest_skipped", 1.0);
             return;
         }
-        let Ok(text) = std::str::from_utf8(&doc.content) else {
+        let Some(snapshot) = std::str::from_utf8(&doc.content).ok().and_then(SnapshotReader::open)
+        else {
             return;
         };
-        let Ok(el) = gloss_xml::parse(text) else {
-            return;
-        };
-        let snap_version = DistributedKnowledge::snapshot_version(&el);
+        let snap_version = snapshot.version();
         if let (Some((source, epoch)), Some((tracked_source, tracked_epoch))) =
             (snap_version, held.and_then(|r| r.anchor))
         {
@@ -431,7 +441,9 @@ impl GlossNode {
                 return;
             }
         }
-        let facts = DistributedKnowledge::facts_from_xml(&el);
+        let Some(facts) = snapshot.facts() else {
+            return;
+        };
         self.kb.remove_subject(subject);
         self.kb.extend(facts);
         let replica = replica_mut(&mut self.replicas, subject);
@@ -444,25 +456,32 @@ impl GlossNode {
     }
 
     /// Applies a `kbdelta/…` batch, or falls back to a full snapshot
-    /// fetch when it cannot extend the held state ([`reconcile`]).
+    /// fetch when it cannot extend the held state ([`reconcile`]). The
+    /// verdict is taken on the envelope; only a batch that applies has
+    /// its body decoded.
     fn ingest_delta_document(&mut self, now: SimTime, doc: &Document, out: &mut Outbox<GlossMsg>) {
-        let Some(batch) = std::str::from_utf8(&doc.content)
-            .ok()
-            .and_then(|text| gloss_xml::parse(text).ok())
-            .and_then(|el| DeltaBatch::from_xml(&el))
+        let Some(incoming) = std::str::from_utf8(&doc.content).ok().and_then(BatchReader::open)
         else {
             return;
         };
-        let replica = replica_mut(&mut self.replicas, &batch.subject);
+        let replica = replica_mut(&mut self.replicas, incoming.subject());
         replica.delta_doc = replica.delta_doc.max(Some(doc.version));
-        match reconcile(replica.anchor, &batch) {
+        match reconcile(replica.anchor, incoming.span()) {
             DeltaAction::Apply { skip } => {
+                let Some(batch) = incoming.decode() else {
+                    return;
+                };
+                if replica.anchor.is_none() {
+                    // A batch from epoch 0 is the subject's complete
+                    // history: it replaces what a legacy snapshot left.
+                    self.kb.remove_subject(&batch.subject);
+                }
                 out.count("gloss.kb_delta_applied", 1.0);
                 out.count("gloss.kb_delta_facts", (batch.deltas.len() - skip) as f64);
                 out.count("gloss.kb_delta_bytes", doc.size() as f64);
-                for d in &batch.deltas[skip..] {
+                for d in batch.deltas.into_iter().skip(skip) {
                     match d {
-                        FactDelta::Insert(f) => self.kb.add(f.clone()),
+                        FactDelta::Insert(f) => self.kb.add(f),
                         FactDelta::Retract(f) => {
                             self.kb.retract(&f.subject, &f.predicate, &f.object);
                         }
@@ -476,7 +495,7 @@ impl GlossNode {
                 // missing (e.g. the writer's bounded log truncated):
                 // repair by fetching the full document.
                 out.count("gloss.kb_delta_fallback", 1.0);
-                self.prefetch_subject(now, &batch.subject, out);
+                self.prefetch_subject(now, incoming.subject(), out);
             }
         }
     }
@@ -729,6 +748,7 @@ impl GlossNode {
 mod tests {
     use super::*;
     use gloss_event::BrokerTopology;
+    use gloss_knowledge::{DeltaBatch, Fact, FactSource, Term};
     use gloss_overlay::{KeyedNode, OverlayNode};
     use gloss_sim::GeoPoint;
     use gloss_store::{store_node::timers::LOOKUP_RETRY, StoreConfig, StorePayload};
@@ -835,5 +855,104 @@ mod tests {
             assert_eq!(awaited(&node), 1, "still retrying");
         }
         panic!("the lookup never timed out");
+    }
+
+    fn fact(object: &str) -> Fact {
+        Fact::new("bob", "likes", Term::str(object))
+    }
+
+    /// A `kb/bob` snapshot document; versioned when `version` is given.
+    fn snapshot_doc(facts: &[Fact], version: Option<(u64, u64)>) -> Document {
+        let refs: Vec<_> = facts.iter().collect();
+        let el = match version {
+            Some((source, epoch)) => {
+                DistributedKnowledge::facts_to_xml_versioned("bob", &refs, source, epoch)
+            }
+            None => DistributedKnowledge::facts_to_xml("bob", &refs),
+        };
+        Document::new(DistributedKnowledge::doc_name("bob"), el.to_xml().into_bytes())
+    }
+
+    /// A `kbdelta/bob` document holding `text`.
+    fn batch_doc(text: String) -> Document {
+        Document::new("kbdelta/bob", text.into_bytes())
+    }
+
+    fn batch_text(source: u64, from: u64, deltas: Vec<FactDelta>) -> String {
+        let to = from + deltas.len() as u64;
+        DeltaBatch { subject: "bob".into(), source, from, to, deltas }.to_xml().to_xml()
+    }
+
+    fn bob(node: &GlossNode) -> Vec<Fact> {
+        node.kb.query(Some("bob"), None).cloned().collect()
+    }
+
+    /// A batch from epoch 0 is a complete history: at a node holding an
+    /// unversioned snapshot it replaces the held facts instead of landing
+    /// on top of them.
+    #[test]
+    fn a_first_epoch_batch_replaces_a_legacy_snapshot() {
+        let mut node =
+            coordinator(OverlayNode::new(Key(0x100), NodeIndex(0), None, SimDuration::ZERO));
+        let mut out = Outbox::new();
+        node.ingest_document(SimTime::ZERO, &snapshot_doc(&[fact("tea")], None), &mut out);
+        assert_eq!(bob(&node), [fact("tea")]);
+        let history = batch_text(7, 0, vec![FactDelta::Insert(fact("tea"))]);
+        node.ingest_document(SimTime::ZERO, &batch_doc(history), &mut out);
+        assert!(counted(&out, "gloss.kb_delta_applied"));
+        assert_eq!(bob(&node), [fact("tea")], "one fact, not the snapshot's plus the batch's");
+        assert_eq!(node.replicas["bob"].anchor, Some((7, 1)));
+    }
+
+    /// A batch whose envelope says it applies but whose body does not
+    /// decode changes nothing: no fact, no anchor, no counter. One whose
+    /// envelope says stale or gapped is counted or acted on from the
+    /// envelope, body unread.
+    #[test]
+    fn a_malformed_body_applies_nothing() {
+        let mut node =
+            coordinator(OverlayNode::new(Key(0x100), NodeIndex(0), None, SimDuration::ZERO));
+        let mut out = Outbox::new();
+        node.ingest_document(SimTime::ZERO, &snapshot_doc(&[fact("tea")], Some((7, 3))), &mut out);
+        let good = batch_text(
+            7,
+            3,
+            vec![FactDelta::Retract(fact("tea")), FactDelta::Insert(fact("ice cream"))],
+        );
+        let malformed = [
+            good.replacen("type=\"str\"", "type=\"tensor\"", 1),
+            good.replacen("<insert", "<upsert", 1).replacen("</insert", "</upsert", 1),
+            good.replacen("to=\"5\"", "to=\"6\"", 1),
+            good.replacen("</value></retract>", "</retract>", 1),
+            format!("{good}<trailing/>"),
+            good.replacen("</kbdelta>", "", 1),
+        ];
+        let (held, epoch) = (bob(&node), node.kb.epoch());
+        for text in malformed {
+            assert_ne!(text, good);
+            let mut out = Outbox::new();
+            node.ingest_document(SimTime::ZERO, &batch_doc(text.clone()), &mut out);
+            assert!(out.counts().is_empty(), "{text}: counted {:?}", out.counts());
+            assert_eq!((bob(&node), node.kb.epoch()), (held.clone(), epoch), "{text}");
+            assert_eq!(node.replicas["bob"].anchor, Some((7, 3)), "{text}");
+        }
+
+        let body = "<insert predicate=\"likes\" type=\"tensor\"/>";
+        let stale =
+            format!(r#"<kbdelta subject="bob" source="7" from="1" to="2">{body}</kbdelta>"#);
+        let mut out = Outbox::new();
+        node.ingest_document(SimTime::ZERO, &batch_doc(stale), &mut out);
+        assert!(counted(&out, "gloss.kb_delta_stale"));
+        let gapped = format!(r#"<kbdelta subject="bob" source="7" from="8" to="9">{body}"#);
+        let mut out = Outbox::new();
+        node.ingest_document(SimTime::ZERO, &batch_doc(gapped), &mut out);
+        assert!(counted(&out, "gloss.kb_delta_fallback"));
+        assert_eq!((bob(&node), node.kb.epoch()), (held, epoch));
+
+        let mut out = Outbox::new();
+        node.ingest_document(SimTime::ZERO, &batch_doc(good), &mut out);
+        assert!(counted(&out, "gloss.kb_delta_applied"), "the well-formed batch applies");
+        assert_eq!(bob(&node), [fact("ice cream")]);
+        assert_eq!(node.replicas["bob"].anchor, Some((7, 5)));
     }
 }

@@ -19,11 +19,23 @@
 //! which is forced whenever the writer's bounded delta log has truncated
 //! past the receiver's epoch, the writer is a different store instance
 //! (clones never alias epochs), or the receiver was never anchored.
+//!
+//! A receiver reads a batch **envelope first**. [`BatchReader::open`]
+//! reads the `kbdelta` root's `subject`, `source`, `from` and `to` — all
+//! [`reconcile`] needs — and stops, so a batch found stale or gapped is
+//! never decoded at all. Only a batch that applies has its deltas decoded
+//! ([`BatchReader::decode`]), straight from the document's tokens and
+//! through the same fact-field and envelope rules as
+//! [`DeltaBatch::from_xml`], which serves callers that already hold a tree.
 
-use crate::distributed::{fact_element, fact_from_element};
+use crate::distributed::{fact_element, fact_from_element, read_fact};
 use crate::fact::{Fact, FactDelta, FactSource, InMemoryFacts};
-use gloss_xml::Element;
+use gloss_xml::{Element, Reader, Token};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+
+/// The root element name of a batch document.
+const ROOT: &str = "kbdelta";
 
 /// A contiguous run of one subject's fact deltas: epochs
 /// `from + 1 ..= to` of the authority store `source`.
@@ -76,26 +88,125 @@ impl DeltaBatch {
     /// cannot be applied soundly, so unlike snapshot parsing this does
     /// not skip bad entries.
     pub fn from_xml(el: &Element) -> Option<DeltaBatch> {
-        if el.name() != "kbdelta" {
+        if el.name() != ROOT {
             return None;
         }
-        let subject = el.attr("subject")?.to_string();
-        let source = el.attr("source")?.parse().ok()?;
-        let from: u64 = el.attr("from")?.parse().ok()?;
-        let to: u64 = el.attr("to")?.parse().ok()?;
+        let subject = el.attr("subject")?;
+        let span = EpochSpan::read(|k| el.attr(k))?;
         let mut deltas = Vec::new();
         for fe in el.children() {
-            let fact = fact_from_element(&subject, fe)?;
-            deltas.push(match fe.name() {
-                "insert" => FactDelta::Insert(fact),
-                "retract" => FactDelta::Retract(fact),
-                _ => return None,
-            });
+            let fact = fact_from_element(subject, fe)?;
+            deltas.push(delta(fe.name(), fact)?);
         }
-        if to.checked_sub(from)? != deltas.len() as u64 {
+        DeltaBatch::checked(subject.to_string(), span, deltas)
+    }
+
+    /// The batch, unless `deltas` does not hold exactly one delta per
+    /// epoch of `span`.
+    fn checked(subject: String, span: EpochSpan, deltas: Vec<FactDelta>) -> Option<DeltaBatch> {
+        if span.to.checked_sub(span.from)? != deltas.len() as u64 {
             return None;
         }
-        Some(DeltaBatch { subject, source, from, to, deltas })
+        Some(DeltaBatch { subject, source: span.source, from: span.from, to: span.to, deltas })
+    }
+}
+
+/// The delta a batch child element named `tag` carries.
+fn delta(tag: &str, fact: Fact) -> Option<FactDelta> {
+    match tag {
+        "insert" => Some(FactDelta::Insert(fact)),
+        "retract" => Some(FactDelta::Retract(fact)),
+        _ => None,
+    }
+}
+
+/// Which epochs of which authority store a batch spans: everything
+/// [`reconcile`] reads, and the whole of a batch's envelope but its
+/// subject.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EpochSpan {
+    /// The authority store's instance id.
+    pub source: u64,
+    /// Epoch the batch extends.
+    pub from: u64,
+    /// Epoch after the batch's last delta.
+    pub to: u64,
+}
+
+impl EpochSpan {
+    /// Reads a batch root's `source`, `from` and `to` attributes.
+    fn read<'v>(attr: impl Fn(&str) -> Option<&'v str>) -> Option<EpochSpan> {
+        Some(EpochSpan {
+            source: attr("source")?.parse().ok()?,
+            from: attr("from")?.parse().ok()?,
+            to: attr("to")?.parse().ok()?,
+        })
+    }
+}
+
+impl From<&DeltaBatch> for EpochSpan {
+    fn from(batch: &DeltaBatch) -> EpochSpan {
+        EpochSpan { source: batch.source, from: batch.from, to: batch.to }
+    }
+}
+
+/// A `kbdelta` document read envelope first: [`open`](Self::open) reads
+/// the root's attributes and stops; [`decode`](Self::decode) reads the
+/// deltas only when asked.
+#[derive(Debug)]
+pub struct BatchReader<'a> {
+    reader: Reader<'a>,
+    subject: Cow<'a, str>,
+    span: EpochSpan,
+}
+
+impl<'a> BatchReader<'a> {
+    /// Reads `text` up to the end of the `kbdelta` root's start tag. `None`
+    /// when that much is malformed, or the envelope is one
+    /// [`DeltaBatch::from_xml`] rejects.
+    pub fn open(text: &'a str) -> Option<BatchReader<'a>> {
+        let mut reader = Reader::new(text);
+        if reader.next()?.ok()? != Token::Start(ROOT) {
+            return None;
+        }
+        let subject = reader.attr("subject")?.clone();
+        let span = EpochSpan::read(|k| reader.attr(k).map(|v| v.as_ref()))?;
+        Some(BatchReader { reader, subject, span })
+    }
+
+    /// The subject the batch concerns.
+    pub fn subject(&self) -> &str {
+        &self.subject
+    }
+
+    /// The epochs the batch spans.
+    pub fn span(&self) -> EpochSpan {
+        self.span
+    }
+
+    /// Decodes the rest of the document: the batch
+    /// [`DeltaBatch::from_xml`] returns for it, or `None` where that
+    /// returns none.
+    pub fn decode(mut self) -> Option<DeltaBatch> {
+        let subject = self.subject.into_owned();
+        // Grown as deltas are read: `to - from` comes off the wire, and
+        // is checked, not trusted with an allocation.
+        let mut deltas = Vec::new();
+        loop {
+            match self.reader.next()?.ok()? {
+                Token::Start(tag) => {
+                    let fact = read_fact(&mut self.reader, &subject)??;
+                    deltas.push(delta(tag, fact)?);
+                }
+                Token::Text(_) => {}
+                Token::End(_) => break,
+            }
+        }
+        // The reader ends cleanly only if nothing trails the root.
+        if self.reader.next().is_some() {
+            return None;
+        }
+        DeltaBatch::checked(subject, self.span, deltas)
     }
 }
 
@@ -130,8 +241,11 @@ pub enum DeltaAction {
 }
 
 /// Decides what a receiver anchored at `tracked` (`(source, epoch)`, or
-/// `None` before any versioned snapshot) does with `batch`.
-pub fn reconcile(tracked: Option<(u64, u64)>, batch: &DeltaBatch) -> DeltaAction {
+/// `None` before any versioned snapshot) does with a batch spanning
+/// `batch` — a [`DeltaBatch`], or the [`EpochSpan`] of one not yet
+/// decoded.
+pub fn reconcile(tracked: Option<(u64, u64)>, batch: impl Into<EpochSpan>) -> DeltaAction {
+    let batch = batch.into();
     let Some((source, epoch)) = tracked else {
         // Bootstrap: a batch from the very first epoch is a complete
         // history and can build the subject from nothing.

@@ -13,10 +13,18 @@
 //! only: putting documents into the store and pulling them out again is
 //! the hosting node's business (`gloss_core`), so the knowledge layer
 //! does not depend on the storage stack.
+//!
+//! A receiver decodes straight from a document's bytes with
+//! [`SnapshotReader`], version first: a snapshot older than what the
+//! receiver holds is turned away before any fact is built. The element
+//! decoders ([`DistributedKnowledge::facts_from_xml`],
+//! [`DistributedKnowledge::snapshot_version`]) read the same fields
+//! through the same rules, for callers that already hold a tree.
 
 use crate::fact::{Fact, Term};
 use gloss_sim::{GeoPoint, SimTime};
-use gloss_xml::Element;
+use gloss_xml::{Element, Reader, Token};
+use std::borrow::Cow;
 
 /// The `kb/<subject>` document codec: names, and facts to and from XML.
 #[derive(Debug, Clone, Copy)]
@@ -56,16 +64,73 @@ impl DistributedKnowledge {
     /// The `(source, epoch)` a versioned snapshot was taken at, if the
     /// document carries one (legacy snapshots do not).
     pub fn snapshot_version(el: &Element) -> Option<(u64, u64)> {
-        let source = el.attr("source")?.parse().ok()?;
-        let epoch = el.attr("epoch")?.parse().ok()?;
-        Some((source, epoch))
+        version_from(|k| el.attr(k))
     }
 
     /// Parses facts back from the XML document form. Malformed entries
     /// are skipped (forward compatibility).
     pub fn facts_from_xml(el: &Element) -> Vec<Fact> {
-        let subject = el.attr("subject").unwrap_or("unknown");
+        let subject = el.attr("subject").unwrap_or(UNNAMED);
         el.children_named("fact").filter_map(|fe| fact_from_element(subject, fe)).collect()
+    }
+}
+
+/// The subject of facts in a snapshot whose root names none.
+const UNNAMED: &str = "unknown";
+
+/// The `(source, epoch)` stamp among a snapshot root's attributes.
+fn version_from<'v>(attr: impl Fn(&str) -> Option<&'v str>) -> Option<(u64, u64)> {
+    Some((attr("source")?.parse().ok()?, attr("epoch")?.parse().ok()?))
+}
+
+/// A snapshot document opened at its root: the root's attributes are
+/// read, the facts are not — [`facts`](Self::facts) decodes them, straight
+/// from the document's tokens, only when asked.
+#[derive(Debug)]
+pub struct SnapshotReader<'a> {
+    reader: Reader<'a>,
+}
+
+impl<'a> SnapshotReader<'a> {
+    /// Reads `text` up to the end of its root's start tag; `None` when
+    /// the document is malformed before that.
+    pub fn open(text: &'a str) -> Option<SnapshotReader<'a>> {
+        let mut reader = Reader::new(text);
+        match reader.next()?.ok()? {
+            Token::Start(_) => Some(SnapshotReader { reader }),
+            _ => None,
+        }
+    }
+
+    /// What [`DistributedKnowledge::snapshot_version`] reads from the
+    /// root: the authority's `(source, epoch)`, if stamped.
+    pub fn version(&self) -> Option<(u64, u64)> {
+        version_from(|k| self.reader.attr(k).map(|v| v.as_ref()))
+    }
+
+    /// Decodes the rest of the document: what
+    /// [`DistributedKnowledge::facts_from_xml`] returns for it, or `None`
+    /// when the document is malformed (malformed fact entries are
+    /// skipped, a malformed document is not).
+    pub fn facts(mut self) -> Option<Vec<Fact>> {
+        let subject = match self.reader.attr("subject") {
+            Some(subject) => subject.clone(),
+            None => Cow::Borrowed(UNNAMED),
+        };
+        let mut facts = Vec::new();
+        loop {
+            match self.reader.next()?.ok()? {
+                Token::Start(name) => {
+                    // Every child is read through; only `fact`s are kept.
+                    let fact = read_fact(&mut self.reader, &subject)?;
+                    facts.extend(fact.filter(|_| name == "fact"));
+                }
+                Token::Text(_) => {}
+                Token::End(_) => break,
+            }
+        }
+        // The reader ends cleanly only if nothing trails the root.
+        self.reader.next().is_none().then_some(facts)
     }
 }
 
@@ -98,32 +163,117 @@ pub(crate) fn fact_element(tag: &str, f: &Fact) -> Element {
     fe
 }
 
-/// Decodes one fact element (any tag), `None` when malformed. A missing
-/// validity bound means unbounded; one present but unparsable makes the
-/// element malformed (read as unbounded, a corrupted window would widen
-/// the fact to always-valid).
+/// Decodes one fact element (any tag), `None` when malformed.
 pub(crate) fn fact_from_element(subject: &str, fe: &Element) -> Option<Fact> {
-    let predicate = fe.attr("predicate")?;
-    let value_text = fe.child("value").map(|v| v.text()).unwrap_or_default();
-    let object = match fe.attr("type") {
-        Some("str") => Term::Str(value_text.into()),
-        Some("int") => Term::Int(value_text.parse().ok()?),
-        Some("float") => Term::Float(value_text.parse().ok()?),
-        Some("bool") => Term::Bool(value_text.parse().ok()?),
-        Some("geo") => {
-            let lat = fe.attr("lat")?.parse().ok()?;
-            let lon = fe.attr("lon")?.parse().ok()?;
-            Term::Geo(GeoPoint::new(lat, lon))
+    let head = FactHead::read(|k| fe.attr(k))?;
+    head.finish(subject, &fe.child("value").map(|v| v.text()).unwrap_or_default())
+}
+
+/// Decodes the fact element whose start tag `reader` has just returned,
+/// reading through its end tag. `None` when the document is malformed;
+/// `Some(None)` when only this fact is. The fact's `<value>` text is its
+/// first `value` child's own text, as [`fact_from_element`] reads it.
+pub(crate) fn read_fact(reader: &mut Reader<'_>, subject: &str) -> Option<Option<Fact>> {
+    let head = FactHead::read(|k| reader.attr(k).map(|v| v.as_ref()));
+    let mut value: Option<Cow<'_, str>> = None;
+    let mut in_value = false;
+    // Elements open inside the fact element.
+    let mut depth = 0usize;
+    loop {
+        match reader.next()?.ok()? {
+            Token::Start(name) => {
+                depth += 1;
+                if depth == 1 && name == "value" && value.is_none() {
+                    value = Some(Cow::default());
+                    in_value = true;
+                }
+            }
+            Token::Text(text) if in_value && depth == 1 => {
+                let value = value.get_or_insert_default();
+                if value.is_empty() {
+                    *value = text;
+                } else {
+                    value.to_mut().push_str(&text);
+                }
+            }
+            Token::Text(_) => {}
+            Token::End(_) if depth == 0 => break,
+            Token::End(_) => {
+                in_value &= depth > 1;
+                depth -= 1;
+            }
         }
-        Some("time") => Term::Time(SimTime::from_micros(fe.attr("us")?.parse().ok()?)),
-        _ => return None,
-    };
-    let bound =
-        |attr| fe.attr(attr).map(|us| us.parse().map(SimTime::from_micros)).transpose().ok();
-    let mut fact = Fact::new(subject, predicate, object);
-    fact.valid_from = bound("from_us")?;
-    fact.valid_to = bound("to_us")?;
-    Some(fact)
+    }
+    Some(head.and_then(|head| head.finish(subject, value.as_deref().unwrap_or(""))))
+}
+
+/// A fact element's attributes, decoded: everything but the `<value>`
+/// text. This is where the fact-field rules are written; the element and
+/// the token decoders both go through it.
+struct FactHead {
+    predicate: String,
+    object: Object,
+    valid_from: Option<SimTime>,
+    valid_to: Option<SimTime>,
+}
+
+/// A fact's object as far as the attributes decide it.
+enum Object {
+    /// Decoded from attributes (`geo`, `time`).
+    Known(Term),
+    /// Read from the `<value>` text.
+    Str,
+    Int,
+    Float,
+    Bool,
+}
+
+impl FactHead {
+    /// Reads the attributes `attr` looks up, `None` when one is missing or
+    /// malformed. A missing validity bound means unbounded; one present
+    /// but unparsable makes the element malformed (read as unbounded, a
+    /// corrupted window would widen the fact to always-valid).
+    fn read<'v>(attr: impl Fn(&str) -> Option<&'v str>) -> Option<FactHead> {
+        let predicate = attr("predicate")?.to_string();
+        let object = match attr("type")? {
+            "str" => Object::Str,
+            "int" => Object::Int,
+            "float" => Object::Float,
+            "bool" => Object::Bool,
+            "geo" => {
+                let lat = attr("lat")?.parse().ok()?;
+                let lon = attr("lon")?.parse().ok()?;
+                Object::Known(Term::Geo(GeoPoint::new(lat, lon)))
+            }
+            "time" => Object::Known(Term::Time(SimTime::from_micros(attr("us")?.parse().ok()?))),
+            _ => return None,
+        };
+        let bound = |key| attr(key).map(|us| us.parse().map(SimTime::from_micros)).transpose().ok();
+        Some(FactHead {
+            predicate,
+            object,
+            valid_from: bound("from_us")?,
+            valid_to: bound("to_us")?,
+        })
+    }
+
+    /// The fact, given its `<value>` text (empty when it has none).
+    fn finish(self, subject: &str, value: &str) -> Option<Fact> {
+        let object = match self.object {
+            Object::Known(term) => term,
+            Object::Str => Term::Str(value.into()),
+            Object::Int => Term::Int(value.parse().ok()?),
+            Object::Float => Term::Float(value.parse().ok()?),
+            Object::Bool => Term::Bool(value.parse().ok()?),
+        };
+        Some(Fact {
+            subject: subject.to_string(),
+            predicate: self.predicate,
+            object,
+            valid_from: self.valid_from,
+            valid_to: self.valid_to,
+        })
+    }
 }
 
 #[cfg(test)]

@@ -29,6 +29,9 @@
 //!   tail instead of whole subject documents, and [`reconcile`] decides
 //!   receiver-side whether a batch applies, is stale, or forces a full
 //!   snapshot fetch (e.g. after the bounded delta log truncated).
+//!   Receivers decode from a document's bytes only as far as that
+//!   verdict needs: [`BatchReader`] and [`SnapshotReader`] read the root's
+//!   attributes first and the body only on request.
 //!
 //! # Example
 //!
@@ -49,8 +52,11 @@ pub mod gis;
 pub mod ontology;
 pub mod profile;
 
-pub use delta::{reconcile, DeltaAction, DeltaBatch, KnowledgeAuthority, Shipment, SnapshotReason};
-pub use distributed::DistributedKnowledge;
+pub use delta::{
+    reconcile, BatchReader, DeltaAction, DeltaBatch, EpochSpan, KnowledgeAuthority, Shipment,
+    SnapshotReason,
+};
+pub use distributed::{DistributedKnowledge, SnapshotReader};
 pub use fact::{Fact, FactDelta, FactSource, FactsVersion, InMemoryFacts, Term};
 pub use gis::{Place, PlaceDirectory};
 pub use ontology::{

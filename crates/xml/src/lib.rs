@@ -10,9 +10,10 @@
 //! This crate provides:
 //!
 //! * [`Element`]/[`Node`] — an ordered-tree document model,
-//! * [`parse`]/[`parse_document`] — a parser for a pragmatic XML subset
-//!   (elements, attributes, text, comments, CDATA, the five named entities
-//!   and numeric character references),
+//! * [`Reader`] — a pull tokenizer for a pragmatic XML subset (elements,
+//!   attributes, text, comments, CDATA, the five named entities and
+//!   numeric character references) that borrows from its input, and
+//!   [`parse`]/[`parse_document`], the tree builder over it,
 //! * a writer with compact and pretty forms ([`Element::to_xml`],
 //!   [`Element::to_pretty_xml`]),
 //! * [`Path`] — XPath-lite selection (`a/b[@k='v']//c/@attr`),
@@ -38,7 +39,7 @@ pub mod schema;
 pub mod writer;
 
 pub use document::{Document, Element, Node};
-pub use parser::{parse, parse_document, ParseError};
+pub use parser::{parse, parse_document, ParseError, Reader, Token};
 pub use path::{Path, PathError};
 pub use projection::{project, FieldSpec, FieldType, ProjError, ProjSpec, Record, Value};
 pub use schema::{Schema, SchemaError};

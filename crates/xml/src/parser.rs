@@ -7,8 +7,21 @@
 //! not needed by the architecture): DTDs, namespaces-as-semantics
 //! (prefixed names are treated as opaque), and processing instructions
 //! other than the declaration.
+//!
+//! There is one lexer, [`Reader`], and it is pulled: each step yields the
+//! next [`Token`] — a start tag, a text run, an end tag — with names,
+//! attribute values and text borrowed from the input unless an entity
+//! reference forced a decoded copy. A consumer that needs only the root's
+//! attributes reads one token and stops, paying for nothing after it; one
+//! that needs the content reads on, building nothing it does not keep.
+//! [`parse`] and [`parse_document`] are a tree builder over the same
+//! tokens, so the tree and the stream agree on what is well-formed. The
+//! reader checks well-formedness as it goes (matching close tags, no
+//! duplicate attribute, nothing after the root), so a consumer that reads
+//! until the reader ends has checked the whole document.
 
 use crate::document::{Document, Element, Node};
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 
@@ -47,32 +60,227 @@ pub fn parse(input: &str) -> Result<Element, ParseError> {
 ///
 /// Returns [`ParseError`] on malformed input or trailing content.
 pub fn parse_document(input: &str) -> Result<Document, ParseError> {
-    let mut p = Parser::new(input);
-    p.skip_ws_and_comments()?;
-    let has_declaration = p.try_declaration()?;
-    p.skip_ws_and_comments()?;
-    let root = p.element()?;
-    p.skip_ws_and_comments()?;
-    if !p.at_end() {
-        return Err(p.err("trailing content after root element"));
+    let mut reader = Reader::new(input);
+    // Elements opened and not yet closed, outermost first.
+    let mut open: Vec<Element> = Vec::new();
+    let mut root = None;
+    while let Some(token) = reader.next().transpose()? {
+        match token {
+            Token::Start(name) => {
+                let mut el = Element::new(name);
+                for (key, value) in reader.attrs.drain(..) {
+                    el.set_attr(key, value);
+                }
+                open.push(el);
+            }
+            Token::Text(text) => {
+                if let Some(el) = open.last_mut() {
+                    el.push(Node::Text(text.into_owned()));
+                }
+            }
+            Token::End(_) => {
+                let el = open.pop().expect("the reader ends only elements it started");
+                match open.last_mut() {
+                    Some(parent) => parent.push(Node::Element(el)),
+                    None => root = Some(el),
+                }
+            }
+        }
     }
-    Ok(Document { has_declaration, root })
+    let root = root.expect("the reader yields the root's end before it ends");
+    Ok(Document { has_declaration: reader.has_declaration, root })
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// One step of a [`Reader`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Token<'a> {
+    /// A start tag, by name. Its attributes are readable through
+    /// [`Reader::attr`] until the next start tag. `<a/>` yields `Start`
+    /// then `End`.
+    Start(&'a str),
+    /// A text run or CDATA section, entity references resolved: borrowed
+    /// from the input unless it held one.
+    Text(Cow<'a, str>),
+    /// An end tag, by name.
+    End(&'a str),
+}
+
+/// Where a [`Reader`] is in the document.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Place {
+    /// Before the root's start tag.
+    Prolog,
+    /// Inside the root, or just past its end tag.
+    Content,
+    /// The document was read to its end, or failed.
+    Done,
+}
+
+/// A pull tokenizer over one document: the one lexer behind [`parse`].
+///
+/// Iterating yields the document's [`Token`]s in order, then ends once
+/// the root has closed and nothing but whitespace and comments follows
+/// it. Malformed input yields one error, with the same message and
+/// position [`parse`] reports, and then the reader ends.
+///
+/// ```
+/// use gloss_xml::{Reader, Token};
+///
+/// let mut r = Reader::new(r#"<kbdelta subject="bob" from="3"><insert/>tail</kbdelta>"#);
+/// assert_eq!(r.next(), Some(Ok(Token::Start("kbdelta"))));
+/// assert_eq!(r.attr("from").map(|v| v.as_ref()), Some("3"));
+/// // A consumer that needed only the root's attributes stops here.
+/// assert_eq!(r.next(), Some(Ok(Token::Start("insert"))));
+/// assert_eq!(r.next(), Some(Ok(Token::End("insert"))));
+/// assert_eq!(r.next(), Some(Ok(Token::Text("tail".into()))));
+/// assert_eq!(r.next(), Some(Ok(Token::End("kbdelta"))));
+/// assert_eq!(r.next(), None);
+/// ```
+#[derive(Debug)]
+pub struct Reader<'a> {
+    input: &'a str,
     pos: usize,
+    place: Place,
+    has_declaration: bool,
+    /// Names of the open elements, outermost first.
+    open: Vec<&'a str>,
+    /// The last start tag's attributes, in document order.
+    attrs: Vec<(&'a str, Cow<'a, str>)>,
+    /// The end a self-closing start tag owes.
+    pending_end: Option<&'a str>,
 }
 
-impl<'a> Parser<'a> {
-    fn new(input: &'a str) -> Self {
-        Parser { bytes: input.as_bytes(), pos: 0 }
+impl<'a> Iterator for Reader<'a> {
+    type Item = Result<Token<'a>, ParseError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let step = self.step();
+        if step.is_err() {
+            self.place = Place::Done;
+        }
+        step.transpose()
+    }
+}
+
+impl<'a> Reader<'a> {
+    /// A reader positioned before the first token of `input`.
+    pub fn new(input: &'a str) -> Self {
+        Reader {
+            input,
+            pos: 0,
+            place: Place::Prolog,
+            has_declaration: false,
+            open: Vec::new(),
+            attrs: Vec::new(),
+            pending_end: None,
+        }
+    }
+
+    /// The value of attribute `key` on the last start tag read.
+    pub fn attr(&self, key: &str) -> Option<&Cow<'a, str>> {
+        self.attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+    }
+
+    fn step(&mut self) -> Result<Option<Token<'a>>, ParseError> {
+        if let Some(name) = self.pending_end.take() {
+            return Ok(Some(Token::End(name)));
+        }
+        match self.place {
+            Place::Prolog => {
+                self.skip_ws_and_comments()?;
+                self.has_declaration = self.try_declaration()?;
+                self.skip_ws_and_comments()?;
+                self.place = Place::Content;
+                self.start_tag().map(Some)
+            }
+            Place::Content => match self.open.last() {
+                Some(&open) => self.content(open).map(Some),
+                None => {
+                    self.place = Place::Done;
+                    self.skip_ws_and_comments()?;
+                    if self.at_end() {
+                        Ok(None)
+                    } else {
+                        Err(self.err("trailing content after root element"))
+                    }
+                }
+            },
+            Place::Done => Ok(None),
+        }
+    }
+
+    /// The next token inside the open element `open`.
+    fn content(&mut self, open: &'a str) -> Result<Token<'a>, ParseError> {
+        loop {
+            if self.eat("</") {
+                let close = self.name()?;
+                if close != open {
+                    return Err(
+                        self.err(format!("mismatched close tag `{close}`, open was `{open}`"))
+                    );
+                }
+                self.skip_ws();
+                self.expect(">")?;
+                self.open.pop();
+                return Ok(Token::End(close));
+            } else if self.starts_with("<!--") {
+                self.comment()?;
+            } else if self.eat("<![CDATA[") {
+                let start = self.pos;
+                let Some(len) = self.offset_of("]]>") else {
+                    self.pos = self.input.len();
+                    return Err(self.err("unterminated CDATA section"));
+                };
+                let input: &'a str = self.input;
+                self.pos += len + "]]>".len();
+                return Ok(Token::Text(Cow::Borrowed(&input[start..start + len])));
+            } else if self.starts_with("<") {
+                return self.start_tag();
+            } else if self.at_end() {
+                return Err(self.err(format!("unexpected end of input inside `{open}`")));
+            } else {
+                return self.text().map(Token::Text);
+            }
+        }
+    }
+
+    fn start_tag(&mut self) -> Result<Token<'a>, ParseError> {
+        self.expect("<")?;
+        let name = self.name()?;
+        self.attrs.clear();
+        loop {
+            self.skip_ws();
+            match self.peek() {
+                Some(b'/') => {
+                    self.expect("/>")?;
+                    self.pending_end = Some(name);
+                    return Ok(Token::Start(name));
+                }
+                Some(b'>') => {
+                    self.pos += 1;
+                    self.open.push(name);
+                    return Ok(Token::Start(name));
+                }
+                Some(b) if is_name_start(b) => {
+                    let key = self.name()?;
+                    self.skip_ws();
+                    self.expect("=")?;
+                    self.skip_ws();
+                    let value = self.attr_value()?;
+                    if self.attr(key).is_some() {
+                        return Err(self.err(format!("duplicate attribute `{key}`")));
+                    }
+                    self.attrs.push((key, value));
+                }
+                _ => return Err(self.err("malformed start tag")),
+            }
+        }
     }
 
     fn err(&self, message: impl Into<String>) -> ParseError {
         let mut line = 1;
         let mut col = 1;
-        for &b in &self.bytes[..self.pos.min(self.bytes.len())] {
+        for &b in &self.input.as_bytes()[..self.pos.min(self.input.len())] {
             if b == b'\n' {
                 line += 1;
                 col = 1;
@@ -84,21 +292,15 @@ impl<'a> Parser<'a> {
     }
 
     fn at_end(&self) -> bool {
-        self.pos >= self.bytes.len()
+        self.pos >= self.input.len()
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        Some(b)
+        self.input.as_bytes().get(self.pos).copied()
     }
 
     fn starts_with(&self, s: &str) -> bool {
-        self.bytes[self.pos..].starts_with(s.as_bytes())
+        self.input.as_bytes()[self.pos..].starts_with(s.as_bytes())
     }
 
     fn eat(&mut self, s: &str) -> bool {
@@ -116,6 +318,16 @@ impl<'a> Parser<'a> {
         } else {
             Err(self.err(format!("expected `{s}`")))
         }
+    }
+
+    /// Offset from the cursor of the next occurrence of `s`.
+    fn offset_of(&self, s: &str) -> Option<usize> {
+        self.input.as_bytes()[self.pos..].windows(s.len()).position(|w| w == s.as_bytes())
+    }
+
+    /// Offset from the cursor of the next byte `stop` selects.
+    fn offset_of_byte(&self, stop: impl Fn(u8) -> bool) -> Option<usize> {
+        self.input.as_bytes()[self.pos..].iter().position(|&b| stop(b))
     }
 
     fn skip_ws(&mut self) {
@@ -137,49 +349,46 @@ impl<'a> Parser<'a> {
 
     fn comment(&mut self) -> Result<(), ParseError> {
         self.expect("<!--")?;
-        while !self.at_end() {
-            if self.eat("-->") {
-                return Ok(());
+        match self.offset_of("-->") {
+            Some(len) => {
+                self.pos += len + "-->".len();
+                Ok(())
             }
-            self.pos += 1;
+            None => {
+                self.pos = self.input.len();
+                Err(self.err("unterminated comment"))
+            }
         }
-        Err(self.err("unterminated comment"))
     }
 
     fn try_declaration(&mut self) -> Result<bool, ParseError> {
         if !self.starts_with("<?xml") {
             return Ok(false);
         }
-        while !self.at_end() {
-            if self.eat("?>") {
-                return Ok(true);
+        match self.offset_of("?>") {
+            Some(len) => {
+                self.pos += len + "?>".len();
+                Ok(true)
             }
-            self.pos += 1;
+            None => {
+                self.pos = self.input.len();
+                Err(self.err("unterminated xml declaration"))
+            }
         }
-        Err(self.err("unterminated xml declaration"))
-    }
-
-    fn is_name_start(b: u8) -> bool {
-        b.is_ascii_alphabetic() || b == b'_' || b == b':'
-    }
-
-    fn is_name_char(b: u8) -> bool {
-        b.is_ascii_alphanumeric() || matches!(b, b'_' | b':' | b'-' | b'.')
     }
 
     /// Scans a name, returned as a slice of the input.
     fn name(&mut self) -> Result<&'a str, ParseError> {
         let start = self.pos;
         match self.peek() {
-            Some(b) if Self::is_name_start(b) => {
-                self.pos += 1;
-            }
+            Some(b) if is_name_start(b) => self.pos += 1,
             _ => return Err(self.err("expected name")),
         }
-        while matches!(self.peek(), Some(b) if Self::is_name_char(b)) {
+        while matches!(self.peek(), Some(b) if is_name_char(b)) {
             self.pos += 1;
         }
-        Ok(std::str::from_utf8(&self.bytes[start..self.pos]).expect("name chars are ascii"))
+        let input: &'a str = self.input;
+        Ok(&input[start..self.pos])
     }
 
     fn entity(&mut self) -> Result<char, ParseError> {
@@ -187,8 +396,8 @@ impl<'a> Parser<'a> {
         let start = self.pos;
         while let Some(b) = self.peek() {
             if b == b';' {
-                let body = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("non-utf8 entity"))?;
+                let input: &'a str = self.input;
+                let body = &input[start..self.pos];
                 self.pos += 1;
                 return match body {
                     "lt" => Ok('<'),
@@ -220,138 +429,68 @@ impl<'a> Parser<'a> {
         Err(self.err("unterminated entity reference"))
     }
 
-    fn attr_value(&mut self) -> Result<String, ParseError> {
-        let quote = match self.bump() {
+    /// Scans up to the first byte `stop` selects (or the end of input),
+    /// resolving entity references on the way: a slice of the input when
+    /// there were none.
+    fn decoded_run(&mut self, stop: impl Fn(u8) -> bool) -> Result<Cow<'a, str>, ParseError> {
+        let input: &'a str = self.input;
+        let mut run = self.pos;
+        let mut decoded: Option<String> = None;
+        loop {
+            self.pos +=
+                self.offset_of_byte(|b| b == b'&' || stop(b)).unwrap_or(input.len() - self.pos);
+            if self.peek() != Some(b'&') {
+                let tail = &input[run..self.pos];
+                return Ok(match decoded {
+                    None => Cow::Borrowed(tail),
+                    Some(mut s) => {
+                        s.push_str(tail);
+                        Cow::Owned(s)
+                    }
+                });
+            }
+            let s = decoded.get_or_insert_with(String::new);
+            s.push_str(&input[run..self.pos]);
+            self.pos += 1;
+            s.push(self.entity()?);
+            run = self.pos;
+        }
+    }
+
+    fn attr_value(&mut self) -> Result<Cow<'a, str>, ParseError> {
+        let quote = match self.peek() {
             Some(q @ (b'"' | b'\'')) => q,
-            _ => return Err(self.err("expected quoted attribute value")),
+            _ => {
+                self.pos += usize::from(!self.at_end());
+                return Err(self.err("expected quoted attribute value"));
+            }
         };
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                None => return Err(self.err("unterminated attribute value")),
-                Some(b) if b == quote => return Ok(out),
-                Some(b'&') => out.push(self.entity()?),
-                Some(b'<') => return Err(self.err("`<` in attribute value")),
-                Some(b) => {
-                    // Collect full UTF-8 sequences.
-                    let len = utf8_len(b);
-                    let start = self.pos - 1;
-                    for _ in 1..len {
-                        self.bump().ok_or_else(|| self.err("truncated utf-8"))?;
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    out.push_str(s);
-                }
+        self.pos += 1;
+        let value = self.decoded_run(|b| b == quote || b == b'<')?;
+        match self.peek() {
+            Some(b'<') => {
+                self.pos += 1;
+                Err(self.err("`<` in attribute value"))
             }
+            Some(_) => {
+                self.pos += 1;
+                Ok(value)
+            }
+            None => Err(self.err("unterminated attribute value")),
         }
     }
 
-    fn element(&mut self) -> Result<Element, ParseError> {
-        self.expect("<")?;
-        let name = self.name()?;
-        let mut el = Element::new(name);
-        loop {
-            self.skip_ws();
-            match self.peek() {
-                Some(b'/') => {
-                    self.expect("/>")?;
-                    return Ok(el);
-                }
-                Some(b'>') => {
-                    self.pos += 1;
-                    break;
-                }
-                Some(b) if Self::is_name_start(b) => {
-                    let key = self.name()?;
-                    self.skip_ws();
-                    self.expect("=")?;
-                    self.skip_ws();
-                    let value = self.attr_value()?;
-                    if el.attr(key).is_some() {
-                        return Err(self.err(format!("duplicate attribute `{key}`")));
-                    }
-                    el.set_attr(key, value);
-                }
-                _ => return Err(self.err("malformed start tag")),
-            }
-        }
-        // Content until matching close tag.
-        loop {
-            if self.starts_with("</") {
-                self.expect("</")?;
-                let close = self.name()?;
-                if close != name {
-                    return Err(
-                        self.err(format!("mismatched close tag `{close}`, open was `{name}`"))
-                    );
-                }
-                self.skip_ws();
-                self.expect(">")?;
-                return Ok(el);
-            } else if self.starts_with("<!--") {
-                self.comment()?;
-            } else if self.starts_with("<![CDATA[") {
-                self.pos += "<![CDATA[".len();
-                let start = self.pos;
-                loop {
-                    if self.starts_with("]]>") {
-                        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| self.err("invalid utf-8 in CDATA"))?;
-                        el.push(Node::Text(text.to_string()));
-                        self.pos += 3;
-                        break;
-                    }
-                    if self.bump().is_none() {
-                        return Err(self.err("unterminated CDATA section"));
-                    }
-                }
-            } else if self.starts_with("<") {
-                let child = self.element()?;
-                el.push(Node::Element(child));
-            } else if self.at_end() {
-                return Err(self.err(format!("unexpected end of input inside `{name}`")));
-            } else {
-                let text = self.text()?;
-                if !text.is_empty() {
-                    el.push(Node::Text(text));
-                }
-            }
-        }
-    }
-
-    fn text(&mut self) -> Result<String, ParseError> {
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None | Some(b'<') => break,
-                Some(b'&') => {
-                    self.pos += 1;
-                    out.push(self.entity()?);
-                }
-                Some(b) => {
-                    let len = utf8_len(b);
-                    let start = self.pos;
-                    for _ in 0..len {
-                        self.bump().ok_or_else(|| self.err("truncated utf-8"))?;
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    out.push_str(s);
-                }
-            }
-        }
-        Ok(out)
+    fn text(&mut self) -> Result<Cow<'a, str>, ParseError> {
+        self.decoded_run(|b| b == b'<')
     }
 }
 
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
-    }
+fn is_name_start(b: u8) -> bool {
+    b.is_ascii_alphabetic() || b == b'_' || b == b':'
+}
+
+fn is_name_char(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || matches!(b, b'_' | b':' | b'-' | b'.')
 }
 
 #[cfg(test)]
@@ -472,5 +611,45 @@ mod tests {
         let e = parse("<ns:tag-1 data-x.y=\"v\"/>").unwrap();
         assert_eq!(e.name(), "ns:tag-1");
         assert_eq!(e.attr("data-x.y"), Some("v"));
+    }
+
+    #[test]
+    fn reader_borrows_unless_an_entity_forces_a_copy() {
+        let mut r = Reader::new(r#"<a k="plain" e="x&amp;y">run<![CDATA[<raw>]]>a&lt;b</a>"#);
+        assert_eq!(r.next(), Some(Ok(Token::Start("a"))));
+        assert!(matches!(r.attr("k"), Some(Cow::Borrowed("plain"))));
+        assert!(matches!(r.attr("e"), Some(Cow::Owned(v)) if v == "x&y"));
+        assert_eq!(r.attr("missing"), None);
+        assert!(matches!(r.next(), Some(Ok(Token::Text(Cow::Borrowed("run"))))));
+        assert!(matches!(r.next(), Some(Ok(Token::Text(Cow::Borrowed("<raw>"))))));
+        assert!(matches!(r.next(), Some(Ok(Token::Text(Cow::Owned(t)))) if t == "a<b"));
+        assert_eq!(r.next(), Some(Ok(Token::End("a"))));
+        assert_eq!(r.next(), None);
+    }
+
+    #[test]
+    fn reader_self_closing_tags_start_then_end_and_keep_their_attributes() {
+        let mut r = Reader::new(r#"<?xml version="1.0"?><!-- c --><a x="1"><b y="2"/>t</a>"#);
+        assert_eq!(r.next(), Some(Ok(Token::Start("a"))));
+        assert!(r.has_declaration);
+        assert_eq!(r.next(), Some(Ok(Token::Start("b"))));
+        assert_eq!(r.attr("x"), None, "the last start tag's attributes only");
+        assert_eq!(r.next(), Some(Ok(Token::End("b"))));
+        assert_eq!(r.attr("y").map(|v| v.as_ref()), Some("2"), "kept until the next start tag");
+        assert_eq!(r.next(), Some(Ok(Token::Text("t".into()))));
+        assert_eq!(r.next(), Some(Ok(Token::End("a"))));
+        assert_eq!(r.next(), None);
+        let tokens: Vec<_> = Reader::new("<r/>").collect();
+        assert_eq!(tokens, [Ok(Token::Start("r")), Ok(Token::End("r"))]);
+    }
+
+    #[test]
+    fn reader_reports_what_parse_reports_then_ends() {
+        for bad in ["<a/><b/>", "<a><b></a></b>", "<a>&nope;</a>", "<a", r#"<a x="1" x="2"/>"#] {
+            let mut r = Reader::new(bad);
+            let err = r.by_ref().find_map(Result::err);
+            assert_eq!(err, parse(bad).err(), "{bad}");
+            assert_eq!(r.next(), None, "{bad}: the reader ends after an error");
+        }
     }
 }

@@ -1,35 +1,40 @@
 //! Serialisation of the document model back to XML text.
+//!
+//! Escaped text is written straight into the output buffer: no string is
+//! built per attribute or per text node.
 
 use crate::document::{Element, Node};
-use std::fmt::Write;
 
-/// Escapes text content (`&`, `<`, `>`).
-pub fn escape_text(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            _ => out.push(c),
-        }
+/// Appends `s` to `out` with `&`, `<` and `>` escaped, and `"` too when
+/// `s` is an attribute value.
+fn push_escaped(out: &mut String, s: &str, attribute: bool) {
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let entity = match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' if attribute => "&quot;",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        out.push_str(entity);
+        run = i + 1;
     }
-    out
+    out.push_str(&s[run..]);
 }
 
-/// Escapes an attribute value (`&`, `<`, `>`, `"`).
-pub fn escape_attr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            _ => out.push(c),
-        }
+/// Appends `<name` and the attributes, leaving the tag open.
+fn push_open_tag(el: &Element, out: &mut String) {
+    out.push('<');
+    out.push_str(el.name());
+    for (k, v) in el.attrs() {
+        out.push(' ');
+        out.push_str(k);
+        out.push_str("=\"");
+        push_escaped(out, v, true);
+        out.push('"');
     }
-    out
 }
 
 /// Serialises an element compactly (no added whitespace); the output parses
@@ -41,11 +46,7 @@ pub fn to_xml(el: &Element) -> String {
 }
 
 fn write_compact(el: &Element, out: &mut String) {
-    out.push('<');
-    out.push_str(el.name());
-    for (k, v) in el.attrs() {
-        let _ = write!(out, " {k}=\"{}\"", escape_attr(v));
-    }
+    push_open_tag(el, out);
     if el.is_empty() {
         out.push_str("/>");
         return;
@@ -53,7 +54,7 @@ fn write_compact(el: &Element, out: &mut String) {
     out.push('>');
     for node in el.nodes() {
         match node {
-            Node::Text(t) => out.push_str(&escape_text(t)),
+            Node::Text(t) => push_escaped(out, t, false),
             Node::Element(c) => write_compact(c, out),
         }
     }
@@ -89,16 +90,14 @@ fn write_pretty(el: &Element, depth: usize, out: &mut String) {
         write_compact(el, out);
         return;
     }
-    out.push('<');
-    out.push_str(el.name());
-    for (k, v) in el.attrs() {
-        let _ = write!(out, " {k}=\"{}\"", escape_attr(v));
-    }
+    push_open_tag(el, out);
     if el.is_empty() {
         out.push_str("/>");
     } else if !has_element_children(el) {
         out.push('>');
-        out.push_str(&escape_text(&el.text()));
+        for t in el.nodes().iter().filter_map(Node::as_text) {
+            push_escaped(out, t, false);
+        }
         out.push_str("</");
         out.push_str(el.name());
         out.push('>');
@@ -145,6 +144,31 @@ mod tests {
         let s = e.to_xml();
         assert_eq!(s, r#"<a v="a&quot;&lt;&gt;&amp;b">&lt;&amp;&gt;</a>"#);
         assert_eq!(parse(&s).unwrap(), e);
+    }
+
+    /// Pins the bytes of both forms: every escaped character at the start,
+    /// middle and end of a run, next to multi-byte text, in attributes and
+    /// text; `'` and a text `"` are left alone.
+    #[test]
+    fn escaped_output_is_pinned_byte_for_byte() {
+        let e = Element::new("k")
+            .with_attr("a", "&x\"é<>")
+            .with_attr("b", "plain 'q'")
+            .with_child(Element::new("v").with_text(">日&\"'").with_text("<"))
+            .with_child(Element::new("w").with_attr("c", ""))
+            .with_text("&amp;");
+        assert_eq!(
+            e.to_xml(),
+            r#"<k a="&amp;x&quot;é&lt;&gt;" b="plain 'q'"><v>&gt;日&amp;"'&lt;</v><w c=""/>&amp;amp;</k>"#
+        );
+        let plain = Element::new("k")
+            .with_attr("a", "&x\"é<>")
+            .with_child(Element::new("v").with_text(">日&\"'").with_text("<"))
+            .with_child(Element::new("w").with_attr("c", ""));
+        assert_eq!(
+            plain.to_pretty_xml(),
+            "<k a=\"&amp;x&quot;é&lt;&gt;\">\n  <v>&gt;日&amp;\"'&lt;</v>\n  <w c=\"\"/>\n</k>\n"
+        );
     }
 
     #[test]
