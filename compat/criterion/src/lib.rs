@@ -11,15 +11,11 @@
 //!
 //! - positional CLI arguments (after `cargo bench ... --`) are substring
 //!   filters: only matching benchmarks run;
-//! - `CRITERION_JSON=<path>` appends one JSON line per benchmark
-//!   (`{"name": ..., "mean_ns": ..., "iters": ...}`), which
-//!   `scripts/bench_record.sh` assembles into a committed report;
 //! - `GLOSS_BENCH_SMOKE=1` clamps measurement to a few milliseconds per
 //!   benchmark so CI can *execute* every bench without paying for
 //!   stable numbers.
 
 use std::fmt;
-use std::io::Write as _;
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
@@ -115,8 +111,6 @@ pub struct Criterion {
     sample_size: usize,
     /// Substring filters from the CLI; empty means run everything.
     filters: Vec<String>,
-    /// Append one JSON line per benchmark here, when set.
-    json_path: Option<String>,
     /// Clamp budgets so benches only prove they execute.
     smoke: bool,
 }
@@ -128,7 +122,6 @@ impl Default for Criterion {
             warm_up_time: Duration::from_millis(20),
             sample_size: 10,
             filters: Vec::new(),
-            json_path: std::env::var("CRITERION_JSON").ok(),
             smoke: std::env::var("GLOSS_BENCH_SMOKE").is_ok_and(|v| v != "0"),
         }
     }
@@ -201,20 +194,6 @@ impl Criterion {
             format_nanos(nanos),
             bencher.iterations
         );
-        if let Some(path) = &self.json_path {
-            let line = format!(
-                "{{\"name\": \"{name}\", \"mean_ns\": {nanos:.1}, \"iters\": {}}}",
-                bencher.iterations
-            );
-            let appended = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)
-                .and_then(|mut file| writeln!(file, "{line}"));
-            if let Err(e) = appended {
-                eprintln!("criterion: cannot append to {path}: {e}");
-            }
-        }
         self
     }
 

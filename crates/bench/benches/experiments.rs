@@ -3,7 +3,6 @@
 //! the full tables).
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
-use gloss_bench::THREAD_COLUMNS;
 use gloss_event::{Architecture, Event, Filter, Op, PubSubConfig, PubSubNetwork};
 use gloss_knowledge::{
     reconcile, BatchReader, DeltaBatch, DistributedKnowledge, Fact, FactDelta, InMemoryFacts,
@@ -53,7 +52,7 @@ fn e1_matching(c: &mut Criterion) {
 /// `churn` removes and re-adds one (non-matching) user's facts every 16
 /// events, exercising delta repair and memo invalidation. Written
 /// against APIs that exist in earlier engines too, so the same file
-/// benches the before/after columns of BENCH_pr5.json.
+/// benches a before/after pair of builds.
 fn e4_delta_matching(c: &mut Criterion) {
     const RULE: &str = r#"
         rule rare_flavor {
@@ -598,10 +597,8 @@ fn s2_join_window_steady(c: &mut Criterion) {
 }
 
 /// S3: the sharded event plane at scale — wall time for a full overlay
-/// build + settle (staggered joins, announce storm, probe steady state),
-/// at 1 and 4 worker threads. `GLOSS_SCALE_MAX=2048` adds the 2048-node
-/// row (the BENCH_pr4.json headline). Thread count never changes the
-/// message counts — only wall time.
+/// build + settle (staggered joins, announce storm, probe steady state).
+/// `GLOSS_SCALE_MAX=2048` adds a 2048-node row.
 fn s3_overlay_scaling(c: &mut Criterion) {
     let smoke = std::env::var("GLOSS_BENCH_SMOKE").is_ok_and(|v| v != "0");
     let mut sizes: Vec<usize> = if smoke { vec![512] } else { vec![256, 1024] };
@@ -613,101 +610,75 @@ fn s3_overlay_scaling(c: &mut Criterion) {
         }
     }
     for &n in &sizes {
-        for &threads in THREAD_COLUMNS {
-            // The t1 name stays bare for comparability with BENCH_pr3.json.
-            let name = if threads == 1 {
-                format!("s3_overlay_settle_{n}")
-            } else {
-                format!("s3_overlay_settle_{n}_t{threads}")
-            };
-            c.bench_function(&name, |b| {
-                b.iter(|| {
-                    let mut net = OverlayNetwork::build(n, 42);
-                    net.world_mut().set_threads(threads);
-                    net.settle();
-                    assert!(net.joined_fraction() > 0.99, "overlay failed to settle");
-                    net.world().metrics().counter("sim.messages_delivered")
-                })
-            });
-        }
+        c.bench_function(&format!("s3_overlay_settle_{n}"), |b| {
+            b.iter(|| {
+                let mut net = OverlayNetwork::build(n, 42);
+                net.settle();
+                assert!(net.joined_fraction() > 0.99, "overlay failed to settle");
+                net.world().metrics().counter("sim.messages_delivered")
+            })
+        });
     }
 }
 
 /// S4: churn-heavy steady state — one crash/recover episode over a settled
 /// overlay (an eighth of the nodes fail, detection + repair runs, they
-/// return), at 1 and 4 worker threads. Exercises the link-state purge and
-/// the control barriers (each crash/recover ends a threaded segment).
+/// return). Exercises the link-state purge and the control barriers (each
+/// crash/recover ends a segment).
 fn s4_churn_episode(c: &mut Criterion) {
     let smoke = std::env::var("GLOSS_BENCH_SMOKE").is_ok_and(|v| v != "0");
     let n: usize = if smoke { 32 } else { 96 };
-    for &threads in THREAD_COLUMNS {
-        let mut net = OverlayNetwork::build(n, 77);
-        net.world_mut().set_threads(threads);
-        net.settle();
-        let mut round = 0u32;
-        let name = if threads == 1 {
-            "s4_churn_episode".to_string()
-        } else {
-            format!("s4_churn_episode_t{threads}")
-        };
-        c.bench_function(&name, |b| {
-            b.iter(|| {
-                round += 1;
-                for k in 0..(n / 8) {
-                    let victim = NodeIndex((1 + ((round as usize * 7 + k * 3) % (n - 1))) as u32);
-                    net.world_mut().crash(victim);
-                }
-                net.run_for(SimDuration::from_secs(30));
-                for k in 0..(n / 8) {
-                    let victim = NodeIndex((1 + ((round as usize * 7 + k * 3) % (n - 1))) as u32);
-                    net.world_mut().recover(victim);
-                }
-                net.run_for(SimDuration::from_secs(30));
-                net.world().metrics().counter("sim.crashes")
-            })
-        });
-    }
+    let mut net = OverlayNetwork::build(n, 77);
+    net.settle();
+    let mut round = 0u32;
+    c.bench_function("s4_churn_episode", |b| {
+        b.iter(|| {
+            round += 1;
+            for k in 0..(n / 8) {
+                let victim = NodeIndex((1 + ((round as usize * 7 + k * 3) % (n - 1))) as u32);
+                net.world_mut().crash(victim);
+            }
+            net.run_for(SimDuration::from_secs(30));
+            for k in 0..(n / 8) {
+                let victim = NodeIndex((1 + ((round as usize * 7 + k * 3) % (n - 1))) as u32);
+                net.world_mut().recover(victim);
+            }
+            net.run_for(SimDuration::from_secs(30));
+            net.world().metrics().counter("sim.crashes")
+        })
+    });
 }
 
 /// S5: mobility-heavy event plane — a client roams to another broker while
 /// publishers keep the bus busy; the proxy buffers, hands off, replays.
-/// Runs at 1 and 4 worker threads.
 fn s5_mobility_roam(c: &mut Criterion) {
-    for &threads in THREAD_COLUMNS {
-        let mut net = PubSubNetwork::build(PubSubConfig {
-            architecture: Architecture::AcyclicPeer,
-            brokers: 6,
-            clients_per_broker: 3,
-            seed: 17,
-            ..PubSubConfig::default()
-        });
-        net.world_mut().set_threads(threads);
-        let clients = net.clients().to_vec();
-        let brokers = net.brokers().to_vec();
-        for &cl in &clients {
-            net.subscribe(cl, Filter::for_kind("m"));
-        }
-        net.run_for(SimDuration::from_secs(5));
-        let mut i = 0usize;
-        let name = if threads == 1 {
-            "s5_mobility_roam".to_string()
-        } else {
-            format!("s5_mobility_roam_t{threads}")
-        };
-        c.bench_function(&name, |b| {
-            b.iter(|| {
-                i += 1;
-                let mover = clients[i % clients.len()];
-                let target = brokers[i % brokers.len()];
-                net.move_client(mover, target, SimDuration::from_secs(2));
-                for k in 0..4 {
-                    net.publish(clients[(i + k + 1) % clients.len()], Event::new("m"));
-                }
-                net.run_for(SimDuration::from_secs(5));
-                net.total_delivered()
-            })
-        });
+    let mut net = PubSubNetwork::build(PubSubConfig {
+        architecture: Architecture::AcyclicPeer,
+        brokers: 6,
+        clients_per_broker: 3,
+        seed: 17,
+        ..PubSubConfig::default()
+    });
+    let clients = net.clients().to_vec();
+    let brokers = net.brokers().to_vec();
+    for &cl in &clients {
+        net.subscribe(cl, Filter::for_kind("m"));
     }
+    net.run_for(SimDuration::from_secs(5));
+    let mut i = 0usize;
+    c.bench_function("s5_mobility_roam", |b| {
+        b.iter(|| {
+            i += 1;
+            let mover = clients[i % clients.len()];
+            let target = brokers[i % brokers.len()];
+            net.move_client(mover, target, SimDuration::from_secs(2));
+            for k in 0..4 {
+                net.publish(clients[(i + k + 1) % clients.len()], Event::new("m"));
+            }
+            net.run_for(SimDuration::from_secs(5));
+            net.total_delivered()
+        })
+    });
 }
 
 /// S6: one publish against a broker holding n subscriptions — the
@@ -815,7 +786,8 @@ fn s6_subscriber_publish(c: &mut Criterion) {
 /// tables re-solve the full two-goal join n times, while a shared beta
 /// network computes the common prefix once and extends each rule's leaf
 /// from it. Written against APIs that exist in the per-rule-memo engine
-/// too, so the same file benches both columns of BENCH_pr9.json.
+/// too, so the same file benches a per-rule-memo build against a shared
+/// one.
 fn s7_shared_prefix(c: &mut Criterion) {
     let smoke = std::env::var("GLOSS_BENCH_SMOKE").is_ok_and(|v| v != "0");
     let sizes: &[usize] = if smoke { &[500] } else { &[1_000, 10_000] };

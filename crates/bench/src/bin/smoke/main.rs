@@ -1,11 +1,10 @@
 //! CI smokes and determinism digests: one seeded scenario per subcommand.
 //!
 //! The five digest scenarios fold everything they observe into one
-//! FNV-1a digest (`gloss_sim::FnvHasher`). Thread count never changes
-//! outcomes, so `smoke digests` must print the lines checked in at
-//! `crates/bench/smoke.expected` at any `GLOSS_SIM_THREADS`; this
-//! binary's own test compares them at the default and CI at threads
-//! 1/2/4. A behaviour change is declared by editing that file.
+//! FNV-1a digest (`gloss_sim::FnvHasher`), and `smoke digests` must print
+//! the lines checked in at `crates/bench/smoke.expected`; this binary's
+//! own test and CI both compare them. A behaviour change is declared by
+//! editing that file.
 //! `partition` and `index` assert invariants only.
 //!
 //! Wall time goes to stderr so stdout is diff-stable across runs. Exits
@@ -22,12 +21,9 @@ pub struct Args {
     pub rounds: i64,
 }
 
-/// What a scenario hands back: its stdout line, and the worker thread
-/// count its world ran with (for the footer).
-pub type Outcome = (String, usize);
-
-/// Name, the flags it takes (any other is a usage error), defaults, body.
-type Scenario = (&'static str, &'static [&'static str], Args, fn(Args) -> Outcome);
+/// Name, the flags it takes (any other is a usage error), defaults, and
+/// the body, which returns the scenario's stdout line.
+type Scenario = (&'static str, &'static [&'static str], Args, fn(Args) -> String);
 
 const SIZED: &[&str] = &["--nodes", "--seed"];
 
@@ -93,9 +89,8 @@ fn main() {
     });
     for (&(.., run), args) in runs {
         let start = std::time::Instant::now();
-        let (line, threads) = run(args);
-        println!("{line}");
-        eprintln!("threads={threads} wall={:.3}s", start.elapsed().as_secs_f64());
+        println!("{}", run(args));
+        eprintln!("wall={:.3}s", start.elapsed().as_secs_f64());
     }
 }
 
@@ -113,7 +108,7 @@ mod tests {
     #[test]
     fn digests_match_the_golden_file() {
         let runs = parse(&["digests".to_string()]).unwrap();
-        let got: String = runs.iter().map(|&(&(.., run), args)| run(args).0 + "\n").collect();
+        let got: String = runs.iter().map(|&(&(.., run), args)| run(args) + "\n").collect();
         assert_eq!(got, include_str!("../../../smoke.expected"));
     }
 

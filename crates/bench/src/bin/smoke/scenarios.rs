@@ -2,7 +2,7 @@
 //! invariants (a violated one panics, so the process exits nonzero) and
 //! returns its one stdout line.
 
-use crate::{Args, Outcome};
+use crate::Args;
 use gloss_core::{ActiveArchitecture, ArchConfig};
 use gloss_event::{Event, Filter, FilterIndex, Op, Subscription};
 use gloss_knowledge::{DeltaBatch, Fact, FactDelta, FactSource, Term};
@@ -15,9 +15,8 @@ use std::hash::Hasher;
 /// A chattering multi-region protocol with loss and a crash/recover
 /// schedule, traces enabled. The digest covers everything observable —
 /// the full trace, per-node schedules, engine counters and the settle
-/// time — so equal output at two thread counts proves the worker pool
-/// is schedule-preserving.
-pub fn chatter(Args { nodes, seed, .. }: Args) -> Outcome {
+/// time.
+pub fn chatter(Args { nodes, seed, .. }: Args) -> String {
     let regions =
         &["scotland", "england", "europe", "us-east", "us-west", "brazil", "australia", "asia"];
     let topology = Topology::random(nodes, regions, seed);
@@ -41,8 +40,8 @@ pub fn chatter(Args { nodes, seed, .. }: Args) -> Outcome {
         w.inject(a, b, 8);
     }
     // Push the whole crash/recover schedule and the event bulk through
-    // `run_until` — the only path the worker pool runs on —
-    // before the sequential per-event quiescence tail.
+    // `run_until` — the sliced, sharded bulk path — before the per-event
+    // quiescence tail.
     w.run_until(SimTime::from_millis(400));
     let settle = w.run_to_quiescence(SimTime::from_secs(60));
     let mut digest = FnvHasher::default();
@@ -58,12 +57,12 @@ pub fn chatter(Args { nodes, seed, .. }: Args) -> Outcome {
         "mode=chatter nodes={nodes} seed={seed} trace_events={} settle={settle} digest={digest:016x}",
         w.tracer().events().len()
     );
-    (line, w.threads())
+    line
 }
 
 /// Builds and settles an N-node overlay network — no tracing,
 /// counters-only digest — which doubles as the wall-clock scale smoke.
-pub fn overlay(Args { nodes, seed, .. }: Args) -> Outcome {
+pub fn overlay(Args { nodes, seed, .. }: Args) -> String {
     let mut net = OverlayNetwork::build(nodes, seed);
     net.settle();
     assert!(net.joined_fraction() > 0.99, "overlay failed to settle");
@@ -84,7 +83,7 @@ pub fn overlay(Args { nodes, seed, .. }: Args) -> Outcome {
         net.joined_fraction(),
         m.counter("sim.messages_delivered")
     );
-    (line, net.world().threads())
+    line
 }
 
 /// Full robustness plane under one digest: a governed overlay survives a
@@ -92,7 +91,7 @@ pub fn overlay(Args { nodes, seed, .. }: Args) -> Outcome {
 /// ack-then-drop peers while routing perturbed-key traffic throughout.
 /// The digest covers the trace (every suspicion, quarantine, eviction,
 /// and re-route lands there) plus the governor's counters.
-pub fn faults(Args { nodes, seed, .. }: Args) -> Outcome {
+pub fn faults(Args { nodes, seed, .. }: Args) -> String {
     let mut net = OverlayNetwork::build_with(nodes, seed, Some(GovernorConfig::default()));
     net.world_mut().enable_tracing(1 << 22);
     net.settle();
@@ -148,7 +147,7 @@ pub fn faults(Args { nodes, seed, .. }: Args) -> Outcome {
         m.counter("overlay.evictions"),
         m.counter("overlay.reroutes"),
     );
-    (line, net.world().threads())
+    line
 }
 
 const SUBJECT: &str = "bob";
@@ -190,7 +189,7 @@ fn fact_set(a: &ActiveArchitecture, node: u32) -> Vec<String> {
 /// The schedule also injects one hand-crafted gap batch (a range
 /// starting past every receiver's epoch), so the snapshot-fallback
 /// path and its counters are part of the digested behaviour.
-pub fn kbdelta(Args { nodes, seed, rounds }: Args) -> Outcome {
+pub fn kbdelta(Args { nodes, seed, rounds }: Args) -> String {
     let mut delta = seeded_arch(nodes, seed);
     let mut snap = seeded_arch(nodes, seed);
     for r in 1..=rounds {
@@ -272,7 +271,7 @@ pub fn kbdelta(Args { nodes, seed, rounds }: Args) -> Outcome {
         dm.counter("gloss.kb_delta_bytes"),
         snap.world().metrics().counter("gloss.kb_snapshot_bytes"),
     );
-    (line, delta.world().threads())
+    line
 }
 
 /// Deterministic xorshift content.
@@ -305,7 +304,7 @@ fn first_alive(net: &StoreNetwork) -> NodeIndex {
 /// The digest covers repair counters, per-document redundancy and the
 /// time-to-redundancy, so the whole repair storm — scan order,
 /// token-bucket grants, retry jitter — must be schedule-preserving.
-pub fn repair(Args { nodes, seed, .. }: Args) -> Outcome {
+pub fn repair(Args { nodes, seed, .. }: Args) -> String {
     let cfg = StoreConfig {
         replicas: 3,
         heal_interval: SimDuration::from_secs(10),
@@ -441,7 +440,7 @@ pub fn repair(Args { nodes, seed, .. }: Args) -> Outcome {
         net.counter("store.repair_bytes"),
         net.counter("store.lookups_retried"),
     );
-    (line, net.world().threads())
+    line
 }
 
 /// A governed overlay takes a two-region partition with mid-partition
@@ -450,7 +449,7 @@ pub fn repair(Args { nodes, seed, .. }: Args) -> Outcome {
 /// at loss 0. The governor's phi-accrual detector is allowed to suspect
 /// and quarantine while the cut holds, but evicting a healthy node in a
 /// lossless world is a bug this scenario exists to catch.
-pub fn partition(Args { nodes, seed, .. }: Args) -> Outcome {
+pub fn partition(Args { nodes, seed, .. }: Args) -> String {
     let mut net = OverlayNetwork::build_with(nodes, seed, Some(GovernorConfig::default()));
     net.settle();
     assert!(net.joined_fraction() > 0.99, "overlay failed to settle before the partition");
@@ -514,7 +513,7 @@ pub fn partition(Args { nodes, seed, .. }: Args) -> Outcome {
     let line = format!(
         "faultsmoke ok: nodes={nodes} seed={seed} converged_s={elapsed} probes={probe_count} evictions=0"
     );
-    (line, net.world().threads())
+    line
 }
 
 const SUBS: usize = 100_000;
@@ -572,8 +571,8 @@ fn random_event(rng: &mut SimRng) -> Event {
 /// Builds a 100 k-subscription counting index with every constraint
 /// shape, runs 1 k publishes through it, and spot-verifies a sample of
 /// events against the linear scan oracle. Meant to finish in seconds
-/// even on one core; no world, so it runs on the calling thread alone.
-pub fn index(_: Args) -> Outcome {
+/// even on one core.
+pub fn index(_: Args) -> String {
     let mut rng = SimRng::new(0xb8);
     let subs: Vec<Subscription> = (0..SUBS)
         .map(|i| Subscription { id: i as u64 + 1, filter: random_filter(&mut rng) })
@@ -615,5 +614,5 @@ pub fn index(_: Args) -> Outcome {
     );
     assert_eq!(mismatches, 0, "{line}");
     assert!(colliding > 0, "no verified event has a tag-colliding kind: {line}");
-    (line, 1)
+    line
 }

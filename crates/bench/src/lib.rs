@@ -20,11 +20,6 @@ use gloss_xml::{Element, FieldType, ProjSpec, Schema};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
-/// Worker thread counts the scale benches and the report's s3 table run
-/// at: 1 (the sequential path) plus the threaded column the CI
-/// determinism cross-check pins.
-pub const THREAD_COLUMNS: &[usize] = &[1, 4];
-
 /// Renders an aligned table.
 pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
@@ -706,8 +701,7 @@ pub fn c10_erasure() -> String {
 
 /// S3: node-count scaling of the simulation event plane — wall-clock and
 /// throughput for a full overlay build + settle at 64–1024 nodes (2048 with
-/// `GLOSS_SCALE_MAX=2048`), at 1 and 4 worker threads. Identical message
-/// counts across thread counts double as a determinism check.
+/// `GLOSS_SCALE_MAX=2048`).
 pub fn s3_scaling() -> String {
     let smoke = std::env::var("GLOSS_BENCH_SMOKE").is_ok_and(|v| v != "0");
     let mut sizes: Vec<usize> = if smoke { vec![64, 128] } else { vec![64, 256, 512, 1024] };
@@ -720,34 +714,24 @@ pub fn s3_scaling() -> String {
     }
     let mut rows = Vec::new();
     for n in sizes {
-        // Thread column: 1 is the sequential engine; 4 exercises the
-        // scoped worker pool (identical message counts by construction —
-        // the schedule is thread-count invariant).
-        for &threads in THREAD_COLUMNS {
-            let start = std::time::Instant::now();
-            let mut net = OverlayNetwork::build(n, 42);
-            net.world_mut().set_threads(threads);
-            let horizon = gloss_overlay::ring_settle(n);
-            net.run_for(horizon);
-            let wall = start.elapsed().as_secs_f64();
-            let m = net.world().metrics();
-            let delivered = m.counter("sim.messages_delivered");
-            rows.push(vec![
-                n.to_string(),
-                net.world().region_count().to_string(),
-                threads.to_string(),
-                f(net.joined_fraction() * 100.0),
-                f(horizon.as_secs_f64()),
-                f(wall * 1e3),
-                f(delivered),
-                f(delivered / wall / 1e6),
-            ]);
-        }
+        let start = std::time::Instant::now();
+        let mut net = OverlayNetwork::build(n, 42);
+        let horizon = gloss_overlay::ring_settle(n);
+        net.run_for(horizon);
+        let wall = start.elapsed().as_secs_f64();
+        let m = net.world().metrics();
+        let delivered = m.counter("sim.messages_delivered");
+        rows.push(vec![
+            n.to_string(),
+            net.world().region_count().to_string(),
+            f(net.joined_fraction() * 100.0),
+            f(horizon.as_secs_f64()),
+            f(wall * 1e3),
+            f(delivered),
+            f(delivered / wall / 1e6),
+        ]);
     }
-    table(
-        &["nodes", "regions", "threads", "joined %", "sim s", "wall ms", "messages", "Mmsg/s wall"],
-        &rows,
-    )
+    table(&["nodes", "regions", "joined %", "sim s", "wall ms", "messages", "Mmsg/s wall"], &rows)
 }
 
 /// C11: churn-heavy overlay — sustained crash/recover churn while routing
@@ -1665,7 +1649,7 @@ pub fn run_experiment(id: &str) -> Option<(String, String)> {
             "C19: repair storm — regional crash, rate-limited re-replication, zero loss",
             c19_repair_storm(),
         ),
-        "s3" => ("S3: event-plane scaling, 64-1024 nodes at 1 and 4 threads", s3_scaling()),
+        "s3" => ("S3: event-plane scaling, 64-1024 nodes", s3_scaling()),
         "s6" => (
             "S6: subscriber scaling — publish cost from 1k to 1M subscriptions",
             s6_subscriber_scaling(),

@@ -1,20 +1,26 @@
-//! Thread-count byte-identity with the governor active: a governed
+//! Region-count byte-identity with the governor active: a governed
 //! overlay under the full robustness plane — regional partition + heal,
 //! a byzantine ack-then-drop peer, crash/recover casualties, routed
 //! traffic — must produce an identical trace, identical route outcomes,
-//! and identical governor counters at worker thread counts 1, 2, and 4.
-//! The suspicion clock, circuit transitions, admission verdicts, and
-//! re-route decisions are functions of the seed, not of the scheduler.
+//! and identical governor counters with the default region sharding and
+//! with one queue. The suspicion clock, circuit transitions, admission
+//! verdicts, and re-route decisions are functions of the seed, not of the
+//! scheduler.
 
 use gloss_overlay::{GovernorConfig, Key, OverlayNetwork};
 use gloss_sim::{ByzBehavior, NodeIndex, SimDuration};
 
-type Outcome = (String, Vec<(u64, u32, u64)>, Vec<(String, u64)>);
+/// Trace, route outcomes, counters, and the world's region count.
+type Outcome = (String, Vec<(u64, u32, u64)>, Vec<(String, u64)>, usize);
 
-fn run(seed: u64, threads: usize) -> Outcome {
+/// Runs the scenario with the default sharding, or in one region when
+/// `one_queue` is set.
+fn run(seed: u64, one_queue: bool) -> Outcome {
     const N: usize = 32;
     let mut net = OverlayNetwork::build_with(N, seed, Some(GovernorConfig::default()));
-    net.world_mut().set_threads(threads);
+    if one_queue {
+        net.world_mut().set_region_count(1);
+    }
     net.world_mut().enable_tracing(1 << 20);
     net.settle();
     assert!(net.joined_fraction() > 0.99, "governed overlay failed to settle");
@@ -60,25 +66,18 @@ fn run(seed: u64, threads: usize) -> Outcome {
     .iter()
     .map(|name| (name.to_string(), m.counter(name) as u64))
     .collect();
-    (net.world().tracer().render(), routes, counters)
+    (net.world().tracer().render(), routes, counters, net.world().region_count())
 }
 
 #[test]
-fn governed_faults_identical_at_threads_1_2_4() {
+fn governed_faults_identical_sharded_and_in_one_queue() {
     for seed in [11u64, 4242] {
-        let baseline = run(seed, 1);
-        assert!(!baseline.0.is_empty(), "trace recorded nothing at seed {seed}");
-        for threads in [2usize, 4] {
-            let other = run(seed, threads);
-            assert_eq!(baseline.0, other.0, "trace diverged at {threads} threads (seed {seed})");
-            assert_eq!(
-                baseline.1, other.1,
-                "route outcomes diverged at {threads} threads (seed {seed})"
-            );
-            assert_eq!(
-                baseline.2, other.2,
-                "governor counters diverged at {threads} threads (seed {seed})"
-            );
-        }
+        let one = run(seed, true);
+        assert!(!one.0.is_empty(), "trace recorded nothing at seed {seed}");
+        let sharded = run(seed, false);
+        assert!(sharded.3 > 1, "the default world did not shard (seed {seed})");
+        assert_eq!(one.0, sharded.0, "trace diverged when sharded (seed {seed})");
+        assert_eq!(one.1, sharded.1, "route outcomes diverged when sharded (seed {seed})");
+        assert_eq!(one.2, sharded.2, "governor counters diverged when sharded (seed {seed})");
     }
 }

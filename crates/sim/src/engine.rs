@@ -8,8 +8,8 @@
 //!
 //! # Scheduler architecture
 //!
-//! The event plane is sharded, bucketed, and (optionally) threaded for
-//! 1k–4k-node workloads:
+//! The event plane is sharded and bucketed for 1k–4k-node workloads, and
+//! runs on the calling thread:
 //!
 //! - **Regions.** Nodes partition into regions (derived from the topology's
 //!   region names); each region is a `Shard` owning its own calendar
@@ -19,17 +19,13 @@
 //!   when the world advances to the next lockstep time slice. The slice
 //!   width is a conservative lookahead (the latency model's cross-region
 //!   floor), so a message sent in one slice can never be due inside the
-//!   same slice.
-//! - **Worker threads.** Because a shard owns everything its drain mutates,
-//!   `run_until` can hand disjoint `&mut Shard` borrows to scoped worker
-//!   threads and drain all regions of a slice concurrently
-//!   (`GLOSS_SIM_THREADS` / [`World::set_threads`]; default 1 keeps the
-//!   sequential path). Workers synchronise at slice barriers with a spin
-//!   barrier, exchange cross-region messages through per-shard mailboxes,
-//!   and the slice leader advances the lockstep window. Counters and trace
-//!   records accumulate shard-locally and merge back in canonical shard /
-//!   key order at segment boundaries, so the schedule, the trace, and all
-//!   counters are **byte-identical at any thread count**.
+//!   same slice. `run_until` drains the regions of a slice one after
+//!   another. Counters and trace records accumulate shard-locally and
+//!   merge back in canonical shard / key order at segment boundaries, so
+//!   the schedule, the trace, and all counters are **byte-identical at any
+//!   region count**. Sharding is there for speed, not parallelism: in
+//!   one region every schedule is the same, but the benchmark worlds
+//!   take 2–3.6× longer to set up (EXPERIMENTS.md, "Threads verdict").
 //! - **Calendar queues.** Each shard's queue is a timer-wheel of
 //!   fixed-width buckets over the near future plus an overflow heap for
 //!   far-future entries (long timers), replacing one global `BinaryHeap`.
@@ -38,11 +34,11 @@
 //!   pure function of *what* the event is (link + per-link sequence, node +
 //!   per-node timer sequence, harness call order) rather than of global
 //!   push order. Processing events in key order therefore yields the same
-//!   schedule at any region count, bucket width, or thread count: same
-//!   seed, same trace. The `engine_equivalence` integration test checks
-//!   this against a single-heap transcription of the seed scheduler; the
+//!   schedule at any region count or bucket width: same seed, same trace.
+//!   The `engine_equivalence` integration test checks this against a
+//!   single-heap transcription of the seed scheduler; the
 //!   `region_determinism` test checks byte-identical traces across region
-//!   counts and thread counts.
+//!   counts and wheel geometries.
 //! - **Per-link state.** A flat FNV map per sender caches the jitter-free
 //!   latency of each link (the haversine distance is computed once, not per
 //!   message), carries the link's deterministic jitter/loss stream, and
@@ -64,8 +60,6 @@ use crate::trace::Tracer;
 use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// An input delivered to a node by the engine.
 #[derive(Debug, Clone)]
@@ -267,16 +261,9 @@ impl<M> Iterator for Batch<'_, M> {
 impl<M> ExactSizeIterator for Batch<'_, M> {}
 
 /// A sans-IO node state machine driven by a [`World`].
-///
-/// `Node: Send` (with `Msg: Send`) is a deliberate engine-wide bound: the
-/// world drains each region's slice on a scoped worker thread when
-/// `GLOSS_SIM_THREADS` (or [`World::set_threads`]) asks for it, which moves
-/// `&mut` access to node state machines across threads. State machines are
-/// plain data in this workspace, so the bound is free; it exists to keep
-/// non-`Send` interior (e.g. `Rc`) from creeping into protocol state.
-pub trait Node: Send {
+pub trait Node {
     /// The message type exchanged between nodes of this world.
-    type Msg: Send;
+    type Msg;
 
     /// Handles one input, writing any effects to `out`.
     fn handle(&mut self, now: SimTime, input: Input<Self::Msg>, out: &mut Outbox<Self::Msg>);
@@ -319,8 +306,7 @@ const CLASS_HARNESS: u8 = 3;
 ///
 /// Because each component is derived from deterministic per-node /
 /// per-link / per-harness-call counters, the induced order — and therefore
-/// the trace — is identical at any region count, bucket width, and thread
-/// count.
+/// the trace — is identical at any region count and bucket width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct EvKey {
     at: SimTime,
@@ -579,9 +565,9 @@ struct Place {
     slot: u32,
 }
 
-/// Engine state that is immutable while shards drain: worker threads share
-/// it by reference. Aliveness and loss are only mutated by the main thread
-/// between slices (control events are barriers).
+/// Engine state that is read-only while shards drain, so a drain can
+/// borrow it beside one `&mut Shard`. Aliveness, loss and partitions
+/// change only between slices (control events are barriers).
 #[derive(Debug)]
 struct Shared {
     topology: Topology,
@@ -610,8 +596,8 @@ struct Shared {
 }
 
 /// One region of the world: the calendar queue plus everything a drain of
-/// that region mutates. Shards are disjoint, so a slice can drain all of
-/// them concurrently on scoped worker threads.
+/// that region mutates. A slice drains the shards one after another; their
+/// effects merge into the world in canonical order at segment boundaries.
 struct Shard<N: Node> {
     queue: CalendarQueue<N::Msg>,
     /// Cached head key of `queue` (kept in sync by push/drain).
@@ -891,7 +877,7 @@ fn dispatch_send<N: Node>(
         // Cross-shard: buffer for the boundary exchange. With a bounded
         // window the lookahead guarantees the message is not due inside
         // the slice that sent it; the degenerate unbounded window is
-        // handled by the sequential outer loop re-flushing between passes.
+        // handled by `run_until`'s outer loop re-flushing between passes.
         debug_assert!(
             window_end == u64::MAX || at >= window_end,
             "cross-region message due inside its own slice: at={at} window_end={window_end}"
@@ -901,169 +887,10 @@ fn dispatch_send<N: Node>(
     }
 }
 
-/// A reusable generation-counting spin barrier. The last thread to arrive
-/// runs the slice-leader work, then releases the others. Spins briefly and
-/// falls back to `yield_now` so oversubscribed hosts (CI, single-core
-/// containers) stay live.
-struct SyncPoint {
-    arrived: AtomicUsize,
-    gen: AtomicU64,
-    /// Set when a worker unwinds: spinners panic out instead of waiting
-    /// forever for an arrival that can never come.
-    poisoned: AtomicBool,
-    n: usize,
-}
-
-impl SyncPoint {
-    fn new(n: usize) -> Self {
-        SyncPoint {
-            arrived: AtomicUsize::new(0),
-            gen: AtomicU64::new(0),
-            poisoned: AtomicBool::new(false),
-            n,
-        }
-    }
-
-    fn poison(&self) {
-        self.poisoned.store(true, Ordering::Release);
-    }
-
-    fn wait(&self, leader_work: impl FnOnce()) {
-        let gen = self.gen.load(Ordering::Acquire);
-        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
-            leader_work();
-            self.arrived.store(0, Ordering::Release);
-            self.gen.fetch_add(1, Ordering::Release);
-        } else {
-            let mut spins = 0u32;
-            while self.gen.load(Ordering::Acquire) == gen {
-                if self.poisoned.load(Ordering::Acquire) {
-                    panic!("a simulation worker panicked; aborting the threaded segment");
-                }
-                spins += 1;
-                if spins < 128 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
-}
-
-/// Poisons the barrier if its worker unwinds (a node handler panicked),
-/// so sibling workers abort instead of spinning forever and the scope can
-/// propagate the original panic.
-struct PoisonGuard<'a>(&'a SyncPoint);
-
-impl Drop for PoisonGuard<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.poison();
-        }
-    }
-}
-
-/// Per-segment coordination state shared by the slice workers.
-struct Coord<M> {
-    /// End (µs, exclusive) of the slice currently being drained.
-    window: AtomicU64,
-    /// Set by the slice leader when the segment is over (control event
-    /// due, target time reached, queues empty, or window overflow).
-    stop: AtomicBool,
-    sync: SyncPoint,
-    /// Per-worker minimum pending event time after each slice.
-    mins: Vec<AtomicU64>,
-    /// Per-shard mailboxes for cross-shard sends, drained by the owning
-    /// worker at the next slice boundary.
-    mailboxes: Vec<Mutex<Vec<Entry<M>>>>,
-    slice: u64,
-    t_us: u64,
-    /// Time of the next control event (`u64::MAX` when none). Ties go to
-    /// the control event: its key class sorts first.
-    ctrl_at: u64,
-}
-
-impl<M> Coord<M> {
-    /// Slice-leader work: compute the global minimum pending time and
-    /// either advance the lockstep window or end the segment.
-    fn advance(&self) {
-        let m = self.mins.iter().map(|a| a.load(Ordering::Acquire)).min().unwrap_or(u64::MAX);
-        if m == u64::MAX || m > self.t_us || self.ctrl_at <= m {
-            self.stop.store(true, Ordering::Release);
-            return;
-        }
-        let aligned = (m / self.slice).saturating_add(1).saturating_mul(self.slice);
-        if aligned <= m || aligned == u64::MAX {
-            // Alignment overflow (saturation lands on the unbounded-window
-            // sentinel): fall back to the sequential degenerate path.
-            self.stop.store(true, Ordering::Release);
-        } else {
-            self.window.store(aligned, Ordering::Release);
-        }
-    }
-}
-
-/// The loop one worker runs for a threaded segment: drain own shards for
-/// the current slice, flush cross-shard sends into mailboxes, synchronise,
-/// deliver own mailboxes, publish the local minimum, synchronise again
-/// while the leader advances the window.
-fn worker_loop<N: Node>(
-    wid: usize,
-    mut chunk: Vec<(usize, &mut Shard<N>)>,
-    sh: &Shared,
-    coord: &Coord<N::Msg>,
-    ctrl_key: Option<EvKey>,
-) {
-    let _guard = PoisonGuard(&coord.sync);
-    loop {
-        let window_end = coord.window.load(Ordering::Acquire);
-        let stop_at = SimTime::from_micros(coord.t_us.min(window_end - 1));
-        for (_, shard) in chunk.iter_mut() {
-            if shard.head.is_some_and(|h| h.at <= stop_at && ctrl_key.is_none_or(|b| h <= b)) {
-                drain_shard(shard, sh, stop_at, ctrl_key, window_end);
-            }
-            if shard.outgoing_len > 0 {
-                for (dst, buf) in shard.outgoing.iter_mut().enumerate() {
-                    if !buf.is_empty() {
-                        coord.mailboxes[dst].lock().expect("worker panicked").append(buf);
-                    }
-                }
-                shard.outgoing_len = 0;
-            }
-        }
-        // Barrier 1: all cross-shard sends of this slice are in mailboxes.
-        coord.sync.wait(|| {});
-        let mut local_min = u64::MAX;
-        for (r, shard) in chunk.iter_mut() {
-            let mut mb = coord.mailboxes[*r].lock().expect("worker panicked");
-            for e in mb.drain(..) {
-                shard_push(shard, e);
-            }
-            drop(mb);
-            if let Some(h) = shard.head {
-                local_min = local_min.min(h.at.as_micros());
-            }
-        }
-        coord.mins[wid].store(local_min, Ordering::Release);
-        // Barrier 2: the last arriver advances the window (or stops).
-        coord.sync.wait(|| coord.advance());
-        if coord.stop.load(Ordering::Acquire) {
-            return;
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 enum NextSrc {
     Ctrl,
     Region(usize),
-}
-
-/// Parses a `GLOSS_SIM_THREADS`-style value; anything unset, unparsable,
-/// or below 1 means 1 (the sequential path).
-fn threads_from_env(value: Option<&str>) -> usize {
-    value.and_then(|v| v.trim().parse::<usize>().ok()).filter(|&n| n >= 1).unwrap_or(1)
 }
 
 /// Computes the base lockstep slice width from the latency model: the
@@ -1084,8 +911,7 @@ fn lookahead(topology: &Topology) -> (u64, bool) {
 }
 
 /// The simulation driver: a topology, one state machine per node, and
-/// per-region bucketed event queues merged in canonical key order —
-/// drained sequentially or on scoped worker threads.
+/// per-region bucketed event queues merged in canonical key order.
 ///
 /// See the [crate docs](crate) for a complete example and the
 /// [module docs](self) for the scheduler architecture.
@@ -1107,8 +933,6 @@ pub struct World<N: Node> {
     ids: EngineCounters,
     tracer: Tracer,
     started: bool,
-    /// Requested worker thread count (effective = min with shard count).
-    threads: usize,
     bucket_width: u64,
     bucket_count: usize,
     /// Scratch for merging per-shard trace buffers in key order.
@@ -1120,7 +944,6 @@ impl<N: Node> std::fmt::Debug for World<N> {
         f.debug_struct("World")
             .field("nodes", &self.shared.place.len())
             .field("regions", &self.shards.len())
-            .field("threads", &self.threads)
             .field("now", &self.now)
             .field("pending", &self.pending())
             .field("slice_micros", &self.shared.slice_width)
@@ -1140,9 +963,7 @@ impl<N: Node> World<N> {
     /// Creates a world over `topology` with one state machine per node.
     ///
     /// Nodes are sharded into one region per distinct topology region name
-    /// (use [`set_region_count`](Self::set_region_count) to override), and
-    /// the worker thread count defaults to `GLOSS_SIM_THREADS` (default 1,
-    /// the sequential path; see [`set_threads`](Self::set_threads)).
+    /// (use [`set_region_count`](Self::set_region_count) to override).
     ///
     /// # Panics
     ///
@@ -1189,7 +1010,6 @@ impl<N: Node> World<N> {
             ids,
             tracer: Tracer::disabled(),
             started: false,
-            threads: threads_from_env(std::env::var("GLOSS_SIM_THREADS").ok().as_deref()),
             bucket_width: DEFAULT_BUCKET_WIDTH,
             bucket_count: DEFAULT_BUCKET_COUNT,
             trace_merge: Vec::new(),
@@ -1254,7 +1074,7 @@ impl<N: Node> World<N> {
     /// Widens the lockstep slice beyond the base latency floor using a
     /// cheap spherical lower bound on the minimum cross-shard distance
     /// (per-shard centre + radius, triangle inequality). Wider slices mean
-    /// fewer barriers; any safe lower bound preserves the lookahead
+    /// fewer boundary exchanges; any safe lower bound preserves the lookahead
     /// invariant, and the slice width never affects the schedule.
     fn refine_slice_width(&mut self) {
         let (base_width, can_shard) = lookahead(&self.shared.topology);
@@ -1337,19 +1157,14 @@ impl<N: Node> World<N> {
         }
     }
 
-    /// Sets the worker thread count for bulk runs (`run_until`). The
-    /// effective count is capped at the region count; 1 (the default, or
-    /// via `GLOSS_SIM_THREADS`) keeps the sequential path. Thread count
-    /// never changes outcomes — traces, counters, and schedules are
-    /// byte-identical at any setting — only wall-clock time.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// The configured worker thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
+    /// Has no effect: the world always runs on the calling thread.
+    ///
+    /// Kept only because the end-to-end benchmark's sources
+    /// (`crates/bench/src/bin/e2e/`), which change only together with the
+    /// benchmark, still call it. The next change to the benchmark deletes
+    /// those calls and this method with them.
+    #[doc(hidden)]
+    pub fn set_threads(&mut self, _threads: usize) {}
 
     /// Number of region shards.
     pub fn region_count(&self) -> usize {
@@ -1357,7 +1172,8 @@ impl<N: Node> World<N> {
     }
 
     /// The lockstep slice width in microseconds (the cross-region
-    /// lookahead; the synchronisation quantum of threaded execution).
+    /// lookahead: the stretch a region drains before the boundary
+    /// exchange).
     pub fn slice_micros(&self) -> u64 {
         self.shared.slice_width
     }
@@ -1418,7 +1234,7 @@ impl<N: Node> World<N> {
     /// active (sends are dropped and counted as `sim.messages_partitioned`).
     /// If `heal_at` is given, the partition heals at that time; otherwise
     /// it lasts until [`heal_at`](Self::heal_at) or forever. Partitions
-    /// apply as control barriers, so they are deterministic at any thread
+    /// apply as control barriers, so they are deterministic at any region
     /// count.
     ///
     /// # Panics
@@ -1507,7 +1323,7 @@ impl<N: Node> World<N> {
         }
     }
 
-    /// Runs one main-thread activation (start, recovery) at the world's
+    /// Runs one harness activation (start, recovery) at the world's
     /// current time and merges its effects immediately, mirroring the
     /// pre-shard engine's direct application order.
     fn activate_now(&mut self, node: NodeIndex, input: Input<N::Msg>) {
@@ -1660,7 +1476,7 @@ impl<N: Node> World<N> {
     }
 
     /// Moves every shard's buffered cross-shard entries into destination
-    /// queues (the slice-boundary handover of the sequential path).
+    /// queues (the slice-boundary handover).
     fn flush_outgoing(&mut self) {
         if self.shards.iter().all(|s| s.outgoing_len == 0) {
             return;
@@ -1797,14 +1613,12 @@ impl<N: Node> World<N> {
     /// Afterwards `now() == t` unless the queue emptied earlier.
     ///
     /// Runs slice by slice in *segments* (stretches free of control
-    /// events): each region drains its own queue for the current lockstep
-    /// window — sequentially, or concurrently on scoped worker threads
-    /// when [`set_threads`](Self::set_threads) / `GLOSS_SIM_THREADS` asks
-    /// for more than one — crash/recover events act as barriers between
+    /// events): each region in turn drains its own queue for the current
+    /// lockstep window, crash/recover events act as barriers between
     /// segments, and the boundary exchange is flushed between windows.
     /// With tracing on, trace records are merged back into canonical key
     /// order at each segment boundary, so the trace is byte-identical at
-    /// any region count and any thread count.
+    /// any region count.
     pub fn run_until(&mut self, t: SimTime) {
         self.start_all();
         loop {
@@ -1842,12 +1656,7 @@ impl<N: Node> World<N> {
                 self.merge_all();
                 continue;
             }
-            let workers = self.threads.min(self.shards.len());
-            if workers > 1 {
-                self.run_segment_threaded(t, workers);
-            } else {
-                self.run_segment_sequential(t);
-            }
+            self.run_segment(t);
             self.merge_all();
         }
         if self.now < t {
@@ -1855,9 +1664,9 @@ impl<N: Node> World<N> {
         }
     }
 
-    /// Drains whole windows on the main thread until a control event comes
-    /// due, `t` is reached, the queues empty, or the window degenerates.
-    fn run_segment_sequential(&mut self, t: SimTime) {
+    /// Drains whole windows until a control event comes due, `t` is
+    /// reached, the queues empty, or the window degenerates.
+    fn run_segment(&mut self, t: SimTime) {
         loop {
             self.flush_outgoing();
             let Some((k, src)) = self.scan_min() else {
@@ -1884,42 +1693,6 @@ impl<N: Node> World<N> {
                 }
             }
         }
-    }
-
-    /// Drains whole windows with one scoped worker thread pool: shards are
-    /// distributed round-robin over `workers` threads (the calling thread
-    /// is worker 0), which synchronise per slice and exchange cross-shard
-    /// messages through mailboxes. Ends on the same conditions as the
-    /// sequential segment; per-shard work and merge order are identical,
-    /// so outcomes are byte-identical.
-    fn run_segment_threaded(&mut self, t: SimTime, workers: usize) {
-        let ctrl_key = self.ctrl.peek().map(|c| c.0.key);
-        let coord = Coord {
-            window: AtomicU64::new(self.window_end),
-            stop: AtomicBool::new(false),
-            sync: SyncPoint::new(workers),
-            mins: (0..workers).map(|_| AtomicU64::new(u64::MAX)).collect(),
-            mailboxes: (0..self.shards.len()).map(|_| Mutex::new(Vec::new())).collect(),
-            slice: self.shared.slice_width,
-            t_us: t.as_micros(),
-            ctrl_at: ctrl_key.map_or(u64::MAX, |k| k.at.as_micros()),
-        };
-        let shared = &self.shared;
-        let mut chunks: Vec<Vec<(usize, &mut Shard<N>)>> =
-            (0..workers).map(|_| Vec::new()).collect();
-        for (r, shard) in self.shards.iter_mut().enumerate() {
-            chunks[r % workers].push((r, shard));
-        }
-        std::thread::scope(|s| {
-            let coord = &coord;
-            let mut chunks = chunks.into_iter();
-            let own = chunks.next().expect("workers >= 1");
-            for (wid, chunk) in chunks.enumerate() {
-                s.spawn(move || worker_loop(wid + 1, chunk, shared, coord, ctrl_key));
-            }
-            worker_loop(0, own, shared, coord, ctrl_key);
-        });
-        self.window_end = coord.window.load(Ordering::Acquire);
     }
 
     /// Runs for an additional duration `d` of simulated time.
@@ -2290,38 +2063,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_does_not_change_outcomes() {
-        let run = |threads: usize| {
-            let t = Topology::random(12, &["scotland", "us-east", "asia", "brazil"], 9);
-            let nodes = (0..12).map(|_| TestNode::default()).collect();
-            let mut w = World::new(t, 9, nodes);
-            w.set_threads(threads);
-            w.set_loss(0.2);
-            for i in 0..12u32 {
-                w.inject(NodeIndex(i), NodeIndex((i + 5) % 12), M::Ping);
-                w.inject(NodeIndex(i), NodeIndex((i + 7) % 12), M::Burst(3));
-            }
-            w.crash_at(SimTime::from_millis(8), NodeIndex(3));
-            w.recover_at(SimTime::from_millis(40), NodeIndex(3));
-            w.run_until(SimTime::from_secs(2));
-            let pongs: Vec<u32> = w.nodes().map(|n| n.pongs).collect();
-            let m = w.metrics();
-            (
-                pongs,
-                m.counter("sim.messages_sent"),
-                m.counter("sim.messages_lost"),
-                m.counter("sim.messages_delivered"),
-                w.now(),
-            )
-        };
-        let baseline = run(1);
-        assert_eq!(baseline, run(2));
-        assert_eq!(baseline, run(4));
-        // Requests beyond the shard count cap at the shard count.
-        assert_eq!(baseline, run(64));
-    }
-
-    #[test]
     fn slice_width_refinement_never_narrows_the_base_floor() {
         let t = Topology::random(16, &["scotland", "brazil"], 3);
         let lm = t.latency_model();
@@ -2331,16 +2072,6 @@ mod tests {
         // Distant region pair: the refined cross-shard lookahead widens
         // the slice well past the base floor.
         assert!(w.slice_micros() > base_floor, "refined {} <= base {base_floor}", w.slice_micros());
-    }
-
-    #[test]
-    fn threads_env_parsing() {
-        assert_eq!(threads_from_env(None), 1);
-        assert_eq!(threads_from_env(Some("")), 1);
-        assert_eq!(threads_from_env(Some("0")), 1);
-        assert_eq!(threads_from_env(Some("nope")), 1);
-        assert_eq!(threads_from_env(Some("4")), 4);
-        assert_eq!(threads_from_env(Some(" 2 ")), 2);
     }
 
     /// Renders a trace detail per message and counts the renderings.
@@ -2443,28 +2174,5 @@ mod tests {
         assert_eq!(drive(&mut quiet), (2, false), "no detail is rendered for a tracer that is off");
         assert!(quiet.traces().is_empty());
         assert_eq!(quiet.sends().len(), 4);
-    }
-
-    #[test]
-    fn sync_point_smoke() {
-        let sp = SyncPoint::new(4);
-        let hits = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..3 {
-                s.spawn(|| {
-                    for _ in 0..100 {
-                        sp.wait(|| {
-                            hits.fetch_add(1, Ordering::Relaxed);
-                        });
-                    }
-                });
-            }
-            for _ in 0..100 {
-                sp.wait(|| {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 100, "one leader per barrier round");
     }
 }

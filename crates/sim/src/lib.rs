@@ -17,24 +17,22 @@
 //!   default), each owning a **bucketed calendar queue** (timer-wheel +
 //!   overflow heap) instead of one global binary heap;
 //! - cross-region messages cross a **boundary exchange** flushed at
-//!   lockstep time-slice boundaries;
-//! - regions drain **concurrently on scoped worker threads** when
-//!   `GLOSS_SIM_THREADS` (or [`World::set_threads`](engine::World::set_threads))
-//!   asks for more than one — the default of 1 keeps the sequential path;
+//!   lockstep time-slice boundaries; a slice drains its regions one after
+//!   another on the calling thread;
 //! - per-link state (FNV-keyed, purged on crash) caches geographic
 //!   latency and carries an order-independent jitter/loss stream;
 //! - same-instant arrivals at one node are handed over as a **batch**
 //!   ([`Node::on_batch`]), amortising per-event dispatch above the engine.
 //!
 //! Determinism: a fixed seed yields an identical event trace — regardless
-//! of region count, bucket width, or thread count. Events are processed in
+//! of region count or bucket width. Events are processed in
 //! canonical key order (a pure function of link/timer/harness sequence
 //! numbers, not of scheduler internals), and all randomness flows from
 //! [`SimRng`] forks or per-link splitmix64 streams. The
 //! `engine_equivalence` integration test checks the sharded scheduler
 //! against a single-heap transcription; the `region_determinism` test
-//! checks byte-identical traces across region counts and worker thread
-//! counts.
+//! checks byte-identical traces across region counts and wheel
+//! geometries.
 //!
 //! # Example
 //!

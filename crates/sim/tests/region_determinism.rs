@@ -1,9 +1,8 @@
 //! Cross-region determinism: a world over a 4-region topology produces
 //! byte-identical traces, identical per-node schedules, identical engine
 //! counters, and an identical settle time at region counts 1, 2, and 4 —
-//! at any wheel geometry, and at any worker thread count. The schedule is
-//! a function of the seed, not of how the event plane is sharded,
-//! bucketed, or threaded.
+//! at any wheel geometry. The schedule is a function of the seed, not of
+//! how the event plane is sharded or bucketed.
 
 use gloss_sim::testkit::Chatter;
 use gloss_sim::{NodeIndex, SimDuration, SimRng, SimTime, Topology, World};
@@ -14,11 +13,6 @@ type Outcome = (String, Vec<String>, f64, u64, u64, SimTime);
 /// Runs the same seeded scenario (a 4-region topology with churn) at the
 /// given region count and wheel geometry.
 fn run(regions: usize, width: u64, buckets: usize) -> Outcome {
-    run_threaded(regions, width, buckets, 1)
-}
-
-/// Like [`run`], additionally setting the worker thread count.
-fn run_threaded(regions: usize, width: u64, buckets: usize, threads: usize) -> Outcome {
     const N: usize = 24;
     const SEED: u64 = 9107;
     let topology = Topology::random(N, &["scotland", "us-east", "brazil", "asia"], SEED);
@@ -27,7 +21,6 @@ fn run_threaded(regions: usize, width: u64, buckets: usize, threads: usize) -> O
     let mut w = World::new(topology, SEED, nodes);
     w.set_region_count(regions);
     w.set_wheel_geometry(width, buckets);
-    w.set_threads(threads);
     w.enable_tracing(1 << 20);
     w.set_loss(0.15);
     // Churn across the run, including nodes in different shards.
@@ -79,23 +72,12 @@ fn wheel_geometry_does_not_change_the_schedule() {
     }
 }
 
-#[test]
-fn thread_counts_1_2_4_yield_byte_identical_traces() {
-    let baseline = run_threaded(4, 1024, 256, 1);
-    let two = run_threaded(4, 1024, 256, 2);
-    let four = run_threaded(4, 1024, 256, 4);
-    assert_eq!(baseline.0, two.0, "trace differs at 2 threads");
-    assert_eq!(baseline.0, four.0, "trace differs at 4 threads");
-    assert_eq!(baseline, two, "outcome differs at 2 threads");
-    assert_eq!(baseline, four, "outcome differs at 4 threads");
-    assert!(!baseline.0.is_empty(), "trace actually recorded something");
-}
-
 // ---------------------------------------------------------------------------
-// Threaded parity as a property (same harness style as engine_equivalence):
+// Sharded parity as a property (same harness style as engine_equivalence):
 // random topologies, loss rates, crash/recover schedules, and mid-run
 // injections must produce byte-identical traces, per-node schedules,
-// counters, and settle times at worker thread counts 1, 2, and 4.
+// counters, and settle times with one shard per region name and with a
+// single queue.
 // ---------------------------------------------------------------------------
 
 const REGION_POOL: &[&str] =
@@ -112,14 +94,18 @@ struct Scenario {
     rounds: u32,
 }
 
-fn scripted_run(s: &Scenario, threads: usize) -> Outcome {
+/// Runs the scenario with the default sharding, or in one region when
+/// `one_queue` is set.
+fn scripted_run(s: &Scenario, one_queue: bool) -> Outcome {
     let regions: Vec<&str> = REGION_POOL[..s.region_names].to_vec();
     let topology = Topology::random(s.nodes, &regions, s.seed);
     let nodes: Vec<Chatter> = (0..s.nodes)
         .map(|i| Chatter::new(i as u32, s.nodes as u32, s.seed ^ (i as u64) << 13, s.rounds))
         .collect();
     let mut w = World::new(topology, s.seed, nodes);
-    w.set_threads(threads);
+    if one_queue {
+        w.set_region_count(1);
+    }
     w.enable_tracing(1 << 20);
     w.set_loss(s.loss_pct as f64 / 100.0);
     let mut rng = SimRng::new(s.seed).fork("parity-script");
@@ -160,7 +146,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn threaded_runs_match_sequential(
+    fn sharded_runs_match_one_queue(
         seed in 0u64..1_000_000,
         nodes in 4usize..28,
         region_names in 2usize..7,
@@ -178,13 +164,11 @@ proptest! {
             crashes,
             rounds,
         };
-        let sequential = scripted_run(&s, 1);
-        for threads in [2usize, 4] {
-            let threaded = scripted_run(&s, threads);
-            prop_assert_eq!(&sequential.0, &threaded.0, "trace diverged at {} threads: {:?}", threads, &s);
-            prop_assert_eq!(&sequential.1, &threaded.1, "per-node schedules diverged at {} threads: {:?}", threads, &s);
-            prop_assert_eq!(&sequential, &threaded, "outcome diverged at {} threads: {:?}", threads, &s);
-        }
+        let one = scripted_run(&s, true);
+        let sharded = scripted_run(&s, false);
+        prop_assert_eq!(&one.0, &sharded.0, "trace diverged when sharded: {:?}", &s);
+        prop_assert_eq!(&one.1, &sharded.1, "per-node schedules diverged when sharded: {:?}", &s);
+        prop_assert_eq!(&one, &sharded, "outcome diverged when sharded: {:?}", &s);
     }
 }
 

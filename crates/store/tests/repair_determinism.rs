@@ -2,8 +2,8 @@
 //! lost original (systematic Reed–Solomon plus the lowest-`m`-indices
 //! surplus rule makes decode a pure function of *which* shards survive,
 //! not of arrival order), and a full crash → repair-storm → re-converge
-//! scenario must be reproducible — same seed, same final state, at any
-//! worker thread count.
+//! scenario must be reproducible — same seed, same final state, with the
+//! default region sharding or in one queue.
 
 use gloss_sim::{NodeIndex, SimDuration};
 use gloss_store::{Document, ErasureCode, Priority, StoreConfig, StoreNetwork};
@@ -66,7 +66,9 @@ proptest! {
 
 /// Runs a fixed crash-and-repair storm and digests the final state:
 /// repair/lookup counters, per-document redundancy, and shard survival.
-fn storm_digest(threads: usize) -> String {
+/// The world keeps its default sharding, or runs in one region when
+/// `one_queue` is set.
+fn storm_digest(one_queue: bool) -> String {
     let cfg = StoreConfig {
         replicas: 2,
         heal_interval: SimDuration::from_secs(10),
@@ -74,7 +76,10 @@ fn storm_digest(threads: usize) -> String {
         ..Default::default()
     };
     let mut net = StoreNetwork::build(24, cfg, 4242);
-    net.world_mut().set_threads(threads);
+    if one_queue {
+        net.world_mut().set_region_count(1);
+    }
+    assert_eq!(net.world().region_count() == 1, one_queue, "the default world shards");
     net.settle();
     let docs: Vec<Document> = (0..6)
         .map(|i| {
@@ -115,14 +120,12 @@ fn storm_digest(threads: usize) -> String {
 
 #[test]
 fn repair_storm_is_reproducible() {
-    let a = storm_digest(1);
-    let b = storm_digest(1);
+    let a = storm_digest(false);
+    let b = storm_digest(false);
     assert_eq!(a, b, "same seed, same storm, different outcome");
 }
 
 #[test]
-fn repair_storm_is_thread_invariant() {
-    let one = storm_digest(1);
-    assert_eq!(one, storm_digest(2), "2 worker threads diverged");
-    assert_eq!(one, storm_digest(4), "4 worker threads diverged");
+fn repair_storm_is_region_count_invariant() {
+    assert_eq!(storm_digest(true), storm_digest(false), "the sharded world diverged");
 }
