@@ -596,7 +596,7 @@ fn s2_join_window_steady(c: &mut Criterion) {
     c.bench_function("s2_join_window_steady", |b| b.iter(|| arrive(&mut engine)));
 }
 
-/// S3: the sharded event plane at scale — wall time for a full overlay
+/// S3: the event plane at scale — wall time for a full overlay
 /// build + settle (staggered joins, announce storm, probe steady state).
 /// `GLOSS_SCALE_MAX=2048` adds a 2048-node row.
 fn s3_overlay_scaling(c: &mut Criterion) {
@@ -843,6 +843,35 @@ fn s7_shared_prefix(c: &mut Criterion) {
     }
 }
 
+/// Q1: the simulator's event queue under a burst of entries all due in
+/// the bucket being drained — the case a sorted insert into that bucket
+/// made quadratic. One world; each iteration injects the burst at `now`
+/// and drains it (the sink nodes send nothing back).
+fn q1_straggler_burst(c: &mut Criterion) {
+    use gloss_sim::{Input, Node, Outbox, Topology, World};
+    struct Sink;
+    impl Node for Sink {
+        type Msg = u32;
+        fn handle(&mut self, _now: SimTime, _input: Input<u32>, _out: &mut Outbox<u32>) {}
+    }
+    let smoke = std::env::var("GLOSS_BENCH_SMOKE").is_ok_and(|v| v != "0");
+    let burst: u32 = if smoke { 1_024 } else { 8_192 };
+    let n = 64;
+    let mut world = World::new(Topology::lan(n, 3), 3, (0..n).map(|_| Sink).collect());
+    world.start_all();
+    c.bench_function(&format!("q1_straggler_burst_{burst}"), |b| {
+        b.iter(|| {
+            let at = world.now();
+            for i in 0..burst {
+                world.inject_at(at, NodeIndex(i % n as u32), NodeIndex((i * 7) % n as u32), i);
+            }
+            world.run_until(at);
+            assert_eq!(world.pending(), 0);
+            world.metrics().counter("sim.messages_delivered")
+        })
+    });
+}
+
 /// C17: a synchronized hot-topic burst through an acyclic-peer graph
 /// whose forwarding tables covering/merging have collapsed.
 fn c17_flash_crowd_burst(c: &mut Criterion) {
@@ -930,6 +959,7 @@ criterion_group! {
               c3_cache_churn, c4_solver, c6_binding, c7_join, c8_store_lookup, c9_retrieval,
               c10_erasure, c13_rule_churn, m1_histogram_polling, s1_rule_scaling,
               s2_join_deep_buffer, s2_join_window_steady, s3_overlay_scaling, s4_churn_episode,
-              s5_mobility_roam, s6_subscriber_publish, s7_shared_prefix, c17_flash_crowd_burst
+              s5_mobility_roam, s6_subscriber_publish, s7_shared_prefix, c17_flash_crowd_burst,
+              q1_straggler_burst
 }
 criterion_main!(experiments);

@@ -723,7 +723,6 @@ pub fn s3_scaling() -> String {
         let delivered = m.counter("sim.messages_delivered");
         rows.push(vec![
             n.to_string(),
-            net.world().region_count().to_string(),
             f(net.joined_fraction() * 100.0),
             f(horizon.as_secs_f64()),
             f(wall * 1e3),
@@ -731,7 +730,7 @@ pub fn s3_scaling() -> String {
             f(delivered / wall / 1e6),
         ]);
     }
-    table(&["nodes", "regions", "joined %", "sim s", "wall ms", "messages", "Mmsg/s wall"], &rows)
+    table(&["nodes", "joined %", "sim s", "wall ms", "messages", "Mmsg/s wall"], &rows)
 }
 
 /// C11: churn-heavy overlay — sustained crash/recover churn while routing

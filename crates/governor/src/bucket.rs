@@ -3,7 +3,7 @@
 //! repair pipeline (anti-storm pacing of re-replication traffic).
 //!
 //! State advances only on calls carrying simulated time, so identical
-//! call sequences yield identical verdicts at any thread count.
+//! call sequences yield identical verdicts.
 
 use gloss_sim::SimTime;
 

@@ -23,8 +23,8 @@
 //!
 //! Everything here is sans-IO and deterministic: no wall clocks, no
 //! global randomness. Jitter draws from a seeded splitmix64 stream owned
-//! by each governor instance, so simulation runs are byte-identical at
-//! any thread count.
+//! by each governor instance, so identical call sequences yield
+//! byte-identical simulation runs.
 
 pub mod admission;
 pub mod backoff;

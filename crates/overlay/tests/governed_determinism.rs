@@ -1,25 +1,26 @@
-//! Region-count byte-identity with the governor active: a governed
+//! Wheel-geometry byte-identity with the governor active: a governed
 //! overlay under the full robustness plane — regional partition + heal,
 //! a byzantine ack-then-drop peer, crash/recover casualties, routed
 //! traffic — must produce an identical trace, identical route outcomes,
-//! and identical governor counters with the default region sharding and
-//! with one queue. The suspicion clock, circuit transitions, admission
-//! verdicts, and re-route decisions are functions of the seed, not of the
-//! scheduler.
+//! and identical governor counters at the default calendar-queue geometry
+//! and at 1 µs × 2 buckets, whose 2 µs horizon sends every message and
+//! timer through the overflow heap. The suspicion clock, circuit
+//! transitions, admission verdicts, and re-route decisions are functions
+//! of the seed, not of the scheduler.
 
 use gloss_overlay::{GovernorConfig, Key, OverlayNetwork};
 use gloss_sim::{ByzBehavior, NodeIndex, SimDuration};
 
-/// Trace, route outcomes, counters, and the world's region count.
-type Outcome = (String, Vec<(u64, u32, u64)>, Vec<(String, u64)>, usize);
+/// Trace, route outcomes, and counters.
+type Outcome = (String, Vec<(u64, u32, u64)>, Vec<(String, u64)>);
 
-/// Runs the scenario with the default sharding, or in one region when
-/// `one_queue` is set.
-fn run(seed: u64, one_queue: bool) -> Outcome {
+/// Runs the scenario at the default wheel geometry, or at the narrow one
+/// when `narrow` is set.
+fn run(seed: u64, narrow: bool) -> Outcome {
     const N: usize = 32;
     let mut net = OverlayNetwork::build_with(N, seed, Some(GovernorConfig::default()));
-    if one_queue {
-        net.world_mut().set_region_count(1);
+    if narrow {
+        net.world_mut().set_wheel_geometry(1, 2);
     }
     net.world_mut().enable_tracing(1 << 20);
     net.settle();
@@ -66,18 +67,23 @@ fn run(seed: u64, one_queue: bool) -> Outcome {
     .iter()
     .map(|name| (name.to_string(), m.counter(name) as u64))
     .collect();
-    (net.world().tracer().render(), routes, counters, net.world().region_count())
+    (net.world().tracer().render(), routes, counters)
 }
 
 #[test]
-fn governed_faults_identical_sharded_and_in_one_queue() {
+fn governed_faults_identical_at_any_wheel_geometry() {
     for seed in [11u64, 4242] {
-        let one = run(seed, true);
-        assert!(!one.0.is_empty(), "trace recorded nothing at seed {seed}");
-        let sharded = run(seed, false);
-        assert!(sharded.3 > 1, "the default world did not shard (seed {seed})");
-        assert_eq!(one.0, sharded.0, "trace diverged when sharded (seed {seed})");
-        assert_eq!(one.1, sharded.1, "route outcomes diverged when sharded (seed {seed})");
-        assert_eq!(one.2, sharded.2, "governor counters diverged when sharded (seed {seed})");
+        let default = run(seed, false);
+        assert!(!default.0.is_empty(), "trace recorded nothing at seed {seed}");
+        let narrow = run(seed, true);
+        assert_eq!(default.0, narrow.0, "trace diverged on the narrow wheel (seed {seed})");
+        assert_eq!(
+            default.1, narrow.1,
+            "route outcomes diverged on the narrow wheel (seed {seed})"
+        );
+        assert_eq!(
+            default.2, narrow.2,
+            "governor counters diverged on the narrow wheel (seed {seed})"
+        );
     }
 }

@@ -8,37 +8,29 @@
 //!
 //! # Scheduler architecture
 //!
-//! The event plane is sharded and bucketed for 1k–4k-node workloads, and
+//! The event plane is one bucketed queue for 1k–4k-node workloads, and
 //! runs on the calling thread:
 //!
-//! - **Regions.** Nodes partition into regions (derived from the topology's
-//!   region names); each region is a `Shard` owning its own calendar
-//!   queue, its nodes' state machines, their per-link connection state, and
-//!   buffers for every side effect (sends, counters, traces). Cross-region
-//!   sends travel through per-region *outgoing* buffers that are flushed
-//!   when the world advances to the next lockstep time slice. The slice
-//!   width is a conservative lookahead (the latency model's cross-region
-//!   floor), so a message sent in one slice can never be due inside the
-//!   same slice. `run_until` drains the regions of a slice one after
-//!   another. Counters and trace records accumulate shard-locally and
-//!   merge back in canonical shard / key order at segment boundaries, so
-//!   the schedule, the trace, and all counters are **byte-identical at any
-//!   region count**. Sharding is there for speed, not parallelism: in
-//!   one region every schedule is the same, but the benchmark worlds
-//!   take 2–3.6× longer to set up (EXPERIMENTS.md, "Threads verdict").
-//! - **Calendar queues.** Each shard's queue is a timer-wheel of
-//!   fixed-width buckets over the near future plus an overflow heap for
-//!   far-future entries (long timers), replacing one global `BinaryHeap`.
-//!   Pushes and pops into the wheel are O(1) amortised.
+//! - **Calendar queue.** A timer-wheel of fixed-width buckets over the
+//!   near future plus an overflow heap for far-future entries (long
+//!   timers). The bucket being drained is sorted once into a vec popped
+//!   from its end; entries that arrive for it later go onto that vec's end
+//!   when they sort below its tail, and into a small straggler heap
+//!   otherwise. A pop takes the smaller of the two, so a burst of entries
+//!   due in the current bucket costs O(log n) each, not a vec shift.
+//! - **Control barriers.** Crashes, recoveries, partitions and heals sit in
+//!   their own heap; `run_until` drains the queue up to the next one,
+//!   applies it, and goes on. Node-emitted counters are pre-summed per name
+//!   and reach the registry at those boundaries.
 //! - **Canonical event keys.** Every entry carries an `EvKey` that is a
 //!   pure function of *what* the event is (link + per-link sequence, node +
-//!   per-node timer sequence, harness call order) rather than of global
-//!   push order. Processing events in key order therefore yields the same
-//!   schedule at any region count or bucket width: same seed, same trace.
-//!   The `engine_equivalence` integration test checks this against a
+//!   per-node timer sequence, harness call order) rather than of push
+//!   order. Processing events in key order therefore yields the same
+//!   schedule at any bucket geometry: same seed, same trace. The
+//!   `engine_equivalence` integration test checks this against a
 //!   single-heap transcription of the seed scheduler; the
-//!   `region_determinism` test checks byte-identical traces across region
-//!   counts and wheel geometries.
+//!   `region_determinism` test checks byte-identical traces across wheel
+//!   geometries.
 //! - **Per-link state.** A flat FNV map per sender caches the jitter-free
 //!   latency of each link (the haversine distance is computed once, not per
 //!   message), carries the link's deterministic jitter/loss stream, and
@@ -55,11 +47,11 @@ use crate::hash::{splitmix64, splitmix_unit, FnvHashMap};
 use crate::metrics::{CounterId, MetricsRegistry};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
-use crate::topology::{GeoPoint, NodeIndex, Topology};
+use crate::topology::{NodeIndex, Topology};
 use crate::trace::Tracer;
 use std::borrow::Cow;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
 /// An input delivered to a node by the engine.
 #[derive(Debug, Clone)]
@@ -306,7 +298,7 @@ const CLASS_HARNESS: u8 = 3;
 ///
 /// Because each component is derived from deterministic per-node /
 /// per-link / per-harness-call counters, the induced order — and therefore
-/// the trace — is identical at any region count and bucket width.
+/// the trace — is identical at any bucket geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct EvKey {
     at: SimTime,
@@ -356,9 +348,9 @@ enum CtrlAction {
 }
 
 /// A crash, recovery, partition, or heal scheduled by the harness. Held
-/// outside the region queues: control events change global state
-/// (aliveness, link purges, reachability), so they act as barriers between
-/// lockstep slices.
+/// outside the calendar queue: control events change global state
+/// (aliveness, link purges, reachability), so a run drains the queue only
+/// up to the next one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct CtrlEntry {
     key: EvKey,
@@ -367,27 +359,31 @@ struct CtrlEntry {
 }
 
 /// A calendar queue: a timer-wheel of `width`-microsecond buckets covering
-/// the near future, an `active` heap ordering the current bucket, and an
-/// overflow heap for entries beyond the wheel horizon (long timers).
+/// the near future, the current bucket in a sorted vec plus a straggler
+/// heap, and an overflow heap for entries beyond the wheel horizon (long
+/// timers).
 ///
 /// Pop order is exactly ascending [`EvKey`] order: the wheel partitions by
-/// time, the active heap orders within the current bucket, and same-`at`
-/// entries always land in the same bucket.
+/// time, the vec and the straggler heap together order the current
+/// bucket, and same-`at` entries always land in the same bucket.
 #[derive(Debug)]
 struct CalendarQueue<M> {
     /// The current bucket's entries, sorted descending by key (pop from
-    /// the end); a sorted vec beats a heap here because one bucket holds
-    /// few entries and stragglers are rare.
+    /// the end). `settle` loads and sorts a bucket once; a later arrival
+    /// joins the end only when it sorts below the tail.
     active: Vec<Entry<M>>,
+    /// Later arrivals into the current bucket that do not sort below
+    /// `active`'s tail. A heap costs a burst of them O(log n) each, where
+    /// a sorted insert into `active` would shift the vec every time.
+    stragglers: BinaryHeap<Reverse<Entry<M>>>,
     buckets: Vec<Vec<Entry<M>>>,
     /// log2 of the bucket width in µs (widths round up to a power of two
     /// so the per-push bucket math is a shift, not a division).
     shift: u32,
     /// `buckets.len() - 1`; the count is a power of two.
     mask: usize,
-    /// Start time (µs) of the bucket at `cursor`; a multiple of the width.
+    /// Start time (µs) of the current bucket; a multiple of the width.
     wheel_start: u64,
-    cursor: usize,
     in_buckets: usize,
     overflow: BinaryHeap<Reverse<Entry<M>>>,
     len: usize,
@@ -399,11 +395,11 @@ impl<M> CalendarQueue<M> {
         let buckets = buckets.max(2).next_power_of_two();
         CalendarQueue {
             active: Vec::new(),
+            stragglers: BinaryHeap::new(),
             buckets: (0..buckets).map(|_| Vec::new()).collect(),
             shift,
             mask: buckets - 1,
             wheel_start: 0,
-            cursor: 0,
             in_buckets: 0,
             overflow: BinaryHeap::new(),
             len: 0,
@@ -427,26 +423,28 @@ impl<M> CalendarQueue<M> {
         let t = e.key.at.as_micros();
         self.len += 1;
         if t < self.wheel_start + self.width() {
-            self.insert_active(e);
+            if self.active.last().is_none_or(|tail| e.key < tail.key) {
+                self.active.push(e);
+            } else {
+                self.stragglers.push(Reverse(e));
+            }
         } else if t < self.horizon() {
-            let idx = (t >> self.shift) as usize & self.mask;
-            self.buckets[idx].push(e);
-            self.in_buckets += 1;
+            self.push_bucket(e);
         } else {
             self.overflow.push(Reverse(e));
         }
     }
 
-    /// Inserts a straggler into the sorted active vec (descending order).
-    fn insert_active(&mut self, e: Entry<M>) {
-        let pos = self.active.partition_point(|x| x.key > e.key);
-        self.active.insert(pos, e);
+    fn push_bucket(&mut self, e: Entry<M>) {
+        let idx = (e.key.at.as_micros() >> self.shift) as usize & self.mask;
+        self.buckets[idx].push(e);
+        self.in_buckets += 1;
     }
 
-    /// Advances the wheel until the queue's minimum entry (if any) sits on
-    /// top of `active`.
+    /// Advances the wheel until the current bucket holds the queue's
+    /// minimum entry (if any).
     fn settle(&mut self) {
-        while self.active.is_empty() && self.len > 0 {
+        while self.active.is_empty() && self.stragglers.is_empty() && self.len > 0 {
             if self.in_buckets == 0 {
                 // Nothing in the wheel: jump straight to the earliest
                 // overflow entry instead of sweeping empty buckets.
@@ -455,45 +453,46 @@ impl<M> CalendarQueue<M> {
             } else {
                 self.wheel_start += self.width();
             }
-            self.cursor = (self.wheel_start >> self.shift) as usize & self.mask;
-            self.refill_from_overflow();
+            // Overflow entries the horizon now covers move to their bucket
+            // (the current one included: it is drained next).
+            let horizon = self.horizon();
+            while self.overflow.peek().is_some_and(|Reverse(e)| e.key.at.as_micros() < horizon) {
+                let Reverse(e) = self.overflow.pop().expect("peeked");
+                self.push_bucket(e);
+            }
             // Drain in place: bucket capacity persists across wheel laps.
-            let (buckets, active) = (&mut self.buckets, &mut self.active);
-            let spilled = &mut buckets[self.cursor];
+            let cursor = (self.wheel_start >> self.shift) as usize & self.mask;
+            let spilled = &mut self.buckets[cursor];
             self.in_buckets -= spilled.len();
-            active.append(spilled);
-            active.sort_unstable_by_key(|e| Reverse(e.key));
+            self.active.append(spilled);
+            self.active.sort_unstable_by_key(|e| Reverse(e.key));
         }
     }
 
-    /// Moves overflow entries that the advancing horizon now covers into
-    /// their wheel bucket (or straight into `active`).
-    fn refill_from_overflow(&mut self) {
-        let horizon = self.horizon();
-        while let Some(Reverse(e)) = self.overflow.peek() {
-            if e.key.at.as_micros() >= horizon {
-                break;
-            }
-            let Reverse(e) = self.overflow.pop().expect("peeked");
-            let t = e.key.at.as_micros();
-            if t < self.wheel_start + self.width() {
-                self.insert_active(e);
-            } else {
-                let idx = (t >> self.shift) as usize & self.mask;
-                self.buckets[idx].push(e);
-                self.in_buckets += 1;
-            }
+    /// Whether the straggler heap, not `active`'s tail, holds the minimum.
+    fn straggler_first(&self) -> bool {
+        match (self.stragglers.peek(), self.active.last()) {
+            (Some(Reverse(s)), tail) => tail.is_none_or(|t| s.key < t.key),
+            (None, _) => false,
         }
     }
 
     fn peek(&mut self) -> Option<&Entry<M>> {
         self.settle();
-        self.active.last()
+        if self.straggler_first() {
+            self.stragglers.peek().map(|Reverse(e)| e)
+        } else {
+            self.active.last()
+        }
     }
 
     fn pop(&mut self) -> Option<Entry<M>> {
         self.settle();
-        let e = self.active.pop()?;
+        let e = if self.straggler_first() {
+            self.stragglers.pop().map(|Reverse(e)| e)
+        } else {
+            self.active.pop()
+        }?;
         self.len -= 1;
         Some(e)
     }
@@ -514,9 +513,6 @@ struct LinkState {
     jittered: u64,
     /// Activation id that sampled `jittered`; messages flushed by one
     /// activation over one link share a latency (one TCP segment train).
-    /// Activation ids are shard-local: a link belongs to its sender, a
-    /// sender to exactly one shard, so the stamp only ever meets its own
-    /// shard's strictly-increasing counter.
     last_apply: u64,
     /// splitmix64 state: an order-independent per-link randomness stream.
     rng: u64,
@@ -534,8 +530,8 @@ pub fn link_stream_seed(world_seed: u64, from: NodeIndex, to: NodeIndex) -> u64 
     splitmix64(&mut s)
 }
 
-/// Slots of the pre-registered hot engine counters, accumulated per shard
-/// as plain array adds and merged into the registry at segment boundaries.
+/// Slots of the pre-registered hot engine counters in
+/// `World::engine_ids`.
 const EC_SENT: usize = 0;
 const EC_DELIVERED: usize = 1;
 const EC_DROPPED_DEAD: usize = 2;
@@ -546,407 +542,73 @@ const EC_BATCHED: usize = 6;
 const EC_PARTITIONED: usize = 7;
 const ENGINE_COUNTERS: usize = 8;
 
-/// Registry handles for the hot engine counters, in slot order.
-#[derive(Debug, Clone, Copy)]
-struct EngineCounters {
-    ids: [CounterId; ENGINE_COUNTERS],
-}
-
 /// Directed-link key for the fault map.
 #[inline]
 fn link_key(from: NodeIndex, to: NodeIndex) -> u64 {
     ((from.0 as u64) << 32) | to.0 as u64
 }
 
-/// Where a node lives: its region shard and its slot within that shard.
-#[derive(Debug, Clone, Copy)]
-struct Place {
-    region: u32,
-    slot: u32,
-}
-
-/// Engine state that is read-only while shards drain, so a drain can
-/// borrow it beside one `&mut Shard`. Aliveness, loss and partitions
-/// change only between slices (control events are barriers).
-#[derive(Debug)]
-struct Shared {
+/// The simulation driver: a topology, one state machine per node, and
+/// one calendar queue popped in canonical key order.
+///
+/// See the [crate docs](crate) for a complete example and the
+/// [module docs](self) for the scheduler architecture.
+pub struct World<N: Node> {
     topology: Topology,
-    /// Region shard and shard-local slot of each node.
-    place: Vec<Place>,
+    /// The node state machines, by node index.
+    nodes: Vec<N>,
     alive: Vec<bool>,
+    /// Per-sender link state, by node index; purged on crash.
+    links: Vec<FnvHashMap<u32, LinkState>>,
+    /// Per-node timer sequence numbers (canonical tie-break component).
+    timer_seq: Vec<u64>,
+    queue: CalendarQueue<N::Msg>,
+    /// Crash/recover/partition events (barriers for a run's drain).
+    ctrl: BinaryHeap<Reverse<CtrlEntry>>,
+    /// Partition group vectors referenced by scheduled
+    /// [`CtrlAction::Partition`] events.
+    partition_specs: Vec<Vec<u8>>,
+    /// Active partition: the group id of each node. Messages between
+    /// different groups are dropped at send time. `None` = fully
+    /// connected.
+    partition: Option<Vec<u8>>,
+    /// Orders harness calls (injects, crashes, recoveries).
+    harness_seq: u64,
+    /// Activation counter; groups one activation's sends per link for
+    /// latency sharing.
+    apply_seq: u64,
+    now: SimTime,
     seed: u64,
+    rng: SimRng,
     loss: f64,
     /// Harness-installed loss probability per directed link, overriding
     /// the world's uniform loss there (empty in the common case; the hot
     /// path checks `is_empty` before hashing). Like [`LinkState`], purged
     /// when either endpoint crashes (a restarted node gets fresh links).
     link_faults: FnvHashMap<u64, f64>,
-    /// Active partition: the group id of each node. Messages between
-    /// different groups are dropped at send time. `None` = fully
-    /// connected.
-    partition: Option<Vec<u8>>,
     /// Cached latency-model jitter fraction.
     jitter: f64,
-    /// Lockstep slice width (µs): a conservative lookahead no larger than
-    /// the minimum cross-shard latency, so cross-region messages are never
-    /// due inside the slice that sent them.
-    slice_width: u64,
-    /// Whether the latency model permits a safe multi-region lookahead.
-    can_shard: bool,
-}
-
-/// One region of the world: the calendar queue plus everything a drain of
-/// that region mutates. A slice drains the shards one after another; their
-/// effects merge into the world in canonical order at segment boundaries.
-struct Shard<N: Node> {
-    queue: CalendarQueue<N::Msg>,
-    /// Cached head key of `queue` (kept in sync by push/drain).
-    head: Option<EvKey>,
-    /// This shard's node state machines, in ascending global index order.
-    nodes: Vec<N>,
-    /// Per-sender link state, by shard-local slot; purged on crash.
-    links: Vec<FnvHashMap<u32, LinkState>>,
-    /// Per-node timer sequence numbers (canonical tie-break component).
-    timer_seq: Vec<u64>,
-    /// Shard-local activation counter; groups one activation's sends per
-    /// link for latency sharing.
-    apply_seq: u64,
-    /// The shard's current time: the key time of the entry being processed
-    /// (monotone within the shard; shards advance independently inside a
-    /// slice).
-    now: SimTime,
-    /// Canonical key of the entry currently being processed (trace merge).
-    cur_key: EvKey,
     /// Reusable same-instant delivery buffer.
     batch: Vec<(NodeIndex, N::Msg)>,
     /// Reusable activation outbox (capacity persists across activations).
     scratch: Outbox<N::Msg>,
-    /// Cross-shard sends buffered per destination shard, flushed at slice
-    /// boundaries (the boundary exchange).
-    outgoing: Vec<Vec<Entry<N::Msg>>>,
-    outgoing_len: usize,
-    /// Hot engine counter partial sums (integer-valued adds, so partial
-    /// summation is exact), merged in shard order at segment boundaries.
-    engine: [f64; ENGINE_COUNTERS],
-    /// Node-emitted counter increments, pre-summed per name (bounded by
-    /// the distinct-name count, not the event count) and replayed in
-    /// shard order, names sorted, on merge.
-    counts: FnvHashMap<Cow<'static, str>, f64>,
-    /// Node-emitted histogram samples, replayed in shard order on merge.
-    observations: Vec<(Cow<'static, str>, f64)>,
-    /// Trace records keyed canonically, merged across shards on flush.
-    /// Shard-local processing is key-ascending, so this buffer is sorted.
-    trace_buf: Vec<(EvKey, NodeIndex, Cow<'static, str>, String)>,
-}
-
-/// Pushes into a shard's queue, keeping the cached head in sync.
-fn shard_push<N: Node>(shard: &mut Shard<N>, entry: Entry<N::Msg>) {
-    if shard.head.is_none_or(|h| entry.key < h) {
-        shard.head = Some(entry.key);
-    }
-    shard.queue.push(entry);
-}
-
-/// Drains shard entries up to and including `stop_at`, stopping early at a
-/// control barrier, then refreshes the cached head.
-fn drain_shard<N: Node>(
-    shard: &mut Shard<N>,
-    sh: &Shared,
-    stop_at: SimTime,
-    barrier: Option<EvKey>,
-    window_end: u64,
-) {
-    while let Some(head) = shard.queue.peek().map(|e| e.key) {
-        if head.at > stop_at || barrier.is_some_and(|b| head > b) {
-            break;
-        }
-        process_entry(shard, sh, window_end);
-    }
-    shard.head = shard.queue.peek().map(|e| e.key);
-}
-
-/// Pops and handles the head entry of a shard — a timer or a same-instant
-/// delivery batch. Sets the shard's `now` to the entry's time.
-fn process_entry<N: Node>(shard: &mut Shard<N>, sh: &Shared, window_end: u64) {
-    let entry = shard.queue.pop().expect("non-empty");
-    let key = entry.key;
-    shard.now = key.at;
-    shard.cur_key = key;
-    match entry.kind {
-        EntryKind::Timer { node, tag } => {
-            if sh.alive[node.as_usize()] {
-                activate(shard, sh, window_end, node, Input::Timer { tag });
-            }
-        }
-        EntryKind::Deliver { from, to, msg } => {
-            debug_assert!(shard.batch.is_empty());
-            shard.batch.push((from, msg));
-            // Gather the rest of the same-instant batch for `to`. Only
-            // link deliveries batch: their destination-major keys make
-            // same-instant arrivals at one node contiguous in the key
-            // order (harness injections are keyed by call order and
-            // deliver singly).
-            while let Some(next) = shard.queue.peek() {
-                let h = next.key;
-                if h.at != key.at || h.class != CLASS_LINK || (h.a >> 32) as u32 != to.0 {
-                    break;
-                }
-                let popped = shard.queue.pop().expect("peeked");
-                let EntryKind::Deliver { from, msg, .. } = popped.kind else {
-                    unreachable!("class-checked Deliver above");
-                };
-                shard.batch.push((from, msg));
-            }
-            let n = shard.batch.len() as f64;
-            if sh.alive[to.as_usize()] {
-                shard.engine[EC_DELIVERED] += n;
-                if shard.batch.len() > 1 {
-                    shard.engine[EC_BATCHES] += 1.0;
-                    shard.engine[EC_BATCHED] += n;
-                }
-                activate_batch(shard, sh, window_end, to);
-            } else {
-                shard.engine[EC_DROPPED_DEAD] += n;
-                shard.batch.clear();
-            }
-        }
-    }
-}
-
-/// Runs one node activation for a single input.
-fn activate<N: Node>(
-    shard: &mut Shard<N>,
-    sh: &Shared,
-    window_end: u64,
-    index: NodeIndex,
-    input: Input<N::Msg>,
-) {
-    shard.apply_seq += 1;
-    let slot = sh.place[index.as_usize()].slot as usize;
-    let now = shard.now;
-    let (nodes, scratch) = (&mut shard.nodes, &mut shard.scratch);
-    nodes[slot].handle(now, input, scratch);
-    apply_effects(shard, sh, window_end, index);
-}
-
-/// Runs one node activation for a same-instant delivery batch.
-fn activate_batch<N: Node>(shard: &mut Shard<N>, sh: &Shared, window_end: u64, to: NodeIndex) {
-    shard.apply_seq += 1;
-    let slot = sh.place[to.as_usize()].slot as usize;
-    let now = shard.now;
-    let (nodes, scratch, buf) = (&mut shard.nodes, &mut shard.scratch, &mut shard.batch);
-    let mut batch = Batch { inner: buf.drain(..) };
-    nodes[slot].on_batch(now, &mut batch, scratch);
-    drop(batch);
-    apply_effects(shard, sh, window_end, to);
-}
-
-/// Drains the scratch outbox of one activation into the schedule and the
-/// shard's effect buffers, preserving the outbox's capacity.
-fn apply_effects<N: Node>(shard: &mut Shard<N>, sh: &Shared, window_end: u64, from: NodeIndex) {
-    if !shard.scratch.sends.is_empty() {
-        let mut sends = std::mem::take(&mut shard.scratch.sends);
-        for (to, msg, extra) in sends.drain(..) {
-            dispatch_send(shard, sh, window_end, from, to, msg, extra);
-        }
-        shard.scratch.sends = sends;
-    }
-    if !shard.scratch.timers.is_empty() {
-        let mut timers = std::mem::take(&mut shard.scratch.timers);
-        for (delay, tag) in timers.drain(..) {
-            push_timer(shard, sh, from, delay, tag);
-        }
-        shard.scratch.timers = timers;
-    }
-    if !shard.scratch.counts.is_empty() {
-        let (scratch, counts) = (&mut shard.scratch, &mut shard.counts);
-        for (name, by) in scratch.counts.drain(..) {
-            *counts.entry(name).or_insert(0.0) += by;
-        }
-    }
-    if !shard.scratch.observations.is_empty() {
-        let (scratch, observations) = (&mut shard.scratch, &mut shard.observations);
-        observations.append(&mut scratch.observations);
-    }
-    // Non-empty only while tracing: the scratch outbox drops traces at
-    // the call otherwise.
-    if !shard.scratch.traces.is_empty() {
-        let key = shard.cur_key;
-        let (scratch, trace_buf) = (&mut shard.scratch, &mut shard.trace_buf);
-        for (kind, detail) in scratch.traces.drain(..) {
-            trace_buf.push((key, from, kind, detail));
-        }
-    }
-}
-
-/// Schedules a timer for a node of this shard.
-fn push_timer<N: Node>(
-    shard: &mut Shard<N>,
-    sh: &Shared,
-    node: NodeIndex,
-    delay: SimDuration,
-    tag: u64,
-) {
-    let slot = sh.place[node.as_usize()].slot as usize;
-    shard.timer_seq[slot] += 1;
-    let key = EvKey {
-        at: shard.now + delay,
-        class: CLASS_TIMER,
-        a: node.0 as u64,
-        b: shard.timer_seq[slot],
-    };
-    shard_push(shard, Entry { key, kind: EntryKind::Timer { node, tag } });
-}
-
-/// Schedules one send: latency sampling (shared per activation and link),
-/// loss, FIFO clamping, and routing into the shard's own queue or its
-/// outgoing cross-shard buffer.
-fn dispatch_send<N: Node>(
-    shard: &mut Shard<N>,
-    sh: &Shared,
-    window_end: u64,
-    from: NodeIndex,
-    to: NodeIndex,
-    msg: N::Msg,
-    extra: SimDuration,
-) {
-    if to.as_usize() >= sh.place.len() {
-        shard.engine[EC_BAD_DESTINATION] += 1.0;
-        return;
-    }
-    if let Some(groups) = &sh.partition {
-        if groups[from.as_usize()] != groups[to.as_usize()] {
-            shard.engine[EC_PARTITIONED] += 1.0;
-            return;
-        }
-    }
-    let sslot = sh.place[from.as_usize()].slot as usize;
-    let (topology, seed) = (&sh.topology, sh.seed);
-    let ls = shard.links[sslot].entry(to.0).or_insert_with(|| {
-        let nominal = topology.nominal_latency(from, to).as_micros();
-        LinkState {
-            last_at: 0,
-            nominal,
-            jittered: nominal,
-            last_apply: 0,
-            rng: link_stream_seed(seed, from, to),
-            seq: 0,
-        }
-    });
-    if ls.last_apply != shard.apply_seq {
-        // First message of this activation on this link: sample the
-        // connection's latency once; the rest of the flush shares it.
-        ls.last_apply = shard.apply_seq;
-        ls.jittered = if to == from || sh.jitter <= 0.0 {
-            ls.nominal
-        } else {
-            let factor = 1.0 - sh.jitter + 2.0 * sh.jitter * splitmix_unit(&mut ls.rng);
-            (ls.nominal as f64 * factor).round() as u64
-        };
-    }
-    let loss = if sh.link_faults.is_empty() {
-        sh.loss
-    } else {
-        sh.link_faults.get(&link_key(from, to)).copied().unwrap_or(sh.loss)
-    };
-    if loss > 0.0 && to != from && splitmix_unit(&mut ls.rng) < loss {
-        shard.engine[EC_LOST] += 1.0;
-        return;
-    }
-    // Per-link FIFO: links are connection-oriented (the architecture's
-    // web-service interfaces run over TCP); equal times are allowed
-    // and preserve send order via the link sequence number.
-    let mut at = shard.now.as_micros() + ls.jittered + extra.as_micros();
-    if at < ls.last_at {
-        at = ls.last_at;
-    }
-    ls.last_at = at;
-    ls.seq += 1;
-    let key = EvKey {
-        at: SimTime::from_micros(at),
-        class: CLASS_LINK,
-        a: ((to.0 as u64) << 32) | from.0 as u64,
-        b: ls.seq,
-    };
-    shard.engine[EC_SENT] += 1.0;
-    let entry = Entry { key, kind: EntryKind::Deliver { from, to, msg } };
-    let rt = sh.place[to.as_usize()].region as usize;
-    if rt == sh.place[from.as_usize()].region as usize {
-        shard_push(shard, entry);
-    } else {
-        // Cross-shard: buffer for the boundary exchange. With a bounded
-        // window the lookahead guarantees the message is not due inside
-        // the slice that sent it; the degenerate unbounded window is
-        // handled by `run_until`'s outer loop re-flushing between passes.
-        debug_assert!(
-            window_end == u64::MAX || at >= window_end,
-            "cross-region message due inside its own slice: at={at} window_end={window_end}"
-        );
-        shard.outgoing[rt].push(entry);
-        shard.outgoing_len += 1;
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-enum NextSrc {
-    Ctrl,
-    Region(usize),
-}
-
-/// Computes the base lockstep slice width from the latency model: the
-/// minimum cross-node latency (base minus full jitter), floored. The
-/// jittered latency of any message is at least this floor
-/// (`round(nominal * f)` with `nominal >= base` and `f >= 1 - jitter`), so a
-/// slice of exactly the floor guarantees no cross-region message is due
-/// inside its own slice. Returns `(width, can_shard)`; models without a
-/// positive latency floor cannot shard safely and run as a single region.
-fn lookahead(topology: &Topology) -> (u64, bool) {
-    let lm = topology.latency_model();
-    let floor = (lm.base.as_micros() as f64 * (1.0 - lm.jitter)).floor() as u64;
-    if floor < 2 {
-        (1, false)
-    } else {
-        (floor, true)
-    }
-}
-
-/// The simulation driver: a topology, one state machine per node, and
-/// per-region bucketed event queues merged in canonical key order.
-///
-/// See the [crate docs](crate) for a complete example and the
-/// [module docs](self) for the scheduler architecture.
-pub struct World<N: Node> {
-    shared: Shared,
-    shards: Vec<Shard<N>>,
-    /// Crash/recover/partition events (global barriers).
-    ctrl: BinaryHeap<Reverse<CtrlEntry>>,
-    /// Partition group vectors referenced by scheduled
-    /// [`CtrlAction::Partition`] events.
-    partition_specs: Vec<Vec<u8>>,
-    /// Orders harness calls (injects, crashes, recoveries).
-    harness_seq: u64,
-    /// End (µs, exclusive) of the slice currently being processed.
-    window_end: u64,
-    now: SimTime,
-    rng: SimRng,
     metrics: MetricsRegistry,
-    ids: EngineCounters,
+    /// Registry handles for the hot engine counters, in slot order.
+    engine_ids: [CounterId; ENGINE_COUNTERS],
+    /// Node-emitted counter increments, pre-summed per name (bounded by
+    /// the distinct-name count, not the event count) and added to the
+    /// registry, names sorted, when a step or a run's drain ends.
+    counts: FnvHashMap<Cow<'static, str>, f64>,
     tracer: Tracer,
     started: bool,
-    bucket_width: u64,
-    bucket_count: usize,
-    /// Scratch for merging per-shard trace buffers in key order.
-    trace_merge: Vec<(EvKey, NodeIndex, Cow<'static, str>, String)>,
 }
 
 impl<N: Node> std::fmt::Debug for World<N> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("World")
-            .field("nodes", &self.shared.place.len())
-            .field("regions", &self.shards.len())
+            .field("nodes", &self.nodes.len())
             .field("now", &self.now)
             .field("pending", &self.pending())
-            .field("slice_micros", &self.shared.slice_width)
             .finish_non_exhaustive()
     }
 }
@@ -960,10 +622,8 @@ const DEFAULT_BUCKET_WIDTH: u64 = 1024;
 const DEFAULT_BUCKET_COUNT: usize = 256;
 
 impl<N: Node> World<N> {
-    /// Creates a world over `topology` with one state machine per node.
-    ///
-    /// Nodes are sharded into one region per distinct topology region name
-    /// (use [`set_region_count`](Self::set_region_count) to override).
+    /// Creates a world over `topology` with one state machine per node,
+    /// all scheduled through one calendar queue.
     ///
     /// # Panics
     ///
@@ -971,174 +631,48 @@ impl<N: Node> World<N> {
     pub fn new(topology: Topology, seed: u64, nodes: Vec<N>) -> Self {
         assert_eq!(topology.len(), nodes.len(), "one state machine per topology node");
         let n = nodes.len();
-        let (slice_width, can_shard) = lookahead(&topology);
         let jitter = topology.latency_model().jitter;
         let mut metrics = MetricsRegistry::new();
-        let ids = EngineCounters {
-            ids: [
-                metrics.register_counter("sim.messages_sent"),
-                metrics.register_counter("sim.messages_delivered"),
-                metrics.register_counter("sim.messages_dropped_dead"),
-                metrics.register_counter("sim.messages_lost"),
-                metrics.register_counter("sim.bad_destination"),
-                metrics.register_counter("sim.batches"),
-                metrics.register_counter("sim.batched_messages"),
-                metrics.register_counter("sim.messages_partitioned"),
-            ],
-        };
-        let mut world = World {
-            shared: Shared {
-                topology,
-                place: vec![Place { region: 0, slot: 0 }; n],
-                alive: vec![true; n],
-                seed,
-                loss: 0.0,
-                link_faults: FnvHashMap::default(),
-                partition: None,
-                jitter,
-                slice_width,
-                can_shard,
-            },
-            shards: Vec::new(),
+        let engine_ids = [
+            metrics.register_counter("sim.messages_sent"),
+            metrics.register_counter("sim.messages_delivered"),
+            metrics.register_counter("sim.messages_dropped_dead"),
+            metrics.register_counter("sim.messages_lost"),
+            metrics.register_counter("sim.bad_destination"),
+            metrics.register_counter("sim.batches"),
+            metrics.register_counter("sim.batched_messages"),
+            metrics.register_counter("sim.messages_partitioned"),
+        ];
+        World {
+            topology,
+            nodes,
+            alive: vec![true; n],
+            links: (0..n).map(|_| FnvHashMap::default()).collect(),
+            timer_seq: vec![0; n],
+            queue: CalendarQueue::new(DEFAULT_BUCKET_WIDTH, DEFAULT_BUCKET_COUNT),
             ctrl: BinaryHeap::new(),
             partition_specs: Vec::new(),
+            partition: None,
             harness_seq: 0,
-            window_end: slice_width,
+            apply_seq: 0,
             now: SimTime::ZERO,
+            seed,
             rng: SimRng::new(seed).fork("world"),
+            loss: 0.0,
+            link_faults: FnvHashMap::default(),
+            jitter,
+            batch: Vec::new(),
+            scratch: Outbox { tracing: false, ..Outbox::new() },
             metrics,
-            ids,
+            engine_ids,
+            counts: FnvHashMap::default(),
             tracer: Tracer::disabled(),
             started: false,
-            bucket_width: DEFAULT_BUCKET_WIDTH,
-            bucket_count: DEFAULT_BUCKET_COUNT,
-            trace_merge: Vec::new(),
-        };
-        world.distribute(nodes, usize::MAX);
-        world
-    }
-
-    /// (Re)partitions nodes into at most `want` region shards, rebuilding
-    /// the shard structures and refining the lockstep lookahead.
-    fn distribute(&mut self, nodes: Vec<N>, want: usize) {
-        debug_assert_eq!(
-            self.shards.iter().map(|s| s.queue.len() + s.outgoing_len).sum::<usize>(),
-            0,
-            "repartition requires empty queues"
-        );
-        let mut names: Vec<&str> = self.shared.topology.iter().map(|i| i.region.as_str()).collect();
-        names.sort_unstable();
-        names.dedup();
-        let limit = if self.shared.can_shard { names.len() } else { 1 };
-        let count = want.clamp(1, limit.max(1));
-        let shard_of: BTreeMap<&str, u32> =
-            names.iter().enumerate().map(|(i, nm)| (*nm, (i % count) as u32)).collect();
-        let regions: Vec<u32> =
-            self.shared.topology.iter().map(|info| shard_of[info.region.as_str()]).collect();
-        let mut slots = vec![0u32; count];
-        for (i, &region) in regions.iter().enumerate() {
-            let r = region as usize;
-            self.shared.place[i] = Place { region, slot: slots[r] };
-            slots[r] += 1;
         }
-        self.shards = (0..count)
-            .map(|r| Shard {
-                queue: CalendarQueue::new(self.bucket_width, self.bucket_count),
-                head: None,
-                nodes: Vec::with_capacity(slots[r] as usize),
-                links: (0..slots[r]).map(|_| FnvHashMap::default()).collect(),
-                timer_seq: vec![0; slots[r] as usize],
-                apply_seq: 0,
-                now: self.now,
-                cur_key: EvKey { at: SimTime::ZERO, class: 0, a: 0, b: 0 },
-                batch: Vec::new(),
-                scratch: Outbox { tracing: self.tracer.is_enabled(), ..Outbox::new() },
-                outgoing: (0..count).map(|_| Vec::new()).collect(),
-                outgoing_len: 0,
-                engine: [0.0; ENGINE_COUNTERS],
-                counts: FnvHashMap::default(),
-                observations: Vec::new(),
-                trace_buf: Vec::new(),
-            })
-            .collect();
-        for (i, node) in nodes.into_iter().enumerate() {
-            // Ascending global index per shard == ascending slot order.
-            self.shards[regions[i] as usize].nodes.push(node);
-        }
-        self.refine_slice_width();
-        if !self.started {
-            self.window_end = self.shared.slice_width;
-        }
-    }
-
-    /// Widens the lockstep slice beyond the base latency floor using a
-    /// cheap spherical lower bound on the minimum cross-shard distance
-    /// (per-shard centre + radius, triangle inequality). Wider slices mean
-    /// fewer boundary exchanges; any safe lower bound preserves the lookahead
-    /// invariant, and the slice width never affects the schedule.
-    fn refine_slice_width(&mut self) {
-        let (base_width, can_shard) = lookahead(&self.shared.topology);
-        self.shared.can_shard = can_shard;
-        let mut width = base_width;
-        let lm = self.shared.topology.latency_model();
-        if can_shard && self.shards.len() > 1 && lm.per_km_micros > 0.0 {
-            let count = self.shards.len();
-            let mut centre: Vec<Option<GeoPoint>> = vec![None; count];
-            let mut radius = vec![0.0f64; count];
-            for info in self.shared.topology.iter() {
-                let r = self.shared.place[info.index.as_usize()].region as usize;
-                match centre[r] {
-                    None => centre[r] = Some(info.geo),
-                    Some(c) => radius[r] = radius[r].max(c.distance_km(info.geo)),
-                }
-            }
-            let mut min_km = f64::INFINITY;
-            for a in 0..count {
-                for b in a + 1..count {
-                    if let (Some(ca), Some(cb)) = (centre[a], centre[b]) {
-                        min_km = min_km.min((ca.distance_km(cb) - radius[a] - radius[b]).max(0.0));
-                    }
-                }
-            }
-            if min_km.is_finite() && min_km > 0.0 {
-                let floor = ((lm.base.as_micros() as f64 + min_km * lm.per_km_micros)
-                    * (1.0 - lm.jitter))
-                    .floor() as u64;
-                // -2 µs covers sub-µs rounding in `nominal` and the
-                // round-to-nearest of the jitter sample.
-                width = width.max(floor.saturating_sub(2)).max(base_width);
-            }
-        }
-        self.shared.slice_width = width.max(1);
-    }
-
-    /// Pulls every node state machine back out in global index order.
-    fn take_nodes(&mut self) -> Vec<N> {
-        let n = self.shared.place.len();
-        let mut per_shard: Vec<std::vec::IntoIter<N>> =
-            self.shards.iter_mut().map(|s| std::mem::take(&mut s.nodes).into_iter()).collect();
-        (0..n)
-            .map(|i| {
-                per_shard[self.shared.place[i].region as usize].next().expect("one node per slot")
-            })
-            .collect()
-    }
-
-    /// Sets the number of region shards (clamped to the number of distinct
-    /// topology region names). The schedule is region-count invariant:
-    /// traces are byte-identical at any setting.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the world has started or events are pending.
-    pub fn set_region_count(&mut self, count: usize) {
-        assert!(!self.started && self.pending() == 0, "set_region_count before starting the world");
-        let nodes = self.take_nodes();
-        self.distribute(nodes, count.max(1));
     }
 
     /// Sets the calendar-queue geometry (bucket width in µs, bucket
-    /// count). The schedule is bucket-width invariant: traces are
+    /// count). The schedule is geometry invariant: traces are
     /// byte-identical at any setting.
     ///
     /// # Panics
@@ -1149,12 +683,7 @@ impl<N: Node> World<N> {
             !self.started && self.pending() == 0,
             "set_wheel_geometry before starting the world"
         );
-        self.bucket_width = width_micros.max(1);
-        self.bucket_count = buckets.max(2);
-        for shard in &mut self.shards {
-            shard.queue = CalendarQueue::new(self.bucket_width, self.bucket_count);
-            shard.head = None;
-        }
+        self.queue = CalendarQueue::new(width_micros, buckets);
     }
 
     /// Has no effect: the world always runs on the calling thread.
@@ -1166,22 +695,10 @@ impl<N: Node> World<N> {
     #[doc(hidden)]
     pub fn set_threads(&mut self, _threads: usize) {}
 
-    /// Number of region shards.
-    pub fn region_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The lockstep slice width in microseconds (the cross-region
-    /// lookahead: the stretch a region drains before the boundary
-    /// exchange).
-    pub fn slice_micros(&self) -> u64 {
-        self.shared.slice_width
-    }
-
     /// Live per-link connection-state entries (bounded by churn purging;
     /// see the link-state leak regression test).
     pub fn link_state_count(&self) -> usize {
-        self.shards.iter().map(|s| s.links.iter().map(FnvHashMap::len).sum::<usize>()).sum()
+        self.links.iter().map(FnvHashMap::len).sum()
     }
 
     /// Current simulated time.
@@ -1191,42 +708,40 @@ impl<N: Node> World<N> {
 
     /// The physical topology.
     pub fn topology(&self) -> &Topology {
-        &self.shared.topology
+        &self.topology
     }
 
     /// Immutable access to a node's state machine.
     pub fn node(&self, index: NodeIndex) -> &N {
-        let p = self.shared.place[index.as_usize()];
-        &self.shards[p.region as usize].nodes[p.slot as usize]
+        &self.nodes[index.as_usize()]
     }
 
     /// Mutable access to a node's state machine (for test setup and for
     /// client APIs layered above the world).
     pub fn node_mut(&mut self, index: NodeIndex) -> &mut N {
-        let p = self.shared.place[index.as_usize()];
-        &mut self.shards[p.region as usize].nodes[p.slot as usize]
+        &mut self.nodes[index.as_usize()]
     }
 
     /// Iterates over all node state machines in global index order.
     pub fn nodes(&self) -> impl Iterator<Item = &N> {
-        self.shared.place.iter().map(|p| &self.shards[p.region as usize].nodes[p.slot as usize])
+        self.nodes.iter()
     }
 
     /// Whether `node` is currently alive.
     pub fn is_alive(&self, node: NodeIndex) -> bool {
-        self.shared.alive[node.as_usize()]
+        self.alive[node.as_usize()]
     }
 
     /// Sets the independent per-message loss probability (ignores loopback).
     pub fn set_loss(&mut self, p: f64) {
-        self.shared.loss = p.clamp(0.0, 1.0);
+        self.loss = p.clamp(0.0, 1.0);
     }
 
     /// Overrides the loss probability on the directed link `from → to`,
     /// shadowing the world-level loss for that link only. A harness-level
     /// call: apply it between runs, like [`set_loss`](Self::set_loss).
     pub fn set_link_loss(&mut self, from: NodeIndex, to: NodeIndex, p: f64) {
-        self.shared.link_faults.insert(link_key(from, to), p.clamp(0.0, 1.0));
+        self.link_faults.insert(link_key(from, to), p.clamp(0.0, 1.0));
     }
 
     /// Schedules a network partition at `at`: nodes with different group
@@ -1234,15 +749,15 @@ impl<N: Node> World<N> {
     /// active (sends are dropped and counted as `sim.messages_partitioned`).
     /// If `heal_at` is given, the partition heals at that time; otherwise
     /// it lasts until [`heal_at`](Self::heal_at) or forever. Partitions
-    /// apply as control barriers, so they are deterministic at any region
-    /// count.
+    /// apply as control events, ordered before every other event at their
+    /// instant.
     ///
     /// # Panics
     ///
     /// Panics if `groups.len()` differs from the node count, if `at` is in
     /// the past, or if `heal_at` precedes `at`.
     pub fn partition_at(&mut self, at: SimTime, heal_at: Option<SimTime>, groups: Vec<u8>) {
-        assert_eq!(groups.len(), self.shared.place.len(), "one group id per node");
+        assert_eq!(groups.len(), self.nodes.len(), "one group id per node");
         assert!(at >= self.now, "cannot schedule into the past");
         let idx = self.partition_specs.len() as u32;
         self.partition_specs.push(groups);
@@ -1269,7 +784,6 @@ impl<N: Node> World<N> {
         regions: &[&str],
     ) {
         let groups = self
-            .shared
             .topology
             .iter()
             .map(|info| u8::from(regions.contains(&info.region.as_str())))
@@ -1288,15 +802,13 @@ impl<N: Node> World<N> {
 
     /// Whether a partition is currently active.
     pub fn partitioned(&self) -> bool {
-        self.shared.partition.is_some()
+        self.partition.is_some()
     }
 
     /// Enables trace collection (with a maximum retained event count).
     pub fn enable_tracing(&mut self, cap: usize) {
         self.tracer = Tracer::enabled(cap);
-        for shard in &mut self.shards {
-            shard.scratch.tracing = true;
-        }
+        self.scratch.tracing = true;
     }
 
     /// The collected trace.
@@ -1316,44 +828,23 @@ impl<N: Node> World<N> {
             return;
         }
         self.started = true;
-        for i in 0..self.shared.place.len() {
-            if self.shared.alive[i] {
-                self.activate_now(NodeIndex(i as u32), Input::Start);
+        for i in 0..self.nodes.len() {
+            if self.alive[i] {
+                self.activate(NodeIndex(i as u32), Input::Start);
+                self.flush_counts();
             }
         }
-    }
-
-    /// Runs one harness activation (start, recovery) at the world's
-    /// current time and merges its effects immediately, mirroring the
-    /// pre-shard engine's direct application order.
-    fn activate_now(&mut self, node: NodeIndex, input: Input<N::Msg>) {
-        let r = self.shared.place[node.as_usize()].region as usize;
-        let window_end = self.window_end;
-        let now = self.now;
-        {
-            let (shards, shared) = (&mut self.shards, &self.shared);
-            let shard = &mut shards[r];
-            shard.now = now;
-            // Synthetic key: only `.at` is observable (trace timestamps);
-            // single-activation merges preserve emission order.
-            shard.cur_key = EvKey { at: now, class: CLASS_CTRL, a: u64::MAX, b: 0 };
-            activate(shard, shared, window_end, node, input);
-        }
-        self.merge_shard(r);
     }
 
     fn push_harness_deliver(&mut self, at: SimTime, from: NodeIndex, to: NodeIndex, msg: N::Msg) {
         self.harness_seq += 1;
         let key = EvKey { at, class: CLASS_HARNESS, a: self.harness_seq, b: 0 };
-        let r = self.shared.place[to.as_usize()].region as usize;
-        // Harness injections go straight into the destination queue: they
-        // happen between run calls, never inside a slice.
-        shard_push(&mut self.shards[r], Entry { key, kind: EntryKind::Deliver { from, to, msg } });
+        self.queue.push(Entry { key, kind: EntryKind::Deliver { from, to, msg } });
     }
 
     /// Injects a message from `from` to `to`, subject to normal latency.
     pub fn inject(&mut self, from: NodeIndex, to: NodeIndex, msg: N::Msg) {
-        let latency = self.shared.topology.sample_latency(from, to, &mut self.rng);
+        let latency = self.topology.sample_latency(from, to, &mut self.rng);
         let at = self.now + latency;
         self.push_harness_deliver(at, from, to, msg);
     }
@@ -1391,175 +882,49 @@ impl<N: Node> World<N> {
     /// Crashes `node` immediately, resetting its link connection state
     /// (both outbound and inbound entries are reclaimed).
     pub fn crash(&mut self, node: NodeIndex) {
-        self.shared.alive[node.as_usize()] = false;
+        self.alive[node.as_usize()] = false;
         self.metrics.inc("sim.crashes", 1.0);
-        let p = self.shared.place[node.as_usize()];
-        self.shards[p.region as usize].links[p.slot as usize].clear();
-        for shard in &mut self.shards {
-            for senders in &mut shard.links {
-                senders.remove(&node.0);
-            }
+        self.links[node.as_usize()].clear();
+        for senders in &mut self.links {
+            senders.remove(&node.0);
         }
-        if !self.shared.link_faults.is_empty() {
+        if !self.link_faults.is_empty() {
             // Link faults model conditions of the *connection*; a restarted
             // node gets fresh links, so purge faults like link state.
             let n = node.0 as u64;
-            self.shared.link_faults.retain(|k, _| (k >> 32) != n && (k & 0xffff_ffff) != n);
+            self.link_faults.retain(|k, _| (k >> 32) != n && (k & 0xffff_ffff) != n);
         }
     }
 
     /// Recovers `node` immediately, delivering [`Input::Start`].
     pub fn recover(&mut self, node: NodeIndex) {
-        if !self.shared.alive[node.as_usize()] {
-            self.shared.alive[node.as_usize()] = true;
+        if !self.alive[node.as_usize()] {
+            self.alive[node.as_usize()] = true;
             self.metrics.inc("sim.recoveries", 1.0);
-            self.activate_now(node, Input::Start);
+            self.activate(node, Input::Start);
+            self.flush_counts();
         }
     }
 
-    /// Merges one shard's counter partials into the registry.
-    fn merge_counters(&mut self, r: usize) {
-        let shard = &mut self.shards[r];
-        for (slot, id) in self.ids.ids.iter().enumerate() {
-            let v = shard.engine[slot];
-            if v != 0.0 {
-                self.metrics.add(*id, v);
-                shard.engine[slot] = 0.0;
-            }
-        }
-        if !shard.counts.is_empty() {
-            let mut counts: Vec<(Cow<'static, str>, f64)> = shard.counts.drain().collect();
+    /// Adds the pre-summed node counters to the registry, names sorted.
+    fn flush_counts(&mut self) {
+        if !self.counts.is_empty() {
+            let mut counts: Vec<(Cow<'static, str>, f64)> = self.counts.drain().collect();
             counts.sort_unstable_by(|a, b| a.0.cmp(&b.0));
             for (name, by) in counts {
                 self.metrics.inc(&name, by);
             }
         }
-        for (name, v) in shard.observations.drain(..) {
-            self.metrics.observe(&name, v);
-        }
     }
 
-    /// Merges one shard's buffered effects (per-event path: the shard's
-    /// trace buffer is already in canonical order).
-    fn merge_shard(&mut self, r: usize) {
-        self.merge_counters(r);
-        let shard = &mut self.shards[r];
-        if !shard.trace_buf.is_empty() {
-            for (key, node, kind, detail) in shard.trace_buf.drain(..) {
-                self.tracer.record(key.at, node, &kind, detail);
-            }
-        }
-    }
-
-    /// Merges every shard's buffered effects in shard order, interleaving
-    /// trace records back into canonical key order (segment boundaries are
-    /// time-monotone, so per-segment flushes concatenate correctly).
-    fn merge_all(&mut self) {
-        for r in 0..self.shards.len() {
-            self.merge_counters(r);
-        }
-        let total: usize = self.shards.iter().map(|s| s.trace_buf.len()).sum();
-        if total > 0 {
-            let mut buf = std::mem::take(&mut self.trace_merge);
-            buf.reserve(total);
-            for shard in &mut self.shards {
-                buf.append(&mut shard.trace_buf);
-            }
-            // Stable: same-key records (one activation) keep emission
-            // order; keys are globally unique across shards.
-            buf.sort_by_key(|r| r.0);
-            for (key, node, kind, detail) in buf.drain(..) {
-                self.tracer.record(key.at, node, &kind, detail);
-            }
-            self.trace_merge = buf;
-        }
-    }
-
-    /// Moves every shard's buffered cross-shard entries into destination
-    /// queues (the slice-boundary handover).
-    fn flush_outgoing(&mut self) {
-        if self.shards.iter().all(|s| s.outgoing_len == 0) {
-            return;
-        }
-        let count = self.shards.len();
-        for src in 0..count {
-            if self.shards[src].outgoing_len == 0 {
-                continue;
-            }
-            for dst in 0..count {
-                if self.shards[src].outgoing[dst].is_empty() {
-                    continue;
-                }
-                let mut buf = std::mem::take(&mut self.shards[src].outgoing[dst]);
-                for e in buf.drain(..) {
-                    shard_push(&mut self.shards[dst], e);
-                }
-                self.shards[src].outgoing[dst] = buf;
-            }
-            self.shards[src].outgoing_len = 0;
-        }
-    }
-
-    /// Whether the lockstep window currently covers time `t` (µs).
-    fn window_contains(&self, t: u64) -> bool {
-        t < self.window_end
-            && (self.window_end == u64::MAX || t >= self.window_end - self.shared.slice_width)
-    }
-
-    /// Moves the window to the slice containing time `t` (µs). This jumps
-    /// forward over empty slices, and also back: a run can stop
-    /// mid-stretch and harness activity (injects between run calls) may
-    /// then schedule work before the speculatively advanced window.
-    /// Outgoing entries are always due at or after the window that
-    /// buffered them, so retreating is safe.
-    fn move_window(&mut self, t: u64) {
-        let w = self.shared.slice_width;
-        let aligned = (t / w).saturating_add(1).saturating_mul(w);
-        // Alignment overflow (pathological far-future event): fall back to
-        // one unbounded window.
-        self.window_end = if aligned <= t { u64::MAX } else { aligned };
-    }
-
-    /// The minimal pending key over the control heap and all shard heads.
-    fn scan_min(&self) -> Option<(EvKey, NextSrc)> {
-        let mut best: Option<(EvKey, NextSrc)> = self.ctrl.peek().map(|r| (r.0.key, NextSrc::Ctrl));
-        for (r, shard) in self.shards.iter().enumerate() {
-            if let Some(k) = shard.head {
-                if best.is_none_or(|(bk, _)| k < bk) {
-                    best = Some((k, NextSrc::Region(r)));
-                }
-            }
-        }
-        best
-    }
-
-    /// Positions the scheduler on the next canonical event: flushes the
-    /// boundary exchange and moves the lockstep window as needed, then
-    /// returns the minimal key over the control heap and all shard queues.
-    fn position_next(&mut self) -> Option<(EvKey, NextSrc)> {
-        loop {
-            if self.window_end == u64::MAX && self.shards.iter().any(|s| s.outgoing_len > 0) {
-                // Unbounded window: there are no further slice boundaries
-                // to flush at, so buffered cross-shard sends must become
-                // visible before the minimum is trusted (the pre-shard
-                // engine direct-pushed these).
-                self.flush_outgoing();
-            }
-            let Some((k, src)) = self.scan_min() else {
-                if self.shards.iter().any(|s| s.outgoing_len > 0) {
-                    self.flush_outgoing();
-                    continue;
-                }
-                return None;
-            };
-            if self.window_contains(k.at.as_micros()) {
-                return Some((k, src));
-            }
-            if self.shards.iter().any(|s| s.outgoing_len > 0) {
-                self.flush_outgoing();
-                continue;
-            }
-            self.move_window(k.at.as_micros());
+    /// The next event: the earlier of the control heap's head and the
+    /// queue's. Control keys, and only they, have class [`CLASS_CTRL`].
+    fn next_key(&mut self) -> Option<EvKey> {
+        let ctrl = self.ctrl.peek().map(|c| c.0.key);
+        let queued = self.queue.peek().map(|e| e.key);
+        match (ctrl, queued) {
+            (Some(c), Some(q)) => Some(c.min(q)),
+            (c, q) => c.or(q),
         }
     }
 
@@ -1568,130 +933,229 @@ impl<N: Node> World<N> {
     /// empty.
     pub fn step(&mut self) -> bool {
         self.start_all();
-        let Some((key, src)) = self.position_next() else {
+        let Some(key) = self.next_key() else {
             return false;
         };
-        self.step_at(key, src);
+        self.step_at(key);
         true
     }
 
-    /// Processes the event `position_next` selected.
-    fn step_at(&mut self, key: EvKey, src: NextSrc) {
+    /// Processes the event `next_key` selected.
+    fn step_at(&mut self, key: EvKey) {
         debug_assert!(key.at >= self.now, "time went backwards");
         self.now = key.at;
-        match src {
-            NextSrc::Ctrl => {
-                let Reverse(ctrl) = self.ctrl.pop().expect("peeked");
-                match ctrl.action {
-                    CtrlAction::Crash => self.crash(ctrl.node),
-                    CtrlAction::Recover => self.recover(ctrl.node),
-                    CtrlAction::Partition(idx) => {
-                        self.shared.partition = Some(self.partition_specs[idx as usize].clone());
-                        self.metrics.inc("sim.partitions", 1.0);
-                    }
-                    CtrlAction::Heal => {
-                        if self.shared.partition.take().is_some() {
-                            self.metrics.inc("sim.heals", 1.0);
-                        }
-                    }
-                }
+        if key.class != CLASS_CTRL {
+            self.process_entry();
+            self.flush_counts();
+            return;
+        }
+        let Reverse(ctrl) = self.ctrl.pop().expect("peeked");
+        match ctrl.action {
+            CtrlAction::Crash => self.crash(ctrl.node),
+            CtrlAction::Recover => self.recover(ctrl.node),
+            CtrlAction::Partition(idx) => {
+                self.partition = Some(self.partition_specs[idx as usize].clone());
+                self.metrics.inc("sim.partitions", 1.0);
             }
-            NextSrc::Region(r) => {
-                let window_end = self.window_end;
-                {
-                    let (shards, shared) = (&mut self.shards, &self.shared);
-                    let shard = &mut shards[r];
-                    process_entry(shard, shared, window_end);
-                    shard.head = shard.queue.peek().map(|e| e.key);
+            CtrlAction::Heal => {
+                if self.partition.take().is_some() {
+                    self.metrics.inc("sim.heals", 1.0);
                 }
-                self.merge_shard(r);
             }
         }
     }
 
-    /// Runs until the queue is empty or simulated time reaches `t`.
-    /// Afterwards `now() == t` unless the queue emptied earlier.
+    /// Pops and handles the queue's head entry — a timer or a same-instant
+    /// delivery batch — at the entry's time.
+    fn process_entry(&mut self) {
+        let entry = self.queue.pop().expect("non-empty");
+        let key = entry.key;
+        self.now = key.at;
+        match entry.kind {
+            EntryKind::Timer { node, tag } => {
+                if self.alive[node.as_usize()] {
+                    self.activate(node, Input::Timer { tag });
+                }
+            }
+            EntryKind::Deliver { from, to, msg } => {
+                debug_assert!(self.batch.is_empty());
+                self.batch.push((from, msg));
+                // Gather the rest of the same-instant batch for `to`. Only
+                // link deliveries batch: their destination-major keys make
+                // same-instant arrivals at one node contiguous in the key
+                // order (harness injections are keyed by call order and
+                // deliver singly).
+                while let Some(next) = self.queue.peek() {
+                    let h = next.key;
+                    if h.at != key.at || h.class != CLASS_LINK || (h.a >> 32) as u32 != to.0 {
+                        break;
+                    }
+                    let popped = self.queue.pop().expect("peeked");
+                    let EntryKind::Deliver { from, msg, .. } = popped.kind else {
+                        unreachable!("class-checked Deliver above");
+                    };
+                    self.batch.push((from, msg));
+                }
+                let n = self.batch.len() as f64;
+                if self.alive[to.as_usize()] {
+                    self.metrics.add(self.engine_ids[EC_DELIVERED], n);
+                    if self.batch.len() > 1 {
+                        self.metrics.add(self.engine_ids[EC_BATCHES], 1.0);
+                        self.metrics.add(self.engine_ids[EC_BATCHED], n);
+                    }
+                    self.activate_batch(to);
+                } else {
+                    self.metrics.add(self.engine_ids[EC_DROPPED_DEAD], n);
+                    self.batch.clear();
+                }
+            }
+        }
+    }
+
+    /// Runs one node activation for a single input.
+    fn activate(&mut self, node: NodeIndex, input: Input<N::Msg>) {
+        self.apply_seq += 1;
+        self.nodes[node.as_usize()].handle(self.now, input, &mut self.scratch);
+        self.apply_effects(node);
+    }
+
+    /// Runs one node activation for the gathered same-instant batch.
+    fn activate_batch(&mut self, to: NodeIndex) {
+        self.apply_seq += 1;
+        let mut batch = Batch { inner: self.batch.drain(..) };
+        self.nodes[to.as_usize()].on_batch(self.now, &mut batch, &mut self.scratch);
+        drop(batch);
+        self.apply_effects(to);
+    }
+
+    /// Drains the scratch outbox of one activation into the schedule, the
+    /// metrics and the trace, preserving the outbox's capacity.
+    fn apply_effects(&mut self, from: NodeIndex) {
+        if !self.scratch.sends.is_empty() {
+            let mut sends = std::mem::take(&mut self.scratch.sends);
+            for (to, msg, extra) in sends.drain(..) {
+                self.dispatch_send(from, to, msg, extra);
+            }
+            self.scratch.sends = sends;
+        }
+        if !self.scratch.timers.is_empty() {
+            let mut timers = std::mem::take(&mut self.scratch.timers);
+            for (delay, tag) in timers.drain(..) {
+                self.timer_seq[from.as_usize()] += 1;
+                let key = EvKey {
+                    at: self.now + delay,
+                    class: CLASS_TIMER,
+                    a: from.0 as u64,
+                    b: self.timer_seq[from.as_usize()],
+                };
+                self.queue.push(Entry { key, kind: EntryKind::Timer { node: from, tag } });
+            }
+            self.scratch.timers = timers;
+        }
+        for (name, by) in self.scratch.counts.drain(..) {
+            *self.counts.entry(name).or_insert(0.0) += by;
+        }
+        for (name, v) in self.scratch.observations.drain(..) {
+            self.metrics.observe(&name, v);
+        }
+        // Non-empty only while tracing: the scratch outbox drops traces at
+        // the call otherwise.
+        for (kind, detail) in self.scratch.traces.drain(..) {
+            self.tracer.record(self.now, from, &kind, detail);
+        }
+    }
+
+    /// Schedules one send: latency sampling (shared per activation and
+    /// link), loss, and FIFO clamping.
+    fn dispatch_send(&mut self, from: NodeIndex, to: NodeIndex, msg: N::Msg, extra: SimDuration) {
+        if to.as_usize() >= self.nodes.len() {
+            self.metrics.add(self.engine_ids[EC_BAD_DESTINATION], 1.0);
+            return;
+        }
+        if let Some(groups) = &self.partition {
+            if groups[from.as_usize()] != groups[to.as_usize()] {
+                self.metrics.add(self.engine_ids[EC_PARTITIONED], 1.0);
+                return;
+            }
+        }
+        let (topology, seed) = (&self.topology, self.seed);
+        let ls = self.links[from.as_usize()].entry(to.0).or_insert_with(|| {
+            let nominal = topology.nominal_latency(from, to).as_micros();
+            LinkState {
+                last_at: 0,
+                nominal,
+                jittered: nominal,
+                last_apply: 0,
+                rng: link_stream_seed(seed, from, to),
+                seq: 0,
+            }
+        });
+        if ls.last_apply != self.apply_seq {
+            // First message of this activation on this link: sample the
+            // connection's latency once; the rest of the flush shares it.
+            ls.last_apply = self.apply_seq;
+            ls.jittered = if to == from || self.jitter <= 0.0 {
+                ls.nominal
+            } else {
+                let factor = 1.0 - self.jitter + 2.0 * self.jitter * splitmix_unit(&mut ls.rng);
+                (ls.nominal as f64 * factor).round() as u64
+            };
+        }
+        let loss = if self.link_faults.is_empty() {
+            self.loss
+        } else {
+            self.link_faults.get(&link_key(from, to)).copied().unwrap_or(self.loss)
+        };
+        if loss > 0.0 && to != from && splitmix_unit(&mut ls.rng) < loss {
+            self.metrics.add(self.engine_ids[EC_LOST], 1.0);
+            return;
+        }
+        // Per-link FIFO: links are connection-oriented (the architecture's
+        // web-service interfaces run over TCP); equal times are allowed
+        // and preserve send order via the link sequence number.
+        let mut at = self.now.as_micros() + ls.jittered + extra.as_micros();
+        if at < ls.last_at {
+            at = ls.last_at;
+        }
+        ls.last_at = at;
+        ls.seq += 1;
+        let key = EvKey {
+            at: SimTime::from_micros(at),
+            class: CLASS_LINK,
+            a: ((to.0 as u64) << 32) | from.0 as u64,
+            b: ls.seq,
+        };
+        self.metrics.add(self.engine_ids[EC_SENT], 1.0);
+        self.queue.push(Entry { key, kind: EntryKind::Deliver { from, to, msg } });
+    }
+
+    /// Runs until the queue is empty or simulated time reaches `t`;
+    /// afterwards `now()` is at least `t`.
     ///
-    /// Runs slice by slice in *segments* (stretches free of control
-    /// events): each region in turn drains its own queue for the current
-    /// lockstep window, crash/recover events act as barriers between
-    /// segments, and the boundary exchange is flushed between windows.
-    /// With tracing on, trace records are merged back into canonical key
-    /// order at each segment boundary, so the trace is byte-identical at
-    /// any region count.
+    /// Drains the queue in key order up to the next control event (crash,
+    /// recovery, partition, heal), applies that event, and goes on. Node
+    /// counters reach the registry at each of those boundaries.
     pub fn run_until(&mut self, t: SimTime) {
         self.start_all();
-        loop {
-            self.flush_outgoing();
-            let Some((k, src)) = self.scan_min() else {
-                break;
-            };
-            if k.at > t {
+        while let Some(key) = self.next_key() {
+            if key.at > t {
                 break;
             }
-            if let NextSrc::Ctrl = src {
-                // Everything ordered before the control event has been
-                // processed (it is the global minimum): apply it through
-                // the one authoritative control path.
-                self.step_at(k, src);
+            if key.class == CLASS_CTRL {
+                self.step_at(key);
                 continue;
             }
-            if !self.window_contains(k.at.as_micros()) {
-                self.move_window(k.at.as_micros());
-            }
-            if self.window_end == u64::MAX {
-                // Degenerate unbounded window (alignment overflow): drain
-                // everything due up to `t` honouring control barriers;
-                // cross-shard traffic flushes between outer-loop passes.
-                let barrier = self.ctrl.peek().map(|c| c.0.key);
-                for r in 0..self.shards.len() {
-                    let (shards, shared) = (&mut self.shards, &self.shared);
-                    drain_shard(&mut shards[r], shared, t, barrier, u64::MAX);
-                    // Flush after every shard: with no further slice
-                    // boundaries, later-drained shards must see earlier
-                    // shards' sends in this same pass (the pre-shard
-                    // engine direct-pushed these).
-                    self.flush_outgoing();
+            let barrier = self.ctrl.peek().map(|c| c.0.key);
+            while let Some(head) = self.queue.peek().map(|e| e.key) {
+                if head.at > t || barrier.is_some_and(|b| head > b) {
+                    break;
                 }
-                self.merge_all();
-                continue;
+                self.process_entry();
             }
-            self.run_segment(t);
-            self.merge_all();
+            self.flush_counts();
         }
         if self.now < t {
             self.now = t;
-        }
-    }
-
-    /// Drains whole windows until a control event comes due, `t` is
-    /// reached, the queues empty, or the window degenerates.
-    fn run_segment(&mut self, t: SimTime) {
-        loop {
-            self.flush_outgoing();
-            let Some((k, src)) = self.scan_min() else {
-                return;
-            };
-            if k.at > t || matches!(src, NextSrc::Ctrl) {
-                return;
-            }
-            if !self.window_contains(k.at.as_micros()) {
-                self.move_window(k.at.as_micros());
-                if self.window_end == u64::MAX {
-                    return;
-                }
-            }
-            let barrier = self.ctrl.peek().map(|c| c.0.key);
-            let stop_at = SimTime::from_micros(t.as_micros().min(self.window_end - 1));
-            let window_end = self.window_end;
-            let (shards, shared) = (&mut self.shards, &self.shared);
-            for shard in shards.iter_mut() {
-                // The cached head gates the drain: idle shards skip the
-                // queue peek + refresh entirely.
-                if shard.head.is_some_and(|h| h.at <= stop_at && barrier.is_none_or(|b| h <= b)) {
-                    drain_shard(shard, shared, stop_at, barrier, window_end);
-                }
-            }
         }
     }
 
@@ -1707,7 +1171,7 @@ impl<N: Node> World<N> {
         self.start_all();
         let mut first = true;
         loop {
-            let Some((key, src)) = self.position_next() else {
+            let Some(key) = self.next_key() else {
                 // Mirrors the seed scheduler: the returned settle time
                 // (and `now`) never exceed the limit, even when the final
                 // processed event lay beyond it.
@@ -1723,16 +1187,15 @@ impl<N: Node> World<N> {
                 break;
             }
             first = false;
-            self.step_at(key, src);
+            self.step_at(key);
         }
         self.now = limit;
         limit
     }
 
-    /// Number of entries waiting across all queues (control events, shard
-    /// queues, and the boundary exchange).
+    /// Number of entries waiting (control events and the queue).
     pub fn pending(&self) -> usize {
-        self.ctrl.len() + self.shards.iter().map(|s| s.queue.len() + s.outgoing_len).sum::<usize>()
+        self.ctrl.len() + self.queue.len()
     }
 }
 
@@ -2032,46 +1495,91 @@ mod tests {
     }
 
     #[test]
-    fn region_count_and_wheel_geometry_do_not_change_outcomes() {
-        let run = |regions: usize, width: u64, buckets: usize| {
+    fn wheel_geometry_does_not_change_outcomes() {
+        let run = |width: u64, buckets: usize| {
             let t = Topology::random(8, &["scotland", "us-east", "asia", "brazil"], 5);
             let nodes = (0..8).map(|_| TestNode::default()).collect();
             let mut w = World::new(t, 5, nodes);
-            w.set_region_count(regions);
             w.set_wheel_geometry(width, buckets);
             for i in 0..8u32 {
                 w.inject(NodeIndex(i), NodeIndex((i + 1) % 8), M::Ping);
+                w.inject(NodeIndex(i), NodeIndex((i + 3) % 8), M::Burst(i));
             }
             w.run_until(SimTime::from_secs(2));
-            let pongs: Vec<u32> = w.nodes().map(|n| n.pongs).collect();
+            let pongs: Vec<(u32, Vec<usize>)> =
+                w.nodes().map(|n| (n.pongs, n.batch_sizes.clone())).collect();
             (pongs, w.metrics().counter("sim.messages_sent"), w.now())
         };
-        let baseline = run(1, DEFAULT_BUCKET_WIDTH, DEFAULT_BUCKET_COUNT);
-        assert_eq!(baseline, run(2, DEFAULT_BUCKET_WIDTH, DEFAULT_BUCKET_COUNT));
-        assert_eq!(baseline, run(4, 64, 32));
-        assert_eq!(baseline, run(4, 10_000, 8));
+        let baseline = run(DEFAULT_BUCKET_WIDTH, DEFAULT_BUCKET_COUNT);
+        for (width, buckets) in [(1, 2), (64, 32), (10_000, 8)] {
+            assert_eq!(baseline, run(width, buckets), "width={width} buckets={buckets}");
+        }
     }
 
+    /// Drives the calendar queue directly against a binary heap of keys:
+    /// random scripts of bursts into the current bucket, pushes across the
+    /// wheel and past its horizon, peeks, pops, and pauses that leave the
+    /// wheel ahead of `now` (as a run that stops short of the next event
+    /// does) must pop in the identical order at every geometry.
     #[test]
-    fn multi_region_world_shards_by_topology_region() {
-        let t = Topology::random(8, &["scotland", "us-east"], 5);
-        let nodes = (0..8).map(|_| TestNode::default()).collect::<Vec<_>>();
-        let w = World::new(t, 5, nodes);
-        assert_eq!(w.region_count(), 2);
-        assert_ne!(w.shared.place[0].region, w.shared.place[1].region);
-        assert!(w.slice_micros() > 0);
-    }
-
-    #[test]
-    fn slice_width_refinement_never_narrows_the_base_floor() {
-        let t = Topology::random(16, &["scotland", "brazil"], 3);
-        let lm = t.latency_model();
-        let base_floor = (lm.base.as_micros() as f64 * (1.0 - lm.jitter)).floor() as u64;
-        let nodes = (0..16).map(|_| TestNode::default()).collect::<Vec<_>>();
-        let w = World::new(t, 3, nodes);
-        // Distant region pair: the refined cross-shard lookahead widens
-        // the slice well past the base floor.
-        assert!(w.slice_micros() > base_floor, "refined {} <= base {base_floor}", w.slice_micros());
+    fn calendar_queue_pops_in_binary_heap_order() {
+        let mut r = 0x0ddba11_u64;
+        let geometries = [(1, 2), (1, 8), (4, 4), (64, 32), (1024, 256), (8192, 2)];
+        for case in 0..240u64 {
+            let (width, buckets) = geometries[(case % 6) as usize];
+            let span = width * buckets as u64;
+            let mut q: CalendarQueue<()> = CalendarQueue::new(width, buckets);
+            let mut oracle: BinaryHeap<Reverse<EvKey>> = BinaryHeap::new();
+            let mut now = 0u64;
+            let mut seq = 0u64;
+            let mut push =
+                |q: &mut CalendarQueue<()>, oracle: &mut BinaryHeap<_>, at: u64, x: u64| {
+                    seq += 1;
+                    let key = EvKey {
+                        at: SimTime::from_micros(at),
+                        class: 1 + (x % 3) as u8,
+                        a: x >> 60,
+                        b: seq,
+                    };
+                    oracle.push(Reverse(key));
+                    q.push(Entry { key, kind: EntryKind::Timer { node: NodeIndex(0), tag: seq } });
+                };
+            for _ in 0..300 {
+                let x = splitmix64(&mut r);
+                match x % 10 {
+                    // A burst due in (or next to) the current bucket.
+                    0..=2 => {
+                        for _ in 0..1 + (x >> 8) % 40 {
+                            let y = splitmix64(&mut r);
+                            push(&mut q, &mut oracle, now + y % (2 * width), y);
+                        }
+                    }
+                    3 => push(&mut q, &mut oracle, now + x % span, x),
+                    // Past the horizon: the overflow heap.
+                    4 => push(&mut q, &mut oracle, now + span + x % (3 * span), x),
+                    5 => {
+                        // Stop short of the head, as `run_until` does.
+                        let head = q.peek().map(|e| e.key);
+                        assert_eq!(head, oracle.peek().map(|k| k.0), "case {case}: peek");
+                        if let Some(h) = head {
+                            now += (x >> 8) % (h.at.as_micros() - now + 1);
+                        }
+                    }
+                    _ => {
+                        let got = q.pop().map(|e| e.key);
+                        assert_eq!(got, oracle.pop().map(|k| k.0), "case {case}: pop");
+                        if let Some(k) = got {
+                            now = k.at.as_micros();
+                        }
+                    }
+                }
+                assert_eq!(q.len(), oracle.len(), "case {case}: len");
+            }
+            while let Some(Reverse(want)) = oracle.pop() {
+                assert_eq!(q.pop().map(|e| e.key), Some(want), "case {case}: drain");
+            }
+            assert!(q.pop().is_none(), "case {case}: queue outlived the oracle");
+        }
     }
 
     /// Renders a trace detail per message and counts the renderings.

@@ -54,9 +54,9 @@ pub type FnvHashMap<K, V> = HashMap<K, V, FnvBuildHasher>;
 /// The engine gives every network link its own splitmix64 stream for
 /// jitter and loss sampling: the stream a link draws from depends only on
 /// the world seed and the link's endpoints, never on how activity on other
-/// links interleaves — the property that makes the sharded scheduler's
-/// traces region-count invariant. Public so scheduler-equivalence tests
-/// can transcribe the sampling exactly.
+/// links interleaves — so a trace depends on the event order alone, not
+/// on the order the scheduler happened to visit links in. Public so
+/// scheduler-equivalence tests can transcribe the sampling exactly.
 pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;

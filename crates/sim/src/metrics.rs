@@ -31,8 +31,7 @@ use std::sync::OnceLock;
 pub struct Histogram {
     samples: Vec<f64>,
     /// Memoised ascending sample view + summary, cleared by the `&mut`
-    /// mutation paths (`OnceLock` keeps the type `Sync`: queries stay
-    /// `&self` and shareable across threads).
+    /// mutation paths (so queries stay `&self`).
     cache: OnceLock<(Vec<f64>, Summary)>,
 }
 
@@ -128,8 +127,8 @@ impl Histogram {
     ///
     /// All statistics (including the mean, summed over the ascending
     /// view) are functions of the sample *multiset*, so summaries are
-    /// identical regardless of recording order — which is what lets the
-    /// threaded simulator merge shard observations region-by-region.
+    /// identical regardless of recording order or of the order in which
+    /// histograms are combined with [`merge`](Self::merge).
     pub fn summary(&self) -> Summary {
         if self.samples.is_empty() {
             return Summary::default();

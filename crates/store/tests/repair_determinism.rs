@@ -2,8 +2,9 @@
 //! lost original (systematic Reed–Solomon plus the lowest-`m`-indices
 //! surplus rule makes decode a pure function of *which* shards survive,
 //! not of arrival order), and a full crash → repair-storm → re-converge
-//! scenario must be reproducible — same seed, same final state, with the
-//! default region sharding or in one queue.
+//! scenario must be reproducible — same seed, same final state, at the
+//! default calendar-queue geometry or at 1 µs × 2 buckets, whose 2 µs
+//! horizon sends every message and timer through the overflow heap.
 
 use gloss_sim::{NodeIndex, SimDuration};
 use gloss_store::{Document, ErasureCode, Priority, StoreConfig, StoreNetwork};
@@ -66,9 +67,9 @@ proptest! {
 
 /// Runs a fixed crash-and-repair storm and digests the final state:
 /// repair/lookup counters, per-document redundancy, and shard survival.
-/// The world keeps its default sharding, or runs in one region when
-/// `one_queue` is set.
-fn storm_digest(one_queue: bool) -> String {
+/// The world keeps its default wheel geometry, or runs on the narrow one
+/// when `narrow` is set.
+fn storm_digest(narrow: bool) -> String {
     let cfg = StoreConfig {
         replicas: 2,
         heal_interval: SimDuration::from_secs(10),
@@ -76,10 +77,9 @@ fn storm_digest(one_queue: bool) -> String {
         ..Default::default()
     };
     let mut net = StoreNetwork::build(24, cfg, 4242);
-    if one_queue {
-        net.world_mut().set_region_count(1);
+    if narrow {
+        net.world_mut().set_wheel_geometry(1, 2);
     }
-    assert_eq!(net.world().region_count() == 1, one_queue, "the default world shards");
     net.settle();
     let docs: Vec<Document> = (0..6)
         .map(|i| {
@@ -126,6 +126,6 @@ fn repair_storm_is_reproducible() {
 }
 
 #[test]
-fn repair_storm_is_region_count_invariant() {
-    assert_eq!(storm_digest(true), storm_digest(false), "the sharded world diverged");
+fn repair_storm_is_wheel_geometry_invariant() {
+    assert_eq!(storm_digest(true), storm_digest(false), "the narrow wheel diverged");
 }
