@@ -623,8 +623,8 @@ fn s3_overlay_scaling(c: &mut Criterion) {
 
 /// S4: churn-heavy steady state — one crash/recover episode over a settled
 /// overlay (an eighth of the nodes fail, detection + repair runs, they
-/// return). Exercises the link-state purge and the control barriers (each
-/// crash/recover ends a segment).
+/// return). Exercises the link-state purge and the control events (each
+/// crash/recover flushes the pending node counters).
 fn s4_churn_episode(c: &mut Criterion) {
     let smoke = std::env::var("GLOSS_BENCH_SMOKE").is_ok_and(|v| v != "0");
     let n: usize = if smoke { 32 } else { 96 };
@@ -843,11 +843,11 @@ fn s7_shared_prefix(c: &mut Criterion) {
     }
 }
 
-/// Q1: the simulator's event queue under a burst of entries all due in
-/// the bucket being drained — the case a sorted insert into that bucket
-/// made quadratic. One world; each iteration injects the burst at `now`
-/// and drains it (the sink nodes send nothing back).
-fn q1_straggler_burst(c: &mut Criterion) {
+/// Q1: the simulator's event queue under a burst of entries all due at
+/// one instant — the case an earlier queue's sorted insert made quadratic;
+/// a key heap pays O(log n) per entry. One world; each iteration injects
+/// the burst at `now` and drains it (the sink nodes send nothing back).
+fn q1_same_instant_burst(c: &mut Criterion) {
     use gloss_sim::{Input, Node, Outbox, Topology, World};
     struct Sink;
     impl Node for Sink {
@@ -859,7 +859,7 @@ fn q1_straggler_burst(c: &mut Criterion) {
     let n = 64;
     let mut world = World::new(Topology::lan(n, 3), 3, (0..n).map(|_| Sink).collect());
     world.start_all();
-    c.bench_function(&format!("q1_straggler_burst_{burst}"), |b| {
+    c.bench_function(&format!("q1_same_instant_burst_{burst}"), |b| {
         b.iter(|| {
             let at = world.now();
             for i in 0..burst {
@@ -960,6 +960,6 @@ criterion_group! {
               c10_erasure, c13_rule_churn, m1_histogram_polling, s1_rule_scaling,
               s2_join_deep_buffer, s2_join_window_steady, s3_overlay_scaling, s4_churn_episode,
               s5_mobility_roam, s6_subscriber_publish, s7_shared_prefix, c17_flash_crowd_burst,
-              q1_straggler_burst
+              q1_same_instant_burst
 }
 criterion_main!(experiments);

@@ -40,8 +40,8 @@ pub fn chatter(Args { nodes, seed, .. }: Args) -> String {
         w.inject(a, b, 8);
     }
     // Push the whole crash/recover schedule and the event bulk through
-    // `run_until` — the bulk drain between control barriers — before the
-    // per-event quiescence tail.
+    // `run_until` — which flushes node counters only at control events —
+    // before the per-event quiescence tail.
     w.run_until(SimTime::from_millis(400));
     let settle = w.run_to_quiescence(SimTime::from_secs(60));
     let mut digest = FnvHasher::default();

@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 /// A factory closure producing `T` from XML configuration.
-type Factory<T> = Box<dyn Fn(&Element) -> Result<T, String> + Send + Sync>;
+type Factory<T> = Box<dyn Fn(&Element) -> Result<T, String>>;
 
 /// A registry of factories producing `T` from XML configuration.
 pub struct Registry<T> {
@@ -42,7 +42,7 @@ impl<T> Registry<T> {
     pub fn register(
         &mut self,
         kind: impl Into<String>,
-        factory: impl Fn(&Element) -> Result<T, String> + Send + Sync + 'static,
+        factory: impl Fn(&Element) -> Result<T, String> + 'static,
     ) {
         self.factories.insert(kind.into(), Box::new(factory));
     }

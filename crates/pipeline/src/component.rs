@@ -38,7 +38,7 @@ impl Emit {
 }
 
 /// A pipeline component: anything with a `put(event)` interface.
-pub trait Component: fmt::Debug + Send {
+pub trait Component: fmt::Debug {
     /// The component's instance name (for tracing and assembly).
     fn name(&self) -> &str;
 

@@ -8,29 +8,23 @@
 //!
 //! # Scheduler architecture
 //!
-//! The event plane is one bucketed queue for 1k–4k-node workloads, and
-//! runs on the calling thread:
+//! The event plane is one queue, drained on the calling thread:
 //!
-//! - **Calendar queue.** A timer-wheel of fixed-width buckets over the
-//!   near future plus an overflow heap for far-future entries (long
-//!   timers). The bucket being drained is sorted once into a vec popped
-//!   from its end; entries that arrive for it later go onto that vec's end
-//!   when they sort below its tail, and into a small straggler heap
-//!   otherwise. A pop takes the smaller of the two, so a burst of entries
-//!   due in the current bucket costs O(log n) each, not a vec shift.
-//! - **Control barriers.** Crashes, recoveries, partitions and heals sit in
-//!   their own heap; `run_until` drains the queue up to the next one,
-//!   applies it, and goes on. Node-emitted counters are pre-summed per name
-//!   and reach the registry at those boundaries.
+//! - **One key heap.** Every pending event — message, timer, and harness
+//!   control event alike — sits in one binary heap of `(EvKey, slot)`
+//!   pairs; the payloads live in a slab indexed by slot, so a sift moves a
+//!   key, never a message, and freed slots are reused.
+//! - **Control events in line.** Crashes, recoveries, partitions and heals
+//!   have the lowest event class, so they apply before every other event
+//!   at their instant. Node-emitted counters are pre-summed per name and
+//!   reach the registry just before each control event applies and when a
+//!   step or a run ends.
 //! - **Canonical event keys.** Every entry carries an `EvKey` that is a
 //!   pure function of *what* the event is (link + per-link sequence, node +
 //!   per-node timer sequence, harness call order) rather than of push
-//!   order. Processing events in key order therefore yields the same
-//!   schedule at any bucket geometry: same seed, same trace. The
-//!   `engine_equivalence` integration test checks this against a
-//!   single-heap transcription of the seed scheduler; the
-//!   `region_determinism` test checks byte-identical traces across wheel
-//!   geometries.
+//!   order: same seed, same trace. The `engine_equivalence` integration
+//!   test checks the engine against a transcription of the seed
+//!   scheduler.
 //! - **Per-link state.** A flat FNV map per sender caches the jitter-free
 //!   latency of each link (the haversine distance is computed once, not per
 //!   message), carries the link's deterministic jitter/loss stream, and
@@ -298,7 +292,7 @@ const CLASS_HARNESS: u8 = 3;
 ///
 /// Because each component is derived from deterministic per-node /
 /// per-link / per-harness-call counters, the induced order — and therefore
-/// the trace — is identical at any bucket geometry.
+/// the trace — depends on the seed and the harness script alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct EvKey {
     at: SimTime,
@@ -307,37 +301,8 @@ struct EvKey {
     b: u64,
 }
 
-#[derive(Debug)]
-enum EntryKind<M> {
-    Deliver { from: NodeIndex, to: NodeIndex, msg: M },
-    Timer { node: NodeIndex, tag: u64 },
-}
-
-#[derive(Debug)]
-struct Entry<M> {
-    key: EvKey,
-    kind: EntryKind<M>,
-}
-
-impl<M> PartialEq for Entry<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl<M> Eq for Entry<M> {}
-impl<M> PartialOrd for Entry<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Entry<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
-    }
-}
-
 /// What a scheduled control event does when it comes due.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy)]
 enum CtrlAction {
     Crash,
     Recover,
@@ -347,154 +312,58 @@ enum CtrlAction {
     Heal,
 }
 
-/// A crash, recovery, partition, or heal scheduled by the harness. Held
-/// outside the calendar queue: control events change global state
-/// (aliveness, link purges, reachability), so a run drains the queue only
-/// up to the next one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct CtrlEntry {
-    key: EvKey,
-    node: NodeIndex,
-    action: CtrlAction,
-}
-
-/// A calendar queue: a timer-wheel of `width`-microsecond buckets covering
-/// the near future, the current bucket in a sorted vec plus a straggler
-/// heap, and an overflow heap for entries beyond the wheel horizon (long
-/// timers).
-///
-/// Pop order is exactly ascending [`EvKey`] order: the wheel partitions by
-/// time, the vec and the straggler heap together order the current
-/// bucket, and same-`at` entries always land in the same bucket.
+/// A queued event's payload. `Ctrl` is a crash, recovery, partition, or
+/// heal scheduled by the harness.
 #[derive(Debug)]
-struct CalendarQueue<M> {
-    /// The current bucket's entries, sorted descending by key (pop from
-    /// the end). `settle` loads and sorts a bucket once; a later arrival
-    /// joins the end only when it sorts below the tail.
-    active: Vec<Entry<M>>,
-    /// Later arrivals into the current bucket that do not sort below
-    /// `active`'s tail. A heap costs a burst of them O(log n) each, where
-    /// a sorted insert into `active` would shift the vec every time.
-    stragglers: BinaryHeap<Reverse<Entry<M>>>,
-    buckets: Vec<Vec<Entry<M>>>,
-    /// log2 of the bucket width in µs (widths round up to a power of two
-    /// so the per-push bucket math is a shift, not a division).
-    shift: u32,
-    /// `buckets.len() - 1`; the count is a power of two.
-    mask: usize,
-    /// Start time (µs) of the current bucket; a multiple of the width.
-    wheel_start: u64,
-    in_buckets: usize,
-    overflow: BinaryHeap<Reverse<Entry<M>>>,
-    len: usize,
+enum EntryKind<M> {
+    Deliver { from: NodeIndex, to: NodeIndex, msg: M },
+    Timer { node: NodeIndex, tag: u64 },
+    Ctrl { node: NodeIndex, action: CtrlAction },
 }
 
-impl<M> CalendarQueue<M> {
-    fn new(width: u64, buckets: usize) -> Self {
-        let shift = width.max(1).next_power_of_two().trailing_zeros();
-        let buckets = buckets.max(2).next_power_of_two();
-        CalendarQueue {
-            active: Vec::new(),
-            stragglers: BinaryHeap::new(),
-            buckets: (0..buckets).map(|_| Vec::new()).collect(),
-            shift,
-            mask: buckets - 1,
-            wheel_start: 0,
-            in_buckets: 0,
-            overflow: BinaryHeap::new(),
-            len: 0,
-        }
-    }
+/// Every pending event: a binary heap of `(key, slot)` pairs over a slab
+/// of payloads. A sift moves a key and a slot index, never a message;
+/// popped slots go on a free list and are reused. Pops come out in
+/// ascending [`EvKey`] order.
+#[derive(Debug)]
+struct Queue<M> {
+    keys: BinaryHeap<Reverse<(EvKey, u32)>>,
+    slab: Vec<Option<EntryKind<M>>>,
+    free: Vec<u32>,
+}
 
-    #[inline]
-    fn width(&self) -> u64 {
-        1 << self.shift
+impl<M> Queue<M> {
+    fn new() -> Self {
+        Queue { keys: BinaryHeap::new(), slab: Vec::new(), free: Vec::new() }
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.keys.len()
     }
 
-    fn horizon(&self) -> u64 {
-        self.wheel_start.saturating_add(self.width() * self.buckets.len() as u64)
-    }
-
-    fn push(&mut self, e: Entry<M>) {
-        let t = e.key.at.as_micros();
-        self.len += 1;
-        if t < self.wheel_start + self.width() {
-            if self.active.last().is_none_or(|tail| e.key < tail.key) {
-                self.active.push(e);
-            } else {
-                self.stragglers.push(Reverse(e));
+    fn push(&mut self, key: EvKey, kind: EntryKind<M>) {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(kind);
+                slot
             }
-        } else if t < self.horizon() {
-            self.push_bucket(e);
-        } else {
-            self.overflow.push(Reverse(e));
-        }
-    }
-
-    fn push_bucket(&mut self, e: Entry<M>) {
-        let idx = (e.key.at.as_micros() >> self.shift) as usize & self.mask;
-        self.buckets[idx].push(e);
-        self.in_buckets += 1;
-    }
-
-    /// Advances the wheel until the current bucket holds the queue's
-    /// minimum entry (if any).
-    fn settle(&mut self) {
-        while self.active.is_empty() && self.stragglers.is_empty() && self.len > 0 {
-            if self.in_buckets == 0 {
-                // Nothing in the wheel: jump straight to the earliest
-                // overflow entry instead of sweeping empty buckets.
-                let t = self.overflow.peek().expect("len > 0").0.key.at.as_micros();
-                self.wheel_start = t & !(self.width() - 1);
-            } else {
-                self.wheel_start += self.width();
+            None => {
+                self.slab.push(Some(kind));
+                (self.slab.len() - 1) as u32
             }
-            // Overflow entries the horizon now covers move to their bucket
-            // (the current one included: it is drained next).
-            let horizon = self.horizon();
-            while self.overflow.peek().is_some_and(|Reverse(e)| e.key.at.as_micros() < horizon) {
-                let Reverse(e) = self.overflow.pop().expect("peeked");
-                self.push_bucket(e);
-            }
-            // Drain in place: bucket capacity persists across wheel laps.
-            let cursor = (self.wheel_start >> self.shift) as usize & self.mask;
-            let spilled = &mut self.buckets[cursor];
-            self.in_buckets -= spilled.len();
-            self.active.append(spilled);
-            self.active.sort_unstable_by_key(|e| Reverse(e.key));
-        }
+        };
+        self.keys.push(Reverse((key, slot)));
     }
 
-    /// Whether the straggler heap, not `active`'s tail, holds the minimum.
-    fn straggler_first(&self) -> bool {
-        match (self.stragglers.peek(), self.active.last()) {
-            (Some(Reverse(s)), tail) => tail.is_none_or(|t| s.key < t.key),
-            (None, _) => false,
-        }
+    fn peek(&self) -> Option<EvKey> {
+        self.keys.peek().map(|Reverse((key, _))| *key)
     }
 
-    fn peek(&mut self) -> Option<&Entry<M>> {
-        self.settle();
-        if self.straggler_first() {
-            self.stragglers.peek().map(|Reverse(e)| e)
-        } else {
-            self.active.last()
-        }
-    }
-
-    fn pop(&mut self) -> Option<Entry<M>> {
-        self.settle();
-        let e = if self.straggler_first() {
-            self.stragglers.pop().map(|Reverse(e)| e)
-        } else {
-            self.active.pop()
-        }?;
-        self.len -= 1;
-        Some(e)
+    fn pop(&mut self) -> Option<(EvKey, EntryKind<M>)> {
+        let Reverse((key, slot)) = self.keys.pop()?;
+        self.free.push(slot);
+        let kind = self.slab[slot as usize].take().expect("a queued slot holds its entry");
+        Some((key, kind))
     }
 }
 
@@ -549,7 +418,7 @@ fn link_key(from: NodeIndex, to: NodeIndex) -> u64 {
 }
 
 /// The simulation driver: a topology, one state machine per node, and
-/// one calendar queue popped in canonical key order.
+/// one event queue popped in canonical key order.
 ///
 /// See the [crate docs](crate) for a complete example and the
 /// [module docs](self) for the scheduler architecture.
@@ -562,9 +431,7 @@ pub struct World<N: Node> {
     links: Vec<FnvHashMap<u32, LinkState>>,
     /// Per-node timer sequence numbers (canonical tie-break component).
     timer_seq: Vec<u64>,
-    queue: CalendarQueue<N::Msg>,
-    /// Crash/recover/partition events (barriers for a run's drain).
-    ctrl: BinaryHeap<Reverse<CtrlEntry>>,
+    queue: Queue<N::Msg>,
     /// Partition group vectors referenced by scheduled
     /// [`CtrlAction::Partition`] events.
     partition_specs: Vec<Vec<u8>>,
@@ -597,7 +464,8 @@ pub struct World<N: Node> {
     engine_ids: [CounterId; ENGINE_COUNTERS],
     /// Node-emitted counter increments, pre-summed per name (bounded by
     /// the distinct-name count, not the event count) and added to the
-    /// registry, names sorted, when a step or a run's drain ends.
+    /// registry, names sorted, before a control event applies and when a
+    /// step or a run ends.
     counts: FnvHashMap<Cow<'static, str>, f64>,
     tracer: Tracer,
     started: bool,
@@ -613,17 +481,9 @@ impl<N: Node> std::fmt::Debug for World<N> {
     }
 }
 
-/// Default wheel geometry: 256 buckets of 1024 µs cover ~262 ms of near
-/// future; longer timers take the overflow heap. Buckets are coarse on
-/// purpose: the wheel advance (one bucket at a time) must stay cheap on
-/// sparse stretches, and the sorted active vec holding one bucket's
-/// entries stays small either way.
-const DEFAULT_BUCKET_WIDTH: u64 = 1024;
-const DEFAULT_BUCKET_COUNT: usize = 256;
-
 impl<N: Node> World<N> {
     /// Creates a world over `topology` with one state machine per node,
-    /// all scheduled through one calendar queue.
+    /// all scheduled through one event queue.
     ///
     /// # Panics
     ///
@@ -649,8 +509,7 @@ impl<N: Node> World<N> {
             alive: vec![true; n],
             links: (0..n).map(|_| FnvHashMap::default()).collect(),
             timer_seq: vec![0; n],
-            queue: CalendarQueue::new(DEFAULT_BUCKET_WIDTH, DEFAULT_BUCKET_COUNT),
-            ctrl: BinaryHeap::new(),
+            queue: Queue::new(),
             partition_specs: Vec::new(),
             partition: None,
             harness_seq: 0,
@@ -669,21 +528,6 @@ impl<N: Node> World<N> {
             tracer: Tracer::disabled(),
             started: false,
         }
-    }
-
-    /// Sets the calendar-queue geometry (bucket width in µs, bucket
-    /// count). The schedule is geometry invariant: traces are
-    /// byte-identical at any setting.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the world has started or events are pending.
-    pub fn set_wheel_geometry(&mut self, width_micros: u64, buckets: usize) {
-        assert!(
-            !self.started && self.pending() == 0,
-            "set_wheel_geometry before starting the world"
-        );
-        self.queue = CalendarQueue::new(width_micros, buckets);
     }
 
     /// Has no effect: the world always runs on the calling thread.
@@ -758,16 +602,9 @@ impl<N: Node> World<N> {
     /// the past, or if `heal_at` precedes `at`.
     pub fn partition_at(&mut self, at: SimTime, heal_at: Option<SimTime>, groups: Vec<u8>) {
         assert_eq!(groups.len(), self.nodes.len(), "one group id per node");
-        assert!(at >= self.now, "cannot schedule into the past");
         let idx = self.partition_specs.len() as u32;
+        self.push_ctrl(at, NodeIndex(0), CtrlAction::Partition(idx));
         self.partition_specs.push(groups);
-        self.harness_seq += 1;
-        let key = EvKey { at, class: CLASS_CTRL, a: self.harness_seq, b: 0 };
-        self.ctrl.push(Reverse(CtrlEntry {
-            key,
-            node: NodeIndex(0),
-            action: CtrlAction::Partition(idx),
-        }));
         if let Some(heal) = heal_at {
             assert!(heal >= at, "heal precedes partition");
             self.heal_at(heal);
@@ -794,10 +631,7 @@ impl<N: Node> World<N> {
     /// Schedules the active partition (if any at that time) to heal at
     /// `at`.
     pub fn heal_at(&mut self, at: SimTime) {
-        assert!(at >= self.now, "cannot schedule into the past");
-        self.harness_seq += 1;
-        let key = EvKey { at, class: CLASS_CTRL, a: self.harness_seq, b: 0 };
-        self.ctrl.push(Reverse(CtrlEntry { key, node: NodeIndex(0), action: CtrlAction::Heal }));
+        self.push_ctrl(at, NodeIndex(0), CtrlAction::Heal);
     }
 
     /// Whether a partition is currently active.
@@ -839,7 +673,16 @@ impl<N: Node> World<N> {
     fn push_harness_deliver(&mut self, at: SimTime, from: NodeIndex, to: NodeIndex, msg: N::Msg) {
         self.harness_seq += 1;
         let key = EvKey { at, class: CLASS_HARNESS, a: self.harness_seq, b: 0 };
-        self.queue.push(Entry { key, kind: EntryKind::Deliver { from, to, msg } });
+        self.queue.push(key, EntryKind::Deliver { from, to, msg });
+    }
+
+    /// Schedules a control event at `at`; control events at one instant
+    /// apply in harness call order, before every other event there.
+    fn push_ctrl(&mut self, at: SimTime, node: NodeIndex, action: CtrlAction) {
+        assert!(at >= self.now, "cannot schedule into the past");
+        self.harness_seq += 1;
+        let key = EvKey { at, class: CLASS_CTRL, a: self.harness_seq, b: 0 };
+        self.queue.push(key, EntryKind::Ctrl { node, action });
     }
 
     /// Injects a message from `from` to `to`, subject to normal latency.
@@ -864,19 +707,13 @@ impl<N: Node> World<N> {
     /// Schedules a crash of `node` at time `at`. In-flight messages already
     /// addressed to it are dropped on delivery; its timers are discarded.
     pub fn crash_at(&mut self, at: SimTime, node: NodeIndex) {
-        assert!(at >= self.now, "cannot schedule into the past");
-        self.harness_seq += 1;
-        let key = EvKey { at, class: CLASS_CTRL, a: self.harness_seq, b: 0 };
-        self.ctrl.push(Reverse(CtrlEntry { key, node, action: CtrlAction::Crash }));
+        self.push_ctrl(at, node, CtrlAction::Crash);
     }
 
     /// Schedules a recovery of `node` at time `at`; the node receives
     /// [`Input::Start`] when it recovers.
     pub fn recover_at(&mut self, at: SimTime, node: NodeIndex) {
-        assert!(at >= self.now, "cannot schedule into the past");
-        self.harness_seq += 1;
-        let key = EvKey { at, class: CLASS_CTRL, a: self.harness_seq, b: 0 };
-        self.ctrl.push(Reverse(CtrlEntry { key, node, action: CtrlAction::Recover }));
+        self.push_ctrl(at, node, CtrlAction::Recover);
     }
 
     /// Crashes `node` immediately, resetting its link connection state
@@ -917,61 +754,43 @@ impl<N: Node> World<N> {
         }
     }
 
-    /// The next event: the earlier of the control heap's head and the
-    /// queue's. Control keys, and only they, have class [`CLASS_CTRL`].
-    fn next_key(&mut self) -> Option<EvKey> {
-        let ctrl = self.ctrl.peek().map(|c| c.0.key);
-        let queued = self.queue.peek().map(|e| e.key);
-        match (ctrl, queued) {
-            (Some(c), Some(q)) => Some(c.min(q)),
-            (c, q) => c.or(q),
-        }
-    }
-
     /// Processes the next queued event — a crash/recovery, a timer, or a
     /// same-instant delivery batch. Returns `false` when the queue is
     /// empty.
     pub fn step(&mut self) -> bool {
         self.start_all();
-        let Some(key) = self.next_key() else {
+        let Some((key, kind)) = self.queue.pop() else {
             return false;
         };
-        self.step_at(key);
+        self.process(key, kind);
+        self.flush_counts();
         true
     }
 
-    /// Processes the event `next_key` selected.
-    fn step_at(&mut self, key: EvKey) {
+    /// Handles one popped entry at its time: a control event, a timer, or
+    /// a link delivery together with the rest of its same-instant batch.
+    fn process(&mut self, key: EvKey, kind: EntryKind<N::Msg>) {
         debug_assert!(key.at >= self.now, "time went backwards");
         self.now = key.at;
-        if key.class != CLASS_CTRL {
-            self.process_entry();
-            self.flush_counts();
-            return;
-        }
-        let Reverse(ctrl) = self.ctrl.pop().expect("peeked");
-        match ctrl.action {
-            CtrlAction::Crash => self.crash(ctrl.node),
-            CtrlAction::Recover => self.recover(ctrl.node),
-            CtrlAction::Partition(idx) => {
-                self.partition = Some(self.partition_specs[idx as usize].clone());
-                self.metrics.inc("sim.partitions", 1.0);
-            }
-            CtrlAction::Heal => {
-                if self.partition.take().is_some() {
-                    self.metrics.inc("sim.heals", 1.0);
+        match kind {
+            EntryKind::Ctrl { node, action } => {
+                // Node counters reach the registry before global state
+                // changes: these are a run's only mid-run flush points.
+                self.flush_counts();
+                match action {
+                    CtrlAction::Crash => self.crash(node),
+                    CtrlAction::Recover => self.recover(node),
+                    CtrlAction::Partition(idx) => {
+                        self.partition = Some(self.partition_specs[idx as usize].clone());
+                        self.metrics.inc("sim.partitions", 1.0);
+                    }
+                    CtrlAction::Heal => {
+                        if self.partition.take().is_some() {
+                            self.metrics.inc("sim.heals", 1.0);
+                        }
+                    }
                 }
             }
-        }
-    }
-
-    /// Pops and handles the queue's head entry — a timer or a same-instant
-    /// delivery batch — at the entry's time.
-    fn process_entry(&mut self) {
-        let entry = self.queue.pop().expect("non-empty");
-        let key = entry.key;
-        self.now = key.at;
-        match entry.kind {
             EntryKind::Timer { node, tag } => {
                 if self.alive[node.as_usize()] {
                     self.activate(node, Input::Timer { tag });
@@ -984,14 +803,12 @@ impl<N: Node> World<N> {
                 // link deliveries batch: their destination-major keys make
                 // same-instant arrivals at one node contiguous in the key
                 // order (harness injections are keyed by call order and
-                // deliver singly).
-                while let Some(next) = self.queue.peek() {
-                    let h = next.key;
+                // deliver singly; control events sort first at an instant).
+                while let Some(h) = self.queue.peek() {
                     if h.at != key.at || h.class != CLASS_LINK || (h.a >> 32) as u32 != to.0 {
                         break;
                     }
-                    let popped = self.queue.pop().expect("peeked");
-                    let EntryKind::Deliver { from, msg, .. } = popped.kind else {
+                    let Some((_, EntryKind::Deliver { from, msg, .. })) = self.queue.pop() else {
                         unreachable!("class-checked Deliver above");
                     };
                     self.batch.push((from, msg));
@@ -1048,7 +865,7 @@ impl<N: Node> World<N> {
                     a: from.0 as u64,
                     b: self.timer_seq[from.as_usize()],
                 };
-                self.queue.push(Entry { key, kind: EntryKind::Timer { node: from, tag } });
+                self.queue.push(key, EntryKind::Timer { node: from, tag });
             }
             self.scratch.timers = timers;
         }
@@ -1126,34 +943,22 @@ impl<N: Node> World<N> {
             b: ls.seq,
         };
         self.metrics.add(self.engine_ids[EC_SENT], 1.0);
-        self.queue.push(Entry { key, kind: EntryKind::Deliver { from, to, msg } });
+        self.queue.push(key, EntryKind::Deliver { from, to, msg });
     }
 
     /// Runs until the queue is empty or simulated time reaches `t`;
     /// afterwards `now()` is at least `t`.
     ///
-    /// Drains the queue in key order up to the next control event (crash,
-    /// recovery, partition, heal), applies that event, and goes on. Node
-    /// counters reach the registry at each of those boundaries.
+    /// Pops the queue in key order. Node counters reach the registry
+    /// before each control event (crash, recovery, partition, heal) and
+    /// when the run ends.
     pub fn run_until(&mut self, t: SimTime) {
         self.start_all();
-        while let Some(key) = self.next_key() {
-            if key.at > t {
-                break;
-            }
-            if key.class == CLASS_CTRL {
-                self.step_at(key);
-                continue;
-            }
-            let barrier = self.ctrl.peek().map(|c| c.0.key);
-            while let Some(head) = self.queue.peek().map(|e| e.key) {
-                if head.at > t || barrier.is_some_and(|b| head > b) {
-                    break;
-                }
-                self.process_entry();
-            }
-            self.flush_counts();
+        while self.queue.peek().is_some_and(|key| key.at <= t) {
+            let (key, kind) = self.queue.pop().expect("peeked");
+            self.process(key, kind);
         }
+        self.flush_counts();
         if self.now < t {
             self.now = t;
         }
@@ -1171,7 +976,7 @@ impl<N: Node> World<N> {
         self.start_all();
         let mut first = true;
         loop {
-            let Some(key) = self.next_key() else {
+            let Some(key) = self.queue.peek() else {
                 // Mirrors the seed scheduler: the returned settle time
                 // (and `now`) never exceed the limit, even when the final
                 // processed event lay beyond it.
@@ -1187,22 +992,22 @@ impl<N: Node> World<N> {
                 break;
             }
             first = false;
-            self.step_at(key);
+            self.step();
         }
         self.now = limit;
         limit
     }
 
-    /// Number of entries waiting (control events and the queue).
+    /// Number of entries waiting, control events included.
     pub fn pending(&self) -> usize {
-        self.ctrl.len() + self.queue.len()
+        self.queue.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::Topology;
+    use crate::topology::{LatencyModel, Topology};
 
     /// Counts pings; replies with pongs; optionally re-arms a periodic timer.
     #[derive(Debug, Default)]
@@ -1220,6 +1025,8 @@ mod tests {
         Ping,
         Pong,
         Burst(u32),
+        /// Asks the receiver to ping the given node.
+        Forward(u32),
     }
 
     impl Node for TestNode {
@@ -1243,6 +1050,7 @@ mod tests {
                         out.send(from, M::Pong);
                     }
                 }
+                Input::Msg { msg: M::Forward(to), .. } => out.send(NodeIndex(to), M::Ping),
                 Input::Timer { tag: 1 } => {
                     self.timer_fires += 1;
                     out.timer(SimDuration::from_millis(100), 1);
@@ -1495,91 +1303,80 @@ mod tests {
     }
 
     #[test]
-    fn wheel_geometry_does_not_change_outcomes() {
-        let run = |width: u64, buckets: usize| {
-            let t = Topology::random(8, &["scotland", "us-east", "asia", "brazil"], 5);
-            let nodes = (0..8).map(|_| TestNode::default()).collect();
-            let mut w = World::new(t, 5, nodes);
-            w.set_wheel_geometry(width, buckets);
-            for i in 0..8u32 {
-                w.inject(NodeIndex(i), NodeIndex((i + 1) % 8), M::Ping);
-                w.inject(NodeIndex(i), NodeIndex((i + 3) % 8), M::Burst(i));
-            }
-            w.run_until(SimTime::from_secs(2));
-            let pongs: Vec<(u32, Vec<usize>)> =
-                w.nodes().map(|n| (n.pongs, n.batch_sizes.clone())).collect();
-            (pongs, w.metrics().counter("sim.messages_sent"), w.now())
-        };
-        let baseline = run(DEFAULT_BUCKET_WIDTH, DEFAULT_BUCKET_COUNT);
-        for (width, buckets) in [(1, 2), (64, 32), (10_000, 8)] {
-            assert_eq!(baseline, run(width, buckets), "width={width} buckets={buckets}");
-        }
+    fn same_instant_control_events_apply_before_deliveries() {
+        // No jitter: every link takes exactly the LAN's 200 µs.
+        let lan = Topology::lan(3, 11);
+        let latency = LatencyModel { jitter: 0.0, ..lan.latency_model().clone() };
+        let t = Topology::from_nodes(lan.iter().cloned().collect(), latency);
+        let nodes = (0..3).map(|_| TestNode::default()).collect();
+        let mut w = World::new(t, 11, nodes);
+        let t0 = SimTime::from_millis(1);
+        let at = t0 + SimDuration::from_micros(200);
+        // At t0 node 0 sends node 1 three pongs and node 2 a ping, all
+        // due at `at`, where node 1 crashes and node 2 is cut off.
+        w.inject_at(t0, NodeIndex(1), NodeIndex(0), M::Burst(3));
+        w.inject_at(t0, NodeIndex(2), NodeIndex(0), M::Forward(2));
+        w.crash_at(at, NodeIndex(1));
+        w.partition_at(at, None, vec![0, 0, 1]);
+        w.run_until(at);
+        assert_eq!(w.node(NodeIndex(1)).pongs, 0);
+        assert!(w.node(NodeIndex(1)).batch_sizes.is_empty(), "no batch reached node 1");
+        // The whole batch to node 1 was dropped together, none delivered.
+        assert_eq!(w.metrics().counter("sim.messages_dropped_dead"), 3.0);
+        assert_eq!(w.metrics().counter("sim.batches"), 0.0);
+        // Node 2's ping arrived after the partition: its pong was cut.
+        assert_eq!(w.node(NodeIndex(2)).pings, 1);
+        assert_eq!(w.metrics().counter("sim.messages_partitioned"), 1.0);
+        assert_eq!(w.metrics().counter("sim.messages_delivered"), 3.0, "2 injected + 1 ping");
+        assert_eq!(w.metrics().counter("pings"), 1.0);
     }
 
-    /// Drives the calendar queue directly against a binary heap of keys:
-    /// random scripts of bursts into the current bucket, pushes across the
-    /// wheel and past its horizon, peeks, pops, and pauses that leave the
-    /// wheel ahead of `now` (as a run that stops short of the next event
-    /// does) must pop in the identical order at every geometry.
+    /// Drives the queue against a binary heap of keys: interleaved pushes
+    /// and pops (so freed slots are reused), control entries included.
+    /// Each payload is derived from its key, so a pop that hands back the
+    /// wrong slot's payload fails as surely as one out of key order.
     #[test]
-    fn calendar_queue_pops_in_binary_heap_order() {
-        let mut r = 0x0ddba11_u64;
-        let geometries = [(1, 2), (1, 8), (4, 4), (64, 32), (1024, 256), (8192, 2)];
-        for case in 0..240u64 {
-            let (width, buckets) = geometries[(case % 6) as usize];
-            let span = width * buckets as u64;
-            let mut q: CalendarQueue<()> = CalendarQueue::new(width, buckets);
-            let mut oracle: BinaryHeap<Reverse<EvKey>> = BinaryHeap::new();
-            let mut now = 0u64;
-            let mut seq = 0u64;
-            let mut push =
-                |q: &mut CalendarQueue<()>, oracle: &mut BinaryHeap<_>, at: u64, x: u64| {
-                    seq += 1;
-                    let key = EvKey {
-                        at: SimTime::from_micros(at),
-                        class: 1 + (x % 3) as u8,
-                        a: x >> 60,
-                        b: seq,
-                    };
-                    oracle.push(Reverse(key));
-                    q.push(Entry { key, kind: EntryKind::Timer { node: NodeIndex(0), tag: seq } });
-                };
-            for _ in 0..300 {
-                let x = splitmix64(&mut r);
-                match x % 10 {
-                    // A burst due in (or next to) the current bucket.
-                    0..=2 => {
-                        for _ in 0..1 + (x >> 8) % 40 {
-                            let y = splitmix64(&mut r);
-                            push(&mut q, &mut oracle, now + y % (2 * width), y);
-                        }
-                    }
-                    3 => push(&mut q, &mut oracle, now + x % span, x),
-                    // Past the horizon: the overflow heap.
-                    4 => push(&mut q, &mut oracle, now + span + x % (3 * span), x),
-                    5 => {
-                        // Stop short of the head, as `run_until` does.
-                        let head = q.peek().map(|e| e.key);
-                        assert_eq!(head, oracle.peek().map(|k| k.0), "case {case}: peek");
-                        if let Some(h) = head {
-                            now += (x >> 8) % (h.at.as_micros() - now + 1);
-                        }
-                    }
-                    _ => {
-                        let got = q.pop().map(|e| e.key);
-                        assert_eq!(got, oracle.pop().map(|k| k.0), "case {case}: pop");
-                        if let Some(k) = got {
-                            now = k.at.as_micros();
-                        }
-                    }
-                }
-                assert_eq!(q.len(), oracle.len(), "case {case}: len");
+    fn queue_pops_in_binary_heap_order() {
+        fn payload(key: EvKey) -> EntryKind<()> {
+            let node = NodeIndex(key.b as u32);
+            match key.class {
+                CLASS_CTRL => EntryKind::Ctrl { node, action: CtrlAction::Heal },
+                CLASS_TIMER => EntryKind::Timer { node, tag: key.b },
+                _ => EntryKind::Deliver { from: node, to: node, msg: () },
             }
-            while let Some(Reverse(want)) = oracle.pop() {
-                assert_eq!(q.pop().map(|e| e.key), Some(want), "case {case}: drain");
-            }
-            assert!(q.pop().is_none(), "case {case}: queue outlived the oracle");
         }
+        fn id(kind: EntryKind<()>) -> u64 {
+            match kind {
+                EntryKind::Ctrl { node, .. } | EntryKind::Deliver { from: node, .. } => {
+                    node.0 as u64
+                }
+                EntryKind::Timer { tag, .. } => tag,
+            }
+        }
+        let mut r = 0x0ddba11_u64;
+        let mut q: Queue<()> = Queue::new();
+        let mut oracle: BinaryHeap<Reverse<EvKey>> = BinaryHeap::new();
+        for seq in 1..20_000u64 {
+            let x = splitmix64(&mut r);
+            if x % 5 < 3 {
+                // Few distinct instants, classes and `a`s: keys that differ
+                // only in `b` are common.
+                let at = SimTime::from_micros((x >> 8) & 63);
+                let key = EvKey { at, class: ((x >> 16) & 3) as u8, a: (x >> 18) & 1, b: seq };
+                q.push(key, payload(key));
+                oracle.push(Reverse(key));
+            } else {
+                assert_eq!(q.peek(), oracle.peek().map(|k| k.0), "peek at {seq}");
+                let got = q.pop().map(|(key, kind)| (key, id(kind)));
+                assert_eq!(got, oracle.pop().map(|Reverse(k)| (k, k.b)), "pop at {seq}");
+            }
+            assert_eq!(q.len(), oracle.len());
+        }
+        while let Some(Reverse(want)) = oracle.pop() {
+            assert_eq!(q.pop().map(|(key, kind)| (key, id(kind))), Some((want, want.b)));
+        }
+        assert!(q.pop().is_none());
+        assert!(q.slab.len() < 10_000, "freed slots are reused");
     }
 
     /// Renders a trace detail per message and counts the renderings.

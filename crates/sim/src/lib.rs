@@ -13,22 +13,20 @@
 //! The event plane is built for 1k–4k-node workloads (see the
 //! [engine docs](engine) for the full architecture):
 //!
-//! - one **bucketed calendar queue** (timer-wheel + overflow heap, with a
-//!   small straggler heap for late arrivals into the bucket being drained)
-//!   instead of one global binary heap, drained on the calling thread;
+//! - one **binary heap of event keys** over a payload slab, holding every
+//!   pending message, timer and harness control event, drained on the
+//!   calling thread;
 //! - per-link state (FNV-keyed, purged on crash) caches geographic
 //!   latency and carries an order-independent jitter/loss stream;
 //! - same-instant arrivals at one node are handed over as a **batch**
 //!   ([`Node::on_batch`]), amortising per-event dispatch above the engine.
 //!
-//! Determinism: a fixed seed yields an identical event trace — regardless
-//! of bucket geometry. Events are processed in
-//! canonical key order (a pure function of link/timer/harness sequence
-//! numbers, not of scheduler internals), and all randomness flows from
-//! [`SimRng`] forks or per-link splitmix64 streams. The
-//! `engine_equivalence` integration test checks the calendar-queue
-//! scheduler against a single-heap transcription; the `region_determinism`
-//! test checks byte-identical traces across wheel geometries.
+//! Determinism: a fixed seed yields an identical event trace. Events are
+//! processed in canonical key order (a pure function of link/timer/harness
+//! sequence numbers, not of scheduler internals), and all randomness flows
+//! from [`SimRng`] forks or per-link splitmix64 streams. The
+//! `engine_equivalence` integration test checks the engine against a
+//! transcription of the seed scheduler.
 //!
 //! # Example
 //!

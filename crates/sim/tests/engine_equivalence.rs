@@ -1,15 +1,16 @@
-//! Property test: the calendar-queue scheduler is schedule-preserving.
+//! Property test: the engine's scheduler is schedule-preserving.
 //!
 //! `SeedWorld` below transcribes the seed scheduler's shape — one global
-//! binary heap popped in ascending key order — on top of the engine's
+//! binary heap of whole entries, control events included, popped in
+//! ascending key order one `step` at a time — on top of the engine's
 //! canonical semantics (per-link latency streams, FIFO clamping, batched
-//! same-instant delivery, crash purging). Random topologies, loss rates,
-//! timers, injections, and crash/recover schedules must produce an
-//! identical delivery order (per-node input logs), an identical trace,
-//! identical engine counters, and an identical `run_to_quiescence` settle
-//! time from both schedulers — at every bucket geometry, from 1 µs buckets
-//! (nearly every entry through the overflow heap) to 16 s ones (nearly
-//! every send into the bucket being drained: the straggler path).
+//! same-instant delivery, crash purging, partitions dropping cross-group
+//! sends). Random topologies, loss rates, timers, injections before and
+//! between runs, crash/recover schedules, and partitions with heals must
+//! produce an identical delivery order (per-node input logs), an identical
+//! trace, identical engine counters, and an identical `run_to_quiescence`
+//! settle time from the engine (a key heap over a payload slab, counters
+//! flushed only at control events and run ends) and the transcription.
 
 use gloss_sim::{
     link_stream_seed, splitmix64, splitmix_unit, FnvHashMap, Input, Node, NodeIndex, Outbox,
@@ -120,6 +121,8 @@ enum Kind {
     Timer { node: NodeIndex, tag: u64 },
     Crash { node: NodeIndex },
     Recover { node: NodeIndex },
+    Partition { groups: Vec<u8> },
+    Heal,
 }
 
 #[derive(Debug)]
@@ -169,12 +172,14 @@ struct SeedWorld {
     now: SimTime,
     rng: SimRng,
     loss: f64,
+    partition: Option<Vec<u8>>,
     pub tracer: Tracer,
     started: bool,
     pub sent: u64,
     pub delivered: u64,
     pub lost: u64,
     pub dropped_dead: u64,
+    pub partitioned: u64,
     pub msgs_counter: f64,
 }
 
@@ -194,12 +199,14 @@ impl SeedWorld {
             now: SimTime::ZERO,
             rng: SimRng::new(seed).fork("world"),
             loss: 0.0,
+            partition: None,
             tracer: Tracer::enabled(1 << 20),
             started: false,
             sent: 0,
             delivered: 0,
             lost: 0,
             dropped_dead: 0,
+            partitioned: 0,
             msgs_counter: 0.0,
         }
     }
@@ -222,16 +229,10 @@ impl SeedWorld {
         self.heap.push(Reverse(HeapEntry { key, kind: Kind::Deliver { from, to, msg } }));
     }
 
-    fn crash_at(&mut self, at: SimTime, node: NodeIndex) {
+    fn ctrl_at(&mut self, at: SimTime, kind: Kind) {
         self.harness_seq += 1;
         let key = Key { at, class: CLASS_CTRL, a: self.harness_seq, b: 0 };
-        self.heap.push(Reverse(HeapEntry { key, kind: Kind::Crash { node } }));
-    }
-
-    fn recover_at(&mut self, at: SimTime, node: NodeIndex) {
-        self.harness_seq += 1;
-        let key = Key { at, class: CLASS_CTRL, a: self.harness_seq, b: 0 };
-        self.heap.push(Reverse(HeapEntry { key, kind: Kind::Recover { node } }));
+        self.heap.push(Reverse(HeapEntry { key, kind }));
     }
 
     fn crash(&mut self, node: NodeIndex) {
@@ -300,6 +301,12 @@ impl SeedWorld {
     }
 
     fn send(&mut self, from: NodeIndex, to: NodeIndex, msg: u64, extra: SimDuration) {
+        if let Some(groups) = &self.partition {
+            if groups[from.as_usize()] != groups[to.as_usize()] {
+                self.partitioned += 1;
+                return;
+            }
+        }
         let jitter = self.topology.latency_model().jitter;
         let sender = from.as_usize();
         if !self.links[sender].contains_key(&to.0) {
@@ -355,6 +362,8 @@ impl SeedWorld {
         match entry.kind {
             Kind::Crash { node } => self.crash(node),
             Kind::Recover { node } => self.recover(node),
+            Kind::Partition { groups } => self.partition = Some(groups),
+            Kind::Heal => self.partition = None,
             Kind::Timer { node, tag } => {
                 if self.alive[node.as_usize()] {
                     self.activate_one(node, Input::Timer { tag });
@@ -436,19 +445,17 @@ struct Scenario {
     loss_pct: u64,
     injects: u64,
     crashes: u64,
-    bucket_width: u64,
-    bucket_count: usize,
+    partitions: u64,
 }
 
 /// (trace render, per-node logs, engine counters, settle time).
-type Outcome = (String, Vec<String>, (u64, u64, u64, u64, f64), SimTime);
+type Outcome = (String, Vec<String>, (u64, u64, u64, u64, u64, f64), SimTime);
 
 fn scripted_harness(s: &Scenario) -> Outcome {
     let regions: Vec<&str> = REGION_POOL[..s.region_names].to_vec();
     let topology = Topology::random(s.nodes, &regions, s.seed);
     let nodes: Vec<TNode> = (0..s.nodes).map(|i| TNode::new(i as u32, s.nodes as u32)).collect();
     let mut w = World::new(topology, s.seed, nodes);
-    w.set_wheel_geometry(s.bucket_width, s.bucket_count);
     w.enable_tracing(1 << 20);
     w.set_loss(s.loss_pct as f64 / 100.0);
     drive(&mut Driver::New(&mut w), s);
@@ -463,6 +470,7 @@ fn scripted_harness(s: &Scenario) -> Outcome {
             m.counter("sim.messages_delivered") as u64,
             m.counter("sim.messages_lost") as u64,
             m.counter("sim.messages_dropped_dead") as u64,
+            m.counter("sim.messages_partitioned") as u64,
             m.counter("t.msgs"),
         ),
         settle,
@@ -478,7 +486,8 @@ fn scripted_reference(s: &Scenario) -> Outcome {
     drive(&mut Driver::Seed(&mut w), s);
     let settle = w.run_to_quiescence(SimTime::from_secs(120));
     let logs = w.nodes.iter().map(|n| n.log.join("\n")).collect();
-    (w.tracer.render(), logs, (w.sent, w.delivered, w.lost, w.dropped_dead, w.msgs_counter), settle)
+    let counters = (w.sent, w.delivered, w.lost, w.dropped_dead, w.partitioned, w.msgs_counter);
+    (w.tracer.render(), logs, counters, settle)
 }
 
 /// One harness script issued identically to both schedulers.
@@ -503,13 +512,22 @@ impl Driver<'_> {
     fn crash_at(&mut self, at: SimTime, node: NodeIndex) {
         match self {
             Driver::New(w) => w.crash_at(at, node),
-            Driver::Seed(w) => w.crash_at(at, node),
+            Driver::Seed(w) => w.ctrl_at(at, Kind::Crash { node }),
         }
     }
     fn recover_at(&mut self, at: SimTime, node: NodeIndex) {
         match self {
             Driver::New(w) => w.recover_at(at, node),
-            Driver::Seed(w) => w.recover_at(at, node),
+            Driver::Seed(w) => w.ctrl_at(at, Kind::Recover { node }),
+        }
+    }
+    fn partition_at(&mut self, at: SimTime, heal_at: SimTime, groups: Vec<u8>) {
+        match self {
+            Driver::New(w) => w.partition_at(at, Some(heal_at), groups),
+            Driver::Seed(w) => {
+                w.ctrl_at(at, Kind::Partition { groups });
+                w.ctrl_at(heal_at, Kind::Heal);
+            }
         }
     }
     fn run_until(&mut self, t: SimTime) {
@@ -541,8 +559,15 @@ fn drive(d: &mut Driver<'_>, s: &Scenario) {
             d.recover_at(at + SimDuration::from_millis(10 + (x >> 8) % 300), victim);
         }
     }
-    // Run in phases with mid-run harness activity: injections land behind
-    // a wheel that a stopped run may have advanced past `now`.
+    // Partitions: a random bipartition, healed later (possibly at the
+    // instant of another control event or after the run's end).
+    for _ in 0..s.partitions {
+        let x = splitmix64(&mut r);
+        let groups = (0..n).map(|i| ((x >> (i % 64)) & 1) as u8).collect();
+        let at = SimTime::from_millis(5 + x % 250);
+        d.partition_at(at, at + SimDuration::from_millis((x >> 8) % 400), groups);
+    }
+    // Run in phases with harness activity between them.
     d.run_until(SimTime::from_millis(40));
     for _ in 0..s.injects / 2 {
         let x = splitmix64(&mut r);
@@ -564,15 +589,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn sharded_scheduler_matches_seed_heap(
+    fn engine_matches_seed_scheduler(
         seed in 0u64..1_000_000,
-        nodes in 2usize..14,
-        region_names in 1usize..6,
+        nodes in 2usize..28,
+        region_names in 1usize..7,
         loss_pct in 0u64..3, // scaled below to 0%, 40%, 80%
         injects in 0u64..8,
         crashes in 0u64..4,
-        bucket_shift in 0u64..25, // 1 µs .. 16.8 s
-        bucket_count in 2usize..64,
+        partitions in 0u64..3,
     ) {
         let s = Scenario {
             seed,
@@ -581,8 +605,7 @@ proptest! {
             loss_pct: loss_pct * 40, // 0%, 40%, 80%
             injects,
             crashes,
-            bucket_width: 1 << bucket_shift,
-            bucket_count,
+            partitions,
         };
         let (trace_a, logs_a, counters_a, settle_a) = scripted_harness(&s);
         let (trace_b, logs_b, counters_b, settle_b) = scripted_reference(&s);

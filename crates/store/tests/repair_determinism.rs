@@ -2,9 +2,9 @@
 //! lost original (systematic Reed–Solomon plus the lowest-`m`-indices
 //! surplus rule makes decode a pure function of *which* shards survive,
 //! not of arrival order), and a full crash → repair-storm → re-converge
-//! scenario must be reproducible — same seed, same final state, at the
-//! default calendar-queue geometry or at 1 µs × 2 buckets, whose 2 µs
-//! horizon sends every message and timer through the overflow heap.
+//! scenario must be reproducible — same seed, same final state, from two
+//! worlds run one after the other in one process (so state leaked between
+//! worlds, such as a process-global counter, would show).
 
 use gloss_sim::{NodeIndex, SimDuration};
 use gloss_store::{Document, ErasureCode, Priority, StoreConfig, StoreNetwork};
@@ -67,9 +67,7 @@ proptest! {
 
 /// Runs a fixed crash-and-repair storm and digests the final state:
 /// repair/lookup counters, per-document redundancy, and shard survival.
-/// The world keeps its default wheel geometry, or runs on the narrow one
-/// when `narrow` is set.
-fn storm_digest(narrow: bool) -> String {
+fn storm_digest() -> String {
     let cfg = StoreConfig {
         replicas: 2,
         heal_interval: SimDuration::from_secs(10),
@@ -77,9 +75,6 @@ fn storm_digest(narrow: bool) -> String {
         ..Default::default()
     };
     let mut net = StoreNetwork::build(24, cfg, 4242);
-    if narrow {
-        net.world_mut().set_wheel_geometry(1, 2);
-    }
     net.settle();
     let docs: Vec<Document> = (0..6)
         .map(|i| {
@@ -120,12 +115,7 @@ fn storm_digest(narrow: bool) -> String {
 
 #[test]
 fn repair_storm_is_reproducible() {
-    let a = storm_digest(false);
-    let b = storm_digest(false);
+    let a = storm_digest();
+    let b = storm_digest();
     assert_eq!(a, b, "same seed, same storm, different outcome");
-}
-
-#[test]
-fn repair_storm_is_wheel_geometry_invariant() {
-    assert_eq!(storm_digest(true), storm_digest(false), "the narrow wheel diverged");
 }
