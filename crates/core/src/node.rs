@@ -142,6 +142,11 @@ pub struct GlossNode {
     pub broker: Broker,
     /// The storelet (overlay + storage + caches).
     pub store: StoreNode,
+    /// The broker's and the storelet's send buffers, lent to every
+    /// [`Outbox::nested`] call into them and handed back empty, so their
+    /// capacity is reused from one activation to the next.
+    broker_sends: Vec<(NodeIndex, BrokerMsg, SimDuration)>,
+    store_sends: Vec<(NodeIndex, StoreMsg, SimDuration)>,
     /// The thin server hosting matchlets.
     pub server: ThinServer,
     /// The node-local fact store (fed by `kb/…` documents).
@@ -157,7 +162,11 @@ pub struct GlossNode {
     reported_unknown: BTreeSet<String>,
     /// UI-style subscriptions delivered to [`ui_received`](Self::ui_received).
     pub ui_filters: Vec<Filter>,
-    /// Events delivered to this node's UI subscriptions.
+    /// Events delivered to this node's UI subscriptions, in arrival
+    /// order: an unbounded inbox that nothing in the node reads or
+    /// trims. It exists for the harness (examples, tests and the
+    /// end-to-end benchmark observe deliveries here), so a long run holds
+    /// every UI delivery.
     pub ui_received: Vec<Event>,
     /// Events synthesised by local matchlets.
     pub emitted: u64,
@@ -192,6 +201,8 @@ impl GlossNode {
             me,
             broker,
             store,
+            broker_sends: Vec::new(),
+            store_sends: Vec::new(),
             server,
             kb: InMemoryFacts::new(),
             resources,
@@ -234,7 +245,9 @@ impl GlossNode {
         msg: BrokerMsg,
         out: &mut Outbox<GlossMsg>,
     ) {
-        out.nested(GlossMsg::PubSub, |bout| self.broker.handle(now, from, msg, bout));
+        out.nested(&mut self.broker_sends, GlossMsg::PubSub, |bout| {
+            self.broker.handle(now, from, msg, bout)
+        });
     }
 
     fn subscribe_filter(&mut self, now: SimTime, filter: Filter, out: &mut Outbox<GlossMsg>) {
@@ -366,7 +379,7 @@ impl GlossNode {
         out: &mut Outbox<GlossMsg>,
         call: impl FnOnce(&mut StoreNode, &mut Outbox<StoreMsg>),
     ) {
-        out.nested(GlossMsg::Store, |sout| call(&mut self.store, sout));
+        out.nested(&mut self.store_sends, GlossMsg::Store, |sout| call(&mut self.store, sout));
         let Some(cs) = self.coordinator_state.as_ref() else {
             return;
         };
@@ -539,12 +552,14 @@ impl GlossNode {
 
     fn handle_sensor(&mut self, now: SimTime, event: Event, out: &mut Outbox<GlossMsg>) {
         out.count("gloss.sensor_events", 1.0);
-        // Local delivery first (devices feed the local pipeline), then the
-        // global event service.
+        // The raw reading goes to this node's own client first (its UI
+        // filters, then its matchlets), then is published unchanged
+        // through the local broker. No distillation stage runs here.
         self.deliver_to_client(now, event.clone(), false, out);
         // Discovery: no local matchlet handles this kind.
         if !event.kind().starts_with("resource.")
             && !self.server.engine().handles_kind(event.kind())
+            && !self.reported_unknown.contains(event.kind())
             && self.reported_unknown.insert(event.kind().to_string())
         {
             out.send(self.coordinator, GlossMsg::UnknownKind { kind: event.kind().to_string() });
@@ -622,7 +637,10 @@ impl GlossNode {
     /// `floor`, and ingests what comes back.
     fn prefetch(&mut self, guid: Key, floor: u64, now: SimTime, out: &mut Outbox<GlossMsg>) {
         self.sub_seq += 1;
-        let req = (1 << 48) | ((self.me.0 as u64) << 20) | self.sub_seq;
+        // The store's outcome ledger is this node's own, so the id needs
+        // no node bits: a tag bit over the per-node sequence, below the
+        // coordinator's discovery fetches (bit 52).
+        let req = (1 << 48) | self.sub_seq;
         self.store_call(now, out, |store, sout| {
             store.lookup_min_version(guid, floor, req, now, sout)
         });
@@ -859,6 +877,47 @@ mod tests {
 
     fn fact(object: &str) -> Fact {
         Fact::new("bob", "likes", Term::str(object))
+    }
+
+    /// Prefetch request ids stay distinct however many a node issues. An
+    /// id that repeated an earlier one (node bits overlapping a sequence
+    /// past 2^20) had its outcome dropped as a duplicate, and the ingest
+    /// then read the earlier request's stale document.
+    #[test]
+    fn prefetch_ids_stay_distinct_past_two_to_the_twenty_requests() {
+        let me = NodeIndex(1);
+        let overlay = OverlayNode::new(Key(0x100), me, None, SimDuration::ZERO);
+        let mut node = GlossNode::new(
+            me,
+            Broker::new(me, BrokerTopology::Peer { neighbors: Vec::new() }),
+            StoreNode::new(me, overlay, StoreConfig::default(), Vec::new()),
+            NodeResources {
+                node: me,
+                region: "scotland".into(),
+                geo: GeoPoint { lat: 56.3, lon: -2.8 },
+                cpu: 1.0,
+                storage: 1 << 20,
+            },
+            NodeIndex(0),
+            AuthKey::new("test", b"secret"),
+            SimDuration::from_secs(5),
+            SimDuration::from_secs(15),
+        );
+        node.handle(SimTime::ZERO, Input::Start, &mut Outbox::new());
+        let peer = NodeIndex(2);
+        let v1 = snapshot_doc(&[fact("golf")], Some((7, 1)));
+        node.store.insert(v1.clone(), SimTime::ZERO, &mut Outbox::new());
+        deliver(&mut node, peer, GlossMsg::PrefetchSubject("bob".into()));
+        assert_eq!(bob(&node), [fact("golf")]);
+
+        // A newer version lands in the store, and the next pull is
+        // exactly 2^20 requests after the first.
+        let v2 = snapshot_doc(&[fact("ice cream")], Some((7, 2)));
+        node.store.insert(v1.updated(v2.content), SimTime::ZERO, &mut Outbox::new());
+        node.sub_seq += (1 << 20) - 1;
+        deliver(&mut node, peer, GlossMsg::PrefetchSubject("bob".into()));
+        assert_eq!(node.store.outcomes.len(), 2, "two requests, two ids, two outcomes");
+        assert_eq!(bob(&node), [fact("ice cream")], "the fresh outcome was ingested");
     }
 
     /// A `kb/bob` snapshot document; versioned when `version` is given.

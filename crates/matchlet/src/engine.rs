@@ -504,8 +504,8 @@ struct MemoCtx<'a> {
 /// variables: key fingerprint → sequence numbers of the buffered entries
 /// with that key, ascending. A bucket therefore walks in buffer order, and
 /// the entry FIFO eviction removes is always the front of its bucket.
-/// Fingerprint collisions are harmless: `merged` re-verifies every shared
-/// binding.
+/// Fingerprint collisions are harmless: the join re-verifies every
+/// shared binding.
 #[derive(Debug, Clone)]
 struct JoinIndex {
     /// The join variables (sorted).
@@ -752,6 +752,9 @@ pub struct MatchletEngine {
     /// Scratch for `on_event`'s per-rule `(pattern, bindings)` matches,
     /// kept so the steady state does not allocate it per event.
     matched: Vec<(usize, Bindings)>,
+    /// The join environment `join_and_fire` extends in place and
+    /// truncates back, kept so a join allocates nothing per pair.
+    join_env: Bindings,
     /// Engine statistics.
     pub stats: EngineStats,
 }
@@ -894,6 +897,19 @@ impl MatchletEngine {
     /// event is buffered. All joined events lie within the rule's window
     /// of the new event.
     pub fn on_event(&mut self, now: SimTime, event: &Event, kb: &dyn FactSource) -> Vec<Event> {
+        self.on_event_joining(now, event, kb, join_and_fire)
+    }
+
+    /// [`on_event`](Self::on_event) with the join as a parameter, so the
+    /// tests can run a transcription of an earlier join strategy through
+    /// the same matching, memo and emit code.
+    fn on_event_joining(
+        &mut self,
+        now: SimTime,
+        event: &Event,
+        kb: &dyn FactSource,
+        join: JoinFn,
+    ) -> Vec<Event> {
         self.stats.events_in += 1;
         let mut out = Vec::new();
         let MatchletEngine {
@@ -906,6 +922,7 @@ impl MatchletEngine {
             plans_dirty,
             memo_rules,
             matched,
+            join_env,
             stats,
         } = self;
         let Some(entries) = kind_index.get(event.kind()) else {
@@ -969,14 +986,17 @@ impl MatchletEngine {
 
             let mut tally = Tally::default();
             if single {
-                // Drain (moves the bindings): single-pattern rules never
-                // buffer, and this leaves nothing for the push below.
-                for (_, bindings) in matched.drain(..) {
+                // Single-pattern rules never buffer: fire each match in
+                // place and leave nothing for the push below.
+                for (_, bindings) in matched.iter_mut() {
                     fire(rule, &mut memoctx, bindings, kb, now, &mut out, &mut tally);
                 }
+                matched.clear();
             } else {
                 for (p, bindings) in matched.iter() {
-                    join_and_fire(rule, *p, bindings, &mut memoctx, kb, now, &mut out, &mut tally);
+                    join_env.assign(bindings);
+                    let plan = &rule.plans[*p];
+                    join(rule, plan, join_env, &mut memoctx, kb, now, &mut out, &mut tally);
                 }
             }
             stats.eval_errors += tally.errors;
@@ -1106,80 +1126,83 @@ fn match_compiled(pattern: &CompiledPattern, event: &Event) -> Option<Bindings> 
     Some(env)
 }
 
-/// Joins the fixed bindings against the other patterns' buffers, stage by
-/// stage along the fixed pattern's join plan, and fires the rule's
-/// goals/emit for every complete join environment.
+/// How `on_event` joins one fixed pattern's bindings along its join
+/// plan and fires the complete join environments: [`join_and_fire`]
+/// outside the tests.
+type JoinFn = fn(
+    &CompiledRule,
+    &[JoinStage],
+    &mut Bindings,
+    &mut Option<MemoCtx<'_>>,
+    &dyn FactSource,
+    SimTime,
+    &mut Vec<Event>,
+    &mut Tally,
+);
+
+/// Joins `env` against the remaining `stages` of a join plan (all of
+/// them: `env` holds the fixed pattern's bindings; fewer: the stages
+/// before have extended it) and fires the rule's goals/emit for every
+/// complete join environment. `env` comes back as it was passed.
+///
+/// The join runs depth first: each compatible buffered entry extends
+/// `env` in place, the join recurses into the next stage (or fires,
+/// after the last) and `env` is truncated back, so a join allocates
+/// nothing per pair. Firings come out in the order of the stages'
+/// buffer walks, nested — the order a stage-by-stage (breadth-first)
+/// join fires in.
 ///
 /// A stage whose partner shares variables with the environment probes the
 /// partner buffer's index on those variables, so only key-compatible
 /// entries are visited — in buffer order, exactly the entries and the
-/// order a scan would have produced, since `merged` re-verifies every
-/// shared binding either way.
+/// order a scan would have produced, since `Bindings::join` re-verifies
+/// every shared binding either way.
 #[allow(clippy::too_many_arguments)]
 fn join_and_fire(
     rule: &CompiledRule,
-    fixed_pattern: usize,
-    fixed: &Bindings,
+    stages: &[JoinStage],
+    env: &mut Bindings,
     memo: &mut Option<MemoCtx<'_>>,
     kb: &dyn FactSource,
     now: SimTime,
     out: &mut Vec<Event>,
     tally: &mut Tally,
 ) {
-    let plan = &rule.plans[fixed_pattern];
-    // The join environments the previous stage produced (stage 0 reads
-    // `fixed` in place).
-    let mut envs: Vec<Bindings> = Vec::new();
-    for (s, stage) in plan.iter().enumerate() {
-        let buffer = &rule.buffers[stage.partner];
-        if buffer.entries.is_empty() {
-            return;
+    let Some((stage, rest)) = stages.split_first() else {
+        fire(rule, memo, env, kb, now, out, tally);
+        return;
+    };
+    let buffer = &rule.buffers[stage.partner];
+    if buffer.entries.is_empty() {
+        return;
+    }
+    // An index serves the stage only while every buffered key is exactly
+    // hashable: an entry outside the buckets must not be skipped.
+    let index = stage.index.map(|i| &buffer.indexes[i]).filter(|ix| ix.inexact == 0);
+    // `Some(bucket)`: the only entries that can be compatible. `None`: no
+    // usable index, or this environment's own key is not exactly
+    // hashable — scan the buffer for it.
+    let probe = index.and_then(|ix| join_key(env, &ix.vars).map(|key| ix.buckets.get(&key)));
+    let mark = env.len();
+    let mut join = |buffered: &Bindings, tally: &mut Tally| {
+        if env.join(buffered) {
+            join_and_fire(rule, rest, env, memo, kb, now, out, tally);
+            env.truncate(mark);
         }
-        let current = if s == 0 { std::slice::from_ref(fixed) } else { &envs[..] };
-        // On the last stage, fire each merged environment directly
-        // instead of materialising one more `envs` vector.
-        let last = s + 1 == plan.len();
-        let mut next = Vec::with_capacity(if last { 0 } else { current.len() });
-        // An index serves the stage only while every buffered key is
-        // exactly hashable: an entry outside the buckets must not be
-        // skipped.
-        let index = stage.index.map(|i| &buffer.indexes[i]).filter(|ix| ix.inexact == 0);
-        for env in current {
-            // `Some(bucket)`: the only entries that can be compatible.
-            // `None`: no usable index, or this environment's own key is
-            // not exactly hashable — scan the buffer for it.
-            let probe =
-                index.and_then(|ix| join_key(env, &ix.vars).map(|key| ix.buckets.get(&key)));
-            let mut join = |buffered: &Bindings, tally: &mut Tally| {
-                if let Some(child) = env.merged(buffered) {
-                    if last {
-                        fire(rule, memo, child, kb, now, out, tally);
-                    } else {
-                        next.push(child);
-                    }
-                }
-            };
-            match probe {
-                Some(bucket) => {
-                    tally.join_probes += 1;
-                    for &seq in bucket.into_iter().flatten() {
-                        join(&buffer.entries[(seq - buffer.head) as usize].1, tally);
-                    }
-                }
-                None => {
-                    tally.join_scans += 1;
-                    for (_, buffered) in &buffer.entries {
-                        join(buffered, tally);
-                    }
-                }
+    };
+    match probe {
+        Some(bucket) => {
+            tally.join_probes += 1;
+            for &seq in bucket.into_iter().flatten() {
+                join(&buffer.entries[(seq - buffer.head) as usize].1, tally);
             }
         }
-        // Nothing to extend: the join died out, or this was the last
-        // stage and every environment has fired.
-        if next.is_empty() {
-            return;
+        None => {
+            tally.join_scans += 1;
+            for (_, buffered) in &buffer.entries {
+                join(buffered, tally);
+            }
         }
-        envs = next;
     }
 }
 
@@ -1209,7 +1232,8 @@ fn emit_one(
 }
 
 /// Solves the rule's where-goals over one join environment and emits one
-/// event per solution.
+/// event per solution. Bindings are appended to `env` and truncated
+/// again while solving; it comes back as it was passed.
 ///
 /// With a [`MemoCtx`] (delta-driven mode) only the guards and the goals
 /// after the memoised block are solved here. The block's solutions come
@@ -1225,7 +1249,7 @@ fn emit_one(
 fn fire(
     rule: &CompiledRule,
     memo: &mut Option<MemoCtx<'_>>,
-    mut env: Bindings,
+    env: &mut Bindings,
     kb: &dyn FactSource,
     now: SimTime,
     out: &mut Vec<Event>,
@@ -1235,7 +1259,7 @@ fn fire(
         // Direct path: re-solve from scratch against the knowledge base.
         // `rule.goals` is the same chain the beta path splits, so the two
         // paths count errors identically.
-        let solve_errors = solve_mut(&rule.goals, &mut env, kb, now, &mut |solution| {
+        let solve_errors = solve_mut(&rule.goals, env, kb, now, &mut |solution| {
             emit_one(rule, solution, kb, now, out, tally);
         });
         tally.errors += solve_errors;
@@ -1244,8 +1268,7 @@ fn fire(
 
     // Guards are conditions: they pass once or not at all.
     let mut passed = false;
-    tally.errors +=
-        solve_mut(&rule.goals[..ctx.block.start], &mut env, kb, now, &mut |_| passed = true);
+    tally.errors += solve_mut(&rule.goals[..ctx.block.start], env, kb, now, &mut |_| passed = true);
     if !passed {
         return;
     }
@@ -1264,7 +1287,7 @@ fn fire(
         for (slot, term) in solution {
             env.push_raw(ctx.slot_vars[*slot as usize], term.clone());
         }
-        let solve_errors = solve_mut(rest, &mut env, kb, now, &mut |solution| {
+        let solve_errors = solve_mut(rest, env, kb, now, &mut |solution| {
             emit_one(rule, solution, kb, now, out, tally);
         });
         tally.errors += solve_errors;
@@ -1367,6 +1390,7 @@ mod tests {
     use super::*;
     use gloss_knowledge::{Fact, InMemoryFacts};
     use gloss_xml::parse;
+    use proptest::prelude::*;
 
     fn kb() -> InMemoryFacts {
         let mut kb = InMemoryFacts::new();
@@ -1605,6 +1629,236 @@ mod tests {
         assert_eq!(out.len(), 4);
         let ns: Vec<f64> = out.iter().map(|ev| ev.num_attr("n").unwrap()).collect();
         assert_eq!(ns, vec![3.0, 13.0, 23.0, 33.0], "buffer order is preserved");
+    }
+
+    /// `Bindings::merged` as the breadth-first join called it: `None` on
+    /// a conflicting shared variable, else a fresh copy of `env` extended
+    /// with `other`'s unbound variables.
+    fn merged(env: &Bindings, other: &Bindings) -> Option<Bindings> {
+        for (k, v) in other.iter() {
+            if env.get_sym(k).is_some_and(|existing| !existing.eq_term(v)) {
+                return None;
+            }
+        }
+        let mut child = env.clone();
+        for (k, v) in other.iter() {
+            if child.get_sym(k).is_none() {
+                child.push_raw(k, v.clone());
+            }
+        }
+        Some(child)
+    }
+
+    /// The join `on_event` ran before [`join_and_fire`]: stage by stage,
+    /// every merged environment of a stage materialised in a vector
+    /// before the next stage reads it, the last stage firing each merged
+    /// environment directly.
+    #[allow(clippy::too_many_arguments)]
+    fn breadth_first_join_and_fire(
+        rule: &CompiledRule,
+        plan: &[JoinStage],
+        fixed: &mut Bindings,
+        memo: &mut Option<MemoCtx<'_>>,
+        kb: &dyn FactSource,
+        now: SimTime,
+        out: &mut Vec<Event>,
+        tally: &mut Tally,
+    ) {
+        let mut envs: Vec<Bindings> = Vec::new();
+        for (s, stage) in plan.iter().enumerate() {
+            let buffer = &rule.buffers[stage.partner];
+            if buffer.entries.is_empty() {
+                return;
+            }
+            let current = if s == 0 { std::slice::from_ref(&*fixed) } else { &envs[..] };
+            let last = s + 1 == plan.len();
+            let mut next = Vec::new();
+            let index = stage.index.map(|i| &buffer.indexes[i]).filter(|ix| ix.inexact == 0);
+            for env in current {
+                let probe =
+                    index.and_then(|ix| join_key(env, &ix.vars).map(|key| ix.buckets.get(&key)));
+                let mut join = |buffered: &Bindings, tally: &mut Tally| {
+                    if let Some(mut child) = merged(env, buffered) {
+                        if last {
+                            fire(rule, memo, &mut child, kb, now, out, tally);
+                        } else {
+                            next.push(child);
+                        }
+                    }
+                };
+                match probe {
+                    Some(bucket) => {
+                        tally.join_probes += 1;
+                        for &seq in bucket.into_iter().flatten() {
+                            join(&buffer.entries[(seq - buffer.head) as usize].1, tally);
+                        }
+                    }
+                    None => {
+                        tally.join_scans += 1;
+                        for (_, buffered) in &buffer.entries {
+                            join(buffered, tally);
+                        }
+                    }
+                }
+            }
+            if next.is_empty() {
+                return;
+            }
+            envs = next;
+        }
+    }
+
+    /// Join keys: integral numerics that hash exactly (`Int(3)` and
+    /// `Float(3.0)`, `0`, `0.0` and `-0.0` must share a bucket), strings
+    /// that name knowledge-base subjects, and floats that do not hash
+    /// exactly yet are `eq_term`-equal to another (`0.1 + 0.2` vs `0.3`,
+    /// one ulp above 3 vs 3).
+    fn oracle_values() -> [Term; 12] {
+        [
+            Term::Int(0),
+            Term::Int(1),
+            Term::Int(3),
+            Term::Float(3.0),
+            Term::Float(0.0),
+            Term::Float(-0.0),
+            Term::str("ua"),
+            Term::str("ub"),
+            Term::Float(0.5),
+            Term::Float(3.0 + 4e-16),
+            Term::Float(0.1 + 0.2),
+            Term::Float(0.3),
+        ]
+    }
+
+    /// Pattern `i` of an oracle rule: binds the event's serial number to
+    /// `?n{i}` and constrains fields with shared variables (a variable
+    /// may repeat within the pattern), wildcards or a literal. Pattern 0
+    /// always binds `?v0`, which the direct rule's fact goal reads.
+    fn oracle_pattern(i: usize) -> impl Strategy<Value = String> {
+        let pat = || {
+            prop_oneof![
+                (0usize..3).prop_map(|v| format!("?v{v}")),
+                (0usize..3).prop_map(|v| format!("?v{v}")),
+                Just("_".to_string()),
+                Just("3".to_string()),
+            ]
+        };
+        let extra = if i == 0 { 0..2 } else { 1..3 };
+        ((0usize..3), proptest::collection::vec(((0usize..3), pat()), extra)).prop_map(
+            move |(k, fields)| {
+                let mut fields: Vec<String> =
+                    fields.iter().map(|(f, p)| format!("f{f}: {p}")).collect();
+                if i == 0 {
+                    fields.insert(0, "f0: ?v0".to_string());
+                }
+                format!("on p{i}: event k{k}(n: ?n{i}, {})", fields.join(", "))
+            },
+        )
+    }
+
+    /// A two- or three-pattern rule named `name` with the given
+    /// where-clause; the emit may read an unbound variable (an error).
+    fn oracle_rule(name: &'static str, goals: &'static str) -> impl Strategy<Value = String> {
+        let emit = prop_oneof![Just(""), Just(", x: ?v1")];
+        (oracle_pattern(0), oracle_pattern(1), oracle_pattern(2), any::<bool>(), emit, 3u64..12)
+            .prop_map(move |(p0, p1, p2, three, emit, window)| {
+                let (patterns, serials) = if three {
+                    (format!("{p0} {p1} {p2}"), "a: ?n0, b: ?n1, c: ?n2")
+                } else {
+                    (format!("{p0} {p1}"), "a: ?n0, b: ?n1")
+                };
+                format!(
+                    "rule {name} {{ {patterns} {goals} within {window} s \
+                     emit out(rule: \"{name}\", {serials}{emit}) }}"
+                )
+            })
+    }
+
+    #[derive(Debug, Clone)]
+    enum OracleOp {
+        /// Advance time by this many seconds and offer an event of kind
+        /// `k{kind}` carrying these values as `f0..f2`.
+        Event(u64, usize, Vec<Term>),
+        /// Add `ub rank 1` if absent, else retract it: the memo's beta
+        /// entries go stale and are recomputed.
+        Churn,
+    }
+
+    fn oracle_op() -> impl Strategy<Value = OracleOp> {
+        let event = || {
+            let value = (0usize..oracle_values().len()).prop_map(|i| oracle_values()[i].clone());
+            ((0u64..4), (0usize..3), proptest::collection::vec(value, 3..4))
+                .prop_map(|(dt, kind, values)| OracleOp::Event(dt, kind, values))
+        };
+        prop_oneof![event(), event(), event(), event(), Just(OracleOp::Churn)]
+    }
+
+    // The in-place depth-first join emits the same events, in the same
+    // order, with the same error, memo and probe/scan tallies as the
+    // breadth-first `merged` join it replaced — for 2- and 3-pattern
+    // rules on both solve plans.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn in_place_join_matches_the_breadth_first_merged_join(
+            plain in oracle_rule("plain", "where ?v0 != ?v1"),
+            direct in oracle_rule("direct", "where fact(?v0, likes, ?w)"),
+            memo in oracle_rule("memo", "where fact(?s, likes, ?w) and fact(?s, rank, ?v1)"),
+            memo_cond in oracle_rule("memo_cond", "where fact(?s, rank, ?r) where ?r = ?v0"),
+            ops in proptest::collection::vec(oracle_op(), 1..100),
+        ) {
+                let mut kb = InMemoryFacts::new();
+            for (s, p, o) in [
+                ("ua", "likes", Term::str("ice")),
+                ("ub", "likes", Term::str("ice")),
+                ("ua", "likes", Term::str("tea")),
+                ("ua", "rank", Term::Int(3)),
+                ("ub", "rank", Term::Float(3.0)),
+                ("ua", "rank", Term::Float(-0.0)),
+                ("ub", "rank", Term::Float(0.1 + 0.2)),
+            ] {
+                kb.add(Fact::new(s, p, o));
+            }
+            let src = [plain, direct, memo, memo_cond].join("\n");
+            let mut in_place = MatchletEngine::compile(&src).expect("oracle rules parse");
+            let mut breadth_first = in_place.clone();
+            let plans: Vec<bool> =
+                in_place.rules().iter().map(|r| matches!(r.plan, SolvePlan::Memo { .. })).collect();
+            prop_assert_eq!(plans, vec![false, false, true, true], "two rules on each plan");
+            let churned = Fact::new("ub", "rank", Term::Int(1));
+            let mut now = SimTime::ZERO;
+            for (serial, op) in ops.iter().enumerate() {
+                match op {
+                    OracleOp::Event(dt, kind, values) => {
+                        now += gloss_sim::SimDuration::from_secs(*dt);
+                        let mut ev = Event::new(format!("k{kind}")).with_attr("n", serial as i64);
+                        for (f, value) in values.iter().enumerate() {
+                            ev.set_attr(format!("f{f}"), term_to_attr(value));
+                        }
+                        let got = in_place.on_event(now, &ev, &kb);
+                        let expected = breadth_first.on_event_joining(
+                            now,
+                            &ev,
+                            &kb,
+                            breadth_first_join_and_fire,
+                        );
+                        prop_assert_eq!(got, expected, "diverged on {} at {}", ev, now);
+                        prop_assert_eq!(in_place.stats, breadth_first.stats);
+                    }
+                    OracleOp::Churn => {
+                        if kb.query(Some("ub"), Some("rank")).any(|f| *f == churned) {
+                            kb.retract("ub", "rank", &churned.object);
+                        } else {
+                            kb.add(churned.clone());
+                        }
+                    }
+                }
+            }
+            for (a, b) in in_place.rules().iter().zip(breadth_first.rules()) {
+                prop_assert_eq!((a.fired, a.buffered()), (b.fired, b.buffered()));
+            }
+        }
     }
 
     #[test]

@@ -94,27 +94,32 @@ impl Bindings {
         self.entries.push((sym, value));
     }
 
-    /// Joins two environments: `None` if any shared variable disagrees
-    /// (under [`Term::eq_term`]), otherwise a new environment holding
-    /// this one's bindings extended with `other`'s. The conflict check
-    /// runs before any allocation, and the result is built in a single
-    /// exactly-sized allocation.
-    pub fn merged(&self, other: &Bindings) -> Option<Bindings> {
+    /// Makes this environment a copy of `other`, reusing its buffer (the
+    /// join's scratch environment is reset this way per fixed event).
+    pub(crate) fn assign(&mut self, other: &Bindings) {
+        self.entries.clone_from(&other.entries);
+    }
+
+    /// Joins `other` into this environment in place: `false`, with
+    /// nothing changed, if any shared variable disagrees (under
+    /// [`Term::eq_term`]); otherwise `other`'s unbound variables are
+    /// appended in `other`'s order. The caller undoes the join by
+    /// truncating back to the length it had before the call.
+    pub(crate) fn join(&mut self, other: &Bindings) -> bool {
+        let mark = self.entries.len();
         for (k, v) in &other.entries {
             if let Some(existing) = self.get_sym(*k) {
                 if !existing.eq_term(v) {
-                    return None;
+                    return false;
                 }
             }
         }
-        let mut entries = Vec::with_capacity(self.entries.len() + other.entries.len());
-        entries.extend(self.entries.iter().cloned());
         for (k, v) in &other.entries {
-            if !entries.iter().any(|(s, _)| s == k) {
-                entries.push((*k, v.clone()));
+            if !self.entries[..mark].iter().any(|(s, _)| s == k) {
+                self.entries.push((*k, v.clone()));
             }
         }
-        Some(Bindings { entries })
+        true
     }
 }
 

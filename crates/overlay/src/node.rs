@@ -318,8 +318,8 @@ impl<P: Clone> OverlayNode<P> {
     }
 
     /// The current leaf set members.
-    pub fn leaf_members(&self) -> Vec<KeyedNode> {
-        self.leaves.members().to_vec()
+    pub fn leaf_members(&self) -> &[KeyedNode] {
+        self.leaves.members()
     }
 
     /// Leaf set members whose circuit allows replica placement (all of
@@ -328,7 +328,7 @@ impl<P: Clone> OverlayNode<P> {
     /// new replicas.
     pub fn usable_leaf_members(&self) -> Vec<KeyedNode> {
         match &self.governor {
-            None => self.leaf_members(),
+            None => self.leaf_members().to_vec(),
             Some(g) => self
                 .leaves
                 .members()

@@ -36,6 +36,17 @@
 //!   arriving at one node at the same instant are handed over as a single
 //!   [`Node::on_batch`] call (default: per-message fallback), letting
 //!   broker fan-out and matchlet dispatch amortise per-event overhead.
+//!
+//! # Embedding
+//!
+//! A node embeds another state machine with its own message type (the
+//! storage layer wraps the overlay, the integrated node wraps a broker
+//! and a storelet) through [`Outbox::nested`]. The inner machine shares
+//! the host's outbox for everything but sends. Its sends go to a buffer
+//! the host owns and lends on every call, and are drained into the
+//! host's sends afterwards. A host that keeps one such buffer per
+//! embedded machine allocates nothing per call once that buffer has
+//! grown to its working size.
 
 use crate::hash::{splitmix64, splitmix_unit, FnvHashMap};
 use crate::metrics::{CounterId, MetricsRegistry};
@@ -197,15 +208,21 @@ impl<M> Outbox<M> {
     /// outbox *is* this one for everything but sends: timers, counts,
     /// observations and traces land directly in this outbox's vectors,
     /// behind whatever the host recorded before the call, and the inner
-    /// machine sees the host's tracing switch. Its sends are appended
-    /// after the call, each converted with `wrap`.
+    /// machine sees the host's tracing switch. Its sends go to `spare`, a
+    /// buffer the host owns and passes on every call; after the call they
+    /// are drained into this outbox's sends, each converted with `wrap`,
+    /// and `spare` is handed back empty with its capacity kept. A host
+    /// that keeps one spare buffer per embedded machine therefore
+    /// allocates for inner sends only while that buffer is still growing.
     pub fn nested<I, R>(
         &mut self,
+        spare: &mut Vec<(NodeIndex, I, SimDuration)>,
         wrap: impl Fn(I) -> M,
         f: impl FnOnce(&mut Outbox<I>) -> R,
     ) -> R {
+        debug_assert!(spare.is_empty(), "a spare send buffer comes back drained");
         let mut inner = Outbox {
-            sends: Vec::new(),
+            sends: std::mem::take(spare),
             timers: std::mem::take(&mut self.timers),
             counts: std::mem::take(&mut self.counts),
             observations: std::mem::take(&mut self.observations),
@@ -217,7 +234,8 @@ impl<M> Outbox<M> {
         self.counts = inner.counts;
         self.observations = inner.observations;
         self.traces = inner.traces;
-        self.sends.extend(inner.sends.into_iter().map(|(to, msg, delay)| (to, wrap(msg), delay)));
+        self.sends.extend(inner.sends.drain(..).map(|(to, msg, delay)| (to, wrap(msg), delay)));
+        *spare = inner.sends;
         result
     }
 }
@@ -1435,7 +1453,9 @@ mod tests {
             out.count("host.before", 1.0);
             out.timer(SimDuration::from_millis(1), 1);
             out.send(NodeIndex(1), "host-before".to_string());
+            let mut spare = Vec::new();
             let from_inner = out.nested(
+                &mut spare,
                 |m: u8| format!("inner-{m}"),
                 |inner| {
                     inner.count("inner", 2.0);
@@ -1479,5 +1499,28 @@ mod tests {
         assert_eq!(drive(&mut quiet), (2, false), "no detail is rendered for a tracer that is off");
         assert!(quiet.traces().is_empty());
         assert_eq!(quiet.sends().len(), 4);
+    }
+
+    #[test]
+    fn nested_outbox_reuses_the_hosts_spare_send_buffer() {
+        let mut out: Outbox<u32> = Outbox::new();
+        let mut spare: Vec<(NodeIndex, u8, SimDuration)> = Vec::new();
+        let call = |out: &mut Outbox<u32>, spare: &mut Vec<_>, base: u8| {
+            out.nested(spare, u32::from, |inner| {
+                for m in base..base + 3 {
+                    inner.send(NodeIndex(1), m);
+                }
+            });
+        };
+        call(&mut out, &mut spare, 0);
+        assert!(spare.is_empty(), "the sends were drained into the host");
+        let (ptr, cap) = (spare.as_ptr(), spare.capacity());
+        assert!(cap >= 3, "the buffer comes back with the capacity it grew to");
+        call(&mut out, &mut spare, 10);
+        assert!(spare.is_empty());
+        assert_eq!(spare.as_ptr(), ptr, "the second call used the same buffer");
+        assert_eq!(spare.capacity(), cap, "and did not regrow it");
+        let sent: Vec<u32> = out.sends().iter().map(|(_, m, _)| *m).collect();
+        assert_eq!(sent, [0, 1, 2, 10, 11, 12]);
     }
 }

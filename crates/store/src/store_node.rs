@@ -306,6 +306,9 @@ struct FragmentRepair {
 pub struct StoreNode {
     me: NodeIndex,
     overlay: OverlayNode<StorePayload>,
+    /// The overlay's send buffer, lent to every [`Outbox::nested`] call
+    /// into it and handed back empty, so its capacity is reused.
+    overlay_sends: Vec<(NodeIndex, OverlayMsg<StorePayload>, SimDuration)>,
     cfg: StoreConfig,
     store: BTreeMap<Key, Document>,
     cache: LruCache,
@@ -362,6 +365,7 @@ impl StoreNode {
         StoreNode {
             me,
             overlay,
+            overlay_sends: Vec::new(),
             cfg,
             store: BTreeMap::new(),
             cache,
@@ -428,7 +432,7 @@ impl StoreNode {
 
     /// Cold start: reset overlay state and arm the periodic timers.
     pub fn on_start(&mut self, out: &mut Outbox<StoreMsg>) {
-        out.nested(StoreMsg::Overlay, |oout| self.overlay.on_start(oout));
+        out.nested(&mut self.overlay_sends, StoreMsg::Overlay, |oout| self.overlay.on_start(oout));
         out.timer(self.cfg.heal_interval, timers::HEAL);
         // Jittered per node so regional crashes do not produce a
         // synchronised wall of repair scans.
@@ -452,7 +456,9 @@ impl StoreNode {
             }
             timers::LOOKUP_RETRY => self.retry_sweep(now, out),
             _ => {
-                out.nested(StoreMsg::Overlay, |oout| self.overlay.on_timer(now, tag, oout));
+                out.nested(&mut self.overlay_sends, StoreMsg::Overlay, |oout| {
+                    self.overlay.on_timer(now, tag, oout)
+                });
                 self.drain_failures(out);
             }
         }
@@ -736,8 +742,9 @@ impl StoreNode {
     ) {
         let payload =
             lookup_payload(self.me, p.guid, req_id, p.issued_at, p.min_version, vec![self.me]);
-        let delivered =
-            out.nested(StoreMsg::Overlay, |oout| self.overlay.route(p.guid, payload, oout));
+        let delivered = out.nested(&mut self.overlay_sends, StoreMsg::Overlay, |oout| {
+            self.overlay.route(p.guid, payload, oout)
+        });
         if delivered.is_some() {
             let answer = match self.local_copy(p.guid, 0) {
                 Some((doc, from_cache)) => Answer::Copy { doc, from_cache, hops: None },
@@ -1022,8 +1029,9 @@ impl StoreNode {
             path.push(self.me);
         }
 
-        let deliveries =
-            out.nested(StoreMsg::Overlay, |oout| self.overlay.handle(now, from, omsg, oout));
+        let deliveries = out.nested(&mut self.overlay_sends, StoreMsg::Overlay, |oout| {
+            self.overlay.handle(now, from, omsg, oout)
+        });
         self.drain_failures(out);
 
         for d in deliveries {
@@ -1109,7 +1117,7 @@ impl StoreNode {
     /// Originates an insert from this node (used by the harness).
     pub fn insert(&mut self, doc: Document, now: SimTime, out: &mut Outbox<StoreMsg>) {
         let guid = doc.guid;
-        let delivered = out.nested(StoreMsg::Overlay, |oout| {
+        let delivered = out.nested(&mut self.overlay_sends, StoreMsg::Overlay, |oout| {
             self.overlay.route(guid, StorePayload::Insert { doc }, oout)
         });
         // We are the root ourselves.
