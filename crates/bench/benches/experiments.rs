@@ -158,9 +158,10 @@ fn k1_fact_store_writes(c: &mut Criterion) {
 
 /// K2: landing one `kbdelta` batch of the `context_churn` shape — a
 /// user's `likes` flipped, one retract and one insert, ≈190 bytes: decoded
-/// from its bytes by the batch reader, through a tree (`parse` +
-/// `from_xml`), or read only as far as its envelope and reconciled, which
-/// is all a stale or gapped batch costs a receiver.
+/// from its bytes by the batch reader into a kept buffer, with names from
+/// a store holding the user (what a receiving node does), through a tree
+/// (`parse` + `from_xml`), or read only as far as its envelope and
+/// reconciled, which is all a stale or gapped batch costs a receiver.
 fn k2_kbdelta_decode(c: &mut Criterion) {
     let likes = |object: &str| Fact::new("u123", "likes", Term::str(object));
     let batch = DeltaBatch {
@@ -171,8 +172,14 @@ fn k2_kbdelta_decode(c: &mut Criterion) {
         deltas: vec![FactDelta::Retract(likes("tea")), FactDelta::Insert(likes("ice cream"))],
     };
     let text = batch.to_xml().to_xml();
+    let mut held = InMemoryFacts::new();
+    held.add(likes("tea"));
+    let mut deltas = Vec::new();
     c.bench_function("k2_kbdelta_decode", |b| {
-        b.iter(|| BatchReader::open(black_box(&text)).and_then(BatchReader::decode).unwrap())
+        b.iter(|| {
+            let batch = BatchReader::open(black_box(&text)).unwrap();
+            batch.decode_into(&held, &mut deltas).unwrap()
+        })
     });
     c.bench_function("k2_kbdelta_decode_dom", |b| {
         b.iter(|| DeltaBatch::from_xml(&parse(black_box(&text)).unwrap()).unwrap())

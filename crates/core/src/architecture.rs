@@ -2,13 +2,13 @@
 //! simulated wide-area topology and exposes the operations the examples,
 //! tests, and benchmarks drive.
 
-use crate::node::{GlossMsg, GlossNode};
+use crate::node::{GlossMsg, GlossNode, KnowledgeDoc};
 use crate::service::ServiceSpec;
 use gloss_bundle::AuthKey;
 use gloss_deploy::NodeResources;
 use gloss_event::{Broker, BrokerTopology, Event, Filter};
 use gloss_knowledge::{DistributedKnowledge, Fact, InMemoryFacts, KnowledgeAuthority, Shipment};
-use gloss_overlay::{ring_settle, Key, OverlayNode};
+use gloss_overlay::{ring_settle, OverlayNode};
 use gloss_sim::{NodeIndex, SimDuration, SimRng, SimTime, Topology, World};
 use gloss_store::placement::NodeSite;
 use gloss_store::{Document, StoreConfig, StoreMsg, StoreNode};
@@ -251,11 +251,7 @@ impl ActiveArchitecture {
             Shipment::Delta(batch) => {
                 let xml = batch.to_xml().to_xml();
                 let mut doc = Document::new(batch.doc_name(), xml.into_bytes());
-                // Every batch for a subject lives under ONE guid (the
-                // epoch range travels in the name only), so successive
-                // batches land on the same replica/cache set and
-                // version-skipping drops stale re-deliveries.
-                doc.guid = Key::hash_of_str(&format!("kbdelta/{subject}"));
+                doc.guid = KnowledgeDoc::Deltas.guid(subject);
                 doc.version = next_version(&mut self.kb_delta_versions, subject);
                 doc
             }
@@ -569,7 +565,7 @@ mod tests {
             deltas: vec![FactDelta::Insert(Fact::new("bob", "bogus", Term::Int(1)))],
         };
         let mut doc = Document::new(batch.doc_name(), batch.to_xml().to_xml().into_bytes());
-        doc.guid = Key::hash_of_str("kbdelta/bob");
+        doc.guid = KnowledgeDoc::Deltas.guid("bob");
         a.insert_document(NodeIndex(2), doc);
         a.run_for(SimDuration::from_secs(30));
         a.prefetch_deltas_everywhere("bob");

@@ -6,9 +6,11 @@
 //! (subject, source, epochs) is read first; the subject's replica record
 //! is looked up once and [`reconcile`] decides on the envelope alone.
 //! Stale batches and snapshot fallbacks never decode the body; a batch
-//! that applies decodes it and moves its facts into the fact store. A
+//! that applies decodes it into a buffer the node keeps, with names taken
+//! from the node's fact store, and moves its facts into that store. A
 //! `kb` snapshot is read version first, and one older than the held state
-//! is turned away before any fact is built. A malformed body never
+//! is turned away before any fact is built. A malformed body, or a
+//! snapshot whose root names another subject than its document, never
 //! applies anything.
 
 use crate::service::ServiceSpec;
@@ -16,8 +18,7 @@ use gloss_bundle::{AuthKey, Bundle, Capability, ThinServer};
 use gloss_deploy::{coordinator_sweep, EvolutionEngine, MonitorEngine, NodeResources};
 use gloss_event::{Broker, BrokerMsg, Event, EventId, Filter, Subscription};
 use gloss_knowledge::{
-    reconcile, BatchReader, DeltaAction, DistributedKnowledge, FactDelta, InMemoryFacts,
-    SnapshotReader,
+    reconcile, BatchReader, DeltaAction, FactDelta, InMemoryFacts, SnapshotReader,
 };
 use gloss_overlay::Key;
 use gloss_sim::{Batch, Input, Node, NodeIndex, Outbox, SimDuration, SimTime};
@@ -102,6 +103,31 @@ impl CoordinatorState {
     }
 }
 
+/// The two store documents a subject's knowledge travels in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KnowledgeDoc {
+    /// `kb/<subject>`: a full snapshot.
+    Snapshot,
+    /// `kbdelta/<subject>@<from..to>`: a delta batch. Every batch for a
+    /// subject lives under the one guid of `kbdelta/<subject>` (the epoch
+    /// range travels in the name only), so successive batches land on
+    /// the same replica and cache set, and version-skipping drops stale
+    /// re-deliveries.
+    Deltas,
+}
+
+impl KnowledgeDoc {
+    /// The storage guid of `subject`'s document of this kind: the hash of
+    /// `kb/<subject>` or `kbdelta/<subject>`, with no name built.
+    pub fn guid(self, subject: &str) -> Key {
+        let prefix = match self {
+            KnowledgeDoc::Snapshot => "kb/",
+            KnowledgeDoc::Deltas => "kbdelta/",
+        };
+        Key::hash_of_parts([prefix.as_bytes(), subject.as_bytes()])
+    }
+}
+
 /// What a node holds of one subject's replicated knowledge.
 #[derive(Debug, Default)]
 struct SubjectReplica {
@@ -151,6 +177,9 @@ pub struct GlossNode {
     pub server: ThinServer,
     /// The node-local fact store (fed by `kb/…` documents).
     pub kb: InMemoryFacts,
+    /// The deltas of the batch being applied, decoded here so that the
+    /// buffer's capacity is reused from one batch to the next.
+    delta_scratch: Vec<FactDelta>,
     resources: NodeResources,
     coordinator: NodeIndex,
     heartbeat: SimDuration,
@@ -170,8 +199,9 @@ pub struct GlossNode {
     pub ui_received: Vec<Event>,
     /// Events synthesised by local matchlets.
     pub emitted: u64,
-    /// Coordinator engines (node 0 only).
-    pub coordinator_state: Option<CoordinatorState>,
+    /// Coordinator engines (node 0 only; boxed, so that the other nodes
+    /// hold one pointer for them).
+    pub coordinator_state: Option<Box<CoordinatorState>>,
     /// Replication state of every subject a kb or kbdelta document has
     /// been seen for.
     replicas: BTreeMap<String, SubjectReplica>,
@@ -196,7 +226,7 @@ impl GlossNode {
         server.grant(key.issuer(), Capability::DeployComponent);
         server.grant(key.issuer(), Capability::StoreAccess);
         let coordinator_state =
-            (me == coordinator).then(|| CoordinatorState::new(monitor_deadline));
+            (me == coordinator).then(|| Box::new(CoordinatorState::new(monitor_deadline)));
         GlossNode {
             me,
             broker,
@@ -205,6 +235,7 @@ impl GlossNode {
             store_sends: Vec::new(),
             server,
             kb: InMemoryFacts::new(),
+            delta_scratch: Vec::new(),
             resources,
             coordinator,
             heartbeat,
@@ -443,6 +474,11 @@ impl GlossNode {
         else {
             return;
         };
+        if snapshot.subject() != Some(subject) {
+            // Its facts would land under another subject's name (or
+            // "unknown") after this one's were removed.
+            return;
+        }
         let snap_version = snapshot.version();
         if let (Some((source, epoch)), Some((tracked_source, tracked_epoch))) =
             (snap_version, held.and_then(|r| r.anchor))
@@ -454,7 +490,7 @@ impl GlossNode {
                 return;
             }
         }
-        let Some(facts) = snapshot.facts() else {
+        let Some(facts) = snapshot.facts(&self.kb) else {
             return;
         };
         self.kb.remove_subject(subject);
@@ -479,28 +515,25 @@ impl GlossNode {
         };
         let replica = replica_mut(&mut self.replicas, incoming.subject());
         replica.delta_doc = replica.delta_doc.max(Some(doc.version));
-        match reconcile(replica.anchor, incoming.span()) {
+        let span = incoming.span();
+        match reconcile(replica.anchor, span) {
             DeltaAction::Apply { skip } => {
-                let Some(batch) = incoming.decode() else {
+                let deltas = &mut self.delta_scratch;
+                let Some(subject) = incoming.decode_into(&self.kb, deltas) else {
                     return;
                 };
                 if replica.anchor.is_none() {
                     // A batch from epoch 0 is the subject's complete
                     // history: it replaces what a legacy snapshot left.
-                    self.kb.remove_subject(&batch.subject);
+                    self.kb.remove_subject(&subject);
                 }
                 out.count("gloss.kb_delta_applied", 1.0);
-                out.count("gloss.kb_delta_facts", (batch.deltas.len() - skip) as f64);
+                out.count("gloss.kb_delta_facts", (deltas.len() - skip) as f64);
                 out.count("gloss.kb_delta_bytes", doc.size() as f64);
-                for d in batch.deltas.into_iter().skip(skip) {
-                    match d {
-                        FactDelta::Insert(f) => self.kb.add(f),
-                        FactDelta::Retract(f) => {
-                            self.kb.retract(&f.subject, &f.predicate, &f.object);
-                        }
-                    }
+                for d in deltas.drain(..).skip(skip) {
+                    self.kb.apply(d);
                 }
-                replica.anchor = Some((batch.source, batch.to));
+                replica.anchor = Some((span.source, span.to));
             }
             DeltaAction::Stale => out.count("gloss.kb_delta_stale", 1.0),
             DeltaAction::Snapshot(_) => {
@@ -611,7 +644,7 @@ impl GlossNode {
     /// Issues a storage lookup for a subject's kb document (the reply
     /// auto-ingests).
     fn prefetch_subject(&mut self, now: SimTime, subject: &str, out: &mut Outbox<GlossMsg>) {
-        let guid = Key::hash_of_str(&DistributedKnowledge::doc_name(subject));
+        let guid = KnowledgeDoc::Snapshot.guid(subject);
         // Versions at or below the one already ingested are no-ops, so
         // don't let a stale cached copy answer for the authoritative
         // one; the responsible node still serves whatever it holds.
@@ -624,7 +657,7 @@ impl GlossNode {
     /// reply auto-ingests through [`reconcile`], falling back to a full
     /// fetch when the batch cannot extend the held state).
     fn prefetch_deltas(&mut self, now: SimTime, subject: &str, out: &mut Outbox<GlossMsg>) {
-        let guid = Key::hash_of_str(&format!("kbdelta/{subject}"));
+        let guid = KnowledgeDoc::Deltas.guid(subject);
         // Demand a batch newer than the last one ingested: any cached
         // copy we (or an en-route node) already hold is stale by
         // definition, and serving it would end the pull early.
@@ -766,10 +799,31 @@ impl GlossNode {
 mod tests {
     use super::*;
     use gloss_event::BrokerTopology;
-    use gloss_knowledge::{DeltaBatch, Fact, FactSource, Term};
+    use gloss_knowledge::{DeltaBatch, DistributedKnowledge, Fact, FactSource, Term};
     use gloss_overlay::{KeyedNode, OverlayNode};
     use gloss_sim::GeoPoint;
     use gloss_store::{store_node::timers::LOOKUP_RETRY, StoreConfig, StorePayload};
+
+    // The guids hash the names the codecs write, byte for byte.
+    proptest::proptest! {
+        #[test]
+        fn knowledge_guids_hash_the_document_names(subject in "[a-z0-9 &/@.é_-]{0,24}") {
+            proptest::prop_assert_eq!(
+                KnowledgeDoc::Snapshot.guid(&subject),
+                Key::hash_of_str(&DistributedKnowledge::doc_name(&subject))
+            );
+            proptest::prop_assert_eq!(
+                KnowledgeDoc::Deltas.guid(&subject),
+                Key::hash_of_str(&format!("kbdelta/{subject}"))
+            );
+            let deltas = Vec::new();
+            let batch = DeltaBatch { subject: subject.clone(), source: 1, from: 2, to: 2, deltas };
+            let name = batch.doc_name();
+            let (unversioned, _) = name.rsplit_once('@').unwrap();
+            let guid = KnowledgeDoc::Deltas.guid(&subject);
+            proptest::prop_assert_eq!(guid, Key::hash_of_str(unversioned));
+        }
+    }
 
     fn counted(out: &Outbox<GlossMsg>, name: &str) -> bool {
         out.counts().iter().any(|(n, _)| n == name)
@@ -961,6 +1015,30 @@ mod tests {
         assert!(counted(&out, "gloss.kb_delta_applied"));
         assert_eq!(bob(&node), [fact("tea")], "one fact, not the snapshot's plus the batch's");
         assert_eq!(node.replicas["bob"].anchor, Some((7, 1)));
+    }
+
+    /// A `kb/bob` snapshot whose root names another subject, or none, is
+    /// turned away whole: bob's facts stay, and nothing lands under the
+    /// root's name or "unknown".
+    #[test]
+    fn a_snapshot_naming_another_subject_applies_nothing() {
+        let mut node =
+            coordinator(OverlayNode::new(Key(0x100), NodeIndex(0), None, SimDuration::ZERO));
+        let held_doc = snapshot_doc(&[fact("tea")], Some((7, 3)));
+        node.ingest_document(SimTime::ZERO, &held_doc, &mut Outbox::new());
+        let (held, epoch) = (bob(&node), node.kb.epoch());
+        let alice = Fact::new("alice", "likes", Term::str("golf"));
+        let misnamed = DistributedKnowledge::facts_to_xml_versioned("alice", &[&alice], 7, 4);
+        let unnamed = r#"<facts source="7" epoch="4"><fact predicate="likes" type="str"><value>golf</value></fact></facts>"#;
+        for text in [misnamed.to_xml(), unnamed.to_string()] {
+            let doc = held_doc.updated(text.clone().into_bytes());
+            let mut out = Outbox::new();
+            node.ingest_document(SimTime::ZERO, &doc, &mut out);
+            assert!(out.counts().is_empty(), "{text}: counted {:?}", out.counts());
+            assert_eq!((bob(&node), node.kb.epoch(), node.kb.len()), (held.clone(), epoch, 1));
+            assert_eq!(node.replicas["bob"].snapshot_doc, Some(held_doc.version), "{text}");
+            assert_eq!(node.replicas["bob"].anchor, Some((7, 3)), "{text}");
+        }
     }
 
     /// A batch whose envelope says it applies but whose body does not

@@ -24,7 +24,10 @@
 //! reads the `kbdelta` root's `subject`, `source`, `from` and `to` — all
 //! [`reconcile`] needs — and stops, so a batch found stale or gapped is
 //! never decoded at all. Only a batch that applies has its deltas decoded
-//! ([`BatchReader::decode`]), straight from the document's tokens and
+//! ([`BatchReader::decode_into`]), straight from the document's tokens,
+//! into a buffer the receiver keeps, with subjects and predicates taken
+//! from the receiving store ([`InMemoryFacts::name`]): a batch about a
+//! subject the receiver holds allocates only its string objects. It goes
 //! through the same fact-field and envelope rules as
 //! [`DeltaBatch::from_xml`], which serves callers that already hold a tree.
 
@@ -33,6 +36,7 @@ use crate::fact::{Fact, FactDelta, FactSource, InMemoryFacts};
 use gloss_xml::{Element, Reader, Token};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The root element name of a batch document.
 const ROOT: &str = "kbdelta";
@@ -93,21 +97,17 @@ impl DeltaBatch {
         }
         let subject = el.attr("subject")?;
         let span = EpochSpan::read(|k| el.attr(k))?;
+        let name = subject.into();
         let mut deltas = Vec::new();
         for fe in el.children() {
-            let fact = fact_from_element(subject, fe)?;
+            let fact = fact_from_element(&name, fe)?;
             deltas.push(delta(fe.name(), fact)?);
         }
-        DeltaBatch::checked(subject.to_string(), span, deltas)
+        span.holds(deltas.len()).then(|| DeltaBatch::new(subject.to_string(), span, deltas))
     }
 
-    /// The batch, unless `deltas` does not hold exactly one delta per
-    /// epoch of `span`.
-    fn checked(subject: String, span: EpochSpan, deltas: Vec<FactDelta>) -> Option<DeltaBatch> {
-        if span.to.checked_sub(span.from)? != deltas.len() as u64 {
-            return None;
-        }
-        Some(DeltaBatch { subject, source: span.source, from: span.from, to: span.to, deltas })
+    fn new(subject: String, span: EpochSpan, deltas: Vec<FactDelta>) -> DeltaBatch {
+        DeltaBatch { subject, source: span.source, from: span.from, to: span.to, deltas }
     }
 }
 
@@ -142,6 +142,11 @@ impl EpochSpan {
             to: attr("to")?.parse().ok()?,
         })
     }
+
+    /// Whether `deltas` is exactly one delta per epoch of the span.
+    fn holds(self, deltas: usize) -> bool {
+        self.to.checked_sub(self.from) == Some(deltas as u64)
+    }
 }
 
 impl From<&DeltaBatch> for EpochSpan {
@@ -151,8 +156,8 @@ impl From<&DeltaBatch> for EpochSpan {
 }
 
 /// A `kbdelta` document read envelope first: [`open`](Self::open) reads
-/// the root's attributes and stops; [`decode`](Self::decode) reads the
-/// deltas only when asked.
+/// the root's attributes and stops, allocating nothing;
+/// [`decode_into`](Self::decode_into) reads the deltas only when asked.
 #[derive(Debug)]
 pub struct BatchReader<'a> {
     reader: Reader<'a>,
@@ -186,16 +191,50 @@ impl<'a> BatchReader<'a> {
 
     /// Decodes the rest of the document: the batch
     /// [`DeltaBatch::from_xml`] returns for it, or `None` where that
-    /// returns none.
-    pub fn decode(mut self) -> Option<DeltaBatch> {
-        let subject = self.subject.into_owned();
-        // Grown as deltas are read: `to - from` comes off the wire, and
-        // is checked, not trusted with an allocation.
+    /// returns none. [`decode_into`](Self::decode_into) with a fresh
+    /// buffer.
+    pub fn decode(self, names: &InMemoryFacts) -> Option<DeltaBatch> {
+        let span = self.span;
         let mut deltas = Vec::new();
+        let subject = self.decode_into(names, &mut deltas)?;
+        Some(DeltaBatch::new(subject.to_string(), span, deltas))
+    }
+
+    /// Decodes the rest of the document into `deltas` (emptied first):
+    /// the deltas [`DeltaBatch::from_xml`] decodes, and the batch's
+    /// subject; or `None`, with `deltas` empty, where that returns none.
+    /// Subjects and predicates are `names`' own where it holds them
+    /// ([`InMemoryFacts::name`]), so a receiver that decodes into one
+    /// kept buffer for its own store allocates, for a batch about a
+    /// subject it holds, only the batch's string objects.
+    pub fn decode_into(
+        mut self,
+        names: &InMemoryFacts,
+        deltas: &mut Vec<FactDelta>,
+    ) -> Option<Arc<str>> {
+        deltas.clear();
+        let subject = names.name(&self.subject);
+        let read = self.read_deltas(&subject, names, deltas);
+        if read.is_none() || !self.span.holds(deltas.len()) {
+            deltas.clear();
+            return None;
+        }
+        Some(subject)
+    }
+
+    /// Reads every delta up to the end of the document. `deltas` grows
+    /// as they are read: `to - from` comes off the wire, and is checked,
+    /// not trusted with an allocation.
+    fn read_deltas(
+        &mut self,
+        subject: &Arc<str>,
+        names: &InMemoryFacts,
+        deltas: &mut Vec<FactDelta>,
+    ) -> Option<()> {
         loop {
             match self.reader.next()?.ok()? {
                 Token::Start(tag) => {
-                    let fact = read_fact(&mut self.reader, &subject)??;
+                    let fact = read_fact(&mut self.reader, subject, names)??;
                     deltas.push(delta(tag, fact)?);
                 }
                 Token::Text(_) => {}
@@ -203,10 +242,7 @@ impl<'a> BatchReader<'a> {
             }
         }
         // The reader ends cleanly only if nothing trails the root.
-        if self.reader.next().is_some() {
-            return None;
-        }
-        DeltaBatch::checked(subject, self.span, deltas)
+        self.reader.next().is_none().then_some(())
     }
 }
 

@@ -16,15 +16,19 @@
 //!
 //! A receiver decodes straight from a document's bytes with
 //! [`SnapshotReader`], version first: a snapshot older than what the
-//! receiver holds is turned away before any fact is built. The element
-//! decoders ([`DistributedKnowledge::facts_from_xml`],
+//! receiver holds is turned away before any fact is built, and the facts
+//! it does build take their subject and predicate from the receiving
+//! store ([`InMemoryFacts::name`]), so names it already holds cost no
+//! allocation. The element decoders
+//! ([`DistributedKnowledge::facts_from_xml`],
 //! [`DistributedKnowledge::snapshot_version`]) read the same fields
 //! through the same rules, for callers that already hold a tree.
 
-use crate::fact::{Fact, Term};
+use crate::fact::{Fact, InMemoryFacts, Term};
 use gloss_sim::{GeoPoint, SimTime};
 use gloss_xml::{Element, Reader, Token};
 use std::borrow::Cow;
+use std::sync::Arc;
 
 /// The `kb/<subject>` document codec: names, and facts to and from XML.
 #[derive(Debug, Clone, Copy)]
@@ -40,7 +44,7 @@ impl DistributedKnowledge {
     pub fn facts_to_xml(subject: &str, facts: &[&Fact]) -> Element {
         let mut el = Element::new("facts").with_attr("subject", subject);
         for f in facts {
-            debug_assert_eq!(f.subject, subject, "grouped by subject");
+            debug_assert_eq!(&*f.subject, subject, "grouped by subject");
             el.push(fact_element("fact", f));
         }
         el
@@ -70,8 +74,8 @@ impl DistributedKnowledge {
     /// Parses facts back from the XML document form. Malformed entries
     /// are skipped (forward compatibility).
     pub fn facts_from_xml(el: &Element) -> Vec<Fact> {
-        let subject = el.attr("subject").unwrap_or(UNNAMED);
-        el.children_named("fact").filter_map(|fe| fact_from_element(subject, fe)).collect()
+        let subject = el.attr("subject").unwrap_or(UNNAMED).into();
+        el.children_named("fact").filter_map(|fe| fact_from_element(&subject, fe)).collect()
     }
 }
 
@@ -108,21 +112,25 @@ impl<'a> SnapshotReader<'a> {
         version_from(|k| self.reader.attr(k).map(|v| v.as_ref()))
     }
 
+    /// The subject the root names, if it names one (the facts of a
+    /// snapshot that does not are about `"unknown"`).
+    pub fn subject(&self) -> Option<&str> {
+        self.reader.attr("subject").map(|v| v.as_ref())
+    }
+
     /// Decodes the rest of the document: what
     /// [`DistributedKnowledge::facts_from_xml`] returns for it, or `None`
     /// when the document is malformed (malformed fact entries are
-    /// skipped, a malformed document is not).
-    pub fn facts(mut self) -> Option<Vec<Fact>> {
-        let subject = match self.reader.attr("subject") {
-            Some(subject) => subject.clone(),
-            None => Cow::Borrowed(UNNAMED),
-        };
+    /// skipped, a malformed document is not). Subjects and predicates are
+    /// `names`' own where it holds them ([`InMemoryFacts::name`]).
+    pub fn facts(mut self, names: &InMemoryFacts) -> Option<Vec<Fact>> {
+        let subject = names.name(self.subject().unwrap_or(UNNAMED));
         let mut facts = Vec::new();
         loop {
             match self.reader.next()?.ok()? {
                 Token::Start(name) => {
                     // Every child is read through; only `fact`s are kept.
-                    let fact = read_fact(&mut self.reader, &subject)?;
+                    let fact = read_fact(&mut self.reader, &subject, names)?;
                     facts.extend(fact.filter(|_| name == "fact"));
                 }
                 Token::Text(_) => {}
@@ -139,7 +147,7 @@ impl<'a> SnapshotReader<'a> {
 /// operation name).
 pub(crate) fn fact_element(tag: &str, f: &Fact) -> Element {
     let mut fe = Element::new(tag)
-        .with_attr("predicate", &f.predicate)
+        .with_attr("predicate", &*f.predicate)
         .with_attr("type", f.object.type_name());
     match &f.object {
         Term::Geo(g) => {
@@ -163,18 +171,25 @@ pub(crate) fn fact_element(tag: &str, f: &Fact) -> Element {
     fe
 }
 
-/// Decodes one fact element (any tag), `None` when malformed.
-pub(crate) fn fact_from_element(subject: &str, fe: &Element) -> Option<Fact> {
-    let head = FactHead::read(|k| fe.attr(k))?;
+/// Decodes one fact element (any tag), `None` when malformed. The
+/// predicate is a fresh name.
+pub(crate) fn fact_from_element(subject: &Arc<str>, fe: &Element) -> Option<Fact> {
+    let head = FactHead::read(|k| fe.attr(k), |predicate| predicate.into())?;
     head.finish(subject, &fe.child("value").map(|v| v.text()).unwrap_or_default())
 }
 
 /// Decodes the fact element whose start tag `reader` has just returned,
 /// reading through its end tag. `None` when the document is malformed;
 /// `Some(None)` when only this fact is. The fact's `<value>` text is its
-/// first `value` child's own text, as [`fact_from_element`] reads it.
-pub(crate) fn read_fact(reader: &mut Reader<'_>, subject: &str) -> Option<Option<Fact>> {
-    let head = FactHead::read(|k| reader.attr(k).map(|v| v.as_ref()));
+/// first `value` child's own text, as [`fact_from_element`] reads it; its
+/// predicate is `names`' own where it holds it.
+pub(crate) fn read_fact(
+    reader: &mut Reader<'_>,
+    subject: &Arc<str>,
+    names: &InMemoryFacts,
+) -> Option<Option<Fact>> {
+    let head =
+        FactHead::read(|k| reader.attr(k).map(|v| v.as_ref()), |predicate| names.name(predicate));
     let mut value: Option<Cow<'_, str>> = None;
     let mut in_value = false;
     // Elements open inside the fact element.
@@ -211,7 +226,7 @@ pub(crate) fn read_fact(reader: &mut Reader<'_>, subject: &str) -> Option<Option
 /// text. This is where the fact-field rules are written; the element and
 /// the token decoders both go through it.
 struct FactHead {
-    predicate: String,
+    predicate: Arc<str>,
     object: Object,
     valid_from: Option<SimTime>,
     valid_to: Option<SimTime>,
@@ -232,9 +247,14 @@ impl FactHead {
     /// Reads the attributes `attr` looks up, `None` when one is missing or
     /// malformed. A missing validity bound means unbounded; one present
     /// but unparsable makes the element malformed (read as unbounded, a
-    /// corrupted window would widen the fact to always-valid).
-    fn read<'v>(attr: impl Fn(&str) -> Option<&'v str>) -> Option<FactHead> {
-        let predicate = attr("predicate")?.to_string();
+    /// corrupted window would widen the fact to always-valid). The
+    /// predicate is turned into a shared name by `name`, once the rest
+    /// has been read.
+    fn read<'v>(
+        attr: impl Fn(&str) -> Option<&'v str>,
+        name: impl FnOnce(&str) -> Arc<str>,
+    ) -> Option<FactHead> {
+        let predicate = attr("predicate")?;
         let object = match attr("type")? {
             "str" => Object::Str,
             "int" => Object::Int,
@@ -249,16 +269,12 @@ impl FactHead {
             _ => return None,
         };
         let bound = |key| attr(key).map(|us| us.parse().map(SimTime::from_micros)).transpose().ok();
-        Some(FactHead {
-            predicate,
-            object,
-            valid_from: bound("from_us")?,
-            valid_to: bound("to_us")?,
-        })
+        let (valid_from, valid_to) = (bound("from_us")?, bound("to_us")?);
+        Some(FactHead { predicate: name(predicate), object, valid_from, valid_to })
     }
 
     /// The fact, given its `<value>` text (empty when it has none).
-    fn finish(self, subject: &str, value: &str) -> Option<Fact> {
+    fn finish(self, subject: &Arc<str>, value: &str) -> Option<Fact> {
         let object = match self.object {
             Object::Known(term) => term,
             Object::Str => Term::Str(value.into()),
@@ -267,7 +283,7 @@ impl FactHead {
             Object::Bool => Term::Bool(value.parse().ok()?),
         };
         Some(Fact {
-            subject: subject.to_string(),
+            subject: Arc::clone(subject),
             predicate: self.predicate,
             object,
             valid_from: self.valid_from,
@@ -320,8 +336,8 @@ mod tests {
         .unwrap();
         let facts = DistributedKnowledge::facts_from_xml(&xml);
         assert_eq!(facts.len(), 2, "a corrupt bound is malformed, not unbounded: {facts:?}");
-        assert_eq!(facts[0].predicate, "ok");
-        assert_eq!(facts[1].predicate, "window");
+        assert_eq!(&*facts[0].predicate, "ok");
+        assert_eq!(&*facts[1].predicate, "window");
         assert_eq!(facts[1].valid_from, Some(SimTime::from_micros(10)));
         assert_eq!(facts[1].valid_to, Some(SimTime::from_micros(20)));
     }

@@ -6,9 +6,17 @@
 //! the one subject it names, never the whole store, and the tombstones
 //! it leaves are compacted in bulk (see the struct docs for the rule).
 //! Reads and the change feed see facts in insertion order throughout.
+//!
+//! A fact's subject and predicate are shared names (`Arc<str>`), like a
+//! [`Term::Str`] object: the store's slot, its delta log, both index keys
+//! and every copy a consumer takes point at one allocation, and copying a
+//! fact bumps reference counts. [`InMemoryFacts::name`] hands out the
+//! store's own copy of a name, so a decoder that builds facts for a store
+//! allocates no name the store already holds.
 
 use gloss_sim::FnvHashMap;
 use gloss_sim::{GeoPoint, SimTime};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -157,12 +165,15 @@ impl From<SimTime> for Term {
 
 /// A fact: `subject predicate object`, optionally valid only within a
 /// time interval ("Bob is on holiday from 20/6/2003 to 27/6/2003").
+///
+/// The subject and predicate are shared, so cloning a fact allocates
+/// nothing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fact {
     /// The subject ("bob").
-    pub subject: String,
+    pub subject: Arc<str>,
     /// The predicate ("likes").
-    pub predicate: String,
+    pub predicate: Arc<str>,
     /// The object.
     pub object: Term,
     /// Validity start (inclusive), if bounded.
@@ -172,11 +183,12 @@ pub struct Fact {
 }
 
 impl Fact {
-    /// Creates an always-valid fact.
-    pub fn new(subject: impl Into<String>, predicate: impl Into<String>, object: Term) -> Self {
+    /// Creates an always-valid fact, copying the names. (A store adopts
+    /// its own copy of a name it already holds when the fact is added.)
+    pub fn new(subject: impl AsRef<str>, predicate: impl AsRef<str>, object: Term) -> Self {
         Fact {
-            subject: subject.into(),
-            predicate: predicate.into(),
+            subject: subject.as_ref().into(),
+            predicate: predicate.as_ref().into(),
             object,
             valid_from: None,
             valid_to: None,
@@ -310,22 +322,27 @@ const COMPACT_LIVE_PER_DEAD: usize = 16;
 /// and a retract records its deltas in that order too.
 ///
 /// A write costs what it changes: [`add`](Self::add) appends one slot
-/// (and allocates an index key only for a subject or predicate not yet
-/// indexed); [`retract`](Self::retract) and
+/// and copies no name — an index key is the fact's own shared name (a
+/// subject or predicate not yet indexed costs only its slot list), and a
+/// fact naming one already indexed is switched to the index's copy, so
+/// every fact about one subject shares one name; [`retract`](Self::retract) and
 /// [`remove_subject`](Self::remove_subject) walk only the subject's slot
 /// list and drop each doomed slot from its predicate list by binary
 /// search. Tombstones are compacted in one order-preserving O(n) remap
 /// once there are at least 32 of them and more than one per 16 live
 /// facts, so no write leaves more than `max(31, len / 16)` behind and
-/// the amortised cost of a retract does not grow with the store.
+/// the amortised cost of a retract does not grow with the store. An index
+/// list a retract empties stays, key and capacity, until that compaction
+/// (there are never more of them than tombstones), so replacing a
+/// subject's only fact allocates nothing.
 #[derive(Debug)]
 pub struct InMemoryFacts {
     /// Facts in insertion order; `None` marks a retracted fact.
     slots: Vec<Option<Fact>>,
     /// Number of `Some` slots.
     live: usize,
-    by_predicate: FnvHashMap<String, Vec<usize>>,
-    by_subject: FnvHashMap<String, Vec<usize>>,
+    by_predicate: FnvHashMap<Arc<str>, Vec<usize>>,
+    by_subject: FnvHashMap<Arc<str>, Vec<usize>>,
     source: u64,
     epoch: u64,
     /// Deltas for epochs `log_base + 1 ..= epoch`, oldest first.
@@ -402,13 +419,36 @@ impl InMemoryFacts {
     }
 
     /// Adds a fact.
-    pub fn add(&mut self, fact: Fact) {
+    pub fn add(&mut self, mut fact: Fact) {
         let slot = self.slots.len();
-        index_push(&mut self.by_predicate, &fact.predicate, slot);
-        index_push(&mut self.by_subject, &fact.subject, slot);
+        index_push(&mut self.by_predicate, &mut fact.predicate, slot);
+        index_push(&mut self.by_subject, &mut fact.subject, slot);
         self.slots.push(Some(fact.clone()));
         self.live += 1;
         self.record(FactDelta::Insert(fact));
+    }
+
+    /// Applies one entry of a change feed: adds an inserted fact, or
+    /// [`retract`](Self::retract)s every fact matching a retracted one.
+    pub fn apply(&mut self, delta: FactDelta) {
+        match delta {
+            FactDelta::Insert(fact) => self.add(fact),
+            FactDelta::Retract(fact) => {
+                self.retract(&fact.subject, &fact.predicate, &fact.object);
+            }
+        }
+    }
+
+    /// `name` as a shared name: the store's own copy when some held fact
+    /// has it as subject or predicate (a reference-count bump), a new one
+    /// otherwise. Decoders build facts for this store with it, so a fact
+    /// about a held subject allocates no name.
+    pub fn name(&self, name: &str) -> Arc<str> {
+        match self.by_subject.get_key_value(name).or_else(|| self.by_predicate.get_key_value(name))
+        {
+            Some((held, _)) => Arc::clone(held),
+            None => name.into(),
+        }
     }
 
     /// Adds many facts.
@@ -440,7 +480,7 @@ impl InMemoryFacts {
     /// how many were removed. The targeted counterpart of
     /// [`remove_subject`](Self::remove_subject) for fact churn.
     pub fn retract(&mut self, subject: &str, predicate: &str, object: &Term) -> usize {
-        self.retract_where(subject, |f| f.predicate == predicate && f.object == *object)
+        self.retract_where(subject, |f| *f.predicate == *predicate && f.object == *object)
     }
 
     /// Retracts the facts about `subject` that `gone` selects, walking
@@ -459,18 +499,13 @@ impl InMemoryFacts {
                 if let Ok(at) = same_predicate.binary_search(&slot) {
                     same_predicate.remove(at);
                 }
-                if same_predicate.is_empty() {
-                    self.by_predicate.remove(&fact.predicate);
-                }
             }
             self.live -= 1;
             self.record(FactDelta::Retract(fact));
             false
         });
         let removed = before - held.len();
-        if !held.is_empty() {
-            self.by_subject.insert(key, held);
-        }
+        self.by_subject.insert(key, held);
         let dead = self.slots.len() - self.live;
         if dead >= COMPACT_MIN_DEAD && dead * COMPACT_LIVE_PER_DEAD > self.live {
             self.compact();
@@ -479,7 +514,8 @@ impl InMemoryFacts {
     }
 
     /// Drops every tombstone, renumbering the survivors in order and
-    /// remapping both indexes (which stay ascending).
+    /// remapping both indexes (which stay ascending), and the index lists
+    /// retracts have emptied.
     fn compact(&mut self) {
         let mut renumbered = vec![0; self.slots.len()];
         let mut next = 0;
@@ -490,6 +526,8 @@ impl InMemoryFacts {
             }
         }
         self.slots.retain(Option::is_some);
+        self.by_subject.retain(|_, held| !held.is_empty());
+        self.by_predicate.retain(|_, held| !held.is_empty());
         for held in self.by_subject.values_mut().chain(self.by_predicate.values_mut()) {
             for slot in held {
                 *slot = renumbered[*slot];
@@ -506,18 +544,24 @@ impl InMemoryFacts {
     pub fn by_subject(&self) -> BTreeMap<&str, Vec<&Fact>> {
         let mut map: BTreeMap<&str, Vec<&Fact>> = BTreeMap::new();
         for f in self.facts() {
-            map.entry(f.subject.as_str()).or_default().push(f);
+            map.entry(&*f.subject).or_default().push(f);
         }
         map
     }
 }
 
-/// Appends `slot` to `key`'s list, allocating the key only on a miss.
-fn index_push(index: &mut FnvHashMap<String, Vec<usize>>, key: &str, slot: usize) {
-    match index.get_mut(key) {
-        Some(held) => held.push(slot),
-        None => {
-            index.insert(key.to_string(), vec![slot]);
+/// Appends `slot` to `name`'s list and points `name` at the index's copy;
+/// a name not yet indexed becomes the key itself.
+fn index_push(index: &mut FnvHashMap<Arc<str>, Vec<usize>>, name: &mut Arc<str>, slot: usize) {
+    match index.entry(Arc::clone(name)) {
+        Entry::Occupied(mut held) => {
+            if !Arc::ptr_eq(held.key(), name) {
+                *name = Arc::clone(held.key());
+            }
+            held.get_mut().push(slot);
+        }
+        Entry::Vacant(absent) => {
+            absent.insert(vec![slot]);
         }
     }
 }
@@ -554,7 +598,7 @@ impl FactSource for InMemoryFacts {
         match self.candidate_indices(subject, predicate) {
             Some((idx, check_predicate)) => {
                 Box::new(idx.iter().filter_map(|&i| self.slots[i].as_ref()).filter(move |f| {
-                    !check_predicate || predicate.is_none_or(|p| f.predicate == p)
+                    !check_predicate || predicate.is_none_or(|p| *f.predicate == *p)
                 }))
             }
             None => Box::new(self.facts()),
@@ -571,7 +615,7 @@ impl FactSource for InMemoryFacts {
         match self.candidate_indices(subject, predicate) {
             Some((idx, check_predicate)) => {
                 for fact in idx.iter().filter_map(|&i| self.slots[i].as_ref()) {
-                    if (!check_predicate || predicate.is_none_or(|p| fact.predicate == p))
+                    if (!check_predicate || predicate.is_none_or(|p| *fact.predicate == *p))
                         && fact.valid_at(t)
                     {
                         f(fact);
@@ -710,7 +754,7 @@ mod tests {
         assert_eq!(kb.remove_subject("bob"), 4);
         let mut retracts = 0;
         assert!(kb.for_each_delta_since(e, &mut |d| {
-            assert!(matches!(d, FactDelta::Retract(f) if f.subject == "bob"));
+            assert!(matches!(d, FactDelta::Retract(f) if &*f.subject == "bob"));
             retracts += 1;
         }));
         assert_eq!(retracts, 4);
@@ -743,6 +787,36 @@ mod tests {
         );
         assert_eq!(kb.retract("d", "p", &Term::Int(5)), 2);
         assert_eq!(kb.query(Some("d"), None).count(), 0);
+    }
+
+    #[test]
+    fn added_facts_share_the_names_the_store_holds() {
+        let mut kb = InMemoryFacts::new();
+        kb.add(Fact::new("bob", "likes", Term::str("tea")));
+        kb.add(Fact::new("bob", "likes", Term::str("golf")));
+        kb.add(Fact::new("anna", "knows", Term::str("bob")));
+        let (bob, likes) = (kb.name("bob"), kb.name("likes"));
+        assert!(Arc::ptr_eq(&bob, &kb.name("bob")), "a held subject is handed back");
+        assert!(Arc::ptr_eq(&likes, &kb.name("likes")), "so is a held predicate");
+        assert!(!Arc::ptr_eq(&kb.name("zoe"), &kb.name("zoe")), "a name held nowhere is new");
+        for f in kb.query(Some("bob"), None) {
+            assert!(Arc::ptr_eq(&f.subject, &bob) && Arc::ptr_eq(&f.predicate, &likes), "{f}");
+        }
+        let mut logged = 0;
+        kb.for_each_delta_since(0, &mut |d| {
+            let f = d.fact();
+            logged +=
+                usize::from(Arc::ptr_eq(&f.subject, &bob) && Arc::ptr_eq(&f.predicate, &likes));
+        });
+        assert_eq!(logged, 2, "the delta log shares the slots' names");
+        // A subject emptied by retracts keeps its key until compaction.
+        kb.remove_subject("bob");
+        kb.add(Fact::new("bob", "likes", Term::str("tea")));
+        assert!(Arc::ptr_eq(&kb.name("bob"), &bob), "an emptied subject keeps its key");
+        kb.extend((0..40).map(|i| Fact::new("tmp", "n", Term::Int(i))));
+        assert_eq!(kb.remove_subject("tmp"), 40, "enough tombstones to compact");
+        assert!(!Arc::ptr_eq(&kb.name("tmp"), &kb.name("tmp")), "compaction drops it");
+        assert!(!Arc::ptr_eq(&kb.name("n"), &kb.name("n")), "and an emptied predicate");
     }
 
     #[test]

@@ -238,10 +238,10 @@ mod tests {
     fn to_facts_covers_all_aspects() {
         let d = PlaceDirectory::st_andrews();
         let facts = d.to_facts();
-        assert!(facts.iter().any(|f| f.subject == "Janetta's"
-            && f.predicate == "sells"
+        assert!(facts.iter().any(|f| &*f.subject == "Janetta's"
+            && &*f.predicate == "sells"
             && f.object.as_str() == Some("ice cream")));
-        assert!(facts.iter().any(|f| f.subject == "Janetta's" && f.predicate == "closes_at"));
-        assert!(facts.iter().any(|f| f.predicate == "located_at"));
+        assert!(facts.iter().any(|f| &*f.subject == "Janetta's" && &*f.predicate == "closes_at"));
+        assert!(facts.iter().any(|f| &*f.predicate == "located_at"));
     }
 }

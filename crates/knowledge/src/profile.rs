@@ -126,9 +126,9 @@ mod tests {
         let mut p = UserProfile::new("bob").likes("ice cream").knows("anna");
         p.visited(SimTime::from_secs(10), "Janetta's");
         let facts = p.to_facts();
-        assert!(facts.iter().any(|f| f.predicate == "likes"));
-        assert!(facts.iter().any(|f| f.predicate == "knows"));
-        let visit = facts.iter().find(|f| f.predicate == "visited").unwrap();
+        assert!(facts.iter().any(|f| &*f.predicate == "likes"));
+        assert!(facts.iter().any(|f| &*f.predicate == "knows"));
+        let visit = facts.iter().find(|f| &*f.predicate == "visited").unwrap();
         assert!(!visit.valid_at(SimTime::from_secs(5)), "visit not yet true");
         assert!(visit.valid_at(SimTime::from_secs(11)));
     }
@@ -138,7 +138,7 @@ mod tests {
         let (profile, facts) =
             UserProfile::paper_bob(SimTime::from_secs(100), SimTime::from_secs(700));
         assert!(profile.likes.iter().any(|l| l == "ice cream"));
-        let holiday = facts.iter().find(|f| f.predicate == "on_holiday").unwrap();
+        let holiday = facts.iter().find(|f| &*f.predicate == "on_holiday").unwrap();
         assert!(holiday.valid_at(SimTime::from_secs(400)));
         assert!(!holiday.valid_at(SimTime::from_secs(800)));
     }

@@ -1,0 +1,165 @@
+//! Allocation budget of a follower's knowledge receive path: a batch's
+//! envelope is read with no allocation, and a batch about a subject the
+//! follower holds, decoded into a kept buffer with names taken from the
+//! follower's store and applied to it, allocates only its string
+//! objects — so 256 retract/insert pairs cost what 8 do.
+//!
+//! This binary installs an allocator that counts each thread's
+//! allocations, so keep the budget checks in this file. CI also runs it
+//! with `--release`, the profile the end-to-end benchmark runs in.
+
+use gloss_knowledge::{
+    reconcile, BatchReader, DeltaAction, DeltaBatch, Fact, FactDelta, FactSource, InMemoryFacts,
+    Term,
+};
+use gloss_xml::Reader;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct Counting;
+
+thread_local! {
+    /// Allocation calls (`alloc` and `realloc`) made by this thread.
+    static COUNT: Cell<u64> = const { Cell::new(0) };
+}
+
+fn record() {
+    // A thread being torn down has no slot left; its requests go unseen.
+    let _ = COUNT.try_with(|count| count.set(count.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` with the caller's layout and
+// pointer unchanged; counting touches no memory handed out.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        record();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        record();
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// What this thread allocated while running `f`.
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    COUNT.with(|count| count.set(0));
+    let out = f();
+    (out, COUNT.with(Cell::get))
+}
+
+const SOURCE: u64 = 77;
+
+/// The batch document extending epoch `from` of `u1` by `pairs`
+/// retract/insert pairs, each replacing `u1`'s one `score` with the next:
+/// Int objects, or Str ones.
+fn batch_text(from: u64, pairs: u64, strings: bool) -> String {
+    let score = |n: u64| {
+        let object = if strings { Term::str(format!("s{n}")) } else { Term::Int(n as i64) };
+        Fact::new("u1", "score", object)
+    };
+    let deltas = (from / 2..from / 2 + pairs)
+        .flat_map(|n| [FactDelta::Retract(score(n)), FactDelta::Insert(score(n + 1))])
+        .collect();
+    let batch =
+        DeltaBatch { subject: "u1".into(), source: SOURCE, from, to: from + 2 * pairs, deltas };
+    batch.to_xml().to_xml()
+}
+
+/// What a follower does with a batch that applies: envelope, verdict,
+/// body decoded into its kept buffer with its store's names, applied.
+fn receive(kb: &mut InMemoryFacts, kept: &mut Vec<FactDelta>, anchor: u64, text: &str) -> u64 {
+    let reader = BatchReader::open(text).expect("a well-formed envelope");
+    let span = reader.span();
+    let DeltaAction::Apply { skip } = reconcile(Some((SOURCE, anchor)), span) else {
+        panic!("the batch extends the anchor");
+    };
+    reader.decode_into(kb, kept).expect("a well-formed body");
+    for delta in kept.drain(..).skip(skip) {
+        kb.apply(delta);
+    }
+    span.to
+}
+
+/// Facts about other subjects the follower holds: enough that the 2 × 256
+/// retracts below leave fewer than one tombstone per 16 live facts, so
+/// no write compacts (a compaction allocates one renumbering vector per
+/// at least 32 retracts, amortised).
+const OTHERS: i64 = 10_000;
+
+/// A follower holding `u1`'s score and `OTHERS` other facts, warmed by a
+/// 256-pair batch (which grows the kept buffer, the slot vector and the
+/// delta log to what the measured batch needs); returns what applying a
+/// `pairs`-pair batch then allocates, and the store.
+fn apply_pairs(pairs: u64, strings: bool) -> (InMemoryFacts, u64) {
+    let mut kb = InMemoryFacts::new();
+    for i in 0..OTHERS {
+        kb.add(Fact::new(format!("other{i}"), "score", Term::Int(i)));
+    }
+    let first = if strings { Term::str("s0") } else { Term::Int(0) };
+    kb.add(Fact::new("u1", "score", first));
+    let mut kept = Vec::new();
+    let anchor = receive(&mut kb, &mut kept, 0, &batch_text(0, 256, strings));
+    let text = batch_text(anchor, pairs, strings);
+    let (to, cost) = allocations(|| receive(&mut kb, &mut kept, anchor, &text));
+    assert_eq!(to, anchor + 2 * pairs);
+    (kb, cost)
+}
+
+#[test]
+fn a_batch_envelope_opens_with_no_allocation() {
+    let text = batch_text(12, 1, true);
+    let (reader, cost) = allocations(|| BatchReader::open(&text).map(|r| r.span()));
+    assert_eq!(reader.map(|span| (span.from, span.to)), Some((12, 14)));
+    assert_eq!(cost, 0, "reading a four-attribute kbdelta envelope allocated");
+}
+
+#[test]
+fn the_xml_reader_allocates_nothing_up_to_eight_attributes_and_eight_levels() {
+    let document = |depth: usize, width: usize| {
+        let attrs: String = (0..width).map(|i| format!(" k{i}=\"v{i}\"")).collect();
+        let open: String = (0..depth).map(|d| format!("<e{d}{attrs}>t")).collect();
+        let close: String = (0..depth).rev().map(|d| format!("</e{d}>")).collect();
+        format!("{open}{close}")
+    };
+    let cost = |text: &str| allocations(|| Reader::new(text).map(Result::unwrap).count()).1;
+    assert_eq!(cost(&document(8, 8)), 0, "8 levels of 8 attributes");
+    assert!(cost(&document(8, 9)) > 0, "a ninth attribute spills");
+    assert!(cost(&document(9, 8)) > 0, "a ninth level spills");
+}
+
+#[test]
+fn a_batch_about_a_held_subject_allocates_the_same_for_8_and_256_pairs() {
+    let (few_kb, few) = apply_pairs(8, false);
+    let (many_kb, many) = apply_pairs(256, false);
+    assert_eq!(
+        few_kb.query(Some("u1"), None).map(|f| &f.object).collect::<Vec<_>>(),
+        [&Term::Int(264)]
+    );
+    assert_eq!(
+        many_kb.query(Some("u1"), None).map(|f| &f.object).collect::<Vec<_>>(),
+        [&Term::Int(512)]
+    );
+    assert_eq!(few_kb.len(), many_kb.len());
+    assert_eq!(many, few, "allocations applying 256 Int pairs vs 8");
+    assert_eq!(few, 0, "held names, Int objects: nothing new is kept");
+}
+
+#[test]
+fn string_objects_are_all_a_batch_about_a_held_subject_allocates() {
+    let (_, few) = apply_pairs(8, true);
+    let (_, many) = apply_pairs(256, true);
+    // One object per delta: the retracted one is decoded to be matched.
+    assert_eq!((few, many), (2 * 8, 2 * 256));
+}

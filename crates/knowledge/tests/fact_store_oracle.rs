@@ -95,8 +95,8 @@ impl NaiveFacts {
 
     fn add(&mut self, fact: Fact) {
         let i = self.facts.len();
-        self.by_predicate.entry(fact.predicate.clone()).or_default().push(i);
-        self.by_subject.entry(fact.subject.clone()).or_default().push(i);
+        self.by_predicate.entry(fact.predicate.to_string()).or_default().push(i);
+        self.by_subject.entry(fact.subject.to_string()).or_default().push(i);
         self.facts.push(fact.clone());
         self.record(FactDelta::Insert(fact));
     }
@@ -116,12 +116,12 @@ impl NaiveFacts {
     }
 
     fn remove_subject(&mut self, subject: &str) -> usize {
-        self.retract_where(|f| f.subject == subject)
+        self.retract_where(|f| *f.subject == *subject)
     }
 
     fn retract(&mut self, subject: &str, predicate: &str, object: &Term) -> usize {
         self.retract_where(|f| {
-            f.subject == subject && f.predicate == predicate && f.object == *object
+            *f.subject == *subject && *f.predicate == *predicate && f.object == *object
         })
     }
 
@@ -170,7 +170,7 @@ impl NaiveFacts {
     fn by_subject(&self) -> BTreeMap<&str, Vec<&Fact>> {
         let mut map: BTreeMap<&str, Vec<&Fact>> = BTreeMap::new();
         for f in &self.facts {
-            map.entry(f.subject.as_str()).or_default().push(f);
+            map.entry(&*f.subject).or_default().push(f);
         }
         map
     }
@@ -208,7 +208,7 @@ impl FactSource for NaiveFacts {
         match self.candidate_indices(subject, predicate) {
             Some((idx, check_predicate)) => {
                 Box::new(idx.iter().map(|&i| &self.facts[i]).filter(move |f| {
-                    !check_predicate || predicate.is_none_or(|p| f.predicate == p)
+                    !check_predicate || predicate.is_none_or(|p| *f.predicate == *p)
                 }))
             }
             None => Box::new(self.facts.iter()),
@@ -226,7 +226,7 @@ impl FactSource for NaiveFacts {
             Some((idx, check_predicate)) => {
                 for &i in idx {
                     let fact = &self.facts[i];
-                    if (!check_predicate || predicate.is_none_or(|p| fact.predicate == p))
+                    if (!check_predicate || predicate.is_none_or(|p| *fact.predicate == *p))
                         && fact.valid_at(t)
                     {
                         f(fact);
@@ -315,11 +315,11 @@ fn rand_target(rng: &mut SimRng) -> &'static str {
 fn rand_triple(rng: &mut SimRng, naive: &NaiveFacts) -> (String, String, Term) {
     if !naive.is_empty() && rng.chance(0.7) {
         let f = &naive.facts[rng.index(naive.len())];
-        (f.subject.clone(), f.predicate.clone(), f.object.clone())
+        (f.subject.to_string(), f.predicate.to_string(), f.object.clone())
     } else {
         let subject = rand_target(rng);
         let f = rand_fact_about(rng, subject);
-        (f.subject, f.predicate, f.object)
+        (f.subject.to_string(), f.predicate.to_string(), f.object)
     }
 }
 

@@ -1060,7 +1060,7 @@ fn sync(
                 *change_stamp += 1;
                 let stamp = *change_stamp;
                 let replayed = kb.for_each_delta_since(s.epoch, &mut |d| {
-                    if let Some(mem) = alphas.get_mut(d.fact().predicate.as_str()) {
+                    if let Some(mem) = alphas.get_mut(&*d.fact().predicate) {
                         mem.last_change = stamp;
                         match d {
                             FactDelta::Insert(fact) => mem.insert(fact),

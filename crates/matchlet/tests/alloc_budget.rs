@@ -3,7 +3,8 @@
 //! firings. The join extends one scratch environment in place, so
 //! partners that are visited and rejected cost no allocation; only what
 //! is kept (the event's own buffered bindings, the emitted events) is
-//! allocated.
+//! allocated. The same holds for the facts a fact goal visits: binding a
+//! fact's subject shares the fact's name.
 //!
 //! This binary installs an allocator that counts each thread's
 //! allocations, so keep the budget checks in this file. CI also runs it
@@ -113,5 +114,43 @@ fn a_join_allocates_the_same_for_8_and_256_buffered_partners() {
     assert_eq!(
         many_cost, few_cost,
         "(allocations, bytes) joining 256 partners vs 8: rejected partners must cost nothing"
+    );
+}
+
+/// A rule whose fact goal reads the event (so it is solved afresh for
+/// every probe) and binds the subject of every fact it visits; only the
+/// fact about `f0` passes the condition.
+const SUBJECT_RULE: &str = r#"
+    rule fans {
+        on p: event probe(user: ?u)
+        where fact(?fan, knows, ?u)
+        where ?fan = "f0"
+        emit fan(user: ?u, fan: ?fan)
+    }
+"#;
+
+/// Holds `facts` facts `f<n> knows ua`, warms the engine up with one
+/// probe, then returns the events a second probe emits and what that
+/// probe allocated.
+fn probe_visiting(facts: usize) -> (Vec<Event>, (u64, u64)) {
+    let mut kb = InMemoryFacts::new();
+    for n in 0..facts {
+        kb.add(Fact::new(format!("f{n}"), "knows", Term::str("ua")));
+    }
+    let mut engine = MatchletEngine::compile(SUBJECT_RULE).expect("rule parses");
+    let probe = Event::new("probe").with_attr("user", "ua");
+    assert_eq!(engine.on_event(SimTime::from_secs(1), &probe, &kb).len(), 1, "warm-up fires");
+    allocations(|| engine.on_event(SimTime::from_secs(2), &probe, &kb))
+}
+
+#[test]
+fn a_fact_goal_binds_8_or_256_subjects_for_the_same_allocations() {
+    let (few, few_cost) = probe_visiting(8);
+    let (many, many_cost) = probe_visiting(256);
+    assert_eq!(few.len(), 1, "the rule fires once");
+    assert_eq!(few, many, "equal firings");
+    assert_eq!(
+        many_cost, few_cost,
+        "(allocations, bytes) visiting 256 facts vs 8: a bound subject must cost nothing"
     );
 }

@@ -28,10 +28,17 @@ impl Key {
     /// finalisation avalanches every input bit across all 128 output
     /// bits so related names scatter uniformly.
     pub fn hash_of(bytes: &[u8]) -> Key {
+        Key::hash_of_parts([bytes])
+    }
+
+    /// [`hash_of`](Self::hash_of) the concatenation of `parts`, read part
+    /// by part: the GUID of a name made of a prefix and a variable part
+    /// (`kbdelta/` + a subject), with no name built to hash it.
+    pub fn hash_of_parts<'b>(parts: impl IntoIterator<Item = &'b [u8]>) -> Key {
         const OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
         const PRIME: u128 = 0x0000000001000000000000000000013b;
         let mut h = OFFSET;
-        for &b in bytes {
+        for &b in parts.into_iter().flatten() {
             h ^= b as u128;
             h = h.wrapping_mul(PRIME);
         }
@@ -142,6 +149,16 @@ mod tests {
         // Single-byte difference flips high digits with good probability;
         // just check the keys differ substantially.
         assert!(a.ring_distance(c) > 1 << 64);
+    }
+
+    #[test]
+    fn hashing_in_parts_hashes_the_concatenation() {
+        let name = "kbdelta/bob & co";
+        for split in 0..=name.len() {
+            let (head, tail) = name.as_bytes().split_at(split);
+            assert_eq!(Key::hash_of_parts([head, tail]), Key::hash_of_str(name), "split {split}");
+        }
+        assert_eq!(Key::hash_of_parts([]), Key::hash_of(b""));
     }
 
     #[test]

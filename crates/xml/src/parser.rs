@@ -18,12 +18,17 @@
 //! tokens, so the tree and the stream agree on what is well-formed. The
 //! reader checks well-formedness as it goes (matching close tags, no
 //! duplicate attribute, nothing after the root), so a consumer that reads
-//! until the reader ends has checked the whole document.
+//! until the reader ends has checked the whole document. It keeps the
+//! open-element names and the last start tag's attributes in place, so a
+//! document no deeper than eight elements, with no start tag of more than
+//! eight attributes, is read with no heap allocation (entity-decoded text
+//! and values aside).
 
 use crate::document::{Document, Element, Node};
 use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
+use std::mem;
 
 /// A parse failure, with 1-based line and column of the offending input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,8 +73,10 @@ pub fn parse_document(input: &str) -> Result<Document, ParseError> {
         match token {
             Token::Start(name) => {
                 let mut el = Element::new(name);
-                for (key, value) in reader.attrs.drain(..) {
-                    el.set_attr(key, value);
+                // Values are moved out, so an entity-decoded one is not
+                // copied; the next start tag clears what is left.
+                for (key, value) in reader.attrs.iter_mut() {
+                    el.set_attr(*key, mem::take(value));
                 }
                 open.push(el);
             }
@@ -143,9 +150,9 @@ pub struct Reader<'a> {
     place: Place,
     has_declaration: bool,
     /// Names of the open elements, outermost first.
-    open: Vec<&'a str>,
+    open: Stack<&'a str>,
     /// The last start tag's attributes, in document order.
-    attrs: Vec<(&'a str, Cow<'a, str>)>,
+    attrs: Stack<(&'a str, Cow<'a, str>)>,
     /// The end a self-closing start tag owes.
     pending_end: Option<&'a str>,
 }
@@ -170,8 +177,8 @@ impl<'a> Reader<'a> {
             pos: 0,
             place: Place::Prolog,
             has_declaration: false,
-            open: Vec::new(),
-            attrs: Vec::new(),
+            open: Stack::default(),
+            attrs: Stack::default(),
             pending_end: None,
         }
     }
@@ -482,6 +489,64 @@ impl<'a> Reader<'a> {
 
     fn text(&mut self) -> Result<Cow<'a, str>, ParseError> {
         self.decoded_run(|b| b == b'<')
+    }
+}
+
+/// How many items a [`Stack`] holds in place before it spills to the
+/// heap.
+const IN_PLACE: usize = 8;
+
+/// A stack whose first [`IN_PLACE`] items live inside it and the rest in
+/// a `Vec`, which allocates only once a deeper or wider document needs
+/// it. Popped and cleared slots are reset, so an entity-decoded value is
+/// freed when its start tag is left behind, as in a `Vec`.
+#[derive(Debug)]
+struct Stack<T> {
+    in_place: [T; IN_PLACE],
+    len: usize,
+    spill: Vec<T>,
+}
+
+impl<T: Default> Default for Stack<T> {
+    fn default() -> Self {
+        Stack { in_place: std::array::from_fn(|_| T::default()), len: 0, spill: Vec::new() }
+    }
+}
+
+impl<T: Default> Stack<T> {
+    fn push(&mut self, item: T) {
+        match self.in_place.get_mut(self.len) {
+            Some(slot) => *slot = item,
+            None => self.spill.push(item),
+        }
+        self.len += 1;
+    }
+
+    fn pop(&mut self) {
+        self.len = self.len.saturating_sub(1);
+        match self.in_place.get_mut(self.len) {
+            Some(slot) => *slot = T::default(),
+            None => self.spill.truncate(self.len - IN_PLACE),
+        }
+    }
+
+    fn last(&self) -> Option<&T> {
+        let last = self.len.checked_sub(1)?;
+        self.in_place.get(last).or_else(|| self.spill.last())
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &T> {
+        self.in_place[..self.len.min(IN_PLACE)].iter().chain(&self.spill)
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.in_place[..self.len.min(IN_PLACE)].iter_mut().chain(&mut self.spill)
+    }
+
+    fn clear(&mut self) {
+        self.in_place[..self.len.min(IN_PLACE)].fill_with(T::default);
+        self.spill.clear();
+        self.len = 0;
     }
 }
 
