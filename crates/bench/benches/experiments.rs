@@ -162,6 +162,8 @@ fn k1_fact_store_writes(c: &mut Criterion) {
 /// a store holding the user (what a receiving node does), through a tree
 /// (`parse` + `from_xml`), or read only as far as its envelope and
 /// reconciled, which is all a stale or gapped batch costs a receiver.
+/// The writing side too: the batch streamed into a buffer the authority
+/// keeps (what it ships), or built as a tree and serialised.
 fn k2_kbdelta_decode(c: &mut Criterion) {
     let likes = |object: &str| Fact::new("u123", "likes", Term::str(object));
     let batch = DeltaBatch {
@@ -187,6 +189,15 @@ fn k2_kbdelta_decode(c: &mut Criterion) {
     c.bench_function("k2_kbdelta_envelope", |b| {
         b.iter(|| reconcile(Some((1234, 20)), BatchReader::open(black_box(&text)).unwrap().span()))
     });
+    let mut out = String::new();
+    c.bench_function("k2_kbdelta_write", |b| {
+        b.iter(|| {
+            out.clear();
+            black_box(&batch).write_xml(&mut out);
+            out.len()
+        })
+    });
+    c.bench_function("k2_kbdelta_write_dom", |b| b.iter(|| black_box(&batch).to_xml().to_xml()));
 }
 
 /// X1: building the element tree of one `context_churn` profile snapshot

@@ -12,6 +12,7 @@ use gloss_overlay::{ring_settle, OverlayNode};
 use gloss_sim::{NodeIndex, SimDuration, SimRng, SimTime, Topology, World};
 use gloss_store::placement::NodeSite;
 use gloss_store::{Document, StoreConfig, StoreMsg, StoreNode};
+use std::sync::Arc;
 
 /// Configuration for an [`ActiveArchitecture`].
 #[derive(Debug, Clone)]
@@ -62,6 +63,10 @@ pub struct ActiveArchitecture {
     /// [`update_knowledge`](Self::update_knowledge).
     authority: KnowledgeAuthority,
     kb_delta_versions: std::collections::BTreeMap<String, u64>,
+    /// The text of the last knowledge document shipped, kept so the next
+    /// one is written into its capacity; each document copies out only
+    /// its own bytes.
+    ship_buf: String,
 }
 
 impl ActiveArchitecture {
@@ -119,6 +124,7 @@ impl ActiveArchitecture {
             kb_versions: Default::default(),
             authority: KnowledgeAuthority::new(),
             kb_delta_versions: Default::default(),
+            ship_buf: String::new(),
         }
     }
 
@@ -234,23 +240,23 @@ impl ActiveArchitecture {
         }
     }
 
+    /// Writes `shipment` for `subject` into the kept `ship_buf`, with no
+    /// document tree built, and inserts it into the store from `via`.
     fn ship_knowledge(&mut self, via: NodeIndex, subject: &str, shipment: Shipment) {
+        let out = &mut self.ship_buf;
+        out.clear();
         let doc = match shipment {
             Shipment::Snapshot { source, epoch, facts } => {
-                let refs: Vec<&Fact> = facts.iter().collect();
-                let xml =
-                    DistributedKnowledge::facts_to_xml_versioned(subject, &refs, source, epoch)
-                        .to_xml();
-                let mut doc =
-                    Document::new(DistributedKnowledge::doc_name(subject), xml.into_bytes());
+                DistributedKnowledge::write_versioned(out, subject, &facts, source, epoch);
+                let mut doc = Document::new(DistributedKnowledge::doc_name(subject), out.as_str());
                 // Re-seeding a subject writes a newer version, so
                 // replicas and caches converge on the update.
                 doc.version = next_version(&mut self.kb_versions, subject);
                 doc
             }
             Shipment::Delta(batch) => {
-                let xml = batch.to_xml().to_xml();
-                let mut doc = Document::new(batch.doc_name(), xml.into_bytes());
+                batch.write_xml(out);
+                let mut doc = Document::new(batch.doc_name(), out.as_str());
                 doc.guid = KnowledgeDoc::Deltas.guid(subject);
                 doc.version = next_version(&mut self.kb_delta_versions, subject);
                 doc
@@ -275,7 +281,8 @@ impl ActiveArchitecture {
     /// Pulls the kb document for `subject` into `node`'s local fact store
     /// (through a real storage lookup; the reply auto-ingests).
     pub fn prefetch_subject(&mut self, node: NodeIndex, subject: &str) {
-        self.world.inject(node, node, GlossMsg::PrefetchSubject(subject.to_string()));
+        let subject = self.subject_name(subject);
+        self.world.inject(node, node, GlossMsg::PrefetchSubject(subject));
     }
 
     /// Pulls a subject into every node (population-wide knowledge sync).
@@ -290,7 +297,15 @@ impl ActiveArchitecture {
     /// a node whose held state the batch extends repairs in place; one
     /// it cannot extend falls back to a full fetch automatically.
     pub fn prefetch_deltas(&mut self, node: NodeIndex, subject: &str) {
-        self.world.inject(node, node, GlossMsg::PrefetchDeltas(subject.to_string()));
+        let subject = self.subject_name(subject);
+        self.world.inject(node, node, GlossMsg::PrefetchDeltas(subject));
+    }
+
+    /// `subject` as a shared name: the authority store's own copy when it
+    /// holds facts about the subject, so a prefetch message builds no
+    /// string.
+    fn subject_name(&self, subject: &str) -> Arc<str> {
+        self.authority.facts(subject).map_or_else(|| subject.into(), |store| store.name(subject))
     }
 
     /// Pulls a subject's latest delta batch into every node.
@@ -363,6 +378,47 @@ mod tests {
         let mut a = ActiveArchitecture::build(ArchConfig { nodes, seed, ..Default::default() });
         a.settle();
         a
+    }
+
+    /// The authority ships documents with no tree built, byte for byte
+    /// what the tree writers write: the snapshot a seed ships, then the
+    /// batch of the changes made since.
+    #[test]
+    fn shipped_knowledge_is_the_tree_writers_bytes() {
+        let mut a = ActiveArchitecture::build(ArchConfig { nodes: 2, ..Default::default() });
+        let facts = [
+            Fact::new("bob", "likes", Term::str("fish & \"chips\"")),
+            Fact::new("bob", "age", Term::Int(34)),
+        ];
+        a.seed_knowledge(NodeIndex(0), "bob", &facts);
+        let refs: Vec<&Fact> = facts.iter().collect();
+        let store = a.knowledge_mut("bob");
+        let (source, epoch) = (store.version().unwrap().source, store.epoch());
+        let snapshot = DistributedKnowledge::facts_to_xml_versioned("bob", &refs, source, epoch);
+        assert_eq!(a.ship_buf, snapshot.to_xml());
+
+        let store = a.knowledge_mut("bob");
+        store.retract("bob", "age", &Term::Int(34));
+        store.add(Fact::new("bob", "age", Term::Float(34.5)));
+        a.update_knowledge(NodeIndex(1), "bob");
+        let shipped = gloss_xml::parse(&a.ship_buf).unwrap();
+        let batch = gloss_knowledge::DeltaBatch::from_xml(&shipped).unwrap();
+        assert_eq!((batch.source, batch.from, batch.to), (source, epoch, epoch + 2));
+        assert_eq!(batch.to_xml().to_xml(), a.ship_buf);
+    }
+
+    /// Prefetch messages carry the authority store's own copy of a
+    /// subject's name, so pulling a subject into every node builds no
+    /// string; a subject it holds nothing about gets a name of its own.
+    #[test]
+    fn prefetches_share_the_authoritys_subject_name() {
+        let mut a = ActiveArchitecture::build(ArchConfig { nodes: 2, ..Default::default() });
+        a.seed_knowledge(NodeIndex(0), "bob", &[Fact::new("bob", "likes", Term::str("golf"))]);
+        let (x, y) = (a.subject_name("bob"), a.subject_name("bob"));
+        assert!(Arc::ptr_eq(&x, &y));
+        let held = a.knowledge_mut("bob").query(Some("bob"), None).next().unwrap().subject.clone();
+        assert!(Arc::ptr_eq(&x, &held));
+        assert_eq!(&*a.subject_name("nobody"), "nobody");
     }
 
     #[test]

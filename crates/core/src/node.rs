@@ -25,6 +25,7 @@ use gloss_sim::{Batch, Input, Node, NodeIndex, Outbox, SimDuration, SimTime};
 use gloss_store::{Document, StoreMsg, StoreNode};
 use gloss_xml::Element;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Messages of the integrated architecture.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,11 +39,13 @@ pub enum GlossMsg {
     /// A UI client subscription on this node.
     UiSubscribe(Filter),
     /// Prefetch the knowledge-base document for a subject into this node.
-    PrefetchSubject(String),
+    /// The subject is a shared name: the sender's copy travels with no
+    /// string built per message.
+    PrefetchSubject(Arc<str>),
     /// Pull the latest delta batch for a subject (repairs incrementally
     /// when it extends the held state; falls back to the full document
     /// otherwise).
-    PrefetchDeltas(String),
+    PrefetchDeltas(Arc<str>),
     /// A sealed code bundle shipped by the evolution engine or discovery.
     Bundle {
         /// Instance id (evolution bookkeeping; empty for discovery).
@@ -927,6 +930,14 @@ mod tests {
             assert_eq!(awaited(&node), 1, "still retrying");
         }
         panic!("the lookup never timed out");
+    }
+
+    /// A shared subject name costs the prefetch messages nothing in
+    /// size, and an in-place lookup path costs the store messages
+    /// nothing: no message grows.
+    #[test]
+    fn gloss_messages_grow_no_larger() {
+        assert!(std::mem::size_of::<GlossMsg>() <= 128, "{}", std::mem::size_of::<GlossMsg>());
     }
 
     fn fact(object: &str) -> Fact {

@@ -31,9 +31,9 @@
 //! through the same fact-field and envelope rules as
 //! [`DeltaBatch::from_xml`], which serves callers that already hold a tree.
 
-use crate::distributed::{fact_element, fact_from_element, read_fact};
+use crate::distributed::{fact_element, fact_from_element, read_fact, write_fact};
 use crate::fact::{Fact, FactDelta, FactSource, InMemoryFacts};
-use gloss_xml::{Element, Reader, Token};
+use gloss_xml::{Element, Reader, Token, XmlWriter};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -72,19 +72,34 @@ impl DeltaBatch {
 
     /// Serialises the batch to its XML document form.
     pub fn to_xml(&self) -> Element {
-        let mut el = Element::new("kbdelta")
+        let mut el = Element::new(ROOT)
             .with_attr("subject", &self.subject)
             .with_attr("source", self.source.to_string())
             .with_attr("from", self.from.to_string())
             .with_attr("to", self.to.to_string());
         for d in &self.deltas {
-            let (tag, f) = match d {
-                FactDelta::Insert(f) => ("insert", f),
-                FactDelta::Retract(f) => ("retract", f),
-            };
+            let (tag, f) = tag_of(d);
             el.push(fact_element(tag, f));
         }
         el
+    }
+
+    /// Appends to `out` the document [`to_xml`](Self::to_xml) builds,
+    /// byte for byte what its [`Element::to_xml`] writes, with no tree
+    /// built: the form an authority ships. Nothing is allocated but
+    /// `out`'s growth.
+    pub fn write_xml(&self, out: &mut String) {
+        let mut w = XmlWriter::new(out);
+        w.start(ROOT);
+        w.attr("subject", &self.subject);
+        w.attr_display("source", self.source);
+        w.attr_display("from", self.from);
+        w.attr_display("to", self.to);
+        for d in &self.deltas {
+            let (tag, f) = tag_of(d);
+            write_fact(&mut w, tag, f);
+        }
+        w.end(ROOT);
     }
 
     /// Parses a batch back from XML. `None` when the envelope is
@@ -108,6 +123,14 @@ impl DeltaBatch {
 
     fn new(subject: String, span: EpochSpan, deltas: Vec<FactDelta>) -> DeltaBatch {
         DeltaBatch { subject, source: span.source, from: span.from, to: span.to, deltas }
+    }
+}
+
+/// The batch child element name of a delta, and its fact.
+fn tag_of(d: &FactDelta) -> (&'static str, &Fact) {
+    match d {
+        FactDelta::Insert(f) => ("insert", f),
+        FactDelta::Retract(f) => ("retract", f),
     }
 }
 

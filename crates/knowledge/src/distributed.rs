@@ -26,8 +26,9 @@
 
 use crate::fact::{Fact, InMemoryFacts, Term};
 use gloss_sim::{GeoPoint, SimTime};
-use gloss_xml::{Element, Reader, Token};
+use gloss_xml::{Element, Reader, Token, XmlWriter};
 use std::borrow::Cow;
+use std::fmt::Display;
 use std::sync::Arc;
 
 /// The `kb/<subject>` document codec: names, and facts to and from XML.
@@ -63,6 +64,29 @@ impl DistributedKnowledge {
         el.set_attr("source", source.to_string());
         el.set_attr("epoch", epoch.to_string());
         el
+    }
+
+    /// Appends to `out` the document
+    /// [`facts_to_xml_versioned`](Self::facts_to_xml_versioned) builds,
+    /// byte for byte what its [`Element::to_xml`] writes, with no tree
+    /// built: the form an authority ships.
+    pub fn write_versioned<'f>(
+        out: &mut String,
+        subject: &str,
+        facts: impl IntoIterator<Item = &'f Fact>,
+        source: u64,
+        epoch: u64,
+    ) {
+        let mut w = XmlWriter::new(out);
+        w.start("facts");
+        w.attr("subject", subject);
+        w.attr_display("source", source);
+        w.attr_display("epoch", epoch);
+        for f in facts {
+            debug_assert_eq!(&*f.subject, subject, "grouped by subject");
+            write_fact(&mut w, "fact", f);
+        }
+        w.end("facts");
     }
 
     /// The `(source, epoch)` a versioned snapshot was taken at, if the
@@ -142,33 +166,60 @@ impl<'a> SnapshotReader<'a> {
     }
 }
 
+/// How a fact is laid out as an element: each attribute is handed to
+/// `attr` in document order — `predicate`, `type`, the `geo`/`time`
+/// object's own fields, then the validity bounds — and the `<value>`
+/// text, for objects that have one, is returned. The element encoder
+/// ([`fact_element`]) and the streaming writer ([`write_fact`]) both lay
+/// facts out through this, so the two write the same document.
+fn fact_layout(f: &Fact, mut attr: impl FnMut(&str, &dyn Display)) -> Option<&dyn Display> {
+    attr("predicate", &f.predicate);
+    attr("type", &f.object.type_name());
+    let value: Option<&dyn Display> = match &f.object {
+        Term::Geo(g) => {
+            attr("lat", &g.lat);
+            attr("lon", &g.lon);
+            None
+        }
+        Term::Time(t) => {
+            attr("us", &t.as_micros());
+            None
+        }
+        Term::Str(s) => Some(s),
+        Term::Int(i) => Some(i),
+        Term::Float(x) => Some(x),
+        Term::Bool(b) => Some(b),
+    };
+    if let Some(from) = f.valid_from {
+        attr("from_us", &from.as_micros());
+    }
+    if let Some(to) = f.valid_to {
+        attr("to_us", &to.as_micros());
+    }
+    value
+}
+
 /// Encodes one fact as an element named `tag` (shared between subject
 /// snapshots, which use `fact`, and delta batches, which use the
 /// operation name).
 pub(crate) fn fact_element(tag: &str, f: &Fact) -> Element {
-    let mut fe = Element::new(tag)
-        .with_attr("predicate", &*f.predicate)
-        .with_attr("type", f.object.type_name());
-    match &f.object {
-        Term::Geo(g) => {
-            fe.set_attr("lat", g.lat.to_string());
-            fe.set_attr("lon", g.lon.to_string());
-        }
-        Term::Time(t) => {
-            fe.set_attr("us", t.as_micros().to_string());
-        }
-        Term::Str(s) => fe.push(Element::new("value").with_text(s.as_ref())),
-        Term::Int(i) => fe.push(Element::new("value").with_text(i.to_string())),
-        Term::Float(x) => fe.push(Element::new("value").with_text(x.to_string())),
-        Term::Bool(b) => fe.push(Element::new("value").with_text(b.to_string())),
-    }
-    if let Some(from) = f.valid_from {
-        fe.set_attr("from_us", from.as_micros().to_string());
-    }
-    if let Some(to) = f.valid_to {
-        fe.set_attr("to_us", to.as_micros().to_string());
+    let mut fe = Element::new(tag);
+    let value = fact_layout(f, |key, v| fe.set_attr(key, v.to_string()));
+    if let Some(v) = value {
+        fe.push(Element::new("value").with_text(v.to_string()));
     }
     fe
+}
+
+/// Streams the element [`fact_element`] builds for `f` through `w`.
+pub(crate) fn write_fact(w: &mut XmlWriter<'_>, tag: &str, f: &Fact) {
+    w.start(tag);
+    if let Some(v) = fact_layout(f, |key, v| w.attr_display(key, v)) {
+        w.start("value");
+        w.text_display(v);
+        w.end("value");
+    }
+    w.end(tag);
 }
 
 /// Decodes one fact element (any tag), `None` when malformed. The

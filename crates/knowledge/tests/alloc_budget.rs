@@ -1,16 +1,18 @@
-//! Allocation budget of a follower's knowledge receive path: a batch's
-//! envelope is read with no allocation, and a batch about a subject the
-//! follower holds, decoded into a kept buffer with names taken from the
-//! follower's store and applied to it, allocates only its string
-//! objects — so 256 retract/insert pairs cost what 8 do.
+//! Allocation budget of the knowledge write-and-pull path. A follower
+//! reads a batch's envelope with no allocation, and a batch about a
+//! subject the follower holds, decoded into a kept buffer with names
+//! taken from the follower's store and applied to it, allocates only its
+//! string objects — so 256 retract/insert pairs cost what 8 do. The
+//! authority writes a batch or a snapshot straight into its output
+//! buffer: nothing but that buffer's growth, whatever the fact count.
 //!
 //! This binary installs an allocator that counts each thread's
 //! allocations, so keep the budget checks in this file. CI also runs it
 //! with `--release`, the profile the end-to-end benchmark runs in.
 
 use gloss_knowledge::{
-    reconcile, BatchReader, DeltaAction, DeltaBatch, Fact, FactDelta, FactSource, InMemoryFacts,
-    Term,
+    reconcile, BatchReader, DeltaAction, DeltaBatch, DistributedKnowledge, Fact, FactDelta,
+    FactSource, InMemoryFacts, Term,
 };
 use gloss_xml::Reader;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -61,10 +63,10 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
 
 const SOURCE: u64 = 77;
 
-/// The batch document extending epoch `from` of `u1` by `pairs`
-/// retract/insert pairs, each replacing `u1`'s one `score` with the next:
-/// Int objects, or Str ones.
-fn batch_text(from: u64, pairs: u64, strings: bool) -> String {
+/// The batch extending epoch `from` of `u1` by `pairs` retract/insert
+/// pairs, each replacing `u1`'s one `score` with the next: Int objects,
+/// or Str ones.
+fn batch(from: u64, pairs: u64, strings: bool) -> DeltaBatch {
     let score = |n: u64| {
         let object = if strings { Term::str(format!("s{n}")) } else { Term::Int(n as i64) };
         Fact::new("u1", "score", object)
@@ -72,9 +74,12 @@ fn batch_text(from: u64, pairs: u64, strings: bool) -> String {
     let deltas = (from / 2..from / 2 + pairs)
         .flat_map(|n| [FactDelta::Retract(score(n)), FactDelta::Insert(score(n + 1))])
         .collect();
-    let batch =
-        DeltaBatch { subject: "u1".into(), source: SOURCE, from, to: from + 2 * pairs, deltas };
-    batch.to_xml().to_xml()
+    DeltaBatch { subject: "u1".into(), source: SOURCE, from, to: from + 2 * pairs, deltas }
+}
+
+/// [`batch`]'s document.
+fn batch_text(from: u64, pairs: u64, strings: bool) -> String {
+    batch(from, pairs, strings).to_xml().to_xml()
 }
 
 /// What a follower does with a batch that applies: envelope, verdict,
@@ -162,4 +167,55 @@ fn string_objects_are_all_a_batch_about_a_held_subject_allocates() {
     let (_, many) = apply_pairs(256, true);
     // One object per delta: the retracted one is decoded to be matched.
     assert_eq!((few, many), (2 * 8, 2 * 256));
+}
+
+/// How many times a `String` grown from empty by appends reallocates on
+/// its way to `len` bytes: it doubles from 8, so one allocation per
+/// power of two up to `len`.
+fn growth(len: usize) -> u64 {
+    u64::from(usize::BITS - (len.max(8) - 1).leading_zeros()) - 2
+}
+
+/// What `write` allocates into an empty buffer, and into one already
+/// holding the capacity the document needs; checks the document is the
+/// tree writer's.
+fn shipped(write: impl Fn(&mut String), tree: &str) -> (u64, u64) {
+    let mut fresh = String::new();
+    let ((), grown) = allocations(|| write(&mut fresh));
+    assert_eq!(fresh, tree);
+    let mut kept = String::with_capacity(fresh.len());
+    let ((), reused) = allocations(|| write(&mut kept));
+    assert_eq!(kept, tree);
+    assert!(grown <= growth(fresh.len()), "{grown} allocations writing {} bytes", fresh.len());
+    (grown, reused)
+}
+
+#[test]
+fn shipping_a_batch_allocates_only_its_output_buffers_growth() {
+    for (pairs, strings) in [(4, false), (128, false), (4, true), (128, true)] {
+        let batch = batch(40, pairs, strings);
+        let (grown, reused) = shipped(|out| batch.write_xml(out), &batch.to_xml().to_xml());
+        assert!(grown > 0);
+        assert_eq!(reused, 0, "{} deltas written into a kept buffer allocated", 2 * pairs);
+    }
+}
+
+#[test]
+fn shipping_a_snapshot_allocates_only_its_output_buffers_growth() {
+    for count in [8, 256] {
+        let facts: Vec<Fact> = (0..count)
+            .map(|i| {
+                let object = if i % 2 == 0 { Term::Int(i) } else { Term::Float(i as f64 / 7.0) };
+                Fact::new("u1", format!("p{i}"), object)
+            })
+            .collect();
+        let refs: Vec<&Fact> = facts.iter().collect();
+        let tree = DistributedKnowledge::facts_to_xml_versioned("u1", &refs, SOURCE, 9).to_xml();
+        let write = |out: &mut String| {
+            DistributedKnowledge::write_versioned(out, "u1", &facts, SOURCE, 9);
+        };
+        let (grown, reused) = shipped(write, &tree);
+        assert!(grown > 0);
+        assert_eq!(reused, 0, "{count} facts written into a kept buffer allocated");
+    }
 }

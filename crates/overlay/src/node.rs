@@ -145,7 +145,14 @@ pub fn ring_settle(n: usize) -> SimDuration {
 }
 
 /// An in-flight routed payload: (`target`, `payload`, `origin`, `hops`).
-type PendingForwards<P> = Vec<(Key, P, NodeIndex, u32)>;
+type Forward<P> = (Key, P, NodeIndex, u32);
+
+/// How many forwards a peer's ledger list is first sized for, and the
+/// capacity up to which a list the last ack empties is kept rather than
+/// freed. Under steady traffic a peer has a forward or two in flight, so
+/// a list this small serves the next peer without allocating, while one
+/// a burst grew larger gives its memory back.
+const KEPT_FORWARDS: usize = 2;
 
 /// The per-node governor state: join admission, peer suspicion, and the
 /// outstanding-forward ledger feeding the conduct channel.
@@ -156,8 +163,16 @@ struct Governor<P> {
     /// Routed payloads forwarded per peer and awaiting
     /// [`OverlayMsg::RouteAck`], retained in full so the next probe
     /// round can re-route an abandoned payload around the suspect
-    /// instead of losing it.
-    pending_acks: FnvHashMap<u32, PendingForwards<P>>,
+    /// instead of losing it. Each list is newest first, so an ack pops
+    /// the oldest forward off its end. A list the last ack empties stays
+    /// (up to [`KEPT_FORWARDS`] of capacity) while no other empty one
+    /// does, and the next peer that needs a list takes it over: one kept
+    /// list per node rather than one per peer ever forwarded to. The
+    /// probe round collects abandoned payloads in it and frees it, so a
+    /// node that stops forwarding holds no list.
+    pending_acks: FnvHashMap<u32, Vec<Forward<P>>>,
+    /// The jitter seed, kept to rebuild fresh state on restart.
+    seed: u64,
 }
 
 impl<P> Governor<P> {
@@ -166,6 +181,39 @@ impl<P> Governor<P> {
             admission: AdmissionGovernor::new(seed),
             suspicion: SuspicionTracker::new(probe_interval),
             pending_acks: FnvHashMap::default(),
+            seed,
+        }
+    }
+
+    /// Takes the kept list, the one empty list, out of the ledger.
+    fn take_kept(&mut self) -> Option<Vec<Forward<P>>> {
+        let peer = *self.pending_acks.iter().find(|(_, list)| list.is_empty())?.0;
+        self.pending_acks.remove(&peer)
+    }
+
+    /// The ledger list of `peer`; a peer with none takes over the kept
+    /// list, or a new one.
+    fn pending_for(&mut self, peer: u32) -> &mut Vec<Forward<P>> {
+        if !self.pending_acks.contains_key(&peer) {
+            let list = self.take_kept().unwrap_or_else(|| Vec::with_capacity(KEPT_FORWARDS));
+            self.pending_acks.insert(peer, list);
+        }
+        self.pending_acks.get_mut(&peer).expect("present or just inserted")
+    }
+
+    /// Retires `peer`'s oldest forward on its ack. A list that empties is
+    /// freed if it grew past [`KEPT_FORWARDS`] or another empty list is
+    /// kept already.
+    fn acked(&mut self, peer: u32) {
+        let Some(pending) = self.pending_acks.get_mut(&peer) else { return };
+        pending.pop();
+        if !pending.is_empty() {
+            return;
+        }
+        if pending.capacity() > KEPT_FORWARDS
+            || self.pending_acks.iter().any(|(p, list)| *p != peer && list.is_empty())
+        {
+            self.pending_acks.remove(&peer);
         }
     }
 }
@@ -202,8 +250,6 @@ pub struct OverlayNode<P> {
     acked_gossip: FnvHashMap<u32, u64>,
     /// Admission + suspicion plane (None = legacy three-strikes detection).
     governor: Option<Governor<P>>,
-    /// The governor's jitter seed, kept to rebuild fresh state on restart.
-    gov_seed: Option<u64>,
     /// Join attempt sequence; stamped into JOIN timer tags so a backoff
     /// retry invalidates the fixed-interval fallback timer (and vice
     /// versa).
@@ -243,7 +289,6 @@ impl<P: Clone> OverlayNode<P> {
             known_dirty: false,
             acked_gossip: FnvHashMap::default(),
             governor: None,
-            gov_seed: None,
             join_attempt: 0,
             failed_peers: Vec::new(),
         }
@@ -262,7 +307,6 @@ impl<P: Clone> OverlayNode<P> {
     /// every node jitters independently but deterministically.
     pub fn with_governor(mut self, seed: u64) -> Self {
         self.governor = Some(Governor::new(self.probe_interval, seed));
-        self.gov_seed = Some(seed);
         self
     }
 
@@ -327,16 +371,14 @@ impl<P: Clone> OverlayNode<P> {
     /// routing: half-open peers carry trial traffic but do not receive
     /// new replicas.
     pub fn usable_leaf_members(&self) -> Vec<KeyedNode> {
-        match &self.governor {
-            None => self.leaf_members().to_vec(),
-            Some(g) => self
-                .leaves
-                .members()
-                .iter()
-                .copied()
-                .filter(|m| g.suspicion.allows_placement(m.node))
-                .collect(),
-        }
+        self.leaf_members().iter().copied().filter(|m| self.allows_placement(m.node)).collect()
+    }
+
+    /// Whether `node`'s circuit allows replica placement on it (always,
+    /// when no governor is installed); see
+    /// [`usable_leaf_members`](Self::usable_leaf_members).
+    pub fn allows_placement(&self, node: NodeIndex) -> bool {
+        self.governor.as_ref().is_none_or(|g| g.suspicion.allows_placement(node))
     }
 
     /// Whether routing may currently use `node` as a hop.
@@ -403,10 +445,10 @@ impl<P: Clone> OverlayNode<P> {
         self.known_cache.clear();
         self.known_dirty = false;
         self.acked_gossip.clear();
-        if let Some(seed) = self.gov_seed {
+        if let Some(g) = &self.governor {
             // A restarted node starts with a clean slate: suspicion scores
             // and bans describe the previous incarnation's world view.
-            self.governor = Some(Governor::new(self.probe_interval, seed));
+            self.governor = Some(Governor::new(self.probe_interval, g.seed));
         }
         self.joined = self.bootstrap.is_none();
         self.join_attempt = 0;
@@ -492,24 +534,27 @@ impl<P: Clone> OverlayNode<P> {
     /// One probe round under the governor: expire outstanding forward
     /// acks into conduct evidence, feed probe contact/timeout evidence,
     /// and gate probes on each peer's circuit state. Peers whose circuit
-    /// exhausts its half-open trials land in `dead`.
+    /// exhausts its half-open trials land in `dead`. Returns the payloads
+    /// forwarded to any peer and still unacknowledged, in ascending peer
+    /// order, each peer's oldest first, in what was the ledger's kept
+    /// list.
     fn governed_probe_round(
         &mut self,
         now: SimTime,
         dead: &mut Vec<NodeIndex>,
         out: &mut Outbox<OverlayMsg<P>>,
-    ) -> PendingForwards<P> {
+    ) -> Vec<Forward<P>> {
         let g = self.governor.as_mut().expect("caller checked");
         // Forwards that went unacknowledged for a whole probe interval are
         // conduct evidence (an honest peer acks within a round trip). The
-        // abandoned payloads themselves are returned to the caller, which
+        // abandoned payloads themselves go back to the caller, which
         // re-routes them once failure handling has settled the circuit
-        // state. Sorted: hash-map iteration order must not influence the
-        // schedule.
-        let mut outstanding: Vec<(u32, PendingForwards<P>)> = g.pending_acks.drain().collect();
-        outstanding.sort_unstable_by_key(|(peer, _)| *peer);
-        let mut abandoned = Vec::new();
-        for (peer, pending) in outstanding {
+        // state.
+        let mut abandoned = g.take_kept().unwrap_or_default();
+        // Every list left holds outstanding forwards. In ascending peer
+        // order, taken as successive minima (the lists are few): hash-map
+        // iteration order must not influence the schedule.
+        while let Some(peer) = g.pending_acks.keys().copied().min() {
             let target = NodeIndex(peer);
             match g.suspicion.on_forward_unacked(now, target) {
                 SuspicionVerdict::Opened => {
@@ -519,7 +564,8 @@ impl<P: Clone> OverlayNode<P> {
                 SuspicionVerdict::Evict => dead.push(target),
                 _ => {}
             }
-            abandoned.extend(pending);
+            let pending = g.pending_acks.remove(&peer).expect("a key of the map");
+            abandoned.extend(pending.into_iter().rev());
         }
         let drain_acks = !self.acked_since.is_empty();
         for i in 0..self.known_cache.len() {
@@ -601,7 +647,9 @@ impl<P: Clone> OverlayNode<P> {
         out: &mut Outbox<OverlayMsg<P>>,
     ) {
         if let Some(g) = &mut self.governor {
-            g.pending_acks.entry(hop.0).or_default().push((target, payload.clone(), origin, hops));
+            // Newest first: the lists are short, and acks, one per
+            // forward, pop from the end.
+            g.pending_for(hop.0).insert(0, (target, payload.clone(), origin, hops));
         }
         out.send(hop, OverlayMsg::Route { target, payload, origin, hops: hops + 1 });
     }
@@ -623,12 +671,16 @@ impl<P: Clone> OverlayNode<P> {
         self.handle_failure(node, out);
     }
 
+    /// Purges `node` from the routing state; payloads forwarded to it and
+    /// still unacknowledged are re-routed around it, as the probe round
+    /// re-routes abandoned ones.
     fn handle_failure(&mut self, node: NodeIndex, out: &mut Outbox<OverlayMsg<P>>) {
         self.failed_peers.push(node);
         self.acked_since.remove(&node.0);
+        let mut orphaned = None;
         if let Some(g) = &mut self.governor {
             g.suspicion.evict(node);
-            g.pending_acks.remove(&node.0);
+            orphaned = g.pending_acks.remove(&node.0);
             out.count("overlay.evictions", 1.0);
             out.trace("overlay.evict", node.0.to_string());
         }
@@ -642,16 +694,20 @@ impl<P: Clone> OverlayNode<P> {
                 out.send(m.node, OverlayMsg::LeafSetRequest);
             }
         }
+        for (target, payload, origin, hops) in orphaned.into_iter().flatten().rev() {
+            self.reroute(target, payload, origin, hops, out);
+        }
     }
 
-    /// Handles a protocol message; returns payloads delivered here.
+    /// Handles a protocol message; returns the payload delivered here, if
+    /// it was one routed to this node.
     pub fn handle(
         &mut self,
         now: SimTime,
         from: NodeIndex,
         msg: OverlayMsg<P>,
         out: &mut Outbox<OverlayMsg<P>>,
-    ) -> Vec<Delivery<P>> {
+    ) -> Option<Delivery<P>> {
         match msg {
             OverlayMsg::Join { joiner } => {
                 // Admission control applies at the ingress node (the one
@@ -671,7 +727,7 @@ impl<P: Clone> OverlayNode<P> {
                             Admission::Backoff(after) => {
                                 out.count("overlay.joins_rejected", 1.0);
                                 out.send(joiner.node, OverlayMsg::JoinRetry { after });
-                                return Vec::new();
+                                return None;
                             }
                         }
                     }
@@ -696,13 +752,13 @@ impl<P: Clone> OverlayNode<P> {
                     }
                 }
                 self.learn(joiner);
-                Vec::new()
+                None
             }
             OverlayMsg::JoinInfo { known } => {
                 for k in known {
                     self.learn(k);
                 }
-                Vec::new()
+                None
             }
             OverlayMsg::JoinDone { closest, leaves } => {
                 self.learn(closest);
@@ -716,16 +772,16 @@ impl<P: Clone> OverlayNode<P> {
                         out.send(k.node, OverlayMsg::Announce { node: self.me });
                     }
                 }
-                Vec::new()
+                None
             }
             OverlayMsg::Announce { node } => {
                 self.learn(node);
                 out.send(node.node, OverlayMsg::AnnounceAck { node: self.me });
-                Vec::new()
+                None
             }
             OverlayMsg::AnnounceAck { node } => {
                 self.learn(node);
-                Vec::new()
+                None
             }
             OverlayMsg::Route { target, payload, origin, hops } => {
                 if self.governor.is_some() && from != self.me.node {
@@ -733,26 +789,19 @@ impl<P: Clone> OverlayNode<P> {
                     // the payload.
                     out.send(from, OverlayMsg::RouteAck);
                 }
-                self.route_step(target, payload, origin, hops, out).into_iter().collect()
+                self.route_step(target, payload, origin, hops, out)
             }
             OverlayMsg::RouteAck => {
                 self.reset_probe_counter(from);
                 if let Some(g) = &mut self.governor {
-                    if let Some(pending) = g.pending_acks.get_mut(&from.0) {
-                        // FIFO: acks arrive in forward order on a lossless
-                        // link, and any ack is equal evidence of conduct.
-                        if !pending.is_empty() {
-                            pending.remove(0);
-                        }
-                        if pending.is_empty() {
-                            g.pending_acks.remove(&from.0);
-                        }
-                    }
+                    // FIFO: acks arrive in forward order on a lossless
+                    // link, and any ack is equal evidence of conduct.
+                    g.acked(from.0);
                     if g.suspicion.on_forward_acked(now, from) == SuspicionVerdict::Refuted {
                         out.count("overlay.refutations", 1.0);
                     }
                 }
-                Vec::new()
+                None
             }
             OverlayMsg::JoinRetry { after } => {
                 if !self.joined {
@@ -762,7 +811,7 @@ impl<P: Clone> OverlayNode<P> {
                     self.join_attempt += 1;
                     out.timer(after, timers::JOIN | (self.join_attempt << 32));
                 }
-                Vec::new()
+                None
             }
             OverlayMsg::Probe => {
                 // An incoming probe is itself liveness evidence.
@@ -774,7 +823,7 @@ impl<P: Clone> OverlayNode<P> {
                         digest: self.leaves.digest(),
                     },
                 );
-                Vec::new()
+                None
             }
             OverlayMsg::ProbeAck { leaves, digest } => {
                 self.reset_probe_counter(from);
@@ -787,19 +836,19 @@ impl<P: Clone> OverlayNode<P> {
                         self.learn(l);
                     }
                 }
-                Vec::new()
+                None
             }
             OverlayMsg::LeafSetRequest => {
                 let mut leaves = self.leaves.members().to_vec();
                 leaves.push(self.me);
                 out.send(from, OverlayMsg::LeafSetReply { leaves: leaves.into() });
-                Vec::new()
+                None
             }
             OverlayMsg::LeafSetReply { leaves } => {
                 for l in leaves.iter().copied() {
                     self.learn(l);
                 }
-                Vec::new()
+                None
             }
         }
     }
@@ -956,7 +1005,7 @@ mod tests {
                 assert_eq!(node.bootstrap, bootstrap.map(n), "{label}{i}");
                 assert_eq!(node.join_delay, JOIN_STAGGER * i as u64, "{label}{i}");
                 assert_eq!(node.probe_interval, SimDuration::from_secs(5));
-                assert_eq!(node.gov_seed, Some(42 ^ ((i as u64) << 17)));
+                assert_eq!(node.governor.as_ref().map(|g| g.seed), Some(42 ^ ((i as u64) << 17)));
             }
         }
         // Ungoverned nodes draw the same.
@@ -1264,6 +1313,68 @@ mod tests {
         assert_ne!(hop.map(|h| h.node), Some(n(1)), "open circuit must not carry traffic");
         // Placement is stricter still: only closed circuits.
         assert!(a.usable_leaf_members().iter().all(|m| m.node != n(1)));
+    }
+
+    /// The payloads of the `Route`s in `out`, with where each was sent.
+    fn routed(out: &Outbox<OverlayMsg<u64>>) -> Vec<(NodeIndex, u64)> {
+        out.sends()
+            .iter()
+            .filter_map(|(to, m, _)| match m {
+                OverlayMsg::Route { payload, .. } => Some((*to, *payload)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A payload forwarded to a peer that is then declared failed is
+    /// re-routed around it, as the probe round re-routes the ones a
+    /// suspect abandons; it used to be dropped with the peer's ledger.
+    #[test]
+    fn declaring_a_peer_failed_reroutes_its_unacknowledged_forwards() {
+        let mut a = gnode(0x100, 0, None);
+        a.learn(KeyedNode::new(Key(0x111), n(1)));
+        a.learn(KeyedNode::new(Key(0x140), n(2)));
+        let mut out = Outbox::new();
+        assert!(a.route(Key(0x112), 42, &mut out).is_none());
+        assert_eq!(routed(&out), [(n(1), 42)], "forwarded to the closest peer");
+
+        let mut out = Outbox::new();
+        a.declare_failed(n(1), &mut out);
+        let rerouted = routed(&out);
+        assert_eq!(rerouted.len(), 1, "the payload is sent on once: {rerouted:?}");
+        let (to, payload) = rerouted[0];
+        assert_eq!(payload, 42);
+        assert_ne!(to, n(1), "never back to the failed peer");
+        assert!(out.counts().iter().any(|(k, _)| k == "overlay.reroutes"));
+        // Nothing is left outstanding for the failed peer.
+        assert!(!a.governor.as_ref().unwrap().pending_acks.contains_key(&1));
+    }
+
+    /// Acks retire each peer's oldest forward first, and the probe round
+    /// re-routes what is left in ascending peer order, each peer's oldest
+    /// first, leaving the ledger empty.
+    #[test]
+    fn the_probe_round_reroutes_unacknowledged_forwards_by_peer_oldest_first() {
+        let mut a = gnode(0x100, 0, None);
+        a.learn(KeyedNode::new(Key(0x111), n(1)));
+        a.learn(KeyedNode::new(Key(0x140), n(2)));
+        let mut out = Outbox::new();
+        for (key, payload) in [(0x141, 1), (0x141, 2), (0x112, 3), (0x141, 4), (0x112, 5)] {
+            a.route(Key(key), payload, &mut out);
+        }
+        assert_eq!(routed(&out), [(n(2), 1), (n(2), 2), (n(1), 3), (n(2), 4), (n(1), 5)]);
+        // One ack from each peer: 1 and 3 are accounted for.
+        a.handle(t(1), n(2), OverlayMsg::RouteAck, &mut out);
+        a.handle(t(1), n(1), OverlayMsg::RouteAck, &mut out);
+
+        let mut out = Outbox::new();
+        a.on_timer(t(5), timers::PROBE, &mut out);
+        let payloads: Vec<u64> = routed(&out).into_iter().map(|(_, p)| p).collect();
+        assert_eq!(payloads, [5, 2, 4]);
+        let g = a.governor.as_ref().unwrap();
+        // The re-routes are outstanding again, and only they are.
+        let outstanding: usize = g.pending_acks.values().map(Vec::len).sum();
+        assert_eq!(outstanding, 3);
     }
 
     #[test]

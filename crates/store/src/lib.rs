@@ -58,4 +58,4 @@ pub use placement::{
     PlacementAction, PlacementPolicy,
 };
 pub use repair::{FragmentManifest, RepairScheduler};
-pub use store_node::{LookupOutcome, StoreConfig, StoreMsg, StoreNode, StorePayload};
+pub use store_node::{LookupOutcome, LookupPath, StoreConfig, StoreMsg, StoreNode, StorePayload};

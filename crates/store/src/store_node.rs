@@ -68,13 +68,59 @@ pub enum StorePayload {
         issued_at: SimTime,
         /// Nodes the request has passed through (promiscuous caching
         /// pushes copies back along this path).
-        path: Vec<NodeIndex>,
+        path: LookupPath,
         /// Minimum acceptable `Document::version`. Cached copies below
         /// this floor neither satisfy the request locally nor intercept
         /// it en route; only the responsible node answers with whatever
         /// it holds. `0` preserves the classic any-copy behaviour.
         min_version: u64,
     },
+}
+
+/// How many of a lookup's path nodes its payload holds in place.
+const PATH_IN_PLACE: usize = 4;
+
+/// The nodes a lookup has passed through, in order. The first four live
+/// in the payload itself, so a lookup routed over no more nodes than
+/// that carries its path, and the copy every forward keeps, with no
+/// allocation; a longer route spills the rest into a `Vec`, boxed so
+/// that a payload holding a path is no larger than one holding a bare
+/// `Vec`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct LookupPath {
+    len: u32,
+    in_place: [NodeIndex; PATH_IN_PLACE],
+    // Boxed to be one pointer wide: a bare `Vec` here would grow every
+    // routed payload, and a spill is rare.
+    #[allow(clippy::box_collection)]
+    spill: Option<Box<Vec<NodeIndex>>>,
+}
+
+impl LookupPath {
+    /// Appends `node`.
+    pub fn push(&mut self, node: NodeIndex) {
+        match self.in_place.get_mut(self.len as usize) {
+            Some(slot) => *slot = node,
+            None => self.spill.get_or_insert_default().push(node),
+        }
+        self.len += 1;
+    }
+
+    /// The nodes, in the order they were pushed.
+    pub fn iter(&self) -> impl Iterator<Item = NodeIndex> + '_ {
+        let in_place = &self.in_place[..(self.len as usize).min(PATH_IN_PLACE)];
+        in_place.iter().chain(self.spill.iter().flat_map(|v| v.iter())).copied()
+    }
+}
+
+impl FromIterator<NodeIndex> for LookupPath {
+    fn from_iter<I: IntoIterator<Item = NodeIndex>>(nodes: I) -> Self {
+        let mut path = LookupPath::default();
+        for node in nodes {
+            path.push(node);
+        }
+        path
+    }
 }
 
 /// Messages of the storage layer.
@@ -165,7 +211,7 @@ fn lookup_payload(
     req_id: u64,
     issued_at: SimTime,
     min_version: u64,
-    path: Vec<NodeIndex>,
+    path: LookupPath,
 ) -> StorePayload {
     StorePayload::Lookup { guid, reply_to, req_id, issued_at, path, min_version }
 }
@@ -182,7 +228,7 @@ impl StoreMsg {
     /// reply coming back to `via` under `req_id` — once, with no retry
     /// plane behind it ([`StoreMsg::LocalLookup`] is the client path).
     pub fn lookup_via(via: NodeIndex, guid: Key, req_id: u64, now: SimTime) -> Self {
-        Self::routed(via, guid, lookup_payload(via, guid, req_id, now, 0, Vec::new()))
+        Self::routed(via, guid, lookup_payload(via, guid, req_id, now, 0, LookupPath::default()))
     }
 
     fn routed(origin: NodeIndex, target: Key, payload: StorePayload) -> Self {
@@ -477,22 +523,34 @@ impl StoreNode {
     /// unreachable exactly when they are needed. (`is_primary_for` stays
     /// on the full leaf set: primaryship is about ring position, and a
     /// suspected-but-alive closer neighbour must still suppress us.)
-    fn replica_targets(&self, guid: Key) -> Vec<NodeIndex> {
-        let mut members = self.overlay.usable_leaf_members();
-        members.sort_by_key(|m| m.key.ring_distance(guid));
-        members.into_iter().take(self.cfg.replicas.saturating_sub(1)).map(|m| m.node).collect()
+    ///
+    /// Closest first, ties in leaf-set order — a stable sort of the
+    /// usable members by ring distance, then the first `k − 1` — picked
+    /// by successive minima of `(distance, leaf position)`, with nothing
+    /// allocated.
+    fn replica_targets(&self, guid: Key) -> impl Iterator<Item = NodeIndex> + '_ {
+        let members = self.overlay.leaf_members();
+        let closest_after = move |last: Option<(u128, usize)>| {
+            members
+                .iter()
+                .enumerate()
+                .filter(|(_, m)| self.overlay.allows_placement(m.node))
+                .map(|(i, m)| (m.key.ring_distance(guid), i))
+                .filter(|c| last.is_none_or(|last| *c > last))
+                .min()
+        };
+        std::iter::successors(closest_after(None), move |last| closest_after(Some(*last)))
+            .take(self.cfg.replicas.saturating_sub(1))
+            .map(|(_, i)| members[i].node)
     }
 
-    fn heal(&mut self, out: &mut Outbox<StoreMsg>) {
-        let guids: Vec<(Key, u64)> = self
-            .store
-            .iter()
-            .filter(|(g, _)| self.is_primary_for(**g))
-            .map(|(g, d)| (*g, d.version))
-            .collect();
-        for (guid, version) in guids {
+    fn heal(&self, out: &mut Outbox<StoreMsg>) {
+        for (&guid, doc) in &self.store {
+            if !self.is_primary_for(guid) {
+                continue;
+            }
             for target in self.replica_targets(guid) {
-                out.send(target, StoreMsg::HaveReplica { guid, version });
+                out.send(target, StoreMsg::HaveReplica { guid, version: doc.version });
             }
         }
     }
@@ -740,8 +798,8 @@ impl StoreNode {
         now: SimTime,
         out: &mut Outbox<StoreMsg>,
     ) {
-        let payload =
-            lookup_payload(self.me, p.guid, req_id, p.issued_at, p.min_version, vec![self.me]);
+        let path = LookupPath::from_iter([self.me]);
+        let payload = lookup_payload(self.me, p.guid, req_id, p.issued_at, p.min_version, path);
         let delivered = out.nested(&mut self.overlay_sends, StoreMsg::Overlay, |oout| {
             self.overlay.route(p.guid, payload, oout)
         });
@@ -1019,8 +1077,8 @@ impl StoreNode {
                 // moves into the reply (no clone for the common
                 // empty-path case).
                 if self.cfg.cache_enabled {
-                    for n in path.iter().filter(|n| **n != self.me) {
-                        out.send(*n, StoreMsg::CachePush { doc: copy.0.clone() });
+                    for n in path.iter().filter(|n| *n != self.me) {
+                        out.send(n, StoreMsg::CachePush { doc: copy.0.clone() });
                     }
                 }
                 self.reply(*reply_to, *req_id, *guid, *issued_at, Some(copy), *hops, now, out);
@@ -1029,12 +1087,12 @@ impl StoreNode {
             path.push(self.me);
         }
 
-        let deliveries = out.nested(&mut self.overlay_sends, StoreMsg::Overlay, |oout| {
+        let delivered = out.nested(&mut self.overlay_sends, StoreMsg::Overlay, |oout| {
             self.overlay.handle(now, from, omsg, oout)
         });
         self.drain_failures(out);
 
-        for d in deliveries {
+        if let Some(d) = delivered {
             match d.payload {
                 StorePayload::Insert { doc } => self.root_insert(doc, now, out),
                 // Delivered at the responsible node: it answers with
@@ -1105,7 +1163,7 @@ impl StoreNode {
         // Backup policy: remote replica as soon as created.
         if self.backup_policy.is_some() {
             if let Some(site) = self.site_of(self.me).cloned() {
-                let mut holders: Vec<NodeIndex> = self.replica_targets(guid);
+                let mut holders: Vec<NodeIndex> = self.replica_targets(guid).collect();
                 holders.push(self.me);
                 let policy = self.backup_policy.as_mut().expect("checked above");
                 let actions = policy.on_create(guid, &site, now, &self.directory, &holders);
@@ -1296,7 +1354,7 @@ mod tests {
                 reply_to: n(9),
                 req_id: 4,
                 issued_at: SimTime::ZERO,
-                path: vec![n(9), n(7)],
+                path: [n(9), n(7)].into_iter().collect(),
                 min_version: 0,
             },
             origin: n(9),
@@ -1335,7 +1393,7 @@ mod tests {
                 reply_to: n(9),
                 req_id: 4,
                 issued_at: SimTime::ZERO,
-                path: vec![n(9), n(7)],
+                path: [n(9), n(7)].into_iter().collect(),
                 min_version: 0,
             },
             origin: n(9),
@@ -1382,6 +1440,58 @@ mod tests {
             SimDuration::from_millis(10),
             "duplicate reply overwrote the concluded outcome"
         );
+    }
+
+    #[test]
+    fn a_lookup_path_keeps_its_first_nodes_in_place_and_spills_the_rest() {
+        for len in 0..=10u32 {
+            let nodes: Vec<NodeIndex> = (0..len).map(|i| n(100 + i)).collect();
+            let mut path = LookupPath::default();
+            for &node in &nodes {
+                path.push(node);
+            }
+            assert_eq!(path.iter().collect::<Vec<_>>(), nodes);
+            assert_eq!(path.spill.is_some(), nodes.len() > PATH_IN_PLACE);
+            assert_eq!(path, nodes.iter().copied().collect::<LookupPath>());
+            let mut other = path.clone();
+            other.push(n(7));
+            assert_ne!(other, path);
+        }
+    }
+
+    /// The in-place path costs no message any size: a lookup payload is
+    /// no larger than an insert's, and neither is a store message.
+    #[test]
+    fn routed_lookups_grow_no_message() {
+        use std::mem::size_of;
+        assert!(size_of::<LookupPath>() <= size_of::<Document>() - size_of::<Key>());
+        assert!(size_of::<StorePayload>() <= 96, "{}", size_of::<StorePayload>());
+        assert!(size_of::<StoreMsg>() <= 128, "{}", size_of::<StoreMsg>());
+    }
+
+    /// `replica_targets` picks what a stable sort of the usable leaf
+    /// members by ring distance followed by `take(k - 1)` picked: closest
+    /// first, equidistant members in leaf-set order.
+    #[test]
+    fn replica_targets_are_the_ring_closest_leaves_ties_in_leaf_order() {
+        let mut rng = gloss_sim::SimRng::new(11);
+        let me = 0x1000u128;
+        for _ in 0..300 {
+            let replicas = 1 + rng.index(6);
+            let mut s = store_node(me, 0, StoreConfig { replicas, ..Default::default() });
+            // Members on a grid of 4 around this node, guids on a grid of
+            // 2: a guid between two members is equidistant from both.
+            for i in 0..rng.index(14) {
+                let offset = 4 * rng.range(1, 33) as u128;
+                let key = if rng.chance(0.5) { me + offset } else { me - offset };
+                s.overlay.learn(KeyedNode::new(Key(key), n(1 + i as u32)));
+            }
+            let guid = Key(me - 130 + 2 * rng.range(0, 130) as u128);
+            let mut members = s.overlay.usable_leaf_members();
+            members.sort_by_key(|m| m.key.ring_distance(guid));
+            let want: Vec<NodeIndex> = members.iter().take(replicas - 1).map(|m| m.node).collect();
+            assert_eq!(s.replica_targets(guid).collect::<Vec<_>>(), want, "guid {guid:?}");
+        }
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!   numeric character references) that borrows from its input, and
 //!   [`parse`]/[`parse_document`], the tree builder over it,
 //! * a writer with compact and pretty forms ([`Element::to_xml`],
-//!   [`Element::to_pretty_xml`]),
+//!   [`Element::to_pretty_xml`]), and [`XmlWriter`], which streams the
+//!   compact form into a caller's buffer with no tree built,
 //! * [`Path`] — XPath-lite selection (`a/b[@k='v']//c/@attr`),
 //! * [`ProjSpec`]/[`project`] — the type-projection binder, and
 //! * [`schema`] — a type-generation baseline for experiment **C6**.
@@ -43,3 +44,4 @@ pub use parser::{parse, parse_document, ParseError, Reader, Token};
 pub use path::{Path, PathError};
 pub use projection::{project, FieldSpec, FieldType, ProjError, ProjSpec, Record, Value};
 pub use schema::{Schema, SchemaError};
+pub use writer::XmlWriter;
