@@ -151,7 +151,8 @@ impl Bundle {
     }
 
     /// Sets the version.
-    pub fn with_version(mut self, version: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_version(mut self, version: u64) -> Self {
         self.manifest.version = version;
         self
     }

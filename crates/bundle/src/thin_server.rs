@@ -220,23 +220,6 @@ impl ThinServer {
         );
         Ok(report)
     }
-
-    /// Uninstalls a bundle: its rules and objects are removed.
-    /// Returns whether it was installed.
-    pub fn uninstall(&mut self, name: &str) -> bool {
-        match self.installed.remove(name) {
-            None => false,
-            Some(prev) => {
-                for r in &prev.rule_names {
-                    self.engine.remove_rule(r);
-                }
-                for o in &prev.object_names {
-                    self.objects.remove(o);
-                }
-                true
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -410,9 +393,6 @@ mod tests {
         let report = s.receive_packet(&packet).unwrap();
         assert_eq!(report.objects_stored, 1);
         assert_eq!(s.object("config/regions").unwrap().children().count(), 1);
-        assert!(s.uninstall("with-data"));
-        assert!(s.object("config/regions").is_none());
-        assert!(!s.uninstall("with-data"));
     }
 
     #[test]

@@ -174,8 +174,8 @@ pub struct GlossNode {
     /// The broker's and the storelet's send buffers, lent to every
     /// [`Outbox::nested`] call into them and handed back empty, so their
     /// capacity is reused from one activation to the next.
-    broker_sends: Vec<(NodeIndex, BrokerMsg, SimDuration)>,
-    store_sends: Vec<(NodeIndex, StoreMsg, SimDuration)>,
+    broker_sends: Vec<(NodeIndex, BrokerMsg)>,
+    store_sends: Vec<(NodeIndex, StoreMsg)>,
     /// The thin server hosting matchlets.
     pub server: ThinServer,
     /// The node-local fact store (fed by `kb/…` documents).
@@ -268,7 +268,8 @@ impl GlossNode {
 
     /// Whether facts about `subject` have been ingested locally (from a
     /// snapshot, or built up from a first-epoch delta batch).
-    pub fn knows_subject(&self, subject: &str) -> bool {
+    #[cfg(test)]
+    pub(crate) fn knows_subject(&self, subject: &str) -> bool {
         self.replicas.get(subject).is_some_and(|r| r.snapshot_doc.is_some() || r.anchor.is_some())
     }
 
@@ -864,7 +865,7 @@ mod tests {
             let mut out = Outbox::new();
             node.handle(SimTime::ZERO, Input::Msg { from, msg }, &mut out);
             let to_me = out.take_sends().into_iter().filter(|(to, ..)| *to == me);
-            queue.extend(to_me.map(|(_, m, _)| (me, m)));
+            queue.extend(to_me.map(|(_, m)| (me, m)));
         }
     }
 

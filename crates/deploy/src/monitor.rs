@@ -62,7 +62,8 @@ impl MonitorEngine {
     }
 
     /// Whether `node` is in a suspicion episode.
-    pub fn is_suspected(&self, node: NodeIndex) -> bool {
+    #[cfg(test)]
+    fn is_suspected(&self, node: NodeIndex) -> bool {
         self.suspected.contains(&node)
     }
 

@@ -240,7 +240,8 @@ impl DeploymentPlane {
     }
 
     /// Installed bundle count on a worker.
-    pub fn installed_on(&self, node: NodeIndex) -> usize {
+    #[cfg(test)]
+    fn installed_on(&self, node: NodeIndex) -> usize {
         match self.world.node(node) {
             PlaneNode::Worker { server, .. } => server.installed_names().len(),
             PlaneNode::Coordinator { .. } => 0,
@@ -373,7 +374,7 @@ mod tests {
             "hot",
             r#"rule hot { on w: event weather(c: ?c) where ?c > 18.0 emit alert(c: ?c) }"#,
         );
-        assert!(matches!(out.sends(), [(NodeIndex(0), DeployMsg::Installed { .. }, _)]));
+        assert!(matches!(out.sends(), [(NodeIndex(0), DeployMsg::Installed { .. })]));
         let counters: Vec<&str> = out.counts().iter().map(|(n, _)| n.as_ref()).collect();
         assert_eq!(counters, vec!["deploy.installs"]);
 

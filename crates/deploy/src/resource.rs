@@ -60,7 +60,8 @@ impl NodeResources {
     }
 
     /// A withdrawal event for this node.
-    pub fn withdraw_event(node: NodeIndex) -> Event {
+    #[cfg(test)]
+    pub(crate) fn withdraw_event(node: NodeIndex) -> Event {
         Event::new(kinds::WITHDRAW).with_attr("node", node.0 as i64)
     }
 

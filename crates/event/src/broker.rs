@@ -281,7 +281,8 @@ impl Broker {
     }
 
     /// Whether a proxy is buffering for `client`.
-    pub fn has_proxy_for(&self, client: NodeIndex) -> bool {
+    #[cfg(test)]
+    fn has_proxy_for(&self, client: NodeIndex) -> bool {
         self.proxies.contains_key(&client)
     }
 
@@ -558,7 +559,7 @@ mod tests {
     }
 
     fn sent_to(out: &Outbox<BrokerMsg>, to: NodeIndex) -> Vec<&BrokerMsg> {
-        out.sends().iter().filter(|(t, _, _)| *t == to).map(|(_, m, _)| m).collect()
+        out.sends().iter().filter(|(t, _)| *t == to).map(|(_, m)| m).collect()
     }
 
     /// Broker 0 with peer neighbours 1 and 2; client 10 attached.
@@ -961,7 +962,7 @@ mod tests {
             let me = target.index();
             let mut out = Outbox::new();
             target.handle(SimTime::ZERO, from, msg, &mut out);
-            for (t, m, _) in out.sends() {
+            for (t, m) in out.sends() {
                 if *t == a.index() || *t == b.index() {
                     q.push_back((*t, me, m.clone()));
                 } else {

@@ -119,8 +119,8 @@ mod tests {
         attach_and_subscribe(&mut s, n(2), 3, Filter::for_kind("other"));
         let mut out = Outbox::new();
         s.handle(SimTime::ZERO, n(9), BrokerMsg::Publish(Event::new("k")), &mut out);
-        let to_1 = out.sends().iter().filter(|(t, _, _)| *t == n(1)).count();
-        let to_2 = out.sends().iter().filter(|(t, _, _)| *t == n(2)).count();
+        let to_1 = out.sends().iter().filter(|(t, _)| *t == n(1)).count();
+        let to_2 = out.sends().iter().filter(|(t, _)| *t == n(2)).count();
         assert_eq!(to_1, 1);
         assert_eq!(to_2, 0);
     }

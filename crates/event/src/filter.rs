@@ -387,7 +387,8 @@ impl Filter {
     }
 
     /// Adds an existence constraint.
-    pub fn with_exists(self, attr: impl Into<String>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_exists(self, attr: impl Into<String>) -> Self {
         self.with_constraint(attr, Op::Exists, AttrValue::Bool(true))
     }
 

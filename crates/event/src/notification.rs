@@ -131,11 +131,6 @@ impl Event {
         self.attrs.iter().map(|(k, v)| (k.as_ref(), v))
     }
 
-    /// Number of attributes.
-    pub fn attr_count(&self) -> usize {
-        self.attrs.len()
-    }
-
     /// Sets an attribute (copy-on-write: clones the attribute map only
     /// if it is shared with another event). Passing `Arc<str>` for the
     /// name is allocation-free.
@@ -215,11 +210,6 @@ impl Event {
     pub fn from_xml_text(text: &str) -> Result<Event, ParseError> {
         Ok(Event::from_xml(&gloss_xml::parse(text)?))
     }
-
-    /// Approximate wire size in bytes (for load accounting).
-    pub fn wire_size(&self) -> usize {
-        self.to_xml().to_xml().len()
-    }
 }
 
 impl fmt::Display for Event {
@@ -258,7 +248,7 @@ mod tests {
         assert_eq!(e.str_attr("user"), Some("bob"));
         assert_eq!(e.num_attr("floor"), Some(2.0));
         assert_eq!(e.attr("indoor").and_then(AttrValue::as_bool), Some(false));
-        assert_eq!(e.attr_count(), 5);
+        assert_eq!(e.attrs().count(), 5);
         assert_eq!(e.id().seq, 17);
     }
 
@@ -273,7 +263,7 @@ mod tests {
         assert_eq!(back.str_attr("user"), Some("bob"));
         assert!((back.num_attr("lat").unwrap() - 56.34).abs() < 1e-9);
         assert_eq!(back.payload().unwrap().name(), "pos");
-        assert_eq!(back.attr_count(), e.attr_count());
+        assert_eq!(back.attrs().count(), e.attrs().count());
     }
 
     #[test]
@@ -315,15 +305,7 @@ mod tests {
         // An unshared event mutates in place (no second map).
         let mut solo = Event::new("x").with_attr("a", 1i64);
         solo.set_attr("b", 2i64);
-        assert_eq!(solo.attr_count(), 2);
-    }
-
-    #[test]
-    fn wire_size_positive_and_monotone() {
-        let small = Event::new("a");
-        let big = sample();
-        assert!(small.wire_size() > 0);
-        assert!(big.wire_size() > small.wire_size());
+        assert_eq!(solo.attrs().count(), 2);
     }
 
     #[test]

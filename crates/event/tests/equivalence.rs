@@ -424,7 +424,7 @@ fn run_step_at<B: AnyBroker>(now: SimTime, brokers: &mut [B], step: &ScriptStep,
         seen.handled.insert(variant_name(&msg));
         let mut out = Outbox::new();
         brokers[to as usize].dispatch(now, NodeIndex(from), msg, &mut out);
-        for (t, m, _) in out.sends() {
+        for (t, m) in out.sends() {
             if t.0 < BROKERS {
                 q.push_back((t.0, to, m.clone()));
             } else if let BrokerMsg::Notify(e) = m {

@@ -63,13 +63,6 @@ impl DeltaBatch {
         format!("kbdelta/{}@{}..{}", self.subject, self.from, self.to)
     }
 
-    /// The subject encoded in a `kbdelta/…` document name, or `None`
-    /// when the name is not a delta document.
-    pub fn subject_of_doc(name: &str) -> Option<&str> {
-        let rest = name.strip_prefix("kbdelta/")?;
-        Some(rest.rsplit_once('@').map_or(rest, |(s, _)| s))
-    }
-
     /// Serialises the batch to its XML document form.
     pub fn to_xml(&self) -> Element {
         let mut el = Element::new(ROOT)
@@ -469,8 +462,6 @@ mod tests {
             ],
         );
         assert_eq!(b.doc_name(), "kbdelta/bob@3..6");
-        assert_eq!(DeltaBatch::subject_of_doc(&b.doc_name()), Some("bob"));
-        assert_eq!(DeltaBatch::subject_of_doc("kb/bob"), None);
         let parsed =
             DeltaBatch::from_xml(&gloss_xml::parse(&b.to_xml().to_xml()).unwrap()).unwrap();
         assert_eq!(parsed, b);

@@ -161,22 +161,6 @@ impl PlaceDirectory {
         hits.into_iter().map(|(p, _)| p).collect()
     }
 
-    /// Places selling `category`, open at `minute_of_day`, within
-    /// `radius_km` of `point`, nearest first.
-    pub fn find_open(
-        &self,
-        category: &str,
-        point: GeoPoint,
-        radius_km: f64,
-        minute_of_day: u32,
-    ) -> Vec<&Place> {
-        self.nearby(point, radius_km)
-            .into_iter()
-            .filter(|p| p.categories.iter().any(|c| c == category))
-            .filter(|p| p.open_at(minute_of_day))
-            .collect()
-    }
-
     /// Facts describing every place.
     pub fn to_facts(&self) -> Vec<Fact> {
         self.places.iter().flat_map(Place::to_facts).collect()
@@ -214,13 +198,17 @@ mod tests {
     fn find_open_filters_category_and_hours() {
         let d = PlaceDirectory::st_andrews();
         let here = GeoPoint::new(56.3402, -2.7935);
-        let at_1655 = d.find_open("ice cream", here, 2.0, 16 * 60 + 55);
-        assert_eq!(at_1655.len(), 1);
-        assert_eq!(at_1655[0].name, "Janetta's");
-        let at_1800 = d.find_open("ice cream", here, 2.0, 18 * 60);
-        assert!(at_1800.is_empty(), "Janetta's closes at 17:00");
-        let no_such = d.find_open("submarines", here, 2.0, 12 * 60);
-        assert!(no_such.is_empty());
+        // Places within 2 km selling `category` and open at `minute`.
+        let open = |category: &str, minute: u32| -> Vec<&str> {
+            d.nearby(here, 2.0)
+                .into_iter()
+                .filter(|p| p.categories.iter().any(|c| c == category) && p.open_at(minute))
+                .map(|p| p.name.as_str())
+                .collect()
+        };
+        assert_eq!(open("ice cream", 16 * 60 + 55), ["Janetta's"]);
+        assert!(open("ice cream", 18 * 60).is_empty(), "Janetta's closes at 17:00");
+        assert!(open("submarines", 12 * 60).is_empty());
     }
 
     #[test]

@@ -48,11 +48,6 @@ impl UserProfile {
         self.history.push((at, place.into()));
     }
 
-    /// The trait value for `key`, if set.
-    pub fn trait_value(&self, key: &str) -> Option<&Term> {
-        self.traits.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
     /// Facts describing this profile.
     pub fn to_facts(&self) -> Vec<Fact> {
         let mut facts = Vec::new();
@@ -117,8 +112,7 @@ mod tests {
             .likes("ice cream")
             .with_trait("nationality", Term::str("scottish"))
             .knows("anna");
-        assert_eq!(p.trait_value("nationality").unwrap().as_str(), Some("scottish"));
-        assert!(p.trait_value("shoe_size").is_none());
+        assert_eq!(p.traits, [("nationality".to_string(), Term::str("scottish"))]);
     }
 
     #[test]

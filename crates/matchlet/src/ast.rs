@@ -201,23 +201,6 @@ pub struct Rule {
     pub spans: RuleSpans,
 }
 
-impl Rule {
-    /// All variables bound by the event patterns.
-    pub fn pattern_variables(&self) -> Vec<&str> {
-        let mut vars = Vec::new();
-        for p in &self.patterns {
-            for (_, pat) in &p.fields {
-                if let Pat::Var(v) = pat {
-                    if !vars.contains(&v.as_str()) {
-                        vars.push(v.as_str());
-                    }
-                }
-            }
-        }
-        vars
-    }
-}
-
 /// Flattens an expression into goals: top-level `and`s become separate
 /// goals so `fact` patterns become backtracking points.
 pub fn expr_to_goals(expr: Expr) -> Vec<Goal> {
@@ -330,32 +313,5 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn pattern_variables_deduplicate() {
-        let rule = Rule {
-            name: "r".into(),
-            patterns: vec![
-                EventPattern {
-                    alias: "a".into(),
-                    kind: "k".into(),
-                    fields: vec![
-                        ("x".into(), Pat::Var("u".into())),
-                        ("y".into(), Pat::Var("v".into())),
-                    ],
-                },
-                EventPattern {
-                    alias: "b".into(),
-                    kind: "j".into(),
-                    fields: vec![("z".into(), Pat::Var("u".into()))],
-                },
-            ],
-            goals: vec![],
-            window: SimDuration::from_secs(60),
-            emit: EmitSpec { kind: "out".into(), fields: vec![] },
-            spans: RuleSpans::default(),
-        };
-        assert_eq!(rule.pattern_variables(), vec!["u", "v"]);
     }
 }

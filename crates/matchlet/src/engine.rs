@@ -285,14 +285,6 @@ impl BetaNet {
         self.nodes[id as usize].as_mut().expect("live beta node")
     }
 
-    fn live_nodes(&self) -> usize {
-        self.nodes.iter().flatten().count()
-    }
-
-    fn shared_nodes(&self) -> usize {
-        self.nodes.iter().flatten().filter(|n| n.refs > 1).count()
-    }
-
     /// Interns a rule's canonical chain, creating missing nodes and
     /// taking a reference on every node along the path.
     fn intern_path(&mut self, chain: &CanonicalChain) -> Vec<u32> {
@@ -706,17 +698,6 @@ pub struct EngineStats {
     pub join_scans: u64,
 }
 
-impl EngineStats {
-    /// Input events per output event (∞ reported as `f64::INFINITY`).
-    pub fn distillation_ratio(&self) -> f64 {
-        if self.events_out == 0 {
-            f64::INFINITY
-        } else {
-            self.events_in as f64 / self.events_out as f64
-        }
-    }
-}
-
 /// A matchlet engine hosting compiled rules.
 ///
 /// All hosted rules — however they were deployed — share one set of
@@ -865,20 +846,23 @@ impl MatchletEngine {
 
     /// How many predicates the engine tracks changes of (rules sharing a
     /// predicate share the alpha memory).
-    pub fn indexed_predicates(&self) -> usize {
+    #[cfg(test)]
+    fn indexed_predicates(&self) -> usize {
         self.alphas.len()
     }
 
     /// How many join nodes the shared beta trie holds. Rules with
     /// alpha-equivalent goal prefixes share nodes, so this is strictly
     /// less than the total goal count when prefixes overlap.
-    pub fn beta_nodes(&self) -> usize {
-        self.beta.live_nodes()
+    #[cfg(test)]
+    fn beta_nodes(&self) -> usize {
+        self.beta.nodes.iter().flatten().count()
     }
 
     /// How many beta nodes more than one hosted rule routes through.
-    pub fn beta_shared_nodes(&self) -> usize {
-        self.beta.shared_nodes()
+    #[cfg(test)]
+    fn beta_shared_nodes(&self) -> usize {
+        self.beta.nodes.iter().flatten().filter(|n| n.refs > 1).count()
     }
 
     /// Whether any rule listens for the given event kind (one index
@@ -1580,8 +1564,7 @@ mod tests {
         for i in 0..100i64 {
             e.on_event(t(i as u64), &Event::new("tick").with_attr("n", i % 50), &kb());
         }
-        assert_eq!(e.stats.events_out, 2);
-        assert_eq!(e.stats.distillation_ratio(), 50.0);
+        assert_eq!((e.stats.events_in, e.stats.events_out), (100, 2));
     }
 
     #[test]

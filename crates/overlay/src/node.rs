@@ -1066,7 +1066,7 @@ mod tests {
         );
         assert!(joiner.is_joined());
         // Announces to both learned nodes.
-        let targets: Vec<NodeIndex> = out.sends().iter().map(|(t, _, _)| *t).collect();
+        let targets: Vec<NodeIndex> = out.sends().iter().map(|(t, _)| *t).collect();
         assert!(targets.contains(&n(0)));
         assert!(targets.contains(&n(1)));
     }
@@ -1081,7 +1081,7 @@ mod tests {
         assert!(out
             .sends()
             .iter()
-            .any(|(t, m, _)| *t == n(9) && matches!(m, OverlayMsg::JoinDone { .. })));
+            .any(|(t, m)| *t == n(9) && matches!(m, OverlayMsg::JoinDone { .. })));
         // A node that knows someone closer forwards the join.
         let mut b = node(0, 1);
         b.learn(KeyedNode::new(Key(0x100), n(0)));
@@ -1091,7 +1091,7 @@ mod tests {
         assert!(out
             .sends()
             .iter()
-            .any(|(t, m, _)| *t == n(0) && matches!(m, OverlayMsg::Join { .. })));
+            .any(|(t, m)| *t == n(0) && matches!(m, OverlayMsg::Join { .. })));
     }
 
     #[test]
@@ -1125,7 +1125,7 @@ mod tests {
         let mut a = node(0x1, 0);
         let mut out = Outbox::new();
         a.handle(SimTime::ZERO, n(3), OverlayMsg::Probe, &mut out);
-        assert!(matches!(&out.sends()[0], (to, OverlayMsg::ProbeAck { .. }, _) if *to == n(3)));
+        assert!(matches!(&out.sends()[0], (to, OverlayMsg::ProbeAck { .. }) if *to == n(3)));
     }
 
     #[test]
@@ -1134,7 +1134,7 @@ mod tests {
         a.learn(KeyedNode::new(Key(0x2), n(1)));
         let mut out = Outbox::new();
         a.handle(SimTime::ZERO, n(5), OverlayMsg::LeafSetRequest, &mut out);
-        let (to, msg, _) = &out.sends()[0];
+        let (to, msg) = &out.sends()[0];
         assert_eq!(*to, n(5));
         match msg {
             OverlayMsg::LeafSetReply { leaves } => assert_eq!(leaves.len(), 2),
@@ -1179,7 +1179,7 @@ mod tests {
             let mut out = Outbox::new();
             a.handle(SimTime::ZERO, n(i), OverlayMsg::Join { joiner }, &mut out);
             assert!(
-                !out.sends().iter().any(|(_, m, _)| matches!(m, OverlayMsg::JoinRetry { .. })),
+                !out.sends().iter().any(|(_, m)| matches!(m, OverlayMsg::JoinRetry { .. })),
                 "join {i} should be admitted"
             );
         }
@@ -1189,14 +1189,14 @@ mod tests {
         assert!(
             out.sends()
                 .iter()
-                .any(|(to, m, _)| *to == n(9) && matches!(m, OverlayMsg::JoinRetry { .. })),
+                .any(|(to, m)| *to == n(9) && matches!(m, OverlayMsg::JoinRetry { .. })),
             "ninth join should be rejected with a backoff"
         );
         // Forwarded joins (from != joiner) are not re-charged.
         let joiner = KeyedNode::new(Key(0x400), n(10));
         let mut out = Outbox::new();
         a.handle(SimTime::ZERO, n(3), OverlayMsg::Join { joiner }, &mut out);
-        assert!(!out.sends().iter().any(|(_, m, _)| matches!(m, OverlayMsg::JoinRetry { .. })));
+        assert!(!out.sends().iter().any(|(_, m)| matches!(m, OverlayMsg::JoinRetry { .. })));
     }
 
     #[test]
@@ -1207,7 +1207,7 @@ mod tests {
         // First JOIN fire (seq 0): sends the join, arms fallback seq 1.
         let mut out = Outbox::new();
         j.on_timer(t(1), timers::JOIN, &mut out);
-        assert!(out.sends().iter().any(|(_, m, _)| matches!(m, OverlayMsg::Join { .. })));
+        assert!(out.sends().iter().any(|(_, m)| matches!(m, OverlayMsg::Join { .. })));
         let (_, fallback_tag) = out.timers()[0];
         assert_eq!(fallback_tag & 0xffff_ffff, timers::JOIN);
         assert_eq!(fallback_tag >> 32, 1);
@@ -1229,7 +1229,7 @@ mod tests {
         // ...while the backoff timer re-sends.
         let mut out = Outbox::new();
         j.on_timer(t(2), retry_tag, &mut out);
-        assert!(out.sends().iter().any(|(_, m, _)| matches!(m, OverlayMsg::Join { .. })));
+        assert!(out.sends().iter().any(|(_, m)| matches!(m, OverlayMsg::Join { .. })));
     }
 
     #[test]
@@ -1319,7 +1319,7 @@ mod tests {
     fn routed(out: &Outbox<OverlayMsg<u64>>) -> Vec<(NodeIndex, u64)> {
         out.sends()
             .iter()
-            .filter_map(|(to, m, _)| match m {
+            .filter_map(|(to, m)| match m {
                 OverlayMsg::Route { payload, .. } => Some((*to, *payload)),
                 _ => None,
             })

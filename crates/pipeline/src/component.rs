@@ -46,7 +46,7 @@ pub trait Component: fmt::Debug {
     fn put(&mut self, now: SimTime, event: Event, out: &mut Emit);
 
     /// Periodic activation for time-driven components (buffers flushing
-    /// on deadline, device wrappers sampling). Default: nothing.
+    /// on deadline). Default: nothing.
     fn tick(&mut self, _now: SimTime, _out: &mut Emit) {}
 }
 
@@ -120,11 +120,6 @@ impl PipelineGraph {
         let entries = self.entries.clone();
         let queue: Vec<(usize, Event)> = entries.iter().map(|&i| (i, event.clone())).collect();
         self.run_queue(now, queue)
-    }
-
-    /// Pushes an event into one specific component.
-    pub fn push_into(&mut self, now: SimTime, idx: usize, event: Event) -> Vec<Event> {
-        self.run_queue(now, vec![(idx, event)])
     }
 
     /// Ticks every component (time-driven flushing), collecting outputs.
@@ -261,17 +256,6 @@ mod tests {
         let d = g.add(Box::new(Dup));
         g.mark_entry(d);
         assert_eq!(g.push(SimTime::ZERO, Event::new("e")).len(), 2);
-    }
-
-    #[test]
-    fn push_into_targets_one_component() {
-        let mut g = PipelineGraph::new();
-        let a = g.add(Box::new(Tag("a".into())));
-        let b = g.add(Box::new(Tag("b".into())));
-        g.mark_entry(a);
-        let out = g.push_into(SimTime::ZERO, b, Event::new("e"));
-        assert_eq!(out.len(), 1);
-        assert!(out[0].attr("a").is_none());
     }
 
     #[test]

@@ -18,10 +18,13 @@
 //!   dynamically in code bundles,
 //! * [`PipelineGraph`] — an intra-node bus wiring components together,
 //! * [`assembly`] — building graphs from XML pipeline specifications,
-//! * [`wrapper`] — device wrappers: GPS (random-waypoint movement),
-//!   thermometer (diurnal model), RFID gate,
 //! * [`distributed`] — inter-node pipelines over the simulator (the
 //!   latency experiments of **E2**).
+//!
+//! The paper's device wrappers have no counterpart here. The reproduction
+//! has no hardware: a workload injects each simulated sensor reading into
+//! a node as a `gloss_core` `GlossMsg::Sensor`, and that injection plays
+//! the role the paper gives a wrapper.
 //!
 //! # Example
 //!
@@ -43,9 +46,7 @@ pub mod assembly;
 pub mod component;
 pub mod distributed;
 pub mod standard;
-pub mod wrapper;
 
 pub use assembly::{assemble, AssemblyError};
 pub use component::{Component, Emit, PipelineGraph};
 pub use distributed::{DistributedPipeline, PipelineHost, PipelineMsg};
-pub use wrapper::{GpsDevice, RfidGate, Thermometer};

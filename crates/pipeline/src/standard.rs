@@ -3,9 +3,8 @@
 
 use crate::component::{Component, Emit};
 use gloss_bundle::Registry;
-use gloss_event::{Event, Filter, Op};
+use gloss_event::{Event, Filter};
 use gloss_sim::{GeoPoint, SimDuration, SimTime};
-use gloss_xml::Element;
 use std::collections::HashMap;
 
 /// Passes only events matching a content-based filter.
@@ -319,38 +318,6 @@ pub fn register_standard(registry: &mut Registry<Box<dyn Component>>) {
         .register("counter", |_cfg| Ok(Box::new(Counter::new("counter")) as Box<dyn Component>));
 }
 
-/// Builds a filter component from a full content-based filter spec given
-/// as XML (`<filter kind="..."><constraint attr= op= value= type=/></filter>`),
-/// used by subscriptions shipped in bundles.
-pub fn filter_from_xml(cfg: &Element) -> Result<Filter, String> {
-    let mut f = match cfg.attr("kind") {
-        Some(k) => Filter::for_kind(k),
-        None => Filter::any(),
-    };
-    for c in cfg.children_named("constraint") {
-        let attr = c.attr("attr").ok_or("constraint needs attr")?;
-        let op = match c.attr("op").unwrap_or("=") {
-            "=" => Op::Eq,
-            "!=" => Op::Ne,
-            "<" => Op::Lt,
-            "<=" => Op::Le,
-            ">" => Op::Gt,
-            ">=" => Op::Ge,
-            "prefix" => Op::Prefix,
-            "suffix" => Op::Suffix,
-            "contains" => Op::Contains,
-            "exists" => Op::Exists,
-            other => return Err(format!("unknown op `{other}`")),
-        };
-        let ty = c.attr("type").unwrap_or("str");
-        let text = c.attr("value").unwrap_or("");
-        let value = gloss_event::AttrValue::from_text(ty, text)
-            .ok_or_else(|| format!("bad {ty} value `{text}`"))?;
-        f = f.with_constraint(attr, op, value);
-    }
-    Ok(f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -470,30 +437,5 @@ mod tests {
         }
         assert!(reg.build("filter.movement", &parse("<cfg/>").unwrap()).is_err());
         assert!(reg.build("no.such.kind", &parse("<cfg/>").unwrap()).is_err());
-    }
-
-    #[test]
-    fn filter_from_xml_parses_constraints() {
-        let cfg = parse(
-            r#"<filter kind="weather.reading">
-                 <constraint attr="celsius" op=">=" value="18" type="float"/>
-                 <constraint attr="street" op="contains" value="Street" type="str"/>
-               </filter>"#,
-        )
-        .unwrap();
-        let f = filter_from_xml(&cfg).unwrap();
-        let hot = Event::new("weather.reading")
-            .with_attr("celsius", 21.0)
-            .with_attr("street", "Market Street");
-        let cold = Event::new("weather.reading")
-            .with_attr("celsius", 3.0)
-            .with_attr("street", "Market Street");
-        assert!(f.matches(&hot));
-        assert!(!f.matches(&cold));
-        assert!(filter_from_xml(&parse(r#"<f><constraint op="="/></f>"#).unwrap()).is_err());
-        assert!(filter_from_xml(
-            &parse(r#"<f><constraint attr="a" op="fuzzy" value="1"/></f>"#).unwrap()
-        )
-        .is_err());
     }
 }

@@ -106,7 +106,7 @@ impl ByzantineActor {
         if self.behavior != ByzBehavior::StaleGossip {
             return;
         }
-        for (_, msg, _) in out.sends.iter_mut() {
+        for (_, msg) in out.sends.iter_mut() {
             if is_gossip(msg) {
                 match stale {
                     Some(cached) => *msg = cached.clone(),
@@ -120,7 +120,6 @@ impl ByzantineActor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
 
     #[test]
     fn honest_drops_nothing() {
@@ -159,7 +158,7 @@ mod tests {
 
         let mut out2: Outbox<&'static str> = Outbox::default();
         out2.send(NodeIndex(2), "fresh-2");
-        out2.send_after(NodeIndex(2), "payload", SimDuration::from_millis(1));
+        out2.send(NodeIndex(2), "payload");
         a.rewrite_outputs(&mut out2, &mut stale, |m| m.starts_with("fresh"));
         assert_eq!(out2.sends[0].1, "fresh-1", "gossip should be replaced with stale state");
         assert_eq!(out2.sends[1].1, "payload", "non-gossip traffic passes through");

@@ -89,7 +89,7 @@ pub enum Input<M> {
 /// accounting off the allocator in the simulator's hot loop.
 #[derive(Debug)]
 pub struct Outbox<M> {
-    pub(crate) sends: Vec<(NodeIndex, M, SimDuration)>,
+    pub(crate) sends: Vec<(NodeIndex, M)>,
     pub(crate) timers: Vec<(SimDuration, u64)>,
     pub(crate) counts: Vec<(Cow<'static, str>, f64)>,
     pub(crate) observations: Vec<(Cow<'static, str>, f64)>,
@@ -122,13 +122,7 @@ impl<M> Outbox<M> {
 
     /// Sends `msg` to `to`; the engine adds network latency.
     pub fn send(&mut self, to: NodeIndex, msg: M) {
-        self.sends.push((to, msg, SimDuration::ZERO));
-    }
-
-    /// Sends `msg` to `to` after an extra local processing delay, on top of
-    /// network latency.
-    pub fn send_after(&mut self, to: NodeIndex, msg: M, delay: SimDuration) {
-        self.sends.push((to, msg, delay));
+        self.sends.push((to, msg));
     }
 
     /// Requests a timer that fires after `delay` with the given `tag`.
@@ -165,8 +159,8 @@ impl<M> Outbox<M> {
     }
 
     /// The messages queued so far, for tests that drive state machines
-    /// directly: `(destination, message, extra delay)`.
-    pub fn sends(&self) -> &[(NodeIndex, M, SimDuration)] {
+    /// directly: `(destination, message)`.
+    pub fn sends(&self) -> &[(NodeIndex, M)] {
         &self.sends
     }
 
@@ -191,7 +185,7 @@ impl<M> Outbox<M> {
     }
 
     /// Removes and returns all queued sends.
-    pub fn take_sends(&mut self) -> Vec<(NodeIndex, M, SimDuration)> {
+    pub fn take_sends(&mut self) -> Vec<(NodeIndex, M)> {
         std::mem::take(&mut self.sends)
     }
 
@@ -216,7 +210,7 @@ impl<M> Outbox<M> {
     /// allocates for inner sends only while that buffer is still growing.
     pub fn nested<I, R>(
         &mut self,
-        spare: &mut Vec<(NodeIndex, I, SimDuration)>,
+        spare: &mut Vec<(NodeIndex, I)>,
         wrap: impl Fn(I) -> M,
         f: impl FnOnce(&mut Outbox<I>) -> R,
     ) -> R {
@@ -234,7 +228,7 @@ impl<M> Outbox<M> {
         self.counts = inner.counts;
         self.observations = inner.observations;
         self.traces = inner.traces;
-        self.sends.extend(inner.sends.drain(..).map(|(to, msg, delay)| (to, wrap(msg), delay)));
+        self.sends.extend(inner.sends.drain(..).map(|(to, msg)| (to, wrap(msg))));
         *spare = inner.sends;
         result
     }
@@ -559,7 +553,8 @@ impl<N: Node> World<N> {
 
     /// Live per-link connection-state entries (bounded by churn purging;
     /// see the link-state leak regression test).
-    pub fn link_state_count(&self) -> usize {
+    #[cfg(test)]
+    fn link_state_count(&self) -> usize {
         self.links.iter().map(FnvHashMap::len).sum()
     }
 
@@ -868,8 +863,8 @@ impl<N: Node> World<N> {
     fn apply_effects(&mut self, from: NodeIndex) {
         if !self.scratch.sends.is_empty() {
             let mut sends = std::mem::take(&mut self.scratch.sends);
-            for (to, msg, extra) in sends.drain(..) {
-                self.dispatch_send(from, to, msg, extra);
+            for (to, msg) in sends.drain(..) {
+                self.dispatch_send(from, to, msg);
             }
             self.scratch.sends = sends;
         }
@@ -902,7 +897,7 @@ impl<N: Node> World<N> {
 
     /// Schedules one send: latency sampling (shared per activation and
     /// link), loss, and FIFO clamping.
-    fn dispatch_send(&mut self, from: NodeIndex, to: NodeIndex, msg: N::Msg, extra: SimDuration) {
+    fn dispatch_send(&mut self, from: NodeIndex, to: NodeIndex, msg: N::Msg) {
         if to.as_usize() >= self.nodes.len() {
             self.metrics.add(self.engine_ids[EC_BAD_DESTINATION], 1.0);
             return;
@@ -948,7 +943,7 @@ impl<N: Node> World<N> {
         // Per-link FIFO: links are connection-oriented (the architecture's
         // web-service interfaces run over TCP); equal times are allowed
         // and preserve send order via the link sequence number.
-        let mut at = self.now.as_micros() + ls.jittered + extra.as_micros();
+        let mut at = self.now.as_micros() + ls.jittered;
         if at < ls.last_at {
             at = ls.last_at;
         }
@@ -1462,7 +1457,7 @@ mod tests {
                     inner.timer(SimDuration::from_millis(2), 2);
                     inner.observe("inner.obs", 0.5);
                     inner.send(NodeIndex(2), 7);
-                    inner.send_after(NodeIndex(3), 8, SimDuration::from_millis(9));
+                    inner.send(NodeIndex(3), 8);
                     inner.trace("inner.eager", "e");
                     inner.trace_with("inner.lazy", || {
                         rendered = true;
@@ -1485,12 +1480,9 @@ mod tests {
         let tags: Vec<u64> = out.timers().iter().map(|(_, tag)| *tag).collect();
         assert_eq!(tags, [1, 2, 3]);
         assert_eq!(out.observations().len(), 1);
-        let sends: Vec<(u32, &str, u64)> =
-            out.sends().iter().map(|(to, m, d)| (to.0, m.as_str(), d.as_micros())).collect();
-        assert_eq!(
-            sends,
-            [(1, "host-before", 0), (2, "inner-7", 0), (3, "inner-8", 9_000), (4, "host-after", 0)]
-        );
+        let sends: Vec<(u32, &str)> =
+            out.sends().iter().map(|(to, m)| (to.0, m.as_str())).collect();
+        assert_eq!(sends, [(1, "host-before"), (2, "inner-7"), (3, "inner-8"), (4, "host-after")]);
         let kinds: Vec<&str> = out.traces().iter().map(|(k, _)| k.as_ref()).collect();
         assert_eq!(kinds, ["inner.eager", "inner.lazy"]);
 
@@ -1504,7 +1496,7 @@ mod tests {
     #[test]
     fn nested_outbox_reuses_the_hosts_spare_send_buffer() {
         let mut out: Outbox<u32> = Outbox::new();
-        let mut spare: Vec<(NodeIndex, u8, SimDuration)> = Vec::new();
+        let mut spare: Vec<(NodeIndex, u8)> = Vec::new();
         let call = |out: &mut Outbox<u32>, spare: &mut Vec<_>, base: u8| {
             out.nested(spare, u32::from, |inner| {
                 for m in base..base + 3 {
@@ -1520,7 +1512,7 @@ mod tests {
         assert!(spare.is_empty());
         assert_eq!(spare.as_ptr(), ptr, "the second call used the same buffer");
         assert_eq!(spare.capacity(), cap, "and did not regrow it");
-        let sent: Vec<u32> = out.sends().iter().map(|(_, m, _)| *m).collect();
+        let sent: Vec<u32> = out.sends().iter().map(|(_, m)| *m).collect();
         assert_eq!(sent, [0, 1, 2, 10, 11, 12]);
     }
 }

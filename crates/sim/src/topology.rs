@@ -177,7 +177,8 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if node indices are not `0..n` in order.
-    pub fn from_nodes(nodes: Vec<NodeInfo>, latency: LatencyModel) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_nodes(nodes: Vec<NodeInfo>, latency: LatencyModel) -> Self {
         for (i, n) in nodes.iter().enumerate() {
             assert_eq!(n.index.as_usize(), i, "node indices must be dense and ordered");
         }

@@ -45,11 +45,6 @@ impl Tracer {
         Tracer { enabled: true, cap, events: Vec::new(), dropped: 0 }
     }
 
-    /// Whether recording is on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Records one event (no-op when disabled or full).
     pub fn record(&mut self, at: SimTime, node: NodeIndex, kind: &str, detail: String) {
         if !self.enabled {
@@ -68,7 +63,8 @@ impl Tracer {
     }
 
     /// Events of one kind.
-    pub fn of_kind<'a>(&'a self, kind: &'a str) -> impl Iterator<Item = &'a TraceEvent> {
+    #[cfg(test)]
+    pub(crate) fn of_kind<'a>(&'a self, kind: &'a str) -> impl Iterator<Item = &'a TraceEvent> {
         self.events.iter().filter(move |e| e.kind == kind)
     }
 
@@ -97,7 +93,6 @@ mod tests {
         let mut t = Tracer::disabled();
         t.record(SimTime::ZERO, NodeIndex(0), "x", "y".into());
         assert!(t.events().is_empty());
-        assert!(!t.is_enabled());
     }
 
     #[test]

@@ -50,6 +50,9 @@ impl fmt::Display for ErasureError {
 
 impl Error for ErasureError {}
 
+/// The most shards one code can have (shard rows are indexed by a byte).
+pub(crate) const MAX_SHARDS: usize = 255;
+
 // --- GF(2^8) arithmetic with generator polynomial 0x11d ---
 
 const GF_POLY: u16 = 0x11d;
@@ -245,7 +248,7 @@ impl ErasureCode {
     ///
     /// Returns [`ErasureError::BadParameters`] unless `0 < m <= n <= 255`.
     pub fn new(m: usize, n: usize) -> Result<Self, ErasureError> {
-        if m == 0 || n < m || n > 255 {
+        if m == 0 || n < m || n > MAX_SHARDS {
             return Err(ErasureError::BadParameters { m, n });
         }
         // Vandermonde rows v[i][j] = (i+1)^j, then normalise so the top
@@ -307,7 +310,7 @@ impl ErasureCode {
     ///
     /// Returns [`ErasureError`] if fewer than `m` shards are provided or
     /// the shards are malformed (out-of-range or duplicate indices,
-    /// unequal lengths).
+    /// unequal lengths, or a `len` longer than `m` shards hold).
     pub fn decode(&self, shards: &[(usize, Vec<u8>)], len: usize) -> Result<Vec<u8>, ErasureError> {
         let mut seen = [false; 256]; // n <= 255
         let mut chosen: Vec<(usize, &[u8])> = Vec::with_capacity(shards.len());
@@ -328,6 +331,11 @@ impl ErasureCode {
         }
         if chosen.len() < self.m {
             return Err(ErasureError::NotEnoughShards { needed: self.m, got: chosen.len() });
+        }
+        // `len` comes from a manifest another node wrote: never size the
+        // output by more than the shards can fill.
+        if self.m.checked_mul(chosen[0].1.len()).is_none_or(|held| len > held) {
+            return Err(ErasureError::MalformedShards(format!("length {len} exceeds the shards")));
         }
         // Surplus shards: keep the lowest m indices. With a systematic
         // code those are the cheapest rows (often the identity block).
@@ -365,6 +373,22 @@ mod tests {
         for (a, b, c) in [(3u8, 100u8, 200u8), (255, 254, 1)] {
             assert_eq!(gf_mul(a, b ^ c), gf_mul(a, b) ^ gf_mul(a, c));
         }
+    }
+
+    #[test]
+    fn decode_rejects_a_length_the_shards_cannot_hold() {
+        let code = ErasureCode::new(2, 3).unwrap();
+        let data = b"twelve bytes".to_vec();
+        let shards: Vec<(usize, Vec<u8>)> = code.encode(&data).into_iter().enumerate().collect();
+        let held = 2 * shards[0].1.len();
+        for len in [usize::MAX, held + 1, 1 << 40] {
+            assert!(
+                matches!(code.decode(&shards[..2], len), Err(ErasureError::MalformedShards(_))),
+                "len {len}"
+            );
+        }
+        assert_eq!(code.decode(&shards[..2], held).unwrap().len(), held);
+        assert_eq!(code.decode(&shards[1..], data.len()).unwrap(), data);
     }
 
     #[test]

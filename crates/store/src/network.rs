@@ -182,11 +182,6 @@ impl StoreNetwork {
         victims.len()
     }
 
-    /// Nodes currently alive.
-    pub fn alive_count(&self) -> usize {
-        (0..self.len() as u32).map(NodeIndex).filter(|&i| self.world.is_alive(i)).count()
-    }
-
     /// A metrics counter's current value (e.g. `store.repair_puts`).
     pub fn counter(&self, name: &str) -> f64 {
         self.world.metrics().counter(name)

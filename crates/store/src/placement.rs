@@ -65,11 +65,6 @@ impl NodeCapacity {
     pub fn admits(&self, used: u64, size: u64) -> bool {
         used.saturating_add(size).saturating_add(self.min_free_bytes) <= self.budget()
     }
-
-    /// Whether the node has already dipped under its watermark.
-    pub fn over_watermark(&self, used: u64) -> bool {
-        self.available(used) < self.min_free_bytes
-    }
 }
 
 /// A lightweight directory entry describing a storage node (distributed
@@ -449,8 +444,6 @@ mod tests {
         assert_eq!(cap.available(30), 50);
         assert!(cap.admits(30, 40)); // 30 + 40 + 10 = 80 fits exactly
         assert!(!cap.admits(30, 41));
-        assert!(!cap.over_watermark(70));
-        assert!(cap.over_watermark(71));
     }
 
     #[test]

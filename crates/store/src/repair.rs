@@ -12,6 +12,7 @@
 //! exist to protect.
 
 use crate::document::{Document, Priority};
+use crate::erasure::MAX_SHARDS;
 use gloss_governor::{backoff::jittered, TokenBucket};
 use gloss_overlay::Key;
 use gloss_sim::{splitmix64, NodeIndex, SimDuration, SimTime};
@@ -76,7 +77,7 @@ impl FragmentManifest {
             }
         }
         let (m, n, len, base) = (m?, n?, len?, base?);
-        if m == 0 || n < m || doc.name.as_ref() != Self::doc_name(&base) {
+        if m == 0 || n < m || n > MAX_SHARDS || doc.name.as_ref() != Self::doc_name(&base) {
             return None;
         }
         Some(FragmentManifest { base, m, n, len })
@@ -190,6 +191,10 @@ mod tests {
         assert_eq!(FragmentManifest::parse(&wrong_base), None);
         let zero_m = Document::new("x#manifest", b"m=0\nn=3\nlen=9\nbase=x\n".to_vec());
         assert_eq!(FragmentManifest::parse(&zero_m), None);
+        // More shards than a code can have: an audit would issue one
+        // lookup per shard before any code was built.
+        let huge_n = Document::new("x#manifest", b"m=2\nn=4294967296\nlen=9\nbase=x\n".to_vec());
+        assert_eq!(FragmentManifest::parse(&huge_n), None);
     }
 
     #[test]

@@ -354,7 +354,7 @@ pub struct StoreNode {
     overlay: OverlayNode<StorePayload>,
     /// The overlay's send buffer, lent to every [`Outbox::nested`] call
     /// into it and handed back empty, so its capacity is reused.
-    overlay_sends: Vec<(NodeIndex, OverlayMsg<StorePayload>, SimDuration)>,
+    overlay_sends: Vec<(NodeIndex, OverlayMsg<StorePayload>)>,
     cfg: StoreConfig,
     store: BTreeMap<Key, Document>,
     cache: LruCache,
@@ -447,7 +447,8 @@ impl StoreNode {
     }
 
     /// Whether this node has `guid` cached.
-    pub fn has_cached(&self, guid: Key) -> bool {
+    #[cfg(test)]
+    fn has_cached(&self, guid: Key) -> bool {
         self.cache.contains(guid)
     }
 
@@ -463,7 +464,8 @@ impl StoreNode {
     }
 
     /// Acknowledged replica holders of `guid` (primary-side knowledge).
-    pub fn known_replicas(&self, guid: Key) -> usize {
+    #[cfg(test)]
+    pub(crate) fn known_replicas(&self, guid: Key) -> usize {
         self.replica_locations.get(&guid).map_or(0, BTreeSet::len)
     }
 
@@ -1271,8 +1273,8 @@ mod tests {
         let backups: Vec<NodeIndex> = out
             .sends()
             .iter()
-            .filter(|(_, m, _)| matches!(m, StoreMsg::ReplicaPut { doc } if doc.guid == d.guid))
-            .map(|(t, _, _)| *t)
+            .filter(|(_, m)| matches!(m, StoreMsg::ReplicaPut { doc } if doc.guid == d.guid))
+            .map(|(t, _)| *t)
             .collect();
         assert_eq!(backups, [n(1)], "the policy's ReplicateTo goes to the remote site");
     }
@@ -1297,8 +1299,8 @@ mod tests {
         let puts: Vec<NodeIndex> = out
             .sends()
             .iter()
-            .filter(|(_, m, _)| matches!(m, StoreMsg::ReplicaPut { .. }))
-            .map(|(t, _, _)| *t)
+            .filter(|(_, m)| matches!(m, StoreMsg::ReplicaPut { .. }))
+            .map(|(t, _)| *t)
             .collect();
         assert_eq!(puts.len(), 2, "k-1 replica pushes");
         assert!(puts.contains(&n(1)));
@@ -1365,11 +1367,11 @@ mod tests {
         let reply = out
             .sends()
             .iter()
-            .find(|(t, m, _)| *t == n(9) && matches!(m, StoreMsg::FetchReply { .. }));
+            .find(|(t, m)| *t == n(9) && matches!(m, StoreMsg::FetchReply { .. }));
         assert!(reply.is_some(), "served from the intermediate cache");
         // Path nodes get cache pushes (n9 and n7).
         let pushes =
-            out.sends().iter().filter(|(_, m, _)| matches!(m, StoreMsg::CachePush { .. })).count();
+            out.sends().iter().filter(|(_, m)| matches!(m, StoreMsg::CachePush { .. })).count();
         assert_eq!(pushes, 2);
     }
 
@@ -1402,8 +1404,9 @@ mod tests {
         let mut out = Outbox::new();
         s.handle(SimTime::from_millis(10), n(7), lookup, &mut out);
         assert!(
-            out.sends().iter().any(|(t, m, _)| *t == n(7)
-                && matches!(m, StoreMsg::Overlay(OverlayMsg::RouteAck))),
+            out.sends()
+                .iter()
+                .any(|(t, m)| *t == n(7) && matches!(m, StoreMsg::Overlay(OverlayMsg::RouteAck))),
             "cache intercept must ack the previous hop's forward"
         );
     }
@@ -1507,8 +1510,8 @@ mod tests {
         let audits: Vec<NodeIndex> = out
             .sends()
             .iter()
-            .filter(|(_, m, _)| matches!(m, StoreMsg::HaveReplica { .. }))
-            .map(|(t, _, _)| *t)
+            .filter(|(_, m)| matches!(m, StoreMsg::HaveReplica { .. }))
+            .map(|(t, _)| *t)
             .collect();
         assert_eq!(audits, vec![n(1)]);
         // Negative ack triggers a repair put.
@@ -1522,7 +1525,7 @@ mod tests {
         assert!(out
             .sends()
             .iter()
-            .any(|(t, m, _)| *t == n(1) && matches!(m, StoreMsg::ReplicaPut { .. })));
+            .any(|(t, m)| *t == n(1) && matches!(m, StoreMsg::ReplicaPut { .. })));
         // Positive ack does not.
         let mut out = Outbox::new();
         s.handle(
@@ -1570,8 +1573,8 @@ mod tests {
         let size = d.size() as u64;
         let mut out = Outbox::new();
         s.handle(SimTime::ZERO, n(5), StoreMsg::ReplicaPut { doc: d.clone() }, &mut out);
-        match out.sends().iter().find(|(t, _, _)| *t == n(5)) {
-            Some((_, StoreMsg::ReplicaPutAck { guid, accepted, used_bytes }, _)) => {
+        match out.sends().iter().find(|(t, _)| *t == n(5)) {
+            Some((_, StoreMsg::ReplicaPutAck { guid, accepted, used_bytes })) => {
                 assert_eq!(*guid, d.guid);
                 assert!(accepted);
                 assert_eq!(*used_bytes, size);
@@ -1699,8 +1702,8 @@ mod tests {
         let repairs: Vec<NodeIndex> = out
             .sends()
             .iter()
-            .filter(|(_, m, _)| matches!(m, StoreMsg::ReplicaPut { .. }))
-            .map(|(t, _, _)| *t)
+            .filter(|(_, m)| matches!(m, StoreMsg::ReplicaPut { .. }))
+            .map(|(t, _)| *t)
             .collect();
         assert_eq!(repairs, vec![n(2)], "the unacknowledged slot is re-placed");
         assert!(out.counts().iter().any(|(name, _)| name == "store.repair_puts"));
@@ -1729,7 +1732,7 @@ mod tests {
             s.on_timer(SimTime::from_secs(at_s), timers::REPAIR, &mut out);
             out.sends()
                 .iter()
-                .filter_map(|(_, m, _)| match m {
+                .filter_map(|(_, m)| match m {
                     StoreMsg::ReplicaPut { doc } => Some(doc.guid),
                     _ => None,
                 })
@@ -1846,6 +1849,40 @@ mod tests {
             "systematic re-encode reproduces the original bytes exactly"
         );
         assert!(out.counts().iter().any(|(name, _)| name == "store.repair_shards"));
+    }
+
+    #[test]
+    fn a_manifest_longer_than_its_shards_fails_the_decode_not_the_node() {
+        // A manifest another node wrote claims more bytes than its shards
+        // hold. The audit finds a shard missing, decodes, and must count
+        // the failure instead of sizing a buffer by the claim.
+        let content: Vec<u8> = (0..200u8).collect();
+        let code = crate::erasure::ErasureCode::new(3, 5).unwrap();
+        let shards = code.encode(&content);
+        for len in [usize::MAX, 3 * shards[0].len() + 1] {
+            let mut s = store_node(
+                0x100,
+                0,
+                StoreConfig { replicas: 1, repair_rate_per_sec: 100.0, ..Default::default() },
+            );
+            let manifest = FragmentManifest { base: "obj".into(), m: 3, n: 5, len };
+            let mut out = Outbox::new();
+            s.insert(manifest.to_doc(Priority::Normal), SimTime::ZERO, &mut out);
+            for (i, bytes) in shards.iter().enumerate().skip(1) {
+                let d = Document::new(FragmentManifest::shard_name("obj", i), bytes.clone());
+                s.insert(d, SimTime::ZERO, &mut out);
+            }
+            let mut out = Outbox::new();
+            s.on_timer(SimTime::from_secs(10), timers::REPAIR, &mut out);
+            let count = |name: &str| {
+                out.counts().iter().filter(|(n, _)| n == name).map(|(_, v)| v).sum::<f64>()
+            };
+            assert_eq!(count("store.repair_audits"), 1.0, "len {len}");
+            assert_eq!(count("store.repair_decode_failed"), 1.0, "len {len}");
+            assert_eq!(count("store.repair_shards"), 0.0, "len {len}");
+            let lost = Key::hash_of_str(&FragmentManifest::shard_name("obj", 0));
+            assert!(!s.holds(lost), "nothing is re-inserted from a failed decode");
+        }
     }
 
     #[test]

@@ -85,7 +85,7 @@ fn lookup(req_id: u64) -> StoreMsg {
 
 /// The path of the lookup `out` forwards to [`ROOT`], if it holds one.
 fn forwarded_path(out: &Outbox<StoreMsg>) -> Option<Vec<NodeIndex>> {
-    out.sends().iter().rev().find_map(|(to, msg, _)| match msg {
+    out.sends().iter().rev().find_map(|(to, msg)| match msg {
         StoreMsg::Overlay(OverlayMsg::Route {
             payload: StorePayload::Lookup { path, .. }, ..
         }) if *to == ROOT => Some(path.iter().collect()),

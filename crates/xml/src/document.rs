@@ -89,11 +89,6 @@ impl Element {
         self.attrs.iter().map(|(k, v)| (k.as_str(), v.as_str()))
     }
 
-    /// Number of attributes.
-    pub fn attr_count(&self) -> usize {
-        self.attrs.len()
-    }
-
     /// Sets (or replaces) an attribute.
     pub fn set_attr(&mut self, key: impl Into<String>, value: impl Into<String>) {
         let key = key.into();
@@ -247,7 +242,7 @@ mod tests {
         assert_eq!(e.attr("missing"), None);
         e.set_attr("kind", "updated");
         assert_eq!(e.attr("kind"), Some("updated"));
-        assert_eq!(e.attr_count(), 1);
+        assert_eq!(e.attrs().count(), 1);
     }
 
     #[test]
