@@ -421,6 +421,18 @@ mod tests {
         assert_eq!(&*a.subject_name("nobody"), "nobody");
     }
 
+    /// Hands `constraints` to the coordinator's evolution engine.
+    fn constrain(a: &mut ActiveArchitecture, constraints: Vec<gloss_deploy::Constraint>) {
+        let cs = a.world_mut().node_mut(NodeIndex(0)).coordinator_state.as_mut().unwrap();
+        for c in constraints {
+            cs.evolution.add_constraint(c);
+        }
+    }
+
+    fn coordinator(a: &ActiveArchitecture) -> &crate::node::CoordinatorState {
+        a.node(NodeIndex(0)).coordinator_state.as_ref().unwrap()
+    }
+
     #[test]
     fn coordinator_sees_worker_heartbeats() {
         let a = arch(6, 11);
@@ -660,6 +672,102 @@ mod tests {
         let metrics = a.world().metrics();
         assert_eq!(metrics.counter("gloss.suspected"), 1.0);
         assert_eq!(metrics.counter("gloss.failures_detected"), 1.0, "a suspicion is no failure");
+    }
+
+    /// A crashed worker holding a component instance is suspected, then
+    /// declared failed, and the component is placed again away from it;
+    /// the repair is measured as its own episode.
+    #[test]
+    fn crash_is_detected_and_repaired() {
+        let mut a = arch(8, 2);
+        constrain(&mut a, vec![gloss_deploy::Constraint::count("replicator", None, 3)]);
+        a.run_for(SimDuration::from_secs(120));
+        assert_eq!(a.satisfaction(), 1.0);
+        let episodes = a.world().metrics().summary("gloss.repair_ms").count;
+        assert_eq!(episodes, 1, "the initial rollout is one repair episode");
+        let placed = coordinator(&a).evolution.deployment().instances_of("replicator").next();
+        let victim = placed.unwrap().1;
+        a.world_mut().crash(victim);
+        // Heartbeat stops; monitor deadline 30 s + sweep 10 s + bundle RTT.
+        a.run_for(SimDuration::from_secs(120));
+        assert_eq!(a.satisfaction(), 1.0, "constraint repaired");
+        let monitor = &coordinator(&a).monitor;
+        assert!(monitor.failures_detected >= 1);
+        // The failure was graduated: a suspicion episode preceded it.
+        assert!(monitor.suspicions >= 1);
+        let metrics = a.world().metrics();
+        assert!(metrics.counter("gloss.suspected") >= 1.0);
+        assert!(metrics.counter("gloss.failures_detected") >= 1.0);
+        assert!(
+            coordinator(&a)
+                .evolution
+                .deployment()
+                .instances_of("replicator")
+                .all(|(_, n)| n != victim),
+            "replacement avoids the dead node"
+        );
+        let repair = metrics.summary("gloss.repair_ms");
+        assert_eq!(repair.count, episodes + 1, "the repair episode is measured");
+        assert!(repair.max > 0.0);
+    }
+
+    /// A worker that crashed, was declared failed and recovers advertises
+    /// again, and the evolution engine places on it once it is needed.
+    #[test]
+    fn a_recovered_worker_advertises_again_and_is_usable() {
+        // Three workers, two instances: after one more crash the
+        // recovered worker is the only fresh host left.
+        let mut a = arch(4, 3);
+        constrain(&mut a, vec![gloss_deploy::Constraint::count("matcher", None, 2)]);
+        a.run_for(SimDuration::from_secs(60));
+        assert_eq!(a.satisfaction(), 1.0);
+        let hosting = |a: &ActiveArchitecture, n: NodeIndex| {
+            coordinator(a).evolution.deployment().count_on(n)
+        };
+        let victim = (1..4).map(NodeIndex).find(|&n| hosting(&a, n) > 0).unwrap();
+        a.world_mut().crash(victim);
+        a.run_for(SimDuration::from_secs(90));
+        assert!(!coordinator(&a).monitor.is_alive(victim), "declared failed");
+        assert_eq!(hosting(&a, victim), 0);
+        assert_eq!(a.satisfaction(), 1.0, "repaired on the other two workers");
+
+        a.world_mut().recover(victim);
+        a.run_for(SimDuration::from_secs(60));
+        assert!(coordinator(&a).monitor.is_alive(victim), "it advertises again");
+        assert!(coordinator(&a).evolution.resources().contains_key(&victim));
+
+        let other = (1..4).map(NodeIndex).find(|&n| n != victim && hosting(&a, n) > 0).unwrap();
+        a.world_mut().crash(other);
+        a.run_for(SimDuration::from_secs(90));
+        assert_eq!(a.satisfaction(), 1.0);
+        assert_eq!(hosting(&a, victim), 1, "the recovered worker hosts the replacement");
+    }
+
+    /// More regional instances than the region has workers, under a
+    /// one-per-node cap: the constraint stays violated, each regional
+    /// worker hosts exactly one instance, and nothing is shipped twice.
+    #[test]
+    fn impossible_constraints_stay_violated_without_stacking() {
+        use gloss_deploy::Constraint;
+        let mut a = arch(7, 4);
+        constrain(
+            &mut a,
+            vec![Constraint::Capacity { max: 1 }, Constraint::count("big", Some("scotland"), 50)],
+        );
+        a.run_for(SimDuration::from_secs(120));
+        assert!(a.satisfaction() < 1.0);
+        let scots: Vec<NodeIndex> = (1..7)
+            .map(NodeIndex)
+            .filter(|&n| coordinator(&a).evolution.resources()[&n].region == "scotland")
+            .collect();
+        assert!(!scots.is_empty(), "the seed puts workers in scotland");
+        for n in (1..7).map(NodeIndex) {
+            let want = usize::from(scots.contains(&n));
+            assert_eq!(a.node(n).server.installed_names().len(), want, "{n}");
+            assert_eq!(coordinator(&a).evolution.deployment().count_on(n), want, "{n}");
+        }
+        let sent = a.world().metrics().counter("gloss.bundles_sent");
+        assert_eq!(sent, scots.len() as f64, "one bundle per regional worker");
     }
 
     #[test]

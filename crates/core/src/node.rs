@@ -34,7 +34,8 @@ pub enum GlossMsg {
     PubSub(BrokerMsg),
     /// Storage-plane traffic (overlay + storage).
     Store(StoreMsg),
-    /// A locally sensed event (device wrappers / workload injection).
+    /// A locally sensed event, injected by the workload (the role the
+    /// paper gives a device wrapper).
     Sensor(Event),
     /// A UI client subscription on this node.
     UiSubscribe(Filter),
@@ -855,6 +856,28 @@ mod tests {
         )
     }
 
+    /// A worker whose coordinator is node 0, with a broker of no
+    /// neighbours and an overlay that knows no peer.
+    fn worker(me: NodeIndex) -> GlossNode {
+        let overlay = OverlayNode::new(Key(0x100), me, None, SimDuration::ZERO);
+        GlossNode::new(
+            me,
+            Broker::new(me, BrokerTopology::Peer { neighbors: Vec::new() }),
+            StoreNode::new(me, overlay, StoreConfig::default(), Vec::new()),
+            NodeResources {
+                node: me,
+                region: "scotland".into(),
+                geo: GeoPoint { lat: 56.3, lon: -2.8 },
+                cpu: 1.0,
+                storage: 1 << 20,
+            },
+            NodeIndex(0),
+            AuthKey::new("test", b"secret"),
+            SimDuration::from_secs(5),
+            SimDuration::from_secs(15),
+        )
+    }
+
     /// Hands `msg` from `from` to `node`, then feeds back every message
     /// the node sends itself (its broker notifying it as a client) until
     /// none is left.
@@ -897,6 +920,43 @@ mod tests {
         let kinds: Vec<&str> = node.ui_received.iter().map(Event::kind).collect();
         assert_eq!(kinds, ["alert"]);
         assert_eq!(node.emitted, 1);
+    }
+
+    /// A bundle the analysis gate rejects installs nothing, is counted as
+    /// a lint rejection and an install failure, and sends no `Installed`;
+    /// its clean twin installs, subscribes its kind and confirms.
+    #[test]
+    fn a_bundle_the_analysis_gate_rejects_is_counted_and_never_confirmed() {
+        let mut node = worker(NodeIndex(1));
+        let key = AuthKey::new("test", b"secret");
+        let mut offer = |name: &str, source: &str| {
+            let packet = Bundle::matchlet(name, source).issued_by(key.issuer()).to_packet(&key);
+            let msg = GlossMsg::Bundle { instance: format!("{name}@n1#1"), packet };
+            let mut out = Outbox::new();
+            node.handle(SimTime::ZERO, Input::Msg { from: NodeIndex(0), msg }, &mut out);
+            let confirmed = out
+                .sends()
+                .iter()
+                .filter(|(to, m)| *to == NodeIndex(0) && matches!(m, GlossMsg::Installed { .. }))
+                .count();
+            let counters: Vec<String> = out.counts().iter().map(|(n, _)| n.to_string()).collect();
+            (confirmed, counters)
+        };
+
+        // The emit reads an unbound variable: it parses, but the gate
+        // must turn it away before installation.
+        let ghost = r#"rule ghost { on w: event weather(c: ?c) emit alert(c: ?c, x: ?ghost) }"#;
+        let (confirmed, counters) = offer("ghost", ghost);
+        assert_eq!(confirmed, 0, "no install confirmation for a rejected bundle");
+        assert_eq!(counters, ["gloss.lint_rejected", "gloss.install_failures"]);
+
+        let hot = r#"rule hot { on w: event weather(c: ?c) where ?c > 18.0 emit alert(c: ?c) }"#;
+        let (confirmed, counters) = offer("hot", hot);
+        assert_eq!(confirmed, 1);
+        assert_eq!(counters, ["gloss.installs"], "a clean bundle reports no warnings");
+        assert_eq!(node.server.installed_names(), ["hot"]);
+        assert_eq!(node.server.engine().rule_names(), ["hot"]);
+        assert!(node.subscribed_kinds.contains("weather"));
     }
 
     /// A discovery fetch nobody answers ends on the store's lookup-retry
@@ -951,24 +1011,7 @@ mod tests {
     /// then read the earlier request's stale document.
     #[test]
     fn prefetch_ids_stay_distinct_past_two_to_the_twenty_requests() {
-        let me = NodeIndex(1);
-        let overlay = OverlayNode::new(Key(0x100), me, None, SimDuration::ZERO);
-        let mut node = GlossNode::new(
-            me,
-            Broker::new(me, BrokerTopology::Peer { neighbors: Vec::new() }),
-            StoreNode::new(me, overlay, StoreConfig::default(), Vec::new()),
-            NodeResources {
-                node: me,
-                region: "scotland".into(),
-                geo: GeoPoint { lat: 56.3, lon: -2.8 },
-                cpu: 1.0,
-                storage: 1 << 20,
-            },
-            NodeIndex(0),
-            AuthKey::new("test", b"secret"),
-            SimDuration::from_secs(5),
-            SimDuration::from_secs(15),
-        );
+        let mut node = worker(NodeIndex(1));
         node.handle(SimTime::ZERO, Input::Start, &mut Outbox::new());
         let peer = NodeIndex(2);
         let v1 = snapshot_doc(&[fact("golf")], Some((7, 1)));

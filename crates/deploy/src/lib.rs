@@ -21,30 +21,44 @@
 //!   and published "on their behalf",
 //! * [`EvolutionEngine`] — consumes resource events, detects violations,
 //!   plans repairs, and tracks the deployment as installs are confirmed,
-//! * [`DeploymentPlane`] — a simulation harness measuring
-//!   violation-to-repair latency under churn (experiment **C4**).
+//! * [`coordinator_sweep`] — one periodic pass of both engines.
+//!
+//! The engines carry no transport. `gloss_core`'s `GlossNode` runs them on
+//! its coordinator: resource advertisements arrive over pub/sub, and each
+//! [`Action::Deploy`] ships a code bundle to a worker's thin server, whose
+//! install confirmation comes back to [`EvolutionEngine::confirm_deploy`].
+//! Experiments **E3** and **C4** measure that path.
 //!
 //! # Example
 //!
 //! ```
-//! use gloss_deploy::{Constraint, DeploymentPlane};
-//! use gloss_sim::SimDuration;
+//! use gloss_deploy::{Action, Constraint, EvolutionEngine, NodeResources};
+//! use gloss_sim::{GeoPoint, NodeIndex, SimTime};
 //!
-//! let constraints = vec![Constraint::count("replicator", Some("scotland"), 3)];
-//! let mut plane = DeploymentPlane::build(9, constraints, 42);
-//! plane.run_for(SimDuration::from_secs(120));
-//! assert!(plane.evolution().satisfaction() >= 1.0);
+//! let mut engine = EvolutionEngine::new(vec![Constraint::count("replicator", None, 1)]);
+//! let worker = NodeResources {
+//!     node: NodeIndex(3),
+//!     region: "scotland".into(),
+//!     geo: GeoPoint::new(56.34, -2.79),
+//!     cpu: 1.0,
+//!     storage: 1 << 20,
+//! };
+//! // The worker's advertisement plans a deploy onto it.
+//! let actions = engine.on_event(SimTime::ZERO, &worker.to_event());
+//! let [(instance, Action::Deploy { node, .. })] = actions.as_slice() else { panic!() };
+//! assert_eq!(*node, NodeIndex(3));
+//! assert!(engine.satisfaction() < 1.0, "planned, not yet installed");
+//! engine.confirm_deploy(SimTime::from_secs(1), instance);
+//! assert_eq!(engine.satisfaction(), 1.0);
 //! ```
 
 pub mod constraint;
 pub mod evolution;
 pub mod monitor;
-pub mod plane;
 pub mod resource;
 pub mod solver;
 
 pub use constraint::{Constraint, Deployment, Violation};
 pub use evolution::{coordinator_sweep, Action, EvolutionEngine, Sweep};
 pub use monitor::MonitorEngine;
-pub use plane::{DeployMsg, DeploymentPlane};
 pub use resource::NodeResources;

@@ -274,6 +274,23 @@ mod tests {
         assert_eq!(back.num_attr("lon"), e.num_attr("lon"));
     }
 
+    /// Markup in string attributes and in the payload survives the text
+    /// wire form escaped, and every attribute type comes back whole.
+    #[test]
+    fn xml_text_round_trip_escapes_markup_and_keeps_the_payload() {
+        let e = sample()
+            .with_attr("note", "text with <brackets> & \"quotes\"")
+            .with_attr("ratio", 2.5)
+            .with_attr("ok", true)
+            .with_payload(parse(r#"<data deep="a &amp; b"><v>x &lt; y</v></data>"#).unwrap());
+        let text = e.to_xml().to_xml();
+        assert!(!text.contains("<brackets>"), "{text}");
+        let back = Event::from_xml_text(&text).unwrap();
+        assert_eq!(back.str_attr("note"), Some("text with <brackets> & \"quotes\""));
+        assert_eq!(back.payload().unwrap().attr("deep"), Some("a & b"));
+        assert_eq!(back, e);
+    }
+
     #[test]
     fn from_xml_tolerates_unknown_attribute_types() {
         let el = parse(

@@ -44,10 +44,6 @@ pub trait Component: fmt::Debug {
 
     /// Processes one event, emitting zero or more events downstream.
     fn put(&mut self, now: SimTime, event: Event, out: &mut Emit);
-
-    /// Periodic activation for time-driven components (buffers flushing
-    /// on deadline). Default: nothing.
-    fn tick(&mut self, _now: SimTime, _out: &mut Emit) {}
 }
 
 /// An intra-node pipeline: components wired by directed edges, fed
@@ -120,32 +116,6 @@ impl PipelineGraph {
         let entries = self.entries.clone();
         let queue: Vec<(usize, Event)> = entries.iter().map(|&i| (i, event.clone())).collect();
         self.run_queue(now, queue)
-    }
-
-    /// Ticks every component (time-driven flushing), collecting outputs.
-    pub fn tick(&mut self, now: SimTime) -> Vec<Event> {
-        let mut initial = Vec::new();
-        for i in 0..self.components.len() {
-            let mut emit = Emit::new();
-            self.components[i].tick(now, &mut emit);
-            for ev in emit.drain() {
-                initial.push((i, ev, true));
-            }
-        }
-        // Tick outputs flow along the same edges.
-        let mut outputs = Vec::new();
-        let mut queue: Vec<(usize, Event)> = Vec::new();
-        for (i, ev, _) in initial {
-            if self.edges[i].is_empty() {
-                outputs.push(ev);
-            } else {
-                for &next in &self.edges[i].clone() {
-                    queue.push((next, ev.clone()));
-                }
-            }
-        }
-        outputs.extend(self.run_queue(now, queue));
-        outputs
     }
 
     fn run_queue(&mut self, now: SimTime, mut queue: Vec<(usize, Event)>) -> Vec<Event> {

@@ -1,4 +1,4 @@
-//! Distributed XML event pipelines (§4.2, Figure 2).
+//! Event distillation pipelines (§4.2, Figure 2).
 //!
 //! "Our approach is to implement a distributed contextual matching engine
 //! as XML pipelines, with XML events flowing between pipeline components,
@@ -16,15 +16,17 @@
 //!   component library ([`standard`]) registered into a bundle
 //!   [`Registry`](gloss_bundle::Registry) so components can be deployed
 //!   dynamically in code bundles,
-//! * [`PipelineGraph`] — an intra-node bus wiring components together,
-//! * [`assembly`] — building graphs from XML pipeline specifications,
-//! * [`distributed`] — inter-node pipelines over the simulator (the
-//!   latency experiments of **E2**).
+//! * [`PipelineGraph`] — an intra-node bus wiring components together
+//!   (experiment **E2** pushes events through one),
+//! * [`assembly`] — building graphs from XML pipeline specifications.
 //!
-//! The paper's device wrappers have no counterpart here. The reproduction
-//! has no hardware: a workload injects each simulated sensor reading into
-//! a node as a `gloss_core` `GlossMsg::Sensor`, and that injection plays
-//! the role the paper gives a wrapper.
+//! Inter-node flow is the event plane's job: between nodes, events travel
+//! through `gloss_core`'s brokers, not through a pipeline-to-pipeline
+//! link. The paper's device wrappers have no counterpart either. The
+//! reproduction has no hardware: a workload injects each simulated sensor
+//! reading into a node as a `gloss_core` `GlossMsg::Sensor`, and that
+//! injection plays the role the paper gives a wrapper. No pipeline runs
+//! on that sensor path yet.
 //!
 //! # Example
 //!
@@ -44,9 +46,7 @@
 
 pub mod assembly;
 pub mod component;
-pub mod distributed;
 pub mod standard;
 
 pub use assembly::{assemble, AssemblyError};
 pub use component::{Component, Emit, PipelineGraph};
-pub use distributed::{DistributedPipeline, PipelineHost, PipelineMsg};

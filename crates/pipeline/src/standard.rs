@@ -81,63 +81,6 @@ impl Component for MovementThreshold {
     }
 }
 
-/// Batches events and flushes on size or on tick after a deadline.
-#[derive(Debug)]
-pub struct Buffer {
-    name: String,
-    capacity: usize,
-    max_age: SimDuration,
-    held: Vec<Event>,
-    oldest: Option<SimTime>,
-}
-
-impl Buffer {
-    /// Creates a buffer flushing at `capacity` events or `max_age`.
-    pub fn new(name: impl Into<String>, capacity: usize, max_age: SimDuration) -> Self {
-        Buffer {
-            name: name.into(),
-            capacity: capacity.max(1),
-            max_age,
-            held: Vec::new(),
-            oldest: None,
-        }
-    }
-
-    /// Events currently held.
-    pub fn held(&self) -> usize {
-        self.held.len()
-    }
-
-    fn flush(&mut self, out: &mut Emit) {
-        for e in self.held.drain(..) {
-            out.push(e);
-        }
-        self.oldest = None;
-    }
-}
-
-impl Component for Buffer {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn put(&mut self, now: SimTime, event: Event, out: &mut Emit) {
-        if self.held.is_empty() {
-            self.oldest = Some(now);
-        }
-        self.held.push(event);
-        if self.held.len() >= self.capacity {
-            self.flush(out);
-        }
-    }
-    fn tick(&mut self, now: SimTime, out: &mut Emit) {
-        if let Some(oldest) = self.oldest {
-            if now.since(oldest) >= self.max_age {
-                self.flush(out);
-            }
-        }
-    }
-}
-
 /// Rate limiter: at most one event per key attribute per period.
 #[derive(Debug)]
 pub struct Throttle {
@@ -273,7 +216,6 @@ impl Component for Counter {
 /// |---|---|
 /// | `filter.kind` | `kind` — event kind to pass |
 /// | `filter.movement` | `min_km` |
-/// | `buffer` | `capacity`, `max_age_ms` |
 /// | `throttle` | `key`, `period_ms` |
 /// | `relabel` | `kind` (optional), nested `<stamp key= value=>` |
 /// | `counter` | — |
@@ -290,17 +232,14 @@ pub fn register_standard(registry: &mut Registry<Box<dyn Component>>) {
             .ok_or("filter.movement needs numeric min_km")?;
         Ok(Box::new(MovementThreshold::new("movement", min_km)) as Box<dyn Component>)
     });
-    registry.register("buffer", |cfg| {
-        let capacity: usize = cfg.attr("capacity").and_then(|s| s.parse().ok()).unwrap_or(16);
-        let max_age_ms: u64 = cfg.attr("max_age_ms").and_then(|s| s.parse().ok()).unwrap_or(1_000);
-        Ok(Box::new(Buffer::new("buffer", capacity, SimDuration::from_millis(max_age_ms)))
-            as Box<dyn Component>)
-    });
     registry.register("throttle", |cfg| {
         let key = cfg.attr("key").unwrap_or("user").to_string();
         let period_ms: u64 = cfg.attr("period_ms").and_then(|s| s.parse().ok()).unwrap_or(1_000);
-        Ok(Box::new(Throttle::new("throttle", key, SimDuration::from_millis(period_ms)))
-            as Box<dyn Component>)
+        let period = period_ms
+            .checked_mul(1_000)
+            .map(SimDuration::from_micros)
+            .ok_or("throttle period_ms is too long")?;
+        Ok(Box::new(Throttle::new("throttle", key, period)) as Box<dyn Component>)
     });
     registry.register("relabel", |cfg| {
         let mut r = Relabel::new("relabel");
@@ -367,25 +306,6 @@ mod tests {
     }
 
     #[test]
-    fn buffer_flushes_on_capacity_and_age() {
-        let mut b = Buffer::new("b", 3, SimDuration::from_secs(10));
-        let mut out = Emit::new();
-        b.put(t(0), Event::new("e"), &mut out);
-        b.put(t(1), Event::new("e"), &mut out);
-        assert!(out.is_empty());
-        assert_eq!(b.held(), 2);
-        b.put(t(2), Event::new("e"), &mut out);
-        assert_eq!(out.len(), 3, "flush at capacity");
-        // Age-based flush via tick.
-        let mut out = Emit::new();
-        b.put(t(3), Event::new("e"), &mut out);
-        b.tick(t(5), &mut out);
-        assert!(out.is_empty(), "too young to flush");
-        b.tick(t(14), &mut out);
-        assert_eq!(out.len(), 1);
-    }
-
-    #[test]
     fn throttle_limits_per_key() {
         let mut th = Throttle::new("t", "user", SimDuration::from_secs(60));
         let mut out = Emit::new();
@@ -427,7 +347,6 @@ mod tests {
         for (kind, cfg) in [
             ("filter.kind", r#"<cfg kind="a"/>"#),
             ("filter.movement", r#"<cfg min_km="0.5"/>"#),
-            ("buffer", r#"<cfg capacity="4" max_age_ms="100"/>"#),
             ("throttle", r#"<cfg key="user" period_ms="500"/>"#),
             ("relabel", r#"<cfg kind="x"><stamp key="a" value="b"/></cfg>"#),
             ("counter", "<cfg/>"),
@@ -437,5 +356,21 @@ mod tests {
         }
         assert!(reg.build("filter.movement", &parse("<cfg/>").unwrap()).is_err());
         assert!(reg.build("no.such.kind", &parse("<cfg/>").unwrap()).is_err());
+    }
+
+    /// A period whose microseconds overflow a `u64` is a bad config, not
+    /// a panic (debug) or a wrapped period (release).
+    #[test]
+    fn throttle_rejects_a_period_too_long_to_represent() {
+        let mut reg: Registry<Box<dyn Component>> = Registry::new();
+        register_standard(&mut reg);
+        let build = |period_ms: u64| {
+            let cfg = parse(&format!(r#"<cfg period_ms="{period_ms}"/>"#)).unwrap();
+            reg.build("throttle", &cfg).map(|_| ())
+        };
+        let too_long = Err(Some("throttle period_ms is too long".to_string()));
+        assert_eq!(build(u64::MAX), too_long);
+        assert_eq!(build(u64::MAX / 1_000 + 1), too_long);
+        assert_eq!(build(u64::MAX / 1_000), Ok(()));
     }
 }
