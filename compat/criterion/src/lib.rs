@@ -39,10 +39,6 @@ impl BenchmarkId {
     pub fn new(function_name: impl Into<String>, parameter: impl fmt::Display) -> Self {
         BenchmarkId { id: format!("{}/{}", function_name.into(), parameter) }
     }
-
-    pub fn from_parameter(parameter: impl fmt::Display) -> Self {
-        BenchmarkId { id: parameter.to_string() }
-    }
 }
 
 impl fmt::Display for BenchmarkId {
@@ -196,22 +192,6 @@ impl Criterion {
         );
         self
     }
-
-    pub fn bench_with_input<F, I: ?Sized>(
-        &mut self,
-        id: BenchmarkId,
-        input: &I,
-        mut f: F,
-    ) -> &mut Self
-    where
-        F: FnMut(&mut Bencher<'_>, &I),
-    {
-        let name = id.to_string();
-        self.bench_function(&name, |b| f(b, input))
-    }
-
-    /// Compatibility no-op (criterion finalises reports here).
-    pub fn final_summary(&mut self) {}
 }
 
 fn format_nanos(nanos: f64) -> String {

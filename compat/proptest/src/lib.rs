@@ -68,11 +68,6 @@ impl TestCaseError {
     pub fn fail(message: impl Into<String>) -> Self {
         TestCaseError { message: message.into() }
     }
-
-    /// Upstream-compatible alias.
-    pub fn reject(message: impl Into<String>) -> Self {
-        TestCaseError { message: message.into() }
-    }
 }
 
 impl fmt::Display for TestCaseError {

@@ -79,11 +79,7 @@ fn c19_lookup_retrying(c: &mut Criterion) {
 /// scan concludes "nothing to do". This is the overhead the pipeline
 /// adds when there is no crash to repair.
 fn c19_repair_scan(c: &mut Criterion) {
-    let cfg = StoreConfig {
-        repair_interval: SimDuration::from_secs(10),
-        heal_interval: SimDuration::from_secs(10),
-        ..StoreConfig::default()
-    };
+    let cfg = StoreConfig { heal_interval: SimDuration::from_secs(10), ..StoreConfig::default() };
     let mut net = StoreNetwork::build(16, cfg, 19);
     net.settle();
     for i in 0..8u64 {

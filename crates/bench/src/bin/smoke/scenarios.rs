@@ -308,8 +308,6 @@ pub fn repair(Args { nodes, seed, .. }: Args) -> String {
     let cfg = StoreConfig {
         replicas: 3,
         heal_interval: SimDuration::from_secs(10),
-        repair_interval: SimDuration::from_secs(10),
-        tier_high_extra: 1,
         ..Default::default()
     };
     let mut net = StoreNetwork::build(nodes, cfg, seed);

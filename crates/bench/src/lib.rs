@@ -1227,7 +1227,6 @@ pub fn c16_overload() -> String {
             clients_per_broker: 4,
             seed: 29,
             shedding: shed,
-            ..PubSubConfig::default()
         });
         let clients = net.clients().to_vec();
         for &c in &clients {
@@ -1495,9 +1494,7 @@ pub fn c19_repair_storm() -> String {
     for &rate in rates {
         let cfg = StoreConfig {
             replicas: 3,
-            tier_high_extra: 1,
             heal_interval: SimDuration::from_secs(10),
-            repair_interval: SimDuration::from_secs(10),
             repair_rate_per_sec: rate,
             repair_burst: (rate * 2.0).max(1.0),
             ..Default::default()

@@ -38,9 +38,9 @@ struct Installed {
 /// A Cingal thin server: accepts bundles, verifies and authorises them,
 /// hosts the installed matchlets, and keeps an object store.
 ///
-/// Component bundles are *requested* here and instantiated by the
-/// embedding pipeline host through its registry (drain with
-/// [`take_component_requests`](Self::take_component_requests)).
+/// A component bundle installs as a record of its manifest and data
+/// objects; nothing runs the component, and the install report names its
+/// kind ([`InstallReport::component_kind`]).
 #[derive(Debug, Default)]
 pub struct ThinServer {
     name: String,
@@ -49,7 +49,6 @@ pub struct ThinServer {
     engine: MatchletEngine,
     installed: BTreeMap<String, Installed>,
     objects: BTreeMap<String, Element>,
-    component_requests: Vec<(String, String, Element)>,
     /// Rejected packets, by reason (for the security experiments).
     pub rejections: u64,
 }
@@ -105,12 +104,6 @@ impl ThinServer {
     /// Names of installed bundles.
     pub fn installed_names(&self) -> Vec<&str> {
         self.installed.keys().map(String::as_str).collect()
-    }
-
-    /// Drains pending component instantiation requests:
-    /// `(bundle name, component kind, config)`.
-    pub fn take_component_requests(&mut self) -> Vec<(String, String, Element)> {
-        std::mem::take(&mut self.component_requests)
     }
 
     /// Receives, verifies, authorises, and installs one packet.
@@ -189,17 +182,8 @@ impl ThinServer {
                 self.objects.remove(o);
             }
         }
-        match &bundle.code {
-            Code::Matchlet { source } => {
-                self.engine.add_rules(source).expect("validated above");
-            }
-            Code::Component { kind, config } => {
-                self.component_requests.push((
-                    bundle.manifest.name.clone(),
-                    kind.clone(),
-                    config.clone(),
-                ));
-            }
+        if let Code::Matchlet { source } = &bundle.code {
+            self.engine.add_rules(source).expect("validated above");
         }
         let mut object_names = Vec::new();
         for (name, value) in &bundle.data {
@@ -396,7 +380,7 @@ mod tests {
     }
 
     #[test]
-    fn component_bundles_queue_requests() {
+    fn component_bundles_install_and_report_their_kind() {
         let mut s = ready_server();
         let packet =
             Bundle::component("thresh", "filter.threshold", parse(r#"<cfg min="50"/>"#).unwrap())
@@ -404,10 +388,9 @@ mod tests {
                 .to_packet(&key());
         let report = s.receive_packet(&packet).unwrap();
         assert_eq!(report.component_kind.as_deref(), Some("filter.threshold"));
-        let reqs = s.take_component_requests();
-        assert_eq!(reqs.len(), 1);
-        assert_eq!(reqs[0].1, "filter.threshold");
-        assert!(s.take_component_requests().is_empty(), "drained");
+        assert_eq!(report.rules_added, 0);
+        assert_eq!(s.installed_names(), ["thresh"]);
+        assert!(s.engine().rules().is_empty());
     }
 
     #[test]

@@ -23,26 +23,16 @@ pub struct ArchConfig {
     pub seed: u64,
     /// Storage configuration (replication, caching, healing).
     pub store: StoreConfig,
-    /// Worker heartbeat period.
-    pub heartbeat: SimDuration,
-    /// Monitor silence deadline.
-    pub monitor_deadline: SimDuration,
-    /// Region names the topology spans.
-    pub regions: Vec<String>,
 }
 
 impl Default for ArchConfig {
     fn default() -> Self {
-        ArchConfig {
-            nodes: 8,
-            seed: 1,
-            store: StoreConfig::default(),
-            heartbeat: SimDuration::from_secs(10),
-            monitor_deadline: SimDuration::from_secs(30),
-            regions: vec!["scotland".into(), "england".into(), "europe".into(), "australia".into()],
-        }
+        ArchConfig { nodes: 8, seed: 1, store: StoreConfig::default() }
     }
 }
+
+/// The regions the topology spans.
+const REGIONS: [&str; 4] = ["scotland", "england", "europe", "australia"];
 
 /// The assembled architecture: one [`GlossNode`] per physical node.
 ///
@@ -72,8 +62,7 @@ pub struct ActiveArchitecture {
 impl ActiveArchitecture {
     /// Builds the stack per `cfg`.
     pub fn build(cfg: ArchConfig) -> Self {
-        let regions: Vec<&str> = cfg.regions.iter().map(String::as_str).collect();
-        let topology = Topology::random(cfg.nodes, &regions, cfg.seed);
+        let topology = Topology::random(cfg.nodes, &REGIONS, cfg.seed);
         let mut rng = SimRng::new(cfg.seed).fork("gloss-arch");
         let key = AuthKey::new("evolution", b"gloss-architecture-key");
 
@@ -114,8 +103,6 @@ impl ActiveArchitecture {
                 resources,
                 NodeIndex(0),
                 key.clone(),
-                cfg.heartbeat,
-                cfg.monitor_deadline,
             ));
         }
         let world = World::new(topology, cfg.seed, nodes);
@@ -248,7 +235,8 @@ impl ActiveArchitecture {
         let doc = match shipment {
             Shipment::Snapshot { source, epoch, facts } => {
                 DistributedKnowledge::write_versioned(out, subject, &facts, source, epoch);
-                let mut doc = Document::new(DistributedKnowledge::doc_name(subject), out.as_str());
+                let mut doc =
+                    Document::new(DistributedKnowledge::doc_name(subject), out.as_bytes());
                 // Re-seeding a subject writes a newer version, so
                 // replicas and caches converge on the update.
                 doc.version = next_version(&mut self.kb_versions, subject);
@@ -256,7 +244,7 @@ impl ActiveArchitecture {
             }
             Shipment::Delta(batch) => {
                 batch.write_xml(out);
-                let mut doc = Document::new(batch.doc_name(), out.as_str());
+                let mut doc = Document::new(batch.doc_name(), out.as_bytes());
                 doc.guid = KnowledgeDoc::Deltas.guid(subject);
                 doc.version = next_version(&mut self.kb_delta_versions, subject);
                 doc

@@ -66,6 +66,11 @@ pub enum GlossMsg {
     },
 }
 
+/// A worker's resource advertisement period.
+const HEARTBEAT: SimDuration = SimDuration::from_secs(10);
+/// The coordinator's monitor + reconcile period.
+const SWEEP_EVERY: SimDuration = SimDuration::from_secs(10);
+
 /// Timer tags owned by the integration layer (store/overlay tags pass
 /// through to the storelet).
 mod timers {
@@ -94,9 +99,9 @@ pub struct CoordinatorState {
 }
 
 impl CoordinatorState {
-    fn new(monitor_deadline: SimDuration) -> Self {
+    fn new() -> Self {
         CoordinatorState {
-            monitor: MonitorEngine::new(monitor_deadline),
+            monitor: MonitorEngine::default(),
             evolution: EvolutionEngine::new(Vec::new()),
             services: BTreeMap::new(),
             discovery_pending: BTreeMap::new(),
@@ -186,8 +191,6 @@ pub struct GlossNode {
     delta_scratch: Vec<FactDelta>,
     resources: NodeResources,
     coordinator: NodeIndex,
-    heartbeat: SimDuration,
-    sweep_every: SimDuration,
     key: AuthKey,
     sub_seq: u64,
     pub_seq: u64,
@@ -213,7 +216,6 @@ pub struct GlossNode {
 
 impl GlossNode {
     /// Creates an integrated node.
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         me: NodeIndex,
         broker: Broker,
@@ -221,16 +223,13 @@ impl GlossNode {
         resources: NodeResources,
         coordinator: NodeIndex,
         key: AuthKey,
-        heartbeat: SimDuration,
-        monitor_deadline: SimDuration,
     ) -> Self {
         let mut server = ThinServer::new(format!("gloss-{me}"));
         server.trust(key.clone());
         server.grant(key.issuer(), Capability::DeployMatchlet);
         server.grant(key.issuer(), Capability::DeployComponent);
         server.grant(key.issuer(), Capability::StoreAccess);
-        let coordinator_state =
-            (me == coordinator).then(|| Box::new(CoordinatorState::new(monitor_deadline)));
+        let coordinator_state = (me == coordinator).then(|| Box::new(CoordinatorState::new()));
         GlossNode {
             me,
             broker,
@@ -242,8 +241,6 @@ impl GlossNode {
             delta_scratch: Vec::new(),
             resources,
             coordinator,
-            heartbeat,
-            sweep_every: SimDuration::from_secs(10),
             key,
             sub_seq: 0,
             pub_seq: 0,
@@ -614,11 +611,11 @@ impl GlossNode {
         if self.is_coordinator() {
             self.subscribe_kind(now, gloss_deploy::resource::kinds::ADVERTISE, out);
             self.subscribe_kind(now, gloss_deploy::resource::kinds::WITHDRAW, out);
-            out.timer(self.sweep_every, timers::SWEEP);
+            out.timer(SWEEP_EVERY, timers::SWEEP);
         } else {
             let advert = self.resources.to_event();
             self.publish(now, advert, out);
-            out.timer(self.heartbeat, timers::HEARTBEAT);
+            out.timer(HEARTBEAT, timers::HEARTBEAT);
         }
     }
 
@@ -627,7 +624,7 @@ impl GlossNode {
             timers::HEARTBEAT => {
                 let advert = self.resources.to_event();
                 self.publish(now, advert, out);
-                out.timer(self.heartbeat, timers::HEARTBEAT);
+                out.timer(HEARTBEAT, timers::HEARTBEAT);
             }
             timers::SWEEP => {
                 if let Some(cs) = self.coordinator_state.as_mut() {
@@ -640,7 +637,7 @@ impl GlossNode {
                     }
                     self.dispatch_actions(sweep.actions, out);
                 }
-                out.timer(self.sweep_every, timers::SWEEP);
+                out.timer(SWEEP_EVERY, timers::SWEEP);
             }
             other => self.store_call(now, out, |store, sout| store.on_timer(now, other, sout)),
         }
@@ -851,8 +848,6 @@ mod tests {
             },
             me,
             AuthKey::new("test", b"secret"),
-            SimDuration::from_secs(5),
-            SimDuration::from_secs(15),
         )
     }
 
@@ -873,8 +868,6 @@ mod tests {
             },
             NodeIndex(0),
             AuthKey::new("test", b"secret"),
-            SimDuration::from_secs(5),
-            SimDuration::from_secs(15),
         )
     }
 

@@ -10,7 +10,7 @@
 //! deadline is *suspected* first (`resource.suspected`, published once per
 //! episode), and only declared failed (`resource.failed`) when the full
 //! deadline passes. A heartbeat arriving during the suspicion window
-//! refutes it (`resource.refuted`), so the deployment plane can
+//! refutes it (counted in `refutations`), so the deployment plane can
 //! distinguish slow links from dead nodes instead of thrashing
 //! redeployments.
 
@@ -19,12 +19,15 @@ use gloss_event::Event;
 use gloss_sim::{NodeIndex, SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Tracks heartbeats (advertisements) and detects silent failures.
-#[derive(Debug, Clone)]
+/// The silence after which a node is declared failed.
+const DEADLINE: SimDuration = SimDuration::from_secs(30);
+/// The silence after which a node is suspected: half the deadline.
+const SUSPECT_AFTER: SimDuration = SimDuration::from_secs(15);
+
+/// Tracks heartbeats (advertisements) and detects silent failures: a node
+/// silent for 30 s is declared failed, and suspected after 15 s.
+#[derive(Debug, Clone, Default)]
 pub struct MonitorEngine {
-    deadline: SimDuration,
-    /// Silence length at which a node becomes suspected (deadline / 2).
-    suspect_after: SimDuration,
     last_seen: BTreeMap<NodeIndex, SimTime>,
     /// Nodes currently in a suspicion episode.
     suspected: BTreeSet<NodeIndex>,
@@ -37,20 +40,6 @@ pub struct MonitorEngine {
 }
 
 impl MonitorEngine {
-    /// Creates a monitor declaring nodes dead after `deadline` without an
-    /// advertisement (and suspected after half of it).
-    pub fn new(deadline: SimDuration) -> Self {
-        MonitorEngine {
-            deadline,
-            suspect_after: deadline / 2,
-            last_seen: BTreeMap::new(),
-            suspected: BTreeSet::new(),
-            failures_detected: 0,
-            suspicions: 0,
-            refutations: 0,
-        }
-    }
-
     /// Number of nodes currently believed alive.
     pub fn alive_count(&self) -> usize {
         self.last_seen.len()
@@ -67,16 +56,13 @@ impl MonitorEngine {
         self.suspected.contains(&node)
     }
 
-    /// Feeds an observed event (advertisement refreshes liveness;
-    /// withdrawal removes the node immediately). Returns the
-    /// `resource.refuted` event when the advertisement ends a suspicion
-    /// episode.
-    pub fn on_event(&mut self, now: SimTime, ev: &Event) -> Option<Event> {
+    /// Feeds an observed event (advertisement refreshes liveness and
+    /// ends a suspicion episode; withdrawal removes the node immediately).
+    pub fn on_event(&mut self, now: SimTime, ev: &Event) {
         if let Some(r) = NodeResources::from_event(ev) {
             self.last_seen.insert(r.node, now);
             if self.suspected.remove(&r.node) {
                 self.refutations += 1;
-                return Some(NodeResources::refuted_event(r.node));
             }
         } else if ev.kind() == crate::resource::kinds::WITHDRAW {
             if let Some(node) = NodeResources::departed_node(ev) {
@@ -84,7 +70,6 @@ impl MonitorEngine {
                 self.suspected.remove(&node);
             }
         }
-        None
     }
 
     /// Periodic sweep: returns `resource.suspected` events for nodes that
@@ -96,9 +81,9 @@ impl MonitorEngine {
         let mut dead: Vec<NodeIndex> = Vec::new();
         for (&node, &t) in &self.last_seen {
             let silence = now.since(t);
-            if silence > self.deadline {
+            if silence > DEADLINE {
                 dead.push(node);
-            } else if silence > self.suspect_after && self.suspected.insert(node) {
+            } else if silence > SUSPECT_AFTER && self.suspected.insert(node) {
                 self.suspicions += 1;
                 events.push(NodeResources::suspected_event(node));
             }
@@ -132,7 +117,7 @@ mod tests {
 
     #[test]
     fn heartbeats_keep_nodes_alive() {
-        let mut m = MonitorEngine::new(SimDuration::from_secs(30));
+        let mut m = MonitorEngine::default();
         m.on_event(SimTime::from_secs(0), &advert(1));
         m.on_event(SimTime::from_secs(20), &advert(1));
         // 20 s of silence at t=40: suspected (> 15 s) but not failed.
@@ -143,7 +128,7 @@ mod tests {
 
     #[test]
     fn silent_nodes_are_declared_failed() {
-        let mut m = MonitorEngine::new(SimDuration::from_secs(30));
+        let mut m = MonitorEngine::default();
         m.on_event(SimTime::from_secs(0), &advert(1));
         m.on_event(SimTime::from_secs(0), &advert(2));
         m.on_event(SimTime::from_secs(50), &advert(2));
@@ -161,7 +146,7 @@ mod tests {
 
     #[test]
     fn graceful_withdrawal_needs_no_detection() {
-        let mut m = MonitorEngine::new(SimDuration::from_secs(30));
+        let mut m = MonitorEngine::default();
         m.on_event(SimTime::from_secs(0), &advert(1));
         m.on_event(SimTime::from_secs(5), &NodeResources::withdraw_event(NodeIndex(1)));
         assert!(!m.is_alive(NodeIndex(1)));
@@ -171,7 +156,7 @@ mod tests {
 
     #[test]
     fn suspicion_precedes_failure_and_is_published_once() {
-        let mut m = MonitorEngine::new(SimDuration::from_secs(30));
+        let mut m = MonitorEngine::default();
         m.on_event(SimTime::from_secs(0), &advert(1));
         // Past the suspicion window, before the deadline.
         let evs = m.sweep(SimTime::from_secs(20));
@@ -192,12 +177,11 @@ mod tests {
 
     #[test]
     fn late_heartbeat_refutes_suspicion() {
-        let mut m = MonitorEngine::new(SimDuration::from_secs(30));
+        let mut m = MonitorEngine::default();
         m.on_event(SimTime::from_secs(0), &advert(1));
         m.sweep(SimTime::from_secs(20));
         assert!(m.is_suspected(NodeIndex(1)));
-        let refutation = m.on_event(SimTime::from_secs(25), &advert(1));
-        assert_eq!(refutation.map(|e| e.kind().to_string()).as_deref(), Some(kinds::REFUTED));
+        m.on_event(SimTime::from_secs(25), &advert(1));
         assert!(!m.is_suspected(NodeIndex(1)));
         assert_eq!(m.refutations, 1);
         // And the node survives the original deadline.

@@ -29,8 +29,6 @@ pub mod kinds {
     /// Monitor-published: a node is half a deadline silent (graduated
     /// pre-failure warning).
     pub const SUSPECTED: &str = "resource.suspected";
-    /// Monitor-published: a suspected node's heartbeat resumed.
-    pub const REFUTED: &str = "resource.refuted";
 }
 
 impl NodeResources {
@@ -73,11 +71,6 @@ impl NodeResources {
     /// A suspicion event for a half-deadline-silent node.
     pub fn suspected_event(node: NodeIndex) -> Event {
         Event::new(kinds::SUSPECTED).with_attr("node", node.0 as i64)
-    }
-
-    /// A refutation event for a suspected node that resumed heartbeats.
-    pub fn refuted_event(node: NodeIndex) -> Event {
-        Event::new(kinds::REFUTED).with_attr("node", node.0 as i64)
     }
 
     /// Extracts the node from a withdraw/failed event.

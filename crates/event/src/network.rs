@@ -147,8 +147,6 @@ pub struct PubSubConfig {
     pub clients_per_broker: usize,
     /// RNG seed (topology, latencies).
     pub seed: u64,
-    /// Region names to scatter nodes over.
-    pub regions: Vec<String>,
     /// Bound every broker's ingress with this load-shedding policy
     /// (`None` = unbounded legacy behaviour).
     pub shedding: Option<gloss_governor::ShedConfig>,
@@ -161,11 +159,13 @@ impl Default for PubSubConfig {
             brokers: 4,
             clients_per_broker: 4,
             seed: 1,
-            regions: vec!["scotland".into(), "england".into(), "europe".into()],
             shedding: None,
         }
     }
 }
+
+/// The regions a network's nodes are scattered over.
+const REGIONS: [&str; 3] = ["scotland", "england", "europe"];
 
 /// A complete pub/sub deployment on a simulated topology.
 ///
@@ -201,8 +201,7 @@ impl PubSubNetwork {
         };
         let client_count = cfg.clients_per_broker * cfg.brokers.max(1);
         let total = broker_count + client_count;
-        let regions: Vec<&str> = cfg.regions.iter().map(String::as_str).collect();
-        let topology = Topology::random(total, &regions, cfg.seed);
+        let topology = Topology::random(total, &REGIONS, cfg.seed);
         let mut rng = gloss_sim::SimRng::new(cfg.seed).fork("pubsub-wiring");
 
         let broker_ids: Vec<NodeIndex> = (0..broker_count as u32).map(NodeIndex).collect();

@@ -2,7 +2,7 @@
 
 use crate::value::AttrValue;
 use gloss_sim::{NodeIndex, SimTime};
-use gloss_xml::{Element, ParseError};
+use gloss_xml::Element;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -27,9 +27,9 @@ impl fmt::Display for EventId {
 /// An event: a kind, typed attributes, an optional structured XML payload,
 /// and provenance (id + publication time).
 ///
-/// The paper's events are "XML-encoded"; [`Event::to_xml`] /
-/// [`Event::from_xml`] provide that wire form, used by the pipeline layer
-/// and by inter-node links.
+/// The paper's events are "XML-encoded". Here an event travels between
+/// nodes as a value inside the architecture's messages, and only its
+/// payload is XML: an [`Element`] the event carries as it is.
 ///
 /// Attributes and payload are `Arc`-backed with copy-on-write mutation:
 /// cloning an event (which brokers do once per neighbour/subscriber on
@@ -105,12 +105,6 @@ impl Event {
         self.published_at = at;
     }
 
-    /// Builder: stamped form, for tests and workload generators.
-    pub fn stamped(mut self, id: EventId, at: SimTime) -> Self {
-        self.stamp(id, at);
-        self
-    }
-
     /// The value of attribute `name`.
     pub fn attr(&self, name: &str) -> Option<&AttrValue> {
         self.attrs.get(name)
@@ -154,62 +148,6 @@ impl Event {
         self.payload = Some(Arc::new(payload));
         self
     }
-
-    /// Serialises to the XML wire form.
-    pub fn to_xml(&self) -> Element {
-        let mut el = Element::new("event")
-            .with_attr("kind", self.kind.as_ref())
-            .with_attr("origin", self.id.origin.0.to_string())
-            .with_attr("seq", self.id.seq.to_string())
-            .with_attr("at", self.published_at.as_micros().to_string());
-        for (name, value) in self.attrs.iter() {
-            el.push(
-                Element::new("attr")
-                    .with_attr("name", name.as_ref())
-                    .with_attr("type", value.type_name())
-                    .with_text(value.to_text()),
-            );
-        }
-        if let Some(p) = &self.payload {
-            el.push(Element::new("payload").with_child(Element::clone(p)));
-        }
-        el
-    }
-
-    /// Parses the XML wire form.
-    ///
-    /// Attributes with unknown types or unparseable values are dropped
-    /// (forward compatibility: an old node can still route an event whose
-    /// new attribute types it does not understand).
-    pub fn from_xml(el: &Element) -> Event {
-        let mut ev = Event::new(el.attr("kind").unwrap_or("unknown"));
-        let origin = el.attr("origin").and_then(|s| s.parse().ok()).unwrap_or(0);
-        let seq = el.attr("seq").and_then(|s| s.parse().ok()).unwrap_or(0);
-        let at = el.attr("at").and_then(|s| s.parse().ok()).unwrap_or(0);
-        ev.id = EventId { origin: NodeIndex(origin), seq };
-        ev.published_at = SimTime::from_micros(at);
-        let attrs = Arc::make_mut(&mut ev.attrs);
-        for a in el.children_named("attr") {
-            if let (Some(name), Some(ty)) = (a.attr("name"), a.attr("type")) {
-                if let Some(v) = AttrValue::from_text(ty, &a.text()) {
-                    attrs.insert(name.into(), v);
-                }
-            }
-        }
-        if let Some(p) = el.child("payload").and_then(|p| p.children().next()) {
-            ev.payload = Some(Arc::new(p.clone()));
-        }
-        ev
-    }
-
-    /// Parses the textual XML wire form.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParseError`] if `text` is not well-formed XML.
-    pub fn from_xml_text(text: &str) -> Result<Event, ParseError> {
-        Ok(Event::from_xml(&gloss_xml::parse(text)?))
-    }
 }
 
 impl fmt::Display for Event {
@@ -231,14 +169,15 @@ mod tests {
     use gloss_xml::parse;
 
     fn sample() -> Event {
-        Event::new("user.location")
+        let mut e = Event::new("user.location")
             .with_attr("user", "bob")
             .with_attr("lat", 56.34)
             .with_attr("lon", -2.80)
             .with_attr("indoor", false)
             .with_attr("floor", 2i64)
-            .with_payload(parse(r#"<pos src="gps"><accuracy>5</accuracy></pos>"#).unwrap())
-            .stamped(EventId { origin: NodeIndex(3), seq: 17 }, SimTime::from_millis(1234))
+            .with_payload(parse(r#"<pos src="gps"><accuracy>5</accuracy></pos>"#).unwrap());
+        e.stamp(EventId { origin: NodeIndex(3), seq: 17 }, SimTime::from_millis(1234));
+        e
     }
 
     #[test]
@@ -250,64 +189,8 @@ mod tests {
         assert_eq!(e.attr("indoor").and_then(AttrValue::as_bool), Some(false));
         assert_eq!(e.attrs().count(), 5);
         assert_eq!(e.id().seq, 17);
-    }
-
-    #[test]
-    fn xml_round_trip() {
-        let e = sample();
-        let xml = e.to_xml();
-        let back = Event::from_xml(&xml);
-        assert_eq!(back.kind(), e.kind());
-        assert_eq!(back.id(), e.id());
-        assert_eq!(back.published_at(), e.published_at());
-        assert_eq!(back.str_attr("user"), Some("bob"));
-        assert!((back.num_attr("lat").unwrap() - 56.34).abs() < 1e-9);
-        assert_eq!(back.payload().unwrap().name(), "pos");
-        assert_eq!(back.attrs().count(), e.attrs().count());
-    }
-
-    #[test]
-    fn xml_text_round_trip() {
-        let e = sample();
-        let text = e.to_xml().to_xml();
-        let back = Event::from_xml_text(&text).unwrap();
-        assert_eq!(back.num_attr("lon"), e.num_attr("lon"));
-    }
-
-    /// Markup in string attributes and in the payload survives the text
-    /// wire form escaped, and every attribute type comes back whole.
-    #[test]
-    fn xml_text_round_trip_escapes_markup_and_keeps_the_payload() {
-        let e = sample()
-            .with_attr("note", "text with <brackets> & \"quotes\"")
-            .with_attr("ratio", 2.5)
-            .with_attr("ok", true)
-            .with_payload(parse(r#"<data deep="a &amp; b"><v>x &lt; y</v></data>"#).unwrap());
-        let text = e.to_xml().to_xml();
-        assert!(!text.contains("<brackets>"), "{text}");
-        let back = Event::from_xml_text(&text).unwrap();
-        assert_eq!(back.str_attr("note"), Some("text with <brackets> & \"quotes\""));
-        assert_eq!(back.payload().unwrap().attr("deep"), Some("a & b"));
-        assert_eq!(back, e);
-    }
-
-    #[test]
-    fn from_xml_tolerates_unknown_attribute_types() {
-        let el = parse(
-            r#"<event kind="x"><attr name="good" type="int">5</attr><attr name="odd" type="tensor">?</attr></event>"#,
-        )
-        .unwrap();
-        let e = Event::from_xml(&el);
-        assert_eq!(e.num_attr("good"), Some(5.0));
-        assert!(e.attr("odd").is_none());
-    }
-
-    #[test]
-    fn from_xml_defaults_when_unstamped() {
-        let el = parse(r#"<event kind="y"/>"#).unwrap();
-        let e = Event::from_xml(&el);
-        assert_eq!(e.id(), EventId::default());
-        assert_eq!(e.published_at(), SimTime::ZERO);
+        assert_eq!(e.published_at(), SimTime::from_millis(1234));
+        assert_eq!(e.payload().unwrap().child("accuracy").unwrap().text(), "5");
     }
 
     #[test]

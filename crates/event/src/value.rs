@@ -25,16 +25,6 @@ pub enum AttrValue {
 }
 
 impl AttrValue {
-    /// The type name, for diagnostics and XML encoding.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            AttrValue::Str(_) => "str",
-            AttrValue::Int(_) => "int",
-            AttrValue::Float(_) => "float",
-            AttrValue::Bool(_) => "bool",
-        }
-    }
-
     /// The string inside, if this is a `Str`.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -78,41 +68,6 @@ impl AttrValue {
     /// Equality where defined (numeric across `Int`/`Float`).
     pub fn eq_value(&self, other: &AttrValue) -> bool {
         self.partial_cmp_value(other) == Some(Ordering::Equal)
-    }
-
-    /// Encodes the value as text for XML transport; parses back via
-    /// [`AttrValue::from_text`] given the [`type_name`](Self::type_name).
-    pub fn to_text(&self) -> String {
-        match self {
-            AttrValue::Str(s) => s.to_string(),
-            AttrValue::Int(i) => i.to_string(),
-            AttrValue::Float(f) => {
-                // Preserve float-ness through the round trip.
-                if f.fract() == 0.0 && f.is_finite() {
-                    format!("{f:.1}")
-                } else {
-                    f.to_string()
-                }
-            }
-            AttrValue::Bool(b) => b.to_string(),
-        }
-    }
-
-    /// Decodes a value from its `type_name` and text form.
-    ///
-    /// Returns `None` for unknown types or unparseable text.
-    pub fn from_text(type_name: &str, text: &str) -> Option<AttrValue> {
-        match type_name {
-            "str" => Some(AttrValue::Str(text.into())),
-            "int" => text.trim().parse().ok().map(AttrValue::Int),
-            "float" => text.trim().parse().ok().map(AttrValue::Float),
-            "bool" => match text.trim() {
-                "true" => Some(AttrValue::Bool(true)),
-                "false" => Some(AttrValue::Bool(false)),
-                _ => None,
-            },
-            _ => None,
-        }
     }
 }
 
@@ -200,29 +155,6 @@ mod tests {
             AttrValue::Str("abc".into()).partial_cmp_value(&AttrValue::Str("abd".into())),
             Some(Ordering::Less)
         );
-    }
-
-    #[test]
-    fn text_round_trip() {
-        let values = [
-            AttrValue::Str("hello world".into()),
-            AttrValue::Int(-42),
-            AttrValue::Float(3.25),
-            AttrValue::Float(7.0),
-            AttrValue::Bool(true),
-        ];
-        for v in values {
-            let back = AttrValue::from_text(v.type_name(), &v.to_text()).unwrap();
-            assert!(v.eq_value(&back) || v == back, "{v:?} vs {back:?}");
-            assert_eq!(back.type_name(), v.type_name());
-        }
-    }
-
-    #[test]
-    fn from_text_rejects_garbage() {
-        assert_eq!(AttrValue::from_text("int", "abc"), None);
-        assert_eq!(AttrValue::from_text("bool", "maybe"), None);
-        assert_eq!(AttrValue::from_text("quaternion", "1"), None);
     }
 
     #[test]

@@ -111,11 +111,6 @@ impl AdmissionGovernor {
     pub fn retry_backoff(&mut self, attempt: u32) -> SimDuration {
         self.delay(attempt, SimDuration::from_secs(1))
     }
-
-    /// Drops per-source state (e.g. after the source completed its join).
-    pub fn forget(&mut self, source: NodeIndex) {
-        self.strikes.remove(&Self::prefix(source));
-    }
 }
 
 #[cfg(test)]

@@ -285,15 +285,8 @@ impl SuspicionTracker {
         self.banned.contains_key(&peer.0)
     }
 
-    /// Drops all state for `peer` without banning it (e.g. the peer
-    /// gracefully withdrew).
-    pub fn forget(&mut self, peer: NodeIndex) {
-        self.peers.remove(&peer.0);
-    }
-
     /// Lifts a ban and clears score state: the peer re-joined through an
-    /// admission-controlled path, i.e. it is a new incarnation. A no-op
-    /// beyond `forget` for un-banned peers.
+    /// admission-controlled path, i.e. it is a new incarnation.
     pub fn readmit(&mut self, peer: NodeIndex) {
         self.banned.remove(&peer.0);
         self.peers.remove(&peer.0);

@@ -53,7 +53,8 @@ impl Ontology {
     }
 
     /// All terms `t` (transitively) broader than `term`, including itself.
-    pub fn expand(&self, term: &str) -> BTreeSet<String> {
+    #[cfg(test)]
+    pub(crate) fn expand(&self, term: &str) -> BTreeSet<String> {
         let mut out = BTreeSet::new();
         let mut frontier = vec![term.to_string()];
         while let Some(t) = frontier.pop() {

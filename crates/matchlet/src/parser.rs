@@ -65,9 +65,16 @@ pub fn parse_rules(src: &str) -> Result<Vec<Rule>, MatchletError> {
     parse_rules_inner(src).map_err(|e| e.with_source(src))
 }
 
+/// The deepest an expression may nest. It bounds both the parser's own
+/// recursion (parentheses, call arguments, `not`, unary `-`) and the tree
+/// it builds (each operator, negation and call is a level). Rule source
+/// arrives from other nodes, and the analysis passes and the engine walk
+/// an expression recursively too.
+const MAX_NESTING: usize = 64;
+
 fn parse_rules_inner(src: &str) -> Result<Vec<Rule>, MatchletError> {
     let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser { tokens, pos: 0, depth: 0 };
     let mut rules = Vec::new();
     while !p.at_eof() {
         rules.push(p.rule()?);
@@ -78,7 +85,12 @@ fn parse_rules_inner(src: &str) -> Result<Vec<Rule>, MatchletError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Recursive expression productions open at the current token.
+    depth: usize,
 }
+
+/// A parsed expression and the depth of its tree (a leaf is 1).
+type Nested = (Expr, usize);
 
 impl Parser {
     fn peek(&self) -> &Token {
@@ -305,39 +317,76 @@ impl Parser {
 
     // --- expressions, by precedence ---
 
-    fn expr(&mut self) -> Result<Expr, MatchletError> {
-        self.or_expr()
+    fn too_deep(&self) -> MatchletError {
+        self.fail(format!("expression nested deeper than {MAX_NESTING}"))
     }
 
-    fn or_expr(&mut self) -> Result<Expr, MatchletError> {
+    /// Runs the recursive production `f` one level deeper, or refuses
+    /// past [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, MatchletError>,
+    ) -> Result<T, MatchletError> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        let parsed = f(self);
+        self.depth -= 1;
+        parsed
+    }
+
+    /// `e` over children at most `below` deep, or refused past
+    /// [`MAX_NESTING`].
+    fn node(&self, e: Expr, below: usize) -> Result<Nested, MatchletError> {
+        if below >= MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        Ok((e, below + 1))
+    }
+
+    fn binary(&self, op: BinOp, (l, ld): Nested, (r, rd): Nested) -> Result<Nested, MatchletError> {
+        self.node(Expr::Binary(op, Box::new(l), Box::new(r)), ld.max(rd))
+    }
+
+    fn expr(&mut self) -> Result<Expr, MatchletError> {
+        Ok(self.nested_expr()?.0)
+    }
+
+    fn nested_expr(&mut self) -> Result<Nested, MatchletError> {
+        self.nested(Self::or_expr)
+    }
+
+    fn or_expr(&mut self) -> Result<Nested, MatchletError> {
         let mut left = self.and_expr()?;
         while self.peek_keyword("or") {
             self.bump();
             let right = self.and_expr()?;
-            left = Expr::Binary(BinOp::Or, Box::new(left), Box::new(right));
+            left = self.binary(BinOp::Or, left, right)?;
         }
         Ok(left)
     }
 
-    fn and_expr(&mut self) -> Result<Expr, MatchletError> {
+    fn and_expr(&mut self) -> Result<Nested, MatchletError> {
         let mut left = self.not_expr()?;
         while self.peek_keyword("and") {
             self.bump();
             let right = self.not_expr()?;
-            left = Expr::Binary(BinOp::And, Box::new(left), Box::new(right));
+            left = self.binary(BinOp::And, left, right)?;
         }
         Ok(left)
     }
 
-    fn not_expr(&mut self) -> Result<Expr, MatchletError> {
+    fn not_expr(&mut self) -> Result<Nested, MatchletError> {
         if self.peek_keyword("not") {
             self.bump();
-            return Ok(Expr::Not(Box::new(self.not_expr()?)));
+            let (e, d) = self.nested(Self::not_expr)?;
+            return self.node(Expr::Not(Box::new(e)), d);
         }
         self.comparison()
     }
 
-    fn comparison(&mut self) -> Result<Expr, MatchletError> {
+    fn comparison(&mut self) -> Result<Nested, MatchletError> {
         let left = self.additive()?;
         let op = match &self.peek().kind {
             TokenKind::Punct("=") => Some(BinOp::Eq),
@@ -352,13 +401,13 @@ impl Parser {
             Some(op) => {
                 self.bump();
                 let right = self.additive()?;
-                Ok(Expr::Binary(op, Box::new(left), Box::new(right)))
+                self.binary(op, left, right)
             }
             None => Ok(left),
         }
     }
 
-    fn additive(&mut self) -> Result<Expr, MatchletError> {
+    fn additive(&mut self) -> Result<Nested, MatchletError> {
         let mut left = self.multiplicative()?;
         loop {
             let op = match &self.peek().kind {
@@ -368,12 +417,12 @@ impl Parser {
             };
             self.bump();
             let right = self.multiplicative()?;
-            left = Expr::Binary(op, Box::new(left), Box::new(right));
+            left = self.binary(op, left, right)?;
         }
         Ok(left)
     }
 
-    fn multiplicative(&mut self) -> Result<Expr, MatchletError> {
+    fn multiplicative(&mut self) -> Result<Nested, MatchletError> {
         let mut left = self.unary()?;
         loop {
             let op = match &self.peek().kind {
@@ -383,62 +432,62 @@ impl Parser {
             };
             self.bump();
             let right = self.unary()?;
-            left = Expr::Binary(op, Box::new(left), Box::new(right));
+            left = self.binary(op, left, right)?;
         }
         Ok(left)
     }
 
-    fn unary(&mut self) -> Result<Expr, MatchletError> {
+    fn unary(&mut self) -> Result<Nested, MatchletError> {
         if self.eat_punct("-") {
-            return Ok(Expr::Neg(Box::new(self.unary()?)));
+            let (e, d) = self.nested(Self::unary)?;
+            return self.node(Expr::Neg(Box::new(e)), d);
         }
         self.primary()
     }
 
-    fn primary(&mut self) -> Result<Expr, MatchletError> {
+    fn primary(&mut self) -> Result<Nested, MatchletError> {
         match self.peek().kind.clone() {
             TokenKind::Num(n) => {
                 self.bump();
-                Ok(Expr::Lit(num_term(n)))
+                Ok((Expr::Lit(num_term(n)), 1))
             }
             TokenKind::Str(s) => {
                 self.bump();
-                Ok(Expr::Lit(Term::Str(s.into())))
+                Ok((Expr::Lit(Term::Str(s.into())), 1))
             }
             TokenKind::Var(v) => {
                 self.bump();
-                Ok(Expr::Var(v.into()))
+                Ok((Expr::Var(v.into()), 1))
             }
             TokenKind::Punct("(") => {
                 self.bump();
-                let e = self.expr()?;
+                let e = self.nested_expr()?;
                 self.expect_punct(")")?;
                 Ok(e)
             }
             TokenKind::Ident(s) => {
                 self.bump();
                 match s.as_str() {
-                    "true" => return Ok(Expr::Lit(Term::Bool(true))),
-                    "false" => return Ok(Expr::Lit(Term::Bool(false))),
+                    "true" => return Ok((Expr::Lit(Term::Bool(true)), 1)),
+                    "false" => return Ok((Expr::Lit(Term::Bool(false)), 1)),
                     _ => {}
                 }
-                if self.eat_punct("(") {
-                    let mut args = Vec::new();
-                    if !self.eat_punct(")") {
-                        loop {
-                            args.push(self.expr()?);
-                            if self.eat_punct(")") {
-                                break;
-                            }
-                            self.expect_punct(",")?;
+                // A bare identifier is a zero-argument call (used as an
+                // atom in `fact` positions).
+                let mut args = Vec::new();
+                let mut below = 0;
+                if self.eat_punct("(") && !self.eat_punct(")") {
+                    loop {
+                        let (arg, d) = self.nested_expr()?;
+                        args.push(arg);
+                        below = below.max(d);
+                        if self.eat_punct(")") {
+                            break;
                         }
+                        self.expect_punct(",")?;
                     }
-                    Ok(Expr::Call(s, args))
-                } else {
-                    // Bare identifier: a zero-argument call (used as an
-                    // atom in `fact` positions).
-                    Ok(Expr::Call(s, Vec::new()))
                 }
+                self.node(Expr::Call(s, args), below)
             }
             other => Err(self.fail(format!("expected expression, found {other}"))),
         }

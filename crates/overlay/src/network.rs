@@ -131,16 +131,6 @@ impl OverlayNetwork {
             &["scotland", "england", "europe", "us-east", "us-west", "australia"],
             seed,
         );
-        Self::build_on_with(topology, seed, governor)
-    }
-
-    /// Builds the overlay over an explicit topology (governor enabled).
-    pub fn build_on(topology: Topology, seed: u64) -> Self {
-        Self::build_on_with(topology, seed, Some(GovernorConfig::default()))
-    }
-
-    /// Builds the overlay over an explicit topology, governed or not.
-    pub fn build_on_with(topology: Topology, seed: u64, governor: Option<GovernorConfig>) -> Self {
         let mut rng = SimRng::new(seed).fork("overlay-net");
         let nodes =
             OverlayNode::ring("overlay-node-", topology.len(), seed, &mut rng, governor.is_some())

@@ -134,6 +134,9 @@ const MAX_HOPS: u32 = 64;
 /// Consecutive missed probes before a leaf is declared dead (legacy
 /// three-strikes path, used when no governor is installed).
 const PROBE_DEATH: u32 = 3;
+/// The leaf-set heartbeat interval; the governor's suspicion phi scale
+/// follows it.
+const PROBE_INTERVAL: SimDuration = SimDuration::from_secs(5);
 
 /// Interval between consecutive joins of a [`ring`](OverlayNode::ring).
 pub const JOIN_STAGGER: SimDuration = SimDuration::from_millis(200);
@@ -176,10 +179,10 @@ struct Governor<P> {
 }
 
 impl<P> Governor<P> {
-    fn new(probe_interval: SimDuration, seed: u64) -> Self {
+    fn new(seed: u64) -> Self {
         Governor {
             admission: AdmissionGovernor::new(seed),
-            suspicion: SuspicionTracker::new(probe_interval),
+            suspicion: SuspicionTracker::new(PROBE_INTERVAL),
             pending_acks: FnvHashMap::default(),
             seed,
         }
@@ -227,7 +230,6 @@ pub struct OverlayNode<P> {
     joined: bool,
     bootstrap: Option<NodeIndex>,
     join_delay: SimDuration,
-    probe_interval: SimDuration,
     /// Missed-probe counters aligned index-for-index with `known_cache`
     /// (rebuilt together); the per-heartbeat probe loop walks both arrays
     /// with no map lookups. `u32::MAX` marks "acked since last probe".
@@ -282,7 +284,6 @@ impl<P: Clone> OverlayNode<P> {
             joined: bootstrap.is_none(),
             bootstrap,
             join_delay,
-            probe_interval: SimDuration::from_secs(5),
             probe_counters: Vec::new(),
             acked_since: FnvHashMap::default(),
             known_cache: Vec::new(),
@@ -294,19 +295,11 @@ impl<P: Clone> OverlayNode<P> {
         }
     }
 
-    /// Sets the leaf-set heartbeat interval.
-    pub fn with_probe_interval(mut self, interval: SimDuration) -> Self {
-        self.probe_interval = interval;
-        self
-    }
-
-    /// Installs the admission + suspicion governor (call after
-    /// [`with_probe_interval`](Self::with_probe_interval): the suspicion
-    /// phi scale follows the probe cadence). `seed` drives the backoff
-    /// jitter stream; derive it from the world seed and the node index so
-    /// every node jitters independently but deterministically.
+    /// Installs the admission + suspicion governor. `seed` drives the
+    /// backoff jitter stream; derive it from the world seed and the node
+    /// index so every node jitters independently but deterministically.
     pub fn with_governor(mut self, seed: u64) -> Self {
-        self.governor = Some(Governor::new(self.probe_interval, seed));
+        self.governor = Some(Governor::new(seed));
         self
     }
 
@@ -327,8 +320,7 @@ impl<P: Clone> OverlayNode<P> {
                     let b = NodeIndex(rng.index(i) as u32);
                     (Some(b), JOIN_STAGGER * i as u64)
                 };
-                let node = OverlayNode::new(key, NodeIndex(i as u32), bootstrap, delay)
-                    .with_probe_interval(SimDuration::from_secs(5));
+                let node = OverlayNode::new(key, NodeIndex(i as u32), bootstrap, delay);
                 if governed {
                     // Deterministic, but no two nodes share a backoff
                     // stream.
@@ -448,7 +440,7 @@ impl<P: Clone> OverlayNode<P> {
         if let Some(g) = &self.governor {
             // A restarted node starts with a clean slate: suspicion scores
             // and bans describe the previous incarnation's world view.
-            self.governor = Some(Governor::new(self.probe_interval, g.seed));
+            self.governor = Some(Governor::new(g.seed));
         }
         self.joined = self.bootstrap.is_none();
         self.join_attempt = 0;
@@ -456,7 +448,7 @@ impl<P: Clone> OverlayNode<P> {
         if self.bootstrap.is_some() {
             out.timer(self.join_delay, timers::JOIN);
         }
-        out.timer(self.probe_interval, timers::PROBE);
+        out.timer(PROBE_INTERVAL, timers::PROBE);
     }
 
     /// Handles a timer fire for one of [`timers`]' tags (high bits may
@@ -482,7 +474,7 @@ impl<P: Clone> OverlayNode<P> {
                     let attempt = self.join_attempt as u32;
                     let fallback = match &mut self.governor {
                         Some(g) => g.admission.retry_backoff(attempt),
-                        None => self.probe_interval * 4,
+                        None => PROBE_INTERVAL * 4,
                     };
                     self.join_attempt += 1;
                     out.timer(fallback, timers::JOIN | (self.join_attempt << 32));
@@ -525,7 +517,7 @@ impl<P: Clone> OverlayNode<P> {
                 for (target, payload, origin, hops) in abandoned {
                     self.reroute(target, payload, origin, hops, out);
                 }
-                out.timer(self.probe_interval, timers::PROBE);
+                out.timer(PROBE_INTERVAL, timers::PROBE);
             }
             _ => {}
         }
@@ -1004,7 +996,6 @@ mod tests {
                 assert_eq!(node.me, KeyedNode::new(Key(key), n(i as u32)), "{label}{i}");
                 assert_eq!(node.bootstrap, bootstrap.map(n), "{label}{i}");
                 assert_eq!(node.join_delay, JOIN_STAGGER * i as u64, "{label}{i}");
-                assert_eq!(node.probe_interval, SimDuration::from_secs(5));
                 assert_eq!(node.governor.as_ref().map(|g| g.seed), Some(42 ^ ((i as u64) << 17)));
             }
         }

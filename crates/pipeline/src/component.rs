@@ -105,7 +105,8 @@ impl PipelineGraph {
     }
 
     /// The index of the named component.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
+    #[cfg(test)]
+    pub(crate) fn index_of(&self, name: &str) -> Option<usize> {
         self.components.iter().position(|c| c.name() == name)
     }
 

@@ -648,7 +648,8 @@ impl<N: Node> World<N> {
     }
 
     /// Whether a partition is currently active.
-    pub fn partitioned(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn partitioned(&self) -> bool {
         self.partition.is_some()
     }
 

@@ -114,7 +114,8 @@ impl Histogram {
     }
 
     /// The value at quantile `q` in `[0, 1]` (nearest-rank).
-    pub fn quantile(&self, q: f64) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn quantile(&self, q: f64) -> f64 {
         if self.samples.is_empty() {
             return 0.0;
         }

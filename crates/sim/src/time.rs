@@ -58,7 +58,8 @@ impl SimTime {
     }
 
     /// Whole milliseconds since the start of the run.
-    pub const fn as_millis(self) -> u64 {
+    #[cfg(test)]
+    pub(crate) const fn as_millis(self) -> u64 {
         self.0 / 1_000
     }
 
@@ -110,18 +111,14 @@ impl SimDuration {
     }
 
     /// The duration in whole milliseconds.
-    pub const fn as_millis(self) -> u64 {
+    #[cfg(test)]
+    pub(crate) const fn as_millis(self) -> u64 {
         self.0 / 1_000
     }
 
     /// The duration in seconds, as a float.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
-    }
-
-    /// Whether this is the zero duration.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
     }
 
     /// Multiplies by a float factor, clamping negatives to zero.

@@ -275,7 +275,8 @@ impl Topology {
     /// The geographically nearest node to `point`.
     ///
     /// Returns `None` on an empty topology.
-    pub fn nearest(&self, point: GeoPoint) -> Option<NodeIndex> {
+    #[cfg(test)]
+    pub(crate) fn nearest(&self, point: GeoPoint) -> Option<NodeIndex> {
         self.nodes
             .iter()
             .min_by(|a, b| {

@@ -12,9 +12,9 @@
 //! ran a full `min_by_key` scan per evicted document — O(n²) under churn.)
 
 use crate::document::Document;
-use bytes::Bytes;
 use gloss_overlay::Key;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Null slot index terminating the recency list.
 const NIL: u32 = u32::MAX;
@@ -211,7 +211,7 @@ impl LruCache {
     /// Returns a slot to the free list, releasing its payload (the slab
     /// slot itself is reused by `insert`).
     fn release(&mut self, slot: u32) {
-        self.slots[slot as usize].doc.content = Bytes::new();
+        self.slots[slot as usize].doc.content = Arc::default();
         self.free.push(slot);
     }
 

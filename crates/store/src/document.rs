@@ -1,6 +1,5 @@
 //! Documents: named, versioned byte blobs with overlay GUIDs.
 
-use bytes::Bytes;
 use gloss_overlay::Key;
 use gloss_sim::SimTime;
 use std::fmt;
@@ -48,8 +47,8 @@ pub struct Document {
     /// document — which replication, caching, and lookup replies do on
     /// the hot path — bumps two refcounts instead of copying heap data.
     pub name: Arc<str>,
-    /// The payload.
-    pub content: Bytes,
+    /// The payload, shared by every copy of the document.
+    pub content: Arc<[u8]>,
     /// Monotonic version; replicas keep the highest they have seen.
     pub version: u64,
     /// When the document was created (stamped by the inserting client).
@@ -60,7 +59,7 @@ pub struct Document {
 
 impl Document {
     /// Creates version 1 of a named document.
-    pub fn new(name: impl Into<String>, content: impl Into<Bytes>) -> Self {
+    pub fn new(name: impl Into<String>, content: impl Into<Arc<[u8]>>) -> Self {
         let name = name.into();
         Document {
             guid: Key::hash_of_str(&name),
@@ -79,7 +78,7 @@ impl Document {
     }
 
     /// A later version of this document with new content.
-    pub fn updated(&self, content: impl Into<Bytes>) -> Document {
+    pub fn updated(&self, content: impl Into<Arc<[u8]>>) -> Document {
         Document {
             guid: self.guid,
             name: self.name.clone(),
@@ -126,7 +125,7 @@ mod tests {
         let b = a.updated(b"v2".to_vec());
         assert_eq!(b.version, 2);
         assert_eq!(b.guid, a.guid);
-        assert_eq!(b.content, Bytes::from_static(b"v2"));
+        assert_eq!(&*b.content, b"v2");
     }
 
     #[test]

@@ -52,12 +52,6 @@ impl StoreNetwork {
             &["scotland", "england", "europe", "us-east", "us-west", "australia"],
             seed,
         );
-        Self::build_on(topology, cfg, seed)
-    }
-
-    /// Builds the storage network over an explicit topology.
-    pub fn build_on(topology: Topology, cfg: StoreConfig, seed: u64) -> Self {
-        let n = topology.len();
         let mut rng = SimRng::new(seed).fork("store-net");
         let directory: Vec<NodeSite> = topology
             .iter()
@@ -433,23 +427,18 @@ mod tests {
 
     #[test]
     fn high_priority_documents_get_extra_replicas() {
-        let cfg = StoreConfig {
-            replicas: 2,
-            tier_high_extra: 2,
-            repair_interval: SimDuration::from_secs(10),
-            ..Default::default()
-        };
+        let cfg = StoreConfig { replicas: 2, ..Default::default() };
         let mut net = settled(16, cfg, 22);
         let high = Document::new("vital", vec![8u8; 64]).with_priority(Priority::High);
         let low = Document::new("scratch", vec![8u8; 64]).with_priority(Priority::Low);
         net.insert(NodeIndex(0), high.clone());
         net.insert(NodeIndex(1), low.clone());
         // The repair scan tops the high-tier doc up to replicas +
-        // tier_high_extra even though initial placement may find fewer
+        // TIER_HIGH_EXTRA even though initial placement may find fewer
         // usable targets.
         net.run_for(SimDuration::from_secs(90));
         assert!(
-            net.replica_count(high.guid) >= 4,
+            net.replica_count(high.guid) >= 2 + crate::store_node::TIER_HIGH_EXTRA,
             "high tier reached {} copies",
             net.replica_count(high.guid)
         );
@@ -489,7 +478,6 @@ mod tests {
         let cfg = StoreConfig {
             replicas: 2,
             heal_interval: SimDuration::from_secs(10),
-            repair_interval: SimDuration::from_secs(10),
             ..Default::default()
         };
         let mut net = settled(20, cfg, 23);

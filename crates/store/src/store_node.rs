@@ -266,11 +266,6 @@ pub struct StoreConfig {
     /// Backup policy: minimum distance (km) for the creation-time remote
     /// replica (`None` = off).
     pub backup_policy_min_km: Option<f64>,
-    /// Extra replicas for [`Priority::High`] documents.
-    pub tier_high_extra: usize,
-    /// Repair pipeline scan cadence (per-node jitter of ±25% is applied
-    /// to each tick).
-    pub repair_interval: SimDuration,
     /// Sustained repair transfers per second a node will initiate.
     pub repair_rate_per_sec: f64,
     /// Repair transfer burst (token-bucket capacity).
@@ -279,12 +274,17 @@ pub struct StoreConfig {
 
 /// Per-node promiscuous-cache capacity in bytes.
 const CACHE_CAPACITY: usize = 1 << 20;
+/// Extra replicas for [`Priority::High`] documents.
+pub(crate) const TIER_HIGH_EXTRA: usize = 1;
 /// Replicas trimmed from [`Priority::Low`] documents (floored at 1).
 const TIER_LOW_CUT: usize = 1;
 /// Retries for an unanswered lookup before reporting a timeout.
 const LOOKUP_RETRIES: u32 = 3;
 /// Outstanding repair transfers allowed per target peer.
 const REPAIR_INFLIGHT_PER_PEER: usize = 2;
+/// Repair pipeline scan cadence (per-node jitter of ±25% is applied to
+/// each tick).
+const REPAIR_INTERVAL: SimDuration = SimDuration::from_secs(10);
 /// Base per-attempt lookup deadline; doubles each retry, jittered ±25% so
 /// synchronised readers do not re-storm a recovering node.
 const LOOKUP_TIMEOUT: SimDuration = SimDuration::from_secs(2);
@@ -297,8 +297,6 @@ impl Default for StoreConfig {
             heal_interval: SimDuration::from_secs(30),
             latency_policy_threshold: None,
             backup_policy_min_km: None,
-            tier_high_extra: 1,
-            repair_interval: SimDuration::from_secs(10),
             repair_rate_per_sec: 8.0,
             repair_burst: 4.0,
         }
@@ -472,7 +470,7 @@ impl StoreNode {
     /// The replica target for a document of the given tier.
     pub fn target_replicas(&self, p: Priority) -> usize {
         match p {
-            Priority::High => self.cfg.replicas + self.cfg.tier_high_extra,
+            Priority::High => self.cfg.replicas + TIER_HIGH_EXTRA,
             Priority::Normal => self.cfg.replicas,
             Priority::Low => self.cfg.replicas.saturating_sub(TIER_LOW_CUT).max(1),
         }
@@ -484,7 +482,7 @@ impl StoreNode {
         out.timer(self.cfg.heal_interval, timers::HEAL);
         // Jittered per node so regional crashes do not produce a
         // synchronised wall of repair scans.
-        let delay = self.scheduler.backoff(self.cfg.repair_interval);
+        let delay = self.scheduler.backoff(REPAIR_INTERVAL);
         out.timer(delay, timers::REPAIR);
     }
 
@@ -499,7 +497,7 @@ impl StoreNode {
             }
             timers::REPAIR => {
                 self.repair_tick(now, out);
-                let delay = self.scheduler.backoff(self.cfg.repair_interval);
+                let delay = self.scheduler.backoff(REPAIR_INTERVAL);
                 out.timer(delay, timers::REPAIR);
             }
             timers::LOOKUP_RETRY => self.retry_sweep(now, out),

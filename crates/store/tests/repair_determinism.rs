@@ -71,7 +71,6 @@ fn storm_digest() -> String {
     let cfg = StoreConfig {
         replicas: 2,
         heal_interval: SimDuration::from_secs(10),
-        repair_interval: SimDuration::from_secs(10),
         ..Default::default()
     };
     let mut net = StoreNetwork::build(24, cfg, 4242);

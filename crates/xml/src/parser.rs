@@ -22,13 +22,18 @@
 //! open-element names and the last start tag's attributes in place, so a
 //! document no deeper than eight elements, with no start tag of more than
 //! eight attributes, is read with no heap allocation (entity-decoded text
-//! and values aside).
+//! and values aside). It refuses a start tag nested more than 256 deep:
+//! every walk over a tree (drop, clone, comparison, serialisation)
+//! recurses once per level, and documents arrive from other nodes.
 
 use crate::document::{Document, Element, Node};
 use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 use std::mem;
+
+/// The deepest a start tag may nest, the root being at depth 1.
+const MAX_DEPTH: usize = 256;
 
 /// A parse failure, with 1-based line and column of the offending input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -254,6 +259,9 @@ impl<'a> Reader<'a> {
     fn start_tag(&mut self) -> Result<Token<'a>, ParseError> {
         self.expect("<")?;
         let name = self.name()?;
+        if self.open.len >= MAX_DEPTH {
+            return Err(self.err(format!("elements nested deeper than {MAX_DEPTH}")));
+        }
         self.attrs.clear();
         loop {
             self.skip_ws();
@@ -706,6 +714,33 @@ mod tests {
         assert_eq!(r.next(), None);
         let tokens: Vec<_> = Reader::new("<r/>").collect();
         assert_eq!(tokens, [Ok(Token::Start("r")), Ok(Token::End("r"))]);
+    }
+
+    /// Nesting up to the bound reads; one level more is an error, from
+    /// the reader and from `parse`, wherever the deepest tag self-closes.
+    #[test]
+    fn nesting_deeper_than_the_bound_is_refused() {
+        let nested = |depth: usize, leaf: &str| {
+            format!("{}{leaf}{}", "<a>".repeat(depth - 1), "</a>".repeat(depth - 1))
+        };
+        for leaf in ["<b/>", "<b>t</b>"] {
+            assert!(parse(&nested(MAX_DEPTH, leaf)).is_ok());
+            let deep = nested(MAX_DEPTH + 1, leaf);
+            let err = parse(&deep).unwrap_err();
+            assert_eq!(err.message, "elements nested deeper than 256");
+            assert_eq!((err.line, err.col), (1, 3 * MAX_DEPTH + 3));
+            assert_eq!(Reader::new(&deep).find_map(Result::err), Some(err));
+        }
+    }
+
+    /// A million levels is an error, not a stack overflow while the tree
+    /// is built or dropped (the test thread has a 2 MiB stack).
+    #[test]
+    fn a_million_levels_is_an_error() {
+        let deep = format!("{}{}", "<d>".repeat(1_000_000), "</d>".repeat(1_000_000));
+        assert!(parse(&deep).is_err());
+        let unclosed = "<d>".repeat(1_000_000);
+        assert!(parse(&unclosed).is_err());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! stack, wider than unit tests).
 
 use gloss::bundle::{AuthKey, Bundle, Capability, ThinServer};
-use gloss::event::{Event, Filter};
+use gloss::event::Event;
 use gloss::knowledge::{DistributedKnowledge, Fact, InMemoryFacts, Term};
 use gloss::matchlet::MatchletEngine;
 use gloss::pipeline::{assemble, standard::register_standard};
@@ -114,20 +114,6 @@ fn matchlets_consume_store_backed_facts() {
         &kb,
     );
     assert!(none.is_empty());
-}
-
-/// Events keep their meaning across the XML wire form used between
-/// pipeline hosts and inside bundles (xml/event round trip under filters).
-#[test]
-fn filters_agree_before_and_after_wire_form() {
-    let filter = Filter::for_kind("weather.reading").with_eq("street", "Market Street");
-    let ev = Event::new("weather.reading")
-        .with_attr("street", "Market Street")
-        .with_attr("celsius", 19.5);
-    let wire = ev.to_xml().to_xml();
-    let back = Event::from_xml_text(&wire).unwrap();
-    assert_eq!(filter.matches(&ev), filter.matches(&back));
-    assert_eq!(back.num_attr("celsius"), Some(19.5));
 }
 
 /// A thin server's object store holds XML objects shipped in bundles and

@@ -132,25 +132,6 @@ proptest! {
         prop_assert_eq!(reparsed, el);
     }
 
-    // Event XML wire form preserves kind, ids and attributes.
-    #[test]
-    fn event_wire_form_round_trips(
-        kind in "[a-z]{1,6}(\\.[a-z]{1,6})?",
-        s in "[ -~]{0,10}",
-        i in any::<i64>(),
-        b in any::<bool>(),
-    ) {
-        let ev = Event::new(kind)
-            .with_attr("s", s)
-            .with_attr("i", i)
-            .with_attr("b", b);
-        let back = Event::from_xml_text(&ev.to_xml().to_xml()).expect("parses");
-        prop_assert_eq!(back.kind(), ev.kind());
-        prop_assert_eq!(back.str_attr("s"), ev.str_attr("s"));
-        prop_assert_eq!(back.num_attr("i"), ev.num_attr("i"));
-        prop_assert_eq!(back.attr("b"), ev.attr("b"));
-    }
-
     // Ring distance is a symmetric metric bounded by half the ring, and
     // shared prefixes agree with digit equality.
     #[test]
