@@ -271,6 +271,12 @@ impl GlossNode {
         self.replicas.get(subject).is_some_and(|r| r.snapshot_doc.is_some() || r.anchor.is_some())
     }
 
+    /// Feeds one message to the broker. Its sends to other nodes leave
+    /// through `out`. Its sends to this node are notifications for its
+    /// local client, this node, and are handed to
+    /// [`deliver_to_client`](Self::deliver_to_client) in this same
+    /// activation, in the order the broker produced them, instead of
+    /// looping back through the network.
     fn broker_do(
         &mut self,
         now: SimTime,
@@ -278,9 +284,21 @@ impl GlossNode {
         msg: BrokerMsg,
         out: &mut Outbox<GlossMsg>,
     ) {
-        out.nested(&mut self.broker_sends, GlossMsg::PubSub, |bout| {
+        let me = self.me;
+        out.nested(&mut self.broker_sends, Some(me), GlossMsg::PubSub, |bout| {
             self.broker.handle(now, from, msg, bout)
         });
+        // What is left in the buffer is addressed to this node: at most
+        // one `Notify` per event routed here. A hand-off can publish and
+        // so re-enter this function; the inner call's sends queue behind
+        // the ones still waiting here, and its loop hands off all of
+        // them, oldest first.
+        while !self.broker_sends.is_empty() {
+            match self.broker_sends.remove(0).1 {
+                BrokerMsg::Notify(event) => self.deliver_to_client(now, event, true, out),
+                other => self.broker_do(now, me, other, out),
+            }
+        }
     }
 
     fn subscribe_filter(&mut self, now: SimTime, filter: Filter, out: &mut Outbox<GlossMsg>) {
@@ -320,15 +338,18 @@ impl GlossNode {
     }
 
     /// Client-side delivery: UI logging, matchlet matching, coordinator
-    /// engines.
+    /// engines. It runs in the activation that produced the event: for a
+    /// local sensor reading, and for each `Notify` this node's broker
+    /// addresses to the node itself, handed over by
+    /// [`broker_do`](Self::broker_do) without a message.
     ///
-    /// `routed` says this node's own broker sent the event, which it does
-    /// only when one of this node's subscriptions matched it. This node
-    /// subscribes its UI filters and whole kinds (`subscribed_kinds`), so
-    /// a routed event of a kind not subscribed whole matched a UI filter
-    /// and goes to the UI without re-scanning `ui_filters`. Any other
-    /// event — a whole-kind subscription's, or a local sensor reading —
-    /// is scanned.
+    /// `routed` says this node's own broker handed the event over, which
+    /// it does only when one of this node's subscriptions matched it.
+    /// This node subscribes its UI filters and whole kinds
+    /// (`subscribed_kinds`), so a routed event of a kind not subscribed
+    /// whole matched a UI filter and goes to the UI without re-scanning
+    /// `ui_filters`. Any other event — a whole-kind subscription's, or a
+    /// local sensor reading — is scanned.
     fn deliver_to_client(
         &mut self,
         now: SimTime,
@@ -412,7 +433,9 @@ impl GlossNode {
         out: &mut Outbox<GlossMsg>,
         call: impl FnOnce(&mut StoreNode, &mut Outbox<StoreMsg>),
     ) {
-        out.nested(&mut self.store_sends, GlossMsg::Store, |sout| call(&mut self.store, sout));
+        out.nested(&mut self.store_sends, None, GlossMsg::Store, |sout| {
+            call(&mut self.store, sout)
+        });
         let Some(cs) = self.coordinator_state.as_ref() else {
             return;
         };
@@ -717,19 +740,13 @@ impl Node for GlossNode {
 }
 
 impl GlossNode {
+    /// Handles one message from another node or from the harness. Every
+    /// event-plane message goes to the broker; what the broker then has
+    /// for this node as a client arrives in-process, never as a message
+    /// from this node to itself.
     fn on_msg(&mut self, now: SimTime, from: NodeIndex, msg: GlossMsg, out: &mut Outbox<GlossMsg>) {
         match msg {
-            GlossMsg::PubSub(bmsg) => {
-                // A Notify from ourselves is the broker delivering to
-                // its local client (this node); everything else is
-                // broker-plane traffic.
-                match bmsg {
-                    BrokerMsg::Notify(event) if from == self.me => {
-                        self.deliver_to_client(now, event, true, out)
-                    }
-                    other => self.broker_do(now, from, other, out),
-                }
-            }
+            GlossMsg::PubSub(bmsg) => self.broker_do(now, from, bmsg, out),
             GlossMsg::Store(smsg) => self.store_do(now, from, smsg, out),
             GlossMsg::Sensor(event) => self.handle_sensor(now, event, out),
             GlossMsg::UiSubscribe(filter) => {
@@ -851,13 +868,14 @@ mod tests {
         )
     }
 
-    /// A worker whose coordinator is node 0, with a broker of no
-    /// neighbours and an overlay that knows no peer.
+    /// A worker whose coordinator, node 0, is also its broker's one
+    /// neighbour (the architecture's star), with an overlay that knows no
+    /// peer.
     fn worker(me: NodeIndex) -> GlossNode {
         let overlay = OverlayNode::new(Key(0x100), me, None, SimDuration::ZERO);
         GlossNode::new(
             me,
-            Broker::new(me, BrokerTopology::Peer { neighbors: Vec::new() }),
+            Broker::new(me, BrokerTopology::Peer { neighbors: vec![NodeIndex(0)] }),
             StoreNode::new(me, overlay, StoreConfig::default(), Vec::new()),
             NodeResources {
                 node: me,
@@ -871,18 +889,11 @@ mod tests {
         )
     }
 
-    /// Hands `msg` from `from` to `node`, then feeds back every message
-    /// the node sends itself (its broker notifying it as a client) until
-    /// none is left.
+    /// Hands `msg` from `from` to `node`.
     fn deliver(node: &mut GlossNode, from: NodeIndex, msg: GlossMsg) {
-        let me = node.index();
-        let mut queue = vec![(from, msg)];
-        while let Some((from, msg)) = queue.pop() {
-            let mut out = Outbox::new();
-            node.handle(SimTime::ZERO, Input::Msg { from, msg }, &mut out);
-            let to_me = out.take_sends().into_iter().filter(|(to, ..)| *to == me);
-            queue.extend(to_me.map(|(_, m)| (me, m)));
-        }
+        let mut out = Outbox::new();
+        node.handle(SimTime::ZERO, Input::Msg { from, msg }, &mut out);
+        assert!(out.sends().iter().all(|(to, _)| *to != node.index()), "{:?}", out.sends());
     }
 
     /// A routed event of a kind the node subscribes whole is scanned
@@ -913,6 +924,63 @@ mod tests {
         let kinds: Vec<&str> = node.ui_received.iter().map(Event::kind).collect();
         assert_eq!(kinds, ["alert"]);
         assert_eq!(node.emitted, 1);
+    }
+
+    /// The node's broker routes a neighbour's `Notify` to the node itself
+    /// as a client; that hand-off happens in the same call, never as a
+    /// message to itself.
+    #[test]
+    fn a_routed_notify_reaches_the_ui_in_the_same_activation() {
+        let (me, hub) = (NodeIndex(1), NodeIndex(0));
+        let mut node = worker(me);
+        node.handle(SimTime::ZERO, Input::Start, &mut Outbox::new());
+        let zone_9_alerts = Filter::for_kind("alert").with_eq("zone", 9i64);
+        let subscribe = GlossMsg::UiSubscribe(zone_9_alerts);
+        node.handle(SimTime::ZERO, Input::Msg { from: me, msg: subscribe }, &mut Outbox::new());
+
+        let notify = |zone: i64| {
+            GlossMsg::PubSub(BrokerMsg::Notify(Event::new("alert").with_attr("zone", zone)))
+        };
+        for (zone, received) in [(9, 1), (3, 1), (9, 2)] {
+            let mut out = Outbox::new();
+            node.handle(SimTime::ZERO, Input::Msg { from: hub, msg: notify(zone) }, &mut out);
+            assert_eq!(node.ui_received.len(), received, "zone {zone}");
+            assert_eq!(counted(&out, "gloss.ui_delivered"), zone == 9, "zone {zone}");
+            assert!(out.sends().iter().all(|(to, _)| *to != me), "{:?}", out.sends());
+        }
+    }
+
+    /// A routed event of a rule's kind fires the matchlet in the same
+    /// call, and the synthesised publication leaves for the hub that
+    /// subscribed to it in that activation too.
+    #[test]
+    fn a_routed_notify_fires_the_matchlet_and_publishes_in_the_same_activation() {
+        let (me, hub) = (NodeIndex(1), NodeIndex(0));
+        let mut node = worker(me);
+        node.handle(SimTime::ZERO, Input::Start, &mut Outbox::new());
+        let key = AuthKey::new("test", b"secret");
+        let packet = Bundle::matchlet("m", r#"rule r { on p: event ping() emit pong() }"#)
+            .issued_by(key.issuer())
+            .to_packet(&key);
+        let install = GlossMsg::Bundle { instance: String::new(), packet };
+        node.handle(SimTime::ZERO, Input::Msg { from: hub, msg: install }, &mut Outbox::new());
+        let pongs = Subscription { id: 7, filter: Filter::for_kind("pong") };
+        let subscribe = GlossMsg::PubSub(BrokerMsg::Subscribe(pongs));
+        node.handle(SimTime::ZERO, Input::Msg { from: hub, msg: subscribe }, &mut Outbox::new());
+
+        let mut out = Outbox::new();
+        let ping = GlossMsg::PubSub(BrokerMsg::Notify(Event::new("ping")));
+        node.handle(SimTime::ZERO, Input::Msg { from: hub, msg: ping }, &mut out);
+        assert_eq!(node.emitted, 1);
+        let sent: Vec<(NodeIndex, &str)> = out
+            .sends()
+            .iter()
+            .map(|(to, m)| match m {
+                GlossMsg::PubSub(BrokerMsg::Notify(e)) => (*to, e.kind()),
+                other => panic!("unexpected send {other:?}"),
+            })
+            .collect();
+        assert_eq!(sent, [(hub, "pong")]);
     }
 
     /// A bundle the analysis gate rejects installs nothing, is counted as

@@ -21,10 +21,13 @@
 //!
 //! Delivery is per client: however many of its subscriptions an event
 //! matches, an attached client is sent one `Notify` (and an away client's
-//! proxy buffers one copy). The counters follow the messages:
-//! `pubsub.delivered_local` counts *clients notified* — one per `Notify`
-//! sent to an attached client, handoff replays excluded (those are
-//! `pubsub.handoff_events`) — and
+//! proxy buffers one copy). A client on the broker's own node is handed
+//! that `Notify` in-process: the host keeps the broker's sends addressed
+//! to its own node back from the network (`Outbox::nested` with `keep`
+//! set) and delivers them in the same activation. The counters follow
+//! the notifications: `pubsub.delivered_local` counts *clients notified*
+//! — one per `Notify` sent or handed to an attached client, handoff
+//! replays excluded (those are `pubsub.handoff_events`) — and
 //! [`notifications_forwarded`](Broker::notifications_forwarded) counts one
 //! per neighbouring broker an event is forwarded to.
 

@@ -44,9 +44,11 @@
 //! and a storelet) through [`Outbox::nested`]. The inner machine shares
 //! the host's outbox for everything but sends. Its sends go to a buffer
 //! the host owns and lends on every call, and are drained into the
-//! host's sends afterwards. A host that keeps one such buffer per
-//! embedded machine allocates nothing per call once that buffer has
-//! grown to its working size.
+//! host's sends afterwards — all but those addressed to the host itself,
+//! when the host asks to keep them back and handle them in the same
+//! activation. A host that keeps one such buffer per embedded machine
+//! allocates nothing per call once that buffer has grown to its working
+//! size.
 
 use crate::hash::{splitmix64, splitmix_unit, FnvHashMap};
 use crate::metrics::{CounterId, MetricsRegistry};
@@ -204,17 +206,28 @@ impl<M> Outbox<M> {
     /// behind whatever the host recorded before the call, and the inner
     /// machine sees the host's tracing switch. Its sends go to `spare`, a
     /// buffer the host owns and passes on every call; after the call they
-    /// are drained into this outbox's sends, each converted with `wrap`,
-    /// and `spare` is handed back empty with its capacity kept. A host
-    /// that keeps one spare buffer per embedded machine therefore
+    /// are drained into this outbox's sends, in order, each converted
+    /// with `wrap`, and `spare` is handed back with its capacity kept. A
+    /// host that keeps one spare buffer per embedded machine therefore
     /// allocates for inner sends only while that buffer is still growing.
+    ///
+    /// Sends addressed to `keep` — the host's own index, when it handles
+    /// those itself — are not drained: they stay in `spare`, in the order
+    /// they were sent, for the host to take after the call. With `keep`
+    /// unset, `spare` must be empty on entry and comes back empty. With
+    /// it set, `spare` may still hold sends kept back by an enclosing
+    /// call; the inner machine's sends land behind them, only its own are
+    /// drained, and the inner outbox's [`sends`](Outbox::sends) shows the
+    /// kept ones too.
     pub fn nested<I, R>(
         &mut self,
         spare: &mut Vec<(NodeIndex, I)>,
+        keep: Option<NodeIndex>,
         wrap: impl Fn(I) -> M,
         f: impl FnOnce(&mut Outbox<I>) -> R,
     ) -> R {
-        debug_assert!(spare.is_empty(), "a spare send buffer comes back drained");
+        debug_assert!(keep.is_some() || spare.is_empty(), "a spare send buffer comes back drained");
+        let held = spare.len();
         let mut inner = Outbox {
             sends: std::mem::take(spare),
             timers: std::mem::take(&mut self.timers),
@@ -228,7 +241,8 @@ impl<M> Outbox<M> {
         self.counts = inner.counts;
         self.observations = inner.observations;
         self.traces = inner.traces;
-        self.sends.extend(inner.sends.drain(..).map(|(to, msg)| (to, wrap(msg))));
+        let leaving = inner.sends.extract_if(held.., |(to, _)| Some(*to) != keep);
+        self.sends.extend(leaving.map(|(to, msg)| (to, wrap(msg))));
         *spare = inner.sends;
         result
     }
@@ -1452,6 +1466,7 @@ mod tests {
             let mut spare = Vec::new();
             let from_inner = out.nested(
                 &mut spare,
+                None,
                 |m: u8| format!("inner-{m}"),
                 |inner| {
                     inner.count("inner", 2.0);
@@ -1499,7 +1514,7 @@ mod tests {
         let mut out: Outbox<u32> = Outbox::new();
         let mut spare: Vec<(NodeIndex, u8)> = Vec::new();
         let call = |out: &mut Outbox<u32>, spare: &mut Vec<_>, base: u8| {
-            out.nested(spare, u32::from, |inner| {
+            out.nested(spare, None, u32::from, |inner| {
                 for m in base..base + 3 {
                     inner.send(NodeIndex(1), m);
                 }
@@ -1515,5 +1530,27 @@ mod tests {
         assert_eq!(spare.capacity(), cap, "and did not regrow it");
         let sent: Vec<u32> = out.sends().iter().map(|(_, m)| *m).collect();
         assert_eq!(sent, [0, 1, 2, 10, 11, 12]);
+    }
+
+    #[test]
+    fn nested_outbox_keeps_back_sends_to_the_host_in_order() {
+        let host = NodeIndex(5);
+        let mut out: Outbox<u32> = Outbox::new();
+        let mut spare: Vec<(NodeIndex, u8)> = Vec::new();
+        let call = |out: &mut Outbox<u32>, spare: &mut Vec<_>, sends: &[(u32, u8)]| {
+            out.nested(spare, Some(host), u32::from, |inner| {
+                for &(to, m) in sends {
+                    inner.send(NodeIndex(to), m);
+                }
+            });
+        };
+        call(&mut out, &mut spare, &[(1, 0), (5, 1), (2, 2), (5, 3)]);
+        assert_eq!(spare, [(host, 1), (host, 3)], "kept back, in the order sent");
+        // An inner call made before the host took them: its own sends
+        // queue behind the kept ones, and only its own leave.
+        call(&mut out, &mut spare, &[(5, 4), (3, 5)]);
+        assert_eq!(spare, [(host, 1), (host, 3), (host, 4)]);
+        let sent: Vec<(u32, u32)> = out.sends().iter().map(|(to, m)| (to.0, *m)).collect();
+        assert_eq!(sent, [(1, 0), (2, 2), (3, 5)]);
     }
 }

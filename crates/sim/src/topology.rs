@@ -99,7 +99,9 @@ pub struct LatencyModel {
     /// Multiplicative jitter fraction in `[0, 1)`; each delivery is scaled
     /// by a uniform factor in `[1 - jitter, 1 + jitter]`.
     pub jitter: f64,
-    /// Latency for a node sending to itself (loopback).
+    /// Latency for a node sending to itself (loopback). A Gloss node hands
+    /// its broker's notifications to itself in-process, so this prices
+    /// only the storelet's and the overlay's sends to their own node.
     pub local: SimDuration,
 }
 

@@ -478,7 +478,9 @@ impl StoreNode {
 
     /// Cold start: reset overlay state and arm the periodic timers.
     pub fn on_start(&mut self, out: &mut Outbox<StoreMsg>) {
-        out.nested(&mut self.overlay_sends, StoreMsg::Overlay, |oout| self.overlay.on_start(oout));
+        out.nested(&mut self.overlay_sends, None, StoreMsg::Overlay, |oout| {
+            self.overlay.on_start(oout)
+        });
         out.timer(self.cfg.heal_interval, timers::HEAL);
         // Jittered per node so regional crashes do not produce a
         // synchronised wall of repair scans.
@@ -502,7 +504,7 @@ impl StoreNode {
             }
             timers::LOOKUP_RETRY => self.retry_sweep(now, out),
             _ => {
-                out.nested(&mut self.overlay_sends, StoreMsg::Overlay, |oout| {
+                out.nested(&mut self.overlay_sends, None, StoreMsg::Overlay, |oout| {
                     self.overlay.on_timer(now, tag, oout)
                 });
                 self.drain_failures(out);
@@ -800,7 +802,7 @@ impl StoreNode {
     ) {
         let path = LookupPath::from_iter([self.me]);
         let payload = lookup_payload(self.me, p.guid, req_id, p.issued_at, p.min_version, path);
-        let delivered = out.nested(&mut self.overlay_sends, StoreMsg::Overlay, |oout| {
+        let delivered = out.nested(&mut self.overlay_sends, None, StoreMsg::Overlay, |oout| {
             self.overlay.route(p.guid, payload, oout)
         });
         if delivered.is_some() {
@@ -1087,7 +1089,7 @@ impl StoreNode {
             path.push(self.me);
         }
 
-        let delivered = out.nested(&mut self.overlay_sends, StoreMsg::Overlay, |oout| {
+        let delivered = out.nested(&mut self.overlay_sends, None, StoreMsg::Overlay, |oout| {
             self.overlay.handle(now, from, omsg, oout)
         });
         self.drain_failures(out);
@@ -1175,7 +1177,7 @@ impl StoreNode {
     /// Originates an insert from this node (used by the harness).
     pub fn insert(&mut self, doc: Document, now: SimTime, out: &mut Outbox<StoreMsg>) {
         let guid = doc.guid;
-        let delivered = out.nested(&mut self.overlay_sends, StoreMsg::Overlay, |oout| {
+        let delivered = out.nested(&mut self.overlay_sends, None, StoreMsg::Overlay, |oout| {
             self.overlay.route(guid, StorePayload::Insert { doc }, oout)
         });
         // We are the root ourselves.
