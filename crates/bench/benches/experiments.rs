@@ -936,7 +936,7 @@ fn c8_store_lookup(c: &mut Criterion) {
     c.bench_function("c8_lookup_and_settle", |b| {
         b.iter(|| {
             reader = (reader + 1) % 12;
-            let id = net.lookup(NodeIndex(reader), doc.guid);
+            let id = net.lookup_retrying(NodeIndex(reader), doc.guid);
             net.run_for(SimDuration::from_secs(2));
             id
         })

@@ -387,7 +387,7 @@ pub fn repair(Args { nodes, seed, .. }: Args) -> String {
     // Zero data loss: every document's bytes and the reconstructed
     // erasure object must match what was inserted.
     let reader = first_alive(&net);
-    let doc_reqs: Vec<u64> = docs.iter().map(|d| net.lookup(reader, d.guid)).collect();
+    let doc_reqs: Vec<u64> = docs.iter().map(|d| net.lookup_retrying(reader, d.guid)).collect();
     let shard_reqs = net.lookup_erasure(reader, &shard_guids);
     net.run_for(SimDuration::from_secs(30));
     for (d, req) in docs.iter().zip(&doc_reqs) {

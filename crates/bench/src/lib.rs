@@ -302,7 +302,7 @@ pub fn c3_caching() -> String {
         for _ in 0..200 {
             let d = &docs[zipf.sample(&mut rng)];
             let reader = net.random_node();
-            net.lookup(reader, d.guid);
+            net.lookup_retrying(reader, d.guid);
             net.run_for(SimDuration::from_secs(2));
         }
         net.run_for(SimDuration::from_secs(30));
@@ -405,7 +405,7 @@ pub fn c5_placement() -> String {
         let reader = net.random_node_in("australia").expect("has australia");
         let mut latencies = Vec::new();
         for _ in 0..6 {
-            let id = net.lookup(reader, doc.guid);
+            let id = net.lookup_retrying(reader, doc.guid);
             net.run_for(SimDuration::from_secs(20));
             latencies
                 .push(net.result(id).map(|r| r.latency.as_secs_f64() * 1e3).unwrap_or(f64::NAN));

@@ -150,13 +150,13 @@ impl ThinServer {
             }
         }
         // Validate code before mutating anything.
+        let mut rules = Vec::new();
         let mut rule_names = Vec::new();
         let mut component_kind = None;
         let mut lint_warnings = 0;
         match &bundle.code {
             Code::Matchlet { source } => {
-                let rules =
-                    parse_rules(source).map_err(|e| BundleError::BadMatchlet(e.to_string()))?;
+                rules = parse_rules(source).map_err(|e| BundleError::BadMatchlet(e.to_string()))?;
                 // Static analysis gate: error-level findings (unbound
                 // variables, never-true conditions, duplicate rules)
                 // prove the matchlet defective — reject it before it
@@ -182,8 +182,9 @@ impl ThinServer {
                 self.objects.remove(o);
             }
         }
-        if let Code::Matchlet { source } = &bundle.code {
-            self.engine.add_rules(source).expect("validated above");
+        // The rules parsed and analysed above, in source order.
+        for rule in rules {
+            self.engine.add_rule(rule);
         }
         let mut object_names = Vec::new();
         for (name, value) in &bundle.data {

@@ -22,7 +22,7 @@ use gloss_knowledge::{
 };
 use gloss_overlay::Key;
 use gloss_sim::{Batch, Input, Node, NodeIndex, Outbox, SimDuration, SimTime};
-use gloss_store::{Document, StoreMsg, StoreNode};
+use gloss_store::{Document, LookupOutcome, StoreMsg, StoreNode};
 use gloss_xml::Element;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -182,6 +182,9 @@ pub struct GlossNode {
     /// capacity is reused from one activation to the next.
     broker_sends: Vec<(NodeIndex, BrokerMsg)>,
     store_sends: Vec<(NodeIndex, StoreMsg)>,
+    /// The lookups the storelet hands over after a call into it, kept
+    /// here so that the buffer's capacity is reused; empty between calls.
+    store_concluded: Vec<(u64, LookupOutcome)>,
     /// The thin server hosting matchlets.
     pub server: ThinServer,
     /// The node-local fact store (fed by `kb/…` documents).
@@ -236,6 +239,7 @@ impl GlossNode {
             store,
             broker_sends: Vec::new(),
             store_sends: Vec::new(),
+            store_concluded: Vec::new(),
             server,
             kb: InMemoryFacts::new(),
             delta_scratch: Vec::new(),
@@ -403,53 +407,53 @@ impl GlossNode {
         out: &mut Outbox<GlossMsg>,
     ) {
         for (instance, action) in actions {
-            if let gloss_deploy::Action::Deploy { kind, node } = action {
-                let cs = self.coordinator_state.as_ref().expect("only coordinator dispatches");
-                let bundle = match kind.strip_prefix("matchlet:") {
-                    Some(service_name) => match cs.services.get(service_name) {
-                        Some(spec) => Bundle::matchlet(instance.clone(), &spec.rules_source)
-                            .issued_by(self.key.issuer()),
-                        None => continue,
-                    },
-                    None => Bundle::component(instance.clone(), kind, Element::new("cfg"))
+            let gloss_deploy::Action::Deploy { kind, node } = action;
+            let cs = self.coordinator_state.as_ref().expect("only coordinator dispatches");
+            let bundle = match kind.strip_prefix("matchlet:") {
+                Some(service_name) => match cs.services.get(service_name) {
+                    Some(spec) => Bundle::matchlet(instance.clone(), &spec.rules_source)
                         .issued_by(self.key.issuer()),
-                };
-                let packet = bundle.to_packet(&self.key);
-                out.count("gloss.bundles_sent", 1.0);
-                out.send(node, GlossMsg::Bundle { instance, packet });
-            }
+                    None => continue,
+                },
+                None => Bundle::component(instance.clone(), kind, Element::new("cfg"))
+                    .issued_by(self.key.issuer()),
+            };
+            let packet = bundle.to_packet(&self.key);
+            out.count("gloss.bundles_sent", 1.0);
+            out.send(node, GlossMsg::Bundle { instance, packet });
         }
     }
 
-    /// Every call into the storelet goes through here: `call` runs
-    /// against the store with a store-plane outbox, and afterwards each
-    /// discovery fetch the coordinator awaits that the store now has an
-    /// outcome for is concluded — whichever way it ended (a reply, a
-    /// local copy, or the lookup-retry timer giving up). Workers and an
-    /// idle coordinator await nothing and pay one emptiness test.
+    /// Every call into the storelet goes through here, and it is the one
+    /// place that takes the lookups the storelet concluded: `call` runs
+    /// against the store with a store-plane outbox, then each lookup that
+    /// concluded in it is handed over once, oldest first. An awaited
+    /// discovery fetch deploys its handler code, however it ended (a
+    /// reply, a local copy, or the lookup-retry timer giving up).
+    /// `prefetch`, the prefetch this call issues, if any, ingests the
+    /// copy it found if it concluded on the spot; every other document
+    /// was ingested when its reply landed ([`store_do`](Self::store_do)).
     fn store_call(
         &mut self,
         now: SimTime,
+        prefetch: Option<u64>,
         out: &mut Outbox<GlossMsg>,
         call: impl FnOnce(&mut StoreNode, &mut Outbox<StoreMsg>),
     ) {
         out.nested(&mut self.store_sends, None, GlossMsg::Store, |sout| {
             call(&mut self.store, sout)
         });
-        let Some(cs) = self.coordinator_state.as_ref() else {
-            return;
-        };
-        if cs.handler_reqs.is_empty() {
-            return;
-        }
-        let concluded: Vec<u64> = cs
-            .handler_reqs
-            .keys()
-            .copied()
-            .filter(|req| self.store.outcomes.contains_key(req))
-            .collect();
-        for req in concluded {
-            self.conclude_discovery_fetch(now, req, out);
+        self.store.take_concluded(&mut self.store_concluded);
+        // An ingest can issue a prefetch and so re-enter this function,
+        // whose loop then takes over the conclusions still waiting here.
+        while !self.store_concluded.is_empty() {
+            let (req, outcome) = self.store_concluded.remove(0);
+            let kind = self.coordinator_state.as_mut().and_then(|cs| cs.handler_reqs.remove(&req));
+            match (kind, outcome.doc) {
+                (Some(kind), doc) => self.conclude_discovery_fetch(now, kind, doc, out),
+                (None, Some(doc)) if prefetch == Some(req) => self.ingest_document(now, &doc, out),
+                (None, _) => {}
+            }
         }
     }
 
@@ -467,7 +471,7 @@ impl GlossNode {
             StoreMsg::FetchReply { doc, .. } => Some(doc.clone()),
             _ => None,
         };
-        self.store_call(now, out, |store, sout| store.handle(now, from, msg, sout));
+        self.store_call(now, None, out, |store, sout| store.handle(now, from, msg, sout));
         if let Some(doc) = landed_doc {
             self.ingest_document(now, &doc, out);
         }
@@ -571,14 +575,18 @@ impl GlossNode {
         }
     }
 
-    /// Completes the awaited discovery fetch `req`, whose outcome the
-    /// store holds: deploy handler code to the reporters.
-    fn conclude_discovery_fetch(&mut self, now: SimTime, req: u64, out: &mut Outbox<GlossMsg>) {
+    /// Completes the awaited discovery fetch for `kind`, which found
+    /// `doc`, if anything: deploy handler code to the reporters.
+    fn conclude_discovery_fetch(
+        &mut self,
+        now: SimTime,
+        kind: String,
+        doc: Option<Document>,
+        out: &mut Outbox<GlossMsg>,
+    ) {
         let cs = self.coordinator_state.as_mut().expect("only the coordinator awaits fetches");
-        let kind = cs.handler_reqs.remove(&req).expect("an awaited request");
-        let outcome = self.store.outcomes.get(&req).cloned().expect("a concluded request");
         let reporters = cs.discovery_pending.remove(&kind).unwrap_or_default();
-        match outcome.doc {
+        match doc {
             Some(doc) => {
                 let Ok(source) = String::from_utf8(doc.content.to_vec()) else {
                     return;
@@ -630,7 +638,7 @@ impl GlossNode {
         let me = self.me;
         self.broker_do(now, me, BrokerMsg::Attach, out);
         // Storage/overlay stack.
-        self.store_call(now, out, |store, sout| store.on_start(sout));
+        self.store_call(now, None, out, |store, sout| store.on_start(now, sout));
         if self.is_coordinator() {
             self.subscribe_kind(now, gloss_deploy::resource::kinds::ADVERTISE, out);
             self.subscribe_kind(now, gloss_deploy::resource::kinds::WITHDRAW, out);
@@ -662,7 +670,9 @@ impl GlossNode {
                 }
                 out.timer(SWEEP_EVERY, timers::SWEEP);
             }
-            other => self.store_call(now, out, |store, sout| store.on_timer(now, other, sout)),
+            other => {
+                self.store_call(now, None, out, |store, sout| store.on_timer(now, other, sout))
+            }
         }
     }
 
@@ -692,21 +702,18 @@ impl GlossNode {
     }
 
     /// Looks `guid` up in the store, refusing copies below version
-    /// `floor`, and ingests what comes back.
+    /// `floor`, and ingests what comes back: a reply when it lands, a
+    /// locally held copy (concluded with no reply message) in the call
+    /// that issues the lookup.
     fn prefetch(&mut self, guid: Key, floor: u64, now: SimTime, out: &mut Outbox<GlossMsg>) {
         self.sub_seq += 1;
-        // The store's outcome ledger is this node's own, so the id needs
-        // no node bits: a tag bit over the per-node sequence, below the
+        // The store's ledger is this node's own, so the id needs no node
+        // bits: a tag bit over the per-node sequence, below the
         // coordinator's discovery fetches (bit 52).
         let req = (1 << 48) | self.sub_seq;
-        self.store_call(now, out, |store, sout| {
+        self.store_call(now, Some(req), out, |store, sout| {
             store.lookup_min_version(guid, floor, req, now, sout)
         });
-        // A locally held copy concludes synchronously with no FetchReply
-        // message, so the ingest hook must run here.
-        if let Some(doc) = self.store.outcomes.get(&req).and_then(|o| o.doc.clone()) {
-            self.ingest_document(now, &doc, out);
-        }
     }
 }
 
@@ -807,7 +814,9 @@ impl GlossNode {
                 }
                 if let Some((req, guid)) = fetch {
                     out.count("gloss.discovery_lookups", 1.0);
-                    self.store_call(now, out, |store, sout| store.lookup(guid, req, now, sout));
+                    self.store_call(now, None, out, |store, sout| {
+                        store.lookup(guid, req, now, sout)
+                    });
                 }
             }
         }
@@ -1066,10 +1075,8 @@ mod tests {
         Fact::new("bob", "likes", Term::str(object))
     }
 
-    /// Prefetch request ids stay distinct however many a node issues. An
-    /// id that repeated an earlier one (node bits overlapping a sequence
-    /// past 2^20) had its outcome dropped as a duplicate, and the ingest
-    /// then read the earlier request's stale document.
+    /// A pull issued 2^20 requests after another ingests the newer copy
+    /// it finds, and every conclusion is taken in the call it happens in.
     #[test]
     fn prefetch_ids_stay_distinct_past_two_to_the_twenty_requests() {
         let mut node = worker(NodeIndex(1));
@@ -1086,8 +1093,24 @@ mod tests {
         node.store.insert(v1.updated(v2.content), SimTime::ZERO, &mut Outbox::new());
         node.sub_seq += (1 << 20) - 1;
         deliver(&mut node, peer, GlossMsg::PrefetchSubject("bob".into()));
-        assert_eq!(node.store.outcomes.len(), 2, "two requests, two ids, two outcomes");
+        assert!(node.store_concluded.is_empty(), "every conclusion was taken");
         assert_eq!(bob(&node), [fact("ice cream")], "the fresh outcome was ingested");
+    }
+
+    /// A reply whose lookup has already ended is a duplicate to the
+    /// store, which hands no second outcome over; the document it carries
+    /// still ingests, as every document landing at a node does.
+    #[test]
+    fn a_duplicate_reply_still_ingests_its_document() {
+        let mut node = worker(NodeIndex(1));
+        node.handle(SimTime::ZERO, Input::Start, &mut Outbox::new());
+        let doc = snapshot_doc(&[fact("tea")], Some((7, 1)));
+        let reply = StoreMsg::FetchReply { req_id: 77, doc, from_cache: false, hops: 1 };
+        let mut out = Outbox::new();
+        let msg = GlossMsg::Store(reply);
+        node.handle(SimTime::ZERO, Input::Msg { from: NodeIndex(2), msg }, &mut out);
+        assert!(counted(&out, "store.lookups_dup_replies"));
+        assert_eq!(bob(&node), [fact("tea")]);
     }
 
     /// A `kb/bob` snapshot document; versioned when `version` is given.

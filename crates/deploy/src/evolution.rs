@@ -18,11 +18,6 @@ pub enum Action {
         /// The target node.
         node: NodeIndex,
     },
-    /// Remove an instance.
-    Remove {
-        /// The instance id.
-        instance: String,
-    },
 }
 
 /// The evolution engine: holds the constraint set, the resource view
@@ -131,18 +126,11 @@ impl EvolutionEngine {
         let actions = plan_repairs(&self.constraints, &projected, &self.resources);
         let mut out = Vec::new();
         for action in actions {
-            match &action {
-                Action::Deploy { kind, node } => {
-                    self.next_instance += 1;
-                    let instance = format!("{kind}@{}#{}", node, self.next_instance);
-                    self.pending.insert(instance.clone(), (kind.clone(), *node));
-                    out.push((instance, action));
-                }
-                Action::Remove { instance } => {
-                    self.deployment.remove(instance);
-                    out.push((instance.clone(), action));
-                }
-            }
+            let Action::Deploy { kind, node } = &action;
+            self.next_instance += 1;
+            let instance = format!("{kind}@{}#{}", node, self.next_instance);
+            self.pending.insert(instance.clone(), (kind.clone(), *node));
+            out.push((instance, action));
         }
         out
     }
@@ -271,9 +259,7 @@ mod tests {
         let hosting: NodeIndex = e.deployment.instances_of("repl").next().unwrap().1;
         let repairs = e.on_event(t(10), &NodeResources::failed_event(hosting));
         assert_eq!(repairs.len(), 1, "replacement planned immediately");
-        let (instance, Action::Deploy { node, .. }) = &repairs[0] else {
-            panic!("expected deploy");
-        };
+        let (instance, Action::Deploy { node, .. }) = &repairs[0];
         assert_ne!(*node, hosting, "replacement goes to a surviving node");
         e.confirm_deploy(t(12), instance);
         assert_eq!(e.satisfaction(), 1.0);

@@ -121,13 +121,8 @@ mod tests {
         d.place("x", "other", NodeIndex(0)); // pre-existing load on node 0
         let actions = plan_repairs(&constraints, &d, &res);
         assert_eq!(actions.len(), 2);
-        let nodes: Vec<NodeIndex> = actions
-            .iter()
-            .map(|a| match a {
-                Action::Deploy { node, .. } => *node,
-                other => panic!("unexpected {other:?}"),
-            })
-            .collect();
+        let nodes: Vec<NodeIndex> =
+            actions.iter().map(|Action::Deploy { node, .. }| *node).collect();
         assert!(nodes.contains(&NodeIndex(1)), "least loaded first");
         assert!(nodes.contains(&NodeIndex(2)));
     }

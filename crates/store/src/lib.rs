@@ -52,7 +52,7 @@ pub mod store_node;
 pub use cache::LruCache;
 pub use document::{Document, Priority};
 pub use erasure::{ErasureCode, ErasureError};
-pub use network::{LookupResult, StoreNetwork};
+pub use network::StoreNetwork;
 pub use placement::{
     plan_quota_targets, BackupPolicy, LatencyReductionPolicy, NodeCapacity, NodeSite,
     PlacementAction, PlacementPolicy,

@@ -10,14 +10,14 @@ use gloss_overlay::{ring_settle, Key, OverlayNode};
 use gloss_sim::{Input, Node, NodeIndex, Outbox, SimDuration, SimRng, SimTime, Topology, World};
 use std::collections::BTreeMap;
 
-/// Convenient alias: the outcome of one lookup.
-pub type LookupResult = LookupOutcome;
-
 /// The world node wrapping a [`StoreNode`].
 #[derive(Debug)]
 pub struct StoreWorldNode {
     /// The storage state machine.
     pub store: StoreNode,
+    /// Every lookup this node issued that has concluded, in the order
+    /// they concluded: the harness's results, kept for the whole run.
+    concluded: Vec<(u64, LookupOutcome)>,
 }
 
 impl Node for StoreWorldNode {
@@ -25,10 +25,11 @@ impl Node for StoreWorldNode {
 
     fn handle(&mut self, now: SimTime, input: Input<StoreMsg>, out: &mut Outbox<StoreMsg>) {
         match input {
-            Input::Start => self.store.on_start(out),
+            Input::Start => self.store.on_start(now, out),
             Input::Timer { tag } => self.store.on_timer(now, tag, out),
             Input::Msg { from, msg } => self.store.handle(now, from, msg, out),
         }
+        self.store.take_concluded(&mut self.concluded);
     }
 }
 
@@ -63,6 +64,7 @@ impl StoreNetwork {
                 let idx = overlay.id().node;
                 StoreWorldNode {
                     store: StoreNode::new(idx, overlay, cfg.clone(), directory.clone()),
+                    concluded: Vec::new(),
                 }
             })
             .collect();
@@ -123,21 +125,12 @@ impl StoreNetwork {
         self.world.inject(node, node, StoreMsg::insert_via(node, doc));
     }
 
-    /// Looks up `guid` from `node`; returns the request id.
-    pub fn lookup(&mut self, node: NodeIndex, guid: Key) -> u64 {
-        self.next_req += 1;
-        let id = self.next_req;
-        self.req_origin.insert(id, node);
-        let now = self.world.now();
-        self.world.inject(node, node, StoreMsg::lookup_via(node, guid, id, now));
-        id
-    }
-
-    /// Originates a lookup through the node's full client path — local
-    /// fast path, routing, and the retry/backoff plane. Unlike
-    /// [`lookup`](Self::lookup) (a raw injected route), an unanswered
-    /// request here is re-routed with exponential backoff and concludes
-    /// as a timeout outcome once the attempt budget is spent.
+    /// Looks `guid` up from `node` through the client path every lookup
+    /// takes ([`StoreMsg::LocalLookup`]): `node`'s own fresh copy answers
+    /// at once; otherwise the request is routed, re-routed with
+    /// exponential backoff while unanswered, and concludes as a timeout
+    /// once the attempt budget is spent. Returns the request id
+    /// [`result`](Self::result) takes.
     pub fn lookup_retrying(&mut self, node: NodeIndex, guid: Key) -> u64 {
         self.next_req += 1;
         let id = self.next_req;
@@ -147,9 +140,10 @@ impl StoreNetwork {
     }
 
     /// The outcome of a lookup, if concluded.
-    pub fn result(&self, req_id: u64) -> Option<&LookupResult> {
+    pub fn result(&self, req_id: u64) -> Option<&LookupOutcome> {
         let origin = self.req_origin.get(&req_id)?;
-        self.world.node(*origin).store.outcomes.get(&req_id)
+        let concluded = &self.world.node(*origin).concluded;
+        concluded.iter().find(|(id, _)| *id == req_id).map(|(_, outcome)| outcome)
     }
 
     /// How many *alive* nodes durably hold `guid`.
@@ -243,7 +237,7 @@ impl StoreNetwork {
     /// lookups for all shards; call after [`run_for`](Self::run_for) has
     /// let the lookups conclude, passing the ids returned here.
     pub fn lookup_erasure(&mut self, node: NodeIndex, shard_guids: &[Key]) -> Vec<u64> {
-        shard_guids.iter().map(|g| self.lookup(node, *g)).collect()
+        shard_guids.iter().map(|g| self.lookup_retrying(node, *g)).collect()
     }
 
     /// Attempts reconstruction from the concluded shard lookups.
@@ -291,7 +285,7 @@ mod tests {
         net.insert(writer, doc.clone());
         net.run_for(SimDuration::from_secs(30));
         assert!(net.replica_count(doc.guid) >= 1);
-        let id = net.lookup(reader, doc.guid);
+        let id = net.lookup_retrying(reader, doc.guid);
         net.run_for(SimDuration::from_secs(30));
         let r = net.result(id).expect("lookup concluded");
         assert_eq!(r.doc.as_ref().unwrap().content, doc.content);
@@ -310,7 +304,7 @@ mod tests {
     #[test]
     fn missing_guid_concludes_not_found() {
         let mut net = settled(12, StoreConfig::default(), 13);
-        let id = net.lookup(NodeIndex(3), Key::hash_of_str("never-inserted"));
+        let id = net.lookup_retrying(NodeIndex(3), Key::hash_of_str("never-inserted"));
         net.run_for(SimDuration::from_secs(30));
         let r = net.result(id).expect("concluded");
         assert!(r.doc.is_none());
@@ -323,10 +317,10 @@ mod tests {
         net.insert(NodeIndex(0), doc.clone());
         net.run_for(SimDuration::from_secs(30));
         let reader = NodeIndex(19);
-        let first = net.lookup(reader, doc.guid);
+        let first = net.lookup_retrying(reader, doc.guid);
         net.run_for(SimDuration::from_secs(30));
         let first_latency = net.result(first).unwrap().latency;
-        let second = net.lookup(reader, doc.guid);
+        let second = net.lookup_retrying(reader, doc.guid);
         net.run_for(SimDuration::from_secs(30));
         let r2 = net.result(second).unwrap();
         assert!(r2.from_cache || r2.latency < first_latency);
@@ -464,9 +458,9 @@ mod tests {
         for v in victims {
             net.crash(v);
         }
-        // A raw routed lookup towards a dead holder would hang forever;
-        // the client-path lookup re-routes with backoff and concludes —
-        // as not-found or a timeout — within the retry budget.
+        // A lookup routed towards a dead holder is re-routed with backoff
+        // and concludes — as not-found or a timeout — within the retry
+        // budget.
         let id = net.lookup_retrying(reader, doc.guid);
         net.run_for(SimDuration::from_secs(90));
         let r = net.result(id).expect("lookup never concluded despite retry plane");
@@ -545,7 +539,7 @@ mod tests {
         // Read repeatedly from Australia.
         let mut latencies = Vec::new();
         for _ in 0..6 {
-            let id = net.lookup(reader, doc.guid);
+            let id = net.lookup_retrying(reader, doc.guid);
             net.run_for(SimDuration::from_secs(20));
             latencies.push(net.result(id).unwrap().latency);
         }

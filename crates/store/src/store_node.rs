@@ -5,19 +5,22 @@
 //! A lookup's life is three functions, each the only one of its kind.
 //! `send_lookup` builds the routed payload and routes it, for the first
 //! send and for every retry the `LOOKUP_RETRY` sweep makes: in flight it
-//! arms the next deadline, and when this node turns out to be the
-//! responsible one it ends the lookup on the spot. `reply` is what a
-//! serving node sends back — an en-route node intercepting with a
-//! fresh-enough copy, or the responsible node with whatever it holds
-//! (`FetchReply`) or nothing (`NotFound`). `conclude` is where every
-//! lookup ends at its issuer, whichever way the answer came (own copy,
-//! reply message, retry budget spent): it alone forgets the pending
-//! entry, drops a duplicate reply, counts and observes, and hands the
-//! outcome to [`StoreNode::outcomes`] or — for the repair pipeline's own
-//! audit lookups, which touch no client counter — to the fragment audit.
-//! This file is also the only one that knows the shape of a routed
-//! [`StorePayload`]: harnesses inject [`StoreMsg::insert_via`] and
-//! [`StoreMsg::lookup_via`].
+//! enters the lookup in the ledger (`pending_lookups`) under its next
+//! deadline, and when this node turns out to be the responsible one it
+//! ends the lookup on the spot. `reply` is what a serving node sends
+//! back — an en-route node intercepting with a fresh-enough copy, or the
+//! responsible node with whatever it holds (`FetchReply`) or nothing
+//! (`NotFound`). `conclude` is where every lookup ends at its issuer,
+//! whichever way the answer came (own copy, reply message, retry budget
+//! spent): it takes the ledger entry it ends, counts and observes, and
+//! hands the outcome to the embedder once ([`StoreNode::take_concluded`])
+//! or — for the repair pipeline's own audit lookups, which touch no
+//! client counter — to the fragment audit. The ledger is the only record
+//! of an open lookup: a reply whose request it no longer holds is a
+//! duplicate, and each storelet keeps one retry timer, armed for the
+//! ledger's earliest deadline. This file is also the only one that knows
+//! the shape of a routed [`StorePayload`]: harnesses inject
+//! [`StoreMsg::insert_via`] and [`StoreMsg::LocalLookup`].
 
 use crate::cache::LruCache;
 use crate::document::{Document, Priority};
@@ -29,7 +32,7 @@ use crate::placement::{
 use crate::repair::{FragmentManifest, RepairScheduler};
 use gloss_governor::backoff::{exponential, jittered};
 use gloss_overlay::{Delivery, Key, OverlayMsg, OverlayNode};
-use gloss_sim::{splitmix64, FnvHashMap, NodeIndex, Outbox, SimDuration, SimTime};
+use gloss_sim::{splitmix64, NodeIndex, Outbox, SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Timer tags private to the storage layer (overlay tags pass through).
@@ -44,8 +47,8 @@ pub mod timers {
 
 /// High bit marking request ids minted by the storage layer itself
 /// (fragment audits); their outcomes feed the repair pipeline instead of
-/// the embedder-visible [`StoreNode::outcomes`] map. Embedder request
-/// ids must stay below this bit.
+/// being handed to the embedder ([`StoreNode::take_concluded`]).
+/// Embedder request ids must stay below this bit.
 pub const INTERNAL_REQ_BIT: u64 = 1 << 63;
 
 /// Payloads routed through the overlay.
@@ -64,8 +67,6 @@ pub enum StorePayload {
         reply_to: NodeIndex,
         /// Correlation id (assigned by the requester).
         req_id: u64,
-        /// When the request was issued (for latency measurement).
-        issued_at: SimTime,
         /// Nodes the request has passed through (promiscuous caching
         /// pushes copies back along this path).
         path: LookupPath,
@@ -173,8 +174,6 @@ pub enum StoreMsg {
         req_id: u64,
         /// The document found.
         doc: Document,
-        /// When the lookup was issued.
-        issued_at: SimTime,
         /// Whether it was served from a cache (vs a durable replica).
         from_cache: bool,
         /// Overlay hops the request travelled before being served.
@@ -184,59 +183,29 @@ pub enum StoreMsg {
     NotFound {
         /// Correlation id.
         req_id: u64,
-        /// The GUID sought.
-        guid: Key,
-        /// When the lookup was issued.
-        issued_at: SimTime,
     },
     /// Harness request: originate a lookup from this node through the
-    /// full client path — local fast path, routing, and the retry /
-    /// backoff plane (unlike a raw injected `Route`, which bypasses
-    /// retries).
+    /// client path every lookup takes — local fast path, routing, and
+    /// the retry / backoff plane. Its outcome is handed over once,
+    /// through [`StoreNode::take_concluded`], under `req_id`.
     LocalLookup {
         /// The GUID to look up.
         guid: Key,
-        /// Correlation id for [`StoreNode::outcomes`].
+        /// Correlation id (below [`INTERNAL_REQ_BIT`]).
         req_id: u64,
     },
-}
-
-/// The routed form of a lookup issued by `reply_to`. `path` lists the
-/// nodes that have already looked at home: the issuer itself when it
-/// routes the request on, nobody yet when a harness hands the request to
-/// the issuer as a message.
-fn lookup_payload(
-    reply_to: NodeIndex,
-    guid: Key,
-    req_id: u64,
-    issued_at: SimTime,
-    min_version: u64,
-    path: LookupPath,
-) -> StorePayload {
-    StorePayload::Lookup { guid, reply_to, req_id, issued_at, path, min_version }
 }
 
 impl StoreMsg {
     /// What a harness injects at `via` (as a message from `via` to
     /// itself) to insert `doc` from there.
     pub fn insert_via(via: NodeIndex, doc: Document) -> Self {
-        Self::routed(via, doc.guid, StorePayload::Insert { doc })
-    }
-
-    /// What a harness injects at `via` to look `guid` up from there:
-    /// served from `via`'s own copy or routed on, any copy accepted, the
-    /// reply coming back to `via` under `req_id` — once, with no retry
-    /// plane behind it ([`StoreMsg::LocalLookup`] is the client path).
-    pub fn lookup_via(via: NodeIndex, guid: Key, req_id: u64, now: SimTime) -> Self {
-        Self::routed(via, guid, lookup_payload(via, guid, req_id, now, 0, LookupPath::default()))
-    }
-
-    fn routed(origin: NodeIndex, target: Key, payload: StorePayload) -> Self {
-        StoreMsg::Overlay(OverlayMsg::Route { target, payload, origin, hops: 0 })
+        let (target, payload) = (doc.guid, StorePayload::Insert { doc });
+        StoreMsg::Overlay(OverlayMsg::Route { target, payload, origin: via, hops: 0 })
     }
 }
 
-/// The outcome of a lookup, recorded at the requesting node.
+/// The outcome of a lookup, handed to the embedder of the node that issued it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LookupOutcome {
     /// The GUID sought.
@@ -303,9 +272,9 @@ impl Default for StoreConfig {
     }
 }
 
-/// A lookup this node issued and has not yet seen answered: the retry
-/// plane re-routes it when its deadline lapses and reports a timeout
-/// outcome once the attempt budget is spent.
+/// A lookup this node issued and has not yet seen answered, as the
+/// ledger holds it: the retry plane re-routes it when its deadline lapses
+/// and reports a timeout outcome once the attempt budget is spent.
 #[derive(Debug, Clone, Copy)]
 struct PendingLookup {
     guid: Key,
@@ -361,9 +330,6 @@ pub struct StoreNode {
     backup_policy: Option<BackupPolicy>,
     /// Nodes we have pushed policy replicas of each doc to.
     policy_holders: BTreeMap<Key, BTreeSet<NodeIndex>>,
-    /// Outcomes of lookups issued from this node, by request id (FNV:
-    /// written once per lookup, probed by the discovery/ingest hooks).
-    pub outcomes: FnvHashMap<u64, LookupOutcome>,
     /// Durable bytes stored locally (replicas + primaries).
     used: u64,
     /// Last advertised durable usage of each peer (from
@@ -373,8 +339,13 @@ pub struct StoreNode {
     /// known (acknowledged) to live. Purged when the overlay declares a
     /// holder dead; the repair scan replaces the lost copies.
     replica_locations: BTreeMap<Key, BTreeSet<NodeIndex>>,
-    /// Lookups awaiting a reply, by request id.
+    /// The ledger: every open lookup, by request id, and nothing else.
     pending_lookups: BTreeMap<u64, PendingLookup>,
+    /// The instant the one armed `LOOKUP_RETRY` timer falls due, if one
+    /// is armed: the ledger's earliest deadline when it was armed.
+    retry_armed: Option<SimTime>,
+    /// Embedder lookups concluded since the embedder last took them.
+    concluded: Vec<(u64, LookupOutcome)>,
     /// Fragment audits in flight, by manifest GUID.
     repairs: BTreeMap<Key, FragmentRepair>,
     /// Anti-storm pacing for repair traffic.
@@ -417,11 +388,12 @@ impl StoreNode {
             latency_policy,
             backup_policy,
             policy_holders: BTreeMap::new(),
-            outcomes: FnvHashMap::default(),
             used: 0,
             peer_used: BTreeMap::new(),
             replica_locations: BTreeMap::new(),
             pending_lookups: BTreeMap::new(),
+            retry_armed: None,
+            concluded: Vec::new(),
             repairs: BTreeMap::new(),
             scheduler,
             internal_req: 0,
@@ -476,8 +448,12 @@ impl StoreNode {
         }
     }
 
-    /// Cold start: reset overlay state and arm the periodic timers.
-    pub fn on_start(&mut self, out: &mut Outbox<StoreMsg>) {
+    /// Cold start (and recovery): reset overlay state, arm the periodic
+    /// timers, and watch the ledger's first deadline still ahead. A
+    /// retry timer that fell due while this node was down never fired,
+    /// so it is no longer armed; the lookups it watched are swept with
+    /// the next deadline.
+    pub fn on_start(&mut self, now: SimTime, out: &mut Outbox<StoreMsg>) {
         out.nested(&mut self.overlay_sends, None, StoreMsg::Overlay, |oout| {
             self.overlay.on_start(oout)
         });
@@ -486,6 +462,11 @@ impl StoreNode {
         // synchronised wall of repair scans.
         let delay = self.scheduler.backoff(REPAIR_INTERVAL);
         out.timer(delay, timers::REPAIR);
+        self.retry_armed = self.retry_armed.filter(|at| *at >= now);
+        let next = self.pending_lookups.values().map(|p| p.deadline).filter(|d| *d >= now).min();
+        if let Some(deadline) = next {
+            self.arm_retry(deadline, now, out);
+        }
     }
 
     /// Timer dispatch (overlay tags pass through; `HEAL` audits replicas,
@@ -672,7 +653,8 @@ impl StoreNode {
     }
 
     /// Receives the outcome of one internal shard lookup; when the last
-    /// one lands, the audit concludes.
+    /// one lands, the audit concludes. The ledger concludes each lookup
+    /// once, and an audit stays open until its last lookup concludes.
     fn on_internal_outcome(
         &mut self,
         req: u64,
@@ -680,15 +662,14 @@ impl StoreNode {
         now: SimTime,
         out: &mut Outbox<StoreMsg>,
     ) {
-        let Some(mguid) =
-            self.repairs.iter().find(|(_, fr)| fr.pending.contains_key(&req)).map(|(g, _)| *g)
-        else {
-            return; // late duplicate reply after the audit concluded
-        };
+        let (&mguid, fr) = self
+            .repairs
+            .iter_mut()
+            .find(|(_, fr)| fr.pending.contains_key(&req))
+            .expect("an audit lookup concludes while its audit is open");
         if outcome.doc.is_some() {
             out.count("store.repair_fetches", 1.0);
         }
-        let fr = self.repairs.get_mut(&mguid).expect("found above");
         let idx = fr.pending.remove(&req).expect("found above");
         // When the responsible node answered from its *cache*, the bytes
         // survive but no durable authority holds them: keep them (they
@@ -762,8 +743,19 @@ impl StoreNode {
         jittered(exponential(LOOKUP_TIMEOUT, attempt), 0.25, &mut self.rng)
     }
 
+    /// Arms the retry timer for `deadline` unless the armed one falls
+    /// due no later: a timer only ever watches the earliest deadline.
+    fn arm_retry(&mut self, deadline: SimTime, now: SimTime, out: &mut Outbox<StoreMsg>) {
+        if self.retry_armed.is_none_or(|armed| deadline < armed) {
+            self.retry_armed = Some(deadline);
+            out.timer(deadline.since(now), timers::LOOKUP_RETRY);
+        }
+    }
+
     /// Sweeps lookup deadlines: re-sends lapsed requests with budget left,
-    /// concludes the rest as timed out.
+    /// concludes the rest as timed out, then watches the earliest
+    /// deadline left. A sweep at or after the armed instant is that
+    /// timer's; an earlier one is a timer an earlier deadline superseded.
     fn retry_sweep(&mut self, now: SimTime, out: &mut Outbox<StoreMsg>) {
         let due: Vec<u64> = self
             .pending_lookups
@@ -772,9 +764,9 @@ impl StoreNode {
             .map(|(r, _)| *r)
             .collect();
         for req in due {
-            let mut p = self.pending_lookups[&req];
+            let mut p = self.pending_lookups.remove(&req).expect("due entries are in the ledger");
             if p.attempts >= LOOKUP_RETRIES {
-                self.conclude(req, p.guid, Answer::TimedOut, p.issued_at, now, out);
+                self.conclude(req, p, Answer::TimedOut, now, out);
                 continue;
             }
             p.attempts += 1;
@@ -783,16 +775,22 @@ impl StoreNode {
             // crashed hop (or the responsible node died holding it).
             self.send_lookup(req, p, now, out);
         }
+        if self.retry_armed.is_some_and(|armed| armed <= now) {
+            self.retry_armed = None;
+        }
+        if let Some(next) = self.pending_lookups.values().map(|p| p.deadline).min() {
+            self.arm_retry(next, now, out);
+        }
     }
 
     /// Routes request `req_id` toward its GUID's responsible node — the
-    /// first send and every retry. In flight, it arms the retry plane:
-    /// an unanswered lookup (crashed holder, lost carrier) is re-sent
-    /// after a jittered deadline and concluded as timed out once the
-    /// attempt budget is spent. When this node is the responsible one
-    /// (from the start, or because the ring shrank onto it), it answers
-    /// with whatever it holds — the version floor only filters
-    /// non-authoritative copies — or concludes the miss.
+    /// first send and every retry. In flight, it enters the lookup in
+    /// the ledger under a jittered deadline: an unanswered lookup
+    /// (crashed holder, lost carrier) is re-sent then, and concluded as
+    /// timed out once the attempt budget is spent. When this node is the
+    /// responsible one (from the start, or because the ring shrank onto
+    /// it), it answers with whatever it holds — the version floor only
+    /// filters non-authoritative copies — or concludes the miss.
     fn send_lookup(
         &mut self,
         req_id: u64,
@@ -801,52 +799,43 @@ impl StoreNode {
         out: &mut Outbox<StoreMsg>,
     ) {
         let path = LookupPath::from_iter([self.me]);
-        let payload = lookup_payload(self.me, p.guid, req_id, p.issued_at, p.min_version, path);
+        let (guid, min_version) = (p.guid, p.min_version);
+        let payload = StorePayload::Lookup { guid, reply_to: self.me, req_id, path, min_version };
         let delivered = out.nested(&mut self.overlay_sends, None, StoreMsg::Overlay, |oout| {
-            self.overlay.route(p.guid, payload, oout)
+            self.overlay.route(guid, payload, oout)
         });
         if delivered.is_some() {
-            let answer = match self.local_copy(p.guid, 0) {
+            let answer = match self.local_copy(guid, 0) {
                 Some((doc, from_cache)) => Answer::Copy { doc, from_cache, hops: None },
                 None => Answer::Missing,
             };
-            self.conclude(req_id, p.guid, answer, p.issued_at, now, out);
+            self.conclude(req_id, p, answer, now, out);
         } else {
-            let delay = self.retry_delay(p.attempts);
-            self.pending_lookups.insert(req_id, PendingLookup { deadline: now + delay, ..p });
-            out.timer(delay, timers::LOOKUP_RETRY);
+            let deadline = now + self.retry_delay(p.attempts);
+            self.pending_lookups.insert(req_id, PendingLookup { deadline, ..p });
+            self.arm_retry(deadline, now, out);
         }
     }
 
     /// The one end of every lookup this node issued, however it was
-    /// answered: forgets the pending entry, drops a duplicate reply,
+    /// answered: takes the ledger entry `p` it ends (already out of the
+    /// ledger, or never entered when the lookup ended where it began),
     /// counts and observes, caches a fetched copy, and hands the outcome
-    /// to the embedder-visible [`outcomes`](Self::outcomes) map — or, for
-    /// an internal request, to the fragment audit, which does its own
+    /// to the embedder ([`take_concluded`](Self::take_concluded)) — or,
+    /// for an internal request, to the fragment audit, which does its own
     /// counting: an audit's lookups are the repair pipeline's, not a
     /// client's, and touch no client counter or histogram.
     fn conclude(
         &mut self,
         req_id: u64,
-        guid: Key,
+        p: PendingLookup,
         answer: Answer,
-        issued_at: SimTime,
         now: SimTime,
         out: &mut Outbox<StoreMsg>,
     ) {
-        self.pending_lookups.remove(&req_id);
         let internal = req_id & INTERNAL_REQ_BIT != 0;
-        let latency = now.since(issued_at);
+        let latency = now.since(p.issued_at);
         if !internal {
-            // First conclusion wins: re-routing delivers at least once,
-            // so a request the retry plane already concluded (or a slow
-            // original racing its own re-route) can see a second reply.
-            // Dropping it keeps outcomes — and their latencies —
-            // deterministic. (The audit drops its own late duplicates.)
-            if self.outcomes.contains_key(&req_id) {
-                out.count("store.lookups_dup_replies", 1.0);
-                return;
-            }
             match &answer {
                 Answer::Copy { doc, from_cache, hops } => {
                     out.count("store.lookups_ok", 1.0);
@@ -871,11 +860,25 @@ impl StoreNode {
             Answer::Copy { doc, from_cache, hops } => (Some(doc), from_cache, hops.unwrap_or(0)),
             Answer::Missing | Answer::TimedOut => (None, false, 0),
         };
-        let outcome = LookupOutcome { guid, doc, latency, from_cache, hops };
+        let outcome = LookupOutcome { guid: p.guid, doc, latency, from_cache, hops };
         if internal {
             self.on_internal_outcome(req_id, outcome, now, out);
         } else {
-            self.outcomes.insert(req_id, outcome);
+            self.concluded.push((req_id, outcome));
+        }
+    }
+
+    /// Ends request `req_id` with the `answer` a reply message brought.
+    /// Re-routing delivers at least once, so a request the retry plane
+    /// already concluded (or a slow original racing its own re-route)
+    /// can see a second reply: one whose request is no longer in the
+    /// ledger is a duplicate, dropped, and counted for an embedder's
+    /// request.
+    fn on_reply(&mut self, req_id: u64, answer: Answer, now: SimTime, out: &mut Outbox<StoreMsg>) {
+        match self.pending_lookups.remove(&req_id) {
+            Some(p) => self.conclude(req_id, p, answer, now, out),
+            None if req_id & INTERNAL_REQ_BIT == 0 => out.count("store.lookups_dup_replies", 1.0),
+            None => {}
         }
     }
 
@@ -1037,14 +1040,10 @@ impl StoreNode {
                     out.send(from, StoreMsg::ReplicaPut { doc });
                 }
             }
-            StoreMsg::FetchReply { req_id, doc, issued_at, from_cache, hops } => {
-                let guid = doc.guid;
-                let answer = Answer::Copy { doc, from_cache, hops: Some(hops) };
-                self.conclude(req_id, guid, answer, issued_at, now, out);
+            StoreMsg::FetchReply { req_id, doc, from_cache, hops } => {
+                self.on_reply(req_id, Answer::Copy { doc, from_cache, hops: Some(hops) }, now, out);
             }
-            StoreMsg::NotFound { req_id, guid, issued_at } => {
-                self.conclude(req_id, guid, Answer::Missing, issued_at, now, out);
-            }
+            StoreMsg::NotFound { req_id } => self.on_reply(req_id, Answer::Missing, now, out),
             StoreMsg::LocalLookup { guid, req_id } => {
                 self.lookup(guid, req_id, now, out);
             }
@@ -1061,7 +1060,7 @@ impl StoreNode {
         // Intercept lookups: any node along the route holding a copy
         // answers immediately (promiscuous caching's latency win).
         if let OverlayMsg::Route {
-            payload: StorePayload::Lookup { guid, reply_to, req_id, issued_at, path, min_version },
+            payload: StorePayload::Lookup { guid, reply_to, req_id, path, min_version },
             hops,
             ..
         } = &mut omsg
@@ -1083,7 +1082,7 @@ impl StoreNode {
                         out.send(n, StoreMsg::CachePush { doc: copy.0.clone() });
                     }
                 }
-                self.reply(*reply_to, *req_id, *guid, *issued_at, Some(copy), *hops, now, out);
+                self.reply(*reply_to, *req_id, *guid, Some(copy), *hops, now, out);
                 return;
             }
             path.push(self.me);
@@ -1100,9 +1099,9 @@ impl StoreNode {
                 // Delivered at the responsible node: it answers with
                 // whatever it holds, and when that is nothing the
                 // document does not exist.
-                StorePayload::Lookup { guid, reply_to, req_id, issued_at, .. } => {
+                StorePayload::Lookup { guid, reply_to, req_id, .. } => {
                     let copy = self.local_copy(guid, 0);
-                    self.reply(reply_to, req_id, guid, issued_at, copy, d.hops, now, out);
+                    self.reply(reply_to, req_id, guid, copy, d.hops, now, out);
                 }
             }
         }
@@ -1118,17 +1117,16 @@ impl StoreNode {
         reply_to: NodeIndex,
         req_id: u64,
         guid: Key,
-        issued_at: SimTime,
         copy: Option<(Document, bool)>,
         hops: u32,
         now: SimTime,
         out: &mut Outbox<StoreMsg>,
     ) {
         let Some((doc, from_cache)) = copy else {
-            out.send(reply_to, StoreMsg::NotFound { req_id, guid, issued_at });
+            out.send(reply_to, StoreMsg::NotFound { req_id });
             return;
         };
-        out.send(reply_to, StoreMsg::FetchReply { req_id, doc, issued_at, from_cache, hops });
+        out.send(reply_to, StoreMsg::FetchReply { req_id, doc, from_cache, hops });
         if self.latency_policy.is_none() {
             return;
         }
@@ -1186,8 +1184,8 @@ impl StoreNode {
         }
     }
 
-    /// Originates a lookup from this node; the outcome lands in
-    /// [`outcomes`](Self::outcomes) keyed by `req_id`.
+    /// Originates a lookup from this node; its outcome is handed over
+    /// once, under `req_id`, by [`take_concluded`](Self::take_concluded).
     pub fn lookup(&mut self, guid: Key, req_id: u64, now: SimTime, out: &mut Outbox<StoreMsg>) {
         self.lookup_min_version(guid, 0, req_id, now, out);
     }
@@ -1207,14 +1205,22 @@ impl StoreNode {
         now: SimTime,
         out: &mut Outbox<StoreMsg>,
     ) {
-        // Fresh-enough local copy? Serve instantly.
-        if let Some((doc, from_cache)) = self.local_copy(guid, min_version) {
-            let answer = Answer::Copy { doc, from_cache, hops: None };
-            self.conclude(req_id, guid, answer, now, now, out);
-            return;
-        }
         let first = PendingLookup { guid, min_version, issued_at: now, attempts: 0, deadline: now };
-        self.send_lookup(req_id, first, now, out);
+        // Fresh-enough local copy? Serve instantly.
+        match self.local_copy(guid, min_version) {
+            Some((doc, from_cache)) => {
+                let answer = Answer::Copy { doc, from_cache, hops: None };
+                self.conclude(req_id, first, answer, now, out);
+            }
+            None => self.send_lookup(req_id, first, now, out),
+        }
+    }
+
+    /// Appends every embedder lookup concluded since the last call to
+    /// `into`, oldest first, and forgets them: each conclusion is handed
+    /// over once.
+    pub fn take_concluded(&mut self, into: &mut Vec<(u64, LookupOutcome)>) {
+        into.append(&mut self.concluded);
     }
 }
 
@@ -1236,6 +1242,24 @@ mod tests {
         Document::new(name, format!("content of {name}").into_bytes())
     }
 
+    /// The one lookup `s` has concluded since it was last asked, which
+    /// must be request `req`.
+    fn only_outcome(s: &mut StoreNode, req: u64) -> LookupOutcome {
+        let mut taken = Vec::new();
+        s.take_concluded(&mut taken);
+        match <[_; 1]>::try_from(taken) {
+            Ok([(r, o)]) if r == req => o,
+            other => panic!("expected one outcome, for request {req}; got {other:?}"),
+        }
+    }
+
+    /// Whether `s` has concluded nothing since it was last asked.
+    fn nothing_concluded(s: &mut StoreNode) -> bool {
+        let mut taken = Vec::new();
+        s.take_concluded(&mut taken);
+        taken.is_empty()
+    }
+
     #[test]
     fn singleton_insert_then_lookup_locally() {
         let mut s = store_node(0x100, 0, StoreConfig::default());
@@ -1245,7 +1269,7 @@ mod tests {
         assert!(s.holds(d.guid));
         let mut out = Outbox::new();
         s.lookup(d.guid, 1, SimTime::ZERO, &mut out);
-        let o = &s.outcomes[&1];
+        let o = only_outcome(&mut s, 1);
         assert_eq!(o.doc.as_ref().unwrap().content, d.content);
         assert!(!o.from_cache);
         assert_eq!(o.latency, SimDuration::ZERO);
@@ -1284,7 +1308,7 @@ mod tests {
         let mut s = store_node(0x100, 0, StoreConfig::default());
         let mut out = Outbox::new();
         s.lookup(Key::hash_of_str("ghost"), 9, SimTime::ZERO, &mut out);
-        assert!(s.outcomes[&9].doc.is_none());
+        assert!(only_outcome(&mut s, 9).doc.is_none());
     }
 
     #[test]
@@ -1317,7 +1341,7 @@ mod tests {
         s.handle(SimTime::ZERO, n(5), StoreMsg::ReplicaPut { doc: v1 }, &mut out);
         let mut out = Outbox::new();
         s.lookup(v2.guid, 1, SimTime::ZERO, &mut out);
-        assert_eq!(s.outcomes[&1].doc.as_ref().unwrap().version, 2);
+        assert_eq!(only_outcome(&mut s, 1).doc.unwrap().version, 2);
     }
 
     #[test]
@@ -1329,7 +1353,7 @@ mod tests {
         assert!(s.has_cached(d.guid));
         let mut out = Outbox::new();
         s.lookup(d.guid, 2, SimTime::ZERO, &mut out);
-        assert!(s.outcomes[&2].from_cache);
+        assert!(only_outcome(&mut s, 2).from_cache);
     }
 
     #[test]
@@ -1355,7 +1379,6 @@ mod tests {
                 guid: d.guid,
                 reply_to: n(9),
                 req_id: 4,
-                issued_at: SimTime::ZERO,
                 path: [n(9), n(7)].into_iter().collect(),
                 min_version: 0,
             },
@@ -1394,7 +1417,6 @@ mod tests {
                 guid: d.guid,
                 reply_to: n(9),
                 req_id: 4,
-                issued_at: SimTime::ZERO,
                 path: [n(9), n(7)].into_iter().collect(),
                 min_version: 0,
             },
@@ -1415,34 +1437,25 @@ mod tests {
     fn duplicate_replies_keep_the_first_outcome() {
         // Re-routing delivers at least once; a request can see a second
         // reply (slow original racing its own re-route). The first
-        // conclusion wins — a late duplicate must not overwrite the
-        // recorded latency.
+        // conclusion wins — a late duplicate is counted, and hands no
+        // second outcome over.
         let mut s = store_node(0x100, 0, StoreConfig::default());
         let d = doc("raced");
+        // A peer sits on the guid: the request routes away.
+        s.overlay.learn(KeyedNode::new(d.guid, n(3)));
+        s.lookup(d.guid, 8, SimTime::ZERO, &mut Outbox::new());
         let reply = |at_ms: u64, out: &mut Outbox<StoreMsg>, s: &mut StoreNode| {
-            s.handle(
-                SimTime::from_millis(at_ms),
-                n(3),
-                StoreMsg::FetchReply {
-                    req_id: 8,
-                    doc: d.clone(),
-                    issued_at: SimTime::ZERO,
-                    from_cache: false,
-                    hops: 2,
-                },
-                out,
-            );
+            let msg =
+                StoreMsg::FetchReply { req_id: 8, doc: d.clone(), from_cache: false, hops: 2 };
+            s.handle(SimTime::from_millis(at_ms), n(3), msg, out);
         };
         let mut out = Outbox::new();
         reply(10, &mut out, &mut s);
-        assert_eq!(s.outcomes[&8].latency, SimDuration::from_millis(10));
+        assert_eq!(only_outcome(&mut s, 8).latency, SimDuration::from_millis(10));
         let mut out = Outbox::new();
         reply(5000, &mut out, &mut s);
-        assert_eq!(
-            s.outcomes[&8].latency,
-            SimDuration::from_millis(10),
-            "duplicate reply overwrote the concluded outcome"
-        );
+        assert!(nothing_concluded(&mut s), "a duplicate reply handed a second outcome over");
+        assert_eq!(out.counts(), [("store.lookups_dup_replies".into(), 1.0)]);
     }
 
     #[test]
@@ -1762,7 +1775,7 @@ mod tests {
         s.overlay.learn(KeyedNode::new(guid, n(1)));
         let mut out = Outbox::new();
         s.lookup(guid, 7, SimTime::ZERO, &mut out);
-        assert!(!s.outcomes.contains_key(&7), "in flight");
+        assert!(nothing_concluded(&mut s), "in flight");
         assert!(
             out.timers().iter().any(|(_, tag)| *tag == timers::LOOKUP_RETRY),
             "retry deadline armed"
@@ -1770,18 +1783,20 @@ mod tests {
         // Sweep far past every (jittered, doubling) deadline each time:
         // the retry budget, then the timeout outcome.
         let mut retried = 0u32;
+        let mut taken = Vec::new();
         for i in 1..=u64::from(LOOKUP_RETRIES) + 2 {
             let mut out = Outbox::new();
             s.on_timer(SimTime::from_secs(i * 60), timers::LOOKUP_RETRY, &mut out);
             retried +=
                 out.counts().iter().filter(|(name, _)| name == "store.lookups_retried").count()
                     as u32;
-            if s.outcomes.contains_key(&7) {
+            s.take_concluded(&mut taken);
+            if !taken.is_empty() {
                 break;
             }
         }
         assert_eq!(retried, LOOKUP_RETRIES, "bounded retry budget");
-        let o = s.outcomes.get(&7).expect("timeout outcome recorded");
+        let [(7, o)] = &taken[..] else { panic!("one timeout outcome, for 7: {taken:?}") };
         assert!(o.doc.is_none());
         assert!(o.latency >= SimDuration::from_secs(60));
     }
@@ -1798,20 +1813,59 @@ mod tests {
         s.handle(
             SimTime::from_millis(300),
             n(1),
-            StoreMsg::FetchReply {
-                req_id: 8,
-                doc: d,
-                issued_at: SimTime::ZERO,
-                from_cache: false,
-                hops: 2,
-            },
+            StoreMsg::FetchReply { req_id: 8, doc: d, from_cache: false, hops: 2 },
             &mut out,
         );
         // A later sweep must not retry or overwrite the outcome.
         let mut out = Outbox::new();
         s.on_timer(SimTime::from_secs(600), timers::LOOKUP_RETRY, &mut out);
         assert!(out.sends().is_empty());
-        assert!(s.outcomes[&8].doc.is_some());
+        assert!(only_outcome(&mut s, 8).doc.is_some());
+    }
+
+    /// One armed timer serves every open lookup: each is retried at the
+    /// deadline a timer of its own would have fired at, including one
+    /// whose deadline falls before the armed one.
+    #[test]
+    fn every_lookup_is_retried_at_its_own_deadline() {
+        let guid = Key::hash_of_str("unanswered");
+        let mut s = store_node(0x100, 0, StoreConfig::default());
+        s.overlay.learn(KeyedNode::new(guid, n(1)));
+        // The same jitter stream, sampled in issue order: every lookup is
+        // issued before the first deadline, so no retry draws in between.
+        let mut twin = store_node(0x100, 0, StoreConfig::default());
+        let mut armed: Vec<SimTime> = Vec::new();
+        let arm = |armed: &mut Vec<SimTime>, now: SimTime, out: &Outbox<StoreMsg>| {
+            let retry = out.timers().iter().filter(|(_, tag)| *tag == timers::LOOKUP_RETRY);
+            armed.extend(retry.map(|(delay, _)| now + *delay));
+        };
+        let mut deadlines = BTreeMap::new();
+        for req in 0..8u64 {
+            let now = SimTime::from_millis(100 * req);
+            let mut out = Outbox::new();
+            s.lookup(guid, req, now, &mut out);
+            arm(&mut armed, now, &out);
+            deadlines.insert(req, now + twin.retry_delay(0));
+        }
+        assert!(armed.len() < deadlines.len(), "a timer per lookup: {armed:?}");
+        let mut retried_at = BTreeMap::new();
+        while retried_at.len() < deadlines.len() {
+            armed.sort();
+            let now = armed.remove(0);
+            let mut out = Outbox::new();
+            s.on_timer(now, timers::LOOKUP_RETRY, &mut out);
+            for (_, msg) in out.sends() {
+                if let StoreMsg::Overlay(OverlayMsg::Route {
+                    payload: StorePayload::Lookup { req_id, .. },
+                    ..
+                }) = msg
+                {
+                    retried_at.entry(*req_id).or_insert(now);
+                }
+            }
+            arm(&mut armed, now, &out);
+        }
+        assert_eq!(retried_at, deadlines);
     }
 
     #[test]
@@ -1889,20 +1943,16 @@ mod tests {
     fn fetch_reply_records_outcome_and_caches() {
         let mut s = store_node(0x100, 0, StoreConfig::default());
         let d = doc("fetched");
+        s.overlay.learn(KeyedNode::new(d.guid, n(3)));
+        s.lookup(d.guid, 11, SimTime::from_millis(100), &mut Outbox::new());
         let mut out = Outbox::new();
         s.handle(
             SimTime::from_millis(150),
             n(3),
-            StoreMsg::FetchReply {
-                req_id: 11,
-                doc: d.clone(),
-                issued_at: SimTime::from_millis(100),
-                from_cache: false,
-                hops: 3,
-            },
+            StoreMsg::FetchReply { req_id: 11, doc: d.clone(), from_cache: false, hops: 3 },
             &mut out,
         );
-        let o = &s.outcomes[&11];
+        let o = only_outcome(&mut s, 11);
         assert_eq!(o.latency, SimDuration::from_millis(50));
         assert_eq!(o.hops, 3);
         assert!(s.has_cached(d.guid), "requester caches what it fetched");
@@ -1962,13 +2012,7 @@ mod tests {
         let floor = if path == LocalBelowFloor { d.version + 1 } else { 0 };
         s.lookup_min_version(guid, floor, req, SimTime::ZERO, &mut out);
         let reply = |s: &mut StoreNode, at_ms: u64, from_cache, out: &mut Outbox<StoreMsg>| {
-            let msg = StoreMsg::FetchReply {
-                req_id: req,
-                doc: d.clone(),
-                issued_at: SimTime::ZERO,
-                from_cache,
-                hops: 2,
-            };
+            let msg = StoreMsg::FetchReply { req_id: req, doc: d.clone(), from_cache, hops: 2 };
             s.handle(SimTime::from_millis(at_ms), n(1), msg, out);
         };
         match path {
@@ -1980,7 +2024,7 @@ mod tests {
                 reply(&mut s, 900, false, &mut out);
             }
             ReplyNotFound => {
-                let msg = StoreMsg::NotFound { req_id: req, guid, issued_at: SimTime::ZERO };
+                let msg = StoreMsg::NotFound { req_id: req };
                 s.handle(SimTime::from_millis(50), n(1), msg, &mut out);
             }
             Timeout => {
@@ -1999,11 +2043,11 @@ mod tests {
             }
         }
         assert!(s.pending_lookups.is_empty(), "{path:?}: pending entry left behind");
-        assert_eq!(
-            s.outcomes.contains_key(&req),
-            req & INTERNAL_REQ_BIT == 0,
-            "{path:?}: only an embedder's request lands in `outcomes`"
-        );
+        let mut taken = Vec::new();
+        s.take_concluded(&mut taken);
+        let handed: Vec<u64> = taken.iter().map(|(r, _)| *r).collect();
+        let embedder = req & INTERNAL_REQ_BIT == 0;
+        assert_eq!(handed, if embedder { vec![req] } else { vec![] }, "{path:?}: handed over");
         let mut counts = BTreeMap::new();
         for (name, v) in out.counts().iter().filter(|(name, _)| name.starts_with("store.")) {
             *counts.entry(name.to_string()).or_insert(0.0) += v;

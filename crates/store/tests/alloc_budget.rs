@@ -76,7 +76,6 @@ fn lookup(req_id: u64) -> StoreMsg {
         guid: GUID,
         reply_to: ISSUER,
         req_id,
-        issued_at: SimTime::ZERO,
         path: [ISSUER].into_iter().collect(),
         min_version: 0,
     };
@@ -99,7 +98,7 @@ fn a_warmed_hop_forwards_a_lookup_without_allocating() {
     // awaiting their acknowledgement.
     let overlay = OverlayNode::new(Key(0x100), HOP, None, SimDuration::ZERO).with_governor(7);
     let mut hop = StoreNode::new(HOP, overlay, StoreConfig::default(), Vec::new());
-    hop.on_start(&mut Outbox::new());
+    hop.on_start(SimTime::ZERO, &mut Outbox::new());
     // The root is closer to the guid than the hop; so is no one else.
     let mut out = Outbox::new();
     hop.handle(

@@ -85,7 +85,7 @@ fn matchlets_consume_store_backed_facts() {
     let guid = doc.guid;
     net.insert(NodeIndex(0), doc);
     net.run_for(SimDuration::from_secs(30));
-    let req = net.lookup(NodeIndex(7), guid);
+    let req = net.lookup_retrying(NodeIndex(7), guid);
     net.run_for(SimDuration::from_secs(30));
     let doc = net.result(req).and_then(|r| r.doc.as_ref()).expect("facts round-trip the store");
     let text = std::str::from_utf8(&doc.content).expect("kb documents are utf-8");
