@@ -531,9 +531,9 @@ const OPS: [Op; 10] = [
     Op::Exists,
 ];
 
-/// Subscription kinds. The last two share one 32-bit index kind tag, so
-/// each one's probes count the other's filters and only the exact kind
-/// check keeps them apart.
+/// Subscription kinds. The last two share one 32-bit FNV-1a hash, so an
+/// index that told kinds apart by a hash would confuse them; each must
+/// still match only its own filters.
 const KINDS: [&str; 6] = ["ctx", "goal", "weather", "alert", "k21608", "k82419"];
 
 fn random_filter(rng: &mut SimRng) -> Filter {
@@ -608,9 +608,9 @@ pub fn index(_: Args) -> String {
     let line = format!(
         "indexsmoke: {SUBS} subs built in {build_ms:.0} ms, {PUBLISHES} publishes in \
          {publish_ms:.1} ms ({total_matches} matches), {VERIFIED} events verified \
-         ({colliding} of a tag-colliding kind), {mismatches} mismatches"
+         ({colliding} of a hash-colliding kind), {mismatches} mismatches"
     );
     assert_eq!(mismatches, 0, "{line}");
-    assert!(colliding > 0, "no verified event has a tag-colliding kind: {line}");
+    assert!(colliding > 0, "no verified event has a hash-colliding kind: {line}");
     line
 }

@@ -23,11 +23,6 @@ impl Deployment {
         self.placements.insert(instance.into(), (kind.into(), node));
     }
 
-    /// Removes an instance; returns whether it existed.
-    pub fn remove(&mut self, instance: &str) -> bool {
-        self.placements.remove(instance).is_some()
-    }
-
     /// Drops every instance on `node` (the node died); returns how many.
     pub fn remove_node(&mut self, node: NodeIndex) -> usize {
         let before = self.placements.len();
@@ -275,8 +270,7 @@ mod tests {
         assert_eq!(d.count_on(NodeIndex(0)), 2);
         assert_eq!(d.remove_node(NodeIndex(0)), 2);
         assert_eq!(d.len(), 1);
-        assert!(d.remove("i2"));
-        assert!(!d.remove("i2"));
+        assert_eq!(d.remove_node(NodeIndex(1)), 1);
         assert!(d.is_empty());
     }
 

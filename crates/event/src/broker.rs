@@ -179,10 +179,9 @@ pub struct Broker {
     me: NodeIndex,
     topology: BrokerTopology,
     clients: BTreeSet<NodeIndex>,
-    /// The subscription table, as a counting attribute index.
+    /// The subscription table, as a counting attribute index; each
+    /// subscription is stored for (owned by) the interface it arrived on.
     subs: FilterIndex,
-    /// Which interface each stored subscription arrived on.
-    iface_of: FnvHashMap<SubId, NodeIndex>,
     /// Subscription ids per arrival interface, in arrival order (drives
     /// detach/handoff iteration without a table scan).
     by_iface: FnvHashMap<u32, Vec<SubId>>,
@@ -225,7 +224,6 @@ impl Broker {
             topology,
             clients: BTreeSet::new(),
             subs: FilterIndex::new(),
-            iface_of: FnvHashMap::default(),
             by_iface: FnvHashMap::default(),
             tables: BTreeMap::new(),
             proxies: BTreeMap::new(),
@@ -434,21 +432,16 @@ impl Broker {
             table.add_root(sub.clone());
             out.send(target, BrokerMsg::Subscribe(sub.clone()));
         }
-        self.iface_of.insert(sub.id, from);
         self.by_iface.entry(from.0).or_default().push(sub.id);
-        self.subs.insert(sub);
+        self.subs.insert_owned(sub, from.0);
     }
 
     fn unsubscribe(&mut self, id: SubId, out: &mut Outbox<BrokerMsg>) {
-        if self.subs.remove(id).is_none() {
-            return;
-        }
-        if let Some(iface) = self.iface_of.remove(&id) {
-            if let Some(v) = self.by_iface.get_mut(&iface.0) {
-                v.retain(|x| *x != id);
-                if v.is_empty() {
-                    self.by_iface.remove(&iface.0);
-                }
+        let Some((_, iface)) = self.subs.remove(id) else { return };
+        if let Some(v) = self.by_iface.get_mut(&iface) {
+            v.retain(|x| *x != id);
+            if v.is_empty() {
+                self.by_iface.remove(&iface);
             }
         }
         for (target, table) in self.tables.iter_mut() {
@@ -497,18 +490,19 @@ impl Broker {
     fn route(&mut self, from: NodeIndex, event: Event, out: &mut Outbox<BrokerMsg>) {
         // One counting probe walks every matching subscription, in
         // arrival order (the order the old linear scan delivered in),
-        // straight out of the index's reused hit list: routing an event
-        // allocates only the copies it sends or buffers.
+        // straight out of the index's reused hit list, each with the
+        // interface it arrived on: routing an event allocates only the
+        // copies it sends or buffers.
         //
         // An interface is served once per event, at its first matching
         // subscription: a client with k matching filters gets one copy,
         // live or buffered. `wanted` then also says which neighbours
         // hold a matching subscription, for forwarding below.
-        let Broker { subs, iface_of, wanted, proxies, clients, .. } = self;
+        let Broker { subs, wanted, proxies, clients, .. } = self;
         wanted.clear();
-        subs.for_each_match(&event, |id| {
-            let iface = *iface_of.get(&id).expect("id tracked");
-            if !wanted.insert(iface.0) || iface == from {
+        subs.for_each_match(&event, |_, owner| {
+            let iface = NodeIndex(owner);
+            if !wanted.insert(owner) || iface == from {
                 return;
             }
             if let Some(buffer) = proxies.get_mut(&iface) {

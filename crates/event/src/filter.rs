@@ -56,6 +56,38 @@ impl fmt::Display for Op {
     }
 }
 
+impl Op {
+    /// Whether `candidate` satisfies `candidate <op> operand`: the one
+    /// comparison every matcher (filter scan and index alike) applies.
+    pub(crate) fn holds(self, operand: &AttrValue, candidate: &AttrValue) -> bool {
+        use std::cmp::Ordering::*;
+        match self {
+            Op::Exists => true,
+            Op::Eq => candidate.eq_value(operand),
+            Op::Ne => {
+                // Comparable and unequal; mismatched types do not match.
+                matches!(candidate.partial_cmp_value(operand), Some(Less | Greater))
+            }
+            Op::Lt => candidate.partial_cmp_value(operand) == Some(Less),
+            Op::Le => matches!(candidate.partial_cmp_value(operand), Some(Less | Equal)),
+            Op::Gt => candidate.partial_cmp_value(operand) == Some(Greater),
+            Op::Ge => matches!(candidate.partial_cmp_value(operand), Some(Greater | Equal)),
+            Op::Prefix => match (candidate.as_str(), operand.as_str()) {
+                (Some(c), Some(p)) => c.starts_with(p),
+                _ => false,
+            },
+            Op::Suffix => match (candidate.as_str(), operand.as_str()) {
+                (Some(c), Some(p)) => c.ends_with(p),
+                _ => false,
+            },
+            Op::Contains => match (candidate.as_str(), operand.as_str()) {
+                (Some(c), Some(p)) => c.contains(p),
+                _ => false,
+            },
+        }
+    }
+}
+
 /// One constraint: attribute name, operator, operand.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Constraint {
@@ -76,35 +108,7 @@ impl Constraint {
     /// Whether `candidate` (the event's value for this attribute)
     /// satisfies the constraint.
     pub fn matches_value(&self, candidate: &AttrValue) -> bool {
-        use std::cmp::Ordering::*;
-        match self.op {
-            Op::Exists => true,
-            Op::Eq => candidate.eq_value(&self.value),
-            Op::Ne => {
-                // Comparable and unequal; mismatched types do not match.
-                matches!(candidate.partial_cmp_value(&self.value), Some(Less | Greater))
-            }
-            Op::Lt => candidate.partial_cmp_value(&self.value) == Some(Less),
-            Op::Le => {
-                matches!(candidate.partial_cmp_value(&self.value), Some(Less | Equal))
-            }
-            Op::Gt => candidate.partial_cmp_value(&self.value) == Some(Greater),
-            Op::Ge => {
-                matches!(candidate.partial_cmp_value(&self.value), Some(Greater | Equal))
-            }
-            Op::Prefix => match (candidate.as_str(), self.value.as_str()) {
-                (Some(c), Some(p)) => c.starts_with(p),
-                _ => false,
-            },
-            Op::Suffix => match (candidate.as_str(), self.value.as_str()) {
-                (Some(c), Some(p)) => c.ends_with(p),
-                _ => false,
-            },
-            Op::Contains => match (candidate.as_str(), self.value.as_str()) {
-                (Some(c), Some(p)) => c.contains(p),
-                _ => false,
-            },
-        }
+        self.op.holds(&self.value, candidate)
     }
 
     /// Whether every value satisfying this constraint is a string: the

@@ -39,35 +39,44 @@
 //! **What is verified.** A filter whose counter filled is a candidate. If
 //! it was selected by its point constraints, its remaining constraints
 //! (ranges, fallback operators, never-satisfiable ones) are now checked
-//! with [`Constraint::matches_value`] against the event's own attribute —
-//! a range floor at or below the event's value is half of every table, so
-//! counting it would touch half of every table per probe to confirm a
-//! handful of matches.
+//! against the event's own attribute with the comparison
+//! [`Constraint::matches_value`] makes — a range floor at or below the
+//! event's value is half of every table, so counting it would touch half
+//! of every table per probe to confirm a handful of matches.
 //!
-//! **Kind narrows the count; it is decided per candidate.** Kind is not a
-//! counted constraint (counting it would make every publication touch
-//! every same-kind subscription, the hot-topic blow-up this index exists
-//! to avoid) and not a bucket key (one bucket set per kind costs a map
-//! per attribute per kind). Instead every bucket entry carries a 32-bit
-//! tag of its filter's kind — `0` when the filter has none — and a probe
-//! counts only the entries tagged with the event kind's tag or with `0`.
-//! A `zone = 3` bucket shared by eight alert kinds then costs an event
-//! the entries of its own kind, not all eight. A tag is a hash, so two
-//! kinds can share one; the exact kind comparison on each candidate
-//! stays, and a collision costs a wasted count, never a wrong match. A
-//! query with no kind (covering queries) has tag `0` and counts only
-//! kindless filters, which are the only ones that can cover it. The only
-//! filters selected without a constraint probe are the zero-constraint
-//! ones (tracked in dedicated kind/universal lists — those genuinely
-//! match every event of their kind).
+//! **Kind picks the runs a probe counts.** Kind is not a counted
+//! constraint (counting it would make every publication touch every
+//! same-kind subscription, the hot-topic blow-up this index exists to
+//! avoid) and not a bucket key (one bucket set per kind costs a map per
+//! attribute per kind). Instead each index gives every kind it holds a
+//! dense id — reference-counted, freed with the last filter of that kind,
+//! `0` for no kind — every bucket member carries its filter's kind id,
+//! and every member list is kept sorted by it. A probe counts two runs of
+//! each list it reaches, found by binary search: the kindless run and the
+//! run of the event's kind. A `zone = 3` bucket shared by eight alert
+//! kinds then costs an event the members of its own kind, not all eight,
+//! and a counted filter is always of the event's kind or of none, so no
+//! candidate's kind is compared again. A query with no kind (covering
+//! queries), or with a kind no stored filter names, counts only the
+//! kindless runs: kindless filters are the only ones that can match or
+//! cover it. Zero-constraint filters sit in one more kind-sorted list,
+//! and every filter in the runs a probe reads there matches.
 //!
-//! **Storage.** Entries live in a slab addressed by a dense `u32` slot;
-//! buckets and the trie hold `(kind tag, slot)` members, the
-//! kind/universal lists hold slots, one map takes a `SubId` to its slot,
-//! and freed slots are reused. Counters are an epoch-stamped array over
-//! the slots plus the list of slots touched, and a probe's matches are
-//! collected in a hit list; all three are kept in the index and reused,
-//! so [`FilterIndex::for_each_match`] allocates nothing, and
+//! **Storage.** Subscriptions live in a slab addressed by a dense `u32`
+//! slot, which `get`, `iter` and `remove` read; one map takes a `SubId` to
+//! its slot, and freed slots are reused. The match path never reads a
+//! subscription. Buckets and the trie hold `(kind id, slot)` members, and
+//! per slot a probe reads one *match record*: the id, the insertion
+//! sequence, the counter target, the owner the caller stored the
+//! subscription for, and the verified constraints compiled to
+//! `(attribute id, operator, operand)`, the first of them inline.
+//! Attribute names have reference-counted ids as well: a probe stamps
+//! each event value it reaches into its scratch under the attribute's id,
+//! and a verified constraint reads the value from there. Counters are an
+//! epoch-stamped array over the slots plus the list of slots touched, and
+//! a probe's matches are collected in a hit list; these and the stamped
+//! values are kept in the index and reused, so
+//! [`FilterIndex::for_each_match`] allocates nothing, and
 //! [`FilterIndex::matching_event`] only the vector it returns.
 //!
 //! The same structure answers *covering* queries for the broker's forward
@@ -79,38 +88,205 @@ use crate::broker::SubId;
 use crate::filter::{Constraint, Filter, Op, Subscription};
 use crate::notification::Event;
 use crate::value::AttrValue;
-use gloss_sim::{fnv1a, FnvHashMap};
+use gloss_sim::FnvHashMap;
 use std::cell::{RefCell, RefMut};
 use std::collections::BTreeMap;
 
 /// Position of an entry in the slab.
 type Slot = u32;
 
-/// A kind folded to 32 bits for bucket members: `0` for no kind, an odd
-/// number for any kind. Distinct kinds may share a tag.
-fn kind_tag(kind: Option<&str>) -> u32 {
-    kind.map_or(0, |k| fnv1a(k.as_bytes()) as u32 | 1)
+/// A name's id in an index's [`Ids`] table.
+type Id = u32;
+
+/// The kind id of a kindless filter or query; never handed to a name.
+const NO_KIND: Id = 0;
+
+/// Dense, reference-counted ids for the names an index holds (kinds,
+/// attribute names): an id is held while some stored filter names it,
+/// and is then free for reuse. A free id still answers for its last
+/// name, which takes it back without copying itself again, until a new
+/// name takes it over. Id `0` is never handed out.
+#[derive(Debug, Clone)]
+struct Ids {
+    /// Every name with an id, held or free.
+    by_name: FnvHashMap<String, Id>,
+    /// Per id, how many holds it has; `0` for a free id and for id `0`.
+    refs: Vec<u32>,
+    free: Vec<Id>,
 }
 
-/// One bucket entry: a stored constraint's slot, tagged with its filter's
-/// [`kind_tag`].
-#[derive(Debug, Clone, Copy)]
-struct Member {
-    kind: u32,
-    slot: Slot,
-}
-
-impl Member {
-    /// Whether a probe under kind tag `tag` counts this member: the
-    /// filter has that tag, or no kind at all.
-    fn counts_for(self, tag: u32) -> bool {
-        self.kind == tag || self.kind == 0
+impl Default for Ids {
+    fn default() -> Self {
+        Ids { by_name: FnvHashMap::default(), refs: vec![0], free: Vec::new() }
     }
 }
 
+impl Ids {
+    /// `name`'s id. A free one selects nothing: no stored filter holds it.
+    fn get(&self, name: &str) -> Option<Id> {
+        self.by_name.get(name).copied()
+    }
+
+    /// Takes a hold on `name`'s id. A new name takes a free id (whose
+    /// last name gives it up) before a new one is minted.
+    fn acquire(&mut self, name: &str) -> Id {
+        let id = match self.by_name.get(name) {
+            Some(&id) => {
+                if self.refs[id as usize] == 0 {
+                    let at = self.free.iter().position(|&f| f == id).expect("a free id is listed");
+                    self.free.swap_remove(at);
+                }
+                id
+            }
+            None => {
+                let id = match self.free.pop() {
+                    Some(id) => {
+                        self.by_name.retain(|_, named| *named != id);
+                        id
+                    }
+                    None => {
+                        self.refs.push(0);
+                        Id::try_from(self.refs.len() - 1).expect("fewer than 2^32 names")
+                    }
+                };
+                self.by_name.insert(name.to_string(), id);
+                id
+            }
+        };
+        self.refs[id as usize] += 1;
+        id
+    }
+
+    /// Drops a hold on `name`'s id, freeing the id with its last hold.
+    fn release(&mut self, name: &str) -> Id {
+        let id = self.get(name).expect("a released name holds an id");
+        let refs = &mut self.refs[id as usize];
+        *refs -= 1;
+        if *refs == 0 {
+            self.free.push(id);
+        }
+        id
+    }
+
+    /// One past the highest id ever handed out.
+    fn bound(&self) -> usize {
+        self.refs.len()
+    }
+
+    /// Whether no id is held.
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
+        self.refs.iter().all(|&r| r == 0)
+    }
+}
+
+/// One bucket entry: a counted constraint's slot, with its filter's kind
+/// id.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Member {
+    kind: Id,
+    slot: Slot,
+}
+
+/// An item of a member list. Every such list is kept sorted by kind id,
+/// so that a probe reads two runs of it (see [`runs`]).
+trait Keyed {
+    fn member(&self) -> Member;
+}
+
+impl Keyed for Member {
+    fn member(&self) -> Member {
+        *self
+    }
+}
+
+impl Keyed for (Member, Check) {
+    fn member(&self) -> Member {
+        self.0
+    }
+}
+
+/// Inserts `item` at the end of its kind's run.
+fn enter<T: Keyed>(list: &mut Vec<T>, item: T) {
+    let kind = item.member().kind;
+    let at = list.partition_point(|x| x.member().kind <= kind);
+    list.insert(at, item);
+}
+
+/// Removes one item of member `m` from its kind's run.
+fn leave<T: Keyed>(list: &mut Vec<T>, m: Member) {
+    let run = list.partition_point(|x| x.member().kind < m.kind);
+    if let Some(k) = list[run..].iter().position(|x| x.member() == m) {
+        list.remove(run + k);
+    }
+}
+
+/// The runs of `list` a probe under kind id `kind` counts: the kindless
+/// filters', then `kind`'s (empty for a kindless probe).
+fn runs<T: Keyed>(list: &[T], kind: Id) -> [&[T]; 2] {
+    let kindless = list.partition_point(|x| x.member().kind == NO_KIND);
+    let (none, kinded) = list.split_at(kindless);
+    if kind == NO_KIND {
+        return [none, &[]];
+    }
+    let lo = kinded.partition_point(|x| x.member().kind < kind);
+    let len = kinded[lo..].partition_point(|x| x.member().kind == kind);
+    [none, &kinded[lo..lo + len]]
+}
+
+/// A constraint compiled for the match path: its attribute's id, its
+/// operator and its operand.
 #[derive(Debug, Clone)]
-struct Entry {
-    sub: Subscription,
+struct Check {
+    attr: Id,
+    op: Op,
+    operand: AttrValue,
+}
+
+impl Check {
+    fn new(attr: Id, c: &Constraint) -> Self {
+        Check { attr, op: c.op, operand: c.value.clone() }
+    }
+
+    fn holds(&self, value: &AttrValue) -> bool {
+        self.op.holds(&self.operand, value)
+    }
+}
+
+/// A filter's verified constraints: one inline (the common shape, a
+/// range beside a point constraint), any other number on the heap.
+#[derive(Debug, Clone)]
+enum Checks {
+    One(Check),
+    Many(Box<[Check]>),
+}
+
+impl Checks {
+    fn none() -> Self {
+        Checks::Many(Box::default())
+    }
+
+    /// Adds `c`: the first one inline, any more on the heap.
+    fn push(&mut self, c: Check) {
+        *self = match std::mem::replace(self, Checks::none()) {
+            Checks::Many(cs) if cs.is_empty() => Checks::One(c),
+            Checks::One(first) => Checks::Many(Box::new([first, c])),
+            Checks::Many(cs) => Checks::Many(cs.into_vec().into_iter().chain([c]).collect()),
+        };
+    }
+
+    fn as_slice(&self) -> &[Check] {
+        match self {
+            Checks::One(c) => std::slice::from_ref(c),
+            Checks::Many(cs) => cs,
+        }
+    }
+}
+
+/// What the match path reads of one stored filter, dense by slot.
+#[derive(Debug, Clone)]
+struct Record {
+    id: SubId,
     /// Insertion sequence; match results are returned in this order so
     /// the indexed broker emits notifications in table order, exactly
     /// like the linear scan it replaces.
@@ -119,7 +295,14 @@ struct Entry {
     /// constraints when the filter has any — the rest are then verified
     /// once the counter fills — else all of them.
     required: u32,
+    /// The caller's tag for the subscription, handed out with its matches.
+    owner: u32,
+    /// The constraints not counted, checked once the counter fills.
+    checks: Checks,
 }
+
+/// One match of a probe: `(seq, id, owner)` of its record.
+type Hit = (u64, SubId, u32);
 
 /// Where one constraint is indexed.
 enum Place<'a> {
@@ -137,7 +320,7 @@ enum Place<'a> {
         strict: bool,
     },
     Prefix(&'a str),
-    /// Evaluated by `matches_value` when the event carries the attribute.
+    /// Evaluated by its operator when the event carries the attribute.
     Fallback,
     /// No value can satisfy this constraint; leave it unindexed so its
     /// filter's counter can never reach `required`.
@@ -185,16 +368,10 @@ fn classify(c: &Constraint) -> Place<'_> {
     }
 }
 
-/// The constraints a filter is counted by, with their positions: its
-/// point constraints when it has any (the rest are verified on the
-/// candidates), else all of them.
-fn counted(f: &Filter) -> impl Iterator<Item = (usize, &Constraint, Place<'_>)> {
-    let selective = f.constraints().iter().any(|c| classify(c).is_point());
-    f.constraints()
-        .iter()
-        .enumerate()
-        .map(|(ci, c)| (ci, c, classify(c)))
-        .filter(move |(_, _, place)| !selective || place.is_point())
+/// Whether `f` is counted by its point constraints only (it has some)
+/// and verified on the rest; otherwise every constraint is counted.
+fn selective(f: &Filter) -> bool {
+    f.constraints().iter().any(|c| classify(c).is_point())
 }
 
 /// Canonical hash key for a finite numeric operand: `Int` and `Float`
@@ -229,6 +406,14 @@ impl Boundary {
     fn is_empty(&self) -> bool {
         self.strict.is_empty() && self.incl.is_empty()
     }
+
+    fn list(&mut self, strict: bool) -> &mut Vec<Member> {
+        if strict {
+            &mut self.strict
+        } else {
+            &mut self.incl
+        }
+    }
 }
 
 /// Byte trie over `Prefix` patterns: walking an event string's bytes
@@ -246,20 +431,16 @@ impl Trie {
         for &b in pat {
             node = node.children.entry(b).or_default();
         }
-        node.members.push(m);
+        enter(&mut node.members, m);
     }
 
     /// Removes one occurrence path, pruning nodes left empty.
-    fn remove(&mut self, pat: &[u8], slot: Slot) {
+    fn remove(&mut self, pat: &[u8], m: Member) {
         match pat.split_first() {
-            None => {
-                if let Some(pos) = self.members.iter().position(|m| m.slot == slot) {
-                    self.members.remove(pos);
-                }
-            }
+            None => leave(&mut self.members, m),
             Some((b, rest)) => {
                 if let Some(child) = self.children.get_mut(b) {
-                    child.remove(rest, slot);
+                    child.remove(rest, m);
                     if child.is_empty() {
                         self.children.remove(b);
                     }
@@ -298,34 +479,81 @@ struct AttrBuckets {
     lower: BTreeMap<u64, Boundary>,
     /// `Lt`/`Le` boundaries, keyed by [`ord_key`] of the bound.
     upper: BTreeMap<u64, Boundary>,
-    /// `(entry, constraint position)` pairs evaluated directly.
-    fallback: Vec<(Member, u32)>,
+    /// Constraints evaluated directly, each beside its member.
+    fallback: Vec<(Member, Check)>,
 }
 
 impl AttrBuckets {
+    #[cfg(test)]
     fn is_empty(&self) -> bool {
         self.eq_str.is_empty()
             && self.eq_num.is_empty()
-            && self.eq_bool[0].is_empty()
-            && self.eq_bool[1].is_empty()
+            && self.eq_bool.iter().all(Vec::is_empty)
             && self.prefix.is_empty()
             && self.lower.is_empty()
             && self.upper.is_empty()
             && self.fallback.is_empty()
     }
-}
 
-fn remove_from(v: &mut Vec<Member>, slot: Slot) {
-    v.retain(|m| m.slot != slot);
-}
+    /// The member list of an `Eq` or boundary place, made on first use.
+    fn list(&mut self, place: &Place) -> &mut Vec<Member> {
+        match *place {
+            Place::EqStr(s) => {
+                if !self.eq_str.contains_key(s) {
+                    self.eq_str.insert(s.to_string(), Vec::new());
+                }
+                self.eq_str.get_mut(s).expect("just ensured")
+            }
+            Place::EqNum(x) => self.eq_num.entry(num_key(x)).or_default(),
+            Place::EqBool(v) => &mut self.eq_bool[v as usize],
+            Place::Lower { bound, strict } => {
+                self.lower.entry(ord_key(bound)).or_default().list(strict)
+            }
+            Place::Upper { bound, strict } => {
+                self.upper.entry(ord_key(bound)).or_default().list(strict)
+            }
+            Place::Prefix(_) | Place::Fallback | Place::Never => {
+                unreachable!("not a listed place")
+            }
+        }
+    }
 
-/// Appends `item` to the list under `key`, copying the key only when the
-/// list is new.
-fn push_under<T>(map: &mut FnvHashMap<String, Vec<T>>, key: &str, item: T) {
-    match map.get_mut(key) {
-        Some(v) => v.push(item),
-        None => {
-            map.insert(key.to_string(), vec![item]);
+    /// Drops the map entry of an `Eq` or boundary place left empty.
+    fn prune(&mut self, place: &Place) {
+        match *place {
+            Place::EqStr(s) if self.eq_str.get(s).is_some_and(Vec::is_empty) => {
+                self.eq_str.remove(s);
+            }
+            Place::EqNum(x) if self.eq_num.get(&num_key(x)).is_some_and(Vec::is_empty) => {
+                self.eq_num.remove(&num_key(x));
+            }
+            Place::Lower { bound, .. }
+                if self.lower.get(&ord_key(bound)).is_some_and(Boundary::is_empty) =>
+            {
+                self.lower.remove(&ord_key(bound));
+            }
+            Place::Upper { bound, .. }
+                if self.upper.get(&ord_key(bound)).is_some_and(Boundary::is_empty) =>
+            {
+                self.upper.remove(&ord_key(bound));
+            }
+            _ => {}
+        }
+    }
+
+    /// Enters (`add`) or removes member `m` under constraint `c`'s place.
+    fn place(&mut self, c: &Constraint, place: Place, attr: Id, m: Member, add: bool) {
+        match place {
+            Place::Never => {}
+            Place::Prefix(s) if add => self.prefix.insert(s.as_bytes(), m),
+            Place::Prefix(s) => self.prefix.remove(s.as_bytes(), m),
+            Place::Fallback if add => enter(&mut self.fallback, (m, Check::new(attr, c))),
+            Place::Fallback => leave(&mut self.fallback, m),
+            _ if add => enter(self.list(&place), m),
+            _ => {
+                leave(self.list(&place), m);
+                self.prune(&place);
+            }
         }
     }
 }
@@ -339,10 +567,13 @@ struct Scratch {
     epoch: u32,
     /// Per slot: `(stamp, satisfied constraints counted under that stamp)`.
     cells: Vec<(u32, u32)>,
+    /// Per attribute id: `(stamp, the probed event's value under that
+    /// stamp)`, what the verified constraints read.
+    values: Vec<(u32, AttrValue)>,
     /// Slots counted at least once by the current probe.
     touched: Vec<Slot>,
-    /// The current probe's matches as `(seq, id)`, for ordering.
-    hits: Vec<(u64, SubId)>,
+    /// The current probe's matches, in insertion order once it ends.
+    hits: Vec<Hit>,
 }
 
 impl Scratch {
@@ -353,6 +584,7 @@ impl Scratch {
         if self.epoch == 0 {
             // Stamps from the previous cycle would read as current.
             self.cells.fill((0, 0));
+            self.values.iter_mut().for_each(|v| v.0 = 0);
             self.epoch = 1;
         }
     }
@@ -367,10 +599,10 @@ impl Scratch {
         }
     }
 
-    /// Counts the members a probe under kind tag `tag` can match.
-    fn count(&mut self, tag: u32, members: &[Member]) {
-        for m in members {
-            if m.counts_for(tag) {
+    /// Counts the members a probe under kind id `kind` can match.
+    fn count(&mut self, kind: Id, members: &[Member]) {
+        for run in runs(members, kind) {
+            for m in run {
                 self.bump(m.slot);
             }
         }
@@ -385,16 +617,19 @@ impl Scratch {
 /// exactly as under a linear scan).
 #[derive(Debug, Clone, Default)]
 pub struct FilterIndex {
-    /// Entries by slot; `None` marks a slot on the free list.
-    slab: Vec<Option<Entry>>,
+    /// Subscriptions by slot; `None` marks a slot on the free list.
+    slab: Vec<Option<Subscription>>,
+    /// Match records by slot (a free slot's is stale).
+    records: Vec<Record>,
     free: Vec<Slot>,
     slot_of: FnvHashMap<SubId, Slot>,
-    attrs: FnvHashMap<String, AttrBuckets>,
-    /// Zero-constraint filters restricted to a kind: they match every
-    /// event of that kind, with no constraint to count.
-    kind_only: FnvHashMap<String, Vec<Slot>>,
-    /// Zero-constraint, kindless filters: they match everything.
-    universal: Vec<Slot>,
+    kinds: Ids,
+    attrs: Ids,
+    /// Constraint buckets by attribute id (a free id's are empty).
+    buckets: Vec<AttrBuckets>,
+    /// Zero-constraint filters: they match every event of their kind
+    /// (every event, when kindless), with no constraint to count.
+    unconstrained: Vec<Member>,
     next_seq: u64,
     /// Probes take `&self`; the counters they reuse are interior state.
     scratch: RefCell<Scratch>,
@@ -421,30 +656,38 @@ impl FilterIndex {
         self.slot_of.contains_key(&id)
     }
 
-    fn entry(&self, slot: Slot) -> &Entry {
-        self.slab[slot as usize].as_ref().expect("an indexed slot holds an entry")
-    }
-
     /// The stored subscription with this id.
     pub fn get(&self, id: SubId) -> Option<&Subscription> {
-        self.slot_of.get(&id).map(|&slot| &self.entry(slot).sub)
+        self.slot_of
+            .get(&id)
+            .map(|&slot| self.slab[slot as usize].as_ref().expect("an indexed slot holds an entry"))
     }
 
     /// Stored subscriptions in arbitrary order.
     pub fn iter(&self) -> impl Iterator<Item = &Subscription> {
-        self.slab.iter().flatten().map(|e| &e.sub)
+        self.slab.iter().flatten()
     }
 
     /// Stored subscriptions in insertion order.
     pub fn iter_in_order(&self) -> impl Iterator<Item = &Subscription> {
-        let mut v: Vec<&Entry> = self.slab.iter().flatten().collect();
-        v.sort_unstable_by_key(|e| e.seq);
-        v.into_iter().map(|e| &e.sub)
+        let mut v: Vec<(u64, &Subscription)> = (self.slab.iter().zip(&self.records))
+            .filter_map(|(sub, r)| Some((r.seq, sub.as_ref()?)))
+            .collect();
+        v.sort_unstable_by_key(|&(seq, _)| seq);
+        v.into_iter().map(|(_, sub)| sub)
     }
 
-    /// Indexes a subscription. Returns `false` (and stores nothing) if the
-    /// id is already present.
+    /// Indexes a subscription with owner `0`; see
+    /// [`insert_owned`](Self::insert_owned).
     pub fn insert(&mut self, sub: Subscription) -> bool {
+        self.insert_owned(sub, 0)
+    }
+
+    /// Indexes a subscription, stored for `owner` (a tag of the caller's
+    /// choosing, handed back with each match and by
+    /// [`remove`](Self::remove)). Returns `false` (and stores nothing) if
+    /// the id is already present.
+    pub fn insert_owned(&mut self, sub: Subscription, owner: u32) -> bool {
         if self.slot_of.contains_key(&sub.id) {
             return false;
         }
@@ -454,140 +697,88 @@ impl FilterIndex {
             self.scratch.get_mut().cells.push((0, 0));
             slot
         });
-        let m = Member { kind: kind_tag(sub.filter.kind()), slot };
+        let f = &sub.filter;
+        let m = Member { kind: f.kind().map_or(NO_KIND, |k| self.kinds.acquire(k)), slot };
+        let selective = selective(f);
         let mut required = 0;
-        for (ci, c, place) in counted(&sub.filter) {
-            required += 1;
-            if matches!(place, Place::Never) {
+        let mut checks = Checks::none();
+        for c in f.constraints() {
+            let attr = self.attrs.acquire(&c.attr);
+            if self.buckets.len() < self.attrs.bound() {
+                self.buckets.resize_with(self.attrs.bound(), AttrBuckets::default);
+                let values = &mut self.scratch.get_mut().values;
+                values.resize(self.attrs.bound(), (0, AttrValue::Bool(false)));
+            }
+            let place = classify(c);
+            if selective && !place.is_point() {
+                checks.push(Check::new(attr, c));
                 continue;
             }
-            if !self.attrs.contains_key(&c.attr) {
-                self.attrs.insert(c.attr.clone(), AttrBuckets::default());
-            }
-            let b = self.attrs.get_mut(&c.attr).expect("just ensured");
-            match place {
-                Place::EqStr(s) => push_under(&mut b.eq_str, s, m),
-                Place::EqNum(x) => b.eq_num.entry(num_key(x)).or_default().push(m),
-                Place::EqBool(v) => b.eq_bool[v as usize].push(m),
-                Place::Lower { bound, strict } => {
-                    let bo = b.lower.entry(ord_key(bound)).or_default();
-                    if strict { &mut bo.strict } else { &mut bo.incl }.push(m);
-                }
-                Place::Upper { bound, strict } => {
-                    let bo = b.upper.entry(ord_key(bound)).or_default();
-                    if strict { &mut bo.strict } else { &mut bo.incl }.push(m);
-                }
-                Place::Prefix(s) => b.prefix.insert(s.as_bytes(), m),
-                Place::Fallback => b.fallback.push((m, ci as u32)),
-                Place::Never => unreachable!(),
-            }
+            required += 1;
+            self.buckets[attr as usize].place(c, place, attr, m, true);
         }
-        if sub.filter.constraints().is_empty() {
-            match sub.filter.kind() {
-                Some(k) => push_under(&mut self.kind_only, k, slot),
-                None => self.universal.push(slot),
-            }
+        if f.constraints().is_empty() {
+            enter(&mut self.unconstrained, m);
         }
-        let seq = self.next_seq;
+        let record = Record { id: sub.id, seq: self.next_seq, required, owner, checks };
         self.next_seq += 1;
+        match self.records.get_mut(slot as usize) {
+            Some(r) => *r = record,
+            None => self.records.push(record),
+        }
         self.slot_of.insert(sub.id, slot);
-        self.slab[slot as usize] = Some(Entry { sub, seq, required });
+        self.slab[slot as usize] = Some(sub);
         true
     }
 
-    /// Removes a subscription, returning it.
-    pub fn remove(&mut self, id: SubId) -> Option<Subscription> {
+    /// Removes a subscription, returning it and the owner it was stored
+    /// for.
+    pub fn remove(&mut self, id: SubId) -> Option<(Subscription, u32)> {
         let slot = self.slot_of.remove(&id)?;
-        let e = self.slab[slot as usize].take().expect("an indexed slot holds an entry");
+        let sub = self.slab[slot as usize].take().expect("an indexed slot holds an entry");
         self.free.push(slot);
-        for (_, c, place) in counted(&e.sub.filter) {
-            if matches!(place, Place::Never) {
-                continue;
-            }
-            let Some(b) = self.attrs.get_mut(&c.attr) else { continue };
-            match place {
-                Place::EqStr(s) => {
-                    if let Some(v) = b.eq_str.get_mut(s) {
-                        remove_from(v, slot);
-                        if v.is_empty() {
-                            b.eq_str.remove(s);
-                        }
-                    }
-                }
-                Place::EqNum(x) => {
-                    let k = num_key(x);
-                    if let Some(v) = b.eq_num.get_mut(&k) {
-                        remove_from(v, slot);
-                        if v.is_empty() {
-                            b.eq_num.remove(&k);
-                        }
-                    }
-                }
-                Place::EqBool(v) => remove_from(&mut b.eq_bool[v as usize], slot),
-                Place::Lower { bound, strict } => {
-                    let k = ord_key(bound);
-                    if let Some(bo) = b.lower.get_mut(&k) {
-                        remove_from(if strict { &mut bo.strict } else { &mut bo.incl }, slot);
-                        if bo.is_empty() {
-                            b.lower.remove(&k);
-                        }
-                    }
-                }
-                Place::Upper { bound, strict } => {
-                    let k = ord_key(bound);
-                    if let Some(bo) = b.upper.get_mut(&k) {
-                        remove_from(if strict { &mut bo.strict } else { &mut bo.incl }, slot);
-                        if bo.is_empty() {
-                            b.upper.remove(&k);
-                        }
-                    }
-                }
-                Place::Prefix(s) => b.prefix.remove(s.as_bytes(), slot),
-                Place::Fallback => b.fallback.retain(|(m, _)| m.slot != slot),
-                Place::Never => unreachable!(),
-            }
-            if b.is_empty() {
-                self.attrs.remove(&c.attr);
+        let record = &mut self.records[slot as usize];
+        record.checks = Checks::none();
+        let owner = record.owner;
+        let f = &sub.filter;
+        let m = Member { kind: f.kind().map_or(NO_KIND, |k| self.kinds.release(k)), slot };
+        let selective = selective(f);
+        for c in f.constraints() {
+            let attr = self.attrs.release(&c.attr);
+            let place = classify(c);
+            if !selective || place.is_point() {
+                self.buckets[attr as usize].place(c, place, attr, m, false);
             }
         }
-        if e.sub.filter.constraints().is_empty() {
-            match e.sub.filter.kind() {
-                Some(k) => {
-                    if let Some(v) = self.kind_only.get_mut(k) {
-                        v.retain(|x| *x != slot);
-                        if v.is_empty() {
-                            self.kind_only.remove(k);
-                        }
-                    }
-                }
-                None => self.universal.retain(|x| *x != slot),
-            }
+        if f.constraints().is_empty() {
+            leave(&mut self.unconstrained, m);
         }
-        Some(e.sub)
+        Some((sub, owner))
     }
 
-    /// One probe: `attrs` walks the event's attributes (distinct names),
-    /// `get` reads one of them by name for the verified constraints. The
-    /// matches, as `(seq, id)` in insertion order, are left in the
-    /// scratch hit list, which stays borrowed while the caller reads it.
+    /// One probe: `attrs` walks the event's attributes (distinct names).
+    /// The matches, in insertion order, are left in the scratch hit list,
+    /// which stays borrowed while the caller reads it.
     fn probe<'a>(
         &self,
         kind: Option<&str>,
         attrs: impl Iterator<Item = (&'a str, &'a AttrValue)>,
-        get: impl Fn(&str) -> Option<&'a AttrValue>,
-    ) -> RefMut<'_, [(u64, SubId)]> {
+    ) -> RefMut<'_, [Hit]> {
         let mut scratch = self.scratch.borrow_mut();
         let s = &mut *scratch;
         s.begin();
-        let tag = kind_tag(kind);
+        // A kind no stored filter names selects what no kind selects.
+        let kind = kind.and_then(|k| self.kinds.get(k)).unwrap_or(NO_KIND);
         for (name, value) in attrs {
-            let Some(b) = self.attrs.get(name) else { continue };
+            let Some(attr) = self.attrs.get(name) else { continue };
+            s.values[attr as usize] = (s.epoch, value.clone());
+            let b = &self.buckets[attr as usize];
             match value {
                 AttrValue::Str(v) => {
                     if let Some(members) = b.eq_str.get(v.as_ref()) {
-                        s.count(tag, members);
+                        s.count(kind, members);
                     }
-                    b.prefix.visit(v.as_bytes(), &mut |members| s.count(tag, members));
+                    b.prefix.visit(v.as_bytes(), &mut |members| s.count(kind, members));
                 }
                 AttrValue::Int(_) | AttrValue::Float(_) => {
                     let x = value.as_number().expect("numeric");
@@ -595,97 +786,75 @@ impl FilterIndex {
                     // (where `Exists` lives) can be satisfied.
                     if !x.is_nan() {
                         if let Some(members) = b.eq_num.get(&num_key(x)) {
-                            s.count(tag, members);
+                            s.count(kind, members);
                         }
                         let k = ord_key(x);
                         for (&bk, bo) in b.lower.range(..=k) {
-                            s.count(tag, &bo.incl);
+                            s.count(kind, &bo.incl);
                             if bk != k {
-                                s.count(tag, &bo.strict);
+                                s.count(kind, &bo.strict);
                             }
                         }
                         for (&bk, bo) in b.upper.range(k..) {
-                            s.count(tag, &bo.incl);
+                            s.count(kind, &bo.incl);
                             if bk != k {
-                                s.count(tag, &bo.strict);
+                                s.count(kind, &bo.strict);
                             }
                         }
                     }
                 }
-                AttrValue::Bool(v) => s.count(tag, &b.eq_bool[*v as usize]),
+                AttrValue::Bool(v) => s.count(kind, &b.eq_bool[*v as usize]),
             }
-            for &(m, ci) in &b.fallback {
-                if m.counts_for(tag)
-                    && self.entry(m.slot).sub.filter.constraints()[ci as usize].matches_value(value)
-                {
-                    s.bump(m.slot);
+            for run in runs(&b.fallback, kind) {
+                for (m, check) in run {
+                    if check.holds(value) {
+                        s.bump(m.slot);
+                    }
                 }
             }
         }
-        for &slot in &s.touched {
-            let e = self.entry(slot);
-            let f = &e.sub.filter;
-            // The exact kind: a counted member only shared the kind's tag.
-            if s.cells[slot as usize].1 != e.required || f.kind().is_some_and(|k| kind != Some(k)) {
-                continue;
-            }
+        let Scratch { epoch, cells, values, touched, hits } = s;
+        for &slot in touched.iter() {
+            let r = &self.records[slot as usize];
             // Every constraint was counted, or the uncounted ones hold.
-            let holds = |c: &Constraint| {
-                classify(c).is_point() || get(&c.attr).is_some_and(|v| c.matches_value(v))
+            let holds = |c: &Check| {
+                let (stamp, value) = &values[c.attr as usize];
+                stamp == epoch && c.holds(value)
             };
-            if e.required as usize == f.constraints().len() || f.constraints().iter().all(holds) {
-                s.hits.push((e.seq, e.sub.id));
+            if cells[slot as usize].1 == r.required && r.checks.as_slice().iter().all(holds) {
+                hits.push((r.seq, r.id, r.owner));
             }
         }
-        let unconstrained = kind.and_then(|k| self.kind_only.get(k)).into_iter().flatten();
-        for &slot in unconstrained.chain(&self.universal) {
-            let e = self.entry(slot);
-            s.hits.push((e.seq, e.sub.id));
+        for run in runs(&self.unconstrained, kind) {
+            for m in run {
+                let r = &self.records[m.slot as usize];
+                hits.push((r.seq, r.id, r.owner));
+            }
         }
-        s.hits.sort_unstable();
+        hits.sort_unstable_by_key(|&(seq, ..)| seq);
         RefMut::map(scratch, |s| s.hits.as_mut_slice())
-    }
-
-    /// Ids of subscriptions matching an event with the given kind and
-    /// attributes (distinct names), in insertion order. `kind: None` means
-    /// "no kind": only kind-unrestricted filters can pass (used by
-    /// covering queries; events always carry a kind).
-    pub fn matching<'a>(
-        &self,
-        kind: Option<&str>,
-        attrs: impl Iterator<Item = (&'a str, &'a AttrValue)>,
-    ) -> Vec<SubId> {
-        let pairs: Vec<(&str, &AttrValue)> = attrs.collect();
-        self.matching_pairs(kind, &pairs)
-    }
-
-    fn matching_pairs(&self, kind: Option<&str>, pairs: &[(&str, &AttrValue)]) -> Vec<SubId> {
-        let hits = self.probe(kind, pairs.iter().copied(), |name| {
-            pairs.iter().find(|(a, _)| *a == name).map(|&(_, v)| v)
-        });
-        hits.iter().map(|&(_, id)| id).collect()
     }
 
     /// Ids of subscriptions matching `event`, in insertion order. Agrees
     /// exactly with scanning every stored filter through
     /// [`Filter::matches`].
     pub fn matching_event(&self, event: &Event) -> Vec<SubId> {
-        self.probe_event(event).iter().map(|&(_, id)| id).collect()
+        self.probe_event(event).iter().map(|&(_, id, _)| id).collect()
     }
 
-    /// Calls `f` with the id of every subscription matching `event`, in
-    /// insertion order — [`matching_event`](Self::matching_event) without
-    /// the vector: the matches are read from the index's own reused hit
-    /// list. `f` must not probe this index (the hit list is borrowed
-    /// while it runs; a nested probe panics).
-    pub fn for_each_match(&self, event: &Event, mut f: impl FnMut(SubId)) {
-        for &(_, id) in self.probe_event(event).iter() {
-            f(id);
+    /// Calls `f` with the id and owner of every subscription matching
+    /// `event`, in insertion order — [`matching_event`](Self::matching_event)
+    /// without the vector: the matches are read from the index's own
+    /// reused hit list. `f` must not probe this index (the hit list is
+    /// borrowed while it runs; a nested probe panics).
+    pub fn for_each_match(&self, event: &Event, mut f: impl FnMut(SubId, u32)) {
+        for &(_, id, owner) in self.probe_event(event).iter() {
+            f(id, owner);
         }
     }
 
-    fn probe_event(&self, event: &Event) -> RefMut<'_, [(u64, SubId)]> {
-        self.probe(Some(event.kind()), event.attrs(), |name| event.attr(name))
+    fn probe_event(&self, event: &Event) -> RefMut<'_, [Hit]> {
+        self.probe(Some(event.kind()), event.attrs())
     }
 
     /// Ids of stored filters that *cover* `query` — exact (sound and
@@ -710,7 +879,8 @@ impl FilterIndex {
             }
             pairs.push((c.attr.as_str(), &c.value));
         }
-        Some(self.matching_pairs(query.kind(), &pairs))
+        let hits = self.probe(query.kind(), pairs.into_iter());
+        Some(hits.iter().map(|&(_, id, _)| id).collect())
     }
 }
 
@@ -744,7 +914,7 @@ mod tests {
     }
 
     #[test]
-    fn kind_checked_per_candidate() {
+    fn kind_selects_the_counted_runs() {
         let mut ix = FilterIndex::new();
         ix.insert(sub(1, Filter::for_kind("a").with_eq("x", 1i64)));
         ix.insert(sub(2, Filter::for_kind("b").with_eq("x", 1i64)));
@@ -757,16 +927,15 @@ mod tests {
         assert_eq!(ids(&ix, &e), vec![3, 5]);
     }
 
-    /// Two kinds with one tag: each one's probe counts the other's
-    /// members, and the exact kind check still keeps their filters
-    /// apart. Kindless filters match under every tag; a kindless query
-    /// counts nothing else.
+    /// `k21608` and `k82419` share a 32-bit FNV-1a hash, the kind tag an
+    /// earlier layout counted by: their ids differ, so a probe for one
+    /// never counts the other's filters. Kindless filters are counted
+    /// under every kind; a kindless query counts nothing else.
     #[test]
-    fn colliding_kind_tags_cost_a_count_never_a_match() {
+    fn kinds_with_one_hash_are_never_counted_for_each_other() {
         let (k1, k2) = ("k21608", "k82419");
-        assert_eq!(kind_tag(Some(k1)), 0xdaf4_10a7);
-        assert_eq!(kind_tag(Some(k2)), kind_tag(Some(k1)), "the pair must collide");
-        assert_eq!(kind_tag(None), 0);
+        let tag = |k: &str| gloss_sim::fnv1a(k.as_bytes()) as u32 | 1;
+        assert_eq!(tag(k1), tag(k2), "the pair must collide");
         let mut ix = FilterIndex::new();
         ix.insert(sub(1, Filter::for_kind(k1).with_eq("x", 1i64)));
         ix.insert(sub(2, Filter::for_kind(k2).with_eq("x", 1i64)));
@@ -775,12 +944,56 @@ mod tests {
         ix.insert(sub(5, Filter::any().with_eq("x", 1i64)));
         ix.insert(sub(6, Filter::any().with_constraint("y", Op::Ge, 0i64)));
         ix.insert(sub(7, Filter::for_kind("other").with_eq("x", 1i64)));
+        assert_ne!(ix.kinds.get(k1), ix.kinds.get(k2));
+        let slot_of = |ix: &FilterIndex, id: SubId| ix.slot_of[&id];
+        let counted = |ix: &FilterIndex, event: &Event| -> Vec<Slot> {
+            ids(ix, event);
+            let mut touched = ix.scratch.borrow().touched.clone();
+            touched.sort_unstable();
+            touched
+        };
         let at = |kind: &str| Event::new(kind).with_attr("x", 1i64).with_attr("y", 5i64);
+        for (kind, own) in [(k1, [1, 3]), (k2, [2, 4])] {
+            let mut want: Vec<Slot> =
+                own.iter().chain(&[5, 6]).map(|&id| slot_of(&ix, id)).collect();
+            want.sort_unstable();
+            assert_eq!(counted(&ix, &at(kind)), want, "{kind} counts its own and kindless filters");
+        }
         assert_eq!(ids(&ix, &at(k1)), vec![1, 3, 5, 6]);
         assert_eq!(ids(&ix, &at(k2)), vec![2, 4, 5, 6]);
         assert_eq!(ids(&ix, &at("third")), vec![5, 6], "kindless filters match every kind");
         let kindless = Filter::any().with_eq("x", 1i64).with_eq("y", 5i64);
         assert_eq!(ix.covering_ids(&kindless), Some(vec![5, 6]), "only kindless filters cover");
+        assert_eq!(counted(&ix, &Event::new("third").with_attr("x", 1i64)), vec![slot_of(&ix, 5)]);
+    }
+
+    /// A kind or attribute freed with its last filter gives its id to the
+    /// next new name, which then matches only its own filters.
+    #[test]
+    fn freed_ids_are_reused_by_new_names() {
+        let mut ix = FilterIndex::new();
+        ix.insert(sub(1, Filter::for_kind("a").with_eq("x", 1i64)));
+        ix.insert(sub(
+            2,
+            Filter::for_kind("b").with_eq("y", 1i64).with_constraint("z", Op::Lt, 5i64),
+        ));
+        let (a, x) = (ix.kinds.get("a"), ix.attrs.get("x"));
+        ix.remove(1);
+        assert_eq!((ix.kinds.free.len(), ix.attrs.free.len()), (1, 1));
+        ix.insert(sub(
+            3,
+            Filter::for_kind("c").with_eq("w", 1i64).with_constraint("v", Op::Gt, 0i64),
+        ));
+        assert_eq!((ix.kinds.get("c"), ix.attrs.get("w")), (a, x), "freed ids go to new names");
+        assert_eq!((ix.kinds.get("a"), ix.attrs.get("x")), (None, None), "and leave the old ones");
+        let e = |kind: &str| {
+            Event::new(kind).with_attr("x", 1i64).with_attr("w", 1i64).with_attr("v", 2i64)
+        };
+        assert!(ids(&ix, &e("a")).is_empty());
+        assert_eq!(ids(&ix, &e("c")), vec![3]);
+        assert!(ids(&ix, &e("c").with_attr("v", 0i64)).is_empty(), "the verified range holds");
+        let e = Event::new("b").with_attr("y", 1i64).with_attr("z", 4i64);
+        assert_eq!(ids(&ix, &e), vec![2]);
     }
 
     #[test]
@@ -890,7 +1103,8 @@ mod tests {
         ix.insert(sub(5, Filter::any().with_eq("zone", 3i64).with_eq("level", f64::NAN)));
         // No point constraint: counted in the boundary map as before.
         ix.insert(sub(6, Filter::for_kind("k").with_constraint("level", Op::Ge, 20i64)));
-        assert_eq!(ix.attrs["level"].lower.len(), 1, "only the range-only filter is a floor");
+        let level = ix.attrs.get("level").expect("level is held") as usize;
+        assert_eq!(ix.buckets[level].lower.len(), 1, "only the range-only filter is a floor");
         let at = |zone: i64, level: i64| {
             Event::new("k").with_attr("zone", zone).with_attr("level", level)
         };
@@ -940,9 +1154,11 @@ mod tests {
             assert!(ix.remove(i as u64).is_some());
         }
         assert!(ix.is_empty());
-        assert!(ix.attrs.is_empty(), "attribute buckets must drain");
-        assert!(ix.kind_only.is_empty());
-        assert!(ix.universal.is_empty());
+        assert!(ix.kinds.is_empty() && ix.attrs.is_empty(), "the id tables must drain");
+        assert_eq!(ix.kinds.free.len(), 1);
+        assert_eq!(ix.attrs.free.len(), 3, "u, x and s held ids");
+        assert!(ix.buckets.iter().all(AttrBuckets::is_empty), "attribute buckets must drain");
+        assert!(ix.unconstrained.is_empty());
         assert_eq!(ix.free.len(), ix.slab.len(), "every slot is back on the free list");
         assert!(ix.remove(0).is_none());
     }

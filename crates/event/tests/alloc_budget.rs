@@ -1,0 +1,191 @@
+//! Allocation budget of matching and routing: once its working vectors
+//! have grown, a `FilterIndex` probe allocates nothing, whatever it
+//! counts, verifies and matches, and a broker routing a notification
+//! allocates only what its outbox's vectors grow by for the copies it
+//! sends and the counters it bumps.
+//!
+//! This binary installs an allocator that counts each thread's
+//! allocations, so keep the budget checks in this file. CI also runs it
+//! with `--release`, the profile the end-to-end benchmark runs in.
+
+use gloss_event::{
+    Broker, BrokerMsg, BrokerTopology, Event, Filter, FilterIndex, Op, Subscription,
+};
+use gloss_sim::{NodeIndex, Outbox, SimTime};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct Counting;
+
+thread_local! {
+    /// `(allocations, bytes requested)` by this thread.
+    static COUNT: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+fn record(size: usize) {
+    // A thread being torn down has no slot left; its requests go unseen.
+    let _ = COUNT.try_with(|count| {
+        let (n, bytes) = count.get();
+        count.set((n + 1, bytes + size as u64));
+    });
+}
+
+// SAFETY: every method forwards to `System` with the caller's layout and
+// pointer unchanged; counting reads only the requested size.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        record(layout.size());
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        record(new_size);
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// What this thread allocated while running `f`: `(allocations, bytes)`.
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, (u64, u64)) {
+    COUNT.with(|count| count.set((0, 0)));
+    let out = f();
+    (out, COUNT.with(Cell::get))
+}
+
+const KINDS: [&str; 3] = ["alert.fire", "alert.ice", "alert.smog"];
+
+/// Filter `n` of a table holding every bucket shape: a point constraint
+/// beside one verified range (the common shape), beside two verified
+/// constraints (spilled to the heap), string points and prefixes with a
+/// verified suffix, fallback-only and range-only filters, and
+/// zero-constraint filters with and without a kind.
+fn filter(n: usize) -> Filter {
+    let kind = KINDS[n % KINDS.len()];
+    let zone = (n % 4) as i64;
+    let level = (n % 50) as i64;
+    match n % 8 {
+        0 | 1 => {
+            Filter::for_kind(kind).with_eq("zone", zone).with_constraint("level", Op::Ge, level)
+        }
+        2 => Filter::for_kind(kind)
+            .with_eq("zone", zone)
+            .with_constraint("level", Op::Ge, level)
+            .with_constraint("street", Op::Ne, "north haugh"),
+        3 => Filter::any().with_eq("street", "south street").with_constraint(
+            "street",
+            Op::Suffix,
+            "street",
+        ),
+        4 => Filter::for_kind(kind).with_constraint("street", Op::Prefix, "south"),
+        5 => Filter::any().with_constraint("street", Op::Contains, "h st"),
+        6 => Filter::for_kind(kind).with_constraint("level", Op::Lt, level),
+        _ if n % 16 == 7 => Filter::for_kind(kind),
+        _ => Filter::any(),
+    }
+}
+
+/// An event every shape above can match.
+fn event(n: usize) -> Event {
+    Event::new(KINDS[n % KINDS.len()])
+        .with_attr("zone", (n % 4) as i64)
+        .with_attr("level", (n * 7 % 60) as i64)
+        .with_attr("street", "south street")
+}
+
+#[test]
+fn a_warmed_probe_allocates_nothing() {
+    let mut index = FilterIndex::new();
+    for n in 0..512 {
+        assert!(index.insert_owned(Subscription { id: n as u64, filter: filter(n) }, n as u32));
+    }
+    let events: Vec<Event> = (0..12).map(event).collect();
+    let walk = |index: &FilterIndex| {
+        let mut matches = 0;
+        for e in &events {
+            index.for_each_match(e, |_, _| matches += 1);
+        }
+        matches
+    };
+    let warm = walk(&index);
+    assert!(warm > 12 * 64, "every event matches many filters: {warm}");
+    let (matches, cost) = allocations(|| walk(&index));
+    assert_eq!(matches, warm);
+    assert_eq!(cost, (0, 0), "(allocations, bytes) of twelve warmed probes");
+}
+
+/// A hub with neighbours 1 and 2 and `clients` clients, each holding
+/// `per_client` subscriptions, half of which match [`event`]`(0)`; one
+/// subscription per neighbour matches too.
+fn loaded_hub(clients: u32, per_client: usize) -> Broker {
+    let neighbors = vec![NodeIndex(1), NodeIndex(2)];
+    let mut hub = Broker::new(NodeIndex(0), BrokerTopology::Peer { neighbors });
+    let mut out = Outbox::new();
+    let mut id = 0;
+    for c in 0..clients {
+        let client = NodeIndex(10 + c);
+        hub.handle(SimTime::ZERO, client, BrokerMsg::Attach, &mut out);
+        for k in 0..per_client {
+            let zone = if k % 2 == 0 { 0i64 } else { 1 };
+            let filter = Filter::for_kind(KINDS[0]).with_eq("zone", zone).with_constraint(
+                "level",
+                Op::Le,
+                (k % 7) as i64,
+            );
+            id += 1;
+            hub.handle(
+                SimTime::ZERO,
+                client,
+                BrokerMsg::Subscribe(Subscription { id, filter }),
+                &mut out,
+            );
+        }
+    }
+    for n in [1, 2] {
+        id += 1;
+        let sub = Subscription { id, filter: Filter::for_kind(KINDS[0]).with_eq("zone", 0i64) };
+        hub.handle(SimTime::ZERO, NodeIndex(n), BrokerMsg::Subscribe(sub), &mut out);
+    }
+    hub
+}
+
+/// What routing one notification from neighbour 1 allocated, and what
+/// filling a fresh outbox with the same sends and counts allocates.
+fn routing_cost(clients: u32, per_client: usize) -> ((u64, u64), (u64, u64)) {
+    let mut hub = loaded_hub(clients, per_client);
+    let notify = || BrokerMsg::Notify(event(0));
+    hub.handle(SimTime::ZERO, NodeIndex(1), notify(), &mut Outbox::new());
+    let mut out = Outbox::new();
+    let msg = notify();
+    let ((), cost) = allocations(|| hub.handle(SimTime::ZERO, NodeIndex(1), msg, &mut out));
+    assert_eq!(out.sends().len(), clients as usize + 1, "each client and neighbour 2, once");
+    let sends = out.sends().to_vec();
+    let counts = out.counts().to_vec();
+    let mut replay = Outbox::new();
+    let ((), growth) = allocations(|| {
+        for (to, msg) in sends {
+            replay.send(to, msg);
+        }
+        for (name, by) in counts {
+            replay.count(name, by);
+        }
+    });
+    (cost, growth)
+}
+
+#[test]
+fn routing_a_notification_allocates_only_the_outbox_growth() {
+    for (clients, per_client) in [(4, 2), (4, 64), (9, 16)] {
+        let (cost, growth) = routing_cost(clients, per_client);
+        assert!(growth.0 > 0, "the sends are still kept");
+        assert_eq!(cost, growth, "{clients} clients of {per_client} subscriptions each");
+    }
+}

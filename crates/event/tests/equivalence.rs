@@ -6,13 +6,15 @@
 //!
 //! 1. **Match-set equivalence** — for random filters spanning all ten
 //!    operators and mixed attribute types (including NaN floats, negative
-//!    zero, empty-string patterns and cross-type constraints) and kinds
-//!    that include two whose index tags collide, the index returns
-//!    exactly the ids a filter-by-filter scan returns, in the same order
-//!    (through `matching_event` and `for_each_match` alike), across
-//!    rounds of removal and re-insertion into one index (slot and counter
-//!    reuse), and `covering_ids` returns exactly the ids `Filter::covers`
-//!    admits on the same tables.
+//!    zero, empty-string patterns and cross-type constraints), every
+//!    verified shape beside a point constraint, and kinds that include
+//!    two whose FNV-1a hashes collide, the index returns exactly the ids
+//!    a filter-by-filter scan returns, in the same order (through
+//!    `matching_event` and `for_each_match` alike, the latter with the
+//!    owner each was stored for), across rounds of removal and
+//!    re-insertion into one index (slot, counter and kind and attribute
+//!    id reuse), and `covering_ids` returns exactly the ids
+//!    `Filter::covers` admits on the same tables.
 //! 2. **Delivery equivalence** — replaying a random
 //!    subscribe/unsubscribe/publish/detach/mobility script through a
 //!    three-broker line of indexed [`Broker`]s and of [`LinearBroker`]s
@@ -91,9 +93,8 @@ fn rand_filter(rng: &mut SimRng) -> Filter {
     f
 }
 
-/// Two kinds whose 32-bit index tags collide (FNV-1a, low half, low bit
-/// set): a probe for one counts the other's filters, and only the exact
-/// per-candidate kind check keeps them apart.
+/// Two kinds whose 32-bit FNV-1a hashes collide (low half, low bit
+/// set). An earlier index counted by that hash; ids keep them apart.
 const COLLIDING: [&str; 2] = ["k21608", "k82419"];
 
 fn rand_event(rng: &mut SimRng) -> Event {
@@ -112,9 +113,10 @@ fn rand_event_of(rng: &mut SimRng, kinds: &[&str]) -> Event {
 
 /// [`rand_filter`], plus the shapes the select-then-verify probe treats
 /// specially: an indexed and a verified constraint on the *same*
-/// attribute, and a filter whose only point constraint can never be
-/// satisfied (`Eq NaN`, entered nowhere) beside a range that can. A
-/// third of them then take one of the [`COLLIDING`] kinds.
+/// attribute, a filter whose only point constraint can never be
+/// satisfied (`Eq NaN`, entered nowhere) beside a range that can, and a
+/// point constraint beside each verified shape. A third of them then
+/// take one of the [`COLLIDING`] kinds.
 fn rand_index_filter(rng: &mut SimRng) -> Filter {
     let f = rand_index_shape(rng);
     if rng.chance(0.33) {
@@ -127,7 +129,7 @@ fn rand_index_filter(rng: &mut SimRng) -> Filter {
 fn rand_index_shape(rng: &mut SimRng) -> Filter {
     let range_ops = [Op::Lt, Op::Le, Op::Gt, Op::Ge, Op::Ne];
     let bound = rng.range(0, 7) as i64 - 3;
-    match rng.range(0, 6) {
+    match rng.range(0, 8) {
         0 => Filter::for_kind(["a", "b"][rng.index(2)])
             .with_eq("x", rng.range(0, 7) as i64 - 3)
             .with_constraint("x", range_ops[rng.index(range_ops.len())], bound),
@@ -139,8 +141,59 @@ fn rand_index_shape(rng: &mut SimRng) -> Filter {
             range_ops[rng.index(range_ops.len())],
             bound,
         ),
+        3 | 4 => {
+            let mut f = match rng.range(0, 3) {
+                0 => Filter::any(),
+                k => Filter::for_kind(["a", "b"][k as usize - 1]),
+            };
+            let (attr, op, value) = rand_point(rng);
+            f = f.with_constraint(attr, op, value);
+            for _ in 0..rng.range(1, 3) {
+                let (op, value) = rand_verified(rng);
+                f = f.with_constraint(ATTRS[rng.index(ATTRS.len())], op, value);
+            }
+            f
+        }
         _ => rand_filter(rng),
     }
+}
+
+/// A constraint that selects (an `Eq` on a non-NaN value of any type, or
+/// a `Prefix`), on a random attribute.
+fn rand_point(rng: &mut SimRng) -> (&'static str, Op, AttrValue) {
+    let attr = ATTRS[rng.index(ATTRS.len())];
+    let string = AttrValue::Str(STRINGS[rng.index(STRINGS.len())].into());
+    match rng.range(0, 5) {
+        0 => (attr, Op::Eq, string),
+        1 => (attr, Op::Eq, AttrValue::Int(rng.range(0, 3) as i64)),
+        2 => (attr, Op::Eq, AttrValue::Float(rng.range(0, 5) as f64 / 2.0)),
+        3 => (attr, Op::Eq, AttrValue::Bool(rng.chance(0.5))),
+        _ => (attr, Op::Prefix, string),
+    }
+}
+
+/// A constraint a point constraint leaves to be verified: `Ne`,
+/// `Suffix`, `Contains`, `Exists`, or an ordering on a string, a bool,
+/// an `Int`, a `Float` or `NaN`.
+fn rand_verified(rng: &mut SimRng) -> (Op, AttrValue) {
+    let order = [Op::Lt, Op::Le, Op::Gt, Op::Ge][rng.index(4)];
+    let string = AttrValue::Str(STRINGS[rng.index(STRINGS.len())].into());
+    match rng.range(0, 9) {
+        0 => (Op::Ne, rand_value(rng)),
+        1 => (Op::Suffix, string),
+        2 => (Op::Contains, string),
+        3 => (Op::Exists, rand_value(rng)),
+        4 => (order, string),
+        5 => (order, AttrValue::Bool(rng.chance(0.5))),
+        6 => (order, AttrValue::Int(rng.range(0, 7) as i64 - 3)),
+        7 => (order, AttrValue::Float(rng.range(0, 9) as f64 / 2.0 - 2.0)),
+        _ => (order, AttrValue::Float(f64::NAN)),
+    }
+}
+
+/// The owner a subscription is stored for in the match-set oracle.
+fn owner_of(id: u64) -> u32 {
+    (id % 7) as u32
 }
 
 /// A covering query inside the fragment `covering_ids` answers: an
@@ -162,7 +215,7 @@ fn rand_eq_query(rng: &mut SimRng) -> Filter {
 /// The index must agree with a scan of `subs` (held in insertion order):
 /// match sets through `Filter::matches`, cover sets through
 /// `Filter::covers`. `for_each_match` must yield `matching_event`'s
-/// sequence.
+/// sequence, each id with its [`owner_of`].
 fn check_against_scan(
     index: &FilterIndex,
     subs: &[Subscription],
@@ -175,8 +228,9 @@ fn check_against_scan(
         let got = index.matching_event(&e);
         prop_assert_eq!(&got, &want, "{stage}: event {e}: index {got:?}, scan {want:?}");
         let mut walked = Vec::new();
-        index.for_each_match(&e, |id| walked.push(id));
-        prop_assert_eq!(&walked, &got, "{stage}: event {e}: for_each_match");
+        index.for_each_match(&e, |id, owner| walked.push((id, owner)));
+        let owned: Vec<(u64, u32)> = got.iter().map(|&id| (id, owner_of(id))).collect();
+        prop_assert_eq!(&walked, &owned, "{stage}: event {e}: for_each_match");
     }
     for _ in 0..4 {
         let q = rand_eq_query(rng);
@@ -210,18 +264,26 @@ proptest! {
                     next_id
                 };
                 let sub = Subscription { id, filter: rand_index_filter(&mut rng) };
-                prop_assert!(index.insert(sub.clone()));
+                prop_assert!(index.insert_owned(sub.clone(), owner_of(id)));
                 subs.push(sub);
             }
             check_against_scan(&index, &subs, &mut rng, &format!("round {round}, filled"))?;
-            // Remove a random subset; the survivors must still match exactly.
+            // Remove a random subset, and every filter of one kind or
+            // naming one attribute, so that their ids are freed and the
+            // next round hands them to whichever name comes first. The
+            // survivors must still match exactly.
+            let kind = ["a", "b", COLLIDING[0], COLLIDING[1]][rng.index(4)];
+            let attr = ATTRS[rng.index(ATTRS.len())];
             let mut i = 0;
             while i < subs.len() {
-                if rng.chance(0.5) {
+                let f = &subs[i].filter;
+                let doomed = f.kind() == Some(kind) || f.constraints().iter().any(|c| c.attr == attr);
+                if !doomed && rng.chance(0.5) {
                     i += 1;
                 } else {
                     let gone = subs.remove(i);
-                    prop_assert_eq!(index.remove(gone.id).map(|s| s.id), Some(gone.id));
+                    let removed = index.remove(gone.id).map(|(s, owner)| (s.id, owner));
+                    prop_assert_eq!(removed, Some((gone.id, owner_of(gone.id))));
                     retired.push(gone.id);
                 }
             }
