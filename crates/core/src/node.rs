@@ -386,12 +386,19 @@ impl GlossNode {
         // Matchlets. All bundles installed on this node share the
         // server's one engine, so its alpha/beta indexes are repaired
         // once per knowledge update however many matchlets are deployed;
-        // memo hits are surfaced as a world metric.
+        // memo hits are surfaced as a world metric, and so are the
+        // change-feed reads that found the store's bounded delta log
+        // wrapped past the engine's cursor (each forced a full re-read).
         let memo_before = self.server.engine().stats.memo_hits;
+        let truncated_before = self.kb.delta_log_truncations();
         let outputs = self.server.match_event(now, &event, &self.kb);
         let memo_hits = self.server.engine().stats.memo_hits - memo_before;
         if memo_hits > 0 {
             out.count("gloss.match_memo_hits", memo_hits as f64);
+        }
+        let truncated = self.kb.delta_log_truncations() - truncated_before;
+        if truncated > 0 {
+            out.count("gloss.kb_delta_log_truncated", truncated as f64);
         }
         for synthesized in outputs {
             self.emitted += 1;
@@ -990,6 +997,35 @@ mod tests {
             })
             .collect();
         assert_eq!(sent, [(hub, "pong")]);
+    }
+
+    /// A matchlet whose change-feed read finds the store's delta log
+    /// wrapped past its cursor makes the node count it, once per wrapped
+    /// read; an event that reads nothing wrapped counts nothing.
+    #[test]
+    fn a_wrapped_delta_log_read_is_counted() {
+        let (me, hub) = (NodeIndex(1), NodeIndex(0));
+        let mut node = worker(me);
+        node.handle(SimTime::ZERO, Input::Start, &mut Outbox::new());
+        let key = AuthKey::new("test", b"secret");
+        let rule = r#"rule r { on p: event ping() where fact(?u, likes, "ice") emit pong(u: ?u) }"#;
+        let packet = Bundle::matchlet("m", rule).issued_by(key.issuer()).to_packet(&key);
+        let install = GlossMsg::Bundle { instance: String::new(), packet };
+        node.handle(SimTime::ZERO, Input::Msg { from: hub, msg: install }, &mut Outbox::new());
+        let ping = || GlossMsg::PubSub(BrokerMsg::Notify(Event::new("ping")));
+        let pinged = |node: &mut GlossNode| {
+            let mut out = Outbox::new();
+            node.handle(SimTime::ZERO, Input::Msg { from: hub, msg: ping() }, &mut out);
+            out.counts()
+                .iter()
+                .filter(|(n, _)| n == "gloss.kb_delta_log_truncated")
+                .map(|(_, v)| *v)
+                .sum::<f64>()
+        };
+        assert_eq!(pinged(&mut node), 0.0, "the first read rebuilds; nothing is wrapped");
+        node.kb.extend((0..5_000).map(|i| Fact::new(format!("s{i}"), "n", Term::Int(i))));
+        assert_eq!(pinged(&mut node), 1.0);
+        assert_eq!(pinged(&mut node), 0.0);
     }
 
     /// A bundle the analysis gate rejects installs nothing, is counted as

@@ -295,6 +295,15 @@ pub trait FactSource {
     fn for_each_delta_since(&self, _epoch: u64, _f: &mut dyn FnMut(&FactDelta)) -> bool {
         false
     }
+
+    /// How many of the source's facts hold only within a bounded
+    /// validity window, when it keeps count. While this is `Some(0)`, a
+    /// read at one version gives the same facts at every instant. `None`
+    /// (the default) means the source cannot tell, and consumers must
+    /// assume some fact's validity is bounded.
+    fn bounded_facts(&self) -> Option<usize> {
+        None
+    }
 }
 
 /// How many deltas the in-memory store keeps for replay before a
@@ -341,6 +350,8 @@ pub struct InMemoryFacts {
     slots: Vec<Option<Fact>>,
     /// Number of `Some` slots.
     live: usize,
+    /// Live facts with a `valid_from` or `valid_to` bound.
+    bounded: usize,
     by_predicate: FnvHashMap<Arc<str>, Vec<usize>>,
     by_subject: FnvHashMap<Arc<str>, Vec<usize>>,
     source: u64,
@@ -360,6 +371,7 @@ impl Default for InMemoryFacts {
         InMemoryFacts {
             slots: Vec::new(),
             live: 0,
+            bounded: 0,
             by_predicate: FnvHashMap::default(),
             by_subject: FnvHashMap::default(),
             source: fresh_source_id(),
@@ -379,6 +391,7 @@ impl Clone for InMemoryFacts {
         InMemoryFacts {
             slots: self.slots.clone(),
             live: self.live,
+            bounded: self.bounded,
             by_predicate: self.by_predicate.clone(),
             by_subject: self.by_subject.clone(),
             source: fresh_source_id(),
@@ -403,8 +416,9 @@ impl InMemoryFacts {
 
     /// How many delta-feed reads failed because the bounded log had
     /// already wrapped past the requested epoch (each one forced a
-    /// consumer to rebuild from a full read). Surfaced by hosts as the
-    /// `kb.delta_log_truncated` metric.
+    /// consumer to rebuild from a full read). A `GlossNode` counts what a
+    /// matchlet's read of its store adds here as
+    /// `gloss.kb_delta_log_truncated`.
     pub fn delta_log_truncations(&self) -> u64 {
         self.truncated_reads.load(Ordering::Relaxed)
     }
@@ -423,6 +437,7 @@ impl InMemoryFacts {
         let slot = self.slots.len();
         index_push(&mut self.by_predicate, &mut fact.predicate, slot);
         index_push(&mut self.by_subject, &mut fact.subject, slot);
+        self.bounded += usize::from(is_bounded(&fact));
         self.slots.push(Some(fact.clone()));
         self.live += 1;
         self.record(FactDelta::Insert(fact));
@@ -501,6 +516,7 @@ impl InMemoryFacts {
                 }
             }
             self.live -= 1;
+            self.bounded -= usize::from(is_bounded(&fact));
             self.record(FactDelta::Retract(fact));
             false
         });
@@ -548,6 +564,11 @@ impl InMemoryFacts {
         }
         map
     }
+}
+
+/// Whether a fact's validity is bounded at either end.
+fn is_bounded(fact: &Fact) -> bool {
+    fact.valid_from.is_some() || fact.valid_to.is_some()
 }
 
 /// Appends `slot` to `name`'s list and points `name` at the index's copy;
@@ -634,6 +655,10 @@ impl FactSource for InMemoryFacts {
 
     fn version(&self) -> Option<FactsVersion> {
         Some(FactsVersion { source: self.source, epoch: self.epoch })
+    }
+
+    fn bounded_facts(&self) -> Option<usize> {
+        Some(self.bounded)
     }
 
     fn for_each_delta_since(&self, epoch: u64, f: &mut dyn FnMut(&FactDelta)) -> bool {
@@ -817,6 +842,22 @@ mod tests {
         assert_eq!(kb.remove_subject("tmp"), 40, "enough tombstones to compact");
         assert!(!Arc::ptr_eq(&kb.name("tmp"), &kb.name("tmp")), "compaction drops it");
         assert!(!Arc::ptr_eq(&kb.name("n"), &kb.name("n")), "and an emptied predicate");
+    }
+
+    #[test]
+    fn bounded_facts_are_counted_while_they_live() {
+        let mut kb = kb();
+        assert_eq!(kb.bounded_facts(), Some(1), "bob's holiday");
+        let window = (SimTime::from_secs(1), SimTime::from_secs(2));
+        kb.add(Fact::new("anna", "at", Term::str("home")).valid_between(window.0, window.1));
+        kb.add(Fact { valid_from: Some(window.0), ..Fact::new("anna", "at", Term::str("work")) });
+        assert_eq!(kb.bounded_facts(), Some(3), "a bound at either end counts");
+        assert_eq!(kb.clone().bounded_facts(), Some(3));
+        assert_eq!(kb.retract("anna", "at", &Term::str("home")), 1);
+        assert_eq!(kb.bounded_facts(), Some(2));
+        assert_eq!(kb.remove_subject("bob"), 4);
+        assert_eq!(kb.remove_subject("anna"), 2);
+        assert_eq!(kb.bounded_facts(), Some(0), "only unbounded facts are left");
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! on `query` for every (subject?, predicate?) pair — absent ones
 //! included — on `for_each_at` at three instants, and on `len`,
 //! `by_subject`, the version epoch, `for_each_delta_since(e)` for every
-//! `e`, and `delta_log_truncations`. One case in twelve then floods the
+//! `e`, `delta_log_truncations` and the count of live facts with bounded
+//! validity (`bounded_facts`). One case in twelve then floods the
 //! store past the delta log's capacity with a large live set (so the
 //! compaction rule's ratio half decides) and checks again.
 //!
@@ -440,6 +441,8 @@ fn check(store: &InMemoryFacts, naive: &NaiveFacts) -> Result<(), TestCaseError>
     prop_assert_eq!(store.len(), naive.len());
     prop_assert_eq!(store.is_empty(), naive.is_empty());
     prop_assert_eq!(store.epoch(), naive.epoch);
+    let bounded = naive.facts.iter().filter(|f| f.valid_from.is_some() || f.valid_to.is_some());
+    prop_assert_eq!(store.bounded_facts(), Some(bounded.count()));
     prop_assert_eq!(store.version().unwrap().epoch, naive.version().unwrap().epoch);
     prop_assert!(store.query(Some(ABSENT_SUBJECT), None).next().is_none());
     prop_assert!(store.query(None, Some(ABSENT_PREDICATE)).next().is_none());

@@ -15,9 +15,15 @@
 //!   the knowledge base for each memoised solution.
 //!
 //! A rule whose first fact goal reads the event has an empty block and no
-//! canonical chain: it is solved directly. Two rules share join work
-//! exactly when their blocks start the same way *up to variable names and
-//! condition placement*. This module computes that shape:
+//! canonical chain: it is solved directly — though when its leading goals
+//! read what one event pattern binds alone, the engine solves that *local
+//! prefix* once per buffered event of the pattern instead of once per
+//! join pair (see the engine's module docs; `goal_mentions` and
+//! `goal_reads_dynamic_state` decide where the prefix ends).
+//!
+//! Two rules share join work exactly when their blocks start the same
+//! way *up to variable names and condition placement*. This module
+//! computes that shape:
 //!
 //! 1. **Normalisation** ([`normalise_goals`]) hoists each condition to
 //!    the earliest position at which every variable it reads is already
@@ -113,10 +119,15 @@ pub fn normalise_goals(goals: &[Goal]) -> Vec<Goal> {
     keyed.into_iter().map(|(_, _, g)| g.clone()).collect()
 }
 
+/// Whether a goal is a condition that reads dynamic state.
+pub(crate) fn goal_reads_dynamic_state(goal: &Goal) -> bool {
+    matches!(goal, Goal::Cond(expr) if expr_reads_dynamic_state(expr))
+}
+
 /// Whether any condition of the chain reads dynamic state: such a rule is
 /// never memoised, and is solved as written.
 fn reads_dynamic_state(goals: &[Goal]) -> bool {
-    goals.iter().any(|g| matches!(g, Goal::Cond(expr) if expr_reads_dynamic_state(expr)))
+    goals.iter().any(goal_reads_dynamic_state)
 }
 
 /// The goal chain the engine solves for `rule`: the normalised chain —
@@ -132,7 +143,7 @@ pub fn solve_chain(rule: &Rule) -> Vec<Goal> {
 }
 
 /// Whether a goal mentions any of `vars`.
-fn goal_mentions(goal: &Goal, vars: &[Symbol]) -> bool {
+pub(crate) fn goal_mentions(goal: &Goal, vars: &[Symbol]) -> bool {
     match goal {
         Goal::Fact { subject, object, .. } => {
             [subject, object].into_iter().any(|p| matches!(p, Pat::Var(v) if vars.contains(v)))

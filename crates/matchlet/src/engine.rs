@@ -53,11 +53,38 @@
 //! a memo keyed on the event never hit often enough to pay for), those
 //! with no fact goal, and those whose conditions read dynamic state the
 //! memo cannot see — a `fact(...)` call *inside* an expression, or the
-//! clock builtins `now` / `minutes_of_day`. Equivalence with from-scratch
-//! re-solving is property-tested in `tests/engine_equivalence.rs`.
+//! clock builtins `now` / `minutes_of_day`.
+//!
+//! Such a rule with two or more patterns may still have a **local
+//! prefix**, fixed when it is compiled: the longest run of leading goals
+//! that mention no variable another pattern binds — only variables one
+//! pattern `P` binds alone, variables earlier goals of the run bind, and
+//! variables no pattern binds — and read no dynamic state. (The e2e
+//! meetup rule's `fact(?u, likes, "ice cream") and fact(?u, nationality,
+//! ?n)` reads only the location's `?u`.) Its solutions depend on one `P`
+//! entry and the knowledge base alone, yet a from-scratch solve repeats
+//! them for every pair the entry joins. So each of `P`'s buffered entries
+//! carries a **stamp**, taken lazily at the entry's first complete join
+//! environment by solving the prefix there and the rest of the chain
+//! over each of its solutions (the order and errors of one solve of the
+//! whole chain): *no solution*, or *exactly one*, whose bindings the
+//! entry keeps. A stamp holds for one knowledge version, and none is
+//! taken while the source has no version or may hold a fact with
+//! bounded validity ([`FactSource::bounded_facts`]), since then the same
+//! version can solve differently at another instant. A partner stamped
+//! *no solution* is passed over before it is joined; a fixed event found
+//! so ends its join (it is still buffered); a *one solution* stamp joins
+//! its kept bindings and solves only the goals after the prefix. Two or
+//! more solutions, an evaluation error, or a stale stamp: the whole
+//! chain is solved as before, and the entry stamped again.
+//!
+//! Equivalence with from-scratch re-solving is property-tested in
+//! `tests/engine_equivalence.rs`.
 
 use crate::ast::{EventPattern, Goal, Pat, Rule};
-use crate::canonical::{canonical_chain, solve_chain, CanonicalChain};
+use crate::canonical::{
+    canonical_chain, goal_mentions, goal_reads_dynamic_state, solve_chain, CanonicalChain,
+};
 use crate::eval::{eval, solve_mut, unify, Bindings};
 use crate::parser::{parse_rules, MatchletError};
 use crate::symbol::Symbol;
@@ -65,6 +92,7 @@ use gloss_event::{AttrValue, Event};
 use gloss_knowledge::{Fact, FactDelta, FactSource, FactsVersion, Term};
 use gloss_sim::{FnvHashMap, SimTime};
 use gloss_xml::Path;
+use std::cell::{Cell, RefCell};
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -509,13 +537,62 @@ struct JoinIndex {
     inexact: usize,
 }
 
+/// What solving a rule's local prefix over one entry's bindings gave,
+/// in one stamp generation `g` of the engine (see [`stamp_generation`];
+/// generations start at 1): [`dead`](Self::dead) — no solution, so no
+/// pairing with the entry fires or errs — or [`one`](Self::one) — exactly
+/// one, whose bindings the entry keeps after its own. Anything else —
+/// never solved, solved in another generation, two or more solutions, an
+/// evaluation error — is unknown: the entry's next pairing solves the
+/// whole chain and stamps it again. Errors are never stamped, so every
+/// pairing counts its own. Packed as `2g` and `2g + 1`, the default `0`
+/// being unknown, to keep buffered entries small.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Stamp(u64);
+
+impl Stamp {
+    const UNKNOWN: Stamp = Stamp(0);
+
+    fn dead(generation: u64) -> Self {
+        Stamp(2 * generation)
+    }
+
+    fn one(generation: u64) -> Self {
+        Stamp(2 * generation + 1)
+    }
+}
+
+/// One partial match: a pattern's bindings from one event, and — for the
+/// pattern its rule's local prefix reads — the prefix's [`Stamp`]. The
+/// stamp is written while joins read the buffer, hence the cells.
+#[derive(Debug, Clone)]
+struct Buffered {
+    /// Arrival time.
+    at: SimTime,
+    /// The pattern's bindings; while `stamp` is `One`, followed by the
+    /// prefix solution's.
+    bindings: RefCell<Bindings>,
+    stamp: Cell<Stamp>,
+}
+
+impl Buffered {
+    fn new(at: SimTime, bindings: Bindings) -> Self {
+        Buffered { at, bindings: RefCell::new(bindings), stamp: Cell::default() }
+    }
+
+    /// Whether the entry is stamped dead in the current generation.
+    fn is_dead(&self, generation: Option<u64>) -> bool {
+        generation.is_some_and(|g| self.stamp.get() == Stamp::dead(g))
+    }
+}
+
 /// One pattern's window buffer: the partial matches in arrival order,
 /// plus one [`JoinIndex`] per distinct join-variable set the rule's join
 /// plans probe it with, kept in step on every push and eviction.
 #[derive(Debug, Clone, Default)]
 struct PatternBuffer {
-    /// `(arrival time, bindings)`, oldest first.
-    entries: VecDeque<(SimTime, Bindings)>,
+    /// Oldest first.
+    entries: VecDeque<Buffered>,
     /// Sequence number of `entries.front()`: the entry with sequence
     /// number `s` sits at `entries[s - head]`.
     head: u64,
@@ -533,23 +610,25 @@ impl PatternBuffer {
         })
     }
 
-    fn push(&mut self, at: SimTime, bindings: Bindings) {
+    fn push(&mut self, mut entry: Buffered) {
         let seq = self.head + self.entries.len() as u64;
+        let bindings = entry.bindings.get_mut();
         for index in &mut self.indexes {
-            match join_key(&bindings, &index.vars) {
+            match join_key(bindings, &index.vars) {
                 Some(key) => index.buckets.entry(key).or_default().push_back(seq),
                 None => index.inexact += 1,
             }
         }
-        self.entries.push_back((at, bindings));
+        self.entries.push_back(entry);
     }
 
     /// Drops the entries at the front that arrived before `cutoff`. Empty
     /// buckets go with their last entry, so the indexes hold nothing the
     /// window does not.
     fn evict_before(&mut self, cutoff: SimTime) {
-        while self.entries.front().is_some_and(|(t, _)| *t < cutoff) {
-            let (_, bindings) = self.entries.pop_front().expect("front was just inspected");
+        while self.entries.front().is_some_and(|e| e.at < cutoff) {
+            let gone = self.entries.pop_front().expect("front was just inspected");
+            let bindings = gone.bindings.into_inner();
             for index in &mut self.indexes {
                 match join_key(&bindings, &index.vars) {
                     Some(key) => {
@@ -609,6 +688,54 @@ fn join_plans(compiled: &[CompiledPattern], buffers: &mut [PatternBuffer]) -> Ve
         .collect()
 }
 
+/// A directly solved rule's local prefix (see the module docs): the
+/// leading goals of `CompiledRule::goals` whose solutions depend on one
+/// pattern's bindings alone, solved once per buffered entry of that
+/// pattern and stamped on it.
+#[derive(Debug, Clone, Copy)]
+struct LocalPrefix {
+    /// The pattern whose bindings the prefix reads.
+    pattern: usize,
+    /// How many leading goals it spans.
+    len: usize,
+    /// How many bindings the pattern makes: an entry keeps the prefix's
+    /// one solution after them.
+    own: usize,
+}
+
+/// The local prefix of a rule with two or more patterns, if it has one:
+/// per pattern, the leading goals that mention no variable another
+/// pattern binds and read no dynamic state; of these runs the longest
+/// (the earliest pattern's on a tie), unless it is empty.
+///
+/// A variable the pattern shares with another counts as the other's:
+/// in a join environment it holds whichever pattern's value was bound
+/// first, and `eq_term`-equal values can still solve differently
+/// (`Int(5) / 2` vs `Float(5.0) / 2`), so a prefix reading it could have
+/// different solutions for two pairings of one entry.
+fn local_prefix(goals: &[Goal], compiled: &[CompiledPattern]) -> Option<LocalPrefix> {
+    if compiled.len() < 2 {
+        return None;
+    }
+    let mut best: Option<LocalPrefix> = None;
+    for (pattern, cp) in compiled.iter().enumerate() {
+        let others: Vec<Symbol> = compiled
+            .iter()
+            .enumerate()
+            .filter(|&(q, _)| q != pattern)
+            .flat_map(|(_, other)| other.vars.iter().copied())
+            .collect();
+        let len = goals
+            .iter()
+            .take_while(|g| !goal_mentions(g, &others) && !goal_reads_dynamic_state(g))
+            .count();
+        if len > best.map_or(0, |b| b.len) {
+            best = Some(LocalPrefix { pattern, len, own: cp.vars.len() });
+        }
+    }
+    best
+}
+
 /// A rule plus its per-pattern event buffers.
 #[derive(Debug, Clone)]
 pub struct CompiledRule {
@@ -634,6 +761,8 @@ pub struct CompiledRule {
     goals: Vec<Goal>,
     /// How the goals are solved (memoised vs from scratch).
     plan: SolvePlan,
+    /// A directly solved rule's local prefix, if it has one.
+    local: Option<LocalPrefix>,
     /// How many times the rule has fired.
     pub fired: u64,
 }
@@ -656,7 +785,22 @@ impl CompiledRule {
             },
             None => SolvePlan::Direct,
         };
-        CompiledRule { rule, compiled, buffers, plans, emit_kind, emit_keys, goals, plan, fired: 0 }
+        let local = match plan {
+            SolvePlan::Direct => local_prefix(&goals, &compiled),
+            SolvePlan::Memo { .. } => None,
+        };
+        CompiledRule {
+            rule,
+            compiled,
+            buffers,
+            plans,
+            emit_kind,
+            emit_keys,
+            goals,
+            plan,
+            local,
+            fired: 0,
+        }
     }
 
     fn evict_before(&mut self, cutoff: SimTime) {
@@ -730,9 +874,13 @@ pub struct MatchletEngine {
     /// per-event sync is skipped entirely (direct-only engines pay
     /// nothing for the delta machinery).
     memo_rules: usize,
-    /// Scratch for `on_event`'s per-rule `(pattern, bindings)` matches,
+    /// The knowledge version local-prefix stamps were last taken at.
+    stamp_version: Option<FactsVersion>,
+    /// Bumped whenever `stamp_version` changes ([`stamp_generation`]).
+    stamp_generation: u64,
+    /// Scratch for `on_event`'s per-rule `(pattern, entry)` matches,
     /// kept so the steady state does not allocate it per event.
-    matched: Vec<(usize, Bindings)>,
+    matched: Vec<(usize, Buffered)>,
     /// The join environment `join_and_fire` extends in place and
     /// truncates back, kept so a join allocates nothing per pair.
     join_env: Bindings,
@@ -905,6 +1053,8 @@ impl MatchletEngine {
             change_stamp,
             plans_dirty,
             memo_rules,
+            stamp_version,
+            stamp_generation: generation,
             matched,
             join_env,
             stats,
@@ -914,6 +1064,7 @@ impl MatchletEngine {
         };
         let delta_active =
             *memo_rules > 0 && sync(alphas, synced, change_stamp, plans_dirty, rules, kb);
+        let generation = stamp_generation(stamp_version, generation, kb);
         // Entries are grouped by rule (rule order, then pattern order).
         let mut i = 0;
         while i < entries.len() {
@@ -937,7 +1088,7 @@ impl MatchletEngine {
             for &(_, pi) in pattern_entries {
                 let p = pi as usize;
                 if let Some(b) = match_compiled(&rule.compiled[p], event) {
-                    matched.push((p, b));
+                    matched.push((p, Buffered::new(now, b)));
                 }
             }
             if matched.is_empty() {
@@ -948,7 +1099,7 @@ impl MatchletEngine {
             // are never read: fire directly and skip buffering entirely.
             let single = rule.rule.patterns.len() == 1;
             let rule = &rules[ri];
-            let mut memoctx = match &rule.plan {
+            let memo = match &rule.plan {
                 SolvePlan::Memo { slot_vars, path, block, .. } if delta_active => {
                     // Condemn stale memo entries along the rule's beta
                     // path: any delta that touched a predicate a path
@@ -968,33 +1119,37 @@ impl MatchletEngine {
                 _ => None,
             };
 
-            let mut tally = Tally::default();
+            let mut cx =
+                FireCtx { memo, kb, now, generation, out: &mut out, tally: Tally::default() };
             if single {
                 // Single-pattern rules never buffer: fire each match in
                 // place and leave nothing for the push below.
-                for (_, bindings) in matched.iter_mut() {
-                    fire(rule, &mut memoctx, bindings, kb, now, &mut out, &mut tally);
+                for (_, entry) in matched.iter_mut() {
+                    fire(rule, entry.bindings.get_mut(), None, &mut cx);
                 }
                 matched.clear();
             } else {
-                for (p, bindings) in matched.iter() {
-                    join_env.assign(bindings);
-                    let plan = &rule.plans[*p];
-                    join(rule, plan, join_env, &mut memoctx, kb, now, &mut out, &mut tally);
+                for (p, entry) in matched.iter() {
+                    join_env.assign(&entry.bindings.borrow());
+                    // A fixed entry of the prefix's pattern is stamped at
+                    // its first complete join environment.
+                    let local = rule.local.is_some_and(|l| l.pattern == *p).then_some(entry);
+                    join(rule, &rule.plans[*p], join_env, local, &mut cx);
                 }
             }
+            let FireCtx { memo, tally, .. } = cx;
             stats.eval_errors += tally.errors;
             stats.join_probes += tally.join_probes;
             stats.join_scans += tally.join_scans;
-            if let Some(ctx) = memoctx.take() {
+            if let Some(ctx) = memo {
                 stats.memo_hits += ctx.hits;
                 stats.memo_misses += ctx.misses;
                 stats.beta_partial_hits += ctx.partial;
             }
             let rule = &mut rules[ri];
             rule.fired += tally.fired;
-            for (p, bindings) in matched.drain(..) {
-                rule.buffers[p].push(now, bindings);
+            for (p, entry) in matched.drain(..) {
+                rule.buffers[p].push(entry);
             }
         }
         stats.events_out += out.len() as u64;
@@ -1010,6 +1165,39 @@ struct Tally {
     errors: u64,
     join_probes: u64,
     join_scans: u64,
+}
+
+/// What joining and firing one rule's matches of one event read and
+/// write besides the rule and the join environment.
+struct FireCtx<'a> {
+    /// The rule's memoisation context (memo-planned rules, while the
+    /// source has a change feed).
+    memo: Option<MemoCtx<'a>>,
+    kb: &'a dyn FactSource,
+    now: SimTime,
+    /// The stamp generation local-prefix stamps are read and taken in,
+    /// or `None` while none can hold ([`stamp_generation`]).
+    generation: Option<u64>,
+    out: &'a mut Vec<Event>,
+    tally: Tally,
+}
+
+/// The generation in which local-prefix stamps taken now hold, bumping
+/// it whenever the knowledge version differs from the last event's; or
+/// `None` while no stamp can hold: the source has no version, or may
+/// hold a fact whose validity is bounded (its solutions could then change
+/// with the clock alone).
+fn stamp_generation(
+    version: &mut Option<FactsVersion>,
+    generation: &mut u64,
+    kb: &dyn FactSource,
+) -> Option<u64> {
+    let current = kb.version().filter(|_| kb.bounded_facts() == Some(0));
+    if current != *version {
+        *generation += 1;
+        *version = current;
+    }
+    current.map(|_| *generation)
 }
 
 /// Brings the alpha memories up to date with `kb`'s change feed (a free
@@ -1113,16 +1301,8 @@ fn match_compiled(pattern: &CompiledPattern, event: &Event) -> Option<Bindings> 
 /// How `on_event` joins one fixed pattern's bindings along its join
 /// plan and fires the complete join environments: [`join_and_fire`]
 /// outside the tests.
-type JoinFn = fn(
-    &CompiledRule,
-    &[JoinStage],
-    &mut Bindings,
-    &mut Option<MemoCtx<'_>>,
-    &dyn FactSource,
-    SimTime,
-    &mut Vec<Event>,
-    &mut Tally,
-);
+type JoinFn =
+    fn(&CompiledRule, &[JoinStage], &mut Bindings, Option<&Buffered>, &mut FireCtx<'_>) -> bool;
 
 /// Joins `env` against the remaining `stages` of a join plan (all of
 /// them: `env` holds the fixed pattern's bindings; fewer: the stages
@@ -1141,24 +1321,27 @@ type JoinFn = fn(
 /// entries are visited — in buffer order, exactly the entries and the
 /// order a scan would have produced, since `Bindings::join` re-verifies
 /// every shared binding either way.
-#[allow(clippy::too_many_arguments)]
+///
+/// `local` is the entry in `env` of the pattern the rule's local prefix
+/// reads, once the fixed event or a stage has supplied it. A buffered
+/// entry of that pattern stamped dead is passed over before it is
+/// joined; one found dead while it is in `env` ends every pairing with
+/// it. The return value says the latter happened to an entry supplied
+/// before these stages — for the fixed event's, the rest of its join.
 fn join_and_fire(
     rule: &CompiledRule,
     stages: &[JoinStage],
     env: &mut Bindings,
-    memo: &mut Option<MemoCtx<'_>>,
-    kb: &dyn FactSource,
-    now: SimTime,
-    out: &mut Vec<Event>,
-    tally: &mut Tally,
-) {
+    local: Option<&Buffered>,
+    cx: &mut FireCtx<'_>,
+) -> bool {
     let Some((stage, rest)) = stages.split_first() else {
-        fire(rule, memo, env, kb, now, out, tally);
-        return;
+        fire(rule, env, local, cx);
+        return local.is_some_and(|entry| entry.is_dead(cx.generation));
     };
     let buffer = &rule.buffers[stage.partner];
     if buffer.entries.is_empty() {
-        return;
+        return false;
     }
     // An index serves the stage only while every buffered key is exactly
     // hashable: an entry outside the buckets must not be skipped.
@@ -1167,27 +1350,46 @@ fn join_and_fire(
     // usable index, or this environment's own key is not exactly
     // hashable — scan the buffer for it.
     let probe = index.and_then(|ix| join_key(env, &ix.vars).map(|key| ix.buckets.get(&key)));
+    // Whether this stage supplies the prefix's entry; a stamp's kept
+    // bindings follow the partner's own, which are all the join reads.
+    let stamped = rule.local.is_some_and(|l| l.pattern == stage.partner);
+    let own = rule.compiled[stage.partner].vars.len();
     let mark = env.len();
-    let mut join = |buffered: &Bindings, tally: &mut Tally| {
-        if env.join(buffered) {
-            join_and_fire(rule, rest, env, memo, kb, now, out, tally);
-            env.truncate(mark);
+    let mut join = |buffered: &Buffered, cx: &mut FireCtx<'_>| {
+        let local = if stamped {
+            if buffered.is_dead(cx.generation) {
+                return false;
+            }
+            Some(buffered)
+        } else {
+            local
+        };
+        if !env.join(&buffered.bindings.borrow().raw_entries()[..own]) {
+            return false;
         }
+        let dead = join_and_fire(rule, rest, env, local, cx);
+        env.truncate(mark);
+        dead && !stamped
     };
     match probe {
         Some(bucket) => {
-            tally.join_probes += 1;
+            cx.tally.join_probes += 1;
             for &seq in bucket.into_iter().flatten() {
-                join(&buffer.entries[(seq - buffer.head) as usize].1, tally);
+                if join(&buffer.entries[(seq - buffer.head) as usize], cx) {
+                    return true;
+                }
             }
         }
         None => {
-            tally.join_scans += 1;
-            for (_, buffered) in &buffer.entries {
-                join(buffered, tally);
+            cx.tally.join_scans += 1;
+            for buffered in &buffer.entries {
+                if join(buffered, cx) {
+                    return true;
+                }
             }
         }
     }
+    false
 }
 
 /// Evaluates the emit spec over one solution and pushes the synthesised
@@ -1230,23 +1432,14 @@ fn emit_one(
 /// variables, in the order a from-scratch solve enumerates them. Emit
 /// expressions are always evaluated fresh (they may read the clock or the
 /// raw knowledge base).
-fn fire(
-    rule: &CompiledRule,
-    memo: &mut Option<MemoCtx<'_>>,
-    env: &mut Bindings,
-    kb: &dyn FactSource,
-    now: SimTime,
-    out: &mut Vec<Event>,
-    tally: &mut Tally,
-) {
+///
+/// Without one the goals are solved directly ([`fire_direct`]).
+fn fire(rule: &CompiledRule, env: &mut Bindings, local: Option<&Buffered>, cx: &mut FireCtx<'_>) {
+    let FireCtx { memo, kb, now, generation, out, tally } = cx;
+    let (kb, now) = (*kb, *now);
     let Some(ctx) = memo.as_mut() else {
-        // Direct path: re-solve from scratch against the knowledge base.
-        // `rule.goals` is the same chain the beta path splits, so the two
-        // paths count errors identically.
-        let solve_errors = solve_mut(&rule.goals, env, kb, now, &mut |solution| {
-            emit_one(rule, solution, kb, now, out, tally);
-        });
-        tally.errors += solve_errors;
+        let stamp = rule.local.zip(local).zip(*generation);
+        fire_direct(rule, env, stamp, kb, now, out, tally);
         return;
     };
 
@@ -1277,6 +1470,71 @@ fn fire(
         tally.errors += solve_errors;
         env.truncate(mark);
     }
+}
+
+/// The direct path: the rule's goals solved from scratch against the
+/// knowledge base. `rule.goals` is the same chain the beta path splits,
+/// so the two paths count errors identically.
+///
+/// `stamp` holds the rule's local prefix, the prefix pattern's entry in
+/// `env` and the current stamp generation, when there are all three.
+/// Then an entry stamped in this generation answers for the prefix: dead,
+/// nothing fires; one solution, its kept bindings are pushed and only the
+/// goals after the prefix are solved. Otherwise the prefix is solved,
+/// then the rest over each of its solutions — the order and the errors of
+/// one solve of the whole chain — and the prefix's outcome stamps the
+/// entry.
+fn fire_direct(
+    rule: &CompiledRule,
+    env: &mut Bindings,
+    stamp: Option<((LocalPrefix, &Buffered), u64)>,
+    kb: &dyn FactSource,
+    now: SimTime,
+    out: &mut Vec<Event>,
+    tally: &mut Tally,
+) {
+    let mut errors = 0;
+    let mut emit = |solution: &mut Bindings| emit_one(rule, solution, kb, now, out, tally);
+    match stamp {
+        None => errors = solve_mut(&rule.goals, env, kb, now, &mut emit),
+        Some(((prefix, entry), generation)) => {
+            let rest = &rule.goals[prefix.len..];
+            let mark = env.len();
+            match entry.stamp.get() {
+                stamp if stamp == Stamp::dead(generation) => {}
+                stamp if stamp == Stamp::one(generation) => {
+                    for (sym, term) in &entry.bindings.borrow().raw_entries()[prefix.own..] {
+                        env.push_raw(*sym, term.clone());
+                    }
+                    errors = solve_mut(rest, env, kb, now, &mut emit);
+                    env.truncate(mark);
+                }
+                _ => {
+                    let mut solutions = 0;
+                    let mut rest_errors = 0;
+                    let prefix_errors =
+                        solve_mut(&rule.goals[..prefix.len], env, kb, now, &mut |env| {
+                            solutions += 1;
+                            if solutions == 1 {
+                                let mut kept = entry.bindings.borrow_mut();
+                                kept.truncate(prefix.own);
+                                for (sym, term) in &env.raw_entries()[mark..] {
+                                    kept.push_raw(*sym, term.clone());
+                                }
+                            }
+                            rest_errors += solve_mut(rest, env, kb, now, &mut emit);
+                        });
+                    errors = prefix_errors + rest_errors;
+                    entry.stamp.set(match (prefix_errors, solutions) {
+                        (0, 0) => Stamp::dead(generation),
+                        (0, 1) => Stamp::one(generation),
+                        _ => Stamp::UNKNOWN,
+                    });
+                }
+            }
+        }
+    }
+    tally.errors += errors;
 }
 
 /// Fingerprints the join variables' values in `env` into a hash key, or
@@ -1635,60 +1893,71 @@ mod tests {
     /// The join `on_event` ran before [`join_and_fire`]: stage by stage,
     /// every merged environment of a stage materialised in a vector
     /// before the next stage reads it, the last stage firing each merged
-    /// environment directly.
-    #[allow(clippy::too_many_arguments)]
-    fn breadth_first_join_and_fire(
-        rule: &CompiledRule,
+    /// environment directly. Each environment carries the entry of the
+    /// local prefix's pattern it holds, if any; an entry stamped dead is
+    /// not merged at its own stage, and an environment holding one goes
+    /// no further — where the depth-first join stops pairing it.
+    fn breadth_first_join_and_fire<'r>(
+        rule: &'r CompiledRule,
         plan: &[JoinStage],
         fixed: &mut Bindings,
-        memo: &mut Option<MemoCtx<'_>>,
-        kb: &dyn FactSource,
-        now: SimTime,
-        out: &mut Vec<Event>,
-        tally: &mut Tally,
-    ) {
-        let mut envs: Vec<Bindings> = Vec::new();
+        local: Option<&'r Buffered>,
+        cx: &mut FireCtx<'_>,
+    ) -> bool {
+        let mut envs: Vec<(Bindings, Option<&'r Buffered>)> = vec![(fixed.clone(), local)];
         for (s, stage) in plan.iter().enumerate() {
             let buffer = &rule.buffers[stage.partner];
             if buffer.entries.is_empty() {
-                return;
+                return false;
             }
-            let current = if s == 0 { std::slice::from_ref(&*fixed) } else { &envs[..] };
             let last = s + 1 == plan.len();
+            let stamped = rule.local.is_some_and(|l| l.pattern == stage.partner);
+            let own = rule.compiled[stage.partner].vars.len();
             let mut next = Vec::new();
             let index = stage.index.map(|i| &buffer.indexes[i]).filter(|ix| ix.inexact == 0);
-            for env in current {
+            for (env, local) in &envs {
+                if local.is_some_and(|entry| entry.is_dead(cx.generation)) {
+                    continue;
+                }
                 let probe =
                     index.and_then(|ix| join_key(env, &ix.vars).map(|key| ix.buckets.get(&key)));
-                let mut join = |buffered: &Bindings, tally: &mut Tally| {
-                    if let Some(mut child) = merged(env, buffered) {
+                let mut join = |buffered: &'r Buffered, cx: &mut FireCtx<'_>| {
+                    let local = if stamped { Some(buffered) } else { *local };
+                    if stamped && buffered.is_dead(cx.generation) {
+                        return;
+                    }
+                    let own = Bindings::from_iter(
+                        buffered.bindings.borrow().iter().take(own).map(|(k, v)| (k, v.clone())),
+                    );
+                    if let Some(mut child) = merged(env, &own) {
                         if last {
-                            fire(rule, memo, &mut child, kb, now, out, tally);
+                            fire(rule, &mut child, local, cx);
                         } else {
-                            next.push(child);
+                            next.push((child, local));
                         }
                     }
                 };
                 match probe {
                     Some(bucket) => {
-                        tally.join_probes += 1;
+                        cx.tally.join_probes += 1;
                         for &seq in bucket.into_iter().flatten() {
-                            join(&buffer.entries[(seq - buffer.head) as usize].1, tally);
+                            join(&buffer.entries[(seq - buffer.head) as usize], cx);
                         }
                     }
                     None => {
-                        tally.join_scans += 1;
-                        for (_, buffered) in &buffer.entries {
-                            join(buffered, tally);
+                        cx.tally.join_scans += 1;
+                        for buffered in &buffer.entries {
+                            join(buffered, cx);
                         }
                     }
                 }
             }
             if next.is_empty() {
-                return;
+                return false;
             }
             envs = next;
         }
+        false
     }
 
     /// Join keys: integral numerics that hash exactly (`Int(3)` and
@@ -2267,6 +2536,161 @@ mod tests {
         assert_eq!(out[0].num_attr("half"), Some(2.0), "integer division");
         let out = e.on_event(t(1), &Event::new("k").with_attr("v", 5.0), &kb);
         assert_eq!(out[0].num_attr("half"), Some(2.5), "float division");
+    }
+
+    // --- local prefixes ---------------------------------------------------
+
+    /// The e2e meetup rule's shape: the fact goals read only the
+    /// location's `?u`; the threshold reads the weather's `?c`.
+    const MEETUP: &str = r#"
+        rule meetup {
+            on w: event weather(street: ?s, celsius: ?c)
+            on l: event loc(user: ?u, street: ?s)
+            where fact(?u, likes, "ice cream") and fact(?u, nationality, ?n)
+            where ?c >= hot_threshold(?n)
+            within 1m
+            emit meetup(user: ?u, street: ?s)
+        }
+    "#;
+
+    fn weather(celsius: f64) -> Event {
+        Event::new("weather").with_attr("street", "market st").with_attr("celsius", celsius)
+    }
+
+    fn loc(user: &str) -> Event {
+        Event::new("loc").with_attr("user", user).with_attr("street", "market st")
+    }
+
+    /// A store that counts the fact reads the engine makes through it.
+    struct Counting<'a>(&'a InMemoryFacts, std::cell::Cell<u64>);
+
+    impl FactSource for Counting<'_> {
+        fn query<'b>(
+            &'b self,
+            subject: Option<&'b str>,
+            predicate: Option<&'b str>,
+        ) -> Box<dyn Iterator<Item = &'b Fact> + 'b> {
+            self.0.query(subject, predicate)
+        }
+
+        fn for_each_at(
+            &self,
+            subject: Option<&str>,
+            predicate: Option<&str>,
+            t: SimTime,
+            f: &mut dyn FnMut(&Fact),
+        ) {
+            self.1.set(self.1.get() + 1);
+            self.0.for_each_at(subject, predicate, t, f)
+        }
+
+        fn version(&self) -> Option<FactsVersion> {
+            self.0.version()
+        }
+
+        fn bounded_facts(&self) -> Option<usize> {
+            self.0.bounded_facts()
+        }
+    }
+
+    #[test]
+    fn local_prefixes_read_one_pattern_alone() {
+        let prefix = |src: &str| {
+            let e = MatchletEngine::compile(src).unwrap();
+            e.rules()[0].local.map(|l| (l.pattern, l.len, l.own))
+        };
+        assert_eq!(prefix(MEETUP), Some((1, 2, 2)), "both fact goals, over loc's ?u and ?s");
+        // A variable both patterns bind is not the prefix pattern's alone.
+        let shared =
+            "rule r { on a: event x(k: ?k) on b: event y(k: ?k) where ?k / 2 > 1 emit o() }";
+        assert_eq!(prefix(shared), None);
+        // A clock read ends the prefix; a fact-free guard can start one.
+        let clock = MEETUP.replace("and fact(?u, nat", "and minutes_of_day() > 0 and fact(?u, nat");
+        assert_eq!(prefix(&clock), Some((1, 1, 2)));
+        let guard = MEETUP.replace("where fact(?u, likes", "where ?c > 0 and fact(?u, likes");
+        assert_eq!(prefix(&guard), Some((0, 1, 2)), "the hoisted guard reads the weather");
+        // Memo-planned and single-pattern rules have none.
+        let memo = MEETUP.replace("fact(?u, likes", "fact(?x, likes");
+        assert!(matches!(
+            MatchletEngine::compile(&memo).unwrap().rules()[0].plan,
+            SolvePlan::Memo { .. }
+        ));
+        assert_eq!(prefix(&memo), None);
+        assert_eq!(
+            prefix("rule r { on a: event x(u: ?u) where fact(?u, likes, ?w) emit o() }"),
+            None
+        );
+    }
+
+    #[test]
+    fn stamps_answer_for_the_prefix_until_the_knowledge_changes() {
+        let mut kb = kb();
+        kb.add(Fact::new("carl", "nationality", Term::str("scottish")));
+        let mut e = MatchletEngine::compile(MEETUP).unwrap();
+        let reads = |e: &mut MatchletEngine, at: u64, ev: &Event, kb: &InMemoryFacts| {
+            let counting = Counting(kb, std::cell::Cell::new(0));
+            let out = e.on_event(t(at), ev, &counting);
+            (out.len(), counting.1.get())
+        };
+        assert_eq!(reads(&mut e, 0, &loc("bob"), &kb), (0, 0), "nothing to join yet");
+        assert_eq!(reads(&mut e, 1, &loc("carl"), &kb), (0, 0));
+        // The first pairing solves each entry's prefix in full (bob: two
+        // goals, carl: one) and stamps it.
+        assert_eq!(reads(&mut e, 2, &weather(20.0), &kb), (1, 3));
+        // Then bob's one solution and carl's none are read off the stamps.
+        assert_eq!(reads(&mut e, 3, &weather(25.0), &kb), (1, 0));
+        // Carl, stamped dead, takes up ice cream before the next weather
+        // reading: the new version voids his stamp and he fires.
+        kb.add(Fact::new("carl", "likes", Term::str("ice cream")));
+        let (fired, _) = reads(&mut e, 4, &weather(25.0), &kb);
+        assert_eq!(fired, 2, "bob and carl");
+        assert_eq!(e.stats.eval_errors, 0);
+    }
+
+    #[test]
+    fn a_window_that_opens_after_buffering_still_fires() {
+        let mut kb = kb();
+        kb.add(Fact::new("carl", "nationality", Term::str("scottish")));
+        kb.add(Fact::new("carl", "likes", Term::str("ice cream")).valid_between(t(100), t(1000)));
+        let mut e = MatchletEngine::compile(MEETUP).unwrap();
+        e.on_event(t(50), &loc("carl"), &kb);
+        assert!(e.on_event(t(60), &weather(25.0), &kb).is_empty(), "not yet liked");
+        // Same version, but the store holds a windowed fact: no stamp
+        // was taken, and the pairing is solved again at t=101.
+        let out = e.on_event(t(101), &weather(25.0), &kb);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].str_attr("user"), Some("carl"));
+    }
+
+    #[test]
+    fn a_fixed_event_stamped_dead_stops_joining_but_is_buffered() {
+        let mut kb = kb();
+        kb.add(Fact::new("carl", "nationality", Term::str("scottish")));
+        let mut e = MatchletEngine::compile(MEETUP).unwrap();
+        e.on_event(t(0), &weather(25.0), &kb);
+        e.on_event(t(1), &weather(26.0), &kb);
+        // Carl joins the first reading, his prefix has no solution, and
+        // the second reading is never joined: one fact read, not two.
+        let counting = Counting(&kb, std::cell::Cell::new(0));
+        assert!(e.on_event(t(2), &loc("carl"), &counting).is_empty());
+        assert_eq!(counting.1.get(), 1);
+        let rule = &e.rules()[0];
+        assert_eq!(rule.buffered(), 3, "carl is buffered all the same");
+        let carl = rule.buffers[1].entries.back().unwrap();
+        assert_eq!(carl.stamp.get(), Stamp::dead(e.stamp_generation));
+        // Bob arrives later and fires for both readings; carl's entry
+        // leaves at the window's edge (t=2 + 60 s) with its stamp.
+        assert_eq!(e.on_event(t(30), &loc("bob"), &kb).len(), 2);
+        e.on_event(t(62), &weather(25.0), &kb);
+        assert_eq!(e.rules()[0].buffers[1].entries.len(), 2, "carl at t=2 still in");
+        let out = e.on_event(t(63), &weather(25.0), &kb);
+        assert_eq!(out.len(), 1, "bob only");
+        let rule = &e.rules()[0];
+        assert_eq!(rule.buffers[1].entries.len(), 1, "carl evicted");
+        for index in &rule.buffers[1].indexes {
+            let bucketed: usize = index.buckets.values().map(VecDeque::len).sum();
+            assert_eq!(bucketed, 1, "his index entry went with him");
+        }
     }
 
     // --- shared beta network --------------------------------------------

@@ -101,21 +101,22 @@ impl Bindings {
         self.entries.clone_from(&other.entries);
     }
 
-    /// Joins `other` into this environment in place: `false`, with
-    /// nothing changed, if any shared variable disagrees (under
-    /// [`Term::eq_term`]); otherwise `other`'s unbound variables are
-    /// appended in `other`'s order. The caller undoes the join by
-    /// truncating back to the length it had before the call.
-    pub(crate) fn join(&mut self, other: &Bindings) -> bool {
+    /// Joins `other` (a prefix of some environment's raw entries) into
+    /// this environment in place: `false`, with nothing changed, if any
+    /// shared variable disagrees (under [`Term::eq_term`]); otherwise
+    /// `other`'s unbound variables are appended in `other`'s order. The
+    /// caller undoes the join by truncating back to the length it had
+    /// before the call.
+    pub(crate) fn join(&mut self, other: &[(Symbol, Term)]) -> bool {
         let mark = self.entries.len();
-        for (k, v) in &other.entries {
+        for (k, v) in other {
             if let Some(existing) = self.get_sym(*k) {
                 if !existing.eq_term(v) {
                     return false;
                 }
             }
         }
-        for (k, v) in &other.entries {
+        for (k, v) in other {
             if !self.entries[..mark].iter().any(|(s, _)| s == k) {
                 self.entries.push((*k, v.clone()));
             }
@@ -398,19 +399,25 @@ pub fn solve(
     on_solution: &mut dyn FnMut(&Bindings),
 ) -> u64 {
     let mut scratch = env.clone();
-    solve_mut(goals, &mut scratch, kb, now, on_solution)
+    solve_mut(goals, &mut scratch, kb, now, &mut |env| on_solution(env))
 }
 
 /// [`solve`] over an owned environment: callers that are done with `env`
 /// avoid the defensive clone. `env` is restored to its original length
 /// before returning, but intermediate bindings may have been appended
 /// and truncated in place.
+///
+/// Each solution is handed over mutably, so the callback can go on
+/// solving further goals in the same environment — solving `a`, then `b`
+/// in the callback, enumerates the solutions of `a ++ b` in the same
+/// order with the same errors (the callback's own count apart). The
+/// callback must hand `env` back at the length it received it.
 pub fn solve_mut(
     goals: &[Goal],
     env: &mut Bindings,
     kb: &dyn FactSource,
     now: SimTime,
-    on_solution: &mut dyn FnMut(&Bindings),
+    on_solution: &mut dyn FnMut(&mut Bindings),
 ) -> u64 {
     match goals.split_first() {
         None => {

@@ -154,3 +154,52 @@ fn a_fact_goal_binds_8_or_256_subjects_for_the_same_allocations() {
         "(allocations, bytes) visiting 256 facts vs 8: a bound subject must cost nothing"
     );
 }
+
+/// The meetup shape: the fact goals read only the location's `?u`, so
+/// their outcome is stamped on each buffered location. One user in three
+/// likes ice; the fans are Australian (a 30 °C threshold), except `u0`,
+/// so only `u0` fires at 20 °C.
+const STAMPED_RULE: &str = r#"
+    rule meetup {
+        on w: event weather(street: ?s, celsius: ?c)
+        on l: event loc(user: ?u, street: ?s)
+        where fact(?u, likes, "ice") and fact(?u, nationality, ?n)
+        where ?c >= hot_threshold(?n)
+        within 10m
+        emit meetup(user: ?u)
+    }
+"#;
+
+/// Buffers `partners` locations on one street, warms the engine up with a
+/// weather reading that stamps them all (dead, or one solution), then
+/// returns the events a second reading emits and what it allocated.
+fn reading_stamped(partners: usize) -> (Vec<Event>, (u64, u64)) {
+    let mut kb = InMemoryFacts::new();
+    for u in 0..partners {
+        let name = format!("u{u}");
+        kb.add(Fact::new(&name, "likes", Term::str(if u % 3 == 0 { "ice" } else { "tea" })));
+        let nationality = if u == 0 { "scottish" } else { "australian" };
+        kb.add(Fact::new(&name, "nationality", Term::str(nationality)));
+    }
+    let mut engine = MatchletEngine::compile(STAMPED_RULE).expect("rule parses");
+    let t = SimTime::from_secs;
+    for u in 0..partners {
+        let seen = Event::new("loc").with_attr("user", format!("u{u}")).with_attr("street", "s");
+        assert!(engine.on_event(t(1), &seen, &kb).is_empty());
+    }
+    let reading = Event::new("weather").with_attr("street", "s").with_attr("celsius", 20.0);
+    assert_eq!(engine.on_event(t(2), &reading, &kb).len(), 1, "the warm-up reading fires");
+    allocations(|| engine.on_event(t(3), &reading, &kb))
+}
+
+#[test]
+fn a_join_allocates_the_same_for_8_and_256_stamped_partners() {
+    let (few, few_cost) = reading_stamped(8);
+    let (many, many_cost) = reading_stamped(256);
+    assert_eq!(few.len(), 1, "u0 fires");
+    assert_eq!(few, many, "equal firings");
+    assert_eq!(
+        many_cost, few_cost,
+        "(allocations, bytes) joining 256 stamped partners vs 8: a stamp read back must cost nothing"
+    );
+}

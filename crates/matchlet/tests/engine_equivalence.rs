@@ -13,9 +13,11 @@
 //!
 //! 2. The engine *itself*, fed through an opaque `FactSource` wrapper
 //!    that hides the change feed — which forces a from-scratch re-solve
-//!    of every firing. Under random interleavings of fact inserts,
-//!    retracts, rule additions/removals, and events (including facts with
-//!    validity windows), the incremental engine's firings must be
+//!    of every firing: no memo, and no local-prefix stamp (a stamp needs
+//!    a version). Under random interleavings of fact inserts and
+//!    retracts on two predicates, rule additions/removals, and events
+//!    (including facts with validity windows), the incremental engine's
+//!    firings must be
 //!    **byte-identical in order** to the from-scratch twin's, and the
 //!    error/fire counters must agree exactly.
 //!
@@ -341,9 +343,9 @@ enum ChurnOp {
     Event(u64, Event),
     /// Insert a fact, optionally with a validity window starting at the
     /// current time plus the first offset and ending plus the second.
-    Insert { subject: String, object: Term, windowed: Option<(u64, u64)> },
-    /// Retract every fact matching `(subject, likes, object)`.
-    Retract { subject: String, object: Term },
+    Insert { subject: String, predicate: &'static str, object: Term, windowed: Option<(u64, u64)> },
+    /// Retract every fact matching `(subject, predicate, object)`.
+    Retract { subject: String, predicate: &'static str, object: Term },
     /// Remove all facts about a subject.
     RemoveSubject(String),
     /// Hot-add one rule from source.
@@ -356,6 +358,12 @@ fn arb_subject() -> impl Strategy<Value = String> {
     prop_oneof![Just("ua"), Just("ub"), Just("uc")].prop_map(String::from)
 }
 
+/// The churned predicates: `likes`, and `rank`, the second predicate the
+/// local prefixes below read.
+fn arb_predicate() -> impl Strategy<Value = &'static str> {
+    prop_oneof![Just("likes"), Just("likes"), Just("rank")]
+}
+
 fn arb_object() -> impl Strategy<Value = Term> {
     prop_oneof![
         prop_oneof![Just("ice"), Just("tea")].prop_map(Term::str),
@@ -363,9 +371,25 @@ fn arb_object() -> impl Strategy<Value = Term> {
     ]
 }
 
+/// Two-pattern join bodies with a local prefix — leading goals that read
+/// only pattern `a`'s `?v0`, whose outcome is stamped on `a`'s entries:
+/// the meetup shape (one solution while the user likes ice and has one
+/// rank), a prefix with two solutions for `ub`, and a condition that
+/// errs while a rank is a string. `b` shares no variable with `a`, so
+/// every `b` event pairs with every buffered `a` entry.
+fn arb_local_prefix_body() -> impl Strategy<Value = String> {
+    let bodies = prop_oneof![
+        Just("on a: event k1(f0: ?v0) on b: event k2(f2: ?v2) where fact(?v0, likes, \"ice\") and fact(?v0, rank, ?v3) where ?v3 >= ?v2".to_string()),
+        Just("on a: event k0(f0: ?v0) on b: event k2(f1: ?v1) where fact(?v0, likes, ?v2) and ?v2 != ?v1".to_string()),
+        Just("on a: event k1(f0: ?v0) on b: event k2(f1: ?v1) where fact(?v0, rank, ?v2) and ?v2 > 0 and ?v2 != ?v1".to_string()),
+    ];
+    (bodies, 10u64..40).prop_map(|(body, win)| format!("{body} within {win} s emit out(u: ?v0)"))
+}
+
 /// Rule bodies over the churned predicates: fact enumerations with bound
-/// and unbound subjects, multi-goal chains, and a windowed two-pattern
-/// event join on top (wrapped in `rule aN { ... }` at apply time).
+/// and unbound subjects, multi-goal chains, and windowed two-pattern
+/// event joins on top — the local-prefix ones among them (wrapped in
+/// `rule aN { ... }` at apply time).
 fn arb_churn_rule_body() -> impl Strategy<Value = String> {
     let bodies = prop_oneof![
         Just("on a: event k0(f0: ?v0) where fact(?v0, likes, ?v2)".to_string()),
@@ -376,15 +400,42 @@ fn arb_churn_rule_body() -> impl Strategy<Value = String> {
         Just("on a: event k2(f1: ?v1) where fact(?v0, likes, ?v2) and fact(?v0, rank, ?v3) and ?v3 > ?v1".to_string()),
         Just("on a: event k0(f0: ?v0) where fact(?v3, likes, \"ice\") and fact(?v0, knows, ?v3)".to_string()),
     ];
-    (bodies, 10u64..40).prop_map(|(body, win)| format!("{body} within {win} s emit out(u: ?v0)"))
+    prop_oneof![
+        (bodies, 10u64..40)
+            .prop_map(|(body, win)| format!("{body} within {win} s emit out(u: ?v0)")),
+        arb_local_prefix_body(),
+    ]
+}
+
+/// An event whose `f0` names a subject the facts are about, so the
+/// patterns of fact-joining rules bind one (a random value does one
+/// time in nine).
+fn arb_subject_event() -> impl Strategy<Value = ChurnOp> {
+    (arb_subject(), arb_event()).prop_map(|(subject, (dt, mut ev))| {
+        ev.set_attr("f0", term_to_attr(&Term::str(subject)));
+        ChurnOp::Event(dt, ev)
+    })
+}
+
+/// A `k2` event with `f1` and `f2` set: the `b` pattern of every
+/// local-prefix body matches it, so it pairs with each buffered `a`
+/// entry — twice or more between fact changes now and then, which is
+/// when a stamp is read back.
+fn arb_partner_event() -> impl Strategy<Value = ChurnOp> {
+    (arb_attr_value(), arb_attr_value(), 0u64..4).prop_map(|(f1, f2, dt)| {
+        let ev =
+            Event::new("k2").with_attr("f1", term_to_attr(&f1)).with_attr("f2", term_to_attr(&f2));
+        ChurnOp::Event(dt, ev)
+    })
 }
 
 fn arb_op() -> impl Strategy<Value = ChurnOp> {
     let event = || arb_event().prop_map(|(dt, ev)| ChurnOp::Event(dt, ev));
     let insert = || {
-        (arb_subject(), arb_object(), (0u64..4), (0u64..10), (10u64..30)).prop_map(
-            |(subject, object, w, from, to)| ChurnOp::Insert {
+        (arb_subject(), arb_predicate(), arb_object(), (0u64..4), (0u64..10), (10u64..30)).prop_map(
+            |(subject, predicate, object, w, from, to)| ChurnOp::Insert {
                 subject,
+                predicate,
                 object,
                 windowed: (w == 0).then_some((from, to)),
             },
@@ -398,10 +449,17 @@ fn arb_op() -> impl Strategy<Value = ChurnOp> {
         event(),
         event(),
         event(),
+        arb_subject_event(),
+        arb_subject_event(),
+        arb_subject_event(),
+        arb_partner_event(),
+        arb_partner_event(),
+        arb_partner_event(),
         insert(),
         insert(),
-        (arb_subject(), arb_object())
-            .prop_map(|(subject, object)| ChurnOp::Retract { subject, object }),
+        (arb_subject(), arb_predicate(), arb_object()).prop_map(|(subject, predicate, object)| {
+            ChurnOp::Retract { subject, predicate, object }
+        }),
         arb_subject().prop_map(ChurnOp::RemoveSubject),
         arb_churn_rule_body().prop_map(ChurnOp::AddRule),
         (0usize..4).prop_map(ChurnOp::RemoveRule),
@@ -409,13 +467,17 @@ fn arb_op() -> impl Strategy<Value = ChurnOp> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn incremental_engine_matches_from_scratch_resolve(
         base_rules in arb_rules(),
+        stamped in arb_local_prefix_body(),
         ops in proptest::collection::vec(arb_op(), 1..48),
     ) {
+        // One local-prefix rule from the start, under a name no
+        // `RemoveRule` op takes away.
+        let base_rules = format!("{base_rules}\nrule stamped {{ {stamped} }}");
         let rules = parse_rules(&base_rules).expect("generated rules parse");
         let mut incremental = MatchletEngine::new();
         let mut scratch = MatchletEngine::new();
@@ -442,8 +504,8 @@ proptest! {
                         now
                     );
                 }
-                ChurnOp::Insert { subject, object, windowed } => {
-                    let mut fact = Fact::new(subject.clone(), "likes", object.clone());
+                ChurnOp::Insert { subject, predicate, object, windowed } => {
+                    let mut fact = Fact::new(subject.clone(), predicate, object.clone());
                     if let Some((from, to)) = windowed {
                         fact = fact.valid_between(
                             now + gloss_sim::SimDuration::from_secs(*from),
@@ -452,8 +514,8 @@ proptest! {
                     }
                     kb.add(fact);
                 }
-                ChurnOp::Retract { subject, object } => {
-                    kb.retract(subject, "likes", object);
+                ChurnOp::Retract { subject, predicate, object } => {
+                    kb.retract(subject, predicate, object);
                 }
                 ChurnOp::RemoveSubject(subject) => {
                     kb.remove_subject(subject);
