@@ -3,6 +3,7 @@
 //! the full tables).
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
+use gloss_bench::{GeneratedEvent, LocationProjection};
 use gloss_event::{Architecture, Event, Filter, Op, PubSubConfig, PubSubNetwork};
 use gloss_knowledge::{
     reconcile, BatchReader, DeltaBatch, DistributedKnowledge, Fact, FactDelta, InMemoryFacts,
@@ -12,7 +13,7 @@ use gloss_matchlet::MatchletEngine;
 use gloss_overlay::{Key, OverlayNetwork};
 use gloss_sim::{NodeIndex, SimDuration, SimRng, SimTime, Zipf};
 use gloss_store::{Document, ErasureCode, StoreConfig, StoreNetwork};
-use gloss_xml::{parse, FieldType, ProjSpec, Schema};
+use gloss_xml::parse;
 
 /// E1: the matchlet engine's per-event cost (the inner loop of the global
 /// matching service).
@@ -433,22 +434,18 @@ fn c4_solver(c: &mut Criterion) {
     });
 }
 
-/// C6: the three binding strategies on one document.
+/// C6: binding one document by projection, by the generated binder, and
+/// the parse both start from.
 fn c6_binding(c: &mut Criterion) {
-    let doc = parse(
+    let evolved = parse(
         r#"<event seq="9"><user id="bob"/><pos lat="56.34" lon="-2.80"/><extra><x/></extra></event>"#,
     )
     .unwrap();
-    let spec = ProjSpec::new("loc").field("user", "user/@id", FieldType::Str).field(
-        "lat",
-        "pos/@lat",
-        FieldType::Float,
-    );
-    c.bench_function("c6_project", |b| b.iter(|| spec.project(&doc).unwrap()));
+    let projection = LocationProjection::default();
+    c.bench_function("c6_project", |b| b.iter(|| projection.bind(&evolved).unwrap()));
     let plain =
         parse(r#"<event seq="9"><user id="bob"/><pos lat="56.34" lon="-2.80"/></event>"#).unwrap();
-    let schema = Schema::infer(&[&plain]).unwrap();
-    c.bench_function("c6_schema_bind", |b| b.iter(|| schema.bind(&plain).unwrap()));
+    c.bench_function("c6_generated_bind", |b| b.iter(|| GeneratedEvent::bind(&plain).unwrap()));
     c.bench_function("c6_xml_parse", |b| {
         b.iter(|| {
             parse(r#"<event seq="9"><user id="bob"/><pos lat="56.34" lon="-2.80"/></event>"#)

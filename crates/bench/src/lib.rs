@@ -17,7 +17,7 @@ use gloss_overlay::{FreenetNetwork, Key, OverlayNetwork};
 use gloss_pipeline::{assemble, standard::register_standard};
 use gloss_sim::{NodeIndex, SimDuration, SimRng, SimTime, Zipf};
 use gloss_store::{Document, ErasureCode, Priority, StoreConfig, StoreNetwork};
-use gloss_xml::{Element, FieldType, ProjSpec, Schema};
+use gloss_xml::{Element, Node, Path};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
@@ -456,38 +456,114 @@ pub fn c5_placement() -> String {
     out
 }
 
+/// The island of a C6 location event that a consumer reads.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Location {
+    /// `user/@id`.
+    pub user: String,
+    /// `pos/@lat`.
+    pub lat: f64,
+    /// `pos/@lon`.
+    pub lon: f64,
+}
+
+/// Type projection as a matchlet runs it (§3): one [`Path`] per field,
+/// compiled once, read through `select_text_first` as a payload key is.
+/// Whatever else the document carries is never looked at.
+#[derive(Debug, Clone)]
+pub struct LocationProjection {
+    user: Path,
+    lat: Path,
+    lon: Path,
+}
+
+impl Default for LocationProjection {
+    fn default() -> Self {
+        let path = |p: &str| Path::parse(p).expect("C6 paths compile");
+        LocationProjection { user: path("user/@id"), lat: path("pos/@lat"), lon: path("pos/@lon") }
+    }
+}
+
+impl LocationProjection {
+    /// The island of `doc`, if every field is present and typed.
+    pub fn bind(&self, doc: &Element) -> Option<Location> {
+        Some(Location {
+            user: self.user.select_text_first(doc)?,
+            lat: self.lat.select_text_first(doc)?.parse().ok()?,
+            lon: self.lon.select_text_first(doc)?.parse().ok()?,
+        })
+    }
+}
+
+/// Type generation: the class a schema compiler derives from C6's
+/// regular corpus, with every member the corpus shows.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GeneratedEvent {
+    /// `@seq`.
+    pub seq: u64,
+    /// The `user` and `pos` members.
+    pub location: Location,
+}
+
+impl GeneratedEvent {
+    /// Binds a document of exactly the generated shape: root `event` with
+    /// `@seq`, then `user` with `@id` and `pos` with `@lat` and `@lon`.
+    /// An element, attribute or text the shape does not declare refuses
+    /// the document.
+    pub fn bind(doc: &Element) -> Option<GeneratedEvent> {
+        /// Whether `el` is a childless `name` with no attribute outside `attrs`.
+        fn declared(el: &Element, name: &str, attrs: &[&str]) -> bool {
+            el.name() == name && el.is_empty() && el.attrs().all(|(k, _)| attrs.contains(&k))
+        }
+        let [Node::Element(user), Node::Element(pos)] = doc.nodes() else { return None };
+        let shaped = doc.name() == "event"
+            && doc.attrs().all(|(k, _)| k == "seq")
+            && declared(user, "user", &["id"])
+            && declared(pos, "pos", &["lat", "lon"]);
+        if !shaped {
+            return None;
+        }
+        Some(GeneratedEvent {
+            seq: doc.attr("seq")?.parse().ok()?,
+            location: Location {
+                user: user.attr("id")?.to_string(),
+                lat: pos.attr("lat")?.parse().ok()?,
+                lon: pos.attr("lon")?.parse().ok()?,
+            },
+        })
+    }
+}
+
+/// C6's corpus: 200 location events. An evolved one also carries a vendor
+/// extension that no consumer was written for.
+fn c6_corpus(evolved: bool) -> Vec<Element> {
+    (0..200)
+        .map(|i| {
+            let mut e = Element::new("event")
+                .with_attr("seq", i.to_string())
+                .with_child(Element::new("user").with_attr("id", format!("u{}", i % 50)))
+                .with_child(
+                    Element::new("pos")
+                        .with_attr("lat", format!("{}", 56.0 + (i % 100) as f64 / 1000.0))
+                        .with_attr("lon", "-2.8"),
+                );
+            if evolved {
+                e.push(
+                    Element::new("vendor_extension")
+                        .with_attr("firmware", "2.1")
+                        .with_child(Element::new("diag").with_text("ok")),
+                );
+            }
+            e
+        })
+        .collect()
+}
+
 /// C6: type projection vs type generation vs naive tree walking.
 pub fn c6_projection() -> String {
-    // Corpus: location events with a known island plus variable extras.
-    let make_doc = |i: usize, extra: bool| -> Element {
-        let mut e = Element::new("event")
-            .with_attr("seq", i.to_string())
-            .with_child(Element::new("user").with_attr("id", format!("u{}", i % 50)))
-            .with_child(
-                Element::new("pos")
-                    .with_attr("lat", format!("{}", 56.0 + (i % 100) as f64 / 1000.0))
-                    .with_attr("lon", "-2.8"),
-            );
-        if extra {
-            e.push(
-                Element::new("vendor_extension")
-                    .with_attr("firmware", "2.1")
-                    .with_child(Element::new("diag").with_text("ok")),
-            );
-        }
-        e
-    };
-    let regular: Vec<Element> = (0..200).map(|i| make_doc(i, false)).collect();
-    let evolved: Vec<Element> = (0..200).map(|i| make_doc(i, true)).collect();
-
-    let spec = ProjSpec::new("loc")
-        .field("user", "user/@id", FieldType::Str)
-        .field("lat", "pos/@lat", FieldType::Float)
-        .field("lon", "pos/@lon", FieldType::Float);
-    let schema = {
-        let refs: Vec<&Element> = regular.iter().collect();
-        Schema::infer(&refs).expect("regular corpus infers")
-    };
+    let regular = c6_corpus(false);
+    let evolved = c6_corpus(true);
+    let projection = LocationProjection::default();
 
     let time_per_doc = |f: &mut dyn FnMut(&Element) -> bool, docs: &[Element]| -> (f64, f64) {
         let start = std::time::Instant::now();
@@ -518,8 +594,8 @@ pub fn c6_projection() -> String {
         }
         user.is_some() && lat.and_then(|l| l.parse::<f64>().ok()).is_some()
     };
-    let mut proj = |d: &Element| -> bool { spec.project(d).is_ok() };
-    let mut gen = |d: &Element| -> bool { schema.bind(d).is_ok() };
+    let mut proj = |d: &Element| -> bool { projection.bind(d).is_some() };
+    let mut gen = |d: &Element| -> bool { GeneratedEvent::bind(d).is_some() };
 
     let mut rows = Vec::new();
     for (name, func) in [
@@ -1725,6 +1801,22 @@ mod tests {
         for row in rows(&c4_evolution()) {
             assert_eq!(row[1], "100", "{row:?}");
             assert_eq!(row[0], row[2], "each crashed host detected: {row:?}");
+        }
+    }
+
+    /// The generated binder takes only the shape it was generated from;
+    /// the projection reads its island out of either corpus, and both
+    /// bind the same values from a regular document.
+    #[test]
+    fn generation_refuses_evolved_documents_that_projection_binds() {
+        let projection = LocationProjection::default();
+        for doc in c6_corpus(false) {
+            let generated = GeneratedEvent::bind(&doc).expect("a regular document binds");
+            assert_eq!(projection.bind(&doc), Some(generated.location), "{doc}");
+        }
+        for doc in c6_corpus(true) {
+            assert_eq!(GeneratedEvent::bind(&doc), None, "{doc}");
+            assert!(projection.bind(&doc).is_some(), "{doc}");
         }
     }
 

@@ -280,7 +280,7 @@ impl<P: Clone> OverlayNode<P> {
         OverlayNode {
             me,
             table: RoutingTable::new(key),
-            leaves: LeafSet::new(key, 8),
+            leaves: LeafSet::new(key),
             joined: bootstrap.is_none(),
             bootstrap,
             join_delay,
@@ -431,7 +431,7 @@ impl<P: Clone> OverlayNode<P> {
     /// arm timers, and begin joining if a bootstrap is configured.
     pub fn on_start(&mut self, out: &mut Outbox<OverlayMsg<P>>) {
         self.table = RoutingTable::new(self.me.key);
-        self.leaves = LeafSet::new(self.me.key, 8);
+        self.leaves = LeafSet::new(self.me.key);
         self.probe_counters.clear();
         self.acked_since.clear();
         self.known_cache.clear();

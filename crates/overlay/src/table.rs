@@ -111,9 +111,13 @@ impl RoutingTable {
     }
 }
 
-/// The leaf set: the `l/2` nearest keys clockwise and anticlockwise of the
-/// owner on the ring. Used for the final hops of routing and for replica
-/// placement in the storage layer.
+/// How many nodes a leaf set holds: half clockwise of the owner, half
+/// anticlockwise.
+const LEAF_SET_SIZE: usize = 8;
+
+/// The leaf set: the four nearest keys clockwise and the four nearest
+/// anticlockwise of the owner on the ring. Used for the final hops of
+/// routing and for replica placement in the storage layer.
 ///
 /// The deduplicated member list is cached and rebuilt only when the set
 /// changes: probes read it once per heartbeat per neighbour, which made
@@ -122,7 +126,6 @@ impl RoutingTable {
 #[derive(Debug, Clone)]
 pub struct LeafSet {
     owner: Key,
-    half: usize,
     cw: Vec<KeyedNode>,  // sorted by clockwise distance from owner
     ccw: Vec<KeyedNode>, // sorted by anticlockwise distance from owner
     members: Arc<[KeyedNode]>,
@@ -130,16 +133,13 @@ pub struct LeafSet {
 }
 
 impl LeafSet {
-    /// Creates an empty leaf set holding up to `l/2` nodes per side.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `l` is zero or odd.
-    pub fn new(owner: Key, l: usize) -> Self {
-        assert!(l >= 2 && l.is_multiple_of(2), "leaf set size must be even and positive");
+    /// Nodes held per side.
+    const HALF: usize = LEAF_SET_SIZE / 2;
+
+    /// Creates an empty leaf set.
+    pub fn new(owner: Key) -> Self {
         LeafSet {
             owner,
-            half: l / 2,
             cw: Vec::new(),
             ccw: Vec::new(),
             members: Arc::new([]),
@@ -155,10 +155,10 @@ impl LeafSet {
         let mut changed = false;
         // A node near the owner may qualify on both sides of a small ring;
         // keep the sides independent.
-        changed |= Self::insert_side(&mut self.cw, self.half, candidate, |k| {
+        changed |= Self::insert_side(&mut self.cw, Self::HALF, candidate, |k| {
             self.owner.clockwise_distance(k)
         });
-        changed |= Self::insert_side(&mut self.ccw, self.half, candidate, |k| {
+        changed |= Self::insert_side(&mut self.ccw, Self::HALF, candidate, |k| {
             k.clockwise_distance(self.owner)
         });
         if changed {
@@ -231,7 +231,7 @@ impl LeafSet {
         // A side below capacity means this node knows everyone on that
         // side of the ring, so the closest-member rule is globally correct
         // (this includes the singleton ring).
-        if self.cw.len() < self.half || self.ccw.len() < self.half {
+        if self.cw.len() < Self::HALF || self.ccw.len() < Self::HALF {
             return true;
         }
         let cw_span = self.cw.last().map(|e| self.owner.clockwise_distance(e.key)).unwrap_or(0);
@@ -328,24 +328,28 @@ mod tests {
 
     #[test]
     fn leaf_set_keeps_nearest_per_side() {
-        let mut l = LeafSet::new(Key(1000), 4);
-        for (k, n) in [(1010u128, 1u32), (1020, 2), (1030, 3), (990, 4), (980, 5), (970, 6)] {
-            l.offer(kn(k, n));
+        let mut l = LeafSet::new(Key(1000));
+        for i in 1..=5u32 {
+            l.offer(kn(1000 + 10 * u128::from(i), i));
+            l.offer(kn(1000 - 10 * u128::from(i), 10 + i));
         }
         let members = l.members();
-        // Two nearest clockwise: 1010, 1020. Two nearest anticlockwise: 990, 980.
-        assert!(members.contains(&kn(1010, 1)));
-        assert!(members.contains(&kn(1020, 2)));
-        assert!(members.contains(&kn(990, 4)));
-        assert!(members.contains(&kn(980, 5)));
-        assert!(!members.contains(&kn(1030, 3)));
-        assert!(!members.contains(&kn(970, 6)));
+        // Four nearest clockwise: 1010..=1040. Four nearest anticlockwise: 990..=960.
+        for i in 1..=4u32 {
+            assert!(members.contains(&kn(1000 + 10 * u128::from(i), i)));
+            assert!(members.contains(&kn(1000 - 10 * u128::from(i), 10 + i)));
+        }
+        assert!(!members.contains(&kn(1050, 5)));
+        assert!(!members.contains(&kn(950, 15)));
     }
 
     #[test]
     fn leaf_set_covers_and_closest() {
-        let mut l = LeafSet::new(Key(1000), 4);
-        for (k, i) in [(1010u128, 1u32), (1020, 2), (990, 3), (980, 4)] {
+        let mut l = LeafSet::new(Key(1000));
+        for (k, i) in [(1010u128, 1u32), (1020, 2), (1030, 5), (1040, 6)] {
+            l.offer(kn(k, i));
+        }
+        for (k, i) in [(990u128, 3u32), (980, 4), (970, 7), (960, 8)] {
             l.offer(kn(k, i));
         }
         assert!(l.covers(Key(1005)));
@@ -359,17 +363,17 @@ mod tests {
 
     #[test]
     fn partially_filled_leaf_set_covers_everything() {
-        let mut l = LeafSet::new(Key(1000), 4);
+        let mut l = LeafSet::new(Key(1000));
         l.offer(kn(1010, 1));
         l.offer(kn(990, 2));
-        // Two members with capacity four: the node knows the whole ring.
+        // Two members with capacity eight: the node knows the whole ring.
         assert!(l.covers(Key(5000)));
         assert_eq!(l.closest(Key(5000), kn(1000, 0)), kn(1010, 1));
     }
 
     #[test]
     fn leaf_set_wraps_around_ring() {
-        let mut l = LeafSet::new(Key(u128::MAX - 10), 4);
+        let mut l = LeafSet::new(Key(u128::MAX - 10));
         l.offer(kn(5, 1)); // clockwise across the wrap
         l.offer(kn(u128::MAX - 30, 2));
         assert!(l.covers(Key(2)));
@@ -379,17 +383,11 @@ mod tests {
 
     #[test]
     fn leaf_set_remove_and_empty_covers_all() {
-        let mut l = LeafSet::new(Key(0), 4);
+        let mut l = LeafSet::new(Key(0));
         l.offer(kn(10, 1));
         assert!(l.remove_node(NodeIndex(1)));
         assert!(!l.remove_node(NodeIndex(1)));
         assert!(l.is_empty());
         assert!(l.covers(Key(1 << 100)), "singleton ring owns everything");
-    }
-
-    #[test]
-    #[should_panic(expected = "even")]
-    fn leaf_set_odd_size_panics() {
-        let _ = LeafSet::new(Key(0), 3);
     }
 }

@@ -96,8 +96,9 @@ impl NodeSite {
 
 /// Quota- and diversity-aware replica target selection.
 ///
-/// `candidates` come in preference order (typically ring distance to the
-/// GUID, as `replica_targets` computes) and the planner re-ranks them:
+/// `candidates` come in the caller's preference order (the storelet's
+/// `plan_replicas` passes its usable leaf members nearest the GUID first,
+/// present holders left out) and the planner re-ranks them:
 ///
 /// 1. candidates whose advertised quota cannot admit `size` more bytes
 ///    (given what the planner knows of their usage — unknown usage is
@@ -111,14 +112,25 @@ impl NodeSite {
 /// 3. once every region is covered, remaining slots fill by available
 ///    capacity, same tie-break.
 ///
+/// The plan holds `want` admissible candidates, or all of them if fewer
+/// admit the write, and it is the best such set under this score,
+/// compared in order:
+///
+/// 1. the number of regions outside `covered_regions` that the set holds
+///    a copy in, more first (a candidate absent from `directory` counts
+///    as a region of its own);
+/// 2. the members' keys — available capacity, more first, then position
+///    in `candidates`, earlier first — each set's keys sorted best first
+///    and compared lexicographically.
+///
 /// Entirely deterministic: no randomness, and every comparison grounds
 /// out in the caller-supplied ordering.
-pub fn plan_quota_targets(
+pub fn plan_quota_targets<'a>(
     size: u64,
     want: usize,
-    covered_regions: &[&str],
+    covered_regions: &[&'a str],
     candidates: &[NodeIndex],
-    directory: &[NodeSite],
+    directory: &'a [NodeSite],
     used_bytes: &BTreeMap<NodeIndex, u64>,
 ) -> Vec<NodeIndex> {
     struct Cand<'a> {
@@ -127,7 +139,7 @@ pub fn plan_quota_targets(
         avail: u64,
         pref: usize,
     }
-    let mut pool: Vec<Cand<'_>> = Vec::with_capacity(candidates.len());
+    let mut pool: Vec<Cand<'a>> = Vec::with_capacity(candidates.len());
     for (pref, &node) in candidates.iter().enumerate() {
         let site = directory.iter().find(|s| s.node == node);
         let cap = site.map(|s| s.capacity).unwrap_or_default();
@@ -142,16 +154,16 @@ pub fn plan_quota_targets(
             pref,
         });
     }
-    fn best(pool: &[Cand<'_>], covered: &[String], fresh_only: bool) -> Option<usize> {
+    fn best(pool: &[Cand<'_>], covered: &[&str], fresh_only: bool) -> Option<usize> {
         pool.iter()
             .enumerate()
-            .filter(|(_, c)| {
-                !fresh_only || c.region.map(|r| !covered.iter().any(|v| v == r)).unwrap_or(true)
-            })
+            .filter(|(_, c)| !fresh_only || c.region.is_none_or(|r| !covered.contains(&r)))
             .min_by(|(_, a), (_, b)| b.avail.cmp(&a.avail).then(a.pref.cmp(&b.pref)))
             .map(|(i, _)| i)
     }
-    let mut covered: Vec<String> = covered_regions.iter().map(|r| r.to_string()).collect();
+    let mut covered: Vec<&'a str> =
+        Vec::with_capacity(covered_regions.len() + want.min(candidates.len()));
+    covered.extend_from_slice(covered_regions);
     let mut chosen = Vec::with_capacity(want);
     while chosen.len() < want && !pool.is_empty() {
         // Prefer a region we have no copy in yet; otherwise anyone.
@@ -160,7 +172,7 @@ pub fn plan_quota_targets(
             .expect("pool is non-empty");
         let c = pool.remove(pick);
         if let Some(r) = c.region {
-            covered.push(r.to_string());
+            covered.push(r);
         }
         chosen.push(c.node);
     }

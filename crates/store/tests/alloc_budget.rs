@@ -3,17 +3,21 @@
 //! keeping the list the last ack emptied), forwarding another allocates
 //! nothing: the lookup's path lives in the payload, so pushing this node
 //! onto it and keeping the copy the forward ledger holds cost no block.
-//! A path of up to four nodes never spills to the heap.
+//! A path of up to four nodes never spills to the heap. The placement
+//! planner borrows region names rather than copying them.
 //!
 //! This binary installs an allocator that counts each thread's
 //! allocations, so keep the budget checks in this file. CI also runs it
 //! with `--release`, the profile the end-to-end benchmark runs in.
 
 use gloss_overlay::{Key, KeyedNode, OverlayMsg, OverlayNode};
-use gloss_sim::{NodeIndex, Outbox, SimDuration, SimTime};
-use gloss_store::{LookupPath, StoreConfig, StoreMsg, StoreNode, StorePayload};
+use gloss_sim::{GeoPoint, NodeIndex, Outbox, SimDuration, SimTime};
+use gloss_store::{
+    plan_quota_targets, LookupPath, NodeSite, StoreConfig, StoreMsg, StoreNode, StorePayload,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::BTreeMap;
 
 struct Counting;
 
@@ -137,4 +141,21 @@ fn a_path_of_up_to_four_nodes_never_spills() {
     let (path, cost) = allocations(|| (1..=5).map(n).collect::<LookupPath>());
     assert!(cost > 0, "a fifth node goes to the heap");
     assert_eq!(path.iter().count(), 5);
+}
+
+#[test]
+fn planning_replicas_allocates_three_blocks_however_many_regions_it_covers() {
+    let regions = ["scotland", "england", "europe", "australia"];
+    let directory: Vec<NodeSite> = (0..8)
+        .map(|i| NodeSite::new(n(i), GeoPoint::new(0.0, 0.0), regions[i as usize % 4]))
+        .collect();
+    let candidates: Vec<NodeIndex> = (0..8).map(n).collect();
+    let used = BTreeMap::new();
+    for (covered, want) in [(&[][..], 1), (&regions[..1], 4), (&regions[..], 8)] {
+        let (plan, cost) =
+            allocations(|| plan_quota_targets(64, want, covered, &candidates, &directory, &used));
+        assert_eq!(plan.len(), want);
+        // The candidate pool, the covered regions and the plan.
+        assert_eq!(cost, 3, "planning {want} targets past {} covered regions", covered.len());
+    }
 }

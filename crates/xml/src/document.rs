@@ -188,37 +188,6 @@ impl fmt::Display for Element {
     }
 }
 
-/// A complete document: an optional XML declaration plus a root element.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Document {
-    /// Whether the source carried an `<?xml ...?>` declaration.
-    pub has_declaration: bool,
-    /// The root element.
-    pub root: Element,
-}
-
-impl Document {
-    /// Wraps a root element in a document.
-    pub fn new(root: Element) -> Self {
-        Document { has_declaration: false, root }
-    }
-}
-
-impl From<Element> for Document {
-    fn from(root: Element) -> Document {
-        Document::new(root)
-    }
-}
-
-impl fmt::Display for Document {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.has_declaration {
-            writeln!(f, "<?xml version=\"1.0\"?>")?;
-        }
-        write!(f, "{}", self.root)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,14 +246,6 @@ mod tests {
         assert!(n.as_text().is_none());
         let t: Node = "hello".into();
         assert_eq!(t.as_text(), Some("hello"));
-    }
-
-    #[test]
-    fn document_display_with_declaration() {
-        let mut d = Document::new(Element::new("root"));
-        assert_eq!(d.to_string(), "<root/>");
-        d.has_declaration = true;
-        assert!(d.to_string().starts_with("<?xml"));
     }
 
     #[test]

@@ -13,13 +13,13 @@
 //! * [`Reader`] — a pull tokenizer for a pragmatic XML subset (elements,
 //!   attributes, text, comments, CDATA, the five named entities and
 //!   numeric character references) that borrows from its input, and
-//!   [`parse`]/[`parse_document`], the tree builder over it,
+//!   [`parse`], the tree builder over it,
 //! * a writer with compact and pretty forms ([`Element::to_xml`],
 //!   [`Element::to_pretty_xml`]), and [`XmlWriter`], which streams the
-//!   compact form into a caller's buffer with no tree built,
-//! * [`Path`] — XPath-lite selection (`a/b[@k='v']//c/@attr`),
-//! * [`ProjSpec`]/[`project`] — the type-projection binder, and
-//! * [`schema`] — a type-generation baseline for experiment **C6**.
+//!   compact form into a caller's buffer with no tree built, and
+//! * [`Path`] — XPath-lite selection (`a/b[@k='v']//c/@attr`), the type
+//!   projection a matchlet compiles each payload key into once and reads
+//!   every event through.
 //!
 //! # Example
 //!
@@ -27,21 +27,17 @@
 //! use gloss_xml::{parse, Path};
 //!
 //! let doc = parse(r#"<event kind="location"><user id="bob"/><pos lat="56.34" lon="-2.80"/></event>"#)?;
-//! let lat = Path::parse("pos/@lat")?.select_text(&doc);
-//! assert_eq!(lat, vec!["56.34"]);
+//! let lat = Path::parse("pos/@lat")?.select_text_first(&doc);
+//! assert_eq!(lat.as_deref(), Some("56.34"));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-pub mod document;
-pub mod parser;
-pub mod path;
-pub mod projection;
-pub mod schema;
-pub mod writer;
+mod document;
+mod parser;
+mod path;
+mod writer;
 
-pub use document::{Document, Element, Node};
-pub use parser::{parse, parse_document, ParseError, Reader, Token};
+pub use document::{Element, Node};
+pub use parser::{parse, ParseError, Reader, Token};
 pub use path::{Path, PathError};
-pub use projection::{project, FieldSpec, FieldType, ProjError, ProjSpec, Record, Value};
-pub use schema::{Schema, SchemaError};
 pub use writer::XmlWriter;

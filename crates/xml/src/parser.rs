@@ -14,19 +14,19 @@
 //! reference forced a decoded copy. A consumer that needs only the root's
 //! attributes reads one token and stops, paying for nothing after it; one
 //! that needs the content reads on, building nothing it does not keep.
-//! [`parse`] and [`parse_document`] are a tree builder over the same
-//! tokens, so the tree and the stream agree on what is well-formed. The
-//! reader checks well-formedness as it goes (matching close tags, no
-//! duplicate attribute, nothing after the root), so a consumer that reads
-//! until the reader ends has checked the whole document. It keeps the
-//! open-element names and the last start tag's attributes in place, so a
-//! document no deeper than eight elements, with no start tag of more than
-//! eight attributes, is read with no heap allocation (entity-decoded text
-//! and values aside). It refuses a start tag nested more than 256 deep:
-//! every walk over a tree (drop, clone, comparison, serialisation)
-//! recurses once per level, and documents arrive from other nodes.
+//! [`parse`] is a tree builder over the same tokens, so the tree and the
+//! stream agree on what is well-formed. The reader checks well-formedness
+//! as it goes (matching close tags, no duplicate attribute, nothing after
+//! the root), so a consumer that reads until the reader ends has checked
+//! the whole document. It keeps the open-element names and the last start
+//! tag's attributes in place, so a document no deeper than eight
+//! elements, with no start tag of more than eight attributes, is read with
+//! no heap allocation (entity-decoded text and values aside). It refuses a
+//! start tag nested more than 256 deep: every walk over a tree (drop,
+//! clone, comparison, serialisation) recurses once per level, and
+//! documents arrive from other nodes.
 
-use crate::document::{Document, Element, Node};
+use crate::document::{Element, Node};
 use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
@@ -61,15 +61,6 @@ impl Error for ParseError {}
 ///
 /// Returns [`ParseError`] on malformed input or trailing content.
 pub fn parse(input: &str) -> Result<Element, ParseError> {
-    parse_document(input).map(|d| d.root)
-}
-
-/// Parses a complete document.
-///
-/// # Errors
-///
-/// Returns [`ParseError`] on malformed input or trailing content.
-pub fn parse_document(input: &str) -> Result<Document, ParseError> {
     let mut reader = Reader::new(input);
     // Elements opened and not yet closed, outermost first.
     let mut open: Vec<Element> = Vec::new();
@@ -99,8 +90,7 @@ pub fn parse_document(input: &str) -> Result<Document, ParseError> {
             }
         }
     }
-    let root = root.expect("the reader yields the root's end before it ends");
-    Ok(Document { has_declaration: reader.has_declaration, root })
+    Ok(root.expect("the reader yields the root's end before it ends"))
 }
 
 /// One step of a [`Reader`].
@@ -153,7 +143,6 @@ pub struct Reader<'a> {
     input: &'a str,
     pos: usize,
     place: Place,
-    has_declaration: bool,
     /// Names of the open elements, outermost first.
     open: Stack<&'a str>,
     /// The last start tag's attributes, in document order.
@@ -181,7 +170,6 @@ impl<'a> Reader<'a> {
             input,
             pos: 0,
             place: Place::Prolog,
-            has_declaration: false,
             open: Stack::default(),
             attrs: Stack::default(),
             pending_end: None,
@@ -200,7 +188,7 @@ impl<'a> Reader<'a> {
         match self.place {
             Place::Prolog => {
                 self.skip_ws_and_comments()?;
-                self.has_declaration = self.try_declaration()?;
+                self.skip_declaration()?;
                 self.skip_ws_and_comments()?;
                 self.place = Place::Content;
                 self.start_tag().map(Some)
@@ -376,14 +364,14 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn try_declaration(&mut self) -> Result<bool, ParseError> {
+    fn skip_declaration(&mut self) -> Result<(), ParseError> {
         if !self.starts_with("<?xml") {
-            return Ok(false);
+            return Ok(());
         }
         match self.offset_of("?>") {
             Some(len) => {
                 self.pos += len + "?>".len();
-                Ok(true)
+                Ok(())
             }
             None => {
                 self.pos = self.input.len();
@@ -617,9 +605,8 @@ mod tests {
 
     #[test]
     fn declaration_recognised() {
-        let d = parse_document("<?xml version=\"1.0\" encoding=\"UTF-8\"?><a/>").unwrap();
-        assert!(d.has_declaration);
-        assert_eq!(d.root.name(), "a");
+        let e = parse("<?xml version=\"1.0\" encoding=\"UTF-8\"?><a/>").unwrap();
+        assert_eq!(e.name(), "a");
     }
 
     #[test]
@@ -704,7 +691,6 @@ mod tests {
     fn reader_self_closing_tags_start_then_end_and_keep_their_attributes() {
         let mut r = Reader::new(r#"<?xml version="1.0"?><!-- c --><a x="1"><b y="2"/>t</a>"#);
         assert_eq!(r.next(), Some(Ok(Token::Start("a"))));
-        assert!(r.has_declaration);
         assert_eq!(r.next(), Some(Ok(Token::Start("b"))));
         assert_eq!(r.attr("x"), None, "the last start tag's attributes only");
         assert_eq!(r.next(), Some(Ok(Token::End("b"))));

@@ -1,7 +1,7 @@
 //! XPath-lite: compact path expressions for selecting inside documents.
 //!
-//! Supported grammar (a pragmatic subset sufficient for event routing and
-//! projection):
+//! Supported grammar (a pragmatic subset sufficient for a matchlet's
+//! payload keys, the type projection of §3):
 //!
 //! ```text
 //! path     := step ('/' step)* ('/' terminal)? | terminal
@@ -16,7 +16,6 @@
 use crate::document::Element;
 use std::error::Error;
 use std::fmt;
-use std::str::FromStr;
 
 /// A parse failure for a path expression.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,19 +34,19 @@ impl fmt::Display for PathError {
 
 impl Error for PathError {}
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 enum Axis {
     Child,
     Descendant,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 enum NameTest {
     Any,
     Named(String),
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 enum Pred {
     AttrExists(String),
     AttrEquals(String, String),
@@ -55,14 +54,14 @@ enum Pred {
     Position(usize),
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 struct Step {
     axis: Axis,
     test: NameTest,
     preds: Vec<Pred>,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 enum Terminal {
     Attr(String),
     Text,
@@ -75,28 +74,14 @@ enum Terminal {
 /// ```
 /// use gloss_xml::{parse, Path};
 /// let doc = parse(r#"<m><u id="a"/><u id="b"/></m>"#)?;
-/// let ids = Path::parse("u/@id")?.select_text(&doc);
-/// assert_eq!(ids, vec!["a", "b"]);
+/// let first = Path::parse("u/@id")?.select_text_first(&doc);
+/// assert_eq!(first.as_deref(), Some("a"));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Path {
     steps: Vec<Step>,
     terminal: Option<Terminal>,
-    source: String,
-}
-
-impl fmt::Display for Path {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.source)
-    }
-}
-
-impl FromStr for Path {
-    type Err = PathError;
-    fn from_str(s: &str) -> Result<Path, PathError> {
-        Path::parse(s)
-    }
 }
 
 impl Path {
@@ -154,7 +139,7 @@ impl Path {
         if steps.is_empty() && terminal.is_none() {
             return Err(p.fail("path selects nothing"));
         }
-        Ok(Path { steps, terminal, source: expr.to_string() })
+        Ok(Path { steps, terminal })
     }
 
     /// Selects matching elements relative to `context` (its children for
@@ -162,7 +147,7 @@ impl Path {
     ///
     /// If the path ends in a terminal (`@attr` / `text()`), the elements
     /// *owning* the terminal are returned.
-    pub fn select<'a>(&self, context: &'a Element) -> Vec<&'a Element> {
+    fn select<'a>(&self, context: &'a Element) -> Vec<&'a Element> {
         let mut current: Vec<&'a Element> = vec![context];
         for step in &self.steps {
             let mut next = Vec::new();
@@ -196,14 +181,9 @@ impl Path {
         current
     }
 
-    /// Selects the first matching element, if any.
-    pub fn select_first<'a>(&self, context: &'a Element) -> Option<&'a Element> {
-        self.select(context).into_iter().next()
-    }
-
     /// Evaluates the path to strings: attribute values for `@attr`
     /// terminals, text content for `text()` or element results.
-    pub fn select_text(&self, context: &Element) -> Vec<String> {
+    fn select_text(&self, context: &Element) -> Vec<String> {
         let owners = self.select(context);
         match &self.terminal {
             Some(Terminal::Attr(name)) => {
@@ -489,18 +469,5 @@ mod tests {
         assert!(Path::parse("a[@x=unquoted]").is_err());
         assert!(Path::parse("a]").is_err());
         assert!(Path::parse("@").is_err());
-    }
-
-    #[test]
-    fn display_round_trip() {
-        let p = Path::parse(r#"readings/r[@sensor="gps"]/@q"#).unwrap();
-        assert_eq!(p.to_string(), r#"readings/r[@sensor="gps"]/@q"#);
-        assert_eq!(Path::parse(&p.to_string()).unwrap(), p);
-    }
-
-    #[test]
-    fn from_str_impl() {
-        let p: Path = "user/@id".parse().unwrap();
-        assert_eq!(p.select_text(&doc()), vec!["bob"]);
     }
 }
