@@ -791,6 +791,45 @@ fn s6_subscriber_publish(c: &mut Criterion) {
     }
 }
 
+/// S6, the leaf's side of the fan-out: a `subscriber_fanout`-shaped leaf
+/// (node 1, whose one neighbour is the hub 0) holding 150 selective
+/// subscriptions of its own node and 25 range-only covers the hub
+/// forwarded, handling a `Notify` from the hub. Only the own node's
+/// table can receive it, so only that table is probed.
+fn s6_leaf_notify(c: &mut Criterion) {
+    use gloss_event::{Broker, BrokerMsg, BrokerTopology, Subscription};
+    use gloss_sim::Outbox;
+    let (leaf, hub) = (NodeIndex(1), NodeIndex(0));
+    let mut rng = SimRng::new(61);
+    let (kinds, zones) = (Zipf::new(8, 1.0), Zipf::new(16, 1.0));
+    let mut broker = Broker::new(leaf, BrokerTopology::Peer { neighbors: vec![hub] });
+    let mut out = Outbox::new();
+    broker.handle(SimTime::ZERO, leaf, BrokerMsg::Attach, &mut out);
+    for i in 0..175u64 {
+        let kind = format!("alert{}", kinds.sample(&mut rng));
+        let (from, filter) = if i % 7 == 3 {
+            (hub, Filter::for_kind(kind).with_constraint("level", Op::Ge, rng.range(0, 60) as i64))
+        } else {
+            let filter = Filter::for_kind(kind)
+                .with_eq("zone", zones.sample(&mut rng) as i64)
+                .with_constraint("level", Op::Ge, rng.range(0, 100) as i64);
+            (leaf, filter)
+        };
+        let sub = Subscription { id: (u64::from(from.0) << 32) | i, filter };
+        broker.handle(SimTime::ZERO, from, BrokerMsg::Subscribe(sub), &mut out);
+    }
+    c.bench_function("s6_leaf_notify", |b| {
+        b.iter(|| {
+            let e = Event::new(format!("alert{}", kinds.sample(&mut rng)))
+                .with_attr("zone", zones.sample(&mut rng) as i64)
+                .with_attr("level", rng.range(0, 100) as i64);
+            let mut out = Outbox::new();
+            broker.handle(SimTime::ZERO, hub, BrokerMsg::Notify(e), &mut out);
+            out
+        })
+    });
+}
+
 /// S7: beta-network prefix sharing — n rules whose goal chains start
 /// with the same two-goal fact join and differ only in a leaf filter
 /// over a fact-bound variable.
@@ -974,7 +1013,8 @@ criterion_group! {
               c3_cache_churn, c4_solver, c6_binding, c7_join, c8_store_lookup, c9_retrieval,
               c10_erasure, c13_rule_churn, m1_histogram_polling, s1_rule_scaling,
               s2_join_deep_buffer, s2_join_window_steady, s3_overlay_scaling, s4_churn_episode,
-              s5_mobility_roam, s6_subscriber_publish, s7_shared_prefix, c17_flash_crowd_burst,
+              s5_mobility_roam, s6_subscriber_publish, s6_leaf_notify, s7_shared_prefix,
+              c17_flash_crowd_burst,
               q1_same_instant_burst
 }
 criterion_main!(experiments);

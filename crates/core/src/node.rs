@@ -350,10 +350,13 @@ impl GlossNode {
     /// `routed` says this node's own broker handed the event over, which
     /// it does only when one of this node's subscriptions matched it.
     /// This node subscribes its UI filters and whole kinds
-    /// (`subscribed_kinds`), so a routed event of a kind not subscribed
-    /// whole matched a UI filter and goes to the UI without re-scanning
-    /// `ui_filters`. Any other event — a whole-kind subscription's, or a
-    /// local sensor reading — is scanned.
+    /// (`subscribed_kinds`), and nothing else, at its own broker. So for
+    /// an event of a kind not subscribed whole, "a UI filter matches" is
+    /// "one of this node's subscriptions matches": a routed one goes to
+    /// the UI unscanned, and a local sensor reading asks the broker
+    /// (one indexed probe of its client table) instead of scanning
+    /// `ui_filters`. An event of a kind subscribed whole is scanned: the
+    /// kind subscription may be all it matches.
     fn deliver_to_client(
         &mut self,
         now: SimTime,
@@ -361,14 +364,25 @@ impl GlossNode {
         routed: bool,
         out: &mut Outbox<GlossMsg>,
     ) {
-        let to_ui = if routed && !self.subscribed_kinds.contains(event.kind()) {
+        let scan = |node: &Self| node.ui_filters.iter().any(|f| f.matches(&event));
+        let to_ui = if self.subscribed_kinds.contains(event.kind()) {
+            scan(self)
+        } else if routed {
             debug_assert!(
-                self.ui_filters.iter().any(|f| f.matches(&event)),
+                scan(self),
                 "routed, not of a kind subscribed whole, yet no UI filter matches: {event}"
             );
             true
+        } else if self.ui_filters.is_empty() {
+            false
         } else {
-            self.ui_filters.iter().any(|f| f.matches(&event))
+            let matched = self.broker.client_matches(self.me, &event);
+            debug_assert_eq!(
+                matched,
+                scan(self),
+                "the broker and the UI filters disagree: {event}"
+            );
+            matched
         };
         if to_ui {
             out.count("gloss.ui_delivered", 1.0);
@@ -940,6 +954,52 @@ mod tests {
         let kinds: Vec<&str> = node.ui_received.iter().map(Event::kind).collect();
         assert_eq!(kinds, ["alert"]);
         assert_eq!(node.emitted, 1);
+    }
+
+    /// A local sensor reading lands in `ui_received` exactly when a UI
+    /// filter matches it: on a node with none, through constrained
+    /// filters (the broker's probe of the node's own subscriptions
+    /// answers), and on a matchlet host that also subscribes the UI
+    /// filter's kind whole (the filters are scanned).
+    #[test]
+    fn a_local_sensor_event_reaches_the_ui_only_through_a_matching_ui_filter() {
+        let (me, hub) = (NodeIndex(1), NodeIndex(0));
+        let mut node = worker(me);
+        node.handle(SimTime::ZERO, Input::Start, &mut Outbox::new());
+        let sensed = |node: &mut GlossNode, event: Event| {
+            let before = node.ui_received.len();
+            deliver(node, me, GlossMsg::Sensor(event));
+            node.ui_received.len() - before
+        };
+        let alert = |zone: i64| Event::new("alert").with_attr("zone", zone);
+        let smoke = |level: i64| Event::new("smoke").with_attr("level", level);
+        let ping = |zone: i64| Event::new("ping").with_attr("zone", zone);
+
+        assert_eq!(sensed(&mut node, alert(9)), 0, "no UI filters");
+
+        let zone_9_alerts = Filter::for_kind("alert").with_eq("zone", 9i64);
+        let high_levels = Filter::any().with_constraint("level", gloss_event::Op::Ge, 50i64);
+        deliver(&mut node, me, GlossMsg::UiSubscribe(zone_9_alerts));
+        deliver(&mut node, me, GlossMsg::UiSubscribe(high_levels));
+        for (event, received) in [(alert(9), 1), (alert(3), 0), (smoke(70), 1), (smoke(10), 0)] {
+            assert_eq!(sensed(&mut node, event.clone()), received, "{event}");
+        }
+
+        let key = AuthKey::new("test", b"secret");
+        let packet = Bundle::matchlet("m", r#"rule r { on p: event ping() emit pong() }"#)
+            .issued_by(key.issuer())
+            .to_packet(&key);
+        deliver(&mut node, hub, GlossMsg::Bundle { instance: String::new(), packet });
+        assert!(node.subscribed_kinds.contains("ping"));
+        deliver(
+            &mut node,
+            me,
+            GlossMsg::UiSubscribe(Filter::for_kind("ping").with_eq("zone", 9i64)),
+        );
+        let emitted = node.emitted;
+        assert_eq!(sensed(&mut node, ping(9)), 1);
+        assert_eq!(sensed(&mut node, ping(3)), 0, "the kind subscription alone matches");
+        assert_eq!(node.emitted, emitted + 2, "the matchlet saw both");
     }
 
     /// The node's broker routes a neighbour's `Notify` to the node itself

@@ -5,9 +5,23 @@
 //!
 //! Since PR 8 the broker is *sublinear* in its subscription table:
 //!
-//! * routing consults a counting [`FilterIndex`] instead of scanning the
+//! * routing consults counting [`FilterIndex`]es instead of scanning the
 //!   table filter-by-filter, so publish cost tracks the number of
-//!   candidate subscriptions sharing attributes with the event, and
+//!   candidate subscriptions sharing attributes with the event,
+//! * the table is two indexes, split Siena's way by the interface a
+//!   subscription arrived on: the *neighbour table* holds those sent by
+//!   neighbouring brokers that are notified by subscription (peer
+//!   neighbours, hierarchical children), the *client table* everything
+//!   else. An event is served to no interface it came from, so `route`
+//!   probes the neighbour table only when such a broker other than the
+//!   sender exists, and the client table only when a client or proxy
+//!   other than the sender does (a hierarchical parent is sent every
+//!   event without a probe). A leaf notified by its only neighbour thus
+//!   probes its clients' subscriptions alone, not the covers the
+//!   neighbour forwarded it; one arrival sequence runs across both
+//!   tables, and matches from both merge back into arrival order, so
+//!   deliveries, forwarding and [`subscriptions`](Broker::subscriptions)
+//!   come out as one table's would, and
 //! * each neighbouring interface keeps a `ForwardTable` — the covering
 //!   relation over forwarded filters maintained *incrementally* as a
 //!   parent/children DAG, with overlapping same-kind filters collapsed
@@ -32,7 +46,7 @@
 //! per neighbouring broker an event is forwarded to.
 
 use crate::filter::{merge_cover, Filter, Subscription};
-use crate::index::FilterIndex;
+use crate::index::{FilterIndex, Hit};
 use crate::notification::Event;
 use gloss_governor::{IngressClass, LoadShedder, ShedConfig, ShedDecision};
 use gloss_sim::{FnvBuildHasher, FnvHashMap, NodeIndex, Outbox, SimDuration, SimTime};
@@ -173,15 +187,55 @@ impl ForwardTable {
     }
 }
 
+/// The subscription table as its neighbour and client tables (see the
+/// module doc), each subscription stored for (owned by) the interface it
+/// arrived on, under one arrival sequence across both.
+#[derive(Debug, Clone, Default)]
+struct SubTable {
+    neighbours: FilterIndex,
+    clients: FilterIndex,
+    next_seq: u64,
+}
+
+impl SubTable {
+    fn len(&self) -> usize {
+        self.neighbours.len() + self.clients.len()
+    }
+
+    fn contains(&self, id: SubId) -> bool {
+        self.neighbours.contains(id) || self.clients.contains(id)
+    }
+
+    fn get(&self, id: SubId) -> Option<&Subscription> {
+        self.neighbours.get(id).or_else(|| self.clients.get(id))
+    }
+
+    fn insert(&mut self, sub: Subscription, iface: NodeIndex, from_neighbour: bool) {
+        let table = if from_neighbour { &mut self.neighbours } else { &mut self.clients };
+        table.insert_at(sub, iface.0, self.next_seq);
+        self.next_seq += 1;
+    }
+
+    fn remove(&mut self, id: SubId) -> Option<(Subscription, u32)> {
+        self.neighbours.remove(id).or_else(|| self.clients.remove(id))
+    }
+
+    fn in_order(&self) -> impl Iterator<Item = &Subscription> {
+        let mut v: Vec<(u64, &Subscription)> =
+            self.neighbours.iter_with_seq().chain(self.clients.iter_with_seq()).collect();
+        v.sort_unstable_by_key(|&(seq, _)| seq);
+        v.into_iter().map(|(_, sub)| sub)
+    }
+}
+
 /// A content-based event broker (one per broker node).
 #[derive(Debug, Clone)]
 pub struct Broker {
     me: NodeIndex,
     topology: BrokerTopology,
     clients: BTreeSet<NodeIndex>,
-    /// The subscription table, as a counting attribute index; each
-    /// subscription is stored for (owned by) the interface it arrived on.
-    subs: FilterIndex,
+    /// The subscription table, as two counting attribute indexes.
+    subs: SubTable,
     /// Subscription ids per arrival interface, in arrival order (drives
     /// detach/handoff iteration without a table scan).
     by_iface: FnvHashMap<u32, Vec<SubId>>,
@@ -223,7 +277,7 @@ impl Broker {
             me,
             topology,
             clients: BTreeSet::new(),
-            subs: FilterIndex::new(),
+            subs: SubTable::default(),
             by_iface: FnvHashMap::default(),
             tables: BTreeMap::new(),
             proxies: BTreeMap::new(),
@@ -259,7 +313,29 @@ impl Broker {
     /// The stored subscriptions, in arrival order (for audit passes over
     /// the table).
     pub fn subscriptions(&self) -> impl Iterator<Item = &Subscription> {
-        self.subs.iter_in_order()
+        self.subs.in_order()
+    }
+
+    /// Whether a subscription stored for `client` matches `event`: one
+    /// probe of the table that interface's subscriptions live in.
+    pub fn client_matches(&self, client: NodeIndex, event: &Event) -> bool {
+        let table = if self.forwards_by_subscription(client) {
+            &self.subs.neighbours
+        } else {
+            &self.subs.clients
+        };
+        table.hits(event).iter().any(|&(_, _, owner)| owner == client.0)
+    }
+
+    /// Whether notifications are forwarded to `iface` by what it
+    /// subscribed: a peer neighbour, or a hierarchical child. (A
+    /// hierarchical parent is sent every event; subscriptions never flow
+    /// down to a child, and one that did would be kept with the clients'.)
+    fn forwards_by_subscription(&self, iface: NodeIndex) -> bool {
+        match &self.topology {
+            BrokerTopology::Peer { neighbors } => neighbors.contains(&iface),
+            BrokerTopology::Hierarchical { children, .. } => children.contains(&iface),
+        }
     }
 
     /// Filters currently forwarded toward `target`, in forwarding order.
@@ -433,7 +509,8 @@ impl Broker {
             out.send(target, BrokerMsg::Subscribe(sub.clone()));
         }
         self.by_iface.entry(from.0).or_default().push(sub.id);
-        self.subs.insert_owned(sub, from.0);
+        let from_neighbour = self.forwards_by_subscription(from);
+        self.subs.insert(sub, from, from_neighbour);
     }
 
     fn unsubscribe(&mut self, id: SubId, out: &mut Outbox<BrokerMsg>) {
@@ -488,11 +565,25 @@ impl Broker {
     }
 
     fn route(&mut self, from: NodeIndex, event: Event, out: &mut Outbox<BrokerMsg>) {
-        // One counting probe walks every matching subscription, in
-        // arrival order (the order the old linear scan delivered in),
-        // straight out of the index's reused hit list, each with the
-        // interface it arrived on: routing an event allocates only the
-        // copies it sends or buffers.
+        // A table is probed only if an interface other than `from` can
+        // be served from it; `from`'s own matches are never served. The
+        // neighbour table is probed when a broker other than `from` is
+        // forwarded to by subscription, the client table when a client or
+        // proxy other than `from` exists. So a leaf notified by its only
+        // neighbour probes its clients' table alone, and a client's
+        // publication on a broker with no other client its neighbours'.
+        let probe_neighbours = match &self.topology {
+            BrokerTopology::Peer { neighbors } => neighbors.iter().any(|&n| n != from),
+            BrokerTopology::Hierarchical { children, .. } => children.iter().any(|&c| c != from),
+        };
+        let probe_clients = self.clients.iter().chain(self.proxies.keys()).any(|&c| c != from);
+
+        // Each probe walks its matching subscriptions in arrival order
+        // straight out of its index's reused hit list, each with the
+        // interface it arrived on; the two lists merge by arrival
+        // sequence into the order one table (and the old linear scan)
+        // delivered in. Routing an event allocates only the copies it
+        // sends or buffers.
         //
         // An interface is served once per event, at its first matching
         // subscription: a client with k matching filters gets one copy,
@@ -500,10 +591,16 @@ impl Broker {
         // hold a matching subscription, for forwarding below.
         let Broker { subs, wanted, proxies, clients, .. } = self;
         wanted.clear();
-        subs.for_each_match(&event, |_, owner| {
+        let neighbour_hits = probe_neighbours.then(|| subs.neighbours.hits(&event));
+        let client_hits = probe_clients.then(|| subs.clients.hits(&event));
+        let hits = merged(
+            neighbour_hits.as_deref().unwrap_or_default(),
+            client_hits.as_deref().unwrap_or_default(),
+        );
+        for (_, _, owner) in hits {
             let iface = NodeIndex(owner);
             if !wanted.insert(owner) || iface == from {
-                return;
+                continue;
             }
             if let Some(buffer) = proxies.get_mut(&iface) {
                 buffer.push(event.clone());
@@ -511,7 +608,7 @@ impl Broker {
                 out.send(iface, BrokerMsg::Notify(event.clone()));
                 out.count("pubsub.delivered_local", 1.0);
             }
-        });
+        }
 
         // Inter-broker forwarding.
         match &self.topology {
@@ -540,6 +637,21 @@ impl Broker {
             }
         }
     }
+}
+
+/// Two hit lists, each in arrival order, walked as one in arrival order.
+fn merged<'a>(mut a: &'a [Hit], mut b: &'a [Hit]) -> impl Iterator<Item = Hit> + 'a {
+    std::iter::from_fn(move || {
+        let side = match (a.first(), b.first()) {
+            (None, None) => return None,
+            (Some(x), Some(y)) if y.0 < x.0 => &mut b,
+            (Some(_), _) => &mut a,
+            (None, Some(_)) => &mut b,
+        };
+        let (&hit, rest) = side.split_first()?;
+        *side = rest;
+        Some(hit)
+    })
 }
 
 #[cfg(test)]
@@ -763,6 +875,48 @@ mod tests {
         let mut out = Outbox::new();
         b.handle(SimTime::ZERO, n(11), BrokerMsg::Publish(Event::new("k")), &mut out);
         assert_eq!(sent_to(&out, n(10)).len(), 1, "the re-attached client is notified");
+    }
+
+    /// A leaf's subscriptions from its neighbour and from clients sit in
+    /// two tables; `subscriptions()` still lists them in arrival order,
+    /// and `client_matches` answers from the asking interface's own.
+    #[test]
+    fn subscriptions_keep_arrival_order_across_both_tables() {
+        let mut b = Broker::new(n(1), BrokerTopology::Peer { neighbors: vec![n(0)] });
+        let mut out = Outbox::new();
+        for (id, iface) in [(1, 0), (2, 1), (3, 1), (4, 0), (5, 10), (6, 0)] {
+            let f = Filter::for_kind("k").with_eq("id", id as i64);
+            b.handle(SimTime::ZERO, n(iface), BrokerMsg::Subscribe(sub(id, f)), &mut out);
+        }
+        b.handle(SimTime::ZERO, n(1), BrokerMsg::Unsubscribe(2), &mut out);
+        let f = Filter::for_kind("k").with_eq("id", 2i64);
+        b.handle(SimTime::ZERO, n(1), BrokerMsg::Subscribe(sub(2, f)), &mut out);
+        let ids: Vec<SubId> = b.subscriptions().map(|s| s.id).collect();
+        assert_eq!(ids, [1, 3, 4, 5, 6, 2]);
+        let ev = |id: i64| Event::new("k").with_attr("id", id);
+        assert!(b.client_matches(n(1), &ev(3)));
+        assert!(!b.client_matches(n(1), &ev(5)), "client 10's subscription");
+        assert!(b.client_matches(n(0), &ev(4)), "the neighbour's own table");
+        assert!(!b.client_matches(n(0), &ev(3)));
+    }
+
+    /// A proxy is served even for an interface that never attached: a
+    /// leaf notified by its only neighbour probes its clients' table when
+    /// a proxy is all it could serve.
+    #[test]
+    fn a_proxy_alone_is_served_from_the_clients_table() {
+        let mut b = Broker::new(n(1), BrokerTopology::Peer { neighbors: vec![n(0)] });
+        let mut out = Outbox::new();
+        let s = sub(1, Filter::for_kind("k"));
+        b.handle(SimTime::ZERO, n(10), BrokerMsg::Subscribe(s), &mut out);
+        b.handle(SimTime::ZERO, n(10), BrokerMsg::MoveOut, &mut out);
+        b.handle(SimTime::ZERO, n(0), BrokerMsg::Notify(Event::new("k")), &mut out);
+        let mut out = Outbox::new();
+        b.handle(SimTime::ZERO, n(20), BrokerMsg::FetchBuffer { client: n(10) }, &mut out);
+        match sent_to(&out, n(20))[..] {
+            [BrokerMsg::Handoff { events, .. }] => assert_eq!(events.len(), 1),
+            ref other => panic!("expected one handoff, got {other:?}"),
+        }
     }
 
     #[test]

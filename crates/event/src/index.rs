@@ -59,7 +59,8 @@
 //! candidate's kind is compared again. A query with no kind (covering
 //! queries), or with a kind no stored filter names, counts only the
 //! kindless runs: kindless filters are the only ones that can match or
-//! cover it. Zero-constraint filters sit in one more kind-sorted list,
+//! cover it; an index that holds no kindless filter answers such a
+//! probe at once. Zero-constraint filters sit in one more kind-sorted list,
 //! and every filter in the runs a probe reads there matches.
 //!
 //! **Storage.** Subscriptions live in a slab addressed by a dense `u32`
@@ -76,7 +77,7 @@
 //! epoch-stamped array over the slots plus the list of slots touched, and
 //! a probe's matches are collected in a hit list; these and the stamped
 //! values are kept in the index and reused, so
-//! [`FilterIndex::for_each_match`] allocates nothing, and
+//! [`FilterIndex::hits`] allocates nothing, and
 //! [`FilterIndex::matching_event`] only the vector it returns.
 //!
 //! The same structure answers *covering* queries for the broker's forward
@@ -125,6 +126,11 @@ impl Ids {
     /// `name`'s id. A free one selects nothing: no stored filter holds it.
     fn get(&self, name: &str) -> Option<Id> {
         self.by_name.get(name).copied()
+    }
+
+    /// `name`'s id while some stored filter holds it.
+    fn held(&self, name: &str) -> Option<Id> {
+        self.get(name).filter(|&id| self.refs[id as usize] > 0)
     }
 
     /// Takes a hold on `name`'s id. A new name takes a free id (whose
@@ -301,8 +307,9 @@ struct Record {
     checks: Checks,
 }
 
-/// One match of a probe: `(seq, id, owner)` of its record.
-type Hit = (u64, SubId, u32);
+/// One match of a probe: the insertion sequence, id and owner of its
+/// record.
+pub type Hit = (u64, SubId, u32);
 
 /// Where one constraint is indexed.
 enum Place<'a> {
@@ -630,6 +637,9 @@ pub struct FilterIndex {
     /// Zero-constraint filters: they match every event of their kind
     /// (every event, when kindless), with no constraint to count.
     unconstrained: Vec<Member>,
+    /// How many stored filters have no kind: with none, a probe whose
+    /// kind no stored filter names matches nothing.
+    kindless: usize,
     next_seq: u64,
     /// Probes take `&self`; the counters they reuse are interior state.
     scratch: RefCell<Scratch>,
@@ -668,13 +678,10 @@ impl FilterIndex {
         self.slab.iter().flatten()
     }
 
-    /// Stored subscriptions in insertion order.
-    pub fn iter_in_order(&self) -> impl Iterator<Item = &Subscription> {
-        let mut v: Vec<(u64, &Subscription)> = (self.slab.iter().zip(&self.records))
-            .filter_map(|(sub, r)| Some((r.seq, sub.as_ref()?)))
-            .collect();
-        v.sort_unstable_by_key(|&(seq, _)| seq);
-        v.into_iter().map(|(_, sub)| sub)
+    /// Stored subscriptions with their insertion sequences, in arbitrary
+    /// order.
+    pub fn iter_with_seq(&self) -> impl Iterator<Item = (u64, &Subscription)> {
+        (self.slab.iter().zip(&self.records)).filter_map(|(sub, r)| Some((r.seq, sub.as_ref()?)))
     }
 
     /// Indexes a subscription with owner `0`; see
@@ -688,6 +695,16 @@ impl FilterIndex {
     /// [`remove`](Self::remove)). Returns `false` (and stores nothing) if
     /// the id is already present.
     pub fn insert_owned(&mut self, sub: Subscription, owner: u32) -> bool {
+        self.insert_at(sub, owner, self.next_seq)
+    }
+
+    /// [`insert_owned`](Self::insert_owned) at insertion sequence `seq`,
+    /// for a caller that keeps one arrival order over several indexes:
+    /// matches and [`hits`](Self::hits) follow `seq`, and
+    /// [`iter_with_seq`](Self::iter_with_seq) reports it. Sequences must
+    /// rise from one insertion to the next.
+    pub fn insert_at(&mut self, sub: Subscription, owner: u32, seq: u64) -> bool {
+        debug_assert!(seq >= self.next_seq, "insertion sequences rise");
         if self.slot_of.contains_key(&sub.id) {
             return false;
         }
@@ -699,6 +716,7 @@ impl FilterIndex {
         });
         let f = &sub.filter;
         let m = Member { kind: f.kind().map_or(NO_KIND, |k| self.kinds.acquire(k)), slot };
+        self.kindless += usize::from(m.kind == NO_KIND);
         let selective = selective(f);
         let mut required = 0;
         let mut checks = Checks::none();
@@ -720,8 +738,8 @@ impl FilterIndex {
         if f.constraints().is_empty() {
             enter(&mut self.unconstrained, m);
         }
-        let record = Record { id: sub.id, seq: self.next_seq, required, owner, checks };
-        self.next_seq += 1;
+        let record = Record { id: sub.id, seq, required, owner, checks };
+        self.next_seq = seq + 1;
         match self.records.get_mut(slot as usize) {
             Some(r) => *r = record,
             None => self.records.push(record),
@@ -742,6 +760,7 @@ impl FilterIndex {
         let owner = record.owner;
         let f = &sub.filter;
         let m = Member { kind: f.kind().map_or(NO_KIND, |k| self.kinds.release(k)), slot };
+        self.kindless -= usize::from(m.kind == NO_KIND);
         let selective = selective(f);
         for c in f.constraints() {
             let attr = self.attrs.release(&c.attr);
@@ -767,8 +786,13 @@ impl FilterIndex {
         let mut scratch = self.scratch.borrow_mut();
         let s = &mut *scratch;
         s.begin();
-        // A kind no stored filter names selects what no kind selects.
-        let kind = kind.and_then(|k| self.kinds.get(k)).unwrap_or(NO_KIND);
+        // A kind no stored filter names selects what no kind selects:
+        // the kindless filters, when there are any.
+        let kind = match kind.and_then(|k| self.kinds.held(k)) {
+            Some(id) => id,
+            None if self.kindless == 0 => return RefMut::map(scratch, |s| s.hits.as_mut_slice()),
+            None => NO_KIND,
+        };
         for (name, value) in attrs {
             let Some(attr) = self.attrs.get(name) else { continue };
             s.values[attr as usize] = (s.epoch, value.clone());
@@ -839,21 +863,16 @@ impl FilterIndex {
     /// exactly with scanning every stored filter through
     /// [`Filter::matches`].
     pub fn matching_event(&self, event: &Event) -> Vec<SubId> {
-        self.probe_event(event).iter().map(|&(_, id, _)| id).collect()
+        self.hits(event).iter().map(|&(_, id, _)| id).collect()
     }
 
-    /// Calls `f` with the id and owner of every subscription matching
-    /// `event`, in insertion order — [`matching_event`](Self::matching_event)
-    /// without the vector: the matches are read from the index's own
-    /// reused hit list. `f` must not probe this index (the hit list is
-    /// borrowed while it runs; a nested probe panics).
-    pub fn for_each_match(&self, event: &Event, mut f: impl FnMut(SubId, u32)) {
-        for &(_, id, owner) in self.probe_event(event).iter() {
-            f(id, owner);
-        }
-    }
-
-    fn probe_event(&self, event: &Event) -> RefMut<'_, [Hit]> {
+    /// The subscriptions matching `event`, in insertion order, each with
+    /// its sequence and owner — [`matching_event`](Self::matching_event)
+    /// without the vector: the index's own reused hit list, borrowed
+    /// until the guard drops (a second probe of this index meanwhile
+    /// panics), so a caller can walk the hits of several indexes at
+    /// once, merged by sequence.
+    pub fn hits(&self, event: &Event) -> RefMut<'_, [Hit]> {
         self.probe(Some(event.kind()), event.attrs())
     }
 

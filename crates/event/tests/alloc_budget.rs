@@ -111,7 +111,7 @@ fn a_warmed_probe_allocates_nothing() {
     let walk = |index: &FilterIndex| {
         let mut matches = 0;
         for e in &events {
-            index.for_each_match(e, |_, _| matches += 1);
+            matches += index.hits(e).len();
         }
         matches
     };
@@ -157,17 +157,19 @@ fn loaded_hub(clients: u32, per_client: usize) -> Broker {
     hub
 }
 
-/// What routing one notification from neighbour 1 allocated, and what
-/// filling a fresh outbox with the same sends and counts allocates.
-fn routing_cost(clients: u32, per_client: usize) -> ((u64, u64), (u64, u64)) {
-    let mut hub = loaded_hub(clients, per_client);
-    let notify = || BrokerMsg::Notify(event(0));
-    hub.handle(SimTime::ZERO, NodeIndex(1), notify(), &mut Outbox::new());
+/// What `broker` allocated handling `msg` from `from` once warmed by
+/// the same message, the sends it made, and what filling a fresh outbox
+/// with the same sends and counts allocates.
+fn routing_cost(
+    broker: &mut Broker,
+    from: NodeIndex,
+    msg: BrokerMsg,
+) -> ((u64, u64), Vec<NodeIndex>, (u64, u64)) {
+    broker.handle(SimTime::ZERO, from, msg.clone(), &mut Outbox::new());
     let mut out = Outbox::new();
-    let msg = notify();
-    let ((), cost) = allocations(|| hub.handle(SimTime::ZERO, NodeIndex(1), msg, &mut out));
-    assert_eq!(out.sends().len(), clients as usize + 1, "each client and neighbour 2, once");
+    let ((), cost) = allocations(|| broker.handle(SimTime::ZERO, from, msg, &mut out));
     let sends = out.sends().to_vec();
+    let to = sends.iter().map(|(to, _)| *to).collect();
     let counts = out.counts().to_vec();
     let mut replay = Outbox::new();
     let ((), growth) = allocations(|| {
@@ -178,14 +180,67 @@ fn routing_cost(clients: u32, per_client: usize) -> ((u64, u64), (u64, u64)) {
             replay.count(name, by);
         }
     });
-    (cost, growth)
+    (cost, to, growth)
 }
 
 #[test]
 fn routing_a_notification_allocates_only_the_outbox_growth() {
     for (clients, per_client) in [(4, 2), (4, 64), (9, 16)] {
-        let (cost, growth) = routing_cost(clients, per_client);
+        let mut hub = loaded_hub(clients, per_client);
+        let (cost, to, growth) = routing_cost(&mut hub, NodeIndex(1), BrokerMsg::Notify(event(0)));
+        assert_eq!(to.len(), clients as usize + 1, "each client and neighbour 2, once");
         assert!(growth.0 > 0, "the sends are still kept");
         assert_eq!(cost, growth, "{clients} clients of {per_client} subscriptions each");
+    }
+}
+
+/// A leaf as the architecture wires one: node 1, whose one neighbour is
+/// the hub 0 and whose one client is node 1 itself, holding `own`
+/// selective subscriptions (a third of them match [`event`]`(0)`), with
+/// `covers` range-only covers the hub forwarded (every second one
+/// matching). The leaf's subscriptions arrive after the hub's covers, so
+/// the two tables grow interleaved.
+fn loaded_leaf(own: usize, covers: usize) -> Broker {
+    let (leaf, hub) = (NodeIndex(1), NodeIndex(0));
+    let mut b = Broker::new(leaf, BrokerTopology::Peer { neighbors: vec![hub] });
+    let mut out = Outbox::new();
+    b.handle(SimTime::ZERO, leaf, BrokerMsg::Attach, &mut out);
+    let mut id = 0;
+    for k in 0..own.max(covers) {
+        let (filter, from) = if k % 2 == 0 && k / 2 < covers {
+            (Filter::for_kind(KINDS[0]).with_constraint("level", Op::Ge, (k % 4) as i64 * 20), hub)
+        } else if k < own {
+            let zone = (k % 3) as i64;
+            (
+                Filter::for_kind(KINDS[0]).with_eq("zone", zone).with_constraint(
+                    "level",
+                    Op::Le,
+                    5i64,
+                ),
+                leaf,
+            )
+        } else {
+            continue;
+        };
+        id += 1;
+        b.handle(SimTime::ZERO, from, BrokerMsg::Subscribe(Subscription { id, filter }), &mut out);
+    }
+    b
+}
+
+/// A warmed leaf routes its neighbour's notification (probing its
+/// client's table alone) and its own client's publication (probing the
+/// hub's covers alone) allocating only the outbox growth.
+#[test]
+fn a_leaf_routes_allocating_only_the_outbox_growth() {
+    let (leaf, hub) = (NodeIndex(1), NodeIndex(0));
+    for (own, covers) in [(6, 2), (150, 25), (40, 80)] {
+        let mut b = loaded_leaf(own, covers);
+        let (cost, to, growth) = routing_cost(&mut b, hub, BrokerMsg::Notify(event(0)));
+        assert_eq!(to, [leaf], "the hub's notification goes to the leaf's own node only");
+        assert_eq!(cost, growth, "notify: {own} own subscriptions, {covers} covers");
+        let (cost, to, growth) = routing_cost(&mut b, leaf, BrokerMsg::Publish(event(0)));
+        assert_eq!(to, [hub], "the leaf's own publication goes to the hub only");
+        assert_eq!(cost, growth, "publish: {own} own subscriptions, {covers} covers");
     }
 }

@@ -10,7 +10,7 @@
 //!    verified shape beside a point constraint, and kinds that include
 //!    two whose FNV-1a hashes collide, the index returns exactly the ids
 //!    a filter-by-filter scan returns, in the same order (through
-//!    `matching_event` and `for_each_match` alike, the latter with the
+//!    `matching_event` and `hits` alike, the latter with the
 //!    owner each was stored for), across rounds of removal and
 //!    re-insertion into one index (slot, counter and kind and attribute
 //!    id reuse), and `covering_ids` returns exactly the ids
@@ -26,6 +26,13 @@
 //!    delivery claim hold in general). The same scripts, publications
 //!    given priorities, run once more under a tight `ShedConfig`: equal
 //!    streams and equal shed / rejected / queue-delay totals.
+//! 3. **The star** — the same claim on a hub and four leaves wired as
+//!    the architecture wires `GlossNode`s, each broker's own node its
+//!    client: the topology where a broker skips one of its two
+//!    subscription tables (a leaf notified by the hub probes only its
+//!    clients'). Late subscriptions, merged covers, detaches and moves
+//!    are mixed in, and a broker whose neighbour is also its client
+//!    must send what the linear broker sends, in the same order.
 //!
 //! Every [`BrokerMsg`] variant is handled in both worlds by these scripts
 //! (`the_script_drives_every_broker_message`); [`variant_name`] has no
@@ -214,8 +221,8 @@ fn rand_eq_query(rng: &mut SimRng) -> Filter {
 
 /// The index must agree with a scan of `subs` (held in insertion order):
 /// match sets through `Filter::matches`, cover sets through
-/// `Filter::covers`. `for_each_match` must yield `matching_event`'s
-/// sequence, each id with its [`owner_of`].
+/// `Filter::covers`. `hits` must yield `matching_event`'s sequence,
+/// each id with its [`owner_of`], under rising insertion sequences.
 fn check_against_scan(
     index: &FilterIndex,
     subs: &[Subscription],
@@ -227,10 +234,11 @@ fn check_against_scan(
         let want: Vec<u64> = subs.iter().filter(|s| s.filter.matches(&e)).map(|s| s.id).collect();
         let got = index.matching_event(&e);
         prop_assert_eq!(&got, &want, "{stage}: event {e}: index {got:?}, scan {want:?}");
-        let mut walked = Vec::new();
-        index.for_each_match(&e, |id, owner| walked.push((id, owner)));
+        let hits = index.hits(&e);
+        let walked: Vec<(u64, u32)> = hits.iter().map(|&(_, id, owner)| (id, owner)).collect();
         let owned: Vec<(u64, u32)> = got.iter().map(|&id| (id, owner_of(id))).collect();
-        prop_assert_eq!(&walked, &owned, "{stage}: event {e}: for_each_match");
+        prop_assert_eq!(&walked, &owned, "{stage}: event {e}: hits");
+        prop_assert!(hits.windows(2).all(|w| w[0].0 < w[1].0), "{stage}: event {e}: sequences");
     }
     for _ in 0..4 {
         let q = rand_eq_query(rng);
@@ -299,6 +307,8 @@ trait AnyBroker {
     fn on_line(i: u32) -> Self;
     /// Broker 0 with no neighbours, its ingress bounded by [`tight_shed`].
     fn shedding_island() -> Self;
+    /// Broker `i` of the hub-and-leaves [`star`].
+    fn in_star(i: u32) -> Self;
     fn dispatch(
         &mut self,
         now: SimTime,
@@ -315,6 +325,9 @@ impl AnyBroker for Broker {
     }
     fn shedding_island() -> Self {
         Broker::new(NodeIndex(0), island()).with_shedding(tight_shed())
+    }
+    fn in_star(i: u32) -> Self {
+        Broker::new(NodeIndex(i), star(i))
     }
     fn dispatch(
         &mut self,
@@ -336,6 +349,9 @@ impl AnyBroker for LinearBroker {
     }
     fn shedding_island() -> Self {
         LinearBroker::new(NodeIndex(0), island()).with_shedding(tight_shed())
+    }
+    fn in_star(i: u32) -> Self {
+        LinearBroker::new(NodeIndex(i), star(i))
     }
     fn dispatch(
         &mut self,
@@ -364,6 +380,17 @@ fn line(i: u32) -> BrokerTopology {
     if i + 1 < BROKERS {
         neighbors.push(NodeIndex(i + 1));
     }
+    BrokerTopology::Peer { neighbors }
+}
+
+/// Number of leaves of the star; nodes 0..=LEAVES are brokers (0 the
+/// hub), 10+ roaming clients.
+const LEAVES: u32 = 4;
+
+/// Topology of broker `i` of the star: the hub 0 neighbours every leaf,
+/// and a leaf only the hub — how the architecture wires `GlossNode`s.
+fn star(i: u32) -> BrokerTopology {
+    let neighbors = if i == 0 { (1..=LEAVES).map(NodeIndex).collect() } else { vec![NodeIndex(0)] };
     BrokerTopology::Peer { neighbors }
 }
 
@@ -452,6 +479,11 @@ struct Seen {
     counters: BTreeMap<&'static str, f64>,
     /// [`variant_name`] of every message a broker handled.
     handled: BTreeSet<&'static str>,
+    /// On the [`star`]: notifications a leaf sent its own node for an
+    /// event the hub forwarded, and covers the brokers merged (each
+    /// world's own business, so neither is compared).
+    relayed: usize,
+    merged: f64,
 }
 
 impl Seen {
@@ -891,4 +923,214 @@ fn one_notify_per_client_per_event<B: AnyBroker>() {
 fn a_client_is_sent_one_notify_per_event_however_many_subscriptions_match() {
     one_notify_per_client_per_event::<Broker>();
     one_notify_per_client_per_event::<LinearBroker>();
+}
+
+/// [`run_step`] on the [`star`], where every broker's own node is also a
+/// client of that broker, as a `GlossNode` is: a broker's send to its own
+/// node is a `Notify` for that client or a mobility message it handles
+/// itself (a same-broker move), and any other send to a broker node is
+/// broker-to-broker.
+fn run_star_step<B: AnyBroker>(brokers: &mut [B], step: &ScriptStep, seen: &mut Seen) {
+    let mut q: VecDeque<ScriptStep> = VecDeque::from([step.clone()]);
+    while let Some((to, from, msg)) = q.pop_front() {
+        seen.handled.insert(variant_name(&msg));
+        let mut out = Outbox::new();
+        brokers[to as usize].dispatch(SimTime::ZERO, NodeIndex(from), msg, &mut out);
+        for (t, m) in out.sends() {
+            match m {
+                BrokerMsg::Notify(e) if t.0 == to || t.0 > LEAVES => {
+                    seen.relayed += usize::from(t.0 == to && from == 0 && to != 0);
+                    seen.deliveries.entry(t.0).or_default().push(e.clone());
+                }
+                _ if t.0 == to => q.push_back((to, to, m.clone())),
+                _ if t.0 <= LEAVES => q.push_back((t.0, to, m.clone())),
+                _ => {}
+            }
+        }
+        for (name, by) in out.counts().iter().chain(out.observations()) {
+            if let Some(known) = DELIVERY_COUNTERS.iter().find(|c| *c == name) {
+                *seen.counters.entry(known).or_default() += by;
+            }
+        }
+        seen.merged += out
+            .counts()
+            .iter()
+            .filter(|(n, _)| n == "pubsub.subs_merged")
+            .map(|(_, by)| by)
+            .sum::<f64>();
+    }
+}
+
+/// A random script on the [`star`]: every broker's own node attaches to
+/// it as a client, and two more clients roam between brokers. Clients
+/// subscribe (mergeable filters among them, so the hub forwards merged
+/// covers to leaves), publish, unsubscribe, detach and re-attach, move
+/// out and back in, all interleaved, so subscriptions keep arriving
+/// after publications have started.
+fn rand_star_script(rng: &mut SimRng) -> Vec<ScriptStep> {
+    struct Client {
+        node: u32,
+        home: u32,
+        attached: bool,
+        away: bool,
+        next_sub: u64,
+        live: Vec<u64>,
+    }
+    let homes = (0..=LEAVES).map(|b| (b, b));
+    let roamers = [10, 11].map(|c| (c, rng.range(0, u64::from(LEAVES) + 1) as u32));
+    let mut clients: Vec<Client> = homes
+        .chain(roamers)
+        .map(|(node, home)| Client {
+            node,
+            home,
+            attached: true,
+            away: false,
+            next_sub: 0,
+            live: Vec::new(),
+        })
+        .collect();
+    let mut script: Vec<ScriptStep> =
+        clients.iter().map(|c| (c.home, c.node, BrokerMsg::Attach)).collect();
+    for _ in 0..rng.range(30, 81) {
+        let pick = rng.index(clients.len());
+        let c = &mut clients[pick];
+        let present = c.attached && !c.away;
+        match rng.range(0, 10) {
+            0..=3 if present => {
+                let id = (u64::from(c.node) << 32) | c.next_sub;
+                c.next_sub += 1;
+                c.live.push(id);
+                let sub = Subscription { id, filter: rand_filter(rng) };
+                script.push((c.home, c.node, BrokerMsg::Subscribe(sub)));
+            }
+            4..=6 if present => {
+                script.push((c.home, c.node, BrokerMsg::Publish(rand_event(rng))));
+            }
+            7 if present && !c.live.is_empty() => {
+                let id = c.live.swap_remove(rng.index(c.live.len()));
+                script.push((c.home, c.node, BrokerMsg::Unsubscribe(id)));
+            }
+            8 if present => {
+                script.push((c.home, c.node, BrokerMsg::MoveOut));
+                c.away = true;
+            }
+            // A broker's own node comes back to its own broker; a
+            // roaming client to any.
+            8 if c.away => {
+                let old = c.home;
+                if c.node > LEAVES {
+                    c.home = rng.range(0, u64::from(LEAVES) + 1) as u32;
+                }
+                script.push((c.home, c.node, BrokerMsg::MoveIn { old_broker: NodeIndex(old) }));
+                c.away = false;
+            }
+            9 if c.attached => {
+                script.push((c.home, c.node, BrokerMsg::Detach));
+                c.attached = false;
+                c.away = false;
+                c.live.clear();
+            }
+            9 => {
+                script.push((c.home, c.node, BrokerMsg::Attach));
+                c.attached = true;
+            }
+            _ => {}
+        }
+    }
+    for c in &mut clients {
+        if c.away {
+            script.push((c.home, c.node, BrokerMsg::MoveIn { old_broker: NodeIndex(c.home) }));
+        }
+    }
+    script
+}
+
+/// Runs `script` on a star of indexed brokers and on one of linear ones.
+fn run_star(script: &[ScriptStep]) -> (Seen, Seen) {
+    let mut indexed: Vec<Broker> = (0..=LEAVES).map(Broker::in_star).collect();
+    let mut linear: Vec<LinearBroker> = (0..=LEAVES).map(LinearBroker::in_star).collect();
+    let mut got = Seen::default();
+    let mut want = Seen::default();
+    for step in script {
+        run_star_step(&mut indexed, step, &mut got);
+        run_star_step(&mut linear, step, &mut want);
+    }
+    (got, want)
+}
+
+// The star is where a broker skips a table: a leaf notified by the hub
+// has no other neighbour, and a leaf whose own node publishes no other
+// client, so each probes one of its two tables. Skipping must lose
+// nothing.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+    #[test]
+    fn star_of_indexed_brokers_delivers_byte_identical_to_linear(seed in any::<u64>()) {
+        let (got, want) = run_star(&rand_star_script(&mut SimRng::new(seed)));
+        prop_assert_eq!(got.streams(), want.streams());
+        prop_assert_eq!(
+            got.counter("pubsub.delivered_local") + got.counter("pubsub.handoff_events"),
+            got.delivered() as f64
+        );
+    }
+}
+
+/// Over a fixed run of seeds the star scripts merge covers, detach and
+/// move clients out and back, subscribe after publications have begun,
+/// and deliver across the hub from one leaf to another.
+#[test]
+fn the_star_script_reaches_merges_mobility_and_cross_leaf_delivery() {
+    let mut total = Seen::default();
+    let mut late_subscribe = false;
+    for seed in 0..32 {
+        let script = rand_star_script(&mut SimRng::new(seed));
+        let first_publish = script.iter().position(|(_, _, m)| matches!(m, BrokerMsg::Publish(_)));
+        late_subscribe |= first_publish.is_some_and(|p| {
+            script[p..].iter().any(|(_, _, m)| matches!(m, BrokerMsg::Subscribe(_)))
+        });
+        let (got, _) = run_star(&script);
+        total.handled.extend(got.handled);
+        for (name, by) in got.counters {
+            *total.counters.entry(name).or_default() += by;
+        }
+        total.relayed += got.relayed;
+        total.merged += got.merged;
+    }
+    assert!(late_subscribe, "no star script subscribed after a publication");
+    assert!(total.relayed > 0, "no leaf's own node was sent an event the hub forwarded");
+    assert!(total.merged > 0.0, "no star script merged covers");
+    for variant in ["Detach", "MoveOut", "MoveIn", "FetchBuffer", "Handoff"] {
+        assert!(total.handled.contains(variant), "no star script handled {variant}");
+    }
+    for reached in ["pubsub.handoff_events", "pubsub.move_out"] {
+        assert!(total.counter(reached) > 0.0, "no star script reached {reached}: {total:?}");
+    }
+}
+
+/// When a neighbour is also an attached client its subscriptions sit in
+/// the neighbour table, beside clients' in the other; the broker still
+/// notifies clients in arrival order across both tables, send for send
+/// what the linear broker sends.
+#[test]
+fn a_publication_is_sent_in_arrival_order_across_both_tables() {
+    fn sends<B: AnyBroker>() -> Vec<(NodeIndex, BrokerMsg)> {
+        let mut b = B::in_star(0);
+        let mut out = Outbox::new();
+        let mut id = 0;
+        for iface in [10, 1, 11, 2, 12] {
+            b.dispatch(SimTime::ZERO, NodeIndex(iface), BrokerMsg::Attach, &mut out);
+        }
+        for iface in [10, 1, 11, 2, 12, 1, 10] {
+            id += 1;
+            let sub = Subscription { id, filter: Filter::for_kind("k") };
+            b.dispatch(SimTime::ZERO, NodeIndex(iface), BrokerMsg::Subscribe(sub), &mut out);
+        }
+        let mut out = Outbox::new();
+        b.dispatch(SimTime::ZERO, NodeIndex(3), BrokerMsg::Publish(Event::new("k")), &mut out);
+        out.sends().to_vec()
+    }
+    let got = sends::<Broker>();
+    let to: Vec<u32> = got.iter().map(|(t, _)| t.0).collect();
+    assert_eq!(to, [10, 1, 11, 2, 12, 1, 2], "clients in arrival order, then neighbours");
+    assert_eq!(got, sends::<LinearBroker>());
 }

@@ -183,6 +183,7 @@ impl Path {
 
     /// Evaluates the path to strings: attribute values for `@attr`
     /// terminals, text content for `text()` or element results.
+    #[cfg(test)]
     fn select_text(&self, context: &Element) -> Vec<String> {
         let owners = self.select(context);
         match &self.terminal {
@@ -193,9 +194,17 @@ impl Path {
         }
     }
 
-    /// The first string result, if any.
+    /// The first string result, if any: the first owner's attribute
+    /// value (the first that has the attribute) or text, the only string
+    /// rendered.
     pub fn select_text_first(&self, context: &Element) -> Option<String> {
-        self.select_text(context).into_iter().next()
+        let owners = self.select(context);
+        match &self.terminal {
+            Some(Terminal::Attr(name)) => {
+                owners.iter().find_map(|e| e.attr(name)).map(str::to_string)
+            }
+            Some(Terminal::Text) | None => owners.first().map(|e| e.text()),
+        }
     }
 
     fn test_matches(test: &NameTest, el: &Element) -> bool {
@@ -458,6 +467,39 @@ mod tests {
     fn element_result_yields_text() {
         let d = doc();
         assert_eq!(Path::parse("user/role").unwrap().select_text(&d), vec!["tourist"]);
+    }
+
+    /// The first result, rendered alone, is the first of all results:
+    /// attribute terminals (owners without the attribute skipped), text
+    /// terminals, element results, position and attribute predicates,
+    /// and paths with no result.
+    #[test]
+    fn first_text_is_the_first_of_all_texts() {
+        let d = doc();
+        let sparse = parse(r#"<a><t/><t x="2">two</t><t x="3">three</t></a>"#).unwrap();
+        for (path, context) in [
+            ("readings/r/@sensor", &d),
+            ("readings/r/@q", &d),
+            ("readings/r[3]/@sensor", &d),
+            ("readings/r/text()", &d),
+            ("readings/r[2]/text()", &d),
+            (r#"readings/r[@sensor="gps"][2]/text()"#, &d),
+            ("readings/r[@q]", &d),
+            ("//role", &d),
+            ("user/@missing", &d),
+            ("readings/r[4]/text()", &d),
+            ("t/@x", &sparse),
+            ("t[2]/@x", &sparse),
+            ("t", &sparse),
+        ] {
+            let p = Path::parse(path).unwrap();
+            assert_eq!(
+                p.select_text_first(context),
+                p.select_text(context).first().cloned(),
+                "{path}"
+            );
+        }
+        assert_eq!(Path::parse("t/@x").unwrap().select_text_first(&sparse).as_deref(), Some("2"));
     }
 
     #[test]
