@@ -110,7 +110,10 @@ fn e4_delta_matching(c: &mut Criterion) {
 /// facts — a user's location moves (retract the old `at`, insert the
 /// new one), or a profile is re-ingested whole (`remove_subject` +
 /// `extend`, what a snapshot does). Both should cost what they change,
-/// not what the store holds.
+/// not what the store holds. The location move is also timed rotating
+/// over 32 such stores, one per write, so that each write finds its
+/// store out of cache, as a node's store is between the batches of an
+/// end-to-end run.
 fn k1_fact_store_writes(c: &mut Criterion) {
     const USERS: usize = 500;
     let subjects: Vec<String> = (0..USERS).map(|u| format!("user{u}")).collect();
@@ -137,6 +140,22 @@ fn k1_fact_store_writes(c: &mut Criterion) {
             b.iter(|| {
                 n += 1;
                 let u = (n * 7) % USERS;
+                kb.retract(&subjects[u], "at", &Term::Int(at[u]));
+                at[u] += 1;
+                kb.add(Fact::new(subjects[u].clone(), "at", Term::Int(at[u])));
+            })
+        });
+    }
+    {
+        const STORES: usize = 32;
+        let mut stores: Vec<InMemoryFacts> = (0..STORES).map(|_| build()).collect();
+        let mut at = vec![[0i64; USERS]; STORES];
+        let mut n = 0;
+        c.bench_function("k1_retract_insert_32_stores", |b| {
+            b.iter(|| {
+                n += 1;
+                let (kb, at) = (&mut stores[n % STORES], &mut at[n % STORES]);
+                let u = (n / STORES * 7) % USERS;
                 kb.retract(&subjects[u], "at", &Term::Int(at[u]));
                 at[u] += 1;
                 kb.add(Fact::new(subjects[u].clone(), "at", Term::Int(at[u])));

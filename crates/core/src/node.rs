@@ -21,7 +21,7 @@ use gloss_knowledge::{
     reconcile, BatchReader, DeltaAction, FactDelta, InMemoryFacts, SnapshotReader,
 };
 use gloss_overlay::Key;
-use gloss_sim::{Batch, Input, Node, NodeIndex, Outbox, SimDuration, SimTime};
+use gloss_sim::{Batch, FnvHashMap, Input, Node, NodeIndex, Outbox, SimDuration, SimTime};
 use gloss_store::{Document, LookupOutcome, StoreMsg, StoreNode};
 use gloss_xml::Element;
 use std::collections::{BTreeMap, BTreeSet};
@@ -157,18 +157,6 @@ struct SubjectReplica {
     anchor: Option<(u64, u64)>,
 }
 
-/// The record for `subject`, created empty on first sight (the only time
-/// the name is copied).
-fn replica_mut<'a>(
-    replicas: &'a mut BTreeMap<String, SubjectReplica>,
-    subject: &str,
-) -> &'a mut SubjectReplica {
-    if !replicas.contains_key(subject) {
-        replicas.insert(subject.to_string(), SubjectReplica::default());
-    }
-    replicas.get_mut(subject).expect("present or just inserted")
-}
-
 /// One node of the active architecture.
 #[derive(Debug)]
 pub struct GlossNode {
@@ -213,8 +201,10 @@ pub struct GlossNode {
     /// hold one pointer for them).
     pub coordinator_state: Option<Box<CoordinatorState>>,
     /// Replication state of every subject a kb or kbdelta document has
-    /// been seen for.
-    replicas: BTreeMap<String, SubjectReplica>,
+    /// been seen for, hashed by subject (nothing walks it in order): a
+    /// held subject's record is found with one hash, and a record is
+    /// created, copying the name, only on a subject's first sight.
+    replicas: FnvHashMap<Box<str>, SubjectReplica>,
 }
 
 impl GlossNode {
@@ -254,7 +244,7 @@ impl GlossNode {
             ui_received: Vec::new(),
             emitted: 0,
             coordinator_state,
-            replicas: BTreeMap::new(),
+            replicas: FnvHashMap::default(),
         }
     }
 
@@ -515,8 +505,8 @@ impl GlossNode {
         // is the document's content identity at the storage layer):
         // re-ingesting it would only spray retract+insert deltas that
         // invalidate the matching engine's memos for nothing.
-        let held = self.replicas.get(subject);
-        if held.and_then(|r| r.snapshot_doc).is_some_and(|v| v >= doc.version) {
+        let held = self.replicas.get_mut(subject);
+        if held.as_ref().and_then(|r| r.snapshot_doc).is_some_and(|v| v >= doc.version) {
             out.count("gloss.kb_reingest_skipped", 1.0);
             return;
         }
@@ -531,7 +521,7 @@ impl GlossNode {
         }
         let snap_version = snapshot.version();
         if let (Some((source, epoch)), Some((tracked_source, tracked_epoch))) =
-            (snap_version, held.and_then(|r| r.anchor))
+            (snap_version, held.as_ref().and_then(|r| r.anchor))
         {
             // Deltas may have advanced us past the snapshot in flight:
             // rebuilding from it would roll those deltas back.
@@ -545,7 +535,10 @@ impl GlossNode {
         };
         self.kb.remove_subject(subject);
         self.kb.extend(facts);
-        let replica = replica_mut(&mut self.replicas, subject);
+        let replica = match held {
+            Some(replica) => replica,
+            None => self.replicas.entry(subject.into()).or_default(),
+        };
         replica.snapshot_doc = Some(doc.version);
         // A legacy snapshot breaks the anchor: epochs applied on top of
         // unanchored state would be fiction.
@@ -563,7 +556,10 @@ impl GlossNode {
         else {
             return;
         };
-        let replica = replica_mut(&mut self.replicas, incoming.subject());
+        let replica = match self.replicas.get_mut(incoming.subject()) {
+            Some(replica) => replica,
+            None => self.replicas.entry(incoming.subject().into()).or_default(),
+        };
         replica.delta_doc = replica.delta_doc.max(Some(doc.version));
         let span = incoming.span();
         match reconcile(replica.anchor, span) {
@@ -852,6 +848,52 @@ mod tests {
     use gloss_overlay::{KeyedNode, OverlayNode};
     use gloss_sim::GeoPoint;
     use gloss_store::{store_node::timers::LOOKUP_RETRY, StoreConfig, StorePayload};
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    /// Counts each thread's allocation calls, for the ingest budget below.
+    struct Counting;
+
+    thread_local! {
+        /// Allocation calls (`alloc` and `realloc`) made by this thread.
+        static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    fn record_allocation() {
+        // A thread being torn down has no slot left; its requests go unseen.
+        let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+    }
+
+    // SAFETY: every method forwards to `System` with the caller's layout
+    // and pointer unchanged; counting touches no memory handed out.
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            record_allocation();
+            // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            record_allocation();
+            // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: Counting = Counting;
+
+    /// What this thread allocated while running `f`.
+    fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        ALLOCATIONS.with(|count| count.set(0));
+        let out = f();
+        (out, ALLOCATIONS.with(Cell::get))
+    }
 
     // The guids hash the names the codecs write, byte for byte.
     proptest::proptest! {
@@ -1250,6 +1292,58 @@ mod tests {
         assert!(counted(&out, "gloss.kb_delta_applied"));
         assert_eq!(bob(&node), [fact("tea")], "one fact, not the snapshot's plus the batch's");
         assert_eq!(node.replicas["bob"].anchor, Some((7, 1)));
+    }
+
+    /// A pull a cache serves lands one `kbdelta` document twice: the
+    /// cache's `CachePush`, then the `FetchReply` answering the pull, each
+    /// handed to `ingest_document` as it lands. The batch applies once;
+    /// the second copy is stale on its envelope, and finding bob's record
+    /// and counting it allocate nothing. A batch about a subject seen for
+    /// the first time creates that subject's one record.
+    #[test]
+    fn a_cache_served_pull_applies_its_batch_once() {
+        let mut node =
+            coordinator(OverlayNode::new(Key(0x100), NodeIndex(0), None, SimDuration::ZERO));
+        let held = snapshot_doc(&[fact("tea")], Some((7, 3)));
+        node.ingest_document(SimTime::ZERO, &held, &mut Outbox::new());
+        let deltas = vec![FactDelta::Retract(fact("tea")), FactDelta::Insert(fact("ice cream"))];
+        let doc = batch_doc(batch_text(7, 3, deltas));
+
+        // The push and the reply share the outbox, whose counts have room
+        // for the reply's one.
+        let mut out = Outbox::new();
+        node.ingest_document(SimTime::ZERO, &doc, &mut out);
+        let ((), cost) = allocations(|| node.ingest_document(SimTime::ZERO, &doc, &mut out));
+        let counted: Vec<&str> = out.counts().iter().map(|(name, _)| &**name).collect();
+        assert_eq!(
+            counted,
+            [
+                "gloss.kb_delta_applied",
+                "gloss.kb_delta_facts",
+                "gloss.kb_delta_bytes",
+                "gloss.kb_delta_stale"
+            ]
+        );
+        assert_eq!(cost, 0, "the reply's stale copy allocated");
+        assert_eq!(bob(&node), [fact("ice cream")]);
+        assert_eq!(node.replicas["bob"].anchor, Some((7, 5)));
+        assert_eq!(node.replicas["bob"].delta_doc, Some(doc.version));
+
+        let anna = Fact::new("anna", "likes", Term::str("golf"));
+        let history = DeltaBatch {
+            subject: "anna".into(),
+            source: 9,
+            from: 0,
+            to: 1,
+            deltas: vec![FactDelta::Insert(anna.clone())],
+        };
+        let anna_doc = Document::new("kbdelta/anna", history.to_xml().to_xml().into_bytes());
+        for _ in 0..2 {
+            node.ingest_document(SimTime::ZERO, &anna_doc, &mut Outbox::new());
+        }
+        assert_eq!(node.replicas.len(), 2, "one record each for bob and anna");
+        assert_eq!(node.replicas["anna"].anchor, Some((9, 1)));
+        assert_eq!(node.kb.query(Some("anna"), None).cloned().collect::<Vec<_>>(), [anna]);
     }
 
     /// A `kb/bob` snapshot whose root names another subject, or none, is

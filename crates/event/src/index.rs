@@ -76,7 +76,7 @@
 //! and a verified constraint reads the value from there. Counters are an
 //! epoch-stamped array over the slots plus the list of slots touched, and
 //! a probe's matches are collected in a hit list; these and the stamped
-//! values are kept in the index and reused, so
+//! values are kept in the index, sized on insert and reused, so
 //! [`FilterIndex::hits`] allocates nothing, and
 //! [`FilterIndex::matching_event`] only the vector it returns.
 //!
@@ -565,8 +565,8 @@ impl AttrBuckets {
     }
 }
 
-/// Per-probe working state, kept between probes so that a probe
-/// allocates nothing once the vectors have grown to the working size.
+/// Per-probe working state, kept between probes and sized with the slot
+/// table on insert ([`Scratch::grow`]), so that no probe allocates.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
     /// The current probe's stamp; a cell stamped otherwise is stale,
@@ -584,6 +584,16 @@ struct Scratch {
 }
 
 impl Scratch {
+    /// Makes room for a probe of `slots` slots: a counter per slot, and
+    /// as many touched slots and hits, which a probe cannot exceed (it
+    /// touches and matches each slot at most once), so that no probe
+    /// grows a vector.
+    fn grow(&mut self, slots: usize) {
+        self.cells.resize(slots, (0, 0));
+        self.touched.reserve(slots.saturating_sub(self.touched.len()));
+        self.hits.reserve(slots.saturating_sub(self.hits.len()));
+    }
+
     fn begin(&mut self) {
         self.touched.clear();
         self.hits.clear();
@@ -711,7 +721,7 @@ impl FilterIndex {
         let slot = self.free.pop().unwrap_or_else(|| {
             let slot = Slot::try_from(self.slab.len()).expect("fewer than 2^32 slots");
             self.slab.push(None);
-            self.scratch.get_mut().cells.push((0, 0));
+            self.scratch.get_mut().grow(self.slab.len());
             slot
         });
         let f = &sub.filter;

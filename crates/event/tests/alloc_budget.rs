@@ -122,6 +122,36 @@ fn a_warmed_probe_allocates_nothing() {
     assert_eq!(cost, (0, 0), "(allocations, bytes) of twelve warmed probes");
 }
 
+/// The scratch a probe works in is sized with the slot table, on insert:
+/// a probe that touches and matches more filters than any before it,
+/// the index's first probe included, and one after later inserts, still
+/// allocates nothing.
+#[test]
+fn a_probe_beating_every_earlier_probe_allocates_nothing() {
+    // Filter `i` is `level < i`: a reading of level `v` matches the
+    // filters above `v`, so each lower reading matches more.
+    let mut index = FilterIndex::new();
+    let insert = |index: &mut FilterIndex, range: std::ops::Range<usize>| {
+        for i in range {
+            let filter = Filter::for_kind(KINDS[0]).with_constraint("level", Op::Lt, i as i64);
+            assert!(index.insert(Subscription { id: i as u64, filter }));
+        }
+    };
+    let probe = |index: &FilterIndex, level: i64| {
+        let reading = Event::new(KINDS[0]).with_attr("level", level);
+        allocations(|| index.hits(&reading).len())
+    };
+    // Each round's last probe matches every filter but the first.
+    for (filters, levels) in [(0..256, [255, 128, 0]), (256..1024, [1023, 512, 0])] {
+        insert(&mut index, filters.clone());
+        for level in levels {
+            let (matches, cost) = probe(&index, level);
+            assert_eq!(matches, filters.end - 1 - level as usize);
+            assert_eq!(cost, (0, 0), "(allocations, bytes) of a probe at level {level}");
+        }
+    }
+}
+
 /// A hub with neighbours 1 and 2 and `clients` clients, each holding
 /// `per_client` subscriptions, half of which match [`event`]`(0)`; one
 /// subscription per neighbour matches too.

@@ -315,6 +315,26 @@ fn fresh_source_id() -> u64 {
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
+/// A store's change feed: its mutation count and the deltas for epochs
+/// `base + 1 ..= epoch`, oldest first, at most [`DELTA_LOG_CAP`] of them.
+#[derive(Debug, Default)]
+struct DeltaLog {
+    epoch: u64,
+    base: u64,
+    deltas: VecDeque<FactDelta>,
+}
+
+impl DeltaLog {
+    fn record(&mut self, delta: FactDelta) {
+        self.epoch += 1;
+        self.deltas.push_back(delta);
+        while self.deltas.len() > DELTA_LOG_CAP {
+            self.deltas.pop_front();
+            self.base += 1;
+        }
+    }
+}
+
 /// Tombstones are compacted once at least this many have built up…
 const COMPACT_MIN_DEAD: usize = 32;
 /// …and they outnumber one in this many live facts.
@@ -324,9 +344,11 @@ const COMPACT_LIVE_PER_DEAD: usize = 16;
 /// log (the change feed incremental matchers repair their indexes from).
 ///
 /// Facts live in stable slots, in insertion order; a retracted fact
-/// leaves a tombstone (`None`) behind. The subject and predicate indexes
-/// hold ascending slot numbers of live facts only, so every read —
-/// [`query`](FactSource::query), [`for_each_at`](FactSource::for_each_at),
+/// leaves a tombstone (`None`) behind. The subject index holds ascending
+/// slot numbers of live facts only; the predicate index holds ascending
+/// slot numbers that may still name tombstones, which every read skips.
+/// So every read — [`query`](FactSource::query),
+/// [`for_each_at`](FactSource::for_each_at),
 /// [`by_subject`](Self::by_subject) — yields facts in insertion order,
 /// and a retract records its deltas in that order too.
 ///
@@ -336,14 +358,16 @@ const COMPACT_LIVE_PER_DEAD: usize = 16;
 /// fact naming one already indexed is switched to the index's copy, so
 /// every fact about one subject shares one name; [`retract`](Self::retract) and
 /// [`remove_subject`](Self::remove_subject) walk only the subject's slot
-/// list and drop each doomed slot from its predicate list by binary
-/// search. Tombstones are compacted in one order-preserving O(n) remap
-/// once there are at least 32 of them and more than one per 16 live
-/// facts, so no write leaves more than `max(31, len / 16)` behind and
-/// the amortised cost of a retract does not grow with the store. An index
-/// list a retract empties stays, key and capacity, until that compaction
-/// (there are never more of them than tombstones), so replacing a
-/// subject's only fact allocates nothing.
+/// list, in place, and leave each doomed slot's number in its predicate
+/// list as a tombstone. Tombstones are compacted in one order-preserving
+/// O(n) remap, which also drops them from the predicate lists, once
+/// there are at least 32 of them and more than one per 16 live facts, so
+/// no write leaves more than `max(31, len / 16)` behind (in the slots or
+/// in the predicate lists) and the amortised cost of a retract does not
+/// grow with the store. An index list a retract empties, or leaves
+/// holding tombstones only, stays, key and capacity, until that
+/// compaction (there are never more of them than tombstones), so
+/// replacing a subject's only fact allocates nothing.
 #[derive(Debug)]
 pub struct InMemoryFacts {
     /// Facts in insertion order; `None` marks a retracted fact.
@@ -355,10 +379,7 @@ pub struct InMemoryFacts {
     by_predicate: FnvHashMap<Arc<str>, Vec<usize>>,
     by_subject: FnvHashMap<Arc<str>, Vec<usize>>,
     source: u64,
-    epoch: u64,
-    /// Deltas for epochs `log_base + 1 ..= epoch`, oldest first.
-    log: VecDeque<FactDelta>,
-    log_base: u64,
+    log: DeltaLog,
     /// Times a consumer asked for a span the wrapped log no longer holds
     /// and was forced to rebuild from a full read. Previously this
     /// happened silently; surfacing it is what tells an operator the
@@ -375,9 +396,7 @@ impl Default for InMemoryFacts {
             by_predicate: FnvHashMap::default(),
             by_subject: FnvHashMap::default(),
             source: fresh_source_id(),
-            epoch: 0,
-            log: VecDeque::new(),
-            log_base: 0,
+            log: DeltaLog::default(),
             truncated_reads: AtomicU64::new(0),
         }
     }
@@ -395,9 +414,7 @@ impl Clone for InMemoryFacts {
             by_predicate: self.by_predicate.clone(),
             by_subject: self.by_subject.clone(),
             source: fresh_source_id(),
-            epoch: self.epoch,
-            log: VecDeque::new(),
-            log_base: self.epoch,
+            log: DeltaLog { epoch: self.log.epoch, base: self.log.epoch, deltas: VecDeque::new() },
             truncated_reads: AtomicU64::new(0),
         }
     }
@@ -411,7 +428,7 @@ impl InMemoryFacts {
 
     /// The store's mutation count.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.log.epoch
     }
 
     /// How many delta-feed reads failed because the bounded log had
@@ -423,15 +440,6 @@ impl InMemoryFacts {
         self.truncated_reads.load(Ordering::Relaxed)
     }
 
-    fn record(&mut self, delta: FactDelta) {
-        self.epoch += 1;
-        self.log.push_back(delta);
-        while self.log.len() > DELTA_LOG_CAP {
-            self.log.pop_front();
-            self.log_base += 1;
-        }
-    }
-
     /// Adds a fact.
     pub fn add(&mut self, mut fact: Fact) {
         let slot = self.slots.len();
@@ -440,7 +448,7 @@ impl InMemoryFacts {
         self.bounded += usize::from(is_bounded(&fact));
         self.slots.push(Some(fact.clone()));
         self.live += 1;
-        self.record(FactDelta::Insert(fact));
+        self.log.record(FactDelta::Insert(fact));
     }
 
     /// Applies one entry of a change feed: adds an inserted fact, or
@@ -500,28 +508,24 @@ impl InMemoryFacts {
 
     /// Retracts the facts about `subject` that `gone` selects, walking
     /// only that subject's slots (ascending, so the `Retract` deltas are
-    /// recorded in insertion order).
+    /// recorded in insertion order). A taken slot's number stays in its
+    /// predicate list as a tombstone until [`compact`](Self::compact).
     fn retract_where(&mut self, subject: &str, mut gone: impl FnMut(&Fact) -> bool) -> usize {
-        let Some((key, mut held)) = self.by_subject.remove_entry(subject) else {
+        let InMemoryFacts { slots, live, bounded, by_subject, log, .. } = self;
+        let Some(held) = by_subject.get_mut(subject) else {
             return 0;
         };
         let before = held.len();
         held.retain(|&slot| {
-            let Some(fact) = self.slots[slot].take_if(|f| gone(f)) else {
+            let Some(fact) = slots[slot].take_if(|f| gone(f)) else {
                 return true;
             };
-            if let Some(same_predicate) = self.by_predicate.get_mut(&fact.predicate) {
-                if let Ok(at) = same_predicate.binary_search(&slot) {
-                    same_predicate.remove(at);
-                }
-            }
-            self.live -= 1;
-            self.bounded -= usize::from(is_bounded(&fact));
-            self.record(FactDelta::Retract(fact));
+            *live -= 1;
+            *bounded -= usize::from(is_bounded(&fact));
+            log.record(FactDelta::Retract(fact));
             false
         });
         let removed = before - held.len();
-        self.by_subject.insert(key, held);
         let dead = self.slots.len() - self.live;
         if dead >= COMPACT_MIN_DEAD && dead * COMPACT_LIVE_PER_DEAD > self.live {
             self.compact();
@@ -530,10 +534,11 @@ impl InMemoryFacts {
     }
 
     /// Drops every tombstone, renumbering the survivors in order and
-    /// remapping both indexes (which stay ascending), and the index lists
-    /// retracts have emptied.
+    /// remapping both indexes (which stay ascending, and afterwards name
+    /// live slots only), and the index lists left with no live slot.
     fn compact(&mut self) {
-        let mut renumbered = vec![0; self.slots.len()];
+        const DEAD: usize = usize::MAX;
+        let mut renumbered = vec![DEAD; self.slots.len()];
         let mut next = 0;
         for (old, slot) in self.slots.iter().enumerate() {
             if slot.is_some() {
@@ -542,13 +547,15 @@ impl InMemoryFacts {
             }
         }
         self.slots.retain(Option::is_some);
-        self.by_subject.retain(|_, held| !held.is_empty());
-        self.by_predicate.retain(|_, held| !held.is_empty());
-        for held in self.by_subject.values_mut().chain(self.by_predicate.values_mut()) {
-            for slot in held {
+        let remap = |_: &Arc<str>, held: &mut Vec<usize>| {
+            held.retain_mut(|slot| {
                 *slot = renumbered[*slot];
-            }
-        }
+                *slot != DEAD
+            });
+            !held.is_empty()
+        };
+        self.by_subject.retain(remap);
+        self.by_predicate.retain(remap);
     }
 
     /// Every live fact, in insertion order.
@@ -590,9 +597,11 @@ fn index_push(index: &mut FnvHashMap<Arc<str>, Vec<usize>>, name: &mut Arc<str>,
 impl InMemoryFacts {
     /// The index positions matching a subject/predicate query (the
     /// smaller index wins; subject lists are usually short), or `None`
-    /// for an unconstrained query. The flag reports whether candidates
-    /// still need the predicate checked (only the subject-indexed arm
-    /// does; the predicate index already guarantees it).
+    /// for an unconstrained query. Positions from the predicate index
+    /// may name tombstones, which callers skip. The flag reports whether
+    /// candidates still need the predicate checked (only the
+    /// subject-indexed arm does; the predicate index already guarantees
+    /// it).
     fn candidate_indices(
         &self,
         subject: Option<&str>,
@@ -654,7 +663,7 @@ impl FactSource for InMemoryFacts {
     }
 
     fn version(&self) -> Option<FactsVersion> {
-        Some(FactsVersion { source: self.source, epoch: self.epoch })
+        Some(FactsVersion { source: self.source, epoch: self.log.epoch })
     }
 
     fn bounded_facts(&self) -> Option<usize> {
@@ -662,15 +671,16 @@ impl FactSource for InMemoryFacts {
     }
 
     fn for_each_delta_since(&self, epoch: u64, f: &mut dyn FnMut(&FactDelta)) -> bool {
-        if epoch < self.log_base {
+        let log = &self.log;
+        if epoch < log.base {
             // The bounded log wrapped past the consumer: it must rebuild.
             self.truncated_reads.fetch_add(1, Ordering::Relaxed);
             return false;
         }
-        if epoch > self.epoch {
+        if epoch > log.epoch {
             return false;
         }
-        for d in self.log.iter().skip((epoch - self.log_base) as usize) {
+        for d in log.deltas.iter().skip((epoch - log.base) as usize) {
             f(d);
         }
         true
@@ -842,6 +852,52 @@ mod tests {
         assert_eq!(kb.remove_subject("tmp"), 40, "enough tombstones to compact");
         assert!(!Arc::ptr_eq(&kb.name("tmp"), &kb.name("tmp")), "compaction drops it");
         assert!(!Arc::ptr_eq(&kb.name("n"), &kb.name("n")), "and an emptied predicate");
+    }
+
+    #[test]
+    fn predicate_lists_keep_tombstones_only_until_compaction() {
+        let mut kb = InMemoryFacts::new();
+        kb.add(Fact::new("anna", "at", Term::Int(0)));
+        let at = kb.name("at");
+        // The `likes` objects both predicate-only reads yield.
+        let likes = |kb: &InMemoryFacts| {
+            let mut seen = Vec::new();
+            kb.for_each_at(None, Some("likes"), SimTime::ZERO, &mut |f| {
+                seen.push(f.object.clone())
+            });
+            let queried: Vec<Term> =
+                kb.query(None, Some("likes")).map(|f| f.object.clone()).collect();
+            assert_eq!(seen, queried);
+            seen
+        };
+        kb.extend((0..40).map(|i| Fact::new(format!("u{i}"), "likes", Term::Int(i))));
+        for i in (0..40).step_by(2) {
+            assert_eq!(kb.retract(&format!("u{i}"), "likes", &Term::Int(i)), 1);
+        }
+        // Twenty tombstones: too few to compact, so the list keeps them.
+        assert_eq!(kb.by_predicate["likes"].len(), 40);
+        let odd: Vec<Term> = (1..40).step_by(2).map(Term::Int).collect();
+        assert_eq!(likes(&kb), odd, "no retracted fact is read back");
+        // A list holding tombstones only keeps its key and its name.
+        assert_eq!(kb.retract("anna", "at", &Term::Int(0)), 1);
+        assert_eq!(kb.by_predicate["at"].len(), 1);
+        assert_eq!(kb.query(None, Some("at")).count(), 0);
+        assert!(Arc::ptr_eq(&kb.name("at"), &at), "a tombstoned predicate keeps its key");
+        // Eleven more make 32, the compaction threshold.
+        for i in (1..22).step_by(2) {
+            assert_eq!(kb.retract(&format!("u{i}"), "likes", &Term::Int(i)), 1);
+        }
+        assert_eq!(kb.slots.len(), kb.len(), "compacted");
+        for held in kb.by_predicate.values().chain(kb.by_subject.values()) {
+            assert!(held.iter().all(|&slot| kb.slots[slot].is_some()), "live slots only");
+            assert!(held.windows(2).all(|w| w[0] < w[1]), "still ascending");
+        }
+        assert!(!kb.by_predicate.contains_key("at"), "compaction drops the dead list");
+        let left: Vec<Term> = (23..40).step_by(2).map(Term::Int).collect();
+        assert_eq!(likes(&kb), left);
+        // Tombstones built after a compaction are skipped the same way.
+        assert_eq!(kb.retract("u23", "likes", &Term::Int(23)), 1);
+        assert_eq!(likes(&kb), left[1..]);
     }
 
     #[test]

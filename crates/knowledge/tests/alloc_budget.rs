@@ -2,9 +2,11 @@
 //! reads a batch's envelope with no allocation, and a batch about a
 //! subject the follower holds, decoded into a kept buffer with names
 //! taken from the follower's store and applied to it, allocates only its
-//! string objects — so 256 retract/insert pairs cost what 8 do. The
-//! authority writes a batch or a snapshot straight into its output
-//! buffer: nothing but that buffer's growth, whatever the fact count.
+//! string objects — so 256 retract/insert pairs cost what 8 do. A warmed
+//! store replacing one fact at a time allocates only the renumbering
+//! vector of each compaction. The authority writes a batch or a snapshot
+//! straight into its output buffer: nothing but that buffer's growth,
+//! whatever the fact count.
 //!
 //! This binary installs an allocator that counts each thread's
 //! allocations, so keep the budget checks in this file. CI also runs it
@@ -167,6 +169,55 @@ fn string_objects_are_all_a_batch_about_a_held_subject_allocates() {
     let (_, many) = apply_pairs(256, true);
     // One object per delta: the retracted one is decoded to be matched.
     assert_eq!((few, many), (2 * 8, 2 * 256));
+}
+
+/// Profiles in the replacement store, three facts each.
+const USERS: usize = 500;
+/// A store of `3 × USERS` live facts compacts on every 94th retract: 94
+/// is the first tombstone count of at least 32 that is more than one per
+/// 16 of the 1 499 facts a retract leaves.
+const RETRACTS_PER_COMPACTION: u64 = 94;
+
+#[test]
+fn replacing_a_fact_allocates_only_the_compactions_renumbering() {
+    let users: Vec<String> = (0..USERS).map(|u| format!("user{u}")).collect();
+    let mut kb = InMemoryFacts::new();
+    for user in &users {
+        kb.add(Fact::new(user.as_str(), "likes", Term::str("ice cream")));
+        kb.add(Fact::new(user.as_str(), "nationality", Term::str("scottish")));
+        kb.add(Fact::new(user.as_str(), "at", Term::Int(0)));
+    }
+    let mut at = vec![0; USERS];
+    let mut replace = |kb: &mut InMemoryFacts, n: usize| {
+        let u = (n * 7) % USERS;
+        assert_eq!(kb.retract(&users[u], "at", &Term::Int(at[u])), 1);
+        at[u] += 1;
+        // The store's own names: a fact about a held subject copies none.
+        let (subject, predicate) = (kb.name(&users[u]), kb.name("at"));
+        let object = Term::Int(at[u]);
+        kb.add(Fact { subject, predicate, object, valid_from: None, valid_to: None });
+    };
+    // Twenty compaction cycles grow the slots, the index lists and the
+    // delta log to their working size, and end on a compaction.
+    let warm = 20 * RETRACTS_PER_COMPACTION as usize;
+    for n in 0..warm {
+        replace(&mut kb, n);
+    }
+    let replacements = 10_000;
+    let ((), cost) = allocations(|| {
+        for n in warm..warm + replacements {
+            replace(&mut kb, n);
+        }
+    });
+    assert_eq!(kb.len(), 3 * USERS);
+    for (user, &at) in users.iter().zip(&at) {
+        assert_eq!(
+            kb.query(Some(user), Some("at")).map(|f| &f.object).collect::<Vec<_>>(),
+            [&Term::Int(at)]
+        );
+    }
+    let compactions = replacements as u64 / RETRACTS_PER_COMPACTION;
+    assert_eq!(cost, compactions, "{replacements} replacements: one vector per compaction");
 }
 
 /// How many times a `String` grown from empty by appends reallocates on
