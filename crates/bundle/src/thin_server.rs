@@ -7,7 +7,7 @@ use crate::verify::AuthKey;
 use gloss_event::Event;
 use gloss_knowledge::FactSource;
 use gloss_matchlet::{parse_rules, MatchletEngine};
-use gloss_sim::SimTime;
+use gloss_sim::{SimDuration, SimTime};
 use gloss_xml::Element;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -89,6 +89,38 @@ impl ThinServer {
     /// Offers an event to the hosted matchlets.
     pub fn match_event(&mut self, now: SimTime, event: &Event, kb: &dyn FactSource) -> Vec<Event> {
         self.engine.on_event(now, event, kb)
+    }
+
+    /// Puts the matchlet rules of the installed bundle `name` in standby
+    /// ([`MatchletEngine::standby`]): they match and retain events for
+    /// their window plus `horizon`, and never fire. Returns whether the
+    /// bundle is installed.
+    pub fn standby(&mut self, name: &str, horizon: SimDuration) -> bool {
+        let Some(installed) = self.installed.get(name) else {
+            return false;
+        };
+        for rule in &installed.rule_names {
+            self.engine.standby(rule, horizon);
+        }
+        true
+    }
+
+    /// Makes the standby rules of the installed bundle `name` live
+    /// ([`MatchletEngine::promote`]), firing what they retained from
+    /// `since` on. Returns the firings, or `None` if the bundle is not
+    /// installed.
+    pub fn promote(
+        &mut self,
+        name: &str,
+        since: SimTime,
+        kb: &dyn FactSource,
+    ) -> Option<Vec<Event>> {
+        let installed = self.installed.get(name)?;
+        let mut fired = Vec::new();
+        for rule in &installed.rule_names {
+            fired.extend(self.engine.promote(rule, since, kb));
+        }
+        Some(fired)
     }
 
     /// Reads an object from the store.

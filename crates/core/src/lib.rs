@@ -37,6 +37,6 @@ pub mod scenario;
 pub mod service;
 
 pub use architecture::{ActiveArchitecture, ArchConfig};
-pub use node::{CoordinatorState, GlossMsg, GlossNode, KnowledgeDoc};
+pub use node::{CoordinatorState, GlossMsg, GlossNode, KnowledgeDoc, Role, TAKEOVER_HORIZON};
 pub use scenario::{IceCreamScenario, PopulationWorkload};
 pub use service::{parse_service, ServiceError, ServiceSpec};

@@ -15,16 +15,19 @@
 
 use crate::service::ServiceSpec;
 use gloss_bundle::{AuthKey, Bundle, Capability, ThinServer};
+use gloss_deploy::monitor::DEADLINE;
 use gloss_deploy::{coordinator_sweep, EvolutionEngine, MonitorEngine, NodeResources};
 use gloss_event::{Broker, BrokerMsg, Event, EventId, Filter, Subscription};
 use gloss_knowledge::{
     reconcile, BatchReader, DeltaAction, FactDelta, InMemoryFacts, SnapshotReader,
 };
 use gloss_overlay::Key;
-use gloss_sim::{Batch, FnvHashMap, Input, Node, NodeIndex, Outbox, SimDuration, SimTime};
+use gloss_sim::{
+    Batch, FnvHashMap, GeoPoint, Input, Node, NodeIndex, Outbox, SimDuration, SimTime,
+};
 use gloss_store::{Document, LookupOutcome, StoreMsg, StoreNode};
 use gloss_xml::Element;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 /// Messages of the integrated architecture.
@@ -53,6 +56,23 @@ pub enum GlossMsg {
         instance: String,
         /// The XML packet.
         packet: String,
+        /// The role the instance's rules take on install.
+        role: Role,
+    },
+    /// The coordinator makes a standby instance the primary of its
+    /// service: the instance fires what it retained from `since` on, then
+    /// runs live.
+    Promote {
+        /// Instance id (the bundle's name).
+        instance: String,
+        /// The failed primary's last heartbeat, less one heartbeat period;
+        /// [`SimTime::MAX`] when a live primary is handed over from.
+        since: SimTime,
+    },
+    /// The coordinator makes an ex-primary stand by again.
+    Demote {
+        /// Instance id (the bundle's name).
+        instance: String,
     },
     /// Install confirmation back to the coordinator.
     Installed {
@@ -70,6 +90,41 @@ pub enum GlossMsg {
 const HEARTBEAT: SimDuration = SimDuration::from_secs(10);
 /// The coordinator's monitor + reconcile period.
 const SWEEP_EVERY: SimDuration = SimDuration::from_secs(10);
+
+/// How long past its window a standby rule keeps what it matched. A
+/// promotion fires what arrived from the failed primary's last heartbeat
+/// less one heartbeat period on; the monitor declares the failure at the
+/// first sweep after the deadline, so at most the deadline plus one sweep
+/// period after that heartbeat. Joins fired from there on need partners
+/// up to one window older, and the one heartbeat period of margin in
+/// `since` covers the `Promote` message's flight.
+pub const TAKEOVER_HORIZON: SimDuration = SimDuration::from_micros(
+    DEADLINE.as_micros() + SWEEP_EVERY.as_micros() + HEARTBEAT.as_micros(),
+);
+
+/// The role a service instance ships with ([`GlossMsg::Bundle`]).
+///
+/// The coordinator ranks a service's instances by great-circle distance
+/// from its own site (the centre of the broker star, which every event
+/// and notification crosses), ties broken by node index. While no
+/// primary of the service is alive, the best-ranked instance of a
+/// deployment ships as primary; every other instance ships as a standby.
+/// When the monitor declares the primary's node failed, the best-ranked
+/// confirmed live standby is promoted ([`GlossMsg::Promote`]); a
+/// standby's failure promotes nobody. A confirmed instance that outranks
+/// the primary takes over at once, and the old primary fires on for one
+/// window of the rules before it stands by ([`GlossMsg::Demote`]). A
+/// primary that recovers (a crash is a pause) keeps its role: its
+/// firings and the promoted standby's are copies, counted by the UI's
+/// duplicate ratio, not failures.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Role {
+    /// Joins, fires and publishes.
+    Primary,
+    /// Matches and retains what it matched for its window plus
+    /// [`TAKEOVER_HORIZON`], and fires nothing until it is promoted.
+    Standby,
+}
 
 /// Timer tags owned by the integration layer (store/overlay tags pass
 /// through to the storelet).
@@ -96,9 +151,43 @@ pub struct CoordinatorState {
     next_req: u64,
     /// Kinds successfully discovered and deployed.
     pub discovered: Vec<String>,
+    /// The primary instance of each matchlet service, by component kind:
+    /// `(instance, node)`, from when it ships or is promoted until its
+    /// node fails or a better-ranked instance takes over.
+    primaries: BTreeMap<String, (String, NodeIndex)>,
+    /// Ex-primaries still firing beside the instance that took over from
+    /// them, until they stand by.
+    retiring: Vec<Retiring>,
+}
+
+/// A primary a better-ranked instance took over from. It keeps firing
+/// for one window of its service's rules, until every join the new
+/// primary can miss (one whose earlier event arrived before the new
+/// primary was installed) has fired, and then stands by.
+#[derive(Debug)]
+struct Retiring {
+    kind: String,
+    instance: String,
+    node: NodeIndex,
+    /// When it stands by.
+    at: SimTime,
 }
 
 impl CoordinatorState {
+    /// The rank of `node` as a host of a service instance, lower first:
+    /// its great-circle distance from `site`, the coordinator's, then its
+    /// index. A node that never advertised ranks last. (A distance is
+    /// never negative, and the bits of non-negative floats order as the
+    /// floats do.)
+    fn rank(&self, site: GeoPoint, node: NodeIndex) -> (u64, u32) {
+        let km = self
+            .evolution
+            .resources()
+            .get(&node)
+            .map_or(f64::INFINITY, |r| site.distance_km(r.geo));
+        (km.to_bits(), node.0)
+    }
+
     fn new() -> Self {
         CoordinatorState {
             monitor: MonitorEngine::default(),
@@ -108,6 +197,8 @@ impl CoordinatorState {
             handler_reqs: BTreeMap::new(),
             next_req: 0,
             discovered: Vec::new(),
+            primaries: BTreeMap::new(),
+            retiring: Vec::new(),
         }
     }
 }
@@ -180,6 +271,12 @@ pub struct GlossNode {
     /// The deltas of the batch being applied, decoded here so that the
     /// buffer's capacity is reused from one batch to the next.
     delta_scratch: Vec<FactDelta>,
+    /// Events held back from the matchlets, with their arrival instants,
+    /// while `gap_fetches` is not empty ([`fetch_gaps`](Self::fetch_gaps)).
+    held: VecDeque<(SimTime, Event)>,
+    /// The outstanding lookups of subjects a live rule needed and this
+    /// node had never held knowledge of.
+    gap_fetches: Vec<u64>,
     resources: NodeResources,
     coordinator: NodeIndex,
     key: AuthKey,
@@ -233,6 +330,8 @@ impl GlossNode {
             server,
             kb: InMemoryFacts::new(),
             delta_scratch: Vec::new(),
+            held: VecDeque::new(),
+            gap_fetches: Vec::new(),
             resources,
             coordinator,
             key,
@@ -325,10 +424,15 @@ impl GlossNode {
 
     /// Publishes an event onto the bus from this node.
     fn publish(&mut self, now: SimTime, mut event: Event, out: &mut Outbox<GlossMsg>) {
-        self.pub_seq += 1;
-        event.stamp(EventId { origin: self.me, seq: self.pub_seq }, now);
+        self.stamp(now, &mut event);
         let me = self.me;
         self.broker_do(now, me, BrokerMsg::Publish(event), out);
+    }
+
+    /// Gives `event` this node's next publication id.
+    fn stamp(&mut self, now: SimTime, event: &mut Event) {
+        self.pub_seq += 1;
+        event.stamp(EventId { origin: self.me, seq: self.pub_seq }, now);
     }
 
     /// Client-side delivery: UI logging, matchlet matching, coordinator
@@ -354,27 +458,7 @@ impl GlossNode {
         routed: bool,
         out: &mut Outbox<GlossMsg>,
     ) {
-        let scan = |node: &Self| node.ui_filters.iter().any(|f| f.matches(&event));
-        let to_ui = if self.subscribed_kinds.contains(event.kind()) {
-            scan(self)
-        } else if routed {
-            debug_assert!(
-                scan(self),
-                "routed, not of a kind subscribed whole, yet no UI filter matches: {event}"
-            );
-            true
-        } else if self.ui_filters.is_empty() {
-            false
-        } else {
-            let matched = self.broker.client_matches(self.me, &event);
-            debug_assert_eq!(
-                matched,
-                scan(self),
-                "the broker and the UI filters disagree: {event}"
-            );
-            matched
-        };
-        if to_ui {
+        if self.ui_wants(&event, routed) {
             out.count("gloss.ui_delivered", 1.0);
             self.ui_received.push(event.clone());
         }
@@ -387,15 +471,79 @@ impl GlossNode {
             }
             return;
         }
-        // Matchlets. All bundles installed on this node share the
-        // server's one engine, so its alpha/beta indexes are repaired
-        // once per knowledge update however many matchlets are deployed;
-        // memo hits are surfaced as a world metric, and so are the
-        // change-feed reads that found the store's bounded delta log
-        // wrapped past the engine's cursor (each forced a full re-read).
+        if self.gap_fetches.is_empty() {
+            self.fetch_gaps(now, &event, out);
+        }
+        if self.gap_fetches.is_empty() {
+            self.run_matchlets(now, now, event, out);
+        } else {
+            self.held.push_back((now, event));
+        }
+    }
+
+    /// Fetches the snapshot of each subject a live rule would read about
+    /// `event` that this node has never held knowledge of (no `kb` or
+    /// `kbdelta` document about it has landed here). Until every such
+    /// fetch concludes, the node holds `event` and every event after it
+    /// back from its matchlets ([`release_held`](Self::release_held)):
+    /// one instance fires for a service, so a join decided on knowledge
+    /// the node lacks would be lost. A subject is fetched once; one no
+    /// store holds is not fetched again.
+    fn fetch_gaps(&mut self, now: SimTime, event: &Event, out: &mut Outbox<GlossMsg>) {
+        loop {
+            let mut gap: Option<Box<str>> = None;
+            let replicas = &self.replicas;
+            self.server.engine().fact_subjects(event, &mut |subject| {
+                if gap.is_none() && !replicas.contains_key(subject) {
+                    gap = Some(subject.into());
+                }
+            });
+            let Some(subject) = gap else {
+                return;
+            };
+            out.count("gloss.kb_gap_fetches", 1.0);
+            let guid = KnowledgeDoc::Snapshot.guid(&subject);
+            self.replicas.insert(subject, SubjectReplica::default());
+            let req = self.next_request();
+            self.gap_fetches.push(req);
+            self.prefetch(guid, 0, req, now, out);
+        }
+    }
+
+    /// Offers the held events to the matchlets, oldest first, each at its
+    /// arrival instant, until one needs another fetch.
+    fn release_held(&mut self, now: SimTime, out: &mut Outbox<GlossMsg>) {
+        while self.gap_fetches.is_empty() {
+            let Some((at, event)) = self.held.pop_front() else {
+                return;
+            };
+            self.fetch_gaps(now, &event, out);
+            if self.gap_fetches.is_empty() {
+                self.run_matchlets(at, now, event, out);
+            } else {
+                self.held.push_front((at, event));
+            }
+        }
+    }
+
+    /// Offers `event`, which arrived at `at`, to the local matchlets and
+    /// publishes what they fire.
+    fn run_matchlets(
+        &mut self,
+        at: SimTime,
+        now: SimTime,
+        event: Event,
+        out: &mut Outbox<GlossMsg>,
+    ) {
+        // All bundles installed on this node share the server's one
+        // engine, so its alpha/beta indexes are repaired once per
+        // knowledge update however many matchlets are deployed; memo hits
+        // are surfaced as a world metric, and so are the change-feed
+        // reads that found the store's bounded delta log wrapped past the
+        // engine's cursor (each forced a full re-read).
         let memo_before = self.server.engine().stats.memo_hits;
         let truncated_before = self.kb.delta_log_truncations();
-        let outputs = self.server.match_event(now, &event, &self.kb);
+        let outputs = self.server.match_event(at, &event, &self.kb);
         let memo_hits = self.server.engine().stats.memo_hits - memo_before;
         if memo_hits > 0 {
             out.count("gloss.match_memo_hits", memo_hits as f64);
@@ -404,11 +552,49 @@ impl GlossNode {
         if truncated > 0 {
             out.count("gloss.kb_delta_log_truncated", truncated as f64);
         }
-        for synthesized in outputs {
+        self.publish_synthesized(now, outputs, out);
+    }
+
+    /// Whether a UI filter of this node matches `event` (see
+    /// [`deliver_to_client`](Self::deliver_to_client) for `routed`).
+    fn ui_wants(&self, event: &Event, routed: bool) -> bool {
+        let scan = |node: &Self| node.ui_filters.iter().any(|f| f.matches(event));
+        if self.subscribed_kinds.contains(event.kind()) {
+            scan(self)
+        } else if routed {
+            debug_assert!(
+                scan(self),
+                "routed, not of a kind subscribed whole, yet no UI filter matches: {event}"
+            );
+            true
+        } else if self.ui_filters.is_empty() {
+            false
+        } else {
+            let matched = self.broker.client_matches(self.me, event);
+            debug_assert_eq!(
+                matched,
+                scan(self),
+                "the broker and the UI filters disagree: {event}"
+            );
+            matched
+        }
+    }
+
+    /// Publishes what local matchlets fired. The broker never hands a
+    /// node's own publication back to it, so this node's UI filters are
+    /// served here: a UI on the node that fires sees the firing.
+    fn publish_synthesized(&mut self, now: SimTime, fired: Vec<Event>, out: &mut Outbox<GlossMsg>) {
+        for mut synthesized in fired {
             self.emitted += 1;
             out.count("gloss.synthesized", 1.0);
             out.trace_with("synthesize", || synthesized.to_string());
-            self.publish(now, synthesized, out);
+            self.stamp(now, &mut synthesized);
+            if self.ui_wants(&synthesized, false) {
+                out.count("gloss.ui_delivered", 1.0);
+                self.ui_received.push(synthesized.clone());
+            }
+            let me = self.me;
+            self.broker_do(now, me, BrokerMsg::Publish(synthesized), out);
         }
     }
 
@@ -417,21 +603,124 @@ impl GlossNode {
         actions: Vec<(String, gloss_deploy::Action)>,
         out: &mut Outbox<GlossMsg>,
     ) {
-        for (instance, action) in actions {
+        let site = self.resources.geo;
+        let cs = self.coordinator_state.as_mut().expect("only coordinator dispatches");
+        for (instance, action) in &actions {
             let gloss_deploy::Action::Deploy { kind, node } = action;
-            let cs = self.coordinator_state.as_ref().expect("only coordinator dispatches");
-            let bundle = match kind.strip_prefix("matchlet:") {
-                Some(service_name) => match cs.services.get(service_name) {
-                    Some(spec) => Bundle::matchlet(instance.clone(), &spec.rules_source)
-                        .issued_by(self.key.issuer()),
-                    None => continue,
-                },
-                None => Bundle::component(instance.clone(), kind, Element::new("cfg"))
-                    .issued_by(self.key.issuer()),
+            let (bundle, role) = match kind.strip_prefix("matchlet:") {
+                Some(service_name) => {
+                    let Some(spec) = cs.services.get(service_name) else {
+                        continue;
+                    };
+                    // While the service has no primary, the best-ranked
+                    // instance of this deployment ships as its primary.
+                    let best = actions
+                        .iter()
+                        .filter(|(_, gloss_deploy::Action::Deploy { kind: k, .. })| k == kind)
+                        .map(|(_, gloss_deploy::Action::Deploy { node, .. })| cs.rank(site, *node))
+                        .min();
+                    let role =
+                        if cs.primaries.contains_key(kind) || best != Some(cs.rank(site, *node)) {
+                            Role::Standby
+                        } else {
+                            cs.primaries.insert(kind.clone(), (instance.clone(), *node));
+                            Role::Primary
+                        };
+                    (Bundle::matchlet(instance.clone(), &spec.rules_source), role)
+                }
+                None => (
+                    Bundle::component(instance.clone(), kind.clone(), Element::new("cfg")),
+                    Role::Primary,
+                ),
             };
-            let packet = bundle.to_packet(&self.key);
+            let packet = bundle.issued_by(self.key.issuer()).to_packet(&self.key);
             out.count("gloss.bundles_sent", 1.0);
-            out.send(node, GlossMsg::Bundle { instance, packet });
+            out.send(*node, GlossMsg::Bundle { instance: instance.clone(), packet, role });
+        }
+    }
+
+    /// Hands each matchlet service whose primary was on `failed` to its
+    /// best-ranked confirmed live standby, which fires what it retained
+    /// from `since` on. A service with no such standby is left without a
+    /// primary: the replacement the evolution engine deploys ships as
+    /// one.
+    fn take_over(&mut self, failed: NodeIndex, since: SimTime, out: &mut Outbox<GlossMsg>) {
+        let site = self.resources.geo;
+        let cs = self.coordinator_state.as_mut().expect("only the coordinator promotes");
+        cs.retiring.retain(|r| r.node != failed);
+        let lost: Vec<String> = cs
+            .primaries
+            .iter()
+            .filter(|(_, (_, node))| *node == failed)
+            .map(|(kind, _)| kind.clone())
+            .collect();
+        for kind in lost {
+            cs.primaries.remove(&kind);
+            // An ex-primary still firing takes its role back.
+            if let Some(k) = cs.retiring.iter().position(|r| r.kind == kind) {
+                let r = cs.retiring.remove(k);
+                cs.primaries.insert(kind, (r.instance, r.node));
+                continue;
+            }
+            let standby = cs
+                .evolution
+                .deployment()
+                .instances_of(&kind)
+                .filter(|&(_, node)| node != failed && cs.monitor.is_alive(node))
+                .filter(|&(instance, _)| cs.retiring.iter().all(|r| r.instance != instance))
+                .min_by_key(|&(_, node)| cs.rank(site, node))
+                .map(|(instance, node)| (instance.to_string(), node));
+            if let Some((instance, node)) = standby {
+                out.count("gloss.promotions", 1.0);
+                out.send(node, GlossMsg::Promote { instance: instance.clone(), since });
+                cs.primaries.insert(kind, (instance, node));
+            }
+        }
+    }
+
+    /// Makes `instance`, just confirmed, the primary of its service if it
+    /// outranks the service's primary. It goes live with nothing to fire
+    /// from its standby days; the primary it takes over from keeps firing
+    /// for one window of the service's rules, and then stands by.
+    fn hand_over(&mut self, now: SimTime, instance: &str, out: &mut Outbox<GlossMsg>) {
+        let site = self.resources.geo;
+        let Some(cs) = self.coordinator_state.as_mut() else {
+            return;
+        };
+        let Some((kind, node)) = cs
+            .evolution
+            .deployment()
+            .iter()
+            .find(|&(i, _, _)| i == instance)
+            .map(|(_, kind, node)| (kind.to_string(), node))
+        else {
+            return;
+        };
+        let (Some((primary, primary_node)), Some(spec)) = (
+            cs.primaries.get(&kind),
+            kind.strip_prefix("matchlet:").and_then(|name| cs.services.get(name)),
+        ) else {
+            return;
+        };
+        if primary == instance || cs.rank(site, node) >= cs.rank(site, *primary_node) {
+            return;
+        }
+        let at = now + spec.window();
+        let (old, old_node) =
+            cs.primaries.insert(kind.clone(), (instance.to_string(), node)).expect("checked");
+        cs.retiring.push(Retiring { kind, instance: old, node: old_node, at });
+        out.count("gloss.handovers", 1.0);
+        out.send(node, GlossMsg::Promote { instance: instance.to_string(), since: SimTime::MAX });
+    }
+
+    /// Sends each ex-primary whose time is up to stand by.
+    fn retire_due(&mut self, now: SimTime, out: &mut Outbox<GlossMsg>) {
+        let Some(cs) = self.coordinator_state.as_mut() else {
+            return;
+        };
+        for r in cs.retiring.extract_if(.., |r| r.at <= now) {
+            out.count("gloss.demotions", 1.0);
+            out.send(r.node, GlossMsg::Demote { instance: r.instance });
         }
     }
 
@@ -459,6 +748,9 @@ impl GlossNode {
         // whose loop then takes over the conclusions still waiting here.
         while !self.store_concluded.is_empty() {
             let (req, outcome) = self.store_concluded.remove(0);
+            if let Some(k) = self.gap_fetches.iter().position(|&r| r == req) {
+                self.gap_fetches.swap_remove(k);
+            }
             let kind = self.coordinator_state.as_mut().and_then(|cs| cs.handler_reqs.remove(&req));
             match (kind, outcome.doc) {
                 (Some(kind), doc) => self.conclude_discovery_fetch(now, kind, doc, out),
@@ -486,6 +778,7 @@ impl GlossNode {
         if let Some(doc) = landed_doc {
             self.ingest_document(now, &doc, out);
         }
+        self.release_held(now, out);
     }
 
     /// Knowledge documents ingest into the local fact store wherever
@@ -622,7 +915,11 @@ impl GlossNode {
                     } else {
                         out.send(
                             node,
-                            GlossMsg::Bundle { instance: String::new(), packet: packet.clone() },
+                            GlossMsg::Bundle {
+                                instance: String::new(),
+                                packet: packet.clone(),
+                                role: Role::Primary,
+                            },
                         );
                     }
                 }
@@ -680,15 +977,23 @@ impl GlossNode {
                     if sweep.suspected > 0 {
                         out.count("gloss.suspected", sweep.suspected as f64);
                     }
-                    if sweep.failed > 0 {
-                        out.count("gloss.failures_detected", sweep.failed as f64);
+                    if !sweep.failed.is_empty() {
+                        out.count("gloss.failures_detected", sweep.failed.len() as f64);
                     }
+                    // Standbys take over first, so that a replacement ships
+                    // as a standby wherever one did.
+                    for (node, heard) in sweep.failed {
+                        let since = heard.as_micros().saturating_sub(HEARTBEAT.as_micros());
+                        self.take_over(node, SimTime::from_micros(since), out);
+                    }
+                    self.retire_due(now, out);
                     self.dispatch_actions(sweep.actions, out);
                 }
                 out.timer(SWEEP_EVERY, timers::SWEEP);
             }
             other => {
-                self.store_call(now, None, out, |store, sout| store.on_timer(now, other, sout))
+                self.store_call(now, None, out, |store, sout| store.on_timer(now, other, sout));
+                self.release_held(now, out);
             }
         }
     }
@@ -702,7 +1007,8 @@ impl GlossNode {
         // one; the responsible node still serves whatever it holds.
         let held = self.replicas.get(subject).and_then(|r| r.snapshot_doc);
         let floor = held.map_or(0, |v| v.saturating_add(1));
-        self.prefetch(guid, floor, now, out);
+        let req = self.next_request();
+        self.prefetch(guid, floor, req, now, out);
     }
 
     /// Issues a storage lookup for a subject's latest delta batch (the
@@ -715,19 +1021,31 @@ impl GlossNode {
         // definition, and serving it would end the pull early.
         let held = self.replicas.get(subject).and_then(|r| r.delta_doc);
         let floor = held.map_or(0, |v| v.saturating_add(1));
-        self.prefetch(guid, floor, now, out);
+        let req = self.next_request();
+        self.prefetch(guid, floor, req, now, out);
     }
 
-    /// Looks `guid` up in the store, refusing copies below version
-    /// `floor`, and ingests what comes back: a reply when it lands, a
-    /// locally held copy (concluded with no reply message) in the call
-    /// that issues the lookup.
-    fn prefetch(&mut self, guid: Key, floor: u64, now: SimTime, out: &mut Outbox<GlossMsg>) {
+    /// A request id for this node's next knowledge lookup. The store's
+    /// ledger is this node's own, so the id needs no node bits: a tag bit
+    /// over the per-node sequence, below the coordinator's discovery
+    /// fetches (bit 52).
+    fn next_request(&mut self) -> u64 {
         self.sub_seq += 1;
-        // The store's ledger is this node's own, so the id needs no node
-        // bits: a tag bit over the per-node sequence, below the
-        // coordinator's discovery fetches (bit 52).
-        let req = (1 << 48) | self.sub_seq;
+        (1 << 48) | self.sub_seq
+    }
+
+    /// Looks `guid` up in the store as request `req`, refusing copies
+    /// below version `floor`, and ingests what comes back: a reply when it
+    /// lands, a locally held copy (concluded with no reply message) in
+    /// the call that issues the lookup.
+    fn prefetch(
+        &mut self,
+        guid: Key,
+        floor: u64,
+        req: u64,
+        now: SimTime,
+        out: &mut Outbox<GlossMsg>,
+    ) {
         self.store_call(now, Some(req), out, |store, sout| {
             store.lookup_min_version(guid, floor, req, now, sout)
         });
@@ -785,23 +1103,39 @@ impl GlossNode {
             }
             GlossMsg::PrefetchSubject(subject) => self.prefetch_subject(now, &subject, out),
             GlossMsg::PrefetchDeltas(subject) => self.prefetch_deltas(now, &subject, out),
-            GlossMsg::Bundle { instance, packet } => match self.server.receive_packet(&packet) {
-                Ok(report) => {
-                    out.count("gloss.installs", 1.0);
-                    if report.lint_warnings > 0 {
-                        out.count("gloss.lint_warnings", report.lint_warnings as f64);
+            GlossMsg::Bundle { instance, packet, role } => {
+                match self.server.receive_packet(&packet) {
+                    Ok(report) => {
+                        out.count("gloss.installs", 1.0);
+                        if report.lint_warnings > 0 {
+                            out.count("gloss.lint_warnings", report.lint_warnings as f64);
+                        }
+                        if role == Role::Standby {
+                            self.server.standby(&report.name, TAKEOVER_HORIZON);
+                        }
+                        self.subscribe_rule_kinds(now, out);
+                        if !instance.is_empty() {
+                            out.send(from, GlossMsg::Installed { instance });
+                        }
                     }
-                    self.subscribe_rule_kinds(now, out);
-                    if !instance.is_empty() {
-                        out.send(from, GlossMsg::Installed { instance });
+                    Err(gloss_bundle::BundleError::RejectedByAnalysis(_)) => {
+                        out.count("gloss.lint_rejected", 1.0);
+                        out.count("gloss.install_failures", 1.0);
                     }
+                    Err(_) => out.count("gloss.install_failures", 1.0),
                 }
-                Err(gloss_bundle::BundleError::RejectedByAnalysis(_)) => {
-                    out.count("gloss.lint_rejected", 1.0);
-                    out.count("gloss.install_failures", 1.0);
+            }
+            GlossMsg::Promote { instance, since } => {
+                if let Some(fired) = self.server.promote(&instance, since, &self.kb) {
+                    out.count("gloss.promoted", 1.0);
+                    self.publish_synthesized(now, fired, out);
                 }
-                Err(_) => out.count("gloss.install_failures", 1.0),
-            },
+            }
+            GlossMsg::Demote { instance } => {
+                if self.server.standby(&instance, TAKEOVER_HORIZON) {
+                    out.count("gloss.demoted", 1.0);
+                }
+            }
             GlossMsg::Installed { instance } => {
                 if let Some(cs) = self.coordinator_state.as_mut() {
                     cs.evolution.confirm_deploy(now, &instance);
@@ -811,6 +1145,7 @@ impl GlossNode {
                         }
                     }
                 }
+                self.hand_over(now, &instance, out);
             }
             GlossMsg::UnknownKind { kind } => {
                 let mut fetch: Option<(u64, Key)> = None;
@@ -982,7 +1317,11 @@ mod tests {
             .issued_by(key.issuer());
         let packet = bundle.to_packet(&key);
         let peer = NodeIndex(1);
-        deliver(&mut node, peer, GlossMsg::Bundle { instance: String::new(), packet });
+        deliver(
+            &mut node,
+            peer,
+            GlossMsg::Bundle { instance: String::new(), packet, role: Role::Primary },
+        );
         let zone_9_pings = Filter::for_kind("ping").with_eq("zone", 9i64);
         deliver(&mut node, peer, GlossMsg::UiSubscribe(zone_9_pings));
         deliver(&mut node, peer, GlossMsg::UiSubscribe(Filter::for_kind("alert")));
@@ -1031,7 +1370,11 @@ mod tests {
         let packet = Bundle::matchlet("m", r#"rule r { on p: event ping() emit pong() }"#)
             .issued_by(key.issuer())
             .to_packet(&key);
-        deliver(&mut node, hub, GlossMsg::Bundle { instance: String::new(), packet });
+        deliver(
+            &mut node,
+            hub,
+            GlossMsg::Bundle { instance: String::new(), packet, role: Role::Primary },
+        );
         assert!(node.subscribed_kinds.contains("ping"));
         deliver(
             &mut node,
@@ -1080,7 +1423,7 @@ mod tests {
         let packet = Bundle::matchlet("m", r#"rule r { on p: event ping() emit pong() }"#)
             .issued_by(key.issuer())
             .to_packet(&key);
-        let install = GlossMsg::Bundle { instance: String::new(), packet };
+        let install = GlossMsg::Bundle { instance: String::new(), packet, role: Role::Primary };
         node.handle(SimTime::ZERO, Input::Msg { from: hub, msg: install }, &mut Outbox::new());
         let pongs = Subscription { id: 7, filter: Filter::for_kind("pong") };
         let subscribe = GlossMsg::PubSub(BrokerMsg::Subscribe(pongs));
@@ -1112,7 +1455,7 @@ mod tests {
         let key = AuthKey::new("test", b"secret");
         let rule = r#"rule r { on p: event ping() where fact(?u, likes, "ice") emit pong(u: ?u) }"#;
         let packet = Bundle::matchlet("m", rule).issued_by(key.issuer()).to_packet(&key);
-        let install = GlossMsg::Bundle { instance: String::new(), packet };
+        let install = GlossMsg::Bundle { instance: String::new(), packet, role: Role::Primary };
         node.handle(SimTime::ZERO, Input::Msg { from: hub, msg: install }, &mut Outbox::new());
         let ping = || GlossMsg::PubSub(BrokerMsg::Notify(Event::new("ping")));
         let pinged = |node: &mut GlossNode| {
@@ -1139,7 +1482,8 @@ mod tests {
         let key = AuthKey::new("test", b"secret");
         let mut offer = |name: &str, source: &str| {
             let packet = Bundle::matchlet(name, source).issued_by(key.issuer()).to_packet(&key);
-            let msg = GlossMsg::Bundle { instance: format!("{name}@n1#1"), packet };
+            let msg =
+                GlossMsg::Bundle { instance: format!("{name}@n1#1"), packet, role: Role::Primary };
             let mut out = Outbox::new();
             node.handle(SimTime::ZERO, Input::Msg { from: NodeIndex(0), msg }, &mut out);
             let confirmed = out
@@ -1420,5 +1764,238 @@ mod tests {
         assert!(counted(&out, "gloss.kb_delta_applied"), "the well-formed batch applies");
         assert_eq!(bob(&node), [fact("ice cream")]);
         assert_eq!(node.replicas["bob"].anchor, Some((7, 5)));
+    }
+
+    // --- service roles on the coordinator ---------------------------------
+
+    /// A coordinator at St Andrews running the two-pattern `pair` service,
+    /// of `instances` instances, over workers advertised at `sites`
+    /// (`(node, lat, lon)`) at t = 0 s.
+    fn roles_coordinator(sites: &[(u32, f64, f64)], instances: usize) -> GlossNode {
+        let me = NodeIndex(0);
+        let mut node = coordinator(OverlayNode::new(Key(0x100), me, None, SimDuration::ZERO));
+        node.handle(SimTime::ZERO, Input::Start, &mut Outbox::new());
+        for &(i, lat, lon) in sites {
+            advertise(&mut node, i, lat, lon, 0);
+        }
+        let rules = "rule pair { on a: event ping(k: ?k) on b: event pong(k: ?k) within 30 s emit paired(k: ?k) }";
+        let spec = ServiceSpec::new("pair", rules, vec![(None, instances)]).unwrap();
+        let cs = node.coordinator_state.as_mut().unwrap();
+        for c in spec.constraints() {
+            cs.evolution.add_constraint(c);
+        }
+        cs.services.insert(spec.name.clone(), spec);
+        node
+    }
+
+    /// Worker `i`'s advertisement from (`lat`, `lon`), heard at `secs`.
+    fn advertise(node: &mut GlossNode, i: u32, lat: f64, lon: f64, secs: u64) {
+        let advert = NodeResources {
+            node: NodeIndex(i),
+            region: "somewhere".into(),
+            geo: GeoPoint { lat, lon },
+            cpu: 1.0,
+            storage: 1 << 20,
+        }
+        .to_event();
+        let msg = GlossMsg::PubSub(BrokerMsg::Publish(advert));
+        node.handle(
+            SimTime::from_secs(secs),
+            Input::Msg { from: NodeIndex(i), msg },
+            &mut Outbox::new(),
+        );
+    }
+
+    /// What the coordinator sent: bundles as `(node, instance, role)`,
+    /// promotions as `(node, since)` and demotions as nodes.
+    type Sent = (Vec<(u32, String, Role)>, Vec<(u32, SimTime)>, Vec<u32>);
+
+    /// What a coordinator sweep at `secs` sent.
+    fn sweep(node: &mut GlossNode, secs: u64) -> Sent {
+        let mut out = Outbox::new();
+        node.handle(SimTime::from_secs(secs), Input::Timer { tag: timers::SWEEP }, &mut out);
+        sent(&out)
+    }
+
+    fn sent(out: &Outbox<GlossMsg>) -> Sent {
+        let (mut bundles, mut promotions, mut demotions) = (Vec::new(), Vec::new(), Vec::new());
+        for (to, msg) in out.sends() {
+            match msg {
+                GlossMsg::Bundle { instance, role, .. } => {
+                    bundles.push((to.0, instance.clone(), *role))
+                }
+                GlossMsg::Promote { since, .. } => promotions.push((to.0, *since)),
+                GlossMsg::Demote { .. } => demotions.push(to.0),
+                _ => {}
+            }
+        }
+        (bundles, promotions, demotions)
+    }
+
+    /// Confirms the install of `instance` at `secs`; returns what the
+    /// coordinator sent.
+    fn confirm(node: &mut GlossNode, worker: u32, instance: &str, secs: u64) -> Sent {
+        let msg = GlossMsg::Installed { instance: instance.to_string() };
+        let mut out = Outbox::new();
+        node.handle(
+            SimTime::from_secs(secs),
+            Input::Msg { from: NodeIndex(worker), msg },
+            &mut out,
+        );
+        sent(&out)
+    }
+
+    const LONDON: (f64, f64) = (51.5, -0.1);
+    const PARIS: (f64, f64) = (48.8, 2.3);
+    const SYDNEY: (f64, f64) = (-33.9, 151.2);
+
+    /// The primary is the instance nearest the coordinator, whatever the
+    /// node order; of two equally near, the lower index.
+    #[test]
+    fn the_instance_nearest_the_coordinator_ships_as_primary() {
+        let sites = [(1, SYDNEY.0, SYDNEY.1), (2, PARIS.0, PARIS.1), (3, LONDON.0, LONDON.1)];
+        let mut node = roles_coordinator(&sites, 3);
+        let (bundles, promotions, _) = sweep(&mut node, 10);
+        let roles: Vec<(u32, Role)> = bundles.iter().map(|(n, _, r)| (*n, *r)).collect();
+        assert_eq!(roles, [(1, Role::Standby), (2, Role::Standby), (3, Role::Primary)]);
+        assert!(promotions.is_empty());
+
+        let tied = [(1, SYDNEY.0, SYDNEY.1), (2, LONDON.0, LONDON.1), (3, LONDON.0, LONDON.1)];
+        let mut node = roles_coordinator(&tied, 3);
+        let (bundles, ..) = sweep(&mut node, 10);
+        let roles: Vec<(u32, Role)> = bundles.iter().map(|(n, _, r)| (*n, *r)).collect();
+        assert_eq!(roles, [(1, Role::Standby), (2, Role::Primary), (3, Role::Standby)]);
+    }
+
+    /// Three instances on n1 (primary), n2 and n3, all confirmed at
+    /// t = 12 s, with n4 free; n1 is nearest and n4 farthest.
+    fn confirmed_service() -> GlossNode {
+        let sites = [
+            (1, LONDON.0, LONDON.1),
+            (2, PARIS.0, PARIS.1),
+            (3, 40.4, -3.7),
+            (4, SYDNEY.0, SYDNEY.1),
+        ];
+        let mut node = roles_coordinator(&sites, 3);
+        let (bundles, ..) = sweep(&mut node, 10);
+        let roles: Vec<(u32, Role)> = bundles.iter().map(|(n, _, r)| (*n, *r)).collect();
+        assert_eq!(roles, [(1, Role::Primary), (2, Role::Standby), (3, Role::Standby)]);
+        for (worker, instance, _) in &bundles {
+            let (b, p, d) = confirm(&mut node, *worker, instance, 12);
+            assert!(b.is_empty() && p.is_empty() && d.is_empty(), "n{worker} ranks below n1");
+        }
+        node
+    }
+
+    /// Every worker but `silent` advertises at `secs`.
+    fn heartbeat_all_but(node: &mut GlossNode, silent: u32, secs: u64) {
+        let sites = [(1, LONDON), (2, PARIS), (3, (40.4, -3.7)), (4, SYDNEY)];
+        for (i, (lat, lon)) in sites {
+            if i != silent {
+                advertise(node, i, lat, lon, secs);
+            }
+        }
+    }
+
+    /// A standby's failure promotes nobody, and its replacement ships as
+    /// a standby while the primary is alive.
+    #[test]
+    fn a_standby_failure_is_replaced_by_a_standby_and_promotes_nobody() {
+        let mut node = confirmed_service();
+        heartbeat_all_but(&mut node, 3, 50);
+        let (bundles, promotions, _) = sweep(&mut node, 60);
+        assert!(promotions.is_empty(), "{promotions:?}");
+        let roles: Vec<(u32, Role)> = bundles.iter().map(|(n, _, r)| (*n, *r)).collect();
+        assert_eq!(roles, [(4, Role::Standby)]);
+    }
+
+    /// The primary's failure promotes the best-ranked confirmed live
+    /// standby, from the primary's last heartbeat less one period; the
+    /// replacement then ships as a standby.
+    #[test]
+    fn a_primary_failure_promotes_the_best_ranked_standby() {
+        let mut node = confirmed_service();
+        advertise(&mut node, 1, LONDON.0, LONDON.1, 25);
+        heartbeat_all_but(&mut node, 1, 50);
+        let (bundles, promotions, _) = sweep(&mut node, 60);
+        assert_eq!(promotions, [(2, SimTime::from_secs(15))], "n2, the next nearest");
+        let roles: Vec<(u32, Role)> = bundles.iter().map(|(n, _, r)| (*n, *r)).collect();
+        assert_eq!(roles, [(4, Role::Standby)]);
+        assert_eq!(
+            node.coordinator_state.as_ref().unwrap().primaries["matchlet:pair"].1,
+            NodeIndex(2)
+        );
+    }
+
+    /// With no confirmed standby, the primary's failure promotes nobody
+    /// and its replacement ships as the primary.
+    #[test]
+    fn with_no_confirmed_standby_the_replacement_ships_as_primary() {
+        let sites = [(1, LONDON.0, LONDON.1), (2, PARIS.0, PARIS.1), (3, SYDNEY.0, SYDNEY.1)];
+        let mut node = roles_coordinator(&sites, 2);
+        let (bundles, ..) = sweep(&mut node, 10);
+        let roles: Vec<(u32, Role)> = bundles.iter().map(|(n, _, r)| (*n, *r)).collect();
+        assert_eq!(roles, [(1, Role::Primary), (2, Role::Standby)]);
+        advertise(&mut node, 2, PARIS.0, PARIS.1, 50);
+        advertise(&mut node, 3, SYDNEY.0, SYDNEY.1, 50);
+        let (bundles, promotions, _) = sweep(&mut node, 60);
+        assert!(promotions.is_empty(), "the standby on n2 never confirmed");
+        let roles: Vec<(u32, Role)> = bundles.iter().map(|(n, _, r)| (*n, *r)).collect();
+        assert_eq!(roles, [(3, Role::Primary)]);
+    }
+
+    /// A confirmed instance that outranks the primary takes over at once,
+    /// with nothing to fire from its standby days; the primary it took
+    /// over from fires on for one window of the rules, then stands by.
+    #[test]
+    fn a_better_ranked_instance_takes_over_and_the_old_primary_stands_by_a_window_later() {
+        let sites = [(1, PARIS.0, PARIS.1), (2, 40.4, -3.7)];
+        let mut node = roles_coordinator(&sites, 2);
+        let (bundles, ..) = sweep(&mut node, 10);
+        let roles: Vec<(u32, Role)> = bundles.iter().map(|(n, _, r)| (*n, *r)).collect();
+        assert_eq!(roles, [(1, Role::Primary), (2, Role::Standby)]);
+        for (worker, instance, _) in &bundles {
+            confirm(&mut node, *worker, instance, 12);
+        }
+        // London advertises late, and n2 fails: the replacement goes to
+        // London, nearer than the primary, and ships as a standby.
+        advertise(&mut node, 3, LONDON.0, LONDON.1, 20);
+        for (i, (lat, lon)) in [(1, PARIS), (3, LONDON)] {
+            advertise(&mut node, i, lat, lon, 50);
+        }
+        let (bundles, promotions, _) = sweep(&mut node, 60);
+        assert!(promotions.is_empty());
+        let [(3, instance, Role::Standby)] = bundles.as_slice() else { panic!("{bundles:?}") };
+        let (_, promotions, demotions) = confirm(&mut node, 3, instance, 61);
+        assert_eq!(promotions, [(3, SimTime::MAX)]);
+        assert!(demotions.is_empty(), "n1 fires on for a window");
+        for (i, (lat, lon)) in [(1, PARIS), (3, LONDON)] {
+            advertise(&mut node, i, lat, lon, 80);
+        }
+        assert_eq!(sweep(&mut node, 90).2, [] as [u32; 0], "61 s + 30 s is not yet up");
+        assert_eq!(sweep(&mut node, 100).2, [1]);
+    }
+
+    /// A node's own firing reaches its own UI: the broker never hands a
+    /// node's publication back to it.
+    #[test]
+    fn a_firing_reaches_a_ui_on_the_node_that_fired() {
+        let (me, hub) = (NodeIndex(1), NodeIndex(0));
+        let mut node = worker(me);
+        node.handle(SimTime::ZERO, Input::Start, &mut Outbox::new());
+        let key = AuthKey::new("test", b"secret");
+        let packet = Bundle::matchlet("m", r#"rule r { on p: event ping() emit pong() }"#)
+            .issued_by(key.issuer())
+            .to_packet(&key);
+        deliver(
+            &mut node,
+            hub,
+            GlossMsg::Bundle { instance: String::new(), packet, role: Role::Primary },
+        );
+        deliver(&mut node, me, GlossMsg::UiSubscribe(Filter::for_kind("pong")));
+        deliver(&mut node, hub, GlossMsg::PubSub(BrokerMsg::Notify(Event::new("ping"))));
+        let kinds: Vec<&str> = node.ui_received.iter().map(Event::kind).collect();
+        assert_eq!(kinds, ["pong"]);
+        assert_eq!(node.ui_received[0].id().origin, me, "the copy is the stamped publication");
     }
 }

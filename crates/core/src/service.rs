@@ -18,6 +18,7 @@
 
 use gloss_deploy::Constraint;
 use gloss_matchlet::parse_rules;
+use gloss_sim::SimDuration;
 use std::error::Error;
 use std::fmt;
 
@@ -67,6 +68,12 @@ impl ServiceSpec {
     /// The component kind the evolution engine uses for this service.
     pub fn component_kind(&self) -> String {
         format!("matchlet:{}", self.name)
+    }
+
+    /// The longest window of the service's rules.
+    pub fn window(&self) -> SimDuration {
+        let rules = parse_rules(&self.rules_source).unwrap_or_default();
+        rules.iter().map(|r| r.window).max().unwrap_or(SimDuration::ZERO)
     }
 
     /// The placement constraints feeding the evolution engine.

@@ -162,8 +162,9 @@ pub struct Sweep {
     pub actions: Vec<(String, Action)>,
     /// Nodes that entered a suspicion episode this sweep.
     pub suspected: u64,
-    /// Nodes declared failed this sweep.
-    pub failed: u64,
+    /// Nodes declared failed this sweep, each with the instant its last
+    /// heartbeat was heard.
+    pub failed: Vec<(NodeIndex, SimTime)>,
 }
 
 /// One coordinator sweep: the monitor reports who fell silent, the
@@ -180,7 +181,11 @@ pub fn coordinator_sweep(
         if ev.kind() == kinds::SUSPECTED {
             sweep.suspected += 1;
         } else {
-            sweep.failed += 1;
+            if let (Some(node), Some(heard)) =
+                (NodeResources::departed_node(&ev), NodeResources::last_heard(&ev))
+            {
+                sweep.failed.push((node, heard));
+            }
             sweep.actions.extend(evolution.on_event(now, &ev));
         }
     }
@@ -257,7 +262,7 @@ mod tests {
         assert_eq!(e.satisfaction(), 1.0);
         // The hosting node dies.
         let hosting: NodeIndex = e.deployment.instances_of("repl").next().unwrap().1;
-        let repairs = e.on_event(t(10), &NodeResources::failed_event(hosting));
+        let repairs = e.on_event(t(10), &NodeResources::failed_event(hosting, t(0)));
         assert_eq!(repairs.len(), 1, "replacement planned immediately");
         let (instance, Action::Deploy { node, .. }) = &repairs[0];
         assert_ne!(*node, hosting, "replacement goes to a surviving node");

@@ -20,7 +20,7 @@ use gloss_sim::{NodeIndex, SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The silence after which a node is declared failed.
-const DEADLINE: SimDuration = SimDuration::from_secs(30);
+pub const DEADLINE: SimDuration = SimDuration::from_secs(30);
 /// The silence after which a node is suspected: half the deadline.
 const SUSPECT_AFTER: SimDuration = SimDuration::from_secs(15);
 
@@ -78,21 +78,21 @@ impl MonitorEngine {
     /// "on their behalf").
     pub fn sweep(&mut self, now: SimTime) -> Vec<Event> {
         let mut events = Vec::new();
-        let mut dead: Vec<NodeIndex> = Vec::new();
+        let mut dead: Vec<(NodeIndex, SimTime)> = Vec::new();
         for (&node, &t) in &self.last_seen {
             let silence = now.since(t);
             if silence > DEADLINE {
-                dead.push(node);
+                dead.push((node, t));
             } else if silence > SUSPECT_AFTER && self.suspected.insert(node) {
                 self.suspicions += 1;
                 events.push(NodeResources::suspected_event(node));
             }
         }
-        for node in dead {
+        for (node, last_heard) in dead {
             self.last_seen.remove(&node);
             self.suspected.remove(&node);
             self.failures_detected += 1;
-            events.push(NodeResources::failed_event(node));
+            events.push(NodeResources::failed_event(node, last_heard));
         }
         events
     }
@@ -136,6 +136,7 @@ mod tests {
         let failed: Vec<&Event> = evs.iter().filter(|e| e.kind() == kinds::FAILED).collect();
         assert_eq!(failed.len(), 1);
         assert_eq!(NodeResources::departed_node(failed[0]), Some(NodeIndex(1)));
+        assert_eq!(NodeResources::last_heard(failed[0]), Some(SimTime::from_secs(0)));
         assert_eq!(m.failures_detected, 1);
         assert!(!m.is_alive(NodeIndex(1)));
         assert!(m.is_alive(NodeIndex(2)));

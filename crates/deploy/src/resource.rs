@@ -1,7 +1,7 @@
 //! Resource advertisements: what a node offers, carried as events.
 
 use gloss_event::Event;
-use gloss_sim::{GeoPoint, NodeIndex};
+use gloss_sim::{GeoPoint, NodeIndex, SimTime};
 
 /// One node's advertised resources.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,9 +63,21 @@ impl NodeResources {
         Event::new(kinds::WITHDRAW).with_attr("node", node.0 as i64)
     }
 
-    /// A failure event for a silent node (monitor-published).
-    pub fn failed_event(node: NodeIndex) -> Event {
-        Event::new(kinds::FAILED).with_attr("node", node.0 as i64)
+    /// A failure event for a silent node (monitor-published), naming the
+    /// instant its last heartbeat was heard.
+    pub fn failed_event(node: NodeIndex, last_heard: SimTime) -> Event {
+        Event::new(kinds::FAILED)
+            .with_attr("node", node.0 as i64)
+            .with_attr("last_heard", last_heard.as_micros() as i64)
+    }
+
+    /// The instant a failed node's last heartbeat was heard, from its
+    /// failure event.
+    pub fn last_heard(ev: &Event) -> Option<SimTime> {
+        if ev.kind() != kinds::FAILED {
+            return None;
+        }
+        Some(SimTime::from_micros(ev.num_attr("last_heard")? as u64))
     }
 
     /// A suspicion event for a half-deadline-silent node.
@@ -113,9 +125,11 @@ mod tests {
     #[test]
     fn departure_events() {
         let w = NodeResources::withdraw_event(NodeIndex(7));
-        let f = NodeResources::failed_event(NodeIndex(8));
+        let f = NodeResources::failed_event(NodeIndex(8), SimTime::from_secs(3));
         assert_eq!(NodeResources::departed_node(&w), Some(NodeIndex(7)));
         assert_eq!(NodeResources::departed_node(&f), Some(NodeIndex(8)));
+        assert_eq!(NodeResources::last_heard(&f), Some(SimTime::from_secs(3)));
+        assert_eq!(NodeResources::last_heard(&w), None);
         assert_eq!(NodeResources::departed_node(&Event::new("x")), None);
     }
 }

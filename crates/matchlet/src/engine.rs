@@ -90,7 +90,7 @@ use crate::parser::{parse_rules, MatchletError};
 use crate::symbol::Symbol;
 use gloss_event::{AttrValue, Event};
 use gloss_knowledge::{Fact, FactDelta, FactSource, FactsVersion, Term};
-use gloss_sim::{FnvHashMap, SimTime};
+use gloss_sim::{FnvHashMap, SimDuration, SimTime};
 use gloss_xml::Path;
 use std::cell::{Cell, RefCell};
 use std::collections::hash_map::Entry;
@@ -567,6 +567,10 @@ impl Stamp {
 /// stamp is written while joins read the buffer, hence the cells.
 #[derive(Debug, Clone)]
 struct Buffered {
+    /// The number of the event that made it (the engine's
+    /// [`EngineStats::events_in`] count at the event), shared by every
+    /// pattern one event matched.
+    event: u64,
     /// Arrival time.
     at: SimTime,
     /// The pattern's bindings; while `stamp` is `One`, followed by the
@@ -576,8 +580,8 @@ struct Buffered {
 }
 
 impl Buffered {
-    fn new(at: SimTime, bindings: Bindings) -> Self {
-        Buffered { at, bindings: RefCell::new(bindings), stamp: Cell::default() }
+    fn new(event: u64, at: SimTime, bindings: Bindings) -> Self {
+        Buffered { event, at, bindings: RefCell::new(bindings), stamp: Cell::default() }
     }
 
     /// Whether the entry is stamped dead in the current generation.
@@ -608,6 +612,17 @@ impl PatternBuffer {
             self.indexes.push(JoinIndex { vars, buckets: FnvHashMap::default(), inexact: 0 });
             self.indexes.len() - 1
         })
+    }
+
+    /// Takes every entry out, oldest first, keeping the indexes'
+    /// variable sets.
+    fn take(&mut self) -> VecDeque<Buffered> {
+        self.head += self.entries.len() as u64;
+        for index in &mut self.indexes {
+            index.buckets.clear();
+            index.inexact = 0;
+        }
+        std::mem::take(&mut self.entries)
     }
 
     fn push(&mut self, mut entry: Buffered) {
@@ -736,6 +751,33 @@ fn local_prefix(goals: &[Goal], compiled: &[CompiledPattern]) -> Option<LocalPre
     best
 }
 
+/// A standby rule's state ([`MatchletEngine::standby`]): every match it
+/// made, `(pattern, entry)`, kept for the rule's window plus `horizon`,
+/// oldest first. A standby never joins, so it keeps no window buffers
+/// and no indexes.
+#[derive(Debug, Clone)]
+struct Standby {
+    horizon: SimDuration,
+    retained: VecDeque<(usize, Buffered)>,
+}
+
+impl Standby {
+    /// Drops what arrived more than the window plus the horizon before
+    /// `now`, then retains one event's matches.
+    fn retain(&mut self, now: SimTime, window: SimDuration, matched: &mut Vec<(usize, Buffered)>) {
+        let cutoff = cutoff(now, window + self.horizon);
+        while self.retained.front().is_some_and(|(_, entry)| entry.at < cutoff) {
+            self.retained.pop_front();
+        }
+        self.retained.extend(matched.drain(..));
+    }
+}
+
+/// The instant `span` before `now`, or zero.
+fn cutoff(now: SimTime, span: SimDuration) -> SimTime {
+    SimTime::from_micros(now.as_micros().saturating_sub(span.as_micros()))
+}
+
 /// A rule plus its per-pattern event buffers.
 #[derive(Debug, Clone)]
 pub struct CompiledRule {
@@ -763,6 +805,11 @@ pub struct CompiledRule {
     plan: SolvePlan,
     /// A directly solved rule's local prefix, if it has one.
     local: Option<LocalPrefix>,
+    /// `(pattern, attribute)`: each event attribute the pattern binds to
+    /// the subject of one of the rule's fact goals.
+    subject_attrs: Vec<(usize, String)>,
+    /// `Some` while the rule stands by.
+    standby: Option<Standby>,
     /// How many times the rule has fired.
     pub fired: u64,
 }
@@ -789,6 +836,21 @@ impl CompiledRule {
             SolvePlan::Direct => local_prefix(&goals, &compiled),
             SolvePlan::Memo { .. } => None,
         };
+        let mut subject_attrs = Vec::new();
+        for goal in &goals {
+            let Goal::Fact { subject: Pat::Var(v), .. } = goal else {
+                continue;
+            };
+            for (p, cp) in compiled.iter().enumerate() {
+                for field in &cp.fields {
+                    if let (FieldAccess::Attr(name), Pat::Var(w)) = (&field.access, &field.pat) {
+                        if w == v && !subject_attrs.iter().any(|(q, n)| *q == p && n == name) {
+                            subject_attrs.push((p, name.clone()));
+                        }
+                    }
+                }
+            }
+        }
         CompiledRule {
             rule,
             compiled,
@@ -799,6 +861,8 @@ impl CompiledRule {
             goals,
             plan,
             local,
+            subject_attrs,
+            standby: None,
             fired: 0,
         }
     }
@@ -809,9 +873,16 @@ impl CompiledRule {
         }
     }
 
-    /// Total buffered partial matches.
+    /// Total buffered partial matches: a live rule's window buffers, or
+    /// the entries a standby rule retains.
     pub fn buffered(&self) -> usize {
-        self.buffers.iter().map(|b| b.entries.len()).sum()
+        let retained = self.standby.as_ref().map_or(0, |s| s.retained.len());
+        self.buffers.iter().map(|b| b.entries.len()).sum::<usize>() + retained
+    }
+
+    /// Whether the rule stands by ([`MatchletEngine::standby`]).
+    pub fn is_standby(&self) -> bool {
+        self.standby.is_some()
     }
 }
 
@@ -842,6 +913,10 @@ pub struct EngineStats {
     pub join_scans: u64,
 }
 
+/// Event kind → `(rule index, pattern index)` pairs listening for it, in
+/// rule order.
+type KindIndex = FnvHashMap<String, Vec<(u32, u32)>>;
+
 /// A matchlet engine hosting compiled rules.
 ///
 /// All hosted rules — however they were deployed — share one set of
@@ -854,9 +929,8 @@ pub struct EngineStats {
 #[derive(Debug, Clone, Default)]
 pub struct MatchletEngine {
     rules: Vec<CompiledRule>,
-    /// Event kind → `(rule index, pattern index)` pairs listening for it,
-    /// in rule order. Rebuilt on rule addition/removal.
-    kind_index: FnvHashMap<String, Vec<(u32, u32)>>,
+    /// Rebuilt on rule addition/removal.
+    kind_index: KindIndex,
     /// Predicate → alpha memory, shared by every memoised rule.
     alphas: FnvHashMap<String, AlphaMemory>,
     /// The shared beta trie (prefix-shared join state).
@@ -874,6 +948,10 @@ pub struct MatchletEngine {
     /// per-event sync is skipped entirely (direct-only engines pay
     /// nothing for the delta machinery).
     memo_rules: usize,
+    /// How many live rules bind a fact goal's subject from an event
+    /// attribute; when zero, [`fact_subjects`](Self::fact_subjects)
+    /// returns at once.
+    subject_rules: usize,
     /// The knowledge version local-prefix stamps were last taken at.
     stamp_version: Option<FactsVersion>,
     /// Bumped whenever `stamp_version` changes ([`stamp_generation`]).
@@ -933,6 +1011,12 @@ impl MatchletEngine {
         }
         self.rules.push(compiled);
         self.plans_dirty = true;
+        self.count_subject_rules();
+    }
+
+    fn count_subject_rules(&mut self) {
+        let live = self.rules.iter().filter(|r| r.standby.is_none());
+        self.subject_rules = live.filter(|r| !r.subject_attrs.is_empty()).count();
     }
 
     /// Removes a rule by name; returns whether it existed. Its
@@ -967,6 +1051,7 @@ impl MatchletEngine {
         self.memo_rules =
             self.rules.iter().filter(|r| matches!(r.plan, SolvePlan::Memo { .. })).count();
         self.plans_dirty = true;
+        self.count_subject_rules();
         true
     }
 
@@ -1013,6 +1098,30 @@ impl MatchletEngine {
         self.beta.nodes.iter().flatten().filter(|n| n.refs > 1).count()
     }
 
+    /// Calls `f` with each subject a live rule's fact goals will read
+    /// about `event`: the value of each string attribute that a pattern
+    /// listening for its kind binds to a fact goal's subject. (Whether
+    /// the pattern matches the rest of the event is not checked.)
+    pub fn fact_subjects<'e>(&self, event: &'e Event, f: &mut impl FnMut(&'e str)) {
+        if self.subject_rules == 0 {
+            return;
+        }
+        let Some(entries) = self.kind_index.get(event.kind()) else {
+            return;
+        };
+        for &(ri, pi) in entries {
+            let rule = &self.rules[ri as usize];
+            if rule.standby.is_some() {
+                continue;
+            }
+            for (_, name) in rule.subject_attrs.iter().filter(|(p, _)| *p == pi as usize) {
+                if let Some(AttrValue::Str(subject)) = event.attr(name) {
+                    f(subject);
+                }
+            }
+        }
+    }
+
     /// Whether any rule listens for the given event kind (one index
     /// lookup; hosting layers call this per event).
     pub fn handles_kind(&self, kind: &str) -> bool {
@@ -1043,28 +1152,13 @@ impl MatchletEngine {
         join: JoinFn,
     ) -> Vec<Event> {
         self.stats.events_in += 1;
+        let event_number = self.stats.events_in;
         let mut out = Vec::new();
-        let MatchletEngine {
-            rules,
-            kind_index,
-            alphas,
-            beta,
-            synced,
-            change_stamp,
-            plans_dirty,
-            memo_rules,
-            stamp_version,
-            stamp_generation: generation,
-            matched,
-            join_env,
-            stats,
-        } = self;
-        let Some(entries) = kind_index.get(event.kind()) else {
+        if !self.kind_index.contains_key(event.kind()) {
             return out;
-        };
-        let delta_active =
-            *memo_rules > 0 && sync(alphas, synced, change_stamp, plans_dirty, rules, kb);
-        let generation = stamp_generation(stamp_version, generation, kb);
+        }
+        let (kind_index, rules, mut joiner) = self.split(kb, join, &mut out);
+        let entries = &kind_index[event.kind()];
         // Entries are grouped by rule (rule order, then pattern order).
         let mut i = 0;
         while i < entries.len() {
@@ -1077,84 +1171,208 @@ impl MatchletEngine {
             i = j;
 
             let rule = &mut rules[ri];
-            let window = rule.rule.window;
-            let cutoff = if now.as_micros() > window.as_micros() {
-                SimTime::from_micros(now.as_micros() - window.as_micros())
-            } else {
-                SimTime::ZERO
-            };
-            rule.evict_before(cutoff);
-
             for &(_, pi) in pattern_entries {
                 let p = pi as usize;
                 if let Some(b) = match_compiled(&rule.compiled[p], event) {
-                    matched.push((p, Buffered::new(now, b)));
+                    joiner.matched.push((p, Buffered::new(event_number, now, b)));
                 }
             }
-            if matched.is_empty() {
-                continue;
-            }
-
-            // Single-pattern rules have no join partner, so their buffers
-            // are never read: fire directly and skip buffering entirely.
-            let single = rule.rule.patterns.len() == 1;
-            let rule = &rules[ri];
-            let memo = match &rule.plan {
-                SolvePlan::Memo { slot_vars, path, block, .. } if delta_active => {
-                    // Condemn stale memo entries along the rule's beta
-                    // path: any delta that touched a predicate a path
-                    // node reads (and only that).
-                    beta.refresh(path, alphas);
-                    Some(MemoCtx {
-                        beta: &mut *beta,
-                        alphas,
-                        slot_vars,
-                        path,
-                        block,
-                        hits: 0,
-                        misses: 0,
-                        partial: 0,
-                    })
-                }
-                _ => None,
-            };
-
-            let mut cx =
-                FireCtx { memo, kb, now, generation, out: &mut out, tally: Tally::default() };
-            if single {
-                // Single-pattern rules never buffer: fire each match in
-                // place and leave nothing for the push below.
-                for (_, entry) in matched.iter_mut() {
-                    fire(rule, entry.bindings.get_mut(), None, &mut cx);
-                }
-                matched.clear();
-            } else {
-                for (p, entry) in matched.iter() {
-                    join_env.assign(&entry.bindings.borrow());
-                    // A fixed entry of the prefix's pattern is stamped at
-                    // its first complete join environment.
-                    let local = rule.local.is_some_and(|l| l.pattern == *p).then_some(entry);
-                    join(rule, &rule.plans[*p], join_env, local, &mut cx);
-                }
-            }
-            let FireCtx { memo, tally, .. } = cx;
-            stats.eval_errors += tally.errors;
-            stats.join_probes += tally.join_probes;
-            stats.join_scans += tally.join_scans;
-            if let Some(ctx) = memo {
-                stats.memo_hits += ctx.hits;
-                stats.memo_misses += ctx.misses;
-                stats.beta_partial_hits += ctx.partial;
-            }
-            let rule = &mut rules[ri];
-            rule.fired += tally.fired;
-            for (p, entry) in matched.drain(..) {
-                rule.buffers[p].push(entry);
+            match &mut rule.standby {
+                Some(standby) => standby.retain(now, rule.rule.window, joiner.matched),
+                None => run_matches(rule, now, true, &mut joiner),
             }
         }
-        stats.events_out += out.len() as u64;
+        joiner.stats.events_out += joiner.out.len() as u64;
         out
     }
+
+    /// Puts every rule named `name` in standby, and returns whether there
+    /// was one. A standby rule matches and retains events but never joins
+    /// or fires. It keeps what it matched for its window plus `horizon`,
+    /// so that [`promote`](Self::promote) can fire what arrived up to
+    /// `horizon` before the promotion. A live rule's window becomes its
+    /// first retained entries.
+    pub fn standby(&mut self, name: &str, horizon: SimDuration) -> bool {
+        let mut found = false;
+        for rule in self.rules.iter_mut().filter(|r| r.rule.name == name) {
+            found = true;
+            if rule.standby.is_some() {
+                continue;
+            }
+            let mut retained: Vec<(usize, Buffered)> = Vec::with_capacity(rule.buffered());
+            for (pattern, buf) in rule.buffers.iter_mut().enumerate() {
+                retained.extend(buf.take().into_iter().map(|entry| (pattern, entry)));
+            }
+            retained.sort_by_key(|(pattern, entry)| (entry.event, *pattern));
+            rule.standby = Some(Standby { horizon, retained: retained.into() });
+        }
+        self.count_subject_rules();
+        found
+    }
+
+    /// Makes every standby rule named `name` live, and returns what it
+    /// fires on the way. The retained entries are fed back in arrival
+    /// order, one event's matches together, through the join and fire
+    /// code [`on_event`](Self::on_event) runs, each at its own arrival
+    /// instant: eviction is relative to the entry's arrival, and only
+    /// entries that arrived at or after `since` join and fire. What is
+    /// left buffered is the window a live rule would hold after the last
+    /// retained event. A join whose earlier event was retained fires as
+    /// it would have live; one whose earlier event arrived more than the
+    /// window plus the horizon before the last retained event cannot.
+    pub fn promote(&mut self, name: &str, since: SimTime, kb: &dyn FactSource) -> Vec<Event> {
+        let mut out = Vec::new();
+        let (_, rules, mut joiner) = self.split(kb, join_and_fire, &mut out);
+        for rule in rules.iter_mut().filter(|r| r.rule.name == name) {
+            let Some(standby) = rule.standby.take() else {
+                continue;
+            };
+            let mut retained = standby.retained.into_iter().peekable();
+            while let Some((pattern, entry)) = retained.next() {
+                let (event, at) = (entry.event, entry.at);
+                joiner.matched.push((pattern, entry));
+                while let Some(next) = retained.next_if(|(_, e)| e.event == event) {
+                    joiner.matched.push(next);
+                }
+                run_matches(rule, at, at >= since, &mut joiner);
+            }
+        }
+        joiner.stats.events_out += joiner.out.len() as u64;
+        self.count_subject_rules();
+        out
+    }
+
+    /// Splits the engine for one event's (or one promotion's) joins: its
+    /// kind index, its rules, and the rest, with the alpha memories
+    /// brought up to date with `kb` and the stamp generation taken.
+    fn split<'a>(
+        &'a mut self,
+        kb: &'a dyn FactSource,
+        join: JoinFn,
+        out: &'a mut Vec<Event>,
+    ) -> (&'a KindIndex, &'a mut Vec<CompiledRule>, Joiner<'a>) {
+        let MatchletEngine {
+            rules,
+            kind_index,
+            alphas,
+            beta,
+            synced,
+            change_stamp,
+            plans_dirty,
+            memo_rules,
+            subject_rules: _,
+            stamp_version,
+            stamp_generation: generation,
+            matched,
+            join_env,
+            stats,
+        } = self;
+        let delta_active =
+            *memo_rules > 0 && sync(alphas, synced, change_stamp, plans_dirty, rules, kb);
+        let generation = stamp_generation(stamp_version, generation, kb);
+        let joiner = Joiner {
+            alphas,
+            beta,
+            delta_active,
+            generation,
+            kb,
+            join,
+            matched,
+            join_env,
+            stats,
+            out,
+        };
+        (kind_index, rules, joiner)
+    }
+}
+
+/// What joining one rule's matches reads and writes besides the rule:
+/// the engine's shared memo state, the knowledge base, the join
+/// environment, the engine's counters and the firings.
+struct Joiner<'a> {
+    alphas: &'a FnvHashMap<String, AlphaMemory>,
+    beta: &'a mut BetaNet,
+    /// Whether memoisation is usable ([`sync`]).
+    delta_active: bool,
+    generation: Option<u64>,
+    kb: &'a dyn FactSource,
+    join: JoinFn,
+    /// One event's matches of the rule being run, drained by each run.
+    matched: &'a mut Vec<(usize, Buffered)>,
+    join_env: &'a mut Bindings,
+    stats: &'a mut EngineStats,
+    out: &'a mut Vec<Event>,
+}
+
+/// Runs one event's matches of a live rule (`joiner.matched`) at `now`:
+/// evicts what left the window, joins each entry against the other
+/// patterns' buffers and fires the complete join environments (when
+/// `fire_matches` is set), then buffers the entries.
+fn run_matches(rule: &mut CompiledRule, now: SimTime, fire_matches: bool, joiner: &mut Joiner<'_>) {
+    rule.evict_before(cutoff(now, rule.rule.window));
+    if joiner.matched.is_empty() {
+        return;
+    }
+    // Single-pattern rules have no join partner, so their buffers are
+    // never read: fire directly and skip buffering entirely.
+    let single = rule.rule.patterns.len() == 1;
+    if fire_matches {
+        rule.fired += fire_matches_of(rule, now, single, joiner);
+    }
+    if single {
+        joiner.matched.clear();
+    } else {
+        for (p, entry) in joiner.matched.drain(..) {
+            rule.buffers[p].push(entry);
+        }
+    }
+}
+
+/// Joins and fires one event's matches of `rule` at `now` (see
+/// [`run_matches`]); returns how many times the rule fired.
+fn fire_matches_of(
+    rule: &CompiledRule,
+    now: SimTime,
+    single: bool,
+    joiner: &mut Joiner<'_>,
+) -> u64 {
+    let Joiner { alphas, beta, delta_active, generation, kb, join, matched, join_env, stats, out } =
+        joiner;
+    let memo = match &rule.plan {
+        SolvePlan::Memo { slot_vars, path, block, .. } if *delta_active => {
+            // Condemn stale memo entries along the rule's beta path:
+            // any delta that touched a predicate a path node reads
+            // (and only that).
+            beta.refresh(path, alphas);
+            Some(MemoCtx { beta, alphas, slot_vars, path, block, hits: 0, misses: 0, partial: 0 })
+        }
+        _ => None,
+    };
+    let (kb, generation) = (*kb, *generation);
+    let mut cx = FireCtx { memo, kb, now, generation, out, tally: Tally::default() };
+    if single {
+        for (_, entry) in matched.iter_mut() {
+            fire(rule, entry.bindings.get_mut(), None, &mut cx);
+        }
+    } else {
+        for (p, entry) in matched.iter() {
+            join_env.assign(&entry.bindings.borrow());
+            // A fixed entry of the prefix's pattern is stamped at its
+            // first complete join environment.
+            let local = rule.local.is_some_and(|l| l.pattern == *p).then_some(entry);
+            join(rule, &rule.plans[*p], join_env, local, &mut cx);
+        }
+    }
+    let FireCtx { memo, tally, .. } = cx;
+    stats.eval_errors += tally.errors;
+    stats.join_probes += tally.join_probes;
+    stats.join_scans += tally.join_scans;
+    if let Some(ctx) = memo {
+        stats.memo_hits += ctx.hits;
+        stats.memo_misses += ctx.misses;
+        stats.beta_partial_hits += ctx.partial;
+    }
+    tally.fired
 }
 
 /// What one rule did with one event; folded into the rule's and the

@@ -27,6 +27,14 @@
 //!    windows, rules come and go, the engine is cloned mid-stream — and
 //!    the emitted sequences must be identical *in order*, as must every
 //!    rule's buffered count.
+//!
+//! 4. A standby engine promoted at a random instant against a live twin
+//!    fed the same stream: while it stands by it fires nothing; its
+//!    promotion fires exactly the live twin's firings whose later event
+//!    arrived at or after that instant (as multisets); from then on the
+//!    two fire identically, in order. Half the time the standby starts
+//!    live and is demoted mid-stream, so its window becomes retained
+//!    entries that later joins need.
 
 use gloss_event::Event;
 use gloss_knowledge::{Fact, FactSource, InMemoryFacts, Term};
@@ -723,6 +731,110 @@ proptest! {
             stats.events_out == 0 || stats.join_probes + stats.join_scans > 0,
             "firings without a join stage"
         );
+    }
+}
+
+// --- promotion vs the live engine -----------------------------------------
+
+/// An event for the promotion oracle: one time in three at the instant of
+/// the one before it, so both patterns of a rule often arrive at one
+/// instant, and in whole seconds otherwise, so pairs land exactly on
+/// windows' edges.
+fn arb_promotion_event() -> impl Strategy<Value = (u64, Event)> {
+    (arb_event(), 0u64..3).prop_map(|((dt, ev), same)| (if same == 0 { 0 } else { dt }, ev))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn a_promoted_standby_fires_what_the_live_engine_fired_since(
+        src in arb_rules(),
+        events in proptest::collection::vec(arb_promotion_event(), 0..40),
+        split in 0usize..40,
+        demote in 0usize..80,
+        pick in 0usize..40,
+        offset in 0u64..5,
+        slack in 0u64..20,
+    ) {
+        let rules = parse_rules(&src).expect("generated rules parse");
+        let mut live = MatchletEngine::new();
+        let mut standby = MatchletEngine::new();
+        for rule in rules {
+            live.add_rule(rule.clone());
+            standby.add_rule(rule);
+        }
+        let kb = kb();
+        let mut now = SimTime::ZERO;
+        let times: Vec<SimTime> = events
+            .iter()
+            .map(|(dt, _)| {
+                now += gloss_sim::SimDuration::from_secs(*dt);
+                now
+            })
+            .collect();
+        let split = split.min(events.len());
+        // The standby runs live up to event `demote` (for one case in two):
+        // its firings then were the live twin's, and a promotion fires
+        // nothing from before the demotion.
+        let demote = if demote < 40 { demote.min(split) } else { 0 };
+        let demoted_at = demote.checked_sub(1).map_or(SimTime::ZERO, |d| {
+            times[d] + gloss_sim::SimDuration::from_micros(1)
+        });
+        // `since` lies on or up to two seconds either side of an instant
+        // the stream before the promotion reaches, or at zero.
+        let since = match times[..split].get(pick % split.max(1)) {
+            Some(t) => SimTime::from_micros((t.as_micros() + offset * 1_000_000).saturating_sub(2_000_000)),
+            None => SimTime::ZERO,
+        }
+        .max(demoted_at);
+        // Just enough horizon to keep every partner of a join fired from
+        // `since` on, or up to 19 s more.
+        let last = times[..split].last().copied().unwrap_or(SimTime::ZERO);
+        let needed = last.as_micros().saturating_sub(since.as_micros());
+        let horizon = gloss_sim::SimDuration::from_micros(needed + slack * 1_000_000);
+        let names = ["r0", "r1", "r2"];
+        let mut expected = Vec::new();
+        for (i, ((_, ev), &at)) in events[..split].iter().zip(&times).enumerate() {
+            if i == demote {
+                for name in names {
+                    prop_assert!(standby.standby(name, horizon));
+                }
+            }
+            let fired = live.on_event(at, ev, &kb);
+            let got = standby.on_event(at, ev, &kb);
+            if i < demote {
+                prop_assert_eq!(rendered(&got), rendered(&fired), "before the demotion, at {}", at);
+            } else {
+                prop_assert!(got.is_empty(), "a standby fired at {}", at);
+            }
+            if at >= since {
+                expected.extend(fired);
+            }
+        }
+        if demote == split {
+            for name in names {
+                prop_assert!(standby.standby(name, horizon));
+            }
+        }
+        let mut promoted = Vec::new();
+        for name in names {
+            promoted.extend(standby.promote(name, since, &kb));
+        }
+        prop_assert!(standby.rules().iter().all(|r| !r.is_standby()));
+        prop_assert_eq!(
+            canonical(&promoted),
+            canonical(&expected),
+            "rules:\n{}\nsince {} with horizon {:?}",
+            src,
+            since,
+            horizon
+        );
+        for ((_, ev), &at) in events[split..].iter().zip(&times[split..]) {
+            let expected = live.on_event(at, ev, &kb);
+            let got = standby.on_event(at, ev, &kb);
+            prop_assert_eq!(rendered(&got), rendered(&expected), "after promotion, at {}", at);
+        }
     }
 }
 

@@ -732,8 +732,12 @@ impl<N: Node> World<N> {
         self.push_harness_deliver(at, from, to, msg);
     }
 
-    /// Schedules a crash of `node` at time `at`. In-flight messages already
-    /// addressed to it are dropped on delivery; its timers are discarded.
+    /// Schedules a crash of `node` at time `at`. A crash is a pause: the
+    /// node keeps its state, and messages to it and its timers are
+    /// dropped only if they fall due while it is down. One in flight
+    /// when it crashes that lands after it recovers is delivered, and a
+    /// timer set before the crash that falls due after the recovery
+    /// fires (beside the ones the node sets again on [`Input::Start`]).
     pub fn crash_at(&mut self, at: SimTime, node: NodeIndex) {
         self.push_ctrl(at, node, CtrlAction::Crash);
     }
@@ -1159,6 +1163,32 @@ mod tests {
         w.inject_at(SimTime::from_millis(25), NodeIndex(0), NodeIndex(1), M::Ping);
         w.run_until(SimTime::from_secs(1));
         assert_eq!(w.node(NodeIndex(1)).pings, 1);
+    }
+
+    /// A crash drops what falls due while the node is down, and nothing
+    /// else: a message sent before the crash that lands after the
+    /// recovery is delivered, and so is a timer set before the crash.
+    #[test]
+    fn a_crash_drops_only_what_falls_due_while_the_node_is_down() {
+        let t = Topology::lan(2, 1);
+        let periodic = TestNode { periodic: true, ..Default::default() };
+        let mut w = World::new(t, 1, vec![TestNode::default(), periodic]);
+        w.run_until(SimTime::from_millis(1));
+        // Its timer is due at 100 ms: set before the crash, due after the
+        // recovery.
+        w.crash_at(SimTime::from_millis(10), NodeIndex(1));
+        w.recover_at(SimTime::from_millis(50), NodeIndex(1));
+        w.inject_at(SimTime::from_millis(30), NodeIndex(0), NodeIndex(1), M::Ping);
+        w.run_until(SimTime::from_millis(9));
+        w.inject_at(SimTime::from_millis(60), NodeIndex(0), NodeIndex(1), M::Ping);
+        w.run_until(SimTime::from_millis(120));
+        let node = w.node(NodeIndex(1));
+        assert_eq!(node.pings, 1, "sent before the crash, landed after the recovery");
+        assert_eq!(w.metrics().counter("sim.messages_dropped_dead"), 1.0);
+        assert_eq!(node.started, 2);
+        // The pre-crash chain fired at 100 ms; the restarted one is due
+        // at 150 ms.
+        assert_eq!(node.timer_fires, 1);
     }
 
     #[test]

@@ -37,7 +37,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     arch.run_for(SimDuration::from_secs(30));
 
     // The service runs wherever the evolution engine places it — require
-    // an instance in Australia, near Bob.
+    // an instance in Australia, near Bob. It stands by: the instance
+    // nearest the coordinator in Scotland, the hub every event and
+    // notification crosses, is the one that fires.
     let spec =
         ServiceSpec::new("recommendations", RULES, vec![(Some("australia".into()), 1), (None, 2)])?;
     arch.deploy_service(spec);
