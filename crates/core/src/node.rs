@@ -22,9 +22,7 @@ use gloss_knowledge::{
     reconcile, BatchReader, DeltaAction, FactDelta, InMemoryFacts, SnapshotReader,
 };
 use gloss_overlay::Key;
-use gloss_sim::{
-    Batch, FnvHashMap, GeoPoint, Input, Node, NodeIndex, Outbox, SimDuration, SimTime,
-};
+use gloss_sim::{FnvHashMap, GeoPoint, Input, Node, NodeIndex, Outbox, SimDuration, SimTime};
 use gloss_store::{Document, LookupOutcome, StoreMsg, StoreNode};
 use gloss_xml::Element;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -1062,23 +1060,6 @@ impl Node for GlossNode {
             Input::Msg { from, msg } => self.on_msg(now, from, msg, out),
         }
     }
-
-    /// Batched delivery: broker fan-out and matchlet-bound event streams
-    /// arriving at one instant dispatch in one call (the enclosing world
-    /// applies their effects as a single activation).
-    fn on_batch(
-        &mut self,
-        now: SimTime,
-        batch: &mut Batch<'_, GlossMsg>,
-        out: &mut Outbox<GlossMsg>,
-    ) {
-        if batch.len() > 1 {
-            out.count("gloss.batched_events", batch.len() as f64);
-        }
-        for (from, msg) in batch {
-            self.on_msg(now, from, msg, out);
-        }
-    }
 }
 
 impl GlossNode {
@@ -1997,5 +1978,119 @@ mod tests {
         let kinds: Vec<&str> = node.ui_received.iter().map(Event::kind).collect();
         assert_eq!(kinds, ["pong"]);
         assert_eq!(node.ui_received[0].id().origin, me, "the copy is the stamped publication");
+    }
+
+    /// The `liked` service (one event goal joined with one fact goal) on
+    /// three of eight nodes, `bob` seeded and followed by every node, and
+    /// a UI for its firings: the architecture, the primary, and the node
+    /// that publishes and watches.
+    fn liked_service() -> (crate::ActiveArchitecture, NodeIndex, NodeIndex) {
+        use crate::{ActiveArchitecture, ArchConfig, ServiceSpec};
+        let mut arch =
+            ActiveArchitecture::build(ArchConfig { nodes: 8, seed: 5, ..Default::default() });
+        arch.settle();
+        let rules = r#"rule liked { on a: event ping(user: ?u) where fact(?u, likes, "ice") emit liked(u: ?u) }"#;
+        let spec = ServiceSpec::new("liked", rules, vec![(None, 3)]).expect("rules compile");
+        arch.deploy_service(spec);
+        arch.run_for(SimDuration::from_secs(60));
+        let hosts = arch.hosts_of("matchlet:liked");
+        let primary = *hosts
+            .iter()
+            .find(|&&h| !arch.node(h).server.engine().rules()[0].is_standby())
+            .expect("a primary");
+        let via = (1..arch.len() as u32)
+            .map(NodeIndex)
+            .find(|n| !hosts.contains(n))
+            .expect("a free node");
+        arch.seed_knowledge(via, "bob", &[Fact::new("bob", "likes", Term::str("ice"))]);
+        arch.run_for(SimDuration::from_secs(30));
+        arch.prefetch_subject_everywhere("bob");
+        arch.run_for(SimDuration::from_secs(30));
+        arch.subscribe_ui(via, Filter::for_kind("liked"));
+        arch.run_for(SimDuration::from_secs(5));
+        assert!(arch.node(primary).replicas.contains_key("bob"));
+        (arch, primary, via)
+    }
+
+    fn ping_from(user: &str) -> Event {
+        Event::new("ping").with_attr("user", user)
+    }
+
+    /// Runs `arch` for `span` in 1 ms steps; returns the most events the
+    /// node held back at once, and the first instant, if any, at which
+    /// it held none after holding some.
+    fn watch_held(
+        arch: &mut crate::ActiveArchitecture,
+        node: NodeIndex,
+        span: SimDuration,
+    ) -> (usize, Option<SimTime>) {
+        let end = arch.now() + span;
+        let (mut most, mut released) = (0, None);
+        while arch.now() < end {
+            arch.run_for(SimDuration::from_millis(1));
+            let held = arch.node(node).held.len();
+            if held > most {
+                (most, released) = (held, None);
+            }
+            if held == 0 && most > 0 && released.is_none() {
+                released = Some(arch.now());
+            }
+        }
+        (most, released)
+    }
+
+    /// A gap fetch for a subject no store holds concludes "missing": the
+    /// events held behind it go to the matchlets (bob's fires), and a
+    /// later event about the subject is neither held nor fetched again.
+    #[test]
+    fn a_gap_no_store_fills_releases_the_held_events_and_is_not_fetched_again() {
+        let (mut arch, primary, via) = liked_service();
+        let m = |arch: &crate::ActiveArchitecture, name: &str| arch.world().metrics().counter(name);
+        let missing = m(&arch, "store.lookups_missing");
+        arch.publish(via, ping_from("carol"));
+        arch.publish_at(arch.now() + SimDuration::from_millis(1), via, ping_from("bob"));
+        let (most, released) = watch_held(&mut arch, primary, SimDuration::from_secs(5));
+        assert_eq!(most, 2, "carol's event and bob's behind it were held");
+        assert!(released.is_some(), "and released");
+        assert_eq!(m(&arch, "gloss.kb_gap_fetches"), 1.0);
+        assert_eq!(m(&arch, "store.lookups_missing"), missing + 1.0, "no store holds carol");
+        assert_eq!(m(&arch, "store.lookups_timeout"), 0.0);
+        let node = arch.node(primary);
+        assert!(node.gap_fetches.is_empty() && node.replicas.contains_key("carol"));
+        let liked: Vec<Option<&str>> =
+            arch.node(via).ui_received.iter().map(|e| e.str_attr("u")).collect();
+        assert_eq!(liked, [Some("bob")]);
+
+        arch.publish(via, ping_from("carol"));
+        arch.publish_at(arch.now() + SimDuration::from_millis(1), via, ping_from("bob"));
+        assert_eq!(watch_held(&mut arch, primary, SimDuration::from_secs(5)), (0, None));
+        assert_eq!(m(&arch, "gloss.kb_gap_fetches"), 1.0, "carol is not fetched again");
+        assert_eq!(m(&arch, "store.lookups_missing"), missing + 1.0);
+        assert_eq!(arch.node(via).ui_received.len(), 2);
+    }
+
+    /// A gap fetch whose lookup is never answered — every link out of the
+    /// primary drops what it carries — holds the events only until the
+    /// lookup ledger's retry budget is spent: attempts at 2, 4, 8 and 16 s
+    /// deadlines, each jittered by ±25 %, so between 22.5 and 37.5 s.
+    #[test]
+    fn a_gap_fetch_that_times_out_holds_nothing_past_the_retry_budget() {
+        let (mut arch, primary, via) = liked_service();
+        for to in (0..arch.len() as u32).map(NodeIndex).filter(|&n| n != primary) {
+            arch.world_mut().set_link_loss(primary, to, 1.0);
+        }
+        arch.publish(via, ping_from("carol"));
+        let sent = arch.now();
+        let (most, released) = watch_held(&mut arch, primary, SimDuration::from_secs(45));
+        assert_eq!(most, 1);
+        let released = released.expect("released within the budget").since(sent);
+        assert!(
+            (SimDuration::from_millis(22_500)..=SimDuration::from_millis(37_600))
+                .contains(&released),
+            "released {released:?} after the publication"
+        );
+        let m = |name: &str| arch.world().metrics().counter(name);
+        assert_eq!((m("store.lookups_timeout"), m("store.lookups_retried")), (1.0, 3.0));
+        assert!(arch.node(primary).gap_fetches.is_empty());
     }
 }

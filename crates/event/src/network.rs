@@ -6,7 +6,7 @@ use crate::broker::{Broker, BrokerMsg, BrokerTopology, SubId};
 use crate::centralized::CentralServer;
 use crate::filter::{Filter, Subscription};
 use crate::notification::{Event, EventId};
-use gloss_sim::{Batch, Input, Node, NodeIndex, Outbox, SimDuration, SimTime, Topology, World};
+use gloss_sim::{Input, Node, NodeIndex, Outbox, SimDuration, SimTime, Topology, World};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// What a node in the pub/sub world is.
@@ -93,34 +93,6 @@ impl Node for PubSubNode {
             Role::Broker(b) => b.handle(now, from, msg, out),
             Role::Central(c) => c.handle(now, from, msg, out),
             Role::Client(c) => c.ingest(now, msg, out),
-        }
-    }
-
-    /// Batched delivery: a broker fan-out flushed over one connection (or
-    /// a mobility handoff replay) arrives as one batch; matching the role
-    /// once per batch instead of per message amortises dispatch.
-    fn on_batch(
-        &mut self,
-        now: SimTime,
-        batch: &mut Batch<'_, BrokerMsg>,
-        out: &mut Outbox<BrokerMsg>,
-    ) {
-        match &mut self.role {
-            Role::Broker(b) => {
-                for (from, msg) in batch {
-                    b.handle(now, from, msg, out);
-                }
-            }
-            Role::Central(c) => {
-                for (from, msg) in batch {
-                    c.handle(now, from, msg, out);
-                }
-            }
-            Role::Client(c) => {
-                for (_, msg) in batch {
-                    c.ingest(now, msg, out);
-                }
-            }
         }
     }
 }

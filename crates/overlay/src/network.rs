@@ -6,8 +6,8 @@ use crate::id::{Key, KeyedNode};
 use crate::node::{fault_class, ring_settle, Delivery, OverlayMsg, OverlayNode};
 use gloss_governor::GovernorConfig;
 use gloss_sim::{
-    Batch, ByzBehavior, ByzantineActor, Input, Node, NodeIndex, Outbox, SimDuration, SimRng,
-    SimTime, Topology, World,
+    ByzBehavior, ByzantineActor, Input, Node, NodeIndex, Outbox, SimDuration, SimRng, SimTime,
+    Topology, World,
 };
 use std::collections::BTreeMap;
 
@@ -22,8 +22,6 @@ pub struct OverlayWorldNode {
     pub delivered: Vec<Delivery<u64>>,
     /// Misbehaviour policy (honest by default).
     pub byz: ByzantineActor,
-    /// Cached first gossip payload for [`ByzBehavior::StaleGossip`].
-    stale: Option<OverlayMsg<u64>>,
 }
 
 impl OverlayWorldNode {
@@ -41,14 +39,6 @@ impl OverlayWorldNode {
         let delivered = self.overlay.handle(now, from, msg, out);
         self.delivered.extend(delivered);
     }
-
-    fn post_process(&mut self, out: &mut Outbox<OverlayMsg<u64>>) {
-        if !self.byz.is_honest() {
-            self.byz.rewrite_outputs(out, &mut self.stale, |m| {
-                matches!(m, OverlayMsg::ProbeAck { .. } | OverlayMsg::LeafSetReply { .. })
-            });
-        }
-    }
 }
 
 impl Node for OverlayWorldNode {
@@ -60,21 +50,6 @@ impl Node for OverlayWorldNode {
             Input::Timer { tag } => self.overlay.on_timer(now, tag, out),
             Input::Msg { from, msg } => self.dispatch(now, from, msg, out),
         }
-        self.post_process(out);
-    }
-
-    fn on_batch(
-        &mut self,
-        now: SimTime,
-        batch: &mut Batch<'_, Self::Msg>,
-        out: &mut Outbox<Self::Msg>,
-    ) {
-        // Same-instant arrivals dispatch straight into the protocol state
-        // machine, skipping the per-message input match.
-        for (from, msg) in batch {
-            self.dispatch(now, from, msg, out);
-        }
-        self.post_process(out);
     }
 }
 
@@ -139,7 +114,6 @@ impl OverlayNetwork {
                     overlay,
                     delivered: Vec::new(),
                     byz: ByzantineActor::default(),
-                    stale: None,
                 })
                 .collect();
         let world = World::new(topology, seed, nodes);

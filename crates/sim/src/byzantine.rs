@@ -2,9 +2,9 @@
 //!
 //! A [`ByzantineActor`] wraps one node's message handling with a
 //! misbehaviour policy. Harness node types (e.g. the overlay's world
-//! node) consult it *before* handing an input to the wrapped protocol and
-//! *after* collecting the protocol's outputs, so the protocol code itself
-//! stays honest — the adversary lives entirely in the harness layer.
+//! node) consult it before handing an input to the wrapped protocol, so
+//! the protocol code itself stays honest — the adversary lives entirely
+//! in the harness layer.
 //!
 //! The behaviours model the failure modes that defeat naive liveness
 //! detection:
@@ -15,14 +15,10 @@
 //! * [`ByzBehavior::SelectiveSilence`] — drops all traffic from a
 //!   deterministic subset of peers, creating the asymmetric "works for
 //!   you, dead for me" disagreements that flap naive detectors.
-//! * [`ByzBehavior::StaleGossip`] — answers protocol gossip with the
-//!   first state it ever advertised, poisoning peers with stale
-//!   membership/routing data instead of staying silent.
 //!
 //! Everything is deterministic: behaviours branch on message class and
 //! peer identity, never on randomness or time.
 
-use crate::engine::Outbox;
 use crate::topology::NodeIndex;
 
 /// Coarse classification of a message for fault policies. Harness layers
@@ -53,9 +49,6 @@ pub enum ByzBehavior {
         /// Which peers to ignore (`peer.0 % modulus == 0`).
         modulus: u32,
     },
-    /// Process traffic normally but answer gossip with the first gossip
-    /// payload this node ever emitted (stale state).
-    StaleGossip,
 }
 
 /// Per-node byzantine state: the behaviour plus drop accounting.
@@ -82,7 +75,7 @@ impl ByzantineActor {
     /// silently swallowed before the wrapped protocol sees it.
     pub fn should_drop_input(&mut self, from: NodeIndex, class: FaultClass) -> bool {
         let drop = match self.behavior {
-            ByzBehavior::Honest | ByzBehavior::StaleGossip => false,
+            ByzBehavior::Honest => false,
             ByzBehavior::AckThenDrop => class == FaultClass::Payload,
             ByzBehavior::SelectiveSilence { modulus } => from.0.is_multiple_of(modulus.max(1)),
         };
@@ -90,30 +83,6 @@ impl ByzantineActor {
             self.dropped += 1;
         }
         drop
-    }
-
-    /// Post-processes the wrapped protocol's outputs for
-    /// [`ByzBehavior::StaleGossip`]: the first outbound gossip message (as
-    /// classified by `is_gossip`) is cached in `stale`, and every later
-    /// gossip send is replaced with that cached payload. Other behaviours
-    /// leave the outbox untouched.
-    pub fn rewrite_outputs<M: Clone>(
-        &mut self,
-        out: &mut Outbox<M>,
-        stale: &mut Option<M>,
-        is_gossip: impl Fn(&M) -> bool,
-    ) {
-        if self.behavior != ByzBehavior::StaleGossip {
-            return;
-        }
-        for (_, msg) in out.sends.iter_mut() {
-            if is_gossip(msg) {
-                match stale {
-                    Some(cached) => *msg = cached.clone(),
-                    None => *stale = Some(msg.clone()),
-                }
-            }
-        }
     }
 }
 
@@ -145,33 +114,5 @@ mod tests {
         assert!(a.should_drop_input(NodeIndex(6), FaultClass::Liveness));
         assert!(a.should_drop_input(NodeIndex(9), FaultClass::Payload));
         assert!(!a.should_drop_input(NodeIndex(7), FaultClass::Payload));
-    }
-
-    #[test]
-    fn stale_gossip_caches_and_replays_first_payload() {
-        let mut a = ByzantineActor::new(ByzBehavior::StaleGossip);
-        let mut stale: Option<&'static str> = None;
-        let mut out: Outbox<&'static str> = Outbox::default();
-        out.send(NodeIndex(1), "fresh-1");
-        a.rewrite_outputs(&mut out, &mut stale, |m| m.starts_with("fresh"));
-        assert_eq!(stale, Some("fresh-1"));
-
-        let mut out2: Outbox<&'static str> = Outbox::default();
-        out2.send(NodeIndex(2), "fresh-2");
-        out2.send(NodeIndex(2), "payload");
-        a.rewrite_outputs(&mut out2, &mut stale, |m| m.starts_with("fresh"));
-        assert_eq!(out2.sends[0].1, "fresh-1", "gossip should be replaced with stale state");
-        assert_eq!(out2.sends[1].1, "payload", "non-gossip traffic passes through");
-    }
-
-    #[test]
-    fn non_stale_behaviours_do_not_touch_outputs() {
-        let mut a = ByzantineActor::new(ByzBehavior::AckThenDrop);
-        let mut stale: Option<&'static str> = None;
-        let mut out: Outbox<&'static str> = Outbox::default();
-        out.send(NodeIndex(1), "fresh-1");
-        a.rewrite_outputs(&mut out, &mut stale, |m| m.starts_with("fresh"));
-        assert_eq!(stale, None);
-        assert_eq!(out.sends[0].1, "fresh-1");
     }
 }

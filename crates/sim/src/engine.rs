@@ -16,9 +16,7 @@
 //!   key, never a message, and freed slots are reused.
 //! - **Control events in line.** Crashes, recoveries, partitions and heals
 //!   have the lowest event class, so they apply before every other event
-//!   at their instant. Node-emitted counters are pre-summed per name and
-//!   reach the registry just before each control event applies and when a
-//!   step or a run ends.
+//!   at their instant.
 //! - **Canonical event keys.** Every entry carries an `EvKey` that is a
 //!   pure function of *what* the event is (link + per-link sequence, node +
 //!   per-node timer sequence, harness call order) rather than of push
@@ -31,11 +29,12 @@
 //!   enforces FIFO ordering (links model TCP/web-service connections).
 //!   Link state is purged when either endpoint crashes, so churn-heavy
 //!   runs do not grow memory without bound.
-//! - **Batched delivery.** Messages sent over one link by one activation
-//!   share a sampled latency and land at the same instant; all messages
-//!   arriving at one node at the same instant are handed over as a single
-//!   [`Node::on_batch`] call (default: per-message fallback), letting
-//!   broker fan-out and matchlet dispatch amortise per-event overhead.
+//! - **One activation per arrival instant.** Messages sent over one link
+//!   by one activation share a sampled latency and land at the same
+//!   instant; every link message arriving at one node at one instant is
+//!   handed to [`Node::handle`] in turn within one activation, whose
+//!   effects — sends, timers, counts — apply when the last one is
+//!   handled. Node counts reach the registry as each activation ends.
 //!
 //! # Embedding
 //!
@@ -248,55 +247,17 @@ impl<M> Outbox<M> {
     }
 }
 
-/// All messages arriving at one node at one instant, drained in canonical
-/// delivery order (per-link FIFO order is preserved).
-///
-/// Handed to [`Node::on_batch`]; any messages left undrained when the
-/// handler returns are discarded.
-#[derive(Debug)]
-pub struct Batch<'a, M> {
-    inner: std::vec::Drain<'a, (NodeIndex, M)>,
-}
-
-impl<M> Iterator for Batch<'_, M> {
-    type Item = (NodeIndex, M);
-
-    fn next(&mut self) -> Option<(NodeIndex, M)> {
-        self.inner.next()
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.inner.size_hint()
-    }
-}
-
-impl<M> ExactSizeIterator for Batch<'_, M> {}
-
 /// A sans-IO node state machine driven by a [`World`].
 pub trait Node {
     /// The message type exchanged between nodes of this world.
     type Msg;
 
     /// Handles one input, writing any effects to `out`.
-    fn handle(&mut self, now: SimTime, input: Input<Self::Msg>, out: &mut Outbox<Self::Msg>);
-
-    /// Handles every message arriving at this node at the same instant.
     ///
-    /// The engine groups same-instant deliveries (e.g. a broker's fan-out
-    /// flushed over one connection) into one call so implementations can
-    /// amortise per-event overhead. The default forwards each message to
-    /// [`handle`](Node::handle), so state machines that don't care about
-    /// batching need not implement it.
-    fn on_batch(
-        &mut self,
-        now: SimTime,
-        batch: &mut Batch<'_, Self::Msg>,
-        out: &mut Outbox<Self::Msg>,
-    ) {
-        for (from, msg) in batch {
-            self.handle(now, Input::Msg { from, msg }, out);
-        }
-    }
+    /// Every link message arriving at this node at one instant is handed
+    /// over in turn, in canonical delivery order (per-link FIFO order is
+    /// preserved), with one `out` that the engine drains after the last.
+    fn handle(&mut self, now: SimTime, input: Input<Self::Msg>, out: &mut Outbox<Self::Msg>);
 }
 
 /// Event classes, ordered at equal timestamps: control (crash/recover)
@@ -312,8 +273,8 @@ const CLASS_HARNESS: u8 = 3;
 /// - control events: `a` = harness call sequence;
 /// - timers: `a` = node, `b` = that node's timer sequence;
 /// - link deliveries: `a` = `(to << 32) | from` (destination-major, so
-///   same-instant deliveries to one node are contiguous and batch), `b` =
-///   the link's message sequence;
+///   same-instant deliveries to one node are contiguous and share one
+///   activation), `b` = the link's message sequence;
 /// - harness injections: `a` = harness call sequence.
 ///
 /// Because each component is derived from deterministic per-node /
@@ -481,18 +442,11 @@ pub struct World<N: Node> {
     link_faults: FnvHashMap<u64, f64>,
     /// Cached latency-model jitter fraction.
     jitter: f64,
-    /// Reusable same-instant delivery buffer.
-    batch: Vec<(NodeIndex, N::Msg)>,
     /// Reusable activation outbox (capacity persists across activations).
     scratch: Outbox<N::Msg>,
     metrics: MetricsRegistry,
     /// Registry handles for the hot engine counters, in slot order.
     engine_ids: [CounterId; ENGINE_COUNTERS],
-    /// Node-emitted counter increments, pre-summed per name (bounded by
-    /// the distinct-name count, not the event count) and added to the
-    /// registry, names sorted, before a control event applies and when a
-    /// step or a run ends.
-    counts: FnvHashMap<Cow<'static, str>, f64>,
     tracer: Tracer,
     started: bool,
 }
@@ -546,11 +500,9 @@ impl<N: Node> World<N> {
             loss: 0.0,
             link_faults: FnvHashMap::default(),
             jitter,
-            batch: Vec::new(),
             scratch: Outbox { tracing: false, ..Outbox::new() },
             metrics,
             engine_ids,
-            counts: FnvHashMap::default(),
             tracer: Tracer::disabled(),
             started: false,
         }
@@ -693,7 +645,6 @@ impl<N: Node> World<N> {
         for i in 0..self.nodes.len() {
             if self.alive[i] {
                 self.activate(NodeIndex(i as u32), Input::Start);
-                self.flush_counts();
             }
         }
     }
@@ -771,94 +722,90 @@ impl<N: Node> World<N> {
             self.alive[node.as_usize()] = true;
             self.metrics.inc("sim.recoveries", 1.0);
             self.activate(node, Input::Start);
-            self.flush_counts();
         }
     }
 
-    /// Adds the pre-summed node counters to the registry, names sorted.
-    fn flush_counts(&mut self) {
-        if !self.counts.is_empty() {
-            let mut counts: Vec<(Cow<'static, str>, f64)> = self.counts.drain().collect();
-            counts.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-            for (name, by) in counts {
-                self.metrics.inc(&name, by);
-            }
-        }
-    }
-
-    /// Processes the next queued event — a crash/recovery, a timer, or a
-    /// same-instant delivery batch. Returns `false` when the queue is
-    /// empty.
+    /// Processes the next queued event — a crash/recovery, a timer, or
+    /// every link message due at one node at one instant. Returns `false`
+    /// when the queue is empty.
     pub fn step(&mut self) -> bool {
         self.start_all();
         let Some((key, kind)) = self.queue.pop() else {
             return false;
         };
         self.process(key, kind);
-        self.flush_counts();
         true
     }
 
     /// Handles one popped entry at its time: a control event, a timer, or
-    /// a link delivery together with the rest of its same-instant batch.
+    /// a delivery together with the rest of the link messages due at its
+    /// node at that instant.
     fn process(&mut self, key: EvKey, kind: EntryKind<N::Msg>) {
         debug_assert!(key.at >= self.now, "time went backwards");
         self.now = key.at;
         match kind {
-            EntryKind::Ctrl { node, action } => {
-                // Node counters reach the registry before global state
-                // changes: these are a run's only mid-run flush points.
-                self.flush_counts();
-                match action {
-                    CtrlAction::Crash => self.crash(node),
-                    CtrlAction::Recover => self.recover(node),
-                    CtrlAction::Partition(idx) => {
-                        self.partition = Some(self.partition_specs[idx as usize].clone());
-                        self.metrics.inc("sim.partitions", 1.0);
-                    }
-                    CtrlAction::Heal => {
-                        if self.partition.take().is_some() {
-                            self.metrics.inc("sim.heals", 1.0);
-                        }
+            EntryKind::Ctrl { node, action } => match action {
+                CtrlAction::Crash => self.crash(node),
+                CtrlAction::Recover => self.recover(node),
+                CtrlAction::Partition(idx) => {
+                    self.partition = Some(self.partition_specs[idx as usize].clone());
+                    self.metrics.inc("sim.partitions", 1.0);
+                }
+                CtrlAction::Heal => {
+                    if self.partition.take().is_some() {
+                        self.metrics.inc("sim.heals", 1.0);
                     }
                 }
-            }
+            },
             EntryKind::Timer { node, tag } => {
                 if self.alive[node.as_usize()] {
                     self.activate(node, Input::Timer { tag });
                 }
             }
             EntryKind::Deliver { from, to, msg } => {
-                debug_assert!(self.batch.is_empty());
-                self.batch.push((from, msg));
-                // Gather the rest of the same-instant batch for `to`. Only
-                // link deliveries batch: their destination-major keys make
-                // same-instant arrivals at one node contiguous in the key
-                // order (harness injections are keyed by call order and
-                // deliver singly; control events sort first at an instant).
-                while let Some(h) = self.queue.peek() {
-                    if h.at != key.at || h.class != CLASS_LINK || (h.a >> 32) as u32 != to.0 {
-                        break;
+                // One activation takes the rest of the link messages due
+                // at `to` now as well: their destination-major keys make
+                // them contiguous in the key order (harness injections
+                // are keyed by call order and deliver singly; control
+                // events sort first at an instant), and the node's sends
+                // stay in the outbox until the activation ends, so the
+                // queue does not change under the loop.
+                let alive = self.alive[to.as_usize()];
+                self.apply_seq += 1;
+                let mut next = Some((from, msg));
+                let mut n = 0.0;
+                while let Some((from, msg)) = next {
+                    n += 1.0;
+                    if alive {
+                        let node = &mut self.nodes[to.as_usize()];
+                        node.handle(self.now, Input::Msg { from, msg }, &mut self.scratch);
                     }
-                    let Some((_, EntryKind::Deliver { from, msg, .. })) = self.queue.pop() else {
-                        unreachable!("class-checked Deliver above");
-                    };
-                    self.batch.push((from, msg));
+                    next = self.pop_arrival(key.at, to);
                 }
-                let n = self.batch.len() as f64;
-                if self.alive[to.as_usize()] {
+                if alive {
                     self.metrics.add(self.engine_ids[EC_DELIVERED], n);
-                    if self.batch.len() > 1 {
+                    if n > 1.0 {
                         self.metrics.add(self.engine_ids[EC_BATCHES], 1.0);
                         self.metrics.add(self.engine_ids[EC_BATCHED], n);
                     }
-                    self.activate_batch(to);
+                    self.apply_effects(to);
                 } else {
                     self.metrics.add(self.engine_ids[EC_DROPPED_DEAD], n);
-                    self.batch.clear();
                 }
             }
         }
+    }
+
+    /// Pops the queue's head if it is a link message due at `to` at `at`.
+    fn pop_arrival(&mut self, at: SimTime, to: NodeIndex) -> Option<(NodeIndex, N::Msg)> {
+        let head = self.queue.peek()?;
+        if head.at != at || head.class != CLASS_LINK || (head.a >> 32) as u32 != to.0 {
+            return None;
+        }
+        let Some((_, EntryKind::Deliver { from, msg, .. })) = self.queue.pop() else {
+            unreachable!("a link entry is a delivery");
+        };
+        Some((from, msg))
     }
 
     /// Runs one node activation for a single input.
@@ -866,15 +813,6 @@ impl<N: Node> World<N> {
         self.apply_seq += 1;
         self.nodes[node.as_usize()].handle(self.now, input, &mut self.scratch);
         self.apply_effects(node);
-    }
-
-    /// Runs one node activation for the gathered same-instant batch.
-    fn activate_batch(&mut self, to: NodeIndex) {
-        self.apply_seq += 1;
-        let mut batch = Batch { inner: self.batch.drain(..) };
-        self.nodes[to.as_usize()].on_batch(self.now, &mut batch, &mut self.scratch);
-        drop(batch);
-        self.apply_effects(to);
     }
 
     /// Drains the scratch outbox of one activation into the schedule, the
@@ -902,7 +840,7 @@ impl<N: Node> World<N> {
             self.scratch.timers = timers;
         }
         for (name, by) in self.scratch.counts.drain(..) {
-            *self.counts.entry(name).or_insert(0.0) += by;
+            self.metrics.inc(&name, by);
         }
         for (name, v) in self.scratch.observations.drain(..) {
             self.metrics.observe(&name, v);
@@ -978,19 +916,14 @@ impl<N: Node> World<N> {
         self.queue.push(key, EntryKind::Deliver { from, to, msg });
     }
 
-    /// Runs until the queue is empty or simulated time reaches `t`;
-    /// afterwards `now()` is at least `t`.
-    ///
-    /// Pops the queue in key order. Node counters reach the registry
-    /// before each control event (crash, recovery, partition, heal) and
-    /// when the run ends.
+    /// Runs until the queue is empty or simulated time reaches `t`,
+    /// popping the queue in key order; afterwards `now()` is at least `t`.
     pub fn run_until(&mut self, t: SimTime) {
         self.start_all();
         while self.queue.peek().is_some_and(|key| key.at <= t) {
             let (key, kind) = self.queue.pop().expect("peeked");
             self.process(key, kind);
         }
-        self.flush_counts();
         if self.now < t {
             self.now = t;
         }
@@ -1049,7 +982,9 @@ mod tests {
         pongs: u32,
         timer_fires: u32,
         periodic: bool,
-        batch_sizes: Vec<usize>,
+        /// Per pong: when it was handled, and how many counts the
+        /// activation's outbox held by then (its own included).
+        pong_log: Vec<(SimTime, usize)>,
     }
 
     #[derive(Debug, Clone)]
@@ -1063,7 +998,7 @@ mod tests {
 
     impl Node for TestNode {
         type Msg = M;
-        fn handle(&mut self, _now: SimTime, input: Input<M>, out: &mut Outbox<M>) {
+        fn handle(&mut self, now: SimTime, input: Input<M>, out: &mut Outbox<M>) {
             match input {
                 Input::Start => {
                     self.started += 1;
@@ -1076,7 +1011,11 @@ mod tests {
                     out.send(from, M::Pong);
                     out.count("pings", 1.0);
                 }
-                Input::Msg { msg: M::Pong, .. } => self.pongs += 1,
+                Input::Msg { msg: M::Pong, .. } => {
+                    self.pongs += 1;
+                    out.count("pongs", 1.0);
+                    self.pong_log.push((now, out.counts().len()));
+                }
                 Input::Msg { from, msg: M::Burst(n) } => {
                     for _ in 0..n {
                         out.send(from, M::Pong);
@@ -1088,13 +1027,6 @@ mod tests {
                     out.timer(SimDuration::from_millis(100), 1);
                 }
                 Input::Timer { .. } => {}
-            }
-        }
-
-        fn on_batch(&mut self, now: SimTime, batch: &mut Batch<'_, M>, out: &mut Outbox<M>) {
-            self.batch_sizes.push(batch.len());
-            for (from, msg) in batch {
-                self.handle(now, Input::Msg { from, msg }, out);
             }
         }
     }
@@ -1346,18 +1278,64 @@ mod tests {
     #[test]
     fn same_activation_fanout_arrives_as_one_batch() {
         // A burst of sends from one activation over one link shares a
-        // latency sample, lands at one instant, and is handed over as one
-        // on_batch call.
+        // latency sample, lands at one instant, and is handled within one
+        // activation: its outbox is drained only after the fifth reply.
         let mut w = world(2);
         w.inject(NodeIndex(1), NodeIndex(0), M::Burst(5));
         w.run_until(SimTime::from_secs(1));
-        assert_eq!(w.node(NodeIndex(1)).pongs, 5);
-        assert!(
-            w.node(NodeIndex(1)).batch_sizes.contains(&5),
-            "burst replies batch: {:?}",
-            w.node(NodeIndex(1)).batch_sizes
-        );
+        let log = &w.node(NodeIndex(1)).pong_log;
+        let at = log[0].0;
+        assert_eq!(*log, (1..=5).map(|pending| (at, pending)).collect::<Vec<_>>());
+        assert_eq!(w.metrics().counter("pongs"), 5.0);
+        assert_eq!(w.metrics().counter("sim.batches"), 1.0);
         assert_eq!(w.metrics().counter("sim.batched_messages"), 5.0);
+    }
+
+    #[test]
+    fn counter_names_list_each_name_once_with_the_engines_at_zero() {
+        let mut w = world(2);
+        let sim = [
+            "sim.bad_destination",
+            "sim.batched_messages",
+            "sim.batches",
+            "sim.messages_delivered",
+            "sim.messages_dropped_dead",
+            "sim.messages_lost",
+            "sim.messages_partitioned",
+            "sim.messages_sent",
+        ];
+        let names: Vec<&str> = w.metrics().counter_names().collect();
+        assert_eq!(names, sim, "registered before anything runs");
+        assert!(sim.iter().all(|name| w.metrics().counter(name) == 0.0));
+        for _ in 0..3 {
+            w.inject(NodeIndex(0), NodeIndex(1), M::Ping);
+        }
+        w.run_until(SimTime::from_secs(1));
+        let names: Vec<&str> = w.metrics().counter_names().collect();
+        let mut want: Vec<&str> = sim.iter().copied().chain(["pings", "pongs"]).collect();
+        want.sort_unstable();
+        assert_eq!(names, want, "each name once, sorted");
+        assert_eq!(w.metrics().counter("pings"), 3.0);
+        assert_eq!(w.metrics().counter("sim.bad_destination"), 0.0);
+    }
+
+    #[test]
+    fn a_node_count_is_readable_right_after_its_activation() {
+        let mut w = world(2);
+        let t = SimTime::from_millis(5);
+        w.inject_at(t, NodeIndex(0), NodeIndex(1), M::Ping);
+        assert!(w.step());
+        assert_eq!((w.now(), w.metrics().counter("pings")), (t, 1.0), "between steps");
+        // A control event at the same instant, queued after the count.
+        w.crash_at(t, NodeIndex(1));
+        assert_eq!(w.metrics().counter("pings"), 1.0, "before the crash applies");
+        assert!(w.step());
+        assert_eq!(w.now(), t);
+        assert_eq!(w.metrics().counter("sim.crashes"), 1.0);
+        assert_eq!(w.metrics().counter("pings"), 1.0);
+        // The pong lands at node 0 on a later step.
+        while w.step() {}
+        assert_eq!(w.metrics().counter("pongs"), 1.0);
     }
 
     #[test]
@@ -1377,9 +1355,8 @@ mod tests {
         w.crash_at(at, NodeIndex(1));
         w.partition_at(at, None, vec![0, 0, 1]);
         w.run_until(at);
-        assert_eq!(w.node(NodeIndex(1)).pongs, 0);
-        assert!(w.node(NodeIndex(1)).batch_sizes.is_empty(), "no batch reached node 1");
-        // The whole batch to node 1 was dropped together, none delivered.
+        assert_eq!(w.node(NodeIndex(1)).pongs, 0, "none of the three reached node 1");
+        // The three due at node 1 were dropped together, none delivered.
         assert_eq!(w.metrics().counter("sim.messages_dropped_dead"), 3.0);
         assert_eq!(w.metrics().counter("sim.batches"), 0.0);
         // Node 2's ping arrived after the partition: its pong was cut.

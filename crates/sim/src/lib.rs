@@ -17,9 +17,7 @@
 //!   pending message, timer and harness control event, drained on the
 //!   calling thread;
 //! - per-link state (FNV-keyed, purged on crash) caches geographic
-//!   latency and carries an order-independent jitter/loss stream;
-//! - same-instant arrivals at one node are handed over as a **batch**
-//!   ([`Node::on_batch`]), amortising per-event dispatch above the engine.
+//!   latency and carries an order-independent jitter/loss stream.
 //!
 //! Determinism: a fixed seed yields an identical event trace. Events are
 //! processed in canonical key order (a pure function of link/timer/harness
@@ -68,7 +66,7 @@ pub mod topology;
 pub mod trace;
 
 pub use byzantine::{ByzBehavior, ByzantineActor, FaultClass};
-pub use engine::{link_stream_seed, Batch, Input, Node, Outbox, World};
+pub use engine::{link_stream_seed, Input, Node, Outbox, World};
 pub use failure::{ChurnEvent, ChurnKind, ChurnModel};
 pub use hash::{fnv1a, splitmix64, splitmix_unit, FnvBuildHasher, FnvHashMap, FnvHasher};
 pub use metrics::{CounterId, Histogram, MetricsRegistry, Summary};

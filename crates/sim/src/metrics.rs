@@ -3,6 +3,7 @@
 //! Nodes record observations through [`crate::Outbox`]; harnesses read them
 //! back through [`MetricsRegistry`] and render tables for EXPERIMENTS.md.
 
+use crate::hash::FnvHashMap;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::OnceLock;
@@ -148,19 +149,23 @@ impl fmt::Display for Summary {
     }
 }
 
-/// A handle to a pre-registered hot counter: incrementing through the
-/// handle is an array add, with no per-event name lookup or allocation.
+/// A counter's slot in its [`MetricsRegistry`]: adding through it is an
+/// array add, with no name lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterId(usize);
 
 /// Named counters and histograms for one simulation run.
+///
+/// Every counter lives in one slot table: a name's slot is found by
+/// hashing it once, and a [`CounterId`] is that slot, so a counter added
+/// through its handle and by name is the same cell.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<String, f64>,
+    /// Each counter's slot in `values`, by name.
+    slots: FnvHashMap<String, CounterId>,
+    /// Counter values, by slot.
+    values: Vec<f64>,
     histograms: BTreeMap<String, Histogram>,
-    /// Hot counters addressed by [`CounterId`]; the simulator's inner loop
-    /// increments these once or more per message.
-    fast: Vec<(String, f64)>,
 }
 
 impl MetricsRegistry {
@@ -169,40 +174,33 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Registers (or finds) a hot counter and returns its handle.
-    /// Registration is idempotent per name.
+    /// The named counter's handle, creating the counter at zero.
+    /// Registration is idempotent per name, and a value counted by name
+    /// before it stays.
     pub fn register_counter(&mut self, name: &str) -> CounterId {
-        if let Some(pos) = self.fast.iter().position(|(n, _)| n == name) {
-            return CounterId(pos);
+        if let Some(&id) = self.slots.get(name) {
+            return id;
         }
-        // Fold in any value accumulated before registration.
-        let seeded = self.counters.remove(name).unwrap_or(0.0);
-        self.fast.push((name.to_string(), seeded));
-        CounterId(self.fast.len() - 1)
+        let id = CounterId(self.values.len());
+        self.values.push(0.0);
+        self.slots.insert(name.to_string(), id);
+        id
     }
 
-    /// Adds `by` to a pre-registered hot counter.
+    /// Adds `by` to the counter behind `id`.
     pub fn add(&mut self, id: CounterId, by: f64) {
-        self.fast[id.0].1 += by;
+        self.values[id.0] += by;
     }
 
     /// Adds `by` to the named counter (creating it at zero).
     pub fn inc(&mut self, name: &str, by: f64) {
-        if let Some(slot) = self.fast.iter_mut().find(|(n, _)| n == name) {
-            slot.1 += by;
-        } else if let Some(v) = self.counters.get_mut(name) {
-            *v += by;
-        } else {
-            self.counters.insert(name.to_string(), by);
-        }
+        let id = self.register_counter(name);
+        self.add(id, by);
     }
 
     /// Reads a counter; missing counters read as zero.
     pub fn counter(&self, name: &str) -> f64 {
-        if let Some((_, v)) = self.fast.iter().find(|(n, _)| n == name) {
-            return *v;
-        }
-        self.counters.get(name).copied().unwrap_or(0.0)
+        self.slots.get(name).map_or(0.0, |id| self.values[id.0])
     }
 
     /// Records a sample in the named histogram (creating it if needed).
@@ -226,23 +224,15 @@ impl MetricsRegistry {
 
     /// All counter names, sorted.
     pub fn counter_names(&self) -> impl Iterator<Item = &str> {
-        let mut names: Vec<&str> = self
-            .counters
-            .keys()
-            .map(String::as_str)
-            .chain(self.fast.iter().map(|(n, _)| n.as_str()))
-            .collect();
+        let mut names: Vec<&str> = self.slots.keys().map(String::as_str).collect();
         names.sort_unstable();
         names.into_iter()
     }
 
     /// Merges another registry into this one.
     pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (k, v) in &other.counters {
-            self.inc(k, *v);
-        }
-        for (k, v) in &other.fast {
-            self.inc(k, *v);
+        for name in other.counter_names() {
+            self.inc(name, other.counter(name));
         }
         for (k, h) in &other.histograms {
             self.histograms.entry(k.clone()).or_default().merge(h);
@@ -252,13 +242,8 @@ impl MetricsRegistry {
     /// Renders all metrics as an aligned text table.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        let mut counters: BTreeMap<&str, f64> =
-            self.counters.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-        for (k, v) in &self.fast {
-            *counters.entry(k.as_str()).or_insert(0.0) += v;
-        }
-        for (name, v) in counters {
-            out.push_str(&format!("{name:<40} {v}\n"));
+        for name in self.counter_names() {
+            out.push_str(&format!("{name:<40} {}\n", self.counter(name)));
         }
         for (name, h) in &self.histograms {
             out.push_str(&format!("{name:<40} {}\n", h.summary()));
@@ -379,9 +364,11 @@ mod tests {
         // And the slow path keeps hitting the same cell afterwards.
         r.inc("hot", 1.0);
         assert_eq!(r.counter("hot"), 6.0);
-        // Registration is idempotent.
+        // Registration is idempotent, and the name has one slot.
         assert_eq!(r.register_counter("hot"), id);
-        assert!(r.counter_names().any(|n| n == "hot"));
+        r.inc("cold", 1.0);
+        assert_eq!(r.values.len(), 2);
+        assert_eq!(r.counter_names().collect::<Vec<_>>(), ["cold", "hot"]);
         assert!(r.render().contains("hot"));
     }
 

@@ -3,14 +3,14 @@
 //! `SeedWorld` below transcribes the seed scheduler's shape — one global
 //! binary heap of whole entries, control events included, popped in
 //! ascending key order one `step` at a time — on top of the engine's
-//! canonical semantics (per-link latency streams, FIFO clamping, batched
-//! same-instant delivery, crash purging, partitions dropping cross-group
-//! sends). Random topologies, loss rates, timers, injections before and
-//! between runs, crash/recover schedules, and partitions with heals must
-//! produce an identical delivery order (per-node input logs), an identical
-//! trace, identical engine counters, and an identical `run_to_quiescence`
-//! settle time from the engine (a key heap over a payload slab, counters
-//! flushed only at control events and run ends) and the transcription.
+//! canonical semantics (per-link latency streams, FIFO clamping, one
+//! activation per same-instant delivery group, crash purging, partitions
+//! dropping cross-group sends). Random topologies, loss rates, timers,
+//! injections before and between runs, crash/recover schedules, and
+//! partitions with heals must produce an identical delivery order
+//! (per-node input logs), an identical trace, identical engine counters,
+//! and an identical `run_to_quiescence` settle time from the engine (a key
+//! heap over a payload slab) and the transcription.
 
 use gloss_sim::{
     link_stream_seed, splitmix64, splitmix_unit, FnvHashMap, Input, Node, NodeIndex, Outbox,
@@ -267,7 +267,7 @@ impl SeedWorld {
         self.apply(index, out);
     }
 
-    /// Delivers a batch through the default per-message fallback, applying
+    /// Hands each message of a same-instant group to `handle`, applying
     /// all effects as one activation (this is what groups one flush's
     /// sends per link).
     fn activate_batch(&mut self, to: NodeIndex, batch: Vec<(NodeIndex, u64)>) {
