@@ -2,11 +2,8 @@
 //! source files without deploying anything.
 //!
 //! ```text
-//! gloss-lint [--deny-warnings] [--sharing] FILE.matchlet [FILE.matchlet ...]
+//! gloss-lint [--deny-warnings] FILE.matchlet [FILE.matchlet ...]
 //! ```
-//!
-//! `--sharing` additionally prints the beta-network prefix-sharing
-//! report for each file (informational; never affects the exit status).
 //!
 //! Exit status: 0 when every file is clean (or warning-only without
 //! `--deny-warnings`), 1 when any file has error-level findings (or any
@@ -16,14 +13,12 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut deny_warnings = false;
-    let mut show_sharing = false;
     let mut files: Vec<String> = Vec::new();
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--deny-warnings" => deny_warnings = true,
-            "--sharing" => show_sharing = true,
             "--help" | "-h" => {
-                println!("usage: gloss-lint [--deny-warnings] [--sharing] FILE.matchlet ...");
+                println!("usage: gloss-lint [--deny-warnings] FILE.matchlet ...");
                 return ExitCode::SUCCESS;
             }
             _ if arg.starts_with('-') => {
@@ -61,9 +56,6 @@ fn main() -> ExitCode {
                 }
                 errors += report.error_count();
                 warnings += report.warning_count();
-                if show_sharing {
-                    print!("{path}: {}", gloss_analysis::sharing_report(&rules, 8));
-                }
             }
         }
     }

@@ -1,11 +1,9 @@
-//! Pass 4: the rule interaction graph.
+//! Pass 3: the rule interaction graph.
 //!
 //! Kind-level emits→triggers edges across deployed matchlets: rule `a`
 //! feeds rule `b` when `a` emits a kind one of `b`'s patterns matches.
-//! Detects dead rules (every firing needs a kind nobody produces),
-//! unreachable emits (a kind nobody matches or subscribes to), and
-//! firing cycles — a conservative non-termination warning, since a cycle
-//! of rules can amplify one event into an unbounded cascade.
+//! Detects firing cycles — a conservative non-termination warning, since
+//! a cycle of rules can amplify one event into an unbounded cascade.
 
 use crate::diag::Report;
 use gloss_matchlet::ast::Rule;
@@ -15,9 +13,6 @@ use std::collections::BTreeSet;
 #[derive(Debug, Clone)]
 pub struct InteractionGraph {
     names: Vec<String>,
-    inputs: Vec<Vec<String>>,
-    outputs: Vec<String>,
-    spans: Vec<gloss_matchlet::Span>,
     /// `edges[i]` = indices of rules that match what rule `i` emits.
     edges: Vec<Vec<usize>>,
 }
@@ -26,22 +21,18 @@ impl InteractionGraph {
     /// Builds the graph from every deployed rule.
     pub fn from_rules(rules: &[Rule]) -> Self {
         let names: Vec<_> = rules.iter().map(|r| r.name.clone()).collect();
-        let inputs: Vec<Vec<String>> =
-            rules.iter().map(|r| r.patterns.iter().map(|p| p.kind.clone()).collect()).collect();
-        let outputs: Vec<_> = rules.iter().map(|r| r.emit.kind.clone()).collect();
-        let spans = rules.iter().map(|r| r.spans.rule).collect();
-        let edges = outputs
+        let edges = rules
             .iter()
-            .map(|out| {
-                inputs
+            .map(|r| {
+                rules
                     .iter()
                     .enumerate()
-                    .filter(|(_, ins)| ins.iter().any(|k| k == out))
+                    .filter(|(_, next)| next.patterns.iter().any(|p| p.kind == r.emit.kind))
                     .map(|(j, _)| j)
                     .collect()
             })
             .collect();
-        InteractionGraph { names, inputs, outputs, spans, edges }
+        InteractionGraph { names, edges }
     }
 
     /// Rule-name cycles (each reported once, starting from its smallest
@@ -89,17 +80,8 @@ impl InteractionGraph {
         color[node] = 2;
     }
 
-    /// Findings over the graph.
-    ///
-    /// `produced`: kinds known to be published from outside the rule set
-    /// (sensors, clients), or `None` for an open world where any kind may
-    /// appear. `subscribed`: kinds known to have external subscribers, or
-    /// `None` for an open world. Cycles warn in either world.
-    pub fn report(
-        &self,
-        produced: Option<&BTreeSet<String>>,
-        subscribed: Option<&BTreeSet<String>>,
-    ) -> Report {
+    /// Findings over the graph: one warning per firing cycle.
+    pub fn report(&self) -> Report {
         let mut report = Report::new();
         for cycle in self.cycles() {
             let mut chain = cycle.join(" -> ");
@@ -111,39 +93,6 @@ impl InteractionGraph {
                 gloss_matchlet::Span::default(),
                 format!("rules may trigger each other without bound: {chain}"),
             );
-        }
-        let emitted: BTreeSet<&str> = self.outputs.iter().map(String::as_str).collect();
-        if let Some(produced) = produced {
-            for (i, ins) in self.inputs.iter().enumerate() {
-                for kind in ins {
-                    if !produced.contains(kind) && !emitted.contains(kind.as_str()) {
-                        report.warn(
-                            "dead-rule",
-                            Some(&self.names[i]),
-                            self.spans[i],
-                            format!(
-                                "pattern kind `{kind}` is produced by no rule or known publisher: the rule can never fire"
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-        if let Some(subscribed) = subscribed {
-            let consumed: BTreeSet<&str> =
-                self.inputs.iter().flatten().map(String::as_str).collect();
-            for (i, out) in self.outputs.iter().enumerate() {
-                if !subscribed.contains(out) && !consumed.contains(out.as_str()) {
-                    report.warn(
-                        "unreachable-emit",
-                        Some(&self.names[i]),
-                        self.spans[i],
-                        format!(
-                            "emitted kind `{out}` is matched by no rule and has no known subscriber"
-                        ),
-                    );
-                }
-            }
         }
         report
     }
@@ -167,25 +116,7 @@ mod tests {
     fn chains_link_and_classify() {
         let g = graph(CHAIN);
         assert!(g.cycles().is_empty());
-        assert!(g.report(None, None).is_clean());
-    }
-
-    #[test]
-    fn closed_world_dead_and_unreachable() {
-        let g = graph(CHAIN);
-        let produced: BTreeSet<String> = ["raw".to_string()].into();
-        let subscribed: BTreeSet<String> = ["served".to_string()].into();
-        assert!(g.report(Some(&produced), Some(&subscribed)).is_clean());
-        // Nothing publishes `raw`: stage1 is dead.
-        let r = g.report(Some(&BTreeSet::new()), Some(&subscribed));
-        assert_eq!(r.diagnostics.len(), 1);
-        assert_eq!(r.diagnostics[0].code, "dead-rule");
-        assert_eq!(r.diagnostics[0].rule.as_deref(), Some("stage1"));
-        // Nobody wants `served`: stage2's emit is unreachable.
-        let r = g.report(Some(&produced), Some(&BTreeSet::new()));
-        assert_eq!(r.diagnostics.len(), 1);
-        assert_eq!(r.diagnostics[0].code, "unreachable-emit");
-        assert_eq!(r.diagnostics[0].rule.as_deref(), Some("stage2"));
+        assert!(g.report().is_clean());
     }
 
     #[test]
@@ -200,7 +131,7 @@ mod tests {
         let cycles = g.cycles();
         assert_eq!(cycles.len(), 1, "{cycles:?}");
         assert_eq!(cycles[0], vec!["ping".to_string(), "pong".to_string()]);
-        let r = g.report(None, None);
+        let r = g.report();
         assert_eq!(r.diagnostics.len(), 1);
         assert_eq!(r.diagnostics[0].code, "firing-cycle");
         assert!(r.to_string().contains("ping -> pong -> ping"), "{r}");

@@ -12,13 +12,8 @@
 //!    per-attribute intervals in subscription filters; redundant
 //!    constraints.
 //! 3. **Interaction graph** ([`graph::InteractionGraph`]) — kind-level
-//!    emits→triggers edges: dead rules, unreachable emits, and firing
-//!    cycles (a conservative non-termination warning).
-//!
-//! A fourth, informational pass — [`sharing::sharing_report`] — computes
-//! the shared beta-network trie the engine will build for a rule set:
-//! how many join nodes prefix sharing collapses and which prefixes
-//! carry the most rules (`gloss-lint --sharing`).
+//!    emits→triggers edges and the firing cycles they close (a
+//!    conservative non-termination warning).
 //!
 //! The deploy plane runs [`analyze_rules`] as a gate: artifacts with
 //! error-level findings are rejected before they reach an engine. The
@@ -28,24 +23,22 @@ pub mod dataflow;
 pub mod diag;
 pub mod graph;
 pub mod satisfy;
-pub mod sharing;
 pub mod types;
 
 pub use diag::{Diagnostic, Report, Severity};
 pub use graph::InteractionGraph;
 pub use satisfy::{check_filter, simplify, unsatisfiable};
-pub use sharing::{sharing_report, SharedPrefix, SharingReport};
 
 use gloss_matchlet::{parse_rules, MatchletError, Rule};
 
 /// Runs every per-unit pass over one set of rules (one bundle or file):
 /// dataflow, type inference, and the interaction graph restricted to the
-/// unit itself (open world — only cycles can be diagnosed without a
-/// broker-wide view).
+/// unit itself (open world: any kind may be published or subscribed
+/// from outside it, so only cycles can be diagnosed).
 pub fn analyze_rules(rules: &[Rule]) -> Report {
     let mut report = dataflow::check_rules(rules);
     report.merge(types::check_rules(rules));
-    report.merge(InteractionGraph::from_rules(rules).report(None, None));
+    report.merge(InteractionGraph::from_rules(rules).report());
     report
 }
 

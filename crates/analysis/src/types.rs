@@ -15,7 +15,8 @@
 use crate::diag::Report;
 use gloss_knowledge::{InMemoryFacts, Term};
 use gloss_matchlet::ast::{BinOp, Expr, Goal, Pat, Rule, Span};
-use gloss_matchlet::builtin::{is_builtin, reads_dynamic_state};
+use gloss_matchlet::builtin::is_builtin;
+use gloss_matchlet::canonical::expr_reads_dynamic_state;
 use gloss_matchlet::eval::{eval, Bindings};
 use gloss_sim::SimTime;
 use std::collections::BTreeMap;
@@ -91,7 +92,8 @@ impl fmt::Display for TypeSet {
 }
 
 /// A builtin's signature: per-argument type sets and the return type,
-/// looked up by name **and** arity. Mirrors `builtin::call`.
+/// looked up by name **and** arity. `signatures_name_the_evaluators_builtins`
+/// checks that it names the evaluator's builtins.
 fn builtin_sig(name: &str, arity: usize) -> Option<(&'static [TypeSet], TypeSet)> {
     const NUM2: &[TypeSet] = &[TypeSet::NUMERIC, TypeSet::NUMERIC];
     const GEO1: &[TypeSet] = &[TypeSet::GEO];
@@ -367,20 +369,10 @@ fn has_vars(expr: &Expr) -> bool {
     }
 }
 
-/// Whether an expression reads state outside its arguments (the clock or
-/// the knowledge base) — such expressions must not be folded.
-fn is_dynamic(expr: &Expr) -> bool {
-    match expr {
-        Expr::Lit(_) | Expr::Var(_) => false,
-        Expr::Call(name, args) => reads_dynamic_state(name) || args.iter().any(is_dynamic),
-        Expr::Binary(_, l, r) => is_dynamic(l) || is_dynamic(r),
-        Expr::Not(e) | Expr::Neg(e) => is_dynamic(e),
-    }
-}
-
-/// Folds a variable-free, state-free condition with the real evaluator.
+/// Folds a variable-free, state-free condition with the real evaluator
+/// (one reading the clock or the knowledge base must not be folded).
 fn const_fold(expr: &Expr, span: Span, rule: &Rule, report: &mut Report) {
-    if has_vars(expr) || is_dynamic(expr) {
+    if has_vars(expr) || expr_reads_dynamic_state(expr) {
         return;
     }
     let kb = InMemoryFacts::new();
@@ -415,7 +407,9 @@ fn const_fold(expr: &Expr, span: Span, rule: &Rule, report: &mut Report) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gloss_matchlet::builtin::reads_dynamic_state;
     use gloss_matchlet::parse_rules;
+    use std::collections::BTreeSet;
 
     fn lint(src: &str) -> Report {
         check_rules(&parse_rules(src).unwrap())
@@ -527,6 +521,31 @@ mod tests {
         // Dynamic state is never folded.
         let dynamic = lint("rule c { on a: event k() where minutes_of_day() >= 1080 emit out() }");
         assert!(dynamic.is_clean(), "{dynamic}");
+    }
+
+    /// `builtin_sig` types exactly the builtins the evaluator knows
+    /// (`fact` aside: the evaluator handles its boolean form itself), and
+    /// every builtin that reads state has a signature. The candidates are
+    /// every identifier in this file and in the evaluator's builtins.
+    #[test]
+    fn signatures_name_the_evaluators_builtins() {
+        let sources = [include_str!("types.rs"), include_str!("../../matchlet/src/builtin.rs")];
+        let words: BTreeSet<&str> = sources
+            .iter()
+            .flat_map(|src| src.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_')))
+            .collect();
+        let typed = |name: &str| (0..=4).any(|arity| builtin_sig(name, arity).is_some());
+        let mut builtins = 0;
+        for word in words {
+            if word != "fact" {
+                assert_eq!(typed(word), is_builtin(word), "`{word}`");
+            }
+            if reads_dynamic_state(word) {
+                assert!(typed(word), "`{word}` reads state but has no signature");
+            }
+            builtins += usize::from(is_builtin(word));
+        }
+        assert!(builtins > 10, "{builtins} builtins found");
     }
 
     #[test]

@@ -239,10 +239,10 @@ struct SubjectReplica {
     /// promiscuously-cached batch can't short-circuit the pull.
     delta_doc: Option<u64>,
     /// Authority `(source, epoch)` the held facts are anchored at, set by
-    /// versioned snapshots and advanced by applied delta batches. Facts
-    /// ingested from a legacy (unversioned) snapshot have none: a delta
-    /// batch then falls back to a snapshot fetch, unless it starts at
-    /// epoch 0 — a complete history, which replaces the held facts.
+    /// versioned snapshots and advanced by applied delta batches. Before
+    /// either, no fact about the subject is held: a delta batch then
+    /// falls back to a snapshot fetch, unless it starts at epoch 0 — a
+    /// complete history, which builds the subject from nothing.
     anchor: Option<(u64, u64)>,
 }
 
@@ -810,10 +810,11 @@ impl GlossNode {
             // "unknown") after this one's were removed.
             return;
         }
-        let snap_version = snapshot.version();
-        if let (Some((source, epoch)), Some((tracked_source, tracked_epoch))) =
-            (snap_version, held.as_ref().and_then(|r| r.anchor))
-        {
+        // A snapshot with no `(source, epoch)` could anchor no later batch.
+        let Some((source, epoch)) = snapshot.version() else {
+            return;
+        };
+        if let Some((tracked_source, tracked_epoch)) = held.as_ref().and_then(|r| r.anchor) {
             // Deltas may have advanced us past the snapshot in flight:
             // rebuilding from it would roll those deltas back.
             if source == tracked_source && tracked_epoch >= epoch {
@@ -831,9 +832,7 @@ impl GlossNode {
             None => self.replicas.entry(subject.into()).or_default(),
         };
         replica.snapshot_doc = Some(doc.version);
-        // A legacy snapshot breaks the anchor: epochs applied on top of
-        // unanchored state would be fiction.
-        replica.anchor = snap_version;
+        replica.anchor = Some((source, epoch));
         out.count("gloss.kb_ingested", 1.0);
         out.count("gloss.kb_snapshot_bytes", doc.size() as f64);
     }
@@ -856,13 +855,8 @@ impl GlossNode {
         match reconcile(replica.anchor, span) {
             DeltaAction::Apply { skip } => {
                 let deltas = &mut self.delta_scratch;
-                let Some(subject) = incoming.decode_into(&self.kb, deltas) else {
+                if incoming.decode_into(&self.kb, deltas).is_none() {
                     return;
-                };
-                if replica.anchor.is_none() {
-                    // A batch from epoch 0 is the subject's complete
-                    // history: it replaces what a legacy snapshot left.
-                    self.kb.remove_subject(&subject);
                 }
                 out.count("gloss.kb_delta_applied", 1.0);
                 out.count("gloss.kb_delta_facts", (deltas.len() - skip) as f64);
@@ -1545,14 +1539,14 @@ mod tests {
         let mut node = worker(NodeIndex(1));
         node.handle(SimTime::ZERO, Input::Start, &mut Outbox::new());
         let peer = NodeIndex(2);
-        let v1 = snapshot_doc(&[fact("golf")], Some((7, 1)));
+        let v1 = snapshot_doc(&[fact("golf")], (7, 1));
         node.store.insert(v1.clone(), SimTime::ZERO, &mut Outbox::new());
         deliver(&mut node, peer, GlossMsg::PrefetchSubject("bob".into()));
         assert_eq!(bob(&node), [fact("golf")]);
 
         // A newer version lands in the store, and the next pull is
         // exactly 2^20 requests after the first.
-        let v2 = snapshot_doc(&[fact("ice cream")], Some((7, 2)));
+        let v2 = snapshot_doc(&[fact("ice cream")], (7, 2));
         node.store.insert(v1.updated(v2.content), SimTime::ZERO, &mut Outbox::new());
         node.sub_seq += (1 << 20) - 1;
         deliver(&mut node, peer, GlossMsg::PrefetchSubject("bob".into()));
@@ -1567,7 +1561,7 @@ mod tests {
     fn a_duplicate_reply_still_ingests_its_document() {
         let mut node = worker(NodeIndex(1));
         node.handle(SimTime::ZERO, Input::Start, &mut Outbox::new());
-        let doc = snapshot_doc(&[fact("tea")], Some((7, 1)));
+        let doc = snapshot_doc(&[fact("tea")], (7, 1));
         let reply = StoreMsg::FetchReply { req_id: 77, doc, from_cache: false, hops: 1 };
         let mut out = Outbox::new();
         let msg = GlossMsg::Store(reply);
@@ -1576,15 +1570,10 @@ mod tests {
         assert_eq!(bob(&node), [fact("tea")]);
     }
 
-    /// A `kb/bob` snapshot document; versioned when `version` is given.
-    fn snapshot_doc(facts: &[Fact], version: Option<(u64, u64)>) -> Document {
+    /// A `kb/bob` snapshot document of `(source, epoch)`.
+    fn snapshot_doc(facts: &[Fact], (source, epoch): (u64, u64)) -> Document {
         let refs: Vec<_> = facts.iter().collect();
-        let el = match version {
-            Some((source, epoch)) => {
-                DistributedKnowledge::facts_to_xml_versioned("bob", &refs, source, epoch)
-            }
-            None => DistributedKnowledge::facts_to_xml("bob", &refs),
-        };
+        let el = DistributedKnowledge::facts_to_xml_versioned("bob", &refs, source, epoch);
         Document::new(DistributedKnowledge::doc_name("bob"), el.to_xml().into_bytes())
     }
 
@@ -1602,20 +1591,23 @@ mod tests {
         node.kb.query(Some("bob"), None).cloned().collect()
     }
 
-    /// A batch from epoch 0 is a complete history: at a node holding an
-    /// unversioned snapshot it replaces the held facts instead of landing
-    /// on top of them.
+    /// A batch from epoch 0 is a complete history: after an unversioned
+    /// snapshot, which is refused, the batch alone is what the node holds.
     #[test]
     fn a_first_epoch_batch_replaces_a_legacy_snapshot() {
         let mut node =
             coordinator(OverlayNode::new(Key(0x100), NodeIndex(0), None, SimDuration::ZERO));
+        let legacy = DistributedKnowledge::facts_to_xml("bob", &[&fact("golf")]);
+        let legacy =
+            Document::new(DistributedKnowledge::doc_name("bob"), legacy.to_xml().into_bytes());
         let mut out = Outbox::new();
-        node.ingest_document(SimTime::ZERO, &snapshot_doc(&[fact("tea")], None), &mut out);
-        assert_eq!(bob(&node), [fact("tea")]);
+        node.ingest_document(SimTime::ZERO, &legacy, &mut out);
+        assert!(out.counts().is_empty(), "counted {:?}", out.counts());
+        assert!(bob(&node).is_empty(), "an unversioned snapshot is not ingested");
         let history = batch_text(7, 0, vec![FactDelta::Insert(fact("tea"))]);
         node.ingest_document(SimTime::ZERO, &batch_doc(history), &mut out);
         assert!(counted(&out, "gloss.kb_delta_applied"));
-        assert_eq!(bob(&node), [fact("tea")], "one fact, not the snapshot's plus the batch's");
+        assert_eq!(bob(&node), [fact("tea")], "the batch's fact, not the snapshot's");
         assert_eq!(node.replicas["bob"].anchor, Some((7, 1)));
     }
 
@@ -1629,7 +1621,7 @@ mod tests {
     fn a_cache_served_pull_applies_its_batch_once() {
         let mut node =
             coordinator(OverlayNode::new(Key(0x100), NodeIndex(0), None, SimDuration::ZERO));
-        let held = snapshot_doc(&[fact("tea")], Some((7, 3)));
+        let held = snapshot_doc(&[fact("tea")], (7, 3));
         node.ingest_document(SimTime::ZERO, &held, &mut Outbox::new());
         let deltas = vec![FactDelta::Retract(fact("tea")), FactDelta::Insert(fact("ice cream"))];
         let doc = batch_doc(batch_text(7, 3, deltas));
@@ -1678,7 +1670,7 @@ mod tests {
     fn a_snapshot_naming_another_subject_applies_nothing() {
         let mut node =
             coordinator(OverlayNode::new(Key(0x100), NodeIndex(0), None, SimDuration::ZERO));
-        let held_doc = snapshot_doc(&[fact("tea")], Some((7, 3)));
+        let held_doc = snapshot_doc(&[fact("tea")], (7, 3));
         node.ingest_document(SimTime::ZERO, &held_doc, &mut Outbox::new());
         let (held, epoch) = (bob(&node), node.kb.epoch());
         let alice = Fact::new("alice", "likes", Term::str("golf"));
@@ -1696,36 +1688,45 @@ mod tests {
     }
 
     /// A batch whose envelope says it applies but whose body does not
-    /// decode changes nothing: no fact, no anchor, no counter. One whose
-    /// envelope says stale or gapped is counted or acted on from the
-    /// envelope, body unread.
+    /// decode changes nothing: no fact, no anchor, no counter; nor does a
+    /// snapshot with no `(source, epoch)`, which could anchor no batch.
+    /// A batch whose envelope says stale or gapped is counted or acted on
+    /// from the envelope, body unread.
     #[test]
     fn a_malformed_body_applies_nothing() {
         let mut node =
             coordinator(OverlayNode::new(Key(0x100), NodeIndex(0), None, SimDuration::ZERO));
         let mut out = Outbox::new();
-        node.ingest_document(SimTime::ZERO, &snapshot_doc(&[fact("tea")], Some((7, 3))), &mut out);
+        let held_doc = snapshot_doc(&[fact("tea")], (7, 3));
+        node.ingest_document(SimTime::ZERO, &held_doc, &mut out);
         let good = batch_text(
             7,
             3,
             vec![FactDelta::Retract(fact("tea")), FactDelta::Insert(fact("ice cream"))],
         );
-        let malformed = [
+        let mut malformed: Vec<Document> = [
             good.replacen("type=\"str\"", "type=\"tensor\"", 1),
             good.replacen("<insert", "<upsert", 1).replacen("</insert", "</upsert", 1),
             good.replacen("to=\"5\"", "to=\"6\"", 1),
             good.replacen("</value></retract>", "</retract>", 1),
             format!("{good}<trailing/>"),
             good.replacen("</kbdelta>", "", 1),
-        ];
+        ]
+        .into_iter()
+        .map(batch_doc)
+        .collect();
+        let unversioned = DistributedKnowledge::facts_to_xml("bob", &[&fact("ice cream")]);
+        malformed.push(held_doc.updated(unversioned.to_xml().into_bytes()));
         let (held, epoch) = (bob(&node), node.kb.epoch());
-        for text in malformed {
+        for doc in malformed {
+            let text = String::from_utf8_lossy(&doc.content).into_owned();
             assert_ne!(text, good);
             let mut out = Outbox::new();
-            node.ingest_document(SimTime::ZERO, &batch_doc(text.clone()), &mut out);
+            node.ingest_document(SimTime::ZERO, &doc, &mut out);
             assert!(out.counts().is_empty(), "{text}: counted {:?}", out.counts());
             assert_eq!((bob(&node), node.kb.epoch()), (held.clone(), epoch), "{text}");
             assert_eq!(node.replicas["bob"].anchor, Some((7, 3)), "{text}");
+            assert_eq!(node.replicas["bob"].snapshot_doc, Some(held_doc.version), "{text}");
         }
 
         let body = "<insert predicate=\"likes\" type=\"tensor\"/>";

@@ -146,12 +146,6 @@ impl EvolutionEngine {
             }
         }
     }
-
-    /// A deploy failed (node died mid-install); forget it so the next
-    /// reconcile can re-plan.
-    pub fn abandon_deploy(&mut self, instance: &str) {
-        self.pending.remove(instance);
-    }
 }
 
 /// What one periodic coordinator sweep found and decided.
@@ -249,6 +243,21 @@ mod tests {
         assert!(second.is_empty(), "pending deploy must suppress re-planning");
     }
 
+    /// The node dies mid-install: its pending deploy is abandoned, so a
+    /// late confirmation places nothing, and it is re-planned on a
+    /// survivor.
+    #[test]
+    fn abandon_allows_replanning() {
+        let mut e = EvolutionEngine::new(vec![Constraint::count("repl", None, 1)]);
+        let first = e.on_event(t(0), &advert(0, "scotland"));
+        assert_eq!(first.len(), 1);
+        assert!(e.on_event(t(2), &advert(1, "scotland")).is_empty());
+        let retry = e.on_event(t(3), &NodeResources::failed_event(NodeIndex(0), t(2)));
+        assert!(matches!(retry[..], [(_, Action::Deploy { node: NodeIndex(1), .. })]), "{retry:?}");
+        e.confirm_deploy(t(4), &first[0].0);
+        assert_eq!(e.deployment.instances_of("repl").count(), 0);
+    }
+
     #[test]
     fn node_failure_triggers_replacement() {
         let mut e = EvolutionEngine::new(vec![Constraint::count("repl", None, 1)]);
@@ -269,16 +278,6 @@ mod tests {
         e.confirm_deploy(t(12), instance);
         assert_eq!(e.satisfaction(), 1.0);
         assert_eq!(e.repair_episodes.len(), 2);
-    }
-
-    #[test]
-    fn abandon_allows_replanning() {
-        let mut e = EvolutionEngine::new(vec![Constraint::count("repl", None, 1)]);
-        let actions = e.on_event(t(0), &advert(0, "scotland"));
-        let (instance, _) = &actions[0];
-        e.abandon_deploy(instance);
-        let retry = e.reconcile(t(5));
-        assert_eq!(retry.len(), 1, "abandoned deploy is re-planned");
     }
 
     #[test]

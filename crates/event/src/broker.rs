@@ -1078,6 +1078,8 @@ mod tests {
         let high = Event::new("k").with_attr("prio", 9i64);
         b.handle(SimTime::ZERO, n(201), BrokerMsg::Publish(high), &mut out);
         assert_eq!(sent_to(&out, n(10)).len(), 1);
+        // The load metric counts every message, the shed one included.
+        assert_eq!(b.msgs_handled, 10);
     }
 
     #[test]

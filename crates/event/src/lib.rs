@@ -12,10 +12,11 @@
 //! * a subscription language ([`Filter`], [`Constraint`], [`Op`]) with the
 //!   **covering** relation used to prune subscription propagation,
 //! * [`Broker`] state machines supporting the *hierarchical* and *acyclic
-//!   peer* topologies of the Siena paper,
-//! * an Elvin-like [`centralized`] client-server baseline ("it uses a
-//!   client-server architecture, limiting its scalability" — experiment
-//!   **C1** quantifies this), and
+//!   peer* topologies of the Siena paper; a broker with no neighbour is
+//!   the one server of the Elvin-like client-server baseline
+//!   ([`Architecture::Centralized`]: "it uses a client-server
+//!   architecture, limiting its scalability" — experiment **C1**
+//!   quantifies this), and
 //! * Mobikit-like [`mobility`] proxies that subscribe on behalf of
 //!   disconnected mobile clients and hand buffered events over on
 //!   reconnection.
@@ -36,7 +37,7 @@
 
 pub mod baseline;
 pub mod broker;
-pub mod centralized;
+mod centralized;
 pub mod filter;
 pub mod index;
 pub mod mobility;
@@ -46,7 +47,6 @@ pub mod value;
 
 pub use baseline::LinearBroker;
 pub use broker::{Broker, BrokerMsg, BrokerTopology, SubId};
-pub use centralized::CentralServer;
 pub use filter::{merge_cover, Constraint, Filter, Op, Subscription};
 pub use gloss_governor::{IngressClass, LoadShedder, ShedConfig, ShedDecision};
 pub use index::FilterIndex;

@@ -3,7 +3,6 @@
 //! acyclic peer).
 
 use crate::broker::{Broker, BrokerMsg, BrokerTopology, SubId};
-use crate::centralized::CentralServer;
 use crate::filter::{Filter, Subscription};
 use crate::notification::{Event, EventId};
 use gloss_sim::{Input, Node, NodeIndex, Outbox, SimDuration, SimTime, Topology, World};
@@ -12,11 +11,9 @@ use std::collections::{BTreeMap, BTreeSet};
 /// What a node in the pub/sub world is.
 #[derive(Debug, Clone)]
 pub enum Role {
-    /// A distributed broker (boxed: the counting index makes it by far
-    /// the largest role).
+    /// A broker, or the centralized architecture's one server (boxed:
+    /// the counting index makes it by far the largest role).
     Broker(Box<Broker>),
-    /// The single server of the centralized architecture.
-    Central(CentralServer),
     /// An end client: publishes, subscribes, records deliveries.
     Client(ClientApi),
 }
@@ -91,7 +88,6 @@ impl Node for PubSubNode {
         };
         match &mut self.role {
             Role::Broker(b) => b.handle(now, from, msg, out),
-            Role::Central(c) => c.handle(now, from, msg, out),
             Role::Client(c) => c.ingest(now, msg, out),
         }
     }
@@ -100,7 +96,8 @@ impl Node for PubSubNode {
 /// Which broker architecture to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Architecture {
-    /// One central server (Elvin-like).
+    /// One central server (Elvin-like): a single broker with no
+    /// neighbour, to which every client attaches.
     Centralized,
     /// A tree of brokers; subscriptions flow to the root, events flood up.
     Hierarchical,
@@ -113,14 +110,15 @@ pub enum Architecture {
 pub struct PubSubConfig {
     /// Which architecture to build.
     pub architecture: Architecture,
-    /// Number of brokers (ignored for `Centralized`, which has one server).
+    /// Number of brokers. `Centralized` builds one server instead and
+    /// attaches all `brokers × clients_per_broker` clients to it.
     pub brokers: usize,
-    /// Clients attached per broker (total clients for `Centralized`).
+    /// Clients attached per broker.
     pub clients_per_broker: usize,
     /// RNG seed (topology, latencies).
     pub seed: u64,
-    /// Bound every broker's ingress with this load-shedding policy
-    /// (`None` = unbounded legacy behaviour).
+    /// Bound every broker's ingress (the central server's included) with
+    /// this load-shedding policy (`None` = unbounded legacy behaviour).
     pub shedding: Option<gloss_governor::ShedConfig>,
 }
 
@@ -199,17 +197,10 @@ impl PubSubNetwork {
 
         let mut nodes = Vec::with_capacity(total);
         for i in 0..broker_count {
-            let role = match cfg.architecture {
-                Architecture::Centralized => Role::Central(CentralServer::new()),
-                Architecture::AcyclicPeer => {
-                    let mut b = Broker::new(
-                        broker_ids[i],
-                        BrokerTopology::Peer { neighbors: neighbor_sets[i].clone() },
-                    );
-                    if let Some(shed) = &cfg.shedding {
-                        b = b.with_shedding(shed.clone());
-                    }
-                    Role::Broker(Box::new(b))
+            let topology = match cfg.architecture {
+                // The central server is the one broker, neighbourless.
+                Architecture::Centralized | Architecture::AcyclicPeer => {
+                    BrokerTopology::Peer { neighbors: neighbor_sets[i].clone() }
                 }
                 Architecture::Hierarchical => {
                     let children: Vec<NodeIndex> = neighbor_sets[i]
@@ -217,17 +208,14 @@ impl PubSubNetwork {
                         .copied()
                         .filter(|n| parents[i] != Some(*n))
                         .collect();
-                    let mut b = Broker::new(
-                        broker_ids[i],
-                        BrokerTopology::Hierarchical { parent: parents[i], children },
-                    );
-                    if let Some(shed) = &cfg.shedding {
-                        b = b.with_shedding(shed.clone());
-                    }
-                    Role::Broker(Box::new(b))
+                    BrokerTopology::Hierarchical { parent: parents[i], children }
                 }
             };
-            nodes.push(PubSubNode { role });
+            let mut b = Broker::new(broker_ids[i], topology);
+            if let Some(shed) = &cfg.shedding {
+                b = b.with_shedding(shed.clone());
+            }
+            nodes.push(PubSubNode { role: Role::Broker(Box::new(b)) });
         }
         for (k, &c) in client_ids.iter().enumerate() {
             let access = broker_ids[k % broker_count];
@@ -371,7 +359,6 @@ impl PubSubNetwork {
             .iter()
             .map(|&b| match &self.world.node(b).role {
                 Role::Broker(br) => br.msgs_handled,
-                Role::Central(c) => c.msgs_handled,
                 Role::Client(_) => 0,
             })
             .collect()
@@ -532,41 +519,43 @@ mod tests {
 
     #[test]
     fn shedding_bounds_broker_ingress_under_burst() {
-        let mut cfg = PubSubConfig {
-            architecture: Architecture::AcyclicPeer,
-            brokers: 2,
-            clients_per_broker: 2,
-            seed: 11,
-            ..PubSubConfig::default()
-        };
-        cfg.shedding = Some(gloss_governor::ShedConfig {
-            capacity: 16.0,
-            high_watermark: 8.0,
-            drain_per_sec: 50.0,
-            priority_floor: 4.0,
-            fair_window: SimDuration::from_secs(1),
-            fair_share: 1000,
-        });
-        let mut net = PubSubNetwork::build(cfg);
-        let clients = net.clients().to_vec();
-        net.subscribe(clients[0], Filter::for_kind("k"));
-        settle(&mut net);
-        // A same-instant burst of low-priority events floods past the
-        // watermark; part of it must be shed, and the network stays live.
-        for i in 0..200u32 {
-            net.publish(
-                clients[3],
-                Event::new("k").with_attr("prio", 1i64).with_attr("i", i as i64),
-            );
+        for architecture in [Architecture::AcyclicPeer, Architecture::Centralized] {
+            let mut cfg = PubSubConfig {
+                architecture,
+                brokers: 2,
+                clients_per_broker: 2,
+                seed: 11,
+                ..PubSubConfig::default()
+            };
+            cfg.shedding = Some(gloss_governor::ShedConfig {
+                capacity: 16.0,
+                high_watermark: 8.0,
+                drain_per_sec: 50.0,
+                priority_floor: 4.0,
+                fair_window: SimDuration::from_secs(1),
+                fair_share: 1000,
+            });
+            let mut net = PubSubNetwork::build(cfg);
+            let clients = net.clients().to_vec();
+            net.subscribe(clients[0], Filter::for_kind("k"));
+            settle(&mut net);
+            // A same-instant burst of low-priority events floods past the
+            // watermark; part of it must be shed, and the network stays live.
+            for i in 0..200u32 {
+                net.publish(
+                    clients[3],
+                    Event::new("k").with_attr("prio", 1i64).with_attr("i", i as i64),
+                );
+            }
+            settle(&mut net);
+            let shed = net.world().metrics().counter("pubsub.shed");
+            assert!(shed > 0.0, "{architecture:?}: burst should trip the shedder");
+            let got = net.client(clients[0]).received.len();
+            assert!(got < 200, "{architecture:?}: some of the burst must be dropped");
+            // High-priority traffic still flows after the overload clears.
+            net.publish(clients[3], Event::new("k").with_attr("prio", 9i64));
+            settle(&mut net);
+            assert!(net.client(clients[0]).received.len() > got, "{architecture:?}");
         }
-        settle(&mut net);
-        let shed = net.world().metrics().counter("pubsub.shed");
-        assert!(shed > 0.0, "burst should trip the shedder");
-        let got = net.client(clients[0]).received.len();
-        assert!(got < 200, "some of the burst must be dropped");
-        // High-priority traffic still flows after the overload clears.
-        net.publish(clients[3], Event::new("k").with_attr("prio", 9i64));
-        settle(&mut net);
-        assert!(net.client(clients[0]).received.len() > got);
     }
 }
