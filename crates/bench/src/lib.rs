@@ -4,7 +4,6 @@
 //! EXPERIMENTS.md; the Criterion benches under `benches/` measure the
 //! per-operation costs behind each experiment.
 
-use gloss_bundle::Registry;
 use gloss_core::{ActiveArchitecture, ArchConfig, IceCreamScenario, PopulationWorkload};
 use gloss_deploy::Constraint;
 use gloss_event::{Architecture, Event, Filter, PubSubConfig, PubSubNetwork};
@@ -14,7 +13,7 @@ use gloss_knowledge::{
 };
 use gloss_matchlet::MatchletEngine;
 use gloss_overlay::{FreenetNetwork, Key, OverlayNetwork};
-use gloss_pipeline::{assemble, standard::register_standard};
+use gloss_pipeline::{assemble, standard::register_standard, Registry};
 use gloss_sim::{NodeIndex, SimDuration, SimRng, SimTime, Zipf};
 use gloss_store::{Document, ErasureCode, Priority, StoreConfig, StoreNetwork};
 use gloss_xml::{Element, Node, Path};

@@ -17,7 +17,7 @@ pub enum Code {
     },
     /// A pipeline component: a registered kind plus its XML configuration.
     Component {
-        /// The component kind (resolved through a [`crate::Registry`]).
+        /// The component kind: a name `gloss_pipeline`'s `Registry` builds from.
         kind: String,
         /// Kind-specific configuration.
         config: Element,
@@ -77,8 +77,6 @@ pub enum BundleError {
     /// The matchlet compiled but static analysis proved it defective
     /// (unbound variables, never-true conditions, duplicate rules, ...).
     RejectedByAnalysis(String),
-    /// The component kind is not registered on this server.
-    UnknownComponentKind(String),
     /// An installed bundle with the same name has an equal or newer
     /// version.
     StaleVersion {
@@ -105,9 +103,6 @@ impl fmt::Display for BundleError {
             BundleError::BadMatchlet(e) => write!(f, "matchlet compile error: {e}"),
             BundleError::RejectedByAnalysis(e) => {
                 write!(f, "matchlet rejected by static analysis: {e}")
-            }
-            BundleError::UnknownComponentKind(k) => {
-                write!(f, "component kind `{k}` is not registered")
             }
             BundleError::StaleVersion { name, installed, offered } => {
                 write!(f, "bundle `{name}` v{offered} is not newer than installed v{installed}")

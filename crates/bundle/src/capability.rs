@@ -11,12 +11,6 @@ pub enum Capability {
     DeployComponent,
     /// Write objects into the server's object store.
     StoreAccess,
-    /// Publish events from installed code.
-    Publish,
-    /// Subscribe to events for installed code.
-    Subscribe,
-    /// Manage the server itself (grants, uninstalls of others' bundles).
-    Admin,
 }
 
 impl fmt::Display for Capability {
@@ -25,26 +19,8 @@ impl fmt::Display for Capability {
             Capability::DeployMatchlet => "deploy-matchlet",
             Capability::DeployComponent => "deploy-component",
             Capability::StoreAccess => "store-access",
-            Capability::Publish => "publish",
-            Capability::Subscribe => "subscribe",
-            Capability::Admin => "admin",
         };
         f.write_str(s)
-    }
-}
-
-impl Capability {
-    /// Parses the textual form produced by [`fmt::Display`].
-    pub fn parse(s: &str) -> Option<Capability> {
-        Some(match s {
-            "deploy-matchlet" => Capability::DeployMatchlet,
-            "deploy-component" => Capability::DeployComponent,
-            "store-access" => Capability::StoreAccess,
-            "publish" => Capability::Publish,
-            "subscribe" => Capability::Subscribe,
-            "admin" => Capability::Admin,
-            _ => return None,
-        })
     }
 }
 
@@ -53,17 +29,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn display_parse_round_trip() {
-        for c in [
-            Capability::DeployMatchlet,
-            Capability::DeployComponent,
-            Capability::StoreAccess,
-            Capability::Publish,
-            Capability::Subscribe,
-            Capability::Admin,
-        ] {
-            assert_eq!(Capability::parse(&c.to_string()), Some(c));
-        }
-        assert_eq!(Capability::parse("fly"), None);
+    fn display_names_each_capability() {
+        let names =
+            [Capability::DeployMatchlet, Capability::DeployComponent, Capability::StoreAccess]
+                .map(|c| c.to_string());
+        assert_eq!(names, ["deploy-matchlet", "deploy-component", "store-access"]);
     }
 }

@@ -16,8 +16,6 @@
 //!   matchlet programs are hot-added to the server's
 //!   [`MatchletEngine`](gloss_matchlet::MatchletEngine), data objects land
 //!   in the per-server object store.
-//! * [`Registry`] — maps component kind names to factory functions: the
-//!   static-Rust substitution for dynamic code loading (DESIGN.md).
 //!
 //! # Example
 //!
@@ -42,12 +40,10 @@
 
 pub mod bundle;
 pub mod capability;
-pub mod registry;
 pub mod thin_server;
 pub mod verify;
 
 pub use bundle::{Bundle, BundleError, Code, Manifest};
 pub use capability::Capability;
-pub use registry::Registry;
 pub use thin_server::{InstallReport, ThinServer};
 pub use verify::AuthKey;

@@ -1540,14 +1540,14 @@ mod tests {
         node.handle(SimTime::ZERO, Input::Start, &mut Outbox::new());
         let peer = NodeIndex(2);
         let v1 = snapshot_doc(&[fact("golf")], (7, 1));
-        node.store.insert(v1.clone(), SimTime::ZERO, &mut Outbox::new());
+        node.store.insert(v1.clone(), &mut Outbox::new());
         deliver(&mut node, peer, GlossMsg::PrefetchSubject("bob".into()));
         assert_eq!(bob(&node), [fact("golf")]);
 
         // A newer version lands in the store, and the next pull is
         // exactly 2^20 requests after the first.
         let v2 = snapshot_doc(&[fact("ice cream")], (7, 2));
-        node.store.insert(v1.updated(v2.content), SimTime::ZERO, &mut Outbox::new());
+        node.store.insert(v1.updated(v2.content), &mut Outbox::new());
         node.sub_seq += (1 << 20) - 1;
         deliver(&mut node, peer, GlossMsg::PrefetchSubject("bob".into()));
         assert!(node.store_concluded.is_empty(), "every conclusion was taken");
@@ -1577,6 +1577,15 @@ mod tests {
         Document::new(DistributedKnowledge::doc_name("bob"), el.to_xml().into_bytes())
     }
 
+    /// The text of a `kb/bob` snapshot of `fact` with its `source` and
+    /// `epoch` stamp removed: a snapshot no node ingests.
+    fn unversioned_text(fact: &Fact) -> String {
+        let el = DistributedKnowledge::facts_to_xml_versioned("bob", &[fact], 7, 0);
+        let text = el.to_xml().replacen(r#" source="7" epoch="0""#, "", 1);
+        assert!(!text.contains("source=") && !text.contains("epoch="), "{text}");
+        text
+    }
+
     /// A `kbdelta/bob` document holding `text`.
     fn batch_doc(text: String) -> Document {
         Document::new("kbdelta/bob", text.into_bytes())
@@ -1597,9 +1606,8 @@ mod tests {
     fn a_first_epoch_batch_replaces_a_legacy_snapshot() {
         let mut node =
             coordinator(OverlayNode::new(Key(0x100), NodeIndex(0), None, SimDuration::ZERO));
-        let legacy = DistributedKnowledge::facts_to_xml("bob", &[&fact("golf")]);
-        let legacy =
-            Document::new(DistributedKnowledge::doc_name("bob"), legacy.to_xml().into_bytes());
+        let legacy = unversioned_text(&fact("golf"));
+        let legacy = Document::new(DistributedKnowledge::doc_name("bob"), legacy.into_bytes());
         let mut out = Outbox::new();
         node.ingest_document(SimTime::ZERO, &legacy, &mut out);
         assert!(out.counts().is_empty(), "counted {:?}", out.counts());
@@ -1715,8 +1723,7 @@ mod tests {
         .into_iter()
         .map(batch_doc)
         .collect();
-        let unversioned = DistributedKnowledge::facts_to_xml("bob", &[&fact("ice cream")]);
-        malformed.push(held_doc.updated(unversioned.to_xml().into_bytes()));
+        malformed.push(held_doc.updated(unversioned_text(&fact("ice cream")).into_bytes()));
         let (held, epoch) = (bob(&node), node.kb.epoch());
         for doc in malformed {
             let text = String::from_utf8_lossy(&doc.content).into_owned();

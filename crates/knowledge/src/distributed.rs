@@ -41,28 +41,24 @@ impl DistributedKnowledge {
         format!("kb/{subject}")
     }
 
-    /// Serialises facts about one subject to the XML document form.
-    pub fn facts_to_xml(subject: &str, facts: &[&Fact]) -> Element {
-        let mut el = Element::new("facts").with_attr("subject", subject);
-        for f in facts {
-            debug_assert_eq!(&*f.subject, subject, "grouped by subject");
-            el.push(fact_element("fact", f));
-        }
-        el
-    }
-
-    /// [`facts_to_xml`](Self::facts_to_xml) with the authoritative
-    /// store's identity stamped on: receivers of this snapshot anchor at
-    /// `(source, epoch)` and can then apply delta batches on top.
+    /// Serialises facts about one subject to the XML document form, with
+    /// the authoritative store's identity stamped on: receivers of this
+    /// snapshot anchor at `(source, epoch)` and can then apply delta
+    /// batches on top.
     pub fn facts_to_xml_versioned(
         subject: &str,
         facts: &[&Fact],
         source: u64,
         epoch: u64,
     ) -> Element {
-        let mut el = Self::facts_to_xml(subject, facts);
-        el.set_attr("source", source.to_string());
-        el.set_attr("epoch", epoch.to_string());
+        let mut el = Element::new("facts")
+            .with_attr("subject", subject)
+            .with_attr("source", source.to_string())
+            .with_attr("epoch", epoch.to_string());
+        for f in facts {
+            debug_assert_eq!(&*f.subject, subject, "grouped by subject");
+            el.push(fact_element("fact", f));
+        }
         el
     }
 
@@ -89,8 +85,8 @@ impl DistributedKnowledge {
         w.end("facts");
     }
 
-    /// The `(source, epoch)` a versioned snapshot was taken at, if the
-    /// document carries one (legacy snapshots do not).
+    /// The `(source, epoch)` a snapshot was taken at, if its root carries
+    /// both (a snapshot without them is not ingested).
     pub fn snapshot_version(el: &Element) -> Option<(u64, u64)> {
         version_from(|k| el.attr(k))
     }
@@ -360,7 +356,7 @@ mod tests {
                 .valid_between(SimTime::from_secs(1), SimTime::from_secs(2)),
         ];
         let refs: Vec<&Fact> = facts.iter().collect();
-        let xml = DistributedKnowledge::facts_to_xml("bob", &refs);
+        let xml = DistributedKnowledge::facts_to_xml_versioned("bob", &refs, 1, 0);
         let back = DistributedKnowledge::facts_from_xml(&xml);
         assert_eq!(back.len(), facts.len());
         for (a, b) in facts.iter().zip(back.iter()) {

@@ -135,7 +135,11 @@ fn seeds() -> Vec<(String, Option<DeltaBatch>)> {
     let facts = every_term_type("bob");
     let refs: Vec<&Fact> = facts.iter().collect();
     seeds.push((DistributedKnowledge::facts_to_xml_versioned("bob", &refs, 7, 41).to_xml(), None));
-    seeds.push((DistributedKnowledge::facts_to_xml("bob", &refs[..3]).to_pretty_xml(), None));
+    // An unversioned snapshot: a versioned one with its stamp removed.
+    let stamped = DistributedKnowledge::facts_to_xml_versioned("bob", &refs[..3], 7, 41);
+    let unversioned = stamped.to_pretty_xml().replacen(r#" source="7" epoch="41""#, "", 1);
+    assert!(!unversioned.contains("source="), "{unversioned}");
+    seeds.push((unversioned, None));
     let hand_written = [
         // Declaration, comments, CDATA beside entities, a value split by
         // a comment, single quotes, an element to skip inside a fact.

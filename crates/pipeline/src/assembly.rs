@@ -13,8 +13,8 @@
 //! </pipeline>
 //! ```
 
-use crate::component::{Component, PipelineGraph};
-use gloss_bundle::Registry;
+use crate::component::PipelineGraph;
+use crate::registry::Registry;
 use gloss_xml::Element;
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -64,10 +64,7 @@ impl Error for AssemblyError {}
 /// # Errors
 ///
 /// Returns [`AssemblyError`] describing the first structural problem.
-pub fn assemble(
-    spec: &Element,
-    registry: &Registry<Box<dyn Component>>,
-) -> Result<PipelineGraph, AssemblyError> {
+pub fn assemble(spec: &Element, registry: &Registry) -> Result<PipelineGraph, AssemblyError> {
     let mut graph = PipelineGraph::new();
     let mut ids: BTreeMap<String, usize> = BTreeMap::new();
 
@@ -118,7 +115,7 @@ mod tests {
     use gloss_sim::SimTime;
     use gloss_xml::parse;
 
-    fn registry() -> Registry<Box<dyn Component>> {
+    fn registry() -> Registry {
         let mut r = Registry::new();
         register_standard(&mut r);
         r

@@ -13,9 +13,9 @@
 //! pipelines, and so on."
 //!
 //! * [`Component`] — the `put(event)` interface, plus the standard
-//!   component library ([`standard`]) registered into a bundle
-//!   [`Registry`](gloss_bundle::Registry) so components can be deployed
-//!   dynamically in code bundles,
+//!   component library ([`standard`]) registered into a [`Registry`] of
+//!   factories by kind name, so components can be deployed dynamically in
+//!   code bundles (the static-Rust substitution for dynamic code loading),
 //! * [`PipelineGraph`] — an intra-node bus wiring components together
 //!   (experiment **E2** pushes events through one),
 //! * [`assembly`] — building graphs from XML pipeline specifications.
@@ -46,7 +46,9 @@
 
 pub mod assembly;
 pub mod component;
+pub mod registry;
 pub mod standard;
 
 pub use assembly::{assemble, AssemblyError};
 pub use component::{Component, Emit, PipelineGraph};
+pub use registry::Registry;

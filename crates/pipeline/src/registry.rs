@@ -8,31 +8,27 @@
 //! interpreter instead.) This mirrors Cingal's own requirement that thin
 //! servers pre-install the deployment infrastructure.
 
+use crate::component::Component;
 use gloss_xml::Element;
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// A factory closure producing `T` from XML configuration.
-type Factory<T> = Box<dyn Fn(&Element) -> Result<T, String>>;
+/// A factory building a component from its XML configuration.
+type Factory = Box<dyn Fn(&Element) -> Result<Box<dyn Component>, String>>;
 
-/// A registry of factories producing `T` from XML configuration.
-pub struct Registry<T> {
-    factories: BTreeMap<String, Factory<T>>,
+/// Component factories by kind name.
+#[derive(Default)]
+pub struct Registry {
+    factories: BTreeMap<String, Factory>,
 }
 
-impl<T> fmt::Debug for Registry<T> {
+impl fmt::Debug for Registry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Registry").field("kinds", &self.kinds()).finish()
     }
 }
 
-impl<T> Default for Registry<T> {
-    fn default() -> Self {
-        Registry { factories: BTreeMap::new() }
-    }
-}
-
-impl<T> Registry<T> {
+impl Registry {
     /// Creates an empty registry.
     pub fn new() -> Self {
         Registry::default()
@@ -42,14 +38,9 @@ impl<T> Registry<T> {
     pub fn register(
         &mut self,
         kind: impl Into<String>,
-        factory: impl Fn(&Element) -> Result<T, String> + 'static,
+        factory: impl Fn(&Element) -> Result<Box<dyn Component>, String> + 'static,
     ) {
         self.factories.insert(kind.into(), Box::new(factory));
-    }
-
-    /// Whether `kind` is registered.
-    pub fn knows(&self, kind: &str) -> bool {
-        self.factories.contains_key(kind)
     }
 
     /// The registered kind names.
@@ -63,7 +54,11 @@ impl<T> Registry<T> {
     ///
     /// `Err(None)` when the kind is unknown; `Err(Some(msg))` when the
     /// factory rejected the configuration.
-    pub fn build(&self, kind: &str, config: &Element) -> Result<T, Option<String>> {
+    pub fn build(
+        &self,
+        kind: &str,
+        config: &Element,
+    ) -> Result<Box<dyn Component>, Option<String>> {
         match self.factories.get(kind) {
             None => Err(None),
             Some(f) => f(config).map_err(Some),
@@ -74,31 +69,34 @@ impl<T> Registry<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::standard::Counter;
+
+    /// The name of what `kind` builds from `config`, or the build error.
+    fn built(r: &Registry, kind: &str, config: &Element) -> Result<String, Option<String>> {
+        r.build(kind, config).map(|c| c.name().to_string())
+    }
 
     #[test]
     fn register_build_and_errors() {
-        let mut r: Registry<u32> = Registry::new();
-        r.register("double", |cfg| {
-            cfg.attr("n")
-                .and_then(|s| s.parse::<u32>().ok())
-                .map(|n| n * 2)
-                .ok_or_else(|| "need numeric n".to_string())
+        let mut r = Registry::new();
+        r.register("named", |cfg| {
+            let name = cfg.attr("name").ok_or("need a name")?;
+            Ok(Box::new(Counter::new(name)))
         });
-        assert!(r.knows("double"));
-        assert_eq!(r.kinds(), vec!["double"]);
-        let ok = r.build("double", &Element::new("cfg").with_attr("n", "21"));
-        assert_eq!(ok, Ok(42));
-        let bad_cfg = r.build("double", &Element::new("cfg"));
-        assert_eq!(bad_cfg, Err(Some("need numeric n".to_string())));
-        let unknown = r.build("triple", &Element::new("cfg"));
+        assert_eq!(r.kinds(), vec!["named"]);
+        let ok = built(&r, "named", &Element::new("cfg").with_attr("name", "c7"));
+        assert_eq!(ok, Ok("c7".to_string()));
+        let bad_cfg = built(&r, "named", &Element::new("cfg"));
+        assert_eq!(bad_cfg, Err(Some("need a name".to_string())));
+        let unknown = built(&r, "unnamed", &Element::new("cfg"));
         assert_eq!(unknown, Err(None));
     }
 
     #[test]
     fn re_registration_replaces() {
-        let mut r: Registry<u32> = Registry::new();
-        r.register("k", |_| Ok(1));
-        r.register("k", |_| Ok(2));
-        assert_eq!(r.build("k", &Element::new("c")), Ok(2));
+        let mut r = Registry::new();
+        r.register("k", |_| Ok(Box::new(Counter::new("first"))));
+        r.register("k", |_| Ok(Box::new(Counter::new("second"))));
+        assert_eq!(built(&r, "k", &Element::new("c")), Ok("second".to_string()));
     }
 }

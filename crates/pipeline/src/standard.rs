@@ -2,7 +2,7 @@
 //! can arrive in code bundles.
 
 use crate::component::{Component, Emit};
-use gloss_bundle::Registry;
+use crate::registry::Registry;
 use gloss_event::{Event, Filter};
 use gloss_sim::{GeoPoint, SimDuration, SimTime};
 use std::collections::HashMap;
@@ -219,18 +219,17 @@ impl Component for Counter {
 /// | `throttle` | `key`, `period_ms` |
 /// | `relabel` | `kind` (optional), nested `<stamp key= value=>` |
 /// | `counter` | — |
-pub fn register_standard(registry: &mut Registry<Box<dyn Component>>) {
+pub fn register_standard(registry: &mut Registry) {
     registry.register("filter.kind", |cfg| {
         let kind = cfg.attr("kind").ok_or("filter.kind needs kind attribute")?;
-        Ok(Box::new(KindFilter::new(format!("filter-{kind}"), Filter::for_kind(kind)))
-            as Box<dyn Component>)
+        Ok(Box::new(KindFilter::new(format!("filter-{kind}"), Filter::for_kind(kind))))
     });
     registry.register("filter.movement", |cfg| {
         let min_km: f64 = cfg
             .attr("min_km")
             .and_then(|s| s.parse().ok())
             .ok_or("filter.movement needs numeric min_km")?;
-        Ok(Box::new(MovementThreshold::new("movement", min_km)) as Box<dyn Component>)
+        Ok(Box::new(MovementThreshold::new("movement", min_km)))
     });
     registry.register("throttle", |cfg| {
         let key = cfg.attr("key").unwrap_or("user").to_string();
@@ -239,7 +238,7 @@ pub fn register_standard(registry: &mut Registry<Box<dyn Component>>) {
             .checked_mul(1_000)
             .map(SimDuration::from_micros)
             .ok_or("throttle period_ms is too long")?;
-        Ok(Box::new(Throttle::new("throttle", key, period)) as Box<dyn Component>)
+        Ok(Box::new(Throttle::new("throttle", key, period)))
     });
     registry.register("relabel", |cfg| {
         let mut r = Relabel::new("relabel");
@@ -251,10 +250,9 @@ pub fn register_standard(registry: &mut Registry<Box<dyn Component>>) {
                 r = r.with_stamp(k, v);
             }
         }
-        Ok(Box::new(r) as Box<dyn Component>)
+        Ok(Box::new(r))
     });
-    registry
-        .register("counter", |_cfg| Ok(Box::new(Counter::new("counter")) as Box<dyn Component>));
+    registry.register("counter", |_cfg| Ok(Box::new(Counter::new("counter"))));
 }
 
 #[cfg(test)]
@@ -342,7 +340,7 @@ mod tests {
 
     #[test]
     fn registry_builds_standard_kinds() {
-        let mut reg: Registry<Box<dyn Component>> = Registry::new();
+        let mut reg = Registry::new();
         register_standard(&mut reg);
         for (kind, cfg) in [
             ("filter.kind", r#"<cfg kind="a"/>"#),
@@ -362,7 +360,7 @@ mod tests {
     /// a panic (debug) or a wrapped period (release).
     #[test]
     fn throttle_rejects_a_period_too_long_to_represent() {
-        let mut reg: Registry<Box<dyn Component>> = Registry::new();
+        let mut reg = Registry::new();
         register_standard(&mut reg);
         let build = |period_ms: u64| {
             let cfg = parse(&format!(r#"<cfg period_ms="{period_ms}"/>"#)).unwrap();

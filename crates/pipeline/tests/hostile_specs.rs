@@ -8,15 +8,14 @@
 //! element, and a graph it builds takes a stream of events without
 //! panicking, whatever the mutated configuration says.
 
-use gloss_bundle::Registry;
 use gloss_event::Event;
 use gloss_pipeline::{
-    assemble, standard::register_standard, AssemblyError, Component, PipelineGraph,
+    assemble, standard::register_standard, AssemblyError, PipelineGraph, Registry,
 };
 use gloss_sim::{SimRng, SimTime};
 use gloss_xml::parse;
 
-fn registry() -> Registry<Box<dyn Component>> {
+fn registry() -> Registry {
     let mut r = Registry::new();
     register_standard(&mut r);
     r
@@ -119,10 +118,7 @@ fn mutate(rng: &mut SimRng, doc: &[u8]) -> Vec<u8> {
 
 /// Parses and assembles `text`; on success, pushes the stream through the
 /// graph. `None` when the text is not XML.
-fn run(
-    text: &str,
-    registry: &Registry<Box<dyn Component>>,
-) -> Option<Result<usize, AssemblyError>> {
+fn run(text: &str, registry: &Registry) -> Option<Result<usize, AssemblyError>> {
     let spec = parse(text).ok()?;
     Some(assemble(&spec, registry).map(|mut graph| {
         assert_eq!(graph.len(), spec.children_named("component").count(), "{text}");

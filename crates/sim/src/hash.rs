@@ -67,7 +67,12 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 
 /// A uniform `f64` in `[0, 1)` drawn from a splitmix64 stream.
 pub fn splitmix_unit(state: &mut u64) -> f64 {
-    (splitmix64(state) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    unit_f64(splitmix64(state))
+}
+
+/// The top 53 bits of a uniform `u64` as a uniform `f64` in `[0, 1)`.
+pub(crate) fn unit_f64(bits: u64) -> f64 {
+    (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 #[cfg(test)]

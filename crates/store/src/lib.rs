@@ -55,7 +55,6 @@ pub use erasure::{ErasureCode, ErasureError};
 pub use network::StoreNetwork;
 pub use placement::{
     plan_quota_targets, BackupPolicy, LatencyReductionPolicy, NodeCapacity, NodeSite,
-    PlacementAction, PlacementPolicy,
 };
 pub use repair::{FragmentManifest, RepairScheduler};
 pub use store_node::{LookupOutcome, LookupPath, StoreConfig, StoreMsg, StoreNode, StorePayload};

@@ -21,7 +21,7 @@
 //! lost machine room never takes every copy with it.
 
 use gloss_overlay::Key;
-use gloss_sim::{GeoPoint, NodeIndex, SimTime};
+use gloss_sim::{GeoPoint, NodeIndex};
 use std::collections::BTreeMap;
 
 /// Per-node storage quota: how many bytes a storage unit is willing to
@@ -179,44 +179,6 @@ pub fn plan_quota_targets<'a>(
     chosen
 }
 
-/// An action requested by a placement policy.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PlacementAction {
-    /// Push a replica of `guid` to `target`.
-    ReplicateTo {
-        /// The document.
-        guid: Key,
-        /// The node that should hold a copy.
-        target: NodeIndex,
-    },
-}
-
-/// A placement policy reacting to access and creation metadata.
-///
-/// Policies run at the node holding the primary copy; the storage layer
-/// executes the returned actions as replica pushes.
-pub trait PlacementPolicy: std::fmt::Debug {
-    /// Called when `reader` (at `site`) fetched `guid`.
-    fn on_access(
-        &mut self,
-        guid: Key,
-        site: &NodeSite,
-        now: SimTime,
-        directory: &[NodeSite],
-        holders: &[NodeIndex],
-    ) -> Vec<PlacementAction>;
-
-    /// Called when `guid` is first stored at a primary located at `site`.
-    fn on_create(
-        &mut self,
-        guid: Key,
-        site: &NodeSite,
-        now: SimTime,
-        directory: &[NodeSite],
-        holders: &[NodeIndex],
-    ) -> Vec<PlacementAction>;
-}
-
 /// Replicates a document toward a locality once it has been read from
 /// there `threshold` times — "replicate progressively more of a user's
 /// personal data at storage units geographically close to the user's
@@ -241,21 +203,21 @@ impl LatencyReductionPolicy {
             counts: BTreeMap::new(),
         }
     }
-}
 
-impl PlacementPolicy for LatencyReductionPolicy {
-    fn on_access(
+    /// Counts an access to `guid` by a reader at `site`; returns the node
+    /// to replicate it to when this access crosses the threshold and no
+    /// holder sits near the reader.
+    pub fn on_access(
         &mut self,
         guid: Key,
         site: &NodeSite,
-        _now: SimTime,
         directory: &[NodeSite],
         holders: &[NodeIndex],
-    ) -> Vec<PlacementAction> {
+    ) -> Option<NodeIndex> {
         let count = self.counts.entry((guid, site.region.clone())).or_insert(0);
         *count += 1;
         if *count != self.threshold {
-            return Vec::new();
+            return None;
         }
         // Already a copy geographically close to the reader?
         let close_already = directory
@@ -263,31 +225,11 @@ impl PlacementPolicy for LatencyReductionPolicy {
             .filter(|s| holders.contains(&s.node))
             .any(|s| s.geo.distance_km(site.geo) <= self.near_km);
         if close_already {
-            return Vec::new();
+            return None;
         }
         // Replicate to the node nearest the reader (often the reader's
         // own storage unit).
-        directory
-            .iter()
-            .min_by(|a, b| {
-                a.geo
-                    .distance_km(site.geo)
-                    .partial_cmp(&b.geo.distance_km(site.geo))
-                    .expect("finite distances")
-            })
-            .map(|s| vec![PlacementAction::ReplicateTo { guid, target: s.node }])
-            .unwrap_or_default()
-    }
-
-    fn on_create(
-        &mut self,
-        _guid: Key,
-        _site: &NodeSite,
-        _now: SimTime,
-        _directory: &[NodeSite],
-        _holders: &[NodeIndex],
-    ) -> Vec<PlacementAction> {
-        Vec::new()
+        nearest(directory.iter(), site).map(|s| s.node)
     }
 }
 
@@ -303,48 +245,36 @@ impl BackupPolicy {
     pub fn new(min_km: f64) -> Self {
         BackupPolicy { min_km }
     }
-}
 
-impl PlacementPolicy for BackupPolicy {
-    fn on_access(
-        &mut self,
-        _guid: Key,
-        _site: &NodeSite,
-        _now: SimTime,
-        _directory: &[NodeSite],
-        _holders: &[NodeIndex],
-    ) -> Vec<PlacementAction> {
-        Vec::new()
-    }
-
-    fn on_create(
-        &mut self,
-        guid: Key,
+    /// Where to back up a document first stored at a primary at `site`:
+    /// the nearest node at least `min_km` away, unless a holder already is.
+    pub fn on_create(
+        &self,
         site: &NodeSite,
-        _now: SimTime,
         directory: &[NodeSite],
         holders: &[NodeIndex],
-    ) -> Vec<PlacementAction> {
-        // Is any existing holder already remote enough?
-        let holder_sites: Vec<&NodeSite> =
-            directory.iter().filter(|s| holders.contains(&s.node)).collect();
-        if holder_sites.iter().any(|s| s.geo.distance_km(site.geo) >= self.min_km) {
-            return Vec::new();
+    ) -> Option<NodeIndex> {
+        let remote = |s: &&NodeSite| s.geo.distance_km(site.geo) >= self.min_km;
+        if directory.iter().filter(|s| holders.contains(&s.node)).any(|s| remote(&s)) {
+            return None;
         }
-        // Choose the closest node that satisfies the distance bound, so
-        // the backup is remote but not needlessly far.
-        directory
-            .iter()
-            .filter(|s| s.geo.distance_km(site.geo) >= self.min_km)
-            .min_by(|a, b| {
-                a.geo
-                    .distance_km(site.geo)
-                    .partial_cmp(&b.geo.distance_km(site.geo))
-                    .expect("finite distances")
-            })
-            .map(|s| vec![PlacementAction::ReplicateTo { guid, target: s.node }])
-            .unwrap_or_default()
+        // The closest node that satisfies the distance bound, so the
+        // backup is remote but not needlessly far.
+        nearest(directory.iter().filter(remote), site).map(|s| s.node)
     }
+}
+
+/// The site in `candidates` nearest `site` (the first of equals).
+fn nearest<'a>(
+    candidates: impl Iterator<Item = &'a NodeSite>,
+    site: &NodeSite,
+) -> Option<&'a NodeSite> {
+    candidates.min_by(|a, b| {
+        a.geo
+            .distance_km(site.geo)
+            .partial_cmp(&b.geo.distance_km(site.geo))
+            .expect("finite distances")
+    })
 }
 
 #[cfg(test)]
@@ -371,17 +301,15 @@ mod tests {
         let dir = directory();
         let reader = &dir[2]; // australia
         let holders = [NodeIndex(0)];
-        let now = SimTime::ZERO;
-        assert!(p.on_access(guid, reader, now, &dir, &holders).is_empty());
-        assert!(p.on_access(guid, reader, now, &dir, &holders).is_empty());
-        let actions = p.on_access(guid, reader, now, &dir, &holders);
+        assert_eq!(p.on_access(guid, reader, &dir, &holders), None);
+        assert_eq!(p.on_access(guid, reader, &dir, &holders), None);
         assert_eq!(
-            actions,
-            vec![PlacementAction::ReplicateTo { guid, target: NodeIndex(2) }],
+            p.on_access(guid, reader, &dir, &holders),
+            Some(NodeIndex(2)),
             "third access from australia triggers a replica there"
         );
         // Only fires once at the threshold crossing.
-        assert!(p.on_access(guid, reader, now, &dir, &holders).is_empty());
+        assert_eq!(p.on_access(guid, reader, &dir, &holders), None);
     }
 
     #[test]
@@ -390,14 +318,11 @@ mod tests {
         let guid = Key::hash_of_str("doc");
         let dir = directory();
         // The reader itself already holds a copy: nothing to do.
-        let holders = [NodeIndex(2)];
-        let actions = p.on_access(guid, &dir[2], SimTime::ZERO, &dir, &holders);
-        assert!(actions.is_empty());
+        assert_eq!(p.on_access(guid, &dir[2], &dir, &[NodeIndex(2)]), None);
         // A copy in the same *region* but 700 km away is not close enough.
         let mut p = LatencyReductionPolicy::new(1);
         let holders = [NodeIndex(3)]; // melbourne vs sydney reader
-        let actions = p.on_access(guid, &dir[2], SimTime::ZERO, &dir, &holders);
-        assert_eq!(actions.len(), 1);
+        assert_eq!(p.on_access(guid, &dir[2], &dir, &holders), Some(NodeIndex(2)));
     }
 
     #[test]
@@ -406,47 +331,36 @@ mod tests {
         let guid = Key::hash_of_str("doc");
         let dir = directory();
         let holders = [NodeIndex(0)];
-        assert!(p.on_access(guid, &dir[2], SimTime::ZERO, &dir, &holders).is_empty());
+        assert_eq!(p.on_access(guid, &dir[2], &dir, &holders), None);
         // One access from scotland does not advance australia's count.
-        assert!(p.on_access(guid, &dir[1], SimTime::ZERO, &dir, &holders).is_empty());
-        let actions = p.on_access(guid, &dir[2], SimTime::ZERO, &dir, &holders);
-        assert_eq!(actions.len(), 1);
+        assert_eq!(p.on_access(guid, &dir[1], &dir, &holders), None);
+        assert_eq!(p.on_access(guid, &dir[2], &dir, &holders), Some(NodeIndex(2)));
     }
 
     #[test]
     fn backup_policy_picks_remote_node_on_create() {
-        let mut p = BackupPolicy::new(5000.0);
-        let guid = Key::hash_of_str("doc");
+        let p = BackupPolicy::new(5000.0);
         let dir = directory();
         let primary = &dir[0]; // scotland
-        let actions = p.on_create(guid, primary, SimTime::ZERO, &dir, &[NodeIndex(0)]);
-        assert_eq!(actions.len(), 1);
-        match &actions[0] {
-            PlacementAction::ReplicateTo { target, .. } => {
-                assert!(
-                    *target == NodeIndex(2) || *target == NodeIndex(3),
-                    "backup must be in australia, got {target}"
-                );
-            }
-        }
+        let target = p.on_create(primary, &dir, &[NodeIndex(0)]);
+        assert!(
+            target == Some(NodeIndex(2)) || target == Some(NodeIndex(3)),
+            "backup must be in australia, got {target:?}"
+        );
     }
 
     #[test]
     fn backup_policy_satisfied_by_existing_remote_holder() {
-        let mut p = BackupPolicy::new(5000.0);
-        let guid = Key::hash_of_str("doc");
+        let p = BackupPolicy::new(5000.0);
         let dir = directory();
-        let actions =
-            p.on_create(guid, &dir[0], SimTime::ZERO, &dir, &[NodeIndex(0), NodeIndex(2)]);
-        assert!(actions.is_empty());
+        assert_eq!(p.on_create(&dir[0], &dir, &[NodeIndex(0), NodeIndex(2)]), None);
     }
 
     #[test]
     fn backup_policy_no_candidate_is_noop() {
-        let mut p = BackupPolicy::new(50_000.0); // farther than any point on earth
-        let guid = Key::hash_of_str("doc");
+        let p = BackupPolicy::new(50_000.0); // farther than any point on earth
         let dir = directory();
-        assert!(p.on_create(guid, &dir[0], SimTime::ZERO, &dir, &[NodeIndex(0)]).is_empty());
+        assert_eq!(p.on_create(&dir[0], &dir, &[NodeIndex(0)]), None);
     }
 
     #[test]

@@ -27,7 +27,6 @@ use crate::document::{Document, Priority};
 use crate::erasure::ErasureCode;
 use crate::placement::{
     plan_quota_targets, BackupPolicy, LatencyReductionPolicy, NodeCapacity, NodeSite,
-    PlacementAction, PlacementPolicy,
 };
 use crate::repair::{FragmentManifest, RepairScheduler};
 use gloss_governor::backoff::{exponential, jittered};
@@ -659,7 +658,6 @@ impl StoreNode {
         &mut self,
         req: u64,
         outcome: LookupOutcome,
-        now: SimTime,
         out: &mut Outbox<StoreMsg>,
     ) {
         let (&mguid, fr) = self
@@ -683,7 +681,7 @@ impl StoreNode {
         if fr.pending.is_empty() {
             let fr = self.repairs.remove(&mguid).expect("present");
             self.scheduler.complete(self.me, mguid);
-            self.finish_fragment_audit(fr, now, out);
+            self.finish_fragment_audit(fr, out);
         }
     }
 
@@ -691,12 +689,7 @@ impl StoreNode {
     /// the survivors and re-insert it through normal (quota-aware)
     /// placement. Systematic Reed–Solomon makes the repaired bytes
     /// byte-identical to the originals.
-    fn finish_fragment_audit(
-        &mut self,
-        fr: FragmentRepair,
-        now: SimTime,
-        out: &mut Outbox<StoreMsg>,
-    ) {
+    fn finish_fragment_audit(&mut self, fr: FragmentRepair, out: &mut Outbox<StoreMsg>) {
         if fr.missing.is_empty() {
             out.count("store.repair_audits_clean", 1.0);
             return;
@@ -733,7 +726,7 @@ impl StoreNode {
             let doc = Document::new(name, shard).with_priority(fr.priority);
             out.count("store.repair_shards", 1.0);
             out.count("store.repair_bytes", doc.size() as f64);
-            self.insert(doc, now, out);
+            self.insert(doc, out);
         }
     }
 
@@ -862,7 +855,7 @@ impl StoreNode {
         };
         let outcome = LookupOutcome { guid: p.guid, doc, latency, from_cache, hops };
         if internal {
-            self.on_internal_outcome(req_id, outcome, now, out);
+            self.on_internal_outcome(req_id, outcome, out);
         } else {
             self.concluded.push((req_id, outcome));
         }
@@ -886,20 +879,21 @@ impl StoreNode {
         self.directory.iter().find(|s| s.node == node)
     }
 
-    fn run_placement_actions(&mut self, actions: Vec<PlacementAction>, out: &mut Outbox<StoreMsg>) {
-        for action in actions {
-            match action {
-                PlacementAction::ReplicateTo { guid, target } => {
-                    if let Some(doc) = self.store.get(&guid).cloned() {
-                        self.policy_holders.entry(guid).or_default().insert(target);
-                        out.count("store.policy_replicas", 1.0);
-                        if target == self.me {
-                            continue;
-                        }
-                        out.send(target, StoreMsg::ReplicaPut { doc });
-                    }
-                }
-            }
+    /// Pushes a replica of `guid` to the node a placement policy chose,
+    /// recording it as a holder (nothing is sent when that is this node).
+    fn place_policy_replica(
+        &mut self,
+        guid: Key,
+        target: Option<NodeIndex>,
+        out: &mut Outbox<StoreMsg>,
+    ) {
+        let (Some(target), Some(doc)) = (target, self.store.get(&guid)) else {
+            return;
+        };
+        self.policy_holders.entry(guid).or_default().insert(target);
+        out.count("store.policy_replicas", 1.0);
+        if target != self.me {
+            out.send(target, StoreMsg::ReplicaPut { doc: doc.clone() });
         }
     }
 
@@ -1082,7 +1076,7 @@ impl StoreNode {
                         out.send(n, StoreMsg::CachePush { doc: copy.0.clone() });
                     }
                 }
-                self.reply(*reply_to, *req_id, *guid, Some(copy), *hops, now, out);
+                self.reply(*reply_to, *req_id, *guid, Some(copy), *hops, out);
                 return;
             }
             path.push(self.me);
@@ -1095,13 +1089,13 @@ impl StoreNode {
 
         if let Some(d) = delivered {
             match d.payload {
-                StorePayload::Insert { doc } => self.root_insert(doc, now, out),
+                StorePayload::Insert { doc } => self.root_insert(doc, out),
                 // Delivered at the responsible node: it answers with
                 // whatever it holds, and when that is nothing the
                 // document does not exist.
                 StorePayload::Lookup { guid, reply_to, req_id, .. } => {
                     let copy = self.local_copy(guid, 0);
-                    self.reply(reply_to, req_id, guid, copy, d.hops, now, out);
+                    self.reply(reply_to, req_id, guid, copy, d.hops, out);
                 }
             }
         }
@@ -1111,7 +1105,6 @@ impl StoreNode {
     /// the `copy` it holds (and whether that came from its cache), a read
     /// the latency-reduction policy gets to see — or, with none, that
     /// the document is not found.
-    #[allow(clippy::too_many_arguments)]
     fn reply(
         &mut self,
         reply_to: NodeIndex,
@@ -1119,7 +1112,6 @@ impl StoreNode {
         guid: Key,
         copy: Option<(Document, bool)>,
         hops: u32,
-        now: SimTime,
         out: &mut Outbox<StoreMsg>,
     ) {
         let Some((doc, from_cache)) = copy else {
@@ -1127,28 +1119,22 @@ impl StoreNode {
             return;
         };
         out.send(reply_to, StoreMsg::FetchReply { req_id, doc, from_cache, hops });
-        if self.latency_policy.is_none() {
+        let Some(policy) = &mut self.latency_policy else {
             return;
-        }
-        let Some(reader_site) = self.site_of(reply_to).cloned() else {
+        };
+        let Some(reader_site) = self.directory.iter().find(|s| s.node == reply_to) else {
             return;
         };
         let mut holders: Vec<NodeIndex> =
             self.policy_holders.get(&guid).map(|s| s.iter().copied().collect()).unwrap_or_default();
         holders.push(self.me);
-        let actions = self.latency_policy.as_mut().expect("checked above").on_access(
-            guid,
-            &reader_site,
-            now,
-            &self.directory,
-            &holders,
-        );
-        self.run_placement_actions(actions, out);
+        let target = policy.on_access(guid, reader_site, &self.directory, &holders);
+        self.place_policy_replica(guid, target, out);
     }
 
     /// Takes a document this node is the root of: places its replicas,
     /// keeps the primary copy and runs the creation-time backup policy.
-    fn root_insert(&mut self, doc: Document, now: SimTime, out: &mut Outbox<StoreMsg>) {
+    fn root_insert(&mut self, doc: Document, out: &mut Outbox<StoreMsg>) {
         let guid = doc.guid;
         out.count("store.inserts_rooted", 1.0);
         let want = self.target_replicas(doc.priority).saturating_sub(1);
@@ -1161,26 +1147,23 @@ impl StoreNode {
         self.make_room((doc.size() as u64).saturating_sub(old), Priority::High, out);
         self.put_local(doc);
         // Backup policy: remote replica as soon as created.
-        if self.backup_policy.is_some() {
-            if let Some(site) = self.site_of(self.me).cloned() {
-                let mut holders: Vec<NodeIndex> = self.replica_targets(guid).collect();
-                holders.push(self.me);
-                let policy = self.backup_policy.as_mut().expect("checked above");
-                let actions = policy.on_create(guid, &site, now, &self.directory, &holders);
-                self.run_placement_actions(actions, out);
-            }
+        if let (Some(policy), Some(site)) = (&self.backup_policy, self.site_of(self.me)) {
+            let mut holders: Vec<NodeIndex> = self.replica_targets(guid).collect();
+            holders.push(self.me);
+            let target = policy.on_create(site, &self.directory, &holders);
+            self.place_policy_replica(guid, target, out);
         }
     }
 
     /// Originates an insert from this node (used by the harness).
-    pub fn insert(&mut self, doc: Document, now: SimTime, out: &mut Outbox<StoreMsg>) {
+    pub fn insert(&mut self, doc: Document, out: &mut Outbox<StoreMsg>) {
         let guid = doc.guid;
         let delivered = out.nested(&mut self.overlay_sends, None, StoreMsg::Overlay, |oout| {
             self.overlay.route(guid, StorePayload::Insert { doc }, oout)
         });
         // We are the root ourselves.
         if let Some(Delivery { payload: StorePayload::Insert { doc }, .. }) = delivered {
-            self.root_insert(doc, now, out);
+            self.root_insert(doc, out);
         }
     }
 
@@ -1265,7 +1248,7 @@ mod tests {
         let mut s = store_node(0x100, 0, StoreConfig::default());
         let d = doc("menu");
         let mut out = Outbox::new();
-        s.insert(d.clone(), SimTime::ZERO, &mut out);
+        s.insert(d.clone(), &mut out);
         assert!(s.holds(d.guid));
         let mut out = Outbox::new();
         s.lookup(d.guid, 1, SimTime::ZERO, &mut out);
@@ -1289,7 +1272,7 @@ mod tests {
         let mut s = StoreNode::new(n(0), overlay, cfg, directory);
         let d = doc("deed");
         let mut out = Outbox::new();
-        s.insert(d.clone(), SimTime::ZERO, &mut out);
+        s.insert(d.clone(), &mut out);
         assert!(s.holds(d.guid));
         let count = |name: &str| out.counts().iter().filter(|(k, _)| k == name).count();
         assert_eq!(count("store.inserts_rooted"), 1);
@@ -1319,7 +1302,7 @@ mod tests {
         s.overlay.learn(KeyedNode::new(Key(0x120), n(2)));
         let d = doc("replicated");
         let mut out = Outbox::new();
-        s.insert(d.clone(), SimTime::ZERO, &mut out);
+        s.insert(d.clone(), &mut out);
         let puts: Vec<NodeIndex> = out
             .sends()
             .iter()
@@ -1516,7 +1499,7 @@ mod tests {
         s.overlay.learn(KeyedNode::new(Key(0x110), n(1)));
         let d = doc("healme");
         let mut out = Outbox::new();
-        s.insert(d.clone(), SimTime::ZERO, &mut out);
+        s.insert(d.clone(), &mut out);
         // Heal timer: audit goes to the replica target.
         let mut out = Outbox::new();
         s.on_timer(SimTime::from_secs(30), timers::HEAL, &mut out);
@@ -1673,7 +1656,7 @@ mod tests {
         s.overlay.learn(KeyedNode::new(Key(0x110), n(1)));
         let d = doc("purge-me");
         let mut out = Outbox::new();
-        s.insert(d.clone(), SimTime::ZERO, &mut out);
+        s.insert(d.clone(), &mut out);
         s.handle(
             SimTime::ZERO,
             n(1),
@@ -1702,7 +1685,7 @@ mod tests {
         s.overlay.learn(KeyedNode::new(Key(d.guid.0 ^ 0x10), n(1)));
         s.overlay.learn(KeyedNode::new(Key(d.guid.0 ^ 0x20), n(2)));
         let mut out = Outbox::new();
-        s.insert(d.clone(), SimTime::ZERO, &mut out);
+        s.insert(d.clone(), &mut out);
         // Only n1 acknowledged; n2's put was lost. Target 3, have 2.
         s.handle(
             SimTime::ZERO,
@@ -1738,7 +1721,7 @@ mod tests {
             .collect();
         let mut out = Outbox::new();
         for d in &docs {
-            s.insert(d.clone(), SimTime::ZERO, &mut out);
+            s.insert(d.clone(), &mut out);
         }
         let repair_puts = |s: &mut StoreNode, at_s: u64| -> Vec<Key> {
             let mut out = Outbox::new();
@@ -1883,13 +1866,13 @@ mod tests {
         let shards = code.encode(&content);
         let manifest = FragmentManifest { base: "obj".into(), m: 3, n: 5, len: content.len() };
         let mut out = Outbox::new();
-        s.insert(manifest.to_doc(Priority::Normal), SimTime::ZERO, &mut out);
+        s.insert(manifest.to_doc(Priority::Normal), &mut out);
         for (i, bytes) in shards.iter().enumerate() {
             if i == 2 {
                 continue; // lost shard
             }
             let d = Document::new(FragmentManifest::shard_name("obj", i), bytes.clone());
-            s.insert(d, SimTime::ZERO, &mut out);
+            s.insert(d, &mut out);
         }
         let missing_guid = Key::hash_of_str(&FragmentManifest::shard_name("obj", 2));
         assert!(!s.holds(missing_guid));
@@ -1921,10 +1904,10 @@ mod tests {
             );
             let manifest = FragmentManifest { base: "obj".into(), m: 3, n: 5, len };
             let mut out = Outbox::new();
-            s.insert(manifest.to_doc(Priority::Normal), SimTime::ZERO, &mut out);
+            s.insert(manifest.to_doc(Priority::Normal), &mut out);
             for (i, bytes) in shards.iter().enumerate().skip(1) {
                 let d = Document::new(FragmentManifest::shard_name("obj", i), bytes.clone());
-                s.insert(d, SimTime::ZERO, &mut out);
+                s.insert(d, &mut out);
             }
             let mut out = Outbox::new();
             s.on_timer(SimTime::from_secs(10), timers::REPAIR, &mut out);

@@ -42,10 +42,10 @@ fn bundle_deploys_rules_that_match_events() {
     assert_eq!(out[0].kind(), "speeding");
 }
 
-/// XML spec → registry → pipeline → filtered events (xml/bundle/pipeline).
+/// XML spec → registry → pipeline → filtered events (xml/pipeline).
 #[test]
 fn xml_assembled_pipeline_filters_event_stream() {
-    let mut registry = gloss::bundle::Registry::new();
+    let mut registry = gloss::pipeline::Registry::new();
     register_standard(&mut registry);
     let spec = parse(
         r#"<pipeline>
@@ -80,7 +80,7 @@ fn matchlets_consume_store_backed_facts() {
     net.settle();
     let facts = [Fact::new("anna", "vip", Term::Bool(true))];
     let refs: Vec<&Fact> = facts.iter().collect();
-    let xml = DistributedKnowledge::facts_to_xml("anna", &refs).to_xml();
+    let xml = DistributedKnowledge::facts_to_xml_versioned("anna", &refs, 1, 0).to_xml();
     let doc = Document::new(DistributedKnowledge::doc_name("anna"), xml.into_bytes());
     let guid = doc.guid;
     net.insert(NodeIndex(0), doc);
