@@ -6,9 +6,9 @@ use crate::Args;
 use gloss_core::{ActiveArchitecture, ArchConfig};
 use gloss_event::{Event, Filter, FilterIndex, Op, Subscription};
 use gloss_knowledge::{DeltaBatch, Fact, FactDelta, FactSource, Term};
-use gloss_overlay::{GovernorConfig, Key, OverlayNetwork};
+use gloss_overlay::{ByzBehavior, GovernorConfig, Key, OverlayNetwork};
 use gloss_sim::testkit::Chatter;
-use gloss_sim::{ByzBehavior, FnvHasher, NodeIndex, SimDuration, SimRng, SimTime, Topology, World};
+use gloss_sim::{FnvHasher, NodeIndex, SimDuration, SimRng, SimTime, Topology, World};
 use gloss_store::{Document, Priority, StoreConfig, StoreNetwork};
 use std::hash::Hasher;
 

@@ -1171,7 +1171,7 @@ pub fn c14_partition_heal() -> String {
 /// honest-node false evictions (must be zero), and the delivery rate for
 /// routes whose true destination is honest once the quarantine settles.
 pub fn c15_byzantine() -> String {
-    use gloss_sim::ByzBehavior;
+    use gloss_overlay::ByzBehavior;
     let mut rows = Vec::new();
     for byz_count in [2usize, 4, 6] {
         let n = 48usize;

@@ -47,12 +47,10 @@ const REGIONS: [&str; 4] = ["scotland", "england", "europe", "australia"];
 #[derive(Debug)]
 pub struct ActiveArchitecture {
     world: World<GlossNode>,
-    kb_versions: std::collections::BTreeMap<String, u64>,
     /// Authoritative per-subject fact stores feeding delta propagation:
     /// mutate via [`knowledge_mut`](Self::knowledge_mut), ship via
     /// [`update_knowledge`](Self::update_knowledge).
     authority: KnowledgeAuthority,
-    kb_delta_versions: std::collections::BTreeMap<String, u64>,
     /// The text of the last knowledge document shipped, kept so the next
     /// one is written into its capacity; each document copies out only
     /// its own bytes.
@@ -106,13 +104,7 @@ impl ActiveArchitecture {
             ));
         }
         let world = World::new(topology, cfg.seed, nodes);
-        ActiveArchitecture {
-            world,
-            kb_versions: Default::default(),
-            authority: KnowledgeAuthority::new(),
-            kb_delta_versions: Default::default(),
-            ship_buf: String::new(),
-        }
+        ActiveArchitecture { world, authority: KnowledgeAuthority::new(), ship_buf: String::new() }
     }
 
     /// Runs long enough for overlay joins, broker subscriptions, and
@@ -229,6 +221,10 @@ impl ActiveArchitecture {
 
     /// Writes `shipment` for `subject` into the kept `ship_buf`, with no
     /// document tree built, and inserts it into the store from `via`.
+    /// A document's version is the authority epoch it brings its reader
+    /// to: a snapshot's `epoch`, a batch's `to`. A shipment that changes
+    /// what a reader holds reaches a later epoch than the one before, so
+    /// replicas and caches converge on the newest.
     fn ship_knowledge(&mut self, via: NodeIndex, subject: &str, shipment: Shipment) {
         let out = &mut self.ship_buf;
         out.clear();
@@ -237,16 +233,14 @@ impl ActiveArchitecture {
                 DistributedKnowledge::write_versioned(out, subject, &facts, source, epoch);
                 let mut doc =
                     Document::new(DistributedKnowledge::doc_name(subject), out.as_bytes());
-                // Re-seeding a subject writes a newer version, so
-                // replicas and caches converge on the update.
-                doc.version = next_version(&mut self.kb_versions, subject);
+                doc.version = epoch;
                 doc
             }
             Shipment::Delta(batch) => {
                 batch.write_xml(out);
                 let mut doc = Document::new(batch.doc_name(), out.as_bytes());
                 doc.guid = KnowledgeDoc::Deltas.guid(subject);
-                doc.version = next_version(&mut self.kb_delta_versions, subject);
+                doc.version = batch.to;
                 doc
             }
         };
@@ -342,21 +336,6 @@ impl ActiveArchitecture {
     }
 }
 
-/// Bumps and returns `subject`'s document version (1 on first use),
-/// allocating its key only then.
-fn next_version(versions: &mut std::collections::BTreeMap<String, u64>, subject: &str) -> u64 {
-    match versions.get_mut(subject) {
-        Some(version) => {
-            *version += 1;
-            *version
-        }
-        None => {
-            versions.insert(subject.to_string(), 1);
-            1
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -393,6 +372,39 @@ mod tests {
         let batch = gloss_knowledge::DeltaBatch::from_xml(&shipped).unwrap();
         assert_eq!((batch.source, batch.from, batch.to), (source, epoch, epoch + 2));
         assert_eq!(batch.to_xml().to_xml(), a.ship_buf);
+    }
+
+    /// A knowledge document's version is the authority epoch it brings
+    /// its reader to: re-seeding a subject ships a strictly newer `kb`
+    /// version, and a `kbdelta` document's version is its batch's `to`.
+    #[test]
+    fn shipped_versions_are_the_epochs_they_bring_readers_to() {
+        let mut a = arch(4, 19);
+        let facts = [Fact::new("bob", "likes", Term::str("golf"))];
+        let pull = |a: &mut ActiveArchitecture, deltas: bool| {
+            a.run_for(SimDuration::from_secs(30));
+            if deltas {
+                a.prefetch_deltas(NodeIndex(3), "bob");
+            } else {
+                a.prefetch_subject(NodeIndex(3), "bob");
+            }
+            a.run_for(SimDuration::from_secs(30));
+            a.node(NodeIndex(3)).ingested_versions("bob")
+        };
+        a.seed_knowledge(NodeIndex(1), "bob", &facts);
+        let (first, _) = pull(&mut a, false);
+        assert_eq!(first, Some(a.knowledge_mut("bob").epoch()));
+        // The same facts again: a newer version, which the reader ingests.
+        a.seed_knowledge(NodeIndex(1), "bob", &facts);
+        let (second, _) = pull(&mut a, false);
+        assert!(second > first, "{second:?} after {first:?}");
+        assert_eq!(second, Some(a.knowledge_mut("bob").epoch()));
+
+        a.knowledge_mut("bob").add(Fact::new("bob", "at", Term::str("home")));
+        a.update_knowledge(NodeIndex(1), "bob");
+        let batch = gloss_knowledge::DeltaBatch::from_xml(&gloss_xml::parse(&a.ship_buf).unwrap());
+        let (_, delta) = pull(&mut a, true);
+        assert_eq!(delta, Some(batch.unwrap().to));
     }
 
     /// Prefetch messages carry the authority store's own copy of a

@@ -16,7 +16,7 @@
 use crate::service::ServiceSpec;
 use gloss_bundle::{AuthKey, Bundle, Capability, ThinServer};
 use gloss_deploy::monitor::DEADLINE;
-use gloss_deploy::{coordinator_sweep, EvolutionEngine, MonitorEngine, NodeResources};
+use gloss_deploy::{coordinator_sweep, Deploy, EvolutionEngine, MonitorEngine, NodeResources};
 use gloss_event::{Broker, BrokerMsg, Event, EventId, Filter, Subscription};
 use gloss_knowledge::{
     reconcile, BatchReader, DeltaAction, FactDelta, InMemoryFacts, SnapshotReader,
@@ -355,6 +355,13 @@ impl GlossNode {
         self.coordinator_state.is_some()
     }
 
+    /// The versions of the last `kb` and the newest `kbdelta` document
+    /// about `subject` ingested here.
+    #[cfg(test)]
+    pub(crate) fn ingested_versions(&self, subject: &str) -> (Option<u64>, Option<u64>) {
+        self.replicas.get(subject).map_or((None, None), |r| (r.snapshot_doc, r.delta_doc))
+    }
+
     /// Whether facts about `subject` have been ingested locally (from a
     /// snapshot, or built up from a first-epoch delta batch).
     #[cfg(test)]
@@ -460,12 +467,20 @@ impl GlossNode {
             out.count("gloss.ui_delivered", 1.0);
             self.ui_received.push(event.clone());
         }
-        // Coordinator engines consume resource events from the bus.
+        // Coordinator engines consume resource events from the bus, each
+        // decoded once.
         if event.kind().starts_with("resource.") {
             if let Some(cs) = self.coordinator_state.as_mut() {
-                cs.monitor.on_event(now, &event);
-                let actions = cs.evolution.on_event(now, &event);
-                self.dispatch_actions(actions, out);
+                let deploys = if let Some(r) = NodeResources::from_event(&event) {
+                    cs.monitor.heard(now, r.node);
+                    cs.evolution.advertised(now, r)
+                } else if let Some(node) = NodeResources::departed_node(&event) {
+                    cs.monitor.withdrew(node);
+                    cs.evolution.departed(now, node)
+                } else {
+                    return;
+                };
+                self.dispatch_deploys(deploys, out);
             }
             return;
         }
@@ -596,15 +611,10 @@ impl GlossNode {
         }
     }
 
-    fn dispatch_actions(
-        &mut self,
-        actions: Vec<(String, gloss_deploy::Action)>,
-        out: &mut Outbox<GlossMsg>,
-    ) {
+    fn dispatch_deploys(&mut self, deploys: Vec<(String, Deploy)>, out: &mut Outbox<GlossMsg>) {
         let site = self.resources.geo;
         let cs = self.coordinator_state.as_mut().expect("only coordinator dispatches");
-        for (instance, action) in &actions {
-            let gloss_deploy::Action::Deploy { kind, node } = action;
+        for (instance, Deploy { kind, node }) in &deploys {
             let (bundle, role) = match kind.strip_prefix("matchlet:") {
                 Some(service_name) => {
                     let Some(spec) = cs.services.get(service_name) else {
@@ -612,10 +622,10 @@ impl GlossNode {
                     };
                     // While the service has no primary, the best-ranked
                     // instance of this deployment ships as its primary.
-                    let best = actions
+                    let best = deploys
                         .iter()
-                        .filter(|(_, gloss_deploy::Action::Deploy { kind: k, .. })| k == kind)
-                        .map(|(_, gloss_deploy::Action::Deploy { node, .. })| cs.rank(site, *node))
+                        .filter(|(_, d)| d.kind == *kind)
+                        .map(|(_, d)| cs.rank(site, d.node))
                         .min();
                     let role =
                         if cs.primaries.contains_key(kind) || best != Some(cs.rank(site, *node)) {
@@ -979,7 +989,7 @@ impl GlossNode {
                         self.take_over(node, SimTime::from_micros(since), out);
                     }
                     self.retire_due(now, out);
-                    self.dispatch_actions(sweep.actions, out);
+                    self.dispatch_deploys(sweep.deploys, out);
                 }
                 out.timer(SWEEP_EVERY, timers::SWEEP);
             }
@@ -1114,7 +1124,7 @@ impl GlossNode {
             GlossMsg::Installed { instance } => {
                 if let Some(cs) = self.coordinator_state.as_mut() {
                     cs.evolution.confirm_deploy(now, &instance);
-                    if cs.evolution.violations().is_empty() {
+                    if cs.evolution.violated() == 0 {
                         if let Some(&(v_at, r_at)) = cs.evolution.repair_episodes.last() {
                             out.observe("gloss.repair_ms", r_at.since(v_at).as_secs_f64() * 1e3);
                         }

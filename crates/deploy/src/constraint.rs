@@ -77,14 +77,6 @@ pub enum Constraint {
         /// The minimum instance count.
         min: usize,
     },
-    /// Instances of `component` must span at least `regions` distinct
-    /// regions (resilience to regional failure).
-    Spread {
-        /// The component kind.
-        component: String,
-        /// Minimum number of distinct regions.
-        regions: usize,
-    },
     /// No node may host more than `max` component instances (capacity).
     Capacity {
         /// The per-node ceiling.
@@ -102,12 +94,13 @@ impl Constraint {
         }
     }
 
-    /// Checks the constraint; `None` when satisfied.
-    pub fn violation(
+    /// How far the constraint is from holding: the placements missing
+    /// (or, for capacity, in excess on the fullest node); 0 when it holds.
+    pub fn deficit(
         &self,
         deployment: &Deployment,
         resources: &BTreeMap<NodeIndex, NodeResources>,
-    ) -> Option<Violation> {
+    ) -> usize {
         match self {
             Constraint::Count { component, region, min } => {
                 let have = deployment
@@ -118,35 +111,11 @@ impl Constraint {
                             .is_some_and(|r| region.as_deref().is_none_or(|want| r.region == want))
                     })
                     .count();
-                (have < *min).then(|| Violation {
-                    constraint: self.clone(),
-                    detail: format!(
-                        "{have}/{min} instances of {component}{}",
-                        region.as_deref().map(|r| format!(" in {r}")).unwrap_or_default()
-                    ),
-                    deficit: min - have,
-                })
-            }
-            Constraint::Spread { component, regions } => {
-                let mut seen = std::collections::BTreeSet::new();
-                for (_, node) in deployment.instances_of(component) {
-                    if let Some(r) = resources.get(&node) {
-                        seen.insert(r.region.clone());
-                    }
-                }
-                (seen.len() < *regions).then(|| Violation {
-                    constraint: self.clone(),
-                    detail: format!("{component} spans {}/{} regions", seen.len(), regions),
-                    deficit: regions - seen.len(),
-                })
+                min.saturating_sub(have)
             }
             Constraint::Capacity { max } => {
                 let worst = resources.keys().map(|n| deployment.count_on(*n)).max().unwrap_or(0);
-                (worst > *max).then(|| Violation {
-                    constraint: self.clone(),
-                    detail: format!("a node hosts {worst} > {max} components"),
-                    deficit: worst - max,
-                })
+                worst.saturating_sub(*max)
             }
         }
     }
@@ -159,28 +128,8 @@ impl fmt::Display for Constraint {
                 Some(r) => write!(f, "count({component}) >= {min} in {r}"),
                 None => write!(f, "count({component}) >= {min}"),
             },
-            Constraint::Spread { component, regions } => {
-                write!(f, "spread({component}) >= {regions} regions")
-            }
             Constraint::Capacity { max } => write!(f, "per-node load <= {max}"),
         }
-    }
-}
-
-/// A detected constraint violation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Violation {
-    /// The violated constraint.
-    pub constraint: Constraint,
-    /// Human-readable description.
-    pub detail: String,
-    /// How many placements are missing (or excess, for capacity).
-    pub deficit: usize,
-}
-
-impl fmt::Display for Violation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "violated: {} ({})", self.constraint, self.detail)
     }
 }
 
@@ -212,15 +161,14 @@ mod tests {
         let res = resources();
         let mut d = Deployment::new();
         d.place("i1", "repl", NodeIndex(0));
-        let v = c.violation(&d, &res).unwrap();
-        assert_eq!(v.deficit, 1);
+        assert_eq!(c.deficit(&d, &res), 1);
         d.place("i2", "repl", NodeIndex(1));
-        assert!(c.violation(&d, &res).is_none());
+        assert_eq!(c.deficit(&d, &res), 0);
         // An instance in England does not count toward Scotland.
         let mut d2 = Deployment::new();
         d2.place("i1", "repl", NodeIndex(0));
         d2.place("i2", "repl", NodeIndex(2));
-        assert!(c.violation(&d2, &res).is_some());
+        assert_eq!(c.deficit(&d2, &res), 1);
     }
 
     #[test]
@@ -229,22 +177,10 @@ mod tests {
         let mut res = resources();
         let mut d = Deployment::new();
         d.place("i1", "repl", NodeIndex(0));
-        assert!(c.violation(&d, &res).is_none());
+        assert_eq!(c.deficit(&d, &res), 0);
         // Node 0 disappears from the resource view.
         res.remove(&NodeIndex(0));
-        assert!(c.violation(&d, &res).is_some());
-    }
-
-    #[test]
-    fn spread_constraint() {
-        let c = Constraint::Spread { component: "match".into(), regions: 2 };
-        let res = resources();
-        let mut d = Deployment::new();
-        d.place("i1", "match", NodeIndex(0));
-        d.place("i2", "match", NodeIndex(1));
-        assert!(c.violation(&d, &res).is_some(), "both in scotland");
-        d.place("i3", "match", NodeIndex(3));
-        assert!(c.violation(&d, &res).is_none());
+        assert_eq!(c.deficit(&d, &res), 1);
     }
 
     #[test]
@@ -253,10 +189,9 @@ mod tests {
         let res = resources();
         let mut d = Deployment::new();
         d.place("i1", "a", NodeIndex(0));
-        assert!(c.violation(&d, &res).is_none());
+        assert_eq!(c.deficit(&d, &res), 0);
         d.place("i2", "b", NodeIndex(0));
-        let v = c.violation(&d, &res).unwrap();
-        assert_eq!(v.deficit, 1);
+        assert_eq!(c.deficit(&d, &res), 1);
     }
 
     #[test]

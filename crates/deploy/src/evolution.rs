@@ -1,28 +1,25 @@
 //! The evolution engine: constraint-driven deployment repair.
 
-use crate::constraint::{Constraint, Deployment, Violation};
+use crate::constraint::{Constraint, Deployment};
 use crate::monitor::MonitorEngine;
-use crate::resource::{kinds, NodeResources};
+use crate::resource::NodeResources;
 use crate::solver::plan_repairs;
-use gloss_event::Event;
 use gloss_sim::{NodeIndex, SimTime};
 use std::collections::BTreeMap;
 
-/// An action the evolution engine wants executed.
+/// A deploy the evolution engine wants executed: a component of `kind`
+/// onto `node` (ship a code bundle).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Action {
-    /// Deploy a component of `kind` onto `node` (ship a code bundle).
-    Deploy {
-        /// The component kind.
-        kind: String,
-        /// The target node.
-        node: NodeIndex,
-    },
+pub struct Deploy {
+    /// The component kind.
+    pub kind: String,
+    /// The target node.
+    pub node: NodeIndex,
 }
 
 /// The evolution engine: holds the constraint set, the resource view
-/// (from advertisement events), and the believed deployment; emits repair
-/// actions when constraints are violated.
+/// (from advertisements), and the believed deployment; plans repair
+/// deploys when constraints are violated.
 #[derive(Debug, Clone)]
 pub struct EvolutionEngine {
     constraints: Vec<Constraint>,
@@ -73,12 +70,9 @@ impl EvolutionEngine {
         &self.resources
     }
 
-    /// Current violations.
-    pub fn violations(&self) -> Vec<Violation> {
-        self.constraints
-            .iter()
-            .filter_map(|c| c.violation(&self.deployment, &self.resources))
-            .collect()
+    /// How many constraints are currently violated.
+    pub fn violated(&self) -> usize {
+        self.constraints.iter().filter(|c| c.deficit(&self.deployment, &self.resources) > 0).count()
     }
 
     /// Fraction of constraints currently satisfied (1.0 = all).
@@ -86,36 +80,30 @@ impl EvolutionEngine {
         if self.constraints.is_empty() {
             return 1.0;
         }
-        let violated = self.violations().len();
-        1.0 - violated as f64 / self.constraints.len() as f64
+        1.0 - self.violated() as f64 / self.constraints.len() as f64
     }
 
-    /// Feeds a resource event (advertise / withdraw / failed); returns
-    /// repair actions to execute.
-    pub fn on_event(&mut self, now: SimTime, ev: &Event) -> Vec<(String, Action)> {
-        if let Some(r) = NodeResources::from_event(ev) {
-            self.resources.insert(r.node, r);
-        } else if let Some(node) = NodeResources::departed_node(ev) {
-            self.resources.remove(&node);
-            self.deployment.remove_node(node);
-            self.pending.retain(|_, (_, n)| *n != node);
-        } else {
-            return Vec::new();
-        }
+    /// A node advertised its resources; returns the repairs to execute.
+    pub fn advertised(&mut self, now: SimTime, resources: NodeResources) -> Vec<(String, Deploy)> {
+        self.resources.insert(resources.node, resources);
+        self.reconcile(now)
+    }
+
+    /// A node withdrew or was declared failed: its instances and pending
+    /// deploys are dropped. Returns the repairs to execute.
+    pub fn departed(&mut self, now: SimTime, node: NodeIndex) -> Vec<(String, Deploy)> {
+        self.resources.remove(&node);
+        self.deployment.remove_node(node);
+        self.pending.retain(|_, (_, n)| *n != node);
         self.reconcile(now)
     }
 
     /// Periodic reconciliation (also catches lost install confirmations).
-    pub fn reconcile(&mut self, now: SimTime) -> Vec<(String, Action)> {
-        // Measure episodes: satisfied -> violated -> satisfied.
-        let violated = !self.violations().is_empty();
-        match (self.violated_since, violated) {
-            (None, true) => self.violated_since = Some(now),
-            (Some(_since), false) => {
-                // Repair completes when confirmations arrive (see
-                // `confirm_deploy`), handled there.
-            }
-            _ => {}
+    pub fn reconcile(&mut self, now: SimTime) -> Vec<(String, Deploy)> {
+        // Measure episodes: satisfied -> violated -> satisfied. The
+        // episode ends when confirmations arrive (`confirm_deploy`).
+        if self.violated_since.is_none() && self.violated() > 0 {
+            self.violated_since = Some(now);
         }
         // Plan against deployment ∪ pending so we do not double-deploy
         // while installs are in flight.
@@ -123,14 +111,13 @@ impl EvolutionEngine {
         for (instance, (kind, node)) in &self.pending {
             projected.place(instance.clone(), kind.clone(), *node);
         }
-        let actions = plan_repairs(&self.constraints, &projected, &self.resources);
+        let deploys = plan_repairs(&self.constraints, &projected, &self.resources);
         let mut out = Vec::new();
-        for action in actions {
-            let Action::Deploy { kind, node } = &action;
+        for deploy in deploys {
             self.next_instance += 1;
-            let instance = format!("{kind}@{}#{}", node, self.next_instance);
-            self.pending.insert(instance.clone(), (kind.clone(), *node));
-            out.push((instance, action));
+            let instance = format!("{}@{}#{}", deploy.kind, deploy.node, self.next_instance);
+            self.pending.insert(instance.clone(), (deploy.kind.clone(), deploy.node));
+            out.push((instance, deploy));
         }
         out
     }
@@ -140,7 +127,7 @@ impl EvolutionEngine {
         if let Some((kind, node)) = self.pending.remove(instance) {
             self.deployment.place(instance, kind, node);
         }
-        if self.violations().is_empty() {
+        if self.violated() == 0 {
             if let Some(since) = self.violated_since.take() {
                 self.repair_episodes.push((since, now));
             }
@@ -153,7 +140,7 @@ impl EvolutionEngine {
 pub struct Sweep {
     /// Repairs to dispatch: for the nodes declared failed, then whatever
     /// periodic reconciliation adds.
-    pub actions: Vec<(String, Action)>,
+    pub deploys: Vec<(String, Deploy)>,
     /// Nodes that entered a suspicion episode this sweep.
     pub suspected: u64,
     /// Nodes declared failed this sweep, each with the instant its last
@@ -170,21 +157,13 @@ pub fn coordinator_sweep(
     evolution: &mut EvolutionEngine,
     now: SimTime,
 ) -> Sweep {
-    let mut sweep = Sweep::default();
-    for ev in monitor.sweep(now) {
-        if ev.kind() == kinds::SUSPECTED {
-            sweep.suspected += 1;
-        } else {
-            if let (Some(node), Some(heard)) =
-                (NodeResources::departed_node(&ev), NodeResources::last_heard(&ev))
-            {
-                sweep.failed.push((node, heard));
-            }
-            sweep.actions.extend(evolution.on_event(now, &ev));
-        }
+    let (suspected, failed) = monitor.sweep(now);
+    let mut deploys = Vec::new();
+    for &(node, _) in &failed {
+        deploys.extend(evolution.departed(now, node));
     }
-    sweep.actions.extend(evolution.reconcile(now));
-    sweep
+    deploys.extend(evolution.reconcile(now));
+    Sweep { deploys, suspected: suspected.len() as u64, failed }
 }
 
 #[cfg(test)]
@@ -192,7 +171,7 @@ mod tests {
     use super::*;
     use gloss_sim::GeoPoint;
 
-    fn advert(node: u32, region: &str) -> Event {
+    fn advert(node: u32, region: &str) -> NodeResources {
         NodeResources {
             node: NodeIndex(node),
             region: region.into(),
@@ -200,7 +179,6 @@ mod tests {
             cpu: 1.0,
             storage: 0,
         }
-        .to_event()
     }
 
     fn t(s: u64) -> SimTime {
@@ -210,9 +188,9 @@ mod tests {
     #[test]
     fn deploys_when_resources_arrive() {
         let mut e = EvolutionEngine::new(vec![Constraint::count("repl", None, 2)]);
-        let first = e.on_event(t(0), &advert(0, "scotland"));
+        let first = e.advertised(t(0), advert(0, "scotland"));
         assert!(first.len() <= 2);
-        let actions = e.on_event(t(1), &advert(1, "scotland"));
+        let actions = e.advertised(t(1), advert(1, "scotland"));
         // By now two nodes exist; across both events two deploys total.
         let total = first.len() + actions.len();
         assert_eq!(total, 2, "two instances requested, got {first:?} then {actions:?}");
@@ -222,7 +200,7 @@ mod tests {
     #[test]
     fn confirmation_completes_the_repair_episode() {
         let mut e = EvolutionEngine::new(vec![Constraint::count("repl", None, 1)]);
-        let actions = e.on_event(t(5), &advert(0, "scotland"));
+        let actions = e.advertised(t(5), advert(0, "scotland"));
         assert_eq!(actions.len(), 1);
         let (instance, _) = &actions[0];
         e.confirm_deploy(t(8), instance);
@@ -236,7 +214,7 @@ mod tests {
     #[test]
     fn no_double_deploy_while_pending() {
         let mut e = EvolutionEngine::new(vec![Constraint::count("repl", None, 1)]);
-        let first = e.on_event(t(0), &advert(0, "scotland"));
+        let first = e.advertised(t(0), advert(0, "scotland"));
         assert_eq!(first.len(), 1);
         // Reconcile again before confirmation: nothing new planned.
         let second = e.reconcile(t(1));
@@ -249,11 +227,11 @@ mod tests {
     #[test]
     fn abandon_allows_replanning() {
         let mut e = EvolutionEngine::new(vec![Constraint::count("repl", None, 1)]);
-        let first = e.on_event(t(0), &advert(0, "scotland"));
+        let first = e.advertised(t(0), advert(0, "scotland"));
         assert_eq!(first.len(), 1);
-        assert!(e.on_event(t(2), &advert(1, "scotland")).is_empty());
-        let retry = e.on_event(t(3), &NodeResources::failed_event(NodeIndex(0), t(2)));
-        assert!(matches!(retry[..], [(_, Action::Deploy { node: NodeIndex(1), .. })]), "{retry:?}");
+        assert!(e.advertised(t(2), advert(1, "scotland")).is_empty());
+        let retry = e.departed(t(3), NodeIndex(0));
+        assert!(matches!(retry[..], [(_, Deploy { node: NodeIndex(1), .. })]), "{retry:?}");
         e.confirm_deploy(t(4), &first[0].0);
         assert_eq!(e.deployment.instances_of("repl").count(), 0);
     }
@@ -261,8 +239,8 @@ mod tests {
     #[test]
     fn node_failure_triggers_replacement() {
         let mut e = EvolutionEngine::new(vec![Constraint::count("repl", None, 1)]);
-        let mut actions = e.on_event(t(0), &advert(0, "scotland"));
-        actions.extend(e.on_event(t(0), &advert(1, "scotland")));
+        let mut actions = e.advertised(t(0), advert(0, "scotland"));
+        actions.extend(e.advertised(t(0), advert(1, "scotland")));
         actions.extend(e.reconcile(t(1)));
         let confirmed: Vec<String> = actions.iter().map(|(i, _)| i.clone()).collect();
         for i in &confirmed {
@@ -271,9 +249,9 @@ mod tests {
         assert_eq!(e.satisfaction(), 1.0);
         // The hosting node dies.
         let hosting: NodeIndex = e.deployment.instances_of("repl").next().unwrap().1;
-        let repairs = e.on_event(t(10), &NodeResources::failed_event(hosting, t(0)));
+        let repairs = e.departed(t(10), hosting);
         assert_eq!(repairs.len(), 1, "replacement planned immediately");
-        let (instance, Action::Deploy { node, .. }) = &repairs[0];
+        let (instance, Deploy { node, .. }) = &repairs[0];
         assert_ne!(*node, hosting, "replacement goes to a surviving node");
         e.confirm_deploy(t(12), instance);
         assert_eq!(e.satisfaction(), 1.0);
@@ -289,7 +267,7 @@ mod tests {
     #[test]
     fn runtime_constraint_addition() {
         let mut e = EvolutionEngine::new(vec![]);
-        e.on_event(t(0), &advert(0, "scotland"));
+        e.advertised(t(0), advert(0, "scotland"));
         assert!(e.reconcile(t(1)).is_empty());
         e.add_constraint(Constraint::count("cache", None, 1));
         assert_eq!(e.reconcile(t(2)).len(), 1);

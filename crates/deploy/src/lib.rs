@@ -17,22 +17,28 @@
 //!   connectivity, geographic location etc. via publish events"),
 //! * [`Constraint`] — active-pipes-style placement constraints,
 //! * [`solver`] — greedy repair planning for violated constraints,
-//! * [`MonitorEngine`] — heartbeat tracking; silent failures are detected
-//!   and published "on their behalf",
-//! * [`EvolutionEngine`] — consumes resource events, detects violations,
-//!   plans repairs, and tracks the deployment as installs are confirmed,
-//! * [`coordinator_sweep`] — one periodic pass of both engines.
+//! * [`MonitorEngine`] — heartbeat tracking; silent nodes are suspected,
+//!   then declared failed,
+//! * [`EvolutionEngine`] — takes advertisements and departures, detects
+//!   violations, plans repairs, and tracks the deployment as installs are
+//!   confirmed,
+//! * [`coordinator_sweep`] — one periodic pass of both engines: the
+//!   evolution engine re-plans around the monitor's verdicts directly, so
+//!   no failure is published on a silent node's behalf.
 //!
 //! The engines carry no transport. `gloss_core`'s `GlossNode` runs them on
-//! its coordinator: resource advertisements arrive over pub/sub, and each
-//! [`Action::Deploy`] ships a code bundle to a worker's thin server, whose
-//! install confirmation comes back to [`EvolutionEngine::confirm_deploy`].
-//! Experiments **E3** and **C4** measure that path.
+//! its coordinator: resource advertisements and withdrawals arrive over
+//! pub/sub and are decoded once into [`MonitorEngine::heard`] /
+//! [`EvolutionEngine::advertised`] (or [`MonitorEngine::withdrew`] /
+//! [`EvolutionEngine::departed`]), and each [`Deploy`] ships a code bundle
+//! to a worker's thin server, whose install confirmation comes back to
+//! [`EvolutionEngine::confirm_deploy`]. Experiments **E3** and **C4**
+//! measure that path.
 //!
 //! # Example
 //!
 //! ```
-//! use gloss_deploy::{Action, Constraint, EvolutionEngine, NodeResources};
+//! use gloss_deploy::{Constraint, Deploy, EvolutionEngine, NodeResources};
 //! use gloss_sim::{GeoPoint, NodeIndex, SimTime};
 //!
 //! let mut engine = EvolutionEngine::new(vec![Constraint::count("replicator", None, 1)]);
@@ -44,8 +50,8 @@
 //!     storage: 1 << 20,
 //! };
 //! // The worker's advertisement plans a deploy onto it.
-//! let actions = engine.on_event(SimTime::ZERO, &worker.to_event());
-//! let [(instance, Action::Deploy { node, .. })] = actions.as_slice() else { panic!() };
+//! let deploys = engine.advertised(SimTime::ZERO, worker);
+//! let [(instance, Deploy { node, .. })] = deploys.as_slice() else { panic!() };
 //! assert_eq!(*node, NodeIndex(3));
 //! assert!(engine.satisfaction() < 1.0, "planned, not yet installed");
 //! engine.confirm_deploy(SimTime::from_secs(1), instance);
@@ -58,7 +64,7 @@ pub mod monitor;
 pub mod resource;
 pub mod solver;
 
-pub use constraint::{Constraint, Deployment, Violation};
-pub use evolution::{coordinator_sweep, Action, EvolutionEngine, Sweep};
+pub use constraint::{Constraint, Deployment};
+pub use evolution::{coordinator_sweep, Deploy, EvolutionEngine, Sweep};
 pub use monitor::MonitorEngine;
 pub use resource::NodeResources;

@@ -6,16 +6,15 @@
 //! other monitoring components, which will publish events on their
 //! behalf." (§4.4)
 //!
-//! Detection is graduated rather than binary: a node silent for half the
-//! deadline is *suspected* first (`resource.suspected`, published once per
-//! episode), and only declared failed (`resource.failed`) when the full
-//! deadline passes. A heartbeat arriving during the suspicion window
-//! refutes it (counted in `refutations`), so the deployment plane can
-//! distinguish slow links from dead nodes instead of thrashing
-//! redeployments.
+//! Here the monitor runs on the coordinator beside the evolution engine,
+//! which acts on its verdicts directly: nothing is published on a silent
+//! node's behalf. Detection is graduated rather than binary: a node
+//! silent for half the deadline is *suspected* first (reported once per
+//! episode), and only declared failed when the full deadline passes. A
+//! heartbeat arriving during the suspicion window refutes it (counted in
+//! `refutations`), so the deployment plane can distinguish slow links
+//! from dead nodes instead of thrashing redeployments.
 
-use crate::resource::NodeResources;
-use gloss_event::Event;
 use gloss_sim::{NodeIndex, SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -56,122 +55,110 @@ impl MonitorEngine {
         self.suspected.contains(&node)
     }
 
-    /// Feeds an observed event (advertisement refreshes liveness and
-    /// ends a suspicion episode; withdrawal removes the node immediately).
-    pub fn on_event(&mut self, now: SimTime, ev: &Event) {
-        if let Some(r) = NodeResources::from_event(ev) {
-            self.last_seen.insert(r.node, now);
-            if self.suspected.remove(&r.node) {
-                self.refutations += 1;
-            }
-        } else if ev.kind() == crate::resource::kinds::WITHDRAW {
-            if let Some(node) = NodeResources::departed_node(ev) {
-                self.last_seen.remove(&node);
-                self.suspected.remove(&node);
-            }
+    /// A heartbeat (advertisement) from `node`: refreshes its liveness
+    /// and ends its suspicion episode.
+    pub fn heard(&mut self, now: SimTime, node: NodeIndex) {
+        self.last_seen.insert(node, now);
+        if self.suspected.remove(&node) {
+            self.refutations += 1;
         }
     }
 
-    /// Periodic sweep: returns `resource.suspected` events for nodes that
-    /// crossed the suspicion window this sweep, and `resource.failed`
-    /// events for nodes whose silence exhausted the deadline (published
-    /// "on their behalf").
-    pub fn sweep(&mut self, now: SimTime) -> Vec<Event> {
-        let mut events = Vec::new();
-        let mut dead: Vec<(NodeIndex, SimTime)> = Vec::new();
+    /// A graceful withdrawal: `node` is forgotten at once, with no
+    /// failure counted.
+    pub fn withdrew(&mut self, node: NodeIndex) {
+        self.last_seen.remove(&node);
+        self.suspected.remove(&node);
+    }
+
+    /// Periodic sweep: the nodes that crossed the suspicion window this
+    /// sweep, and the nodes whose silence exhausted the deadline, each
+    /// with the instant its last heartbeat was heard. Each is reported
+    /// once per episode.
+    pub fn sweep(&mut self, now: SimTime) -> (Vec<NodeIndex>, Vec<(NodeIndex, SimTime)>) {
+        let mut suspected = Vec::new();
+        let mut failed = Vec::new();
         for (&node, &t) in &self.last_seen {
             let silence = now.since(t);
             if silence > DEADLINE {
-                dead.push((node, t));
+                failed.push((node, t));
             } else if silence > SUSPECT_AFTER && self.suspected.insert(node) {
                 self.suspicions += 1;
-                events.push(NodeResources::suspected_event(node));
+                suspected.push(node);
             }
         }
-        for (node, last_heard) in dead {
-            self.last_seen.remove(&node);
-            self.suspected.remove(&node);
+        for &(node, _) in &failed {
+            self.withdrew(node);
             self.failures_detected += 1;
-            events.push(NodeResources::failed_event(node, last_heard));
         }
-        events
+        (suspected, failed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resource::kinds;
-    use gloss_sim::GeoPoint;
 
-    fn advert(node: u32) -> Event {
-        NodeResources {
-            node: NodeIndex(node),
-            region: "scotland".into(),
-            geo: GeoPoint::new(56.3, -3.0),
-            cpu: 1.0,
-            storage: 0,
-        }
-        .to_event()
+    const N1: NodeIndex = NodeIndex(1);
+    const N2: NodeIndex = NodeIndex(2);
+
+    fn t(s: u64) -> SimTime {
+        SimTime::from_secs(s)
     }
 
     #[test]
     fn heartbeats_keep_nodes_alive() {
         let mut m = MonitorEngine::default();
-        m.on_event(SimTime::from_secs(0), &advert(1));
-        m.on_event(SimTime::from_secs(20), &advert(1));
+        m.heard(t(0), N1);
+        m.heard(t(20), N1);
         // 20 s of silence at t=40: suspected (> 15 s) but not failed.
-        let evs = m.sweep(SimTime::from_secs(40));
-        assert!(evs.iter().all(|e| e.kind() != kinds::FAILED), "refreshed at t=20");
-        assert!(m.is_alive(NodeIndex(1)));
+        let (suspected, failed) = m.sweep(t(40));
+        assert_eq!(suspected, [N1]);
+        assert!(failed.is_empty(), "refreshed at t=20");
+        assert!(m.is_alive(N1));
     }
 
     #[test]
     fn silent_nodes_are_declared_failed() {
         let mut m = MonitorEngine::default();
-        m.on_event(SimTime::from_secs(0), &advert(1));
-        m.on_event(SimTime::from_secs(0), &advert(2));
-        m.on_event(SimTime::from_secs(50), &advert(2));
-        let evs = m.sweep(SimTime::from_secs(60));
-        let failed: Vec<&Event> = evs.iter().filter(|e| e.kind() == kinds::FAILED).collect();
-        assert_eq!(failed.len(), 1);
-        assert_eq!(NodeResources::departed_node(failed[0]), Some(NodeIndex(1)));
-        assert_eq!(NodeResources::last_heard(failed[0]), Some(SimTime::from_secs(0)));
+        m.heard(t(0), N1);
+        m.heard(t(0), N2);
+        m.heard(t(50), N2);
+        let (_, failed) = m.sweep(t(60));
+        // Reported with the instant its last heartbeat was heard.
+        assert_eq!(failed, [(N1, t(0))]);
         assert_eq!(m.failures_detected, 1);
-        assert!(!m.is_alive(NodeIndex(1)));
-        assert!(m.is_alive(NodeIndex(2)));
-        // A failure is reported once.
-        let again = m.sweep(SimTime::from_secs(90));
-        assert!(again.iter().filter(|e| e.kind() == kinds::FAILED).count() <= 1);
+        assert!(!m.is_alive(N1));
+        assert!(m.is_alive(N2));
+        // A failure is reported once: node 2 fails later, node 1 not again.
+        let (_, again) = m.sweep(t(90));
+        assert_eq!(again, [(N2, t(50))]);
+        assert_eq!(m.failures_detected, 2);
     }
 
     #[test]
     fn graceful_withdrawal_needs_no_detection() {
         let mut m = MonitorEngine::default();
-        m.on_event(SimTime::from_secs(0), &advert(1));
-        m.on_event(SimTime::from_secs(5), &NodeResources::withdraw_event(NodeIndex(1)));
-        assert!(!m.is_alive(NodeIndex(1)));
-        assert!(m.sweep(SimTime::from_secs(100)).is_empty());
+        m.heard(t(0), N1);
+        m.withdrew(N1);
+        assert!(!m.is_alive(N1));
+        assert_eq!(m.sweep(t(100)), (vec![], vec![]));
         assert_eq!(m.failures_detected, 0, "withdrawals are not failures");
     }
 
     #[test]
     fn suspicion_precedes_failure_and_is_published_once() {
         let mut m = MonitorEngine::default();
-        m.on_event(SimTime::from_secs(0), &advert(1));
+        m.heard(t(0), N1);
         // Past the suspicion window, before the deadline.
-        let evs = m.sweep(SimTime::from_secs(20));
-        assert_eq!(evs.len(), 1);
-        assert_eq!(evs[0].kind(), kinds::SUSPECTED);
-        assert!(m.is_suspected(NodeIndex(1)));
-        assert!(m.is_alive(NodeIndex(1)), "suspected is not dead");
-        // Re-sweeping inside the window does not repeat the event.
-        assert!(m.sweep(SimTime::from_secs(25)).is_empty());
+        assert_eq!(m.sweep(t(20)), (vec![N1], vec![]));
+        assert!(m.is_suspected(N1));
+        assert!(m.is_alive(N1), "suspected is not dead");
+        // Re-sweeping inside the window does not report it again.
+        assert_eq!(m.sweep(t(25)), (vec![], vec![]));
         // Past the deadline: failed, episode over.
-        let evs = m.sweep(SimTime::from_secs(31));
-        assert_eq!(evs.len(), 1);
-        assert_eq!(evs[0].kind(), kinds::FAILED);
-        assert!(!m.is_suspected(NodeIndex(1)));
+        assert_eq!(m.sweep(t(31)), (vec![], vec![(N1, t(0))]));
+        assert!(!m.is_suspected(N1));
         assert_eq!(m.suspicions, 1);
         assert_eq!(m.failures_detected, 1);
     }
@@ -179,14 +166,14 @@ mod tests {
     #[test]
     fn late_heartbeat_refutes_suspicion() {
         let mut m = MonitorEngine::default();
-        m.on_event(SimTime::from_secs(0), &advert(1));
-        m.sweep(SimTime::from_secs(20));
-        assert!(m.is_suspected(NodeIndex(1)));
-        m.on_event(SimTime::from_secs(25), &advert(1));
-        assert!(!m.is_suspected(NodeIndex(1)));
+        m.heard(t(0), N1);
+        m.sweep(t(20));
+        assert!(m.is_suspected(N1));
+        m.heard(t(25), N1);
+        assert!(!m.is_suspected(N1));
         assert_eq!(m.refutations, 1);
         // And the node survives the original deadline.
-        assert!(m.sweep(SimTime::from_secs(31)).iter().all(|e| e.kind() != kinds::FAILED));
+        assert_eq!(m.sweep(t(31)), (vec![], vec![]));
         assert_eq!(m.failures_detected, 0);
     }
 }

@@ -1,7 +1,7 @@
 //! Resource advertisements: what a node offers, carried as events.
 
 use gloss_event::Event;
-use gloss_sim::{GeoPoint, NodeIndex, SimTime};
+use gloss_sim::{GeoPoint, NodeIndex};
 
 /// One node's advertised resources.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,11 +24,6 @@ pub mod kinds {
     pub const ADVERTISE: &str = "resource.advertise";
     /// Graceful imminent-withdrawal warning.
     pub const WITHDRAW: &str = "resource.withdraw";
-    /// Published by the monitoring engine on behalf of a silent node.
-    pub const FAILED: &str = "resource.failed";
-    /// Monitor-published: a node is half a deadline silent (graduated
-    /// pre-failure warning).
-    pub const SUSPECTED: &str = "resource.suspected";
 }
 
 impl NodeResources {
@@ -63,31 +58,9 @@ impl NodeResources {
         Event::new(kinds::WITHDRAW).with_attr("node", node.0 as i64)
     }
 
-    /// A failure event for a silent node (monitor-published), naming the
-    /// instant its last heartbeat was heard.
-    pub fn failed_event(node: NodeIndex, last_heard: SimTime) -> Event {
-        Event::new(kinds::FAILED)
-            .with_attr("node", node.0 as i64)
-            .with_attr("last_heard", last_heard.as_micros() as i64)
-    }
-
-    /// The instant a failed node's last heartbeat was heard, from its
-    /// failure event.
-    pub fn last_heard(ev: &Event) -> Option<SimTime> {
-        if ev.kind() != kinds::FAILED {
-            return None;
-        }
-        Some(SimTime::from_micros(ev.num_attr("last_heard")? as u64))
-    }
-
-    /// A suspicion event for a half-deadline-silent node.
-    pub fn suspected_event(node: NodeIndex) -> Event {
-        Event::new(kinds::SUSPECTED).with_attr("node", node.0 as i64)
-    }
-
-    /// Extracts the node from a withdraw/failed event.
+    /// Extracts the node from a withdrawal event.
     pub fn departed_node(ev: &Event) -> Option<NodeIndex> {
-        if ev.kind() != kinds::WITHDRAW && ev.kind() != kinds::FAILED {
+        if ev.kind() != kinds::WITHDRAW {
             return None;
         }
         Some(NodeIndex(ev.num_attr("node")? as u32))
@@ -125,11 +98,8 @@ mod tests {
     #[test]
     fn departure_events() {
         let w = NodeResources::withdraw_event(NodeIndex(7));
-        let f = NodeResources::failed_event(NodeIndex(8), SimTime::from_secs(3));
         assert_eq!(NodeResources::departed_node(&w), Some(NodeIndex(7)));
-        assert_eq!(NodeResources::departed_node(&f), Some(NodeIndex(8)));
-        assert_eq!(NodeResources::last_heard(&f), Some(SimTime::from_secs(3)));
-        assert_eq!(NodeResources::last_heard(&w), None);
+        assert_eq!(NodeResources::departed_node(&sample().to_event()), None);
         assert_eq!(NodeResources::departed_node(&Event::new("x")), None);
     }
 }

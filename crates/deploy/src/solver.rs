@@ -1,23 +1,22 @@
 //! Greedy placement planning: choose nodes to repair violated constraints.
 
 use crate::constraint::{Constraint, Deployment};
-use crate::evolution::Action;
+use crate::evolution::Deploy;
 use crate::resource::NodeResources;
 use gloss_sim::NodeIndex;
 use std::collections::BTreeMap;
 
-/// Plans deploy actions that would repair the current violations.
+/// Plans the deploys that would repair the current violations.
 ///
 /// Strategy (greedy, load-balancing): for each violated `Count`
-/// constraint, pick the least-loaded eligible nodes in the target region;
-/// for each violated `Spread`, pick one node in each uncovered region.
+/// constraint, pick the least-loaded eligible nodes in the target region.
 /// `Capacity` constraints restrict candidate nodes rather than generating
-/// actions of their own.
+/// deploys of their own.
 pub fn plan_repairs(
     constraints: &[Constraint],
     deployment: &Deployment,
     resources: &BTreeMap<NodeIndex, NodeResources>,
-) -> Vec<Action> {
+) -> Vec<Deploy> {
     let per_node_cap = constraints
         .iter()
         .filter_map(|c| match c {
@@ -25,69 +24,38 @@ pub fn plan_repairs(
             _ => None,
         })
         .min();
-    let mut actions: Vec<Action> = Vec::new();
-    // Track load as if planned actions were already applied.
+    let mut deploys = Vec::new();
+    // Track load as if planned deploys were already applied.
     let mut load: BTreeMap<NodeIndex, usize> =
         resources.keys().map(|n| (*n, deployment.count_on(*n))).collect();
-
-    let eligible = |load: &BTreeMap<NodeIndex, usize>, region: Option<&str>| -> Vec<NodeIndex> {
-        let mut nodes: Vec<NodeIndex> = resources
-            .values()
-            .filter(|r| region.is_none_or(|want| r.region == want))
-            .map(|r| r.node)
-            .filter(|n| per_node_cap.is_none_or(|cap| load.get(n).copied().unwrap_or(0) < cap))
-            .collect();
-        nodes.sort_by_key(|n| (load.get(n).copied().unwrap_or(0), n.0));
-        nodes
-    };
-
     for c in constraints {
-        match c {
-            Constraint::Count { component, region, .. } => {
-                let Some(v) = c.violation(deployment, resources) else {
-                    continue;
-                };
-                // Avoid double-placing the same kind on one node when
-                // alternatives exist.
-                let holding: Vec<NodeIndex> =
-                    deployment.instances_of(component).map(|(_, n)| n).collect();
-                let candidates = eligible(&load, region.as_deref());
-                let fresh: Vec<NodeIndex> =
-                    candidates.iter().copied().filter(|n| !holding.contains(n)).collect();
-                let pool = if fresh.len() >= v.deficit { fresh } else { candidates };
-                for node in pool.into_iter().take(v.deficit) {
-                    *load.entry(node).or_insert(0) += 1;
-                    actions.push(Action::Deploy { kind: component.clone(), node });
-                }
-            }
-            Constraint::Spread { component, .. } => {
-                let Some(v) = c.violation(deployment, resources) else {
-                    continue;
-                };
-                let covered: std::collections::BTreeSet<String> = deployment
-                    .instances_of(component)
-                    .filter_map(|(_, n)| resources.get(&n).map(|r| r.region.clone()))
-                    .collect();
-                let mut picked = 0;
-                let mut regions_seen = covered.clone();
-                for node in eligible(&load, None) {
-                    if picked >= v.deficit {
-                        break;
-                    }
-                    let region = &resources[&node].region;
-                    if regions_seen.contains(region) {
-                        continue;
-                    }
-                    regions_seen.insert(region.clone());
-                    *load.entry(node).or_insert(0) += 1;
-                    actions.push(Action::Deploy { kind: component.clone(), node });
-                    picked += 1;
-                }
-            }
-            Constraint::Capacity { .. } => {}
+        let Constraint::Count { component, region, .. } = c else {
+            continue;
+        };
+        let deficit = c.deficit(deployment, resources);
+        if deficit == 0 {
+            continue;
+        }
+        // The least-loaded eligible nodes first.
+        let mut candidates: Vec<NodeIndex> = resources
+            .values()
+            .filter(|r| region.as_deref().is_none_or(|want| r.region == want))
+            .map(|r| r.node)
+            .filter(|n| per_node_cap.is_none_or(|cap| load[n] < cap))
+            .collect();
+        candidates.sort_by_key(|n| (load[n], n.0));
+        // Avoid double-placing the same kind on one node when
+        // alternatives exist.
+        let holding: Vec<NodeIndex> = deployment.instances_of(component).map(|(_, n)| n).collect();
+        let fresh: Vec<NodeIndex> =
+            candidates.iter().copied().filter(|n| !holding.contains(n)).collect();
+        let pool = if fresh.len() >= deficit { fresh } else { candidates };
+        for node in pool.into_iter().take(deficit) {
+            *load.entry(node).or_insert(0) += 1;
+            deploys.push(Deploy { kind: component.clone(), node });
         }
     }
-    actions
+    deploys
 }
 
 #[cfg(test)]
@@ -121,8 +89,7 @@ mod tests {
         d.place("x", "other", NodeIndex(0)); // pre-existing load on node 0
         let actions = plan_repairs(&constraints, &d, &res);
         assert_eq!(actions.len(), 2);
-        let nodes: Vec<NodeIndex> =
-            actions.iter().map(|Action::Deploy { node, .. }| *node).collect();
+        let nodes: Vec<NodeIndex> = actions.iter().map(|d| d.node).collect();
         assert!(nodes.contains(&NodeIndex(1)), "least loaded first");
         assert!(nodes.contains(&NodeIndex(2)));
     }
@@ -141,7 +108,7 @@ mod tests {
         let res = resources(&[(0, "england"), (1, "scotland")]);
         let constraints = vec![Constraint::count("repl", Some("scotland"), 1)];
         let actions = plan_repairs(&constraints, &Deployment::new(), &res);
-        assert_eq!(actions, vec![Action::Deploy { kind: "repl".into(), node: NodeIndex(1) }]);
+        assert_eq!(actions, vec![Deploy { kind: "repl".into(), node: NodeIndex(1) }]);
     }
 
     #[test]
@@ -153,17 +120,7 @@ mod tests {
         let actions = plan_repairs(&constraints, &d, &res);
         // Node 0 is full; only node 1 can take one instance.
         assert_eq!(actions.len(), 1);
-        assert_eq!(actions[0], Action::Deploy { kind: "repl".into(), node: NodeIndex(1) });
-    }
-
-    #[test]
-    fn spread_targets_uncovered_regions() {
-        let res = resources(&[(0, "scotland"), (1, "scotland"), (2, "australia")]);
-        let constraints = vec![Constraint::Spread { component: "m".into(), regions: 2 }];
-        let mut d = Deployment::new();
-        d.place("i1", "m", NodeIndex(0));
-        let actions = plan_repairs(&constraints, &d, &res);
-        assert_eq!(actions, vec![Action::Deploy { kind: "m".into(), node: NodeIndex(2) }]);
+        assert_eq!(actions[0], Deploy { kind: "repl".into(), node: NodeIndex(1) });
     }
 
     #[test]
@@ -173,7 +130,7 @@ mod tests {
         let mut d = Deployment::new();
         d.place("i1", "repl", NodeIndex(0));
         let actions = plan_repairs(&constraints, &d, &res);
-        assert_eq!(actions, vec![Action::Deploy { kind: "repl".into(), node: NodeIndex(1) }]);
+        assert_eq!(actions, vec![Deploy { kind: "repl".into(), node: NodeIndex(1) }]);
     }
 
     #[test]

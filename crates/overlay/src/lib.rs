@@ -40,6 +40,6 @@ pub use freenet::{FreenetNetwork, FreenetNode};
 // `gloss_governor` directly.
 pub use gloss_governor::{CircuitState, GovernorConfig, SuspicionTracker};
 pub use id::{Key, KeyedNode, DIGITS};
-pub use network::{OverlayNetwork, RouteOutcome};
-pub use node::{fault_class, ring_settle, Delivery, OverlayMsg, OverlayNode, JOIN_STAGGER};
+pub use network::{ByzBehavior, OverlayNetwork, RouteOutcome};
+pub use node::{ring_settle, Delivery, OverlayMsg, OverlayNode, JOIN_STAGGER};
 pub use table::{LeafSet, RoutingTable};

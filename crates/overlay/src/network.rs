@@ -3,17 +3,24 @@
 //! (partitions, byzantine peers — experiments C14/C15).
 
 use crate::id::{Key, KeyedNode};
-use crate::node::{fault_class, ring_settle, Delivery, OverlayMsg, OverlayNode};
+use crate::node::{ring_settle, Delivery, OverlayMsg, OverlayNode};
 use gloss_governor::GovernorConfig;
-use gloss_sim::{
-    ByzBehavior, ByzantineActor, Input, Node, NodeIndex, Outbox, SimDuration, SimRng, SimTime,
-    Topology, World,
-};
+use gloss_sim::{Input, Node, NodeIndex, Outbox, SimDuration, SimRng, SimTime, Topology, World};
 use std::collections::BTreeMap;
 
-/// The world node: an overlay node plus its delivered payloads and an
-/// optional byzantine behaviour wrapper (the adversary lives here in the
-/// harness, not in the protocol).
+/// A world node's misbehaviour in adversarial scenarios. The adversary
+/// lives here in the harness, so the protocol code itself stays honest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ByzBehavior {
+    /// No misbehaviour.
+    Honest,
+    /// Takes part in the probe and join machinery, so it always looks
+    /// alive, but silently drops every routed payload it receives.
+    AckThenDrop,
+}
+
+/// The world node: an overlay node plus its delivered payloads and its
+/// behaviour.
 #[derive(Debug)]
 pub struct OverlayWorldNode {
     /// The protocol state machine.
@@ -21,7 +28,7 @@ pub struct OverlayWorldNode {
     /// Payloads delivered here, by request id.
     pub delivered: Vec<Delivery<u64>>,
     /// Misbehaviour policy (honest by default).
-    pub byz: ByzantineActor,
+    pub byz: ByzBehavior,
 }
 
 impl OverlayWorldNode {
@@ -32,7 +39,7 @@ impl OverlayWorldNode {
         msg: OverlayMsg<u64>,
         out: &mut Outbox<OverlayMsg<u64>>,
     ) {
-        if !self.byz.is_honest() && self.byz.should_drop_input(from, fault_class(&msg)) {
+        if self.byz == ByzBehavior::AckThenDrop && matches!(msg, OverlayMsg::Route { .. }) {
             out.count("overlay.byz_dropped", 1.0);
             return;
         }
@@ -113,7 +120,7 @@ impl OverlayNetwork {
                 .map(|overlay| OverlayWorldNode {
                     overlay,
                     delivered: Vec::new(),
-                    byz: ByzantineActor::default(),
+                    byz: ByzBehavior::Honest,
                 })
                 .collect();
         let world = World::new(topology, seed, nodes);
@@ -122,7 +129,7 @@ impl OverlayNetwork {
 
     /// Assigns a byzantine behaviour to one node (honest by default).
     pub fn set_byzantine(&mut self, node: NodeIndex, behavior: ByzBehavior) {
-        self.world.node_mut(node).byz = ByzantineActor::new(behavior);
+        self.world.node_mut(node).byz = behavior;
     }
 
     /// Runs the simulation long enough for all joins to complete.
@@ -254,6 +261,38 @@ mod tests {
         let mut net = OverlayNetwork::build(n, seed);
         net.settle();
         net
+    }
+
+    /// An ack-then-drop node answers a probe as an honest one does, but
+    /// drops a routed payload, counted in `overlay.byz_dropped`, where an
+    /// honest node takes it.
+    #[test]
+    fn an_ack_then_drop_node_answers_probes_but_drops_routes() {
+        let mut net = settled(8, 5);
+        let (a, b) = (NodeIndex(1), NodeIndex(2));
+        net.set_byzantine(b, ByzBehavior::AckThenDrop);
+        let now = net.world.now();
+        let node = net.world.node_mut(b);
+        let mut out = Outbox::new();
+        node.handle(now, Input::Msg { from: a, msg: OverlayMsg::Probe }, &mut out);
+        assert!(out
+            .sends()
+            .iter()
+            .any(|(to, m)| *to == a && matches!(m, OverlayMsg::ProbeAck { .. })));
+        assert!(out.counts().iter().all(|(name, _)| name != "overlay.byz_dropped"));
+
+        // A payload addressed to the node's own key.
+        let route =
+            OverlayMsg::Route { target: node.overlay.id().key, payload: 7, origin: a, hops: 1 };
+        let mut out = Outbox::new();
+        node.handle(now, Input::Msg { from: a, msg: route.clone() }, &mut out);
+        assert!(out.sends().is_empty());
+        assert_eq!(out.counts(), [("overlay.byz_dropped".into(), 1.0)]);
+        assert!(node.delivered.is_empty());
+
+        node.byz = ByzBehavior::Honest;
+        node.handle(now, Input::Msg { from: a, msg: route }, &mut Outbox::new());
+        assert_eq!(node.delivered.len(), 1, "an honest node delivers it");
     }
 
     #[test]

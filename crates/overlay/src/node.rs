@@ -7,7 +7,7 @@ use crate::table::{LeafSet, RoutingTable};
 use gloss_governor::{
     Admission, AdmissionGovernor, ProbeDecision, SuspicionTracker, SuspicionVerdict,
 };
-use gloss_sim::{FaultClass, FnvHashMap, NodeIndex, Outbox, SimDuration, SimRng, SimTime};
+use gloss_sim::{FnvHashMap, NodeIndex, Outbox, SimDuration, SimRng, SimTime};
 use std::sync::Arc;
 
 /// Timer tags used by the overlay (the embedding layer must route timer
@@ -94,24 +94,6 @@ pub enum OverlayMsg<P> {
     /// (conduct evidence for the suspicion tracker; only sent when the
     /// governor is enabled).
     RouteAck,
-}
-
-/// Classifies an overlay message for byzantine fault policies
-/// ([`gloss_sim::ByzantineActor`]).
-pub fn fault_class<P>(msg: &OverlayMsg<P>) -> FaultClass {
-    match msg {
-        OverlayMsg::Route { .. } => FaultClass::Payload,
-        OverlayMsg::Probe | OverlayMsg::ProbeAck { .. } => FaultClass::Liveness,
-        OverlayMsg::JoinInfo { .. }
-        | OverlayMsg::Announce { .. }
-        | OverlayMsg::AnnounceAck { .. }
-        | OverlayMsg::LeafSetRequest
-        | OverlayMsg::LeafSetReply { .. } => FaultClass::Gossip,
-        OverlayMsg::Join { .. }
-        | OverlayMsg::JoinDone { .. }
-        | OverlayMsg::JoinRetry { .. }
-        | OverlayMsg::RouteAck => FaultClass::Control,
-    }
 }
 
 /// A payload delivered at this node (it is the live node numerically

@@ -8,8 +8,8 @@
 //! leaked from the first world into the second (a process-global counter
 //! or cache) would show here.
 
-use gloss_overlay::{GovernorConfig, Key, OverlayNetwork};
-use gloss_sim::{ByzBehavior, NodeIndex, SimDuration};
+use gloss_overlay::{ByzBehavior, GovernorConfig, Key, OverlayNetwork};
+use gloss_sim::{NodeIndex, SimDuration};
 
 /// Trace, route outcomes, and counters.
 type Outcome = (String, Vec<(u64, u32, u64)>, Vec<(String, u64)>);

@@ -54,7 +54,6 @@
 //! assert_eq!(world.node(NodeIndex(0)).pongs, 1);
 //! ```
 
-pub mod byzantine;
 pub mod engine;
 pub mod failure;
 pub mod hash;
@@ -65,7 +64,6 @@ pub mod time;
 pub mod topology;
 pub mod trace;
 
-pub use byzantine::{ByzBehavior, ByzantineActor, FaultClass};
 pub use engine::{link_stream_seed, Input, Node, Outbox, World};
 pub use failure::{ChurnEvent, ChurnKind, ChurnModel};
 pub use hash::{fnv1a, splitmix64, splitmix_unit, FnvBuildHasher, FnvHashMap, FnvHasher};
