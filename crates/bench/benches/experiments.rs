@@ -1,6 +1,6 @@
 //! Criterion benches: the per-operation costs behind each experiment in
-//! DESIGN.md §5 (one group per table/figure; the `report` binary produces
-//! the full tables).
+//! EXPERIMENTS.md's matrix (one group per table/figure; the `report`
+//! binary produces the full tables).
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use gloss_bench::{GeneratedEvent, LocationProjection};

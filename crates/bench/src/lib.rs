@@ -1,4 +1,5 @@
-//! Experiment harness: one function per experiment in DESIGN.md §5.
+//! Experiment harness: one function per experiment in EXPERIMENTS.md's
+//! matrix.
 //!
 //! `cargo run -p gloss-bench --bin report` regenerates every table in
 //! EXPERIMENTS.md; the Criterion benches under `benches/` measure the

@@ -9,7 +9,7 @@
 //!   kind + configuration), and XML data objects; wire form is one XML
 //!   packet ([`Bundle::to_packet`], [`Bundle::from_packet`]).
 //! * [`verify`] — integrity digests and keyed authentication tags (hash
-//!   constructions standing in for real cryptography; see DESIGN.md).
+//!   constructions standing in for real cryptography).
 //! * [`Capability`]-based protection — bundles name the capabilities they
 //!   need; thin servers check them against per-issuer grants.
 //! * [`ThinServer`] — installs verified bundles into a security domain:

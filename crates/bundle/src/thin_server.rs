@@ -92,9 +92,9 @@ impl ThinServer {
     }
 
     /// Puts the matchlet rules of the installed bundle `name` in standby
-    /// ([`MatchletEngine::standby`]): they match and retain events for
-    /// their window plus `horizon`, and never fire. Returns whether the
-    /// bundle is installed.
+    /// ([`MatchletEngine::standby`]): they keep the events of their kinds
+    /// for their window plus `horizon`, unmatched, and never fire.
+    /// Returns whether the bundle is installed.
     pub fn standby(&mut self, name: &str, horizon: SimDuration) -> bool {
         let Some(installed) = self.installed.get(name) else {
             return false;
@@ -106,8 +106,8 @@ impl ThinServer {
     }
 
     /// Makes the standby rules of the installed bundle `name` live
-    /// ([`MatchletEngine::promote`]), firing what they retained from
-    /// `since` on. Returns the firings, or `None` if the bundle is not
+    /// ([`MatchletEngine::promote`]), firing what the events they kept
+    /// join from `since` on. Returns the firings, or `None` if the bundle is not
     /// installed.
     pub fn promote(
         &mut self,

@@ -4,7 +4,7 @@
 //! before execution. Real Cingal uses cryptographic signatures; this
 //! reproduction uses FNV-1a-128 digests and a keyed hash tag, which
 //! exercise the same decision points (accept/reject, per-issuer trust)
-//! without external crypto crates — see DESIGN.md's substitution table.
+//! without external crypto crates.
 
 /// FNV-1a 128-bit digest of `bytes`.
 pub fn digest(bytes: &[u8]) -> u128 {

@@ -66,8 +66,8 @@ impl ActiveArchitecture {
 
         // Broker graph: an acyclic peer star centred on the coordinator.
         // A worker crash then never partitions the event plane (the
-        // brokers themselves have no topology-repair protocol — see
-        // DESIGN.md; the general tree/graph topologies are exercised by
+        // brokers themselves have no topology-repair protocol; the
+        // general tree/graph topologies are exercised by
         // `gloss-event`'s own networks in experiment C1).
         let mut neighbors: Vec<Vec<NodeIndex>> = vec![Vec::new(); cfg.nodes];
         for i in 1..cfg.nodes {

@@ -89,7 +89,8 @@ const HEARTBEAT: SimDuration = SimDuration::from_secs(10);
 /// The coordinator's monitor + reconcile period.
 const SWEEP_EVERY: SimDuration = SimDuration::from_secs(10);
 
-/// How long past its window a standby rule keeps what it matched. A
+/// How long past its window a standby rule keeps the events of its kinds
+/// (it matches them only when it is promoted). A
 /// promotion fires what arrived from the failed primary's last heartbeat
 /// less one heartbeat period on; the monitor declares the failure at the
 /// first sweep after the deadline, so at most the deadline plus one sweep
@@ -119,8 +120,8 @@ pub const TAKEOVER_HORIZON: SimDuration = SimDuration::from_micros(
 pub enum Role {
     /// Joins, fires and publishes.
     Primary,
-    /// Matches and retains what it matched for its window plus
-    /// [`TAKEOVER_HORIZON`], and fires nothing until it is promoted.
+    /// Keeps the events of its rules' kinds, unmatched, for its window
+    /// plus [`TAKEOVER_HORIZON`], and fires nothing until it is promoted.
     Standby,
 }
 
@@ -648,8 +649,8 @@ impl GlossNode {
     }
 
     /// Hands each matchlet service whose primary was on `failed` to its
-    /// best-ranked confirmed live standby, which fires what it retained
-    /// from `since` on. A service with no such standby is left without a
+    /// best-ranked confirmed live standby, which fires what the events it
+    /// kept join from `since` on. A service with no such standby is left without a
     /// primary: the replacement the evolution engine deploys ships as
     /// one.
     fn take_over(&mut self, failed: NodeIndex, since: SimTime, out: &mut Outbox<GlossMsg>) {

@@ -1,5 +1,5 @@
-//! Takeover: a service's primary instance fires, its standbys retain what
-//! they match, and when the monitor declares the primary failed the
+//! Takeover: a service's primary instance fires, its standbys keep the
+//! events of its kinds, and when the monitor declares the primary failed the
 //! best-ranked standby is promoted and fires what the primary may have
 //! left unfired.
 //!
@@ -11,7 +11,8 @@
 //! arrived before the crash among them. `a_standby_retains_a_bounded_window`
 //! holds a standby's retained entries to its window plus the takeover
 //! horizon: after T and after 4T of steady traffic they differ by at most
-//! one window's worth.
+//! one window's worth, and every event offered is kept or counted as
+//! dropped.
 //! `a_primary_fetches_knowledge_it_never_held_before_it_joins` leaves the
 //! primary without a subject the rule reads: it fetches the subject before
 //! it matches, and fires.
@@ -162,6 +163,13 @@ fn a_standby_retains_a_bounded_window() {
     assert!(after_t.abs_diff(after_4t) <= window_worth, "{after_t} after T, {after_4t} after 4T");
     assert!(after_4t <= retention + per_s, "{after_4t} retained, more than window + horizon");
     assert!(after_4t + per_s >= retention, "{after_4t} retained, less than window + horizon");
+
+    // What aged out is counted: every ping and pong published before 4T
+    // was offered, and is either kept or dropped.
+    let stats = arch.node(standby).server.engine().stats;
+    assert!(stats.standby_dropped > 0, "nothing aged out after 4T");
+    assert_eq!(stats.events_in, 4 * 100 * per_s as u64, "pings and pongs offered by 4T");
+    assert_eq!(after_4t as u64 + stats.standby_dropped, stats.events_in);
 }
 
 #[test]

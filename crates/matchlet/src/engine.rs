@@ -751,25 +751,35 @@ fn local_prefix(goals: &[Goal], compiled: &[CompiledPattern]) -> Option<LocalPre
     best
 }
 
-/// A standby rule's state ([`MatchletEngine::standby`]): every match it
-/// made, `(pattern, entry)`, kept for the rule's window plus `horizon`,
-/// oldest first. A standby never joins, so it keeps no window buffers
-/// and no indexes.
+/// A standby rule's state ([`MatchletEngine::standby`]): the window it
+/// held when it was demoted, `(pattern, entry)` oldest first, and every
+/// event of its kinds offered since, `(event number, arrival, event)`
+/// oldest first, both kept for the rule's window plus `horizon`. A
+/// standby neither matches nor joins, so it keeps no window buffers and
+/// no indexes. Matching reads only the event and the pattern, so
+/// [`MatchletEngine::promote`] can match the kept events late.
 #[derive(Debug, Clone)]
 struct Standby {
     horizon: SimDuration,
-    retained: VecDeque<(usize, Buffered)>,
+    window: VecDeque<(usize, Buffered)>,
+    kept: VecDeque<(u64, SimTime, Event)>,
 }
 
 impl Standby {
     /// Drops what arrived more than the window plus the horizon before
-    /// `now`, then retains one event's matches.
-    fn retain(&mut self, now: SimTime, window: SimDuration, matched: &mut Vec<(usize, Buffered)>) {
+    /// `now`, then keeps `event`; returns how many kept events it dropped.
+    fn keep(&mut self, now: SimTime, window: SimDuration, number: u64, event: &Event) -> u64 {
         let cutoff = cutoff(now, window + self.horizon);
-        while self.retained.front().is_some_and(|(_, entry)| entry.at < cutoff) {
-            self.retained.pop_front();
+        while self.window.front().is_some_and(|(_, entry)| entry.at < cutoff) {
+            self.window.pop_front();
         }
-        self.retained.extend(matched.drain(..));
+        let before = self.kept.len();
+        while self.kept.front().is_some_and(|&(_, at, _)| at < cutoff) {
+            self.kept.pop_front();
+        }
+        let dropped = (before - self.kept.len()) as u64;
+        self.kept.push_back((number, now, event.clone()));
+        dropped
     }
 }
 
@@ -874,10 +884,11 @@ impl CompiledRule {
     }
 
     /// Total buffered partial matches: a live rule's window buffers, or
-    /// the entries a standby rule retains.
+    /// what a standby rule keeps — the entries of the window it was
+    /// demoted with and the events offered since.
     pub fn buffered(&self) -> usize {
-        let retained = self.standby.as_ref().map_or(0, |s| s.retained.len());
-        self.buffers.iter().map(|b| b.entries.len()).sum::<usize>() + retained
+        let kept = self.standby.as_ref().map_or(0, |s| s.window.len() + s.kept.len());
+        self.buffers.iter().map(|b| b.entries.len()).sum::<usize>() + kept
     }
 
     /// Whether the rule stands by ([`MatchletEngine::standby`]).
@@ -911,6 +922,9 @@ pub struct EngineStats {
     /// hashed faithfully (a non-integral or huge numeric) was in the
     /// window or in the probing environment.
     pub join_scans: u64,
+    /// Events a standby rule kept and dropped unmatched once they were
+    /// older than its window plus its horizon.
+    pub standby_dropped: u64,
 }
 
 /// Event kind → `(rule index, pattern index)` pairs listening for it, in
@@ -1171,27 +1185,29 @@ impl MatchletEngine {
             i = j;
 
             let rule = &mut rules[ri];
+            if let Some(standby) = &mut rule.standby {
+                joiner.stats.standby_dropped +=
+                    standby.keep(now, rule.rule.window, event_number, event);
+                continue;
+            }
             for &(_, pi) in pattern_entries {
                 let p = pi as usize;
                 if let Some(b) = match_compiled(&rule.compiled[p], event) {
                     joiner.matched.push((p, Buffered::new(event_number, now, b)));
                 }
             }
-            match &mut rule.standby {
-                Some(standby) => standby.retain(now, rule.rule.window, joiner.matched),
-                None => run_matches(rule, now, true, &mut joiner),
-            }
+            run_matches(rule, now, true, &mut joiner);
         }
         joiner.stats.events_out += joiner.out.len() as u64;
         out
     }
 
     /// Puts every rule named `name` in standby, and returns whether there
-    /// was one. A standby rule matches and retains events but never joins
-    /// or fires. It keeps what it matched for its window plus `horizon`,
-    /// so that [`promote`](Self::promote) can fire what arrived up to
-    /// `horizon` before the promotion. A live rule's window becomes its
-    /// first retained entries.
+    /// was one. A standby rule neither matches, joins nor fires: it keeps
+    /// the events of its kinds for its window plus `horizon`, so that
+    /// [`promote`](Self::promote) can fire what arrived up to `horizon`
+    /// before the promotion. A live rule's window becomes the first
+    /// entries it keeps.
     pub fn standby(&mut self, name: &str, horizon: SimDuration) -> bool {
         let mut found = false;
         for rule in self.rules.iter_mut().filter(|r| r.rule.name == name) {
@@ -1199,27 +1215,29 @@ impl MatchletEngine {
             if rule.standby.is_some() {
                 continue;
             }
-            let mut retained: Vec<(usize, Buffered)> = Vec::with_capacity(rule.buffered());
+            let mut window: Vec<(usize, Buffered)> = Vec::with_capacity(rule.buffered());
             for (pattern, buf) in rule.buffers.iter_mut().enumerate() {
-                retained.extend(buf.take().into_iter().map(|entry| (pattern, entry)));
+                window.extend(buf.take().into_iter().map(|entry| (pattern, entry)));
             }
-            retained.sort_by_key(|(pattern, entry)| (entry.event, *pattern));
-            rule.standby = Some(Standby { horizon, retained: retained.into() });
+            window.sort_by_key(|(pattern, entry)| (entry.event, *pattern));
+            rule.standby = Some(Standby { horizon, window: window.into(), kept: VecDeque::new() });
         }
         self.count_subject_rules();
         found
     }
 
     /// Makes every standby rule named `name` live, and returns what it
-    /// fires on the way. The retained entries are fed back in arrival
-    /// order, one event's matches together, through the join and fire
-    /// code [`on_event`](Self::on_event) runs, each at its own arrival
-    /// instant: eviction is relative to the entry's arrival, and only
-    /// entries that arrived at or after `since` join and fire. What is
-    /// left buffered is the window a live rule would hold after the last
-    /// retained event. A join whose earlier event was retained fires as
-    /// it would have live; one whose earlier event arrived more than the
-    /// window plus the horizon before the last retained event cannot.
+    /// fires on the way. The window it was demoted with is fed back
+    /// first, then each kept event is matched against the rule's patterns
+    /// of its kind; both go in arrival order, one event's matches
+    /// together, through the join and fire code [`on_event`](Self::on_event)
+    /// runs, each at its own arrival instant: eviction is relative to the
+    /// event's arrival, and only events that arrived at or after `since`
+    /// join and fire. What is left buffered is the window a live rule
+    /// would hold after the last kept event. A join whose earlier event
+    /// was kept fires as it would have live; one whose earlier event
+    /// arrived more than the window plus the horizon before the last kept
+    /// event cannot.
     pub fn promote(&mut self, name: &str, since: SimTime, kb: &dyn FactSource) -> Vec<Event> {
         let mut out = Vec::new();
         let (_, rules, mut joiner) = self.split(kb, join_and_fire, &mut out);
@@ -1227,12 +1245,23 @@ impl MatchletEngine {
             let Some(standby) = rule.standby.take() else {
                 continue;
             };
-            let mut retained = standby.retained.into_iter().peekable();
-            while let Some((pattern, entry)) = retained.next() {
+            let mut window = standby.window.into_iter().peekable();
+            while let Some((pattern, entry)) = window.next() {
                 let (event, at) = (entry.event, entry.at);
                 joiner.matched.push((pattern, entry));
-                while let Some(next) = retained.next_if(|(_, e)| e.event == event) {
+                while let Some(next) = window.next_if(|(_, e)| e.event == event) {
                     joiner.matched.push(next);
+                }
+                run_matches(rule, at, at >= since, &mut joiner);
+            }
+            for (number, at, event) in standby.kept {
+                for (p, pattern) in rule.compiled.iter().enumerate() {
+                    if rule.rule.patterns[p].kind != event.kind() {
+                        continue;
+                    }
+                    if let Some(b) = match_compiled(pattern, &event) {
+                        joiner.matched.push((p, Buffered::new(number, at, b)));
+                    }
                 }
                 run_matches(rule, at, at >= since, &mut joiner);
             }
@@ -1980,6 +2009,47 @@ mod tests {
         // Event without a payload cannot match a projection pattern.
         let out = e.on_event(t(1), &Event::new("loc"), &kb());
         assert!(out.is_empty());
+    }
+
+    /// A standby matches what it kept only when it is promoted, so a
+    /// payload projection is read then: the promotion fires what a live
+    /// twin fired from `since` on, and a kept event without a payload
+    /// never fires.
+    #[test]
+    fn a_promoted_standby_projects_payloads_as_its_live_twin_did() {
+        let src = r#"
+            rule gps {
+                on l: event loc("pos/@lat": ?lat, "pos/@lon": ?lon)
+                where ?lat > 56.0
+                within 1m
+                emit seen(lat: ?lat, lon: ?lon)
+            }
+        "#;
+        let mut live = MatchletEngine::compile(src).unwrap();
+        let mut standby = MatchletEngine::compile(src).unwrap();
+        assert!(standby.standby("gps", SimDuration::from_secs(60)));
+        let fix = |lat: &str| {
+            let payload = parse(&format!(r#"<fix><pos lat="{lat}" lon="-2.80"/></fix>"#)).unwrap();
+            Event::new("loc").with_payload(payload)
+        };
+        let bare = Event::new("loc");
+        let stream = [fix("56.34"), bare.clone(), fix("55.9"), fix("56.5"), bare, fix("57.1")];
+        let since = t(2);
+        let mut expected = Vec::new();
+        for (s, event) in stream.iter().enumerate() {
+            let at = t(s as u64);
+            let fired = live.on_event(at, event, &kb());
+            assert!(standby.on_event(at, event, &kb()).is_empty(), "a standby fired at {at}");
+            if at >= since {
+                expected.extend(fired);
+            }
+        }
+        assert_eq!(standby.rules()[0].buffered(), 6, "every event is kept, payload or not");
+        assert_eq!(expected.len(), 2, "56.5 and 57.1 fire from `since` on");
+        assert_eq!(standby.promote("gps", since, &kb()), expected);
+        assert_eq!(standby.stats.events_out, 2);
+        let later = fix("58.0");
+        assert_eq!(standby.on_event(t(6), &later, &kb()), live.on_event(t(6), &later, &kb()));
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!
 //! A matchlet is written in a small declarative rule language (so that
 //! matching code can travel inside Cingal code bundles and be *hot
-//! deployed* onto running nodes — the substitution for dynamic code
-//! loading described in DESIGN.md):
+//! deployed* onto running nodes, standing in for dynamic code loading;
+//! see the README's "Deploy + bundle + pipeline" section):
 //!
 //! ```text
 //! rule ice_cream_meetup {

@@ -18,7 +18,7 @@ impl Key {
     /// The paper: "all the P2P architectures cited use hashing algorithms
     /// to assign each document with a globally unique identifier (GUID)",
     /// derived "purely from document content using secure hashes". FNV-1a
-    /// stands in for a secure hash here (see DESIGN.md substitutions).
+    /// stands in for a secure hash here.
     ///
     /// Raw FNV-1a gives a trailing byte only one multiply by the (small)
     /// FNV prime, so names differing near the end ("x#shard0" …

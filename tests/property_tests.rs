@@ -1,5 +1,6 @@
-//! Property-based tests (proptest) for the core invariants called out in
-//! DESIGN.md §6.
+//! Property-based tests (proptest) for core invariants: filter and
+//! constraint covering, erasure coding, XML round trips, key geometry,
+//! the cache's capacity and replayable random streams.
 
 use gloss::event::{AttrValue, Constraint, Event, Filter, Op};
 use gloss::overlay::Key;
