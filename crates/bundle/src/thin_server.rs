@@ -6,8 +6,8 @@ use crate::capability::Capability;
 use crate::verify::AuthKey;
 use gloss_event::Event;
 use gloss_knowledge::FactSource;
-use gloss_matchlet::{parse_rules, MatchletEngine};
-use gloss_sim::{SimDuration, SimTime};
+use gloss_matchlet::{parse_rules, MatchletEngine, Rule};
+use gloss_sim::SimTime;
 use gloss_xml::Element;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -31,7 +31,9 @@ pub struct InstallReport {
 #[derive(Debug, Clone)]
 struct Installed {
     manifest: Manifest,
-    rule_names: Vec<String>,
+    rules: Vec<Rule>,
+    /// Whether `rules` are loaded into the engine (not standing by).
+    loaded: bool,
     object_names: Vec<String>,
 }
 
@@ -41,6 +43,13 @@ struct Installed {
 /// A component bundle installs as a record of its manifest and data
 /// objects; nothing runs the component, and the install report names its
 /// kind ([`InstallReport::component_kind`]).
+///
+/// A matchlet bundle's rules are loaded into the engine when it installs.
+/// A bundle can stand by ([`standby`](Self::standby)): it stays installed,
+/// verified and parsed, but its rules leave the engine, so they see,
+/// keep and fire nothing until [`promote`](Self::promote) loads them
+/// again with empty windows. What they missed meanwhile is the host's to
+/// replay ([`MatchletEngine::replay`]).
 #[derive(Debug, Default)]
 pub struct ThinServer {
     name: String,
@@ -86,41 +95,45 @@ impl ThinServer {
         &self.engine
     }
 
-    /// Offers an event to the hosted matchlets.
-    pub fn match_event(&mut self, now: SimTime, event: &Event, kb: &dyn FactSource) -> Vec<Event> {
-        self.engine.on_event(now, event, kb)
+    /// Offers an event that arrived at `at` to the hosted matchlets, which
+    /// fire only if `at` is at or after `since` ([`MatchletEngine::replay`];
+    /// a live event passes [`SimTime::ZERO`]).
+    pub fn match_event(
+        &mut self,
+        at: SimTime,
+        event: &Event,
+        since: SimTime,
+        kb: &dyn FactSource,
+    ) -> Vec<Event> {
+        self.engine.replay(at, event, since, kb)
     }
 
-    /// Puts the matchlet rules of the installed bundle `name` in standby
-    /// ([`MatchletEngine::standby`]): they keep the events of their kinds
-    /// for their window plus `horizon`, unmatched, and never fire.
-    /// Returns whether the bundle is installed.
-    pub fn standby(&mut self, name: &str, horizon: SimDuration) -> bool {
-        let Some(installed) = self.installed.get(name) else {
+    /// Unloads the matchlet rules of the installed bundle `name` from the
+    /// engine: they stand by. Returns whether the bundle is installed.
+    pub fn standby(&mut self, name: &str) -> bool {
+        let Some(installed) = self.installed.get_mut(name) else {
             return false;
         };
-        for rule in &installed.rule_names {
-            self.engine.standby(rule, horizon);
+        if std::mem::take(&mut installed.loaded) {
+            for rule in &installed.rules {
+                self.engine.remove_rule(&rule.name);
+            }
         }
         true
     }
 
-    /// Makes the standby rules of the installed bundle `name` live
-    /// ([`MatchletEngine::promote`]), firing what the events they kept
-    /// join from `since` on. Returns the firings, or `None` if the bundle is not
-    /// installed.
-    pub fn promote(
-        &mut self,
-        name: &str,
-        since: SimTime,
-        kb: &dyn FactSource,
-    ) -> Option<Vec<Event>> {
-        let installed = self.installed.get(name)?;
-        let mut fired = Vec::new();
-        for rule in &installed.rule_names {
-            fired.extend(self.engine.promote(rule, since, kb));
+    /// Loads the standing-by rules of the installed bundle `name` into the
+    /// engine, with empty windows. Returns whether the bundle is installed.
+    pub fn promote(&mut self, name: &str) -> bool {
+        let Some(installed) = self.installed.get_mut(name) else {
+            return false;
+        };
+        if !std::mem::replace(&mut installed.loaded, true) {
+            for rule in &installed.rules {
+                self.engine.add_rule(rule.clone());
+            }
         }
-        Some(fired)
+        true
     }
 
     /// Reads an object from the store.
@@ -183,7 +196,6 @@ impl ThinServer {
         }
         // Validate code before mutating anything.
         let mut rules = Vec::new();
-        let mut rule_names = Vec::new();
         let mut component_kind = None;
         let mut lint_warnings = 0;
         match &bundle.code {
@@ -198,7 +210,6 @@ impl ThinServer {
                     return Err(BundleError::RejectedByAnalysis(analysis.error_summary()));
                 }
                 lint_warnings = analysis.warning_count();
-                rule_names = rules.iter().map(|r| r.name.clone()).collect();
             }
             Code::Component { kind, .. } => {
                 component_kind = Some(kind.clone());
@@ -207,16 +218,16 @@ impl ThinServer {
 
         // Install: replace a previous version cleanly.
         if let Some(prev) = self.installed.remove(&bundle.manifest.name) {
-            for r in &prev.rule_names {
-                self.engine.remove_rule(r);
+            for r in prev.rules.iter().filter(|_| prev.loaded) {
+                self.engine.remove_rule(&r.name);
             }
             for o in &prev.object_names {
                 self.objects.remove(o);
             }
         }
         // The rules parsed and analysed above, in source order.
-        for rule in rules {
-            self.engine.add_rule(rule);
+        for rule in &rules {
+            self.engine.add_rule(rule.clone());
         }
         let mut object_names = Vec::new();
         for (name, value) in &bundle.data {
@@ -226,14 +237,14 @@ impl ThinServer {
         let report = InstallReport {
             name: bundle.manifest.name.clone(),
             version: bundle.manifest.version,
-            rules_added: rule_names.len(),
+            rules_added: rules.len(),
             objects_stored: object_names.len(),
             component_kind,
             lint_warnings,
         };
         self.installed.insert(
             bundle.manifest.name.clone(),
-            Installed { manifest: bundle.manifest, rule_names, object_names },
+            Installed { manifest: bundle.manifest, rules, loaded: true, object_names },
         );
         Ok(report)
     }
@@ -274,6 +285,7 @@ mod tests {
         let out = s.match_event(
             SimTime::ZERO,
             &Event::new("weather").with_attr("c", 25.0),
+            SimTime::ZERO,
             &InMemoryFacts::new(),
         );
         assert_eq!(out.len(), 1);

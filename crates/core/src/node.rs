@@ -16,8 +16,9 @@
 use crate::service::ServiceSpec;
 use gloss_bundle::{AuthKey, Bundle, Capability, ThinServer};
 use gloss_deploy::monitor::DEADLINE;
+use gloss_deploy::resource::kinds as resource_kinds;
 use gloss_deploy::{coordinator_sweep, Deploy, EvolutionEngine, MonitorEngine, NodeResources};
-use gloss_event::{Broker, BrokerMsg, Event, EventId, Filter, Subscription};
+use gloss_event::{Broker, BrokerMsg, Event, EventId, Filter, SubId, Subscription};
 use gloss_knowledge::{
     reconcile, BatchReader, DeltaAction, FactDelta, InMemoryFacts, SnapshotReader,
 };
@@ -58,16 +59,22 @@ pub enum GlossMsg {
         role: Role,
     },
     /// The coordinator makes a standby instance the primary of its
-    /// service: the instance fires what it retained from `since` on, then
-    /// runs live.
+    /// service: the node loads the instance's rules, subscribes the kinds
+    /// they read, and has the hub replay from its log what arrived from
+    /// one window before `since` on ([`BrokerMsg::Replay`]). The rules
+    /// take the replay, each event at its logged arrival instant, firing
+    /// only from `since` on, and then run live.
     Promote {
         /// Instance id (the bundle's name).
         instance: String,
         /// The failed primary's last heartbeat, less one heartbeat period;
-        /// [`SimTime::MAX`] when a live primary is handed over from.
+        /// [`SimTime::MAX`] when a live primary is handed over from (the
+        /// instance then replays nothing: it subscribes and runs live).
         since: SimTime,
     },
-    /// The coordinator makes an ex-primary stand by again.
+    /// The coordinator makes an ex-primary stand by again: the node
+    /// unloads the instance's rules and withdraws the kind subscriptions
+    /// nothing else on it holds.
     Demote {
         /// Instance id (the bundle's name).
         instance: String,
@@ -89,14 +96,15 @@ const HEARTBEAT: SimDuration = SimDuration::from_secs(10);
 /// The coordinator's monitor + reconcile period.
 const SWEEP_EVERY: SimDuration = SimDuration::from_secs(10);
 
-/// How long past its window a standby rule keeps the events of its kinds
-/// (it matches them only when it is promoted). A
-/// promotion fires what arrived from the failed primary's last heartbeat
-/// less one heartbeat period on; the monitor declares the failure at the
-/// first sweep after the deadline, so at most the deadline plus one sweep
-/// period after that heartbeat. Joins fired from there on need partners
-/// up to one window older, and the one heartbeat period of margin in
-/// `since` covers the `Promote` message's flight.
+/// How long past a service's longest window the hub's replay log keeps
+/// the events of the kinds its rules read, so that a promoted standby can
+/// be replayed what it missed. A promotion fires what arrived from the
+/// failed primary's last heartbeat less one heartbeat period on; the
+/// monitor declares the failure at the first sweep after the deadline, so
+/// at most the deadline plus one sweep period after that heartbeat. Joins
+/// fired from there on need partners up to one window older, and the one
+/// heartbeat period of margin in `since` covers the `Promote` message's
+/// flight.
 pub const TAKEOVER_HORIZON: SimDuration = SimDuration::from_micros(
     DEADLINE.as_micros() + SWEEP_EVERY.as_micros() + HEARTBEAT.as_micros(),
 );
@@ -108,6 +116,11 @@ pub const TAKEOVER_HORIZON: SimDuration = SimDuration::from_micros(
 /// and notification crosses), ties broken by node index. While no
 /// primary of the service is alive, the best-ranked instance of a
 /// deployment ships as primary; every other instance ships as a standby.
+/// A standby is cold: its node installs the bundle but neither loads its
+/// rules nor subscribes to the service's kinds, so it is sent nothing and
+/// keeps nothing. What a promotion needs, the hub keeps instead: one log
+/// of the events of every registered service's kinds, each for the
+/// service's longest window plus [`TAKEOVER_HORIZON`].
 /// When the monitor declares the primary's node failed, the best-ranked
 /// confirmed live standby is promoted ([`GlossMsg::Promote`]); a
 /// standby's failure promotes nobody. A confirmed instance that outranks
@@ -118,10 +131,10 @@ pub const TAKEOVER_HORIZON: SimDuration = SimDuration::from_micros(
 /// duplicate ratio, not failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Role {
-    /// Joins, fires and publishes.
+    /// Subscribes to its rules' kinds, joins, fires and publishes.
     Primary,
-    /// Keeps the events of its rules' kinds, unmatched, for its window
-    /// plus [`TAKEOVER_HORIZON`], and fires nothing until it is promoted.
+    /// Installs its bundle and does nothing else until it is promoted,
+    /// when the hub replays it what it missed.
     Standby,
 }
 
@@ -157,6 +170,8 @@ pub struct CoordinatorState {
     /// Ex-primaries still firing beside the instance that took over from
     /// them, until they stand by.
     retiring: Vec<Retiring>,
+    /// The services whose kinds the hub's replay log subscribes to.
+    logged: BTreeSet<String>,
 }
 
 /// A primary a better-ranked instance took over from. It keeps firing
@@ -198,6 +213,7 @@ impl CoordinatorState {
             discovered: Vec::new(),
             primaries: BTreeMap::new(),
             retiring: Vec::new(),
+            logged: BTreeSet::new(),
         }
     }
 }
@@ -270,18 +286,25 @@ pub struct GlossNode {
     /// The deltas of the batch being applied, decoded here so that the
     /// buffer's capacity is reused from one batch to the next.
     delta_scratch: Vec<FactDelta>,
-    /// Events held back from the matchlets, with their arrival instants,
-    /// while `gap_fetches` is not empty ([`fetch_gaps`](Self::fetch_gaps)).
-    held: VecDeque<(SimTime, Event)>,
-    /// The outstanding lookups of subjects a live rule needed and this
+    /// Events held back from the matchlets while `gap_fetches` is not
+    /// empty ([`fetch_gaps`](Self::fetch_gaps)) or a replay is awaited,
+    /// each with its arrival instant and the instant it fires from
+    /// ([`SimTime::ZERO`] for a live event).
+    held: VecDeque<(SimTime, SimTime, Event)>,
+    /// The outstanding lookups of subjects a loaded rule needed and this
     /// node had never held knowledge of.
     gap_fetches: Vec<u64>,
+    /// While a promotion's replay is awaited, the instant its events
+    /// fire from.
+    replaying: Option<SimTime>,
     resources: NodeResources,
     coordinator: NodeIndex,
     key: AuthKey,
     sub_seq: u64,
     pub_seq: u64,
-    subscribed_kinds: BTreeSet<String>,
+    /// Whole-kind subscriptions at this node's broker, by kind
+    /// ([`sync_kinds`](Self::sync_kinds)).
+    subscribed_kinds: BTreeMap<String, SubId>,
     reported_unknown: BTreeSet<String>,
     /// UI-style subscriptions delivered to [`ui_received`](Self::ui_received).
     pub ui_filters: Vec<Filter>,
@@ -331,12 +354,13 @@ impl GlossNode {
             delta_scratch: Vec::new(),
             held: VecDeque::new(),
             gap_fetches: Vec::new(),
+            replaying: None,
             resources,
             coordinator,
             key,
             sub_seq: 0,
             pub_seq: 0,
-            subscribed_kinds: BTreeSet::new(),
+            subscribed_kinds: BTreeMap::new(),
             reported_unknown: BTreeSet::new(),
             ui_filters: Vec::new(),
             ui_received: Vec::new(),
@@ -383,49 +407,77 @@ impl GlossNode {
         msg: BrokerMsg,
         out: &mut Outbox<GlossMsg>,
     ) {
+        self.broker_call(now, out, |broker, bout| broker.handle(now, from, msg, bout));
+    }
+
+    /// Runs `call` against the broker, as [`broker_do`](Self::broker_do)
+    /// runs one message.
+    fn broker_call(
+        &mut self,
+        now: SimTime,
+        out: &mut Outbox<GlossMsg>,
+        call: impl FnOnce(&mut Broker, &mut Outbox<BrokerMsg>),
+    ) {
         let me = self.me;
         out.nested(&mut self.broker_sends, Some(me), GlossMsg::PubSub, |bout| {
-            self.broker.handle(now, from, msg, bout)
+            call(&mut self.broker, bout)
         });
         // What is left in the buffer is addressed to this node: at most
-        // one `Notify` per event routed here. A hand-off can publish and
-        // so re-enter this function; the inner call's sends queue behind
-        // the ones still waiting here, and its loop hands off all of
-        // them, oldest first.
+        // one `Notify` per event routed here, and a promotion's replay. A
+        // hand-off can publish and so re-enter this function; the inner
+        // call's sends queue behind the ones still waiting here, and its
+        // loop hands off all of them, oldest first.
         while !self.broker_sends.is_empty() {
             match self.broker_sends.remove(0).1 {
                 BrokerMsg::Notify(event) => self.deliver_to_client(now, event, true, out),
+                BrokerMsg::Replayed { events, .. } => self.replayed(now, events, out),
                 other => self.broker_do(now, me, other, out),
             }
         }
     }
 
-    fn subscribe_filter(&mut self, now: SimTime, filter: Filter, out: &mut Outbox<GlossMsg>) {
+    /// A subscription id no other node mints: this node's index over its
+    /// sequence.
+    fn next_sub_id(&mut self) -> SubId {
         self.sub_seq += 1;
-        let id = ((self.me.0 as u64) << 32) | self.sub_seq;
+        ((self.me.0 as u64) << 32) | self.sub_seq
+    }
+
+    /// Subscribes `filter` at this node's broker under a fresh id.
+    fn subscribe_filter(
+        &mut self,
+        now: SimTime,
+        filter: Filter,
+        out: &mut Outbox<GlossMsg>,
+    ) -> SubId {
+        let id = self.next_sub_id();
         let me = self.me;
         self.broker_do(now, me, BrokerMsg::Subscribe(Subscription { id, filter }), out);
+        id
     }
 
-    fn subscribe_kind(&mut self, now: SimTime, kind: &str, out: &mut Outbox<GlossMsg>) {
-        if self.subscribed_kinds.insert(kind.to_string()) {
-            self.subscribe_filter(now, Filter::for_kind(kind), out);
+    /// Brings the whole-kind subscriptions in line with what holds them:
+    /// the kinds the loaded rules listen for and, on the coordinator, the
+    /// `resource.*` kinds its engines read. A kind newly held is
+    /// subscribed (in kind order), and its filter returned; a kind
+    /// nothing holds any more is unsubscribed.
+    fn sync_kinds(&mut self, now: SimTime, out: &mut Outbox<GlossMsg>) -> Vec<Filter> {
+        let patterns = self.server.engine().rules().iter().flat_map(|r| &r.rule.patterns);
+        let mut held: BTreeSet<String> = patterns.map(|p| p.kind.clone()).collect();
+        if self.is_coordinator() {
+            held.extend([resource_kinds::ADVERTISE, resource_kinds::WITHDRAW].map(String::from));
         }
-    }
-
-    /// Subscribes to every event kind an installed rule listens for
-    /// (kinds already subscribed are skipped).
-    fn subscribe_rule_kinds(&mut self, now: SimTime, out: &mut Outbox<GlossMsg>) {
-        let kinds: Vec<String> = self
-            .server
-            .engine()
-            .rules()
-            .iter()
-            .flat_map(|r| r.rule.patterns.iter().map(|p| p.kind.clone()))
-            .collect();
-        for k in kinds {
-            self.subscribe_kind(now, &k, out);
+        let gone = self.subscribed_kinds.extract_if(.., |kind, _| !held.contains(kind));
+        for (_, id) in gone.collect::<Vec<_>>() {
+            self.broker_do(now, self.me, BrokerMsg::Unsubscribe(id), out);
         }
+        held.retain(|kind| !self.subscribed_kinds.contains_key(kind));
+        let filters: Vec<Filter> = held.iter().map(Filter::for_kind).collect();
+        for (kind, filter) in held.into_iter().zip(&filters) {
+            let id = self.subscribe_filter(now, filter.clone(), out);
+            self.subscribed_kinds.insert(kind, id);
+        }
+        filters
     }
 
     /// Publishes an event onto the bus from this node.
@@ -485,14 +537,39 @@ impl GlossNode {
             }
             return;
         }
-        if self.gap_fetches.is_empty() {
+        if self.matchlets_free() {
             self.fetch_gaps(now, &event, out);
         }
-        if self.gap_fetches.is_empty() {
-            self.run_matchlets(now, now, event, out);
+        if self.matchlets_free() {
+            self.run_matchlets(now, SimTime::ZERO, now, event, out);
         } else {
-            self.held.push_back((now, event));
+            self.held.push_back((now, SimTime::ZERO, event));
         }
+    }
+
+    /// Whether events go to the matchlets as they arrive: no gap fetch is
+    /// outstanding and no replay awaited.
+    fn matchlets_free(&self) -> bool {
+        self.gap_fetches.is_empty() && self.replaying.is_none()
+    }
+
+    /// Takes a promotion's replay: its events go to the matchlets before
+    /// anything held back while it was awaited, each at its logged
+    /// arrival instant, firing from the promotion's `since` on.
+    fn replayed(
+        &mut self,
+        now: SimTime,
+        events: Vec<(SimTime, Event)>,
+        out: &mut Outbox<GlossMsg>,
+    ) {
+        let Some(since) = self.replaying.take() else {
+            return;
+        };
+        out.count("gloss.replayed_events", events.len() as f64);
+        for (at, event) in events.into_iter().rev() {
+            self.held.push_front((at, since, event));
+        }
+        self.release_held(now, out);
     }
 
     /// Fetches the snapshot of each subject a live rule would read about
@@ -527,24 +604,26 @@ impl GlossNode {
     /// Offers the held events to the matchlets, oldest first, each at its
     /// arrival instant, until one needs another fetch.
     fn release_held(&mut self, now: SimTime, out: &mut Outbox<GlossMsg>) {
-        while self.gap_fetches.is_empty() {
-            let Some((at, event)) = self.held.pop_front() else {
+        while self.matchlets_free() {
+            let Some((at, since, event)) = self.held.pop_front() else {
                 return;
             };
             self.fetch_gaps(now, &event, out);
             if self.gap_fetches.is_empty() {
-                self.run_matchlets(at, now, event, out);
+                self.run_matchlets(at, since, now, event, out);
             } else {
-                self.held.push_front((at, event));
+                self.held.push_front((at, since, event));
             }
         }
     }
 
-    /// Offers `event`, which arrived at `at`, to the local matchlets and
-    /// publishes what they fire.
+    /// Offers `event`, which arrived at `at`, to the local matchlets,
+    /// which fire only if `at` is at or after `since`, and publishes
+    /// what they fire.
     fn run_matchlets(
         &mut self,
         at: SimTime,
+        since: SimTime,
         now: SimTime,
         event: Event,
         out: &mut Outbox<GlossMsg>,
@@ -557,7 +636,7 @@ impl GlossNode {
         // engine's cursor (each forced a full re-read).
         let memo_before = self.server.engine().stats.memo_hits;
         let truncated_before = self.kb.delta_log_truncations();
-        let outputs = self.server.match_event(at, &event, &self.kb);
+        let outputs = self.server.match_event(at, &event, since, &self.kb);
         let memo_hits = self.server.engine().stats.memo_hits - memo_before;
         if memo_hits > 0 {
             out.count("gloss.match_memo_hits", memo_hits as f64);
@@ -573,7 +652,7 @@ impl GlossNode {
     /// [`deliver_to_client`](Self::deliver_to_client) for `routed`).
     fn ui_wants(&self, event: &Event, routed: bool) -> bool {
         let scan = |node: &Self| node.ui_filters.iter().any(|f| f.matches(event));
-        if self.subscribed_kinds.contains(event.kind()) {
+        if self.subscribed_kinds.contains_key(event.kind()) {
             scan(self)
         } else if routed {
             debug_assert!(
@@ -720,6 +799,56 @@ impl GlossNode {
         cs.retiring.push(Retiring { kind, instance: old, node: old_node, at });
         out.count("gloss.handovers", 1.0);
         out.send(node, GlossMsg::Promote { instance: instance.to_string(), since: SimTime::MAX });
+    }
+
+    /// Makes the hub's replay log subscribe to the kinds of each
+    /// registered service it does not log yet, keeping events for at
+    /// least the service's longest window plus [`TAKEOVER_HORIZON`]. (A
+    /// kind two services read is subscribed twice; the second is covered
+    /// by the first, so it propagates nowhere.)
+    fn log_service_kinds(&mut self, now: SimTime, out: &mut Outbox<GlossMsg>) {
+        let Some(cs) = self.coordinator_state.as_mut() else {
+            return;
+        };
+        let mut new: Vec<(String, SimDuration)> = Vec::new();
+        for spec in cs.services.values().filter(|s| cs.logged.insert(s.name.clone())) {
+            let retention = spec.window() + TAKEOVER_HORIZON;
+            new.extend(spec.input_kinds.iter().map(|kind| (kind.clone(), retention)));
+        }
+        for (kind, retention) in new {
+            let sub = Subscription { id: self.next_sub_id(), filter: Filter::for_kind(kind) };
+            self.broker_call(now, out, |broker, bout| broker.keep_log(sub, retention, bout));
+        }
+    }
+
+    /// Loads the rules of the standby `instance` and subscribes the kinds
+    /// they read. Unless the promotion hands a live primary over
+    /// (`since` is [`SimTime::MAX`]), the hub is asked to replay what it
+    /// logged of the newly subscribed kinds from one window before
+    /// `since`; until the replay lands, the matchlets take nothing else.
+    /// (A kind another loaded rule already held is not replayed: that
+    /// rule has had its events.)
+    fn promote(
+        &mut self,
+        now: SimTime,
+        instance: &str,
+        since: SimTime,
+        out: &mut Outbox<GlossMsg>,
+    ) {
+        if !self.server.promote(instance) {
+            return;
+        }
+        out.count("gloss.promoted", 1.0);
+        let filters = self.sync_kinds(now, out);
+        if since == SimTime::MAX || filters.is_empty() {
+            return;
+        }
+        let rules = self.server.engine().rules();
+        let window = rules.iter().map(|r| r.rule.window).max().unwrap_or(SimDuration::ZERO);
+        self.replaying = Some(self.replaying.map_or(since, |s| s.min(since)));
+        let from = SimTime::from_micros(since.as_micros().saturating_sub(window.as_micros()));
+        let me = self.me;
+        self.broker_do(now, me, BrokerMsg::Replay { client: me, since: from, filters }, out);
     }
 
     /// Sends each ex-primary whose time is up to stand by.
@@ -913,7 +1042,7 @@ impl GlossNode {
                     if node == self.me {
                         // Install locally.
                         if self.server.receive_packet(&packet).is_ok() {
-                            self.subscribe_rule_kinds(now, out);
+                            self.sync_kinds(now, out);
                         }
                     } else {
                         out.send(
@@ -957,8 +1086,7 @@ impl GlossNode {
         // Storage/overlay stack.
         self.store_call(now, None, out, |store, sout| store.on_start(now, sout));
         if self.is_coordinator() {
-            self.subscribe_kind(now, gloss_deploy::resource::kinds::ADVERTISE, out);
-            self.subscribe_kind(now, gloss_deploy::resource::kinds::WITHDRAW, out);
+            self.sync_kinds(now, out);
             out.timer(SWEEP_EVERY, timers::SWEEP);
         } else {
             let advert = self.resources.to_event();
@@ -983,6 +1111,7 @@ impl GlossNode {
                     if !sweep.failed.is_empty() {
                         out.count("gloss.failures_detected", sweep.failed.len() as f64);
                     }
+                    self.log_service_kinds(now, out);
                     // Standbys take over first, so that a replacement ships
                     // as a standby wherever one did.
                     for (node, heard) in sweep.failed {
@@ -1097,9 +1226,9 @@ impl GlossNode {
                             out.count("gloss.lint_warnings", report.lint_warnings as f64);
                         }
                         if role == Role::Standby {
-                            self.server.standby(&report.name, TAKEOVER_HORIZON);
+                            self.server.standby(&report.name);
                         }
-                        self.subscribe_rule_kinds(now, out);
+                        self.sync_kinds(now, out);
                         if !instance.is_empty() {
                             out.send(from, GlossMsg::Installed { instance });
                         }
@@ -1111,15 +1240,11 @@ impl GlossNode {
                     Err(_) => out.count("gloss.install_failures", 1.0),
                 }
             }
-            GlossMsg::Promote { instance, since } => {
-                if let Some(fired) = self.server.promote(&instance, since, &self.kb) {
-                    out.count("gloss.promoted", 1.0);
-                    self.publish_synthesized(now, fired, out);
-                }
-            }
+            GlossMsg::Promote { instance, since } => self.promote(now, &instance, since, out),
             GlossMsg::Demote { instance } => {
-                if self.server.standby(&instance, TAKEOVER_HORIZON) {
+                if self.server.standby(&instance) {
                     out.count("gloss.demoted", 1.0);
+                    self.sync_kinds(now, out);
                 }
             }
             GlossMsg::Installed { instance } => {
@@ -1361,7 +1486,7 @@ mod tests {
             hub,
             GlossMsg::Bundle { instance: String::new(), packet, role: Role::Primary },
         );
-        assert!(node.subscribed_kinds.contains("ping"));
+        assert!(node.subscribed_kinds.contains_key("ping"));
         deliver(
             &mut node,
             me,
@@ -1494,7 +1619,7 @@ mod tests {
         assert_eq!(counters, ["gloss.installs"], "a clean bundle reports no warnings");
         assert_eq!(node.server.installed_names(), ["hot"]);
         assert_eq!(node.server.engine().rule_names(), ["hot"]);
-        assert!(node.subscribed_kinds.contains("weather"));
+        assert!(node.subscribed_kinds.contains_key("weather"));
     }
 
     /// A discovery fetch nobody answers ends on the store's lookup-retry
@@ -1976,6 +2101,105 @@ mod tests {
         assert_eq!(sweep(&mut node, 100).2, [1]);
     }
 
+    /// The `pair` rule (30 s window) as a bundle for role `role`.
+    fn pair_bundle(role: Role) -> GlossMsg {
+        let key = AuthKey::new("test", b"secret");
+        let rules = "rule pair { on a: event ping(k: ?k) on b: event pong(k: ?k) within 30 s emit paired(k: ?k) }";
+        let packet = Bundle::matchlet("pair", rules).issued_by(key.issuer()).to_packet(&key);
+        GlossMsg::Bundle { instance: String::new(), packet, role }
+    }
+
+    /// A cold standby subscribes to nothing and loads no rule. Promoted,
+    /// it subscribes its kinds and asks for a replay from one window
+    /// before `since`; the replay's events are offered at their logged
+    /// instants, so two more than a window apart never join although
+    /// they arrive in one replay, and a join completed before `since`
+    /// does not fire. Demoted, it withdraws its kind subscriptions.
+    #[test]
+    fn a_promoted_standby_joins_its_replay_at_the_logged_instants() {
+        let (me, hub) = (NodeIndex(1), NodeIndex(0));
+        let mut node = worker(me);
+        node.handle(SimTime::ZERO, Input::Start, &mut Outbox::new());
+        deliver(&mut node, hub, pair_bundle(Role::Standby));
+        assert!(node.subscribed_kinds.is_empty() && node.server.engine().rules().is_empty());
+        assert_eq!(node.server.installed_names(), ["pair"]);
+
+        let since = SimTime::from_secs(100);
+        let promote = GlossMsg::Promote { instance: "pair".into(), since };
+        let mut out = Outbox::new();
+        node.handle(since, Input::Msg { from: hub, msg: promote }, &mut out);
+        let asked: Vec<&BrokerMsg> = out
+            .sends()
+            .iter()
+            .filter_map(|(to, m)| match m {
+                GlossMsg::PubSub(b) if *to == hub => Some(b),
+                _ => None,
+            })
+            .collect();
+        let [BrokerMsg::Subscribe(_), BrokerMsg::Subscribe(_), BrokerMsg::Replay { since: from, .. }] =
+            asked[..]
+        else {
+            panic!("{asked:?}");
+        };
+        assert_eq!(*from, SimTime::from_secs(70), "one window before `since`");
+        assert!(
+            node.subscribed_kinds.contains_key("ping")
+                && node.subscribed_kinds.contains_key("pong")
+        );
+
+        let ev = |kind: &str, k: i64| Event::new(kind).with_attr("k", k);
+        let at = SimTime::from_secs;
+        let events = vec![
+            (at(71), ev("ping", 1)),
+            (at(72), ev("ping", 3)),
+            (at(75), ev("ping", 2)),
+            (at(90), ev("pong", 3)),
+            (at(101), ev("pong", 2)),
+            (at(102), ev("pong", 1)),
+        ];
+        let replayed = GlossMsg::PubSub(BrokerMsg::Replayed { client: me, events });
+        deliver(&mut node, hub, replayed);
+        assert_eq!(node.emitted, 1, "k 2 alone: k 1 is 31 s apart, k 3 completed before `since`");
+
+        deliver(&mut node, hub, GlossMsg::PubSub(BrokerMsg::Notify(ev("pong", 2))));
+        assert_eq!(node.emitted, 2, "live after the replay");
+
+        let mut out = Outbox::new();
+        let demote = GlossMsg::Demote { instance: "pair".into() };
+        node.handle(at(200), Input::Msg { from: hub, msg: demote }, &mut out);
+        assert!(node.subscribed_kinds.is_empty() && node.server.engine().rules().is_empty());
+        let withdrawn = out
+            .sends()
+            .iter()
+            .filter(|(to, m)| {
+                *to == hub && matches!(m, GlossMsg::PubSub(BrokerMsg::Unsubscribe(_)))
+            })
+            .count();
+        assert_eq!(withdrawn, 2);
+    }
+
+    /// While the promoted node awaits its replay, a live event is held
+    /// back from its matchlets, and offered after the replay.
+    #[test]
+    fn a_live_event_waits_behind_the_replay() {
+        let (me, hub) = (NodeIndex(1), NodeIndex(0));
+        let mut node = worker(me);
+        node.handle(SimTime::ZERO, Input::Start, &mut Outbox::new());
+        deliver(&mut node, hub, pair_bundle(Role::Standby));
+        let since = SimTime::from_secs(100);
+        let promote = GlossMsg::Promote { instance: "pair".into(), since };
+        node.handle(since, Input::Msg { from: hub, msg: promote }, &mut Outbox::new());
+        let ev = |kind: &str| Event::new(kind).with_attr("k", 1i64);
+        let at = SimTime::from_secs;
+        let sensed = Input::Msg { from: me, msg: GlossMsg::Sensor(ev("pong")) };
+        node.handle(at(101), sensed, &mut Outbox::new());
+        assert_eq!((node.emitted, node.held.len()), (0, 1), "held behind the replay");
+        let events = vec![(at(99), ev("ping"))];
+        let replayed = GlossMsg::PubSub(BrokerMsg::Replayed { client: me, events });
+        node.handle(at(102), Input::Msg { from: hub, msg: replayed }, &mut Outbox::new());
+        assert_eq!((node.emitted, node.held.len()), (1, 0), "the replayed ping joins the pong");
+    }
+
     /// A node's own firing reaches its own UI: the broker never hands a
     /// node's publication back to it.
     #[test]
@@ -2015,7 +2239,7 @@ mod tests {
         let hosts = arch.hosts_of("matchlet:liked");
         let primary = *hosts
             .iter()
-            .find(|&&h| !arch.node(h).server.engine().rules()[0].is_standby())
+            .find(|&&h| !arch.node(h).server.engine().rules().is_empty())
             .expect("a primary");
         let via = (1..arch.len() as u32)
             .map(NodeIndex)

@@ -1,18 +1,20 @@
-//! Takeover: a service's primary instance fires, its standbys keep the
-//! events of its kinds, and when the monitor declares the primary failed the
-//! best-ranked standby is promoted and fires what the primary may have
-//! left unfired.
+//! Takeover: a service's primary instance fires, its standbys hold the
+//! bundle and nothing else, the hub logs the events of the service's
+//! kinds, and when the monitor declares the primary failed the
+//! best-ranked standby is promoted, replayed the log, and fires what the
+//! primary may have left unfired.
 //!
 //! `crashing_the_primary_mid_window_loses_no_join` crashes the primary
 //! while pairs are open across the crash. Every join of the stream must
 //! reach the UI at least once: the ones before the crash from the
 //! primary, and the ones whose later event arrived after the primary's
 //! last heartbeat from the promoted standby — pairs whose first event
-//! arrived before the crash among them. `a_standby_retains_a_bounded_window`
-//! holds a standby's retained entries to its window plus the takeover
-//! horizon: after T and after 4T of steady traffic they differ by at most
-//! one window's worth, and every event offered is kept or counted as
-//! dropped.
+//! arrived before the crash among them. `the_hub_log_retains_a_bounded_window`
+//! holds the hub's log to the window plus the takeover horizon: after T
+//! and after 4T of steady traffic it differs by at most one window's
+//! worth, and every event logged is held or counted as dropped; while the
+//! primary lives, a standby's engine and broker see no event of the
+//! service's kinds.
 //! `a_primary_fetches_knowledge_it_never_held_before_it_joins` leaves the
 //! primary without a subject the rule reads: it fetches the subject before
 //! it matches, and fires.
@@ -48,11 +50,13 @@ fn deployed() -> (ActiveArchitecture, Vec<NodeIndex>, NodeIndex) {
     (arch, hosts.clone(), live[0])
 }
 
-/// Whether `node`'s pair rule stands by.
+/// Whether `node`'s pair service stands by: installed, its rules not
+/// loaded.
 fn standing_by(arch: &ActiveArchitecture, node: NodeIndex) -> bool {
-    let rules = arch.node(node).server.engine().rules();
-    let pair = rules.iter().find(|r| r.rule.name == "pair").expect("the pair rule is installed");
-    pair.is_standby()
+    let server = &arch.node(node).server;
+    let installed = server.installed_names();
+    assert!(installed.iter().any(|n| n.starts_with("matchlet:pair")), "{installed:?}");
+    !server.engine().rule_names().contains(&"pair")
 }
 
 /// A node that is neither the coordinator nor a host.
@@ -135,7 +139,7 @@ fn crashing_the_primary_mid_window_loses_no_join() {
 }
 
 #[test]
-fn a_standby_retains_a_bounded_window() {
+fn the_hub_log_retains_a_bounded_window() {
     let (mut arch, hosts, primary) = deployed();
     let standby = hosts.iter().copied().find(|&h| h != primary).expect("a standby");
     let sensor = bystander(&arch, &hosts);
@@ -147,29 +151,33 @@ fn a_standby_retains_a_bounded_window() {
         arch.publish_at(t, sensor, ping(s as i64 % 7, s as i64));
         arch.publish_at(t + SimDuration::from_millis(500), sensor, pong(s as i64 % 5, s as i64));
     }
-    let buffered = |arch: &ActiveArchitecture| -> usize {
-        let rules = arch.node(standby).server.engine().rules();
-        rules.iter().filter(|r| r.rule.name == "pair").map(|r| r.buffered()).sum()
-    };
+    let hub = NodeIndex(0);
+    let logged = |arch: &ActiveArchitecture| arch.node(hub).broker.log().expect("a log").len();
+    let handled = |arch: &ActiveArchitecture| arch.node(standby).broker.msgs_handled;
+    let before = handled(&arch);
     arch.run_until(t0 + period);
-    let after_t = buffered(&arch);
+    let after_t = logged(&arch);
+    // The standby's broker handled its own heartbeats, and nothing else.
+    let heartbeats = period.as_micros() / 10_000_000 + 1;
+    assert!(handled(&arch) - before <= heartbeats, "{} messages", handled(&arch) - before);
     arch.run_until(t0 + period + period + period + period);
-    let after_4t = buffered(&arch);
+    let after_4t = logged(&arch);
     assert!(standing_by(&arch, standby));
+    assert_eq!(arch.node(standby).server.engine().stats.events_in, 0, "the standby saw an event");
 
     let per_s = 2;
     let window_worth = per_s * WINDOW_S as usize;
     let retention = per_s * (WINDOW_S + TAKEOVER_HORIZON.as_micros() / 1_000_000) as usize;
     assert!(after_t.abs_diff(after_4t) <= window_worth, "{after_t} after T, {after_4t} after 4T");
-    assert!(after_4t <= retention + per_s, "{after_4t} retained, more than window + horizon");
-    assert!(after_4t + per_s >= retention, "{after_4t} retained, less than window + horizon");
+    assert!(after_4t <= retention + per_s, "{after_4t} logged, more than window + horizon");
+    assert!(after_4t + per_s >= retention, "{after_4t} logged, less than window + horizon");
 
     // What aged out is counted: every ping and pong published before 4T
-    // was offered, and is either kept or dropped.
-    let stats = arch.node(standby).server.engine().stats;
-    assert!(stats.standby_dropped > 0, "nothing aged out after 4T");
-    assert_eq!(stats.events_in, 4 * 100 * per_s as u64, "pings and pongs offered by 4T");
-    assert_eq!(after_4t as u64 + stats.standby_dropped, stats.events_in);
+    // was logged, and is either held or dropped.
+    let log = arch.node(hub).broker.log().expect("a log");
+    assert!(log.dropped > 0, "nothing aged out after 4T");
+    assert_eq!(log.appended, 4 * 100 * per_s as u64, "pings and pongs logged by 4T");
+    assert_eq!(after_4t as u64 + log.dropped, log.appended);
 }
 
 #[test]
@@ -182,10 +190,9 @@ fn a_primary_fetches_knowledge_it_never_held_before_it_joins() {
     arch.deploy_service(spec);
     arch.run_for(SimDuration::from_secs(60));
     let hosts = arch.hosts_of("matchlet:liked");
-    let engine =
-        |arch: &ActiveArchitecture, h: NodeIndex| arch.node(h).server.engine().rules()[0].clone();
-    let primary =
-        hosts.iter().copied().find(|&h| !engine(&arch, h).is_standby()).expect("a primary");
+    let loaded =
+        |arch: &ActiveArchitecture, h: NodeIndex| !arch.node(h).server.engine().rules().is_empty();
+    let primary = hosts.iter().copied().find(|&h| loaded(&arch, h)).expect("a primary");
     let via = bystander(&arch, &hosts);
     let bob = [Fact::new("bob", "likes", Term::str("ice"))];
     arch.seed_knowledge(via, "bob", &bob);

@@ -16,6 +16,7 @@
 use crate::broker::{BrokerMsg, BrokerTopology, SubId};
 use crate::filter::{Filter, Subscription};
 use crate::notification::Event;
+use crate::replay::Replays;
 use gloss_governor::{IngressClass, LoadShedder, ShedConfig, ShedDecision};
 use gloss_sim::{NodeIndex, Outbox, SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
@@ -37,6 +38,8 @@ pub struct LinearBroker {
     forwarded: BTreeMap<NodeIndex, BTreeSet<SubId>>,
     /// Mobility proxies: disconnected client → buffered events.
     proxies: BTreeMap<NodeIndex, Vec<Event>>,
+    /// The clients awaiting a replay (this broker keeps no log).
+    replays: Replays,
     /// Ingress load shedder (None = unbounded legacy behaviour).
     shed: Option<LoadShedder>,
     /// Messages handled (load metric for C1).
@@ -67,6 +70,7 @@ impl LinearBroker {
             subs: Vec::new(),
             forwarded: BTreeMap::new(),
             proxies: BTreeMap::new(),
+            replays: Replays::default(),
             shed: None,
             msgs_handled: 0,
             notifications_forwarded: 0,
@@ -137,6 +141,7 @@ impl LinearBroker {
             BrokerMsg::Detach => {
                 self.clients.remove(&from);
                 self.proxies.remove(&from);
+                self.replays.forget(from);
                 let ids: Vec<SubId> =
                     self.subs.iter().filter(|e| e.iface == from).map(|e| e.sub.id).collect();
                 for id in ids {
@@ -146,6 +151,11 @@ impl LinearBroker {
             BrokerMsg::Subscribe(sub) => self.subscribe(from, sub, out),
             BrokerMsg::Unsubscribe(id) => self.unsubscribe(id, out),
             BrokerMsg::Publish(event) | BrokerMsg::Notify(event) => self.route(from, event, out),
+            BrokerMsg::Replay { client, since, filters } => {
+                let targets = (!self.topology.is_neighbour(from)).then(|| self.sub_targets(from));
+                self.replays.request(from, targets, (client, since, filters), out)
+            }
+            BrokerMsg::Replayed { client, events } => self.replays.answered(client, events, out),
             BrokerMsg::MoveOut => {
                 self.proxies.entry(from).or_default();
                 out.count("pubsub.move_out", 1.0);
@@ -237,6 +247,7 @@ impl LinearBroker {
     fn route(&mut self, from: NodeIndex, event: Event, out: &mut Outbox<BrokerMsg>) {
         // Local delivery: one full table scan per publication. A client is
         // served once per event, at its first matching subscription.
+        let from_neighbour = self.topology.is_neighbour(from);
         let mut served: Vec<NodeIndex> = Vec::new();
         for e in &self.subs {
             let iface = e.iface;
@@ -247,8 +258,10 @@ impl LinearBroker {
                 buffer.push(event.clone());
                 served.push(iface);
             } else if self.clients.contains(&iface) {
-                out.send(iface, BrokerMsg::Notify(event.clone()));
-                out.count("pubsub.delivered_local", 1.0);
+                if !self.replays.hold(iface, from_neighbour, &event) {
+                    out.send(iface, BrokerMsg::Notify(event.clone()));
+                    out.count("pubsub.delivered_local", 1.0);
+                }
                 served.push(iface);
             }
         }

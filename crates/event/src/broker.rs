@@ -48,6 +48,7 @@
 use crate::filter::{merge_cover, Filter, Subscription};
 use crate::index::{FilterIndex, Hit};
 use crate::notification::Event;
+use crate::replay::{ReplayLog, Replays, LOG};
 use gloss_governor::{IngressClass, LoadShedder, ShedConfig, ShedDecision};
 use gloss_sim::{FnvBuildHasher, FnvHashMap, NodeIndex, Outbox, SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
@@ -92,6 +93,18 @@ pub enum BrokerTopology {
     },
 }
 
+impl BrokerTopology {
+    /// Whether `iface` is a neighbouring broker.
+    pub(crate) fn is_neighbour(&self, iface: NodeIndex) -> bool {
+        match self {
+            BrokerTopology::Peer { neighbors } => neighbors.contains(&iface),
+            BrokerTopology::Hierarchical { parent, children } => {
+                *parent == Some(iface) || children.contains(&iface)
+            }
+        }
+    }
+}
+
 /// Messages of the publish/subscribe plane.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BrokerMsg {
@@ -127,6 +140,26 @@ pub enum BrokerMsg {
         events: Vec<Event>,
         /// The client's subscriptions, to re-register at the new broker.
         subs: Vec<Subscription>,
+    },
+    /// Asks for the logged matches of `filters` from `since` on: sent by
+    /// a client, naming itself, right after the subscriptions it starts
+    /// in the past, and by its broker to neighbours ([`replay`](crate::replay)).
+    Replay {
+        /// The client the replay is for.
+        client: NodeIndex,
+        /// The earliest arrival replayed.
+        since: SimTime,
+        /// What the client subscribed.
+        filters: Vec<Filter>,
+    },
+    /// The answer to [`Replay`](BrokerMsg::Replay), to the broker that
+    /// asked and then to the client: `(arrival at the log, event)`,
+    /// oldest first.
+    Replayed {
+        /// The client the replay is for.
+        client: NodeIndex,
+        /// The logged matches.
+        events: Vec<(SimTime, Event)>,
     },
 }
 
@@ -243,6 +276,8 @@ pub struct Broker {
     tables: BTreeMap<NodeIndex, ForwardTable>,
     /// Mobility proxies: disconnected client → buffered events.
     proxies: BTreeMap<NodeIndex, Vec<Event>>,
+    /// The replay log, and the clients awaiting a replay.
+    replays: Replays,
     /// Ingress load shedder (None = unbounded legacy behaviour).
     shed: Option<LoadShedder>,
     /// Counter for broker-minted merged-filter ids.
@@ -281,6 +316,7 @@ impl Broker {
             by_iface: FnvHashMap::default(),
             tables: BTreeMap::new(),
             proxies: BTreeMap::new(),
+            replays: Replays::default(),
             shed: None,
             synth_seq: 0,
             wanted: HashSet::default(),
@@ -314,6 +350,23 @@ impl Broker {
     /// the table).
     pub fn subscriptions(&self) -> impl Iterator<Item = &Subscription> {
         self.subs.in_order()
+    }
+
+    /// The replay log, if this broker keeps one.
+    pub fn log(&self) -> Option<&ReplayLog> {
+        self.replays.log.as_ref()
+    }
+
+    /// Logs what `sub` matches for at least `retention`. The subscription
+    /// propagates as a client's would, but notifies no client.
+    pub fn keep_log(
+        &mut self,
+        sub: Subscription,
+        retention: SimDuration,
+        out: &mut Outbox<BrokerMsg>,
+    ) {
+        self.replays.keep(retention);
+        self.subscribe(LOG, sub, out);
     }
 
     /// Whether a subscription stored for `client` matches `event`: one
@@ -400,6 +453,7 @@ impl Broker {
                 // events after a later re-attach.
                 self.clients.remove(&from);
                 self.proxies.remove(&from);
+                self.replays.forget(from);
                 let ids: Vec<SubId> = self.by_iface.get(&from.0).cloned().unwrap_or_default();
                 for id in ids {
                     self.unsubscribe(id, out);
@@ -407,7 +461,14 @@ impl Broker {
             }
             BrokerMsg::Subscribe(sub) => self.subscribe(from, sub, out),
             BrokerMsg::Unsubscribe(id) => self.unsubscribe(id, out),
-            BrokerMsg::Publish(event) | BrokerMsg::Notify(event) => self.route(from, event, out),
+            BrokerMsg::Publish(event) | BrokerMsg::Notify(event) => {
+                self.route(now, from, event, out)
+            }
+            BrokerMsg::Replay { client, since, filters } => {
+                let targets = (!self.topology.is_neighbour(from)).then(|| self.sub_targets(from));
+                self.replays.request(from, targets, (client, since, filters), out)
+            }
+            BrokerMsg::Replayed { client, events } => self.replays.answered(client, events, out),
             BrokerMsg::MoveOut => {
                 // Keep the client's subscriptions live; buffer its events.
                 self.proxies.entry(from).or_default();
@@ -564,19 +625,24 @@ impl Broker {
         }
     }
 
-    fn route(&mut self, from: NodeIndex, event: Event, out: &mut Outbox<BrokerMsg>) {
+    fn route(&mut self, now: SimTime, from: NodeIndex, event: Event, out: &mut Outbox<BrokerMsg>) {
         // A table is probed only if an interface other than `from` can
         // be served from it; `from`'s own matches are never served. The
         // neighbour table is probed when a broker other than `from` is
         // forwarded to by subscription, the client table when a client or
         // proxy other than `from` exists. So a leaf notified by its only
         // neighbour probes its clients' table alone, and a client's
-        // publication on a broker with no other client its neighbours'.
+        // publication on a broker with no other client its neighbours'
+        // (unless the broker keeps a log, whose subscriptions sit with
+        // the clients').
         let probe_neighbours = match &self.topology {
             BrokerTopology::Peer { neighbors } => neighbors.iter().any(|&n| n != from),
             BrokerTopology::Hierarchical { children, .. } => children.iter().any(|&c| c != from),
         };
-        let probe_clients = self.clients.iter().chain(self.proxies.keys()).any(|&c| c != from);
+        let probe_clients = self.clients.iter().chain(self.proxies.keys()).any(|&c| c != from)
+            || self.replays.log.is_some();
+        let holding = self.replays.awaited();
+        let from_neighbour = holding && self.topology.is_neighbour(from);
 
         // Each probe walks its matching subscriptions in arrival order
         // straight out of its index's reused hit list, each with the
@@ -587,9 +653,10 @@ impl Broker {
         //
         // An interface is served once per event, at its first matching
         // subscription: a client with k matching filters gets one copy,
-        // live or buffered. `wanted` then also says which neighbours
-        // hold a matching subscription, for forwarding below.
-        let Broker { subs, wanted, proxies, clients, .. } = self;
+        // live, buffered, or held back for a replay. `wanted` then also
+        // says which neighbours hold a matching subscription, for
+        // forwarding below, and whether a log subscription matched.
+        let Broker { subs, wanted, proxies, clients, replays, .. } = self;
         wanted.clear();
         let neighbour_hits = probe_neighbours.then(|| subs.neighbours.hits(&event));
         let client_hits = probe_clients.then(|| subs.clients.hits(&event));
@@ -604,10 +671,15 @@ impl Broker {
             }
             if let Some(buffer) = proxies.get_mut(&iface) {
                 buffer.push(event.clone());
-            } else if clients.contains(&iface) {
+            } else if clients.contains(&iface)
+                && !(holding && replays.hold(iface, from_neighbour, &event))
+            {
                 out.send(iface, BrokerMsg::Notify(event.clone()));
                 out.count("pubsub.delivered_local", 1.0);
             }
+        }
+        if replays.log.is_some() && wanted.contains(&LOG.0) {
+            replays.append(now, &event);
         }
 
         // Inter-broker forwarding.

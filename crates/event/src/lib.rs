@@ -16,10 +16,13 @@
 //!   the one server of the Elvin-like client-server baseline
 //!   ([`Architecture::Centralized`]: "it uses a client-server
 //!   architecture, limiting its scalability" — experiment **C1**
-//!   quantifies this), and
+//!   quantifies this),
 //! * Mobikit-like [`mobility`] proxies that subscribe on behalf of
 //!   disconnected mobile clients and hand buffered events over on
-//!   reconnection.
+//!   reconnection, and
+//! * subscriptions that start in the past: a broker's time-bounded
+//!   [`ReplayLog`] and the seamless [`replay`] a late subscriber asks
+//!   for.
 //!
 //! # Example
 //!
@@ -43,6 +46,7 @@ pub mod index;
 pub mod mobility;
 pub mod network;
 pub mod notification;
+pub mod replay;
 pub mod value;
 
 pub use baseline::LinearBroker;
@@ -52,4 +56,5 @@ pub use gloss_governor::{IngressClass, LoadShedder, ShedConfig, ShedDecision};
 pub use index::FilterIndex;
 pub use network::{Architecture, ClientApi, PubSubConfig, PubSubNetwork, PubSubNode, Role};
 pub use notification::{Event, EventId};
+pub use replay::ReplayLog;
 pub use value::AttrValue;

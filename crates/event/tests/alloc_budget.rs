@@ -2,7 +2,8 @@
 //! have grown, a `FilterIndex` probe allocates nothing, whatever it
 //! counts, verifies and matches, and a broker routing a notification
 //! allocates only what its outbox's vectors grow by for the copies it
-//! sends and the counters it bumps.
+//! sends and the counters it bumps. A broker's replay log, once it has
+//! reached its steady length, logs one more event with no allocation.
 //!
 //! This binary installs an allocator that counts each thread's
 //! allocations, so keep the budget checks in this file. CI also runs it
@@ -273,4 +274,30 @@ fn a_leaf_routes_allocating_only_the_outbox_growth() {
         assert_eq!(to, [hub], "the leaf's own publication goes to the hub only");
         assert_eq!(cost, growth, "publish: {own} own subscriptions, {covers} covers");
     }
+}
+
+/// A hub logging [`KINDS`]`[0]` for 10 s, with nobody else subscribed:
+/// once its log has reached its steady length (a notification every
+/// 100 ms for 30 s), appending one more — and dropping the one that aged
+/// out — allocates nothing, and nothing is sent.
+#[test]
+fn a_log_at_its_steady_length_appends_an_event_without_allocating() {
+    let neighbors = vec![NodeIndex(1), NodeIndex(2)];
+    let mut hub = Broker::new(NodeIndex(0), BrokerTopology::Peer { neighbors });
+    let mut out = Outbox::new();
+    hub.handle(SimTime::ZERO, NodeIndex(0), BrokerMsg::Attach, &mut out);
+    let log = Subscription { id: 1, filter: Filter::for_kind(KINDS[0]) };
+    hub.keep_log(log, gloss_sim::SimDuration::from_secs(10), &mut out);
+    let at = |k: u64| SimTime::from_micros(k * 100_000);
+    for k in 0..300 {
+        hub.handle(at(k), NodeIndex(1), BrokerMsg::Notify(event(0)), &mut Outbox::new());
+    }
+    let held = hub.log().expect("a log").len();
+    let (mut out, notify) = (Outbox::new(), BrokerMsg::Notify(event(0)));
+    let ((), cost) = allocations(|| hub.handle(at(300), NodeIndex(1), notify, &mut out));
+    assert_eq!(cost, (0, 0), "(allocations, bytes) logging one event at steady length");
+    assert!(out.sends().is_empty(), "a logged event is sent nowhere");
+    let log = hub.log().expect("a log");
+    assert_eq!((log.len(), log.appended, log.dropped), (held, 301, 301 - held as u64));
+    assert_eq!(held, 101, "10 s of events, both ends included");
 }

@@ -34,14 +34,19 @@
 //!    are mixed in, and a broker whose neighbour is also its client
 //!    must send what the linear broker sends, in the same order.
 //!
+//! 4. **Subscriptions that start in the past** — the star over FIFO
+//!    links with sampled latencies, the hub keeping a replay log: a late
+//!    subscriber's replay and the live stream after it, against the
+//!    hub's arrival sequence scanned by `Filter::matches`.
+//!
 //! Every [`BrokerMsg`] variant is handled in both worlds by these scripts
 //! (`the_script_drives_every_broker_message`); [`variant_name`] has no
 //! wildcard arm, so a new variant does not compile until it is placed
 //! under the oracle.
 
 use gloss_event::{
-    AttrValue, Broker, BrokerMsg, BrokerTopology, Event, Filter, FilterIndex, LinearBroker, Op,
-    ShedConfig, Subscription,
+    AttrValue, Broker, BrokerMsg, BrokerTopology, Event, EventId, Filter, FilterIndex,
+    LinearBroker, Op, ShedConfig, Subscription,
 };
 use gloss_sim::{NodeIndex, Outbox, SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
@@ -453,11 +458,13 @@ fn variant_name(msg: &BrokerMsg) -> &'static str {
         BrokerMsg::MoveIn { .. } => "MoveIn",
         BrokerMsg::FetchBuffer { .. } => "FetchBuffer",
         BrokerMsg::Handoff { .. } => "Handoff",
+        BrokerMsg::Replay { .. } => "Replay",
+        BrokerMsg::Replayed { .. } => "Replayed",
     }
 }
 
 /// Every name [`variant_name`] returns.
-const VARIANTS: [&str; 10] = [
+const VARIANTS: [&str; 12] = [
     "Subscribe",
     "Unsubscribe",
     "Publish",
@@ -468,6 +475,8 @@ const VARIANTS: [&str; 10] = [
     "MoveIn",
     "FetchBuffer",
     "Handoff",
+    "Replay",
+    "Replayed",
 ];
 
 /// What one world's clients were sent, and what its brokers counted.
@@ -475,6 +484,8 @@ const VARIANTS: [&str; 10] = [
 struct Seen {
     /// Per client, its notifications in order.
     deliveries: BTreeMap<u32, Vec<Event>>,
+    /// Per client, the replays it was sent, in order.
+    replays: BTreeMap<u32, Vec<Vec<(SimTime, Event)>>>,
     /// Totals of the [`DELIVERY_COUNTERS`].
     counters: BTreeMap<&'static str, f64>,
     /// [`variant_name`] of every message a broker handled.
@@ -500,7 +511,18 @@ impl Seen {
     /// we claim. (`handled` is left out: which messages cross a link is
     /// each broker's own business.)
     fn streams(&self) -> String {
-        format!("{:?} {:?}", self.deliveries, self.counters)
+        format!("{:?} {:?} {:?}", self.deliveries, self.replays, self.counters)
+    }
+
+    /// Records what a broker sent client `to`.
+    fn sent(&mut self, to: u32, msg: &BrokerMsg) {
+        match msg {
+            BrokerMsg::Notify(e) => self.deliveries.entry(to).or_default().push(e.clone()),
+            BrokerMsg::Replayed { events, .. } => {
+                self.replays.entry(to).or_default().push(events.clone())
+            }
+            _ => {}
+        }
     }
 }
 
@@ -521,8 +543,8 @@ fn run_step_at<B: AnyBroker>(now: SimTime, brokers: &mut [B], step: &ScriptStep,
         for (t, m) in out.sends() {
             if t.0 < BROKERS {
                 q.push_back((t.0, to, m.clone()));
-            } else if let BrokerMsg::Notify(e) = m {
-                seen.deliveries.entry(t.0).or_default().push(e.clone());
+            } else {
+                seen.sent(t.0, m);
             }
         }
         for (name, by) in out.counts().iter().chain(out.observations()) {
@@ -635,7 +657,17 @@ fn rand_script(rng: &mut SimRng) -> Vec<ScriptStep> {
             script.push((c.home, c.node, BrokerMsg::MoveIn { old_broker: NodeIndex(old) }));
         }
     }
+    // Every attached client asks for a replay, which no broker on the
+    // line holds a log for.
+    for c in clients.iter().filter(|c| c.attached) {
+        script.push((c.home, c.node, replay_of(c.node, rand_filter(rng))));
+    }
     script
+}
+
+/// Client `node`'s request to replay what matched `filter`, from the start.
+fn replay_of(node: u32, filter: Filter) -> BrokerMsg {
+    BrokerMsg::Replay { client: NodeIndex(node), since: SimTime::ZERO, filters: vec![filter] }
 }
 
 proptest! {
@@ -938,9 +970,10 @@ fn run_star_step<B: AnyBroker>(brokers: &mut [B], step: &ScriptStep, seen: &mut 
         brokers[to as usize].dispatch(SimTime::ZERO, NodeIndex(from), msg, &mut out);
         for (t, m) in out.sends() {
             match m {
-                BrokerMsg::Notify(e) if t.0 == to || t.0 > LEAVES => {
-                    seen.relayed += usize::from(t.0 == to && from == 0 && to != 0);
-                    seen.deliveries.entry(t.0).or_default().push(e.clone());
+                BrokerMsg::Notify(_) | BrokerMsg::Replayed { .. } if t.0 == to || t.0 > LEAVES => {
+                    let relayed = matches!(m, BrokerMsg::Notify(_)) && t.0 == to && from == 0;
+                    seen.relayed += usize::from(relayed && to != 0);
+                    seen.sent(t.0, m);
                 }
                 _ if t.0 == to => q.push_back((to, to, m.clone())),
                 _ if t.0 <= LEAVES => q.push_back((t.0, to, m.clone())),
@@ -1042,6 +1075,11 @@ fn rand_star_script(rng: &mut SimRng) -> Vec<ScriptStep> {
             script.push((c.home, c.node, BrokerMsg::MoveIn { old_broker: NodeIndex(c.home) }));
         }
     }
+    // Every attached client asks for a replay, which no broker holds a
+    // log for.
+    for c in clients.iter().filter(|c| c.attached) {
+        script.push((c.home, c.node, replay_of(c.node, rand_filter(rng))));
+    }
     script
 }
 
@@ -1133,4 +1171,211 @@ fn a_publication_is_sent_in_arrival_order_across_both_tables() {
     let to: Vec<u32> = got.iter().map(|(t, _)| t.0).collect();
     assert_eq!(to, [10, 1, 11, 2, 12, 1, 2], "clients in arrival order, then neighbours");
     assert_eq!(got, sends::<LinearBroker>());
+}
+
+// --- subscriptions that start in the past ---------------------------------
+
+/// What one run of [`since_scenario`] exercised.
+#[derive(Debug, Default)]
+struct SinceRun {
+    /// The subscriber's broker already forwarded a filter covering its
+    /// subscriptions, and the replay held something.
+    covered_replay: bool,
+    /// A publication on the subscriber's own broker reached it live.
+    own_broker_live: bool,
+    /// The log had dropped matches the replay would otherwise hold.
+    truncated_replay: bool,
+}
+
+/// The star over FIFO links with sampled latencies: the hub logs kind
+/// `a` for a few seconds, clients at the leaves and the hub publish
+/// stamped events of kinds `a` and `b`, and subscriber 10 subscribes
+/// late and asks for a replay from a random `since`. The reference is
+/// the hub's arrival sequence scanned by `Filter::matches`: the
+/// subscriber must be sent, first, exactly the logged matches that
+/// arrived at the hub from `since` on before the hub answered (less what
+/// the log's retention had dropped), in arrival order; and then, once
+/// each, every other matching event that reached its broker after it
+/// subscribed — and nothing else.
+fn since_scenario(seed: u64) -> SinceRun {
+    let mut rng = SimRng::new(seed);
+    let mut brokers: Vec<Broker> = (0..=LEAVES).map(Broker::in_star).collect();
+    let ms = SimDuration::from_millis;
+    let at_ms = |v: u64| SimTime::ZERO + ms(v);
+    let subscriber = 10u32;
+    let home = if rng.chance(0.25) { 0 } else { 1 };
+    // (client, its broker): the subscriber, a neighbour on its broker,
+    // clients on two other leaves and one on the hub.
+    let clients = [(subscriber, home), (11, home), (12, 2), (13, 3), (14, 0)];
+    let retention = SimDuration::from_secs(rng.range(1, 9));
+
+    // Scheduled inputs: (instant, order) → (broker, from, message).
+    let mut queue: BTreeMap<(SimTime, u64), (u32, u32, BrokerMsg)> = BTreeMap::new();
+    let mut order = 0u64;
+    let mut at = |queue: &mut BTreeMap<_, _>, t: SimTime, step: (u32, u32, BrokerMsg)| {
+        order += 1;
+        queue.insert((t, order), step);
+    };
+    for (c, b) in clients {
+        at(&mut queue, SimTime::ZERO, (b, c, BrokerMsg::Attach));
+    }
+    let covered = rng.chance(0.5);
+    if covered {
+        let cover = Subscription { id: 11 << 32, filter: Filter::for_kind("a") };
+        at(&mut queue, at_ms(100), (home, 11, BrokerMsg::Subscribe(cover)));
+    }
+    let mut published: Vec<(u32, Event)> = Vec::new();
+    for k in 0..80u64 {
+        let (c, b) = clients[rng.index(clients.len())];
+        let kind = if rng.chance(0.7) { "a" } else { "b" };
+        let mut e = Event::new(kind).with_attr("x", rng.range(0, 8) as i64);
+        e.stamp(EventId { origin: NodeIndex(c), seq: k }, SimTime::ZERO);
+        published.push((c, e.clone()));
+        at(&mut queue, at_ms(rng.range(200, 10_000)), (b, c, BrokerMsg::Publish(e)));
+    }
+    let subscribed = at_ms(rng.range(3_000, 9_000));
+    let since = at_ms(rng.range(0, subscribed.as_micros() / 1_000 + 1));
+    let shapes = [
+        Filter::for_kind("a").with_constraint("x", Op::Gt, 2i64),
+        Filter::for_kind("a").with_eq("x", 0i64),
+        Filter::for_kind("b").with_constraint("x", Op::Lt, 4i64),
+    ];
+    let filters: Vec<Filter> =
+        shapes.iter().filter(|_| rng.chance(0.6)).cloned().chain([shapes[0].clone()]).collect();
+    for (k, filter) in filters.iter().enumerate() {
+        let sub =
+            Subscription { id: (u64::from(subscriber) << 32) | k as u64, filter: filter.clone() };
+        at(&mut queue, subscribed, (home, subscriber, BrokerMsg::Subscribe(sub)));
+    }
+    let request =
+        BrokerMsg::Replay { client: NodeIndex(subscriber), since, filters: filters.clone() };
+    at(&mut queue, subscribed, (home, subscriber, request));
+
+    // The hub's log subscription goes out first.
+    let mut out = Outbox::new();
+    brokers[0].keep_log(
+        Subscription { id: 1 << 62, filter: Filter::for_kind("a") },
+        retention,
+        &mut out,
+    );
+    let mut sends: Vec<(SimTime, u32, u32, BrokerMsg)> =
+        out.sends().iter().map(|(t, m)| (SimTime::ZERO, t.0, 0, m.clone())).collect();
+
+    let mut link_clear: BTreeMap<(u32, u32), SimTime> = BTreeMap::new();
+    let mut hub_arrivals: Vec<(SimTime, Event)> = Vec::new();
+    let mut answered_at: Option<usize> = None;
+    let mut reached_after: BTreeSet<EventId> = BTreeSet::new();
+    let mut asked = false;
+    let mut received: Vec<BrokerMsg> = Vec::new();
+    loop {
+        // Broker-to-broker sends land after a sampled latency, in order
+        // per link.
+        for (now, to, from, msg) in sends.drain(..) {
+            let clear = link_clear.entry((from, to)).or_insert(SimTime::ZERO);
+            *clear = (*clear).max(now + ms(rng.range(1, 41)));
+            at(&mut queue, *clear, (to, from, msg));
+        }
+        let Some(((now, _), (to, from, msg))) = queue.pop_first() else {
+            break;
+        };
+        let event = match &msg {
+            BrokerMsg::Publish(e) | BrokerMsg::Notify(e) => Some(e.id()),
+            _ => None,
+        };
+        if to == 0 {
+            if let BrokerMsg::Publish(e) | BrokerMsg::Notify(e) = &msg {
+                hub_arrivals.push((now, e.clone()));
+            }
+            if matches!(msg, BrokerMsg::Replay { .. }) {
+                answered_at = Some(hub_arrivals.len());
+            }
+        }
+        if to == home && asked && from != subscriber {
+            reached_after.extend(event);
+        }
+        asked |= to == home && from == subscriber && matches!(msg, BrokerMsg::Replay { .. });
+        let mut out = Outbox::new();
+        brokers[to as usize].handle(now, NodeIndex(from), msg, &mut out);
+        for (t, m) in out.sends() {
+            if t.0 <= LEAVES {
+                sends.push((now, t.0, to, m.clone()));
+            } else if t.0 == subscriber {
+                received.push(m.clone());
+            }
+        }
+    }
+
+    let matches = |e: &Event| filters.iter().any(|f| f.matches(e));
+    let logged: Vec<&(SimTime, Event)> = hub_arrivals[..answered_at.expect("the hub answered")]
+        .iter()
+        .filter(|(_, e)| e.kind() == "a")
+        .collect();
+    let kept_from = logged.last().map_or(SimTime::ZERO, |(t, _)| {
+        SimTime::from_micros(t.as_micros().saturating_sub(retention.as_micros()))
+    });
+    let replay: Vec<(SimTime, Event)> = logged
+        .iter()
+        .filter(|(t, e)| *t >= kept_from && *t >= since && matches(e))
+        .map(|&(t, e)| (*t, e.clone()))
+        .collect();
+    let replayed: BTreeSet<EventId> = replay.iter().map(|(_, e)| e.id()).collect();
+    let live: BTreeSet<EventId> = published
+        .iter()
+        .filter(|(c, e)| *c != subscriber && matches(e) && reached_after.contains(&e.id()))
+        .map(|(_, e)| e.id())
+        .filter(|id| !replayed.contains(id))
+        .collect();
+
+    let (first, rest) = received.split_first().expect("the subscriber was sent its replay");
+    let BrokerMsg::Replayed { events, .. } = first else {
+        panic!("sent {first:?} before its replay");
+    };
+    assert_eq!(events, &replay, "the replay (since {since}, subscribed at {subscribed})");
+    let notified: Vec<EventId> = rest
+        .iter()
+        .map(|m| match m {
+            BrokerMsg::Notify(e) => e.id(),
+            other => panic!("sent {other:?} after its replay"),
+        })
+        .collect();
+    let unique: BTreeSet<EventId> = notified.iter().copied().collect();
+    assert_eq!(unique.len(), notified.len(), "an event notified twice: {notified:?}");
+    assert_eq!(unique, live, "the live stream after the replay");
+
+    let log = brokers[0].log().expect("the hub keeps a log");
+    let a_events = published.iter().filter(|(_, e)| e.kind() == "a").count() as u64;
+    assert_eq!(log.appended, a_events, "every event of kind a reached the hub's log");
+    assert_eq!(log.appended, log.len() as u64 + log.dropped);
+    let own = published.iter().any(|(c, e)| *c == 11 && unique.contains(&e.id()));
+    let lost = logged.iter().any(|(t, e)| *t < kept_from && *t >= since && matches(e));
+    SinceRun {
+        covered_replay: covered && home != 0 && !replay.is_empty(),
+        own_broker_live: own,
+        truncated_replay: lost && log.dropped > 0,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+    #[test]
+    fn a_subscription_since_receives_the_logged_matches_then_the_live_stream(seed in any::<u64>()) {
+        since_scenario(seed);
+    }
+}
+
+/// Over a fixed run of seeds the replay oracle covers a subscriber whose
+/// broker already forwarded a covering filter, a publisher on the
+/// subscriber's own broker, and a log whose retention cut the replay.
+#[test]
+fn the_since_scenarios_reach_covers_own_broker_publishers_and_truncation() {
+    let mut reached = SinceRun::default();
+    for seed in 0..64 {
+        let run = since_scenario(seed);
+        reached.covered_replay |= run.covered_replay;
+        reached.own_broker_live |= run.own_broker_live;
+        reached.truncated_replay |= run.truncated_replay;
+    }
+    assert!(reached.covered_replay, "{reached:?}");
+    assert!(reached.own_broker_live, "{reached:?}");
+    assert!(reached.truncated_replay, "{reached:?}");
 }

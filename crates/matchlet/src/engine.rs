@@ -567,10 +567,6 @@ impl Stamp {
 /// stamp is written while joins read the buffer, hence the cells.
 #[derive(Debug, Clone)]
 struct Buffered {
-    /// The number of the event that made it (the engine's
-    /// [`EngineStats::events_in`] count at the event), shared by every
-    /// pattern one event matched.
-    event: u64,
     /// Arrival time.
     at: SimTime,
     /// The pattern's bindings; while `stamp` is `One`, followed by the
@@ -580,8 +576,8 @@ struct Buffered {
 }
 
 impl Buffered {
-    fn new(event: u64, at: SimTime, bindings: Bindings) -> Self {
-        Buffered { event, at, bindings: RefCell::new(bindings), stamp: Cell::default() }
+    fn new(at: SimTime, bindings: Bindings) -> Self {
+        Buffered { at, bindings: RefCell::new(bindings), stamp: Cell::default() }
     }
 
     /// Whether the entry is stamped dead in the current generation.
@@ -612,17 +608,6 @@ impl PatternBuffer {
             self.indexes.push(JoinIndex { vars, buckets: FnvHashMap::default(), inexact: 0 });
             self.indexes.len() - 1
         })
-    }
-
-    /// Takes every entry out, oldest first, keeping the indexes'
-    /// variable sets.
-    fn take(&mut self) -> VecDeque<Buffered> {
-        self.head += self.entries.len() as u64;
-        for index in &mut self.indexes {
-            index.buckets.clear();
-            index.inexact = 0;
-        }
-        std::mem::take(&mut self.entries)
     }
 
     fn push(&mut self, mut entry: Buffered) {
@@ -751,38 +736,6 @@ fn local_prefix(goals: &[Goal], compiled: &[CompiledPattern]) -> Option<LocalPre
     best
 }
 
-/// A standby rule's state ([`MatchletEngine::standby`]): the window it
-/// held when it was demoted, `(pattern, entry)` oldest first, and every
-/// event of its kinds offered since, `(event number, arrival, event)`
-/// oldest first, both kept for the rule's window plus `horizon`. A
-/// standby neither matches nor joins, so it keeps no window buffers and
-/// no indexes. Matching reads only the event and the pattern, so
-/// [`MatchletEngine::promote`] can match the kept events late.
-#[derive(Debug, Clone)]
-struct Standby {
-    horizon: SimDuration,
-    window: VecDeque<(usize, Buffered)>,
-    kept: VecDeque<(u64, SimTime, Event)>,
-}
-
-impl Standby {
-    /// Drops what arrived more than the window plus the horizon before
-    /// `now`, then keeps `event`; returns how many kept events it dropped.
-    fn keep(&mut self, now: SimTime, window: SimDuration, number: u64, event: &Event) -> u64 {
-        let cutoff = cutoff(now, window + self.horizon);
-        while self.window.front().is_some_and(|(_, entry)| entry.at < cutoff) {
-            self.window.pop_front();
-        }
-        let before = self.kept.len();
-        while self.kept.front().is_some_and(|&(_, at, _)| at < cutoff) {
-            self.kept.pop_front();
-        }
-        let dropped = (before - self.kept.len()) as u64;
-        self.kept.push_back((number, now, event.clone()));
-        dropped
-    }
-}
-
 /// The instant `span` before `now`, or zero.
 fn cutoff(now: SimTime, span: SimDuration) -> SimTime {
     SimTime::from_micros(now.as_micros().saturating_sub(span.as_micros()))
@@ -818,8 +771,6 @@ pub struct CompiledRule {
     /// `(pattern, attribute)`: each event attribute the pattern binds to
     /// the subject of one of the rule's fact goals.
     subject_attrs: Vec<(usize, String)>,
-    /// `Some` while the rule stands by.
-    standby: Option<Standby>,
     /// How many times the rule has fired.
     pub fired: u64,
 }
@@ -872,7 +823,6 @@ impl CompiledRule {
             plan,
             local,
             subject_attrs,
-            standby: None,
             fired: 0,
         }
     }
@@ -883,17 +833,9 @@ impl CompiledRule {
         }
     }
 
-    /// Total buffered partial matches: a live rule's window buffers, or
-    /// what a standby rule keeps — the entries of the window it was
-    /// demoted with and the events offered since.
+    /// Total buffered partial matches.
     pub fn buffered(&self) -> usize {
-        let kept = self.standby.as_ref().map_or(0, |s| s.window.len() + s.kept.len());
-        self.buffers.iter().map(|b| b.entries.len()).sum::<usize>() + kept
-    }
-
-    /// Whether the rule stands by ([`MatchletEngine::standby`]).
-    pub fn is_standby(&self) -> bool {
-        self.standby.is_some()
+        self.buffers.iter().map(|b| b.entries.len()).sum()
     }
 }
 
@@ -922,9 +864,6 @@ pub struct EngineStats {
     /// hashed faithfully (a non-integral or huge numeric) was in the
     /// window or in the probing environment.
     pub join_scans: u64,
-    /// Events a standby rule kept and dropped unmatched once they were
-    /// older than its window plus its horizon.
-    pub standby_dropped: u64,
 }
 
 /// Event kind → `(rule index, pattern index)` pairs listening for it, in
@@ -962,7 +901,7 @@ pub struct MatchletEngine {
     /// per-event sync is skipped entirely (direct-only engines pay
     /// nothing for the delta machinery).
     memo_rules: usize,
-    /// How many live rules bind a fact goal's subject from an event
+    /// How many rules bind a fact goal's subject from an event
     /// attribute; when zero, [`fact_subjects`](Self::fact_subjects)
     /// returns at once.
     subject_rules: usize,
@@ -1029,8 +968,7 @@ impl MatchletEngine {
     }
 
     fn count_subject_rules(&mut self) {
-        let live = self.rules.iter().filter(|r| r.standby.is_none());
-        self.subject_rules = live.filter(|r| !r.subject_attrs.is_empty()).count();
+        self.subject_rules = self.rules.iter().filter(|r| !r.subject_attrs.is_empty()).count();
     }
 
     /// Removes a rule by name; returns whether it existed. Its
@@ -1112,7 +1050,7 @@ impl MatchletEngine {
         self.beta.nodes.iter().flatten().filter(|n| n.refs > 1).count()
     }
 
-    /// Calls `f` with each subject a live rule's fact goals will read
+    /// Calls `f` with each subject a rule's fact goals will read
     /// about `event`: the value of each string attribute that a pattern
     /// listening for its kind binds to a fact goal's subject. (Whether
     /// the pattern matches the rest of the event is not checked.)
@@ -1125,9 +1063,6 @@ impl MatchletEngine {
         };
         for &(ri, pi) in entries {
             let rule = &self.rules[ri as usize];
-            if rule.standby.is_some() {
-                continue;
-            }
             for (_, name) in rule.subject_attrs.iter().filter(|(p, _)| *p == pi as usize) {
                 if let Some(AttrValue::Str(subject)) = event.attr(name) {
                     f(subject);
@@ -1152,21 +1087,37 @@ impl MatchletEngine {
     /// event is buffered. All joined events lie within the rule's window
     /// of the new event.
     pub fn on_event(&mut self, now: SimTime, event: &Event, kb: &dyn FactSource) -> Vec<Event> {
-        self.on_event_joining(now, event, kb, join_and_fire)
+        self.on_event_joining(now, event, SimTime::ZERO, kb, join_and_fire)
     }
 
-    /// [`on_event`](Self::on_event) with the join as a parameter, so the
+    /// Offers an event that arrived at `at` as [`on_event`](Self::on_event)
+    /// does, but fires only if `at` is at or after `since`: a replayed
+    /// stream, offered oldest first, buffers and joins as it did live,
+    /// and fires only the joins whose later event arrived from `since`
+    /// on. A promoted instance takes the events it missed this way
+    /// before it runs live.
+    pub fn replay(
+        &mut self,
+        at: SimTime,
+        event: &Event,
+        since: SimTime,
+        kb: &dyn FactSource,
+    ) -> Vec<Event> {
+        self.on_event_joining(at, event, since, kb, join_and_fire)
+    }
+
+    /// [`replay`](Self::replay) with the join as a parameter, so the
     /// tests can run a transcription of an earlier join strategy through
     /// the same matching, memo and emit code.
     fn on_event_joining(
         &mut self,
         now: SimTime,
         event: &Event,
+        since: SimTime,
         kb: &dyn FactSource,
         join: JoinFn,
     ) -> Vec<Event> {
         self.stats.events_in += 1;
-        let event_number = self.stats.events_in;
         let mut out = Vec::new();
         if !self.kind_index.contains_key(event.kind()) {
             return out;
@@ -1185,93 +1136,19 @@ impl MatchletEngine {
             i = j;
 
             let rule = &mut rules[ri];
-            if let Some(standby) = &mut rule.standby {
-                joiner.stats.standby_dropped +=
-                    standby.keep(now, rule.rule.window, event_number, event);
-                continue;
-            }
             for &(_, pi) in pattern_entries {
                 let p = pi as usize;
                 if let Some(b) = match_compiled(&rule.compiled[p], event) {
-                    joiner.matched.push((p, Buffered::new(event_number, now, b)));
+                    joiner.matched.push((p, Buffered::new(now, b)));
                 }
             }
-            run_matches(rule, now, true, &mut joiner);
+            run_matches(rule, now, now >= since, &mut joiner);
         }
         joiner.stats.events_out += joiner.out.len() as u64;
         out
     }
 
-    /// Puts every rule named `name` in standby, and returns whether there
-    /// was one. A standby rule neither matches, joins nor fires: it keeps
-    /// the events of its kinds for its window plus `horizon`, so that
-    /// [`promote`](Self::promote) can fire what arrived up to `horizon`
-    /// before the promotion. A live rule's window becomes the first
-    /// entries it keeps.
-    pub fn standby(&mut self, name: &str, horizon: SimDuration) -> bool {
-        let mut found = false;
-        for rule in self.rules.iter_mut().filter(|r| r.rule.name == name) {
-            found = true;
-            if rule.standby.is_some() {
-                continue;
-            }
-            let mut window: Vec<(usize, Buffered)> = Vec::with_capacity(rule.buffered());
-            for (pattern, buf) in rule.buffers.iter_mut().enumerate() {
-                window.extend(buf.take().into_iter().map(|entry| (pattern, entry)));
-            }
-            window.sort_by_key(|(pattern, entry)| (entry.event, *pattern));
-            rule.standby = Some(Standby { horizon, window: window.into(), kept: VecDeque::new() });
-        }
-        self.count_subject_rules();
-        found
-    }
-
-    /// Makes every standby rule named `name` live, and returns what it
-    /// fires on the way. The window it was demoted with is fed back
-    /// first, then each kept event is matched against the rule's patterns
-    /// of its kind; both go in arrival order, one event's matches
-    /// together, through the join and fire code [`on_event`](Self::on_event)
-    /// runs, each at its own arrival instant: eviction is relative to the
-    /// event's arrival, and only events that arrived at or after `since`
-    /// join and fire. What is left buffered is the window a live rule
-    /// would hold after the last kept event. A join whose earlier event
-    /// was kept fires as it would have live; one whose earlier event
-    /// arrived more than the window plus the horizon before the last kept
-    /// event cannot.
-    pub fn promote(&mut self, name: &str, since: SimTime, kb: &dyn FactSource) -> Vec<Event> {
-        let mut out = Vec::new();
-        let (_, rules, mut joiner) = self.split(kb, join_and_fire, &mut out);
-        for rule in rules.iter_mut().filter(|r| r.rule.name == name) {
-            let Some(standby) = rule.standby.take() else {
-                continue;
-            };
-            let mut window = standby.window.into_iter().peekable();
-            while let Some((pattern, entry)) = window.next() {
-                let (event, at) = (entry.event, entry.at);
-                joiner.matched.push((pattern, entry));
-                while let Some(next) = window.next_if(|(_, e)| e.event == event) {
-                    joiner.matched.push(next);
-                }
-                run_matches(rule, at, at >= since, &mut joiner);
-            }
-            for (number, at, event) in standby.kept {
-                for (p, pattern) in rule.compiled.iter().enumerate() {
-                    if rule.rule.patterns[p].kind != event.kind() {
-                        continue;
-                    }
-                    if let Some(b) = match_compiled(pattern, &event) {
-                        joiner.matched.push((p, Buffered::new(number, at, b)));
-                    }
-                }
-                run_matches(rule, at, at >= since, &mut joiner);
-            }
-        }
-        joiner.stats.events_out += joiner.out.len() as u64;
-        self.count_subject_rules();
-        out
-    }
-
-    /// Splits the engine for one event's (or one promotion's) joins: its
+    /// Splits the engine for one event's joins: its
     /// kind index, its rules, and the rest, with the alpha memories
     /// brought up to date with `kb` and the stamp generation taken.
     fn split<'a>(
@@ -2011,10 +1888,10 @@ mod tests {
         assert!(out.is_empty());
     }
 
-    /// A standby matches what it kept only when it is promoted, so a
-    /// payload projection is read then: the promotion fires what a live
-    /// twin fired from `since` on, and a kept event without a payload
-    /// never fires.
+    /// A promoted instance matches the events it missed only when they
+    /// are replayed to it, so a payload projection is read then: a fresh
+    /// engine fed the stream through `replay` fires what a live twin
+    /// fired from `since` on, and an event without a payload never fires.
     #[test]
     fn a_promoted_standby_projects_payloads_as_its_live_twin_did() {
         let src = r#"
@@ -2026,8 +1903,6 @@ mod tests {
             }
         "#;
         let mut live = MatchletEngine::compile(src).unwrap();
-        let mut standby = MatchletEngine::compile(src).unwrap();
-        assert!(standby.standby("gps", SimDuration::from_secs(60)));
         let fix = |lat: &str| {
             let payload = parse(&format!(r#"<fix><pos lat="{lat}" lon="-2.80"/></fix>"#)).unwrap();
             Event::new("loc").with_payload(payload)
@@ -2037,19 +1912,21 @@ mod tests {
         let since = t(2);
         let mut expected = Vec::new();
         for (s, event) in stream.iter().enumerate() {
-            let at = t(s as u64);
-            let fired = live.on_event(at, event, &kb());
-            assert!(standby.on_event(at, event, &kb()).is_empty(), "a standby fired at {at}");
-            if at >= since {
+            let fired = live.on_event(t(s as u64), event, &kb());
+            if t(s as u64) >= since {
                 expected.extend(fired);
             }
         }
-        assert_eq!(standby.rules()[0].buffered(), 6, "every event is kept, payload or not");
         assert_eq!(expected.len(), 2, "56.5 and 57.1 fire from `since` on");
-        assert_eq!(standby.promote("gps", since, &kb()), expected);
-        assert_eq!(standby.stats.events_out, 2);
+        let mut promoted = MatchletEngine::compile(src).unwrap();
+        let mut replayed = Vec::new();
+        for (s, event) in stream.iter().enumerate() {
+            replayed.extend(promoted.replay(t(s as u64), event, since, &kb()));
+        }
+        assert_eq!(replayed, expected);
+        assert_eq!(promoted.stats.events_out, 2);
         let later = fix("58.0");
-        assert_eq!(standby.on_event(t(6), &later, &kb()), live.on_event(t(6), &later, &kb()));
+        assert_eq!(promoted.on_event(t(6), &later, &kb()), live.on_event(t(6), &later, &kb()));
     }
 
     #[test]
@@ -2380,6 +2257,7 @@ mod tests {
                         let expected = breadth_first.on_event_joining(
                             now,
                             &ev,
+                            SimTime::ZERO,
                             &kb,
                             breadth_first_join_and_fire,
                         );

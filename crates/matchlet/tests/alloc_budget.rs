@@ -4,9 +4,7 @@
 //! partners that are visited and rejected cost no allocation; only what
 //! is kept (the event's own buffered bindings, the emitted events) is
 //! allocated. The same holds for the facts a fact goal visits: binding a
-//! fact's subject shares the fact's name. A standby rule keeps the shared
-//! event instead of matching it, so once its queue has reached its steady
-//! length it keeps one more with no allocation at all.
+//! fact's subject shares the fact's name.
 //!
 //! This binary installs an allocator that counts each thread's
 //! allocations, so keep the budget checks in this file. CI also runs it
@@ -204,52 +202,4 @@ fn a_join_allocates_the_same_for_8_and_256_stamped_partners() {
         many_cost, few_cost,
         "(allocations, bytes) joining 256 stamped partners vs 8: a stamp read back must cost nothing"
     );
-}
-
-/// A two-pattern rule with a 30 s window, offered as a standby with a
-/// 50 s horizon: it keeps 80 s of events.
-const PAIR_RULE: &str = r#"
-    rule pair {
-        on a: event ping(k: ?k, n: ?n)
-        on b: event pong(k: ?k, m: ?m)
-        within 30 s
-        emit paired(n: ?n, m: ?m)
-    }
-"#;
-
-/// Offers one ping and one pong a second for 200 s — past the 80 s a
-/// standby keeps, so its queue has reached its steady length — then
-/// returns what offering the next ping allocated.
-fn offering_a_ping(standby: bool) -> (Vec<Event>, (u64, u64)) {
-    let kb = InMemoryFacts::new();
-    let mut engine = MatchletEngine::compile(PAIR_RULE).expect("rule parses");
-    if standby {
-        assert!(engine.standby("pair", gloss_sim::SimDuration::from_secs(50)));
-    }
-    let t = |ms: u64| SimTime::from_micros(ms * 1_000);
-    for s in 0..200u64 {
-        let ping = Event::new("ping").with_attr("k", (s % 7) as i64).with_attr("n", s as i64);
-        let pong = Event::new("pong").with_attr("k", (s % 5) as i64).with_attr("m", s as i64);
-        engine.on_event(t(s * 1_000), &ping, &kb);
-        engine.on_event(t(s * 1_000 + 500), &pong, &kb);
-    }
-    let ping = Event::new("ping").with_attr("k", 100).with_attr("n", 200);
-    let result = allocations(|| engine.on_event(t(200_000), &ping, &kb));
-    let rule = &engine.rules()[0];
-    assert_eq!(rule.is_standby(), standby);
-    if standby {
-        assert_eq!(rule.buffered(), 161, "80 s of pings and pongs, and the new ping");
-        assert_eq!(engine.stats.standby_dropped, 400 - 160, "the rest aged out");
-    }
-    result
-}
-
-#[test]
-fn a_standby_keeps_an_event_without_allocating() {
-    let (fired, standby_cost) = offering_a_ping(true);
-    assert!(fired.is_empty(), "a standby fires nothing");
-    assert_eq!(standby_cost, (0, 0), "(allocations, bytes) keeping one event at steady length");
-    let (fired, live_cost) = offering_a_ping(false);
-    assert!(fired.is_empty(), "no pong of key 100 to join");
-    assert!(live_cost.0 > 0, "a live twin allocates the ping's bindings");
 }

@@ -28,13 +28,14 @@
 //!    the emitted sequences must be identical *in order*, as must every
 //!    rule's buffered count.
 //!
-//! 4. A standby engine promoted at a random instant against a live twin
-//!    fed the same stream: while it stands by it fires nothing; its
-//!    promotion fires exactly the live twin's firings whose later event
-//!    arrived at or after that instant (as multisets); from then on the
+//! 4. A promoted standby against a live twin fed the same stream. The
+//!    standby's rules are unloaded while it stands by; at a random
+//!    `since` they are loaded again and fed, through `replay`, what a
+//!    bounded log of the stream holds from one window before `since`:
+//!    they fire exactly the live twin's firings whose later event
+//!    arrived at or after `since` (as multisets), and from then on the
 //!    two fire identically, in order. Half the time the standby starts
-//!    live and is demoted mid-stream, so its window becomes retained
-//!    entries that later joins need.
+//!    live and is demoted mid-stream.
 
 use gloss_event::Event;
 use gloss_knowledge::{Fact, FactSource, InMemoryFacts, Term};
@@ -760,9 +761,9 @@ proptest! {
         let rules = parse_rules(&src).expect("generated rules parse");
         let mut live = MatchletEngine::new();
         let mut standby = MatchletEngine::new();
-        for rule in rules {
+        for rule in &rules {
             live.add_rule(rule.clone());
-            standby.add_rule(rule);
+            standby.add_rule(rule.clone());
         }
         let kb = kb();
         let mut now = SimTime::ZERO;
@@ -776,7 +777,7 @@ proptest! {
         let split = split.min(events.len());
         // The standby runs live up to event `demote` (for one case in two):
         // its firings then were the live twin's, and a promotion fires
-        // nothing from before the demotion.
+        // nothing from before the demotion. Then its rules are unloaded.
         let demote = if demote < 40 { demote.min(split) } else { 0 };
         let demoted_at = demote.checked_sub(1).map_or(SimTime::ZERO, |d| {
             times[d] + gloss_sim::SimDuration::from_micros(1)
@@ -794,34 +795,44 @@ proptest! {
         let needed = last.as_micros().saturating_sub(since.as_micros());
         let horizon = gloss_sim::SimDuration::from_micros(needed + slack * 1_000_000);
         let names = ["r0", "r1", "r2"];
+        let unload = |engine: &mut MatchletEngine| -> Result<(), TestCaseError> {
+            for name in names {
+                prop_assert!(engine.remove_rule(name));
+            }
+            Ok(())
+        };
         let mut expected = Vec::new();
         for (i, ((_, ev), &at)) in events[..split].iter().zip(&times).enumerate() {
             if i == demote {
-                for name in names {
-                    prop_assert!(standby.standby(name, horizon));
-                }
+                unload(&mut standby)?;
             }
             let fired = live.on_event(at, ev, &kb);
-            let got = standby.on_event(at, ev, &kb);
             if i < demote {
+                let got = standby.on_event(at, ev, &kb);
                 prop_assert_eq!(rendered(&got), rendered(&fired), "before the demotion, at {}", at);
-            } else {
-                prop_assert!(got.is_empty(), "a standby fired at {}", at);
             }
             if at >= since {
                 expected.extend(fired);
             }
         }
         if demote == split {
-            for name in names {
-                prop_assert!(standby.standby(name, horizon));
-            }
+            unload(&mut standby)?;
+        }
+        // The log keeps the stream for the longest window plus the
+        // horizon before its newest event; the promotion replays it from
+        // one window before `since`.
+        let window = rules.iter().map(|r| r.window).max().expect("three rules");
+        let kept = SimTime::from_micros(last.as_micros().saturating_sub((window + horizon).as_micros()));
+        let from = SimTime::from_micros(since.as_micros().saturating_sub(window.as_micros()));
+        for rule in &rules {
+            standby.add_rule(rule.clone());
         }
         let mut promoted = Vec::new();
-        for name in names {
-            promoted.extend(standby.promote(name, since, &kb));
+        for ((_, ev), &at) in events[..split].iter().zip(&times) {
+            if at >= kept && at >= from {
+                promoted.extend(standby.replay(at, ev, since, &kb));
+            }
         }
-        prop_assert!(standby.rules().iter().all(|r| !r.is_standby()));
         prop_assert_eq!(
             canonical(&promoted),
             canonical(&expected),

@@ -36,6 +36,7 @@ fn bundle_deploys_rules_that_match_events() {
     let out = server.match_event(
         SimTime::ZERO,
         &Event::new("user.location").with_attr("user", "bob").with_attr("speed", 42.0),
+        SimTime::ZERO,
         &kb,
     );
     assert_eq!(out.len(), 1);
