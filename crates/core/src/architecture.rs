@@ -12,7 +12,7 @@ use gloss_overlay::{ring_settle, OverlayNode};
 use gloss_sim::{NodeIndex, SimDuration, SimRng, SimTime, Topology, World};
 use gloss_store::placement::NodeSite;
 use gloss_store::{Document, StoreConfig, StoreMsg, StoreNode};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Configuration for an [`ActiveArchitecture`].
 #[derive(Debug, Clone)]
@@ -286,7 +286,7 @@ impl ActiveArchitecture {
     /// `subject` as a shared name: the authority store's own copy when it
     /// holds facts about the subject, so a prefetch message builds no
     /// string.
-    fn subject_name(&self, subject: &str) -> Arc<str> {
+    fn subject_name(&self, subject: &str) -> Rc<str> {
         self.authority.facts(subject).map_or_else(|| subject.into(), |store| store.name(subject))
     }
 
@@ -415,9 +415,9 @@ mod tests {
         let mut a = ActiveArchitecture::build(ArchConfig { nodes: 2, ..Default::default() });
         a.seed_knowledge(NodeIndex(0), "bob", &[Fact::new("bob", "likes", Term::str("golf"))]);
         let (x, y) = (a.subject_name("bob"), a.subject_name("bob"));
-        assert!(Arc::ptr_eq(&x, &y));
+        assert!(Rc::ptr_eq(&x, &y));
         let held = a.knowledge_mut("bob").query(Some("bob"), None).next().unwrap().subject.clone();
-        assert!(Arc::ptr_eq(&x, &held));
+        assert!(Rc::ptr_eq(&x, &held));
         assert_eq!(&*a.subject_name("nobody"), "nobody");
     }
 

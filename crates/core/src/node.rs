@@ -27,7 +27,7 @@ use gloss_sim::{FnvHashMap, GeoPoint, Input, Node, NodeIndex, Outbox, SimDuratio
 use gloss_store::{Document, LookupOutcome, StoreMsg, StoreNode};
 use gloss_xml::Element;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Messages of the integrated architecture.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,13 +42,13 @@ pub enum GlossMsg {
     /// A UI client subscription on this node.
     UiSubscribe(Filter),
     /// Prefetch the knowledge-base document for a subject into this node.
-    /// The subject is a shared name: the sender's copy travels with no
-    /// string built per message.
-    PrefetchSubject(Arc<str>),
+    /// The subject is a shared name (`Rc<str>`): the sender's copy
+    /// travels with no string built per message.
+    PrefetchSubject(Rc<str>),
     /// Pull the latest delta batch for a subject (repairs incrementally
     /// when it extends the held state; falls back to the full document
     /// otherwise).
-    PrefetchDeltas(Arc<str>),
+    PrefetchDeltas(Rc<str>),
     /// A sealed code bundle shipped by the evolution engine or discovery.
     Bundle {
         /// Instance id (evolution bookkeeping; empty for discovery).

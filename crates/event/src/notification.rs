@@ -5,7 +5,7 @@ use gloss_sim::{NodeIndex, SimTime};
 use gloss_xml::Element;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Globally unique event identifier: publishing node + per-node sequence.
 ///
@@ -31,11 +31,12 @@ impl fmt::Display for EventId {
 /// nodes as a value inside the architecture's messages, and only its
 /// payload is XML: an [`Element`] the event carries as it is.
 ///
-/// Attributes and payload are `Arc`-backed with copy-on-write mutation:
-/// cloning an event (which brokers do once per neighbour/subscriber on
-/// every routing hop) bumps two reference counts instead of deep-copying
-/// the attribute map, and [`Event::set_attr`] clones the map only when it
-/// is actually shared.
+/// Kind, attributes and payload are `Rc`-backed with copy-on-write
+/// mutation: cloning an event (which brokers do once per
+/// neighbour/subscriber on every routing hop) bumps two non-atomic
+/// reference counts, three with a payload, instead of deep-copying the
+/// attribute map, and [`Event::set_attr`] clones the map only when it is
+/// actually shared. An event with no attributes holds no map at all.
 ///
 /// # Example
 ///
@@ -49,19 +50,13 @@ impl fmt::Display for EventId {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
-    kind: Arc<str>,
-    attrs: Arc<BTreeMap<Arc<str>, AttrValue>>,
-    payload: Option<Arc<Element>>,
+    kind: Rc<str>,
+    /// `None` until the first [`set_attr`](Self::set_attr), its only
+    /// writer, so never `Some` of an empty map.
+    attrs: Option<Rc<BTreeMap<Rc<str>, AttrValue>>>,
+    payload: Option<Rc<Element>>,
     id: EventId,
     published_at: SimTime,
-}
-
-/// All attribute-less events share one empty map, so creating an event
-/// costs no map allocation until the first `set_attr`.
-fn empty_attrs() -> Arc<BTreeMap<Arc<str>, AttrValue>> {
-    use std::sync::OnceLock;
-    static EMPTY: OnceLock<Arc<BTreeMap<Arc<str>, AttrValue>>> = OnceLock::new();
-    EMPTY.get_or_init(|| Arc::new(BTreeMap::new())).clone()
 }
 
 impl Default for Event {
@@ -72,12 +67,12 @@ impl Default for Event {
 
 impl Event {
     /// Creates an event of the given kind with no attributes. Passing an
-    /// `Arc<str>` kind (e.g. one cached by a rule engine) is
+    /// `Rc<str>` kind (e.g. one cached by a rule engine) is
     /// allocation-free.
-    pub fn new(kind: impl Into<Arc<str>>) -> Self {
+    pub fn new(kind: impl Into<Rc<str>>) -> Self {
         Event {
             kind: kind.into(),
-            attrs: empty_attrs(),
+            attrs: None,
             payload: None,
             id: EventId::default(),
             published_at: SimTime::default(),
@@ -107,7 +102,7 @@ impl Event {
 
     /// The value of attribute `name`.
     pub fn attr(&self, name: &str) -> Option<&AttrValue> {
-        self.attrs.get(name)
+        self.attrs.as_ref()?.get(name)
     }
 
     /// String attribute convenience accessor.
@@ -122,18 +117,18 @@ impl Event {
 
     /// All attributes in name order.
     pub fn attrs(&self) -> impl Iterator<Item = (&str, &AttrValue)> {
-        self.attrs.iter().map(|(k, v)| (k.as_ref(), v))
+        self.attrs.as_deref().map(BTreeMap::iter).unwrap_or_default().map(|(k, v)| (k.as_ref(), v))
     }
 
     /// Sets an attribute (copy-on-write: clones the attribute map only
-    /// if it is shared with another event). Passing `Arc<str>` for the
+    /// if it is shared with another event). Passing `Rc<str>` for the
     /// name is allocation-free.
-    pub fn set_attr(&mut self, name: impl Into<Arc<str>>, value: impl Into<AttrValue>) {
-        Arc::make_mut(&mut self.attrs).insert(name.into(), value.into());
+    pub fn set_attr(&mut self, name: impl Into<Rc<str>>, value: impl Into<AttrValue>) {
+        Rc::make_mut(self.attrs.get_or_insert_default()).insert(name.into(), value.into());
     }
 
     /// Builder form of [`set_attr`](Self::set_attr).
-    pub fn with_attr(mut self, name: impl Into<Arc<str>>, value: impl Into<AttrValue>) -> Self {
+    pub fn with_attr(mut self, name: impl Into<Rc<str>>, value: impl Into<AttrValue>) -> Self {
         self.set_attr(name, value);
         self
     }
@@ -145,7 +140,7 @@ impl Event {
 
     /// Attaches a structured payload.
     pub fn with_payload(mut self, payload: Element) -> Self {
-        self.payload = Some(Arc::new(payload));
+        self.payload = Some(Rc::new(payload));
         self
     }
 }
@@ -153,7 +148,7 @@ impl Event {
 impl fmt::Display for Event {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}[{}](", self.kind, self.id)?;
-        for (i, (k, v)) in self.attrs.iter().enumerate() {
+        for (i, (k, v)) in self.attrs().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -193,19 +188,40 @@ mod tests {
         assert_eq!(e.payload().unwrap().child("accuracy").unwrap().text(), "5");
     }
 
+    /// Whether `a` and `b` hold the same kind, attribute map and payload.
+    fn shares_all(a: &Event, b: &Event) -> bool {
+        Rc::ptr_eq(&a.kind, &b.kind)
+            && a.attrs.as_ref().map(Rc::as_ptr) == b.attrs.as_ref().map(Rc::as_ptr)
+            && a.payload.as_ref().map(Rc::as_ptr) == b.payload.as_ref().map(Rc::as_ptr)
+    }
+
     #[test]
     fn clone_is_shallow_and_set_attr_copies_on_write() {
         let original = sample();
         let mut cloned = original.clone();
         assert_eq!(cloned, original);
+        assert!(shares_all(&cloned, &original), "a clone copies no kind, map or payload");
         // Mutating the clone must not leak into the original.
         cloned.set_attr("user", "anna");
         assert_eq!(cloned.str_attr("user"), Some("anna"));
         assert_eq!(original.str_attr("user"), Some("bob"));
+        assert!(!Rc::ptr_eq(cloned.attrs.as_ref().unwrap(), original.attrs.as_ref().unwrap()));
+        assert!(Rc::ptr_eq(&cloned.kind, &original.kind), "only the map was copied");
+        assert!(Rc::ptr_eq(cloned.payload.as_ref().unwrap(), original.payload.as_ref().unwrap()));
         // An unshared event mutates in place (no second map).
         let mut solo = Event::new("x").with_attr("a", 1i64);
+        let map = Rc::as_ptr(solo.attrs.as_ref().unwrap());
         solo.set_attr("b", 2i64);
         assert_eq!(solo.attrs().count(), 2);
+        assert_eq!(Rc::as_ptr(solo.attrs.as_ref().unwrap()), map, "the map stayed in place");
+        // An event built with no attributes is the bare kind.
+        let none: [(&str, i64); 0] = [];
+        let bare =
+            none.into_iter().fold(Event::new(Rc::<str>::from("x")), |e, (k, v)| e.with_attr(k, v));
+        assert_eq!(bare, Event::new("x"));
+        assert_ne!(bare, Event::new("x").with_attr("a", 1i64));
+        assert!(bare.attrs.is_none() && bare.attrs().next().is_none());
+        assert!(shares_all(&bare.clone(), &bare));
     }
 
     #[test]

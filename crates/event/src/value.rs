@@ -2,7 +2,7 @@
 
 use std::cmp::Ordering;
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// The value of an event attribute.
 ///
@@ -10,12 +10,12 @@ use std::sync::Arc;
 /// comparisons are undefined (constraints on mismatched types simply fail
 /// to match, they do not error).
 ///
-/// Strings are `Arc<str>` so values clone by reference-count bump on the
+/// Strings are `Rc<str>` so values clone by reference-count bump on the
 /// broker routing and matching hot paths.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AttrValue {
     /// A string.
-    Str(Arc<str>),
+    Str(Rc<str>),
     /// A 64-bit integer.
     Int(i64),
     /// A 64-bit float.
@@ -94,8 +94,8 @@ impl From<String> for AttrValue {
     }
 }
 
-impl From<Arc<str>> for AttrValue {
-    fn from(s: Arc<str>) -> Self {
+impl From<Rc<str>> for AttrValue {
+    fn from(s: Rc<str>) -> Self {
         AttrValue::Str(s)
     }
 }

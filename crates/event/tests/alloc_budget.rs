@@ -4,6 +4,8 @@
 //! allocates only what its outbox's vectors grow by for the copies it
 //! sends and the counters it bumps. A broker's replay log, once it has
 //! reached its steady length, logs one more event with no allocation.
+//! An event on a kind its caller holds, and any clone of an event,
+//! allocate nothing; its first attribute allocates only the map.
 //!
 //! This binary installs an allocator that counts each thread's
 //! allocations, so keep the budget checks in this file. CI also runs it
@@ -15,6 +17,7 @@ use gloss_event::{
 use gloss_sim::{NodeIndex, Outbox, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::rc::Rc;
 
 struct Counting;
 
@@ -300,4 +303,25 @@ fn a_log_at_its_steady_length_appends_an_event_without_allocating() {
     let log = hub.log().expect("a log");
     assert_eq!((log.len(), log.appended, log.dropped), (held, 301, 301 - held as u64));
     assert_eq!(held, 101, "10 s of events, both ends included");
+}
+
+/// An event shares what it holds: built on a kind the caller already
+/// holds it copies no string, a clone (attributes and payload included)
+/// copies nothing, and the first attribute allocates only the map it
+/// starts — its counted box and one B-tree leaf.
+#[test]
+fn an_event_allocates_only_the_map_its_first_attribute_starts() {
+    let (kind, name): (Rc<str>, Rc<str>) = (Rc::from(KINDS[0]), Rc::from("zone"));
+    drop(Event::new(Rc::clone(&kind)));
+    let (mut e, cost) = allocations(|| Event::new(Rc::clone(&kind)));
+    assert_eq!(cost, (0, 0), "(allocations, bytes) of an event on a held kind");
+    let (copy, cost) = allocations(|| e.clone());
+    assert_eq!(cost, (0, 0), "(allocations, bytes) of cloning a bare event");
+    let ((), cost) = allocations(|| e.set_attr(Rc::clone(&name), 1i64));
+    assert_eq!(cost, (2, 496), "(allocations, bytes) of the first attribute");
+    assert_ne!(e, copy);
+    let loaded = event(0).with_payload(gloss_xml::parse("<pos><lat>1</lat></pos>").unwrap());
+    let (copy, cost) = allocations(|| loaded.clone());
+    assert_eq!(cost, (0, 0), "(allocations, bytes) of cloning attributes and payload");
+    assert_eq!(copy, loaded);
 }

@@ -36,7 +36,7 @@ use crate::fact::{Fact, FactDelta, FactSource, InMemoryFacts};
 use gloss_xml::{Element, Reader, Token, XmlWriter};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// The root element name of a batch document.
 const ROOT: &str = "kbdelta";
@@ -227,7 +227,7 @@ impl<'a> BatchReader<'a> {
         mut self,
         names: &InMemoryFacts,
         deltas: &mut Vec<FactDelta>,
-    ) -> Option<Arc<str>> {
+    ) -> Option<Rc<str>> {
         deltas.clear();
         let subject = names.name(&self.subject);
         let read = self.read_deltas(&subject, names, deltas);
@@ -243,7 +243,7 @@ impl<'a> BatchReader<'a> {
     /// not trusted with an allocation.
     fn read_deltas(
         &mut self,
-        subject: &Arc<str>,
+        subject: &Rc<str>,
         names: &InMemoryFacts,
         deltas: &mut Vec<FactDelta>,
     ) -> Option<()> {

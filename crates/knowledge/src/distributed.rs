@@ -29,7 +29,7 @@ use gloss_sim::{GeoPoint, SimTime};
 use gloss_xml::{Element, Reader, Token, XmlWriter};
 use std::borrow::Cow;
 use std::fmt::Display;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// The `kb/<subject>` document codec: names, and facts to and from XML.
 #[derive(Debug, Clone, Copy)]
@@ -220,7 +220,7 @@ pub(crate) fn write_fact(w: &mut XmlWriter<'_>, tag: &str, f: &Fact) {
 
 /// Decodes one fact element (any tag), `None` when malformed. The
 /// predicate is a fresh name.
-pub(crate) fn fact_from_element(subject: &Arc<str>, fe: &Element) -> Option<Fact> {
+pub(crate) fn fact_from_element(subject: &Rc<str>, fe: &Element) -> Option<Fact> {
     let head = FactHead::read(|k| fe.attr(k), |predicate| predicate.into())?;
     head.finish(subject, &fe.child("value").map(|v| v.text()).unwrap_or_default())
 }
@@ -232,7 +232,7 @@ pub(crate) fn fact_from_element(subject: &Arc<str>, fe: &Element) -> Option<Fact
 /// predicate is `names`' own where it holds it.
 pub(crate) fn read_fact(
     reader: &mut Reader<'_>,
-    subject: &Arc<str>,
+    subject: &Rc<str>,
     names: &InMemoryFacts,
 ) -> Option<Option<Fact>> {
     let head =
@@ -273,7 +273,7 @@ pub(crate) fn read_fact(
 /// text. This is where the fact-field rules are written; the element and
 /// the token decoders both go through it.
 struct FactHead {
-    predicate: Arc<str>,
+    predicate: Rc<str>,
     object: Object,
     valid_from: Option<SimTime>,
     valid_to: Option<SimTime>,
@@ -299,7 +299,7 @@ impl FactHead {
     /// has been read.
     fn read<'v>(
         attr: impl Fn(&str) -> Option<&'v str>,
-        name: impl FnOnce(&str) -> Arc<str>,
+        name: impl FnOnce(&str) -> Rc<str>,
     ) -> Option<FactHead> {
         let predicate = attr("predicate")?;
         let object = match attr("type")? {
@@ -321,7 +321,7 @@ impl FactHead {
     }
 
     /// The fact, given its `<value>` text (empty when it has none).
-    fn finish(self, subject: &Arc<str>, value: &str) -> Option<Fact> {
+    fn finish(self, subject: &Rc<str>, value: &str) -> Option<Fact> {
         let object = match self.object {
             Object::Known(term) => term,
             Object::Str => Term::Str(value.into()),
@@ -330,7 +330,7 @@ impl FactHead {
             Object::Bool => Term::Bool(value.parse().ok()?),
         };
         Some(Fact {
-            subject: Arc::clone(subject),
+            subject: Rc::clone(subject),
             predicate: self.predicate,
             object,
             valid_from: self.valid_from,

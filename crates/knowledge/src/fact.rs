@@ -7,7 +7,7 @@
 //! it leaves are compacted in bulk (see the struct docs for the rule).
 //! Reads and the change feed see facts in insertion order throughout.
 //!
-//! A fact's subject and predicate are shared names (`Arc<str>`), like a
+//! A fact's subject and predicate are shared names (`Rc<str>`), like a
 //! [`Term::Str`] object: the store's slot, its delta log, both index keys
 //! and every copy a consumer takes point at one allocation, and copying a
 //! fact bumps reference counts. [`InMemoryFacts::name`] hands out the
@@ -19,19 +19,19 @@ use gloss_sim::{GeoPoint, SimTime};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// A knowledge-base value (also the runtime value type of the matchlet
 /// language).
 ///
-/// Strings are `Arc<str>` so cloning a term — which matching does for
+/// Strings are `Rc<str>` so cloning a term — which matching does for
 /// every binding it materialises — is a reference-count bump, never a
 /// heap copy.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Term {
     /// A string.
-    Str(Arc<str>),
+    Str(Rc<str>),
     /// An integer.
     Int(i64),
     /// A float.
@@ -46,7 +46,7 @@ pub enum Term {
 
 impl Term {
     /// Convenience string constructor.
-    pub fn str(s: impl Into<Arc<str>>) -> Term {
+    pub fn str(s: impl Into<Rc<str>>) -> Term {
         Term::Str(s.into())
     }
 
@@ -171,9 +171,9 @@ impl From<SimTime> for Term {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fact {
     /// The subject ("bob").
-    pub subject: Arc<str>,
+    pub subject: Rc<str>,
     /// The predicate ("likes").
-    pub predicate: Arc<str>,
+    pub predicate: Rc<str>,
     /// The object.
     pub object: Term,
     /// Validity start (inclusive), if bounded.
@@ -376,8 +376,8 @@ pub struct InMemoryFacts {
     live: usize,
     /// Live facts with a `valid_from` or `valid_to` bound.
     bounded: usize,
-    by_predicate: FnvHashMap<Arc<str>, Vec<usize>>,
-    by_subject: FnvHashMap<Arc<str>, Vec<usize>>,
+    by_predicate: FnvHashMap<Rc<str>, Vec<usize>>,
+    by_subject: FnvHashMap<Rc<str>, Vec<usize>>,
     source: u64,
     log: DeltaLog,
     /// Times a consumer asked for a span the wrapped log no longer holds
@@ -466,10 +466,10 @@ impl InMemoryFacts {
     /// has it as subject or predicate (a reference-count bump), a new one
     /// otherwise. Decoders build facts for this store with it, so a fact
     /// about a held subject allocates no name.
-    pub fn name(&self, name: &str) -> Arc<str> {
+    pub fn name(&self, name: &str) -> Rc<str> {
         match self.by_subject.get_key_value(name).or_else(|| self.by_predicate.get_key_value(name))
         {
-            Some((held, _)) => Arc::clone(held),
+            Some((held, _)) => Rc::clone(held),
             None => name.into(),
         }
     }
@@ -547,7 +547,7 @@ impl InMemoryFacts {
             }
         }
         self.slots.retain(Option::is_some);
-        let remap = |_: &Arc<str>, held: &mut Vec<usize>| {
+        let remap = |_: &Rc<str>, held: &mut Vec<usize>| {
             held.retain_mut(|slot| {
                 *slot = renumbered[*slot];
                 *slot != DEAD
@@ -580,11 +580,11 @@ fn is_bounded(fact: &Fact) -> bool {
 
 /// Appends `slot` to `name`'s list and points `name` at the index's copy;
 /// a name not yet indexed becomes the key itself.
-fn index_push(index: &mut FnvHashMap<Arc<str>, Vec<usize>>, name: &mut Arc<str>, slot: usize) {
-    match index.entry(Arc::clone(name)) {
+fn index_push(index: &mut FnvHashMap<Rc<str>, Vec<usize>>, name: &mut Rc<str>, slot: usize) {
+    match index.entry(Rc::clone(name)) {
         Entry::Occupied(mut held) => {
-            if !Arc::ptr_eq(held.key(), name) {
-                *name = Arc::clone(held.key());
+            if !Rc::ptr_eq(held.key(), name) {
+                *name = Rc::clone(held.key());
             }
             held.get_mut().push(slot);
         }
@@ -831,27 +831,26 @@ mod tests {
         kb.add(Fact::new("bob", "likes", Term::str("golf")));
         kb.add(Fact::new("anna", "knows", Term::str("bob")));
         let (bob, likes) = (kb.name("bob"), kb.name("likes"));
-        assert!(Arc::ptr_eq(&bob, &kb.name("bob")), "a held subject is handed back");
-        assert!(Arc::ptr_eq(&likes, &kb.name("likes")), "so is a held predicate");
-        assert!(!Arc::ptr_eq(&kb.name("zoe"), &kb.name("zoe")), "a name held nowhere is new");
+        assert!(Rc::ptr_eq(&bob, &kb.name("bob")), "a held subject is handed back");
+        assert!(Rc::ptr_eq(&likes, &kb.name("likes")), "so is a held predicate");
+        assert!(!Rc::ptr_eq(&kb.name("zoe"), &kb.name("zoe")), "a name held nowhere is new");
         for f in kb.query(Some("bob"), None) {
-            assert!(Arc::ptr_eq(&f.subject, &bob) && Arc::ptr_eq(&f.predicate, &likes), "{f}");
+            assert!(Rc::ptr_eq(&f.subject, &bob) && Rc::ptr_eq(&f.predicate, &likes), "{f}");
         }
         let mut logged = 0;
         kb.for_each_delta_since(0, &mut |d| {
             let f = d.fact();
-            logged +=
-                usize::from(Arc::ptr_eq(&f.subject, &bob) && Arc::ptr_eq(&f.predicate, &likes));
+            logged += usize::from(Rc::ptr_eq(&f.subject, &bob) && Rc::ptr_eq(&f.predicate, &likes));
         });
         assert_eq!(logged, 2, "the delta log shares the slots' names");
         // A subject emptied by retracts keeps its key until compaction.
         kb.remove_subject("bob");
         kb.add(Fact::new("bob", "likes", Term::str("tea")));
-        assert!(Arc::ptr_eq(&kb.name("bob"), &bob), "an emptied subject keeps its key");
+        assert!(Rc::ptr_eq(&kb.name("bob"), &bob), "an emptied subject keeps its key");
         kb.extend((0..40).map(|i| Fact::new("tmp", "n", Term::Int(i))));
         assert_eq!(kb.remove_subject("tmp"), 40, "enough tombstones to compact");
-        assert!(!Arc::ptr_eq(&kb.name("tmp"), &kb.name("tmp")), "compaction drops it");
-        assert!(!Arc::ptr_eq(&kb.name("n"), &kb.name("n")), "and an emptied predicate");
+        assert!(!Rc::ptr_eq(&kb.name("tmp"), &kb.name("tmp")), "compaction drops it");
+        assert!(!Rc::ptr_eq(&kb.name("n"), &kb.name("n")), "and an emptied predicate");
     }
 
     #[test]
@@ -882,7 +881,7 @@ mod tests {
         assert_eq!(kb.retract("anna", "at", &Term::Int(0)), 1);
         assert_eq!(kb.by_predicate["at"].len(), 1);
         assert_eq!(kb.query(None, Some("at")).count(), 0);
-        assert!(Arc::ptr_eq(&kb.name("at"), &at), "a tombstoned predicate keeps its key");
+        assert!(Rc::ptr_eq(&kb.name("at"), &at), "a tombstoned predicate keeps its key");
         // Eleven more make 32, the compaction threshold.
         for i in (1..22).step_by(2) {
             assert_eq!(kb.retract(&format!("u{i}"), "likes", &Term::Int(i)), 1);

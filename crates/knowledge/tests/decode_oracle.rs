@@ -40,7 +40,7 @@ use gloss_xml::{Reader, Token};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Arc;
+use std::rc::Rc;
 
 // ---------------------------------------------------------------------
 // The largest allocation a thread requests.
@@ -235,10 +235,10 @@ fn streamed_snapshot(text: &str, names: &InMemoryFacts) -> Option<Snapshot> {
 }
 
 /// Whether `name` is `store`'s own copy wherever the store holds it.
-fn shared_if_held(store: &InMemoryFacts, name: &Arc<str>) -> bool {
+fn shared_if_held(store: &InMemoryFacts, name: &Rc<str>) -> bool {
     let held = store.name(name);
-    let store_holds_it = Arc::ptr_eq(&held, &store.name(name));
-    !store_holds_it || Arc::ptr_eq(&held, name)
+    let store_holds_it = Rc::ptr_eq(&held, &store.name(name));
+    !store_holds_it || Rc::ptr_eq(&held, name)
 }
 
 /// Whether every name of `facts` is `store`'s own copy where it holds it.
@@ -351,8 +351,8 @@ fn seeds_decode_to_what_was_encoded() {
     assert_eq!(decoded, facts);
     let bob = stores.warmed.name("bob");
     for f in &decoded {
-        assert!(Arc::ptr_eq(&f.subject, &bob), "{f}");
-        assert!(Arc::ptr_eq(&f.predicate, &stores.warmed.name(&f.predicate)), "{f}");
+        assert!(Rc::ptr_eq(&f.subject, &bob), "{f}");
+        assert!(Rc::ptr_eq(&f.predicate, &stores.warmed.name(&f.predicate)), "{f}");
     }
 }
 

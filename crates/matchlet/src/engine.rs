@@ -96,7 +96,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// How one pattern field reads its value from an event, precompiled so
 /// the per-event path never inspects or parses field keys.
@@ -262,7 +262,7 @@ struct BetaEntry {
     computed_at: SimTime,
     /// The path's solutions, shared with the child entries a memo miss
     /// extended from this one.
-    solutions: Arc<Solutions>,
+    solutions: Rc<Solutions>,
     /// Condition-evaluation errors the path produced (replayed into the
     /// engine stats so memoisation never hides misconfigured rules).
     solve_errors: u64,
@@ -449,11 +449,11 @@ impl BetaNet {
         // root, whose base case is one empty solution and no errors.
         let reused = (0..path.len().saturating_sub(1)).rev().find_map(|d| {
             let entry = self.valid_entry(path[d], alphas, now)?;
-            Some((Arc::clone(&entry.solutions), entry.solve_errors, d + 1))
+            Some((Rc::clone(&entry.solutions), entry.solve_errors, d + 1))
         });
         *partial += u64::from(reused.is_some());
         let (mut base, mut errors, start) =
-            reused.unwrap_or_else(|| (Arc::new(vec![Vec::new()]), 0, 0));
+            reused.unwrap_or_else(|| (Rc::new(vec![Vec::new()]), 0, 0));
         let mut env = Bindings::new();
         for &id in &path[start..] {
             let slot_syms = &self.slot_syms;
@@ -477,10 +477,10 @@ impl BetaNet {
                 });
             }
             // The stored entry and the next level's base share one list.
-            base = Arc::new(next);
+            base = Rc::new(next);
             self.node_mut(id).memo = Some(BetaEntry {
                 computed_at: now,
-                solutions: Arc::clone(&base),
+                solutions: Rc::clone(&base),
                 solve_errors: errors,
             });
         }
@@ -755,10 +755,10 @@ pub struct CompiledRule {
     plans: Vec<Vec<JoinStage>>,
     /// The emit kind, shared so every synthesised event clones a
     /// refcount instead of the string.
-    emit_kind: Arc<str>,
+    emit_kind: Rc<str>,
     /// Emit field names, parallel to `rule.emit.fields`, shared the same
     /// way.
-    emit_keys: Vec<Arc<str>>,
+    emit_keys: Vec<Rc<str>>,
     /// The goal chain both solve paths run ([`solve_chain`]): normalised,
     /// so memoising a block of it changes neither the order of firings
     /// nor the error count — or as written, for a rule that reads dynamic
@@ -781,8 +781,8 @@ impl CompiledRule {
             rule.patterns.iter().map(CompiledPattern::new).collect();
         let mut buffers = vec![PatternBuffer::default(); rule.patterns.len()];
         let plans = join_plans(&compiled, &mut buffers);
-        let emit_kind = Arc::from(rule.emit.kind.as_str());
-        let emit_keys = rule.emit.fields.iter().map(|(k, _)| Arc::from(k.as_str())).collect();
+        let emit_kind = Rc::from(rule.emit.kind.as_str());
+        let emit_keys = rule.emit.fields.iter().map(|(k, _)| Rc::from(k.as_str())).collect();
         let goals = solve_chain(&rule);
         let plan = match canonical_chain(&rule) {
             Some(chain) => SolvePlan::Memo {

@@ -9,7 +9,7 @@ use gloss_sim::SimTime;
 use std::error::Error;
 use std::fmt;
 use std::ops::Index;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Variable bindings accumulated during matching: a flat vector of
 /// `(Symbol, Term)` pairs.
@@ -365,14 +365,14 @@ pub fn unify(pat: &Pat, value: &Term, env: &mut Bindings) -> bool {
 /// Unifies a pattern against a fact's subject without materialising a
 /// `Term` unless the pattern actually binds (the fact-subject fast path);
 /// a binding shares the fact's name, a reference-count bump.
-fn unify_str(pat: &Pat, value: &Arc<str>, env: &mut Bindings) -> bool {
+fn unify_str(pat: &Pat, value: &Rc<str>, env: &mut Bindings) -> bool {
     match pat {
         Pat::Wild => true,
         Pat::Lit(expected) => matches!(expected, Term::Str(s) if *s == *value),
         Pat::Var(name) => match env.get_sym(*name) {
             Some(bound) => bound.as_str() == Some(&**value),
             None => {
-                env.insert_sym(*name, Term::Str(Arc::clone(value)));
+                env.insert_sym(*name, Term::Str(Rc::clone(value)));
                 true
             }
         },
@@ -431,10 +431,10 @@ pub fn solve_mut(
         },
         Some((Goal::Fact { subject, predicate, object }, rest)) => {
             // Use any already-bound subject to narrow the query. The hint
-            // is an `Arc` clone (a refcount bump) so the fact enumeration
+            // is an `Rc` clone (a refcount bump) so the fact enumeration
             // does not pin a borrow of the environment we mutate while
             // backtracking.
-            let subject_hint: Option<Arc<str>> = match subject {
+            let subject_hint: Option<Rc<str>> = match subject {
                 Pat::Lit(Term::Str(s)) => Some(s.clone()),
                 Pat::Var(v) => match env.get_sym(*v) {
                     Some(Term::Str(s)) => Some(s.clone()),

@@ -8,7 +8,7 @@ use gloss_governor::{
     Admission, AdmissionGovernor, ProbeDecision, SuspicionTracker, SuspicionVerdict,
 };
 use gloss_sim::{FnvHashMap, NodeIndex, Outbox, SimDuration, SimRng, SimTime};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Timer tags used by the overlay (the embedding layer must route timer
 /// fires with these tags back into [`OverlayNode::on_timer`]). Tags use
@@ -41,7 +41,7 @@ pub enum OverlayMsg<P> {
         /// The closest node itself.
         closest: KeyedNode,
         /// Its leaf set, which seeds the joiner's.
-        leaves: Arc<[KeyedNode]>,
+        leaves: Rc<[KeyedNode]>,
     },
     /// A (re)joined node introduces itself to everyone it knows.
     Announce {
@@ -69,10 +69,10 @@ pub enum OverlayMsg<P> {
     Probe,
     /// Heartbeat acknowledgement, carrying the responder's leaf set so
     /// ring-neighbour knowledge converges continuously (gossip). The list
-    /// is shared (`Arc`): responding costs a pointer clone, not a copy.
+    /// is shared (`Rc`): responding bumps a count instead of copying.
     ProbeAck {
         /// The responder's current leaf members.
-        leaves: Arc<[KeyedNode]>,
+        leaves: Rc<[KeyedNode]>,
         /// Content digest of `leaves`; receivers skip re-learning a list
         /// they already absorbed from this neighbour.
         digest: u64,
@@ -82,7 +82,7 @@ pub enum OverlayMsg<P> {
     /// Leaf set contents.
     LeafSetReply {
         /// The members.
-        leaves: Arc<[KeyedNode]>,
+        leaves: Rc<[KeyedNode]>,
     },
     /// Join rejected by admission control: retry after the given delay
     /// (the governor's exponential backoff with jitter).

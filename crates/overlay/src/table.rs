@@ -2,7 +2,7 @@
 
 use crate::id::{Key, KeyedNode, DIGITS};
 use gloss_sim::NodeIndex;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// FNV-1a digest of a membership list (content identity for gossip
 /// deduplication).
@@ -128,7 +128,7 @@ pub struct LeafSet {
     owner: Key,
     cw: Vec<KeyedNode>,  // sorted by clockwise distance from owner
     ccw: Vec<KeyedNode>, // sorted by anticlockwise distance from owner
-    members: Arc<[KeyedNode]>,
+    members: Rc<[KeyedNode]>,
     digest: u64,
 }
 
@@ -142,7 +142,7 @@ impl LeafSet {
             owner,
             cw: Vec::new(),
             ccw: Vec::new(),
-            members: Arc::new([]),
+            members: Rc::new([]),
             digest: digest_of(&[]),
         }
     }
@@ -213,9 +213,9 @@ impl LeafSet {
     }
 
     /// The member list behind a cheap shared handle (messages carrying a
-    /// leaf set clone the `Arc`, not the list).
-    pub fn members_shared(&self) -> Arc<[KeyedNode]> {
-        Arc::clone(&self.members)
+    /// leaf set bump the `Rc`'s count, not copy the list).
+    pub fn members_shared(&self) -> Rc<[KeyedNode]> {
+        Rc::clone(&self.members)
     }
 
     /// A content digest of the member list, maintained on change. Gossip

@@ -14,7 +14,7 @@
 use crate::document::Document;
 use gloss_overlay::Key;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Null slot index terminating the recency list.
 const NIL: u32 = u32::MAX;
@@ -211,7 +211,7 @@ impl LruCache {
     /// Returns a slot to the free list, releasing its payload (the slab
     /// slot itself is reused by `insert`).
     fn release(&mut self, slot: u32) {
-        self.slots[slot as usize].doc.content = Arc::default();
+        self.slots[slot as usize].doc.content = Rc::default();
         self.free.push(slot);
     }
 

@@ -3,7 +3,7 @@
 use gloss_overlay::Key;
 use gloss_sim::SimTime;
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A document's redundancy tier. The storage layer maps each tier to a
 /// replica/fragment target count ("a rule might create 5 copies of some
@@ -43,12 +43,12 @@ impl Priority {
 pub struct Document {
     /// The overlay key the document lives under.
     pub guid: Key,
-    /// Human-readable name (hashes to `guid`). `Arc<str>` so cloning a
+    /// Human-readable name (hashes to `guid`). `Rc<str>` so cloning a
     /// document — which replication, caching, and lookup replies do on
     /// the hot path — bumps two refcounts instead of copying heap data.
-    pub name: Arc<str>,
+    pub name: Rc<str>,
     /// The payload, shared by every copy of the document.
-    pub content: Arc<[u8]>,
+    pub content: Rc<[u8]>,
     /// Monotonic version; replicas keep the highest they have seen.
     pub version: u64,
     /// When the document was created (stamped by the inserting client).
@@ -59,7 +59,7 @@ pub struct Document {
 
 impl Document {
     /// Creates version 1 of a named document.
-    pub fn new(name: impl Into<String>, content: impl Into<Arc<[u8]>>) -> Self {
+    pub fn new(name: impl Into<String>, content: impl Into<Rc<[u8]>>) -> Self {
         let name = name.into();
         Document {
             guid: Key::hash_of_str(&name),
@@ -78,7 +78,7 @@ impl Document {
     }
 
     /// A later version of this document with new content.
-    pub fn updated(&self, content: impl Into<Arc<[u8]>>) -> Document {
+    pub fn updated(&self, content: impl Into<Rc<[u8]>>) -> Document {
         Document {
             guid: self.guid,
             name: self.name.clone(),
