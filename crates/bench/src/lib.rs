@@ -370,7 +370,7 @@ pub fn c4_evolution() -> String {
         rows.push(vec![
             crashes.to_string(),
             f(arch.satisfaction() * 100.0),
-            cs.monitor.failures_detected.to_string(),
+            cs.evolution.failures_detected.to_string(),
             f(repair.mean / 1000.0),
             f(repair.max / 1000.0),
         ]);
@@ -854,7 +854,7 @@ pub fn c11_churn_heavy() -> String {
         for e in &events {
             let at = base + e.at.since(SimTime::ZERO);
             match e.kind {
-                ChurnKind::Crash | ChurnKind::GracefulLeave => {
+                ChurnKind::Crash => {
                     net.world_mut().crash_at(at, e.node);
                     churn_count += 1;
                 }

@@ -23,11 +23,12 @@
 //! * a Cingal **thin server** hosting hot-deployed **matchlets**; on
 //!   install, a node subscribes to the event kinds its rules consume and
 //!   publishes every synthesised event back onto the bus (§4.2, §4.3),
-//! * node 0 additionally runs the **monitoring** and **evolution**
-//!   engines: workers advertise resources *as pub/sub events*;
-//!   constraint violations are repaired by shipping code bundles (§4.4),
-//!   and **discovery matchlets** fetch handler code for unknown event
-//!   kinds from the storage architecture (§5).
+//! * node 0 additionally runs the **evolution** engine: workers
+//!   advertise resources *as pub/sub events*, a worker silent past the
+//!   engine's deadline is declared failed (the paper's monitoring), and
+//!   constraint violations are repaired by shipping code bundles (§4.4);
+//!   **discovery matchlets** fetch handler code for unknown event kinds
+//!   from the storage architecture (§5).
 //!
 //! Start with [`ActiveArchitecture`] or run the `quickstart` example.
 

@@ -15,9 +15,9 @@
 
 use crate::service::ServiceSpec;
 use gloss_bundle::{AuthKey, Bundle, Capability, ThinServer};
-use gloss_deploy::monitor::DEADLINE;
+use gloss_deploy::evolution::DEADLINE;
 use gloss_deploy::resource::kinds as resource_kinds;
-use gloss_deploy::{coordinator_sweep, Deploy, EvolutionEngine, MonitorEngine, NodeResources};
+use gloss_deploy::{Deploy, EvolutionEngine, NodeResources};
 use gloss_event::{Broker, BrokerMsg, Event, EventId, Filter, SubId, Subscription};
 use gloss_knowledge::{
     reconcile, BatchReader, DeltaAction, FactDelta, InMemoryFacts, SnapshotReader,
@@ -93,18 +93,18 @@ pub enum GlossMsg {
 
 /// A worker's resource advertisement period.
 const HEARTBEAT: SimDuration = SimDuration::from_secs(10);
-/// The coordinator's monitor + reconcile period.
+/// The coordinator's sweep period: failure detection and reconciliation.
 const SWEEP_EVERY: SimDuration = SimDuration::from_secs(10);
 
 /// How long past a service's longest window the hub's replay log keeps
 /// the events of the kinds its rules read, so that a promoted standby can
 /// be replayed what it missed. A promotion fires what arrived from the
 /// failed primary's last heartbeat less one heartbeat period on; the
-/// monitor declares the failure at the first sweep after the deadline, so
-/// at most the deadline plus one sweep period after that heartbeat. Joins
-/// fired from there on need partners up to one window older, and the one
-/// heartbeat period of margin in `since` covers the `Promote` message's
-/// flight.
+/// evolution engine declares the failure at the first sweep after the
+/// deadline, so at most the deadline plus one sweep period after that
+/// heartbeat. Joins fired from there on need partners up to one window
+/// older, and the one heartbeat period of margin in `since` covers the
+/// `Promote` message's flight.
 pub const TAKEOVER_HORIZON: SimDuration = SimDuration::from_micros(
     DEADLINE.as_micros() + SWEEP_EVERY.as_micros() + HEARTBEAT.as_micros(),
 );
@@ -121,14 +121,14 @@ pub const TAKEOVER_HORIZON: SimDuration = SimDuration::from_micros(
 /// keeps nothing. What a promotion needs, the hub keeps instead: one log
 /// of the events of every registered service's kinds, each for the
 /// service's longest window plus [`TAKEOVER_HORIZON`].
-/// When the monitor declares the primary's node failed, the best-ranked
-/// confirmed live standby is promoted ([`GlossMsg::Promote`]); a
-/// standby's failure promotes nobody. A confirmed instance that outranks
-/// the primary takes over at once, and the old primary fires on for one
-/// window of the rules before it stands by ([`GlossMsg::Demote`]). A
-/// primary that recovers (a crash is a pause) keeps its role: its
-/// firings and the promoted standby's are copies, counted by the UI's
-/// duplicate ratio, not failures.
+/// When the evolution engine's sweep declares the primary's node failed,
+/// the best-ranked confirmed live standby is promoted
+/// ([`GlossMsg::Promote`]); a standby's failure promotes nobody. A
+/// confirmed instance that outranks the primary takes over at once, and
+/// the old primary fires on for one window of the rules before it stands
+/// by ([`GlossMsg::Demote`]). A primary that recovers (a crash is a
+/// pause) keeps its role: its firings and the promoted standby's are
+/// copies, counted by the UI's duplicate ratio, not failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Role {
     /// Subscribes to its rules' kinds, joins, fires and publishes.
@@ -143,16 +143,15 @@ pub enum Role {
 mod timers {
     /// Worker resource heartbeat.
     pub const HEARTBEAT: u64 = 0x40;
-    /// Coordinator sweep (monitor + reconcile).
+    /// Coordinator sweep (failure detection + reconciliation).
     pub const SWEEP: u64 = 0x41;
 }
 
 /// Coordinator-only state (node 0).
 #[derive(Debug)]
 pub struct CoordinatorState {
-    /// The monitoring engine.
-    pub monitor: MonitorEngine,
-    /// The evolution engine.
+    /// The evolution engine, which also keeps the one view of which
+    /// nodes are alive.
     pub evolution: EvolutionEngine,
     /// Registered services by name.
     pub services: BTreeMap<String, ServiceSpec>,
@@ -204,7 +203,6 @@ impl CoordinatorState {
 
     fn new() -> Self {
         CoordinatorState {
-            monitor: MonitorEngine::default(),
             evolution: EvolutionEngine::new(Vec::new()),
             services: BTreeMap::new(),
             discovery_pending: BTreeMap::new(),
@@ -457,15 +455,15 @@ impl GlossNode {
     }
 
     /// Brings the whole-kind subscriptions in line with what holds them:
-    /// the kinds the loaded rules listen for and, on the coordinator, the
-    /// `resource.*` kinds its engines read. A kind newly held is
-    /// subscribed (in kind order), and its filter returned; a kind
-    /// nothing holds any more is unsubscribed.
+    /// the kinds the loaded rules listen for and, on the coordinator,
+    /// `resource.advertise`, which its evolution engine reads. A kind
+    /// newly held is subscribed (in kind order), and its filter returned;
+    /// a kind nothing holds any more is unsubscribed.
     fn sync_kinds(&mut self, now: SimTime, out: &mut Outbox<GlossMsg>) -> Vec<Filter> {
         let patterns = self.server.engine().rules().iter().flat_map(|r| &r.rule.patterns);
         let mut held: BTreeSet<String> = patterns.map(|p| p.kind.clone()).collect();
         if self.is_coordinator() {
-            held.extend([resource_kinds::ADVERTISE, resource_kinds::WITHDRAW].map(String::from));
+            held.insert(resource_kinds::ADVERTISE.to_string());
         }
         let gone = self.subscribed_kinds.extract_if(.., |kind, _| !held.contains(kind));
         for (_, id) in gone.collect::<Vec<_>>() {
@@ -520,20 +518,14 @@ impl GlossNode {
             out.count("gloss.ui_delivered", 1.0);
             self.ui_received.push(event.clone());
         }
-        // Coordinator engines consume resource events from the bus, each
-        // decoded once.
+        // The coordinator's evolution engine consumes resource
+        // advertisements from the bus, each decoded once.
         if event.kind().starts_with("resource.") {
             if let Some(cs) = self.coordinator_state.as_mut() {
-                let deploys = if let Some(r) = NodeResources::from_event(&event) {
-                    cs.monitor.heard(now, r.node);
-                    cs.evolution.advertised(now, r)
-                } else if let Some(node) = NodeResources::departed_node(&event) {
-                    cs.monitor.withdrew(node);
-                    cs.evolution.departed(now, node)
-                } else {
-                    return;
-                };
-                self.dispatch_deploys(deploys, out);
+                if let Some(r) = NodeResources::from_event(&event) {
+                    let deploys = cs.evolution.advertised(now, r);
+                    self.dispatch_deploys(deploys, out);
+                }
             }
             return;
         }
@@ -754,7 +746,7 @@ impl GlossNode {
                 .evolution
                 .deployment()
                 .instances_of(&kind)
-                .filter(|&(_, node)| node != failed && cs.monitor.is_alive(node))
+                .filter(|&(_, node)| cs.evolution.resources().contains_key(&node))
                 .filter(|&(instance, _)| cs.retiring.iter().all(|r| r.instance != instance))
                 .min_by_key(|&(_, node)| cs.rank(site, node))
                 .map(|(instance, node)| (instance.to_string(), node));
@@ -1104,10 +1096,7 @@ impl GlossNode {
             }
             timers::SWEEP => {
                 if let Some(cs) = self.coordinator_state.as_mut() {
-                    let sweep = coordinator_sweep(&mut cs.monitor, &mut cs.evolution, now);
-                    if sweep.suspected > 0 {
-                        out.count("gloss.suspected", sweep.suspected as f64);
-                    }
+                    let sweep = cs.evolution.sweep(now);
                     if !sweep.failed.is_empty() {
                         out.count("gloss.failures_detected", sweep.failed.len() as f64);
                     }
@@ -1412,6 +1401,17 @@ mod tests {
         let mut out = Outbox::new();
         node.handle(SimTime::ZERO, Input::Msg { from, msg }, &mut out);
         assert!(out.sends().iter().all(|(to, _)| *to != node.index()), "{:?}", out.sends());
+    }
+
+    /// A coordinator that has loaded no rule subscribes one kind whole:
+    /// the advertisements its evolution engine reads.
+    #[test]
+    fn a_fresh_coordinator_subscribes_only_resource_advertisements() {
+        let me = NodeIndex(0);
+        let mut node = coordinator(OverlayNode::new(Key(0x100), me, None, SimDuration::ZERO));
+        node.handle(SimTime::ZERO, Input::Start, &mut Outbox::new());
+        let kinds: Vec<&str> = node.subscribed_kinds.keys().map(String::as_str).collect();
+        assert_eq!(kinds, [resource_kinds::ADVERTISE]);
     }
 
     /// A routed event of a kind the node subscribes whole is scanned

@@ -1,8 +1,8 @@
 //! Takeover: a service's primary instance fires, its standbys hold the
 //! bundle and nothing else, the hub logs the events of the service's
-//! kinds, and when the monitor declares the primary failed the
-//! best-ranked standby is promoted, replayed the log, and fires what the
-//! primary may have left unfired.
+//! kinds, and when the evolution engine's sweep declares the primary
+//! failed the best-ranked standby is promoted, replayed the log, and
+//! fires what the primary may have left unfired.
 //!
 //! `crashing_the_primary_mid_window_loses_no_join` crashes the primary
 //! while pairs are open across the crash. Every join of the stream must

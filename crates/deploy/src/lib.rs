@@ -1,5 +1,5 @@
-//! Component deployment policies, monitoring, and the evolution engine
-//! (§4.4, §4.6).
+//! Component deployment policies and the evolution engine, which also
+//! monitors liveness (§4.4, §4.6).
 //!
 //! "Policies take the form of constraints over the placement of
 //! processing steps. For example, a constraint might specify that at
@@ -17,23 +17,19 @@
 //!   connectivity, geographic location etc. via publish events"),
 //! * [`Constraint`] — active-pipes-style placement constraints,
 //! * [`solver`] — greedy repair planning for violated constraints,
-//! * [`MonitorEngine`] — heartbeat tracking; silent nodes are suspected,
-//!   then declared failed,
-//! * [`EvolutionEngine`] — takes advertisements and departures, detects
-//!   violations, plans repairs, and tracks the deployment as installs are
-//!   confirmed,
-//! * [`coordinator_sweep`] — one periodic pass of both engines: the
-//!   evolution engine re-plans around the monitor's verdicts directly, so
-//!   no failure is published on a silent node's behalf.
+//! * [`EvolutionEngine`] — the one membership view: takes advertisements
+//!   (each a heartbeat), declares failed the nodes silent for longer than
+//!   [`evolution::DEADLINE`] in its periodic [`sweep`](EvolutionEngine::sweep),
+//!   detects violations, plans repairs, and tracks the deployment as
+//!   installs are confirmed. The monitoring the paper asks for is that
+//!   sweep: nothing is published on a silent node's behalf.
 //!
-//! The engines carry no transport. `gloss_core`'s `GlossNode` runs them on
-//! its coordinator: resource advertisements and withdrawals arrive over
-//! pub/sub and are decoded once into [`MonitorEngine::heard`] /
-//! [`EvolutionEngine::advertised`] (or [`MonitorEngine::withdrew`] /
-//! [`EvolutionEngine::departed`]), and each [`Deploy`] ships a code bundle
-//! to a worker's thin server, whose install confirmation comes back to
-//! [`EvolutionEngine::confirm_deploy`]. Experiments **E3** and **C4**
-//! measure that path.
+//! The engine carries no transport. `gloss_core`'s `GlossNode` runs it on
+//! its coordinator: resource advertisements arrive over pub/sub and are
+//! decoded once into [`EvolutionEngine::advertised`], and each [`Deploy`]
+//! ships a code bundle to a worker's thin server, whose install
+//! confirmation comes back to [`EvolutionEngine::confirm_deploy`].
+//! Experiments **E3** and **C4** measure that path.
 //!
 //! # Example
 //!
@@ -60,11 +56,9 @@
 
 pub mod constraint;
 pub mod evolution;
-pub mod monitor;
 pub mod resource;
 pub mod solver;
 
 pub use constraint::{Constraint, Deployment};
-pub use evolution::{coordinator_sweep, Deploy, EvolutionEngine, Sweep};
-pub use monitor::MonitorEngine;
+pub use evolution::{Deploy, EvolutionEngine, Sweep};
 pub use resource::NodeResources;

@@ -22,8 +22,6 @@ pub struct NodeResources {
 pub mod kinds {
     /// Periodic capability/liveness advertisement.
     pub const ADVERTISE: &str = "resource.advertise";
-    /// Graceful imminent-withdrawal warning.
-    pub const WITHDRAW: &str = "resource.withdraw";
 }
 
 impl NodeResources {
@@ -50,20 +48,6 @@ impl NodeResources {
             cpu: ev.num_attr("cpu")?,
             storage: ev.num_attr("storage")? as u64,
         })
-    }
-
-    /// A withdrawal event for this node.
-    #[cfg(test)]
-    pub(crate) fn withdraw_event(node: NodeIndex) -> Event {
-        Event::new(kinds::WITHDRAW).with_attr("node", node.0 as i64)
-    }
-
-    /// Extracts the node from a withdrawal event.
-    pub fn departed_node(ev: &Event) -> Option<NodeIndex> {
-        if ev.kind() != kinds::WITHDRAW {
-            return None;
-        }
-        Some(NodeIndex(ev.num_attr("node")? as u32))
     }
 }
 
@@ -93,13 +77,5 @@ mod tests {
         assert!(NodeResources::from_event(&Event::new("weather")).is_none());
         let incomplete = Event::new(kinds::ADVERTISE).with_attr("node", 1i64);
         assert!(NodeResources::from_event(&incomplete).is_none());
-    }
-
-    #[test]
-    fn departure_events() {
-        let w = NodeResources::withdraw_event(NodeIndex(7));
-        assert_eq!(NodeResources::departed_node(&w), Some(NodeIndex(7)));
-        assert_eq!(NodeResources::departed_node(&sample().to_event()), None);
-        assert_eq!(NodeResources::departed_node(&Event::new("x")), None);
     }
 }

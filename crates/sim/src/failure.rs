@@ -1,11 +1,11 @@
-//! Churn generation: schedules of node crashes, recoveries, and graceful
-//! withdrawals.
+//! Churn generation: schedules of node crashes and recoveries.
 //!
 //! The paper (§4.4) distinguishes nodes that "disappear gracefully, in which
 //! case they will publish events warning of their imminent withdrawal" from
-//! those that vanish "without warning". [`ChurnModel`] produces both kinds;
-//! the world executes crashes/recoveries directly, while graceful leaves are
-//! surfaced to the protocol layer so it can publish withdrawal events first.
+//! those that vanish "without warning". No node here warns before it
+//! leaves, so [`ChurnModel`] produces only the second kind: every departure
+//! is a crash, which the world executes directly and which the layers
+//! above find by silence.
 
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
@@ -18,8 +18,6 @@ pub enum ChurnKind {
     Crash,
     /// The node returns to service.
     Recover,
-    /// The node announces imminent withdrawal, then (shortly after) leaves.
-    GracefulLeave,
 }
 
 /// One scheduled churn instant.
@@ -40,22 +38,19 @@ pub struct ChurnModel {
     pub mtbf: SimDuration,
     /// Mean time to recovery (mean down-time).
     pub mttr: SimDuration,
-    /// Fraction of departures that are graceful (announced) rather than
-    /// abrupt crashes.
-    pub graceful_fraction: f64,
 }
 
 impl ChurnModel {
-    /// A model with the given mean up and down times and no graceful leaves.
+    /// A model with the given mean up and down times.
     pub fn new(mtbf: SimDuration, mttr: SimDuration) -> Self {
-        ChurnModel { mtbf, mttr, graceful_fraction: 0.0 }
+        ChurnModel { mtbf, mttr }
     }
 
     /// Generates a time-sorted churn schedule for `nodes` up to `horizon`.
     ///
     /// Each node independently alternates up/down phases with exponentially
-    /// distributed durations. Every departure is either a `Crash` or a
-    /// `GracefulLeave`; each is followed by a `Recover` (if within horizon).
+    /// distributed durations. Every departure is a `Crash`, followed by a
+    /// `Recover` (if within horizon).
     pub fn generate(
         &self,
         nodes: &[NodeIndex],
@@ -71,12 +66,7 @@ impl ChurnModel {
                 if t >= horizon {
                     break;
                 }
-                let kind = if rng.chance(self.graceful_fraction) {
-                    ChurnKind::GracefulLeave
-                } else {
-                    ChurnKind::Crash
-                };
-                events.push(ChurnEvent { at: t, node, kind });
+                events.push(ChurnEvent { at: t, node, kind: ChurnKind::Crash });
                 t += rng.exp_duration(self.mttr);
                 if t >= horizon {
                     break;
@@ -119,21 +109,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn graceful_fraction_respected_at_extremes() {
-        let mut rng = SimRng::new(2);
-        let model = ChurnModel::new(SimDuration::from_secs(50), SimDuration::from_secs(5));
-        let all_graceful = ChurnModel { graceful_fraction: 1.0, ..model }.generate(
-            &nodes(10),
-            SimTime::from_secs(1_000),
-            &mut rng,
-        );
-        assert!(all_graceful.iter().all(|e| e.kind != ChurnKind::Crash));
-        let none_graceful = ChurnModel::new(SimDuration::from_secs(50), SimDuration::from_secs(5))
-            .generate(&nodes(10), SimTime::from_secs(1_000), &mut rng);
-        assert!(none_graceful.iter().all(|e| e.kind != ChurnKind::GracefulLeave));
     }
 
     #[test]

@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     arch.run_for(SimDuration::from_secs(30));
     arch.world_mut().crash(hosts[1]);
 
-    // Monitor deadline (30 s) + sweep (10 s) + bundle round trips.
+    // Failure deadline (30 s) + sweep (10 s) + bundle round trips.
     arch.run_for(SimDuration::from_secs(150));
     let new_hosts = arch.hosts_of("matchlet:replication");
     println!(
@@ -59,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cs = arch.node(NodeIndex(0)).coordinator_state.as_ref().unwrap();
     println!(
         "monitor sees {} alive workers; constraint still satisfied: {}",
-        cs.monitor.alive_count(),
+        cs.evolution.resources().len(),
         arch.satisfaction() == 1.0
     );
     Ok(())
