@@ -684,7 +684,7 @@ fn s4_churn_episode(c: &mut Criterion) {
 }
 
 /// S5: mobility-heavy event plane — a client roams to another broker while
-/// publishers keep the bus busy; the proxy buffers, hands off, replays.
+/// publishers keep the bus busy; its old broker logs, then replays.
 fn s5_mobility_roam(c: &mut Criterion) {
     let mut net = PubSubNetwork::build(PubSubConfig {
         architecture: Architecture::AcyclicPeer,

@@ -548,6 +548,10 @@ impl GlossNode {
     /// Takes a promotion's replay: its events go to the matchlets before
     /// anything held back while it was awaited, each at its logged
     /// arrival instant, firing from the promotion's `since` on.
+    /// They skip the UI: a UI filter on a replayed kind was subscribed
+    /// through the gap, and got those events live — all but one in flight
+    /// from the hub while the replay was due, which the broker held and
+    /// dropped as replayed.
     fn replayed(
         &mut self,
         now: SimTime,

@@ -15,6 +15,12 @@
 //! worth, and every event logged is held or counted as dropped; while the
 //! primary lives, a standby's engine and broker see no event of the
 //! service's kinds.
+//! `a_ui_filter_on_the_promoted_kind_receives_each_event_once` puts a UI
+//! filter on a kind the service reads at every host: the promoted one
+//! is replayed that kind's log, and its UI still holds each event once.
+//! Its pings are a second apart, so none is in flight from the hub while
+//! the promoted node's replay is due; one that is reaches the matchlets
+//! but not the UI (`GlossNode`'s `replayed`).
 //! `a_primary_fetches_knowledge_it_never_held_before_it_joins` leaves the
 //! primary without a subject the rule reads: it fetches the subject before
 //! it matches, and fires.
@@ -178,6 +184,43 @@ fn the_hub_log_retains_a_bounded_window() {
     assert!(log.dropped > 0, "nothing aged out after 4T");
     assert_eq!(log.appended, 4 * 100 * per_s as u64, "pings and pongs logged by 4T");
     assert_eq!(after_4t as u64 + log.dropped, log.appended);
+}
+
+#[test]
+fn a_ui_filter_on_the_promoted_kind_receives_each_event_once() {
+    let (mut arch, hosts, primary) = deployed();
+    for &h in &hosts {
+        arch.subscribe_ui(h, Filter::for_kind("ping"));
+    }
+    let sensor = bystander(&arch, &hosts);
+    arch.run_for(SimDuration::from_secs(5));
+    let t0 = arch.now() + SimDuration::from_secs(1);
+    let pings = 200u64;
+    for i in 0..pings {
+        let t = t0 + SimDuration::from_millis(i * 1_000 + 300);
+        arch.publish_at(t, sensor, ping(1, i as i64));
+        arch.publish_at(t + SimDuration::from_millis(400), sensor, pong(1, i as i64));
+    }
+    arch.world_mut().crash_at(t0 + SimDuration::from_secs(62), primary);
+    arch.run_until(t0 + SimDuration::from_secs(pings + 60));
+
+    let metrics = arch.world().metrics();
+    assert_eq!(metrics.counter("gloss.promotions"), 1.0, "one standby was promoted");
+    assert!(metrics.counter("gloss.replayed_events") > 0.0, "the promotion replayed the log");
+    // The promoted standby is among the surviving hosts; each of them
+    // had the UI filter from the start.
+    for h in hosts.into_iter().filter(|&h| h != primary) {
+        let ui = &arch.node(h).ui_received;
+        let seen: Vec<i64> = ui
+            .iter()
+            .filter(|e| e.kind() == "ping")
+            .map(|e| e.num_attr("n").unwrap() as i64)
+            .collect();
+        let unique: BTreeSet<i64> = seen.iter().copied().collect();
+        assert_eq!(unique.len(), seen.len(), "a ping reached {h}'s UI twice");
+        let all: BTreeSet<i64> = (0..pings as i64).collect();
+        assert_eq!(unique, all, "a ping never reached {h}'s UI");
+    }
 }
 
 #[test]

@@ -7,7 +7,7 @@
 //! attached client is sent one `Notify` per event, not one per matching
 //! subscription, and `pubsub.delivered_local` counts those. It exists so
 //! the indexed [`Broker`](crate::Broker) can be *proven* equivalent — the
-//! property tests replay random subscribe/unsubscribe/publish/mobility
+//! property tests replay random subscribe/unsubscribe/publish/roaming
 //! interleavings through both and assert byte-identical client delivery —
 //! and so the scaling benches (s6/c17) have an honest "what it used to
 //! cost" column. Do not use it for anything else; it is O(table size) per
@@ -36,9 +36,8 @@ pub struct LinearBroker {
     subs: Vec<SubEntry>,
     /// Subscription ids we have forwarded, per neighbouring broker.
     forwarded: BTreeMap<NodeIndex, BTreeSet<SubId>>,
-    /// Mobility proxies: disconnected client → buffered events.
-    proxies: BTreeMap<NodeIndex, Vec<Event>>,
-    /// The clients awaiting a replay (this broker keeps no log).
+    /// The replays awaiting answers and the clients away (this broker
+    /// keeps no log).
     replays: Replays,
     /// Ingress load shedder (None = unbounded legacy behaviour).
     shed: Option<LoadShedder>,
@@ -69,7 +68,6 @@ impl LinearBroker {
             clients: BTreeSet::new(),
             subs: Vec::new(),
             forwarded: BTreeMap::new(),
-            proxies: BTreeMap::new(),
             replays: Replays::default(),
             shed: None,
             msgs_handled: 0,
@@ -140,7 +138,6 @@ impl LinearBroker {
             }
             BrokerMsg::Detach => {
                 self.clients.remove(&from);
-                self.proxies.remove(&from);
                 self.replays.forget(from);
                 let ids: Vec<SubId> =
                     self.subs.iter().filter(|e| e.iface == from).map(|e| e.sub.id).collect();
@@ -150,52 +147,22 @@ impl LinearBroker {
             }
             BrokerMsg::Subscribe(sub) => self.subscribe(from, sub, out),
             BrokerMsg::Unsubscribe(id) => self.unsubscribe(id, out),
-            BrokerMsg::Publish(event) | BrokerMsg::Notify(event) => self.route(from, event, out),
+            BrokerMsg::Publish(event) | BrokerMsg::Notify(event) => {
+                self.route(now, from, event, out)
+            }
             BrokerMsg::Replay { client, since, filters } => {
-                let targets = (!self.topology.is_neighbour(from)).then(|| self.sub_targets(from));
-                self.replays.request(from, targets, (client, since, filters), out)
+                let targets = self.topology.neighbours().filter(|&n| n != from).collect();
+                let request = (client, since, filters);
+                for id in self.replays.request(now, from, targets, false, request, out) {
+                    self.unsubscribe(id, out);
+                }
             }
             BrokerMsg::Replayed { client, events } => self.replays.answered(client, events, out),
             BrokerMsg::MoveOut => {
-                self.proxies.entry(from).or_default();
+                self.clients.remove(&from);
+                let ids = self.subs.iter().filter(|e| e.iface == from).map(|e| e.sub.id).collect();
+                self.replays.move_out(now, from, ids);
                 out.count("pubsub.move_out", 1.0);
-            }
-            BrokerMsg::MoveIn { old_broker } => {
-                self.clients.insert(from);
-                out.send(old_broker, BrokerMsg::FetchBuffer { client: from });
-            }
-            BrokerMsg::FetchBuffer { client } => {
-                let events = self.proxies.remove(&client).unwrap_or_default();
-                let subs: Vec<Subscription> =
-                    self.subs.iter().filter(|e| e.iface == client).map(|e| e.sub.clone()).collect();
-                self.clients.remove(&client);
-                for s in &subs {
-                    self.unsubscribe(s.id, out);
-                }
-                out.send(from, BrokerMsg::Handoff { client, events, subs });
-            }
-            BrokerMsg::Handoff { client, events, subs } => {
-                self.clients.insert(client);
-                for s in subs {
-                    self.subscribe(client, s, out);
-                }
-                out.count("pubsub.handoff_events", events.len() as f64);
-                for e in events {
-                    out.send(client, BrokerMsg::Notify(e));
-                }
-            }
-        }
-    }
-
-    /// Targets for subscription propagation, excluding the interface the
-    /// subscription arrived on.
-    fn sub_targets(&self, came_from: NodeIndex) -> Vec<NodeIndex> {
-        match &self.topology {
-            BrokerTopology::Peer { neighbors } => {
-                neighbors.iter().copied().filter(|n| *n != came_from).collect()
-            }
-            BrokerTopology::Hierarchical { parent, .. } => {
-                parent.iter().copied().filter(|p| *p != came_from).collect()
             }
         }
     }
@@ -204,7 +171,7 @@ impl LinearBroker {
         if self.subs.iter().any(|e| e.sub.id == sub.id) {
             return; // duplicate (acyclic topologies make this rare)
         }
-        for target in self.sub_targets(from) {
+        for target in self.topology.sub_targets(from) {
             let already = self.forwarded.get(&target);
             // Covering-based pruning: the full table scan this crate's
             // indexed broker replaces.
@@ -244,21 +211,22 @@ impl LinearBroker {
         }
     }
 
-    fn route(&mut self, from: NodeIndex, event: Event, out: &mut Outbox<BrokerMsg>) {
+    fn route(&mut self, now: SimTime, from: NodeIndex, event: Event, out: &mut Outbox<BrokerMsg>) {
+        for id in self.replays.expire(now, out) {
+            self.unsubscribe(id, out);
+        }
         // Local delivery: one full table scan per publication. A client is
         // served once per event, at its first matching subscription.
-        let from_neighbour = self.topology.is_neighbour(from);
         let mut served: Vec<NodeIndex> = Vec::new();
         for e in &self.subs {
             let iface = e.iface;
             if iface == from || served.contains(&iface) || !e.sub.filter.matches(&event) {
                 continue;
             }
-            if let Some(buffer) = self.proxies.get_mut(&iface) {
-                buffer.push(event.clone());
+            if self.replays.log_away(iface, now, &event) {
                 served.push(iface);
             } else if self.clients.contains(&iface) {
-                if !self.replays.hold(iface, from_neighbour, &event) {
+                if !self.replays.hold(iface, &event) {
                     out.send(iface, BrokerMsg::Notify(event.clone()));
                     out.count("pubsub.delivered_local", 1.0);
                 }

@@ -14,8 +14,8 @@
 //!   neighbours, hierarchical children), the *client table* everything
 //!   else. An event is served to no interface it came from, so `route`
 //!   probes the neighbour table only when such a broker other than the
-//!   sender exists, and the client table only when a client or proxy
-//!   other than the sender does (a hierarchical parent is sent every
+//!   sender exists, and the client table only when a client (attached or
+//!   away) other than the sender does (a hierarchical parent is sent every
 //!   event without a probe). A leaf notified by its only neighbour thus
 //!   probes its clients' subscriptions alone, not the covers the
 //!   neighbour forwarded it; one arrival sequence runs across both
@@ -34,16 +34,17 @@
 //! deliver byte-identical notification streams to clients.
 //!
 //! Delivery is per client: however many of its subscriptions an event
-//! matches, an attached client is sent one `Notify` (and an away client's
-//! proxy buffers one copy). A client on the broker's own node is handed
-//! that `Notify` in-process: the host keeps the broker's sends addressed
-//! to its own node back from the network (`Outbox::nested` with `keep`
-//! set) and delivers them in the same activation. The counters follow
-//! the notifications: `pubsub.delivered_local` counts *clients notified*
-//! — one per `Notify` sent or handed to an attached client, handoff
-//! replays excluded (those are `pubsub.handoff_events`) — and
-//! [`notifications_forwarded`](Broker::notifications_forwarded) counts one
-//! per neighbouring broker an event is forwarded to.
+//! matches, an attached client is sent one `Notify` (and a client that
+//! moved out has one copy logged, [`replay`](crate::replay)). A client on
+//! the broker's own node is handed that `Notify` in-process: the host
+//! keeps the broker's sends addressed to its own node back from the
+//! network (`Outbox::nested` with `keep` set) and delivers them in the
+//! same activation. The counters follow the notifications:
+//! `pubsub.delivered_local` counts *clients notified* — one per `Notify`
+//! sent or handed to an attached client — `pubsub.replayed` the events
+//! an away client's log answers with, and
+//! [`notifications_forwarded`](Broker::notifications_forwarded) one per
+//! neighbouring broker an event is forwarded to.
 
 use crate::filter::{merge_cover, Filter, Subscription};
 use crate::index::{FilterIndex, Hit};
@@ -94,14 +95,23 @@ pub enum BrokerTopology {
 }
 
 impl BrokerTopology {
-    /// Whether `iface` is a neighbouring broker.
-    pub(crate) fn is_neighbour(&self, iface: NodeIndex) -> bool {
-        match self {
-            BrokerTopology::Peer { neighbors } => neighbors.contains(&iface),
-            BrokerTopology::Hierarchical { parent, children } => {
-                *parent == Some(iface) || children.contains(&iface)
-            }
-        }
+    /// The neighbouring brokers.
+    pub(crate) fn neighbours(&self) -> impl Iterator<Item = NodeIndex> + '_ {
+        let (up, rest) = match self {
+            BrokerTopology::Peer { neighbors } => (None, neighbors),
+            BrokerTopology::Hierarchical { parent, children } => (*parent, children),
+        };
+        up.into_iter().chain(rest.iter().copied())
+    }
+
+    /// Where a subscription arriving from `from` propagates: every other
+    /// peer neighbour, or the parent.
+    pub(crate) fn sub_targets(&self, from: NodeIndex) -> Vec<NodeIndex> {
+        let up = match self {
+            BrokerTopology::Peer { neighbors } => neighbors.as_slice(),
+            BrokerTopology::Hierarchical { parent, .. } => parent.as_slice(),
+        };
+        up.iter().copied().filter(|&n| n != from).collect()
     }
 }
 
@@ -120,30 +130,13 @@ pub enum BrokerMsg {
     Attach,
     /// A client deregisters (its subscriptions are dropped).
     Detach,
-    /// Mobility: the client disconnects; a proxy buffers its events.
+    /// Mobility: the client disconnects; its broker logs what its
+    /// subscriptions match until it asks for a replay.
     MoveOut,
-    /// Mobility: the client reconnects here; fetch state from `old_broker`.
-    MoveIn {
-        /// The broker the client was previously attached to.
-        old_broker: NodeIndex,
-    },
-    /// Mobility: new broker asks old broker for a client's state.
-    FetchBuffer {
-        /// The mobile client.
-        client: NodeIndex,
-    },
-    /// Mobility: old broker hands over buffered events and subscriptions.
-    Handoff {
-        /// The mobile client.
-        client: NodeIndex,
-        /// Events buffered while the client was away.
-        events: Vec<Event>,
-        /// The client's subscriptions, to re-register at the new broker.
-        subs: Vec<Subscription>,
-    },
     /// Asks for the logged matches of `filters` from `since` on: sent by
     /// a client, naming itself, right after the subscriptions it starts
-    /// in the past, and by its broker to neighbours ([`replay`](crate::replay)).
+    /// in the past or re-subscribes after a move, and passed on from
+    /// broker to broker ([`replay`](crate::replay)).
     Replay {
         /// The client the replay is for.
         client: NodeIndex,
@@ -153,7 +146,7 @@ pub enum BrokerMsg {
         filters: Vec<Filter>,
     },
     /// The answer to [`Replay`](BrokerMsg::Replay), to the broker that
-    /// asked and then to the client: `(arrival at the log, event)`,
+    /// passed it on and then to the client: `(arrival at the log, event)`,
     /// oldest first.
     Replayed {
         /// The client the replay is for.
@@ -270,13 +263,12 @@ pub struct Broker {
     /// The subscription table, as two counting attribute indexes.
     subs: SubTable,
     /// Subscription ids per arrival interface, in arrival order (drives
-    /// detach/handoff iteration without a table scan).
+    /// detach and move-out without a table scan).
     by_iface: FnvHashMap<u32, Vec<SubId>>,
     /// Incremental covering DAG per neighbouring broker.
     tables: BTreeMap<NodeIndex, ForwardTable>,
-    /// Mobility proxies: disconnected client → buffered events.
-    proxies: BTreeMap<NodeIndex, Vec<Event>>,
-    /// The replay log, and the clients awaiting a replay.
+    /// The replay log, the replays awaiting answers, and the clients
+    /// away.
     replays: Replays,
     /// Ingress load shedder (None = unbounded legacy behaviour).
     shed: Option<LoadShedder>,
@@ -315,7 +307,6 @@ impl Broker {
             subs: SubTable::default(),
             by_iface: FnvHashMap::default(),
             tables: BTreeMap::new(),
-            proxies: BTreeMap::new(),
             replays: Replays::default(),
             shed: None,
             synth_seq: 0,
@@ -405,17 +396,6 @@ impl Broker {
             .collect()
     }
 
-    /// The locally attached clients.
-    pub fn clients(&self) -> impl Iterator<Item = NodeIndex> + '_ {
-        self.clients.iter().copied()
-    }
-
-    /// Whether a proxy is buffering for `client`.
-    #[cfg(test)]
-    fn has_proxy_for(&self, client: NodeIndex) -> bool {
-        self.proxies.contains_key(&client)
-    }
-
     /// Handles one message. `from` is the interface (client or neighbour
     /// broker) it arrived on.
     pub fn handle(
@@ -449,10 +429,7 @@ impl Broker {
                 self.clients.insert(from);
             }
             BrokerMsg::Detach => {
-                // A proxy left behind would keep buffering the client's
-                // events after a later re-attach.
                 self.clients.remove(&from);
-                self.proxies.remove(&from);
                 self.replays.forget(from);
                 let ids: Vec<SubId> = self.by_iface.get(&from.0).cloned().unwrap_or_default();
                 for id in ids {
@@ -465,55 +442,24 @@ impl Broker {
                 self.route(now, from, event, out)
             }
             BrokerMsg::Replay { client, since, filters } => {
-                let targets = (!self.topology.is_neighbour(from)).then(|| self.sub_targets(from));
-                self.replays.request(from, targets, (client, since, filters), out)
+                // A log answers at once if it covers every filter.
+                let logged = self.by_iface.get(&LOG.0).map(Vec::as_slice).unwrap_or_default();
+                let covers = |f: &Filter| {
+                    logged.iter().any(|&id| self.subs.get(id).is_some_and(|s| s.filter.covers(f)))
+                };
+                let covered = !logged.is_empty() && filters.iter().all(covers);
+                let targets = self.topology.neighbours().filter(|&n| n != from).collect();
+                let request = (client, since, filters);
+                for id in self.replays.request(now, from, targets, covered, request, out) {
+                    self.unsubscribe(id, out);
+                }
             }
             BrokerMsg::Replayed { client, events } => self.replays.answered(client, events, out),
             BrokerMsg::MoveOut => {
-                // Keep the client's subscriptions live; buffer its events.
-                self.proxies.entry(from).or_default();
+                self.clients.remove(&from);
+                let ids = self.by_iface.get(&from.0).cloned().unwrap_or_default();
+                self.replays.move_out(now, from, ids);
                 out.count("pubsub.move_out", 1.0);
-            }
-            BrokerMsg::MoveIn { old_broker } => {
-                self.clients.insert(from);
-                out.send(old_broker, BrokerMsg::FetchBuffer { client: from });
-            }
-            BrokerMsg::FetchBuffer { client } => {
-                let events = self.proxies.remove(&client).unwrap_or_default();
-                let ids: Vec<SubId> = self.by_iface.get(&client.0).cloned().unwrap_or_default();
-                let subs: Vec<Subscription> =
-                    ids.iter().map(|&i| self.subs.get(i).expect("id tracked").clone()).collect();
-                self.clients.remove(&client);
-                for s in &subs {
-                    self.unsubscribe(s.id, out);
-                }
-                out.send(from, BrokerMsg::Handoff { client, events, subs });
-            }
-            BrokerMsg::Handoff { client, events, subs } => {
-                // The handoff target is the client's new access broker;
-                // (re-)attach covers the same-broker move, where
-                // FetchBuffer detached the client after MoveIn attached it.
-                self.clients.insert(client);
-                for s in subs {
-                    self.subscribe(client, s, out);
-                }
-                out.count("pubsub.handoff_events", events.len() as f64);
-                for e in events {
-                    out.send(client, BrokerMsg::Notify(e));
-                }
-            }
-        }
-    }
-
-    /// Targets for subscription propagation, excluding the interface the
-    /// subscription arrived on.
-    fn sub_targets(&self, came_from: NodeIndex) -> Vec<NodeIndex> {
-        match &self.topology {
-            BrokerTopology::Peer { neighbors } => {
-                neighbors.iter().copied().filter(|n| *n != came_from).collect()
-            }
-            BrokerTopology::Hierarchical { parent, .. } => {
-                parent.iter().copied().filter(|p| *p != came_from).collect()
             }
         }
     }
@@ -522,7 +468,7 @@ impl Broker {
         if self.subs.contains(sub.id) {
             return; // duplicate (acyclic topologies make this rare)
         }
-        for target in self.sub_targets(from) {
+        for target in self.topology.sub_targets(from) {
             let table = self.tables.entry(target).or_default();
             // Covering-based pruning: an already-forwarded root covering
             // this filter makes forwarding redundant. `find_cover`
@@ -626,37 +572,40 @@ impl Broker {
     }
 
     fn route(&mut self, now: SimTime, from: NodeIndex, event: Event, out: &mut Outbox<BrokerMsg>) {
+        for id in self.replays.expire(now, out) {
+            self.unsubscribe(id, out);
+        }
         // A table is probed only if an interface other than `from` can
         // be served from it; `from`'s own matches are never served. The
         // neighbour table is probed when a broker other than `from` is
-        // forwarded to by subscription, the client table when a client or
-        // proxy other than `from` exists. So a leaf notified by its only
-        // neighbour probes its clients' table alone, and a client's
-        // publication on a broker with no other client its neighbours'
-        // (unless the broker keeps a log, whose subscriptions sit with
-        // the clients').
+        // forwarded to by subscription, the client table when a client
+        // other than `from` is attached or away. So a leaf notified by
+        // its only neighbour probes its clients' table alone, and a
+        // client's publication on a broker with no other client its
+        // neighbours' (unless the broker keeps a log, whose subscriptions
+        // sit with the clients').
         let probe_neighbours = match &self.topology {
             BrokerTopology::Peer { neighbors } => neighbors.iter().any(|&n| n != from),
             BrokerTopology::Hierarchical { children, .. } => children.iter().any(|&c| c != from),
         };
-        let probe_clients = self.clients.iter().chain(self.proxies.keys()).any(|&c| c != from)
+        let probe_clients = self.clients.iter().chain(self.replays.away.keys()).any(|&c| c != from)
             || self.replays.log.is_some();
-        let holding = self.replays.awaited();
-        let from_neighbour = holding && self.topology.is_neighbour(from);
+        let holding = !self.replays.pending.is_empty();
 
         // Each probe walks its matching subscriptions in arrival order
         // straight out of its index's reused hit list, each with the
         // interface it arrived on; the two lists merge by arrival
         // sequence into the order one table (and the old linear scan)
         // delivered in. Routing an event allocates only the copies it
-        // sends or buffers.
+        // sends or logs.
         //
         // An interface is served once per event, at its first matching
         // subscription: a client with k matching filters gets one copy,
-        // live, buffered, or held back for a replay. `wanted` then also
-        // says which neighbours hold a matching subscription, for
-        // forwarding below, and whether a log subscription matched.
-        let Broker { subs, wanted, proxies, clients, replays, .. } = self;
+        // live, logged while it is away, or held back for a replay.
+        // `wanted` then also says which neighbours hold a matching
+        // subscription, for forwarding below, and whether a log
+        // subscription matched.
+        let Broker { subs, wanted, clients, replays, .. } = self;
         wanted.clear();
         let neighbour_hits = probe_neighbours.then(|| subs.neighbours.hits(&event));
         let client_hits = probe_clients.then(|| subs.clients.hits(&event));
@@ -666,20 +615,16 @@ impl Broker {
         );
         for (_, _, owner) in hits {
             let iface = NodeIndex(owner);
-            if !wanted.insert(owner) || iface == from {
+            if !wanted.insert(owner) || iface == from || replays.log_away(iface, now, &event) {
                 continue;
             }
-            if let Some(buffer) = proxies.get_mut(&iface) {
-                buffer.push(event.clone());
-            } else if clients.contains(&iface)
-                && !(holding && replays.hold(iface, from_neighbour, &event))
-            {
+            if clients.contains(&iface) && !(holding && replays.hold(iface, &event)) {
                 out.send(iface, BrokerMsg::Notify(event.clone()));
                 out.count("pubsub.delivered_local", 1.0);
             }
         }
-        if replays.log.is_some() && wanted.contains(&LOG.0) {
-            replays.append(now, &event);
+        if let Some(log) = replays.log.as_mut().filter(|_| wanted.contains(&LOG.0)) {
+            log.append(now, &event);
         }
 
         // Inter-broker forwarding.
@@ -928,19 +873,19 @@ mod tests {
         b.handle(SimTime::ZERO, n(10), BrokerMsg::Subscribe(sub(1, Filter::any())), &mut out);
         b.handle(SimTime::ZERO, n(10), BrokerMsg::Detach, &mut out);
         assert_eq!(b.subscription_count(), 0);
-        assert_eq!(b.clients().count(), 0);
+        assert!(b.clients.is_empty());
     }
 
-    /// A client that detaches while roaming takes its proxy with it: once
-    /// it attaches and subscribes again, its events are sent, not
-    /// buffered for a handoff that will never come.
+    /// A client that detaches while roaming takes its log with it: once
+    /// it attaches and subscribes again, its events are sent, not logged
+    /// for a replay that will never come.
     #[test]
-    fn detach_while_away_drops_the_proxy() {
+    fn detach_while_away_drops_the_log() {
         let mut b = peer_broker();
         let mut out = Outbox::new();
         b.handle(SimTime::ZERO, n(10), BrokerMsg::MoveOut, &mut out);
         b.handle(SimTime::ZERO, n(10), BrokerMsg::Detach, &mut out);
-        assert!(!b.has_proxy_for(n(10)));
+        assert_eq!(b.replays.away.len(), 0);
         b.handle(SimTime::ZERO, n(10), BrokerMsg::Attach, &mut out);
         let s = sub(1, Filter::for_kind("k"));
         b.handle(SimTime::ZERO, n(10), BrokerMsg::Subscribe(s), &mut out);
@@ -972,11 +917,11 @@ mod tests {
         assert!(!b.client_matches(n(0), &ev(3)));
     }
 
-    /// A proxy is served even for an interface that never attached: a
-    /// leaf notified by its only neighbour probes its clients' table when
-    /// a proxy is all it could serve.
+    /// An away client is served even if it never attached: a leaf
+    /// notified by its only neighbour probes its clients' table when an
+    /// away client's log is all it could serve.
     #[test]
-    fn a_proxy_alone_is_served_from_the_clients_table() {
+    fn an_away_client_alone_is_served_from_the_clients_table() {
         let mut b = Broker::new(n(1), BrokerTopology::Peer { neighbors: vec![n(0)] });
         let mut out = Outbox::new();
         let s = sub(1, Filter::for_kind("k"));
@@ -984,11 +929,20 @@ mod tests {
         b.handle(SimTime::ZERO, n(10), BrokerMsg::MoveOut, &mut out);
         b.handle(SimTime::ZERO, n(0), BrokerMsg::Notify(Event::new("k")), &mut out);
         let mut out = Outbox::new();
-        b.handle(SimTime::ZERO, n(20), BrokerMsg::FetchBuffer { client: n(10) }, &mut out);
-        match sent_to(&out, n(20))[..] {
-            [BrokerMsg::Handoff { events, .. }] => assert_eq!(events.len(), 1),
-            ref other => panic!("expected one handoff, got {other:?}"),
+        b.handle(SimTime::ZERO, n(0), replay_of(10, "k"), &mut out);
+        match sent_to(&out, n(0))[..] {
+            [BrokerMsg::Replayed { events, .. }, BrokerMsg::Unsubscribe(1)] => {
+                assert_eq!(events.len(), 1)
+            }
+            ref other => panic!("expected one replay, got {other:?}"),
         }
+    }
+
+    /// Client `client`'s request to replay what matched kind `kind`, from
+    /// the start.
+    fn replay_of(client: u32, kind: &str) -> BrokerMsg {
+        let filters = vec![Filter::for_kind(kind)];
+        BrokerMsg::Replay { client: n(client), since: SimTime::ZERO, filters }
     }
 
     #[test]
@@ -1002,7 +956,7 @@ mod tests {
     }
 
     #[test]
-    fn move_out_buffers_then_handoff_drains() {
+    fn move_out_logs_then_a_replay_drains() {
         let mut b = peer_broker();
         let mut out = Outbox::new();
         b.handle(
@@ -1012,50 +966,141 @@ mod tests {
             &mut out,
         );
         b.handle(SimTime::ZERO, n(10), BrokerMsg::MoveOut, &mut out);
-        assert!(b.has_proxy_for(n(10)));
-        // Events arriving while away are buffered, not sent.
+        assert_eq!(b.replays.away.keys().copied().collect::<Vec<_>>(), [n(10)]);
+        // Events arriving while away are logged, not sent; the client's
+        // own publication is not logged for it.
         let mut out = Outbox::new();
         b.handle(SimTime::ZERO, n(1), BrokerMsg::Notify(Event::new("k")), &mut out);
+        let mut own = Event::new("k");
+        own.stamp(crate::EventId { origin: n(10), seq: 1 }, SimTime::ZERO);
+        b.handle(SimTime::ZERO, n(1), BrokerMsg::Notify(own), &mut out);
         assert!(sent_to(&out, n(10)).is_empty());
-        // New broker (20) fetches the buffer.
+        // The client's request reaches this broker from neighbour 2.
         let mut out = Outbox::new();
-        b.handle(SimTime::ZERO, n(20), BrokerMsg::FetchBuffer { client: n(10) }, &mut out);
-        let handoffs = sent_to(&out, n(20));
-        assert_eq!(handoffs.len(), 1);
-        match handoffs[0] {
-            BrokerMsg::Handoff { events, subs, .. } => {
+        b.handle(SimTime::ZERO, n(2), replay_of(10, "k"), &mut out);
+        let answers = sent_to(&out, n(2));
+        match answers[0] {
+            BrokerMsg::Replayed { client, events } => {
+                assert_eq!(*client, n(10));
                 assert_eq!(events.len(), 1);
-                assert_eq!(subs.len(), 1);
             }
-            other => panic!("expected handoff, got {other:?}"),
+            other => panic!("expected a replay, got {other:?}"),
         }
-        assert!(!b.has_proxy_for(n(10)));
+        assert!(matches!(answers[1], BrokerMsg::Unsubscribe(1)), "old subscription retracted");
+        assert_eq!(b.replays.away.len(), 0);
         assert_eq!(b.subscription_count(), 0);
+        assert!(out.counts().iter().any(|(k, by)| k == "pubsub.replayed" && *by == 1.0));
     }
 
+    /// The client's new broker holds its notifications until the replay
+    /// is in, then sends it the replay and each held notification the
+    /// replay does not hold.
     #[test]
-    fn handoff_reregisters_and_replays() {
-        let mut b2 = Broker::new(n(5), BrokerTopology::Peer { neighbors: vec![] });
+    fn a_reconnected_client_is_sent_the_replay_then_what_was_held() {
+        let mut b2 = Broker::new(n(5), BrokerTopology::Peer { neighbors: vec![n(0)] });
         let mut out = Outbox::new();
-        b2.handle(SimTime::ZERO, n(10), BrokerMsg::MoveIn { old_broker: n(0) }, &mut out);
-        assert!(matches!(
-            sent_to(&out, n(0))[0],
-            BrokerMsg::FetchBuffer { client } if *client == n(10)
-        ));
+        b2.handle(SimTime::ZERO, n(10), BrokerMsg::Attach, &mut out);
+        let s = sub(2, Filter::for_kind("k"));
+        b2.handle(SimTime::ZERO, n(10), BrokerMsg::Subscribe(s), &mut out);
         let mut out = Outbox::new();
-        b2.handle(
-            SimTime::ZERO,
+        b2.handle(SimTime::ZERO, n(10), replay_of(10, "k"), &mut out);
+        assert!(
+            matches!(sent_to(&out, n(0))[0], BrokerMsg::Replay { client, .. } if *client == n(10))
+        );
+        let ev = |x: i64| Event::new("k").with_attr("x", x);
+        let mut out = Outbox::new();
+        b2.handle(SimTime::ZERO, n(0), BrokerMsg::Notify(ev(1)), &mut out);
+        b2.handle(SimTime::ZERO, n(0), BrokerMsg::Notify(ev(2)), &mut out);
+        assert!(sent_to(&out, n(10)).is_empty(), "held while the replay is due");
+        let events = vec![(SimTime::ZERO, ev(0)), (SimTime::ZERO, ev(1))];
+        let mut out = Outbox::new();
+        b2.handle(SimTime::ZERO, n(0), BrokerMsg::Replayed { client: n(10), events }, &mut out);
+        match sent_to(&out, n(10))[..] {
+            [BrokerMsg::Replayed { events, .. }, BrokerMsg::Notify(e)] => {
+                assert_eq!(events.len(), 2);
+                assert_eq!(e, &ev(2));
+            }
+            ref other => panic!("expected the replay and one notification, got {other:?}"),
+        }
+        assert_eq!(b2.subscription_count(), 1);
+    }
+
+    /// A replay whose neighbour never answers is released on the first
+    /// routed event after the deadline: the client is sent an empty
+    /// replay, then each held notification once, and nothing stays
+    /// pending.
+    #[test]
+    fn a_replay_nobody_answers_is_released_after_the_deadline() {
+        let mut b = Broker::new(n(5), BrokerTopology::Peer { neighbors: vec![n(0)] });
+        let mut out = Outbox::new();
+        b.handle(SimTime::ZERO, n(10), BrokerMsg::Attach, &mut out);
+        let s = sub(2, Filter::for_kind("k"));
+        b.handle(SimTime::ZERO, n(10), BrokerMsg::Subscribe(s), &mut out);
+        b.handle(SimTime::ZERO, n(10), replay_of(10, "k"), &mut out);
+        let at = |ms: u64| SimTime::ZERO + SimDuration::from_millis(ms);
+        let ev = |x: i64| Event::new("k").with_attr("x", x);
+        let mut out = Outbox::new();
+        b.handle(at(10), n(0), BrokerMsg::Notify(ev(1)), &mut out);
+        b.handle(at(20), n(0), BrokerMsg::Notify(ev(2)), &mut out);
+        assert!(sent_to(&out, n(10)).is_empty());
+        assert!(out.counts().iter().all(|(k, _)| k != "pubsub.replay_expired"));
+        let deadline = at(0) + crate::replay::REPLAY_DEADLINE;
+        let mut out = Outbox::new();
+        b.handle(deadline, n(0), BrokerMsg::Notify(ev(3)), &mut out);
+        match sent_to(&out, n(10))[..] {
+            [BrokerMsg::Replayed { events, .. }, BrokerMsg::Notify(x), BrokerMsg::Notify(y), BrokerMsg::Notify(z)] =>
+            {
+                assert!(events.is_empty());
+                assert_eq!([x, y, z], [&ev(1), &ev(2), &ev(3)], "held ones first, then live");
+            }
+            ref other => panic!("expected a released replay, got {other:?}"),
+        }
+        assert!(out.counts().iter().any(|(k, by)| k == "pubsub.replay_expired" && *by == 1.0));
+        assert!(b.replays.pending.is_empty());
+        let mut out = Outbox::new();
+        b.handle(
+            deadline,
             n(0),
-            BrokerMsg::Handoff {
-                client: n(10),
-                events: vec![Event::new("k")],
-                subs: vec![sub(1, Filter::for_kind("k"))],
-            },
+            BrokerMsg::Replayed { client: n(10), events: Vec::new() },
             &mut out,
         );
-        // Buffered event replayed to the client; sub re-registered.
-        assert_eq!(sent_to(&out, n(10)).len(), 1);
-        assert_eq!(b2.subscription_count(), 1);
+        b.handle(deadline, n(0), BrokerMsg::Notify(ev(4)), &mut out);
+        assert_eq!(sent_to(&out, n(10)).len(), 1, "a late answer is dropped; live again");
+    }
+
+    /// A client that moves out and never comes back leaves its old broker
+    /// holding the same state after T as after 4T: detached once away
+    /// longer than the retention, its subscription retracted upstream and
+    /// the drop counted.
+    #[test]
+    fn a_client_that_never_returns_leaves_a_bounded_log() {
+        let after = |secs: u64| {
+            let mut b = peer_broker();
+            let mut out = Outbox::new();
+            let s = sub(1, Filter::for_kind("k"));
+            b.handle(SimTime::ZERO, n(10), BrokerMsg::Subscribe(s), &mut out);
+            b.handle(SimTime::ZERO, n(10), BrokerMsg::MoveOut, &mut out);
+            let mut out = Outbox::new();
+            let mut peak = 0;
+            for t in 1..=secs {
+                let now = SimTime::ZERO + SimDuration::from_secs(t);
+                b.handle(now, n(1), BrokerMsg::Notify(Event::new("k")), &mut out);
+                peak = peak.max(b.replays.away_log_len(n(10)));
+            }
+            let retracted =
+                sent_to(&out, n(1)).iter().any(|m| matches!(m, BrokerMsg::Unsubscribe(1)));
+            let expired: f64 = out
+                .counts()
+                .iter()
+                .filter(|(k, _)| k == "pubsub.away_expired")
+                .map(|(_, by)| by)
+                .sum();
+            (b.subscription_count(), b.replays.away.len(), peak, retracted, expired)
+        };
+        let t = 2 * crate::replay::AWAY_RETENTION.as_micros() / 1_000_000;
+        let retention = (t / 2) as usize;
+        assert_eq!(after(t), (0, 0, retention - 1, true, 1.0));
+        assert_eq!(after(4 * t), after(t));
     }
 
     #[test]

@@ -17,12 +17,12 @@
 //!   ([`Architecture::Centralized`]: "it uses a client-server
 //!   architecture, limiting its scalability" — experiment **C1**
 //!   quantifies this),
-//! * Mobikit-like [`mobility`] proxies that subscribe on behalf of
-//!   disconnected mobile clients and hand buffered events over on
-//!   reconnection, and
 //! * subscriptions that start in the past: a broker's time-bounded
 //!   [`ReplayLog`] and the seamless [`replay`] a late subscriber asks
-//!   for.
+//!   for, and
+//! * Mobikit-like [`mobility`]: a roaming client's old broker logs for it
+//!   while it is disconnected, and the client reconnects as a late
+//!   subscriber, replaying that log.
 //!
 //! # Example
 //!

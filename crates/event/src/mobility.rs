@@ -1,19 +1,15 @@
-//! Mobility support: Mobikit-style proxies over the broker network.
+//! Mobility: a roaming client is a late subscriber.
 //!
 //! The paper cites Mobikit (§3): "The system provides static proxies for
 //! mobile entities, which subscribe on behalf of the mobile entity when the
-//! mobile entity is disconnected from the pub/sub system." The protocol is
-//! implemented by [`crate::Broker`] (the `MoveOut` / `MoveIn` /
-//! `FetchBuffer` / `Handoff` messages) and driven by
+//! mobile entity is disconnected from the pub/sub system." Here the old
+//! broker does so itself: it logs what the client's subscriptions match
+//! while it is away, and replays that when the client, subscribed again
+//! at its new broker, asks ([`replay`](crate::replay)). It is driven by
 //! [`crate::PubSubNetwork::move_client`]; this module holds the
-//! network-level behaviour tests documenting the handoff guarantees:
-//!
-//! * events matching the mobile client's subscriptions while it is offline
-//!   are buffered by a proxy at the *old* access broker;
-//! * on reconnection at a *new* broker, buffered events are replayed and
-//!   subscriptions are re-registered transparently;
-//! * clients deduplicate by [`crate::EventId`], so handoff races cause
-//!   counted duplicates rather than double processing.
+//! network-level behaviour tests: what matched while the client was away
+//! is replayed after the move, subscriptions survive it, and the replay
+//! and the live stream meet without loss or repetition.
 
 #[cfg(test)]
 mod tests {
@@ -47,13 +43,13 @@ mod tests {
         net.move_client(mobile, new_broker, SimDuration::from_secs(30));
         net.run_for(SimDuration::from_secs(5));
 
-        // Published while the client is away: buffered by the proxy.
+        // Published while the client is away: logged by its old broker.
         net.publish(publisher, Event::new("news").with_attr("n", 1i64));
         net.publish(publisher, Event::new("news").with_attr("n", 2i64));
         net.run_for(SimDuration::from_secs(5));
         assert_eq!(net.client(mobile).received.len(), 0, "offline: nothing delivered yet");
 
-        // After reconnection the buffer drains.
+        // After reconnection the log is replayed.
         net.run_for(SimDuration::from_secs(60));
         assert_eq!(net.client(mobile).received.len(), 2);
         assert_eq!(net.client(mobile).duplicates, 0);

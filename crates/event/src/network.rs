@@ -29,7 +29,7 @@ pub struct ClientApi {
     /// Events received, in arrival order.
     pub received: Vec<Event>,
     seen: BTreeSet<EventId>,
-    /// Events received more than once (mobility handoff can race).
+    /// Events received more than once.
     pub duplicates: u64,
     /// Events received that match none of this client's subscriptions.
     pub false_deliveries: u64,
@@ -62,7 +62,11 @@ pub struct PubSubNode {
 
 impl ClientApi {
     fn ingest(&mut self, now: SimTime, msg: BrokerMsg, out: &mut Outbox<BrokerMsg>) {
-        if let BrokerMsg::Notify(event) = msg {
+        if let BrokerMsg::Replayed { events, .. } = msg {
+            for (_, event) in events {
+                self.ingest(now, BrokerMsg::Notify(event), out);
+            }
+        } else if let BrokerMsg::Notify(event) = msg {
             let latency_ms = now.since(event.published_at()).as_secs_f64() * 1e3;
             out.observe("pubsub.delivery_ms", latency_ms);
             out.count("pubsub.delivered", 1.0);
@@ -271,14 +275,20 @@ impl PubSubNetwork {
 
     /// Subscribes `client` with `filter`; returns the subscription id.
     pub fn subscribe(&mut self, client: NodeIndex, filter: Filter) -> SubId {
+        let sub = self.fresh_sub(client, filter);
+        let access = self.client(client).access;
+        self.world.inject(client, access, BrokerMsg::Subscribe(sub.clone()));
+        sub.id
+    }
+
+    /// A subscription of `filter` for `client` under an id it never used
+    /// (its node index over its sequence), recorded as its own.
+    fn fresh_sub(&mut self, client: NodeIndex, filter: Filter) -> Subscription {
         let seq = self.sub_seq.entry(client).or_insert(0);
         *seq += 1;
-        let id = ((client.0 as u64) << 32) | *seq;
-        let sub = Subscription { id, filter };
+        let sub = Subscription { id: ((client.0 as u64) << 32) | *seq, filter };
         self.client_mut(client).subs.push(sub.clone());
-        let access = self.client(client).access;
-        self.world.inject(client, access, BrokerMsg::Subscribe(sub));
-        id
+        sub
     }
 
     /// Removes a subscription.
@@ -307,9 +317,11 @@ impl PubSubNetwork {
         }
     }
 
-    /// Moves a mobile client: disconnect now, reconnect at `new_broker`
-    /// after `offline_for`. While offline, a proxy at the old broker
-    /// buffers matching events (Mobikit pattern).
+    /// Moves a mobile client: it moves out of its broker now, and after
+    /// `offline_for` attaches to `new_broker`, subscribes its filters
+    /// there under fresh ids and asks for a replay of what they matched
+    /// since it left. Its old broker logs those matches meanwhile and
+    /// answers the replay ([`replay`](crate::replay)).
     pub fn move_client(
         &mut self,
         client: NodeIndex,
@@ -317,14 +329,18 @@ impl PubSubNetwork {
         offline_for: SimDuration,
     ) {
         let old = self.client(client).access;
+        let since = self.world.now();
         self.world.inject(client, old, BrokerMsg::MoveOut);
-        let reconnect_at = self.world.now() + offline_for;
-        self.world.inject_at(
-            reconnect_at,
-            client,
-            new_broker,
-            BrokerMsg::MoveIn { old_broker: old },
-        );
+        let at = since + offline_for;
+        self.world.inject_at(at, client, new_broker, BrokerMsg::Attach);
+        let left = std::mem::take(&mut self.client_mut(client).subs);
+        let filters: Vec<Filter> = left.into_iter().map(|s| s.filter).collect();
+        for filter in &filters {
+            let sub = self.fresh_sub(client, filter.clone());
+            self.world.inject_at(at, client, new_broker, BrokerMsg::Subscribe(sub));
+        }
+        let replay = BrokerMsg::Replay { client, since, filters };
+        self.world.inject_at(at, client, new_broker, replay);
         self.client_mut(client).access = new_broker;
     }
 

@@ -9,7 +9,7 @@ use std::rc::Rc;
 
 /// Globally unique event identifier: publishing node + per-node sequence.
 ///
-/// Used for duplicate suppression during mobility handoff and for tracing.
+/// Used for duplicate suppression at a replay's seam and for tracing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct EventId {
     /// The publishing node.

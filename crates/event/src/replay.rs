@@ -1,19 +1,24 @@
-//! Subscriptions that start in the past. A broker keeps a [`ReplayLog`]
-//! of what its log subscriptions match ([`Broker::keep_log`]); these
-//! propagate like any subscription but notify no client. A client that
-//! subscribes late sends [`BrokerMsg::Replay`] right after its
-//! subscriptions. Its broker answers from its own log, or asks its
-//! neighbours and holds the client's notifications back until all have
-//! answered. The client is then sent one [`BrokerMsg::Replayed`] — the
-//! logged matches from `since` on, oldest first — and each held
-//! notification the replay does not hold. Links are FIFO, so what a
-//! neighbour forwarded before answering arrived while the client was
-//! held, and what it forwards after comes live: nothing is lost or
-//! repeated at the seam.
+//! Hearing what you missed: late subscriptions and roaming clients.
+//!
+//! A broker logs what its log subscriptions match ([`ReplayLog`],
+//! [`Broker::keep_log`]). A client that moves out ([`BrokerMsg::MoveOut`])
+//! leaves its subscriptions behind, and its broker logs their matches for
+//! it (not its own publications) for up to [`AWAY_RETENTION`]. A late
+//! subscriber, or a client subscribed again under fresh ids after a
+//! move, sends [`BrokerMsg::Replay`] right after its subscriptions. A
+//! broker answers from the client's own log (then drops its old
+//! subscriptions), or from its log if that covers every requested filter;
+//! any other asks every neighbour but the asker, so the request follows
+//! the new subscriptions through the tree, and answers once all have.
+//! Meanwhile the client's broker holds its notifications, then sends one
+//! [`BrokerMsg::Replayed`] (oldest first) and each held notification the
+//! replay does not hold. Links are FIFO, so nothing is lost or repeated
+//! at the seam. A routed event first releases replays unanswered after
+//! [`REPLAY_DEADLINE`] and detaches clients away too long.
 //!
 //! [`Broker::keep_log`]: crate::Broker::keep_log
 
-use crate::broker::BrokerMsg;
+use crate::broker::{BrokerMsg, SubId};
 use crate::filter::Filter;
 use crate::notification::Event;
 use gloss_sim::{NodeIndex, Outbox, SimDuration, SimTime};
@@ -21,6 +26,14 @@ use std::collections::{BTreeMap, VecDeque};
 
 /// The interface log subscriptions are stored for; no client has it.
 pub(crate) const LOG: NodeIndex = NodeIndex(u32::MAX);
+
+/// How long a roaming client's old broker logs for it (counted as
+/// `pubsub.away_expired` when it runs out).
+pub const AWAY_RETENTION: SimDuration = SimDuration::from_secs(60);
+
+/// How long a broker waits for the answers to a replay it asked for
+/// (counted as `pubsub.replay_expired` when it runs out).
+pub const REPLAY_DEADLINE: SimDuration = SimDuration::from_secs(5);
 
 /// The events a broker's log subscriptions matched, `(arrival, event)`
 /// oldest first. Appending drops, and counts, what arrived more than the
@@ -46,7 +59,7 @@ impl ReplayLog {
         self.entries.is_empty()
     }
 
-    fn append(&mut self, now: SimTime, event: &Event) {
+    pub(crate) fn append(&mut self, now: SimTime, event: &Event) {
         let cutoff = now.as_micros().saturating_sub(self.retention.as_micros());
         while self.entries.front().is_some_and(|(at, _)| at.as_micros() < cutoff) {
             self.entries.pop_front();
@@ -64,20 +77,33 @@ impl ReplayLog {
     }
 }
 
-/// A client awaiting its replay: answers still due, events answered,
-/// and its held notifications, each with whether a neighbour sent it.
+/// A replay asked of the neighbours: whom to answer, answers due and by
+/// when, events answered, and the client's held notifications.
 #[derive(Debug, Clone, Default)]
-struct Pending {
+pub(crate) struct Pending {
+    reply_to: NodeIndex,
     due: usize,
+    deadline: SimTime,
     events: Vec<(SimTime, Event)>,
-    held: Vec<(bool, Event)>,
+    held: Vec<Event>,
 }
 
-/// A broker's log, if any, and the clients awaiting a replay.
+/// A client that moved out: its subscriptions here, when it is detached,
+/// and what they matched since.
+#[derive(Debug, Clone)]
+pub(crate) struct Away {
+    ids: Vec<SubId>,
+    until: SimTime,
+    log: ReplayLog,
+}
+
+/// A broker's log, if any, its replays awaiting answers, and the clients
+/// away from it.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Replays {
     pub(crate) log: Option<ReplayLog>,
-    pending: BTreeMap<NodeIndex, Pending>,
+    pub(crate) pending: BTreeMap<NodeIndex, Pending>,
+    pub(crate) away: BTreeMap<NodeIndex, Away>,
 }
 
 impl Replays {
@@ -87,57 +113,86 @@ impl Replays {
         log.retention = log.retention.max(retention);
     }
 
-    pub(crate) fn append(&mut self, now: SimTime, event: &Event) {
-        if let Some(log) = &mut self.log {
-            log.append(now, event);
-        }
-    }
-
-    /// Whether some client awaits a replay.
-    pub(crate) fn awaited(&self) -> bool {
-        !self.pending.is_empty()
-    }
-
     /// Holds `event` back if `client` awaits a replay; returns whether
     /// it did.
-    pub(crate) fn hold(&mut self, client: NodeIndex, from_neighbour: bool, event: &Event) -> bool {
+    pub(crate) fn hold(&mut self, client: NodeIndex, event: &Event) -> bool {
         let Some(pending) = self.pending.get_mut(&client) else {
             return false;
         };
-        pending.held.push((from_neighbour, event.clone()));
+        pending.held.push(event.clone());
         true
     }
 
+    /// Drops `client`'s pending replay and, if it moved out, its log.
     pub(crate) fn forget(&mut self, client: NodeIndex) {
         self.pending.remove(&client);
+        self.away.remove(&client);
     }
 
-    /// Handles [`BrokerMsg::Replay`] from `from`. A neighbour (`targets`
-    /// is `None`) is answered from the log, empty without one. A client
-    /// is answered from the log too if there is one, else its request
-    /// goes on to `targets` and its notifications are held.
+    /// Starts logging for `client`, which moved out at `now`, what its
+    /// subscriptions `ids` match.
+    pub(crate) fn move_out(&mut self, now: SimTime, client: NodeIndex, ids: Vec<SubId>) {
+        let until = now.saturating_add(AWAY_RETENTION);
+        let log = ReplayLog { retention: AWAY_RETENTION, ..ReplayLog::default() };
+        self.away.insert(client, Away { ids, until, log });
+    }
+
+    /// Events logged for `client` while it is away (0 if it is not).
+    #[cfg(test)]
+    pub(crate) fn away_log_len(&self, client: NodeIndex) -> usize {
+        self.away.get(&client).map_or(0, |a| a.log.len())
+    }
+
+    /// Logs `event` for `client` if it moved out; returns whether it did.
+    /// Its own publication is not logged for it.
+    pub(crate) fn log_away(&mut self, client: NodeIndex, now: SimTime, event: &Event) -> bool {
+        let Some(away) = self.away.get_mut(&client) else {
+            return false;
+        };
+        if event.id().origin != client {
+            away.log.append(now, event);
+        }
+        true
+    }
+
+    /// Handles [`BrokerMsg::Replay`] from `from`: answers it from the
+    /// client's own log, or from the log if `covered` or no `targets`
+    /// remain to ask, else asks `targets`. Returns the subscriptions an
+    /// answered away client left here, for the broker to drop.
     pub(crate) fn request(
         &mut self,
+        now: SimTime,
         from: NodeIndex,
-        targets: Option<Vec<NodeIndex>>,
+        targets: Vec<NodeIndex>,
+        covered: bool,
         (client, since, filters): (NodeIndex, SimTime, Vec<Filter>),
         out: &mut Outbox<BrokerMsg>,
-    ) {
-        let targets = targets.filter(|t| self.log.is_none() && !t.is_empty());
-        let Some(targets) = targets else {
-            let events = self.log.as_ref().map(|l| l.matches(since, &filters)).unwrap_or_default();
-            return out.send(from, BrokerMsg::Replayed { client, events });
-        };
-        self.pending.entry(from).or_default().due += targets.len();
+    ) -> Vec<SubId> {
+        if let Some(away) = self.away.remove(&client) {
+            let events = away.log.matches(since, &filters);
+            out.count("pubsub.replayed", events.len() as f64);
+            out.send(from, BrokerMsg::Replayed { client, events });
+            return away.ids;
+        }
+        let events = self.log.as_ref().map(|l| l.matches(since, &filters)).unwrap_or_default();
+        if covered || targets.is_empty() {
+            out.send(from, BrokerMsg::Replayed { client, events });
+            return Vec::new();
+        }
+        let deadline = now.saturating_add(REPLAY_DEADLINE);
+        let fresh = || Pending { reply_to: from, deadline, ..Pending::default() };
+        let pending = self.pending.entry(client).or_insert_with(fresh);
+        pending.due += targets.len();
+        pending.events.extend(events);
         for target in targets {
             let filters = filters.clone();
-            out.send(target, BrokerMsg::Replay { client: from, since, filters });
+            out.send(target, BrokerMsg::Replay { client, since, filters });
         }
+        Vec::new()
     }
 
-    /// Takes a neighbour's [`BrokerMsg::Replayed`] for `client`. Once all
-    /// are in, the client is sent the replay, oldest first, then each
-    /// held notification it does not hold.
+    /// Takes a neighbour's [`BrokerMsg::Replayed`] for `client`, and
+    /// answers once all are in.
     pub(crate) fn answered(
         &mut self,
         client: NodeIndex,
@@ -149,20 +204,43 @@ impl Replays {
         };
         pending.events.extend(events);
         pending.due -= 1;
-        if pending.due > 0 {
-            return;
+        if pending.due == 0 {
+            let pending = self.pending.remove(&client).expect("pending");
+            finish(client, pending, out);
         }
-        let Pending { mut events, held, .. } = self.pending.remove(&client).expect("pending");
-        events.sort_by_key(|&(at, _)| at);
-        let live: Vec<Event> = held
-            .into_iter()
-            .filter(|(neighbour, e)| !neighbour || !events.iter().rev().any(|(_, r)| r == e))
-            .map(|(_, e)| e)
-            .collect();
-        out.send(client, BrokerMsg::Replayed { client, events });
-        for event in live {
-            out.send(client, BrokerMsg::Notify(event));
-            out.count("pubsub.delivered_local", 1.0);
+    }
+
+    /// Releases each pending replay past its deadline with what has
+    /// arrived, and detaches each client away longer than the retention.
+    /// Returns the subscriptions the detached clients left here, for the
+    /// broker to drop.
+    pub(crate) fn expire(&mut self, now: SimTime, out: &mut Outbox<BrokerMsg>) -> Vec<SubId> {
+        if self.pending.is_empty() && self.away.is_empty() {
+            return Vec::new();
         }
+        for (client, pending) in self.pending.extract_if(.., |_, p| p.deadline <= now) {
+            out.count("pubsub.replay_expired", 1.0);
+            finish(client, pending, out);
+        }
+        let gone = self.away.extract_if(.., |_, a| a.until <= now);
+        gone.flat_map(|(_, away)| {
+            out.count("pubsub.away_expired", 1.0);
+            away.ids
+        })
+        .collect()
+    }
+}
+
+/// Answers a replay with its events, oldest first, then sends the client
+/// each held notification they do not hold.
+fn finish(client: NodeIndex, pending: Pending, out: &mut Outbox<BrokerMsg>) {
+    let Pending { reply_to, mut events, held, .. } = pending;
+    events.sort_by_key(|&(at, _)| at);
+    let live: Vec<Event> =
+        held.into_iter().filter(|e| !events.iter().rev().any(|(_, r)| r == e)).collect();
+    out.send(reply_to, BrokerMsg::Replayed { client, events });
+    for event in live {
+        out.send(client, BrokerMsg::Notify(event));
+        out.count("pubsub.delivered_local", 1.0);
     }
 }

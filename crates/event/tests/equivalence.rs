@@ -16,7 +16,7 @@
 //!    id reuse), and `covering_ids` returns exactly the ids
 //!    `Filter::covers` admits on the same tables.
 //! 2. **Delivery equivalence** — replaying a random
-//!    subscribe/unsubscribe/publish/detach/mobility script through a
+//!    subscribe/unsubscribe/publish/detach/roaming script through a
 //!    three-broker line of indexed [`Broker`]s and of [`LinearBroker`]s
 //!    yields byte-identical per-client notification streams and equal
 //!    delivery counters (one `Notify` per client per event, however many
@@ -37,7 +37,9 @@
 //! 4. **Subscriptions that start in the past** — the star over FIFO
 //!    links with sampled latencies, the hub keeping a replay log: a late
 //!    subscriber's replay and the live stream after it, against the
-//!    hub's arrival sequence scanned by `Filter::matches`.
+//!    hub's arrival sequence scanned by `Filter::matches`. And a client
+//!    roaming from one end of a four-broker line to the other while
+//!    publishers on both sides publish: every match once, none lost.
 //!
 //! Every [`BrokerMsg`] variant is handled in both worlds by these scripts
 //! (`the_script_drives_every_broker_message`); [`variant_name`] has no
@@ -310,6 +312,8 @@ proptest! {
 trait AnyBroker {
     /// Broker `i` of the 0..BROKERS line.
     fn on_line(i: u32) -> Self;
+    /// Broker `i` of the 0..`len` line.
+    fn on_line_of(len: u32, i: u32) -> Self;
     /// Broker 0 with no neighbours, its ingress bounded by [`tight_shed`].
     fn shedding_island() -> Self;
     /// Broker `i` of the hub-and-leaves [`star`].
@@ -326,7 +330,10 @@ trait AnyBroker {
 
 impl AnyBroker for Broker {
     fn on_line(i: u32) -> Self {
-        Broker::new(NodeIndex(i), line(i))
+        Broker::on_line_of(BROKERS, i)
+    }
+    fn on_line_of(len: u32, i: u32) -> Self {
+        Broker::new(NodeIndex(i), line(len, i))
     }
     fn shedding_island() -> Self {
         Broker::new(NodeIndex(0), island()).with_shedding(tight_shed())
@@ -350,7 +357,10 @@ impl AnyBroker for Broker {
 
 impl AnyBroker for LinearBroker {
     fn on_line(i: u32) -> Self {
-        LinearBroker::new(NodeIndex(i), line(i))
+        LinearBroker::on_line_of(BROKERS, i)
+    }
+    fn on_line_of(len: u32, i: u32) -> Self {
+        LinearBroker::new(NodeIndex(i), line(len, i))
     }
     fn shedding_island() -> Self {
         LinearBroker::new(NodeIndex(0), island()).with_shedding(tight_shed())
@@ -376,13 +386,13 @@ impl AnyBroker for LinearBroker {
 /// are clients.
 const BROKERS: u32 = 3;
 
-/// Topology of broker `i` in the 0..BROKERS line.
-fn line(i: u32) -> BrokerTopology {
+/// Topology of broker `i` in the 0..`len` line.
+fn line(len: u32, i: u32) -> BrokerTopology {
     let mut neighbors = Vec::new();
     if i > 0 {
         neighbors.push(NodeIndex(i - 1));
     }
-    if i + 1 < BROKERS {
+    if i + 1 < len {
         neighbors.push(NodeIndex(i + 1));
     }
     BrokerTopology::Peer { neighbors }
@@ -430,13 +440,16 @@ const SHED_STEP: SimDuration = SimDuration::from_millis(80);
 type ScriptStep = (u32, u32, BrokerMsg);
 
 /// The counters (and the one histogram, by its sum) both brokers must
-/// keep alike: they count what clients are sent and what the ingress
-/// shedder decided. (`subs_pruned` / `subs_merged` legitimately differ —
-/// the covering DAG prunes and merges more than the linear table.)
-const DELIVERY_COUNTERS: [&str; 6] = [
+/// keep alike: they count what clients are sent, what roaming clients
+/// left and were replayed, and what the ingress shedder decided.
+/// (`subs_pruned` / `subs_merged` legitimately differ — the covering DAG
+/// prunes and merges more than the linear table.)
+const DELIVERY_COUNTERS: [&str; 8] = [
     "pubsub.delivered_local",
-    "pubsub.handoff_events",
+    "pubsub.replayed",
     "pubsub.move_out",
+    "pubsub.away_expired",
+    "pubsub.replay_expired",
     "pubsub.shed",
     "pubsub.subs_rejected",
     "pubsub.queue_delay_us",
@@ -455,16 +468,13 @@ fn variant_name(msg: &BrokerMsg) -> &'static str {
         BrokerMsg::Attach => "Attach",
         BrokerMsg::Detach => "Detach",
         BrokerMsg::MoveOut => "MoveOut",
-        BrokerMsg::MoveIn { .. } => "MoveIn",
-        BrokerMsg::FetchBuffer { .. } => "FetchBuffer",
-        BrokerMsg::Handoff { .. } => "Handoff",
         BrokerMsg::Replay { .. } => "Replay",
         BrokerMsg::Replayed { .. } => "Replayed",
     }
 }
 
 /// Every name [`variant_name`] returns.
-const VARIANTS: [&str; 12] = [
+const VARIANTS: [&str; 9] = [
     "Subscribe",
     "Unsubscribe",
     "Publish",
@@ -472,9 +482,6 @@ const VARIANTS: [&str; 12] = [
     "Attach",
     "Detach",
     "MoveOut",
-    "MoveIn",
-    "FetchBuffer",
-    "Handoff",
     "Replay",
     "Replayed",
 ];
@@ -482,7 +489,8 @@ const VARIANTS: [&str; 12] = [
 /// What one world's clients were sent, and what its brokers counted.
 #[derive(Debug, Default)]
 struct Seen {
-    /// Per client, its notifications in order.
+    /// Per client, the events it was sent, notified or replayed, in
+    /// order.
     deliveries: BTreeMap<u32, Vec<Event>>,
     /// Per client, the replays it was sent, in order.
     replays: BTreeMap<u32, Vec<Vec<(SimTime, Event)>>>,
@@ -519,6 +527,8 @@ impl Seen {
         match msg {
             BrokerMsg::Notify(e) => self.deliveries.entry(to).or_default().push(e.clone()),
             BrokerMsg::Replayed { events, .. } => {
+                let received = self.deliveries.entry(to).or_default();
+                received.extend(events.iter().map(|(_, e)| e.clone()));
                 self.replays.entry(to).or_default().push(events.clone())
             }
             _ => {}
@@ -557,17 +567,16 @@ fn run_step_at<B: AnyBroker>(now: SimTime, brokers: &mut [B], step: &ScriptStep,
 
 /// Generates a random but protocol-valid script: clients attach to a
 /// broker line, then subscribe, unsubscribe, publish, detach/re-attach,
-/// and roam between brokers (with buffered-proxy handoffs).
+/// and roam between brokers (their old broker logging for them).
 fn rand_script(rng: &mut SimRng) -> Vec<ScriptStep> {
-    #[derive(Clone)]
     struct Client {
         node: u32,
         home: u32,
         attached: bool,
-        /// `Some(old_home)` while moved out (proxy buffering at old_home).
-        away: Option<u32>,
+        /// Moved out of `home`, which logs for it.
+        away: bool,
         next_sub: u64,
-        live: Vec<u64>,
+        live: Vec<Subscription>,
     }
     let n_clients = rng.range(2, 5) as u32;
     let mut clients: Vec<Client> = (0..n_clients)
@@ -575,7 +584,7 @@ fn rand_script(rng: &mut SimRng) -> Vec<ScriptStep> {
             node: 10 + i,
             home: rng.range(0, u64::from(BROKERS)) as u32,
             attached: false,
-            away: None,
+            away: false,
             next_sub: 0,
             live: Vec::new(),
         })
@@ -591,58 +600,46 @@ fn rand_script(rng: &mut SimRng) -> Vec<ScriptStep> {
         match rng.range(0, 10) {
             // Subscribe (weighted): a fresh random filter.
             0..=2 => {
-                if c.attached && c.away.is_none() {
-                    let id = (u64::from(c.node) << 32) | c.next_sub;
-                    c.next_sub += 1;
-                    c.live.push(id);
-                    let filter = rand_filter(rng);
-                    script.push((
-                        c.home,
-                        c.node,
-                        BrokerMsg::Subscribe(Subscription { id, filter }),
-                    ));
+                if c.attached && !c.away {
+                    let sub = fresh_sub(c.node, &mut c.next_sub, rand_filter(rng));
+                    c.live.push(sub.clone());
+                    script.push((c.home, c.node, BrokerMsg::Subscribe(sub)));
                 }
             }
             // Publish (weighted): anyone attached and present may publish.
             3..=6 => {
-                if c.attached && c.away.is_none() {
-                    script.push((c.home, c.node, BrokerMsg::Publish(rand_event(rng))));
+                if c.attached && !c.away {
+                    let e = stamped(rand_event(rng), c.node, script.len());
+                    script.push((c.home, c.node, BrokerMsg::Publish(e)));
                 }
             }
             // Unsubscribe a random live subscription.
             7 => {
-                if c.attached && c.away.is_none() && !c.live.is_empty() {
-                    let id = c.live.swap_remove(rng.index(c.live.len()));
-                    script.push((c.home, c.node, BrokerMsg::Unsubscribe(id)));
+                if c.attached && !c.away && !c.live.is_empty() {
+                    let sub = c.live.swap_remove(rng.index(c.live.len()));
+                    script.push((c.home, c.node, BrokerMsg::Unsubscribe(sub.id)));
                 }
             }
-            // Roam: move out now; move in at a (possibly different)
+            // Roam: move out now; reconnect at a (possibly different)
             // broker later in the script, so intervening publishes hit
-            // the proxy buffer.
-            8 => match c.away {
-                None if c.attached => {
+            // the old broker's log.
+            8 => {
+                if c.away {
+                    c.home = rng.range(0, u64::from(BROKERS)) as u32;
+                    reconnect(&mut script, c.home, c.node, &mut c.next_sub, &mut c.live);
+                    c.away = false;
+                } else if c.attached {
                     script.push((c.home, c.node, BrokerMsg::MoveOut));
-                    c.away = Some(c.home);
+                    c.away = true;
                 }
-                Some(old) => {
-                    let new_home = rng.range(0, u64::from(BROKERS)) as u32;
-                    script.push((
-                        new_home,
-                        c.node,
-                        BrokerMsg::MoveIn { old_broker: NodeIndex(old) },
-                    ));
-                    c.home = new_home;
-                    c.away = None;
-                }
-                None => {}
-            },
-            // Detach (drops all subscriptions, and while away the proxy
-            // at the old home) or re-attach.
+            }
+            // Detach (drops all subscriptions, and while away the log at
+            // the old home) or re-attach.
             _ => {
                 if c.attached {
                     script.push((c.home, c.node, BrokerMsg::Detach));
                     c.attached = false;
-                    c.away = None;
+                    c.away = false;
                     c.live.clear();
                 } else {
                     script.push((c.home, c.node, BrokerMsg::Attach));
@@ -651,11 +648,10 @@ fn rand_script(rng: &mut SimRng) -> Vec<ScriptStep> {
             }
         }
     }
-    // Bring roamers back so buffered events drain into the comparison.
-    for c in &mut clients {
-        if let Some(old) = c.away.take() {
-            script.push((c.home, c.node, BrokerMsg::MoveIn { old_broker: NodeIndex(old) }));
-        }
+    // Bring roamers back so logged events drain into the comparison.
+    for c in clients.iter_mut().filter(|c| c.away) {
+        reconnect(&mut script, c.home, c.node, &mut c.next_sub, &mut c.live);
+        c.away = false;
     }
     // Every attached client asks for a replay, which no broker on the
     // line holds a log for.
@@ -663,6 +659,42 @@ fn rand_script(rng: &mut SimRng) -> Vec<ScriptStep> {
         script.push((c.home, c.node, replay_of(c.node, rand_filter(rng))));
     }
     script
+}
+
+/// Client `node`'s next subscription, `filter` under a fresh id.
+fn fresh_sub(node: u32, next_sub: &mut u64, filter: Filter) -> Subscription {
+    let id = (u64::from(node) << 32) | *next_sub;
+    *next_sub += 1;
+    Subscription { id, filter }
+}
+
+/// `event` as client `node` publishes it, its `seq`-th publication.
+fn stamped(mut event: Event, node: u32, seq: usize) -> Event {
+    event.stamp(EventId { origin: NodeIndex(node), seq: seq as u64 }, SimTime::ZERO);
+    event
+}
+
+/// A roaming client's reconnection at `home`: it attaches, subscribes its
+/// `live` filters again under fresh ids, and asks for what they matched
+/// since it left.
+fn reconnect(
+    script: &mut Vec<ScriptStep>,
+    home: u32,
+    node: u32,
+    next_sub: &mut u64,
+    live: &mut [Subscription],
+) {
+    script.push((home, node, BrokerMsg::Attach));
+    for sub in live.iter_mut() {
+        *sub = fresh_sub(node, next_sub, sub.filter.clone());
+        script.push((home, node, BrokerMsg::Subscribe(sub.clone())));
+    }
+    let filters = live.iter().map(|s| s.filter.clone()).collect();
+    script.push((
+        home,
+        node,
+        BrokerMsg::Replay { client: NodeIndex(node), since: SimTime::ZERO, filters },
+    ));
 }
 
 /// Client `node`'s request to replay what matched `filter`, from the start.
@@ -711,10 +743,10 @@ proptest! {
         // Byte-identical notification streams, per client, in order, and
         // equal delivery counters.
         prop_assert_eq!(got.streams(), want.streams());
-        // The counters count the messages: every notification a client
-        // was sent is a live delivery or a handoff replay.
+        // The counters count the messages: every event a client was sent
+        // is a live delivery or replayed from a roaming client's log.
         prop_assert_eq!(
-            got.counter("pubsub.delivered_local") + got.counter("pubsub.handoff_events"),
+            got.counter("pubsub.delivered_local") + got.counter("pubsub.replayed"),
             got.delivered() as f64
         );
     }
@@ -740,10 +772,8 @@ proptest! {
 fn run_shedding(mut script: Vec<ScriptStep>) -> (Seen, Seen) {
     for (k, (to, _, msg)) in script.iter_mut().enumerate() {
         *to = 0;
-        match msg {
-            BrokerMsg::Publish(e) => e.set_attr("prio", (k % 8) as i64),
-            BrokerMsg::MoveIn { old_broker } => *old_broker = NodeIndex(0),
-            _ => {}
+        if let BrokerMsg::Publish(e) = msg {
+            e.set_attr("prio", (k % 8) as i64);
         }
     }
     let mut indexed = [Broker::shedding_island()];
@@ -760,8 +790,9 @@ fn run_shedding(mut script: Vec<ScriptStep>) -> (Seen, Seen) {
 }
 
 /// Whether a client of `script` detaches while roaming (after its
-/// `MoveOut`, before a `MoveIn`), subscribes again, and a publication
-/// follows: the sequence that finds a proxy left behind by `Detach`.
+/// `MoveOut`, before it reconnects with a `Replay`), subscribes again,
+/// and a publication follows: the sequence that finds a log left behind
+/// by `Detach`.
 fn detaches_while_away(script: &[ScriptStep]) -> bool {
     let mut away = BTreeSet::new();
     let mut detached_away = BTreeSet::new();
@@ -771,7 +802,7 @@ fn detaches_while_away(script: &[ScriptStep]) -> bool {
             BrokerMsg::MoveOut => {
                 away.insert(*from);
             }
-            BrokerMsg::MoveIn { .. } => {
+            BrokerMsg::Replay { .. } => {
                 away.remove(from);
             }
             BrokerMsg::Detach if away.remove(from) => {
@@ -822,7 +853,7 @@ fn the_script_drives_every_broker_message() {
         "pubsub.subs_rejected",
         "pubsub.queue_delay_us",
         "pubsub.delivered_local",
-        "pubsub.handoff_events",
+        "pubsub.replayed",
     ] {
         assert!(shedding.counter(reached) > 0.0, "no script reached {reached}: {shedding:?}");
     }
@@ -907,7 +938,7 @@ fn foreign_merged_cover_survives_covered_child_churn() {
 
 /// Delivery is per client, not per subscription: a client holding three
 /// filters that all match is sent one `Notify` per event while attached,
-/// one replayed copy of an event buffered while it roamed, and one per
+/// one replayed copy of an event logged while it roamed, and one per
 /// event again once its subscriptions are re-registered at the new
 /// broker.
 fn one_notify_per_client_per_event<B: AnyBroker>() {
@@ -927,20 +958,24 @@ fn one_notify_per_client_per_event<B: AnyBroker>() {
 
     run_step(&mut brokers, &(0, subscriber, BrokerMsg::Attach), &mut seen);
     run_step(&mut brokers, &(2, publisher, BrokerMsg::Attach), &mut seen);
-    for (k, filter) in filters.into_iter().enumerate() {
-        let id = (u64::from(subscriber) << 32) | k as u64;
-        let sub = BrokerMsg::Subscribe(Subscription { id, filter });
-        run_step(&mut brokers, &(0, subscriber, sub), &mut seen);
+    let mut next_sub = 0;
+    let mut live: Vec<Subscription> =
+        filters.into_iter().map(|f| fresh_sub(subscriber, &mut next_sub, f)).collect();
+    for sub in &live {
+        run_step(&mut brokers, &(0, subscriber, BrokerMsg::Subscribe(sub.clone())), &mut seen);
     }
     run_step(&mut brokers, &alert(50), &mut seen);
     assert_eq!(sent(&seen), 1, "three matching subscriptions, one live copy");
 
     run_step(&mut brokers, &(0, subscriber, BrokerMsg::MoveOut), &mut seen);
     run_step(&mut brokers, &alert(51), &mut seen);
-    assert_eq!(sent(&seen), 1, "away: buffered, not sent");
-    let move_in = BrokerMsg::MoveIn { old_broker: NodeIndex(0) };
-    run_step(&mut brokers, &(1, subscriber, move_in), &mut seen);
-    assert_eq!(sent(&seen), 2, "one buffered copy replayed by the handoff");
+    assert_eq!(sent(&seen), 1, "away: logged, not sent");
+    let mut steps = Vec::new();
+    reconnect(&mut steps, 1, subscriber, &mut next_sub, &mut live);
+    for step in &steps {
+        run_step(&mut brokers, step, &mut seen);
+    }
+    assert_eq!(sent(&seen), 2, "one logged copy replayed");
 
     run_step(&mut brokers, &alert(52), &mut seen);
     assert_eq!(sent(&seen), 3, "re-registered at the new broker: still one copy");
@@ -948,7 +983,7 @@ fn one_notify_per_client_per_event<B: AnyBroker>() {
         seen.deliveries[&subscriber].iter().filter_map(|e| e.num_attr("level")).collect();
     assert_eq!(levels, [50.0, 51.0, 52.0]);
     assert_eq!(seen.counter("pubsub.delivered_local"), 2.0, "counts clients notified");
-    assert_eq!(seen.counter("pubsub.handoff_events"), 1.0);
+    assert_eq!(seen.counter("pubsub.replayed"), 1.0);
 }
 
 #[test]
@@ -959,9 +994,8 @@ fn a_client_is_sent_one_notify_per_event_however_many_subscriptions_match() {
 
 /// [`run_step`] on the [`star`], where every broker's own node is also a
 /// client of that broker, as a `GlossNode` is: a broker's send to its own
-/// node is a `Notify` for that client or a mobility message it handles
-/// itself (a same-broker move), and any other send to a broker node is
-/// broker-to-broker.
+/// node is a `Notify` or a `Replayed` for that client, and any other send
+/// to a broker node is broker-to-broker.
 fn run_star_step<B: AnyBroker>(brokers: &mut [B], step: &ScriptStep, seen: &mut Seen) {
     let mut q: VecDeque<ScriptStep> = VecDeque::from([step.clone()]);
     while let Some((to, from, msg)) = q.pop_front() {
@@ -975,7 +1009,6 @@ fn run_star_step<B: AnyBroker>(brokers: &mut [B], step: &ScriptStep, seen: &mut 
                     seen.relayed += usize::from(relayed && to != 0);
                     seen.sent(t.0, m);
                 }
-                _ if t.0 == to => q.push_back((to, to, m.clone())),
                 _ if t.0 <= LEAVES => q.push_back((t.0, to, m.clone())),
                 _ => {}
             }
@@ -1007,7 +1040,7 @@ fn rand_star_script(rng: &mut SimRng) -> Vec<ScriptStep> {
         attached: bool,
         away: bool,
         next_sub: u64,
-        live: Vec<u64>,
+        live: Vec<Subscription>,
     }
     let homes = (0..=LEAVES).map(|b| (b, b));
     let roamers = [10, 11].map(|c| (c, rng.range(0, u64::from(LEAVES) + 1) as u32));
@@ -1030,18 +1063,17 @@ fn rand_star_script(rng: &mut SimRng) -> Vec<ScriptStep> {
         let present = c.attached && !c.away;
         match rng.range(0, 10) {
             0..=3 if present => {
-                let id = (u64::from(c.node) << 32) | c.next_sub;
-                c.next_sub += 1;
-                c.live.push(id);
-                let sub = Subscription { id, filter: rand_filter(rng) };
+                let sub = fresh_sub(c.node, &mut c.next_sub, rand_filter(rng));
+                c.live.push(sub.clone());
                 script.push((c.home, c.node, BrokerMsg::Subscribe(sub)));
             }
             4..=6 if present => {
-                script.push((c.home, c.node, BrokerMsg::Publish(rand_event(rng))));
+                let e = stamped(rand_event(rng), c.node, script.len());
+                script.push((c.home, c.node, BrokerMsg::Publish(e)));
             }
             7 if present && !c.live.is_empty() => {
-                let id = c.live.swap_remove(rng.index(c.live.len()));
-                script.push((c.home, c.node, BrokerMsg::Unsubscribe(id)));
+                let sub = c.live.swap_remove(rng.index(c.live.len()));
+                script.push((c.home, c.node, BrokerMsg::Unsubscribe(sub.id)));
             }
             8 if present => {
                 script.push((c.home, c.node, BrokerMsg::MoveOut));
@@ -1050,11 +1082,10 @@ fn rand_star_script(rng: &mut SimRng) -> Vec<ScriptStep> {
             // A broker's own node comes back to its own broker; a
             // roaming client to any.
             8 if c.away => {
-                let old = c.home;
                 if c.node > LEAVES {
                     c.home = rng.range(0, u64::from(LEAVES) + 1) as u32;
                 }
-                script.push((c.home, c.node, BrokerMsg::MoveIn { old_broker: NodeIndex(old) }));
+                reconnect(&mut script, c.home, c.node, &mut c.next_sub, &mut c.live);
                 c.away = false;
             }
             9 if c.attached => {
@@ -1070,10 +1101,9 @@ fn rand_star_script(rng: &mut SimRng) -> Vec<ScriptStep> {
             _ => {}
         }
     }
-    for c in &mut clients {
-        if c.away {
-            script.push((c.home, c.node, BrokerMsg::MoveIn { old_broker: NodeIndex(c.home) }));
-        }
+    for c in clients.iter_mut().filter(|c| c.away) {
+        reconnect(&mut script, c.home, c.node, &mut c.next_sub, &mut c.live);
+        c.away = false;
     }
     // Every attached client asks for a replay, which no broker holds a
     // log for.
@@ -1107,7 +1137,7 @@ proptest! {
         let (got, want) = run_star(&rand_star_script(&mut SimRng::new(seed)));
         prop_assert_eq!(got.streams(), want.streams());
         prop_assert_eq!(
-            got.counter("pubsub.delivered_local") + got.counter("pubsub.handoff_events"),
+            got.counter("pubsub.delivered_local") + got.counter("pubsub.replayed"),
             got.delivered() as f64
         );
     }
@@ -1137,10 +1167,10 @@ fn the_star_script_reaches_merges_mobility_and_cross_leaf_delivery() {
     assert!(late_subscribe, "no star script subscribed after a publication");
     assert!(total.relayed > 0, "no leaf's own node was sent an event the hub forwarded");
     assert!(total.merged > 0.0, "no star script merged covers");
-    for variant in ["Detach", "MoveOut", "MoveIn", "FetchBuffer", "Handoff"] {
+    for variant in ["Detach", "MoveOut", "Replay", "Replayed"] {
         assert!(total.handled.contains(variant), "no star script handled {variant}");
     }
-    for reached in ["pubsub.handoff_events", "pubsub.move_out"] {
+    for reached in ["pubsub.replayed", "pubsub.move_out"] {
         assert!(total.counter(reached) > 0.0, "no star script reached {reached}: {total:?}");
     }
 }
@@ -1378,4 +1408,125 @@ fn the_since_scenarios_reach_covers_own_broker_publishers_and_truncation() {
     assert!(reached.covered_replay, "{reached:?}");
     assert!(reached.own_broker_live, "{reached:?}");
     assert!(reached.truncated_replay, "{reached:?}");
+}
+
+// --- a client roaming across the line -------------------------------------
+
+/// Brokers on the line the roaming client crosses.
+const LONG_LINE: u32 = 4;
+
+/// A line of [`LONG_LINE`] brokers over FIFO links with sampled
+/// latencies. Client 10 subscribes at broker 0, moves out at a random
+/// instant and reconnects at the far end a random while later, asking
+/// for what it missed since it left; clients at both ends and in the
+/// middle publish stamped events throughout. The client must be sent
+/// every matching event published by another client exactly once:
+/// before it left live, while it was away through its old broker's log,
+/// and after it reconnected live or held and released at the seam.
+/// Returns how many matching events were replayed.
+fn line_move_scenario<B: AnyBroker>(seed: u64) -> usize {
+    let mut rng = SimRng::new(seed);
+    let mut brokers: Vec<B> = (0..LONG_LINE).map(|i| B::on_line_of(LONG_LINE, i)).collect();
+    let ms = SimDuration::from_millis;
+    let at_ms = |v: u64| SimTime::ZERO + ms(v);
+    let mover = 10u32;
+    let far = LONG_LINE - 1;
+    // (client, its broker): the mover, then publishers along the line.
+    let publishers = [(11, 0), (12, 1), (13, far), (14, far)];
+
+    let mut queue: BTreeMap<(SimTime, u64), (u32, u32, BrokerMsg)> = BTreeMap::new();
+    let mut order = 0u64;
+    let mut at = |queue: &mut BTreeMap<_, _>, t: SimTime, step: (u32, u32, BrokerMsg)| {
+        order += 1;
+        queue.insert((t, order), step);
+    };
+    at(&mut queue, SimTime::ZERO, (0, mover, BrokerMsg::Attach));
+    for (c, b) in publishers {
+        at(&mut queue, SimTime::ZERO, (b, c, BrokerMsg::Attach));
+    }
+    let shapes = [
+        Filter::for_kind("a").with_constraint("x", Op::Gt, 2i64),
+        Filter::for_kind("a").with_eq("x", 0i64),
+        Filter::for_kind("b").with_constraint("x", Op::Lt, 4i64),
+    ];
+    let filters: Vec<Filter> =
+        shapes.iter().filter(|_| rng.chance(0.6)).cloned().chain([shapes[0].clone()]).collect();
+    let mut next_sub = 0;
+    let mut live: Vec<Subscription> =
+        filters.iter().map(|f| fresh_sub(mover, &mut next_sub, f.clone())).collect();
+    for sub in &live {
+        at(&mut queue, SimTime::ZERO, (0, mover, BrokerMsg::Subscribe(sub.clone())));
+    }
+    let mut published: Vec<Event> = Vec::new();
+    for k in 0..80usize {
+        let (c, b) = publishers[rng.index(publishers.len())];
+        let kind = if rng.chance(0.7) { "a" } else { "b" };
+        let e = stamped(Event::new(kind).with_attr("x", rng.range(0, 8) as i64), c, k);
+        published.push(e.clone());
+        at(&mut queue, at_ms(rng.range(500, 10_000)), (b, c, BrokerMsg::Publish(e)));
+    }
+    let left = at_ms(rng.range(1_000, 6_000));
+    at(&mut queue, left, (0, mover, BrokerMsg::MoveOut));
+    let mut steps = Vec::new();
+    reconnect(&mut steps, far, mover, &mut next_sub, &mut live);
+    let back = left + ms(rng.range(0, 3_000));
+    for (b, c, msg) in steps {
+        let msg = match msg {
+            BrokerMsg::Replay { client, filters, .. } => {
+                BrokerMsg::Replay { client, since: left, filters }
+            }
+            other => other,
+        };
+        at(&mut queue, back, (b, c, msg));
+    }
+
+    let mut link_clear: BTreeMap<(u32, u32), SimTime> = BTreeMap::new();
+    let mut received: Vec<EventId> = Vec::new();
+    let mut replayed = 0;
+    while let Some(((now, _), (to, from, msg))) = queue.pop_first() {
+        let mut out = Outbox::new();
+        brokers[to as usize].dispatch(now, NodeIndex(from), msg, &mut out);
+        for (t, m) in out.sends() {
+            if t.0 < LONG_LINE {
+                // Broker-to-broker sends land after a sampled latency, in
+                // order per link.
+                let clear = link_clear.entry((to, t.0)).or_insert(SimTime::ZERO);
+                *clear = (*clear).max(now + ms(rng.range(1, 41)));
+                at(&mut queue, *clear, (t.0, to, m.clone()));
+            } else if t.0 == mover {
+                match m {
+                    BrokerMsg::Notify(e) => received.push(e.id()),
+                    BrokerMsg::Replayed { events, .. } => {
+                        replayed += events.len();
+                        received.extend(events.iter().map(|(_, e)| e.id()));
+                    }
+                    other => panic!("the mover was sent {other:?}"),
+                }
+            }
+        }
+    }
+
+    let want: BTreeSet<EventId> =
+        published.iter().filter(|e| filters.iter().any(|f| f.matches(e))).map(Event::id).collect();
+    let got: BTreeSet<EventId> = received.iter().copied().collect();
+    assert_eq!(got.len(), received.len(), "an event sent twice: {received:?}");
+    assert_eq!(got, want, "moved out at {left}, back at {back}");
+    replayed
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+    #[test]
+    fn a_client_roaming_across_the_line_misses_nothing_and_hears_nothing_twice(seed in any::<u64>()) {
+        line_move_scenario::<Broker>(seed);
+        line_move_scenario::<LinearBroker>(seed);
+    }
+}
+
+/// Over a fixed run of seeds the roaming client is replayed something:
+/// events reach its old broker's log while it is away.
+#[test]
+fn the_line_scenarios_replay_events_logged_while_away() {
+    let replayed: usize = (0..16).map(line_move_scenario::<Broker>).sum();
+    assert!(replayed > 0);
 }
